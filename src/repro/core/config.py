@@ -121,7 +121,7 @@ class FlowConfig(MethodConfig):
         Capacity of the decision-network LRU cache shared across fixed-ratio
         searches (0 disables caching entirely).
     warm_start:
-        Reuse the residual flow of the previous binary-search guess (and, via
+        Reuse the residual flow of the previous fixed-ratio guess (and, via
         the network cache, of earlier searches on the same ``(sub-problem,
         ratio)``) as the starting point of the next min-cut instead of
         resetting to zero flow.  Results are bit-identical either way; warm

@@ -57,7 +57,7 @@ def surrogate_denominator(s_size: int, t_size: int, ratio: float) -> float:
 
     By the AM–GM inequality this is always at least ``sqrt(|S| * |T|)``, with
     equality exactly when ``|S| / |T| == ratio`` — the fact underpinning both
-    the per-ratio binary search and the divide-and-conquer interval bound.
+    the per-ratio fixed-ratio search and the divide-and-conquer interval bound.
     """
     if ratio <= 0:
         raise AlgorithmError(f"ratio must be > 0, got {ratio}")
@@ -106,11 +106,11 @@ def global_density_upper_bound(graph: DiGraph) -> float:
 
 
 def exactness_tolerance(graph: DiGraph) -> float:
-    """Binary-search stopping gap that separates distinct density values.
+    """Fixed-ratio search stopping gap that separates distinct density values.
 
     Achievable densities have the form ``k / sqrt(i * j)`` with
     ``k <= m`` and ``i, j <= n``; two distinct such values differ by at least
-    ``1 / (2 * m * n^3)``.  A binary search narrowed below this gap therefore
+    ``1 / (2 * m * n^3)``.  A search bracket narrowed below this gap therefore
     pins the optimum exactly.  The value is floored at ``1e-12`` to stay clear
     of double-precision noise; for graphs large enough to hit the floor the
     exact solvers still return a valid subgraph (densities of extracted pairs

@@ -22,12 +22,19 @@ better than the incumbent:
   no better than ``P'`` — whose true density has already been folded into the
   incumbent — so the whole open interval ``(c, c')`` can be skipped.
 
+The probe itself is one fixed-ratio search from ``lower = 0``
+(:mod:`repro.core.fixed_ratio`): Dinkelbach's iteration closes its bracket
+at ``val(c)`` after a handful of cuts, so ``upper(val(c))`` is tight and the
+extracted maximiser has ``eps = 0`` unless the search stopped at its
+tolerance first.
+
 Whatever is not covered by the skip region is pushed back as (at most two)
 child intervals together with a tightened conditional upper bound
 ``min(parent_upper, f(lo,hi) * upper(val(c)))`` which is valid whenever the
 optimal ratio lies inside the child.  Intervals containing at most a handful
 of distinct candidate ratios are leaves: each not-yet-examined ratio gets one
-full-precision fixed-ratio search.
+full-precision fixed-ratio search starting at the incumbent, which a single
+min-cut settles whenever the ratio cannot beat it.
 
 ``CoreExact`` is the same driver with ``use_core_restriction`` switched on:
 each interval's search space is shrunk to the [x, y]-core that must contain
@@ -75,11 +82,6 @@ from repro.graph.digraph import DiGraph
 from repro.runtime import AnytimeResult
 
 __all__ = ["LEAF_RATIO_COUNT", "dc_exact"]
-
-#: Soft precision (relative to the incumbent) used by interior probes; probes
-#: that turn out to beat the incumbent are automatically refined further.
-PROBE_COARSE_FRACTION = 0.01
-
 
 @dataclass
 class _SearchState:
@@ -249,10 +251,6 @@ def _dc_driver(
     if tolerance <= 0:
         raise AlgorithmError("tolerance must be positive")
     density_gap = exactness_tolerance(graph)
-    # Interior probes refine until the ratio-skipping slack ``eps * cosh`` can
-    # drop below the density gap even for maximisers whose ratio sits at the
-    # far end of the ratio range (cosh bounded by the full-interval factor).
-    fine_tolerance = min(tolerance, density_gap / (2.0 * interval_relaxation_factor(1.0 / n, float(n))))
 
     engine = engine if engine is not None else FlowEngine(flow_solver)
     network_cache = network_cache if network_cache is not None else NetworkCache()
@@ -372,71 +370,32 @@ def _dc_driver(
                 continue
 
             # -------------------------------------------------- interior probe
-            # Stage 1: a coarse probe — enough to prune intervals whose
-            # surrogate optimum is clearly dominated by the incumbent.
+            # One search from lower = 0: the Dinkelbach iteration closes its
+            # bracket at val(c), which yields both the certified upper bound
+            # of the window skip and the surrogate maximiser of the
+            # ratio-skipping lemma.
             state.ratios_examined += 1
-            incumbent_at_entry = state.best_density
-            coarse_gap = max(
-                PROBE_COARSE_FRACTION * max(incumbent_at_entry, 1.0), 10 * tolerance
-            )
             outcome = maximize_fixed_ratio(
                 subproblem,
                 probe_ratio,
                 lower=0.0,
                 upper=max(upper_bound, 0.0),
-                tolerance=fine_tolerance,
-                coarse_gap=coarse_gap,
-                refine_above=incumbent_at_entry,
+                tolerance=tolerance,
                 engine=state.engine,
                 network_cache=state.network_cache,
                 warm_start=warm_start,
             )
             state.absorb_outcome(outcome)
             value_upper = outcome.upper
-            last_s, last_t = outcome.last_s, outcome.last_t
-            last_surrogate = outcome.last_surrogate
-
             left_edge, right_edge = _skip_region(
                 probe_ratio,
                 value_upper,
                 state.best_density,
-                last_s,
-                last_t,
-                last_surrogate,
+                outcome.last_s,
+                outcome.last_t,
+                outcome.last_surrogate,
                 density_gap,
             )
-
-            if left_edge > lo or right_edge < hi:
-                # Stage 2: the coarse probe did not settle the whole interval —
-                # refine the bracket until the ratio-skipping lemma's slack
-                # condition has a chance to fire, then recompute the skip
-                # region.  The network cache hands the refine stage the network
-                # the coarse stage just built (same sub-problem, same probe
-                # ratio), so this search retunes instead of rebuilding.
-                refined = maximize_fixed_ratio(
-                    subproblem,
-                    probe_ratio,
-                    lower=outcome.lower,
-                    upper=outcome.upper,
-                    tolerance=fine_tolerance,
-                    engine=state.engine,
-                    network_cache=state.network_cache,
-                    warm_start=warm_start,
-                )
-                state.absorb_outcome(refined)
-                value_upper = min(value_upper, refined.upper)
-                if refined.found_maximiser and refined.last_surrogate >= last_surrogate:
-                    last_s, last_t = refined.last_s, refined.last_t
-                    last_surrogate = refined.last_surrogate
-                left_edge, right_edge = _skip_region(
-                    probe_ratio,
-                    value_upper,
-                    state.best_density,
-                    last_s,
-                    last_t,
-                    last_surrogate,
-                    density_gap,
-                )
 
             child_upper = min(upper_bound, interval_relaxation_factor(lo, hi) * value_upper)
             pushed_any = False
@@ -506,7 +465,7 @@ def dc_exact(
     job.  ``engine`` and ``network_cache`` are the warm-start hooks a
     :class:`~repro.session.DDSSession` uses to share flow instrumentation and
     decision networks across queries; ``config.flow.warm_start`` additionally
-    lets every binary-search min-cut continue from the previous guess's
+    lets every fixed-ratio min-cut continue from the previous guess's
     residual flow.
     """
     cfg = ExactConfig.resolve(

@@ -1,12 +1,14 @@
 """``FlowExact`` — the baseline exact DDS algorithm (all candidate ratios).
 
 This is the reproduction of the state-of-the-art *prior* to the paper: for
-every distinct candidate ratio ``a = i/j`` (``1 <= i, j <= n``) run a binary
-search over the guess ``g``, each step of which is one min-cut computation on
-the decision network.  For the ratio equal to ``|S*|/|T*|`` the surrogate is
-tight, so the best pair extracted over all ratios is the exact DDS.
+every distinct candidate ratio ``a = i/j`` (``1 <= i, j <= n``) run a
+fixed-ratio search over the guess ``g`` (:mod:`repro.core.fixed_ratio`),
+each step of which is one min-cut computation on the decision network.
+Every search starts at ``lower = 0``, as in the baseline.  For the ratio
+equal to ``|S*|/|T*|`` the surrogate is tight, so the best pair extracted
+over all ratios is the exact DDS.
 
-The algorithm needs ``Theta(n^2)`` binary searches and is therefore only
+The algorithm needs ``Theta(n^2)`` fixed-ratio searches and is therefore only
 usable on small graphs — exactly the behaviour the paper's evaluation
 highlights and that experiments E2/E6 reproduce.
 """
@@ -34,8 +36,8 @@ from repro.flow.engine import FlowEngine
 from repro.graph.digraph import DiGraph
 from repro.runtime import AnytimeResult
 
-#: FlowExact runs one binary search per distinct ratio; above this node count
-#: that is hopeless in pure Python, so we refuse instead of hanging.
+#: FlowExact runs one fixed-ratio search per distinct ratio; above this node
+#: count that is hopeless in pure Python, so we refuse instead of hanging.
 DEFAULT_NODE_LIMIT = 300
 
 
@@ -60,7 +62,7 @@ def flow_exact(
         ``node_limit`` guards against accidentally running the
         quadratic-ratio baseline on a large graph (default
         :data:`DEFAULT_NODE_LIMIT`) and its ``tolerance`` is the
-        binary-search stopping gap (default: the provably-exact
+        search stopping gap (default: the provably-exact
         :func:`~repro.core.density.exactness_tolerance`).
     node_limit / tolerance / flow_solver:
         Legacy per-field overrides resolved through ``config``.

@@ -1,4 +1,4 @@
-"""Binary-search maximisation of the fixed-ratio surrogate objective.
+"""Dinkelbach maximisation of the fixed-ratio surrogate objective.
 
 For a ratio ``a`` define
 
@@ -7,38 +7,46 @@ For a ratio ``a`` define
 
 ``val(a)`` is a lower bound on ``rho_opt`` for every ``a`` and equals
 ``rho_opt`` when ``a`` is the optimal ratio ``|S*|/|T*|`` (AM–GM).  The
-function below brackets ``val(a)`` with a binary search whose decision step
-is one min-cut on the network of :mod:`repro.core.flow_network`.
+functions below bracket ``val(a)`` with Dinkelbach's iteration
+(W. Dinkelbach, "On nonlinear fractional programming", *Management Science*
+13(7), 1967), whose decision step is one min-cut on the network of
+:mod:`repro.core.flow_network` at a guess ``g``:
+
+* every guess is the current certified lower bound ``g = low``;
+* a cut that beats ``g`` exhibits a pair whose surrogate ``σ`` exceeds
+  ``g``, so ``low`` jumps to ``σ`` and ``σ`` is the next guess;
+* a cut that does not beat ``g = low`` certifies ``val(a) <= low`` and so
+  closes the bracket (``high = low``).
+
+The guesses rise monotonically towards ``val(a)`` and a search typically
+ends after a handful of cuts; a search whose ``lower`` is already at or
+above ``val(a)`` costs exactly one.  Bisection survives only as the
+fallback after a *float stall* — a success whose extracted surrogate does
+not exceed the guess — where the next guess is the bracket midpoint; that
+fallback is what guarantees termination.  ``tolerance`` remains the stop
+condition: a search ends once ``upper - lower < tolerance``.
 
 The decision network is built **once per search** and re-parameterised in
 place (:meth:`~repro.core.flow_network.DecisionNetwork.retune`) between
-binary-search iterations: only the guess-dependent penalty-arc capacities
-change with the guess, so network construction is O(m') per search instead
-of O(flow_calls * m').  With ``warm_start`` (the default) the retune also
-*keeps the residual flow* of the previous guess — clamped to the new
-penalty capacities — so each min-cut after the first continues from a
-nearly-maximal flow instead of starting from zero; the answers are
-bit-identical, only ``arcs_pushed`` shrinks.  Min-cuts run through a
-caller-supplied :class:`~repro.flow.engine.FlowEngine`, which picks the
-solver (registry name) and accumulates ``flow_calls`` / ``networks_built``
-/ ``arcs_pushed`` / ``warm_starts_used`` across the whole algorithm run
-(see the stats glossary in :mod:`repro.flow.engine`).
+guesses: only the guess-dependent penalty-arc capacities change with the
+guess, so network construction is O(m') per search instead of
+O(flow_calls * m').  With ``warm_start`` (the default) the retune also
+*keeps the residual flow* of the previous guess, so each min-cut after the
+first continues from a nearly-maximal flow instead of starting from zero.
+Within a search the guesses only move up (except after a stall), so the
+penalty capacities only grow and nothing has to be clamped; only the first
+retune of a cache-served network may move down.  The answers are
+bit-identical either way, only ``arcs_pushed`` shrinks.  Min-cuts run through a caller-supplied
+:class:`~repro.flow.engine.FlowEngine`, which picks the solver (registry
+name) and accumulates ``flow_calls`` / ``networks_built`` / ``arcs_pushed``
+/ ``warm_starts_used`` across the whole algorithm run (see the stats
+glossary in :mod:`repro.flow.engine`).
 
-Two refinements keep the number of max-flow calls small:
-
-* **Dinkelbach acceleration** — whenever a guess succeeds, the extracted pair
-  is itself a feasible witness, so the lower bracket jumps to that pair's
-  surrogate value rather than merely to the guess; convergence towards
-  ``val(a)`` from below is then typically a handful of cuts.
-* **coarse / early stopping** — the divide-and-conquer driver often only
-  needs a *valid upper bound* on ``val(a)`` (any failed guess provides one),
-  so it can ask the search to stop at a coarse gap unless the probe is
-  actually beating the incumbent (``refine_above``), and can stop outright
-  once the bracket crosses a pruning threshold (``stop_when_*``).
-
-The search keeps track of two extracted pairs: the one with the best *true*
+A search keeps track of two extracted pairs: the one with the best *true*
 density (for the incumbent) and the one extracted at the highest successful
-guess (the surrogate near-maximiser the ratio-skipping lemma needs).
+guess (the surrogate near-maximiser the ratio-skipping lemma needs).  The
+sequential and the lockstep batched search share one per-search state
+machine, :class:`_RatioSearch`, so both apply the same guess rule.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ from repro.core.results import FixedRatioOutcome
 from repro.core.subproblem import STSubproblem
 from repro.exceptions import AlgorithmError, DeadlineExceeded
 from repro.flow.engine import FlowEngine
+from repro.graph.digraph import DiGraph
 
 NetworkObserver = Callable[[int, int], None]
 
@@ -74,13 +83,36 @@ def partial_outcomes(error: DeadlineExceeded) -> list[FixedRatioOutcome]:
     return outcomes
 
 
-class _LockstepSearch:
-    """Per-ratio binary-search state of one member of a batched solve."""
+def _check_bounds(lower: float, upper: float, tolerance: float) -> None:
+    if lower < 0 or upper < 0:
+        raise AlgorithmError("bounds must be non-negative")
+    if tolerance <= 0:
+        raise AlgorithmError(f"tolerance must be > 0, got {tolerance}")
+
+
+def _warm_policy(engine: FlowEngine | None, warm_start: bool) -> tuple[FlowEngine, bool]:
+    """The engine to use and whether its solves may continue residual flow."""
+    if engine is None:
+        engine = FlowEngine()
+    if warm_start and not engine.warm_capable:
+        engine.note_warm_fallback()
+    return engine, bool(warm_start) and engine.warm_capable
+
+
+class _RatioSearch:
+    """Bracket state of one fixed-ratio search, advanced one min-cut at a time.
+
+    :func:`maximize_fixed_ratio` drives one of these; the lockstep
+    :func:`maximize_fixed_ratio_batch` drives one per ratio.  Each step is
+    :meth:`prepare` (pick the guess, fetch/build/retune the network), one
+    min-cut by the caller, then :meth:`record` (advance the bracket).
+    """
 
     __slots__ = (
         "ratio",
         "low",
         "high",
+        "stalled",
         "best_s",
         "best_t",
         "best_density",
@@ -102,6 +134,7 @@ class _LockstepSearch:
         self.ratio = ratio
         self.low = float(lower)
         self.high = max(float(upper), self.low)
+        self.stalled = False
         self.best_s: list[int] = []
         self.best_t: list[int] = []
         self.best_density = 0.0
@@ -118,7 +151,82 @@ class _LockstepSearch:
         self.decision = None
         self.guess = 0.0
 
+    def prepare(
+        self,
+        subproblem: STSubproblem,
+        engine: FlowEngine,
+        network_cache: NetworkCache | None,
+        network_observer: NetworkObserver | None,
+        use_warm: bool,
+    ) -> bool:
+        """Set the next guess on this search's network; returns whether the solve is warm."""
+        # Dinkelbach: probe the certified lower bound.  After a float stall
+        # the same guess would stall again, so bisect instead.
+        guess = self.guess = (self.low + self.high) / 2.0 if self.stalled else self.low
+        decision = self.decision
+        solve_warm = use_warm
+        if decision is None:
+            if network_cache is not None:
+                decision = network_cache.get(subproblem, self.ratio)
+            if decision is not None:
+                engine.note_network_reused()
+                self.networks_reused += 1
+                # A cache-served network still carries the residual flow of
+                # its last solve; a warm retune keeps it as the start state.
+                decision.retune(self.ratio, guess, warm_start=use_warm)
+            else:
+                decision = build_decision_network(subproblem, self.ratio, guess)
+                engine.note_network_built()
+                self.networks_built += 1
+                solve_warm = False  # a fresh network holds no flow to reuse
+                if network_cache is not None:
+                    network_cache.put(subproblem, self.ratio, decision)
+            self.decision = decision
+            if network_observer is not None:
+                network_observer(decision.num_nodes, decision.num_arcs)
+        else:
+            decision.retune(self.ratio, guess, warm_start=use_warm)
+        self.network_nodes.append(decision.num_nodes)
+        self.network_arcs.append(decision.num_arcs)
+        return solve_warm
+
+    def record(
+        self,
+        graph: DiGraph,
+        cut_value: float,
+        source_side: Callable[[], list[int]],
+        solve_warm: bool,
+    ) -> None:
+        """Advance the bracket by the verdict of the min-cut at :attr:`guess`."""
+        self.flow_calls += 1
+        if solve_warm:
+            self.warm_starts_used += 1
+        else:
+            self.cold_starts += 1
+        decision = self.decision
+        if decision_cut_is_improving(cut_value, decision.total_capacity):
+            s_side, t_side = decision.extract_pair(source_side())
+            if s_side and t_side:
+                edges = graph.count_edges_between(s_side, t_side)
+                surrogate = surrogate_density(edges, len(s_side), len(t_side), self.ratio)
+                density = directed_density_from_indices(graph, s_side, t_side)
+                if density > self.best_density:
+                    self.best_density = density
+                    self.best_s, self.best_t = s_side, t_side
+                if surrogate >= self.last_surrogate:
+                    self.last_surrogate = surrogate
+                    self.last_s, self.last_t = s_side, t_side
+                # Dinkelbach jump: the pair certifies val(ratio) >= surrogate,
+                # which becomes the next guess.  A conditional upper bound may
+                # sit below val(ratio); capping keeps lower <= upper.
+                self.stalled = surrogate <= self.guess
+                self.low = min(max(self.guess, surrogate), self.high)
+                return
+        # No pair beats the guess, so val(ratio) <= guess.
+        self.high = self.guess
+
     def outcome(self) -> FixedRatioOutcome:
+        """The bracket, pairs and counters so far (valid at every step boundary)."""
         return FixedRatioOutcome(
             ratio=self.ratio,
             lower=self.low,
@@ -154,8 +262,8 @@ def maximize_fixed_ratio_batch(
 
     All searches share ``subproblem`` and the initial ``(lower, upper)``
     bracket; each advances its own bracket.  The searches run in *lockstep*:
-    every round retunes the still-unconverged members to their midpoint
-    guesses and solves all of them as one stacked min-cut through
+    every round retunes the still-unconverged members to their next guesses
+    and solves all of them as one stacked min-cut through
     :meth:`FlowEngine.min_cut_batch
     <repro.flow.engine.FlowEngine.min_cut_batch>` — B small solves become
     one big solve with B× the vector width, which is what makes the
@@ -164,49 +272,31 @@ def maximize_fixed_ratio_batch(
 
     Per member, every step — cache lookup, build-or-retune, warm/cold
     accounting, cut-improvement test, pair extraction, Dinkelbach bracket
-    update — mirrors the sequential search exactly, and the per-block cut is
-    the same canonical (residual-reachable) cut a solo solve certifies, so
-    the returned outcomes carry identical subgraphs.  One documented
-    deviation: all members read the *same* entry ``lower`` (a sequential
-    sweep could tighten later searches' lower bounds with earlier searches'
-    incumbents); a looser lower bound never changes which pairs are optimal,
-    only how many guesses a search spends, so densities are unaffected.
+    update — is the sequential search's own step (:class:`_RatioSearch`),
+    and the per-block cut is the same canonical (residual-reachable) cut a
+    solo solve certifies, so the returned outcomes carry identical subgraphs
+    and flow-call counts.  One documented deviation: all members read the
+    *same* entry ``lower`` (a sequential sweep could tighten later searches'
+    lower bounds with earlier searches' incumbents); a looser lower bound
+    never changes which pairs are optimal, only how many guesses a search
+    spends, so densities are unaffected.
 
     Callers gate eligibility with :meth:`FlowEngine.supports_batching
     <repro.flow.engine.FlowEngine.supports_batching>`; this function assumes
     the gate passed (at least two distinct ratios, ``"auto"`` engine,
     vectorised backend available).
     """
-    if lower < 0 or upper < 0:
-        raise AlgorithmError("bounds must be non-negative")
-    if tolerance <= 0:
-        raise AlgorithmError(f"tolerance must be > 0, got {tolerance}")
+    _check_bounds(lower, upper, tolerance)
     if len(ratios) < 2:
         raise AlgorithmError("a batched search needs at least two ratios")
     if len(set(ratios)) != len(ratios):
         raise AlgorithmError("batched ratios must be distinct (they share one cache)")
     if subproblem.is_empty:
-        return [
-            FixedRatioOutcome(
-                ratio=ratio,
-                lower=0.0,
-                upper=0.0,
-                best_s=[],
-                best_t=[],
-                best_density=0.0,
-                flow_calls=0,
-            )
-            for ratio in ratios
-        ]
+        return [_RatioSearch(ratio, 0.0, 0.0).outcome() for ratio in ratios]
 
-    if engine is None:
-        engine = FlowEngine()
-    use_warm = bool(warm_start) and engine.warm_capable
-    if warm_start and not engine.warm_capable:
-        engine.note_warm_fallback()
-
+    engine, use_warm = _warm_policy(engine, warm_start)
     graph = subproblem.graph
-    members = [_LockstepSearch(float(ratio), lower, upper) for ratio in ratios]
+    members = [_RatioSearch(float(ratio), lower, upper) for ratio in ratios]
     batch = None
 
     try:
@@ -218,40 +308,12 @@ def maximize_fixed_ratio_batch(
             ]
             if not active:
                 break
-
-            warm_flags: list[bool] = []
-            for index in active:
-                member = members[index]
-                member.guess = (member.low + member.high) / 2.0
-                solve_warm = use_warm
-                if member.decision is None:
-                    if network_cache is not None:
-                        member.decision = network_cache.get(subproblem, member.ratio)
-                    if member.decision is not None:
-                        engine.note_network_reused()
-                        member.networks_reused += 1
-                        member.decision.retune(
-                            member.ratio, member.guess, warm_start=use_warm
-                        )
-                    else:
-                        member.decision = build_decision_network(
-                            subproblem, member.ratio, member.guess
-                        )
-                        engine.note_network_built()
-                        member.networks_built += 1
-                        solve_warm = False  # a fresh network holds no flow to reuse
-                        if network_cache is not None:
-                            network_cache.put(subproblem, member.ratio, member.decision)
-                    if network_observer is not None:
-                        network_observer(
-                            member.decision.num_nodes, member.decision.num_arcs
-                        )
-                else:
-                    member.decision.retune(member.ratio, member.guess, warm_start=use_warm)
-                member.network_nodes.append(member.decision.num_nodes)
-                member.network_arcs.append(member.decision.num_arcs)
-                warm_flags.append(solve_warm)
-
+            warm_flags = [
+                members[index].prepare(
+                    subproblem, engine, network_cache, network_observer, use_warm
+                )
+                for index in active
+            ]
             if batch is None:
                 # All members were active in round one, so every decision
                 # network exists by the time the stack is assembled.
@@ -266,33 +328,10 @@ def maximize_fixed_ratio_batch(
 
             results = engine.min_cut_batch(batch, active, warm_flags)
             for position, index in enumerate(active):
-                member = members[index]
                 cut_value, source_side, _block_pushes = results[position]
-                member.flow_calls += 1
-                if warm_flags[position]:
-                    member.warm_starts_used += 1
-                else:
-                    member.cold_starts += 1
-
-                extracted = False
-                if decision_cut_is_improving(cut_value, member.decision.total_capacity):
-                    s_side, t_side = member.decision.extract_pair(source_side)
-                    if s_side and t_side:
-                        extracted = True
-                        edges = graph.count_edges_between(s_side, t_side)
-                        surrogate = surrogate_density(
-                            edges, len(s_side), len(t_side), member.ratio
-                        )
-                        density = directed_density_from_indices(graph, s_side, t_side)
-                        if density > member.best_density:
-                            member.best_density = density
-                            member.best_s, member.best_t = s_side, t_side
-                        if surrogate >= member.last_surrogate:
-                            member.last_surrogate = surrogate
-                            member.last_s, member.last_t = s_side, t_side
-                        member.low = max(member.guess, surrogate)
-                if not extracted:
-                    member.high = member.guess
+                members[index].record(
+                    graph, cut_value, lambda side=source_side: side, warm_flags[position]
+                )
     except DeadlineExceeded as error:
         # A cancelled round never updated any member's bracket, so every
         # member's (low, high) is still certified; hand all of them to the
@@ -309,16 +348,12 @@ def maximize_fixed_ratio(
     lower: float,
     upper: float,
     tolerance: float,
-    coarse_gap: float | None = None,
-    refine_above: float | None = None,
-    stop_when_upper_below: float | None = None,
-    stop_when_lower_above: float | None = None,
     network_observer: NetworkObserver | None = None,
     engine: FlowEngine | None = None,
     network_cache: NetworkCache | None = None,
     warm_start: bool = True,
 ) -> FixedRatioOutcome:
-    """Bracket ``val(ratio)`` within ``tolerance`` (or until an early stop fires).
+    """Bracket ``val(ratio)`` within ``tolerance`` by Dinkelbach's iteration.
 
     Parameters
     ----------
@@ -327,16 +362,14 @@ def maximize_fixed_ratio(
     ratio:
         The probe ratio ``a``.
     lower, upper:
-        Initial bracket; ``lower`` must not exceed ``val(ratio)`` *if the
-        caller wants extraction* — passing a larger ``lower`` is allowed and
-        simply means "only look for pairs with surrogate density above it".
-        ``upper`` must be a true upper bound on ``val(ratio)``.
+        Initial bracket and first guess (``lower``); ``lower`` must not
+        exceed ``val(ratio)`` *if the caller wants extraction* — passing a
+        larger ``lower`` is allowed and simply means "only look for pairs
+        with surrogate density above it", which one min-cut settles.
+        ``upper`` must be a true upper bound on ``val(ratio)`` for the
+        bracket to certify ``val(ratio)``.
     tolerance:
-        Hard stop once ``upper - lower < tolerance``.
-    coarse_gap:
-        Optional soft stop: once ``upper - lower < coarse_gap`` the search
-        stops *unless* the best surrogate seen exceeds ``refine_above`` (in
-        which case it keeps refining down to ``tolerance``).
+        Stop once ``upper - lower < tolerance``.
     network_observer:
         Optional callback ``(num_nodes, num_arcs)`` invoked once per search
         for the network the search uses — freshly built *or* served by the
@@ -350,8 +383,7 @@ def maximize_fixed_ratio(
         cache holds a network for ``(subproblem, ratio)`` the search retunes
         it instead of building one (``networks_reused`` instead of
         ``networks_built``); a freshly built network is deposited for later
-        searches — this is how the coarse and refine stages of the DC
-        interior probe, and repeated session queries, share networks.
+        searches — this is how repeated session queries share networks.
     warm_start:
         Continue each min-cut from the residual flow left by the previous
         one (previous guess, or — for cache-served networks — the previous
@@ -363,142 +395,33 @@ def maximize_fixed_ratio(
     Returns
     -------
     FixedRatioOutcome
-        Final bracket, best-true-density pair, surrogate near-maximiser, and
-        instrumentation.  ``outcome.upper`` is always a certified upper bound
-        on ``val(ratio)`` and ``outcome.lower`` a certified lower bound.
+        Final bracket (``lower <= upper`` always), best-true-density pair,
+        surrogate near-maximiser, and instrumentation.  ``outcome.upper`` is
+        a certified upper bound on ``val(ratio)`` whenever ``upper`` was, and
+        ``outcome.lower`` a certified lower bound whenever ``lower`` was.
     """
-    if lower < 0 or upper < 0:
-        raise AlgorithmError("bounds must be non-negative")
-    if tolerance <= 0:
-        raise AlgorithmError(f"tolerance must be > 0, got {tolerance}")
+    _check_bounds(lower, upper, tolerance)
     if subproblem.is_empty:
-        return FixedRatioOutcome(
-            ratio=ratio,
-            lower=0.0,
-            upper=0.0,
-            best_s=[],
-            best_t=[],
-            best_density=0.0,
-            flow_calls=0,
-        )
+        return _RatioSearch(ratio, 0.0, 0.0).outcome()
 
-    if engine is None:
-        engine = FlowEngine()
-    use_warm = bool(warm_start) and engine.warm_capable
-    if warm_start and not engine.warm_capable:
-        engine.note_warm_fallback()
-
+    engine, use_warm = _warm_policy(engine, warm_start)
     graph = subproblem.graph
-    low = float(lower)
-    high = max(float(upper), low)
-    best_s: list[int] = []
-    best_t: list[int] = []
-    best_density = 0.0
-    last_s: list[int] = []
-    last_t: list[int] = []
-    last_surrogate = 0.0
-    flow_calls = 0
-    networks_built = 0
-    networks_reused = 0
-    warm_starts_used = 0
-    cold_starts = 0
-    network_nodes: list[int] = []
-    network_arcs: list[int] = []
-    decision = None
-
-    def snapshot() -> FixedRatioOutcome:
-        # The bracket invariants hold at *every* loop boundary, so this is a
-        # valid outcome whether the search converged, stopped early, or was
-        # cancelled by a deadline mid-search.
-        return FixedRatioOutcome(
-            ratio=ratio,
-            lower=low,
-            upper=high,
-            best_s=best_s,
-            best_t=best_t,
-            best_density=best_density,
-            flow_calls=flow_calls,
-            networks_built=networks_built,
-            networks_reused=networks_reused,
-            warm_starts_used=warm_starts_used,
-            cold_starts=cold_starts,
-            last_s=last_s,
-            last_t=last_t,
-            last_surrogate=last_surrogate,
-            network_nodes=network_nodes,
-            network_arcs=network_arcs,
-        )
-
+    search = _RatioSearch(ratio, lower, upper)
     try:
-        while high - low >= tolerance:
-            if coarse_gap is not None and high - low < coarse_gap:
-                if refine_above is None or last_surrogate <= refine_above:
-                    break
-            if stop_when_upper_below is not None and high < stop_when_upper_below:
-                break
-            if stop_when_lower_above is not None and low > stop_when_lower_above:
-                break
-
-            guess = (low + high) / 2.0
-            solve_warm = use_warm
-            if decision is None:
-                if network_cache is not None:
-                    decision = network_cache.get(subproblem, ratio)
-                if decision is not None:
-                    engine.note_network_reused()
-                    networks_reused += 1
-                    # A cache-served network still carries the residual flow of
-                    # its last solve; a warm retune keeps it as the start state.
-                    decision.retune(ratio, guess, warm_start=use_warm)
-                else:
-                    decision = build_decision_network(subproblem, ratio, guess)
-                    engine.note_network_built()
-                    networks_built += 1
-                    solve_warm = False  # a fresh network holds no flow to reuse
-                    if network_cache is not None:
-                        network_cache.put(subproblem, ratio, decision)
-                if network_observer is not None:
-                    network_observer(decision.num_nodes, decision.num_arcs)
-            else:
-                decision.retune(ratio, guess, warm_start=use_warm)
-            network_nodes.append(decision.num_nodes)
-            network_arcs.append(decision.num_arcs)
-
+        while search.high - search.low >= tolerance:
+            solve_warm = search.prepare(
+                subproblem, engine, network_cache, network_observer, use_warm
+            )
+            decision = search.decision
             cut_value, solver = engine.min_cut(
                 decision.network, decision.source, decision.sink, warm_start=solve_warm
             )
-            flow_calls += 1
-            if solve_warm:
-                warm_starts_used += 1
-            else:
-                cold_starts += 1
-
-            extracted = False
-            if decision_cut_is_improving(cut_value, decision.total_capacity):
-                s_side, t_side = decision.extract_pair(solver.min_cut_source_side())
-                if s_side and t_side:
-                    extracted = True
-                    edges = graph.count_edges_between(s_side, t_side)
-                    surrogate = surrogate_density(edges, len(s_side), len(t_side), ratio)
-                    density = directed_density_from_indices(graph, s_side, t_side)
-                    if density > best_density:
-                        best_density = density
-                        best_s, best_t = s_side, t_side
-                    if surrogate >= last_surrogate:
-                        last_surrogate = surrogate
-                        last_s, last_t = s_side, t_side
-                    # Dinkelbach jump: the extracted pair certifies a surrogate
-                    # value at least `surrogate`, which is never below the guess.
-                    low = max(guess, surrogate)
-                else:
-                    extracted = False
-            if not extracted:
-                high = guess
+            search.record(graph, cut_value, solver.min_cut_source_side, solve_warm)
     except DeadlineExceeded as error:
         # A cancelled min-cut never advanced the bracket, so (low, high)
         # are still certified bounds on val(ratio); attach them for the
         # driver's anytime result.
-        error.outcome = snapshot()
+        error.outcome = search.outcome()
         raise
 
-    return snapshot()
+    return search.outcome()

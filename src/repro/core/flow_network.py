@@ -60,7 +60,7 @@ class DecisionNetwork:
     Only the ``o_u -> t`` and ``i_v -> t`` penalty arcs depend on the probe
     parameters ``(ratio, guess)``; their arc indices are recorded so that
     :meth:`retune` can update the capacities in place and reset the residual
-    state instead of rebuilding the whole network for every binary-search
+    state instead of rebuilding the whole network for every
     guess (O(|S| + |T| + m') instead of a full Python-object rebuild).
     """
 

@@ -197,7 +197,7 @@ register_method(MethodSpec(
     is_exact=True,
     flow_backed=True,
     supports_warm_start=True,
-    description="baseline exact: one binary search per candidate ratio",
+    description="baseline exact: one fixed-ratio search per candidate ratio",
     accepted_fields=frozenset({"tolerance", "node_limit", "flow"}),
 ))
 register_method(MethodSpec(

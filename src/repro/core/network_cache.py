@@ -1,16 +1,13 @@
 """Bounded LRU cache of retunable decision networks.
 
 PR 1 made each fixed-ratio search build **one** decision network and
-re-parameterise it in place between binary-search guesses
+re-parameterise it in place between guesses
 (:meth:`~repro.core.flow_network.DecisionNetwork.retune`).  This module
 extends the same idea *across* searches: networks are cached by
-``(sub-problem state, ratio)`` so that
-
-* the coarse and refine stages of a divide-and-conquer interior probe (same
-  sub-problem, same probe ratio) share a single network within one run, and
-* repeated queries against one :class:`~repro.session.DDSSession` (top-k
-  rounds, coarse→refine probe sequences, re-tolerated exact runs) reuse
-  networks built by earlier queries instead of rebuilding them.
+``(sub-problem state, ratio)`` so that repeated queries against one
+:class:`~repro.session.DDSSession` (top-k rounds, repeated probes at one
+ratio, re-tolerated exact runs) reuse networks built by earlier queries
+instead of rebuilding them.
 
 Cached networks are stored **with the residual flow of their last solve**:
 entries are retuned, never reset, on the way out, so a warm-start retune

@@ -35,7 +35,7 @@ retunes between solves are picked up, warm flows included — the terminal
 twins are seeded with each member's current flow value, making the stacked
 state a valid flow the backend's warm credit accepts), and
 :meth:`scatter` copies the solved residual state back, so a member can
-leave the batch at any time (e.g. its binary search converged) and later be
+leave the batch at any time (e.g. its fixed-ratio search converged) and later be
 solved — or cached and retuned — sequentially.  Converged members are
 masked by zeroing both of their terminal arcs' forward residuals: the block
 keeps its flow but cannot receive or route anything, and drops out of the

@@ -19,7 +19,7 @@ defined in :mod:`repro.core.network_cache`.
 ``networks_built``
     Number of decision networks constructed from scratch (with the retune
     path this is at most one per fixed-ratio search, not one per
-    binary-search guess).
+    guess).
 ``networks_reused``
     Number of fixed-ratio searches served a cached network (see
     :mod:`repro.core.network_cache`) instead of building one.

@@ -15,7 +15,7 @@ Python lists.  The CSR index is (re)built lazily after construction, so
 ``add_edge`` stays O(1) amortised and a built network can be retuned
 (capacities updated in place via :meth:`set_capacity` + :meth:`reset_flow`)
 and re-solved without ever touching the topology again — the hot pattern in
-the binary-search exact DDS algorithms.
+the fixed-ratio searches of the exact DDS algorithms.
 """
 
 from __future__ import annotations

@@ -179,7 +179,7 @@ class PushRelabelSolver:
         arcs after the saturating initialisation, hence no constraint).
 
         In the hot warm-start pattern — small capacity retunes between
-        binary-search guesses — almost every label survives untouched, so
+        the guesses of a fixed-ratio search — almost every label survives untouched, so
         the discharge loop starts from near-final heights instead of
         re-earning them one relabel at a time.
         """

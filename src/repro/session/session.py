@@ -8,7 +8,7 @@ derived state once instead of once per call:
   :meth:`DDSSession.max_xy_core`),
 * **retunable decision networks** keyed by ``(sub-problem, ratio)`` in a
   shared :class:`~repro.core.network_cache.NetworkCache` — PR 1's retune
-  machinery extended across *queries*, not just within one binary search,
+  machinery extended across *queries*, not just within one fixed-ratio search,
 * **whole results**, keyed by ``(method, config)``, so a repeated query is
   answered without recomputation, and
 * one :class:`~repro.flow.engine.FlowEngine` per solver, so flow
@@ -71,6 +71,21 @@ from repro.utils.validation import require_positive_int
 
 #: Default capacity of the per-session whole-result LRU cache.
 DEFAULT_RESULT_CACHE_SIZE = 128
+
+
+def _result_key(method: str, cfg: MethodConfig) -> tuple[str, MethodConfig]:
+    """Result-cache key of a query: its method and config without a deadline.
+
+    A query that finishes inside its budget is bit-identical to one run
+    without a budget, and one that runs out raises instead of being cached,
+    so the budget must not split the cache — the executor and the shard
+    daemon fold each lane's *remaining* time into ``deadline_ms``, which
+    would otherwise make every repeated read a miss and a new entry.
+    """
+    flow = getattr(cfg, "flow", None)
+    if isinstance(flow, FlowConfig) and flow.deadline_ms is not None:
+        cfg = replace(cfg, flow=replace(flow, deadline_ms=None))
+    return method, cfg
 
 
 def _copy_result(result: DDSResult) -> DDSResult:
@@ -346,7 +361,7 @@ class DDSSession:
 
     def _serve(self, spec: MethodSpec, cfg: MethodConfig) -> DDSResult:
         """Answer a whole-graph query through the result cache."""
-        key = (spec.name, cfg)
+        key = _result_key(spec.name, cfg)
         cached = self._results.get(key)
         if cached is not None:
             self._results.move_to_end(key)
@@ -544,8 +559,6 @@ class DDSSession:
         lower: float = 0.0,
         upper: float | None = None,
         tolerance: float | None = None,
-        coarse_gap: float | None = None,
-        refine_above: float | None = None,
         flow_solver: str | None = None,
         warm_start: bool | None = None,
         deadline_ms: float | None = None,
@@ -554,14 +567,14 @@ class DDSSession:
 
         This is the session-cached form of
         :func:`repro.core.fixed_ratio.maximize_fixed_ratio` on the full
-        graph: the decision network for ``ratio`` is fetched from (and
-        deposited into) the session network cache, so a coarse probe followed
-        by a refined probe at the same ratio retunes one network instead of
-        building two — the cross-query analogue of the DC driver's
-        coarse→refine probe reuse.  Cached networks keep the residual flow
-        of their last solve, so with ``warm_start`` (default: the session's
-        ``FlowConfig.warm_start``) a repeated probe at the same ratio also
-        *continues that flow* instead of re-pushing it.
+        graph: Dinkelbach guesses starting at ``lower`` until the bracket
+        is narrower than ``tolerance`` (default: the graph's exactness
+        tolerance).  The decision network for ``ratio`` is fetched from (and
+        deposited into) the session network cache, so repeated probes at the
+        same ratio retune one network instead of building one each.  Cached
+        networks keep the residual flow of their last solve, so with
+        ``warm_start`` (default: the session's ``FlowConfig.warm_start``) a
+        repeated probe also *continues that flow* instead of re-pushing it.
         """
         self._check_unmutated()
         if self.graph.num_edges == 0:
@@ -583,8 +596,6 @@ class DDSSession:
                 lower=lower,
                 upper=upper,
                 tolerance=tolerance,
-                coarse_gap=coarse_gap,
-                refine_above=refine_above,
                 engine=engine,
                 network_cache=self._network_cache,
                 warm_start=self.flow.warm_start if warm_start is None else bool(warm_start),
@@ -826,15 +837,16 @@ class DDSSession:
         config are validated through the registry exactly like a live query;
         the *caller* vouches that ``result`` answers that query on this
         session's graph — the store backs that up with its content
-        fingerprint and per-entry checksums.  Returns ``False`` (and caches
-        nothing) when result caching is disabled.
+        fingerprint and per-entry checksums.  Like a live query, the entry
+        is keyed without the config's ``deadline_ms``.  Returns ``False``
+        (and caches nothing) when result caching is disabled.
         """
         self._check_unmutated()
         spec = get_method_spec(method)
         cfg = spec.config_type.resolve(config)
         if self._result_cache_size <= 0:
             return False
-        key = (spec.name, cfg)
+        key = _result_key(spec.name, cfg)
         self._results[key] = _copy_result(result)
         self._results.move_to_end(key)
         while len(self._results) > self._result_cache_size:

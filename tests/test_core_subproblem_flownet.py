@@ -3,13 +3,27 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import fixed_ratio
 from repro.core.bruteforce import brute_force_dds
-from repro.core.density import exactness_tolerance, global_density_upper_bound
+from repro.core.density import (
+    exactness_tolerance,
+    global_density_upper_bound,
+    surrogate_density,
+)
 from repro.core.fixed_ratio import maximize_fixed_ratio
-from repro.core.flow_network import build_decision_network, decision_cut_is_improving
+from repro.core.flow_network import (
+    DecisionNetwork,
+    build_decision_network,
+    decision_cut_is_improving,
+)
+from repro.core.ratio import all_candidate_ratios
 from repro.core.subproblem import STSubproblem
 from repro.exceptions import AlgorithmError
 from repro.flow.dinic import DinicSolver
@@ -146,7 +160,10 @@ class TestMaximizeFixedRatio:
             sub, ratio=2.0 / 3.0, lower=10.0, upper=12.0, tolerance=1e-6
         )
         assert not outcome.found_pair
-        assert outcome.flow_calls > 0
+        # The first guess is the lower bound itself, and one failed cut there
+        # settles the search.
+        assert outcome.flow_calls == 1
+        assert outcome.lower == outcome.upper == 10.0
 
     def test_empty_subproblem_shortcut(self):
         g = DiGraph.from_edges([(0, 1)])
@@ -154,16 +171,6 @@ class TestMaximizeFixedRatio:
         outcome = maximize_fixed_ratio(sub, 1.0, lower=0.0, upper=1.0, tolerance=1e-6)
         assert outcome.flow_calls == 0
         assert not outcome.found_pair
-
-    def test_coarse_gap_stops_early(self):
-        g = gnm_random_digraph(12, 50, seed=6)
-        sub = STSubproblem.from_graph(g)
-        fine = maximize_fixed_ratio(sub, 1.0, 0.0, 10.0, tolerance=exactness_tolerance(g))
-        coarse = maximize_fixed_ratio(
-            sub, 1.0, 0.0, 10.0, tolerance=exactness_tolerance(g), coarse_gap=0.5
-        )
-        assert coarse.flow_calls <= fine.flow_calls
-        assert coarse.upper - coarse.lower <= 0.5 + 1e-9
 
     def test_invalid_parameters(self):
         g = complete_bipartite_digraph(2, 2)
@@ -197,3 +204,162 @@ class TestMaximizeFixedRatio:
         assert len(outcome.last_s) == 3
         assert len(outcome.last_t) == 3
         assert outcome.last_surrogate == pytest.approx(3.0)
+
+
+def _max_edges_by_size(graph: DiGraph) -> dict[tuple[int, int], int]:
+    """Most edges any ``(S, T)`` with ``|S| = s`` and ``|T| = t`` spans (brute force)."""
+    n = graph.num_nodes
+    out_masks = [0] * n
+    for u, v in graph.edge_indices():
+        out_masks[u] |= 1 << v
+    best: dict[tuple[int, int], int] = {}
+    subsets = [combo for size in range(1, n + 1) for combo in combinations(range(n), size)]
+    for s_side in subsets:
+        for t_side in subsets:
+            t_mask = sum(1 << v for v in t_side)
+            edges = sum(bin(out_masks[u] & t_mask).count("1") for u in s_side)
+            key = (len(s_side), len(t_side))
+            best[key] = max(best.get(key, 0), edges)
+    return best
+
+
+def _surrogate_maximum(best_edges: dict[tuple[int, int], int], ratio: float) -> float:
+    """``val(ratio)`` from the size-indexed edge maxima."""
+    return max(
+        surrogate_density(edges, s_size, t_size, ratio)
+        for (s_size, t_size), edges in best_edges.items()
+    )
+
+
+@st.composite
+def _small_digraphs(draw) -> DiGraph:
+    n = draw(st.integers(min_value=2, max_value=5))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs), unique=True))
+    return DiGraph.from_edges(edges)
+
+
+class _GuessRecorder:
+    """Search events in order: each build/retune guess and each extracted surrogate."""
+
+    def __init__(self) -> None:
+        self.events: list[tuple[str, float]] = []
+
+    def patches(self, surrogate=None):
+        real_build = fixed_ratio.build_decision_network
+        real_retune = DecisionNetwork.retune
+        real_surrogate = fixed_ratio.surrogate_density
+
+        def build(subproblem, ratio, guess):
+            self.events.append(("guess", guess))
+            return real_build(subproblem, ratio, guess)
+
+        def retune(network, ratio, guess, warm_start=False):
+            self.events.append(("guess", guess))
+            return real_retune(network, ratio, guess, warm_start=warm_start)
+
+        def extracted(edges, s_size, t_size, ratio):
+            if surrogate is None:
+                value = real_surrogate(edges, s_size, t_size, ratio)
+            else:
+                value = surrogate(self.last_guess())
+            self.events.append(("surrogate", value))
+            return value
+
+        return (
+            mock.patch.object(fixed_ratio, "build_decision_network", build),
+            mock.patch.object(DecisionNetwork, "retune", retune),
+            mock.patch.object(fixed_ratio, "surrogate_density", extracted),
+        )
+
+    def last_guess(self) -> float:
+        return next(value for kind, value in reversed(self.events) if kind == "guess")
+
+    def guesses(self) -> list[float]:
+        return [value for kind, value in self.events if kind == "guess"]
+
+    def first_stall(self) -> int | None:
+        """Index (into :meth:`guesses`) of the first guess whose success stalled."""
+        position = -1
+        for kind, value in self.events:
+            if kind == "guess":
+                position += 1
+                guess = value
+            elif value <= guess:
+                return position
+        return None
+
+
+class TestDinkelbachSearch:
+    """The guess rule: probe the certified lower bound, bisect only after a stall."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph=_small_digraphs(), fraction=st.floats(min_value=0.0, max_value=1.0))
+    def test_brackets_close_on_the_surrogate_maximum(self, graph, fraction):
+        sub = STSubproblem.from_graph(graph)
+        tolerance = exactness_tolerance(graph)
+        upper = global_density_upper_bound(graph)
+        best_edges = _max_edges_by_size(graph)
+        for ratio in all_candidate_ratios(graph.num_nodes):
+            value = _surrogate_maximum(best_edges, float(ratio))
+            lower = min(fraction * value, value)
+            recorder = _GuessRecorder()
+            build, retune, surrogate = recorder.patches()
+            with build, retune, surrogate:
+                outcome = maximize_fixed_ratio(
+                    sub, float(ratio), lower=lower, upper=upper, tolerance=tolerance
+                )
+            assert outcome.upper - outcome.lower < tolerance
+            assert outcome.lower <= value + 1e-9
+            assert value <= outcome.upper + 1e-9
+            guesses = recorder.guesses()
+            assert len(guesses) == outcome.flow_calls
+            if upper - lower < tolerance:
+                assert outcome.flow_calls == 0
+                continue
+            assert guesses[0] == lower
+            if lower >= value:
+                assert outcome.flow_calls == 1
+            stall = recorder.first_stall()
+            rising = guesses if stall is None else guesses[: stall + 1]
+            assert rising == sorted(rising), (ratio, guesses)
+
+    def test_lower_below_value_settles_in_two_cuts(self):
+        # At the optimal ratio of K_{2,3} the cut at g = 0 extracts the whole
+        # block, whose surrogate is val(a); the cut there closes the bracket.
+        sub = STSubproblem.from_graph(complete_bipartite_digraph(2, 3))
+        outcome = maximize_fixed_ratio(sub, 2.0 / 3.0, lower=0.0, upper=10.0, tolerance=1e-6)
+        assert outcome.flow_calls == 2
+        assert outcome.lower == outcome.upper == pytest.approx(math.sqrt(6))
+
+    def test_upper_below_value_caps_lower(self):
+        # A conditional upper bound below val(a): the jump is capped so the
+        # outcome keeps lower <= upper.
+        sub = STSubproblem.from_graph(complete_bipartite_digraph(2, 3))
+        outcome = maximize_fixed_ratio(sub, 2.0 / 3.0, lower=0.0, upper=1.0, tolerance=1e-6)
+        assert outcome.lower == outcome.upper == 1.0
+        assert outcome.last_surrogate == pytest.approx(math.sqrt(6))
+        assert outcome.flow_calls == 1
+
+    def test_float_stall_falls_back_to_bisection(self):
+        graph = gnm_random_digraph(7, 20, seed=11)
+        sub = STSubproblem.from_graph(graph)
+        best = brute_force_dds(graph)
+        ratio = best.s_size / best.t_size
+        upper = global_density_upper_bound(graph)
+        tolerance = 1e-6
+        recorder = _GuessRecorder()
+        # Every extracted pair claims a surrogate equal to the guess: no
+        # success ever raises the lower bound past the guess.
+        build, retune, surrogate = recorder.patches(surrogate=lambda guess: guess)
+        with build, retune, surrogate:
+            outcome = maximize_fixed_ratio(sub, ratio, lower=0.0, upper=upper, tolerance=tolerance)
+        assert outcome.upper - outcome.lower < tolerance
+        # Successes only ever certify guesses below val(a) = rho_opt here,
+        # failures only guesses at or above it.
+        assert outcome.lower <= best.density + 1e-9 <= outcome.upper + 2e-9
+        guesses = recorder.guesses()
+        assert recorder.first_stall() == 0
+        assert guesses[1] == pytest.approx(upper / 2.0)
+        assert len(guesses) == outcome.flow_calls
+        assert outcome.flow_calls <= 2 + math.ceil(math.log2(upper / tolerance))
