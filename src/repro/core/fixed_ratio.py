@@ -26,17 +26,31 @@ not exceed the guess — where the next guess is the bracket midpoint; that
 fallback is what guarantees termination.  ``tolerance`` remains the stop
 condition: a search ends once ``upper - lower < tolerance``.
 
-The decision network is built **once per search** and re-parameterised in
-place (:meth:`~repro.core.flow_network.DecisionNetwork.retune`) between
-guesses: only the guess-dependent penalty-arc capacities change with the
-guess, so network construction is O(m') per search instead of
-O(flow_calls * m').  With ``warm_start`` (the default) the retune also
-*keeps the residual flow* of the previous guess, so each min-cut after the
-first continues from a nearly-maximal flow instead of starting from zero.
-Within a search the guesses only move up (except after a stall), so the
-penalty capacities only grow and nothing has to be clamped; only the first
-retune of a cache-served network may move down.  The answers are
-bit-identical either way, only ``arcs_pushed`` shrinks.  Min-cuts run through a caller-supplied
+Each search fetches its decision network from the network cache, or
+builds it, once and retunes it in place
+(:meth:`~repro.core.flow_network.DecisionNetwork.retune`; only the
+penalty-arc capacities depend on the guess) while its cuts extract the
+whole candidate space.  Once a cut at guess ``g`` extracts a pair
+``(S_g, T_g)`` strictly smaller than that, every later guess is solved on a
+fresh network built from the sub-problem restricted to the pair
+(:meth:`~repro.core.subproblem.STSubproblem.restricted_to`).  The penalty
+arcs are the only guess-dependent arcs and only grow with the guess, so the
+minimal (residual-reachable) cuts are nested (Gallo, Grigoriadis & Tarjan,
+"A fast parametric maximum flow algorithm and applications", *SIAM J.
+Comput.* 18(1), 1989): for ``g <= g'`` the canonical cut at ``g'`` lies
+inside the one at ``g``.  Every later guess is at least ``g`` — guesses
+rise, and a post-stall midpoint lies in ``[low, high]`` with ``low >= g`` —
+so the narrowed network gives the same verdict and the same pair, hence the
+same guesses and ``flow_calls``.  Its cut is judged against the search
+network's slack, so narrowing cannot move the tie threshold either.
+
+Narrowed networks are solved cold, never enter the network cache and do
+not count as ``networks_built``; ``network_nodes`` / ``network_arcs``
+record the search network's size for every cut.  With ``warm_start`` (the
+default) a solve on the search network continues from the residual flow
+its previous solve left — at the previous guess or, for a cache-served
+network, in the last search that used it.  Answers are bit-identical
+either way.  Min-cuts run through a caller-supplied
 :class:`~repro.flow.engine.FlowEngine`, which picks the solver (registry
 name) and accumulates ``flow_calls`` / ``networks_built`` / ``arcs_pushed``
 / ``warm_starts_used`` across the whole algorithm run (see the stats
@@ -46,14 +60,17 @@ A search keeps track of two extracted pairs: the one with the best *true*
 density (for the incumbent) and the one extracted at the highest successful
 guess (the surrogate near-maximiser the ratio-skipping lemma needs).  The
 sequential and the lockstep batched search share one per-search state
-machine, :class:`_RatioSearch`, so both apply the same guess rule.
+machine, :class:`_RatioSearch`, so both apply the same guess rule; the
+lockstep search keeps its stacked whole-sub-problem networks and does not
+narrow.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
-from repro.core.density import directed_density_from_indices, surrogate_density
+from repro.core.density import surrogate_density
 from repro.core.flow_network import build_decision_network, decision_cut_is_improving
 from repro.core.network_cache import NetworkCache
 from repro.core.results import FixedRatioOutcome
@@ -104,8 +121,10 @@ class _RatioSearch:
 
     :func:`maximize_fixed_ratio` drives one of these; the lockstep
     :func:`maximize_fixed_ratio_batch` drives one per ratio.  Each step is
-    :meth:`prepare` (pick the guess, fetch/build/retune the network), one
-    min-cut by the caller, then :meth:`record` (advance the bracket).
+    :meth:`prepare` (pick the guess, fetch/build/retune the search network,
+    or build a narrowed one), one min-cut by the caller on :attr:`network`,
+    then :meth:`record` (advance the bracket).  Only a ``nested`` search
+    narrows; :attr:`decision` is always the search network.
     """
 
     __slots__ = (
@@ -126,11 +145,15 @@ class _RatioSearch:
         "cold_starts",
         "network_nodes",
         "network_arcs",
+        "nested",
         "decision",
+        "network",
+        "scope",
+        "narrow_to",
         "guess",
     )
 
-    def __init__(self, ratio: float, lower: float, upper: float) -> None:
+    def __init__(self, ratio: float, lower: float, upper: float, nested: bool = False) -> None:
         self.ratio = ratio
         self.low = float(lower)
         self.high = max(float(upper), self.low)
@@ -148,7 +171,11 @@ class _RatioSearch:
         self.cold_starts = 0
         self.network_nodes: list[int] = []
         self.network_arcs: list[int] = []
-        self.decision = None
+        self.nested = nested
+        self.decision = None  # the search network (cache-served or built)
+        self.network = None  # the network the next cut runs on
+        self.scope: STSubproblem | None = None  # the sub-problem ``network`` covers
+        self.narrow_to: tuple[list[int], list[int]] | None = None
         self.guess = 0.0
 
     def prepare(
@@ -181,11 +208,20 @@ class _RatioSearch:
                 solve_warm = False  # a fresh network holds no flow to reuse
                 if network_cache is not None:
                     network_cache.put(subproblem, self.ratio, decision)
-            self.decision = decision
+            self.decision = self.network = decision
+            self.scope = subproblem
             if network_observer is not None:
                 network_observer(decision.num_nodes, decision.num_arcs)
+        elif self.narrow_to is not None:
+            # Every later guess is at least the one that extracted the pair,
+            # so the canonical cut lies inside it (nested minimal cuts).
+            self.scope = self.scope.restricted_to(*self.narrow_to)
+            self.narrow_to = None
+            self.network = build_decision_network(self.scope, self.ratio, guess)
+            solve_warm = False
         else:
-            decision.retune(self.ratio, guess, warm_start=use_warm)
+            solve_warm = use_warm and self.network is decision
+            self.network.retune(self.ratio, guess, warm_start=solve_warm)
         self.network_nodes.append(decision.num_nodes)
         self.network_arcs.append(decision.num_arcs)
         return solve_warm
@@ -203,19 +239,25 @@ class _RatioSearch:
             self.warm_starts_used += 1
         else:
             self.cold_starts += 1
-        decision = self.decision
-        if decision_cut_is_improving(cut_value, decision.total_capacity):
-            s_side, t_side = decision.extract_pair(source_side())
+        network = self.network
+        if decision_cut_is_improving(
+            cut_value, network.total_capacity, self.decision.total_capacity
+        ):
+            s_side, t_side = network.extract_pair(source_side())
             if s_side and t_side:
                 edges = graph.count_edges_between(s_side, t_side)
                 surrogate = surrogate_density(edges, len(s_side), len(t_side), self.ratio)
-                density = directed_density_from_indices(graph, s_side, t_side)
+                density = edges / math.sqrt(len(s_side) * len(t_side))
                 if density > self.best_density:
                     self.best_density = density
                     self.best_s, self.best_t = s_side, t_side
                 if surrogate >= self.last_surrogate:
                     self.last_surrogate = surrogate
                     self.last_s, self.last_t = s_side, t_side
+                if self.nested and (
+                    len(s_side) < len(network.s_nodes) or len(t_side) < len(network.t_nodes)
+                ):
+                    self.narrow_to = (s_side, t_side)
                 # Dinkelbach jump: the pair certifies val(ratio) >= surrogate,
                 # which becomes the next guess.  A conditional upper bound may
                 # sit below val(ratio); capping keeps lower <= upper.
@@ -275,7 +317,10 @@ def maximize_fixed_ratio_batch(
     update — is the sequential search's own step (:class:`_RatioSearch`),
     and the per-block cut is the same canonical (residual-reachable) cut a
     solo solve certifies, so the returned outcomes carry identical subgraphs
-    and flow-call counts.  One documented deviation: all members read the
+    and flow-call counts.  Members never narrow: they keep their stacked
+    whole-sub-problem networks, so with warm starts on they continue warm
+    where a sequential search solves narrowed networks cold, and only that
+    warm/cold split differs.  One documented deviation: all members read the
     *same* entry ``lower`` (a sequential sweep could tighten later searches'
     lower bounds with earlier searches' incumbents); a looser lower bound
     never changes which pairs are optimal, only how many guesses a search
@@ -385,9 +430,10 @@ def maximize_fixed_ratio(
         ``networks_built``); a freshly built network is deposited for later
         searches — this is how repeated session queries share networks.
     warm_start:
-        Continue each min-cut from the residual flow left by the previous
-        one (previous guess, or — for cache-served networks — the previous
-        search) instead of resetting to zero flow.  Answers are identical
+        Continue each min-cut on the search network from the residual flow
+        left by the previous one (previous guess, or — for cache-served
+        networks — the previous search) instead of resetting to zero flow;
+        solves on narrowed networks are always cold.  Answers are identical
         either way; only the per-solve work changes.  Ignored, with a
         recorded ``warm_start_fallbacks`` count, when the engine's solver
         cannot warm start.
@@ -406,15 +452,15 @@ def maximize_fixed_ratio(
 
     engine, use_warm = _warm_policy(engine, warm_start)
     graph = subproblem.graph
-    search = _RatioSearch(ratio, lower, upper)
+    search = _RatioSearch(ratio, lower, upper, nested=True)
     try:
         while search.high - search.low >= tolerance:
             solve_warm = search.prepare(
                 subproblem, engine, network_cache, network_observer, use_warm
             )
-            decision = search.decision
+            network = search.network
             cut_value, solver = engine.min_cut(
-                decision.network, decision.source, decision.sink, warm_start=solve_warm
+                network.network, network.source, network.sink, warm_start=solve_warm
             )
             search.record(graph, cut_value, solver.min_cut_source_side, solve_warm)
     except DeadlineExceeded as error:

@@ -38,12 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.core.subproblem import STSubproblem
 from repro.exceptions import AlgorithmError
 from repro.flow.network import FlowNetwork
 
-try:  # optional acceleration: retune's penalty sweep vectorises under numpy
+try:  # optional acceleration: the build and retune's penalty sweep vectorise under numpy
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI lane
     _np = None
@@ -286,6 +287,14 @@ def build_decision_network(
 
     Node layout: ``0 = source``, ``1 = sink``, then one node per S candidate
     (in ``subproblem.s_candidates`` order), then one node per T candidate.
+
+    Arc order: per S candidate its source arc then its penalty arc, then
+    the T penalty arcs, then one arc per sub-problem edge.  With numpy the
+    paired-arc columns are assembled in bulk and appended with one
+    :meth:`~repro.flow.network.FlowNetwork.append_paired_arcs` call;
+    without it the same arcs go through ``add_edge`` one at a time.  Both
+    paths produce bit-identical buffers, penalty-arc lists and
+    ``total_capacity``.
     """
     if ratio <= 0:
         raise AlgorithmError(f"ratio must be > 0, got {ratio}")
@@ -294,31 +303,35 @@ def build_decision_network(
 
     s_nodes = subproblem.s_candidates
     t_nodes = subproblem.t_candidates
-    s_position = {u: index for index, u in enumerate(s_nodes)}
-    t_position = {v: index for index, v in enumerate(t_nodes)}
-
     network = FlowNetwork(2 + len(s_nodes) + len(t_nodes))
     source, sink = 0, 1
-    s_offset = 2
-    t_offset = 2 + len(s_nodes)
-
-    out_degree = subproblem.out_degrees()
     root = math.sqrt(ratio)
     s_penalty = guess / root
     t_penalty = guess * root
 
-    total_capacity = 0.0
-    s_penalty_arcs: list[int] = []
-    t_penalty_arcs: list[int] = []
-    for u in s_nodes:
-        capacity = 2.0 * out_degree[u]
-        network.add_edge(source, s_offset + s_position[u], capacity)
-        total_capacity += capacity
-        s_penalty_arcs.append(network.add_edge(s_offset + s_position[u], sink, s_penalty))
-    for v in t_nodes:
-        t_penalty_arcs.append(network.add_edge(t_offset + t_position[v], sink, t_penalty))
-    for u, v in subproblem.edges:
-        network.add_edge(s_offset + s_position[u], t_offset + t_position[v], 2.0)
+    if _np is not None:
+        total_capacity = _append_decision_arcs(network, subproblem, s_penalty, t_penalty)
+        s_count = len(s_nodes)
+        s_penalty_arcs = list(range(2, 4 * s_count, 4))
+        t_penalty_arcs = list(range(4 * s_count, 4 * s_count + 2 * len(t_nodes), 2))
+    else:
+        s_position = {u: index for index, u in enumerate(s_nodes)}
+        t_position = {v: index for index, v in enumerate(t_nodes)}
+        s_offset = 2
+        t_offset = 2 + len(s_nodes)
+        out_degree = subproblem.out_degrees()
+        total_capacity = 0.0
+        s_penalty_arcs = []
+        t_penalty_arcs = []
+        for u in s_nodes:
+            capacity = 2.0 * out_degree[u]
+            network.add_edge(source, s_offset + s_position[u], capacity)
+            total_capacity += capacity
+            s_penalty_arcs.append(network.add_edge(s_offset + s_position[u], sink, s_penalty))
+        for v in t_nodes:
+            t_penalty_arcs.append(network.add_edge(t_offset + t_position[v], sink, t_penalty))
+        for u, v in subproblem.edges:
+            network.add_edge(s_offset + s_position[u], t_offset + t_position[v], 2.0)
 
     return DecisionNetwork(
         network=network,
@@ -330,6 +343,61 @@ def build_decision_network(
         s_penalty_arcs=s_penalty_arcs,
         t_penalty_arcs=t_penalty_arcs,
     )
+
+
+def _append_decision_arcs(
+    network: FlowNetwork, subproblem: STSubproblem, s_penalty: float, t_penalty: float
+) -> float:
+    """Append the decision arcs as numpy columns; returns ``total_capacity``.
+
+    The forward arcs are laid out in ``add_edge`` order and then
+    interleaved with their zero-capacity residual twins, which is exactly
+    the buffer layout the scalar loop produces.
+    """
+    s_nodes = subproblem.s_candidates
+    t_count = len(subproblem.t_candidates)
+    s_count, m = len(s_nodes), len(subproblem.edges)
+    t_offset = 2 + s_count
+    s_copies = _np.arange(2, t_offset, dtype=_np.int64)
+    t_copies = _np.arange(t_offset, t_offset + t_count, dtype=_np.int64)
+    # Graph index -> network node of its out-copy (o_u) / in-copy (i_v).
+    out_copy = _np.full(subproblem.graph.num_nodes, -1, dtype=_np.int64)
+    out_copy[_np.asarray(s_nodes, dtype=_np.int64)] = s_copies
+    in_copy = _np.full(subproblem.graph.num_nodes, -1, dtype=_np.int64)
+    in_copy[_np.asarray(subproblem.t_candidates, dtype=_np.int64)] = t_copies
+    ends = _np.fromiter(chain.from_iterable(subproblem.edges), dtype=_np.int64, count=2 * m)
+    edge_tails = out_copy[ends[0::2]]
+    edge_heads = in_copy[ends[1::2]]
+    source_caps = 2.0 * _np.bincount(edge_tails - 2, minlength=s_count)
+
+    # Forward arcs: per S candidate s -> o_u then o_u -> t, then i_v -> t
+    # per T candidate, then o_u -> i_v per edge.
+    t_start = 2 * s_count
+    e_start = t_start + t_count
+    forward_heads = _np.empty(e_start + m, dtype=_np.int64)
+    forward_tails = _np.empty(e_start + m, dtype=_np.int64)
+    forward_caps = _np.empty(e_start + m, dtype=_np.float64)
+    forward_tails[0:t_start:2] = 0
+    forward_heads[0:t_start:2] = s_copies
+    forward_caps[0:t_start:2] = source_caps
+    forward_tails[1:t_start:2] = s_copies
+    forward_heads[1:t_start:2] = 1
+    forward_caps[1:t_start:2] = s_penalty
+    forward_tails[t_start:e_start] = t_copies
+    forward_heads[t_start:e_start] = 1
+    forward_caps[t_start:e_start] = t_penalty
+    forward_tails[e_start:] = edge_tails
+    forward_heads[e_start:] = edge_heads
+    forward_caps[e_start:] = 2.0
+
+    tails = _np.empty(2 * forward_heads.shape[0], dtype=_np.int64)
+    targets = _np.empty_like(tails)
+    caps = _np.zeros(tails.shape[0], dtype=_np.float64)
+    tails[0::2] = targets[1::2] = forward_tails
+    targets[0::2] = tails[1::2] = forward_heads
+    caps[0::2] = forward_caps
+    network.append_paired_arcs(tails, targets, caps, caps)
+    return float(source_caps.sum())
 
 
 def decision_network_arc_count(subproblem: STSubproblem) -> int:
@@ -349,7 +417,17 @@ def decision_network_arc_count(subproblem: STSubproblem) -> int:
     )
 
 
-def decision_cut_is_improving(cut_value: float, total_capacity: float) -> bool:
-    """Whether ``cut_value`` is strictly below ``2m'`` beyond float tolerance."""
-    slack = CUT_RELATIVE_TOLERANCE * max(total_capacity, 1.0)
+def decision_cut_is_improving(
+    cut_value: float, total_capacity: float, slack_capacity: float | None = None
+) -> bool:
+    """Whether ``cut_value`` is strictly below ``2m'`` beyond float tolerance.
+
+    The slack is ``CUT_RELATIVE_TOLERANCE * max(slack_capacity, 1)``, with
+    ``slack_capacity`` defaulting to ``total_capacity``.  A network built on
+    a restriction of a search's sub-problem passes the search network's
+    ``2m'`` here, so narrowing never moves the tie threshold.
+    """
+    if slack_capacity is None:
+        slack_capacity = total_capacity
+    slack = CUT_RELATIVE_TOLERANCE * max(slack_capacity, 1.0)
     return cut_value < total_capacity - slack

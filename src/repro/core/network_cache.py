@@ -14,9 +14,10 @@ entries are retuned, never reset, on the way out, so a warm-start retune
 (:meth:`DecisionNetwork.retune(..., warm_start=True)
 <repro.core.flow_network.DecisionNetwork.retune>`) can hand the next search
 the previous search's feasible flow as its starting point.  This is how
-``FlowConfig.warm_start`` reaches across queries: within one search the
-network carries flow from guess to guess, and via this cache it carries it
-from search to search.
+``FlowConfig.warm_start`` reaches across queries: via this cache a search
+network carries flow from search to search.  Only the network a search
+fetches or builds is cached; the narrowed networks its later guesses run
+on (see :mod:`repro.core.fixed_ratio`) never enter the cache.
 
 Correctness rests on two facts: a retuned network is observationally
 identical to a freshly built one — warm-started or not, pinned by

@@ -69,6 +69,7 @@ class DinicSolver:
         self.warm_start = warm_start
         self.arcs_pushed = 0
         self._levels: list[int] = []
+        self._completed = False
 
     # ------------------------------------------------------------------
     def max_flow(self) -> float:
@@ -96,10 +97,19 @@ class DinicSolver:
                 total += pushed
 
         caps_arr[:] = array("d", caps)
+        self._completed = True
         return total
 
     def min_cut_source_side(self) -> list[int]:
-        """Source side of a minimum cut (valid after :meth:`max_flow`)."""
+        """Source side of a minimum cut (valid after :meth:`max_flow`).
+
+        The final BFS of a completed :meth:`max_flow` already labelled
+        exactly the nodes residual-reachable from the source (same arcs,
+        same ``EPSILON`` test, on the capacities written back), so its
+        levels are read off instead of walking the residual graph again.
+        """
+        if self._completed:
+            return [node for node, level in enumerate(self._levels) if level >= 0]
         reachable = self.network.residual_reachable(self.source)
         return [node for node, flag in enumerate(reachable) if flag]
 

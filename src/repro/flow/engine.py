@@ -17,23 +17,26 @@ defined in :mod:`repro.core.network_cache`.
     Number of max-flow/min-cut computations executed.  Always equals
     ``warm_starts_used + cold_starts``.
 ``networks_built``
-    Number of decision networks constructed from scratch (with the retune
-    path this is at most one per fixed-ratio search, not one per
-    guess).
+    Number of search decision networks constructed from scratch: at most
+    one per fixed-ratio search, the one it does not get from the network
+    cache.  The narrowed networks a search builds for its guesses after a
+    cut that extracted a smaller pair (see :mod:`repro.core.fixed_ratio`)
+    are not counted, so ``networks_built + networks_reused`` equals the
+    number of fixed-ratio searches.
 ``networks_reused``
     Number of fixed-ratio searches served a cached network (see
     :mod:`repro.core.network_cache`) instead of building one.
 ``arcs_pushed``
     Total per-arc residual updates across all solver runs — a
-    machine-independent proxy for flow work, and the quantity the E6 smoke
-    gate pins when asserting that warm starts do strictly less work.
+    machine-independent proxy for flow work, not a measure of wall time.
 ``warm_starts_used``
     Min-cut computations that continued from the feasible flow left by the
     previous solve (``warm_start=True`` through a warm-capable solver)
     instead of starting from zero flow.
 ``cold_starts``
     Min-cut computations that started from zero flow — either because warm
-    starting was disabled, because the network was freshly built, or
+    starting was disabled, because the network was freshly built (every
+    solve on a narrowed network of a fixed-ratio search is cold), or
     because the solver fell back (see ``warm_start_fallbacks``).
 ``warm_start_fallbacks``
     Times a warm start was requested but the solver does not support it

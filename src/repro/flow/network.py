@@ -153,55 +153,54 @@ class FlowNetwork:
         stacking layer uses to copy whole member networks (whose buffers are
         already interleaved) into one big network without a per-edge
         ``add_edge`` loop.  All four sequences must have the same even
-        length; numpy arrays take a zero-copy ``tobytes`` path, any other
-        sequence is extended element-wise.
+        length; with numpy each column is copied in with one ``tobytes``,
+        without it element-wise.  Every endpoint is range-checked (on the
+        numpy columns when numpy is present) before anything is appended, so
+        a rejected call leaves the network untouched.
         """
         length = len(tails)
         if length % 2 != 0:
             raise FlowError("append_paired_arcs expects an even number of arcs")
         if not (len(targets) == len(capacities) == len(base_capacities) == length):
             raise FlowError("append_paired_arcs sequences must have equal lengths")
+        endpoints = ()
+        if _np is not None:
+            tails = _np.ascontiguousarray(tails, dtype=_np.int64)
+            targets = _np.ascontiguousarray(targets, dtype=_np.int64)
+            columns = (
+                (self._to, targets.tobytes()),
+                (self._cap, _np.ascontiguousarray(capacities, dtype=_np.float64).tobytes()),
+                (self._base, _np.ascontiguousarray(base_capacities, dtype=_np.float64).tobytes()),
+                (self._tails, tails.tobytes()),
+            )
+            if length:
+                endpoints = (tails.min(), tails.max(), targets.min(), targets.max())
+        else:
+            tails = [int(value) for value in tails]
+            targets = [int(value) for value in targets]
+            columns = (
+                (self._to, array("q", targets).tobytes()),
+                (self._cap, array("d", (float(value) for value in capacities)).tobytes()),
+                (self._base, array("d", (float(value) for value in base_capacities)).tobytes()),
+                (self._tails, array("q", tails).tobytes()),
+            )
+            if length:
+                endpoints = (min(tails), max(tails), min(targets), max(targets))
+        for node in endpoints:
+            self._check_node(int(node))
         first_index = len(self._to)
         # Same BufferError discipline as add_edge: drop cached views first,
         # and keep the parallel buffers aligned if a pinned buffer raises.
         self._np_views = None
-        if _np is not None:
-            columns = (
-                (self._to, _np.ascontiguousarray(targets, dtype=_np.int64)),
-                (self._cap, _np.ascontiguousarray(capacities, dtype=_np.float64)),
-                (self._base, _np.ascontiguousarray(base_capacities, dtype=_np.float64)),
-                (self._tails, _np.ascontiguousarray(tails, dtype=_np.int64)),
-            )
-            done: list[array] = []
-            try:
-                for buffer, column in columns:
-                    buffer.frombytes(column.tobytes())
-                    done.append(buffer)
-            except BufferError:
-                for buffer in reversed(done):
-                    del buffer[first_index:]
-                raise
-        else:
-            self._to.extend(int(value) for value in targets)
-            self._cap.extend(float(value) for value in capacities)
-            self._base.extend(float(value) for value in base_capacities)
-            self._tails.extend(int(value) for value in tails)
-        if length:
-            endpoints = (
-                min(self._tails[first_index:]),
-                max(self._tails[first_index:]),
-                min(self._to[first_index:]),
-                max(self._to[first_index:]),
-            )
-            bad = next(
-                (node for node in endpoints if not 0 <= node < self.num_nodes), None
-            )
-            if bad is not None:
-                del self._to[first_index:]
-                del self._cap[first_index:]
-                del self._base[first_index:]
-                del self._tails[first_index:]
-                raise FlowError(f"node {bad} out of range [0, {self.num_nodes})")
+        done: list[array] = []
+        try:
+            for buffer, column in columns:
+                buffer.frombytes(column)
+                done.append(buffer)
+        except BufferError:
+            for buffer in reversed(done):
+                del buffer[first_index:]
+            raise
         self._csr_dirty = True
         self._height_stash.clear()
         return first_index

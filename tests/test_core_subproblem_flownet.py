@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import fixed_ratio
+from repro.core import fixed_ratio, flow_network
 from repro.core.bruteforce import brute_force_dds
 from repro.core.density import (
     exactness_tolerance,
@@ -23,10 +23,13 @@ from repro.core.flow_network import (
     build_decision_network,
     decision_cut_is_improving,
 )
+from repro.core.network_cache import NetworkCache
 from repro.core.ratio import all_candidate_ratios
 from repro.core.subproblem import STSubproblem
 from repro.exceptions import AlgorithmError
 from repro.flow.dinic import DinicSolver
+from repro.flow.engine import FlowEngine
+from repro.flow.registry import available_flow_solvers
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import complete_bipartite_digraph, gnm_random_digraph
 
@@ -240,10 +243,14 @@ def _small_digraphs(draw) -> DiGraph:
 
 
 class _GuessRecorder:
-    """Search events in order: each build/retune guess and each extracted surrogate."""
+    """Search events in order: each build/retune guess and each extracted surrogate.
+
+    ``builds`` counts the networks built, narrowed ones included.
+    """
 
     def __init__(self) -> None:
         self.events: list[tuple[str, float]] = []
+        self.builds = 0
 
     def patches(self, surrogate=None):
         real_build = fixed_ratio.build_decision_network
@@ -252,6 +259,7 @@ class _GuessRecorder:
 
         def build(subproblem, ratio, guess):
             self.events.append(("guess", guess))
+            self.builds += 1
             return real_build(subproblem, ratio, guess)
 
         def retune(network, ratio, guess, warm_start=False):
@@ -363,3 +371,196 @@ class TestDinkelbachSearch:
         assert guesses[1] == pytest.approx(upper / 2.0)
         assert len(guesses) == outcome.flow_calls
         assert outcome.flow_calls <= 2 + math.ceil(math.log2(upper / tolerance))
+
+
+def _canonical_cut(decision, solver_name, slack_capacity=None):
+    """Cold min-cut verdict and canonical extracted pair of ``decision``."""
+    cut, solver = FlowEngine(solver_name).min_cut(
+        decision.network, decision.source, decision.sink
+    )
+    improving = decision_cut_is_improving(cut, decision.total_capacity, slack_capacity)
+    return improving, decision.extract_pair(solver.min_cut_source_side())
+
+
+def _reference_search(sub, ratio, lower, upper, tolerance):
+    """The Dinkelbach guess rule, solving every guess on the whole-sub-problem network."""
+    graph = sub.graph
+    low, high = float(lower), max(float(upper), float(lower))
+    stalled = False
+    best = ([], [], 0.0)
+    last = ([], [], 0.0)
+    flow_calls = 0
+    while high - low >= tolerance:
+        guess = (low + high) / 2.0 if stalled else low
+        decision = build_decision_network(sub, ratio, guess)
+        solver = DinicSolver(decision.network, decision.source, decision.sink)
+        cut = solver.max_flow()
+        flow_calls += 1
+        if decision_cut_is_improving(cut, decision.total_capacity):
+            s_side, t_side = decision.extract_pair(solver.min_cut_source_side())
+            if s_side and t_side:
+                edges = graph.count_edges_between(s_side, t_side)
+                surrogate = surrogate_density(edges, len(s_side), len(t_side), ratio)
+                density = edges / math.sqrt(len(s_side) * len(t_side))
+                if density > best[2]:
+                    best = (s_side, t_side, density)
+                if surrogate >= last[2]:
+                    last = (s_side, t_side, surrogate)
+                stalled = surrogate <= guess
+                low = min(max(guess, surrogate), high)
+                continue
+        high = guess
+    return low, high, best, last, flow_calls
+
+
+def _outcome_summary(outcome):
+    return (
+        outcome.lower,
+        outcome.upper,
+        (outcome.best_s, outcome.best_t, outcome.best_density),
+        (outcome.last_s, outcome.last_t, outcome.last_surrogate),
+        outcome.flow_calls,
+    )
+
+
+class TestNestedSearch:
+    """Guesses after a narrowing cut run on the pair that cut extracted."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        graph=_small_digraphs(),
+        fraction=st.floats(min_value=0.0, max_value=0.999),
+        stretch=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_later_cuts_nest_inside_the_extracted_pair(self, graph, fraction, stretch):
+        sub = STSubproblem.from_graph(graph)
+        upper = global_density_upper_bound(graph)
+        best_edges = _max_edges_by_size(graph)
+        for ratio in map(float, all_candidate_ratios(graph.num_nodes)):
+            guess = fraction * _surrogate_maximum(best_edges, ratio)
+            for solver_name in available_flow_solvers():
+                full = build_decision_network(sub, ratio, guess)
+                improving, (s_side, t_side) = _canonical_cut(full, solver_name)
+                if not improving:
+                    continue
+                narrowed = sub.restricted_to(s_side, t_side)
+                edges = graph.count_edges_between(s_side, t_side)
+                surrogate = surrogate_density(edges, len(s_side), len(t_side), ratio)
+                for later in (guess, max(guess, surrogate), guess + stretch * (upper - guess)):
+                    whole = build_decision_network(sub, ratio, later)
+                    verdict, pair = _canonical_cut(whole, solver_name)
+                    assert set(pair[0]) <= set(s_side), (ratio, guess, later)
+                    assert set(pair[1]) <= set(t_side), (ratio, guess, later)
+                    narrow = build_decision_network(narrowed, ratio, later)
+                    assert _canonical_cut(narrow, solver_name, whole.total_capacity) == (
+                        verdict,
+                        pair,
+                    ), (solver_name, ratio, guess, later)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=_small_digraphs(), fraction=st.floats(min_value=0.0, max_value=1.0))
+    def test_matches_the_whole_network_reference(self, graph, fraction):
+        sub = STSubproblem.from_graph(graph)
+        tolerance = exactness_tolerance(graph)
+        upper = global_density_upper_bound(graph)
+        for ratio in map(float, all_candidate_ratios(graph.num_nodes)):
+            lower = fraction * upper
+            outcome = maximize_fixed_ratio(sub, ratio, lower, upper, tolerance)
+            assert _outcome_summary(outcome) == _reference_search(
+                sub, ratio, lower, upper, tolerance
+            ), ratio
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_whole_network_reference_on_larger_graphs(self, seed):
+        graph = gnm_random_digraph(14, 45, seed=seed)
+        sub = STSubproblem.from_graph(graph)
+        tolerance = exactness_tolerance(graph)
+        upper = global_density_upper_bound(graph)
+        for ratio in (0.5, 1.0, 2.0):
+            outcome = maximize_fixed_ratio(sub, ratio, 0.0, upper, tolerance)
+            assert _outcome_summary(outcome) == _reference_search(
+                sub, ratio, 0.0, upper, tolerance
+            ), ratio
+
+    def test_cache_holds_the_search_network_and_narrowed_solves_are_cold(self):
+        graph = gnm_random_digraph(10, 30, seed=0)
+        sub = STSubproblem.from_graph(graph)
+        cache = NetworkCache(8)
+        engine = FlowEngine()
+        recorder = _GuessRecorder()
+        build, retune, surrogate = recorder.patches()
+        with build, retune, surrogate:
+            outcome = maximize_fixed_ratio(
+                sub,
+                1.0,
+                lower=0.0,
+                upper=global_density_upper_bound(graph),
+                tolerance=1e-9,
+                engine=engine,
+                network_cache=cache,
+            )
+        assert outcome.flow_calls >= 3
+        assert len(cache) == 1
+        assert (outcome.networks_built, outcome.networks_reused) == (1, 0)
+        assert engine.networks_built == 1
+        narrowed = recorder.builds - 1
+        assert narrowed >= 1
+        # The built network's first solve and every narrowed solve are
+        # cold; the retunes of the search network in between are warm.
+        assert outcome.cold_starts == 1 + narrowed
+        assert outcome.warm_starts_used == outcome.flow_calls - outcome.cold_starts
+        # Sizes stay those of the search network, one entry per cut.
+        size = 2 + len(sub.s_candidates) + len(sub.t_candidates)
+        assert outcome.network_nodes == [size] * outcome.flow_calls
+
+
+def _decision_state(decision):
+    """Every buffer and bookkeeping field a build produces."""
+    tails, targets, caps, base = decision.network.arc_state_views()
+    return (
+        decision.network.num_nodes,
+        tails.tolist(),
+        targets.tolist(),
+        caps.tolist(),
+        base.tolist(),
+        decision.s_penalty_arcs,
+        decision.t_penalty_arcs,
+        decision.total_capacity,
+        decision.s_nodes,
+        decision.t_nodes,
+    )
+
+
+class TestBulkBuild:
+    """The numpy build is bit-identical to the scalar ``add_edge`` loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=_small_digraphs(),
+        keep=st.integers(min_value=0, max_value=5),
+        ratio=st.sampled_from([0.25, 2.0 / 3.0, 1.0, 3.0]),
+        guess=st.floats(min_value=0.0, max_value=10.0),
+    )
+    def test_matches_the_scalar_loop(self, graph, keep, ratio, guess):
+        sub = STSubproblem.from_graph(graph)
+        u, v = sub.edges[0]
+        subproblems = [
+            sub,
+            sub.restricted_to(sub.s_candidates[:keep], sub.t_candidates[keep:]),
+            sub.restricted_to([u], [v]),
+        ]
+        for subproblem in subproblems:
+            bulk = build_decision_network(subproblem, ratio, guess)
+            with mock.patch.object(flow_network, "_np", None):
+                scalar = build_decision_network(subproblem, ratio, guess)
+            assert _decision_state(bulk) == _decision_state(scalar)
+
+    def test_single_edge_network_layout(self):
+        graph = DiGraph.from_edges([(0, 1)])
+        decision = build_decision_network(STSubproblem.from_graph(graph), 1.0, 0.5)
+        state = _decision_state(decision)
+        assert state[0] == 4
+        assert state[1] == [0, 2, 2, 1, 3, 1, 2, 3]
+        assert state[2] == [2, 0, 1, 2, 1, 3, 3, 2]
+        assert state[3] == [2.0, 0.0, 0.5, 0.0, 0.5, 0.0, 2.0, 0.0]
+        assert state[5:8] == ([2], [4], 2.0)

@@ -208,6 +208,38 @@ class TestHypothesisCrossSolver:
             assert side == sides[SOLVER_NAMES[0]], name
 
 
+def _reachable_side(network: FlowNetwork, source: int) -> list[int]:
+    return [node for node, flag in enumerate(network.residual_reachable(source)) if flag]
+
+
+class TestDinicCutSide:
+    """Dinic's cut side, read off its final BFS, is the residual-reachable set."""
+
+    @pytest.mark.parametrize("seed", range(NUM_SEEDED_NETWORKS))
+    def test_levels_match_residual_reachability(self, seed):
+        network = _mixed_capacity_network(seed)
+        source, sink = 0, network.num_nodes - 1
+        solver = get_solver_class("dinic")(network, source, sink)
+        # Before a completed solve the solver falls back to the walk.
+        assert solver.min_cut_source_side() == _reachable_side(network, source)
+        solver.max_flow()
+        assert solver.min_cut_source_side() == _reachable_side(network, source)
+
+    @settings(max_examples=60, deadline=None)
+    @given(description=_network_description())
+    def test_cold_and_warm_solves_match_residual_reachability(self, description):
+        n = description[0]
+        network = _build_from_description(description)
+        dinic = get_solver_class("dinic")
+        cold = dinic(network, 0, n - 1)
+        cold.max_flow()
+        assert cold.min_cut_source_side() == _reachable_side(network, 0)
+        # A warm solve on the already-maximal flow runs only the final BFS.
+        warm = dinic(network, 0, n - 1, warm_start=True)
+        warm.max_flow()
+        assert warm.min_cut_source_side() == _reachable_side(network, 0)
+
+
 class TestWarmColdEquivalence:
     """Warm-start chains match cold runs on random decision networks."""
 
