@@ -10,7 +10,9 @@ min-cut computations, and the number of decision networks actually built
 the narrowed networks a search's later guesses run on are not counted).
 Every search is a Dinkelbach iteration that
 probes its certified lower bound, so a DC leaf whose ratio cannot beat the
-incumbent costs one min-cut and an interior probe a handful.
+incumbent costs one min-cut, and an interior probe, which starts at the best
+surrogate among the pairs the run has already extracted, one to four (mostly
+one or two).
 
 Besides the pytest-benchmark entry points this module doubles as a CI smoke
 check::
@@ -18,16 +20,18 @@ check::
     PYTHONPATH=src python benchmarks/bench_e6_flowcalls.py --smoke
 
 which fails (exit code 1) whenever the flow-call counts regress past the
-recorded exact counts (a slide back to bisecting every bracket to tolerance
-multiplies them several times over), a fixed-ratio search stops fetching
-or building exactly one network (``networks_built + networks_reused ==
-fixed_ratio_searches``; the narrowed networks a search solves its later
-guesses on are not counted), or warm starting breaks: on every pinned
-workload the default (warm-started) run must use at least one warm start
-and return the bit-identical subgraph of a cold run.  Warm runs may push
-as many arcs as cold ones, since every guess after a narrowing cut is
-solved cold on a fresh, smaller network; the table still reports both
-counts.
+recorded exact counts (a slide back to unseeded interior probes, or to
+bisecting every bracket to tolerance, raises them), a fixed-ratio
+search stops fetching or building exactly one network (``networks_built +
+networks_reused == fixed_ratio_searches``; the narrowed networks a search
+solves its later guesses on are not counted), or warm starting changes an
+answer: on every pinned workload the default (warm-started) run must
+return the bit-identical subgraph of a cold run.  Warm runs may push as
+many arcs as cold ones, since a seeded probe narrows at its first cut and
+every guess after a narrowing cut is solved cold on a fresh, smaller
+network; the table still reports both counts.  That warm starts engage at
+all is gated on flow-exact, whose searches start at 0 (the batched-solve
+gate below).
 
 The smoke additionally gates the service tier's batch planner: on the mixed
 E6-style workload (:func:`repro.bench.workloads.service_mixed_workload`) the
@@ -46,7 +50,8 @@ plus the batched-solve parity gate: on the small guess-sequence workload
 the auto threshold) the block-diagonal batched auto run must return the
 bit-identical subgraph of a batching-disabled auto run with the same
 ``flow_calls``, while actually batching (``batched_solves`` > 0) onto the
-vectorised backend.  Without numpy the gates report themselves skipped
+vectorised backend; the batching-disabled run must also continue at least
+one solve warm.  Without numpy the gates report themselves skipped
 (registry degradation is covered by the test suite).
 
 The **incremental update-parity gate** replays a deterministic edge-update
@@ -302,10 +307,13 @@ def run_batched_smoke(failures: list[str]) -> dict:
     ``auto`` policy with batching disabled (``batch_size=1``) and enabled
     (the default), asserting (1) bit-identical density and vertex sets,
     (2) identical ``flow_calls`` (the lockstep search replays the sequential
-    guess sequence exactly), and (3) that batching actually engaged —
+    guess sequence exactly), (3) that batching actually engaged —
     ``batched_solves`` > 0 with the vectorised backend recorded in
-    ``auto_backends``.  Appends failure strings to ``failures`` and returns
-    a table row; when numpy is missing the gate reports itself skipped.
+    ``auto_backends`` — and (4) that warm starts engage on the
+    batching-disabled run (``warm_starts_used`` >= 1): flow-exact searches
+    start at 0, so each search's second guess retunes its network warm.
+    Appends failure strings to ``failures`` and returns a table row; when
+    numpy is missing the gate reports itself skipped.
     """
     if not has_vector_backend():
         return {
@@ -325,6 +333,11 @@ def run_batched_smoke(failures: list[str]) -> dict:
         runs[batch_size] = (wall, result, session.cache_stats())
     seq_wall, seq_result, _ = runs[1]
     bat_wall, bat_result, bat_stats = runs[FlowConfig().batch_size]
+    if seq_result.stats["warm_starts_used"] < 1:
+        failures.append(
+            f"{BATCH_SMOKE_DATASET}/{BATCH_SMOKE_METHOD}: warm_starts_used "
+            f"{seq_result.stats['warm_starts_used']} < 1 (warm-start residual reuse broken)"
+        )
     if (
         seq_result.density != bat_result.density
         or sorted(map(str, seq_result.s_nodes)) != sorted(map(str, bat_result.s_nodes))
@@ -358,6 +371,7 @@ def run_batched_smoke(failures: list[str]) -> dict:
         "batched_ms": round(bat_wall * 1000, 1),
         "batched_solves": bat_stats.get("batched_solves", 0),
         "flow_calls": bat_result.stats["flow_calls"],
+        "sequential_warm_starts": seq_result.stats["warm_starts_used"],
     }
 
 
@@ -746,13 +760,7 @@ def run_smoke() -> int:
                 f"networks_reused {stats['networks_reused']} != "
                 f"fixed_ratio_searches {stats['fixed_ratio_searches']}"
             )
-        # Warm starting must actually engage on the default path ...
-        if stats["warm_starts_used"] < 1:
-            failures.append(
-                f"{dataset}/{method}: warm_starts_used {stats['warm_starts_used']} < 1 "
-                "(warm-start residual reuse broken)"
-            )
-        # ... while leaving the answer bit-identical.
+        # Warm starting must leave the answer bit-identical.
         if (
             result.density != cold.density
             or sorted(map(str, result.s_nodes)) != sorted(map(str, cold.s_nodes))

@@ -1,7 +1,8 @@
 """Shared fixtures/helpers for the experiment benchmarks.
 
 Every module in this directory regenerates one table or figure of the
-evaluation (see DESIGN.md §4 and EXPERIMENTS.md).  Timing numbers come from
+evaluation (experiments E1–E12; each module's docstring says which one and
+what it measures).  Timing numbers come from
 pytest-benchmark; the paper-style rows/series are printed to stdout, so run
 with ``pytest benchmarks/ --benchmark-only -s`` to see them (they are also
 appended to ``benchmarks/results.txt``).

@@ -22,11 +22,23 @@ better than the incumbent:
   no better than ``P'`` — whose true density has already been folded into the
   incumbent — so the whole open interval ``(c, c')`` can be skipped.
 
-The probe itself is one fixed-ratio search from ``lower = 0``
-(:mod:`repro.core.fixed_ratio`): Dinkelbach's iteration closes its bracket
-at ``val(c)`` after a handful of cuts, so ``upper(val(c))`` is tight and the
-extracted maximiser has ``eps = 0`` unless the search stopped at its
-tolerance first.
+The probe itself is one fixed-ratio search (:mod:`repro.core.fixed_ratio`)
+started at a pair the run already holds.  The driver pools every pair it
+has seen — the initial incumbent plus the best and the last pair of every
+search outcome — keyed by ``(|E(S,T)|, |S|, |T|)``, which fixes a pair's
+surrogate at every ratio.  A probe over sub-problem ``X`` starts at the
+pooled pair inside ``X`` with the best surrogate ``sigma`` at ``c``: since
+the pair lies in ``X``, ``sigma <= val_X(c)`` is a certified lower bound,
+and the pair is the search's initial surrogate maximiser.  Dinkelbach's
+iteration then closes its bracket at ``val(c)`` after one to a few cuts, so
+``upper(val(c))`` is tight and the maximiser has ``eps = 0`` unless the
+search stopped at its tolerance first; if the first cut fails, the seed
+itself is the exact maximiser.  The incumbent is at least as dense as every
+pooled pair (each search's best pair is offered to it, and is at least as
+dense as the search's last pair), so the ratio-skipping lemma holds for a
+seed exactly as for an extracted pair (see "Why seeded probes are exact" in
+``docs/architecture.md``).  With tied optima a different, equally dense pair
+may be reported than an unseeded probe would find.
 
 Whatever is not covered by the skip region is pushed back as (at most two)
 child intervals together with a tightened conditional upper bound
@@ -43,7 +55,9 @@ any optimum beating the incumbent whose ratio falls in that interval
 under the restriction because whenever they could cut off the true optimum,
 the containment lemma places that optimum inside the restricted core, which
 forces the incumbent to already be optimal (the detailed argument is spelled
-out in DESIGN.md and exercised by the brute-force comparison property tests).
+out in "Why core restriction keeps the skips sound" in
+``docs/architecture.md`` and exercised by the brute-force comparison
+property tests).
 """
 
 from __future__ import annotations
@@ -61,8 +75,10 @@ from repro.core.density import (
     exactness_tolerance,
     global_density_upper_bound,
     interval_relaxation_factor,
+    surrogate_density,
 )
 from repro.core.fixed_ratio import (
+    StartingPair,
     maximize_fixed_ratio,
     maximize_fixed_ratio_batch,
     partial_outcomes,
@@ -85,8 +101,9 @@ __all__ = ["LEAF_RATIO_COUNT", "dc_exact"]
 
 @dataclass
 class _SearchState:
-    """Mutable incumbent + instrumentation shared across the recursion."""
+    """Mutable incumbent, pair pool and instrumentation shared across the recursion."""
 
+    graph: DiGraph
     engine: FlowEngine = field(default_factory=FlowEngine)
     network_cache: NetworkCache = field(default_factory=NetworkCache)
     engine_snapshot: tuple[int, ...] = field(default_factory=zero_snapshot)
@@ -101,22 +118,50 @@ class _SearchState:
     examined_exact_ratios: set[Fraction] = field(default_factory=set)
     network_nodes: list[int] = field(default_factory=list)
     network_arcs: list[int] = field(default_factory=list)
+    # Every pair this run has seeded or extracted, keyed by
+    # (|E(S, T)|, |S|, |T|): equal keys mean equal surrogates at every ratio.
+    pool: dict[tuple[int, int, int], tuple[list[int], list[int]]] = field(default_factory=dict)
+
+    def remember(self, s_nodes: list[int], t_nodes: list[int]) -> None:
+        """Add ``(S, T)`` to the pool that interior probes start from."""
+        if s_nodes and t_nodes:
+            edges = self.graph.count_edges_between(s_nodes, t_nodes)
+            self.pool.setdefault((edges, len(s_nodes), len(t_nodes)), (s_nodes, t_nodes))
 
     def offer(self, s_nodes: list[int], t_nodes: list[int], density: float) -> None:
-        """Adopt ``(S, T)`` as the incumbent if it is strictly denser."""
+        """Pool ``(S, T)``; adopt it as the incumbent if it is strictly denser."""
+        self.remember(s_nodes, t_nodes)
         if density > self.best_density and s_nodes and t_nodes:
             self.best_density = density
             self.best_s = list(s_nodes)
             self.best_t = list(t_nodes)
 
     def absorb_outcome(self, outcome: Any) -> None:
-        """Merge instrumentation and incumbent information from a probe."""
+        """Merge instrumentation, incumbent and pool information from a search."""
         if outcome.flow_calls:
             self.fixed_ratio_searches += 1
         self.network_nodes.extend(outcome.network_nodes)
         self.network_arcs.extend(outcome.network_arcs)
         if outcome.found_pair:
             self.offer(outcome.best_s, outcome.best_t, outcome.best_density)
+        if outcome.last_s is not outcome.best_s:  # often one pair, pooled by offer
+            self.remember(outcome.last_s, outcome.last_t)
+
+    def starting_pair(self, subproblem: STSubproblem, ratio: float) -> StartingPair | None:
+        """The pooled pair inside ``subproblem`` with the best surrogate at ``ratio``."""
+        s_allowed = set(subproblem.s_candidates)
+        t_allowed = set(subproblem.t_candidates)
+        start = None
+        best = 0.0
+        for (edges, s_size, t_size), (s_nodes, t_nodes) in self.pool.items():
+            surrogate = surrogate_density(edges, s_size, t_size, ratio)
+            if (
+                surrogate > best
+                and s_allowed.issuperset(s_nodes)
+                and t_allowed.issuperset(t_nodes)
+            ):
+                start, best = (s_nodes, t_nodes, surrogate), surrogate
+        return start
 
     def stats(self) -> dict[str, Any]:
         """Instrumentation dictionary stored on the final result."""
@@ -255,6 +300,7 @@ def _dc_driver(
     engine = engine if engine is not None else FlowEngine(flow_solver)
     network_cache = network_cache if network_cache is not None else NetworkCache()
     state = _SearchState(
+        graph=graph,
         engine=engine,
         network_cache=network_cache,
         engine_snapshot=engine.snapshot(),
@@ -370,10 +416,11 @@ def _dc_driver(
                 continue
 
             # -------------------------------------------------- interior probe
-            # One search from lower = 0: the Dinkelbach iteration closes its
-            # bracket at val(c), which yields both the certified upper bound
-            # of the window skip and the surrogate maximiser of the
-            # ratio-skipping lemma.
+            # One search started at the best pooled pair inside the
+            # sub-problem (a certified lower bound on val(c)): the Dinkelbach
+            # iteration closes its bracket at val(c), which yields both the
+            # certified upper bound of the window skip and the surrogate
+            # maximiser of the ratio-skipping lemma.
             state.ratios_examined += 1
             outcome = maximize_fixed_ratio(
                 subproblem,
@@ -384,6 +431,7 @@ def _dc_driver(
                 engine=state.engine,
                 network_cache=state.network_cache,
                 warm_start=warm_start,
+                start=state.starting_pair(subproblem, probe_ratio),
             )
             state.absorb_outcome(outcome)
             value_upper = outcome.upper

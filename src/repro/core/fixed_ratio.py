@@ -20,11 +20,16 @@ functions below bracket ``val(a)`` with Dinkelbach's iteration
 
 The guesses rise monotonically towards ``val(a)`` and a search typically
 ends after a handful of cuts; a search whose ``lower`` is already at or
-above ``val(a)`` costs exactly one.  Bisection survives only as the
-fallback after a *float stall* — a success whose extracted surrogate does
-not exceed the guess — where the next guess is the bracket midpoint; that
-fallback is what guarantees termination.  ``tolerance`` remains the stop
-condition: a search ends once ``upper - lower < tolerance``.
+above ``val(a)`` costs exactly one.  A caller that already holds a pair
+inside the sub-problem may pass it as ``start``: its surrogate ``σ``
+certifies ``val(a) >= σ``, so the search begins at ``low = σ`` with the pair
+as its surrogate maximiser and never solves the guesses below it (the
+divide-and-conquer drivers start every interior probe this way).
+Bisection survives only as the fallback after a *float stall* — a success
+whose extracted surrogate does not exceed the guess — where the next guess
+is the bracket midpoint; that fallback is what guarantees termination.
+``tolerance`` remains the stop condition: a search ends once
+``upper - lower < tolerance``.
 
 Each search fetches its decision network from the network cache, or
 builds it, once and retunes it in place
@@ -80,6 +85,8 @@ from repro.flow.engine import FlowEngine
 from repro.graph.digraph import DiGraph
 
 NetworkObserver = Callable[[int, int], None]
+#: ``(S, T, surrogate)``: a pair inside the sub-problem and its surrogate at the ratio.
+StartingPair = tuple[list[int], list[int], float]
 
 
 def partial_outcomes(error: DeadlineExceeded) -> list[FixedRatioOutcome]:
@@ -153,7 +160,14 @@ class _RatioSearch:
         "guess",
     )
 
-    def __init__(self, ratio: float, lower: float, upper: float, nested: bool = False) -> None:
+    def __init__(
+        self,
+        ratio: float,
+        lower: float,
+        upper: float,
+        nested: bool = False,
+        start: StartingPair | None = None,
+    ) -> None:
         self.ratio = ratio
         self.low = float(lower)
         self.high = max(float(upper), self.low)
@@ -164,6 +178,11 @@ class _RatioSearch:
         self.last_s: list[int] = []
         self.last_t: list[int] = []
         self.last_surrogate = 0.0
+        if start is not None:
+            # A pair inside the sub-problem certifies val(ratio) >= its
+            # surrogate: start there, capped like a Dinkelbach jump.
+            self.last_s, self.last_t, self.last_surrogate = start
+            self.low = min(max(self.low, self.last_surrogate), self.high)
         self.flow_calls = 0
         self.networks_built = 0
         self.networks_reused = 0
@@ -397,6 +416,7 @@ def maximize_fixed_ratio(
     engine: FlowEngine | None = None,
     network_cache: NetworkCache | None = None,
     warm_start: bool = True,
+    start: StartingPair | None = None,
 ) -> FixedRatioOutcome:
     """Bracket ``val(ratio)`` within ``tolerance`` by Dinkelbach's iteration.
 
@@ -437,6 +457,13 @@ def maximize_fixed_ratio(
         either way; only the per-solve work changes.  Ignored, with a
         recorded ``warm_start_fallbacks`` count, when the engine's solver
         cannot warm start.
+    start:
+        Optional ``(S, T, surrogate)``: a pair whose vertices lie inside
+        ``subproblem`` and its surrogate at ``ratio``, which certifies
+        ``val(ratio) >= surrogate``.  The search starts with the pair as its
+        surrogate maximiser and ``lower`` raised to the surrogate (capped at
+        ``upper``), so no guess below it is solved; if the first cut fails,
+        the pair is an exact maximiser.
 
     Returns
     -------
@@ -452,7 +479,7 @@ def maximize_fixed_ratio(
 
     engine, use_warm = _warm_policy(engine, warm_start)
     graph = subproblem.graph
-    search = _RatioSearch(ratio, lower, upper, nested=True)
+    search = _RatioSearch(ratio, lower, upper, nested=True, start=start)
     try:
         while search.high - search.low >= tolerance:
             solve_warm = search.prepare(

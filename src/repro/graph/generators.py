@@ -1,8 +1,9 @@
 """Random and deterministic directed-graph generators.
 
 These generators are the synthetic substitutes for the real datasets used in
-the paper's evaluation (see DESIGN.md §3).  They cover the structural regimes
-that matter for the DDS algorithms:
+the paper's evaluation (:mod:`repro.datasets.registry` registers named
+instances of them).  They cover the structural regimes that matter for the
+DDS algorithms:
 
 * uniform random digraphs (Erdős–Rényi ``G(n, p)`` and ``G(n, m)``) — the
   regime where core-based pruning is least effective,

@@ -78,6 +78,56 @@ def test_exact_matches_bruteforce_random(solver, seed):
     assert solver(g).density == pytest.approx(expected, abs=1e-9)
 
 
+def _disjoint_union(*graphs: DiGraph) -> DiGraph:
+    """One graph holding a relabelled copy of each of ``graphs``."""
+    return DiGraph.from_edges(
+        ((index, u), (index, v)) for index, graph in enumerate(graphs) for u, v in graph.edges()
+    )
+
+
+def _in_and_out_star(leaves: int) -> DiGraph:
+    """One hub with ``leaves`` out-leaves and ``leaves`` in-leaves."""
+    return DiGraph.from_edges(
+        [("hub", f"out{i}") for i in range(leaves)] + [(f"in{i}", "hub") for i in range(leaves)]
+    )
+
+
+#: Unions of equally dense blocks, whose optima tie at several ratios: seeded
+#: probes may end on a different surrogate maximiser than unseeded ones.
+TIE_HEAVY_SHAPES = {
+    "K23+K23": lambda: _disjoint_union(
+        complete_bipartite_digraph(2, 3), complete_bipartite_digraph(2, 3)
+    ),
+    "K33+K33": lambda: _disjoint_union(
+        complete_bipartite_digraph(3, 3), complete_bipartite_digraph(3, 3)
+    ),
+    "K23+K32": lambda: _disjoint_union(
+        complete_bipartite_digraph(2, 3), complete_bipartite_digraph(3, 2)
+    ),
+    "K13+K31": lambda: _disjoint_union(
+        complete_bipartite_digraph(1, 3), complete_bipartite_digraph(3, 1)
+    ),
+    "K22+K14": lambda: _disjoint_union(
+        complete_bipartite_digraph(2, 2), complete_bipartite_digraph(1, 4)
+    ),
+    "out-star+in-star": lambda: _disjoint_union(
+        star_digraph(4, outward=True), star_digraph(4, outward=False)
+    ),
+    "in-and-out-star": lambda: _in_and_out_star(4),
+}
+
+
+@pytest.mark.parametrize("solver", [dc_exact, core_exact], ids=["dc-exact", "core-exact"])
+@pytest.mark.parametrize("shape", list(TIE_HEAVY_SHAPES))
+def test_dc_and_core_match_bruteforce_on_tie_heavy_shapes(solver, shape):
+    g = TIE_HEAVY_SHAPES[shape]()
+    expected = brute_force_dds(g).density
+    result = solver(g)
+    assert result.density == pytest.approx(expected, abs=1e-9)
+    recomputed = directed_density(g, result.s_nodes, result.t_nodes)
+    assert recomputed == pytest.approx(result.density, abs=1e-12)
+
+
 class TestExactHypothesis:
     @given(
         st.integers(min_value=3, max_value=8),

@@ -332,6 +332,62 @@ class TestDinkelbachSearch:
             rising = guesses if stall is None else guesses[: stall + 1]
             assert rising == sorted(rising), (ratio, guesses)
 
+    @settings(max_examples=100, deadline=None)
+    @given(graph=_small_digraphs(), data=st.data())
+    def test_seeded_search_keeps_the_unseeded_bracket(self, graph, data):
+        sub = STSubproblem.from_graph(graph)
+        tolerance = exactness_tolerance(graph)
+        upper = global_density_upper_bound(graph)
+        n = graph.num_nodes
+        ratios = [float(ratio) for ratio in all_candidate_ratios(n)]
+        extracted: list[tuple[list[int], list[int]]] = []
+        real_extract = DecisionNetwork.extract_pair
+
+        def extract(network, source_side):
+            pair = real_extract(network, source_side)
+            if pair[0] and pair[1]:
+                extracted.append(pair)
+            return pair
+
+        with mock.patch.object(DecisionNetwork, "extract_pair", extract):
+            for ratio in ratios:
+                maximize_fixed_ratio(sub, ratio, lower=0.0, upper=upper, tolerance=tolerance)
+        s_seed, t_seed = data.draw(st.sampled_from(extracted))
+        ratio = data.draw(st.floats(min_value=1.0 / n, max_value=float(n)))
+        edges = graph.count_edges_between(s_seed, t_seed)
+        seed_surrogate = surrogate_density(edges, len(s_seed), len(t_seed), ratio)
+
+        unseeded = maximize_fixed_ratio(sub, ratio, lower=0.0, upper=upper, tolerance=tolerance)
+        seeded = maximize_fixed_ratio(
+            sub,
+            ratio,
+            lower=0.0,
+            upper=upper,
+            tolerance=tolerance,
+            start=(s_seed, t_seed, seed_surrogate),
+        )
+        assert seeded.upper == pytest.approx(unseeded.upper, abs=tolerance)
+        assert seeded.last_surrogate >= seeded.upper - tolerance
+        assert seeded.flow_calls <= unseeded.flow_calls
+        if seeded.flow_calls == 1 and not seeded.found_pair:
+            # The first cut failed: the seed is an exact surrogate maximiser.
+            assert (seeded.last_s, seeded.last_t) == (s_seed, t_seed)
+            assert seeded.upper == min(seed_surrogate, upper)
+
+    def test_seed_at_the_maximum_settles_in_one_cut(self):
+        # K_{2,3} at its optimal ratio: the whole block is the surrogate
+        # maximiser, so a search seeded with it only confirms val(a).
+        graph = complete_bipartite_digraph(2, 3)
+        sub = STSubproblem.from_graph(graph)
+        block = (sub.s_candidates, sub.t_candidates, math.sqrt(6))
+        outcome = maximize_fixed_ratio(
+            sub, 2.0 / 3.0, lower=0.0, upper=10.0, tolerance=1e-6, start=block
+        )
+        assert outcome.flow_calls == 1
+        assert not outcome.found_pair
+        assert outcome.lower == outcome.upper == math.sqrt(6)
+        assert (outcome.last_s, outcome.last_t, outcome.last_surrogate) == block
+
     def test_lower_below_value_settles_in_two_cuts(self):
         # At the optimal ratio of K_{2,3} the cut at g = 0 extracts the whole
         # block, whose surrogate is val(a); the cut there closes the bracket.

@@ -9,7 +9,10 @@ identical vertex sets, and matching min-cut values.  Solvers that cannot
 warm start (``edmonds-karp``) must fall back to cold solves without error
 and record why.  Warm continuation only reaches the network a search
 fetches or builds: guesses solved on narrowed networks are cold, so warm
-and cold runs may push the same number of arcs.
+and cold runs may push the same number of arcs.  A dc-exact or core-exact
+probe starts at a pooled pair and narrows at its first cut, so the checks
+that warm starts engage run flow-exact, whose searches start at 0 and
+retune the search network warm at their second guess.
 """
 
 from __future__ import annotations
@@ -33,6 +36,12 @@ from repro.session import DDSSession
 
 SOLVER_NAMES = available_flow_solvers()
 WARM_CAPABLE = [n for n in SOLVER_NAMES if getattr(get_solver_class(n), "supports_warm_start", False)]
+
+
+def _warm_engagement_graph():
+    """Flow-exact graph of the warm-engagement checks: 55 of its 159 dinic
+    solves run warm, and push-relabel reuses heights on 55."""
+    return gnm_random_digraph(9, 30, seed=3)
 
 
 def _config(solver: str, warm: bool) -> ExactConfig:
@@ -218,9 +227,9 @@ class TestWarmColdMethodEquivalence:
         )
 
     def test_warm_run_uses_warm_starts(self):
-        graph = load_dataset("foodweb-tiny")
-        warm = dc_exact(graph, _config("dinic", True))
-        cold = dc_exact(graph, _config("dinic", False))
+        graph = _warm_engagement_graph()
+        warm = flow_exact(graph, _config("dinic", True))
+        cold = flow_exact(graph, _config("dinic", False))
         assert warm.density == cold.density
         assert warm.stats["warm_starts_used"] >= 1
         assert warm.stats["warm_starts_used"] + warm.stats["cold_starts"] == warm.stats["flow_calls"]
@@ -317,8 +326,8 @@ class TestWarmStartConfig:
 # ----------------------------------------------------------------------
 class TestSessionWarmStarts:
     def test_cache_stats_reports_warm_counters(self):
-        session = DDSSession(load_dataset("foodweb-tiny"))
-        session.densest_subgraph("core-exact")
+        session = DDSSession(_warm_engagement_graph())
+        session.densest_subgraph("flow-exact")
         stats = session.cache_stats()
         assert stats["warm_starts_used"] >= 1
         assert stats["warm_starts_used"] + stats["cold_starts"] == stats["flow_calls"]
@@ -400,11 +409,11 @@ class TestHeightReuse:
         return _config("push-relabel", warm)
 
     def test_warm_solves_reuse_heights_and_match_cold(self):
-        graph = load_dataset("foodweb-tiny")
+        graph = _warm_engagement_graph()
         warm = DDSSession(graph, flow=FlowConfig(solver="push-relabel"))
-        warm_result = warm.densest_subgraph("core-exact")
+        warm_result = warm.densest_subgraph("flow-exact")
         cold = DDSSession(graph, flow=FlowConfig(solver="push-relabel", warm_start=False))
-        cold_result = cold.densest_subgraph("core-exact")
+        cold_result = cold.densest_subgraph("flow-exact")
         assert warm_result.stats["height_reuses"] >= 1
         assert cold_result.stats["height_reuses"] == 0
         # Height reuse is a work optimisation, never an answer change.

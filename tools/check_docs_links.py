@@ -9,7 +9,11 @@ extracts Markdown link targets, and fails (exit code 1) when
   names a heading anchor that does not exist in the target (GitHub
   slugification rules), or
 * a ``repro.*`` dotted reference in backticked inline code names a module
-  that cannot be found under ``src/``.
+  that cannot be found under ``src/``, or
+* a Python file under ``src/``, ``benchmarks/``, ``tools/``, ``tests/``,
+  ``examples/`` or ``perfbench/`` cites a Markdown file (a path ending in
+  ``.md``) that resolves neither from the repository root nor from the
+  citing file's own directory.
 
 External (``http(s)://``) links are not fetched — CI must not depend on the
 network — but their syntax is still validated.
@@ -26,6 +30,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 MODULE_PATTERN = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)`")
 HEADING_PATTERN = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$")
+MARKDOWN_REFERENCE_PATTERN = re.compile(r"(?<![\w./-])((?:[\w-]+/)*\w[\w.-]*\.md)(?![\w-])")
+CITING_DIRECTORIES = ("src", "benchmarks", "tools", "tests", "examples", "perfbench")
 
 
 def _slugify(heading: str) -> str:
@@ -108,6 +114,25 @@ def _check_module_references(path: Path) -> list[str]:
     return errors
 
 
+def _python_files() -> list[Path]:
+    files: list[Path] = []
+    for directory in CITING_DIRECTORIES:
+        files.extend(sorted((REPO_ROOT / directory).rglob("*.py")))
+    return files
+
+
+def _check_markdown_citations(path: Path) -> list[str]:
+    """Markdown files a Python file cites that exist neither at the root nor beside it."""
+    errors = []
+    text = path.read_text(encoding="utf-8")
+    for match in MARKDOWN_REFERENCE_PATTERN.finditer(text):
+        cited = match.group(1)
+        if not ((REPO_ROOT / cited).exists() or (path.parent / cited).exists()):
+            line = text.count("\n", 0, match.start()) + 1
+            errors.append(f"{path.relative_to(REPO_ROOT)}:{line}: dangling reference to {cited}")
+    return errors
+
+
 def main() -> int:
     """Check every documentation file; print problems and return an exit code."""
     errors: list[str] = []
@@ -117,10 +142,16 @@ def main() -> int:
     for path in files:
         errors.extend(_check_links(path))
         errors.extend(_check_module_references(path))
+    sources = _python_files()
+    for path in sources:
+        errors.extend(_check_markdown_citations(path))
     for error in errors:
         print(f"FAIL: {error}")
     if not errors:
-        print(f"OK: {len(files)} documentation files, all links and module references resolve")
+        print(
+            f"OK: {len(files)} documentation files, all links and module references resolve; "
+            f"{len(sources)} Python files cite no missing Markdown file"
+        )
     return 1 if errors else 0
 
 
