@@ -43,8 +43,6 @@ class ExperimentRecord:
             "arcs_pushed",
             "warm_starts_used",
             "cold_starts",
-            "warm_start_fallbacks",
-            "height_reuses",
         ):
             if key in self.result.stats:
                 row[key] = self.result.stats[key]

@@ -78,13 +78,6 @@ def _add_method_options(parser: argparse.ArgumentParser, *, with_quality: bool) 
         "'auto' picks the vectorised numpy backend for large decision networks "
         "when numpy is installed)",
     )
-    parser.add_argument(
-        "--cold-start",
-        action="store_true",
-        help="disable warm-start residual reuse between binary-search guesses "
-        "(answers are identical, more flow work; a no-op for methods that "
-        "run no min-cuts)",
-    )
     if with_quality:
         parser.add_argument(
             "--tolerance",
@@ -113,8 +106,6 @@ def _method_kwargs(args: argparse.Namespace) -> dict:
         value = getattr(args, name, None)
         if value is not None:
             kwargs[name] = value
-    if getattr(args, "cold_start", False):
-        kwargs["warm_start"] = False
     return kwargs
 
 

@@ -62,11 +62,11 @@ class MethodConfig:
         if not clean:
             return config
         allowed = {f.name for f in fields(cls)}
-        for alias in ("flow_solver", "warm_start", "deadline_ms"):
+        for alias in ("flow_solver", "deadline_ms"):
             # Per-field overrides of the nested FlowConfig: fold them into a
-            # replaced ``flow`` (flow_solver= first, so warm_start= composes).
+            # replaced ``flow`` (flow_solver= first, so deadline_ms= composes).
             # Skipped when the name is a direct field of this class (e.g.
-            # warm_start on FlowConfig itself) — plain replace() handles it.
+            # deadline_ms on FlowConfig itself) — plain replace() handles it.
             if alias in allowed:
                 continue
             value = clean.pop(alias, None)
@@ -82,10 +82,8 @@ class MethodConfig:
                 base_flow = FlowConfig(solver=base_flow)
             if alias == "flow_solver":
                 clean["flow"] = replace(base_flow, solver=value)
-            elif alias == "deadline_ms":
-                clean["flow"] = replace(base_flow, deadline_ms=value)
             else:
-                clean["flow"] = replace(base_flow, warm_start=value)
+                clean["flow"] = replace(base_flow, deadline_ms=value)
         if "max_nodes" in clean:
             # Legacy alias of the brute-force safety limit.
             if "node_limit" not in allowed:
@@ -119,16 +117,9 @@ class FlowConfig(MethodConfig):
         not installed), recording each choice as ``backend_selections``.
     network_cache_size:
         Capacity of the decision-network LRU cache shared across fixed-ratio
-        searches (0 disables caching entirely).
-    warm_start:
-        Reuse the residual flow of the previous fixed-ratio guess (and, via
-        the network cache, of earlier searches on the same ``(sub-problem,
-        ratio)``) as the starting point of the next min-cut instead of
-        resetting to zero flow.  Results are bit-identical either way; warm
-        starts only reduce the work per solve (``arcs_pushed``).  Solvers
-        that cannot warm start (``edmonds-karp``) fall back to cold solves
-        and record the fallback — see the stats glossary in
-        :mod:`repro.flow.engine`.
+        searches (0 disables caching entirely).  A cached network keeps the
+        residual flow of its last solve, and the next search on the same
+        ``(sub-problem, ratio)`` continues from it.
     batch_size:
         Under the ``"auto"`` policy, up to this many fixed-ratio searches
         over the same sub-problem are run in lockstep as one block-diagonal
@@ -148,7 +139,6 @@ class FlowConfig(MethodConfig):
 
     solver: str = DEFAULT_SOLVER
     network_cache_size: int = DEFAULT_NETWORK_CACHE_SIZE
-    warm_start: bool = True
     batch_size: int = 32
     deadline_ms: float | None = None
 
@@ -160,8 +150,6 @@ class FlowConfig(MethodConfig):
             raise ConfigError(
                 f"network_cache_size must be a non-negative int, got {self.network_cache_size!r}"
             )
-        if not isinstance(self.warm_start, bool):
-            raise ConfigError(f"warm_start must be a bool, got {self.warm_start!r}")
         if not isinstance(self.batch_size, int) or self.batch_size < 1:
             raise ConfigError(
                 f"batch_size must be an int >= 1, got {self.batch_size!r}"

@@ -40,9 +40,8 @@ def core_exact(
     ``config`` is the normalized :class:`~repro.core.config.ExactConfig`
     (its ``seed_with_core`` flag is ignored here — CoreExact always seeds
     from the core); the keyword arguments are legacy per-field overrides.
-    ``engine`` / ``network_cache`` are the session warm-start hooks, and
-    ``config.flow.warm_start`` lets each min-cut continue from the previous
-    guess's residual flow.
+    ``engine`` / ``network_cache`` are the session's shared engine and
+    decision-network cache.
     """
     cfg = ExactConfig.resolve(
         config,
@@ -62,6 +61,5 @@ def core_exact(
         flow_solver=cfg.flow.solver,
         engine=engine,
         network_cache=network_cache,
-        warm_start=cfg.flow.warm_start,
         batch_size=cfg.flow.batch_size,
     )

@@ -286,7 +286,6 @@ def _dc_driver(
     flow_solver: str = DEFAULT_SOLVER,
     engine: FlowEngine | None = None,
     network_cache: NetworkCache | None = None,
-    warm_start: bool = True,
     batch_size: int = 1,
 ) -> DDSResult:
     if graph.num_edges == 0:
@@ -355,7 +354,6 @@ def _dc_driver(
                     tolerance=tolerance,
                     engine=state.engine,
                     network_cache=state.network_cache,
-                    warm_start=warm_start,
                 )
                 for outcome in outcomes:
                     state.absorb_outcome(outcome)
@@ -369,7 +367,6 @@ def _dc_driver(
                     tolerance=tolerance,
                     engine=state.engine,
                     network_cache=state.network_cache,
-                    warm_start=warm_start,
                 )
                 state.absorb_outcome(outcome)
 
@@ -430,7 +427,6 @@ def _dc_driver(
                 tolerance=tolerance,
                 engine=state.engine,
                 network_cache=state.network_cache,
-                warm_start=warm_start,
                 start=state.starting_pair(subproblem, probe_ratio),
             )
             state.absorb_outcome(outcome)
@@ -510,11 +506,9 @@ def dc_exact(
     ``config.seed_with_core`` switches the incumbent initialisation from a
     cheap peel to the CoreApprox core (used by the E11 ablation); the search
     space itself is never core-restricted here — that is :func:`core_exact`'s
-    job.  ``engine`` and ``network_cache`` are the warm-start hooks a
+    job.  ``engine`` and ``network_cache`` are the hooks a
     :class:`~repro.session.DDSSession` uses to share flow instrumentation and
-    decision networks across queries; ``config.flow.warm_start`` additionally
-    lets every fixed-ratio min-cut continue from the previous guess's
-    residual flow.
+    decision networks (with their residual flows) across queries.
     """
     cfg = ExactConfig.resolve(
         config,
@@ -535,6 +529,5 @@ def dc_exact(
         flow_solver=cfg.flow.solver,
         engine=engine,
         network_cache=network_cache,
-        warm_start=cfg.flow.warm_start,
         batch_size=cfg.flow.batch_size,
     )

@@ -67,8 +67,8 @@ def flow_exact(
     node_limit / tolerance / flow_solver:
         Legacy per-field overrides resolved through ``config``.
     engine / network_cache:
-        Session warm-start hooks (shared instrumentation and decision
-        networks).
+        The session's shared engine (instrumentation) and decision-network
+        cache.
     """
     cfg = ExactConfig.resolve(
         config, node_limit=node_limit, tolerance=tolerance, flow_solver=flow_solver
@@ -125,7 +125,6 @@ def flow_exact(
                     tolerance=tolerance,
                     engine=engine,
                     network_cache=network_cache,
-                    warm_start=cfg.flow.warm_start,
                 ):
                     absorb(outcome)
             else:
@@ -141,7 +140,6 @@ def flow_exact(
                             tolerance=tolerance,
                             engine=engine,
                             network_cache=network_cache,
-                            warm_start=cfg.flow.warm_start,
                         )
                     )
     except DeadlineExceeded as error:

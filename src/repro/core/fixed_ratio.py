@@ -51,11 +51,10 @@ network's slack, so narrowing cannot move the tie threshold either.
 
 Narrowed networks are solved cold, never enter the network cache and do
 not count as ``networks_built``; ``network_nodes`` / ``network_arcs``
-record the search network's size for every cut.  With ``warm_start`` (the
-default) a solve on the search network continues from the residual flow
-its previous solve left — at the previous guess or, for a cache-served
-network, in the last search that used it.  Answers are bit-identical
-either way.  Min-cuts run through a caller-supplied
+record the search network's size for every cut.  A solve on the search
+network continues from the residual flow its previous solve left — at the
+previous guess or, for a cache-served network, in the last search that
+used it.  Min-cuts run through a caller-supplied
 :class:`~repro.flow.engine.FlowEngine`, which picks the solver (registry
 name) and accumulates ``flow_calls`` / ``networks_built`` / ``arcs_pushed``
 / ``warm_starts_used`` across the whole algorithm run (see the stats
@@ -108,19 +107,12 @@ def partial_outcomes(error: DeadlineExceeded) -> list[FixedRatioOutcome]:
 
 
 def _check_bounds(lower: float, upper: float, tolerance: float) -> None:
-    if lower < 0 or upper < 0:
-        raise AlgorithmError("bounds must be non-negative")
-    if tolerance <= 0:
+    # Written so NaN fails every test: a NaN bound or tolerance never closes
+    # the bracket.  An infinite ``upper`` stays legal (a trivial bound).
+    if not (lower >= 0 and upper >= 0):
+        raise AlgorithmError(f"bounds must be non-negative, got ({lower}, {upper})")
+    if not tolerance > 0:
         raise AlgorithmError(f"tolerance must be > 0, got {tolerance}")
-
-
-def _warm_policy(engine: FlowEngine | None, warm_start: bool) -> tuple[FlowEngine, bool]:
-    """The engine to use and whether its solves may continue residual flow."""
-    if engine is None:
-        engine = FlowEngine()
-    if warm_start and not engine.warm_capable:
-        engine.note_warm_fallback()
-    return engine, bool(warm_start) and engine.warm_capable
 
 
 class _RatioSearch:
@@ -203,14 +195,13 @@ class _RatioSearch:
         engine: FlowEngine,
         network_cache: NetworkCache | None,
         network_observer: NetworkObserver | None,
-        use_warm: bool,
     ) -> bool:
         """Set the next guess on this search's network; returns whether the solve is warm."""
         # Dinkelbach: probe the certified lower bound.  After a float stall
         # the same guess would stall again, so bisect instead.
         guess = self.guess = (self.low + self.high) / 2.0 if self.stalled else self.low
         decision = self.decision
-        solve_warm = use_warm
+        solve_warm = True
         if decision is None:
             if network_cache is not None:
                 decision = network_cache.get(subproblem, self.ratio)
@@ -219,7 +210,7 @@ class _RatioSearch:
                 self.networks_reused += 1
                 # A cache-served network still carries the residual flow of
                 # its last solve; a warm retune keeps it as the start state.
-                decision.retune(self.ratio, guess, warm_start=use_warm)
+                decision.retune(self.ratio, guess, warm_start=True)
             else:
                 decision = build_decision_network(subproblem, self.ratio, guess)
                 engine.note_network_built()
@@ -239,7 +230,7 @@ class _RatioSearch:
             self.network = build_decision_network(self.scope, self.ratio, guess)
             solve_warm = False
         else:
-            solve_warm = use_warm and self.network is decision
+            solve_warm = self.network is decision
             self.network.retune(self.ratio, guess, warm_start=solve_warm)
         self.network_nodes.append(decision.num_nodes)
         self.network_arcs.append(decision.num_arcs)
@@ -317,7 +308,6 @@ def maximize_fixed_ratio_batch(
     network_observer: NetworkObserver | None = None,
     engine: FlowEngine | None = None,
     network_cache: NetworkCache | None = None,
-    warm_start: bool = True,
 ) -> list[FixedRatioOutcome]:
     """Run one :func:`maximize_fixed_ratio` per ratio, batched block-diagonally.
 
@@ -337,9 +327,9 @@ def maximize_fixed_ratio_batch(
     and the per-block cut is the same canonical (residual-reachable) cut a
     solo solve certifies, so the returned outcomes carry identical subgraphs
     and flow-call counts.  Members never narrow: they keep their stacked
-    whole-sub-problem networks, so with warm starts on they continue warm
-    where a sequential search solves narrowed networks cold, and only that
-    warm/cold split differs.  One documented deviation: all members read the
+    whole-sub-problem networks, so they continue warm where a sequential
+    search solves narrowed networks cold, and only that warm/cold split
+    differs.  One documented deviation: all members read the
     *same* entry ``lower`` (a sequential sweep could tighten later searches'
     lower bounds with earlier searches' incumbents); a looser lower bound
     never changes which pairs are optimal, only how many guesses a search
@@ -358,7 +348,8 @@ def maximize_fixed_ratio_batch(
     if subproblem.is_empty:
         return [_RatioSearch(ratio, 0.0, 0.0).outcome() for ratio in ratios]
 
-    engine, use_warm = _warm_policy(engine, warm_start)
+    if engine is None:
+        engine = FlowEngine()
     graph = subproblem.graph
     members = [_RatioSearch(float(ratio), lower, upper) for ratio in ratios]
     batch = None
@@ -373,9 +364,7 @@ def maximize_fixed_ratio_batch(
             if not active:
                 break
             warm_flags = [
-                members[index].prepare(
-                    subproblem, engine, network_cache, network_observer, use_warm
-                )
+                members[index].prepare(subproblem, engine, network_cache, network_observer)
                 for index in active
             ]
             if batch is None:
@@ -415,7 +404,6 @@ def maximize_fixed_ratio(
     network_observer: NetworkObserver | None = None,
     engine: FlowEngine | None = None,
     network_cache: NetworkCache | None = None,
-    warm_start: bool = True,
     start: StartingPair | None = None,
 ) -> FixedRatioOutcome:
     """Bracket ``val(ratio)`` within ``tolerance`` by Dinkelbach's iteration.
@@ -448,15 +436,8 @@ def maximize_fixed_ratio(
         cache holds a network for ``(subproblem, ratio)`` the search retunes
         it instead of building one (``networks_reused`` instead of
         ``networks_built``); a freshly built network is deposited for later
-        searches — this is how repeated session queries share networks.
-    warm_start:
-        Continue each min-cut on the search network from the residual flow
-        left by the previous one (previous guess, or — for cache-served
-        networks — the previous search) instead of resetting to zero flow;
-        solves on narrowed networks are always cold.  Answers are identical
-        either way; only the per-solve work changes.  Ignored, with a
-        recorded ``warm_start_fallbacks`` count, when the engine's solver
-        cannot warm start.
+        searches — this is how repeated session queries share networks,
+        including the residual flow each cached network keeps.
     start:
         Optional ``(S, T, surrogate)``: a pair whose vertices lie inside
         ``subproblem`` and its surrogate at ``ratio``, which certifies
@@ -477,14 +458,13 @@ def maximize_fixed_ratio(
     if subproblem.is_empty:
         return _RatioSearch(ratio, 0.0, 0.0).outcome()
 
-    engine, use_warm = _warm_policy(engine, warm_start)
+    if engine is None:
+        engine = FlowEngine()
     graph = subproblem.graph
     search = _RatioSearch(ratio, lower, upper, nested=True, start=start)
     try:
         while search.high - search.low >= tolerance:
-            solve_warm = search.prepare(
-                subproblem, engine, network_cache, network_observer, use_warm
-            )
+            solve_warm = search.prepare(subproblem, engine, network_cache, network_observer)
             network = search.network
             cut_value, solver = engine.min_cut(
                 network.network, network.source, network.sink, warm_start=solve_warm

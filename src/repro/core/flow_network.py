@@ -164,11 +164,12 @@ class DecisionNetwork:
         Updates the guess-dependent penalty-arc capacities, leaving the
         topology (and hence the CSR index) untouched.
 
-        With ``warm_start=False`` (the historical behaviour) the residual
-        state is reset, so the next solve starts from zero flow and the
-        network is observationally identical to one freshly built by
-        :func:`build_decision_network` with the same parameters: same node
-        layout, same arc order, bit-identical capacities.
+        With ``warm_start=False`` the residual state is reset, so the next
+        solve starts from zero flow and the network is observationally
+        identical to one freshly built by :func:`build_decision_network`
+        with the same parameters: same node layout, same arc order,
+        bit-identical capacities.  Narrowed networks of a fixed-ratio search
+        are retuned this way.
 
         With ``warm_start=True`` the flow of the previous solve is kept as
         the starting point of the next one: each penalty arc's flow is
@@ -188,10 +189,7 @@ class DecisionNetwork:
         states are bit-identical either way); without numpy the original
         per-arc loop runs.
         """
-        if ratio <= 0:
-            raise AlgorithmError(f"ratio must be > 0, got {ratio}")
-        if guess < 0:
-            raise AlgorithmError(f"guess must be >= 0, got {guess}")
+        _check_parameters(ratio, guess)
         root = math.sqrt(ratio)
         s_penalty = guess / root
         t_penalty = guess * root
@@ -280,6 +278,19 @@ class DecisionNetwork:
         return cached
 
 
+def _check_parameters(ratio: float, guess: float) -> None:
+    """Reject a ratio outside ``(0, inf)`` or a guess outside ``[0, inf)``.
+
+    The comparisons are written so NaN fails them: a NaN ratio makes every
+    surrogate NaN and an infinite one makes a penalty ``0 * inf = nan``,
+    and neither can ever end a fixed-ratio search.
+    """
+    if not 0 < ratio < math.inf:
+        raise AlgorithmError(f"ratio must be finite and > 0, got {ratio}")
+    if not 0 <= guess < math.inf:
+        raise AlgorithmError(f"guess must be finite and >= 0, got {guess}")
+
+
 def build_decision_network(
     subproblem: STSubproblem, ratio: float, guess: float
 ) -> DecisionNetwork:
@@ -296,10 +307,7 @@ def build_decision_network(
     paths produce bit-identical buffers, penalty-arc lists and
     ``total_capacity``.
     """
-    if ratio <= 0:
-        raise AlgorithmError(f"ratio must be > 0, got {ratio}")
-    if guess < 0:
-        raise AlgorithmError(f"guess must be >= 0, got {guess}")
+    _check_parameters(ratio, guess)
 
     s_nodes = subproblem.s_candidates
     t_nodes = subproblem.t_candidates

@@ -9,9 +9,9 @@ algorithm registers a :class:`MethodSpec` carrying
 * its **runner** — a uniform callable ``(graph, config, context) -> DDSResult``,
 * its accepted **config type** (:class:`~repro.core.config.ExactConfig` or
   :class:`~repro.core.config.ApproxConfig`), and
-* **capability flags**: exactness, whether it is flow-backed (runs min-cuts,
-  hence honours ``FlowConfig.solver``), and whether it supports warm starts
-  (accepts a shared :class:`~repro.flow.engine.FlowEngine` and
+* **capability flags**: exactness, and whether it is flow-backed (runs
+  min-cuts, hence honours ``FlowConfig.solver`` and receives the session's
+  shared :class:`~repro.flow.engine.FlowEngine` and
   :class:`~repro.core.network_cache.NetworkCache` — the hooks
   :class:`~repro.session.DDSSession` uses to reuse state, including
   *residual flows*, across queries; see :class:`MethodSpec`).
@@ -26,7 +26,6 @@ Third-party algorithms plug in without touching the session or the CLI::
         config_type=ApproxConfig,
         is_exact=False,
         flow_backed=False,
-        supports_warm_start=False,
         description="my custom densest-subgraph heuristic",
     ))
     DDSSession(graph).densest_subgraph("my-heuristic")
@@ -53,7 +52,10 @@ from repro.graph.digraph import DiGraph
 
 @dataclass
 class RunContext:
-    """Shared per-session runtime state handed to warm-start-capable runners."""
+    """Shared per-session runtime state handed to every runner.
+
+    The session fills in ``network_cache`` only for flow-backed methods.
+    """
 
     engine: FlowEngine | None = None
     network_cache: NetworkCache | None = None
@@ -79,19 +81,14 @@ class MethodSpec:
     is_exact:
         Whether the method guarantees optimality.
     flow_backed:
-        Whether the method runs min-cuts (and therefore honours
-        ``FlowConfig.solver``; non-flow-backed methods ignore — and report —
-        an explicitly requested solver).
-    supports_warm_start:
-        Whether the runner consumes ``context.engine`` /
-        ``context.network_cache`` to share state across queries.  This flag
-        is load-bearing: the session only hands its shared
-        :class:`~repro.core.network_cache.NetworkCache` — whose entries now
-        carry *residual flow state* between retunes — to methods that
-        declare it, and it normalises ``FlowConfig.warm_start`` to ``False``
-        in the resolved config of methods that don't (so warm and cold
-        variants of such a query share one result-cache entry, and a runner
-        that ignores the hooks is never believed to warm start).
+        Whether the method runs min-cuts, and therefore honours
+        ``FlowConfig.solver`` and consumes ``context.engine`` /
+        ``context.network_cache`` to share state across queries.  The
+        session only hands its shared
+        :class:`~repro.core.network_cache.NetworkCache` — whose entries
+        carry *residual flow state* between retunes — to flow-backed
+        methods; the others ignore (and report) an explicitly requested
+        solver.
     description:
         One-line human-readable summary (shown by ``dds-repro`` help texts).
     accepted_fields:
@@ -108,7 +105,6 @@ class MethodSpec:
     config_type: type
     is_exact: bool
     flow_backed: bool
-    supports_warm_start: bool
     description: str = ""
     accepted_fields: frozenset[str] | None = None
 
@@ -196,7 +192,6 @@ register_method(MethodSpec(
     config_type=ExactConfig,
     is_exact=True,
     flow_backed=True,
-    supports_warm_start=True,
     description="baseline exact: one fixed-ratio search per candidate ratio",
     accepted_fields=frozenset({"tolerance", "node_limit", "flow"}),
 ))
@@ -206,7 +201,6 @@ register_method(MethodSpec(
     config_type=ExactConfig,
     is_exact=True,
     flow_backed=True,
-    supports_warm_start=True,
     description="exact divide-and-conquer over the |S|/|T| ratio interval",
     accepted_fields=frozenset({"tolerance", "leaf_ratio_count", "seed_with_core", "flow"}),
 ))
@@ -216,7 +210,6 @@ register_method(MethodSpec(
     config_type=ExactConfig,
     is_exact=True,
     flow_backed=True,
-    supports_warm_start=True,
     description="divide-and-conquer with [x, y]-core pruning (paper headline)",
     accepted_fields=frozenset({"tolerance", "leaf_ratio_count", "flow"}),
 ))
@@ -226,7 +219,6 @@ register_method(MethodSpec(
     config_type=ApproxConfig,
     is_exact=False,
     flow_backed=False,
-    supports_warm_start=False,
     description="2-approximation from the maximum-product [x, y]-core",
     accepted_fields=frozenset(),
 ))
@@ -236,7 +228,6 @@ register_method(MethodSpec(
     config_type=ApproxConfig,
     is_exact=False,
     flow_backed=False,
-    supports_warm_start=False,
     description="2-approximation via the full skyline decomposition",
     accepted_fields=frozenset(),
 ))
@@ -246,7 +237,6 @@ register_method(MethodSpec(
     config_type=ApproxConfig,
     is_exact=False,
     flow_backed=False,
-    supports_warm_start=False,
     description="ratio-sweep two-sided peeling baseline",
     accepted_fields=frozenset({"epsilon", "ratios"}),
 ))
@@ -256,7 +246,6 @@ register_method(MethodSpec(
     config_type=ExactConfig,
     is_exact=True,
     flow_backed=False,
-    supports_warm_start=False,
     description="exhaustive ground-truth oracle for tiny graphs",
     accepted_fields=frozenset({"node_limit"}),
 ))

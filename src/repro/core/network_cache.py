@@ -10,17 +10,17 @@ ratio, re-tolerated exact runs) reuse networks built by earlier queries
 instead of rebuilding them.
 
 Cached networks are stored **with the residual flow of their last solve**:
-entries are retuned, never reset, on the way out, so a warm-start retune
+entries are retuned, never reset, on the way out, so a warm retune
 (:meth:`DecisionNetwork.retune(..., warm_start=True)
-<repro.core.flow_network.DecisionNetwork.retune>`) can hand the next search
+<repro.core.flow_network.DecisionNetwork.retune>`) hands the next search
 the previous search's feasible flow as its starting point.  This is how
-``FlowConfig.warm_start`` reaches across queries: via this cache a search
+warm residual reuse reaches across queries: via this cache a search
 network carries flow from search to search.  Only the network a search
 fetches or builds is cached; the narrowed networks its later guesses run
 on (see :mod:`repro.core.fixed_ratio`) never enter the cache.
 
-Correctness rests on two facts: a retuned network is observationally
-identical to a freshly built one — warm-started or not, pinned by
+Correctness rests on two facts: a retuned network gives the same cut as a
+freshly built one — with its flow kept or reset, pinned by
 ``tests/test_core_retune.py`` and ``tests/test_warm_start.py`` — and the
 cache key embeds :attr:`~repro.graph.digraph.DiGraph.state_token`, which
 changes on every structural graph mutation, so a cached network can never
@@ -33,8 +33,7 @@ reported by :meth:`NetworkCache.stats` (and surfaced through
 :meth:`DDSSession.cache_stats() <repro.session.DDSSession.cache_stats>`);
 the flow-engine counters — ``flow_calls``, ``networks_built``,
 ``networks_reused``, ``arcs_pushed``, ``warm_starts_used``,
-``cold_starts``, ``warm_start_fallbacks`` — are defined once in
-:mod:`repro.flow.engine`.
+``cold_starts`` ... — are defined once in :mod:`repro.flow.engine`.
 
 ``network_cache_entries``
     Number of decision networks currently held (bounded by ``max_entries``).
@@ -89,9 +88,9 @@ class NetworkCache:
         A hit marks the entry most-recently-used.  The returned network still
         carries the residual state of its last solve; callers must
         :meth:`~repro.core.flow_network.DecisionNetwork.retune` before use
-        (the fixed-ratio search loop always does) — with ``warm_start=True``
-        the retune turns that leftover state into the next solve's head
-        start instead of discarding it.
+        (the fixed-ratio search loop always does, with ``warm_start=True``),
+        which turns that leftover state into the next solve's head start
+        instead of discarding it.
         """
         if self.max_entries == 0:
             return None

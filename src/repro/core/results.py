@@ -227,8 +227,9 @@ class FixedRatioOutcome:
     :class:`~repro.core.network_cache.NetworkCache`) and ``network_nodes``
     feed experiments E6/E7 and the flow-engine regression tests;
     ``warm_starts_used`` / ``cold_starts`` split ``flow_calls`` by whether
-    the solver continued from the previous guess's residual flow (see the
-    stats glossary in :mod:`repro.flow.engine`).
+    the solver continued from an earlier solve's residual flow or started
+    on a network holding none (see the stats glossary in
+    :mod:`repro.flow.engine`).
     """
 
     ratio: float

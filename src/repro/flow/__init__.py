@@ -30,7 +30,9 @@ Adding a solver
 ---------------
 Implement the solver protocol — ``Solver(network, source, sink)``,
 ``max_flow() -> float``, ``min_cut_source_side() -> list[int]``, and an
-``arcs_pushed`` counter attribute — then register it under a name::
+``arcs_pushed`` counter attribute; ``max_flow`` continues from the flow the
+network already holds and returns the *total* value — then register it
+under a name::
 
     from repro.flow import register_solver
 

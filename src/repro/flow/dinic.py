@@ -29,24 +29,20 @@ class DinicSolver:
     """Stateful Dinic solver bound to one :class:`FlowNetwork`.
 
     The solver mutates the network's residual capacities; call
-    :meth:`FlowNetwork.reset_flow` to reuse the network for another run.
+    :meth:`FlowNetwork.reset_flow` first to solve from zero flow.
     ``arcs_pushed`` counts every per-arc residual update (instrumentation
     surfaced by the :class:`~repro.flow.engine.FlowEngine`).
 
-    With ``warm_start=True`` the solver treats the network's residual state
-    as a valid feasible flow to continue from (rather than assuming zero
-    flow): the pre-existing flow value is read off the source's residual
-    arcs and the usual augmenting loop tops it up to a maximum flow.  Since
-    Dinic only ever augments along residual paths, no other change is
-    needed — a warm run returns the same max-flow value and the same
-    canonical min cut as a cold one, after pushing only the missing flow.
+    The solver treats the network's residual state as a valid feasible flow
+    to continue from (zero on a fresh network): the pre-existing flow value
+    is read off the source's residual arcs and the usual augmenting loop
+    tops it up to a maximum flow.  Since Dinic only ever augments along
+    residual paths, no other change is needed — a continued run returns the
+    same max-flow value and the same canonical min cut as one from zero
+    flow, after pushing only the missing flow.
     """
 
     name = "dinic"
-
-    #: Advertises to :class:`~repro.flow.engine.FlowEngine` that this solver
-    #: can continue from a nonzero feasible flow.
-    supports_warm_start = True
 
     #: Optional :class:`repro.runtime.Deadline`, attached by the engine when
     #: the query carries a budget.  Checked between BFS rounds — the phase
@@ -56,9 +52,7 @@ class DinicSolver:
     #: completion) and a later warm retune is bit-identical.
     deadline = None
 
-    def __init__(
-        self, network: FlowNetwork, source: int, sink: int, warm_start: bool = False
-    ) -> None:
+    def __init__(self, network: FlowNetwork, source: int, sink: int) -> None:
         if source == sink:
             raise FlowError("source and sink must differ")
         network._check_node(source)
@@ -66,7 +60,6 @@ class DinicSolver:
         self.network = network
         self.source = source
         self.sink = sink
-        self.warm_start = warm_start
         self.arcs_pushed = 0
         self._levels: list[int] = []
         self._completed = False
@@ -78,9 +71,9 @@ class DinicSolver:
         caps_arr = self.network.arc_capacities
         caps = caps_arr.tolist()
 
-        # A warm start credits the value of the flow already routed through
-        # the network; the augmenting loop below then only tops it up.
-        total = self.network.flow_value(self.source) if self.warm_start else 0.0
+        # Credit the value of the flow already routed through the network;
+        # the augmenting loop below then only tops it up.
+        total = self.network.flow_value(self.source)
         while True:
             if self.deadline is not None:
                 # Cooperative cancellation checkpoint (one per BFS round):

@@ -20,20 +20,13 @@ from repro.flow.network import EPSILON, FlowNetwork
 class EdmondsKarpSolver:
     """Stateful Edmonds–Karp solver bound to one :class:`FlowNetwork`.
 
-    The solver deliberately does **not** support warm starts
-    (``supports_warm_start = False``): its value accounting assumes it
-    pushed every unit of flow itself, and teaching the reference
-    implementation to start from a nonzero flow would compromise its role
-    as the simplest possible cross-check.  When a warm start is requested
-    through the :class:`~repro.flow.engine.FlowEngine`, the engine resets
-    the network and runs this solver cold, recording the fallback in its
-    ``cold_starts`` / ``warm_start_fallbacks`` counters.
+    Like every registered solver it continues from the feasible flow the
+    network's residual state holds: the flow value already leaving the
+    source is credited up front and each augmenting path only adds to it,
+    so the returned value is the total max flow.
     """
 
     name = "edmonds-karp"
-
-    #: See the class docstring — warm starts fall back to cold runs.
-    supports_warm_start = False
 
     def __init__(self, network: FlowNetwork, source: int, sink: int) -> None:
         if source == sink:
@@ -52,7 +45,7 @@ class EdmondsKarpSolver:
         caps_arr = network.arc_capacities
         caps = caps_arr.tolist()
         source, sink = self.source, self.sink
-        total = 0.0
+        total = network.flow_value(source)
 
         while True:
             # BFS to find the shortest augmenting path; remember the arc used

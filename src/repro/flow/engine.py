@@ -30,24 +30,13 @@ defined in :mod:`repro.core.network_cache`.
     Total per-arc residual updates across all solver runs — a
     machine-independent proxy for flow work, not a measure of wall time.
 ``warm_starts_used``
-    Min-cut computations that continued from the feasible flow left by the
-    previous solve (``warm_start=True`` through a warm-capable solver)
-    instead of starting from zero flow.
+    Min-cut computations whose caller declared the network's residual state
+    a flow left by an earlier solve (``warm_start=True``: a warm retune of
+    a search network, a cache-served network, or a patched one).
 ``cold_starts``
-    Min-cut computations that started from zero flow — either because warm
-    starting was disabled, because the network was freshly built (every
-    solve on a narrowed network of a fixed-ratio search is cold), or
-    because the solver fell back (see ``warm_start_fallbacks``).
-``warm_start_fallbacks``
-    Times a warm start was requested but the solver does not support it
-    (e.g. ``edmonds-karp``); the run proceeded cold and the engine recorded
-    why in ``warm_start_fallback_reason``.
-``height_reuses``
-    Warm push–relabel solves that adopted (and repaired) the height labels
-    stashed by the previous solve on the same network instead of
-    re-deriving the labelling from zero (see
-    :meth:`~repro.flow.network.FlowNetwork.stashed_heights`).  Always 0 for
-    solvers without height labels (``dinic``, ``edmonds-karp``).
+    Min-cut computations on a network holding zero flow: freshly built
+    (every solve on a narrowed network of a fixed-ratio search is one) or
+    retuned with its flow reset.
 ``backend_selections``
     Min-cut computations for which the ``"auto"`` policy chose the backend
     per network (vectorised ``numpy-push-relabel`` at or above the arc
@@ -80,6 +69,10 @@ defined in :mod:`repro.core.network_cache`.
     ``is None`` test per phase, which is what the bench-trajectory
     checkpoint-overhead gate pins below 2%.
 
+Every solver continues from the flow the network holds, so the warm/cold
+split is bookkeeping supplied by the caller; it never selects a different
+code path.
+
 A :class:`~repro.session.DDSSession` keeps one engine per solver for its
 whole lifetime, so the counters are *cumulative across queries*; algorithms
 that need per-run numbers take a :meth:`snapshot` at entry and report
@@ -103,16 +96,15 @@ from repro.flow.registry import (
     resolve_auto_solver_batch,
 )
 
-#: Counter attribute names, in the order used by :meth:`FlowEngine.snapshot`.
-_COUNTERS = (
+#: Counter attribute names, in the order used by :meth:`FlowEngine.snapshot`
+#: (the one declaration every stats view iterates).
+COUNTERS = (
     "flow_calls",
     "networks_built",
     "networks_reused",
     "arcs_pushed",
     "warm_starts_used",
     "cold_starts",
-    "warm_start_fallbacks",
-    "height_reuses",
     "backend_selections",
     "batched_solves",
     "small_vector_solves",
@@ -122,7 +114,7 @@ _COUNTERS = (
 
 def zero_snapshot() -> tuple[int, ...]:
     """The snapshot of a freshly constructed engine (all counters zero)."""
-    return (0,) * len(_COUNTERS)
+    return (0,) * len(COUNTERS)
 
 
 class FlowEngine:
@@ -131,10 +123,9 @@ class FlowEngine:
     __slots__ = (
         "solver_name",
         "solver_class",
-        "warm_start_fallback_reason",
         "auto_backend_choices",
         "deadline",
-    ) + _COUNTERS
+    ) + COUNTERS
 
     def __init__(self, flow_solver: str = DEFAULT_SOLVER) -> None:
         self.solver_name = flow_solver
@@ -142,7 +133,6 @@ class FlowEngine:
         # concrete backend is resolved inside min_cut() from the network's
         # arc count (and counted as ``backend_selections``).
         self.solver_class = None if flow_solver == AUTO_SOLVER else get_solver_class(flow_solver)
-        self.warm_start_fallback_reason: str | None = None
         #: Lifetime ``{backend name: times chosen}`` of the auto policy
         #: (empty for engines configured with a concrete solver).
         self.auto_backend_choices: dict[str, int] = {}
@@ -151,20 +141,8 @@ class FlowEngine:
         #: checks it before starting and hands it to the solver for
         #: phase-boundary cancellation checkpoints.
         self.deadline = None
-        for name in _COUNTERS:
+        for name in COUNTERS:
             setattr(self, name, 0)
-
-    @property
-    def warm_capable(self) -> bool:
-        """Whether the configured solver can continue from a nonzero flow.
-
-        Both backends the ``"auto"`` policy can pick (``dinic`` and the
-        vectorised push–relabel) support warm starts, so an auto engine is
-        warm-capable by construction.
-        """
-        if self.solver_class is None:
-            return True
-        return bool(getattr(self.solver_class, "supports_warm_start", False))
 
     def _resolve_class(self, network: FlowNetwork):
         """The concrete solver class for ``network`` (auto policy applied)."""
@@ -183,42 +161,29 @@ class FlowEngine:
         """Record that a fixed-ratio search reused a cached decision network."""
         self.networks_reused += 1
 
-    def note_warm_fallback(self) -> None:
-        """Record that a requested warm start fell back to cold solves (and why)."""
-        self.warm_start_fallbacks += 1
-        self.warm_start_fallback_reason = (
-            f"solver {self.solver_name!r} does not support warm starts"
-        )
-
     def min_cut(
         self, network: FlowNetwork, source: int, sink: int, warm_start: bool = False
     ) -> tuple[float, Any]:
         """Run one max-flow/min-cut and return ``(cut_value, solver)``.
 
-        With ``warm_start=True`` the network's residual state must be a
-        valid feasible flow (e.g. left by a warm
-        :meth:`~repro.core.flow_network.DecisionNetwork.retune`) and the
-        solver continues from it; if the solver cannot (see the glossary's
-        ``warm_start_fallbacks``), the engine resets the network and solves
-        cold — same answer, more work.  The returned solver instance exposes
-        ``min_cut_source_side()`` for cut extraction; the engine's counters
-        are already updated.
+        The network's residual state must be a valid feasible flow (zero on
+        a fresh network, or e.g. the one a warm
+        :meth:`~repro.core.flow_network.DecisionNetwork.retune` leaves); the
+        solver continues from it and returns the total value.
+        ``warm_start`` only says which of ``warm_starts_used`` /
+        ``cold_starts`` the solve counts under.  The returned solver
+        instance exposes ``min_cut_source_side()`` for cut extraction; the
+        engine's counters are already updated.
         """
         if self.deadline is not None and self.deadline.expired:
             # Refuse before touching the network: its residual state stays
             # exactly as the caller left it, ready for a later warm retune.
             self.deadline_hits += 1
             self.deadline.check("engine.min_cut admission")
-        if warm_start and not self.warm_capable:
-            self.note_warm_fallback()
-            network.reset_flow()
-            warm_start = False
-        solver_class = self._resolve_class(network)
+        solver = self._resolve_class(network)(network, source, sink)
         if warm_start:
-            solver = solver_class(network, source, sink, warm_start=True)
             self.warm_starts_used += 1
         else:
-            solver = solver_class(network, source, sink)
             self.cold_starts += 1
         if self.deadline is not None:
             solver.deadline = self.deadline
@@ -234,8 +199,6 @@ class FlowEngine:
             raise
         self.flow_calls += 1
         self.arcs_pushed += getattr(solver, "arcs_pushed", 0)
-        if getattr(solver, "height_reused", False):
-            self.height_reuses += 1
         if (
             self.solver_name == VECTOR_SOLVER
             and network.num_arcs < AUTO_ARC_THRESHOLD
@@ -267,8 +230,8 @@ class FlowEngine:
         ``batch`` is a :class:`~repro.flow.batch.BatchedFlowNetwork`;
         ``active`` lists the member indices to solve this round (the rest
         stay masked) and ``warm_flags`` says, per active member, whether its
-        residual state should be counted as a warm continuation — mirroring
-        exactly what a sequential solve of that member would have recorded.
+        solve counts as a warm continuation — mirroring exactly what a
+        sequential solve of that member would have recorded.
         Returns, per active member, ``(flow_value, member-local cut source
         side, arcs pushed inside that block)``.
 
@@ -301,12 +264,7 @@ class FlowEngine:
         import numpy
 
         batch.gather(active)
-        if any(warm_flags):
-            solver = solver_class(
-                batch.network, batch.source, batch.sink, warm_start=True
-            )
-        else:
-            solver = solver_class(batch.network, batch.source, batch.sink)
+        solver = solver_class(batch.network, batch.source, batch.sink)
         solver.arc_owner = batch.arc_owner
         solver.owner_pushes = numpy.zeros(batch.num_members, dtype=numpy.int64)
         if self.deadline is not None:
@@ -332,8 +290,6 @@ class FlowEngine:
             self.auto_backend_choices.get(name, 0) + members
         )
         self.arcs_pushed += solver.arcs_pushed
-        if solver.height_reused:
-            self.height_reuses += members
         self.batched_solves += 1
 
         source_side = solver.min_cut_source_side()
@@ -348,15 +304,13 @@ class FlowEngine:
 
     def snapshot(self) -> tuple[int, ...]:
         """Opaque counter snapshot for later :meth:`stats_since` deltas."""
-        return tuple(getattr(self, name) for name in _COUNTERS)
+        return tuple(getattr(self, name) for name in COUNTERS)
 
     def stats_since(self, snapshot: tuple[int, ...]) -> dict[str, Any]:
         """Per-run instrumentation delta since ``snapshot`` (plus the solver name)."""
         stats: dict[str, Any] = {"flow_solver": self.solver_name}
-        for name, start in zip(_COUNTERS, snapshot):
+        for name, start in zip(COUNTERS, snapshot):
             stats[name] = getattr(self, name) - start
-        if stats.get("warm_start_fallbacks", 0) > 0 and self.warm_start_fallback_reason:
-            stats["warm_start_fallback_reason"] = self.warm_start_fallback_reason
         return stats
 
     def stats(self) -> dict[str, Any]:

@@ -16,6 +16,13 @@ Python lists.  The CSR index is (re)built lazily after construction, so
 (capacities updated in place via :meth:`set_capacity` + :meth:`reset_flow`)
 and re-solved without ever touching the topology again — the hot pattern in
 the fixed-ratio searches of the exact DDS algorithms.
+
+The residual capacities are also the start state of every solve: each
+registered solver continues from the flow they encode (zero on a freshly
+built network or after :meth:`reset_flow`) and returns the *total* flow
+value.  A retune that keeps the flow
+(:meth:`set_capacity_preserving_flow` plus :meth:`return_excess`) therefore
+leaves the next solve only the difference to push.
 """
 
 from __future__ import annotations
@@ -72,7 +79,6 @@ class FlowNetwork:
         "_csr_dirty",
         "_csr_lists",
         "_np_views",
-        "_height_stash",
     )
 
     def __init__(self, num_nodes: int) -> None:
@@ -88,7 +94,6 @@ class FlowNetwork:
         self._csr_dirty = False
         self._csr_lists: tuple[list[list[int]], list[int]] | None = None
         self._np_views: tuple | None = None
-        self._height_stash: dict[tuple[int, int], list[int]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -98,7 +103,6 @@ class FlowNetwork:
         self.num_nodes += 1
         self._csr_dirty = True
         self._np_views = None
-        self._height_stash.clear()
         return self.num_nodes - 1
 
     def add_edge(self, source: int, target: int, capacity: float) -> int:
@@ -141,7 +145,6 @@ class FlowNetwork:
                 buffer.pop()
             raise
         self._csr_dirty = True
-        self._height_stash.clear()
         return arc_index
 
     def append_paired_arcs(self, tails, targets, capacities, base_capacities) -> int:
@@ -202,7 +205,6 @@ class FlowNetwork:
                 del buffer[first_index:]
             raise
         self._csr_dirty = True
-        self._height_stash.clear()
         return first_index
 
     def arc_state_views(self) -> tuple:
@@ -249,9 +251,9 @@ class FlowNetwork:
         """Deep copy of the topology *and* the current residual state.
 
         The flat arc buffers are copied, so retunes and solves on the clone
-        never touch the original (and vice versa); the CSR index, list/numpy
-        views and the height stash are per-instance caches and are rebuilt
-        lazily on the clone.  This is how the incremental layer seeds a
+        never touch the original (and vice versa); the CSR index and the
+        list/numpy views are per-instance caches and are rebuilt lazily on
+        the clone.  This is how the incremental layer seeds a
         ``top_k`` round's working cache from the session's warm networks
         without corrupting them.
         """
@@ -663,30 +665,6 @@ class FlowNetwork:
     def reset_flow(self) -> None:
         """Restore all residual capacities to the original capacities."""
         self._cap[:] = self._base
-
-    # ------------------------------------------------------------------
-    # solver label stash (push-relabel height reuse)
-    # ------------------------------------------------------------------
-    def stash_heights(self, source: int, sink: int, heights: list[int]) -> None:
-        """Remember a solver's final height labels for ``(source, sink)``.
-
-        Push–relabel finishes every solve holding a height labelling that is
-        valid for the network's final residual graph; stashing it lets the
-        *next* warm solve on this network start from those labels instead of
-        re-deriving them from zero (see
-        :class:`~repro.flow.push_relabel.PushRelabelSolver`).  The labels are
-        advisory: capacities may be retuned between solves, so a consumer
-        must repair them against the residual graph it actually sees.  The
-        stash is dropped whenever the topology changes.
-        """
-        self._height_stash[(source, sink)] = list(heights)
-
-    def stashed_heights(self, source: int, sink: int) -> list[int] | None:
-        """The last stashed height labels for ``(source, sink)``, if any."""
-        heights = self._height_stash.get((source, sink))
-        if heights is None or len(heights) != self.num_nodes:
-            return None
-        return heights
 
     def residual_reachable(self, source: int) -> list[bool]:
         """Nodes reachable from ``source`` using arcs with positive residual capacity.

@@ -42,7 +42,7 @@ Two classic heuristics, both absent from the pure-python
 low:
 
 * **Global relabeling** — every :data:`GLOBAL_RELABEL_INTERVAL` supersteps
-  (and once at the start of every cold solve) the labels are reset to exact
+  (and once at the start of every flood attempt) the labels are reset to exact
   residual BFS distances (``d(v, t)``, else ``n + d(v, s)``), computed as a
   frontier-per-iteration vectorised BFS.  The new labels are merged with
   ``numpy.maximum`` — the elementwise max of two valid labellings is itself
@@ -51,13 +51,10 @@ low:
   labels finds empty levels below ``n``; every node stranded above the
   lowest gap is lifted past ``n`` at once (it can no longer reach the sink).
 
-Warm starts compose with the machinery from PRs 3–4 exactly like the scalar
-push–relabel: the network's residual state is credited as a feasible flow
-(sink excess seeded with its value), and stashed height labels from the
-previous solve on the same network (:meth:`FlowNetwork.stash_heights
-<repro.flow.network.FlowNetwork.stash_heights>`) are adopted and *repaired*
-by a vectorised lower-only fixpoint pass (:meth:`_repair_heights`) instead
-of the scalar worklist — same fixpoint, bulk arithmetic.
+Like the scalar push–relabel, every solve continues from the flow the
+network's residual state holds: its value seeds the sink's excess, and the
+labels start at zero (source at ``n``) and jump to exact residual distances
+at the first global relabel.
 
 Answers are bit-identical to the scalar solvers' by construction:
 ``min_cut_source_side`` returns the canonical cut (nodes residual-reachable
@@ -97,11 +94,9 @@ class NumpyPushRelabelSolver:
     """Bulk-synchronous push–relabel bound to one :class:`FlowNetwork`.
 
     Satisfies the registry's solver protocol (``max_flow`` /
-    ``min_cut_source_side`` / ``arcs_pushed``) and the warm-start extension:
-    with ``warm_start=True`` the network's residual state is continued from
-    as a feasible flow, and stashed height labels are adopted after a
-    vectorised validity repair (reported as ``height_reused``, surfacing as
-    the engine counter ``height_reuses``).
+    ``min_cut_source_side`` / ``arcs_pushed``): the network's residual
+    state is continued from as a feasible flow, and the returned value is
+    the total max flow.
 
     Unlike the scalar solvers this one mutates the network's capacities
     *in place through zero-copy views* — there is no snapshot to write
@@ -111,10 +106,6 @@ class NumpyPushRelabelSolver:
     """
 
     name = "numpy-push-relabel"
-
-    #: Advertises to :class:`~repro.flow.engine.FlowEngine` that this solver
-    #: can continue from a nonzero feasible flow (as an initial preflow).
-    supports_warm_start = True
 
     #: Optional :class:`repro.runtime.Deadline`, attached by the engine.
     #: Checked once per superstep.  Because this backend writes *directly*
@@ -126,9 +117,7 @@ class NumpyPushRelabelSolver:
     #: Undeadlined solves take no backup and are unchanged.
     deadline = None
 
-    def __init__(
-        self, network: FlowNetwork, source: int, sink: int, warm_start: bool = False
-    ) -> None:
+    def __init__(self, network: FlowNetwork, source: int, sink: int) -> None:
         if source == sink:
             raise FlowError("source and sink must differ")
         network._check_node(source)
@@ -136,7 +125,6 @@ class NumpyPushRelabelSolver:
         self.network = network
         self.source = source
         self.sink = sink
-        self.warm_start = warm_start
         self.arcs_pushed = 0
         #: Optional per-arc owner labels for block-diagonal batched solves.
         #: When :class:`~repro.flow.batch.BatchedFlowNetwork` assigns these
@@ -146,8 +134,6 @@ class NumpyPushRelabelSolver:
         #: the engine reports per member network.
         self.arc_owner: np.ndarray | None = None
         self.owner_pushes: np.ndarray | None = None
-        #: Whether this solve adopted the previous solve's height labels.
-        self.height_reused = False
         #: Number of global-relabel passes this solve ran (instrumentation).
         self.global_relabels = 0
         # Views and position-space constants, bound during max_flow().
@@ -201,31 +187,21 @@ class NumpyPushRelabelSolver:
         height = np.zeros(n, dtype=np.int64)
         excess = np.zeros(n, dtype=np.float64)
 
-        if self.warm_start:
-            # Credit the pre-existing feasible flow to the sink; the solve
-            # below then only tops it up (same contract as the scalar warm
-            # starts, see PushRelabelSolver).  Computed in bulk over the
-            # source's CSR segment: forward arcs contribute the flow pushed
-            # onto their twins, residual twins subtract theirs.
-            src_lo, src_hi = int(starts[source]), int(starts[source + 1])
-            src_all = order[src_lo:src_hi]
-            src_odd = src_all & 1 == 1
-            excess[sink] = float(
-                caps[src_all[~src_odd] ^ 1].sum() - caps[src_all[src_odd]].sum()
-            )
-            stashed = network.stashed_heights(source, sink)
-            if stashed is not None:
-                np.clip(np.asarray(stashed, dtype=np.int64), 0, limit, out=height)
-                self.height_reused = True
-
+        src_segment = order[int(starts[source]) : int(starts[source + 1])]
+        # Credit the feasible flow the network already holds to the sink;
+        # the solve below then only tops it up (same contract as the scalar
+        # solvers).  Computed in bulk over the source's CSR segment: forward
+        # arcs contribute the flow pushed onto their twins, residual twins
+        # subtract theirs.
+        src_odd = src_segment & 1 == 1
+        excess[sink] = float(
+            caps[src_segment[~src_odd] ^ 1].sum() - caps[src_segment[src_odd]].sum()
+        )
         height[source] = n
-        if self.height_reused:
-            height[sink] = 0
 
         interior = np.ones(n, dtype=bool)
         interior[source] = interior[sink] = False
         relabel_trigger = max(int(GLOBAL_RELABEL_NODE_FRACTION * n), 1)
-        src_segment = order[int(starts[source]) : int(starts[source + 1])]
 
         # Budgeted flood with a certified-cut fallback.  Every unit of flow
         # must enter the sink through the sink's incoming residual capacity,
@@ -255,7 +231,6 @@ class NumpyPushRelabelSolver:
             self._seen = None
             raise
 
-        network.stash_heights(source, sink, height.tolist())
         return float(excess[sink])
 
     def _flood_attempts(
@@ -298,13 +273,8 @@ class NumpyPushRelabelSolver:
                     np.add.at(excess, targets[src_sel], amounts)
                     self._tally_pushes(src_sel)
             if (excess[interior] > EPSILON).any():
-                if attempt == 0 and self.height_reused:
-                    self._repair_heights(height, big)
                 # Every attempt starts phase 1 from exact residual distance
-                # labels; for warm solves the global relabel max-merges them
-                # with the repaired stash, so labels the retune left valid
-                # (e.g. nodes frozen past n by the previous solve) survive
-                # while everything else jumps straight to its true distance.
+                # labels.
                 self._global_relabel(height, big)
                 self._phase_one(height, excess, interior, relabel_trigger, big)
                 self._cancel_stranded(excess, interior)
@@ -664,32 +634,6 @@ class NumpyPushRelabelSolver:
                 return
             levels[hits] = level + 1
             level += 1
-
-    def _repair_heights(self, height: np.ndarray, big: np.int64) -> None:
-        """Lower adopted height labels to validity for the current residual graph.
-
-        The vectorised counterpart of
-        :meth:`PushRelabelSolver._repair_heights
-        <repro.flow.push_relabel.PushRelabelSolver._repair_heights>`: iterate
-        ``h(u) <- min(h(u), 1 + min over residual arcs (u, v) of h(v))`` for
-        every node at once until nothing changes.  Chaotic iteration of the
-        same monotone lowering operator reaches the same fixpoint — the
-        greatest valid labelling below the stashed one — in at most ``n``
-        O(m) passes (in the hot retune pattern, one or two).  The source
-        keeps its pinned label; the sink's 0 is already minimal.
-        """
-        source = self.source
-        residual = self._caps[self._pos_arc] > EPSILON
-        pos_head = self._pos_head
-        source_height = height[source]
-        while True:
-            cand = np.where(residual, height[pos_head] + 1, big)
-            seg_min = self._segment_reduce(np.minimum, cand, big)
-            new_height = np.minimum(height, seg_min)
-            new_height[source] = source_height
-            if np.array_equal(new_height, height):
-                return
-            height[:] = new_height
 
 
 def numpy_push_relabel_max_flow(network: FlowNetwork, source: int, sink: int) -> float:

@@ -32,33 +32,20 @@ class PushRelabelSolver:
     """Stateful FIFO push–relabel solver bound to one :class:`FlowNetwork`.
 
     Like the other solvers it mutates the network's residual capacities; call
-    :meth:`FlowNetwork.reset_flow` to reuse the network afterwards.
+    :meth:`FlowNetwork.reset_flow` first to solve from zero flow.
     ``arcs_pushed`` counts individual push operations.
 
-    With ``warm_start=True`` the network's residual state is taken as a
-    valid feasible flow to continue from: its value is credited to the
+    The network's residual state is taken as a valid feasible flow to
+    continue from (zero on a fresh network): its value is credited to the
     sink's excess up front, and the usual initialisation then saturates
     only the *remaining* residual capacity out of the source.  Because the
     source keeps height ``n`` and no residual source arcs survive the
-    saturation, the standard height labelling stays valid, so the preflow
-    discharge loop is unchanged — it simply starts much closer to done.
-
-    Warm solves additionally **reuse the height labels** of the previous
-    solve on the same network when the network has them stashed
-    (:meth:`~repro.flow.network.FlowNetwork.stashed_heights`): instead of
-    re-deriving the labelling from all-zeros through relabel operations, the
-    solver adopts the stashed labels and *repairs* them — lowering any label
-    a between-solve retune made invalid — which is sound because validity
-    admits arbitrary lowering (see :meth:`_repair_heights`).  The reuse is
-    reported as ``height_reused`` and surfaces as the engine counter
-    ``height_reuses`` (stats glossary in :mod:`repro.flow.engine`).
+    saturation, the all-zero labelling of the other nodes stays valid, so
+    the preflow discharge loop is unchanged — it simply starts closer to
+    done.
     """
 
     name = "push-relabel"
-
-    #: Advertises to :class:`~repro.flow.engine.FlowEngine` that this solver
-    #: can continue from a nonzero feasible flow (as an initial preflow).
-    supports_warm_start = True
 
     #: Optional :class:`repro.runtime.Deadline`, attached by the engine.
     #: Checked every :data:`DISCHARGE_CHECK_INTERVAL` discharge sweeps; an
@@ -68,9 +55,7 @@ class PushRelabelSolver:
     #: committed) and a later warm retune is bit-identical.
     deadline = None
 
-    def __init__(
-        self, network: FlowNetwork, source: int, sink: int, warm_start: bool = False
-    ) -> None:
+    def __init__(self, network: FlowNetwork, source: int, sink: int) -> None:
         if source == sink:
             raise FlowError("source and sink must differ")
         network._check_node(source)
@@ -78,10 +63,7 @@ class PushRelabelSolver:
         self.network = network
         self.source = source
         self.sink = sink
-        self.warm_start = warm_start
         self.arcs_pushed = 0
-        #: Whether this solve adopted the previous solve's height labels.
-        self.height_reused = False
         n = network.num_nodes
         self._height = [0] * n
         self._excess = [0.0] * n
@@ -106,22 +88,11 @@ class PushRelabelSolver:
         excess = self._excess
         height_count = self._height_count
 
-        if self.warm_start:
-            # Credit the value of the pre-existing feasible flow to the sink
-            # before saturating what is left of the source arcs; a valid
-            # flow has zero excess at every interior node, so the sink is
-            # the only node that needs seeding.
-            excess[self.sink] = network.flow_value(self.source)
-            stashed = network.stashed_heights(self.source, self.sink)
-            if stashed is not None:
-                # Adopt the previous solve's labels (clamped into the gap
-                # array's range); _repair_heights below makes them valid for
-                # the residual graph this solve actually sees.
-                limit = 2 * n
-                for node in range(n):
-                    label = stashed[node]
-                    height[node] = label if 0 <= label <= limit else limit
-                self.height_reused = True
+        # Credit the value of the flow already routed through the network to
+        # the sink before saturating what is left of the source arcs; a
+        # valid flow has zero excess at every interior node, so the sink is
+        # the only node that needs seeding.
+        excess[self.sink] = network.flow_value(self.source)
 
         # Initialise the preflow: saturate every arc out of the source.
         height[self.source] = n
@@ -136,9 +107,6 @@ class PushRelabelSolver:
                 self.arcs_pushed += 1
                 if target not in (self.source, self.sink) and excess[target] == capacity:
                     active.append(target)
-        if self.height_reused:
-            height[self.sink] = 0
-            self._repair_heights()
         for node in range(n):
             height_count[height[node]] += 1
 
@@ -153,7 +121,6 @@ class PushRelabelSolver:
             self._discharge(node, active)
 
         caps_arr[:] = array("d", caps)
-        network.stash_heights(self.source, self.sink, height)
         return excess[self.sink]
 
     def min_cut_source_side(self) -> list[int]:
@@ -162,61 +129,6 @@ class PushRelabelSolver:
         return [node for node, flag in enumerate(reachable) if flag]
 
     # ------------------------------------------------------------------
-    def _repair_heights(self) -> None:
-        """Lower reused height labels until they are valid for the current residual graph.
-
-        A stashed labelling was valid for the residual graph of the solve
-        that produced it; a retune in between may have created residual arcs
-        ``(u, v)`` that violate ``h(u) <= h(v) + 1``.  Validity admits any
-        *lowering* (a label is just a certified lower bound on residual
-        distance — shrinking the certificate never lies), so each violated
-        node is relaxed to ``min(h(v) + 1)`` over its residual arcs and its
-        residual predecessors — whose own constraint the lowering may have
-        broken — are re-examined.  Labels only decrease and are bounded
-        below by 0, so the pass terminates; its fixpoint satisfies every
-        constraint, which is exactly the precondition the discharge loop
-        needs.  The source keeps height ``n`` (it has no outgoing residual
-        arcs after the saturating initialisation, hence no constraint).
-
-        In the hot warm-start pattern — small capacity retunes between
-        the guesses of a fixed-ratio search — almost every label survives untouched, so
-        the discharge loop starts from near-final heights instead of
-        re-earning them one relabel at a time.
-        """
-        heads = self._heads
-        targets = self._targets
-        caps = self._caps
-        height = self._height
-        source = self.source
-        n = self.network.num_nodes
-        pending: deque[int] = deque(node for node in range(n) if node != source)
-        queued = [True] * n
-        queued[source] = False
-        while pending:
-            node = pending.popleft()
-            queued[node] = False
-            best = height[node]
-            for arc_index in heads[node]:
-                if caps[arc_index] > EPSILON:
-                    candidate = height[targets[arc_index]] + 1
-                    if candidate < best:
-                        best = candidate
-            if best < height[node]:
-                height[node] = best
-                # ``caps[arc_index ^ 1] > 0`` means the twin — an arc from
-                # ``targets[arc_index]`` into this node — is residual, so
-                # that neighbour's constraint must be re-checked.
-                for arc_index in heads[node]:
-                    if caps[arc_index ^ 1] > EPSILON:
-                        neighbour = targets[arc_index]
-                        if (
-                            neighbour != source
-                            and height[neighbour] > best + 1
-                            and not queued[neighbour]
-                        ):
-                            queued[neighbour] = True
-                            pending.append(neighbour)
-
     def _discharge(self, node: int, active: deque[int]) -> None:
         """Push excess out of ``node`` until it is gone or the node is relabelled dry."""
         heads = self._heads

@@ -8,21 +8,13 @@ A solver class must satisfy the protocol shared by the built-ins:
 
 * ``Solver(network, source, sink)`` binds to one
   :class:`~repro.flow.network.FlowNetwork`;
-* ``max_flow() -> float`` runs to completion, mutating the network's
-  residual capacities;
+* ``max_flow() -> float`` runs to completion, continuing from the feasible
+  flow the network's residual capacities hold (zero on a fresh network)
+  and returning the *total* max-flow value;
 * ``min_cut_source_side() -> list[int]`` returns the source side of a
   minimum cut (valid after ``max_flow``);
 * an ``arcs_pushed`` integer attribute counting per-arc residual updates
   (used by the :class:`~repro.flow.engine.FlowEngine` instrumentation).
-
-Optionally a solver may set a class attribute ``supports_warm_start = True``
-and accept ``Solver(network, source, sink, warm_start=True)``: it is then
-expected to treat the network's residual state as a valid feasible flow and
-continue from it, still returning the *total* max-flow value.  Solvers
-without the attribute (or with it ``False``) are always constructed with the
-three positional arguments and run cold — the engine resets the network and
-records a ``warm_start_fallbacks`` count when a warm start was requested
-(see the glossary in :mod:`repro.flow.engine`).
 
 Third-party backends (e.g. a Rust-accelerated solver) plug in via
 :func:`register_solver` without touching any algorithm code::

@@ -29,6 +29,7 @@ pool is built on.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from repro.core.results import DDSResult
@@ -139,14 +140,24 @@ def _pop_required(spec: dict[str, Any], key: str, query: str) -> Any:
 
 
 def _as_number(value: Any, key: str, query: str, optional: bool = False) -> float | None:
-    """Coerce a spec field to ``float`` (bools are rejected, not truthy 1.0)."""
+    """Coerce a spec field to a finite ``float``.
+
+    Bools are rejected rather than read as 1.0, and so are NaN and ±inf,
+    which ``json.loads`` accepts (``NaN``, ``Infinity``) but no query field
+    can use.
+    """
     if optional and value is None:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BatchQueryError(
             f"batch query {query!r} field {key!r} must be a number, got {value!r}"
         )
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise BatchQueryError(
+            f"batch query {query!r} field {key!r} must be finite, got {value!r}"
+        )
+    return number
 
 
 def _reject_leftovers(spec: dict[str, Any], query: str) -> None:

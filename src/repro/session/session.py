@@ -54,7 +54,7 @@ from repro.exceptions import (
     EmptyGraphError,
     GraphError,
 )
-from repro.flow.engine import FlowEngine
+from repro.flow.engine import COUNTERS, FlowEngine
 from repro.graph.digraph import DiGraph, NodeLabel
 from repro.graph.properties import graph_summary
 from repro.incremental.certify import certify_result
@@ -163,7 +163,7 @@ class DDSSession:
         self._summary: dict[str, Any] | None = None
         self._density_upper: float | None = None
         self._exact_tolerance: float | None = None
-        self._warned_ignored_solvers: set[tuple[str, str, bool]] = set()
+        self._warned_ignored_solvers: set[tuple[str, str]] = set()
         self._warned_backend_mismatch = False
         self._updates_applied = 0
         self._certified_stale_hits = 0
@@ -244,22 +244,13 @@ class DDSSession:
     ) -> tuple[MethodSpec, MethodConfig, bool, Any]:
         """Resolve (spec, config, was_auto, ignored) for a query.
 
-        ``ignored`` is ``None``, or an ``(ignored_flow_solver,
-        requested_warm_start)`` pair when a solver was requested on a method
+        ``ignored`` is ``None``, or the flow solver requested on a method
         that runs no min-cuts.
         """
         spec, was_auto = self._resolve_method(method)
-        ignored_solver = None
-        requested_warm: bool | None = None
-        if not spec.flow_backed:
-            if "flow_solver" in kwargs:
-                ignored_solver = kwargs.pop("flow_solver")
-            if "warm_start" in kwargs:
-                # A warm/cold request is vacuously satisfied by a method that
-                # runs no min-cuts (zero warm starts either way), so it is
-                # dropped rather than rejected — this keeps e.g. the CLI's
-                # --cold-start usable with --method auto on any graph size.
-                requested_warm = bool(kwargs.pop("warm_start"))
+        ignored = None
+        if not spec.flow_backed and "flow_solver" in kwargs:
+            ignored = kwargs.pop("flow_solver")
         base = self._base_config(spec)
         cfg = spec.config_type.resolve(config if config is not None else base, **kwargs)
         # ``flow`` on a non-flow-backed method keeps the legacy ignore-and-
@@ -268,34 +259,16 @@ class DDSSession:
         # folded into ``base`` (and flow_solver= was popped above), so a
         # non-default cfg.flow there is session policy, not a request.  Only
         # the *solver name* counts as a request — config-only flow changes
-        # (``network_cache_size``, ``warm_start``) select no backend, so
-        # they must neither warn nor be treated as an ignored solver.
+        # (e.g. ``network_cache_size``) select no backend, so they must
+        # neither warn nor be treated as an ignored solver.
         if (
             not spec.flow_backed
-            and ignored_solver is None
+            and ignored is None
             and config is not None
             and hasattr(config, "flow")
             and config.flow.solver != spec.config_type().flow.solver
         ):
-            ignored_solver = config.flow.solver
-        if requested_warm is None:
-            # The warm_start the caller actually asked for (explicit config,
-            # else session policy) — captured *before* the normalisation
-            # below so the ignored-solver dedup key can distinguish it.
-            requested_warm = bool(
-                getattr(getattr(config, "flow", None), "warm_start", self.flow.warm_start)
-            )
-        # ``supports_warm_start`` is load-bearing: a method that does not
-        # take the session's warm-start hooks can never reuse residual flow,
-        # so its config is normalised to ``warm_start=False`` — warm and
-        # cold queries then share one result-cache entry instead of
-        # pretending to differ.
-        if (
-            not spec.supports_warm_start
-            and isinstance(getattr(cfg, "flow", None), FlowConfig)
-            and cfg.flow.warm_start
-        ):
-            cfg = replace(cfg, flow=replace(cfg.flow, warm_start=False))
+            ignored = config.flow.solver
         # Any other knob the method never consults must not silently do
         # nothing: reject it.
         if spec.accepted_fields is not None:
@@ -308,7 +281,6 @@ class DDSSession:
                         f"method {spec.name!r} does not use config field {name!r} "
                         f"(accepted: {', '.join(sorted(spec.accepted_fields)) or 'none'})"
                     )
-        ignored = None if ignored_solver is None else (ignored_solver, requested_warm)
         return spec, cfg, was_auto, ignored
 
     def _execute(
@@ -339,7 +311,7 @@ class DDSSession:
         engine = self._engine_for(solver)
         context = RunContext(
             engine=engine,
-            network_cache=network_cache if spec.supports_warm_start else None,
+            network_cache=network_cache if spec.flow_backed else None,
         )
         deadline_ms = (
             cfg.flow.deadline_ms if isinstance(cfg, ExactConfig) else self.flow.deadline_ms
@@ -390,21 +362,19 @@ class DDSSession:
         if was_auto:
             result.stats["auto_selected"] = spec.name
         if ignored is not None:
-            ignored_solver, requested_warm = ignored
             result.stats["flow_solver_ignored"] = {
-                "flow_solver": ignored_solver,
+                "flow_solver": ignored,
                 "method": spec.name,
             }
-            # Deduped on (method, flow_solver, warm_start) — the warm flag is
-            # the *requested* one (captured before normalisation), so repeats
-            # of the same explicit request stay silent while config-only
-            # changes never reach this branch at all (see _prepare).
-            warn_key = (spec.name, str(ignored_solver), bool(requested_warm))
+            # Deduped on (method, flow_solver), so repeats of the same
+            # explicit request stay silent; config-only changes never reach
+            # this branch at all (see _prepare).
+            warn_key = (spec.name, str(ignored))
             if warn_key not in self._warned_ignored_solvers:
                 self._warned_ignored_solvers.add(warn_key)
                 warnings.warn(
                     f"method {spec.name!r} performs no min-cuts; "
-                    f"flow_solver={ignored_solver!r} is ignored",
+                    f"flow_solver={ignored!r} is ignored",
                     UserWarning,
                     stacklevel=3,
                 )
@@ -521,14 +491,14 @@ class DDSSession:
                 (working.label_of(u), working.label_of(v))
                 for u, v in working.edges_between(s_indices, t_indices)
             ]
-            if spec.supports_warm_start:
+            if spec.flow_backed:
                 source_token = (
                     full_subproblem_token(self.graph)
                     if first_peel
                     else working_token
                 )
             _, removed_pairs = working.apply_delta((), block)
-            if not spec.supports_warm_start:
+            if not spec.flow_backed:
                 continue
             working_token = full_subproblem_token(working)
             if first_peel:
@@ -560,7 +530,6 @@ class DDSSession:
         upper: float | None = None,
         tolerance: float | None = None,
         flow_solver: str | None = None,
-        warm_start: bool | None = None,
         deadline_ms: float | None = None,
     ) -> FixedRatioOutcome:
         """Bracket the fixed-ratio surrogate optimum ``val(ratio)``.
@@ -572,9 +541,10 @@ class DDSSession:
         tolerance).  The decision network for ``ratio`` is fetched from (and
         deposited into) the session network cache, so repeated probes at the
         same ratio retune one network instead of building one each.  Cached
-        networks keep the residual flow of their last solve, so with
-        ``warm_start`` (default: the session's ``FlowConfig.warm_start``) a
-        repeated probe also *continues that flow* instead of re-pushing it.
+        networks keep the residual flow of their last solve, so a repeated
+        probe also *continues that flow* instead of re-pushing it.  A ratio
+        that is not finite and positive raises
+        :class:`~repro.exceptions.AlgorithmError` before any min-cut.
         """
         self._check_unmutated()
         if self.graph.num_edges == 0:
@@ -598,7 +568,6 @@ class DDSSession:
                 tolerance=tolerance,
                 engine=engine,
                 network_cache=self._network_cache,
-                warm_start=self.flow.warm_start if warm_start is None else bool(warm_start),
             )
         except DeadlineExceeded:
             self._anytime_returns += 1
@@ -917,11 +886,12 @@ class DDSSession:
     def cache_stats(self) -> dict[str, Any]:
         """Session-wide cache and flow-engine counters.
 
-        ``networks_built`` / ``networks_reused`` / ``flow_calls`` /
-        ``arcs_pushed`` / ``warm_starts_used`` / ``cold_starts`` aggregate
-        over every query served so far, which is what the repeated-query
-        regression tests pin; the keys are defined once in the stats
-        glossaries of :mod:`repro.flow.engine` and
+        Every engine counter (:data:`repro.flow.engine.COUNTERS`:
+        ``flow_calls``, ``networks_built``, ``arcs_pushed``,
+        ``warm_starts_used`` ...) is summed over the session's engines, so it
+        aggregates every query served so far, which is what the
+        repeated-query regression tests pin; the keys are defined once in
+        the stats glossaries of :mod:`repro.flow.engine` and
         :mod:`repro.core.network_cache`.
         """
         stats: dict[str, Any] = {
@@ -934,20 +904,7 @@ class DDSSession:
             "anytime_returns": self._anytime_returns,
         }
         stats.update(self._network_cache.stats())
-        for counter in (
-            "flow_calls",
-            "networks_built",
-            "networks_reused",
-            "arcs_pushed",
-            "warm_starts_used",
-            "cold_starts",
-            "warm_start_fallbacks",
-            "height_reuses",
-            "backend_selections",
-            "batched_solves",
-            "small_vector_solves",
-            "deadline_hits",
-        ):
+        for counter in COUNTERS:
             stats[counter] = sum(getattr(engine, counter) for engine in self._engines.values())
         auto_backends: dict[str, int] = {}
         for engine in self._engines.values():

@@ -2,11 +2,11 @@
 
 The batched path must be *observationally identical* to the sequential one:
 per member network, the same canonical min-cut source side, the same
-Dinkelbach bracket evolution (hence the same ``flow_calls``), and — with
-warm starts off — the same warm/cold accounting; only the wall-clock and
-the push attribution change.  With warm starts on, the sequential search
-solves the guesses after a narrowing cut cold on narrowed networks while
-the lockstep members continue warm, so only that split may differ.
+Dinkelbach bracket evolution (hence the same ``flow_calls``); only the
+wall-clock, the push attribution and the warm/cold split change.  The
+sequential search solves the guesses after a narrowing cut cold on
+narrowed networks while the lockstep members continue warm, so that split
+may differ.
 The hypothesis suite here pins exactly that, member for member, against
 :func:`~repro.core.fixed_ratio.maximize_fixed_ratio`; the solo-solve class
 pins :class:`~repro.flow.batch.BatchedFlowNetwork` against per-network
@@ -249,17 +249,16 @@ class TestBatchedSolveAgainstSoloSolves:
             BatchedFlowNetwork([(network, 0, 1)])
 
 
-def _outcome_key(outcome, warm_split=True):
+def _outcome_key(outcome):
     """The observable fields the batched search must replay exactly.
 
     ``arcs_pushed`` is engine-level and intentionally absent: a batched
     solve may distribute interior flow differently (any max flow yields the
-    same canonical cut), so push counts are work metrics, not answers.
-    ``warm_split=False`` also drops the warm/cold split: with warm starts
-    on, the sequential search solves its narrowed guesses cold while the
-    lockstep members continue warm on their stacked networks.
+    same canonical cut), so push counts are work metrics, not answers.  The
+    warm/cold split is absent too: the sequential search solves its
+    narrowed guesses cold while the lockstep members continue warm on their
+    stacked networks.
     """
-    split = (outcome.warm_starts_used, outcome.cold_starts) if warm_split else ()
     return (
         outcome.ratio,
         outcome.lower,
@@ -273,7 +272,6 @@ def _outcome_key(outcome, warm_split=True):
         outcome.flow_calls,
         outcome.networks_built,
         outcome.networks_reused,
-        *split,
         outcome.network_nodes,
         outcome.network_arcs,
     )
@@ -287,11 +285,8 @@ class TestLockstepBitIdentity:
         n=st.integers(min_value=6, max_value=10),
         m=st.integers(min_value=8, max_value=26),
         ratio_count=st.integers(min_value=2, max_value=4),
-        warm=st.booleans(),
     )
-    def test_batched_search_replays_the_sequential_search(
-        self, seed, n, m, ratio_count, warm
-    ):
+    def test_batched_search_replays_the_sequential_search(self, seed, n, m, ratio_count):
         graph = gnm_random_digraph(n, m, seed=seed)
         if graph.num_edges == 0:
             return
@@ -314,7 +309,6 @@ class TestLockstepBitIdentity:
                     tolerance=tolerance,
                     engine=engine_seq,
                     network_cache=cache_seq,
-                    warm_start=warm,
                 )
             )
 
@@ -329,12 +323,9 @@ class TestLockstepBitIdentity:
                 tolerance=tolerance,
                 engine=engine_bat,
                 network_cache=cache_bat,
-                warm_start=warm,
             )
 
-        assert [_outcome_key(o, warm_split=not warm) for o in batched] == [
-            _outcome_key(o, warm_split=not warm) for o in sequential
-        ]
+        assert [_outcome_key(o) for o in batched] == [_outcome_key(o) for o in sequential]
         # Counter attribution: one engine flow call per member round, the
         # auto invariant intact, and the family genuinely batched (members
         # converge at different rounds, so late rounds may fall to one

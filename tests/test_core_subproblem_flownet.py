@@ -102,6 +102,27 @@ class TestDecisionNetwork:
         with pytest.raises(AlgorithmError):
             build_decision_network(sub, ratio=1.0, guess=-1.0)
 
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf])
+    def test_non_finite_ratio_is_rejected(self, ratio):
+        """A NaN or infinite ratio can never end a search: refuse it up front."""
+        sub = STSubproblem.from_graph(complete_bipartite_digraph(2, 2))
+        with pytest.raises(AlgorithmError, match="ratio"):
+            build_decision_network(sub, ratio=ratio, guess=1.0)
+        decision = build_decision_network(sub, ratio=1.0, guess=1.0)
+        with pytest.raises(AlgorithmError, match="ratio"):
+            decision.retune(ratio, 1.0)
+        with pytest.raises(AlgorithmError, match="ratio"):
+            decision.retune(ratio, 1.0, warm_start=True)
+
+    @pytest.mark.parametrize("guess", [math.nan, math.inf])
+    def test_non_finite_guess_is_rejected(self, guess):
+        sub = STSubproblem.from_graph(complete_bipartite_digraph(2, 2))
+        with pytest.raises(AlgorithmError, match="guess"):
+            build_decision_network(sub, ratio=1.0, guess=guess)
+        decision = build_decision_network(sub, ratio=1.0, guess=1.0)
+        with pytest.raises(AlgorithmError, match="guess"):
+            decision.retune(1.0, guess, warm_start=True)
+
     def test_decision_above_and_below_optimum(self):
         """mincut < 2m iff the guess is below the surrogate optimum."""
         g = complete_bipartite_digraph(2, 3)
@@ -182,6 +203,21 @@ class TestMaximizeFixedRatio:
             maximize_fixed_ratio(sub, 1.0, lower=-1.0, upper=1.0, tolerance=1e-6)
         with pytest.raises(AlgorithmError):
             maximize_fixed_ratio(sub, 1.0, lower=0.0, upper=1.0, tolerance=0.0)
+
+    @pytest.mark.parametrize(
+        "lower, upper, tolerance",
+        [(math.nan, 1.0, 1e-6), (0.0, math.nan, 1e-6), (0.0, 1.0, math.nan)],
+    )
+    def test_nan_bounds_are_rejected(self, lower, upper, tolerance):
+        sub = STSubproblem.from_graph(complete_bipartite_digraph(2, 2))
+        with pytest.raises(AlgorithmError):
+            maximize_fixed_ratio(sub, 1.0, lower=lower, upper=upper, tolerance=tolerance)
+
+    def test_infinite_upper_bound_is_legal(self):
+        """Divide and conquer passes ``inf`` when the core bound is trivial."""
+        sub = STSubproblem.from_graph(complete_bipartite_digraph(2, 3))
+        outcome = maximize_fixed_ratio(sub, 2.0 / 3.0, lower=0.0, upper=math.inf, tolerance=1e-6)
+        assert outcome.lower == pytest.approx(math.sqrt(6))
 
     def test_network_observer_called(self):
         g = complete_bipartite_digraph(2, 3)

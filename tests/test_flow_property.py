@@ -7,11 +7,13 @@ original capacity crossing from the source side to the sink side equals the
 flow (max-flow = min-cut).  Three independent implementations agreeing on
 ~50 seeded random instances is a strong correctness signal for all of them.
 
-The warm/cold equivalence class extends the same idea to warm starts: on
-random *decision* networks (the DAGs the DDS reduction produces), a chain of
-warm-start retunes and solves must reproduce, guess for guess, the cut
-values and extracted pairs of cold rebuild-and-solve runs — for every
-registered solver, including the ones that silently fall back to cold.
+Every solver continues from the flow its network already holds and
+returns the *total* value, so solving an already-solved network again must
+reproduce the same value and cut.  The warm/cold equivalence class extends
+the same idea to warm retunes: on random *decision* networks (the DAGs the
+DDS reduction produces), a chain of warm retunes and solves must reproduce,
+guess for guess, the cut values and extracted pairs of cold
+rebuild-and-solve runs — for every registered solver.
 
 Because every class parametrises over ``available_flow_solvers()``, the
 vectorised ``numpy-push-relabel`` backend is covered automatically exactly
@@ -234,10 +236,39 @@ class TestDinicCutSide:
         cold = dinic(network, 0, n - 1)
         cold.max_flow()
         assert cold.min_cut_source_side() == _reachable_side(network, 0)
-        # A warm solve on the already-maximal flow runs only the final BFS.
-        warm = dinic(network, 0, n - 1, warm_start=True)
+        # A second solve on the already-maximal flow runs only the final BFS.
+        warm = dinic(network, 0, n - 1)
         warm.max_flow()
         assert warm.min_cut_source_side() == _reachable_side(network, 0)
+
+
+class TestResolveContinuesHeldFlow:
+    """Solving an already-solved network returns the total, not the increment."""
+
+    @pytest.mark.parametrize("solver_name", SOLVER_NAMES)
+    def test_path_network_resolves_to_the_same_value(self, solver_name):
+        network = FlowNetwork(4)
+        network.add_edge(0, 1, 3.0)
+        network.add_edge(1, 2, 5.0)
+        network.add_edge(2, 3, 4.0)
+        solver_class = get_solver_class(solver_name)
+        assert solver_class(network, 0, 3).max_flow() == pytest.approx(3.0)
+        again = solver_class(network, 0, 3)
+        assert again.max_flow() == pytest.approx(3.0)
+        assert again.min_cut_source_side() == [0]
+
+    @pytest.mark.parametrize("solver_name", SOLVER_NAMES)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_resolve_matches_first_solve(self, solver_name, seed):
+        network = _mixed_capacity_network(seed)
+        sink = network.num_nodes - 1
+        solver_class = get_solver_class(solver_name)
+        first = solver_class(network, 0, sink)
+        value = first.max_flow()
+        side = first.min_cut_source_side()
+        again = solver_class(network, 0, sink)
+        assert again.max_flow() == pytest.approx(value, abs=1e-6)
+        assert again.min_cut_source_side() == side
 
 
 class TestWarmColdEquivalence:
@@ -262,7 +293,7 @@ class TestWarmColdEquivalence:
         engine = FlowEngine(solver_name)
         first = True
         for ratio, guess in schedule:
-            warm.retune(ratio, guess, warm_start=not first and engine.warm_capable)
+            warm.retune(ratio, guess, warm_start=not first)
             cut_warm, solver_warm = engine.min_cut(
                 warm.network, warm.source, warm.sink, warm_start=not first
             )
@@ -275,10 +306,5 @@ class TestWarmColdEquivalence:
                 solver_cold.min_cut_source_side()
             ), (solver_name, seed, ratio, guess)
             first = False
-        # Warm-capable solvers actually warm started; the reference solver
-        # fell back cold (and said so) without disturbing the answers.
-        if engine.warm_capable:
-            assert engine.warm_starts_used == len(schedule) - 1
-        else:
-            assert engine.warm_starts_used == 0
-            assert engine.warm_start_fallbacks == len(schedule) - 1
+        # Every solver continued warm after the first (cold) solve.
+        assert engine.warm_starts_used == len(schedule) - 1

@@ -37,8 +37,6 @@ class TestRegistry:
     def test_capability_flags(self):
         flow_backed = {spec.name for spec in method_specs() if spec.flow_backed}
         assert flow_backed == {"flow-exact", "dc-exact", "core-exact"}
-        warm = {spec.name for spec in method_specs() if spec.supports_warm_start}
-        assert warm == flow_backed
         exact = {spec.name for spec in method_specs() if spec.is_exact}
         assert exact == {"flow-exact", "dc-exact", "core-exact", "brute-force"}
         for spec in method_specs():
@@ -69,7 +67,6 @@ class TestRegistry:
             config_type=ApproxConfig,
             is_exact=False,
             flow_backed=False,
-            supports_warm_start=False,
             description="test stub",
         ))
         try:
@@ -105,7 +102,6 @@ class TestRegistry:
             config_type=BoostConfig,
             is_exact=False,
             flow_backed=True,
-            supports_warm_start=False,
             description="test stub with a config subclass",
         ))
         try:
@@ -127,7 +123,6 @@ class TestRegistry:
                 config_type=ApproxConfig,
                 is_exact=False,
                 flow_backed=False,
-                supports_warm_start=False,
             ))
         with pytest.raises(AlgorithmError, match="MethodConfig"):
             register_method(MethodSpec(
@@ -136,7 +131,6 @@ class TestRegistry:
                 config_type=dict,
                 is_exact=False,
                 flow_backed=False,
-                supports_warm_start=False,
             ))
 
     def test_register_rejects_unhashable_config_type(self):
@@ -155,7 +149,6 @@ class TestRegistry:
                 config_type=MutableConfig,
                 is_exact=False,
                 flow_backed=False,
-                supports_warm_start=False,
             ))
 
 

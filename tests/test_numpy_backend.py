@@ -14,8 +14,7 @@ unique to the vectorised backend:
 * **the ``auto`` policy** — per-network backend selection at the arc
   threshold, the ``backend_selections`` counter, graceful degradation when
   the vector backend is unregistered, and config/CLI acceptance of
-  ``"auto"``;
-* **height reuse** — warm solves adopt stashed labels (``height_reuses``).
+  ``"auto"``.
 
 Everything here is skipped wholesale when numpy is not importable — exactly
 the environments in which the registry does not list the backend.
@@ -133,8 +132,8 @@ class TestTrailingArclessNodes:
         assert solver.max_flow() == pytest.approx(4.0)
         # The residual state encodes the full flow (conservation holds) ...
         assert network.flow_value(0) == pytest.approx(4.0)
-        # ... so a warm re-solve reproduces the value instead of losing it.
-        warm = NumpyPushRelabelSolver(network, 0, 1, warm_start=True)
+        # ... so a re-solve reproduces the value instead of losing it.
+        warm = NumpyPushRelabelSolver(network, 0, 1)
         assert warm.max_flow() == pytest.approx(4.0)
         # The 2+2 arcs into the sink are the cut; the arc-less node 3 is
         # unreachable, so the canonical source side is exactly {0, 2}.
@@ -188,19 +187,6 @@ class TestBitIdenticalCuts:
             first = False
 
 
-class TestHeightReuse:
-    def test_warm_solves_adopt_stashed_heights(self):
-        decision = _random_decision_network(3)
-        engine = FlowEngine(VECTOR_SOLVER)
-        engine.min_cut(decision.network, decision.source, decision.sink)
-        decision.retune(1.0, 2.0, warm_start=True)
-        _, solver = engine.min_cut(
-            decision.network, decision.source, decision.sink, warm_start=True
-        )
-        assert solver.height_reused
-        assert engine.height_reuses == 1
-
-
 class TestAutoPolicy:
     def test_resolve_below_and_above_threshold(self):
         name_small, _ = resolve_auto_solver(AUTO_ARC_THRESHOLD - 1)
@@ -222,7 +208,6 @@ class TestAutoPolicy:
     def test_engine_counts_backend_selections(self):
         decision = _random_decision_network(1)  # far below the threshold
         engine = FlowEngine(AUTO_SOLVER)
-        assert engine.warm_capable
         engine.min_cut(decision.network, decision.source, decision.sink)
         assert engine.backend_selections == 1
         assert engine.auto_backend_choices == {"dinic": 1}

@@ -12,6 +12,8 @@ Pins the two service-tier acceptance criteria:
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,8 @@ from repro.core.config import FlowConfig
 from repro.datasets.registry import load_dataset
 from repro.exceptions import BatchQueryError, ConfigError
 from repro.service import BatchExecutor, payload_answer, plan_batch
+from repro.service.queries import run_batch_query
+from repro.session import DDSSession
 from repro.service.planner import PHASE_EXACT, PHASE_PROBE, PHASE_SEED
 
 MIXED = [
@@ -182,6 +186,19 @@ class TestExecutor:
         plan = plan_batch([{"query": "summary", "dataset": "missing"}], default_graph_key="known")
         with pytest.raises(BatchQueryError, match="unknown graph"):
             mapping_executor.execute(plan)
+
+    @pytest.mark.parametrize("ratio", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_fixed_ratio_is_a_query_error(self, ratio):
+        """``json.loads`` accepts NaN and ±Infinity; the batch query must not.
+
+        The lane budget bounds the run should the ratio ever reach a search
+        again: a NaN ratio never closes its bracket.
+        """
+        session = DDSSession(load_dataset("foodweb-tiny"))
+        spec = json.loads(f'{{"query": "fixed-ratio", "ratio": {ratio}}}')
+        with pytest.raises(BatchQueryError, match="finite"):
+            run_batch_query(session, spec, deadline_ms=2000)
+        assert session.cache_stats()["flow_calls"] == 0
 
     def test_query_errors_propagate(self):
         plan = plan_batch(

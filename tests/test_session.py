@@ -27,6 +27,7 @@ from repro.core.results import DDSResult
 from repro.core.topk import top_k_densest
 from repro.datasets.registry import load_dataset
 from repro.exceptions import AlgorithmError, EmptyGraphError, GraphError, StoreError
+from repro.flow.engine import COUNTERS
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import complete_bipartite_digraph, gnm_random_digraph
 from repro.session import DDSSession
@@ -88,6 +89,22 @@ class TestSessionBasics:
         graph.add_edge("s0", "s1")
         with pytest.raises(GraphError, match="mutated"):
             session.densest_subgraph("core-approx")
+
+    def test_cache_stats_reports_every_engine_counter(self):
+        session = DDSSession(complete_bipartite_digraph(2, 3))
+        session.densest_subgraph("core-exact")
+        stats = session.cache_stats()
+        engine_stats = session._engine_for(session.flow.solver).stats()
+        for counter in COUNTERS:
+            assert stats[counter] == engine_stats[counter], counter
+
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_fixed_ratio_rejects_a_ratio_outside_zero_to_inf(self, ratio):
+        """A NaN ratio never closes the bracket: refuse it before any min-cut."""
+        session = DDSSession(gnm_random_digraph(10, 40, seed=8))
+        with pytest.raises(AlgorithmError, match="ratio"):
+            session.fixed_ratio(ratio, deadline_ms=5000)
+        assert session.cache_stats()["flow_calls"] == 0
 
 
 class TestResultCache:

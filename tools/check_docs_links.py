@@ -10,6 +10,9 @@ extracts Markdown link targets, and fails (exit code 1) when
   slugification rules), or
 * a ``repro.*`` dotted reference in backticked inline code names a module
   that cannot be found under ``src/``, or
+* a ``--flag`` cited anywhere in that documentation is not defined as a
+  string literal by any Python file under ``src/``, ``benchmarks/``,
+  ``tools/`` or ``perfbench/`` (the places that parse command lines), or
 * a Python file under ``src/``, ``benchmarks/``, ``tools/``, ``tests/``,
   ``examples/`` or ``perfbench/`` cites a Markdown file (a path ending in
   ``.md``) that resolves neither from the repository root nor from the
@@ -21,6 +24,7 @@ network — but their syntax is still validated.
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from functools import lru_cache
@@ -32,6 +36,8 @@ MODULE_PATTERN = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)`")
 HEADING_PATTERN = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$")
 MARKDOWN_REFERENCE_PATTERN = re.compile(r"(?<![\w./-])((?:[\w-]+/)*\w[\w.-]*\.md)(?![\w-])")
 CITING_DIRECTORIES = ("src", "benchmarks", "tools", "tests", "examples", "perfbench")
+FLAG_PATTERN = re.compile(r"(?<![\w-])--[A-Za-z][A-Za-z0-9-]*")
+FLAG_DEFINING_DIRECTORIES = ("src", "benchmarks", "tools", "perfbench")
 
 
 def _slugify(heading: str) -> str:
@@ -114,6 +120,34 @@ def _check_module_references(path: Path) -> list[str]:
     return errors
 
 
+def _defined_flags() -> frozenset[str]:
+    """Every ``--flag`` string literal in the Python files that parse command lines."""
+    flags: set[str] = set()
+    for directory in FLAG_DEFINING_DIRECTORIES:
+        for path in sorted((REPO_ROOT / directory).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and FLAG_PATTERN.fullmatch(node.value)
+                ):
+                    flags.add(node.value)
+    return frozenset(flags)
+
+
+def _check_cited_flags(path: Path, defined: frozenset[str]) -> list[str]:
+    """``--flags`` a documentation file cites that no command line defines."""
+    errors = []
+    text = path.read_text(encoding="utf-8")
+    for match in FLAG_PATTERN.finditer(text):
+        if match.group(0) not in defined:
+            line = text.count("\n", 0, match.start()) + 1
+            errors.append(
+                f"{path.relative_to(REPO_ROOT)}:{line}: cites undefined flag {match.group(0)}"
+            )
+    return errors
+
+
 def _python_files() -> list[Path]:
     files: list[Path] = []
     for directory in CITING_DIRECTORIES:
@@ -139,9 +173,11 @@ def main() -> int:
     files = _doc_files()
     if len(files) < 2:
         errors.append("expected README.md plus at least one docs/*.md file")
+    defined_flags = _defined_flags()
     for path in files:
         errors.extend(_check_links(path))
         errors.extend(_check_module_references(path))
+        errors.extend(_check_cited_flags(path, defined_flags))
     sources = _python_files()
     for path in sources:
         errors.extend(_check_markdown_citations(path))
@@ -149,8 +185,8 @@ def main() -> int:
         print(f"FAIL: {error}")
     if not errors:
         print(
-            f"OK: {len(files)} documentation files, all links and module references resolve; "
-            f"{len(sources)} Python files cite no missing Markdown file"
+            f"OK: {len(files)} documentation files, all links, module references and "
+            f"cited flags resolve; {len(sources)} Python files cite no missing Markdown file"
         )
     return 1 if errors else 0
 
