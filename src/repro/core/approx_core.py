@@ -4,13 +4,16 @@
 ``x * y``.  By the density lower bound its density is at least
 ``sqrt(x*y)``, and by the containment lemma ``sqrt(max x*y) >= rho_opt/2``,
 so the returned pair is a deterministic 2-approximation — computed without a
-single max-flow call.
+single max-flow call.  :func:`~repro.core.xycore.max_xy_core` finds it in at
+most ``2*floor(sqrt(m)) + 2`` peel-and-decompose steps, each linear in the
+core it peels, which is the paper's ``O(sqrt(m) * (n + m))`` bound.
 
 ``IncApprox`` is the straightforward variant that derives the same core from
-the *full* skyline decomposition (computing ``y_max(x)`` for every ``x``
-without any skipping); it returns the same answer but does strictly more
-work, mirroring the "incremental decomposition" baseline the paper compares
-against in its approximation-efficiency experiment (our E3).
+the *full* skyline decomposition (one step for every ``x`` up to the largest
+with a non-empty [x, 1]-core, without any skipping); it shares the step but
+does strictly more work, mirroring the "incremental decomposition" baseline
+the paper compares against in its approximation-efficiency experiment (our
+E3).
 """
 
 from __future__ import annotations

@@ -54,7 +54,8 @@ def core_based_bounds(graph: DiGraph) -> CoreBounds:
 
     The returned ``lower`` is actually ``max(sqrt(x*y), rho(core))`` — the
     core's true density is already available and is never worse than the
-    analytic bound.
+    analytic bound.  The core comes from the two-ended skyline walk of
+    :func:`~repro.core.xycore.max_xy_core` (``O(sqrt(m))`` steps).
     """
     core = max_xy_core(graph)
     if core.is_empty:
@@ -103,12 +104,19 @@ def containing_core(
     density_lower_bound: float,
     ratio_low: float,
     ratio_high: float,
+    within: XYCore | None = None,
 ) -> XYCore:
     """The [x, y]-core guaranteed to contain the DDS under the stated conditions.
 
     Used by CoreExact to shrink each flow network: if the true optimum beats
     ``density_lower_bound`` and its ratio lies in ``[ratio_low, ratio_high]``,
     then it survives inside this core, so searching only the core is sound.
+
+    ``within`` may name any core known to contain the answer — CoreExact
+    passes the parent interval's core, whose orders are no larger because
+    the child interval is a sub-interval and the incumbent never falls (see
+    :func:`containing_core_orders`).  The peel then runs inside it; by
+    nestedness the result is identical to peeling the whole graph.
     """
     x, y = containing_core_orders(density_lower_bound, ratio_low, ratio_high)
     if x == 0 and y == 0:
@@ -118,4 +126,6 @@ def containing_core(
             s_nodes=list(range(graph.num_nodes)),
             t_nodes=list(range(graph.num_nodes)),
         )
-    return xy_core(graph, x, y)
+    if within is None:
+        return xy_core(graph, x, y)
+    return xy_core(graph, x, y, s_candidates=within.s_nodes, t_candidates=within.t_nodes)

@@ -51,7 +51,10 @@ min-cut settles whenever the ratio cannot beat it.
 ``CoreExact`` is the same driver with ``use_core_restriction`` switched on:
 each interval's search space is shrunk to the [x, y]-core that must contain
 any optimum beating the incumbent whose ratio falls in that interval
-(:func:`repro.core.bounds.containing_core`).  All skip arguments remain sound
+(:func:`repro.core.bounds.containing_core`), peeled inside the parent
+interval's core: a child is a sub-interval searched with an incumbent that
+never falls, so its core is nested in the parent's and the peel yields the
+same core as a whole-graph peel.  All skip arguments remain sound
 under the restriction because whenever they could cut off the true optimum,
 the containment lemma places that optimum inside the restricted core, which
 forces the incumbent to already be optimal (the detailed argument is spelled
@@ -91,6 +94,7 @@ from repro.core.ratio import (
 )
 from repro.core.results import DDSResult
 from repro.core.subproblem import STSubproblem
+from repro.core.xycore import XYCore
 from repro.exceptions import AlgorithmError, DeadlineExceeded, EmptyGraphError
 from repro.flow.engine import FlowEngine, zero_snapshot
 from repro.flow.registry import DEFAULT_SOLVER
@@ -317,13 +321,16 @@ def _dc_driver(
     # n pairs (all multiples), so the threshold must scale with n.
     distinct_check_limit = max(4 * n, 4 * leaf_ratio_count)
 
-    def subproblem_for_interval(lo: float, hi: float) -> STSubproblem:
+    def restrict(
+        lo: float, hi: float, parent_core: XYCore | None
+    ) -> tuple[XYCore | None, STSubproblem]:
+        """The interval's containing core, peeled inside its parent's, and its sub-problem."""
         if not use_core_restriction:
-            return full_subproblem
-        core = containing_core(graph, state.best_density, lo, hi)
+            return None, full_subproblem
+        core = containing_core(graph, state.best_density, lo, hi, within=parent_core)
         if core.is_empty:
-            return STSubproblem(graph=graph, s_candidates=[], t_candidates=[], edges=[])
-        return STSubproblem.from_graph(graph, core.s_nodes, core.t_nodes)
+            return core, STSubproblem(graph=graph, s_candidates=[], t_candidates=[], edges=[])
+        return core, STSubproblem.from_graph(graph, core.s_nodes, core.t_nodes)
 
     def solve_leaf(ratios: list[Fraction], subproblem: STSubproblem, upper_bound: float) -> None:
         pending: list[Fraction] = []
@@ -372,15 +379,19 @@ def _dc_driver(
 
     # Depth-first traversal of the ratio-interval tree.  Each entry carries a
     # certified upper bound on the optimum *conditional on the optimal ratio
-    # lying inside the interval* — the only conditioning exactness needs.
-    stack: list[tuple[float, float, float]] = [(1.0 / n, float(n), global_upper)]
+    # lying inside the interval* — the only conditioning exactness needs —
+    # and, under core restriction, the parent's containing core, which
+    # contains the child's.
+    stack: list[tuple[float, float, float, XYCore | None]] = [
+        (1.0 / n, float(n), global_upper, None)
+    ]
     # Conditional upper bound of the interval currently being processed; at a
     # deadline cancellation it (plus the stack entries' bounds) is exactly the
     # not-yet-settled territory of the anytime upper bound.
     current_upper = global_upper
     try:
         while stack:
-            lo, hi, upper_bound = stack.pop()
+            lo, hi, upper_bound, parent_core = stack.pop()
             if lo > hi:
                 continue
             current_upper = upper_bound
@@ -389,7 +400,7 @@ def _dc_driver(
             if pair_count == 0:
                 continue
 
-            subproblem = subproblem_for_interval(lo, hi)
+            core, subproblem = restrict(lo, hi, parent_core)
             if subproblem.is_empty:
                 # The containing core is empty: no pair in this interval can
                 # beat the incumbent, so the interval is solved.
@@ -444,10 +455,10 @@ def _dc_driver(
             child_upper = min(upper_bound, interval_relaxation_factor(lo, hi) * value_upper)
             pushed_any = False
             if left_edge > lo:
-                stack.append((lo, min(left_edge, hi), child_upper))
+                stack.append((lo, min(left_edge, hi), child_upper, core))
                 pushed_any = True
             if right_edge < hi:
-                stack.append((max(right_edge, lo), hi, child_upper))
+                stack.append((max(right_edge, lo), hi, child_upper, core))
                 pushed_any = True
             if not pushed_any:
                 state.intervals_pruned += 1

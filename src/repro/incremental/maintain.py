@@ -14,11 +14,12 @@ Deltas with insertions can grow a core beyond the old members, so those
 recompute from the whole graph (still O(n + m), counted separately).  The
 cached *maximum-product* core gets a sharper argument: if its own local
 re-peel leaves it unchanged, every other core only shrank, so no product
-grew, the old maximum is still attained, and — because
-:func:`~repro.core.xycore.max_xy_core`'s sweep keeps the smallest ``x``
-achieving the maximal product under a strict-improvement rule — a cold
-sweep of the new graph returns the *same* core.  The keep is bit-identical,
-not merely valid.
+grew and the old maximum is still attained.
+:func:`~repro.core.xycore.max_xy_core` returns, among the non-empty cores
+of maximal product, the one with the smallest ``x``.  A maximal core of the
+new graph with a smaller ``x`` would have been non-empty, and maximal, in
+the old graph too, so a cold walk of the new graph returns the *same* core.
+The keep is bit-identical, not merely valid.
 
 **Decision networks** are patched by arc-level surgery
 (:func:`patch_decision_network`) so their warm residual flows survive.

@@ -78,7 +78,7 @@ def test_exact_matches_bruteforce_random(solver, seed):
     assert solver(g).density == pytest.approx(expected, abs=1e-9)
 
 
-def _disjoint_union(*graphs: DiGraph) -> DiGraph:
+def disjoint_union(*graphs: DiGraph) -> DiGraph:
     """One graph holding a relabelled copy of each of ``graphs``."""
     return DiGraph.from_edges(
         ((index, u), (index, v)) for index, graph in enumerate(graphs) for u, v in graph.edges()
@@ -95,22 +95,22 @@ def _in_and_out_star(leaves: int) -> DiGraph:
 #: Unions of equally dense blocks, whose optima tie at several ratios: seeded
 #: probes may end on a different surrogate maximiser than unseeded ones.
 TIE_HEAVY_SHAPES = {
-    "K23+K23": lambda: _disjoint_union(
+    "K23+K23": lambda: disjoint_union(
         complete_bipartite_digraph(2, 3), complete_bipartite_digraph(2, 3)
     ),
-    "K33+K33": lambda: _disjoint_union(
+    "K33+K33": lambda: disjoint_union(
         complete_bipartite_digraph(3, 3), complete_bipartite_digraph(3, 3)
     ),
-    "K23+K32": lambda: _disjoint_union(
+    "K23+K32": lambda: disjoint_union(
         complete_bipartite_digraph(2, 3), complete_bipartite_digraph(3, 2)
     ),
-    "K13+K31": lambda: _disjoint_union(
+    "K13+K31": lambda: disjoint_union(
         complete_bipartite_digraph(1, 3), complete_bipartite_digraph(3, 1)
     ),
-    "K22+K14": lambda: _disjoint_union(
+    "K22+K14": lambda: disjoint_union(
         complete_bipartite_digraph(2, 2), complete_bipartite_digraph(1, 4)
     ),
-    "out-star+in-star": lambda: _disjoint_union(
+    "out-star+in-star": lambda: disjoint_union(
         star_digraph(4, outward=True), star_digraph(4, outward=False)
     ),
     "in-and-out-star": lambda: _in_and_out_star(4),

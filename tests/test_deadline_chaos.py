@@ -27,6 +27,7 @@ import threading
 import pytest
 
 from repro.exceptions import ConfigError, DeadlineExceeded, NetError
+from repro.flow.registry import available_flow_solvers
 from repro.graph.generators import gnp_random_digraph
 from repro.net import CircuitBreaker, CircuitOpenError, ShardClient, ShardDaemon
 from repro.runtime import Deadline
@@ -66,7 +67,7 @@ class TestCancellationSafety:
     # first few engine admissions), mid-search, and deep into the D&C.
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("budget_readings", [3, 10, 40, 150])
-    @pytest.mark.parametrize("solver", ["dinic", "push-relabel", "numpy-push-relabel"])
+    @pytest.mark.parametrize("solver", available_flow_solvers())
     def test_cancel_then_resume_is_bit_identical(self, solver, budget_readings):
         graph = gnp_random_digraph(48, 0.12, seed=11)
         reference = _answer(DDSSession(graph, flow=solver).densest_subgraph("dc-exact"))
