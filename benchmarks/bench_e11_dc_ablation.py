@@ -17,6 +17,7 @@ import pytest
 from conftest import emit
 
 from repro.bench.harness import format_table
+from repro.core.config import ExactConfig
 from repro.core.exact_core import core_exact
 from repro.core.exact_dc import dc_exact
 from repro.datasets.registry import dataset_names, load_dataset
@@ -25,8 +26,8 @@ from repro.utils.timer import time_call
 _rows: list[dict] = []
 
 CONFIGURATIONS = {
-    "dc (peel seed)": lambda graph: dc_exact(graph, seed_with_core=False),
-    "dc (core seed)": lambda graph: dc_exact(graph, seed_with_core=True),
+    "dc (peel seed)": lambda graph: dc_exact(graph, ExactConfig(seed_with_core=False)),
+    "dc (core seed)": lambda graph: dc_exact(graph, ExactConfig(seed_with_core=True)),
     "core-exact": core_exact,
 }
 

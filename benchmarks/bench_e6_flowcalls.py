@@ -51,11 +51,15 @@ vectorised backend; the batching-disabled run must also continue at least
 one solve warm.  Without numpy the gates report themselves skipped
 (registry degradation is covered by the test suite).
 
-The **incremental update-parity gate** replays a deterministic edge-update
+The **incremental update gate** replays a deterministic edge-update
 stream through one session's ``apply_updates``: with certification disabled
 every post-delta answer must be bit-identical to a cold session on the
 updated graph; with certification enabled densities must agree exactly and
-at least one cached answer must survive by certificate.
+at least one cached answer must survive by certificate.  It also gates the
+speed the incremental layer exists for: on a removal-only stream of
+single-edge deltas over ``advogato-small`` (dc-exact answered after every
+delta), ``apply_updates`` must take at most half the process CPU time of a
+cold session rebuilt per delta, with equal densities at every step.
 
 The **process-pool parity gate** runs the mixed workload through
 ``BatchExecutor(process_pool=True)`` with one and with two workers: both
@@ -377,9 +381,71 @@ UPDATE_SMOKE_DATASET = "social-tiny"
 UPDATE_SMOKE_STEPS = 4
 UPDATE_SMOKE_SEED = 77
 
+#: Dataset + stream shape of the incremental speedup gate: removal-only
+#: single-edge deltas, which mostly certify on density bounds alone — the
+#: regime the incremental layer exists for.
+SPEEDUP_SMOKE_DATASET = "advogato-small"
+SPEEDUP_SMOKE_STEPS = 6
+SPEEDUP_SMOKE_SEED = 2020
+
+#: ``apply_updates`` must serve the speedup stream at least this many times
+#: faster than per-delta cold rebuilds (best of 3: 3.9–5.1x measured on a
+#: 2-CPU VM).
+SPEEDUP_SMOKE_MIN_RATIO = 2.0
+SPEEDUP_SMOKE_REPEATS = 3
+
+
+def _incremental_speedup(failures: list[str]) -> float:
+    """CPU-time ratio of per-delta cold rebuilds to ``apply_updates``.
+
+    Both lanes answer a dc-exact query after every delta of the speedup
+    stream, starting from a warm answer; the incremental lane applies each
+    delta through one live session, the cold lane builds a fresh session on
+    the updated graph every time.  Each lane's time is the best of
+    :data:`SPEEDUP_SMOKE_REPEATS` runs.  Appends failure strings to
+    ``failures``.
+    """
+    graph = load_dataset(SPEEDUP_SMOKE_DATASET)
+    batches = edge_update_stream(
+        graph, steps=SPEEDUP_SMOKE_STEPS, batch_size=1, p_add=0.0, seed=SPEEDUP_SMOKE_SEED
+    )
+    flow = FlowConfig(solver="auto")
+    incremental_s = cold_s = float("inf")
+    for _ in range(SPEEDUP_SMOKE_REPEATS):
+        session = DDSSession(graph.copy(), flow=flow)
+        session.densest_subgraph("dc-exact")
+        start = time.process_time()
+        incremental = []
+        for added, removed in batches:
+            session.apply_updates(added, removed)
+            incremental.append(session.densest_subgraph("dc-exact").density)
+        incremental_s = min(incremental_s, time.process_time() - start)
+
+        work = graph.copy()
+        cold = []
+        start = time.process_time()
+        for added, removed in batches:
+            work.apply_delta(added, removed)
+            cold.append(DDSSession(work.copy(), flow=flow).densest_subgraph("dc-exact").density)
+        cold_s = min(cold_s, time.process_time() - start)
+
+    if any(abs(inc - ref) > 1e-9 for inc, ref in zip(incremental, cold)):
+        failures.append(
+            f"update speedup: apply_updates and cold-rebuild densities diverged on "
+            f"{SPEEDUP_SMOKE_DATASET} ({incremental} vs {cold})"
+        )
+    ratio = cold_s / incremental_s if incremental_s > 0 else float("inf")
+    if ratio < SPEEDUP_SMOKE_MIN_RATIO:
+        failures.append(
+            f"update speedup: apply_updates ({incremental_s * 1000:.0f} ms CPU) did not beat "
+            f"per-delta cold rebuilds ({cold_s * 1000:.0f} ms CPU) by "
+            f"{SPEEDUP_SMOKE_MIN_RATIO:g}x on {SPEEDUP_SMOKE_DATASET} (got {ratio:.2f}x)"
+        )
+    return ratio
+
 
 def run_update_smoke(failures: list[str]) -> dict:
-    """Update-parity gate: ``apply_updates`` must match cold rebuilds.
+    """Incremental update gate: ``apply_updates`` must match and beat cold rebuilds.
 
     Replays a deterministic edge-update stream (removals and insertions)
     through one live session two ways — with certification disabled, where
@@ -387,8 +453,9 @@ def run_update_smoke(failures: list[str]) -> dict:
     session built on the updated graph, and with certification enabled,
     where densities must still agree exactly and at least one entry must
     survive by certificate across the stream (the subsystem's reason to
-    exist).  Appends failure strings to ``failures`` and returns a table
-    row.
+    exist).  Then times the removal-only speedup stream
+    (:func:`_incremental_speedup`).  Appends failure strings to
+    ``failures`` and returns a table row.
     """
     graph = load_dataset(UPDATE_SMOKE_DATASET)
     batches = edge_update_stream(
@@ -436,6 +503,7 @@ def run_update_smoke(failures: list[str]) -> dict:
         "certified_stale_hits": stats["certified_stale_hits"],
         "local_research_runs": stats["local_research_runs"],
         "flow_calls": stats["flow_calls"],
+        f"{SPEEDUP_SMOKE_DATASET}_speedup": round(_incremental_speedup(failures), 2),
     }
 
 
@@ -762,7 +830,7 @@ def run_smoke() -> int:
     batched_row = run_batched_smoke(failures)
     print(format_table([batched_row], title="E6 smoke: batched-solve parity gate"))
     update_row = run_update_smoke(failures)
-    print(format_table([update_row], title="E6 smoke: incremental update-parity gate"))
+    print(format_table([update_row], title="E6 smoke: incremental update gate"))
     procpool_row = run_procpool_smoke(failures)
     print(format_table([procpool_row], title="E6 smoke: process-pool parity gate"))
     net_row = run_net_smoke(failures)

@@ -14,9 +14,6 @@ Quickstart
 >>> result = session.densest_subgraph("core-exact")
 >>> sorted(result.s_nodes), sorted(result.t_nodes)
 (['a', 'b'], ['x', 'y'])
-
-The one-shot ``densest_subgraph(g, method=...)`` remains available as a
-deprecation shim over a throwaway session.
 """
 
 from repro.core import (
@@ -30,14 +27,12 @@ from repro.core import (
     core_based_bounds,
     core_exact,
     dc_exact,
-    densest_subgraph,
     directed_density,
     flow_exact,
     inc_approx,
     max_xy_core,
     peel_approx,
     register_method,
-    top_k_densest,
     verify_result,
     xy_core,
     xy_core_skyline,
@@ -60,7 +55,6 @@ __all__ = [
     "FlowConfig",
     "MethodSpec",
     "register_method",
-    "densest_subgraph",
     "directed_density",
     "brute_force_dds",
     "flow_exact",
@@ -73,7 +67,6 @@ __all__ = [
     "max_xy_core",
     "xy_core_skyline",
     "core_based_bounds",
-    "top_k_densest",
     "verify_result",
     "EdgeDelta",
     "UpdateReport",

@@ -2,13 +2,12 @@
 
 Public surface:
 
-* :class:`repro.session.DDSSession` — the session API (construct once per
-  graph, query many times against shared caches); the one-shot
-  :func:`densest_subgraph` below remains as a deprecation shim;
+* :class:`repro.session.DDSSession` — the one way into a method (construct
+  once per graph, query many times against shared caches);
 * typed configs — :class:`ExactConfig`, :class:`ApproxConfig`,
   :class:`FlowConfig` (:mod:`repro.core.config`);
-* the method registry — :class:`MethodSpec`, :func:`register_method`
-  (:mod:`repro.core.method_registry`);
+* the method registry — :class:`MethodSpec`, :func:`register_method`,
+  :func:`available_methods` (:mod:`repro.core.method_registry`);
 * exact algorithms — :func:`flow_exact` (baseline), :func:`dc_exact`
   (divide-and-conquer over ratios), :func:`core_exact` (divide-and-conquer
   plus [x, y]-core pruning — the paper's headline algorithm);
@@ -21,7 +20,6 @@ Public surface:
   :func:`brute_force_dds`.
 """
 
-from repro.core.api import AUTO_EXACT_NODE_LIMIT, available_methods, densest_subgraph
 from repro.core.approx_core import core_approx, inc_approx
 from repro.core.approx_peel import peel_approx, peel_fixed_ratio
 from repro.core.bounds import CoreBounds, containing_core, containing_core_orders, core_based_bounds
@@ -41,6 +39,7 @@ from repro.core.exact_dc import dc_exact
 from repro.core.exact_flow import flow_exact
 from repro.core.method_registry import (
     MethodSpec,
+    available_methods,
     get_method_spec,
     method_specs,
     register_method,
@@ -48,14 +47,11 @@ from repro.core.method_registry import (
 )
 from repro.core.network_cache import NetworkCache
 from repro.core.results import DDSResult, FixedRatioOutcome
-from repro.core.topk import top_k_densest
 from repro.core.verify import VerificationReport, is_locally_maximal, verify_result
 from repro.core.xycore import XYCore, max_xy_core, xy_core, xy_core_skyline
 
 __all__ = [
-    "densest_subgraph",
     "available_methods",
-    "AUTO_EXACT_NODE_LIMIT",
     "ExactConfig",
     "ApproxConfig",
     "FlowConfig",
@@ -90,7 +86,6 @@ __all__ = [
     "core_based_bounds",
     "containing_core",
     "containing_core_orders",
-    "top_k_densest",
     "verify_result",
     "is_locally_maximal",
     "VerificationReport",

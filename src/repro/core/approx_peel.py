@@ -131,13 +131,7 @@ def peel_fixed_ratio(
     return sorted(best_s), sorted(best_t), best_density
 
 
-def peel_approx(
-    graph: DiGraph,
-    config: ApproxConfig | None = None,
-    *,
-    epsilon: float | None = None,
-    ratios: list[float] | None = None,
-) -> DDSResult:
+def peel_approx(graph: DiGraph, config: ApproxConfig | None = None) -> DDSResult:
     """``PeelApprox``: sweep a geometric ratio grid, peel each, keep the best.
 
     Parameters
@@ -148,10 +142,8 @@ def peel_approx(
         Normalized :class:`~repro.core.config.ApproxConfig`: ``epsilon`` is
         the multiplicative grid step (guarantee ``2*sqrt(1+epsilon)``) and
         ``ratios`` an optional explicit grid override (used by ablations).
-    epsilon / ratios:
-        Legacy per-field overrides resolved through ``config``.
     """
-    cfg = ApproxConfig.resolve(config, epsilon=epsilon, ratios=ratios)
+    cfg = ApproxConfig.resolve(config)
     if graph.num_edges == 0:
         raise EmptyGraphError("peel_approx requires a graph with at least one edge")
     epsilon = cfg.epsilon  # already validated > 0 by ApproxConfig

@@ -27,12 +27,7 @@ def _non_empty_subsets(indices: list[int]) -> list[list[int]]:
     return subsets
 
 
-def brute_force_dds(
-    graph: DiGraph,
-    config: ExactConfig | None = None,
-    *,
-    max_nodes: int | None = None,
-) -> DDSResult:
+def brute_force_dds(graph: DiGraph, config: ExactConfig | None = None) -> DDSResult:
     """Exhaustively find the densest ``(S, T)`` pair.
 
     Parameters
@@ -41,12 +36,10 @@ def brute_force_dds(
         Input digraph; must have at least one edge.
     config:
         Normalized :class:`~repro.core.config.ExactConfig`; only its
-        ``node_limit`` is consulted (safety limit on the enumeration).
-    max_nodes:
-        Legacy override of the safety limit (default
-        :data:`DEFAULT_MAX_NODES`).
+        ``node_limit`` is consulted (safety limit on the enumeration,
+        default :data:`DEFAULT_MAX_NODES`).
     """
-    cfg = ExactConfig.resolve(config, node_limit=max_nodes)
+    cfg = ExactConfig.resolve(config)
     max_nodes = cfg.node_limit if cfg.node_limit is not None else DEFAULT_MAX_NODES
     n = graph.num_nodes
     if n > max_nodes:

@@ -16,10 +16,14 @@ All three validate eagerly in ``__post_init__`` and raise
 rejected *before* any per-graph work starts.  They are frozen (hashable) on
 purpose: a session uses ``(method, config)`` as its result-cache key.
 
-Legacy keyword arguments (``tolerance=``, ``epsilon=``, ``flow_solver=`` ...)
-are still accepted by every entry point through :meth:`MethodConfig.resolve`,
-which overlays non-``None`` keyword overrides onto a base config and
-re-validates the result.
+Per-field keyword overrides (``tolerance=``, ``epsilon=``, and the
+``flow_solver=`` / ``deadline_ms=`` aliases of the nested :class:`FlowConfig`)
+are accepted by :meth:`DDSSession.densest_subgraph
+<repro.session.DDSSession.densest_subgraph>`, :meth:`DDSSession.top_k
+<repro.session.DDSSession.top_k>` and batch query specs through
+:meth:`MethodConfig.resolve`, which overlays non-``None`` keyword overrides
+onto a base config and re-validates the result.  The algorithm drivers take
+only a typed config.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ class MethodConfig:
         ``cls``; anything else — including a config meant for a different
         method family — raises :class:`ConfigError`.  Unknown override names
         raise :class:`ConfigError` listing the accepted fields, which is how
-        typos in legacy keyword calls surface.
+        typos in keyword overrides surface.
         """
         if config is None:
             config = cls()
@@ -84,16 +88,6 @@ class MethodConfig:
                 clean["flow"] = replace(base_flow, solver=value)
             else:
                 clean["flow"] = replace(base_flow, deadline_ms=value)
-        if "max_nodes" in clean:
-            # Legacy alias of the brute-force safety limit.
-            if "node_limit" not in allowed:
-                raise ConfigError(
-                    f"{cls.__name__} does not accept max_nodes= "
-                    f"(accepted: {', '.join(sorted(allowed))})"
-                )
-            if "node_limit" in clean:
-                raise ConfigError("max_nodes is a legacy alias of node_limit; pass only one")
-            clean["node_limit"] = clean.pop("max_nodes")
         unknown = sorted(set(clean) - allowed)
         if unknown:
             raise ConfigError(
@@ -206,7 +200,7 @@ class ExactConfig(MethodConfig):
         ):
             raise ConfigError(f"node_limit must be an int >= 1, got {self.node_limit!r}")
         if isinstance(self.flow, str):
-            # Convenience: ExactConfig(flow="push-relabel").
+            # Convenience: ExactConfig(flow="numpy-push-relabel").
             object.__setattr__(self, "flow", FlowConfig(solver=self.flow))
         elif not isinstance(self.flow, FlowConfig):
             raise ConfigError(f"flow must be a FlowConfig or solver name, got {self.flow!r}")

@@ -29,9 +29,6 @@ def core_exact(
     graph: DiGraph,
     config: ExactConfig | None = None,
     *,
-    tolerance: float | None = None,
-    leaf_ratio_count: int | None = None,
-    flow_solver: str | None = None,
     engine: FlowEngine | None = None,
     network_cache: NetworkCache | None = None,
 ) -> DDSResult:
@@ -39,16 +36,10 @@ def core_exact(
 
     ``config`` is the normalized :class:`~repro.core.config.ExactConfig`
     (its ``seed_with_core`` flag is ignored here — CoreExact always seeds
-    from the core); the keyword arguments are legacy per-field overrides.
-    ``engine`` / ``network_cache`` are the session's shared engine and
-    decision-network cache.
+    from the core).  ``engine`` / ``network_cache`` are the session's shared
+    engine and decision-network cache.
     """
-    cfg = ExactConfig.resolve(
-        config,
-        tolerance=tolerance,
-        leaf_ratio_count=leaf_ratio_count,
-        flow_solver=flow_solver,
-    )
+    cfg = ExactConfig.resolve(config)
     if network_cache is None:
         network_cache = NetworkCache(cfg.flow.network_cache_size)
     return _dc_driver(

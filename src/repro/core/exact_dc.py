@@ -502,18 +502,13 @@ def dc_exact(
     graph: DiGraph,
     config: ExactConfig | None = None,
     *,
-    tolerance: float | None = None,
-    leaf_ratio_count: int | None = None,
-    seed_with_core: bool | None = None,
-    flow_solver: str | None = None,
     engine: FlowEngine | None = None,
     network_cache: NetworkCache | None = None,
 ) -> DDSResult:
     """Exact DDS via divide-and-conquer over the ratio interval (``DCExact``).
 
-    ``config`` is the normalized :class:`~repro.core.config.ExactConfig`;
-    the keyword arguments are legacy-compatible per-field overrides resolved
-    through it (so invalid values fail with :class:`ConfigError` up front).
+    ``config`` is the normalized :class:`~repro.core.config.ExactConfig`
+    (anything else fails with :class:`ConfigError` up front).
     ``config.seed_with_core`` switches the incumbent initialisation from a
     cheap peel to the CoreApprox core (used by the E11 ablation); the search
     space itself is never core-restricted here — that is :func:`core_exact`'s
@@ -521,13 +516,7 @@ def dc_exact(
     :class:`~repro.session.DDSSession` uses to share flow instrumentation and
     decision networks (with their residual flows) across queries.
     """
-    cfg = ExactConfig.resolve(
-        config,
-        tolerance=tolerance,
-        leaf_ratio_count=leaf_ratio_count,
-        seed_with_core=seed_with_core,
-        flow_solver=flow_solver,
-    )
+    cfg = ExactConfig.resolve(config)
     if network_cache is None:
         network_cache = NetworkCache(cfg.flow.network_cache_size)
     return _dc_driver(

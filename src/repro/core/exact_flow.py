@@ -45,9 +45,6 @@ def flow_exact(
     graph: DiGraph,
     config: ExactConfig | None = None,
     *,
-    node_limit: int | None = None,
-    tolerance: float | None = None,
-    flow_solver: str | None = None,
     engine: FlowEngine | None = None,
     network_cache: NetworkCache | None = None,
 ) -> DDSResult:
@@ -64,15 +61,11 @@ def flow_exact(
         :data:`DEFAULT_NODE_LIMIT`) and its ``tolerance`` is the
         search stopping gap (default: the provably-exact
         :func:`~repro.core.density.exactness_tolerance`).
-    node_limit / tolerance / flow_solver:
-        Legacy per-field overrides resolved through ``config``.
     engine / network_cache:
         The session's shared engine (instrumentation) and decision-network
         cache.
     """
-    cfg = ExactConfig.resolve(
-        config, node_limit=node_limit, tolerance=tolerance, flow_solver=flow_solver
-    )
+    cfg = ExactConfig.resolve(config)
     if graph.num_edges == 0:
         raise EmptyGraphError("flow_exact requires a graph with at least one edge")
     n = graph.num_nodes

@@ -1,9 +1,7 @@
 """First-class registry of DDS methods (the analogue of the flow-solver registry).
 
-Historically the public dispatch lived in a private ``_METHODS`` dict inside
-:mod:`repro.core.api`, with an untyped ``**kwargs`` funnel and hard-coded
-knowledge of which methods run min-cuts.  This module promotes it to a
-declarative plugin registry mirroring :mod:`repro.flow.registry`: each
+:class:`~repro.session.DDSSession` dispatches every query through this
+declarative plugin registry, which mirrors :mod:`repro.flow.registry`: each
 algorithm registers a :class:`MethodSpec` carrying
 
 * its **runner** — a uniform callable ``(graph, config, context) -> DDSResult``,
@@ -81,23 +79,18 @@ class MethodSpec:
     is_exact:
         Whether the method guarantees optimality.
     flow_backed:
-        Whether the method runs min-cuts, and therefore honours
-        ``FlowConfig.solver`` and consumes ``context.engine`` /
-        ``context.network_cache`` to share state across queries.  The
-        session only hands its shared
-        :class:`~repro.core.network_cache.NetworkCache` — whose entries
-        carry *residual flow state* between retunes — to flow-backed
-        methods; the others ignore (and report) an explicitly requested
-        solver.
+        Whether the method runs min-cuts, and therefore consumes
+        ``context.engine`` / ``context.network_cache`` to share state
+        (including residual flows) across queries.  Flow settings are
+        session policy, and a method that runs no min-cuts does not apply
+        them.
     description:
         One-line human-readable summary (shown by ``dds-repro`` help texts).
     accepted_fields:
         The config fields this method actually consults (``None`` = all of
         them).  The session rejects queries that set an unused field to a
         non-default value — a knob that silently does nothing is worse than
-        an error.  ``flow`` is special-cased by the session: on a
-        non-flow-backed method it is *ignored with a warning* (legacy
-        ``flow_solver_ignored`` behaviour) rather than rejected.
+        an error.  ``flow`` is exempt: see ``flow_backed``.
     """
 
     name: str

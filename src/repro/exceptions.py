@@ -35,9 +35,8 @@ class AlgorithmError(ReproError):
 class ConfigError(AlgorithmError):
     """Raised when a typed method configuration is invalid or mismatched.
 
-    Subclasses :class:`AlgorithmError` so that legacy callers catching
-    ``AlgorithmError`` around :func:`repro.core.api.densest_subgraph` keep
-    working after the session/config redesign.
+    Subclasses :class:`AlgorithmError`, so a caller catching
+    ``AlgorithmError`` around a query also catches bad configurations.
     """
 
 

@@ -2,8 +2,9 @@
 
 The vectorised backend (:mod:`repro.flow.numpy_backend`) pays a fixed
 per-call cost for each bulk array operation; one small network cannot fill
-the vector width, which is why ``BENCH_flow.json`` records it *losing* to
-dinic on small workloads while winning 2–3.6x on large ones.  The exact DDS
+the vector width, which is why it loses to dinic below
+:data:`~repro.flow.registry.AUTO_ARC_THRESHOLD` stored arcs and the ``"auto"``
+policy only picks it above.  The exact DDS
 algorithms, however, never solve one small network in isolation — they solve
 *families* of closely related ones (the fixed-ratio guess sequences of the
 DC driver and ``flow_exact``).  This module stacks such a family

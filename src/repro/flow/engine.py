@@ -54,20 +54,11 @@ defined in :mod:`repro.core.network_cache`.
     members themselves count under ``flow_calls``).  Always 0 for engines
     configured with a concrete solver name — only the ``"auto"`` policy
     batches.
-``small_vector_solves``
-    Min-cut computations a *forced* ``numpy-push-relabel`` engine ran on a
-    network below the ``auto`` arc threshold — the small-workload regime
-    where the vectorised backend is known to lose to ``dinic``
-    (``BENCH_flow.json``, small workloads).  The session layer surfaces a
-    once-per-session ``backend_mismatch`` advisory when this counter moves;
-    the ``"auto"`` policy never increments it (it batches or falls back to
-    ``dinic`` instead).
 ``deadline_hits``
     Min-cut computations cancelled (or refused before starting) by an
     expired :class:`repro.runtime.Deadline` armed on the engine.  Always 0
     when no deadline is configured — the no-deadline fast path is a single
-    ``is None`` test per phase, which is what the bench-trajectory
-    checkpoint-overhead gate pins below 2%.
+    ``is None`` test per phase.
 
 Every solver continues from the flow the network holds, so the warm/cold
 split is bookkeeping supplied by the caller; it never selects a different
@@ -86,7 +77,6 @@ from typing import Any
 from repro.exceptions import DeadlineExceeded, FlowError
 from repro.flow.network import FlowNetwork
 from repro.flow.registry import (
-    AUTO_ARC_THRESHOLD,
     AUTO_SOLVER,
     DEFAULT_SOLVER,
     VECTOR_SOLVER,
@@ -107,7 +97,6 @@ COUNTERS = (
     "cold_starts",
     "backend_selections",
     "batched_solves",
-    "small_vector_solves",
     "deadline_hits",
 )
 
@@ -199,14 +188,6 @@ class FlowEngine:
             raise
         self.flow_calls += 1
         self.arcs_pushed += getattr(solver, "arcs_pushed", 0)
-        if (
-            self.solver_name == VECTOR_SOLVER
-            and network.num_arcs < AUTO_ARC_THRESHOLD
-        ):
-            # A forced vectorised solve under the auto threshold: the known
-            # small-workload regression regime (see the glossary and the
-            # session layer's ``backend_mismatch`` advisory).
-            self.small_vector_solves += 1
         return value, solver
 
     def supports_batching(self, arc_counts: list[int]) -> bool:

@@ -37,9 +37,7 @@ array operations (the Goldberg–Tarjan parallel "pulse" formulation):
    h(v) <= 1 + h'(v)`` (relabels only raise labels), so validity is
    preserved — the textbook argument, applied in bulk.
 
-Two classic heuristics, both absent from the pure-python
-:class:`~repro.flow.push_relabel.PushRelabelSolver`, keep the superstep count
-low:
+Two classic heuristics keep the superstep count low:
 
 * **Global relabeling** — every :data:`GLOBAL_RELABEL_INTERVAL` supersteps
   (and once at the start of every flood attempt) the labels are reset to exact
@@ -51,12 +49,12 @@ low:
   labels finds empty levels below ``n``; every node stranded above the
   lowest gap is lifted past ``n`` at once (it can no longer reach the sink).
 
-Like the scalar push–relabel, every solve continues from the flow the
+Like every registered solver, each solve continues from the flow the
 network's residual state holds: its value seeds the sink's excess, and the
 labels start at zero (source at ``n``) and jump to exact residual distances
 at the first global relabel.
 
-Answers are bit-identical to the scalar solvers' by construction:
+Answers are bit-identical to dinic's by construction:
 ``min_cut_source_side`` returns the canonical cut (nodes residual-reachable
 from the source), which is invariant across maximum flows, computed here as
 a vectorised BFS using the same :data:`~repro.flow.network.EPSILON`

@@ -1,8 +1,9 @@
 """Named registry of max-flow solver implementations.
 
-The exact DDS algorithms accept a ``flow_solver=`` name (and the CLI a
-``--flow-solver`` flag) instead of hard-coding a solver class; this module
-is the single source of truth mapping those names to classes.
+Flow configs (``FlowConfig.solver``), the session's ``flow_solver=``
+override and the CLI's ``--flow-solver`` flag name a max-flow solver instead
+of hard-coding a class; this module is the single source of truth mapping
+those names to classes.
 
 A solver class must satisfy the protocol shared by the built-ins:
 
@@ -21,12 +22,12 @@ Third-party backends (e.g. a Rust-accelerated solver) plug in via
 
     from repro.flow.registry import register_solver
     register_solver("my-solver", MySolverClass)
-    dc_exact(graph, flow_solver="my-solver")
+    DDSSession(graph).densest_subgraph("dc-exact", flow_solver="my-solver")
 
-The built-in vectorised backend (:mod:`repro.flow.numpy_backend`) is
-registered the same way, but **import-guarded**: when numpy is not
-importable the registry simply does not list ``numpy-push-relabel`` and
-everything else keeps working on the pure-python solvers.
+The built-in registry holds ``dinic`` and the vectorised
+``numpy-push-relabel`` backend (:mod:`repro.flow.numpy_backend`).  The
+latter is **import-guarded**: when numpy is not importable the registry
+simply does not list it and everything runs on ``dinic``.
 
 Besides concrete solver names, configs and the CLI accept the *policy* name
 :data:`AUTO_SOLVER` (``"auto"``): the engine then picks a backend per
@@ -49,8 +50,6 @@ from typing import Type
 
 from repro.exceptions import FlowError
 from repro.flow.dinic import DinicSolver
-from repro.flow.edmonds_karp import EdmondsKarpSolver
-from repro.flow.push_relabel import PushRelabelSolver
 
 try:  # the vectorised backend only exists where numpy does
     from repro.flow.numpy_backend import NumpyPushRelabelSolver
@@ -69,15 +68,11 @@ AUTO_SOLVER = "auto"
 #: Networks with at least this many stored arcs are routed to the vectorised
 #: backend by the ``"auto"`` policy; smaller ones run ``dinic``, whose
 #: per-arc Python loop beats numpy's per-call overhead at that scale.  The
-#: value was calibrated with ``tools/bench_trajectory.py`` (see
-#: ``BENCH_flow.json``).
+#: E6 smoke's vectorised-backend gate checks that er-medium dc-exact, whose
+#: networks sit far above the threshold, runs faster on the numpy backend.
 AUTO_ARC_THRESHOLD = 4096
 
-_SOLVERS: dict[str, Type] = {
-    "dinic": DinicSolver,
-    "push-relabel": PushRelabelSolver,
-    "edmonds-karp": EdmondsKarpSolver,
-}
+_SOLVERS: dict[str, Type] = {DEFAULT_SOLVER: DinicSolver}
 if NumpyPushRelabelSolver is not None:
     _SOLVERS[VECTOR_SOLVER] = NumpyPushRelabelSolver
 

@@ -38,8 +38,8 @@ Labels that would not survive a JSON round trip refuse to serialise
 (:class:`~repro.exceptions.NetError`); the remote executor runs such lanes
 inline instead of shipping a lossy approximation.
 
-What deliberately never crosses the wire: decision networks, residual
-flows, and push-relabel height stashes.  They are process-local by
+What deliberately never crosses the wire: decision networks and their
+residual flows.  They are process-local by
 construction (their cache keys embed ``state_token``, and ``retune``
 mutates capacities in place); warm state lives behind the daemon in its
 :class:`~repro.service.store.SessionStore` shard, which is the whole point

@@ -13,8 +13,8 @@ Three pool flavours share that lane contract:
 
 * **Threads** (the default): cheap, in-process, but GIL-bound — lanes are
   pure-Python compute, so thread concurrency buys isolation and scheduling
-  rather than parallel speed-up (BENCH_flow.json's jobs-4 speedup of 0.956
-  measured exactly that).
+  rather than parallel speed-up (four numpy-backend thread lanes ran a
+  four-graph batch only 1.03× faster than one lane on a 2-CPU VM).
 * **Processes** (``process_pool=True``): the scale-out path.  The parent
   publishes each lane's graph into a named shared-memory segment once
   (:mod:`repro.service.shm`), routes lanes to workers by content

@@ -23,7 +23,7 @@ Heuristics, in priority order
 3. **Family grouping** — within a phase, queries with the same signature
    (kind, method, config fields) become adjacent, so an identical repeat is
    served while its predecessor's state — result-cache entry, decision
-   network, residual flow, push-relabel heights — is still resident (reuse
+   network and its residual flow — is still resident (reuse
    distance 0, immune to LRU eviction).  Distinct families keep
    first-appearance order; within a family, file order is preserved.
 

@@ -55,7 +55,6 @@ VOLATILE_PAYLOAD_KEYS = frozenset(
         "warm_starts_used",
         "cold_starts",
         "batched_solves",
-        "small_vector_solves",
     }
 )
 

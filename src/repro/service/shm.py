@@ -27,8 +27,8 @@ per lane; the trailing fingerprint lets :func:`attach_graph` verify — by
 rebuilding and re-fingerprinting — that the attached bytes reproduce the
 published graph bit for bit before any query runs on it.
 
-What is deliberately *not* shared: decision networks, residual flows, and
-push-relabel height stashes.  Their cache keys embed
+What is deliberately *not* shared: decision networks and their residual
+flows.  Their cache keys embed
 :attr:`DiGraph.state_token <repro.graph.digraph.DiGraph.state_token>` — a
 process-local counter — and ``retune`` mutates capacities in place, so
 sharing them across processes would either alias mutable solver state or

@@ -61,7 +61,7 @@ from repro.core.config import ApproxConfig, ExactConfig, FlowConfig, MethodConfi
 from repro.core.method_registry import get_method_spec
 from repro.core.results import DDSResult, json_native_label
 from repro.core.xycore import XYCore
-from repro.exceptions import AlgorithmError, ConfigError, GraphError, StoreError
+from repro.exceptions import AlgorithmError, ConfigError, FlowError, GraphError, StoreError
 from repro.graph.digraph import DiGraph
 from repro.session import DDSSession
 
@@ -434,7 +434,7 @@ class SessionStore:
 
         Counters: ``results_loaded`` / ``results_corrupt`` /
         ``results_incompatible`` (entry is intact but names an unregistered
-        method or foreign config class), ``derived_loaded`` /
+        method, flow solver or foreign config class), ``derived_loaded`` /
         ``derived_corrupt``, and ``manifest_corrupt`` (the graph directory's
         manifest fails verification — nothing under it is trusted or
         loaded).  A graph the store has never seen loads nothing and returns
@@ -496,9 +496,10 @@ class SessionStore:
                         continue
                     config = _config_from_jsonable(spec.config_type, entry["config"])
                     result = DDSResult.from_dict(entry["result"])
-                except AlgorithmError:
-                    # Unknown method — a store written by a build with extra
-                    # registered methods; intact but unusable here.
+                except (AlgorithmError, FlowError):
+                    # Unknown method or flow solver — a store written by a
+                    # build with extra registered ones (or with numpy where
+                    # this one has none); intact but unusable here.
                     counters["results_incompatible"] += 1
                     continue
                 except (StoreError, KeyError, TypeError, ValueError):

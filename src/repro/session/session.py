@@ -26,14 +26,10 @@ Quickstart
 2.4495
 >>> session.densest_subgraph("core-exact").stats["result_cache_hit"]
 True
-
-The legacy one-shot :func:`repro.core.api.densest_subgraph` remains available
-as a deprecation shim that constructs a throwaway session per call.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
@@ -55,6 +51,7 @@ from repro.exceptions import (
     GraphError,
 )
 from repro.flow.engine import COUNTERS, FlowEngine
+from repro.flow.registry import validate_solver_choice
 from repro.graph.digraph import DiGraph, NodeLabel
 from repro.graph.properties import graph_summary
 from repro.incremental.certify import certify_result
@@ -71,6 +68,10 @@ from repro.utils.validation import require_positive_int
 
 #: Default capacity of the per-session whole-result LRU cache.
 DEFAULT_RESULT_CACHE_SIZE = 128
+
+#: Above this node count ``method="auto"`` switches from CoreExact to
+#: CoreApprox.
+AUTO_EXACT_NODE_LIMIT = 400
 
 
 def _result_key(method: str, cfg: MethodConfig) -> tuple[str, MethodConfig]:
@@ -91,9 +92,9 @@ def _result_key(method: str, cfg: MethodConfig) -> tuple[str, MethodConfig]:
 def _copy_result(result: DDSResult) -> DDSResult:
     """Defensive copy so callers can never corrupt a cached result.
 
-    ``stats`` values include mutable containers (``network_nodes`` /
-    ``network_arcs`` lists, the ``flow_solver_ignored`` dict), so the copy
-    goes one level deep into them.
+    ``stats`` values may be mutable containers (the ``network_nodes`` /
+    ``network_arcs`` lists), so the copy goes one level deep into lists and
+    dicts.
     """
     stats = {
         key: list(value) if isinstance(value, list) else dict(value) if isinstance(value, dict) else value
@@ -163,8 +164,6 @@ class DDSSession:
         self._summary: dict[str, Any] | None = None
         self._density_upper: float | None = None
         self._exact_tolerance: float | None = None
-        self._warned_ignored_solvers: set[tuple[str, str]] = set()
-        self._warned_backend_mismatch = False
         self._updates_applied = 0
         self._certified_stale_hits = 0
         self._local_research_runs = 0
@@ -217,15 +216,10 @@ class DDSSession:
 
     def _resolve_method(self, method: str) -> tuple[MethodSpec, bool]:
         """Map a method name (or ``"auto"``) to its spec."""
-        # Import here (not at module load) so tests monkeypatching
-        # ``repro.core.api.AUTO_EXACT_NODE_LIMIT`` keep working and no import
-        # cycle forms with the deprecation shim.
-        from repro.core import api
-
         if method == "auto":
             chosen = (
                 "core-exact"
-                if self.graph.num_nodes <= api.AUTO_EXACT_NODE_LIMIT
+                if self.graph.num_nodes <= AUTO_EXACT_NODE_LIMIT
                 else "core-approx"
             )
             return get_method_spec(chosen), True
@@ -241,36 +235,17 @@ class DDSSession:
 
     def _prepare(
         self, method: str, config: MethodConfig | None, kwargs: dict[str, Any]
-    ) -> tuple[MethodSpec, MethodConfig, bool, Any]:
-        """Resolve (spec, config, was_auto, ignored) for a query.
-
-        ``ignored`` is ``None``, or the flow solver requested on a method
-        that runs no min-cuts.
-        """
+    ) -> tuple[MethodSpec, MethodConfig, bool]:
+        """Resolve (spec, config, was_auto) for a query."""
         spec, was_auto = self._resolve_method(method)
-        ignored = None
         if not spec.flow_backed and "flow_solver" in kwargs:
-            ignored = kwargs.pop("flow_solver")
+            # Not applied (see MethodSpec.flow_backed), but still a name from
+            # the caller: an unknown one fails here as on every method.
+            validate_solver_choice(kwargs.pop("flow_solver"))
         base = self._base_config(spec)
         cfg = spec.config_type.resolve(config if config is not None else base, **kwargs)
-        # ``flow`` on a non-flow-backed method keeps the legacy ignore-and-
-        # warn behaviour.  User intent is only visible on an *explicitly
-        # passed* config: with config=None the session's own default flow is
-        # folded into ``base`` (and flow_solver= was popped above), so a
-        # non-default cfg.flow there is session policy, not a request.  Only
-        # the *solver name* counts as a request — config-only flow changes
-        # (e.g. ``network_cache_size``) select no backend, so they must
-        # neither warn nor be treated as an ignored solver.
-        if (
-            not spec.flow_backed
-            and ignored is None
-            and config is not None
-            and hasattr(config, "flow")
-            and config.flow.solver != spec.config_type().flow.solver
-        ):
-            ignored = config.flow.solver
-        # Any other knob the method never consults must not silently do
-        # nothing: reject it.
+        # Any knob other than ``flow`` that the method never consults must
+        # not silently do nothing: reject it.
         if spec.accepted_fields is not None:
             for config_field in dataclass_fields(cfg):
                 name = config_field.name
@@ -281,7 +256,7 @@ class DDSSession:
                         f"method {spec.name!r} does not use config field {name!r} "
                         f"(accepted: {', '.join(sorted(spec.accepted_fields)) or 'none'})"
                     )
-        return spec, cfg, was_auto, ignored
+        return spec, cfg, was_auto
 
     def _execute(
         self,
@@ -356,50 +331,10 @@ class DDSSession:
         result.stats["result_cache_hit"] = False
         return result
 
-    def _annotate(
-        self, result: DDSResult, spec: MethodSpec, was_auto: bool, ignored: Any
-    ) -> DDSResult:
+    @staticmethod
+    def _annotate(result: DDSResult, spec: MethodSpec, was_auto: bool) -> DDSResult:
         if was_auto:
             result.stats["auto_selected"] = spec.name
-        if ignored is not None:
-            result.stats["flow_solver_ignored"] = {
-                "flow_solver": ignored,
-                "method": spec.name,
-            }
-            # Deduped on (method, flow_solver), so repeats of the same
-            # explicit request stay silent; config-only changes never reach
-            # this branch at all (see _prepare).
-            warn_key = (spec.name, str(ignored))
-            if warn_key not in self._warned_ignored_solvers:
-                self._warned_ignored_solvers.add(warn_key)
-                warnings.warn(
-                    f"method {spec.name!r} performs no min-cuts; "
-                    f"flow_solver={ignored!r} is ignored",
-                    UserWarning,
-                    stacklevel=3,
-                )
-        small = result.stats.get("small_vector_solves", 0)
-        if small:
-            # The query forced the vectorised backend onto networks below the
-            # auto arc threshold — the one regime BENCH_flow.json shows it
-            # losing to dinic in.  Mirror of ``flow_solver_ignored``: stats
-            # on every affected result, a UserWarning once per session.
-            result.stats["backend_mismatch"] = {
-                "flow_solver": result.stats.get("flow_solver"),
-                "method": spec.name,
-                "small_vector_solves": small,
-            }
-            if not self._warned_backend_mismatch:
-                self._warned_backend_mismatch = True
-                warnings.warn(
-                    f"{small} forced {result.stats.get('flow_solver')!r} solves ran on "
-                    "networks below the auto arc threshold, where the vectorised "
-                    "backend is slower than dinic; use flow_solver='auto' to let "
-                    "small solves take dinic and small *families* batch onto the "
-                    "vectorised backend",
-                    UserWarning,
-                    stacklevel=3,
-                )
         return result
 
     # ------------------------------------------------------------------
@@ -411,19 +346,19 @@ class DDSSession:
         """Find the (exact or approximate) densest ``(S, T)`` pair.
 
         ``method`` is a registry name or ``"auto"`` (CoreExact up to
-        :data:`~repro.core.api.AUTO_EXACT_NODE_LIMIT` nodes, CoreApprox
-        beyond).  ``config`` is the method's typed config
-        (:class:`~repro.core.config.ExactConfig` /
-        :class:`~repro.core.config.ApproxConfig`); keyword arguments are
+        :data:`AUTO_EXACT_NODE_LIMIT` nodes, CoreApprox beyond).  ``config``
+        is the method's typed config (:class:`~repro.core.config.ExactConfig`
+        / :class:`~repro.core.config.ApproxConfig`); keyword arguments are
         per-field overrides (``tolerance=``, ``epsilon=``, ``flow_solver=``
-        ...).  Repeated identical queries are served from the session's
-        result cache (``stats["result_cache_hit"]``).
+        ...).  A ``flow_solver=`` name is validated on every method but only
+        applied by the flow-backed ones.  Repeated identical queries are
+        served from the session's result cache (``stats["result_cache_hit"]``).
         """
         self._check_unmutated()
         if self.graph.num_edges == 0:
             raise EmptyGraphError("densest_subgraph requires a graph with at least one edge")
-        spec, cfg, was_auto, ignored = self._prepare(method, config, kwargs)
-        return self._annotate(self._serve(spec, cfg), spec, was_auto, ignored)
+        spec, cfg, was_auto = self._prepare(method, config, kwargs)
+        return self._annotate(self._serve(spec, cfg), spec, was_auto)
 
     def top_k(
         self,
@@ -447,8 +382,8 @@ class DDSSession:
         if min_density < 0:
             raise AlgorithmError(f"min_density must be >= 0, got {min_density}")
         if self.graph.num_edges == 0:
-            raise EmptyGraphError("top_k_densest requires a graph with at least one edge")
-        spec, cfg, was_auto, ignored = self._prepare(method, config, kwargs)
+            raise EmptyGraphError("top_k requires a graph with at least one edge")
+        spec, cfg, was_auto = self._prepare(method, config, kwargs)
 
         results: list[DDSResult] = []
         working: DiGraph | None = None
@@ -468,7 +403,7 @@ class DDSSession:
                 result = self._execute(spec, cfg, working, network_cache=working_cache)
             if result.density <= min_density:
                 break
-            self._annotate(result, spec, was_auto, ignored)
+            self._annotate(result, spec, was_auto)
             results.append(result)
             first_peel = working is None
             if first_peel:

@@ -5,13 +5,30 @@ from __future__ import annotations
 import random
 
 import pytest
+from flow_oracle import ORACLE_SOLVER, EdmondsKarpSolver
 
+from repro.flow.registry import register_solver, unregister_solver
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
     complete_bipartite_digraph,
     gnm_random_digraph,
     planted_dds_digraph,
 )
+
+
+@pytest.fixture
+def flow_oracle() -> str:
+    """Register the Edmonds–Karp oracle as a flow solver for one test.
+
+    Yields its registry name; the registry is restored afterwards, so the
+    production registry (``dinic``, plus ``numpy-push-relabel`` where numpy
+    imports) is what every other test sees.
+    """
+    register_solver(ORACLE_SOLVER, EdmondsKarpSolver)
+    try:
+        yield ORACLE_SOLVER
+    finally:
+        unregister_solver(ORACLE_SOLVER)
 
 
 @pytest.fixture

@@ -1,11 +1,14 @@
-"""Edmonds–Karp maximum flow (reference implementation).
+"""Edmonds–Karp maximum flow: the test suite's independent min-cut oracle.
 
 This solver exists purely as an independent implementation against which
-Dinic and push–relabel are cross-checked in the unit and property tests.  It
+the production solvers (``dinic`` and, where numpy imports, the vectorised
+push–relabel backend) are cross-checked in the unit and property tests.  It
 is the textbook BFS-augmenting-path algorithm; no attempt is made to
 optimise it, but it satisfies the same solver protocol (``max_flow()`` /
-``min_cut_source_side()`` / ``arcs_pushed``) so it can be selected through
-the registry (``flow_solver="edmonds-karp"``) like the serious solvers.
+``min_cut_source_side()`` / ``arcs_pushed``), so the ``flow_oracle`` fixture
+(``tests/conftest.py``) registers it under :data:`ORACLE_SOLVER` through
+:func:`repro.flow.register_solver` and every flow-backed method runs on it
+like on a production backend.
 """
 
 from __future__ import annotations
@@ -88,6 +91,10 @@ class EdmondsKarpSolver:
         """Source side of a minimum cut (valid after :meth:`max_flow`)."""
         reachable = self.network.residual_reachable(self.source)
         return [node for node, flag in enumerate(reachable) if flag]
+
+
+#: Registry name the ``flow_oracle`` fixture registers the oracle under.
+ORACLE_SOLVER = EdmondsKarpSolver.name
 
 
 def edmonds_karp_max_flow(network: FlowNetwork, source: int, sink: int) -> float:

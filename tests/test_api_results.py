@@ -1,4 +1,4 @@
-"""Tests for the top-level densest_subgraph() API and the result objects."""
+"""Tests for method dispatch through :class:`DDSSession` and the result objects."""
 
 from __future__ import annotations
 
@@ -6,11 +6,13 @@ import math
 
 import pytest
 
-from repro.core.api import AUTO_EXACT_NODE_LIMIT, available_methods, densest_subgraph
+import repro.session.session as session_module
+from repro.core import available_methods
 from repro.core.results import DDSResult
 from repro.exceptions import AlgorithmError, EmptyGraphError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import complete_bipartite_digraph, gnm_random_digraph
+from repro.session import DDSSession
 
 
 class TestDispatch:
@@ -23,47 +25,45 @@ class TestDispatch:
     @pytest.mark.parametrize("method", ["flow-exact", "dc-exact", "core-exact", "brute-force"])
     def test_exact_methods_agree(self, method):
         g = complete_bipartite_digraph(2, 4)
-        result = densest_subgraph(g, method=method)
+        result = DDSSession(g).densest_subgraph(method)
         assert result.density == pytest.approx(math.sqrt(8))
         assert result.is_exact
 
     @pytest.mark.parametrize("method", ["core-approx", "inc-approx", "peel-approx"])
     def test_approx_methods_return_results(self, method):
         g = gnm_random_digraph(30, 120, seed=5)
-        result = densest_subgraph(g, method=method)
+        result = DDSSession(g).densest_subgraph(method)
         assert result.density > 0
         assert not result.is_exact
 
     def test_unknown_method(self):
         g = complete_bipartite_digraph(2, 2)
         with pytest.raises(AlgorithmError, match="unknown method"):
-            densest_subgraph(g, method="magic")
+            DDSSession(g).densest_subgraph("magic")
 
     def test_empty_graph_rejected(self):
         with pytest.raises(EmptyGraphError):
-            densest_subgraph(DiGraph.from_edges([], nodes=[1, 2]))
+            DDSSession(DiGraph.from_edges([], nodes=[1, 2])).densest_subgraph()
 
     def test_auto_small_graph_uses_exact(self):
         g = complete_bipartite_digraph(2, 3)
-        result = densest_subgraph(g, method="auto")
+        result = DDSSession(g).densest_subgraph("auto")
         assert result.stats["auto_selected"] == "core-exact"
         assert result.is_exact
 
     def test_auto_large_graph_uses_approx(self, monkeypatch):
-        import repro.core.api as api_module
-
-        monkeypatch.setattr(api_module, "AUTO_EXACT_NODE_LIMIT", 5)
+        monkeypatch.setattr(session_module, "AUTO_EXACT_NODE_LIMIT", 5)
         g = gnm_random_digraph(20, 60, seed=2)
-        result = densest_subgraph(g, method="auto")
+        result = DDSSession(g).densest_subgraph("auto")
         assert result.stats["auto_selected"] == "core-approx"
 
     def test_kwargs_forwarded(self):
         g = complete_bipartite_digraph(3, 3)
-        result = densest_subgraph(g, method="peel-approx", epsilon=0.25)
+        result = DDSSession(g).densest_subgraph("peel-approx", epsilon=0.25)
         assert result.stats["epsilon"] == 0.25
 
     def test_auto_limit_is_reasonable(self):
-        assert 50 <= AUTO_EXACT_NODE_LIMIT <= 10_000
+        assert 50 <= session_module.AUTO_EXACT_NODE_LIMIT <= 10_000
 
 
 class TestDDSResult:

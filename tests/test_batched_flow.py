@@ -1,4 +1,4 @@
-"""Batched block-diagonal solve: stacking, bit-identity, counters, advisory.
+"""Batched block-diagonal solve: stacking, bit-identity, counters.
 
 The batched path must be *observationally identical* to the sequential one:
 per member network, the same canonical min-cut source side, the same
@@ -17,18 +17,9 @@ while the family clears it in aggregate, so most tests shrink
 ``repro.flow.registry.AUTO_ARC_THRESHOLD`` to one more than the member arc
 count (restored in ``finally``), which makes any family of >= 2 members
 eligible regardless of graph size.
-
-The advisory class covers the small-workload regression itself: forcing
-``numpy-push-relabel`` onto below-threshold networks is the one recorded
-perf bug (see ``BENCH_flow.json``), and the session now surfaces it as a
-``backend_mismatch`` stats entry plus a once-per-session ``UserWarning``.
 """
 
 from __future__ import annotations
-
-import json
-import warnings
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -416,55 +407,3 @@ class TestClientWiring:
         stats = session.cache_stats()
         assert stats["batched_solves"] > 0
         assert stats["backend_selections"] == stats["flow_calls"]
-
-
-@needs_numpy
-class TestBackendMismatchAdvisory:
-    def test_forced_small_vector_solves_warn_once_per_session(self):
-        graph = gnm_random_digraph(8, 20, seed=3)
-        session = DDSSession(graph, flow=FlowConfig(solver=VECTOR_SOLVER))
-        with pytest.warns(UserWarning, match="below the auto arc threshold"):
-            result = session.densest_subgraph("flow-exact")
-        mismatch = result.stats["backend_mismatch"]
-        assert mismatch["flow_solver"] == VECTOR_SOLVER
-        assert mismatch["small_vector_solves"] > 0
-        # Once per session: a second affected query keeps the stats entry
-        # but stays silent, mirroring flow_solver_ignored.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            second = session.densest_subgraph("dc-exact")
-        assert "backend_mismatch" in second.stats
-        assert not [w for w in caught if "auto arc threshold" in str(w.message)]
-
-    def test_auto_policy_never_trips_the_advisory(self):
-        graph = gnm_random_digraph(8, 20, seed=3)
-        session = DDSSession(graph, flow=FlowConfig(solver=AUTO_SOLVER))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = session.densest_subgraph("flow-exact")
-        assert "backend_mismatch" not in result.stats
-        assert session.cache_stats()["small_vector_solves"] == 0
-        assert not [w for w in caught if "auto arc threshold" in str(w.message)]
-
-    def test_bench_trajectory_records_the_regression_and_the_fix(self):
-        """BENCH_flow.json row pinning: the bug and its fix stay recorded."""
-        document = json.loads(
-            (Path(__file__).resolve().parent.parent / "BENCH_flow.json").read_text()
-        )
-        assert document["schema_version"] == 2
-        rows = {
-            (row["workload"], row["solver"], row["mode"]): row
-            for row in document["rows"]
-        }
-        workload = "e2-small:foodweb-tiny/flow-exact"
-        dinic = rows[(workload, "dinic", "sequential")]
-        vector = rows[(workload, VECTOR_SOLVER, "sequential")]
-        batched = rows[(workload, AUTO_SOLVER, "batched")]
-        # The recorded bug: one small network cannot fill the vector width.
-        assert vector["wall_ms"] > dinic["wall_ms"]
-        assert vector["batched_solves"] == 0
-        # The recorded fix: the batched auto run stacks the guess sequence
-        # and claws the vector speedup back (the >= 1.5x margin is enforced
-        # at regeneration time by tools/bench_trajectory.py --check).
-        assert batched["batched_solves"] > 0
-        assert batched["wall_ms"] * 1.5 <= vector["wall_ms"]

@@ -41,7 +41,7 @@ class TestCommands:
         assert payload["is_exact"] is True
         assert payload["density"] > 0
 
-    def test_find_with_flow_solver(self, edge_list_file, capsys):
+    def test_find_with_flow_solver(self, edge_list_file, capsys, flow_oracle):
         exit_code = main(
             [
                 "find",
@@ -50,12 +50,12 @@ class TestCommands:
                 "--method",
                 "dc-exact",
                 "--flow-solver",
-                "push-relabel",
+                flow_oracle,
             ]
         )
         assert exit_code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["flow_solver"] == "push-relabel"
+        assert payload["flow_solver"] == flow_oracle
         assert payload["is_exact"] is True
 
     def test_find_rejects_unknown_flow_solver(self, edge_list_file):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core.approx_core import core_approx, inc_approx
 from repro.core.approx_peel import peel_approx, peel_fixed_ratio
 from repro.core.bruteforce import brute_force_dds
+from repro.core.config import ApproxConfig
 from repro.core.density import directed_density
 from repro.core.subproblem import STSubproblem
 from repro.exceptions import AlgorithmError, EmptyGraphError
@@ -68,7 +69,7 @@ class TestApproximationGuarantees:
         if g.num_edges == 0:
             pytest.skip("empty draw")
         optimum = brute_force_dds(g).density
-        result = peel_approx(g, epsilon=epsilon)
+        result = peel_approx(g, ApproxConfig(epsilon=epsilon))
         assert result.density >= optimum / (2.0 * math.sqrt(1.0 + epsilon)) - 1e-9
         assert result.approximation_ratio == pytest.approx(2.0 * math.sqrt(1.0 + epsilon))
 
@@ -88,7 +89,7 @@ class TestApproximationGuarantees:
         if g.num_edges == 0:
             return
         optimum = brute_force_dds(g).density
-        result = peel_approx(g, epsilon=0.3)
+        result = peel_approx(g, ApproxConfig(epsilon=0.3))
         assert result.density >= optimum / (2.0 * math.sqrt(1.3)) - 1e-9
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -128,20 +129,20 @@ class TestPeeling:
 
     def test_peel_approx_custom_ratio_list(self):
         g = complete_bipartite_digraph(3, 3)
-        result = peel_approx(g, ratios=[1.0])
+        result = peel_approx(g, ApproxConfig(ratios=[1.0]))
         assert result.density == pytest.approx(3.0)
         assert result.stats["ratios_examined"] == 1
 
     def test_peel_approx_epsilon_validation(self):
         g = complete_bipartite_digraph(2, 2)
         with pytest.raises(AlgorithmError):
-            peel_approx(g, epsilon=0.0)
+            peel_approx(g, ApproxConfig(epsilon=0.0))
 
     def test_peel_finds_planted_block(self):
         graph, planted_s, planted_t = planted_dds_digraph(
             n_background=100, background_degree=2.0, s_size=5, t_size=8, p_dense=1.0, seed=17
         )
-        result = peel_approx(graph, epsilon=0.25)
+        result = peel_approx(graph, ApproxConfig(epsilon=0.25))
         expected = 40 / math.sqrt(40)
         assert result.density >= expected / (2 * math.sqrt(1.25)) - 1e-9
         # In practice the peel recovers the planted block exactly.

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.core.bruteforce import brute_force_dds
+from repro.core.config import ExactConfig
 from repro.exceptions import AlgorithmError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import complete_bipartite_digraph, cycle_digraph, star_digraph
@@ -55,7 +56,7 @@ def test_overlapping_sides_used_when_beneficial():
 def test_rejects_large_graph():
     g = complete_bipartite_digraph(8, 8)
     with pytest.raises(AlgorithmError):
-        brute_force_dds(g, max_nodes=10)
+        brute_force_dds(g, ExactConfig(node_limit=10))
 
 
 def test_rejects_edgeless_graph():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bruteforce import brute_force_dds
+from repro.core.config import ExactConfig
 from repro.core.density import directed_density
 from repro.core.exact_core import core_exact
 from repro.core.exact_dc import dc_exact
@@ -189,7 +190,7 @@ class TestExactInstrumentation:
     def test_flow_exact_node_limit(self):
         g = gnm_random_digraph(40, 100, seed=1)
         with pytest.raises(AlgorithmError):
-            flow_exact(g, node_limit=30)
+            flow_exact(g, ExactConfig(node_limit=30))
 
     def test_core_exact_records_network_sizes(self):
         g = gnm_random_digraph(12, 45, seed=7)
@@ -200,6 +201,6 @@ class TestExactInstrumentation:
 
     def test_dc_exact_core_seed_ablation_same_answer(self):
         g = gnm_random_digraph(10, 35, seed=13)
-        plain = dc_exact(g, seed_with_core=False)
-        seeded = dc_exact(g, seed_with_core=True)
+        plain = dc_exact(g, ExactConfig(seed_with_core=False))
+        seeded = dc_exact(g, ExactConfig(seed_with_core=True))
         assert plain.density == pytest.approx(seeded.density)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.baselines import SEED_FLOW_CALLS
+from repro.core.config import ExactConfig
 from repro.core.exact_core import core_exact
 from repro.core.exact_dc import dc_exact
 from repro.core.flow_network import build_decision_network
@@ -98,12 +99,13 @@ class TestEngineInstrumentation:
             f"{stats['flow_calls']} > seed {recorded}"
         )
 
-    def test_cross_solver_identical_density(self):
+    def test_cross_solver_identical_density(self, flow_oracle):
         graph = load_dataset("foodweb-tiny")
         densities = {
-            name: dc_exact(graph, flow_solver=name).density
+            name: dc_exact(graph, ExactConfig(flow=name)).density
             for name in available_flow_solvers()
         }
+        assert flow_oracle in densities
         reference = densities["dinic"]
         for name, density in densities.items():
             assert density == pytest.approx(reference, abs=1e-9), name

@@ -8,9 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.api import densest_subgraph
 from repro.core.results import DDSResult
-from repro.core.topk import top_k_densest
 from repro.core.verify import (
     certify_against_bounds,
     check_result,
@@ -24,12 +22,13 @@ from repro.graph.generators import (
     gnm_random_digraph,
     planted_dds_digraph,
 )
+from repro.session import DDSSession
 
 
 class TestVerifyResult:
     def test_exact_result_verifies(self):
         g = gnm_random_digraph(12, 45, seed=3)
-        result = densest_subgraph(g, method="core-exact")
+        result = DDSSession(g).densest_subgraph("core-exact")
         report = verify_result(g, result)
         assert report.ok
         assert report.recomputed_density == pytest.approx(result.density)
@@ -37,14 +36,14 @@ class TestVerifyResult:
 
     def test_approx_result_verifies_against_guarantee(self):
         g = gnm_random_digraph(40, 200, seed=4)
-        result = densest_subgraph(g, method="core-approx")
+        result = DDSSession(g).densest_subgraph("core-approx")
         report = verify_result(g, result)
         assert report.consistent
         assert report.within_core_bounds
 
     def test_tampered_density_detected(self):
         g = complete_bipartite_digraph(2, 3)
-        result = densest_subgraph(g, method="core-exact")
+        result = DDSSession(g).densest_subgraph("core-exact")
         tampered = DDSResult(
             s_nodes=result.s_nodes,
             t_nodes=result.t_nodes,
@@ -99,20 +98,20 @@ class TestVerifyResult:
         g = gnm_random_digraph(9, 28, seed=seed)
         if g.num_edges == 0:
             return
-        result = densest_subgraph(g, method="core-exact")
+        result = DDSSession(g).densest_subgraph("core-exact")
         assert verify_result(g, result).ok
 
 
 class TestTopK:
     def test_first_result_is_the_dds(self):
         g = gnm_random_digraph(15, 60, seed=5)
-        single = densest_subgraph(g, method="core-exact")
-        ranked = top_k_densest(g, 3, method="core-exact")
+        single = DDSSession(g).densest_subgraph("core-exact")
+        ranked = DDSSession(g).top_k(3, method="core-exact")
         assert ranked[0].density == pytest.approx(single.density)
 
     def test_densities_non_increasing_and_edge_disjoint(self):
         graph, _, _ = planted_dds_digraph(40, 2.0, 4, 5, 1.0, seed=6)
-        ranked = top_k_densest(graph, 4, method="core-exact")
+        ranked = DDSSession(graph).top_k(4, method="core-exact")
         densities = [result.density for result in ranked]
         assert densities == sorted(densities, reverse=True)
         # Edge-disjointness: the same (u, v) edge never appears in two results.
@@ -134,7 +133,7 @@ class TestTopK:
         for i in range(2):
             for j in range(3):
                 g.add_edge(f"b_s{i}", f"b_t{j}")
-        ranked = top_k_densest(g, 2, method="core-exact")
+        ranked = DDSSession(g).top_k(2, method="core-exact")
         assert ranked[0].density == pytest.approx(math.sqrt(12))
         assert ranked[1].density == pytest.approx(math.sqrt(6))
         assert all(label.startswith("a_") for label in ranked[0].s_nodes)
@@ -142,26 +141,26 @@ class TestTopK:
 
     def test_min_density_cutoff(self):
         g = complete_bipartite_digraph(2, 2)
-        ranked = top_k_densest(g, 5, method="core-exact", min_density=10.0)
+        ranked = DDSSession(g).top_k(5, method="core-exact", min_density=10.0)
         assert ranked == []
 
     def test_k_larger_than_available_structure(self):
         g = DiGraph.from_edges([(0, 1), (2, 3)])
-        ranked = top_k_densest(g, 10, method="core-exact")
+        ranked = DDSSession(g).top_k(10, method="core-exact")
         assert 1 <= len(ranked) <= 2
         assert sum(result.edge_count for result in ranked) <= 2
 
     def test_input_graph_not_modified(self):
         g = gnm_random_digraph(12, 40, seed=7)
         edges_before = g.num_edges
-        top_k_densest(g, 2, method="core-approx")
+        DDSSession(g).top_k(2, method="core-approx")
         assert g.num_edges == edges_before
 
     def test_parameter_validation(self):
         g = complete_bipartite_digraph(2, 2)
         with pytest.raises(AlgorithmError):
-            top_k_densest(g, 0)
+            DDSSession(g).top_k(0)
         with pytest.raises(AlgorithmError):
-            top_k_densest(g, 2, min_density=-1.0)
+            DDSSession(g).top_k(2, min_density=-1.0)
         with pytest.raises(EmptyGraphError):
-            top_k_densest(DiGraph.from_edges([], nodes=[1]), 2)
+            DDSSession(DiGraph.from_edges([], nodes=[1])).top_k(2)

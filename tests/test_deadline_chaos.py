@@ -25,6 +25,7 @@ from __future__ import annotations
 import threading
 
 import pytest
+from flow_oracle import ORACLE_SOLVER
 
 from repro.exceptions import ConfigError, DeadlineExceeded, NetError
 from repro.flow.registry import available_flow_solvers
@@ -65,10 +66,9 @@ class TestCancellationSafety:
 
     # Budgets chosen to expire at different checkpoint depths: early (the
     # first few engine admissions), mid-search, and deep into the D&C.
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("budget_readings", [3, 10, 40, 150])
-    @pytest.mark.parametrize("solver", available_flow_solvers())
-    def test_cancel_then_resume_is_bit_identical(self, solver, budget_readings):
+    @pytest.mark.parametrize("solver", [*available_flow_solvers(), ORACLE_SOLVER])
+    def test_cancel_then_resume_is_bit_identical(self, solver, budget_readings, flow_oracle):
         graph = gnp_random_digraph(48, 0.12, seed=11)
         reference = _answer(DDSSession(graph, flow=solver).densest_subgraph("dc-exact"))
 

@@ -6,12 +6,12 @@ import math
 import random
 
 import pytest
+from flow_oracle import edmonds_karp_max_flow
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import FlowError
 from repro.flow.dinic import DinicSolver, dinic_max_flow
-from repro.flow.edmonds_karp import edmonds_karp_max_flow
 from repro.flow.network import INFINITY, FlowNetwork
 
 

@@ -1,11 +1,14 @@
 """Cross-solver property tests for the flow engine.
 
-Every registered solver must agree on the max-flow value of randomly
-generated networks with mixed unit / float / infinite capacities, and the
-min-cut certificate each solver extracts must certify the value: the total
-original capacity crossing from the source side to the sink side equals the
-flow (max-flow = min-cut).  Three independent implementations agreeing on
-~50 seeded random instances is a strong correctness signal for all of them.
+Every registered solver, and the test suite's Edmonds–Karp oracle
+(``tests/flow_oracle.py``) beside them, must agree on the max-flow value of
+randomly generated networks with mixed unit / float / infinite capacities,
+and the min-cut certificate each solver extracts must certify the value: the
+total original capacity crossing from the source side to the sink side
+equals the flow (max-flow = min-cut).  Independent implementations agreeing
+on ~50 seeded random instances is a strong correctness signal for all of
+them, and the oracle keeps that signal in the no-numpy lane, whose registry
+holds ``dinic`` alone.
 
 Every solver continues from the flow its network already holds and
 returns the *total* value, so solving an already-solved network again must
@@ -13,13 +16,14 @@ reproduce the same value and cut.  The warm/cold equivalence class extends
 the same idea to warm retunes: on random *decision* networks (the DAGs the
 DDS reduction produces), a chain of warm retunes and solves must reproduce,
 guess for guess, the cut values and extracted pairs of cold
-rebuild-and-solve runs — for every registered solver.
+rebuild-and-solve runs — for every solver.
 
-Because every class parametrises over ``available_flow_solvers()``, the
-vectorised ``numpy-push-relabel`` backend is covered automatically exactly
-when numpy is importable (the registry lists it only then) — including by
-the hypothesis-driven :class:`TestHypothesisCrossSolver`, which searches the
-network space adversarially instead of sampling it from fixed seeds.
+Because every class parametrises over ``available_flow_solvers()`` plus the
+oracle, the vectorised ``numpy-push-relabel`` backend is covered
+automatically exactly when numpy is importable (the registry lists it only
+then) — including by the hypothesis-driven :class:`TestHypothesisCrossSolver`,
+which searches the network space adversarially instead of sampling it from
+fixed seeds.
 """
 
 from __future__ import annotations
@@ -27,14 +31,23 @@ from __future__ import annotations
 import random
 
 import pytest
+from flow_oracle import ORACLE_SOLVER, EdmondsKarpSolver
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flow.network import INFINITY, FlowNetwork
-from repro.flow.registry import available_flow_solvers, get_solver_class
+from repro.flow.registry import (
+    VECTOR_SOLVER,
+    available_flow_solvers,
+    get_solver_class,
+    has_vector_backend,
+)
 
 NUM_SEEDED_NETWORKS = 50
-SOLVER_NAMES = available_flow_solvers()
+#: Every registered solver (``dinic`` first, the reference) plus the oracle.
+SOLVERS = {name: get_solver_class(name) for name in available_flow_solvers()}
+SOLVERS[ORACLE_SOLVER] = EdmondsKarpSolver
+SOLVER_NAMES = list(SOLVERS)
 
 
 def _mixed_capacity_network(seed: int) -> FlowNetwork:
@@ -76,8 +89,9 @@ def _crossing_capacity(network: FlowNetwork, source_side: list[int]) -> float:
 
 
 class TestRegistry:
-    def test_three_builtin_solvers_registered(self):
-        assert {"dinic", "push-relabel", "edmonds-karp"} <= set(SOLVER_NAMES)
+    def test_builtin_solvers_registered(self):
+        expected = ["dinic", VECTOR_SOLVER] if has_vector_backend() else ["dinic"]
+        assert available_flow_solvers() == expected
 
     def test_unknown_solver_rejected(self):
         from repro.exceptions import FlowError
@@ -124,7 +138,7 @@ class TestCrossSolverAgreement:
         values: dict[str, float] = {}
         for name in SOLVER_NAMES:
             network = _mixed_capacity_network(seed)
-            solver = get_solver_class(name)(network, source, sink)
+            solver = SOLVERS[name](network, source, sink)
             flow = solver.max_flow()
             values[name] = flow
             # The min-cut source side certifies the flow value.
@@ -181,7 +195,7 @@ def _build_from_description(description) -> FlowNetwork:
 
 
 class TestHypothesisCrossSolver:
-    """Property: every registered solver agrees on hypothesis-found networks."""
+    """Property: every solver agrees on hypothesis-found networks."""
 
     @settings(max_examples=60, deadline=None)
     @given(description=_network_description())
@@ -192,7 +206,7 @@ class TestHypothesisCrossSolver:
         sides = {}
         for name in SOLVER_NAMES:
             network = _build_from_description(description)
-            solver = get_solver_class(name)(network, source, sink)
+            solver = SOLVERS[name](network, source, sink)
             values[name] = solver.max_flow()
             side = solver.min_cut_source_side()
             sides[name] = side
@@ -251,7 +265,7 @@ class TestResolveContinuesHeldFlow:
         network.add_edge(0, 1, 3.0)
         network.add_edge(1, 2, 5.0)
         network.add_edge(2, 3, 4.0)
-        solver_class = get_solver_class(solver_name)
+        solver_class = SOLVERS[solver_name]
         assert solver_class(network, 0, 3).max_flow() == pytest.approx(3.0)
         again = solver_class(network, 0, 3)
         assert again.max_flow() == pytest.approx(3.0)
@@ -262,7 +276,7 @@ class TestResolveContinuesHeldFlow:
     def test_resolve_matches_first_solve(self, solver_name, seed):
         network = _mixed_capacity_network(seed)
         sink = network.num_nodes - 1
-        solver_class = get_solver_class(solver_name)
+        solver_class = SOLVERS[solver_name]
         first = solver_class(network, 0, sink)
         value = first.max_flow()
         side = first.min_cut_source_side()
@@ -271,6 +285,7 @@ class TestResolveContinuesHeldFlow:
         assert again.min_cut_source_side() == side
 
 
+@pytest.mark.usefixtures("flow_oracle")
 class TestWarmColdEquivalence:
     """Warm-start chains match cold runs on random decision networks."""
 

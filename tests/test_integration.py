@@ -6,12 +6,12 @@ import math
 
 import pytest
 
-from repro.core.api import densest_subgraph
 from repro.core.bounds import core_based_bounds
 from repro.core.density import directed_density
 from repro.datasets.casestudy import hub_authority_case, precision_recall, rating_fraud_case
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.graph.io import read_edge_list, write_edge_list
+from repro.session import DDSSession
 
 
 class TestSmallDatasetsExact:
@@ -21,18 +21,18 @@ class TestSmallDatasetsExact:
     @pytest.mark.parametrize("name", ["foodweb-tiny", "social-tiny"])
     def test_exact_algorithms_agree(self, name):
         graph = load_dataset(name)
-        flow = densest_subgraph(graph, method="flow-exact")
-        dc = densest_subgraph(graph, method="dc-exact")
-        core = densest_subgraph(graph, method="core-exact")
+        flow = DDSSession(graph).densest_subgraph("flow-exact")
+        dc = DDSSession(graph).densest_subgraph("dc-exact")
+        core = DDSSession(graph).densest_subgraph("core-exact")
         assert dc.density == pytest.approx(flow.density, abs=1e-9)
         assert core.density == pytest.approx(flow.density, abs=1e-9)
 
     @pytest.mark.parametrize("name", dataset_names("small"))
     def test_approximations_respect_guarantees(self, name):
         graph = load_dataset(name)
-        exact = densest_subgraph(graph, method="core-exact")
-        core = densest_subgraph(graph, method="core-approx")
-        peel = densest_subgraph(graph, method="peel-approx", epsilon=0.5)
+        exact = DDSSession(graph).densest_subgraph("core-exact")
+        core = DDSSession(graph).densest_subgraph("core-approx")
+        peel = DDSSession(graph).densest_subgraph("peel-approx", epsilon=0.5)
         assert core.density >= exact.density / 2.0 - 1e-9
         assert peel.density >= exact.density / (2.0 * math.sqrt(1.5)) - 1e-9
         assert core.density <= exact.density + 1e-9
@@ -41,7 +41,7 @@ class TestSmallDatasetsExact:
     @pytest.mark.parametrize("name", dataset_names("small"))
     def test_core_bounds_bracket_exact_density(self, name):
         graph = load_dataset(name)
-        exact = densest_subgraph(graph, method="core-exact")
+        exact = DDSSession(graph).densest_subgraph("core-exact")
         bounds = core_based_bounds(graph)
         assert bounds.lower <= exact.density + 1e-9
         assert exact.density <= bounds.upper + 1e-9
@@ -51,8 +51,8 @@ class TestMediumDatasetsApprox:
     @pytest.mark.parametrize("name", ["amazon-medium", "planted-medium"])
     def test_approximations_are_consistent(self, name):
         graph = load_dataset(name)
-        core = densest_subgraph(graph, method="core-approx")
-        peel = densest_subgraph(graph, method="peel-approx")
+        core = DDSSession(graph).densest_subgraph("core-approx")
+        peel = DDSSession(graph).densest_subgraph("peel-approx")
         # Both must report densities consistent with their own (S, T) pair.
         for result in (core, peel):
             assert result.density == pytest.approx(
@@ -64,7 +64,7 @@ class TestMediumDatasetsApprox:
 
     def test_planted_medium_block_found(self):
         graph = load_dataset("planted-medium")
-        result = densest_subgraph(graph, method="core-approx")
+        result = DDSSession(graph).densest_subgraph("core-approx")
         # The planted 15x25 block with p=0.7 has expected density ~13.6, far
         # above the sparse background, so the core approximation must report
         # a density in that ballpark.
@@ -74,7 +74,7 @@ class TestMediumDatasetsApprox:
 class TestCaseStudyRecovery:
     def test_rating_fraud_roles_recovered(self):
         case = rating_fraud_case(seed=7)
-        result = densest_subgraph(case.graph, method="core-approx")
+        result = DDSSession(case.graph).densest_subgraph("core-approx")
         s_precision, s_recall = precision_recall(result.s_nodes, case.true_s)
         t_precision, t_recall = precision_recall(result.t_nodes, case.true_t)
         assert s_recall >= 0.9
@@ -84,7 +84,7 @@ class TestCaseStudyRecovery:
 
     def test_hub_authority_roles_recovered(self):
         case = hub_authority_case(seed=8)
-        result = densest_subgraph(case.graph, method="core-approx")
+        result = DDSSession(case.graph).densest_subgraph("core-approx")
         _, hub_recall = precision_recall(result.s_nodes, case.true_s)
         _, authority_recall = precision_recall(result.t_nodes, case.true_t)
         assert hub_recall >= 0.9
@@ -97,6 +97,6 @@ class TestRoundTripPipeline:
         path = tmp_path / "foodweb.tsv"
         write_edge_list(graph, path)
         reloaded = read_edge_list(path)
-        original = densest_subgraph(graph, method="core-exact")
-        roundtrip = densest_subgraph(reloaded, method="core-exact")
+        original = DDSSession(graph).densest_subgraph("core-exact")
+        roundtrip = DDSSession(reloaded).densest_subgraph("core-exact")
         assert roundtrip.density == pytest.approx(original.density)

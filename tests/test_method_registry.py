@@ -79,7 +79,7 @@ class TestRegistry:
         with pytest.raises(AlgorithmError):
             get_method_spec("half-density")
 
-    def test_exact_config_subclass_methods_resolve_defaults(self):
+    def test_exact_config_subclass_methods_resolve_defaults(self, flow_oracle):
         from dataclasses import dataclass
 
         @dataclass(frozen=True)
@@ -105,7 +105,7 @@ class TestRegistry:
             description="test stub with a config subclass",
         ))
         try:
-            session = DDSSession(complete_bipartite_digraph(2, 2), flow="push-relabel")
+            session = DDSSession(complete_bipartite_digraph(2, 2), flow=flow_oracle)
             # Default-config query must build the subclass (with the session
             # flow folded in), not a bare ExactConfig.
             result = session.densest_subgraph("boosted")
@@ -172,8 +172,8 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="node_limit"):
             ExactConfig(node_limit=0)
 
-    def test_exact_config_coerces_solver_name(self):
-        assert ExactConfig(flow="push-relabel").flow == FlowConfig(solver="push-relabel")
+    def test_exact_config_coerces_solver_name(self, flow_oracle):
+        assert ExactConfig(flow=flow_oracle).flow == FlowConfig(solver=flow_oracle)
 
     def test_flow_config_rejects_unknown_solver(self):
         with pytest.raises(FlowError, match="unknown flow solver"):
@@ -201,27 +201,22 @@ class TestConfigValidation:
             ExactConfig.resolve(None, tolerence=0.1)  # typo on purpose
         with pytest.raises(ConfigError, match="flow_solver"):
             ApproxConfig.resolve(None, flow_solver="dinic")
+        with pytest.raises(ConfigError, match="max_nodes"):
+            ExactConfig.resolve(None, max_nodes=10)
 
     def test_resolve_rejects_wrong_config_type(self):
         with pytest.raises(ConfigError, match="ExactConfig"):
             ExactConfig.resolve(ApproxConfig())
 
-    def test_resolve_accepts_legacy_max_nodes_alias(self):
-        assert ExactConfig.resolve(None, max_nodes=10).node_limit == 10
-        with pytest.raises(ConfigError, match="alias"):
-            ExactConfig.resolve(None, max_nodes=10, node_limit=12)
-        with pytest.raises(ConfigError, match="max_nodes"):
-            ApproxConfig.resolve(None, max_nodes=10)
+    def test_resolve_flow_string_plus_flow_solver(self, flow_oracle):
+        resolved = ExactConfig.resolve(None, flow="dinic", flow_solver=flow_oracle)
+        assert resolved.flow == FlowConfig(solver=flow_oracle)
 
-    def test_resolve_flow_string_plus_flow_solver(self):
-        resolved = ExactConfig.resolve(None, flow="dinic", flow_solver="push-relabel")
-        assert resolved.flow == FlowConfig(solver="push-relabel")
-
-    def test_resolve_overlays_fields(self):
+    def test_resolve_overlays_fields(self, flow_oracle):
         base = ExactConfig(tolerance=0.5)
-        resolved = ExactConfig.resolve(base, flow_solver="edmonds-karp")
+        resolved = ExactConfig.resolve(base, flow_solver=flow_oracle)
         assert resolved.tolerance == 0.5
-        assert resolved.flow.solver == "edmonds-karp"
+        assert resolved.flow.solver == flow_oracle
         # ``None`` overrides leave the base untouched (and return it as-is).
         assert ExactConfig.resolve(base, tolerance=None) is base
 
@@ -271,32 +266,13 @@ class TestConfigThroughSession:
         with pytest.raises(ConfigError, match="'seed_with_core'"):
             session.densest_subgraph("core-exact", config=ExactConfig(seed_with_core=True))
 
-    def test_flow_config_on_non_flow_method_is_ignored_with_warning(self):
-        session = DDSSession(complete_bipartite_digraph(2, 3))
-        with pytest.warns(UserWarning, match="performs no min-cuts"):
-            result = session.densest_subgraph(
-                "brute-force", config=ExactConfig(flow="push-relabel")
-            )
-        assert result.stats["flow_solver_ignored"] == {
-            "flow_solver": "push-relabel",
-            "method": "brute-force",
-        }
-
-    def test_session_default_flow_does_not_trigger_spurious_warning(self):
+    def test_session_default_flow_does_not_trigger_spurious_warning(self, flow_oracle):
         import warnings as warnings_module
 
         # A session-wide solver preference is policy, not a per-query request:
         # a default-config brute-force query must not warn about it.
-        session = DDSSession(complete_bipartite_digraph(2, 3), flow="push-relabel")
+        session = DDSSession(complete_bipartite_digraph(2, 3), flow=flow_oracle)
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error", UserWarning)
             result = session.densest_subgraph("brute-force")
         assert "flow_solver_ignored" not in result.stats
-
-    def test_explicit_flow_matching_session_default_still_warns(self):
-        session = DDSSession(complete_bipartite_digraph(2, 3), flow="push-relabel")
-        with pytest.warns(UserWarning, match="performs no min-cuts"):
-            result = session.densest_subgraph(
-                "brute-force", config=ExactConfig(flow="push-relabel")
-            )
-        assert result.stats["flow_solver_ignored"]["flow_solver"] == "push-relabel"

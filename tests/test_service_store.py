@@ -11,10 +11,12 @@ from __future__ import annotations
 import json
 
 import pytest
+from flow_oracle import EdmondsKarpSolver
 
 from repro.core.config import ApproxConfig, ExactConfig, FlowConfig
 from repro.datasets.registry import load_dataset
 from repro.exceptions import StoreError
+from repro.flow.registry import register_solver, unregister_solver
 from repro.graph.digraph import DiGraph
 from repro.service import STORE_SCHEMA_VERSION, SessionStore
 from repro.session import DDSSession
@@ -205,6 +207,26 @@ class TestIntegrity:
         counters = store.warm_session(DDSSession(load_dataset("foodweb-tiny")))
         assert counters["results_incompatible"] == 1
         assert counters["results_corrupt"] == 0
+
+    def test_unregistered_flow_solver_is_counted_not_fatal(self, graph, tmp_path):
+        # A store written by a build with a solver this one lacks (a plugin,
+        # or numpy-push-relabel warmed without numpy): that entry is
+        # incompatible, and every other entry still loads.
+        store = SessionStore(tmp_path)
+        register_solver("store-only-solver", EdmondsKarpSolver)
+        try:
+            donor = DDSSession(graph)
+            donor.densest_subgraph("dc-exact", flow_solver="store-only-solver")
+            donor.densest_subgraph("core-approx")
+            store.save_session(donor)
+        finally:
+            unregister_solver("store-only-solver")
+        receiver = DDSSession(load_dataset("foodweb-tiny"))
+        counters = store.warm_session(receiver)
+        assert counters["results_incompatible"] == 1
+        assert counters["results_corrupt"] == 0
+        assert counters["results_loaded"] == 1
+        assert receiver.densest_subgraph("core-approx").stats["result_cache_hit"] is True
 
 
 class TestManagement:
@@ -493,11 +515,11 @@ class TestSessionSeedHooks:
         with pytest.raises(GraphError, match="different graph"):
             session.seed_derived(max_core=alien)
 
-    def test_session_flow_config_is_independent_of_store(self, graph, tmp_path):
+    def test_session_flow_config_is_independent_of_store(self, graph, tmp_path, flow_oracle):
         # A store written under one solver warms sessions using another: the
         # cached *results* are solver-independent facts about the graph.
         store = SessionStore(tmp_path)
-        donor = DDSSession(graph, flow=FlowConfig(solver="push-relabel"))
+        donor = DDSSession(graph, flow=FlowConfig(solver=flow_oracle))
         donor.densest_subgraph("core-approx")
         store.save_session(donor)
         receiver = DDSSession(load_dataset("foodweb-tiny"))

@@ -6,9 +6,10 @@ Covers the acceptance criteria of the session redesign:
   ``cache_stats()`` and ``stats["result_cache_hit"]``);
 * the session serves top-k and coarse→refine DC query sequences with
   **strictly fewer** ``networks_built`` than the equivalent sequence of
-  one-shot ``densest_subgraph`` calls (regression-pinned);
-* the legacy one-shot API remains a deprecation shim with identical results;
+  queries on a fresh session each (regression-pinned);
 * ``"auto"`` method selection switches exactly at ``AUTO_EXACT_NODE_LIMIT``;
+* a ``flow_solver=`` name is validated on every method and applied only by
+  the flow-backed ones;
 * invalid configurations fail fast with :class:`ConfigError`;
 * a structurally mutated graph is refused instead of served stale answers.
 """
@@ -20,24 +21,21 @@ import warnings
 
 import pytest
 
-import repro.core.api as api_module
-from repro.core.api import densest_subgraph
+import repro.session.session as session_module
 from repro.core.config import ExactConfig
 from repro.core.results import DDSResult
-from repro.core.topk import top_k_densest
 from repro.datasets.registry import load_dataset
-from repro.exceptions import AlgorithmError, EmptyGraphError, GraphError, StoreError
+from repro.exceptions import AlgorithmError, EmptyGraphError, FlowError, GraphError, StoreError
 from repro.flow.engine import COUNTERS
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import complete_bipartite_digraph, gnm_random_digraph
+from repro.service.queries import run_batch_query
 from repro.session import DDSSession
 
 
-def _shim(*args, **kwargs):
-    """Call the deprecated one-shot API with its warning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return densest_subgraph(*args, **kwargs)
+def _fresh(graph, method, **kwargs):
+    """One query on a throwaway session (no state shared with other calls)."""
+    return DDSSession(graph).densest_subgraph(method, **kwargs)
 
 
 class TestSessionBasics:
@@ -178,8 +176,8 @@ class TestNetworkReuseRegressions:
         graph = load_dataset("foodweb-tiny")
 
         # One-shot sequence: a standalone query plus an independent top-k.
-        one_shot = _shim(graph, method="dc-exact")
-        one_shot_topk = top_k_densest(graph, 2, method="dc-exact")
+        one_shot = _fresh(graph, "dc-exact")
+        one_shot_topk = DDSSession(graph).top_k(2, method="dc-exact")
         one_shot_networks = one_shot.stats["networks_built"] + sum(
             result.stats["networks_built"] for result in one_shot_topk
         )
@@ -200,8 +198,8 @@ class TestNetworkReuseRegressions:
 
         coarse_cfg = ExactConfig(tolerance=0.05)
         one_shot_networks = (
-            _shim(graph, method="dc-exact", config=coarse_cfg).stats["networks_built"]
-            + _shim(graph, method="dc-exact").stats["networks_built"]
+            _fresh(graph, "dc-exact", config=coarse_cfg).stats["networks_built"]
+            + _fresh(graph, "dc-exact").stats["networks_built"]
         )
 
         session = DDSSession(graph)
@@ -216,7 +214,7 @@ class TestNetworkReuseRegressions:
 
     def test_within_run_network_accounting(self):
         # A one-shot DC run uses exactly one network per fixed-ratio search.
-        result = _shim(load_dataset("foodweb-tiny"), method="dc-exact")
+        result = _fresh(load_dataset("foodweb-tiny"), "dc-exact")
         stats = result.stats
         assert stats["networks_built"] + stats["networks_reused"] == stats["fixed_ratio_searches"]
 
@@ -308,52 +306,16 @@ class TestNetworkReuseRegressions:
         assert refined.upper - refined.lower <= coarse.upper - coarse.lower
 
 
-class TestShimEquivalence:
-    @pytest.mark.parametrize(
-        "method", ["flow-exact", "dc-exact", "core-exact", "core-approx", "peel-approx"]
-    )
-    def test_shim_is_bit_identical_to_fresh_session(self, method):
-        graph = load_dataset("foodweb-tiny")
-        shim = _shim(graph, method=method)
-        fresh = DDSSession(graph).densest_subgraph(method)
-        assert shim.density == fresh.density  # bit-identical, not approx
-        assert shim.s_nodes == fresh.s_nodes
-        assert shim.t_nodes == fresh.t_nodes
-        assert shim.stats == fresh.stats
-
-    def test_shim_emits_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="DDSSession"):
-            densest_subgraph(complete_bipartite_digraph(2, 2), method="core-approx")
-
-    def test_topk_shim_emits_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="DDSSession.top_k"):
-            top_k_densest(complete_bipartite_digraph(2, 2), 1, method="core-approx")
-
-    def test_legacy_max_nodes_kwarg_still_works(self):
-        graph = gnm_random_digraph(8, 20, seed=2)
-        result = _shim(graph, method="brute-force", max_nodes=10)
-        assert result.is_exact and result.method == "brute-force"
-
-    def test_topk_delegate_matches_session(self):
-        graph = gnm_random_digraph(18, 70, seed=11)
-        legacy = top_k_densest(graph, 3, method="core-approx")
-        session = DDSSession(graph).top_k(3, method="core-approx")
-        assert [r.density for r in legacy] == [r.density for r in session]
-        assert [sorted(map(str, r.s_nodes)) for r in legacy] == [
-            sorted(map(str, r.s_nodes)) for r in session
-        ]
-
-
 class TestAutoSelection:
     def test_boundary_at_limit(self, monkeypatch):
         graph = gnm_random_digraph(10, 30, seed=1)
         # Exactly at the limit: exact method.
-        monkeypatch.setattr(api_module, "AUTO_EXACT_NODE_LIMIT", graph.num_nodes)
+        monkeypatch.setattr(session_module, "AUTO_EXACT_NODE_LIMIT", graph.num_nodes)
         at_limit = DDSSession(graph).densest_subgraph("auto")
         assert at_limit.stats["auto_selected"] == "core-exact"
         assert at_limit.is_exact
         # One node above the limit: approximate method.
-        monkeypatch.setattr(api_module, "AUTO_EXACT_NODE_LIMIT", graph.num_nodes - 1)
+        monkeypatch.setattr(session_module, "AUTO_EXACT_NODE_LIMIT", graph.num_nodes - 1)
         above_limit = DDSSession(graph).densest_subgraph("auto")
         assert above_limit.stats["auto_selected"] == "core-approx"
         assert not above_limit.is_exact
@@ -364,25 +326,43 @@ class TestAutoSelection:
 
 
 class TestFlowSolverIgnored:
-    def test_records_method_and_warns_once(self):
-        session = DDSSession(complete_bipartite_digraph(2, 3))
-        with pytest.warns(UserWarning, match="performs no min-cuts"):
-            result = session.densest_subgraph("core-approx", flow_solver="push-relabel")
-        assert result.stats["flow_solver_ignored"] == {
-            "flow_solver": "push-relabel",
-            "method": "core-approx",
-        }
-        # Second occurrence on the same session: recorded, but not re-warned.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)
-            repeat = session.densest_subgraph("core-approx", flow_solver="push-relabel")
-        assert repeat.stats["flow_solver_ignored"]["method"] == "core-approx"
+    """Flow settings are session policy; methods without min-cuts skip them."""
 
-    def test_flow_backed_method_keeps_solver(self):
+    def test_validated_but_not_applied_without_min_cuts(self, flow_oracle):
         session = DDSSession(complete_bipartite_digraph(2, 3))
-        result = session.densest_subgraph("dc-exact", flow_solver="push-relabel")
-        assert result.stats["flow_solver"] == "push-relabel"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = session.densest_subgraph("core-approx", flow_solver=flow_oracle)
+            plain = session.densest_subgraph("core-approx")
+        assert "flow_solver" not in result.stats
         assert "flow_solver_ignored" not in result.stats
+        assert plain.stats["result_cache_hit"] is True
+        assert session.cache_stats()["flow_calls"] == 0
+
+    @pytest.mark.parametrize("method", ["core-approx", "brute-force"])
+    def test_unknown_solver_rejected_without_min_cuts(self, method):
+        session = DDSSession(complete_bipartite_digraph(2, 3))
+        with pytest.raises(FlowError, match="no-such-solver"):
+            session.densest_subgraph(method, flow_solver="no-such-solver")
+        with pytest.raises(FlowError, match="no-such-solver"):
+            session.top_k(2, method=method, flow_solver="no-such-solver")
+
+    def test_unknown_solver_rejected_by_auto_above_node_limit(self):
+        session = DDSSession(gnm_random_digraph(500, 1500, seed=3))
+        assert session.densest_subgraph("auto").stats["auto_selected"] == "core-approx"
+        with pytest.raises(FlowError, match="no-such-solver"):
+            session.densest_subgraph("auto", flow_solver="no-such-solver")
+
+    def test_unknown_solver_rejected_in_batch_queries(self):
+        session = DDSSession(complete_bipartite_digraph(2, 3))
+        spec = {"query": "densest", "method": "peel-approx", "flow_solver": "no-such-solver"}
+        with pytest.raises(FlowError, match="no-such-solver"):
+            run_batch_query(session, spec)
+
+    def test_flow_backed_method_keeps_solver(self, flow_oracle):
+        session = DDSSession(complete_bipartite_digraph(2, 3))
+        result = session.densest_subgraph("dc-exact", flow_solver=flow_oracle)
+        assert result.stats["flow_solver"] == flow_oracle
 
 
 class TestToJson:

@@ -17,6 +17,7 @@ guess.
 from __future__ import annotations
 
 import pytest
+from flow_oracle import ORACLE_SOLVER
 
 from repro.core.config import ExactConfig, FlowConfig
 from repro.core.exact_core import core_exact
@@ -28,11 +29,13 @@ from repro.core.subproblem import STSubproblem
 from repro.exceptions import FlowError
 from repro.flow.engine import FlowEngine
 from repro.flow.network import FlowNetwork
-from repro.flow.registry import available_flow_solvers
+from repro.flow.registry import VECTOR_SOLVER, available_flow_solvers, has_vector_backend
 from repro.graph.generators import complete_bipartite_digraph, gnm_random_digraph
 from repro.session import DDSSession
 
-SOLVER_NAMES = available_flow_solvers()
+#: Every registered solver plus the Edmonds–Karp oracle, which the classes
+#: using this list register through the ``flow_oracle`` fixture.
+SOLVER_NAMES = [*available_flow_solvers(), ORACLE_SOLVER]
 
 
 def _warm_engagement_graph():
@@ -121,6 +124,7 @@ class TestFlowNetworkPrimitives:
 # ----------------------------------------------------------------------
 # Solver-level equivalence on decision networks
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("flow_oracle")
 class TestWarmRetuneEqualsCold:
     @pytest.mark.parametrize("solver", SOLVER_NAMES)
     @pytest.mark.parametrize("seed", range(4))
@@ -182,12 +186,13 @@ class TestWarmRetuneEqualsCold:
 # ----------------------------------------------------------------------
 # Method-level agreement across solvers
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("flow_oracle")
 class TestWarmColdMethodEquivalence:
     """Every solver runs warm; each must reproduce ``dinic``'s answers.
 
     This is the one method-level check that runs every registered solver,
-    ``edmonds-karp`` included, through the warm retune chains of all three
-    flow-backed exact methods.
+    and the Edmonds–Karp oracle beside them, through the warm retune chains
+    of all three flow-backed exact methods.
     """
 
     @pytest.mark.parametrize("solver", SOLVER_NAMES)
@@ -281,31 +286,17 @@ class TestSessionWarmStarts:
             )
         assert "flow_solver_ignored" not in result.stats
 
-    def test_explicit_solver_on_non_flow_method_still_warns_once(self):
-        session = DDSSession(complete_bipartite_digraph(2, 3))
-        config = ExactConfig(flow=FlowConfig(solver="push-relabel"))
-        with pytest.warns(UserWarning, match="flow_solver='push-relabel' is ignored"):
-            result = session.densest_subgraph("brute-force", config=config)
-        assert result.stats["flow_solver_ignored"] == {
-            "flow_solver": "push-relabel",
-            "method": "brute-force",
-        }
-        # Same (method, flow_solver) key: no second warning.
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error", UserWarning)
-            session.densest_subgraph("brute-force", config=config)
-
 
 # ----------------------------------------------------------------------
 # Push-relabel heights across warm retunes
 # ----------------------------------------------------------------------
+@pytest.mark.skipif(not has_vector_backend(), reason="the push-relabel backend needs numpy")
 class TestHeightReuse:
     """Push–relabel continuing warm across retunes up *and* down.
 
-    Each solve starts its height labels from zero on whatever flow the
-    retune left, which must always yield the cold solve's max-flow value.
+    The vectorised ``numpy-push-relabel`` backend starts each solve's height
+    labels from zero on whatever flow the retune left, which must always
+    yield the cold solve's max-flow value.
     """
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
@@ -315,7 +306,7 @@ class TestHeightReuse:
         graph = gnm_random_digraph(12, 50, seed=seed)
         subproblem = STSubproblem.from_graph(graph)
         network = build_decision_network(subproblem, 1.0, 1.0)
-        engine = FlowEngine("push-relabel")
+        engine = FlowEngine(VECTOR_SOLVER)
         guesses = [1.0, 2.5, 0.75, 3.5, 0.25, 2.0]
         for index, guess in enumerate(guesses):
             network.retune(1.0, guess, warm_start=True)
@@ -323,7 +314,7 @@ class TestHeightReuse:
                 network.network, network.source, network.sink, warm_start=index > 0
             )
             reference = build_decision_network(subproblem, 1.0, guess)
-            cold_engine = FlowEngine("push-relabel")
+            cold_engine = FlowEngine(VECTOR_SOLVER)
             expected, _ = cold_engine.min_cut(reference.network, reference.source, reference.sink)
             assert value == pytest.approx(expected, abs=1e-9)
         assert engine.warm_starts_used == len(guesses) - 1

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Dependency-free link checker for the repo's Markdown documentation.
 
-Used by the CI docs job.  Walks ``README.md`` and every ``docs/*.md`` file,
-extracts Markdown link targets, and fails (exit code 1) when
+Used by the CI docs job.  Walks ``README.md``, every ``docs/*.md`` file and
+every ``.claude/skills/*/SKILL.md`` file, extracts Markdown link targets,
+and fails (exit code 1) when
 
 * a *relative* link points at a file that does not exist,
 * a link's ``#fragment`` — intra-document or into another Markdown file —
@@ -10,6 +11,9 @@ extracts Markdown link targets, and fails (exit code 1) when
   slugification rules), or
 * a ``repro.*`` dotted reference in backticked inline code names a module
   that cannot be found under ``src/``, or
+* a cited ``from repro… import a, b`` statement names a module that does not
+  import or a name it does not define (``src/`` is put on ``sys.path``, so
+  this needs no install; ``repro`` imports without numpy), or
 * a ``--flag`` cited anywhere in that documentation is not defined as a
   string literal by any Python file under ``src/``, ``benchmarks/``,
   ``tools/`` or ``perfbench/`` (the places that parse command lines), or
@@ -25,12 +29,16 @@ network — but their syntax is still validated.
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 import sys
 from functools import lru_cache
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+IMPORT_PATTERN = re.compile(
+    r"\bfrom\s+(repro(?:\.[A-Za-z_]\w*)*)\s+import\s+(\([^)]*\)|\w+(?:[ \t]*,[ \t]*\w+)*)"
+)
 LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 MODULE_PATTERN = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)`")
 HEADING_PATTERN = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$")
@@ -74,6 +82,7 @@ def _anchors_of(path: Path) -> frozenset[str]:
 def _doc_files() -> list[Path]:
     files = [REPO_ROOT / "README.md"]
     files.extend(sorted((REPO_ROOT / "docs").glob("*.md")))
+    files.extend(sorted((REPO_ROOT / ".claude" / "skills").glob("*/SKILL.md")))
     return [path for path in files if path.exists()]
 
 
@@ -117,6 +126,26 @@ def _check_module_references(path: Path) -> list[str]:
                 break
         if not found:
             errors.append(f"{path.relative_to(REPO_ROOT)}: unknown module reference `{dotted}`")
+    return errors
+
+
+def _check_cited_imports(path: Path) -> list[str]:
+    """``from repro… import a, b`` citations whose module or names do not import."""
+    errors = []
+    text = path.read_text(encoding="utf-8")
+    for match in IMPORT_PATTERN.finditer(text):
+        module_name = match.group(1)
+        line = text.count("\n", 0, match.start()) + 1
+        where = f"{path.relative_to(REPO_ROOT)}:{line}"
+        try:
+            module = importlib.import_module(module_name)
+        except ImportError as error:
+            errors.append(f"{where}: cites unimportable module {module_name} ({error})")
+            continue
+        for item in match.group(2).strip("()").split(","):
+            name = item.split()[0] if item.split() else ""
+            if name and not hasattr(module, name):
+                errors.append(f"{where}: cites {name!r}, which {module_name} does not define")
     return errors
 
 
@@ -174,10 +203,12 @@ def main() -> int:
     if len(files) < 2:
         errors.append("expected README.md plus at least one docs/*.md file")
     defined_flags = _defined_flags()
+    sys.path.insert(0, str(REPO_ROOT / "src"))
     for path in files:
         errors.extend(_check_links(path))
         errors.extend(_check_module_references(path))
         errors.extend(_check_cited_flags(path, defined_flags))
+        errors.extend(_check_cited_imports(path))
     sources = _python_files()
     for path in sources:
         errors.extend(_check_markdown_citations(path))
@@ -185,8 +216,9 @@ def main() -> int:
         print(f"FAIL: {error}")
     if not errors:
         print(
-            f"OK: {len(files)} documentation files, all links, module references and "
-            f"cited flags resolve; {len(sources)} Python files cite no missing Markdown file"
+            f"OK: {len(files)} documentation files, all links, module references, "
+            f"cited imports and cited flags resolve; {len(sources)} Python files cite no "
+            "missing Markdown file"
         )
     return 1 if errors else 0
 
