@@ -73,7 +73,9 @@ The **network-tier parity gate** serves the same mixed workload from two
 loopback ``ShardDaemon``s via ``BatchExecutor(remote_hosts=[...])``: the
 remote answers must be bit-identical to the local reference with every
 lane actually solved remotely and zero sockets left open on either
-daemon, and a second run that kills one daemon mid-batch must *still*
+daemon, the same plan executed again on the same executor must ship no
+graph (``graphs_shipped == 0``: each graph crosses the wire once), and a
+run that kills one daemon mid-batch must *still*
 return bit-identical answers — the client's retry ladder exhausts, the
 lane falls back inline, and the failure is recorded in
 ``executor_stats`` (``remote_failures``/``degraded_lanes``).
@@ -599,11 +601,13 @@ def run_net_smoke(failures: list[str]) -> dict:
     Serves the mixed two-graph workload from two loopback ``ShardDaemon``s
     via ``BatchExecutor(remote_hosts=[...])`` and asserts (1) bit-identical
     per-query answers against the local thread/serial reference with every
-    lane solved remotely, (2) zero sockets left open on either daemon after
-    the batch, and (3) that killing one daemon mid-batch still completes
-    bit-identically — retry ladder, then inline fallback — with the failure
-    recorded in ``executor_stats``.  Appends failure strings to
-    ``failures`` and returns a table row.
+    lane solved remotely, (2) that executing the plan again on the same
+    executor and daemons gives the same answers with every lane remote and
+    no graph shipped a second time, (3) zero sockets left open on either
+    daemon after the batches, and (4) that killing one daemon mid-batch
+    still completes bit-identically — retry ladder, then inline fallback —
+    with the failure recorded in ``executor_stats``.  Appends failure
+    strings to ``failures`` and returns a table row.
     """
     from repro.net import ShardDaemon
 
@@ -619,9 +623,8 @@ def run_net_smoke(failures: list[str]) -> dict:
     # Healthy pass: two daemons, every lane remote, answers bit-identical.
     with ShardDaemon() as first, ShardDaemon() as second:
         hosts = [first.address, second.address]
-        report = BatchExecutor(
-            lambda key: load_dataset(key), remote_hosts=hosts
-        ).execute(plan)
+        executor = BatchExecutor(lambda key: load_dataset(key), remote_hosts=hosts)
+        report = executor.execute(plan)
         answers = [payload_answer(p) for p in report.results_in_input_order()]
         stats = report.executor_stats
         if answers != reference_answers:
@@ -639,6 +642,22 @@ def run_net_smoke(failures: list[str]) -> dict:
             failures.append(
                 "network tier: healthy two-daemon run recorded "
                 f"{stats['remote_failures']} unexpected remote failures"
+            )
+        # The same plan again on the same executor and daemons: each graph
+        # has crossed the wire once, so no lane may carry it again.
+        again = executor.execute(plan)
+        again_stats = again.executor_stats
+        if [payload_answer(p) for p in again.results_in_input_order()] != reference_answers:
+            failures.append(
+                "network tier: a second run on the same executor diverged from "
+                "the thread/serial reference"
+            )
+        if again_stats.get("lanes_inline", 0) != 0 or again_stats.get("graphs_shipped") != 0:
+            failures.append(
+                "network tier: a second run on the same executor shipped graphs "
+                f"again or ran lanes inline (graphs_shipped="
+                f"{again_stats.get('graphs_shipped')}, "
+                f"lanes_inline={again_stats.get('lanes_inline')})"
             )
         # Clients close first; give the selector loops a moment to reap the
         # resulting EOFs before declaring a socket leaked.

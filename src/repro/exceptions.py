@@ -77,6 +77,13 @@ class NetError(ReproError):
     wire losslessly, or a remote lane reports a failure."""
 
 
+class GraphNotResidentError(NetError):
+    """Raised by a shard daemon asked to solve a graph it holds neither as a
+    resident session nor as a kept graph, by a request that carried no graph
+    document.  The one remote failure the batch executor retries: it resends
+    the lane once, with the graph."""
+
+
 class ProtocolError(NetError):
     """Raised when a network frame is malformed: truncated, oversized, not
     valid JSON, failing its checksum, or speaking a different protocol

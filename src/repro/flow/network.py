@@ -112,7 +112,7 @@ class FlowNetwork:
         """
         self._check_node(source)
         self._check_node(target)
-        if capacity < 0:
+        if not capacity >= 0:
             raise FlowError(f"capacity must be >= 0, got {capacity}")
         arc_index = len(self._to)
         capacity = float(capacity)
@@ -157,9 +157,10 @@ class FlowNetwork:
         already interleaved) into one big network without a per-edge
         ``add_edge`` loop.  All four sequences must have the same even
         length; with numpy each column is copied in with one ``tobytes``,
-        without it element-wise.  Every endpoint is range-checked (on the
-        numpy columns when numpy is present) before anything is appended, so
-        a rejected call leaves the network untouched.
+        without it element-wise.  Every endpoint is range-checked and every
+        capacity checked to be non-negative and not NaN (on the numpy
+        columns when numpy is present) before anything is appended, so a
+        rejected call leaves the network untouched.
         """
         length = len(tails)
         if length % 2 != 0:
@@ -167,28 +168,38 @@ class FlowNetwork:
         if not (len(targets) == len(capacities) == len(base_capacities) == length):
             raise FlowError("append_paired_arcs sequences must have equal lengths")
         endpoints = ()
+        lowest = 0.0  # the smallest capacity in either column, or a NaN one
         if _np is not None:
             tails = _np.ascontiguousarray(tails, dtype=_np.int64)
             targets = _np.ascontiguousarray(targets, dtype=_np.int64)
+            caps = _np.ascontiguousarray(capacities, dtype=_np.float64)
+            base = _np.ascontiguousarray(base_capacities, dtype=_np.float64)
             columns = (
                 (self._to, targets.tobytes()),
-                (self._cap, _np.ascontiguousarray(capacities, dtype=_np.float64).tobytes()),
-                (self._base, _np.ascontiguousarray(base_capacities, dtype=_np.float64).tobytes()),
+                (self._cap, caps.tobytes()),
+                (self._base, base.tobytes()),
                 (self._tails, tails.tobytes()),
             )
             if length:
                 endpoints = (tails.min(), tails.max(), targets.min(), targets.max())
+                # ``minimum`` propagates NaN, so one comparison rejects it.
+                lowest = float(_np.minimum(caps.min(), base.min()))
         else:
             tails = [int(value) for value in tails]
             targets = [int(value) for value in targets]
+            caps = array("d", (float(value) for value in capacities))
+            base = array("d", (float(value) for value in base_capacities))
             columns = (
                 (self._to, array("q", targets).tobytes()),
-                (self._cap, array("d", (float(value) for value in capacities)).tobytes()),
-                (self._base, array("d", (float(value) for value in base_capacities)).tobytes()),
+                (self._cap, caps.tobytes()),
+                (self._base, base.tobytes()),
                 (self._tails, array("q", tails).tobytes()),
             )
             if length:
                 endpoints = (min(tails), max(tails), min(targets), max(targets))
+                lowest = next((value for value in (*caps, *base) if not value >= 0), 0.0)
+        if not lowest >= 0:
+            raise FlowError(f"capacity must be >= 0, got {lowest}")
         for node in endpoints:
             self._check_node(int(node))
         first_index = len(self._to)
@@ -275,7 +286,7 @@ class FlowNetwork:
         """
         if arc_index % 2 != 0:
             raise FlowError("set_capacity expects the index returned by add_edge (even)")
-        if capacity < 0:
+        if not capacity >= 0:
             raise FlowError(f"capacity must be >= 0, got {capacity}")
         capacity = float(capacity)
         self._base[arc_index] = capacity
@@ -297,7 +308,7 @@ class FlowNetwork:
             raise FlowError(
                 "set_capacity_preserving_flow expects the index returned by add_edge (even)"
             )
-        if capacity < 0:
+        if not capacity >= 0:
             raise FlowError(f"capacity must be >= 0, got {capacity}")
         capacity = float(capacity)
         flow = self._cap[arc_index + 1]
@@ -325,7 +336,7 @@ class FlowNetwork:
         """
         if arc_index % 2 != 0:
             raise FlowError("withdraw_flow expects the index returned by add_edge (even)")
-        if amount < 0:
+        if not amount >= 0:
             raise FlowError(f"amount must be >= 0, got {amount}")
         flow = self._cap[arc_index + 1]
         if amount > flow + EPSILON:

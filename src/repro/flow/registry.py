@@ -162,10 +162,14 @@ def register_solver(name: str, solver_class: Type) -> None:
 
     The class is validated lightly: it must be constructible with
     ``(network, source, sink)`` and expose ``max_flow`` and
-    ``min_cut_source_side`` callables.
+    ``min_cut_source_side`` callables.  The policy name
+    :data:`AUTO_SOLVER` is reserved: a class registered under it could
+    never run.
     """
     if not name:
         raise FlowError("solver name must be non-empty")
+    if name == AUTO_SOLVER:
+        raise FlowError(f"solver name {AUTO_SOLVER!r} is reserved for the selection policy")
     for required in ("max_flow", "min_cut_source_side"):
         if not callable(getattr(solver_class, required, None)):
             raise FlowError(f"solver class {solver_class!r} lacks a callable {required}()")

@@ -16,7 +16,10 @@ raised and the executor falls back to solving the lane inline.  A
 *semantic* failure — the daemon answered, but with ``status="error"`` —
 is raised immediately as :class:`RemoteOpError` and never retried: the
 daemon is healthy and re-asking the same malformed question would get the
-same answer.
+same answer.  The one exception is the batch executor's, one level up: a
+solve sent by fingerprint alone that meets a
+:class:`~repro.exceptions.GraphNotResidentError` is asked again once, with
+the graph document.
 
 :class:`ShardClientPool` holds one client per daemon of a shard set and
 aggregates their counters; the executor's ``remote_hosts`` mode drives it
@@ -401,8 +404,11 @@ class ShardClient:
         """Solve one lane: ``entries`` are ``(plan_index, spec)`` pairs.
 
         ``graph`` is the wire document from :func:`~repro.net.protocol.
-        graph_to_wire`; it may be omitted when the graph is known to be
-        resident on the daemon (a miss then errors remotely).  ``flow`` is
+        graph_to_wire`; it may be omitted when the daemon has received the
+        graph before, since it keeps received graphs (in a resident session
+        or its kept-graph LRU).  A daemon holding neither answers with a
+        :class:`RemoteOpError` whose ``remote_type`` is
+        ``"GraphNotResidentError"``; resend with the graph.  ``flow`` is
         an optional plain-dict ``FlowConfig`` the daemon applies when it
         has to *build* the session — a daemon started with its own
         ``flow`` override, or one that already holds the graph resident,

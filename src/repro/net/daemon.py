@@ -11,8 +11,18 @@ routes every graph to exactly one daemon (the fingerprint
 single network writer and its resident sessions accumulate warm state —
 decision networks and their residual flows — across requests
 the way a lane session does across queries.  That state never crosses the
-wire: requests carry graphs and query specs in, schema-2 result dicts come
-back out, and everything expensive stays resident behind the socket.
+wire: requests carry query specs in, schema-2 result dicts come back out,
+and everything expensive stays resident behind the socket.
+
+Graphs cross once.  Besides its sessions, a daemon keeps the
+:class:`~repro.graph.digraph.DiGraph` of every graph it has received, in a
+second LRU keyed by fingerprint and bounded by :data:`KEPT_GRAPH_EDGES`
+total edges, so a session evicted from the session LRU is rebuilt from the
+kept graph rather than from a resent document.  A solve request may
+therefore name its graph by fingerprint alone; only a daemon that holds
+neither a session nor a kept graph for it answers
+:class:`~repro.exceptions.GraphNotResidentError`, and the caller resends
+the lane with the graph document.
 
 Concurrency model
 -----------------
@@ -26,9 +36,9 @@ contract — while requests for distinct graphs run concurrently, which is
 the same graph-affinity rule the batch executor's lanes follow.
 
 Instrumentation: :meth:`ShardDaemon.daemon_stats` exposes per-op request
-counts, session-LRU hits/misses, sessions resident/evicted, bytes in/out,
-connection counts, and errors; the ``ping`` and ``inventory`` ops serve the
-same numbers remotely.
+counts, session-LRU hits/misses, sessions resident/evicted, graphs kept and
+graph misses, bytes in/out, connection counts, and errors; the ``ping`` and
+``inventory`` ops serve the same numbers remotely.
 
 The ``fault_injection`` hook makes partition handling deterministically
 testable: ``{"op": "solve", "kind": "close" | "exit", "times": N}`` drops
@@ -50,7 +60,14 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.config import FlowConfig
-from repro.exceptions import ConfigError, NetError, ProtocolError, ReproError
+from repro.exceptions import (
+    ConfigError,
+    GraphNotResidentError,
+    NetError,
+    ProtocolError,
+    ReproError,
+)
+from repro.graph.digraph import DiGraph
 from repro.net import protocol
 from repro.runtime import Deadline
 from repro.service.queries import run_batch_query
@@ -64,6 +81,11 @@ DAEMON_FAULT_KINDS = ("close", "exit")
 
 #: Default capacity of the resident-session LRU.
 DEFAULT_MAX_SESSIONS = 8
+
+#: Total edges of the graphs a daemon keeps for rebuilding evicted sessions
+#: (least recently used dropped first).  A kept ``DiGraph`` costs about 143
+#: bytes per edge, so the bound is about 70 MB.
+KEPT_GRAPH_EDGES = 500_000
 
 #: Default seconds a drain waits for in-flight requests before stopping anyway.
 DEFAULT_DRAIN_GRACE = 10.0
@@ -98,7 +120,9 @@ class ShardDaemon:
         one from :attr:`port` after :meth:`start`.
     max_sessions:
         Capacity of the resident-session LRU.  Evicted sessions are saved
-        to the store (when one is attached) before being dropped.
+        to the store (when one is attached) before being dropped; their
+        graphs stay kept (up to :data:`KEPT_GRAPH_EDGES` total edges), so a
+        later request rebuilds the session without a graph document.
     max_workers:
         Width of the per-request worker-thread pool.
     flow:
@@ -150,6 +174,12 @@ class ShardDaemon:
         self._fault_budget = int(fault_injection.get("times", 1)) if fault_injection else 0
 
         self._sessions: collections.OrderedDict[str, _SessionEntry] = collections.OrderedDict()
+        # Kept graphs with the edge count each was charged when kept, guarded
+        # (with ``_kept_edges``, their running total) by ``_sessions_lock``.
+        self._graphs: collections.OrderedDict[str, tuple[DiGraph, int]] = (
+            collections.OrderedDict()
+        )
+        self._kept_edges = 0
         self._sessions_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._counters: dict[str, Any] = {
@@ -159,6 +189,7 @@ class ShardDaemon:
             "session_cache_misses": 0,
             "sessions_evicted": 0,
             "sessions_flushed": 0,
+            "graph_misses": 0,
             "bytes_in": 0,
             "bytes_out": 0,
             "connections_accepted": 0,
@@ -311,7 +342,10 @@ class ShardDaemon:
         Keys: ``requests`` (per-op counts), ``errors`` (error responses
         sent), ``session_cache_hits`` / ``session_cache_misses`` (resident-
         session LRU), ``sessions_resident`` / ``sessions_evicted`` /
-        ``sessions_flushed`` (teardown saves to the store), ``bytes_in`` /
+        ``sessions_flushed`` (teardown saves to the store), ``graphs_kept``
+        (graphs held for rebuilding evicted sessions), ``graph_misses``
+        (requests answered :class:`~repro.exceptions.GraphNotResidentError`),
+        ``bytes_in`` /
         ``bytes_out`` (frame bytes over all connections),
         ``connections_accepted``, ``open_connections``, ``in_flight``,
         ``draining``, ``deadline_hits`` (entries answered with anytime
@@ -329,6 +363,7 @@ class ShardDaemon:
         snapshot["draining"] = self._draining.is_set()
         with self._sessions_lock:
             snapshot["sessions_resident"] = len(self._sessions)
+            snapshot["graphs_kept"] = len(self._graphs)
         return snapshot
 
     def open_connections(self) -> int:
@@ -590,12 +625,17 @@ class ShardDaemon:
         wire_graph: dict[str, Any] | None,
         flow_doc: dict[str, Any] | None = None,
     ) -> tuple[_SessionEntry, bool]:
-        """The resident session of ``fingerprint``, built from the wire if absent.
+        """The resident session of ``fingerprint``, built on a miss.
 
-        Returns ``(entry, cache_hit)``.  A miss with no graph document in
-        the request raises :class:`~repro.exceptions.NetError` — the client
-        must resend with the graph inline.  Evicted LRU sessions are saved
-        to the store first, so residency is a cache, never the only copy.
+        Returns ``(entry, cache_hit)``.  A miss builds the session from the
+        kept graph of ``fingerprint`` when there is one whose fingerprint
+        still matches, else from the request's graph document (decoded,
+        verified, and then kept).  A miss with neither raises
+        :class:`~repro.exceptions.GraphNotResidentError` — the client must
+        resend with the graph inline.  The kept graph and the session share
+        one ``DiGraph``: daemon sessions never apply updates.  Evicted LRU
+        sessions are saved to the store first, so residency is a cache,
+        never the only copy.
 
         ``flow_doc`` is the requester's plain-dict ``FlowConfig``; it is
         applied only when this call *builds* the session and the daemon was
@@ -608,19 +648,31 @@ class ShardDaemon:
             entry = self._sessions.get(fingerprint)
             if entry is not None:
                 self._sessions.move_to_end(fingerprint)
+                self._keep_graph(fingerprint, entry.session.graph)
                 self._count("session_cache_hits")
                 return entry, True
             self._count("session_cache_misses")
-            if wire_graph is None:
-                raise NetError(
+            kept = self._graphs.get(fingerprint)
+            if kept is not None and kept[0].content_fingerprint() != fingerprint:
+                # The kept graph changed since it was verified: treat it as absent.
+                del self._graphs[fingerprint]
+                self._kept_edges -= kept[1]
+                kept = None
+            if kept is not None:
+                graph = kept[0]
+            elif wire_graph is not None:
+                graph = protocol.graph_from_wire(wire_graph)
+                if graph.content_fingerprint() != fingerprint:
+                    raise NetError(
+                        "solve request fingerprint does not match the graph document it carries"
+                    )
+            else:
+                self._count("graph_misses")
+                raise GraphNotResidentError(
                     f"graph {fingerprint[:12]}... is not resident on this daemon and "
                     "the request carried no graph document"
                 )
-            graph = protocol.graph_from_wire(wire_graph)
-            if graph.content_fingerprint() != fingerprint:
-                raise NetError(
-                    "solve request fingerprint does not match the graph document it carries"
-                )
+            self._keep_graph(fingerprint, graph)
             flow = self._flow
             if flow is None and flow_doc is not None:
                 if not isinstance(flow_doc, dict):
@@ -643,6 +695,22 @@ class ShardDaemon:
                 self._store.save_session(evicted.session)
         return entry, False
 
+    def _keep_graph(self, fingerprint: str, graph: DiGraph) -> None:
+        """Mark ``graph`` most recently used in the kept-graph LRU (lock held).
+
+        Least recently used graphs are dropped until the kept total is back
+        within :data:`KEPT_GRAPH_EDGES`; a graph larger than the whole
+        budget is not kept at all.
+        """
+        if fingerprint in self._graphs:
+            self._graphs.move_to_end(fingerprint)
+            return
+        self._graphs[fingerprint] = (graph, graph.num_edges)
+        self._kept_edges += graph.num_edges
+        while self._kept_edges > KEPT_GRAPH_EDGES:
+            _, (_, edges) = self._graphs.popitem(last=False)
+            self._kept_edges -= edges
+
     # ------------------------------------------------------------------
     # op handlers
     # ------------------------------------------------------------------
@@ -662,7 +730,8 @@ class ShardDaemon:
 
         Payload: ``{"graph_key", "fingerprint", "entries": [[index, spec],
         ...], "graph": <wire document> | null, "flow": <FlowConfig fields>
-        | null}``.  The response mirrors the
+        | null}``; ``"graph"`` may be null whenever this daemon holds the
+        graph (see :meth:`_session_for`).  The response mirrors the
         process-pool worker's lane message — per-entry executions with
         schema-2 result payloads, the session's cache-stats snapshot, and
         store counters — so the executor assembles remote and local lanes

@@ -38,6 +38,13 @@ Labels that would not survive a JSON round trip refuse to serialise
 (:class:`~repro.exceptions.NetError`); the remote executor runs such lanes
 inline instead of shipping a lossy approximation.
 
+A graph crosses once per sender and daemon: the daemon keeps the graphs it
+receives, so a ``solve`` payload's ``"graph"`` is ``null`` whenever the
+sender has shipped that fingerprint to it before, and a daemon that has
+since dropped the graph answers
+:class:`~repro.exceptions.GraphNotResidentError` for the sender to resend
+it.
+
 What deliberately never crosses the wire: decision networks and their
 residual flows.  They are process-local by
 construction (their cache keys embed ``state_token``, and ``retune``

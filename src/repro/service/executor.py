@@ -34,10 +34,15 @@ Three pool flavours share that lane contract:
   the same fingerprint :class:`~repro.service.planner.ShardMap` the
   process pool uses — each graph's answers live on exactly one daemon,
   which owns that graph's store shard and keeps its session resident
-  between batches.  Graphs cross the wire as JSON documents
-  (:func:`~repro.net.protocol.graph_to_wire`), answers come back as the
-  same schema-2 result dicts the process workers pipe home, and warm
-  state (residual flows, decision networks) never crosses at all.  A
+  between batches.  A graph crosses the wire as a JSON document
+  (:func:`~repro.net.protocol.graph_to_wire`) once per executor and
+  daemon: the executor remembers which graphs it has shipped to which
+  host and sends later lanes for them by fingerprint alone, and the daemon
+  keeps the graphs it receives.  A daemon that no longer holds the graph
+  answers :class:`~repro.exceptions.GraphNotResidentError`, and the lane
+  is resent once with the document (``graph_resends``).  Answers come back
+  as the same schema-2 result dicts the process workers pipe home, and
+  warm state (residual flows, decision networks) never crosses at all.  A
   daemon that stays unreachable through the client's retry/backoff ladder
   costs only its lanes: they fall back to solving inline, marked degraded,
   with the failure counted in ``executor_stats["remote_failures"]``.
@@ -72,7 +77,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from repro.core.config import FlowConfig
-from repro.exceptions import BatchQueryError, ConfigError, NetError
+from repro.exceptions import BatchQueryError, ConfigError, GraphNotResidentError, NetError
 from repro.runtime import Deadline
 from repro.graph.digraph import DiGraph
 from repro.service import shm
@@ -88,6 +93,10 @@ GraphProvider = Callable[[str], DiGraph]
 
 #: Fault kinds the chaos hook understands (see ``fault_injection``).
 FAULT_KINDS = ("sigkill", "error")
+
+#: Budget (ms) a remote lane sends once its own has run out: the daemon
+#: rejects a non-positive budget, but expires this one at once.
+_SPENT_BUDGET_MS = 1e-3
 
 
 @dataclass
@@ -347,7 +356,8 @@ class BatchExecutor:
         budget still remaining when it starts; a query the budget has no
         time left for is answered ``{"deadline_exceeded": true}`` without
         running.  On the remote path the budget ships in the solve request
-        and the daemon enforces it (queueing and decode spend it too); an
+        and the daemon enforces it (queueing and decode spend it too); a
+        lane resent with its graph carries what is left of it, while an
         inline fallback lane re-arms a fresh budget, since the remote
         attempt consumed the original one.  Deadline hits are counted in
         ``executor_stats["deadline_hit_queries"]``.
@@ -423,6 +433,12 @@ class BatchExecutor:
             Deadline(deadline_ms)
             deadline_ms = float(deadline_ms)
         self._deadline_ms = deadline_ms
+        # Remote path: the fingerprints shipped to each host address, so a
+        # later lane for the same graph goes out without its document.  Read
+        # and written under ``_lane_lock``, which also guards each remote
+        # run's stats.
+        self._shipped: dict[str, set[str]] = {}
+        self._lane_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _run_lane(
@@ -725,6 +741,14 @@ class BatchExecutor:
         Graphs with labels that cannot cross the wire losslessly run
         inline too, counted separately.  ``stats["breaker_states"]``
         snapshots each host's breaker after the batch.
+
+        A lane carries its graph document only the first time this executor
+        sends that graph to its host (``graphs_shipped`` counts the lanes
+        that carried one).  Later lanes go out by fingerprint; the one
+        remote failure retried is the daemon's
+        :class:`~repro.exceptions.GraphNotResidentError`, answered by one
+        resend with the document and the lane's remaining budget
+        (``graph_resends``) — no inline fallback, no ``remote_failures``.
         """
         from repro.net import protocol as net_protocol
         from repro.net.client import CircuitOpenError, RemoteOpError, ShardClientPool
@@ -753,11 +777,13 @@ class BatchExecutor:
             "remote_failures": 0,
             "breaker_skipped_lanes": 0,
             "unwirable_lanes": 0,
+            "graphs_shipped": 0,
+            "graph_resends": 0,
             "degraded_lanes": [],
         }
         degraded: set[str] = set()
         first_error: Exception | None = None
-        lock = threading.Lock()
+        lock = self._lane_lock
 
         def inline(
             graph_key: str, *, remote_attempted: bool
@@ -782,23 +808,49 @@ class BatchExecutor:
         def run(
             graph_key: str,
         ) -> tuple[str, list[QueryExecution], dict[str, Any], dict[str, int]] | None:
-            """One lane: wire the graph, ask its daemon, fall back inline."""
-            shard = shard_map.shard_of(fingerprints[graph_key])
-            try:
-                wire = net_protocol.graph_to_wire(graphs[graph_key])
-            except NetError:
-                with lock:
-                    stats["unwirable_lanes"] += 1
-                return inline(graph_key, remote_attempted=False)
-            try:
-                payload = pool.client_for(shard).solve_lane(
-                    graph_key,
-                    fingerprints[graph_key],
-                    [(entry.index, entry.spec) for entry in lanes[graph_key]],
-                    graph=wire,
-                    flow=flow_doc,
-                    deadline_ms=self._deadline_ms,
+            """One lane: ask its daemon (with the graph unless already shipped there), else inline."""
+            fingerprint = fingerprints[graph_key]
+            shard = shard_map.shard_of(fingerprint)
+            client = pool.client_for(shard)
+            entries = [(entry.index, entry.spec) for entry in lanes[graph_key]]
+            lane_deadline = Deadline(self._deadline_ms) if self._deadline_ms is not None else None
+
+            def solve(wire: dict[str, Any] | None) -> dict[str, Any]:
+                """One solve request for this lane, with what is left of its budget."""
+                if wire is not None:
+                    with lock:
+                        stats["graphs_shipped"] += 1
+                budget = None
+                if lane_deadline is not None:
+                    # A spent budget still ships as a positive one, so the
+                    # daemon answers the entries as deadline hits instead of
+                    # rejecting the request.
+                    budget = max(lane_deadline.remaining_ms(), _SPENT_BUDGET_MS)
+                return client.solve_lane(
+                    graph_key, fingerprint, entries, graph=wire, flow=flow_doc, deadline_ms=budget
                 )
+
+            with lock:
+                shipped = fingerprint in self._shipped.get(client.address, ())
+            wire = None
+            if not shipped:
+                try:
+                    wire = net_protocol.graph_to_wire(graphs[graph_key])
+                except NetError:
+                    with lock:
+                        stats["unwirable_lanes"] += 1
+                    return inline(graph_key, remote_attempted=False)
+            try:
+                try:
+                    payload = solve(wire)
+                except RemoteOpError as error:
+                    if wire is not None or error.remote_type != GraphNotResidentError.__name__:
+                        raise
+                    # The daemon no longer holds the graph this executor
+                    # shipped: resend once, with the document.
+                    with lock:
+                        stats["graph_resends"] += 1
+                    payload = solve(net_protocol.graph_to_wire(graphs[graph_key]))
             except RemoteOpError:
                 # The daemon is healthy but the lane failed for a genuine
                 # (typed) reason: re-run inline so the original exception
@@ -829,6 +881,7 @@ class BatchExecutor:
             ]
             with lock:
                 stats["lanes_remote"] += 1
+                self._shipped.setdefault(client.address, set()).add(fingerprint)
             return graph_key, executions, payload["stats"], payload.get("store") or {}
 
         width = min(len(lanes), self._max_workers if self._max_workers is not None else len(lanes))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import FlowError
 from repro.flow.dinic import DinicSolver, dinic_max_flow
+from repro.flow import network as network_module
 from repro.flow.network import INFINITY, FlowNetwork
 
 
@@ -93,6 +94,38 @@ class TestFlowNetwork:
         with pytest.raises(FlowError):
             net.set_capacity(arc, -1.0)
 
+    def test_add_edge_rejects_nan_capacity(self):
+        net = FlowNetwork(2)
+        with pytest.raises(FlowError, match="capacity"):
+            net.add_edge(0, 1, math.nan)
+        assert net.num_arcs == 0
+        net.add_edge(0, 1, INFINITY)  # +inf stays legal
+        assert net.num_arcs == 2
+
+    def test_set_capacity_rejects_nan(self):
+        net = FlowNetwork(2)
+        arc = net.add_edge(0, 1, 1.0)
+        with pytest.raises(FlowError, match="capacity"):
+            net.set_capacity(arc, math.nan)
+        assert net.arc_base_capacity(arc) == 1.0
+
+    def test_set_capacity_preserving_flow_rejects_nan(self):
+        net = FlowNetwork(2)
+        arc = net.add_edge(0, 1, 3.0)
+        assert dinic_max_flow(net, 0, 1) == 3.0
+        with pytest.raises(FlowError, match="capacity"):
+            net.set_capacity_preserving_flow(arc, math.nan)
+        assert net.arc_base_capacity(arc) == 3.0
+        assert net.arc_flow(arc) == 3.0
+
+    def test_withdraw_flow_rejects_nan(self):
+        net = FlowNetwork(2)
+        arc = net.add_edge(0, 1, 2.0)
+        assert dinic_max_flow(net, 0, 1) == 2.0
+        with pytest.raises(FlowError, match="amount"):
+            net.withdraw_flow(arc, math.nan)
+        assert net.arc_flow(arc) == 2.0
+
     def test_csr_views_consistent_after_add_node(self):
         net = FlowNetwork(2)
         net.add_edge(0, 1, 1.0)
@@ -102,6 +135,44 @@ class TestFlowNetwork:
         assert len(heads) == 3
         assert [targets[a] for a in heads[1]] == [0, new]  # residual + forward
         assert dinic_max_flow(net, 0, new) == pytest.approx(1.0)
+
+
+@pytest.fixture(params=["numpy", "scalar"])
+def column_path(request, monkeypatch):
+    """Run a paired-arc test on the numpy columns and on the scalar fallback."""
+    if request.param == "scalar":
+        monkeypatch.setattr(network_module, "_np", None)
+    elif network_module._np is None:
+        pytest.skip("numpy not importable")
+    return request.param
+
+
+def _bad_columns(column: str, bad: float) -> tuple[list[float], list[float]]:
+    """One paired arc ``1 -> 2`` whose ``column`` holds ``bad`` on the forward arc."""
+    capacities, base = [1.0, 0.0], [1.0, 0.0]
+    (capacities if column == "capacities" else base)[0] = bad
+    return capacities, base
+
+
+@pytest.mark.parametrize("column", ["capacities", "base"])
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+class TestPairedArcCapacities:
+    def test_append_rejects_and_leaves_the_network_untouched(self, column_path, column, bad):
+        net = FlowNetwork(3)
+        net.add_edge(0, 1, 1.0)
+        before = [(a.source, a.target, a.capacity, a.flow) for a in net.arcs()]
+        capacities, base = _bad_columns(column, bad)
+        with pytest.raises(FlowError, match="capacity"):
+            net.append_paired_arcs([1, 2], [2, 1], capacities, base)
+        assert net.num_arcs == 2
+        assert [(a.source, a.target, a.capacity, a.flow) for a in net.arcs()] == before
+        net.append_paired_arcs([1, 2], [2, 1], [1.0, 0.0], [1.0, 0.0])
+        assert dinic_max_flow(net, 0, 2) == 1.0
+
+    def test_attach_rejects(self, column_path, column, bad):
+        capacities, base = _bad_columns(column, bad)
+        with pytest.raises(FlowError, match="capacity"):
+            FlowNetwork.attach_paired_arcs(3, [1, 2], [2, 1], capacities, base)
 
 
 class TestDinicBasics:

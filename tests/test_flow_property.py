@@ -129,6 +129,24 @@ class TestRegistry:
         with pytest.raises(FlowError):
             register_solver("bad", NotASolver)
 
+    def test_register_rejects_the_reserved_policy_name(self):
+        from repro.exceptions import FlowError
+        from repro.flow.dinic import DinicSolver
+        from repro.flow.registry import (
+            AUTO_SOLVER,
+            flow_solver_choices,
+            register_solver,
+            unregister_solver,
+        )
+
+        try:
+            with pytest.raises(FlowError, match="reserved"):
+                register_solver(AUTO_SOLVER, DinicSolver)
+        finally:
+            if AUTO_SOLVER in available_flow_solvers():
+                unregister_solver(AUTO_SOLVER)
+        assert flow_solver_choices().count(AUTO_SOLVER) == 1
+
 
 class TestCrossSolverAgreement:
     @pytest.mark.parametrize("seed", range(NUM_SEEDED_NETWORKS))

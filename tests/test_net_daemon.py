@@ -15,11 +15,17 @@ Pins the acceptance criteria of the ``repro.net`` subsystem:
   the lane re-runs inline so the genuine typed error surfaces exactly
   like a thread lane's.
 * **Hygiene** — daemons hold zero client connections after shutdown.
+* **Graphs cross once** — a daemon keeps the graphs it receives, so an
+  executor sends each graph to its daemon once; a daemon that has dropped
+  the graph answers ``GraphNotResidentError`` and the lane is resent once
+  with it, without degrading.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 import threading
 
 import pytest
@@ -27,6 +33,7 @@ import pytest
 from repro.datasets.registry import load_dataset
 from repro.exceptions import AlgorithmError, ConfigError, NetError
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import gnm_random_digraph
 from repro.net import (
     RemoteOpError,
     ShardClient,
@@ -35,7 +42,17 @@ from repro.net import (
     graph_to_wire,
     parse_host_port,
 )
-from repro.service import BatchExecutor, SessionStore, payload_answer, plan_batch
+from repro.net import daemon as daemon_module
+from repro.net import protocol as protocol_module
+from repro.service import (
+    BatchExecutor,
+    SessionStore,
+    ShardMap,
+    payload_answer,
+    plan_batch,
+    run_batch_query,
+)
+from repro.session import DDSSession
 
 DEFAULT_DATASET = "foodweb-tiny"
 OTHER_DATASET = "social-tiny"
@@ -155,8 +172,10 @@ class TestDaemonOps:
         graph = load_dataset(DEFAULT_DATASET)
         with ShardDaemon() as daemon:
             client = ShardClient(daemon.host, daemon.port)
-            with pytest.raises(RemoteOpError, match="not resident"):
+            with pytest.raises(RemoteOpError, match="not resident") as excinfo:
                 client.solve_lane("g", graph.content_fingerprint(), [(0, {})])
+            assert excinfo.value.remote_type == "GraphNotResidentError"
+            assert daemon.daemon_stats()["graph_misses"] == 1
 
     def test_semantic_error_is_not_retried(self):
         graph = load_dataset(DEFAULT_DATASET)
@@ -407,6 +426,19 @@ class TestRemoteExecutor:
         assert stats["lanes_remote"] == 1
         assert stats["degraded_lanes"] == ["tuples"]
 
+    def test_spent_lane_budget_is_answered_remotely_as_deadline_hits(self):
+        # A budget spent before the request leaves still ships as a positive
+        # one: the daemon answers every entry as a deadline hit instead of
+        # rejecting the request into an inline fallback.
+        with ShardDaemon() as daemon:
+            report = BatchExecutor(
+                load_dataset, remote_hosts=_hosts(daemon), deadline_ms=1e-6
+            ).execute(_plan())
+        stats = report.executor_stats
+        assert stats["lanes_remote"] == 2
+        assert stats["lanes_inline"] == 0
+        assert stats["deadline_hit_queries"] == len(MIXED)
+
     def test_remote_hosts_validation(self):
         with pytest.raises(ConfigError):
             BatchExecutor(load_dataset, remote_hosts=[])
@@ -424,3 +456,182 @@ class TestRemoteExecutor:
         assert _answers(report) == local_answers
         assert report.store_stats  # daemon-side save counters came home
         assert len(SessionStore(store_root).inventory()) == 2
+
+
+# ----------------------------------------------------------------------
+# graphs cross the wire once
+# ----------------------------------------------------------------------
+SUMMARY = [(0, {"query": "summary"})]
+
+
+def _ship_both(client: ShardClient) -> tuple[DiGraph, DiGraph]:
+    """Solve one lane each of the two tiny graphs, documents inline."""
+    graphs = load_dataset(DEFAULT_DATASET), load_dataset(OTHER_DATASET)
+    for graph in graphs:
+        client.solve_lane(
+            "g", graph.content_fingerprint(), SUMMARY, graph=graph_to_wire(graph)
+        )
+    return graphs
+
+
+class TestKeptGraphs:
+    def test_evicted_session_is_rebuilt_from_the_kept_graph(self, monkeypatch):
+        spec = {"query": "densest", "method": "core-exact"}
+        with ShardDaemon(max_sessions=1) as daemon:
+            client = ShardClient(daemon.host, daemon.port)
+            graph, _ = _ship_both(client)  # the second evicts the first's session
+            decodes: list = []
+            real_decode = protocol_module.graph_from_wire
+            monkeypatch.setattr(
+                protocol_module,
+                "graph_from_wire",
+                lambda document: decodes.append(document) or real_decode(document),
+            )
+            answer = client.solve_lane("g", graph.content_fingerprint(), [(0, spec)])
+            stats = daemon.daemon_stats()
+        assert answer["session_cache_hit"] is False
+        assert decodes == []
+        expected = run_batch_query(DDSSession(graph), dict(spec))
+        assert payload_answer(answer["executions"][0]["payload"]) == payload_answer(expected)
+        assert stats["sessions_evicted"] == 2
+        assert stats["graphs_kept"] == 2
+        assert stats["graph_misses"] == 0
+
+    def test_graph_pushed_out_of_the_kept_lru_is_not_resident(self, monkeypatch):
+        # Room for the larger tiny graph alone: keeping the second drops the first.
+        monkeypatch.setattr(
+            daemon_module, "KEPT_GRAPH_EDGES", load_dataset(OTHER_DATASET).num_edges
+        )
+        with ShardDaemon(max_sessions=1) as daemon:
+            client = ShardClient(daemon.host, daemon.port)
+            graph, _ = _ship_both(client)
+            with pytest.raises(RemoteOpError) as excinfo:
+                client.solve_lane("g", graph.content_fingerprint(), SUMMARY)
+            stats = daemon.daemon_stats()
+        assert excinfo.value.remote_type == "GraphNotResidentError"
+        assert stats["graphs_kept"] == 1
+        assert stats["graph_misses"] == 1
+
+    def test_kept_graph_whose_fingerprint_changed_counts_as_absent(self):
+        with ShardDaemon(max_sessions=1) as daemon:
+            client = ShardClient(daemon.host, daemon.port)
+            graph, other = _ship_both(client)
+            fingerprint = graph.content_fingerprint()
+            kept, _ = daemon._graphs[fingerprint]
+            u, *rest = kept.nodes()
+            kept.add_edge(u, next(v for v in rest if not kept.has_edge(u, v)))
+            with pytest.raises(RemoteOpError) as excinfo:
+                client.solve_lane("g", fingerprint, SUMMARY)
+            assert excinfo.value.remote_type == "GraphNotResidentError"
+            assert daemon.daemon_stats()["graphs_kept"] == 1
+            assert daemon._kept_edges == other.num_edges
+            # The document rebuilds the session from a freshly verified graph.
+            resent = client.solve_lane(
+                "g", fingerprint, SUMMARY, graph=graph_to_wire(graph)
+            )
+            assert daemon._graphs[fingerprint][0] is not kept
+        assert resent["executions"][0]["payload"]["edges"] == graph.num_edges
+
+
+class TestGraphsShippedOnce:
+    def test_second_execute_ships_no_graph(self, local_answers):
+        with ShardDaemon() as d1, ShardDaemon() as d2:
+            executor = BatchExecutor(load_dataset, remote_hosts=_hosts(d1, d2))
+            first = executor.execute(_plan())
+            second = executor.execute(_plan())
+        assert _answers(first) == local_answers
+        assert _answers(second) == local_answers
+        assert first.executor_stats["graphs_shipped"] == 2
+        stats = second.executor_stats
+        assert stats["graphs_shipped"] == 0
+        assert stats["graph_resends"] == 0
+        assert stats["lanes_remote"] == 2
+        assert stats["client"]["bytes_sent"] < first.executor_stats["client"]["bytes_sent"]
+
+    def test_dropped_graph_is_resent_once_with_the_remaining_budget(
+        self, monkeypatch, local_answers
+    ):
+        monkeypatch.setattr(daemon_module, "KEPT_GRAPH_EDGES", 0)  # keep nothing
+        calls: list[tuple[str, bool, float]] = []
+        real_solve_lane = ShardClient.solve_lane
+
+        def recording(self, graph_key, fingerprint, entries, **options):
+            calls.append((graph_key, options["graph"] is not None, options["deadline_ms"]))
+            return real_solve_lane(self, graph_key, fingerprint, entries, **options)
+
+        monkeypatch.setattr(ShardClient, "solve_lane", recording)
+        with ShardDaemon(max_sessions=1) as daemon:
+            executor = BatchExecutor(
+                load_dataset, remote_hosts=_hosts(daemon), deadline_ms=600_000
+            )
+            executor.execute(_plan())
+            del calls[:]
+            report = executor.execute(_plan())
+        stats = report.executor_stats
+        assert _answers(report) == local_answers
+        assert stats["graph_resends"] >= 1
+        assert stats["graphs_shipped"] == stats["graph_resends"]
+        assert stats["lanes_inline"] == 0
+        assert stats["remote_failures"] == 0
+        assert stats["degraded_lanes"] == []
+        assert stats["breaker_states"] == {daemon.address: "closed"}
+        for key in {key for key, carried, _ in calls if carried}:
+            (_, _, first), (_, _, resend) = [call for call in calls if call[0] == key]
+            assert 0 < resend < first < 600_000
+
+
+class TestSharedStateStress:
+    def test_lanes_over_two_daemons_keep_shipped_and_kept_state_consistent(
+        self, monkeypatch
+    ):
+        # Sessions and kept graphs churn (room for about two graphs each),
+        # so lanes race through hits, kept-graph rebuilds and resends.
+        monkeypatch.setattr(daemon_module, "KEPT_GRAPH_EDGES", 60)
+        lane_count = max(8, 2 * (os.cpu_count() or 2))
+        graphs = {f"g{index}": gnm_random_digraph(12, 30, seed=index) for index in range(lane_count)}
+        queries = [
+            {"query": query, "dataset": key, **extra}
+            for key in graphs
+            for query, extra in (("summary", {}), ("densest", {"method": "core-approx"}))
+        ]
+        plan = plan_batch(queries, default_graph_key="g0")
+        reference = _answers(BatchExecutor(graphs, max_workers=1).execute(plan))
+        reports: list = []
+        errors: list = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ShardDaemon(max_sessions=2) as d1, ShardDaemon(max_sessions=2) as d2:
+                daemons = (d1, d2)
+                executor = BatchExecutor(graphs, remote_hosts=_hosts(*daemons), max_workers=4)
+
+                def rounds():
+                    try:
+                        for _ in range(3):
+                            reports.append(executor.execute(plan))
+                    except Exception as error:  # pragma: no cover - surfaced below
+                        errors.append(error)
+
+                worker = threading.Thread(target=rounds)
+                worker.start()
+                worker.join(120)
+                assert not worker.is_alive()
+                kept = [(d._kept_edges, list(d._graphs.values())) for d in daemons]
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert len(reports) == 3
+        for report in reports:
+            assert _answers(report) == reference
+            assert report.executor_stats["lanes_inline"] == 0
+        shard_map = ShardMap(2)
+        expected: dict[str, set[str]] = {}
+        for graph in graphs.values():
+            fingerprint = graph.content_fingerprint()
+            host = _hosts(*daemons)[shard_map.shard_of(fingerprint)]
+            expected.setdefault(host, set()).add(fingerprint)
+        assert executor._shipped == expected
+        for total, entries in kept:
+            assert total == sum(edges for _, edges in entries)
+            assert total == sum(graph.num_edges for graph, _ in entries)
+            assert total <= 60
