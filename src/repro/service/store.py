@@ -38,6 +38,18 @@ served.  Result payloads are the schema-versioned
 bit-identical to the one saved; results whose node labels would not survive
 a JSON round trip are skipped at save time (``results_skipped``) rather than
 persisted lossily.
+
+Saves that cost what changed
+----------------------------
+A store remembers, for each live session it saved or completely warmed, the
+session's :attr:`~repro.session.DDSSession.warm_state_version` and the
+SHA-256 of the exact bytes of every file involved.  A later save of that
+session whose version is unchanged and whose files still hash to those
+digests returns the same counters after a few file reads, without building,
+encoding or parsing a payload; any other save rewrites what differs, as
+always.  Digests rather than file stats make a file that was deleted,
+replaced by another writer or tampered with force the full save, which
+repairs it.  Reads verify every checksum whatever the store remembers.
 """
 
 from __future__ import annotations
@@ -48,7 +60,9 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 import time
+import weakref
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -133,6 +147,22 @@ def _core_from_jsonable(data: dict[str, Any]) -> XYCore:
         raise StoreError(f"malformed stored [x, y]-core: {error!r}")
 
 
+@dataclasses.dataclass(frozen=True)
+class _Saved:
+    """What a store last wrote or verified for one live session."""
+
+    fingerprint: str
+    version: int
+    #: The counters a save of the unchanged session reports.
+    counters: dict[str, int]
+    #: SHA-256 of the bytes of every file the save involves.
+    digests: tuple[tuple[Path, str], ...]
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 class SessionStore:
     """Versioned on-disk store of per-graph session warm state.
 
@@ -149,14 +179,17 @@ class SessionStore:
     (schema version, graph shape, per-entry checksums), and anything that
     fails verification is reported in the returned counters and otherwise
     ignored.  Concurrent writers are tolerated via atomic
-    write-to-temp-then-rename of individual entries.
+    write-to-temp-then-rename of individual entries.  One store may serve
+    many threads: what it remembers per live session sits behind a lock.
     """
 
     def __init__(self, root: str | os.PathLike[str]) -> None:
         self.root = Path(root)
+        self._saved: weakref.WeakKeyDictionary[DDSSession, _Saved] = weakref.WeakKeyDictionary()
+        self._saved_lock = threading.Lock()
         marker = self.root / "store.json"
         if marker.exists():
-            document = self._read_json(marker)
+            document, _ = self._read_json(marker)
             version = document.get("store_schema_version") if isinstance(document, dict) else None
             if version != STORE_SCHEMA_VERSION:
                 raise StoreError(
@@ -168,40 +201,47 @@ class SessionStore:
     # low-level plumbing
     # ------------------------------------------------------------------
     @staticmethod
-    def _read_json(path: Path) -> Any:
-        """Parse one store file, mapping I/O and JSON failures to StoreError."""
+    def _read_json(path: Path) -> tuple[Any, str]:
+        """Parse one store file; returns the document and the digest of its bytes.
+
+        I/O, encoding and JSON failures all map to StoreError.
+        """
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
+            data = path.read_bytes()
         except OSError as error:
             raise StoreError(f"cannot read store file {path}: {error}")
-        except json.JSONDecodeError as error:
+        try:
+            return json.loads(data.decode("utf-8")), _digest(data)
+        except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise StoreError(f"store file {path} is not valid JSON: {error}")
 
     @staticmethod
-    def _write_json(path: Path, document: Any) -> None:
+    def _write_json(path: Path, document: Any) -> str:
         """Atomic write: unique temp file in the same directory, then rename.
 
         The temp name must be unique per writer (``mkstemp``), not a fixed
         ``<name>.tmp`` — concurrent writers of the same entry would truncate
         each other's half-written temp file and one rename could land a
         mangled document.  With unique temps, last-rename-wins and every
-        intermediate state of ``path`` is a complete document.
+        intermediate state of ``path`` is a complete document.  Returns the
+        digest of the bytes written.
         """
-        path.parent.mkdir(parents=True, exist_ok=True)
+        data = json.dumps(document, sort_keys=True, indent=1).encode("utf-8")
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
             descriptor, temp_name = tempfile.mkstemp(
                 prefix=path.name + ".", suffix=".tmp", dir=path.parent
             )
             try:
-                with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                    json.dump(document, handle, sort_keys=True, indent=1)
+                with os.fdopen(descriptor, "wb") as handle:
+                    handle.write(data)
                 os.replace(temp_name, path)
             except BaseException:
                 os.unlink(temp_name)
                 raise
         except OSError as error:
             raise StoreError(f"cannot write store file {path}: {error}")
+        return _digest(data)
 
     def _graph_dir(self, fingerprint: str) -> Path:
         """Directory holding one graph's manifest, derived state, and results."""
@@ -225,9 +265,9 @@ class SessionStore:
         if fcntl is None:
             yield
             return
-        graph_dir.mkdir(parents=True, exist_ok=True)
         lock_path = graph_dir / ".lock"
         try:
+            graph_dir.mkdir(parents=True, exist_ok=True)
             handle = open(lock_path, "a+")
         except OSError as error:
             raise StoreError(f"cannot open store lock file {lock_path}: {error}")
@@ -283,25 +323,38 @@ class SessionStore:
         if not marker.exists():
             self._write_json(marker, {"store_schema_version": STORE_SCHEMA_VERSION})
 
-    def _entry_is_current(self, path: Path, payload: Any) -> bool:
-        """Whether ``path`` already holds exactly this checksummed payload.
+    def _entry_is_current(self, path: Path, checksum: str) -> str | None:
+        """Digest of ``path``'s bytes if it holds an intact payload with ``checksum``.
 
+        ``checksum`` is that of the payload a save is about to write.  The
+        entry counts as current only if its stored payload also verifies
+        against its own ``checksum`` field, as every read checks it, so a
+        tampered payload under an intact field is rewritten, not kept.
         Lets ``save_session`` skip rewriting entries that a warm start just
         loaded unchanged — on a warm store serving repeated batches that is
         *every* entry, so the skip removes the write churn (and shrinks the
         concurrent-writer window) of re-persisting identical bytes.
+        Returns ``None`` when the entry must be (re)written.
         """
-        if not path.exists():
-            return False
         try:
-            document = self._read_json(path)
+            document, digest = self._read_json(path)
         except StoreError:
-            return False  # unreadable — rewrite it
-        return isinstance(document, dict) and document.get("checksum") == _checksum(payload)
+            return None  # missing or unreadable — rewrite it
+        if not isinstance(document, dict) or document.get("checksum") != checksum:
+            return None
+        try:
+            self._verified(path, document)
+        except StoreError:
+            return None
+        return digest
 
-    def _check_manifest(self, graph: DiGraph, manifest_path: Path) -> None:
-        """Verify a manifest's checksum and ``graph``-shape (corruption tripwire)."""
-        manifest = self._verified_payload(manifest_path)
+    def _check_manifest(self, graph: DiGraph, manifest_path: Path) -> tuple[dict[str, Any], str]:
+        """Verify a manifest's checksum and ``graph``-shape (corruption tripwire).
+
+        Returns the manifest payload and the digest of its bytes, so each
+        caller reads the file once.
+        """
+        manifest, digest = self._verified_payload(manifest_path)
         expected = {
             "num_nodes": graph.num_nodes,
             "num_edges": graph.num_edges,
@@ -313,6 +366,7 @@ class SessionStore:
                     f"manifest {manifest_path} disagrees with the live graph on {key} "
                     f"({manifest.get(key)!r} != {value!r}); the store entry is corrupt"
                 )
+        return manifest, digest
 
     @staticmethod
     def _entry_name(method: str, config_document: dict[str, Any]) -> str:
@@ -337,10 +391,23 @@ class SessionStore:
         ``results_unchanged`` / ``derived_saved: 0``; a corrupt manifest is
         rewritten from the live graph (the fingerprint, not the manifest, is
         the graph's identity).
+
+        If this store saved or completely warmed ``session`` before, and
+        neither its :attr:`~repro.session.DDSSession.warm_state_version`
+        nor the bytes of any file involved have changed since, the save
+        returns the counters of that save with every result counted as
+        unchanged.  It only reads those files: it builds, encodes and parses
+        no payload, and takes no lock, because it writes nothing.
         """
         graph = session.graph
         fingerprint = graph.content_fingerprint()
+        # Read before any state is snapshotted: a change made while this
+        # save runs leaves the remembered version behind, never ahead.
+        version = session.warm_state_version
         self._ensure_marker()
+        unchanged = self._unchanged_counters(session, fingerprint, version)
+        if unchanged is not None:
+            return unchanged
         graph_dir = self._graph_dir(fingerprint)
         counters = {
             "results_saved": 0,
@@ -348,6 +415,7 @@ class SessionStore:
             "results_unchanged": 0,
             "derived_saved": 0,
         }
+        digests: dict[Path, str] = {}
         # The whole per-graph write sequence runs under the graph's advisory
         # lock: a concurrent warmer of the same graph blocks here, then sees
         # every just-written entry as current and skips the duplicate work.
@@ -360,13 +428,10 @@ class SessionStore:
             # history recorded by an earlier updated session survives saves
             # from cold sessions of the same (final) graph.
             lineage = session.lineage()
-            stored_manifest = None
-            if manifest_path.exists():
-                try:
-                    self._check_manifest(graph, manifest_path)
-                    stored_manifest = self._verified_payload(manifest_path)
-                except StoreError:
-                    stored_manifest = None  # corrupt — rewritten from the live graph
+            try:
+                stored_manifest, digest = self._check_manifest(graph, manifest_path)
+            except StoreError:
+                stored_manifest = None  # missing or corrupt — rewritten from the live graph
             if stored_manifest is not None and not lineage:
                 stored = stored_manifest.get("lineage") or []
                 lineage = [str(fingerprint_) for fingerprint_ in stored]
@@ -379,9 +444,10 @@ class SessionStore:
                 "lineage": lineage,
             }
             if stored_manifest != manifest:
-                self._write_json(
+                digest = self._write_json(
                     manifest_path, {"checksum": _checksum(manifest), "payload": manifest}
                 )
+            digests[manifest_path] = digest
 
             derived: dict[str, Any] = {
                 "out_degrees": session.out_degrees(),
@@ -394,11 +460,8 @@ class SessionStore:
             if max_core is not None:
                 derived["max_core"] = _core_to_jsonable(max_core)
             derived_path = graph_dir / "derived.json"
-            if not self._entry_is_current(derived_path, derived):
-                self._write_json(
-                    derived_path, {"checksum": _checksum(derived), "payload": derived}
-                )
-                counters["derived_saved"] = 1
+            digests[derived_path], written = self._save_entry(derived_path, derived)
+            counters["derived_saved"] = int(written)
 
             for method, config, result in session.cached_results():
                 if not all(
@@ -419,12 +482,73 @@ class SessionStore:
                     "result": result.to_dict(),
                 }
                 entry_path = graph_dir / "results" / self._entry_name(method, config_document)
-                if self._entry_is_current(entry_path, entry):
-                    counters["results_unchanged"] += 1
-                    continue
-                self._write_json(entry_path, {"checksum": _checksum(entry), "payload": entry})
-                counters["results_saved"] += 1
+                digests[entry_path], written = self._save_entry(entry_path, entry)
+                counters["results_saved" if written else "results_unchanged"] += 1
+        self._remember(
+            session,
+            fingerprint,
+            version,
+            counters["results_skipped"],
+            counters["results_unchanged"] + counters["results_saved"],
+            digests,
+        )
         return counters
+
+    def _save_entry(self, path: Path, payload: dict[str, Any]) -> tuple[str, bool]:
+        """Write ``payload``'s checksummed envelope unless ``path`` already holds it.
+
+        Returns the digest of the file's bytes and whether they were written.
+        """
+        checksum = _checksum(payload)
+        digest = self._entry_is_current(path, checksum)
+        if digest is not None:
+            return digest, False
+        return self._write_json(path, {"checksum": checksum, "payload": payload}), True
+
+    def _unchanged_counters(
+        self, session: DDSSession, fingerprint: str, version: int
+    ) -> dict[str, int] | None:
+        """The remembered counters if nothing the last save involved has changed.
+
+        ``None`` unless this store remembers ``session`` at ``fingerprint``
+        and ``version`` and every remembered file still hashes to its digest.
+        """
+        with self._saved_lock:
+            saved = self._saved.get(session)
+        if saved is None or saved.fingerprint != fingerprint or saved.version != version:
+            return None
+        for path, digest in saved.digests:
+            try:
+                data = path.read_bytes()
+            except OSError:
+                return None
+            if _digest(data) != digest:
+                return None
+        return dict(saved.counters)
+
+    def _remember(
+        self,
+        session: DDSSession,
+        fingerprint: str,
+        version: int,
+        results_skipped: int,
+        results_unchanged: int,
+        digests: dict[Path, str],
+    ) -> None:
+        """Record what a repeat save of the unchanged ``session`` would find."""
+        saved = _Saved(
+            fingerprint=fingerprint,
+            version=version,
+            counters={
+                "results_saved": 0,
+                "results_skipped": results_skipped,
+                "results_unchanged": results_unchanged,
+                "derived_saved": 0,
+            },
+            digests=tuple(digests.items()),
+        )
+        with self._saved_lock:
+            self._saved[session] = saved
 
     # ------------------------------------------------------------------
     # load
@@ -440,9 +564,19 @@ class SessionStore:
         loaded).  A graph the store has never seen loads nothing and returns
         all-zero counters — warming is always safe to attempt and never
         raises for on-disk damage; serving must not die because a cache
-        entry rotted.
+        entry rotted.  The manifest is read once, so a concurrent eviction
+        that removes it mid-warm cannot turn into an exception.
+
+        A complete warm of a session that held no saved state
+        (:attr:`~repro.session.DDSSession.warm_state_version` 0) — manifest,
+        ``derived.json`` and every result entry loaded, every loaded result
+        still cached — remembers the digests of the bytes it verified, so
+        the session's next save costs what a repeat save costs.  Files this
+        store's saves wrote round trip exactly, so those bytes are what that
+        save would write.
         """
         graph = session.graph
+        fresh = session.warm_state_version == 0
         counters = {
             "results_loaded": 0,
             "results_corrupt": 0,
@@ -451,23 +585,25 @@ class SessionStore:
             "derived_corrupt": 0,
             "manifest_corrupt": 0,
         }
-        graph_dir = self._graph_dir(graph.content_fingerprint())
+        fingerprint = graph.content_fingerprint()
+        graph_dir = self._graph_dir(fingerprint)
         manifest_path = graph_dir / "manifest.json"
         if not manifest_path.exists():
             return counters
         try:
-            self._check_manifest(graph, manifest_path)
+            manifest, digest = self._check_manifest(graph, manifest_path)
         except StoreError:
             counters["manifest_corrupt"] = 1
             return counters
-        stored_lineage = self._verified_payload(manifest_path).get("lineage") or []
+        digests = {manifest_path: digest}
+        stored_lineage = manifest.get("lineage") or []
         if stored_lineage:
-            session.seed_lineage(str(fingerprint) for fingerprint in stored_lineage)
+            session.seed_lineage(str(fingerprint_) for fingerprint_ in stored_lineage)
 
         derived_path = graph_dir / "derived.json"
         if derived_path.exists():
             try:
-                payload = self._verified_payload(derived_path)
+                payload, digest = self._verified_payload(derived_path)
                 session.seed_derived(
                     out_degrees=payload["out_degrees"],
                     in_degrees=payload["in_degrees"],
@@ -481,37 +617,57 @@ class SessionStore:
                     exactness_tolerance=payload["exactness_tolerance"],
                 )
                 counters["derived_loaded"] = 1
+                digests[derived_path] = digest
             except (StoreError, GraphError, KeyError, TypeError, ValueError):
                 counters["derived_corrupt"] = 1
 
         results_dir = graph_dir / "results"
-        if results_dir.is_dir():
-            for entry_path in sorted(results_dir.glob("*.json")):
-                try:
-                    entry = self._verified_payload(entry_path)
-                    method = entry["method"]
-                    spec = get_method_spec(method)
-                    if entry.get("config_type") != spec.config_type.__name__:
-                        counters["results_incompatible"] += 1
-                        continue
-                    config = _config_from_jsonable(spec.config_type, entry["config"])
-                    result = DDSResult.from_dict(entry["result"])
-                except (AlgorithmError, FlowError):
-                    # Unknown method or flow solver — a store written by a
-                    # build with extra registered ones (or with numpy where
-                    # this one has none); intact but unusable here.
+        entry_paths = sorted(results_dir.glob("*.json")) if results_dir.is_dir() else []
+        for entry_path in entry_paths:
+            try:
+                entry, digest = self._verified_payload(entry_path)
+                method = entry["method"]
+                spec = get_method_spec(method)
+                if entry.get("config_type") != spec.config_type.__name__:
                     counters["results_incompatible"] += 1
                     continue
-                except (StoreError, KeyError, TypeError, ValueError):
-                    counters["results_corrupt"] += 1
-                    continue
-                if session.seed_result(method, config, result):
-                    counters["results_loaded"] += 1
+                config = _config_from_jsonable(spec.config_type, entry["config"])
+                result = DDSResult.from_dict(entry["result"])
+            except (AlgorithmError, FlowError):
+                # Unknown method or flow solver — a store written by a
+                # build with extra registered ones (or with numpy where
+                # this one has none); intact but unusable here.
+                counters["results_incompatible"] += 1
+                continue
+            except (StoreError, KeyError, TypeError, ValueError):
+                counters["results_corrupt"] += 1
+                continue
+            if session.seed_result(method, config, result):
+                counters["results_loaded"] += 1
+                digests[entry_path] = digest
+        # A fresh session caches only what this warm loaded, so a full cache
+        # means every entry loaded and none was pushed out again.
+        if (
+            fresh
+            and counters["derived_loaded"]
+            and len(session.cached_results()) == len(entry_paths)
+        ):
+            self._remember(
+                session, fingerprint, session.warm_state_version, 0, len(entry_paths), digests
+            )
         return counters
 
-    def _verified_payload(self, path: Path) -> dict[str, Any]:
-        """Read a checksummed entry, raising :class:`StoreError` on tampering."""
-        document = self._read_json(path)
+    def _verified_payload(self, path: Path) -> tuple[dict[str, Any], str]:
+        """Read a checksummed entry, raising :class:`StoreError` on tampering.
+
+        Returns the payload and the digest of the file's bytes.
+        """
+        document, digest = self._read_json(path)
+        return self._verified(path, document), digest
+
+    @staticmethod
+    def _verified(path: Path, document: Any) -> dict[str, Any]:
+        """The payload of a parsed entry, or :class:`StoreError` if it fails its checksum."""
         if (
             not isinstance(document, dict)
             or "checksum" not in document
@@ -540,7 +696,7 @@ class SessionStore:
             manifest_path = graph_dir / "manifest.json"
             row: dict[str, Any] = {"fingerprint": graph_dir.name}
             try:
-                manifest = self._verified_payload(manifest_path)
+                manifest, _ = self._verified_payload(manifest_path)
                 row["num_nodes"] = manifest.get("num_nodes")
                 row["num_edges"] = manifest.get("num_edges")
                 row["lineage_depth"] = len(manifest.get("lineage") or [])

@@ -170,6 +170,7 @@ class DDSSession:
         self._anytime_returns = 0
         self._invalidated_keys: set[tuple[str, MethodConfig]] = set()
         self._lineage: list[str] = []
+        self._warm_state_version = 0
 
     @classmethod
     def from_seeded(
@@ -325,6 +326,7 @@ class DDSSession:
             self._local_research_runs += 1
         result = self._execute(spec, cfg, self.graph)
         if self._result_cache_size > 0:
+            self._warm_state_version += 1
             self._results[key] = _copy_result(result)
             while len(self._results) > self._result_cache_size:
                 self._results.popitem(last=False)
@@ -518,6 +520,7 @@ class DDSSession:
         if core is None:
             core = xy_core(self.graph, x, y)
             self._xy_cores[key] = core
+            self._warm_state_version += 1
         return _copy_core(core)
 
     def max_xy_core(self) -> XYCore:
@@ -525,6 +528,7 @@ class DDSSession:
         self._check_unmutated()
         if self._max_core is None:
             self._max_core = max_xy_core(self.graph)
+            self._warm_state_version += 1
         return _copy_core(self._max_core)
 
     def summary(self) -> dict[str, Any]:
@@ -589,6 +593,7 @@ class DDSSession:
         added_pairs, removed_pairs = self.graph.apply_delta(delta.added, delta.removed)
         self._graph_token = self.graph.state_token
         self._updates_applied += 1
+        self._warm_state_version += 1
         self._lineage.append(old_fingerprint)
         report.edges_added = len(added_pairs)
         report.edges_removed = len(removed_pairs)
@@ -676,6 +681,7 @@ class DDSSession:
     def seed_lineage(self, fingerprints: Iterable[str]) -> None:
         """Adopt a delta lineage recorded elsewhere (persistent-store hook)."""
         self._lineage = [str(fingerprint) for fingerprint in fingerprints]
+        self._warm_state_version += 1
 
     # ------------------------------------------------------------------
     # cached derived state
@@ -718,6 +724,21 @@ class DDSSession:
     # ------------------------------------------------------------------
     # warm-state exchange (the persistent store's hooks)
     # ------------------------------------------------------------------
+    @property
+    def warm_state_version(self) -> int:
+        """Count of changes to the state the persistent store saves.
+
+        Rises whenever a result is cached, seeded or dropped, a core is
+        computed or seeded, derived state is seeded, the lineage changes, or
+        :meth:`apply_updates` / :meth:`clear_cache` run.  A cache hit's LRU
+        touch leaves it alone (the store keeps no order), and so does
+        computing degree arrays or bounds lazily: they are functions of the
+        graph, which a save computes anyway.  No answer depends on it;
+        :class:`~repro.service.store.SessionStore` compares it with the
+        value it saw at its last save to tell that nothing changed since.
+        """
+        return self._warm_state_version
+
     def cached_results(self) -> list[tuple[str, MethodConfig, DDSResult]]:
         """Snapshot of the whole-result cache as ``(method, config, result)`` triples.
 
@@ -751,6 +772,7 @@ class DDSSession:
         if self._result_cache_size <= 0:
             return False
         key = _result_key(spec.name, cfg)
+        self._warm_state_version += 1
         self._results[key] = _copy_result(result)
         self._results.move_to_end(key)
         while len(self._results) > self._result_cache_size:
@@ -801,6 +823,7 @@ class DDSSession:
                 )
             return _copy_core(core)
 
+        self._warm_state_version += 1
         if out_degrees is not None:
             self._out_degrees = [int(d) for d in out_degrees]
         if in_degrees is not None:
@@ -852,6 +875,7 @@ class DDSSession:
 
     def clear_cache(self) -> None:
         """Drop every cached result, network, and derived structure."""
+        self._warm_state_version += 1
         self._results.clear()
         self._network_cache.clear()
         self._invalidated_keys.clear()

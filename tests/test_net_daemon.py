@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 import random
+import shutil
 import sys
 import threading
 
@@ -224,20 +225,63 @@ class TestDaemonOps:
             assert inventory["daemon"]["requests"]["warm"] == 1
 
     def test_evicted_sessions_are_saved_to_the_store(self, tmp_path):
+        """Every state a resident session reaches is on disk after its request.
+
+        With one resident session, alternating reads of two graphs evict on
+        every request, so the daemon saves on eviction, warms the next
+        session from the store, and saves it after its lane; most of those
+        saves find nothing changed.  A new [x, y]-core every few reads must
+        still reach the store.
+        """
         store_root = tmp_path / "store"
+        graphs = {name: load_dataset(name) for name in (DEFAULT_DATASET, OTHER_DATASET)}
         with ShardDaemon(SessionStore(store_root), max_sessions=1) as daemon:
             client = ShardClient(daemon.host, daemon.port)
-            for name in (DEFAULT_DATASET, OTHER_DATASET):
-                graph = load_dataset(name)
-                client.solve_lane(
-                    name,
-                    graph.content_fingerprint(),
-                    [(0, {"query": "densest", "method": "core-exact"})],
-                    graph=graph_to_wire(graph),
-                )
+            for read in range(12):
+                name = (DEFAULT_DATASET, OTHER_DATASET)[read % 2]
+                graph = graphs[name]
+                fingerprint = graph.content_fingerprint()
+                entries = [(0, {"query": "densest", "method": "core-approx"})]
+                if read % 3 == 0:
+                    entries.append((1, {"query": "xy-core", "x": 1 + read // 3, "y": 1}))
+                client.solve_lane(name, fingerprint, entries, graph=graph_to_wire(graph))
+                resident = daemon._sessions[fingerprint].session
+                warmed = DDSSession(graph.copy())
+                SessionStore(store_root).warm_session(warmed)
+                assert [key for *key, _ in warmed.cached_results()] == [
+                    key for *key, _ in resident.cached_results()
+                ]
+                assert {(core.x, core.y) for core in warmed.cached_xy_cores()} == {
+                    (core.x, core.y) for core in resident.cached_xy_cores()
+                }
+            assert daemon.daemon_stats()["sessions_evicted"] == 11
         # Both graphs persisted: the resident one on save, the evicted one
         # at eviction time.
         assert len(SessionStore(store_root).inventory()) == 2
+
+    def test_blocked_store_does_not_kill_the_teardown(self, tmp_path, monkeypatch):
+        """A store that fails to save at shutdown is skipped, not fatal to the loop."""
+        store_root = tmp_path / "store"
+        uncaught: list = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        daemon = ShardDaemon(SessionStore(store_root))
+        daemon.start()
+        try:
+            graph = load_dataset(DEFAULT_DATASET)
+            ShardClient(daemon.host, daemon.port).solve_lane(
+                DEFAULT_DATASET,
+                graph.content_fingerprint(),
+                [(0, {"query": "densest", "method": "core-approx"})],
+                graph=graph_to_wire(graph),
+            )
+            shutil.rmtree(store_root / "graphs")
+            (store_root / "graphs").write_text("a file where the graphs directory belongs")
+        finally:
+            daemon.shutdown()
+        assert uncaught == []
+        assert not daemon._thread.is_alive()
+        assert daemon._waker_recv.fileno() == -1
+        assert daemon._waker_send.fileno() == -1
 
     def test_shutdown_is_idempotent_and_leaves_no_connections(self):
         daemon = ShardDaemon()

@@ -193,6 +193,88 @@ class TestIntegrity:
         assert healed["manifest_corrupt"] == 0
         assert healed["results_loaded"] == 1
 
+    def test_save_repairs_a_tampered_result_under_an_intact_checksum_field(self, graph, tmp_path):
+        store = self._populated_store(graph, tmp_path)
+        [entry] = (tmp_path / "graphs").glob("*/results/*.json")
+        document = json.loads(entry.read_text())
+        document["payload"]["result"]["density"] = 999.0  # "checksum" left as it was
+        entry.write_text(json.dumps(document))
+        session = DDSSession(load_dataset("foodweb-tiny"))
+        assert store.warm_session(session)["results_corrupt"] == 1
+        session.densest_subgraph("core-exact")
+        assert store.save_session(session)["results_saved"] == 1
+        assert store.verify() == []
+        assert store.warm_session(DDSSession(load_dataset("foodweb-tiny")))["results_loaded"] == 1
+
+    def test_save_repairs_tampered_derived_state_under_an_intact_checksum_field(
+        self, graph, tmp_path
+    ):
+        store = self._populated_store(graph, tmp_path)
+        [derived] = (tmp_path / "graphs").glob("*/derived.json")
+        document = json.loads(derived.read_text())
+        document["payload"]["density_upper_bound"] = 999.0
+        derived.write_text(json.dumps(document))
+        session = DDSSession(load_dataset("foodweb-tiny"))
+        assert store.warm_session(session)["derived_corrupt"] == 1
+        assert store.save_session(session)["derived_saved"] == 1
+        assert store.verify() == []
+        assert store.warm_session(DDSSession(load_dataset("foodweb-tiny")))["derived_loaded"] == 1
+
+    @staticmethod
+    def _evict_manifest_after_first_read(monkeypatch) -> None:
+        """Delete the manifest right after its first read, as a concurrent evict can."""
+        read_json = SessionStore._read_json
+
+        def read_then_evict(path):
+            document = read_json(path)
+            if path.name == "manifest.json" and path.exists():
+                path.unlink()
+            return document
+
+        monkeypatch.setattr(SessionStore, "_read_json", staticmethod(read_then_evict))
+
+    def test_warm_reads_the_manifest_once(self, graph, tmp_path, monkeypatch):
+        store = self._populated_store(graph, tmp_path)
+        self._evict_manifest_after_first_read(monkeypatch)
+        counters = store.warm_session(DDSSession(load_dataset("foodweb-tiny")))
+        assert counters["manifest_corrupt"] == 0
+        assert counters["derived_loaded"] == 1
+        assert counters["results_loaded"] == 1
+
+    def test_save_reads_the_manifest_once(self, graph, tmp_path, monkeypatch):
+        store = self._populated_store(graph, tmp_path)
+        read_json = SessionStore._read_json
+        manifest_reads = []
+
+        def counting_read(path):
+            if path.name == "manifest.json":
+                manifest_reads.append(path)
+            return read_json(path)
+
+        monkeypatch.setattr(SessionStore, "_read_json", staticmethod(counting_read))
+        session = DDSSession(load_dataset("foodweb-tiny"))
+        session.densest_subgraph("core-approx")
+        assert store.save_session(session)["results_saved"] == 1
+        assert len(manifest_reads) == 1
+
+    def test_undecodable_manifest_is_corrupt_not_fatal(self, graph, tmp_path):
+        store = self._populated_store(graph, tmp_path)
+        [manifest] = (tmp_path / "graphs").glob("*/manifest.json")
+        manifest.write_bytes(b"\xff\xfe not utf-8")
+        counters = store.warm_session(DDSSession(load_dataset("foodweb-tiny")))
+        assert counters["manifest_corrupt"] == 1
+        assert len(store.verify()) == 1
+
+    def test_blocked_store_directory_raises_store_error(self, graph, tmp_path):
+        store = SessionStore(tmp_path)
+        (tmp_path / "graphs").write_text("a file where the graphs directory belongs")
+        session = DDSSession(graph)
+        session.densest_subgraph("core-approx")
+        with pytest.raises(StoreError):
+            store.save_session(session)
+        with pytest.raises(StoreError):
+            SessionStore._write_json(tmp_path / "graphs" / "entry.json", {})
+
     def test_incompatible_method_is_counted_not_fatal(self, graph, tmp_path):
         store = self._populated_store(graph, tmp_path)
         [entry] = (tmp_path / "graphs").glob("*/results/*.json")

@@ -1,0 +1,515 @@
+"""Saves that cost what changed: what a ``SessionStore`` remembers per live session.
+
+A store remembers, for each session it saved or completely warmed, the
+session's ``warm_state_version`` and the digests of the files involved, and
+answers a save of the unchanged session from that memory.  These tests pin
+that the memory never changes what a save does:
+
+* **Differential** — random operation sequences, with saves in between,
+  give equal counters and byte-identical store trees whether every save goes
+  through one long-lived store or through a store opened for that save.
+* **No payload work** — a repeat save, and the first save after a complete
+  warm, build, encode and parse nothing and take no lock.
+* **Repair** — a file deleted, replaced or tampered with between two saves is
+  rewritten by the next one, and no other file is touched.
+* **Partial warms** — a warm that did not load everything remembers nothing.
+* **Threads** — concurrent saves into one store lose no memory.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import random
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+from repro.core.results import DDSResult
+from repro.datasets.registry import load_dataset
+from repro.exceptions import GraphError
+from repro.graph.digraph import DiGraph
+from repro.graph.generators import gnm_random_digraph
+from repro.service import SessionStore
+from repro.service import store as store_module
+from repro.session import DDSSession
+
+METHODS = (
+    "auto",
+    "brute-force",
+    "core-approx",
+    "core-exact",
+    "dc-exact",
+    "flow-exact",
+    "inc-approx",
+    "peel-approx",
+)
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    """Every file under ``root`` (lock files aside) by relative path."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.name != ".lock"
+    }
+
+
+def _snapshot(root: Path) -> dict[Path, tuple[bytes, int]]:
+    """Bytes and modification time of every file under ``root`` (lock files aside)."""
+    return {
+        path: (path.read_bytes(), path.stat().st_mtime_ns)
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.name != ".lock"
+    }
+
+
+def _forbid_payload_work(monkeypatch) -> None:
+    """Make building, encoding, parsing or writing a payload, or locking, fail."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a save of an unchanged session did payload work")
+
+    monkeypatch.setattr(DDSResult, "to_dict", forbidden)
+    monkeypatch.setattr(SessionStore, "_read_json", staticmethod(forbidden))
+    monkeypatch.setattr(SessionStore, "_write_json", staticmethod(forbidden))
+    monkeypatch.setattr(SessionStore, "_locked", forbidden)
+    monkeypatch.setattr(store_module, "_checksum", forbidden)
+
+
+def _count_full_saves(monkeypatch) -> list[Path]:
+    """Record every save that takes the per-graph write lock (the full path)."""
+    calls: list[Path] = []
+    locked = SessionStore._locked
+
+    def spy(self, graph_dir):
+        calls.append(graph_dir)
+        return locked(self, graph_dir)
+
+    monkeypatch.setattr(SessionStore, "_locked", spy)
+    return calls
+
+
+def _repeat(counters: dict[str, int]) -> dict[str, int]:
+    """The counters a save of the unchanged session reports after ``counters``."""
+    return {
+        "results_saved": 0,
+        "results_skipped": counters["results_skipped"],
+        "results_unchanged": counters["results_unchanged"] + counters["results_saved"],
+        "derived_saved": 0,
+    }
+
+
+# ----------------------------------------------------------------------
+# differential property
+# ----------------------------------------------------------------------
+class _Twins:
+    """One session saved through a long-lived store, its twin through a store per save.
+
+    Every operation is drawn once and applied to both, so the two sessions
+    hold the same state throughout; only the stores' memory differs.
+    """
+
+    CACHE_SIZE = 3
+
+    def __init__(self, rng: random.Random, root: Path) -> None:
+        self.rng = rng
+        self.long_root = root / "long"
+        self.fresh_root = root / "fresh"
+        self.long_store = SessionStore(self.long_root)
+        graph = gnm_random_digraph(7, 16, seed=rng.randrange(10**6))
+        self.sessions = [self._session(graph.copy()), self._session(graph.copy())]
+
+    def _session(self, graph: DiGraph) -> DDSSession:
+        return DDSSession(graph, result_cache_size=self.CACHE_SIZE)
+
+    def _stores(self) -> list[SessionStore]:
+        return [self.long_store, SessionStore(self.fresh_root)]
+
+    def _both(self, operation) -> None:
+        for session in self.sessions:
+            operation(session)
+
+    def save(self) -> None:
+        counters = [
+            store.save_session(session) for store, session in zip(self._stores(), self.sessions)
+        ]
+        assert counters[0] == counters[1]
+        assert _tree(self.long_root) == _tree(self.fresh_root)
+
+    # -- operations ----------------------------------------------------
+    def query(self) -> None:
+        method = self.rng.choice(METHODS)
+        self._both(lambda session: session.densest_subgraph(method))
+
+    def top_k(self) -> None:
+        method = self.rng.choice(("core-approx", "core-exact"))
+        self._both(lambda session: session.top_k(2, method=method))
+
+    def fixed_ratio(self) -> None:
+        ratio = self.rng.choice((0.5, 1.0, 2.0))
+        self._both(lambda session: session.fixed_ratio(ratio))
+
+    def xy_core(self) -> None:
+        x, y = self.rng.randint(1, 3), self.rng.randint(1, 3)
+        self._both(lambda session: session.xy_core(x, y))
+
+    def max_core(self) -> None:
+        self._both(lambda session: session.max_xy_core())
+
+    def reads(self) -> None:
+        def read(session: DDSSession) -> None:
+            session.out_degrees()
+            session.in_degrees()
+            session.density_upper_bound()
+            session.exactness_tolerance()
+            session.summary()
+
+        self._both(read)
+
+    def update(self) -> None:
+        """Remove an edge, add one, or remove one and add it straight back."""
+        graph = self.sessions[0].graph
+        certify = self.rng.random() < 0.5
+        edges = sorted(graph.edges())
+        absent = [
+            (u, v) for u in graph.nodes() for v in graph.nodes() if u != v and not graph.has_edge(u, v)
+        ]
+        kind = self.rng.choice(("remove", "add", "round-trip"))
+        if kind == "add" and absent:
+            deltas = [([self.rng.choice(absent)], [])]
+        elif len(edges) > 8:
+            edge = self.rng.choice(edges)
+            deltas = [([], [edge])] + ([([edge], [])] if kind == "round-trip" else [])
+        else:
+            return
+        for added, removed in deltas:
+            self._both(lambda session: session.apply_updates(added, removed, certify=certify))
+
+    def clear(self) -> None:
+        self._both(lambda session: session.clear_cache())
+
+    def warm_fresh(self) -> None:
+        fresh = [self._session(session.graph.copy()) for session in self.sessions]
+        counters = [store.warm_session(session) for store, session in zip(self._stores(), fresh)]
+        assert counters[0] == counters[1]
+        self.sessions = fresh
+
+    def warm_live(self) -> None:
+        counters = [
+            store.warm_session(session) for store, session in zip(self._stores(), self.sessions)
+        ]
+        assert counters[0] == counters[1]
+
+    def seed(self) -> None:
+        """Seed a result, a core or a lineage computed elsewhere (the store's hooks)."""
+        donor = DDSSession(self.sessions[0].graph.copy())
+        kind = self.rng.choice(("result", "core", "lineage"))
+        if kind == "result":
+            donor.densest_subgraph(self.rng.choice(METHODS[2:]))
+            [(method, config, result)] = donor.cached_results()
+            self._both(lambda session: session.seed_result(method, config, result))
+        elif kind == "core":
+            core = donor.xy_core(self.rng.randint(1, 3), self.rng.randint(1, 3))
+            self._both(lambda session: session.seed_derived(xy_cores=[core]))
+        else:
+            lineage = [f"{self.rng.getrandbits(64):016x}" for _ in range(self.rng.randint(0, 2))]
+            self._both(lambda session: session.seed_lineage(lineage))
+
+    def damage(self) -> None:
+        """Delete or tamper with one store file, identically in both trees."""
+        files = sorted(self.long_root.glob("graphs/*/**/*.json"))
+        if not files:
+            return
+        relative = self.rng.choice(files).relative_to(self.long_root)
+        delete = self.rng.random() < 0.5
+        for root in (self.long_root, self.fresh_root):
+            path = root / relative
+            if delete:
+                path.unlink()
+                continue
+            document = json.loads(path.read_text())
+            document["payload"]["tampered"] = True  # the checksum now lies
+            path.write_text(json.dumps(document, sort_keys=True, indent=1))
+
+    OPERATIONS = (
+        query,
+        query,
+        top_k,
+        fixed_ratio,
+        xy_core,
+        xy_core,
+        max_core,
+        reads,
+        update,
+        update,
+        clear,
+        warm_fresh,
+        warm_live,
+        seed,
+        seed,
+        damage,
+    )
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_long_lived_store_saves_what_a_fresh_store_saves(seed, tmp_path):
+    """A store's memory changes no counter and no byte of what a save writes."""
+    rng = random.Random(seed)
+    twins = _Twins(rng, tmp_path)
+    for _ in range(40):
+        rng.choice(_Twins.OPERATIONS)(twins)
+        if rng.random() < 0.6:
+            twins.save()
+    twins.save()
+
+
+# ----------------------------------------------------------------------
+# the fast path does no payload work
+# ----------------------------------------------------------------------
+@pytest.fixture
+def graph() -> DiGraph:
+    return load_dataset("foodweb-tiny")
+
+
+def _served(graph: DiGraph) -> DDSSession:
+    session = DDSSession(graph)
+    session.densest_subgraph("core-exact")
+    session.densest_subgraph("core-approx")
+    session.xy_core(1, 1)
+    return session
+
+
+def test_repeat_save_builds_and_reads_no_payload(graph, tmp_path, monkeypatch):
+    store = SessionStore(tmp_path)
+    session = _served(graph)
+    first = store.save_session(session)
+    # Cache hits and reads of derived state change nothing the store keeps.
+    session.densest_subgraph("core-exact")
+    session.out_degrees()
+    session.fixed_ratio(1.0)
+    _forbid_payload_work(monkeypatch)
+    assert store.save_session(session) == _repeat(first)
+    assert store.save_session(session) == _repeat(first)
+
+
+def test_repeat_save_keeps_skipped_results_counted(tmp_path, monkeypatch):
+    session = DDSSession(DiGraph.from_edges([((1, "a"), (2, "b")), ((1, "a"), (3, "c"))]))
+    session.densest_subgraph("core-approx")
+    store = SessionStore(tmp_path)
+    first = store.save_session(session)
+    assert first["results_skipped"] == 1
+    _forbid_payload_work(monkeypatch)
+    assert store.save_session(session) == _repeat(first)
+
+
+def test_save_after_a_complete_warm_builds_no_payload(graph, tmp_path, monkeypatch):
+    store = SessionStore(tmp_path)
+    first = store.save_session(_served(graph))
+    session = DDSSession(load_dataset("foodweb-tiny"))
+    counters = store.warm_session(session)
+    assert counters["results_loaded"] == 2 and counters["derived_loaded"] == 1
+    session.densest_subgraph("core-approx")  # served from the warmed cache
+    _forbid_payload_work(monkeypatch)
+    assert store.save_session(session) == _repeat(first)
+
+
+def test_graph_mutated_behind_the_session_still_raises(graph, tmp_path):
+    """Pins that a remembered session whose graph changed outside it saves in full."""
+    store = SessionStore(tmp_path)
+    session = _served(graph)
+    store.save_session(session)
+    graph.add_edge("mutated-source", "mutated-target")
+    with pytest.raises(GraphError, match="structurally mutated"):
+        store.save_session(session)
+
+
+# ----------------------------------------------------------------------
+# damage between fast-path saves is repaired
+# ----------------------------------------------------------------------
+@pytest.fixture
+def remembered(graph, tmp_path):
+    """A session saved twice, so its store remembers it; and the first counters."""
+    store = SessionStore(tmp_path)
+    session = _served(graph)
+    counters = store.save_session(session)
+    assert store.save_session(session) == _repeat(counters)
+    return store, session, counters
+
+
+def _others(files: dict, path: Path) -> dict:
+    """``files`` without ``path``."""
+    return {key: value for key, value in files.items() if key != path}
+
+
+def test_deleted_result_entry_is_rewritten(remembered, tmp_path):
+    store, session, first = remembered
+    before = _snapshot(tmp_path)
+    victim = sorted(tmp_path.glob("graphs/*/results/*.json"))[0]
+    victim.unlink()
+    counters = store.save_session(session)
+    assert counters == {**_repeat(first), "results_saved": 1, "results_unchanged": 1}
+    after = _snapshot(tmp_path)
+    assert after[victim][0] == before[victim][0]
+    assert _others(after, victim) == _others(before, victim)
+
+
+def test_derived_state_replaced_by_another_store_is_rewritten(remembered, tmp_path):
+    store, session, first = remembered
+    [derived] = tmp_path.glob("graphs/*/derived.json")
+    original = derived.read_bytes()
+    other = DDSSession(load_dataset("foodweb-tiny"))
+    other.max_xy_core()
+    SessionStore(tmp_path).save_session(other)
+    assert derived.read_bytes() != original
+    before = _snapshot(tmp_path)
+    counters = store.save_session(session)
+    assert counters == {**_repeat(first), "derived_saved": 1}
+    after = _snapshot(tmp_path)
+    assert after[derived][0] == original
+    assert _others(after, derived) == _others(before, derived)
+
+
+def test_tampered_manifest_is_rewritten(remembered, tmp_path):
+    store, session, first = remembered
+    [manifest] = tmp_path.glob("graphs/*/manifest.json")
+    original = manifest.read_bytes()
+    document = json.loads(original)
+    document["payload"]["num_edges"] += 1
+    manifest.write_text(json.dumps(document))
+    before = _snapshot(tmp_path)
+    assert store.save_session(session) == _repeat(first)
+    after = _snapshot(tmp_path)
+    assert after[manifest][0] == original
+    assert _others(after, manifest) == _others(before, manifest)
+    assert store.verify() == []
+
+
+# ----------------------------------------------------------------------
+# warms that must not set the memory
+# ----------------------------------------------------------------------
+def _corrupt_result(root: Path) -> None:
+    entry = sorted(root.glob("graphs/*/results/*.json"))[0]
+    document = json.loads(entry.read_text())
+    document["payload"]["result"]["density"] = 999.0
+    entry.write_text(json.dumps(document))
+
+
+def _incompatible_result(root: Path) -> None:
+    entry = sorted(root.glob("graphs/*/results/*.json"))[0]
+    document = json.loads(entry.read_text())
+    document["payload"]["method"] = "not-a-registered-method"
+    document["checksum"] = store_module._checksum(document["payload"])
+    entry.write_text(json.dumps(document))
+
+
+def _corrupt_derived(root: Path) -> None:
+    [derived] = root.glob("graphs/*/derived.json")
+    document = json.loads(derived.read_text())
+    document["payload"]["density_upper_bound"] = 999.0
+    derived.write_text(json.dumps(document))
+
+
+def _delete_derived(root: Path) -> None:
+    [derived] = root.glob("graphs/*/derived.json")
+    derived.unlink()
+
+
+@pytest.mark.parametrize(
+    "damage", [_corrupt_result, _incompatible_result, _corrupt_derived, _delete_derived]
+)
+def test_partial_warm_sets_no_memory(damage, graph, tmp_path, monkeypatch):
+    """Pins that a warm that missed something leaves the next save on the full path."""
+    store = SessionStore(tmp_path)
+    store.save_session(_served(graph))
+    damage(tmp_path)
+    session = DDSSession(load_dataset("foodweb-tiny"))
+    store.warm_session(session)
+    full_saves = _count_full_saves(monkeypatch)
+    store.save_session(session)
+    assert len(full_saves) == 1
+    if damage in (_corrupt_derived, _delete_derived):
+        assert store.verify() == []
+        assert SessionStore(tmp_path).warm_session(DDSSession(graph.copy()))["derived_loaded"] == 1
+
+
+def test_warm_of_a_session_holding_state_sets_no_memory(graph, tmp_path, monkeypatch):
+    """Pins that a warm merging into held state leaves the next save on the full path."""
+    store = SessionStore(tmp_path)
+    store.save_session(_served(graph))
+    session = DDSSession(load_dataset("foodweb-tiny"))
+    session.xy_core(2, 2)
+    counters = store.warm_session(session)
+    assert counters["results_loaded"] == 2 and counters["derived_loaded"] == 1
+    full_saves = _count_full_saves(monkeypatch)
+    assert store.save_session(session)["derived_saved"] == 1  # the held core
+    assert len(full_saves) == 1
+
+
+def test_warm_past_the_result_cache_sets_no_memory(graph, tmp_path, monkeypatch):
+    """Pins that a warm whose results did not all stay cached remembers nothing."""
+    store = SessionStore(tmp_path)
+    store.save_session(_served(graph))
+    session = DDSSession(load_dataset("foodweb-tiny"), result_cache_size=1)
+    assert store.warm_session(session)["results_loaded"] == 2
+    full_saves = _count_full_saves(monkeypatch)
+    assert store.save_session(session)["results_unchanged"] == 1
+    assert len(full_saves) == 1
+
+
+# ----------------------------------------------------------------------
+# threads
+# ----------------------------------------------------------------------
+def test_threads_saving_into_one_store_lose_no_memory(tmp_path, monkeypatch):
+    """More threads than cores save and re-save into one store.
+
+    Threads come in twin pairs that run the same operations on copies of one
+    graph, so both leave identical state.  A lost update to the shared
+    memory would leave some session unremembered and fail the last check.
+    """
+    store = SessionStore(tmp_path)
+    pairs = (os.cpu_count() or 2) + 1
+    graphs = [gnm_random_digraph(12, 36, seed=seed) for seed in range(pairs)]
+    sessions = [DDSSession(graph.copy()) for graph in graphs for _ in range(2)]
+    last: dict[int, dict[str, int]] = {}
+    errors: list[BaseException] = []
+
+    def work(index: int) -> None:
+        session = sessions[index]
+        rng = random.Random(index // 2)  # twins draw the same operations
+        try:
+            for _ in range(6):
+                if rng.random() < 0.5:
+                    session.xy_core(rng.randint(1, 3), rng.randint(1, 3))
+                else:
+                    session.densest_subgraph(rng.choice(("core-approx", "core-exact", "peel-approx")))
+                last[index] = store.save_session(session)
+                # A repeat save: full whenever the twin rewrote a file since.
+                store.save_session(session)
+        except BaseException as error:  # noqa: BLE001 - reported by the main thread
+            errors.append(error)
+
+    threads = [threading.Thread(target=work, args=(index,)) for index in range(len(sessions))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert store.verify() == []
+    for pair, graph in enumerate(graphs):
+        warmed = DDSSession(graph.copy())
+        counters = SessionStore(tmp_path).warm_session(warmed)
+        held = {(method, config) for method, config, _ in sessions[2 * pair].cached_results()}
+        assert counters["results_loaded"] == len(held)
+        assert {(method, config) for method, config, _ in warmed.cached_results()} == held
+    _forbid_payload_work(monkeypatch)
+    for index, session in enumerate(sessions):
+        assert store.save_session(session) == _repeat(last[index])
