@@ -54,7 +54,10 @@ not count as ``networks_built``; ``network_nodes`` / ``network_arcs``
 record the search network's size for every cut.  A solve on the search
 network continues from the residual flow its previous solve left — at the
 previous guess or, for a cache-served network, in the last search that
-used it.  Min-cuts run through a caller-supplied
+used it.  Every cold solve — on a freshly built search network, a narrowed
+network, or a narrowed network retuned with its flow reset — starts from
+the greedy start flow of
+:meth:`~repro.core.flow_network.DecisionNetwork.route_start_flow`.  Min-cuts run through a caller-supplied
 :class:`~repro.flow.engine.FlowEngine`, which picks the solver (registry
 name) and accumulates ``flow_calls`` / ``networks_built`` / ``arcs_pushed``
 / ``warm_starts_used`` across the whole algorithm run (see the stats
@@ -196,7 +199,10 @@ class _RatioSearch:
         network_cache: NetworkCache | None,
         network_observer: NetworkObserver | None,
     ) -> bool:
-        """Set the next guess on this search's network; returns whether the solve is warm."""
+        """Set the next guess on this search's network; returns whether the solve is warm.
+
+        A network about to be solved cold gets its start flow here.
+        """
         # Dinkelbach: probe the certified lower bound.  After a float stall
         # the same guess would stall again, so bisect instead.
         guess = self.guess = (self.low + self.high) / 2.0 if self.stalled else self.low
@@ -232,6 +238,8 @@ class _RatioSearch:
         else:
             solve_warm = self.network is decision
             self.network.retune(self.ratio, guess, warm_start=solve_warm)
+        if not solve_warm:
+            self.network.route_start_flow()
         self.network_nodes.append(decision.num_nodes)
         self.network_arcs.append(decision.num_arcs)
         return solve_warm

@@ -7,6 +7,16 @@ by the DDS density reduction — thousands of unit-capacity arcs plus a handful
 of ``O(g)`` capacity arcs — it is far faster than Edmonds–Karp and entirely
 adequate for the graph sizes the exact algorithms target.
 
+Most augmenting paths there are two or three arcs long, so the per-path
+overhead is what counts: after a push the DFS resumes at the tail of the
+first arc the push saturated instead of walking the path prefix again from
+the source, and each BFS stops as soon as the sink has a level.  Neither
+changes which paths are pushed or in what order; the test suite keeps the
+restart-from-the-source loop as a bit-for-bit reference
+(``tests/flow_oracle.py``).  A path of infinite capacity raises
+:class:`~repro.exceptions.FlowError` (the flow is unbounded) before the
+network is touched.
+
 Indexing the network's ``array``-backed CSR storage boxes a fresh Python
 object on every read, so ``max_flow`` grabs the cached list view of the
 topology (:meth:`~repro.flow.network.FlowNetwork.solver_views`), snapshots
@@ -22,7 +32,7 @@ from array import array
 from collections import deque
 
 from repro.exceptions import FlowError
-from repro.flow.network import EPSILON, FlowNetwork
+from repro.flow.network import EPSILON, INFINITY, FlowNetwork
 
 
 class DinicSolver:
@@ -82,12 +92,7 @@ class DinicSolver:
                 self.deadline.check("dinic BFS round")
             if not self._build_levels(heads, targets, caps):
                 break
-            iters = [0] * self.network.num_nodes
-            while True:
-                pushed = self._blocking_path(heads, targets, caps, iters)
-                if pushed <= EPSILON:
-                    break
-                total += pushed
+            total = self._blocking_flow(heads, targets, caps, total)
 
         caps_arr[:] = array("d", caps)
         self._completed = True
@@ -108,9 +113,18 @@ class DinicSolver:
 
     # ------------------------------------------------------------------
     def _build_levels(self, heads, targets, caps) -> bool:
-        """BFS from the source over positive-residual arcs; True if sink reached."""
+        """BFS from the source over positive-residual arcs; True if sink reached.
+
+        The BFS stops as soon as the sink gets its level: every node it
+        would label after that sits at or above the sink's level, so no
+        level-graph path from it reaches the sink and the DFS could only
+        dead-end there.  A BFS that never reaches the sink (the last one of
+        a solve) still labels every residual-reachable node.
+        """
+        sink = self.sink
         levels = [-1] * self.network.num_nodes
         levels[self.source] = 0
+        self._levels = levels
         queue = deque([self.source])
         while queue:
             node = queue.popleft()
@@ -120,17 +134,29 @@ class DinicSolver:
                     target = targets[arc_index]
                     if levels[target] < 0:
                         levels[target] = next_level
+                        if target == sink:
+                            return True
                         queue.append(target)
-        self._levels = levels
-        return levels[self.sink] >= 0
+        return False
 
-    def _blocking_path(self, heads, targets, caps, iters) -> float:
-        """Push one augmenting path along the level graph (iterative DFS)."""
+    def _blocking_flow(self, heads, targets, caps, total: float) -> float:
+        """Push augmenting paths along the level graph until it is blocked.
+
+        An iterative DFS with per-node current-arc pointers (``iters``).
+        After a push the DFS resumes at the tail of the first path arc the
+        push left at or below ``EPSILON``, keeping the path prefix: a
+        restart from the source would walk exactly that prefix again (its
+        arcs are still admissible and the pointers still name them), so the
+        paths, their order and the pushes are the same as with a restart.
+        Each bottleneck is added to ``total`` in path order; the new total
+        is returned.
+        """
         levels = self._levels
         sink = self.sink
-
+        iters = [0] * len(levels)
         path: list[int] = []  # arc indices along the current path
         node = self.source
+        pushed_arcs = 0
         while True:
             if node == sink:
                 # Found an augmenting path: push the bottleneck.
@@ -138,34 +164,45 @@ class DinicSolver:
                 for arc in path:
                     if caps[arc] < bottleneck:
                         bottleneck = caps[arc]
-                for arc in path:
-                    caps[arc] -= bottleneck
+                if bottleneck == INFINITY:
+                    raise FlowError(
+                        "the flow is unbounded: an infinite-capacity path joins "
+                        f"source {self.source} to sink {sink}"
+                    )
+                resume = -1
+                for position, arc in enumerate(path):
+                    residual = caps[arc] - bottleneck
+                    caps[arc] = residual
                     caps[arc ^ 1] += bottleneck
-                self.arcs_pushed += len(path)
-                return bottleneck
-            advanced = False
-            node_heads = heads[node]
-            node_level_next = levels[node] + 1
-            while iters[node] < len(node_heads):
-                arc_index = node_heads[iters[node]]
-                target = targets[arc_index]
-                if caps[arc_index] > EPSILON and levels[target] == node_level_next:
-                    path.append(arc_index)
-                    node = target
-                    advanced = True
-                    break
-                iters[node] += 1
-            if advanced:
+                    if resume < 0 and residual <= EPSILON:
+                        resume = position
+                pushed_arcs += len(path)
+                total += bottleneck
+                node = targets[path[resume] ^ 1]
+                del path[resume:]
                 continue
-            # Dead end: retreat (or give up if we are back at the source).
+            node_heads = heads[node]
+            end = len(node_heads)
+            next_level = levels[node] + 1
+            position = iters[node]
+            while position < end:
+                arc_index = node_heads[position]
+                if caps[arc_index] > EPSILON and levels[targets[arc_index]] == next_level:
+                    break
+                position += 1
+            iters[node] = position
+            if position < end:
+                path.append(arc_index)
+                node = targets[arc_index]
+                continue
+            # Dead end: retreat (or stop if we are back at the source).
             levels[node] = -1
             if not path:
-                return 0.0
+                self.arcs_pushed += pushed_arcs
+                return total
             last_arc = path.pop()
             node = targets[last_arc ^ 1]
             iters[node] += 1
-        # unreachable
-        raise AssertionError  # pragma: no cover
 
 
 def dinic_max_flow(network: FlowNetwork, source: int, sink: int) -> float:

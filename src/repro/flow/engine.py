@@ -29,14 +29,20 @@ defined in :mod:`repro.core.network_cache`.
 ``arcs_pushed``
     Total per-arc residual updates across all solver runs — a
     machine-independent proxy for flow work, not a measure of wall time.
+    Solver pushes only: the start flow a cold decision network is routed
+    in bulk before its solve
+    (:meth:`~repro.core.flow_network.DecisionNetwork.route_start_flow`)
+    is not counted.
 ``warm_starts_used``
     Min-cut computations whose caller declared the network's residual state
     a flow left by an earlier solve (``warm_start=True``: a warm retune of
     a search network, a cache-served network, or a patched one).
 ``cold_starts``
-    Min-cut computations on a network holding zero flow: freshly built
-    (every solve on a narrowed network of a fixed-ratio search is one) or
-    retuned with its flow reset.
+    Min-cut computations on a network that holds no flow of an earlier
+    solve: freshly built (every solve on a narrowed network of a
+    fixed-ratio search is one) or retuned with its flow reset.  Such a
+    network holds zero flow or, in a fixed-ratio search, the greedy start
+    flow routed before the solve.
 ``backend_selections``
     Min-cut computations for which the ``"auto"`` policy chose the backend
     per network (vectorised ``numpy-push-relabel`` at or above the arc

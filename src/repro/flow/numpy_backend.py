@@ -182,6 +182,9 @@ class NumpyPushRelabelSolver:
         self._valid_segments = valid_segments
         self._reduce_starts = starts[:valid_segments]
 
+        if caps.max() == np.inf:
+            self._check_bounded(caps, targets, tails)
+
         height = np.zeros(n, dtype=np.int64)
         excess = np.zeros(n, dtype=np.float64)
 
@@ -230,6 +233,29 @@ class NumpyPushRelabelSolver:
             raise
 
         return float(excess[sink])
+
+    def _check_bounded(
+        self, caps: np.ndarray, targets: np.ndarray, tails: np.ndarray
+    ) -> None:
+        """Raise :class:`FlowError` if infinite residual arcs join source to sink.
+
+        Such a path carries unbounded flow: the flood would push ``inf``
+        into it and leave ``nan`` behind.  Runs before anything is written.
+        """
+        infinite = caps == np.inf
+        arc_tails, arc_heads = tails[infinite], targets[infinite]
+        seen = np.zeros(self.network.num_nodes, dtype=bool)
+        seen[self.source] = True
+        while True:
+            hits = arc_heads[seen[arc_tails] & ~seen[arc_heads]]
+            if hits.size == 0:
+                return
+            seen[hits] = True
+            if seen[self.sink]:
+                raise FlowError(
+                    "the flow is unbounded: an infinite-capacity path joins "
+                    f"source {self.source} to sink {self.sink}"
+                )
 
     def _flood_attempts(
         self,

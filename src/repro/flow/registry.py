@@ -11,7 +11,9 @@ A solver class must satisfy the protocol shared by the built-ins:
   :class:`~repro.flow.network.FlowNetwork`;
 * ``max_flow() -> float`` runs to completion, continuing from the feasible
   flow the network's residual capacities hold (zero on a fresh network)
-  and returning the *total* max-flow value;
+  and returning the *total* max-flow value (the built-ins raise
+  :class:`~repro.exceptions.FlowError` instead, with the network untouched,
+  when an infinite-capacity path makes the flow unbounded);
 * ``min_cut_source_side() -> list[int]`` returns the source side of a
   minimum cut (valid after ``max_flow``);
 * an ``arcs_pushed`` integer attribute counting per-arc residual updates
@@ -34,11 +36,32 @@ Besides concrete solver names, configs and the CLI accept the *policy* name
 network — the vectorised backend for networks with at least
 :data:`AUTO_ARC_THRESHOLD` stored arcs (where bulk array ops amortise their
 per-call overhead), ``dinic`` below that, and ``dinic`` everywhere when
-numpy is missing.  When a whole *family* of closely related networks is
-solved together, the policy judges the family's **aggregate** arc count
-instead (:func:`resolve_auto_solver_batch`): many sub-threshold networks
-stacked block-diagonally fill the vector width that none of them fills
-alone (:func:`batch_eligible`, :class:`~repro.flow.batch.BatchedFlowNetwork`).
+numpy is missing.  The threshold is the measured crossover.  Every decision
+network of perfbench's ``exact`` workload (seed 501) and of dc-exact and
+core-exact on the registry's medium tier was captured and solved once per
+backend on a fresh copy (CPU time, 2-CPU VM).  Each cell names the backend
+with the lower summed time over the row's networks, by how much, and in
+parentheses how many networks the row holds.  "Before" is ``dinic``
+restarting every path search at the source on networks at zero flow;
+"after" is the resuming ``dinic`` on networks carrying the start flow of
+:meth:`~repro.core.flow_network.DecisionNetwork.route_start_flow`::
+
+    stored arcs       before: exact      before: medium     after: exact   after: medium
+    2,048-4,095       dinic 2.0x (168)   dinic 1.5x (80)    dinic 3.2x     dinic 2.3x
+    4,096-8,191       dinic 1.3x (109)   dinic 1.2x (111)   dinic 2.3x     dinic 1.9x
+    8,192-16,383      numpy 1.2x (12)    numpy 1.3x (26)    dinic 1.9x     dinic 1.1x
+    16,384-32,767     none               numpy 1.5x (130)   none           dinic 1.05x
+
+Below 8,192 arcs ``dinic`` leads either way.  Above it the two are within
+~12% of each other on the medium tier, and numpy still leads on
+citation-large's larger networks: dc-exact there takes 3.0 s of CPU on
+numpy against 4.4 s on ``dinic`` (best of 3).
+
+When a whole *family* of closely related networks is solved together, the
+policy judges the family's **aggregate** arc count instead
+(:func:`resolve_auto_solver_batch`): many sub-threshold networks stacked
+block-diagonally fill the vector width that none of them fills alone
+(:func:`batch_eligible`, :class:`~repro.flow.batch.BatchedFlowNetwork`).
 ``"auto"`` is deliberately not a registry entry: it names a selection rule,
 not a solver class (see :func:`resolve_auto_solver` and the
 ``backend_selections`` counter in :mod:`repro.flow.engine`).
@@ -67,10 +90,13 @@ AUTO_SOLVER = "auto"
 
 #: Networks with at least this many stored arcs are routed to the vectorised
 #: backend by the ``"auto"`` policy; smaller ones run ``dinic``, whose
-#: per-arc Python loop beats numpy's per-call overhead at that scale.  The
+#: per-arc Python loop beats numpy's per-call overhead at that scale.  It
+#: is the crossover of the per-size table in the module docstring: ``dinic``
+#: leads below 8,192 arcs, numpy on citation-large's largest networks.  The
 #: E6 smoke's vectorised-backend gate checks that er-medium dc-exact, whose
-#: networks sit far above the threshold, runs faster on the numpy backend.
-AUTO_ARC_THRESHOLD = 4096
+#: largest networks sit far above the threshold, runs faster on the numpy
+#: backend.
+AUTO_ARC_THRESHOLD = 8192
 
 _SOLVERS: dict[str, Type] = {DEFAULT_SOLVER: DinicSolver}
 if NumpyPushRelabelSolver is not None:

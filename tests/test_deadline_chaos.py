@@ -61,16 +61,30 @@ def _answer(result) -> tuple:
     return (result.density, sorted(map(str, result.s_nodes)), sorted(map(str, result.t_nodes)))
 
 
+def _readings_of_whole_run(graph, solver: str) -> int:
+    """Clock readings a never-expiring deadline takes over one dc-exact run."""
+    session = DDSSession(graph, flow=solver)
+    clock = SteppingClock(step_ms=1.0)
+    session._engine_for(solver).deadline = Deadline(1e9, clock=clock)
+    session.densest_subgraph("dc-exact")
+    return clock.readings
+
+
 class TestCancellationSafety:
     """A cancelled warm network must retune bit-identically."""
 
     # Budgets chosen to expire at different checkpoint depths: early (the
-    # first few engine admissions), mid-search, and deep into the D&C.
+    # first few engine admissions), mid-search, and deep into the D&C.  A
+    # budget longer than the whole run is cut to the run's last checkpoint,
+    # so how many checkpoints a solver needs never decides whether the
+    # cancellation is exercised.
     @pytest.mark.parametrize("budget_readings", [3, 10, 40, 150])
     @pytest.mark.parametrize("solver", [*available_flow_solvers(), ORACLE_SOLVER])
     def test_cancel_then_resume_is_bit_identical(self, solver, budget_readings, flow_oracle):
         graph = gnp_random_digraph(48, 0.12, seed=11)
         reference = _answer(DDSSession(graph, flow=solver).densest_subgraph("dc-exact"))
+        # One reading goes to the deadline's construction.
+        budget_readings = min(budget_readings, _readings_of_whole_run(graph, solver) - 1)
 
         session = DDSSession(graph, flow=solver)
         engine = session._engine_for(solver)
@@ -89,7 +103,7 @@ class TestCancellationSafety:
             assert partial.density <= reference[0] + 1e-9
             assert reference[0] <= partial.upper_bound + 1e-9
         else:
-            pytest.skip(f"budget of {budget_readings} readings outlived the solve")
+            pytest.fail(f"budget of {budget_readings} readings outlived the solve")
         finally:
             engine.deadline = None
 

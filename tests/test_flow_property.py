@@ -31,11 +31,13 @@ from __future__ import annotations
 import random
 
 import pytest
-from flow_oracle import ORACLE_SOLVER, EdmondsKarpSolver
+from flow_oracle import ORACLE_SOLVER, EdmondsKarpSolver, RestartDinicSolver
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import DeadlineExceeded
 from repro.flow.network import INFINITY, FlowNetwork
+from repro.runtime import Deadline
 from repro.flow.registry import (
     VECTOR_SOLVER,
     available_flow_solvers,
@@ -341,3 +343,137 @@ class TestWarmColdEquivalence:
             first = False
         # Every solver continued warm after the first (cold) solve.
         assert engine.warm_starts_used == len(schedule) - 1
+
+
+#: The production Dinic, checked against the restart reference below.
+DinicSolver = get_solver_class("dinic")
+
+
+def _solve_state(solver_class, network: FlowNetwork, source: int, sink: int) -> tuple:
+    """Everything a solve leaves behind, in bit-comparable form."""
+    solver = solver_class(network, source, sink)
+    value = solver.max_flow()
+    return (
+        value.hex(),
+        bytes(network.arc_capacities),
+        solver.arcs_pushed,
+        solver.min_cut_source_side(),
+    )
+
+
+def _decision_networks(seed: int):
+    """Decision networks at several guesses: cold, warm-retuned, with start flow.
+
+    Yields ``(label, network)`` pairs; each network is a fresh object the
+    caller may solve.  The start-flow networks route regardless of size.
+    """
+    from repro.core import flow_network
+    from repro.core.flow_network import build_decision_network
+    from repro.core.subproblem import STSubproblem
+    from repro.graph.generators import gnm_random_digraph
+
+    rng = random.Random(7000 + seed)
+    graph = gnm_random_digraph(rng.randint(5, 14), rng.randint(10, 60), seed=seed)
+    subproblem = STSubproblem.from_graph(graph)
+    schedule = [(rng.choice([0.25, 0.5, 1.0, 2.0, 3.0]), rng.uniform(0.0, 4.0)) for _ in range(4)]
+    warm = build_decision_network(subproblem, *schedule[0])
+    for step, (ratio, guess) in enumerate(schedule):
+        yield f"cold {step}", build_decision_network(subproblem, ratio, guess).network
+        started = build_decision_network(subproblem, ratio, guess)
+        saved = flow_network.START_FLOW_MIN_ARCS
+        flow_network.START_FLOW_MIN_ARCS = 0
+        try:
+            started.route_start_flow()
+        finally:
+            flow_network.START_FLOW_MIN_ARCS = saved
+        yield f"start flow {step}", started.network
+        if step:
+            warm.retune(ratio, guess, warm_start=True)
+            yield f"warm {step}", warm.network.clone()
+        DinicSolver(warm.network, warm.source, warm.sink).max_flow()
+
+
+class TestDinicMatchesRestartReference:
+    """The resuming DFS and sink-stopped BFS push exactly the reference's paths.
+
+    :class:`flow_oracle.RestartDinicSolver` restarts every augmenting-path
+    search at the source and labels every level graph in full; the
+    production solver must agree with it bit for bit: value, residual
+    capacities, ``arcs_pushed`` and cut.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(description=_network_description())
+    def test_hypothesis_networks(self, description):
+        sink = description[0] - 1
+        reference = _solve_state(RestartDinicSolver, _build_from_description(description), 0, sink)
+        assert _solve_state(DinicSolver, _build_from_description(description), 0, sink) == reference
+
+    @pytest.mark.parametrize("seed", range(NUM_SEEDED_NETWORKS))
+    def test_seeded_mixed_capacity_networks(self, seed):
+        sink = _mixed_capacity_network(seed).num_nodes - 1
+        reference = _solve_state(RestartDinicSolver, _mixed_capacity_network(seed), 0, sink)
+        assert _solve_state(DinicSolver, _mixed_capacity_network(seed), 0, sink) == reference
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_decision_networks(self, seed):
+        for label, network in _decision_networks(seed):
+            twin = network.clone()
+            reference = _solve_state(RestartDinicSolver, twin, 0, 1)
+            assert _solve_state(DinicSolver, network, 0, 1) == reference, (seed, label)
+
+    @pytest.mark.parametrize("expiring_round", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_deadline_leaves_the_entry_state(self, seed, expiring_round):
+        for label, network in _decision_networks(seed):
+            entry = bytes(network.arc_capacities)
+            readings = iter(range(10_000))
+            solver = DinicSolver(network, 0, 1)
+            # One reading at construction, one per BFS round after it: the
+            # budget runs out at the check before round ``expiring_round``.
+            solver.deadline = Deadline(
+                float(expiring_round), clock=lambda: next(readings) / 1000.0
+            )
+            try:
+                solver.max_flow()
+            except DeadlineExceeded:
+                pass
+            else:
+                # The solve needed fewer rounds than the budget allowed.
+                continue
+            assert bytes(network.arc_capacities) == entry, (seed, label, expiring_round)
+
+
+def _unbounded_networks():
+    """Networks where infinite-capacity arcs join source 0 to the last node."""
+    direct = FlowNetwork(3)
+    direct.add_edge(0, 1, INFINITY)
+    direct.add_edge(1, 2, INFINITY)
+    direct.add_edge(0, 2, 1.0)
+    # Finite shortest paths first: the infinite path is the longest one.
+    detour = FlowNetwork(6)
+    detour.add_edge(0, 5, 2.0)
+    detour.add_edge(0, 1, 3.0)
+    detour.add_edge(1, 5, 1.5)
+    detour.add_edge(0, 2, INFINITY)
+    detour.add_edge(2, 3, INFINITY)
+    detour.add_edge(3, 4, INFINITY)
+    detour.add_edge(4, 5, INFINITY)
+    detour.add_edge(3, 1, 2.0)
+    return {"direct": direct, "detour": detour}
+
+
+class TestUnboundedFlow:
+    """An infinite-capacity source-sink path is an error, not a corrupt network."""
+
+    @pytest.mark.parametrize("shape", ["direct", "detour"])
+    @pytest.mark.parametrize("solver_name", available_flow_solvers())
+    def test_solver_raises_before_touching_the_network(self, solver_name, shape):
+        from repro.exceptions import FlowError
+
+        network = _unbounded_networks()[shape]
+        sink = network.num_nodes - 1
+        entry = bytes(network.arc_capacities)
+        with pytest.raises(FlowError, match="unbounded"):
+            get_solver_class(solver_name)(network, 0, sink).max_flow()
+        assert bytes(network.arc_capacities) == entry
