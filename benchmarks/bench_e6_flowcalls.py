@@ -66,9 +66,7 @@ The **process-pool parity gate** runs the mixed workload through
 ``BatchExecutor(process_pool=True)`` with one and with two workers: both
 process-mode runs must return per-query answers bit-identical to the
 thread/serial reference, must actually run in worker processes (no silent
-degradation while shared memory is available), and must leave zero
-shared-memory segments behind.  Where ``multiprocessing.shared_memory`` is
-unavailable the gate reports itself skipped.
+degradation), and must leave no worker process alive.
 
 The **network-tier parity gate** serves the same mixed workload from two
 loopback ``ShardDaemon``s via ``BatchExecutor(remote_hosts=[...])``: the
@@ -91,6 +89,7 @@ thread (``unjoined_threads == 0`` — the shutdown hygiene counter).
 
 from __future__ import annotations
 
+import multiprocessing
 import sys
 import time
 
@@ -105,8 +104,7 @@ from repro.core.ratio import all_candidate_ratios
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.flow.registry import VECTOR_SOLVER, has_vector_backend
 from repro.graph.generators import edge_update_stream
-from repro.service import BatchExecutor, payload_answer, plan_batch, process_pool_available
-from repro.service import shm as service_shm
+from repro.service import BatchExecutor, payload_answer, plan_batch
 from repro.session import DDSSession
 
 _rows: list[dict] = []
@@ -527,18 +525,9 @@ def run_procpool_smoke(failures: list[str]) -> dict:
     with one and with two workers, plus the serial/thread reference, and
     asserts (1) bit-identical per-query answers across all three, (2) that
     the process runs actually used worker processes (no silent degradation),
-    and (3) that zero shared-memory segments survive the runs.  Where
-    shared memory is unavailable the gate reports itself skipped — that
-    platform's degradation behaviour is covered by the test suite.  Appends
-    failure strings to ``failures`` and returns a table row.
+    and (3) that no worker process is alive after the runs.  Appends failure
+    strings to ``failures`` and returns a table row.
     """
-    available, reason = process_pool_available()
-    if not available:
-        return {
-            "dataset": PROCPOOL_SMOKE_DATASET,
-            "method": "process-pool",
-            "skipped": f"shared memory unavailable ({reason})",
-        }
     # The mixed workload plus a second graph's lane, so jobs-2 genuinely
     # exercises the fingerprint shard routing across two workers
     # (foodweb-tiny and social-tiny hash to distinct shards of 2).
@@ -566,8 +555,8 @@ def run_procpool_smoke(failures: list[str]) -> dict:
         if report.executor_stats.get("mode") != "process-pool":
             failures.append(
                 f"process pool: jobs-{jobs} run degraded to "
-                f"{report.executor_stats.get('mode')!r} although shared memory "
-                "is available"
+                f"{report.executor_stats.get('mode')!r} "
+                f"({report.executor_stats.get('reason')})"
             )
         if report.executor_stats.get("worker_crashes", 0) != 0:
             failures.append(
@@ -579,20 +568,18 @@ def run_procpool_smoke(failures: list[str]) -> dict:
             "process pool: jobs-2 run spawned fewer than 2 workers "
             "(fingerprint shard routing fan-out broken)"
         )
-    leaked = service_shm.active_segment_names()
-    if leaked:
+    alive = multiprocessing.active_children()
+    if alive:
         failures.append(
-            f"process pool: {len(leaked)} shared-memory segments leaked after "
-            f"shutdown: {', '.join(leaked)}"
+            f"process pool: {len(alive)} worker processes still alive after the runs: "
+            f"{', '.join(process.name for process in alive)}"
         )
     return {
         "dataset": PROCPOOL_SMOKE_DATASET,
         "method": "process-pool",
         "queries": len(queries),
         "workers_jobs2": reports[2].executor_stats["workers_spawned"],
-        "shm_bytes": reports[2].executor_stats["shm_bytes_mapped"],
         "crashes": reports[2].executor_stats["worker_crashes"],
-        "segments_leaked": len(leaked),
     }
 
 

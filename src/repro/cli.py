@@ -15,8 +15,8 @@ Sub-commands
 ``core``      compute an [x, y]-core or the maximum-product core
 ``batch``     plan + execute a JSON list of queries (``--no-plan`` for file
               order, ``--explain`` for the plan report, ``--store`` for
-              persistent warm state, ``--process-pool`` for shared-memory
-              worker processes, ``--remote host:port,...`` to route lanes
+              persistent warm state, ``--process-pool`` for worker
+              processes, ``--remote host:port,...`` to route lanes
               to shard daemons, ``--deadline-ms`` for per-lane budgets with
               anytime answers)
 ``serve``     run a shard daemon serving DDS answers over the frame protocol
@@ -401,10 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--process-pool",
         action="store_true",
-        help="run lanes in worker processes over shared-memory graph segments "
-        "(the GIL-free scale-out path): graphs are routed to workers by "
-        "content fingerprint, crashed workers are retried, and the run "
-        "degrades to the thread path when shared memory is unavailable",
+        help="run lanes in worker processes (the GIL-free scale-out path): "
+        "graphs are routed to workers by content fingerprint and sent to each "
+        "over its pipe, crashed workers are retried, and with --store the run "
+        "degrades to the thread path when fcntl locks are unavailable",
     )
     batch.add_argument(
         "--remote",

@@ -218,46 +218,6 @@ class FlowNetwork:
         self._csr_dirty = True
         return first_index
 
-    def arc_state_views(self) -> tuple:
-        """Read-only ``memoryview``s ``(tails, targets, capacities, base)``.
-
-        Zero-copy exports of the flat paired-arc buffers in the exact shape
-        :meth:`append_paired_arcs` (and :meth:`attach_paired_arcs`) accept —
-        int64 tails/targets, float64 capacities/base — so a network's arc
-        state can be copied into another process's network, or published
-        into a shared-memory segment, without materialising Python objects
-        per arc.  The views pin the underlying buffers: release them (or
-        drop them) before the next topology mutation, which needs to resize
-        those buffers.
-        """
-        return (
-            memoryview(self._tails),
-            memoryview(self._to),
-            memoryview(self._cap),
-            memoryview(self._base),
-        )
-
-    @classmethod
-    def attach_paired_arcs(
-        cls, num_nodes: int, tails, targets, capacities, base_capacities
-    ) -> "FlowNetwork":
-        """Build a network by *reading* arc buffers mapped elsewhere.
-
-        The read-only attach path of the process-pool executor: the four
-        arc-indexed sequences — typically ``memoryview`` casts or numpy
-        views over a shared-memory segment, shaped exactly like
-        :meth:`arc_state_views` — are bulk-copied through
-        :meth:`append_paired_arcs` into a fresh network that owns its own
-        buffers.  The source is never written (solvers mutate only the new
-        network's capacity copy), so any number of processes can attach to
-        one published segment concurrently and still satisfy the
-        bit-identity guarantees: an attached network's :meth:`numpy_csr`
-        views are element-for-element identical to the publisher's.
-        """
-        network = cls(num_nodes)
-        network.append_paired_arcs(tails, targets, capacities, base_capacities)
-        return network
-
     def clone(self) -> "FlowNetwork":
         """Deep copy of the topology *and* the current residual state.
 

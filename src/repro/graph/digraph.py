@@ -20,6 +20,7 @@ simple graphs, so loops are dropped by default but can be retained).
 from __future__ import annotations
 
 import hashlib
+from array import array
 from itertools import count
 from typing import Hashable, Iterable, Iterator, Sequence
 
@@ -113,11 +114,10 @@ class DiGraph:
         The bulk counterpart of :meth:`from_edges` for hydrating a graph
         from an already-serialised adjacency — row ``i`` of the
         out-adjacency is ``targets[starts[i]:starts[i + 1]]``.  The arrays
-        are only *read* (any int sequence works, including zero-copy
-        ``memoryview`` casts over a shared-memory segment — the worker
-        attach path in :mod:`repro.service.shm`), and node order follows
-        ``labels``, so a graph round-tripped through its CSR keeps its
-        label-to-index mapping and therefore its
+        are only *read* (any int sequence works, including the flat int64
+        arrays a pickled graph carries — see :meth:`__reduce__`), and node
+        order follows ``labels``, so a graph round-tripped through its CSR
+        keeps its label-to-index mapping and therefore its
         :meth:`content_fingerprint`.  Malformed input (non-monotone row
         starts, out-of-range targets, duplicate labels or edges, or a
         self-loop under ``allow_self_loops=False``) raises
@@ -531,6 +531,23 @@ class DiGraph:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DiGraph(n={self.num_nodes}, m={self.num_edges})"
 
+    def __reduce__(self) -> tuple:
+        """Pickle as flat CSR: labels, int64 row starts and targets, loop policy.
+
+        Unpickling rebuilds the graph through :meth:`from_csr_arrays`, so
+        it draws a fresh :attr:`state_token` from the receiving process's
+        counter — a copied slot would carry the sender's token into a
+        process whose own counter can hand that value to another graph —
+        and computes its :meth:`content_fingerprint` anew rather than
+        trusting a cached one.
+        """
+        starts = array("q", [0])
+        targets = array("q")
+        for row in self._out_sets:
+            targets.extend(row)
+            starts.append(len(targets))
+        return (_from_pickled_csr, (self._labels, starts, targets, self._allow_self_loops))
+
     def _require_index(self, label: NodeLabel) -> int:
         index = self._index_of.get(label)
         if index is None:
@@ -541,3 +558,10 @@ class DiGraph:
         self._out_adj_cache = None
         self._in_adj_cache = None
         self._state_token = next(_STATE_TOKENS)
+
+
+def _from_pickled_csr(
+    labels: list[NodeLabel], starts: array, targets: array, allow_self_loops: bool
+) -> DiGraph:
+    """Unpickle a :class:`DiGraph` (the reconstructor :meth:`DiGraph.__reduce__` names)."""
+    return DiGraph.from_csr_arrays(labels, starts, targets, allow_self_loops=allow_self_loops)

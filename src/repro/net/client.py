@@ -309,15 +309,21 @@ class ShardClient:
     ) -> dict[str, Any]:
         """Send one request, retrying transport failures on fresh connections.
 
-        Returns the response payload of an ``"ok"`` answer.  Raises
+        Returns the response payload of an ``"ok"`` answer.  The frame is
+        encoded once, before the ladder, and every attempt resends the same
+        bytes and request id; a payload that cannot be encoded raises
+        :class:`~repro.exceptions.ProtocolError` at once — a local defect,
+        so no socket, no retry and no breaker change.  Raises
         :class:`CircuitOpenError` without touching the network while the
         host's breaker is open, :class:`RemoteOpError` on a semantic
         failure (no retry), and :class:`~repro.exceptions.NetError` once
         the ladder is exhausted.
         """
+        rid = request_id if request_id is not None else protocol.new_request_id()
+        frame = protocol.encode_request(rid, op, payload)
         self.breaker.admit(self.address)
         try:
-            result = self._request_with_retries(op, payload, request_id)
+            result = self._request_with_retries(op, rid, frame)
         except RemoteOpError:
             # The daemon answered — the transport is healthy; only the op
             # failed.  That must reclose a half-open breaker, not trip it.
@@ -329,9 +335,7 @@ class ShardClient:
         self.breaker.record_success()
         return result
 
-    def _request_with_retries(
-        self, op: str, payload: dict[str, Any], request_id: str | None
-    ) -> dict[str, Any]:
+    def _request_with_retries(self, op: str, rid: str, frame: bytes) -> dict[str, Any]:
         """The retry ladder itself (breaker accounting lives in ``request``)."""
         last_error: Exception | None = None
         for attempt in range(self._max_retries + 1):
@@ -339,7 +343,7 @@ class ShardClient:
                 self._bump("retries")
                 time.sleep(self.backoff_delay(attempt - 1))
             try:
-                return self._request_once(op, payload, request_id)
+                return self._request_once(op, rid, frame)
             except RemoteOpError:
                 raise
             except (ProtocolError, OSError) as error:
@@ -350,12 +354,8 @@ class ShardClient:
             f"on fresh connections: {last_error}"
         )
 
-    def _request_once(
-        self, op: str, payload: dict[str, Any], request_id: str | None
-    ) -> dict[str, Any]:
-        """One attempt: fresh connection, one frame out, one frame back."""
-        rid = request_id if request_id is not None else protocol.new_request_id()
-        frame = protocol.encode_request(rid, op, payload)
+    def _request_once(self, op: str, rid: str, frame: bytes) -> dict[str, Any]:
+        """One attempt: fresh connection, the encoded ``frame`` out, one frame back."""
         with socket.create_connection(
             (self.host, self.port), timeout=self._connect_timeout
         ) as sock:

@@ -70,11 +70,10 @@ from repro.exceptions import (
 from repro.graph.digraph import DiGraph
 from repro.net import protocol
 from repro.runtime import Deadline
-from repro.service.queries import run_batch_query
+from repro.service.queries import run_batch_query, run_lane
 from repro.service.store import SessionStore
 from repro.session import DDSSession
 from repro.session.session import DEFAULT_RESULT_CACHE_SIZE
-from repro.utils.timer import time_call
 
 #: Fault kinds the daemon's chaos hook understands.
 DAEMON_FAULT_KINDS = ("close", "exit")
@@ -731,11 +730,13 @@ class ShardDaemon:
         Payload: ``{"graph_key", "fingerprint", "entries": [[index, spec],
         ...], "graph": <wire document> | null, "flow": <FlowConfig fields>
         | null}``; ``"graph"`` may be null whenever this daemon holds the
-        graph (see :meth:`_session_for`).  The response mirrors the
-        process-pool worker's lane message — per-entry executions with
-        schema-2 result payloads, the session's cache-stats snapshot, and
-        store counters — so the executor assembles remote and local lanes
-        identically.
+        graph (see :meth:`_session_for`).  Every entry is checked before the
+        first one runs.  The lane itself is served by
+        :func:`~repro.service.queries.run_lane`, so the response is the lane
+        message the executor's threads and worker processes produce too —
+        per-entry executions with schema-2 result payloads, the session's
+        cache-stats snapshot, and store counters — plus
+        ``session_cache_hit``.
         """
         fingerprint = payload.get("fingerprint")
         if not isinstance(fingerprint, str) or not fingerprint:
@@ -743,6 +744,14 @@ class ShardDaemon:
         entries = payload.get("entries")
         if not isinstance(entries, list):
             raise NetError("solve payload requires an 'entries' list")
+        lane: list[tuple[int, dict[str, Any]]] = []
+        for item in entries:
+            if not (isinstance(item, (list, tuple)) and len(item) == 2):
+                raise NetError(f"solve entry must be an [index, spec] pair, got {item!r}")
+            index, spec = item
+            if not isinstance(spec, dict):
+                raise NetError(f"solve entry {index!r} spec must be an object")
+            lane.append((int(index), spec))
         lane_deadline_ms = payload.get("deadline_ms")
         if lane_deadline_ms is not None:
             if (
@@ -765,54 +774,23 @@ class ShardDaemon:
         with entry.lock:
             store_counters = entry.pending_warm
             entry.pending_warm = {}
-            executions: list[dict[str, Any]] = []
-            for item in entries:
-                if not (isinstance(item, (list, tuple)) and len(item) == 2):
-                    raise NetError(f"solve entry must be an [index, spec] pair, got {item!r}")
-                index, spec = item
-                if not isinstance(spec, dict):
-                    raise NetError(f"solve entry {index!r} spec must be an object")
-                remaining_ms = (
-                    lane_deadline.remaining_ms() if lane_deadline is not None else None
-                )
-                if remaining_ms is not None and remaining_ms <= 0:
-                    # No budget left for this entry: answer it as a deadline
-                    # hit without doing (or corrupting) any work.
-                    self._count("deadline_rejections")
-                    executions.append(
-                        {
-                            "index": int(index),
-                            "kind": spec.get("query", "densest"),
-                            "seconds": 0.0,
-                            "payload": {"deadline_exceeded": True, "is_exact": False},
-                        }
-                    )
-                    continue
-                result_payload, seconds = time_call(
-                    lambda: run_batch_query(entry.session, spec, deadline_ms=remaining_ms)
-                )
-                if isinstance(result_payload, dict) and result_payload.get(
-                    "deadline_exceeded"
-                ):
-                    self._count("deadline_hits")
-                executions.append(
-                    {
-                        "index": int(index),
-                        "kind": spec.get("query", "densest"),
-                        "seconds": seconds,
-                        "payload": result_payload,
-                    }
-                )
-            if self._store is not None:
-                for key, value in self._store.save_session(entry.session).items():
-                    store_counters[key] = store_counters.get(key, 0) + value
-            stats_snapshot = entry.session.cache_stats()
-        return {
-            "executions": executions,
-            "stats": stats_snapshot,
-            "store": store_counters,
-            "session_cache_hit": cache_hit,
-        }
+            message = run_lane(
+                entry.session,
+                lane,
+                deadline=lane_deadline,
+                store=self._store,
+                store_counters=store_counters,
+                on_deadline=lambda rejected: self._count(
+                    "deadline_rejections" if rejected else "deadline_hits"
+                ),
+                # Resolved in this module at call time, so substituting
+                # ``daemon.run_batch_query`` changes what the daemon serves
+                # (the benchmark self-test does, to prove its oracle catches
+                # a wrong remote answer).
+                run_query=run_batch_query,
+            )
+        message["session_cache_hit"] = cache_hit
+        return message
 
     def _op_warm(self, payload: dict[str, Any]) -> dict[str, Any]:
         """Precompute warm state for a pushed graph (the remote ``warm``).

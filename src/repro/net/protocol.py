@@ -16,10 +16,10 @@ and every message body is a checksummed envelope::
 
 Responses replace ``"op"`` with ``"status": "ok" | "error"`` and echo the
 request id, so a client can verify it is reading the answer to the question
-it asked.  The checksum reuses the :mod:`repro.service.store` convention —
-SHA-256 over the canonical (sorted-keys, compact-separator) JSON text of the
-payload — so a store entry and a wire payload are verified by the same
-arithmetic.
+it asked.  The checksum is the session store's — SHA-256 over the canonical
+(sorted-keys, compact-separator) JSON text of the payload, both defined once
+in :mod:`repro.utils.canonical` — so a store entry and a wire payload are
+verified by the same arithmetic.
 
 Decoding is **strict**: a truncated frame, an oversized length prefix, a
 body that is not a JSON object, a missing envelope field, a version
@@ -32,8 +32,8 @@ Graphs cross the wire through :func:`graph_to_wire` /
 :func:`graph_from_wire`: node labels in insertion order, the edge list, the
 self-loop policy, and the graph's :meth:`content_fingerprint
 <repro.graph.digraph.DiGraph.content_fingerprint>`.  The receiver rebuilds
-the graph and re-fingerprints it — the same bit-identity guarantee the
-shared-memory attach path gives in-machine (:mod:`repro.service.shm`).
+the graph and re-fingerprints it — the same check a process-pool worker
+makes on the graphs it receives over its pipe (:mod:`repro.service.executor`).
 Labels that would not survive a JSON round trip refuse to serialise
 (:class:`~repro.exceptions.NetError`); the remote executor runs such lanes
 inline instead of shipping a lossy approximation.
@@ -55,7 +55,6 @@ of routing each graph to exactly one daemon.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import socket
 import struct
@@ -65,6 +64,7 @@ from typing import Any
 from repro.core.results import json_native_label
 from repro.exceptions import GraphError, NetError, ProtocolError
 from repro.graph.digraph import DiGraph
+from repro.utils.canonical import canonical_json, checksum
 
 #: Version of the frame envelope.  Bump on any incompatible change; a frame
 #: speaking a different version is refused outright.
@@ -87,27 +87,18 @@ _HEADER = struct.Struct("!I")
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
-def canonical_json(payload: Any) -> str:
-    """Deterministic JSON text — the byte-stable form the checksum hashes.
-
-    Identical to the session store's canonical form, so both layers verify
-    payloads with the same arithmetic.
-    """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def payload_checksum(payload: Any) -> str:
     """SHA-256 hex digest of the canonical JSON text of ``payload``.
 
-    Raises :class:`~repro.exceptions.ProtocolError` when the payload is not
-    JSON-serialisable — the encode paths surface that as a protocol defect,
-    never as a bare ``TypeError`` mid-frame.
+    The store's checksum (:func:`repro.utils.canonical.checksum`), except
+    that a payload that is not JSON-serialisable raises
+    :class:`~repro.exceptions.ProtocolError` — the encode paths surface that
+    as a protocol defect, never as a bare ``TypeError`` mid-frame.
     """
     try:
-        text = canonical_json(payload)
+        return checksum(payload)
     except (TypeError, ValueError) as error:
         raise ProtocolError(f"payload is not JSON-serialisable: {error}")
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def new_request_id() -> str:

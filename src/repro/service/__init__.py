@@ -4,15 +4,16 @@ Everything above a single :class:`~repro.session.DDSSession` lives here —
 the layer that turns the one-process session API into a serving system:
 
 * :mod:`repro.service.queries` — the JSON batch-query vocabulary shared by
-  the CLI and the executor;
+  the CLI and the executor, and ``run_lane``, the loop that serves one
+  graph's queries on one session for every pool flavour and the shard
+  daemon;
 * :mod:`repro.service.planner` — cache-aware reordering of a query batch
   (graph affinity, approx-before-exact phases, family grouping) with an
   explain mode;
 * :mod:`repro.service.executor` — a pool of graph-affine sessions (threads
-  by default, shared-memory worker *processes* with ``process_pool=True``)
-  executing a plan with per-query timing and aggregated cache counters;
-* :mod:`repro.service.shm` — named shared-memory graph segments (CSR +
-  seeded degree arrays) that process-pool workers attach to zero-copy;
+  by default, worker *processes* sent their graphs over a pipe with
+  ``process_pool=True``) executing a plan with per-query timing and
+  aggregated cache counters;
 * :mod:`repro.service.store` — a versioned, checksummed on-disk store of
   session warm state keyed by graph content fingerprint, so warm caches
   survive the process and can be shared between workers.
@@ -32,8 +33,7 @@ Quickstart::
 from repro.service.executor import BatchExecutor, BatchReport, QueryExecution
 from repro.service.planner import BatchPlan, PlannedQuery, ShardMap, plan_batch
 from repro.service.queries import BATCH_QUERY_KINDS, payload_answer, run_batch_query
-from repro.service.shm import process_pool_available
-from repro.service.store import STORE_SCHEMA_VERSION, SessionStore
+from repro.service.store import STORE_SCHEMA_VERSION, SessionStore, process_pool_available
 
 __all__ = [
     "BATCH_QUERY_KINDS",

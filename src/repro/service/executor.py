@@ -16,18 +16,19 @@ Three pool flavours share that lane contract:
   rather than parallel speed-up (four numpy-backend thread lanes ran a
   four-graph batch only 1.03× faster than one lane on a 2-CPU VM).
 * **Processes** (``process_pool=True``): the scale-out path.  The parent
-  publishes each lane's graph into a named shared-memory segment once
-  (:mod:`repro.service.shm`), routes lanes to workers by content
-  fingerprint (:class:`~repro.service.planner.ShardMap` — each worker owns
-  its graphs' store shard), and workers attach zero-copy, hydrate a
-  session from the seeded derived arrays, and stream schema-2 result dicts
-  back over a per-worker pipe.  Per-worker pipes plus ``Process.sentinel``
-  waiting make crash detection deadlock-free: a SIGKILLed worker can never
-  strand the batch the way a shared queue's poisoned write lock would.
-  Crashed or poisoned lanes are retried on fresh workers up to
-  ``max_retries`` times, then fall back to an inline (serial) run; lanes
-  that needed any of that are marked *degraded* in the report's timings.
-  When ``shared_memory`` (or ``fcntl``, with a store attached) is
+  routes lanes to workers by content fingerprint
+  (:class:`~repro.service.planner.ShardMap` — each worker owns its graphs'
+  store shard), starts every worker of the round, and then sends each one
+  the ``DiGraph``s of its lanes, pickled as flat CSR arrays, over its own
+  duplex pipe.  A worker checks each graph against the fingerprint its lane
+  was routed by, builds its sessions as a thread lane does, and streams
+  schema-2 result dicts back over the same pipe.  Per-worker pipes plus
+  ``Process.sentinel`` waiting make crash detection deadlock-free: a
+  SIGKILLed worker can never strand the batch the way a shared queue's
+  poisoned write lock would.  Crashed or poisoned lanes are retried on
+  fresh workers up to ``max_retries`` times, then fall back to an inline
+  (serial) run; lanes that needed any of that are marked *degraded* in the
+  report's timings.  When a store is attached and ``fcntl`` is
   unavailable, ``execute`` degrades to the thread path and records why.
 * **Remote daemons** (``remote_hosts=[...]``): the cross-machine path.
   Lanes are routed to :class:`~repro.net.daemon.ShardDaemon` processes by
@@ -55,38 +56,39 @@ routing gives each worker sole ownership of its graphs' store directories
 within a run, and the store's per-graph ``fcntl`` locks keep concurrent
 executors safe on top.
 
+All three serve a lane through :func:`~repro.service.queries.run_lane`.
+
 Instrumentation: every query is individually timed, each lane's
 :meth:`~repro.session.DDSSession.cache_stats` snapshot is kept, and the
 report aggregates them (plus the planner's predicted-vs-realised hit
 counts) into the payload ``dds-repro batch --explain`` prints.  Process
 runs additionally fill :attr:`BatchReport.executor_stats` with the worker
 lifecycle counters (``workers_spawned``, ``worker_crashes``,
-``worker_retries``, ``shm_bytes_mapped``, ``shm_segments``,
-``degraded_lanes``).
+``worker_retries``, ``degraded_lanes``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import multiprocessing
 import os
 import signal
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Mapping
 
 from repro.core.config import FlowConfig
 from repro.exceptions import BatchQueryError, ConfigError, GraphNotResidentError, NetError
 from repro.runtime import Deadline
 from repro.graph.digraph import DiGraph
-from repro.service import shm
 from repro.service.planner import BatchPlan, PlannedQuery, ShardMap
-from repro.service.queries import run_batch_query
-from repro.service.store import SessionStore
+from repro.service.queries import run_lane
+from repro.service.store import SessionStore, process_pool_available
 from repro.session import DDSSession
 from repro.session.session import DEFAULT_RESULT_CACHE_SIZE
-from repro.utils.timer import time_call
 
 #: Source of graphs for lane sessions: a mapping or a ``key -> DiGraph`` callable.
 GraphProvider = Callable[[str], DiGraph]
@@ -201,86 +203,78 @@ def _inject_fault(fault: Mapping[str, Any] | None, graph_key: str, index: int) -
     raise BatchQueryError(f"injected fault on lane {graph_key!r} query {index}")
 
 
+def _executions(
+    graph_key: str, rows: list[dict[str, Any]], worker: int | None = None
+) -> list[QueryExecution]:
+    """One lane message's execution rows as :class:`QueryExecution` records."""
+    return [
+        QueryExecution(
+            index=row["index"],
+            graph_key=graph_key,
+            kind=row["kind"],
+            seconds=row["seconds"],
+            payload=row["payload"],
+            worker=worker,
+        )
+        for row in rows
+    ]
+
+
 def _process_worker_main(conn: Any, assignment: dict[str, Any]) -> None:
     """Entry point of one pool worker process.
 
-    Serves every lane in ``assignment`` sequentially: attach the lane's
-    shared-memory graph segment, hydrate a session from its seeded degree
-    arrays, warm from the store shard this worker owns, run the lane's
-    queries in plan order, save back, and send the lane's results — plain
-    dicts, nothing process-local — up the pipe.  A lane that raises is
-    reported as ``("lane-error", ...)`` and the worker moves on; lifecycle
-    messages are ``("lane", ...)`` per finished lane and one ``("done",
-    worker_id)`` before a clean exit.  The parent detects anything harsher
-    through the process sentinel.
+    First reads the ``{graph_key: DiGraph}`` dict of its lanes' graphs from
+    ``conn`` (the parent sends it once every worker of the round has
+    started).  Then serves every lane in ``assignment`` sequentially: check
+    the graph against the fingerprint the lane was routed by, build a
+    session, warm it from the store shard this worker owns, answer the
+    lane's entries through :func:`~repro.service.queries.run_lane` (which
+    saves back), and send the lane message — plain dicts, nothing
+    process-local — up the pipe.  A lane that raises is reported as
+    ``("lane-error", ...)`` and the worker moves on; lifecycle messages are
+    ``("lane", ...)`` per finished lane and one ``("done", worker_id)``
+    before a clean exit.  The parent detects anything harsher through the
+    process sentinel.
     """
+    # Keep whatever a forked worker inherited out of its collections: a
+    # full collection walks every object and so copies the parent's heap
+    # page by page.  Receiving two of the large-tier graphs took a forked
+    # worker 200-260 ms with that walk and 45-90 ms without (2-CPU VM).
+    gc.freeze()
     store_root = assignment.get("store_root")
     fault = assignment.get("fault")
+    deadline_ms = assignment.get("deadline_ms")
     try:
+        graphs = conn.recv()
         store = SessionStore(store_root) if store_root is not None else None
         for lane in assignment["lanes"]:
             graph_key = lane["graph_key"]
             try:
-                attached = shm.attach_graph(lane["segment"])
-                try:
-                    session = DDSSession.from_seeded(
-                        attached.graph,
-                        attached.derived,
-                        flow=assignment.get("flow"),
-                        result_cache_size=assignment["result_cache_size"],
+                graph = graphs[graph_key]
+                if graph.content_fingerprint() != lane["fingerprint"]:
+                    raise BatchQueryError(
+                        f"lane {graph_key!r} received a graph whose fingerprint does not "
+                        "match the one it was routed by"
                     )
-                finally:
-                    attached.close()
-                store_counters: dict[str, int] = {}
-                if store is not None:
-                    store_counters.update(store.warm_session(session))
-                deadline_ms = assignment.get("deadline_ms")
-                lane_deadline = Deadline(deadline_ms) if deadline_ms is not None else None
-                executions: list[dict[str, Any]] = []
-                for index, spec in lane["entries"]:
-                    _inject_fault(fault, graph_key, index)
-                    remaining = (
-                        lane_deadline.remaining_ms() if lane_deadline is not None else None
-                    )
-                    if remaining is not None and remaining <= 0:
-                        executions.append(
-                            {
-                                "index": index,
-                                "kind": spec.get("query", "densest"),
-                                "seconds": 0.0,
-                                "payload": {"deadline_exceeded": True, "is_exact": False},
-                            }
-                        )
-                        continue
-                    payload, seconds = time_call(
-                        lambda: run_batch_query(session, spec, deadline_ms=remaining)
-                    )
-                    executions.append(
-                        {
-                            "index": index,
-                            "kind": spec.get("query", "densest"),
-                            "seconds": seconds,
-                            "payload": payload,
-                        }
-                    )
-                if store is not None:
-                    for key, value in store.save_session(session).items():
-                        store_counters[key] = store_counters.get(key, 0) + value
-                conn.send(
-                    (
-                        "lane",
-                        graph_key,
-                        {
-                            "executions": executions,
-                            "stats": session.cache_stats(),
-                            "store": store_counters,
-                        },
-                    )
+                session = DDSSession(
+                    graph,
+                    flow=assignment.get("flow"),
+                    result_cache_size=assignment["result_cache_size"],
                 )
+                warm = store.warm_session(session) if store is not None else {}
+                message = run_lane(
+                    session,
+                    lane["entries"],
+                    deadline=Deadline(deadline_ms) if deadline_ms is not None else None,
+                    store=store,
+                    store_counters=warm,
+                    before_query=partial(_inject_fault, fault, graph_key),
+                )
+                conn.send(("lane", graph_key, message))
             except Exception as error:  # noqa: BLE001 - forwarded to the parent
                 conn.send(("lane-error", graph_key, type(error).__name__, str(error)))
         conn.send(("done", assignment["worker_id"]))
-    except (BrokenPipeError, OSError):  # pragma: no cover - parent went away
+    except (EOFError, OSError):  # pragma: no cover - parent went away
         pass
     finally:
         conn.close()
@@ -325,11 +319,11 @@ class BatchExecutor:
         Optional :class:`~repro.service.store.SessionStore`; when given,
         lanes warm from it before their first query and save back afterwards.
     process_pool:
-        Run lanes in worker *processes* over shared-memory graph segments
-        (the GIL-free scale-out path; see the module docstring).  Falls back
-        to the thread path — recording why in
-        :attr:`BatchReport.executor_stats` — when ``shared_memory`` (or
-        ``fcntl``, if a store is attached) is unavailable.
+        Run lanes in worker *processes*, each sent its lanes' graphs over
+        its pipe (the GIL-free scale-out path; see the module docstring).
+        Falls back to the thread path — recording why in
+        :attr:`BatchReport.executor_stats` — when a store is attached and
+        ``fcntl`` is unavailable.
     remote_hosts:
         Route lanes to :class:`~repro.net.daemon.ShardDaemon` addresses
         (``["host:port", ...]``) by fingerprint shard instead of running
@@ -343,7 +337,8 @@ class BatchExecutor:
         fresh-connection retries before its lane falls back inline.
     mp_start_method:
         Process-pool only: override the multiprocessing start method
-        (defaults to ``fork`` where available, else ``spawn``).
+        (defaults to ``fork`` where available, else ``spawn``).  Both hand
+        graphs over the same pipe, so answers do not depend on it.
     fault_injection:
         Chaos/test hook: ``{"graph_key": ..., "index": ..., "kind":
         "sigkill" | "error", "times": N}`` makes the first ``N`` workers
@@ -450,40 +445,28 @@ class BatchExecutor:
             flow=self._flow,
             result_cache_size=self._result_cache_size,
         )
-        store_counters: dict[str, int] = {}
-        if self._store is not None:
-            store_counters.update(self._store.warm_session(session))
-        lane_deadline = Deadline(self._deadline_ms) if self._deadline_ms is not None else None
-        executions: list[QueryExecution] = []
-        for entry in lane:
-            remaining = lane_deadline.remaining_ms() if lane_deadline is not None else None
-            if remaining is not None and remaining <= 0:
-                executions.append(
-                    QueryExecution(
-                        index=entry.index,
-                        graph_key=graph_key,
-                        kind=entry.spec.get("query", "densest"),
-                        seconds=0.0,
-                        payload={"deadline_exceeded": True, "is_exact": False},
-                    )
-                )
-                continue
-            payload, seconds = time_call(
-                lambda: run_batch_query(session, entry.spec, deadline_ms=remaining)
-            )
-            executions.append(
-                QueryExecution(
-                    index=entry.index,
-                    graph_key=graph_key,
-                    kind=entry.spec.get("query", "densest"),
-                    seconds=seconds,
-                    payload=payload,
-                )
-            )
-        if self._store is not None:
-            for key, value in self._store.save_session(session).items():
-                store_counters[key] = store_counters.get(key, 0) + value
-        return graph_key, executions, session.cache_stats(), store_counters
+        warm = self._store.warm_session(session) if self._store is not None else {}
+        message = run_lane(
+            session,
+            [(entry.index, entry.spec) for entry in lane],
+            deadline=Deadline(self._deadline_ms) if self._deadline_ms is not None else None,
+            store=self._store,
+            store_counters=warm,
+        )
+        executions = _executions(graph_key, message["executions"])
+        return graph_key, executions, message["stats"], message["store"]
+
+    def _width(self, lanes: int) -> int:
+        """Pool width for ``lanes`` lanes: ``max_workers``, capped at one per lane."""
+        return min(lanes, self._max_workers if self._max_workers is not None else lanes)
+
+    def _fan_out(self, run: Callable[[str], Any], keys: list[str]) -> list[Any]:
+        """``run(key)`` for every key, in order: inline for one, else on a thread pool."""
+        if len(keys) == 1:
+            return [run(keys[0])]
+        with ThreadPoolExecutor(max_workers=self._width(len(keys))) as pool:
+            futures = [pool.submit(run, key) for key in keys]
+            return [future.result() for future in futures]
 
     # ------------------------------------------------------------------
     # process-pool path
@@ -501,17 +484,21 @@ class BatchExecutor:
         worker_id: int,
         lane_keys: list[str],
         lanes: dict[str, list[PlannedQuery]],
-        segments: dict[str, "shm.GraphSegment"],
+        fingerprints: dict[str, str],
         fault: Mapping[str, Any] | None,
     ) -> _WorkerHandle:
-        """Start one worker process serving ``lane_keys`` and return its handle."""
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
+        """Start one worker process serving ``lane_keys`` and return its handle.
+
+        The assignment carries no graph: the worker waits for its graphs on
+        the pipe (see :func:`_process_worker_main`).
+        """
+        parent_conn, child_conn = ctx.Pipe(duplex=True)
         assignment = {
             "worker_id": worker_id,
             "lanes": [
                 {
                     "graph_key": key,
-                    "segment": segments[key].name,
+                    "fingerprint": fingerprints[key],
                     "entries": [(entry.index, entry.spec) for entry in lanes[key]],
                 }
                 for key in lane_keys
@@ -529,13 +516,20 @@ class BatchExecutor:
             daemon=True,
         )
         process.start()
-        child_conn.close()  # the worker owns the write end now
+        child_conn.close()  # the worker owns the other end now
         return _WorkerHandle(worker_id, process, parent_conn, list(lane_keys))
 
     def _execute_process_pool(
         self, lanes: dict[str, list[PlannedQuery]]
     ) -> tuple[list[tuple[str, list[QueryExecution], dict[str, Any], dict[str, int]]], dict[str, Any]]:
         """Run every lane in worker processes; returns (outcomes, executor stats).
+
+        Every worker of a round is started before any graph is sent, so the
+        workers start up in parallel while the parent pickles graphs into
+        their pipes one after another; a worker re-dispatched for a retry
+        gets its graph right after it starts.  A worker that died before
+        reading its graphs makes that send fail; its sentinel then reports
+        the crash like any other.
 
         The event loop multiplexes per-worker pipes *and* process sentinels
         through :func:`multiprocessing.connection.wait`, so both clean
@@ -550,15 +544,11 @@ class BatchExecutor:
 
         ctx = multiprocessing.get_context(self._resolve_start_method())
         graphs = {key: self._provider(key) for key in lanes}
-        width = min(len(lanes), self._max_workers if self._max_workers is not None else len(lanes))
-        shard_map = ShardMap(width)
+        fingerprints = {key: graph.content_fingerprint() for key, graph in graphs.items()}
         # Worker slots are anonymous here, so empty shards collapse away:
         # a width-4 pool with two colliding fingerprints still gets two
         # workers, and ``workers_spawned`` counts real lanes, not slots.
-        shards = shard_map.assign(
-            {key: graph.content_fingerprint() for key, graph in graphs.items()},
-            collapse=True,
-        )
+        shards = ShardMap(self._width(len(lanes))).assign(fingerprints, collapse=True)
         stats: dict[str, Any] = {
             "mode": "process-pool",
             "start_method": self._resolve_start_method(),
@@ -566,12 +556,9 @@ class BatchExecutor:
             "workers_spawned": 0,
             "worker_crashes": 0,
             "worker_retries": 0,
-            "shm_bytes_mapped": 0,
-            "shm_segments": 0,
             "degraded_lanes": [],
         }
-        segments: dict[str, shm.GraphSegment] = {}
-        results: dict[str, tuple[list[QueryExecution], dict[str, Any], dict[str, int], int | None]] = {}
+        results: dict[str, tuple[list[QueryExecution], dict[str, Any], dict[str, int]]] = {}
         attempts = {key: 0 for key in lanes}
         degraded: set[str] = set()
         fault = dict(self._fault) if self._fault else None
@@ -590,7 +577,7 @@ class BatchExecutor:
             fault_budget -= 1
             return fault
 
-        def dispatch(lane_keys: list[str]) -> None:
+        def dispatch(lane_keys: list[str]) -> _WorkerHandle:
             """Spawn a fresh worker for ``lane_keys`` and track it."""
             nonlocal next_worker_id
             worker_id = next_worker_id
@@ -598,10 +585,18 @@ class BatchExecutor:
             for key in lane_keys:
                 attempts[key] += 1
             handle = self._spawn_worker(
-                ctx, worker_id, lane_keys, lanes, segments, take_fault(lane_keys)
+                ctx, worker_id, lane_keys, lanes, fingerprints, take_fault(lane_keys)
             )
             active[worker_id] = handle
             stats["workers_spawned"] += 1
+            return handle
+
+        def send_graphs(handle: _WorkerHandle) -> None:
+            """Hand a started worker the graphs of its lanes."""
+            try:
+                handle.conn.send({key: graphs[key] for key in handle.lane_keys})
+            except OSError:
+                pass  # it died before reading them: its sentinel reports the crash
 
         def lane_failed(graph_key: str) -> None:
             """Retry a lost lane on a fresh worker, or run it inline."""
@@ -609,7 +604,7 @@ class BatchExecutor:
             degraded.add(graph_key)
             if attempts[graph_key] <= self._max_retries:
                 stats["worker_retries"] += 1
-                dispatch([graph_key])
+                send_graphs(dispatch([graph_key]))
                 return
             attempts[graph_key] += 1
             try:
@@ -620,7 +615,7 @@ class BatchExecutor:
                 if first_error is None:
                     first_error = error
                 return
-            results[graph_key] = (executions, session_stats, store_counters, None)
+            results[graph_key] = (executions, session_stats, store_counters)
 
         def drain(handle: _WorkerHandle) -> None:
             """Consume every buffered message from one worker's pipe."""
@@ -636,22 +631,10 @@ class BatchExecutor:
                 if kind == "lane":
                     _, graph_key, payload = message
                     handle.handled.add(graph_key)
-                    executions = [
-                        QueryExecution(
-                            index=row["index"],
-                            graph_key=graph_key,
-                            kind=row["kind"],
-                            seconds=row["seconds"],
-                            payload=row["payload"],
-                            worker=handle.worker_id,
-                        )
-                        for row in payload["executions"]
-                    ]
                     results[graph_key] = (
-                        executions,
+                        _executions(graph_key, payload["executions"], handle.worker_id),
                         payload["stats"],
                         payload["store"],
-                        handle.worker_id,
                     )
                 elif kind == "lane-error":
                     _, graph_key, _, _ = message
@@ -660,13 +643,8 @@ class BatchExecutor:
                 # "done" needs no action: the sentinel drives reaping.
 
         try:
-            for key in lanes:
-                segments[key] = shm.publish_graph(graphs[key])
-            stats["shm_segments"] = len(segments)
-            stats["shm_bytes_mapped"] = sum(segment.size for segment in segments.values())
-            stats["shm_segment_names"] = sorted(segment.name for segment in segments.values())
-            for _, lane_keys in sorted(shards.items()):
-                dispatch(lane_keys)
+            for handle in [dispatch(lane_keys) for _, lane_keys in sorted(shards.items())]:
+                send_graphs(handle)
             while active:
                 waitables: list[Any] = []
                 by_waitable: dict[Any, _WorkerHandle] = {}
@@ -697,7 +675,7 @@ class BatchExecutor:
             stats["degraded_lanes"] = sorted(degraded)
             outcomes = []
             for graph_key in lanes:
-                executions, session_stats, store_counters, _ = results[graph_key]
+                executions, session_stats, store_counters = results[graph_key]
                 for execution in executions:
                     execution.attempts = attempts[graph_key]
                     execution.degraded = graph_key in degraded
@@ -715,8 +693,6 @@ class BatchExecutor:
                 if handle.process.is_alive():  # pragma: no cover - last resort
                     handle.process.kill()
                     handle.process.join(timeout=10)
-            for segment in segments.values():
-                segment.unlink()
 
     # ------------------------------------------------------------------
     # remote path
@@ -868,29 +844,13 @@ class BatchExecutor:
                 with lock:
                     stats["remote_failures"] += 1
                 return inline(graph_key, remote_attempted=True)
-            executions = [
-                QueryExecution(
-                    index=row["index"],
-                    graph_key=graph_key,
-                    kind=row["kind"],
-                    seconds=row["seconds"],
-                    payload=row["payload"],
-                    worker=shard,
-                )
-                for row in payload["executions"]
-            ]
+            executions = _executions(graph_key, payload["executions"], shard)
             with lock:
                 stats["lanes_remote"] += 1
                 self._shipped.setdefault(client.address, set()).add(fingerprint)
             return graph_key, executions, payload["stats"], payload.get("store") or {}
 
-        width = min(len(lanes), self._max_workers if self._max_workers is not None else len(lanes))
-        if len(lanes) == 1:
-            collected = [run(next(iter(lanes)))]
-        else:
-            with ThreadPoolExecutor(max_workers=width) as thread_pool:
-                futures = [thread_pool.submit(run, graph_key) for graph_key in lanes]
-                collected = [future.result() for future in futures]
+        collected = self._fan_out(run, list(lanes))
         if first_error is not None:
             raise first_error
         stats["degraded_lanes"] = sorted(degraded)
@@ -919,9 +879,7 @@ class BatchExecutor:
             outcomes, executor_stats = self._execute_remote(lanes)
             return self._assemble(outcomes, executor_stats)
         if self._process_pool:
-            available, reason = shm.process_pool_available(
-                need_store_locks=self._store is not None
-            )
+            available, reason = process_pool_available(need_store_locks=self._store is not None)
             if available:
                 outcomes, executor_stats = self._execute_process_pool(lanes)
                 return self._assemble(outcomes, executor_stats)
@@ -930,16 +888,7 @@ class BatchExecutor:
                 "degraded_from": "process-pool",
                 "reason": reason,
             }
-        if len(lanes) == 1:
-            outcomes = [self._run_lane(*next(iter(lanes.items())))]
-        else:
-            width = min(len(lanes), self._max_workers if self._max_workers is not None else len(lanes))
-            with ThreadPoolExecutor(max_workers=width) as pool:
-                futures = [
-                    pool.submit(self._run_lane, graph_key, lane)
-                    for graph_key, lane in lanes.items()
-                ]
-                outcomes = [future.result() for future in futures]
+        outcomes = self._fan_out(lambda key: self._run_lane(key, lanes[key]), list(lanes))
         return self._assemble(outcomes, executor_stats)
 
     def _assemble(

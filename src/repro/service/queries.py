@@ -25,16 +25,23 @@ Query kinds
 Every entry may carry ``"dataset": <registered name>`` to address a graph
 other than the batch's default — the hook the executor's per-graph session
 pool is built on.
+
+A *lane* — one graph's entries, in order, on one session — is served by
+:func:`run_lane`, the one loop behind the executor's threads, its worker
+processes and the shard daemon.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from repro.core.results import DDSResult
 from repro.exceptions import BatchQueryError, DeadlineExceeded
+from repro.runtime import Deadline
+from repro.service.store import SessionStore
 from repro.session import DDSSession
+from repro.utils.timer import time_call
 
 #: The query kinds understood by :func:`run_batch_query`, in documentation order.
 BATCH_QUERY_KINDS = ("densest", "top-k", "xy-core", "max-core", "fixed-ratio", "summary")
@@ -293,3 +300,63 @@ def run_batch_query(
     raise BatchQueryError(
         f"unknown batch query {query!r}; expected one of: {', '.join(BATCH_QUERY_KINDS)}"
     )
+
+
+def run_lane(
+    session: DDSSession,
+    entries: Iterable[tuple[int, dict[str, Any]]],
+    *,
+    deadline: Deadline | None = None,
+    store: SessionStore | None = None,
+    store_counters: dict[str, int] | None = None,
+    before_query: Callable[[int], None] | None = None,
+    on_deadline: Callable[[bool], None] | None = None,
+    run_query: Callable[..., Any] = run_batch_query,
+) -> dict[str, Any]:
+    """Answer a lane's ``(index, spec)`` entries in order on one session.
+
+    Each entry gets the budget ``deadline`` still has when it starts
+    (:func:`run_batch_query` folds it into the query); an entry the budget
+    has no time left for is answered ``{"deadline_exceeded": true,
+    "is_exact": false}`` without running.  After the last entry the session
+    is saved to ``store`` (when given), its counters added to
+    ``store_counters`` (the lane's warm counters, if any).
+
+    ``before_query(index)`` runs before each entry (the process pool's
+    fault-injection hook); ``on_deadline(rejected)`` runs once per entry
+    answered as a deadline hit — ``True`` when the budget was spent before
+    the entry started, ``False`` when the query itself ran out.
+    ``run_query`` answers one entry, with :func:`run_batch_query`'s
+    signature.
+
+    Returns the lane message every executor path and the shard daemon
+    share: ``{"executions": [{"index", "kind", "seconds", "payload"},
+    ...], "stats": session.cache_stats(), "store": {...}}``.
+    """
+    rows: list[dict[str, Any]] = []
+    for index, spec in entries:
+        if before_query is not None:
+            before_query(index)
+        kind = spec.get("query", "densest")
+        remaining = deadline.remaining_ms() if deadline is not None else None
+        if remaining is not None and remaining <= 0:
+            if on_deadline is not None:
+                on_deadline(True)
+            payload: Any = {"deadline_exceeded": True, "is_exact": False}
+            seconds = 0.0
+        else:
+            payload, seconds = time_call(
+                lambda: run_query(session, spec, deadline_ms=remaining)
+            )
+            if (
+                on_deadline is not None
+                and isinstance(payload, dict)
+                and payload.get("deadline_exceeded")
+            ):
+                on_deadline(False)
+        rows.append({"index": index, "kind": kind, "seconds": seconds, "payload": payload})
+    counters = dict(store_counters or {})
+    if store is not None:
+        for key, value in store.save_session(session).items():
+            counters[key] = counters.get(key, 0) + value
+    return {"executions": rows, "stats": session.cache_stats(), "store": counters}

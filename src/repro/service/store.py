@@ -78,19 +78,25 @@ from repro.core.xycore import XYCore
 from repro.exceptions import AlgorithmError, ConfigError, FlowError, GraphError, StoreError
 from repro.graph.digraph import DiGraph
 from repro.session import DDSSession
+from repro.utils.canonical import canonical_json as _canonical_json
+from repro.utils.canonical import checksum as _checksum
 
 #: Version of the on-disk layout.  Bump on any incompatible change; a store
 #: written by a different version is refused outright (no partial reads).
 STORE_SCHEMA_VERSION = 1
 
 
-def _canonical_json(payload: Any) -> str:
-    """Deterministic JSON text — the byte-stable form both checksums hash."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def process_pool_available(*, need_store_locks: bool = False) -> tuple[bool, str | None]:
+    """Whether ``BatchExecutor(process_pool=True)`` can run here.
 
-
-def _checksum(payload: Any) -> str:
-    return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
+    Returns ``(True, None)``, or ``(False, reason)`` when a store is attached
+    (``need_store_locks``) and :mod:`fcntl` is missing: worker processes
+    writing one store shard are only safe under its per-graph advisory
+    locks.  The executor records the reason and runs its thread pool instead.
+    """
+    if need_store_locks and fcntl is None:
+        return False, "fcntl advisory locks are unavailable (store writes would race)"
+    return True, None
 
 
 def _config_to_jsonable(config: MethodConfig) -> dict[str, Any] | None:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from repro.core.config import ExactConfig, FlowConfig, MethodConfig
 from repro.core.density import exactness_tolerance, global_density_upper_bound
@@ -171,32 +171,6 @@ class DDSSession:
         self._invalidated_keys: set[tuple[str, MethodConfig]] = set()
         self._lineage: list[str] = []
         self._warm_state_version = 0
-
-    @classmethod
-    def from_seeded(
-        cls,
-        graph: DiGraph,
-        derived: Mapping[str, Any] | None = None,
-        *,
-        flow: FlowConfig | str | None = None,
-        result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
-    ) -> "DDSSession":
-        """Build a session and hydrate it from externally computed state.
-
-        The worker-process entry point of the process-pool executor:
-        ``derived`` maps :meth:`seed_derived` keyword names to values — e.g.
-        the degree arrays attached from a shared-memory graph segment
-        (:func:`repro.service.shm.attach_graph`) — and is adopted before the
-        first query, so a freshly spawned worker starts from the same
-        derived state the parent already holds instead of recomputing it.
-        Values are copied on adoption; passing zero-copy views over a
-        mapped segment is safe even if the segment outlives the mapping.
-        Seeding follows :meth:`seed_derived`'s validation rules.
-        """
-        session = cls(graph, flow=flow, result_cache_size=result_cache_size)
-        if derived:
-            session.seed_derived(**dict(derived))
-        return session
 
     # ------------------------------------------------------------------
     # internal plumbing

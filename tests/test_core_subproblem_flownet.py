@@ -608,13 +608,13 @@ class TestNestedSearch:
 
 def _decision_state(decision):
     """Every buffer and bookkeeping field a build produces."""
-    tails, targets, caps, base = decision.network.arc_state_views()
+    network = decision.network
     return (
-        decision.network.num_nodes,
-        tails.tolist(),
-        targets.tolist(),
-        caps.tolist(),
-        base.tolist(),
+        network.num_nodes,
+        network._tails.tolist(),
+        network._to.tolist(),
+        network._cap.tolist(),
+        network._base.tolist(),
         decision.s_penalty_arcs,
         decision.t_penalty_arcs,
         decision.total_capacity,

@@ -170,9 +170,12 @@ class TestPairedArcCapacities:
         assert dinic_max_flow(net, 0, 2) == 1.0
 
     def test_attach_rejects(self, column_path, column, bad):
+        """An empty network loaded with copied arc columns in one call rejects them too."""
+        net = FlowNetwork(3)
         capacities, base = _bad_columns(column, bad)
         with pytest.raises(FlowError, match="capacity"):
-            FlowNetwork.attach_paired_arcs(3, [1, 2], [2, 1], capacities, base)
+            net.append_paired_arcs([1, 2], [2, 1], capacities, base)
+        assert net.num_arcs == 0
 
 
 class TestDinicBasics:

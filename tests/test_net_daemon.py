@@ -32,7 +32,7 @@ import threading
 import pytest
 
 from repro.datasets.registry import load_dataset
-from repro.exceptions import AlgorithmError, ConfigError, NetError
+from repro.exceptions import AlgorithmError, ConfigError, NetError, ProtocolError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import gnm_random_digraph
 from repro.net import (
@@ -119,6 +119,34 @@ class TestClientPlumbing:
         assert stats["retries"] == 2
         assert stats["failures"] == 1
         assert stats["requests"] == 0
+
+    def test_unencodable_payload_fails_at_once_and_leaves_the_breaker_alone(self):
+        with ShardDaemon() as daemon:
+            client = ShardClient(daemon.host, daemon.port, max_retries=2)
+            with pytest.raises(ProtocolError, match="not JSON-serialisable"):
+                client.request("ping", {"echo": {1, 2}})
+            stats = client.stats()
+            assert (stats["retries"], stats["failures"], stats["breaker_opens"]) == (0, 0, 0)
+            assert client.breaker.state == "closed"
+            assert daemon.daemon_stats()["connections_accepted"] == 0
+            # The host is healthy, and the breaker still says so.
+            assert client.ping(echo="ok")["echo"] == "ok"
+
+    def test_retries_resend_the_frame_encoded_once(self, monkeypatch):
+        encoded: list[str] = []
+        real_encode = protocol_module.encode_request
+
+        def counting_encode(request_id, op, payload):
+            encoded.append(request_id)
+            return real_encode(request_id, op, payload)
+
+        monkeypatch.setattr(protocol_module, "encode_request", counting_encode)
+        fault = {"op": "ping", "kind": "close", "times": 1}
+        with ShardDaemon(fault_injection=fault) as daemon:
+            client = ShardClient(daemon.host, daemon.port, max_retries=2, backoff_base=0.001)
+            assert client.ping(echo="again")["echo"] == "again"
+            assert client.stats()["retries"] == 1
+        assert len(encoded) == 1
 
     def test_pool_routes_by_shard_and_aggregates(self):
         pool = ShardClientPool(["a:1", "b:2"])

@@ -1,23 +1,33 @@
-"""The process-pool executor: cross-process bit-identity, faults, hygiene.
+"""The process-pool executor: the graph hand-off, bit-identity, faults, hygiene.
 
 Pins the acceptance criteria of the multiprocess sharded executor:
 
+* **The hand-off** — a ``DiGraph`` pickles as flat CSR and unpickles with
+  its labels, edges, self-loop policy and fingerprint intact under a fresh
+  ``state_token``; a worker fails a lane whose graph does not reproduce
+  the fingerprint it was routed by.
 * **Cross-process bit-identity** — process-pool answers are bit-identical
   to the serial and thread-pool paths on hypothesis-generated mixed
   batches (subgraphs, densities, and ``payload_answer()`` dicts),
-  including warm-started and batched-solve lanes.
-* **Fault tolerance** — a worker SIGKILLed mid-lane or poisoned by an
-  erroring query is retried on a fresh worker (then inline), the lane is
-  marked degraded in the per-query timings, and the batch always
-  completes or fails with the query's genuine error — never a deadlock.
-* **Shared-memory hygiene** — every published segment is closed and
-  unlinked after normal shutdown *and* after an exception path.
+  including warm-started and batched-solve lanes, under ``fork`` and
+  ``spawn``.
+* **Fault tolerance** — a worker SIGKILLed mid-lane, poisoned by an
+  erroring query, or dead before it read its graphs is retried on a fresh
+  worker (then inline), the lane is marked degraded in the per-query
+  timings, and the batch always completes or fails with the query's
+  genuine error — never a deadlock.
+* **Hygiene** — no worker process outlives ``execute``, on normal,
+  retried, inline-fallback and raising runs.
 * **Order-independent aggregation** — ``BatchReport.aggregate_stats()``
   is a pure function of the per-lane snapshots, not of completion order.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import pickle
+from array import array
 from itertools import permutations
 
 import pytest
@@ -27,8 +37,7 @@ from hypothesis import strategies as st
 from repro.bench.workloads import service_mixed_workload
 from repro.core.config import FlowConfig
 from repro.datasets.registry import load_dataset
-from repro.exceptions import AlgorithmError, ConfigError, GraphError, StoreError
-from repro.flow.network import FlowNetwork
+from repro.exceptions import AlgorithmError, ConfigError, GraphError
 from repro.graph.digraph import DiGraph
 from repro.service import (
     BatchExecutor,
@@ -37,20 +46,23 @@ from repro.service import (
     ShardMap,
     payload_answer,
     plan_batch,
-    shm,
+    process_pool_available,
 )
-from repro.session import DDSSession
+from repro.service import executor as executor_module
+from repro.service import store as store_module
 
 DEFAULT_DATASET = "foodweb-tiny"
 OTHER_DATASET = "social-tiny"
 
-#: Tests that publish/attach real segments or spawn real workers are
-#: skipped where the pool itself would degrade (no shared memory, no
-#: fcntl, or DDS_REPRO_NO_SHARED_MEMORY=1 — the CI degradation lane).
-#: The degradation tests themselves run everywhere.
-_SHM_OK, _SHM_REASON = shm.process_pool_available(need_store_locks=True)
-needs_shm = pytest.mark.skipif(
-    not _SHM_OK, reason=f"process pool unavailable: {_SHM_REASON}"
+#: Tests that spawn real workers are skipped where the pool itself would
+#: degrade (no fcntl for the store's locks); the degradation test itself
+#: runs everywhere.
+_POOL_OK, _POOL_REASON = process_pool_available(need_store_locks=True)
+needs_pool = pytest.mark.skipif(
+    not _POOL_OK, reason=f"process pool unavailable: {_POOL_REASON}"
+)
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
 )
 
 MIXED = [
@@ -75,69 +87,77 @@ def _plan(queries=MIXED):
 
 
 # ----------------------------------------------------------------------
-# shared-memory graph segments
+# the graph hand-off
 # ----------------------------------------------------------------------
-@needs_shm
-class TestGraphSegments:
-    def test_publish_attach_round_trip(self):
-        graph = load_dataset(DEFAULT_DATASET)
-        segment = shm.publish_graph(graph)
-        try:
-            assert segment.name in shm.active_segment_names()
-            attached = shm.attach_graph(segment.name)
-            try:
-                assert attached.fingerprint == graph.content_fingerprint()
-                assert attached.graph.content_fingerprint() == graph.content_fingerprint()
-                assert attached.graph.nodes() == graph.nodes()
-                assert sorted(attached.graph.edges()) == sorted(graph.edges())
-                assert list(attached.derived["out_degrees"]) == graph.out_degrees()
-                assert list(attached.derived["in_degrees"]) == graph.in_degrees()
-            finally:
-                attached.close()
-        finally:
-            segment.unlink()
-        assert segment.name not in shm.active_segment_names()
+_LABELS = st.one_of(
+    st.integers(min_value=-3, max_value=40),
+    st.text(max_size=3),
+    st.tuples(st.integers(min_value=0, max_value=3), st.booleans()),
+    st.frozensets(st.integers(min_value=0, max_value=3), max_size=2),
+    st.none(),
+)
 
-    def test_attach_after_unlink_raises(self):
-        segment = shm.publish_graph(load_dataset(DEFAULT_DATASET))
-        name = segment.name
-        segment.unlink()
-        with pytest.raises(StoreError):
-            shm.attach_graph(name)
 
-    def test_attach_verifies_fingerprint(self):
-        graph = DiGraph.from_edges([("a", "b"), ("b", "c"), ("c", "a")])
-        segment = shm.publish_graph(graph)
-        try:
-            # Corrupt one CSR target in place: the rebuilt graph no longer
-            # reproduces the published fingerprint.
-            view = segment._shm.buf[shm._HEADER_BYTES + 8 * (graph.num_nodes + 1) :]
-            ints = view[:8].cast("q")
-            ints[0] = (ints[0] + 1) % graph.num_nodes
-            ints.release()
-            view.release()
-            with pytest.raises(StoreError, match="verification"):
-                shm.attach_graph(segment.name)
-        finally:
-            segment.unlink()
+@st.composite
+def _labelled_graphs(draw) -> DiGraph:
+    """Small graphs over mixed, non-string labels, with or without self-loops."""
+    labels = draw(st.lists(_LABELS, max_size=10, unique=True))
+    edges = []
+    if labels:
+        endpoint = st.sampled_from(labels)
+        edges = draw(st.lists(st.tuples(endpoint, endpoint), max_size=30))
+    return DiGraph.from_edges(edges, nodes=labels, allow_self_loops=draw(st.booleans()))
 
-    def test_attached_session_matches_native(self):
-        graph = load_dataset(DEFAULT_DATASET)
-        segment = shm.publish_graph(graph)
-        try:
-            attached = shm.attach_graph(segment.name)
-            hydrated = DDSSession.from_seeded(attached.graph, attached.derived)
-            attached.close()
-            native = DDSSession(graph)
-            assert hydrated.densest_subgraph("core-exact") == native.densest_subgraph("core-exact")
-        finally:
-            segment.unlink()
 
-    def test_unlink_is_idempotent(self):
-        segment = shm.publish_graph(load_dataset(DEFAULT_DATASET))
-        segment.unlink()
-        segment.unlink()
-        assert shm.active_segment_names() == []
+class TestDiGraphPickle:
+    @settings(max_examples=60, deadline=None)
+    @given(graph=_labelled_graphs())
+    def test_round_trip_keeps_content_under_a_fresh_token(self, graph):
+        fingerprint = graph.content_fingerprint()
+        blob = pickle.dumps(graph)
+        drawn_before = DiGraph().state_token
+        rebuilt = pickle.loads(blob)
+        assert rebuilt.nodes() == graph.nodes()
+        assert [type(label) for label in rebuilt.nodes()] == [
+            type(label) for label in graph.nodes()
+        ]
+        assert sorted(rebuilt.edge_indices()) == sorted(graph.edge_indices())
+        assert rebuilt.num_edges == graph.num_edges
+        assert rebuilt.allow_self_loops == graph.allow_self_loops
+        assert rebuilt.content_fingerprint() == fingerprint
+        # Drawn from this process's counter after unpickling, not copied.
+        assert rebuilt.state_token > drawn_before
+
+
+class _AddressLabel:
+    """A label whose (default) repr embeds its address, so its fingerprint is per-process."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _AddressLabel) and other.value == self.value
+
+    def __hash__(self) -> int:
+        return hash(self.value)
+
+
+@needs_pool
+class TestFingerprintCheck:
+    def test_graph_failing_its_fingerprint_fails_the_lane(self):
+        nodes = [_AddressLabel(value) for value in range(5)]
+        graph = DiGraph.from_edges(
+            [(nodes[u], nodes[v]) for u in range(5) for v in range(5) if u != v and (u + v) % 3]
+        )
+        plan = plan_batch([{"query": "densest", "method": "core-exact"}], default_graph_key="g")
+        report = BatchExecutor({"g": graph}, process_pool=True, max_retries=0).execute(plan)
+        stats = report.executor_stats
+        # The worker's copy fingerprints differently, so it refuses the lane
+        # (an error, not a crash) and the parent runs it inline.
+        assert stats["degraded_lanes"] == ["g"]
+        assert (stats["worker_crashes"], stats["worker_retries"]) == (0, 0)
+        assert all(execution.worker is None for execution in report.executions)
+        assert _answers(report) == _answers(BatchExecutor({"g": graph}).execute(plan))
 
 
 class TestFromCsrArrays:
@@ -160,24 +180,6 @@ class TestFromCsrArrays:
             DiGraph.from_csr_arrays(["a", "b"], [0, 1, 1], [5])
         with pytest.raises(GraphError, match="self-loop"):
             DiGraph.from_csr_arrays(["a", "b"], [0, 1, 1], [0])
-
-
-class TestFlowNetworkAttach:
-    def test_attach_reproduces_csr(self):
-        network = FlowNetwork(4)
-        network.add_edge(0, 1, 3.0)
-        network.add_edge(1, 2, 2.0)
-        network.add_edge(2, 3, 1.5)
-        tails, targets, caps, base = network.arc_state_views()
-        attached = FlowNetwork.attach_paired_arcs(4, tails, targets, caps, base)
-        for view in (tails, targets, caps, base):
-            view.release()
-        assert list(attached.arc_targets) == list(network.arc_targets)
-        assert list(attached.arc_capacities) == list(network.arc_capacities)
-        native_starts, native_order, _, _ = network.csr()
-        attached_starts, attached_order, _, _ = attached.csr()
-        assert list(attached_starts) == list(native_starts)
-        assert list(attached_order) == list(native_order)
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +260,7 @@ class TestShardMap:
         assert len(collapsed) == 2
 
 
-@needs_shm
+@needs_pool
 class TestShardCollapseInThePool:
     def test_colliding_graphs_still_use_both_workers(self):
         """Two graphs hashing to one shard must not serialise on one worker."""
@@ -304,7 +306,7 @@ SPEC_MENU = [
 ]
 
 
-@needs_shm
+@needs_pool
 class TestCrossProcessBitIdentity:
     @settings(max_examples=6, deadline=None)
     @given(
@@ -330,7 +332,7 @@ class TestCrossProcessBitIdentity:
         procs = _executor(flow=flow, max_workers=2, process_pool=True).execute(plan)
         assert _answers(procs) == _answers(serial) == _answers(threads)
         assert procs.executor_stats["mode"] == "process-pool"
-        assert shm.active_segment_names() == []
+        assert multiprocessing.active_children() == []
 
     def test_mixed_workload_with_warm_and_batched_lanes(self):
         # The E6 smoke workload: repeated fixed-ratio probes warm-start
@@ -345,11 +347,42 @@ class TestCrossProcessBitIdentity:
         assert serial.aggregate_stats().get("warm_starts_used", 0) > 0
         assert procs.aggregate_stats().get("warm_starts_used", 0) > 0
 
+    def test_spawn_pool_matches_threads(self):
+        plan = _plan()
+        threads = _executor(max_workers=2).execute(plan)
+        spawned = _executor(process_pool=True, max_workers=2, mp_start_method="spawn").execute(plan)
+        stats = spawned.executor_stats
+        assert (stats["mode"], stats["start_method"]) == ("process-pool", "spawn")
+        assert stats["workers_spawned"] == 2
+        assert spawned.results_in_input_order() == threads.results_in_input_order()
+        assert multiprocessing.active_children() == []
+
     def test_single_lane_still_uses_a_worker(self):
         plan = _plan([{"query": "densest", "method": "core-exact"}])
         report = _executor(process_pool=True).execute(plan)
         assert report.executor_stats["workers_spawned"] == 1
         assert all(execution.worker is not None for execution in report.executions)
+
+    @needs_fork
+    def test_unchanged_worker_save_takes_the_store_memory_path(self, tmp_path, monkeypatch):
+        # Worker sessions start at warm_state_version 0 like thread lanes,
+        # so a complete warm is remembered and the save after a lane of
+        # cache hits writes nothing and takes no lock.
+        store_root = tmp_path / "store"
+        plan = _plan([{"query": "densest", "method": "core-exact"}])
+        cold = _executor(store=SessionStore(store_root)).execute(plan)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an unchanged worker session took the full save path")
+
+        monkeypatch.setattr(SessionStore, "_locked", forbidden)  # forked workers inherit it
+        report = _executor(
+            process_pool=True, mp_start_method="fork", store=SessionStore(store_root)
+        ).execute(plan)
+        stats = report.executor_stats
+        assert (stats["worker_retries"], stats["degraded_lanes"]) == (0, [])
+        assert report.store_stats[DEFAULT_DATASET]["results_loaded"] == 1
+        assert _answers(report) == _answers(cold)
 
     def test_process_pool_with_store_round_trip(self, tmp_path):
         store_root = tmp_path / "store"
@@ -364,7 +397,7 @@ class TestCrossProcessBitIdentity:
 # ----------------------------------------------------------------------
 # fault injection
 # ----------------------------------------------------------------------
-@needs_shm
+@needs_pool
 class TestFaultInjection:
     def test_sigkilled_worker_is_retried_on_a_fresh_worker(self):
         plan = _plan()
@@ -394,7 +427,37 @@ class TestFaultInjection:
             for execution in report.executions
             if execution.graph_key == OTHER_DATASET
         )
-        assert shm.active_segment_names() == []
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_worker_dead_before_reading_its_graphs_is_a_crash(self, monkeypatch):
+        real_main = executor_module._process_worker_main
+
+        def die_first(conn, assignment):
+            if assignment["worker_id"] == 0:
+                os._exit(0)
+            real_main(conn, assignment)
+
+        # Forked workers run the patched entry point.  The graph pickles to
+        # about 1.6 MB, more than a pipe buffers, so the parent's send to the
+        # dead worker fails instead of filling a buffer nobody reads.
+        monkeypatch.setattr(executor_module, "_process_worker_main", die_first)
+        n, degree = 2000, 100
+        graph = DiGraph.from_csr_arrays(
+            list(range(n)),
+            array("q", range(0, n * degree + 1, degree)),
+            array("q", ((u + 1 + k) % n for u in range(n) for k in range(degree))),
+        )
+        plan = plan_batch([{"query": "summary"}], default_graph_key="big")
+        report = BatchExecutor(
+            {"big": graph}, process_pool=True, mp_start_method="fork"
+        ).execute(plan)
+        stats = report.executor_stats
+        assert (stats["worker_crashes"], stats["worker_retries"]) == (1, 1)
+        assert stats["degraded_lanes"] == ["big"]
+        assert all(execution.worker == 1 for execution in report.executions)
+        assert _answers(report) == _answers(BatchExecutor({"big": graph}).execute(plan))
+        assert multiprocessing.active_children() == []
 
     def test_poisoned_query_is_retried_then_succeeds(self):
         plan = _plan()
@@ -427,13 +490,13 @@ class TestFaultInjection:
         assert report.executor_stats["worker_crashes"] == 2
         lane_rows = [e for e in report.executions if e.graph_key == DEFAULT_DATASET]
         assert lane_rows and all(e.worker is None and e.degraded for e in lane_rows)
-        assert shm.active_segment_names() == []
+        assert multiprocessing.active_children() == []
 
     def test_genuinely_bad_query_raises_its_real_error(self):
         plan = _plan([{"query": "densest", "method": "no-such-method"}])
         with pytest.raises(AlgorithmError, match="no-such-method"):
             _executor(process_pool=True, max_retries=1).execute(plan)
-        assert shm.active_segment_names() == []
+        assert multiprocessing.active_children() == []
 
     def test_fault_spec_is_validated(self):
         with pytest.raises(ConfigError, match="fault_injection"):
@@ -441,32 +504,34 @@ class TestFaultInjection:
 
 
 # ----------------------------------------------------------------------
-# shared-memory hygiene
+# no live children
 # ----------------------------------------------------------------------
-@needs_shm
-class TestShmHygiene:
-    @pytest.fixture
-    def captured_segments(self, monkeypatch):
-        real_publish = shm.publish_graph
-        names: list[str] = []
+@needs_pool
+class TestNoLiveChildren:
+    """``execute`` leaves no worker process alive, whatever happened in it."""
 
-        def capturing(graph, **kwargs):
-            segment = real_publish(graph, **kwargs)
-            names.append(segment.name)
-            return segment
-
-        monkeypatch.setattr(shm, "publish_graph", capturing)
-        return names
-
-    def test_segments_unlinked_after_normal_shutdown(self, captured_segments):
+    def test_normal_run(self):
         _executor(process_pool=True, max_workers=2).execute(_plan())
-        assert len(captured_segments) == 2
-        assert shm.active_segment_names() == []
-        for name in captured_segments:
-            with pytest.raises(StoreError):
-                shm.attach_graph(name)
+        assert multiprocessing.active_children() == []
 
-    def test_segments_unlinked_after_exception(self, captured_segments):
+    def test_sigkill_and_retry_run(self):
+        report = _executor(
+            process_pool=True,
+            fault_injection={"graph_key": DEFAULT_DATASET, "kind": "sigkill", "times": 1},
+        ).execute(_plan())
+        assert report.executor_stats["worker_retries"] == 1
+        assert multiprocessing.active_children() == []
+
+    def test_exhausted_retries_inline_run(self):
+        report = _executor(
+            process_pool=True,
+            max_retries=1,
+            fault_injection={"graph_key": DEFAULT_DATASET, "kind": "sigkill", "times": 5},
+        ).execute(_plan())
+        assert report.executor_stats["worker_crashes"] == 2
+        assert multiprocessing.active_children() == []
+
+    def test_raising_run(self):
         plan = _plan(
             [
                 {"query": "densest", "method": "no-such-method"},
@@ -475,11 +540,7 @@ class TestShmHygiene:
         )
         with pytest.raises(AlgorithmError):
             _executor(process_pool=True, max_retries=0).execute(plan)
-        assert len(captured_segments) == 2
-        assert shm.active_segment_names() == []
-        for name in captured_segments:
-            with pytest.raises(StoreError):
-                shm.attach_graph(name)
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
@@ -519,28 +580,28 @@ class TestAggregateStatsOrder:
 # ----------------------------------------------------------------------
 # degradation ladder
 # ----------------------------------------------------------------------
-class TestDegradation:
-    def test_env_knob_degrades_to_threads(self, monkeypatch):
-        monkeypatch.setenv(shm.NO_SHM_ENV, "1")
-        available, reason = shm.process_pool_available()
-        assert not available and shm.NO_SHM_ENV in reason
+class TestStoreLockGate:
+    def test_store_without_fcntl_degrades_to_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "fcntl", None)
+        assert process_pool_available() == (True, None)
+        available, reason = process_pool_available(need_store_locks=True)
+        assert not available and "fcntl" in reason
         plan = _plan()
-        report = _executor(process_pool=True, max_workers=2).execute(plan)
-        assert report.executor_stats["degraded_from"] == "process-pool"
-        assert report.executor_stats["mode"] == "threads"
-        monkeypatch.delenv(shm.NO_SHM_ENV)
+        report = _executor(
+            process_pool=True, max_workers=2, store=SessionStore(tmp_path / "store")
+        ).execute(plan)
+        stats = report.executor_stats
+        assert stats["mode"] == "threads"
+        assert stats["degraded_from"] == "process-pool"
+        assert stats["reason"] == reason
+        assert multiprocessing.active_children() == []
         assert _answers(report) == _answers(_executor().execute(plan))
-
-    def test_publish_refuses_without_shared_memory(self, monkeypatch):
-        monkeypatch.setenv(shm.NO_SHM_ENV, "1")
-        with pytest.raises(StoreError):
-            shm.publish_graph(load_dataset(DEFAULT_DATASET))
 
 
 # ----------------------------------------------------------------------
 # CLI surface
 # ----------------------------------------------------------------------
-@needs_shm
+@needs_pool
 class TestCli:
     def test_batch_process_pool_flag(self, tmp_path, capsys):
         import json
