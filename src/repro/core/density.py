@@ -22,10 +22,8 @@ from repro.graph.digraph import DiGraph, NodeLabel
 
 
 def edge_count_between(graph: DiGraph, s_nodes: Sequence[NodeLabel], t_nodes: Sequence[NodeLabel]) -> int:
-    """``|E(S, T)|`` for label sets ``S`` and ``T``."""
-    s_idx = graph.indices_of(s_nodes)
-    t_idx = graph.indices_of(t_nodes)
-    return graph.count_edges_between(s_idx, t_idx)
+    """``|E(S, T)|`` for label sets ``S`` and ``T``; a label listed twice counts once."""
+    return graph.count_edges_between(set(graph.indices_of(s_nodes)), graph.indices_of(t_nodes))
 
 
 def directed_density(
@@ -33,11 +31,12 @@ def directed_density(
     s_nodes: Sequence[NodeLabel],
     t_nodes: Sequence[NodeLabel],
 ) -> float:
-    """``rho(S, T)`` for label sets; 0.0 when either side is empty."""
+    """``rho(S, T)`` for label sets (a label listed twice counts once); 0.0 when either side is empty."""
     if not s_nodes or not t_nodes:
         return 0.0
-    edges = edge_count_between(graph, s_nodes, t_nodes)
-    return edges / math.sqrt(len(s_nodes) * len(t_nodes))
+    s_set, t_set = set(s_nodes), set(t_nodes)
+    edges = edge_count_between(graph, s_set, t_set)
+    return edges / math.sqrt(len(s_set) * len(t_set))
 
 
 def directed_density_from_indices(

@@ -43,10 +43,17 @@ may be reported than an unseeded probe would find.
 Whatever is not covered by the skip region is pushed back as (at most two)
 child intervals together with a tightened conditional upper bound
 ``min(parent_upper, f(lo,hi) * upper(val(c)))`` which is valid whenever the
-optimal ratio lies inside the child.  Intervals containing at most a handful
-of distinct candidate ratios are leaves: each not-yet-examined ratio gets one
-full-precision fixed-ratio search starting at the incumbent, which a single
-min-cut settles whenever the ratio cannot beat it.
+optimal ratio lies inside the child.  Intervals containing at most
+``leaf_ratio_count`` distinct candidate ratios are leaves: each
+not-yet-examined ratio gets one full-precision fixed-ratio search starting at
+the incumbent, which a single min-cut settles whenever the ratio cannot beat
+it.  The leaf test is integer bookkeeping (:mod:`repro.core.ratio`): a count
+of the interval's ``(i, j)`` pairs that stops once it passes
+``max(4n, 4 * leaf_ratio_count)``, then, for an interval within that limit, a
+lazy Farey walk over its reduced ratios ``(p, q)`` that stops as soon as the
+interval is known to be neither a leaf nor fully examined.  Examined ratios
+are kept as ``(p, q)`` and searched at ``p / q``, bit for bit the float of the
+exact ratio.
 
 ``CoreExact`` is the same driver with ``use_core_restriction`` switched on:
 each interval's search space is shrunk to the [x, y]-core that must contain
@@ -67,7 +74,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any
 
 from repro.core.approx_peel import peel_fixed_ratio
@@ -88,10 +94,7 @@ from repro.core.fixed_ratio import (
 )
 from repro.core.flow_network import decision_network_arc_count
 from repro.core.network_cache import NetworkCache
-from repro.core.ratio import (
-    candidate_ratios_in_interval,
-    count_candidate_ratios_in_interval,
-)
+from repro.core.ratio import count_candidate_pairs, iter_candidate_ratios
 from repro.core.results import DDSResult
 from repro.core.subproblem import STSubproblem
 from repro.core.xycore import XYCore
@@ -102,6 +105,12 @@ from repro.graph.digraph import DiGraph
 from repro.runtime import AnytimeResult
 
 __all__ = ["LEAF_RATIO_COUNT", "dc_exact"]
+
+#: An interval whose geometric midpoint lies within this relative distance of
+#: an end cannot be split by its probe: it is solved as a leaf, whatever its
+#: ratio count.
+DEGENERATE_PROBE_TOLERANCE = 1e-12
+
 
 @dataclass
 class _SearchState:
@@ -119,7 +128,8 @@ class _SearchState:
     intervals_processed: int = 0
     intervals_pruned: int = 0
     leaf_ratios: int = 0
-    examined_exact_ratios: set[Fraction] = field(default_factory=set)
+    # Reduced (p, q) of every ratio a leaf has searched.
+    examined_exact_ratios: set[tuple[int, int]] = field(default_factory=set)
     network_nodes: list[int] = field(default_factory=list)
     network_arcs: list[int] = field(default_factory=list)
     # Every pair this run has seeded or extracted, keyed by
@@ -317,8 +327,9 @@ def _dc_driver(
 
     full_subproblem = STSubproblem.from_graph(graph)
     # An interval whose (i, j) pair count is at most this is cheap enough to
-    # expand into distinct ratios; a single ratio point can account for up to
-    # n pairs (all multiples), so the threshold must scale with n.
+    # walk for distinct ratios; a single ratio point can account for up to
+    # n pairs (all multiples), so the threshold must scale with n.  The count
+    # stops once it passes the limit.
     distinct_check_limit = max(4 * n, 4 * leaf_ratio_count)
 
     def restrict(
@@ -332,8 +343,10 @@ def _dc_driver(
             return core, STSubproblem(graph=graph, s_candidates=[], t_candidates=[], edges=[])
         return core, STSubproblem.from_graph(graph, core.s_nodes, core.t_nodes)
 
-    def solve_leaf(ratios: list[Fraction], subproblem: STSubproblem, upper_bound: float) -> None:
-        pending: list[Fraction] = []
+    def solve_leaf(
+        ratios: list[tuple[int, int]], subproblem: STSubproblem, upper_bound: float
+    ) -> None:
+        pending: list[tuple[int, int]] = []
         for ratio in ratios:
             if ratio in state.examined_exact_ratios:
                 continue
@@ -355,7 +368,7 @@ def _dc_driver(
                 # pairs are optimal).
                 outcomes = maximize_fixed_ratio_batch(
                     subproblem,
-                    [float(ratio) for ratio in chunk],
+                    [p / q for p, q in chunk],
                     lower=state.best_density,
                     upper=max(upper_bound, state.best_density),
                     tolerance=tolerance,
@@ -365,10 +378,10 @@ def _dc_driver(
                 for outcome in outcomes:
                     state.absorb_outcome(outcome)
                 continue
-            for ratio in chunk:
+            for p, q in chunk:
                 outcome = maximize_fixed_ratio(
                     subproblem,
-                    float(ratio),
+                    p / q,
                     lower=state.best_density,
                     upper=max(upper_bound, state.best_density),
                     tolerance=tolerance,
@@ -396,7 +409,7 @@ def _dc_driver(
                 continue
             current_upper = upper_bound
             state.intervals_processed += 1
-            pair_count = count_candidate_ratios_in_interval(lo, hi, n)
+            pair_count = count_candidate_pairs(lo, hi, n, distinct_check_limit)
             if pair_count == 0:
                 continue
 
@@ -409,19 +422,25 @@ def _dc_driver(
 
             probe_ratio = math.sqrt(lo * hi)
             degenerate = (
-                probe_ratio <= lo * (1.0 + 1e-12) or probe_ratio >= hi / (1.0 + 1e-12)
+                probe_ratio <= lo * (1.0 + DEGENERATE_PROBE_TOLERANCE)
+                or probe_ratio >= hi / (1.0 + DEGENERATE_PROBE_TOLERANCE)
             )
-            distinct_ratios: list[Fraction] | None = None
             if pair_count <= distinct_check_limit or degenerate:
-                distinct_ratios = candidate_ratios_in_interval(lo, hi, n)
-                if all(ratio in state.examined_exact_ratios for ratio in distinct_ratios):
+                # Read the ascending walk only as far as the decision needs:
+                # once a ratio is unexamined and there are more than a leaf's
+                # worth, the interval is neither settled nor a leaf.
+                ratios: list[tuple[int, int]] = []
+                fresh = False
+                for pair in iter_candidate_ratios(lo, hi, n):
+                    ratios.append(pair)
+                    fresh = fresh or pair not in state.examined_exact_ratios
+                    if fresh and not degenerate and len(ratios) > leaf_ratio_count:
+                        break
+                if not fresh:
+                    continue  # every ratio inside has been examined
+                if degenerate or len(ratios) <= leaf_ratio_count:
+                    solve_leaf(ratios, subproblem, upper_bound)
                     continue
-            is_leaf = degenerate or (
-                distinct_ratios is not None and len(distinct_ratios) <= leaf_ratio_count
-            )
-            if is_leaf:
-                solve_leaf(distinct_ratios or [], subproblem, upper_bound)
-                continue
 
             # -------------------------------------------------- interior probe
             # One search started at the best pooled pair inside the

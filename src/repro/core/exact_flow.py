@@ -3,7 +3,10 @@
 This is the reproduction of the state-of-the-art *prior* to the paper: for
 every distinct candidate ratio ``a = i/j`` (``1 <= i, j <= n``) run a
 fixed-ratio search over the guess ``g`` (:mod:`repro.core.fixed_ratio`),
-each step of which is one min-cut computation on the decision network.
+each step of which is one min-cut computation on the decision network.  The
+ratios come from a Farey walk over ``[1/n, n]`` as ascending reduced pairs
+``(p, q)`` (:func:`repro.core.ratio.all_candidate_ratios`), and each search
+runs at ``p / q``.
 Every search starts at ``lower = 0``, as in the baseline.  For the ratio
 equal to ``|S*|/|T*|`` the surrogate is tight, so the best pair extracted
 over all ratios is the exact DDS.
@@ -112,7 +115,7 @@ def flow_exact(
             if len(chunk) >= 2 and engine.supports_batching([arc_count] * len(chunk)):
                 for outcome in maximize_fixed_ratio_batch(
                     subproblem,
-                    [float(ratio) for ratio in chunk],
+                    [p / q for p, q in chunk],
                     lower=0.0,
                     upper=upper,
                     tolerance=tolerance,
@@ -123,11 +126,11 @@ def flow_exact(
             else:
                 # Absorb one search at a time so a mid-chunk deadline keeps the
                 # incumbents of the searches that did finish.
-                for ratio in chunk:
+                for p, q in chunk:
                     absorb(
                         maximize_fixed_ratio(
                             subproblem,
-                            float(ratio),
+                            p / q,
                             lower=0.0,
                             upper=upper,
                             tolerance=tolerance,

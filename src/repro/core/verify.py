@@ -55,6 +55,12 @@ def check_result(graph: DiGraph, result: DDSResult) -> tuple[bool, float, list[s
     for label in list(result.s_nodes) + list(result.t_nodes):
         if not graph.has_node(label):
             return False, 0.0, [f"node {label!r} is not in the graph"]
+    for side, labels in (("S", result.s_nodes), ("T", result.t_nodes)):
+        seen: set = set()
+        for label in labels:
+            if label in seen:
+                return False, 0.0, [f"node {label!r} is listed twice in {side}"]
+            seen.add(label)
     density = directed_density(graph, result.s_nodes, result.t_nodes)
     if abs(density - result.density) > VERIFY_TOLERANCE * max(1.0, density):
         messages.append(

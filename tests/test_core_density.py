@@ -36,6 +36,12 @@ class TestDirectedDensity:
         density = directed_density(g, [1, 2], [1, 2])
         assert density == pytest.approx(2 / 2)
 
+    def test_repeated_labels_count_once(self):
+        g = DiGraph.from_edges([("a", "b"), ("a", "c")])
+        assert edge_count_between(g, ["a", "a"], ["b", "c", "c"]) == 2
+        assert directed_density(g, ["a", "a"], ["b", "c"]) == directed_density(g, ["a"], ["b", "c"])
+        assert directed_density(g, ["a"], ["b", "c", "b"]) == pytest.approx(2 / math.sqrt(2))
+
     def test_empty_side_gives_zero(self):
         g = DiGraph.from_edges([(1, 2)])
         assert directed_density(g, [], [2]) == 0.0

@@ -13,12 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bruteforce import brute_force_dds
-from repro.core.config import ExactConfig
+from repro.core.config import ExactConfig, FlowConfig
 from repro.core.density import directed_density
 from repro.core.exact_core import core_exact
 from repro.core.exact_dc import dc_exact
 from repro.core.exact_flow import flow_exact
+from repro.core.verify import check_result
+from repro.datasets.registry import dataset_names, load_dataset
 from repro.exceptions import AlgorithmError, EmptyGraphError
+from repro.flow.registry import available_flow_solvers
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
     complete_bipartite_digraph,
@@ -118,15 +121,91 @@ TIE_HEAVY_SHAPES = {
 }
 
 
-@pytest.mark.parametrize("solver", [dc_exact, core_exact], ids=["dc-exact", "core-exact"])
+@pytest.mark.parametrize(
+    "solver", [dc_exact, core_exact, flow_exact], ids=["dc-exact", "core-exact", "flow-exact"]
+)
 @pytest.mark.parametrize("shape", list(TIE_HEAVY_SHAPES))
-def test_dc_and_core_match_bruteforce_on_tie_heavy_shapes(solver, shape):
+def test_dc_and_core_match_bruteforce_on_tie_heavy_shapes(solver, shape, flow_oracle):
     g = TIE_HEAVY_SHAPES[shape]()
     expected = brute_force_dds(g).density
-    result = solver(g)
-    assert result.density == pytest.approx(expected, abs=1e-9)
-    recomputed = directed_density(g, result.s_nodes, result.t_nodes)
-    assert recomputed == pytest.approx(result.density, abs=1e-12)
+    answers = set()
+    # Every registered min-cut solver, the Edmonds–Karp oracle among them.
+    for flow_solver in available_flow_solvers():
+        result = solver(g, ExactConfig(flow=FlowConfig(solver=flow_solver)))
+        assert result.density == pytest.approx(expected, abs=1e-9), flow_solver
+        consistent, recomputed, messages = check_result(g, result)
+        assert consistent, (flow_solver, messages)
+        assert recomputed == pytest.approx(result.density, abs=1e-12)
+        answers.add((result.density, tuple(result.s_nodes), tuple(result.t_nodes)))
+    assert len(answers) == 1, answers
+
+
+#: Divide-and-conquer counters recorded before the ratio bookkeeping moved
+#: from ``Fraction`` sets to the Farey walk, on ``dinic``: ``(ratios_examined,
+#: leaf_ratios, intervals_processed, intervals_pruned, flow_calls,
+#: networks_built)`` per ``(graph, method, leaf_ratio_count)``.  A leaf test
+#: that silently turned a different set of intervals into leaves would move
+#: them.
+DRIVER_COUNTER_PINS = {
+    ("foodweb-tiny", "dc-exact", 2): (5, 0, 5, 3, 8, 5),
+    ("foodweb-tiny", "core-exact", 2): (4, 0, 5, 3, 6, 4),
+    ("social-tiny", "dc-exact", 2): (13, 0, 13, 7, 26, 13),
+    ("social-tiny", "core-exact", 2): (6, 0, 7, 4, 13, 6),
+    ("flights-small", "dc-exact", 2): (8, 1, 8, 3, 19, 7),
+    ("flights-small", "core-exact", 2): (7, 0, 7, 4, 15, 7),
+    ("advogato-small", "dc-exact", 2): (5, 0, 6, 2, 11, 5),
+    ("advogato-small", "core-exact", 2): (4, 0, 6, 2, 8, 4),
+    ("er-small", "dc-exact", 2): (11, 0, 11, 6, 31, 11),
+    ("er-small", "core-exact", 2): (9, 0, 11, 6, 22, 9),
+    ("K23+K23", "dc-exact", 2): (4, 1, 4, 1, 3, 3),
+    ("K23+K23", "core-exact", 2): (3, 0, 4, 2, 3, 3),
+    ("K33+K33", "dc-exact", 2): (5, 2, 5, 0, 2, 2),
+    ("K33+K33", "core-exact", 2): (3, 0, 5, 2, 2, 2),
+    ("K23+K32", "dc-exact", 2): (4, 1, 4, 1, 4, 3),
+    ("K23+K32", "core-exact", 2): (3, 0, 4, 2, 4, 3),
+    ("K13+K31", "dc-exact", 2): (3, 0, 3, 2, 4, 3),
+    ("K13+K31", "core-exact", 2): (3, 0, 3, 2, 4, 3),
+    ("K22+K14", "dc-exact", 2): (6, 1, 6, 2, 6, 5),
+    ("K22+K14", "core-exact", 2): (5, 0, 6, 3, 6, 5),
+    ("out-star+in-star", "dc-exact", 2): (5, 2, 5, 0, 4, 3),
+    ("out-star+in-star", "core-exact", 2): (5, 2, 5, 0, 4, 3),
+    ("in-and-out-star", "dc-exact", 2): (4, 1, 4, 1, 4, 3),
+    ("in-and-out-star", "core-exact", 2): (4, 1, 4, 1, 4, 3),
+    # A wider leaf limit turns more intervals into leaves.
+    ("foodweb-tiny", "dc-exact", 8): (10, 6, 5, 2, 12, 10),
+    ("flights-small", "core-exact", 8): (14, 8, 7, 3, 22, 14),
+    ("K13+K31", "dc-exact", 8): (15, 14, 3, 0, 15, 15),
+    ("K13+K31", "core-exact", 8): (15, 14, 3, 0, 15, 15),
+    ("K22+K14", "dc-exact", 8): (12, 8, 6, 1, 12, 11),
+    ("K22+K14", "core-exact", 8): (11, 7, 6, 2, 12, 11),
+    ("out-star+in-star", "dc-exact", 8): (17, 16, 3, 0, 17, 17),
+    ("in-and-out-star", "core-exact", 8): (15, 14, 3, 0, 15, 15),
+}
+
+_PINNED_COUNTERS = (
+    "ratios_examined",
+    "leaf_ratios",
+    "intervals_processed",
+    "intervals_pruned",
+    "flow_calls",
+    "networks_built",
+)
+
+
+def test_driver_counter_pins_cover_the_small_tier_and_tie_heavy_shapes():
+    pinned = {(name, method) for name, method, limit in DRIVER_COUNTER_PINS if limit == 2}
+    for name in [*dataset_names("small"), *TIE_HEAVY_SHAPES]:
+        assert {(name, "dc-exact"), (name, "core-exact")} <= pinned, name
+
+
+@pytest.mark.parametrize("name, method, leaf_ratio_count", list(DRIVER_COUNTER_PINS))
+def test_driver_counters_match_the_pins(name, method, leaf_ratio_count):
+    graph = TIE_HEAVY_SHAPES[name]() if name in TIE_HEAVY_SHAPES else load_dataset(name)
+    solve = dc_exact if method == "dc-exact" else core_exact
+    config = ExactConfig(flow=FlowConfig(solver="dinic"), leaf_ratio_count=leaf_ratio_count)
+    stats = solve(graph, config).stats
+    counters = tuple(stats[key] for key in _PINNED_COUNTERS)
+    assert counters == DRIVER_COUNTER_PINS[name, method, leaf_ratio_count]
 
 
 class TestExactHypothesis:

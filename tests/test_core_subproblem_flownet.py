@@ -344,14 +344,15 @@ class TestDinkelbachSearch:
         tolerance = exactness_tolerance(graph)
         upper = global_density_upper_bound(graph)
         best_edges = _max_edges_by_size(graph)
-        for ratio in all_candidate_ratios(graph.num_nodes):
-            value = _surrogate_maximum(best_edges, float(ratio))
+        for p, q in all_candidate_ratios(graph.num_nodes):
+            ratio = p / q
+            value = _surrogate_maximum(best_edges, ratio)
             lower = min(fraction * value, value)
             recorder = _GuessRecorder()
             build, retune, surrogate = recorder.patches()
             with build, retune, surrogate:
                 outcome = maximize_fixed_ratio(
-                    sub, float(ratio), lower=lower, upper=upper, tolerance=tolerance
+                    sub, ratio, lower=lower, upper=upper, tolerance=tolerance
                 )
             assert outcome.upper - outcome.lower < tolerance
             assert outcome.lower <= value + 1e-9
@@ -375,7 +376,7 @@ class TestDinkelbachSearch:
         tolerance = exactness_tolerance(graph)
         upper = global_density_upper_bound(graph)
         n = graph.num_nodes
-        ratios = [float(ratio) for ratio in all_candidate_ratios(n)]
+        ratios = [p / q for p, q in all_candidate_ratios(n)]
         extracted: list[tuple[list[int], list[int]]] = []
         real_extract = DecisionNetwork.extract_pair
 
@@ -528,7 +529,7 @@ class TestNestedSearch:
         sub = STSubproblem.from_graph(graph)
         upper = global_density_upper_bound(graph)
         best_edges = _max_edges_by_size(graph)
-        for ratio in map(float, all_candidate_ratios(graph.num_nodes)):
+        for ratio in [p / q for p, q in all_candidate_ratios(graph.num_nodes)]:
             guess = fraction * _surrogate_maximum(best_edges, ratio)
             for solver_name in available_flow_solvers():
                 full = build_decision_network(sub, ratio, guess)
@@ -555,7 +556,7 @@ class TestNestedSearch:
         sub = STSubproblem.from_graph(graph)
         tolerance = exactness_tolerance(graph)
         upper = global_density_upper_bound(graph)
-        for ratio in map(float, all_candidate_ratios(graph.num_nodes)):
+        for ratio in [p / q for p, q in all_candidate_ratios(graph.num_nodes)]:
             lower = fraction * upper
             outcome = maximize_fixed_ratio(sub, ratio, lower, upper, tolerance)
             assert _outcome_summary(outcome) == _reference_search(

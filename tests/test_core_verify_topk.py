@@ -78,6 +78,18 @@ class TestVerifyResult:
         assert not consistent
         assert "not in the graph" in messages[0]
 
+    def test_repeated_label_rejected(self):
+        g = DiGraph.from_edges([("a", "b"), ("a", "c")])
+        # Counting "a" twice would claim density 2.0, which no pair reaches.
+        bogus = DDSResult(["a", "a"], ["b", "c"], 2.0, 4, "made-up", True)
+        consistent, _, messages = check_result(g, bogus)
+        assert not consistent
+        assert messages == ["node 'a' is listed twice in S"]
+        bogus = DDSResult(["a"], ["b", "c", "b"], 2 / math.sqrt(2), 2, "made-up", True)
+        consistent, _, messages = check_result(g, bogus)
+        assert not consistent
+        assert messages == ["node 'b' is listed twice in T"]
+
     def test_bounds_certificate_catches_impossible_exact_claim(self):
         g = complete_bipartite_digraph(3, 3)
         # Claim an "exact" density below the core lower bound sqrt(9) = 3.
