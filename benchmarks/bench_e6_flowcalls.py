@@ -30,6 +30,15 @@ the pinned dc-exact and core-exact workloads rarely continue warm, and
 that warm starts engage at all is gated on flow-exact, whose searches
 start at 0 (the batched-solve gate below).
 
+The **seeded-probe gate** pins the session's fixed-ratio probe
+(:meth:`DDSSession.fixed_ratio <repro.session.DDSSession.fixed_ratio>`),
+which starts at a seed bound the graph fixes and min-cuts only the
+[x, y]-core that must hold the maximiser: on ``foodweb-tiny``,
+``social-tiny`` and ``advogato-small`` at ratios 0.5, 1 and 2, each probe on
+a fresh session must return the bit-identical ``(lower, upper)`` bracket of
+``maximize_fixed_ratio`` from 0 on the whole sub-problem, in exactly the
+recorded number of min-cuts (:data:`PROBE_SMOKE_FLOW_CALLS`).
+
 The smoke additionally gates the service tier's batch planner: on the mixed
 E6-style workload (:func:`repro.bench.workloads.service_mixed_workload`) the
 planned execution order must record **strictly more** result + network
@@ -100,6 +109,7 @@ from repro.bench.baselines import SEED_FLOW_CALLS
 from repro.bench.harness import format_table
 from repro.bench.workloads import service_mixed_workload
 from repro.core.config import FlowConfig
+from repro.core.fixed_ratio import maximize_fixed_ratio
 from repro.core.ratio import all_candidate_ratios
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.flow.registry import VECTOR_SOLVER, has_vector_backend
@@ -165,6 +175,66 @@ def test_e6_emit_table(benchmark):
     for row in _rows:
         if row["method"] != "flow-exact":
             assert row["ratios_examined"] < row["candidate_ratios"]
+
+
+#: Min-cuts of the session's seeded fixed-ratio probe on a fresh session, by
+#: dataset and ratio.  The whole-graph search from 0 takes 4/3/4 on
+#: foodweb-tiny, 5/4/5 on social-tiny and 4/4/4 on advogato-small.
+PROBE_SMOKE_FLOW_CALLS = {
+    ("foodweb-tiny", 0.5): 1,
+    ("foodweb-tiny", 1.0): 1,
+    ("foodweb-tiny", 2.0): 1,
+    ("social-tiny", 0.5): 4,
+    ("social-tiny", 1.0): 3,
+    ("social-tiny", 2.0): 4,
+    ("advogato-small", 0.5): 1,
+    ("advogato-small", 1.0): 1,
+    ("advogato-small", 2.0): 1,
+}
+
+
+def run_probe_smoke(failures: list[str]) -> list[dict]:
+    """Seeded-probe gate: the whole-graph bracket, in the recorded min-cuts.
+
+    Each probe of :data:`PROBE_SMOKE_FLOW_CALLS` runs on a fresh session
+    and is compared with ``maximize_fixed_ratio`` from 0 on the session's
+    whole sub-problem, with the session's upper bound and tolerance: the
+    brackets must be bit-identical and the probe's ``flow_calls`` must equal
+    the recorded count.  Appends failure strings to ``failures`` and returns
+    one table row per probe.
+    """
+    rows = []
+    for (dataset, ratio), expected in PROBE_SMOKE_FLOW_CALLS.items():
+        session = DDSSession(load_dataset(dataset))
+        probe = session.fixed_ratio(ratio)
+        full = maximize_fixed_ratio(
+            session.subproblem(),
+            ratio,
+            lower=0.0,
+            upper=session.density_upper_bound(),
+            tolerance=session.exactness_tolerance(),
+        )
+        if (probe.lower, probe.upper) != (full.lower, full.upper):
+            failures.append(
+                f"seeded probe {dataset}@{ratio}: bracket ({probe.lower!r}, {probe.upper!r}) "
+                f"!= the whole-graph search's ({full.lower!r}, {full.upper!r})"
+            )
+        if probe.flow_calls != expected:
+            failures.append(
+                f"seeded probe {dataset}@{ratio}: flow_calls {probe.flow_calls} != "
+                f"recorded {expected}"
+            )
+        rows.append(
+            {
+                "dataset": dataset,
+                "ratio": ratio,
+                "lower": probe.lower,
+                "flow_calls": probe.flow_calls,
+                "recorded": expected,
+                "full_search_calls": full.flow_calls,
+            }
+        )
+    return rows
 
 
 #: Decision-network cache capacity of the planner smoke sessions — smaller
@@ -835,6 +905,7 @@ def run_smoke() -> int:
                 f"fixed_ratio_searches {stats['fixed_ratio_searches']}"
             )
     print(format_table(rows, title="E6 smoke: flow-call regression gate"))
+    print(format_table(run_probe_smoke(failures), title="E6 smoke: seeded-probe gate"))
     planner_row = run_planner_smoke(failures)
     print(format_table([planner_row], title="E6 smoke: batch-planner cache-hit gate"))
     vector_row = run_vector_smoke(failures)

@@ -19,27 +19,34 @@ E3).
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from repro.core.bounds import core_based_bounds
 from repro.core.config import ApproxConfig
 from repro.core.density import directed_density_from_indices
 from repro.core.results import DDSResult
-from repro.core.xycore import xy_core, xy_core_skyline
+from repro.core.xycore import XYCore, xy_core, xy_core_skyline
 from repro.exceptions import EmptyGraphError
 from repro.graph.digraph import DiGraph
 
 
-def core_approx(graph: DiGraph, config: ApproxConfig | None = None) -> DDSResult:
+def core_approx(
+    graph: DiGraph,
+    config: ApproxConfig | None = None,
+    *,
+    max_core: Callable[[], XYCore] | None = None,
+) -> DDSResult:
     """2-approximate DDS: the maximum-product [x, y]-core (``CoreApprox``).
 
     ``config`` is accepted for signature uniformity across the method
     registry; CoreApprox is parameter-free, so only the config's *type* is
-    validated.
+    validated.  ``max_core`` returns the graph's maximum-product core when
+    a session already holds it; without it the core is walked here.
     """
     ApproxConfig.resolve(config)
     if graph.num_edges == 0:
         raise EmptyGraphError("core_approx requires a graph with at least one edge")
-    bounds = core_based_bounds(graph)
+    bounds = core_based_bounds(graph, max_core)
     core = bounds.core
     return DDSResult(
         s_nodes=graph.labels_of(core.s_nodes),

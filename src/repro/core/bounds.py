@@ -22,14 +22,21 @@ Since these degrees are integers, ``(S*, T*)`` is contained in the
 therefore non-empty and has product ``>= rho_opt^2/4``, giving the upper
 bound ``rho_opt <= 2*sqrt(max{x*y})`` and the CoreApprox guarantee
 ``sqrt(max{x*y}) >= rho_opt/2``.
+
+**At one ratio.**  The same removal argument bounds a single fixed-ratio
+search from below (:func:`fixed_ratio_space`): once its guesses are at least
+a bound ``l``, every pair the decision network can return lies in the
+``[ceil(l/(2*sqrt(a))), ceil(l*sqrt(a)/2)]``-core.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.density import directed_density_from_indices
+from repro.core.subproblem import STSubproblem
 from repro.core.xycore import XYCore, max_xy_core, xy_core
 from repro.graph.digraph import DiGraph
 
@@ -49,15 +56,18 @@ class CoreBounds:
         return self.core.is_empty
 
 
-def core_based_bounds(graph: DiGraph) -> CoreBounds:
+def core_based_bounds(
+    graph: DiGraph, max_core: Callable[[], XYCore] | None = None
+) -> CoreBounds:
     """Compute ``sqrt(max xy) <= rho_opt <= 2*sqrt(max xy)`` plus the witness core.
 
     The returned ``lower`` is actually ``max(sqrt(x*y), rho(core))`` — the
     core's true density is already available and is never worse than the
-    analytic bound.  The core comes from the two-ended skyline walk of
+    analytic bound.  The core comes from ``max_core()`` when given (a
+    session's cached core), else from the two-ended skyline walk of
     :func:`~repro.core.xycore.max_xy_core` (``O(sqrt(m))`` steps).
     """
-    core = max_xy_core(graph)
+    core = max_core() if max_core is not None else max_xy_core(graph)
     if core.is_empty:
         return CoreBounds(lower=0.0, upper=0.0, core=core, core_density=0.0)
     analytic_lower = math.sqrt(core.product)
@@ -129,3 +139,27 @@ def containing_core(
     if within is None:
         return xy_core(graph, x, y)
     return xy_core(graph, x, y, s_candidates=within.s_nodes, t_candidates=within.t_nodes)
+
+
+def fixed_ratio_space(full: STSubproblem, seed: float, ratio: float) -> STSubproblem:
+    """The search space a ratio-``ratio`` search needs once every guess is ``>= seed``.
+
+    At a guess ``g`` the decision network's cuts maximise
+    ``2|E(S,T)| - g*(|S|/sqrt(a) + sqrt(a)*|T|)``.  Dropping ``u`` from a
+    maximising pair would change that by ``g/sqrt(a) - 2*d_T(u)``, which
+    must not be positive, so ``d_T(u) >= g/(2*sqrt(a))``; likewise every
+    ``v ∈ T`` has ``d_S(v) >= g*sqrt(a)/2``.  For ``g >= seed`` every
+    maximiser therefore lies in ``containing_core(graph, seed, ratio,
+    ratio)``, and the network on that core has the same maximisers, hence
+    the same canonical cut, as the network on ``full``.
+
+    ``full`` is the whole-graph sub-problem; it is returned unchanged when
+    the core is empty or keeps every candidate.
+    """
+    core = containing_core(full.graph, seed, ratio, ratio)
+    if core.is_empty or (
+        len(core.s_nodes) >= len(full.s_candidates)
+        and len(core.t_nodes) >= len(full.t_candidates)
+    ):
+        return full
+    return STSubproblem.from_graph(full.graph, core.s_nodes, core.t_nodes)

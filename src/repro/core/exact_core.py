@@ -15,10 +15,13 @@ with both core-based optimisations switched on:
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.core.config import ExactConfig
 from repro.core.exact_dc import LEAF_RATIO_COUNT, _dc_driver
 from repro.core.network_cache import NetworkCache
 from repro.core.results import DDSResult
+from repro.core.xycore import XYCore
 from repro.flow.engine import FlowEngine
 from repro.graph.digraph import DiGraph
 
@@ -31,13 +34,15 @@ def core_exact(
     *,
     engine: FlowEngine | None = None,
     network_cache: NetworkCache | None = None,
+    max_core: Callable[[], XYCore] | None = None,
 ) -> DDSResult:
     """Exact DDS with core-based pruning and core-restricted flow networks.
 
     ``config`` is the normalized :class:`~repro.core.config.ExactConfig`
     (its ``seed_with_core`` flag is ignored here — CoreExact always seeds
     from the core).  ``engine`` / ``network_cache`` are the session's shared
-    engine and decision-network cache.
+    engine and decision-network cache, and ``max_core`` returns its cached
+    maximum-product core.
     """
     cfg = ExactConfig.resolve(config)
     if network_cache is None:
@@ -53,4 +58,5 @@ def core_exact(
         engine=engine,
         network_cache=network_cache,
         batch_size=cfg.flow.batch_size,
+        max_core=max_core,
     )

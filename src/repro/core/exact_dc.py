@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.approx_peel import peel_fixed_ratio
 from repro.core.bounds import containing_core, core_based_bounds
@@ -281,9 +281,11 @@ def _seed_incumbent_with_peeling(graph: DiGraph, state: _SearchState) -> None:
     state.offer(s_nodes, t_nodes, density)
 
 
-def _seed_incumbent_with_core(graph: DiGraph, state: _SearchState) -> float:
+def _seed_incumbent_with_core(
+    graph: DiGraph, state: _SearchState, max_core: Callable[[], XYCore] | None
+) -> float:
     """Incumbent from the max-product [x, y]-core; returns the core upper bound."""
-    bounds = core_based_bounds(graph)
+    bounds = core_based_bounds(graph, max_core)
     if not bounds.is_trivial:
         state.offer(bounds.core.s_nodes, bounds.core.t_nodes, bounds.core_density)
         return bounds.upper
@@ -301,6 +303,7 @@ def _dc_driver(
     engine: FlowEngine | None = None,
     network_cache: NetworkCache | None = None,
     batch_size: int = 1,
+    max_core: Callable[[], XYCore] | None = None,
 ) -> DDSResult:
     if graph.num_edges == 0:
         raise EmptyGraphError(f"{method} requires a graph with at least one edge")
@@ -320,7 +323,7 @@ def _dc_driver(
     )
     global_upper = global_density_upper_bound(graph)
     if seed_with_core:
-        core_upper = _seed_incumbent_with_core(graph, state)
+        core_upper = _seed_incumbent_with_core(graph, state, max_core)
         global_upper = min(global_upper, core_upper)
     else:
         _seed_incumbent_with_peeling(graph, state)
@@ -523,6 +526,7 @@ def dc_exact(
     *,
     engine: FlowEngine | None = None,
     network_cache: NetworkCache | None = None,
+    max_core: Callable[[], XYCore] | None = None,
 ) -> DDSResult:
     """Exact DDS via divide-and-conquer over the ratio interval (``DCExact``).
 
@@ -533,7 +537,9 @@ def dc_exact(
     space itself is never core-restricted here — that is :func:`core_exact`'s
     job.  ``engine`` and ``network_cache`` are the hooks a
     :class:`~repro.session.DDSSession` uses to share flow instrumentation and
-    decision networks (with their residual flows) across queries.
+    decision networks (with their residual flows) across queries, and
+    ``max_core`` returns the session's cached maximum-product core for the
+    ``seed_with_core`` incumbent.
     """
     cfg = ExactConfig.resolve(config)
     if network_cache is None:
@@ -549,4 +555,5 @@ def dc_exact(
         engine=engine,
         network_cache=network_cache,
         batch_size=cfg.flow.batch_size,
+        max_core=max_core,
     )

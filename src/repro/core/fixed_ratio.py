@@ -78,7 +78,11 @@ import math
 from typing import Callable
 
 from repro.core.density import surrogate_density
-from repro.core.flow_network import build_decision_network, decision_cut_is_improving
+from repro.core.flow_network import (
+    build_decision_network,
+    check_decision_parameters,
+    decision_cut_is_improving,
+)
 from repro.core.network_cache import NetworkCache
 from repro.core.results import FixedRatioOutcome
 from repro.core.subproblem import STSubproblem
@@ -116,6 +120,17 @@ def _check_bounds(lower: float, upper: float, tolerance: float) -> None:
         raise AlgorithmError(f"bounds must be non-negative, got ({lower}, {upper})")
     if not tolerance > 0:
         raise AlgorithmError(f"tolerance must be > 0, got {tolerance}")
+
+
+def check_search_arguments(ratio: float, lower: float, upper: float, tolerance: float) -> None:
+    """Refuse arguments no search can finish on, before any work is done.
+
+    Raises the :class:`AlgorithmError` a search itself would: the bounds and
+    tolerance as :func:`maximize_fixed_ratio` checks them, then the ratio
+    as its first decision network would.
+    """
+    _check_bounds(lower, upper, tolerance)
+    check_decision_parameters(ratio, 0.0)
 
 
 class _RatioSearch:

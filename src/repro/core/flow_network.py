@@ -197,7 +197,7 @@ class DecisionNetwork:
         states are bit-identical either way); without numpy the original
         per-arc loop runs.
         """
-        _check_parameters(ratio, guess)
+        check_decision_parameters(ratio, guess)
         root = math.sqrt(ratio)
         s_penalty = guess / root
         t_penalty = guess * root
@@ -360,7 +360,7 @@ def _greedy_fill(amounts, counts, budgets):
     return _np.minimum(_np.maximum(budgets.repeat(counts) - prefix, 0.0), amounts)
 
 
-def _check_parameters(ratio: float, guess: float) -> None:
+def check_decision_parameters(ratio: float, guess: float) -> None:
     """Reject a ratio outside ``(0, inf)`` or a guess outside ``[0, inf)``.
 
     The comparisons are written so NaN fails them: a NaN ratio makes every
@@ -389,7 +389,7 @@ def build_decision_network(
     paths produce bit-identical buffers, penalty-arc lists and
     ``total_capacity``.
     """
-    _check_parameters(ratio, guess)
+    check_decision_parameters(ratio, guess)
 
     s_nodes = subproblem.s_candidates
     t_nodes = subproblem.t_candidates

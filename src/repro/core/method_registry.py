@@ -43,6 +43,7 @@ from repro.core.exact_dc import dc_exact
 from repro.core.exact_flow import flow_exact
 from repro.core.network_cache import NetworkCache
 from repro.core.results import DDSResult
+from repro.core.xycore import XYCore
 from repro.exceptions import AlgorithmError
 from repro.flow.engine import FlowEngine
 from repro.graph.digraph import DiGraph
@@ -52,11 +53,15 @@ from repro.graph.digraph import DiGraph
 class RunContext:
     """Shared per-session runtime state handed to every runner.
 
-    The session fills in ``network_cache`` only for flow-backed methods.
+    The session fills in ``network_cache`` only for flow-backed methods, and
+    ``max_core`` — a call returning its cached maximum-product [x, y]-core —
+    only for queries on the session graph itself; runners that need the
+    core and get no ``max_core`` walk it themselves.
     """
 
     engine: FlowEngine | None = None
     network_cache: NetworkCache | None = None
+    max_core: Callable[[], XYCore] | None = None
 
 
 #: Runner protocol: ``(graph, config, context) -> DDSResult``.
@@ -170,12 +175,22 @@ def _run_flow_exact(graph: DiGraph, config: ExactConfig, context: RunContext) ->
 
 
 def _run_dc_exact(graph: DiGraph, config: ExactConfig, context: RunContext) -> DDSResult:
-    return dc_exact(graph, config, engine=context.engine, network_cache=context.network_cache)
+    return dc_exact(
+        graph,
+        config,
+        engine=context.engine,
+        network_cache=context.network_cache,
+        max_core=context.max_core,
+    )
 
 
 def _run_core_exact(graph: DiGraph, config: ExactConfig, context: RunContext) -> DDSResult:
     return core_exact(
-        graph, config, engine=context.engine, network_cache=context.network_cache
+        graph,
+        config,
+        engine=context.engine,
+        network_cache=context.network_cache,
+        max_core=context.max_core,
     )
 
 
@@ -208,7 +223,7 @@ register_method(MethodSpec(
 ))
 register_method(MethodSpec(
     name="core-approx",
-    runner=lambda graph, config, context: core_approx(graph, config),
+    runner=lambda graph, config, context: core_approx(graph, config, max_core=context.max_core),
     config_type=ApproxConfig,
     is_exact=False,
     flow_backed=False,

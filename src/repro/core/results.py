@@ -218,7 +218,11 @@ class FixedRatioOutcome:
 
     ``lower``/``upper`` bracket the surrogate optimum ``val(a)``;
     ``best_s`` / ``best_t`` (graph node indices) are the extracted pair with
-    the highest *true* density, while ``last_s`` / ``last_t`` are the pair
+    the highest *true* density ``best_density`` — for
+    :meth:`DDSSession.fixed_ratio <repro.session.DDSSession.fixed_ratio>`,
+    the densest of its seed pair and the extracted pairs, so that it does
+    not depend on which guesses the search skipped — while ``last_s`` /
+    ``last_t`` are the pair
     extracted at the highest successful guess — the (near-)maximiser of the
     surrogate, which the divide-and-conquer ratio-skipping lemma needs —
     together with its surrogate value ``last_surrogate``.  ``flow_calls``,

@@ -105,11 +105,13 @@ _SPENT_BUDGET_MS = 1e-3
 class QueryExecution:
     """One executed query: where it ran, what it returned, how long it took.
 
-    ``worker`` is the process-pool worker id — or remote shard index —
-    that produced the result (``None`` on the thread/serial paths and for
-    inline fallbacks),
-    ``attempts`` counts how many times the owning lane was dispatched, and
-    ``degraded`` marks lanes that needed a retry or an inline fallback.
+    ``seconds`` is the query's wall time and ``cpu_seconds`` the CPU time
+    of the thread that answered it, wherever that ran (0.0 for a row that
+    does not carry it).  ``worker`` is the process-pool worker id — or
+    remote shard index — that produced the result (``None`` on the
+    thread/serial paths and for inline fallbacks), ``attempts`` counts how
+    many times the owning lane was dispatched, and ``degraded`` marks lanes
+    that needed a retry or an inline fallback.
     """
 
     index: int
@@ -120,6 +122,7 @@ class QueryExecution:
     worker: int | None = None
     attempts: int = 1
     degraded: bool = False
+    cpu_seconds: float = 0.0
 
 
 @dataclass
@@ -169,10 +172,12 @@ class BatchReport:
     def timings(self) -> list[dict[str, Any]]:
         """Per-query timing rows in execution order (for ``--explain``).
 
-        Rows gain ``worker`` when a process-pool worker served the query
-        and ``degraded``/``attempts`` when the owning lane needed a retry
-        or an inline fallback; thread/serial rows keep the historical
-        four-key shape.
+        Every row has ``index``, ``graph``, ``query``, wall ``seconds`` and
+        thread ``cpu_seconds``; a daemon row's wall time also counts GIL and
+        queue waits, its CPU time does not.  Rows gain ``worker`` when a
+        process-pool worker or a daemon served the query and
+        ``degraded``/``attempts`` when the owning lane needed a retry or an
+        inline fallback.
         """
         rows: list[dict[str, Any]] = []
         for execution in self.executions:
@@ -181,6 +186,7 @@ class BatchReport:
                 "graph": execution.graph_key,
                 "query": execution.kind,
                 "seconds": round(execution.seconds, 6),
+                "cpu_seconds": round(execution.cpu_seconds, 6),
             }
             if execution.worker is not None:
                 row["worker"] = execution.worker
@@ -213,6 +219,7 @@ def _executions(
             graph_key=graph_key,
             kind=row["kind"],
             seconds=row["seconds"],
+            cpu_seconds=row.get("cpu_seconds", 0.0),
             payload=row["payload"],
             worker=worker,
         )

@@ -34,6 +34,7 @@ processes and the shard daemon.
 from __future__ import annotations
 
 import math
+import time
 from typing import Any, Callable, Iterable
 
 from repro.core.results import DDSResult
@@ -330,8 +331,11 @@ def run_lane(
     signature.
 
     Returns the lane message every executor path and the shard daemon
-    share: ``{"executions": [{"index", "kind", "seconds", "payload"},
-    ...], "stats": session.cache_stats(), "store": {...}}``.
+    share: ``{"executions": [{"index", "kind", "seconds", "cpu_seconds",
+    "payload"}, ...], "stats": session.cache_stats(), "store": {...}}``.
+    ``seconds`` is an entry's wall time and ``cpu_seconds`` the CPU time of
+    the thread that ran it (``time.thread_time``), which leaves out the time
+    the entry waited for the GIL while other lanes or daemons ran.
     """
     rows: list[dict[str, Any]] = []
     for index, spec in entries:
@@ -343,18 +347,28 @@ def run_lane(
             if on_deadline is not None:
                 on_deadline(True)
             payload: Any = {"deadline_exceeded": True, "is_exact": False}
-            seconds = 0.0
+            seconds = cpu_seconds = 0.0
         else:
+            cpu_start = time.thread_time()
             payload, seconds = time_call(
                 lambda: run_query(session, spec, deadline_ms=remaining)
             )
+            cpu_seconds = time.thread_time() - cpu_start
             if (
                 on_deadline is not None
                 and isinstance(payload, dict)
                 and payload.get("deadline_exceeded")
             ):
                 on_deadline(False)
-        rows.append({"index": index, "kind": kind, "seconds": seconds, "payload": payload})
+        rows.append(
+            {
+                "index": index,
+                "kind": kind,
+                "seconds": seconds,
+                "cpu_seconds": cpu_seconds,
+                "payload": payload,
+            }
+        )
     counters = dict(store_counters or {})
     if store is not None:
         for key, value in store.save_session(session).items():

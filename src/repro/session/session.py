@@ -30,14 +30,20 @@ True
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 from typing import Any, Iterable
 
+from repro.core.bounds import fixed_ratio_space
 from repro.core.config import ExactConfig, FlowConfig, MethodConfig
-from repro.core.density import exactness_tolerance, global_density_upper_bound
-from repro.core.fixed_ratio import maximize_fixed_ratio
+from repro.core.density import (
+    exactness_tolerance,
+    global_density_upper_bound,
+    surrogate_density,
+)
+from repro.core.fixed_ratio import check_search_arguments, maximize_fixed_ratio
 from repro.core.method_registry import MethodSpec, RunContext, get_method_spec
 from repro.core.network_cache import NetworkCache
 from repro.core.results import DDSResult, FixedRatioOutcome
@@ -111,6 +117,15 @@ def _copy_result(result: DDSResult) -> DDSResult:
 def _copy_core(core: XYCore) -> XYCore:
     """Defensive copy: the node lists are mutable, the cache must stay pristine."""
     return replace(core, s_nodes=list(core.s_nodes), t_nodes=list(core.t_nodes))
+
+
+def _fold_seed(
+    outcome: FixedRatioOutcome, s_nodes: list[int], t_nodes: list[int], density: float
+) -> None:
+    """Make the seed pair ``outcome``'s best pair unless the search extracted a denser one."""
+    if density >= outcome.best_density:
+        outcome.best_s, outcome.best_t = list(s_nodes), list(t_nodes)
+        outcome.best_density = density
 
 
 class DDSSession:
@@ -262,6 +277,8 @@ class DDSSession:
         context = RunContext(
             engine=engine,
             network_cache=network_cache if spec.flow_backed else None,
+            # A working copy (a later top-k round) has cores of its own.
+            max_core=self.max_xy_core if graph is self.graph else None,
         )
         deadline_ms = (
             cfg.flow.deadline_ms if isinstance(cfg, ExactConfig) else self.flow.deadline_ms
@@ -445,46 +462,91 @@ class DDSSession:
     ) -> FixedRatioOutcome:
         """Bracket the fixed-ratio surrogate optimum ``val(ratio)``.
 
-        This is the session-cached form of
-        :func:`repro.core.fixed_ratio.maximize_fixed_ratio` on the full
-        graph: Dinkelbach guesses starting at ``lower`` until the bracket
-        is narrower than ``tolerance`` (default: the graph's exactness
-        tolerance).  The decision network for ``ratio`` is fetched from (and
-        deposited into) the session network cache, so repeated probes at the
-        same ratio retune one network instead of building one each.  Cached
-        networks keep the residual flow of their last solve, so a repeated
-        probe also *continues that flow* instead of re-pushing it.  A ratio
-        that is not finite and positive raises
-        :class:`~repro.exceptions.AlgorithmError` before any min-cut.
+        This is :func:`repro.core.fixed_ratio.maximize_fixed_ratio` on the
+        whole graph from ``lower``, with the guesses below a *seed* bound
+        ``l`` skipped: Dinkelbach guesses until the bracket is narrower than
+        ``tolerance`` (default: the graph's exactness tolerance).  ``l`` is
+        the larger ratio-``ratio`` surrogate of two pairs the graph alone
+        fixes: the maximum-product core (:meth:`max_xy_core`, walked once per
+        session) and the whole candidate pair (every node with an out-edge,
+        every node with an in-edge).  With every guess at least ``l``, every
+        pair a cut can return lies in the containing [x, y]-core of ``l`` at
+        ``ratio`` (:func:`~repro.core.bounds.fixed_ratio_space`), so the
+        search runs on that core whenever it is smaller than the candidate
+        sets, and certifies the same ``val(ratio)`` as the whole-graph
+        search.  One caveat: a cut does not see a pair that beats its guess
+        by less than the improving-cut slack
+        (:data:`~repro.core.flow_network.CUT_RELATIVE_TOLERANCE` of ``2m'``,
+        here the smaller network's), so where the two searches try different
+        guesses such a near-tie may close their brackets up to that slack
+        apart.
+
+        ``best_s`` / ``best_t`` name the densest of the seed pair and every
+        pair the search extracted (ties keep the seed), and ``best_density``
+        is its true density.  The decision network for ``(space, ratio)`` is
+        fetched from (and deposited into) the session network cache, so
+        repeated probes at the same ratio retune one network and continue
+        its residual flow; :meth:`apply_updates` drops core-restricted
+        networks instead of patching them.  The ratio, bounds, tolerance,
+        solver and budget are checked before anything is counted or
+        computed; a ratio that is not finite and positive raises
+        :class:`~repro.exceptions.AlgorithmError`.
         """
         self._check_unmutated()
         if self.graph.num_edges == 0:
             raise EmptyGraphError("fixed_ratio requires a graph with at least one edge")
-        self._queries += 1
+        ratio = float(ratio)
         if upper is None:
             upper = self.density_upper_bound()
         if tolerance is None:
             tolerance = self.exactness_tolerance()
+        check_search_arguments(ratio, lower, upper, tolerance)
         engine = self._engine_for(flow_solver if flow_solver is not None else self.flow.solver)
         if deadline_ms is None:
             deadline_ms = self.flow.deadline_ms
-        if deadline_ms is not None:
-            engine.deadline = Deadline(deadline_ms)
+        deadline = Deadline(deadline_ms) if deadline_ms is not None else None
+        self._queries += 1
+        seed_s, seed_t, seed, seed_density = self._fixed_ratio_seed(ratio)
+        space = fixed_ratio_space(self.subproblem(), seed, ratio)
+        engine.deadline = deadline
         try:
-            return maximize_fixed_ratio(
-                self.subproblem(),
-                float(ratio),
-                lower=lower,
+            outcome = maximize_fixed_ratio(
+                space,
+                ratio,
+                lower=max(lower, seed),
                 upper=upper,
                 tolerance=tolerance,
                 engine=engine,
                 network_cache=self._network_cache,
             )
-        except DeadlineExceeded:
+        except DeadlineExceeded as error:
             self._anytime_returns += 1
+            _fold_seed(error.outcome, seed_s, seed_t, seed_density)
             raise
         finally:
             engine.deadline = None
+        _fold_seed(outcome, seed_s, seed_t, seed_density)
+        return outcome
+
+    def _fixed_ratio_seed(self, ratio: float) -> tuple[list[int], list[int], float, float]:
+        """``(S, T, surrogate, density)`` of the seed pair of a probe at ``ratio``.
+
+        The maximum-product core or the whole candidate pair, whichever has
+        the larger surrogate at ``ratio`` (the core on a tie).  Both are
+        functions of the graph, so a cold session, a warmed one and a fresh
+        reference session agree on the seed.
+        """
+        core = self.max_xy_core()
+        full = self.subproblem()
+        seed = None
+        for s_nodes, t_nodes, edges in (
+            (core.s_nodes, core.t_nodes, self.graph.count_edges_between(core.s_nodes, core.t_nodes)),
+            (full.s_candidates, full.t_candidates, full.num_edges),
+        ):
+            surrogate = surrogate_density(edges, len(s_nodes), len(t_nodes), ratio)
+            if seed is None or surrogate > seed[2]:
+                seed = (s_nodes, t_nodes, surrogate, edges / math.sqrt(len(s_nodes) * len(t_nodes)))
+        return seed
 
     def xy_core(self, x: int, y: int) -> XYCore:
         """The maximal [x, y]-core (cached per ``(x, y)``; copy returned)."""

@@ -181,6 +181,36 @@ class TestExecutor:
         assert len(report.timings()) == 2
         assert all(row["seconds"] >= 0 for row in report.timings())
 
+    @pytest.mark.parametrize("mode", ["serial", "threads", "process-pool", "remote"])
+    def test_every_row_carries_thread_cpu_seconds(self, mode):
+        import math
+
+        from repro.net import ShardDaemon
+
+        queries = [
+            {"query": "fixed-ratio", "ratio": 1.0},
+            {"query": "densest", "method": "core-exact"},
+            {"query": "fixed-ratio", "ratio": 2.0, "dataset": "social-tiny"},
+        ]
+        plan = plan_batch(queries, default_graph_key="foodweb-tiny")
+        if mode == "remote":
+            with ShardDaemon() as daemon:
+                report = _executor(remote_hosts=[daemon.address]).execute(plan)
+            assert report.executor_stats["lanes_remote"] == 2
+        else:
+            kwargs = {
+                "serial": {"max_workers": 1},
+                "threads": {"max_workers": 2},
+                "process-pool": {"process_pool": True, "max_workers": 1},
+            }[mode]
+            report = _executor(**kwargs).execute(plan)
+        rows = report.timings()
+        assert len(rows) == len(queries)
+        for row in rows:
+            assert math.isfinite(row["cpu_seconds"]) and row["cpu_seconds"] >= 0
+        # A probe does real work on whichever thread served it.
+        assert sum(row["cpu_seconds"] for row in rows) > 0
+
     def test_unknown_graph_key_is_clean_error(self):
         mapping_executor = BatchExecutor({"known": load_dataset("foodweb-tiny")})
         plan = plan_batch([{"query": "summary", "dataset": "missing"}], default_graph_key="known")

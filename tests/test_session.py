@@ -25,7 +25,14 @@ import repro.session.session as session_module
 from repro.core.config import ExactConfig
 from repro.core.results import DDSResult
 from repro.datasets.registry import load_dataset
-from repro.exceptions import AlgorithmError, EmptyGraphError, FlowError, GraphError, StoreError
+from repro.exceptions import (
+    AlgorithmError,
+    ConfigError,
+    EmptyGraphError,
+    FlowError,
+    GraphError,
+    StoreError,
+)
 from repro.flow.engine import COUNTERS
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import complete_bipartite_digraph, gnm_random_digraph
@@ -98,11 +105,44 @@ class TestSessionBasics:
 
     @pytest.mark.parametrize("ratio", [float("nan"), float("inf"), 0.0, -1.0])
     def test_fixed_ratio_rejects_a_ratio_outside_zero_to_inf(self, ratio):
-        """A NaN ratio never closes the bracket: refuse it before any min-cut."""
+        """A NaN ratio never closes the bracket: refuse it before any work."""
         session = DDSSession(gnm_random_digraph(10, 40, seed=8))
         with pytest.raises(AlgorithmError, match="ratio"):
             session.fixed_ratio(ratio, deadline_ms=5000)
-        assert session.cache_stats()["flow_calls"] == 0
+        stats = session.cache_stats()
+        assert stats["flow_calls"] == 0
+        assert stats["queries"] == 0
+        assert stats["xy_cores_cached"] == 0
+
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            ({"lower": -1.0}, "bounds"),
+            ({"upper": float("nan")}, "bounds"),
+            ({"tolerance": -1.0}, "tolerance"),
+            ({"tolerance": 0.0}, "tolerance"),
+        ],
+    )
+    def test_fixed_ratio_rejects_bad_bounds_and_tolerance_before_counting(
+        self, arguments, message
+    ):
+        session = DDSSession(gnm_random_digraph(10, 40, seed=8))
+        with pytest.raises(AlgorithmError, match=message):
+            session.fixed_ratio(1.0, **arguments)
+        stats = session.cache_stats()
+        assert stats["queries"] == 0
+        assert stats["flow_calls"] == 0
+        assert stats["xy_cores_cached"] == 0
+
+    @pytest.mark.parametrize(
+        "method, kwargs, error",
+        [("core-exact", {"tolerance": -1.0}, ConfigError), ("magic", {}, AlgorithmError)],
+    )
+    def test_rejected_densest_query_is_not_counted(self, method, kwargs, error):
+        session = DDSSession(gnm_random_digraph(10, 40, seed=8))
+        with pytest.raises(error):
+            session.densest_subgraph(method, **kwargs)
+        assert session.cache_stats()["queries"] == 0
 
 
 class TestResultCache:
@@ -304,6 +344,74 @@ class TestNetworkReuseRegressions:
         assert coarse.networks_built + coarse.networks_reused == 1
         assert refined.networks_built == 0 and refined.networks_reused == 1
         assert refined.upper - refined.lower <= coarse.upper - coarse.lower
+
+
+class TestMaxCoreWalks:
+    """Every query on the session graph reads the one cached maximum core."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        import repro.core.bounds as bounds_module
+        from repro.core import xycore
+
+        calls = []
+
+        def counting(graph):
+            calls.append(graph)
+            return xycore.max_xy_core(graph)
+
+        monkeypatch.setattr(session_module, "max_xy_core", counting)
+        monkeypatch.setattr(bounds_module, "max_xy_core", counting)
+        return calls
+
+    @staticmethod
+    def _answer_all(session):
+        return (
+            session.densest_subgraph("core-approx"),
+            session.densest_subgraph("core-exact"),
+            session.densest_subgraph("dc-exact", seed_with_core=True),
+            session.fixed_ratio(1.0),
+        )
+
+    def test_one_walk_per_session(self, walks):
+        graph = load_dataset("social-tiny")
+        session = DDSSession(graph)
+        answers = self._answer_all(session)
+        assert len(walks) == 1
+        # The answers are those of fresh runs, which walk the core themselves.
+        references = (
+            _fresh(graph, "core-approx"),
+            _fresh(graph, "core-exact"),
+            _fresh(graph, "dc-exact", seed_with_core=True),
+        )
+        for answer, reference in zip(answers, references):
+            assert (answer.density, answer.s_nodes, answer.t_nodes) == (
+                reference.density,
+                reference.s_nodes,
+                reference.t_nodes,
+            )
+            assert answer.stats.get("flow_calls") == reference.stats.get("flow_calls")
+
+    def test_store_warmed_session_does_not_walk(self, walks, tmp_path):
+        from repro.service.store import SessionStore
+
+        graph = load_dataset("social-tiny")
+        store = SessionStore(tmp_path)
+        saved = DDSSession(graph)
+        saved.max_xy_core()
+        store.save_session(saved)
+        walks.clear()
+        warmed = DDSSession(graph, result_cache_size=0)
+        store.warm_session(warmed)
+        self._answer_all(warmed)
+        assert walks == []
+
+    def test_top_k_rounds_on_working_copies_walk_their_own(self, walks):
+        session = DDSSession(load_dataset("social-tiny"))
+        session.top_k(3, method="core-approx")
+        assert walks[0] is session.graph
+        assert all(graph is not session.graph for graph in walks[1:])
+        assert len(walks) == 3
 
 
 class TestAutoSelection:
