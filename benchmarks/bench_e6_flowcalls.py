@@ -64,8 +64,11 @@ one solve warm.  Without numpy the gates report themselves skipped
 The **incremental update gate** replays a deterministic edge-update
 stream through one session's ``apply_updates``: with certification disabled
 every post-delta answer must be bit-identical to a cold session on the
-updated graph; with certification enabled densities must agree exactly and
-at least one cached answer must survive by certificate.  It also gates the
+updated graph; with certification enabled densities must agree exactly, at
+least one cached answer must survive by certificate, and the certified
+session's ``flow_calls`` over the whole stream must equal the recorded
+count (:data:`UPDATE_SMOKE_FLOW_CALLS`) — certification runs no min-cut,
+so every one of them belongs to a query.  It also gates the
 speed the incremental layer exists for: on a removal-only stream of
 single-edge deltas over ``advogato-small`` (dc-exact answered after every
 delta), ``apply_updates`` must take at most half the process CPU time of a
@@ -191,6 +194,12 @@ PROBE_SMOKE_FLOW_CALLS = {
     ("advogato-small", 1.0): 1,
     ("advogato-small", 2.0): 1,
 }
+
+
+#: Min-cuts of the certified session over the update gate's stream: its
+#: warm dc-exact answer plus the re-searches of the entries certification
+#: evicted.  Certification itself runs none.
+UPDATE_SMOKE_FLOW_CALLS = 74
 
 
 def run_probe_smoke(failures: list[str]) -> list[dict]:
@@ -465,8 +474,8 @@ SPEEDUP_SMOKE_STEPS = 6
 SPEEDUP_SMOKE_SEED = 2020
 
 #: ``apply_updates`` must serve the speedup stream at least this many times
-#: faster than per-delta cold rebuilds (best of 3: 3.9–5.1x measured on a
-#: 2-CPU VM).
+#: faster than per-delta cold rebuilds (best of 3: 4.7–6.4x measured in
+#: three runs on a shared 2-CPU VM).
 SPEEDUP_SMOKE_MIN_RATIO = 2.0
 SPEEDUP_SMOKE_REPEATS = 3
 
@@ -529,7 +538,8 @@ def run_update_smoke(failures: list[str]) -> dict:
     session built on the updated graph, and with certification enabled,
     where densities must still agree exactly and at least one entry must
     survive by certificate across the stream (the subsystem's reason to
-    exist).  Then times the removal-only speedup stream
+    exist), in exactly :data:`UPDATE_SMOKE_FLOW_CALLS` min-cuts on the
+    certified session.  Then times the removal-only speedup stream
     (:func:`_incremental_speedup`).  Appends failure strings to
     ``failures`` and returns a table row.
     """
@@ -572,6 +582,12 @@ def run_update_smoke(failures: list[str]) -> dict:
             f"{UPDATE_SMOKE_STEPS} deltas on {UPDATE_SMOKE_DATASET} "
             "(the certification tier never fired)"
         )
+    if stats["flow_calls"] != UPDATE_SMOKE_FLOW_CALLS:
+        failures.append(
+            f"update parity: certified session ran {stats['flow_calls']} min-cuts over "
+            f"{UPDATE_SMOKE_STEPS} deltas on {UPDATE_SMOKE_DATASET}, recorded "
+            f"{UPDATE_SMOKE_FLOW_CALLS}"
+        )
     return {
         "dataset": UPDATE_SMOKE_DATASET,
         "steps": UPDATE_SMOKE_STEPS,
@@ -579,6 +595,7 @@ def run_update_smoke(failures: list[str]) -> dict:
         "certified_stale_hits": stats["certified_stale_hits"],
         "local_research_runs": stats["local_research_runs"],
         "flow_calls": stats["flow_calls"],
+        "recorded_flow_calls": UPDATE_SMOKE_FLOW_CALLS,
         f"{SPEEDUP_SMOKE_DATASET}_speedup": round(_incremental_speedup(failures), 2),
     }
 

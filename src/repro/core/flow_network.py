@@ -109,63 +109,6 @@ class DecisionNetwork:
         ]
         return s_selected, t_selected
 
-    def clone(self) -> "DecisionNetwork":
-        """Deep copy: independent flow network, shared immutable parameters.
-
-        The clone can be patched and solved without disturbing this
-        network's residual state — the seed step of the incremental
-        ``top_k`` reuse path.  The lazily built edge-arc map is copied when
-        present (it is cheap and the clone's topology is identical).
-        """
-        twin = DecisionNetwork(
-            network=self.network.clone(),
-            source=self.source,
-            sink=self.sink,
-            s_nodes=list(self.s_nodes),
-            t_nodes=list(self.t_nodes),
-            total_capacity=self.total_capacity,
-            s_penalty_arcs=list(self.s_penalty_arcs),
-            t_penalty_arcs=list(self.t_penalty_arcs),
-        )
-        cached = getattr(self, "_edge_arc_map", None)
-        if cached is not None:
-            twin._edge_arc_map = dict(cached)
-        return twin
-
-    def edge_arc_map(self) -> dict[tuple[int, int], int]:
-        """``(u, v) -> forward arc index`` for the ``o_u -> i_v`` edge arcs.
-
-        Keys are *graph* indices.  Built lazily by replaying the construction
-        order of :func:`build_decision_network` (edge arcs are appended after
-        the ``4|S| + 2|T|`` candidate arcs) and maintained by the incremental
-        patcher across arc appends; entries for deleted edges are kept at
-        capacity zero so a later re-insertion reuses the stale arc instead of
-        growing the network.
-        """
-        cached = getattr(self, "_edge_arc_map", None)
-        if cached is None:
-            s_offset = 2
-            t_offset = 2 + len(self.s_nodes)
-            first = 4 * len(self.s_nodes) + 2 * len(self.t_nodes)
-            targets = self.network.arc_targets
-            cached = {}
-            for arc in range(first, self.network.num_arcs, 2):
-                # The reverse twin's target is the forward arc's tail.
-                u = self.s_nodes[targets[arc + 1] - s_offset]
-                v = self.t_nodes[targets[arc] - t_offset]
-                cached[(u, v)] = arc
-            self._edge_arc_map = cached
-        return cached
-
-    def source_arc(self, s_position: int) -> int:
-        """Forward arc index of the ``s -> o_u`` arc for S position ``s_position``.
-
-        The construction adds each S candidate's source arc immediately
-        before its penalty arc, so the index is recoverable from the recorded
-        penalty arcs without storing a third list.
-        """
-        return self.s_penalty_arcs[s_position] - 2
-
     def retune(self, ratio: float, guess: float, warm_start: bool = False) -> None:
         """Re-parameterise the network for a new ``(ratio, guess)`` in place.
 

@@ -5,9 +5,9 @@ re-parameterise it in place between guesses
 (:meth:`~repro.core.flow_network.DecisionNetwork.retune`).  This module
 extends the same idea *across* searches: networks are cached by
 ``(sub-problem state, ratio)`` so that repeated queries against one
-:class:`~repro.session.DDSSession` (top-k rounds, repeated probes at one
-ratio, re-tolerated exact runs) reuse networks built by earlier queries
-instead of rebuilding them.
+:class:`~repro.session.DDSSession` (repeated probes at one ratio,
+re-tolerated exact runs) reuse networks built by earlier queries instead of
+rebuilding them.
 
 Cached networks are stored **with the residual flow of their last solve**:
 entries are retuned, never reset, on the way out, so a warm retune
@@ -24,7 +24,11 @@ freshly built one — with its flow kept or reset, pinned by
 ``tests/test_core_retune.py`` and ``tests/test_warm_start.py`` — and the
 cache key embeds :attr:`~repro.graph.digraph.DiGraph.state_token`, which
 changes on every structural graph mutation, so a cached network can never
-be served for a graph state it was not built from.
+be served for a graph state it was not built from.  A graph edit therefore
+leaves nothing servable behind:
+:meth:`DDSSession.apply_updates <repro.session.DDSSession.apply_updates>`
+clears the cache, and each later ``top_k`` round runs on a fresh cache of
+its own.
 
 Stats-key glossary
 ------------------
@@ -117,46 +121,6 @@ class NetworkCache:
     def clear(self) -> None:
         """Drop every cached network (counters are kept)."""
         self._entries.clear()
-
-    def entries(self) -> list[tuple[Any, float, "DecisionNetwork"]]:
-        """Snapshot of every entry as ``(token, ratio, network)``, LRU order.
-
-        Non-destructive and counter-neutral (no hit/miss ticks).  The
-        networks are the live cached objects, not copies — callers that
-        intend to mutate them must :meth:`~repro.core.flow_network.DecisionNetwork.clone`
-        first (the top-k round-seeding path does).
-        """
-        return [(key[0], key[1], network) for key, network in self._entries.items()]
-
-    def take_all(self) -> list[tuple[Any, float, "DecisionNetwork"]]:
-        """Remove and return every entry as ``(token, ratio, network)`` triples.
-
-        LRU order (least recent first) is preserved so a migration that
-        re-deposits surviving entries via :meth:`put_token` keeps the same
-        eviction order.  This is the incremental layer's hook: after a graph
-        delta every key's ``state_token`` component is stale, so the patcher
-        drains the cache, patches the networks it can, and re-files them
-        under the post-delta token.
-        """
-        drained = [(key[0], key[1], network) for key, network in self._entries.items()]
-        self._entries.clear()
-        return drained
-
-    def put_token(self, token: Any, ratio: float, network: "DecisionNetwork") -> None:
-        """Insert under an explicit ``(token, ratio)`` key (migration path).
-
-        Identical to :meth:`put` but keyed directly — used when re-filing
-        patched networks under a new sub-problem token without holding the
-        sub-problem itself.
-        """
-        if self.max_entries == 0:
-            return
-        key = (token, float(ratio))
-        self._entries[key] = network
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
 
     def stats(self) -> dict[str, int]:
         """Counters for instrumentation and the session's ``cache_stats()``."""

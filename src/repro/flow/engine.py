@@ -36,7 +36,7 @@ defined in :mod:`repro.core.network_cache`.
 ``warm_starts_used``
     Min-cut computations whose caller declared the network's residual state
     a flow left by an earlier solve (``warm_start=True``: a warm retune of
-    a search network, a cache-served network, or a patched one).
+    a search network or of a cache-served one).
 ``cold_starts``
     Min-cut computations on a network that holds no flow of an earlier
     solve: freshly built (every solve on a narrowed network of a

@@ -224,9 +224,7 @@ class FlowNetwork:
         The flat arc buffers are copied, so retunes and solves on the clone
         never touch the original (and vice versa); the CSR index and the
         list/numpy views are per-instance caches and are rebuilt lazily on
-        the clone.  This is how the incremental layer seeds a
-        ``top_k`` round's working cache from the session's warm networks
-        without corrupting them.
+        the clone.  The flow property tests snapshot networks with it.
         """
         twin = FlowNetwork(self.num_nodes)
         twin._to = array("q", self._to)
@@ -279,33 +277,6 @@ class FlowNetwork:
         self._cap[arc_index] = 0.0
         self._cap[arc_index + 1] = capacity
         return flow - capacity
-
-    def withdraw_flow(self, arc_index: int, amount: float) -> None:
-        """Cancel ``amount`` units of flow on forward arc ``arc_index`` in place.
-
-        The inverse of pushing flow on one arc: the forward residual grows by
-        ``amount`` and the reverse residual (which *is* the arc's flow)
-        shrinks by the same.  Conservation is intentionally broken at both
-        endpoints — the tail is left with an inflow surplus and the head with
-        a deficit — so this is a surgical primitive for callers that repair
-        the imbalance themselves (the incremental decision-network patcher
-        cancels a deleted edge's flow here and walks the tail surplus back to
-        the source via :meth:`return_excess`).  Raises if the arc carries
-        less than ``amount`` flow (beyond float noise); sub-noise overshoot
-        is clamped so retune loops cannot accumulate negative flow.
-        """
-        if arc_index % 2 != 0:
-            raise FlowError("withdraw_flow expects the index returned by add_edge (even)")
-        if not amount >= 0:
-            raise FlowError(f"amount must be >= 0, got {amount}")
-        flow = self._cap[arc_index + 1]
-        if amount > flow + EPSILON:
-            raise FlowError(
-                f"cannot withdraw {amount!r} from arc {arc_index} carrying {flow!r}"
-            )
-        amount = min(float(amount), flow)
-        self._cap[arc_index + 1] = flow - amount
-        self._cap[arc_index] += amount
 
     def return_excess(self, excess: list[tuple[int, float]], source: int) -> float:
         """Restore flow conservation by pushing node excesses back to ``source``.
@@ -698,9 +669,6 @@ class FlowNetwork:
         self._csr_dirty = False
         self._csr_lists = None
         self._np_views = None
-
-    def _original_capacity(self, forward_index: int) -> float:
-        return self._base[forward_index]
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:

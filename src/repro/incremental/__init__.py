@@ -5,37 +5,26 @@ The subsystem behind
 
 * :mod:`repro.incremental.delta` — normalized :class:`EdgeDelta` batches
   and the per-update :class:`UpdateReport`;
-* :mod:`repro.incremental.maintain` — in-place patching of degree arrays,
-  [x, y]-core decompositions (bounded local re-peel) and cached decision
-  networks (arc-level surgery that keeps warm residual flows alive);
-* :mod:`repro.incremental.certify` — density-bound and min-cut-re-verify
+* :mod:`repro.incremental.maintain` — in-place patching of degree arrays
+  and [x, y]-core decompositions (bounded local re-peel);
+* :mod:`repro.incremental.certify` — density-bound and approximation
   certificates deciding which cached results are provably still optimal.
 
-``top_k`` rounds ≥ 2 route through the same machinery: a peel round *is*
-an edge-removal delta, so each round's working cache is seeded by
-clone-and-patch from the previous round's networks instead of rebuilding.
+Cached decision networks are not carried across an edit: their keys name
+the pre-edit graph state, so ``apply_updates`` drops them, and each later
+``top_k`` round (a peel round is an edge-removal delta on a working copy)
+builds its own on a fresh cache.
 """
 
 from repro.incremental.certify import DeltaCertificate, certify_result
 from repro.incremental.delta import EdgeDelta, UpdateReport
-from repro.incremental.maintain import (
-    full_subproblem_token,
-    migrate_network_cache,
-    patch_decision_network,
-    patch_degree_arrays,
-    refresh_cores,
-    seed_cache_from,
-)
+from repro.incremental.maintain import patch_degree_arrays, refresh_cores
 
 __all__ = [
     "DeltaCertificate",
     "EdgeDelta",
     "UpdateReport",
     "certify_result",
-    "full_subproblem_token",
-    "migrate_network_cache",
-    "patch_decision_network",
     "patch_degree_arrays",
     "refresh_cores",
-    "seed_cache_from",
 ]

@@ -2,8 +2,8 @@
 
 A cached :class:`~repro.core.results.DDSResult` does not become worthless
 just because the graph changed — it becomes *unproven*.  This module
-re-proves (or refutes) cached answers from the delta, cheapest argument
-first:
+re-proves cached answers from the delta where a cheap argument exists, and
+gives up on the rest:
 
 **Bounds tier** (O(|pair|), no flow).  The old pair's density on the new
 graph, ``rho_cand``, is a valid lower bound on the new optimum.  For the
@@ -15,53 +15,40 @@ degree bound).  When the bracket closes —
 ``upper - rho_cand <= tolerance`` — the old pair is still optimal and the
 entry is **certified** without touching a network.
 
-**Cut tier** (one min-cut per probed ratio, warm-started on the patched
-networks, batched block-diagonally when the engine's aggregate gate
-allows).  Removal-only, exact entries whose pair lost edges get one more
-chance: probe the patched network at guess ``g = rho_opt_old - tolerance``.
-An *improving* cut exhibits a pair with true density ``> g`` (the AM–GM
-side of the reduction guarantees true density, not just surrogate), and
-``rho_opt_new <= rho_opt_old`` caps it from above — so the new optimum lies
-in the half-open window ``(rho_opt_old - tolerance, rho_opt_old]``.  With
-``tolerance`` at the session's exactness gap, two distinct achievable
-densities cannot both lie in a window that narrow, so the exhibited pair's
-density *is* the exact new optimum and the entry is certified with the
-exhibited pair as a replacement.  A non-improving cut only proves the bound
-at its own ratio, never globally — so "no improving cut anywhere cached"
-stays **inconclusive** and the entry is invalidated honestly.
+**Approx-monotone tier** (approximate results only).  A removal-only delta
+only lowers the optimum, so an approximation whose pair kept its density
+still meets its guarantee.
+
+Anything else is **inconclusive**: the session evicts the entry and
+remembers its key, so the next identical query re-searches on networks
+built fresh for the new graph.
 
 **What certification promises.**  A certified entry is a *correct* answer
 (optimal for exact methods, guarantee-preserving for approximations) — but
 when the optimum is non-unique it may name a different optimal pair than a
-cold rebuild would (cut-tier replacements, approximations whose core
-shifted).  Callers that need byte-identical agreement with a cold session
-disable certification (``apply_updates(..., certify=False)``), which routes
-every cached entry through the re-search path — bit-identical by the
-canonical-cut invariant.
+cold rebuild would (the old pair against an equally dense new one, or an
+approximation whose core shifted).  Callers that need byte-identical
+agreement with a cold session disable certification
+(``apply_updates(..., certify=False)``), which routes every cached entry
+through the re-search path — bit-identical because that search builds its
+networks from scratch, exactly as a cold session does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.density import directed_density, global_density_upper_bound
-from repro.core.flow_network import DecisionNetwork, decision_cut_is_improving
 from repro.core.results import DDSResult
-
-try:  # the batched verify tier needs numpy's block-diagonal stacking
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI lane
-    _np = None
 
 
 @dataclass(frozen=True)
 class DeltaCertificate:
     """Outcome of certifying one cached result against an applied delta.
 
-    ``reason`` is one of ``"bounds"`` (bracket closed), ``"cut_reverify"``
-    (cut tier pinned the optimum; ``replacement`` holds the new entry),
+    ``reason`` is one of ``"bounds"`` (bracket closed),
     ``"approx_monotone"`` (approximation guarantee preserved under a
     removal-only delta), or ``"inconclusive"`` (no cheap proof — the entry
     must be re-searched).
@@ -72,8 +59,6 @@ class DeltaCertificate:
     lower_bound: float
     certified: bool
     reason: str
-    verify_cuts: int = 0
-    replacement: DDSResult | None = None
 
 
 def certify_result(
@@ -83,17 +68,8 @@ def certify_result(
     removal_only: bool,
     insertions: int,
     tolerance: float,
-    networks: list[tuple[float, DecisionNetwork]] | None = None,
-    engine: Any | None = None,
-    max_verify_cuts: int = 4,
 ) -> DeltaCertificate:
-    """Certify one cached result against an (already applied) delta.
-
-    ``networks`` are the surviving patched ``(ratio, network)`` entries of
-    the session cache — the cut tier's probes; ``engine`` the session's
-    shared :class:`~repro.flow.engine.FlowEngine`.  Both optional: without
-    them only the bounds tier runs.
-    """
+    """Certify one cached result against an (already applied) delta."""
     rho_cand = directed_density(graph, result.s_nodes, result.t_nodes)
 
     if not result.is_exact:
@@ -124,115 +100,11 @@ def certify_result(
             result.density + insertions, global_density_upper_bound(graph)
         )
 
-    if upper <= rho_cand + tolerance:
-        return DeltaCertificate(
-            candidate_density=rho_cand,
-            upper_bound=upper,
-            lower_bound=rho_cand,
-            certified=True,
-            reason="bounds",
-        )
-
-    if removal_only and networks and engine is not None:
-        return _cut_reverify(
-            graph, result, rho_cand, tolerance, networks, engine, max_verify_cuts
-        )
-
+    certified = upper <= rho_cand + tolerance
     return DeltaCertificate(
         candidate_density=rho_cand,
         upper_bound=upper,
         lower_bound=rho_cand,
-        certified=False,
-        reason="inconclusive",
-    )
-
-
-def _cut_reverify(
-    graph: Any,
-    result: DDSResult,
-    rho_cand: float,
-    tolerance: float,
-    networks: list[tuple[float, DecisionNetwork]],
-    engine: Any,
-    max_verify_cuts: int,
-) -> DeltaCertificate:
-    """The cut tier: probe patched networks at the old optimum minus the gap.
-
-    Returns a certified certificate when some probe's cut is improving (see
-    the module docstring for why that pins the new optimum); when every
-    probe is non-improving — which proves nothing globally — an
-    inconclusive one carrying the cut count.
-    """
-    guess = max(result.density - tolerance, 0.0)
-    # Probe the cached ratios closest (log-scale) to the old pair's own
-    # ratio first — the tight ratio is where the old optimum re-certifies.
-    own_ratio = result.ratio if result.ratio > 0 else 1.0
-    probes = sorted(networks, key=lambda entry: abs(math.log(entry[0] / own_ratio)))
-    probes = probes[:max_verify_cuts]
-    for ratio, decision in probes:
-        decision.retune(ratio, guess, warm_start=True)
-
-    cuts: list[tuple[DecisionNetwork, float, list[int]]] = []
-    arc_counts = [decision.network.num_arcs for _, decision in probes]
-    if len(probes) >= 2 and _np is not None and engine.supports_batching(arc_counts):
-        from repro.flow.batch import BatchedFlowNetwork
-
-        batch = BatchedFlowNetwork(
-            [
-                (decision.network, decision.source, decision.sink)
-                for _, decision in probes
-            ]
-        )
-        outcomes = engine.min_cut_batch(
-            batch,
-            list(range(len(probes))),
-            [True] * len(probes),
-        )
-        for (_, decision), (value, source_side, _) in zip(probes, outcomes):
-            cuts.append((decision, value, source_side))
-    else:
-        for _, decision in probes:
-            value, solver = engine.min_cut(
-                decision.network, decision.source, decision.sink, warm_start=True
-            )
-            cuts.append((decision, value, solver.min_cut_source_side()))
-
-    for decision, value, source_side in cuts:
-        if not decision_cut_is_improving(value, decision.total_capacity):
-            continue
-        s_side, t_side = decision.extract_pair(source_side)
-        if not s_side or not t_side:
-            continue
-        s_labels = graph.labels_of(s_side)
-        t_labels = graph.labels_of(t_side)
-        density = directed_density(graph, s_labels, t_labels)
-        if density <= guess:  # pragma: no cover - float-noise guard
-            continue
-        edge_count = graph.count_edges_between(s_side, t_side)
-        stats = dict(result.stats)
-        stats["incremental_certified"] = "cut_reverify"
-        replacement = replace(
-            result,
-            s_nodes=s_labels,
-            t_nodes=t_labels,
-            density=density,
-            edge_count=edge_count,
-            stats=stats,
-        )
-        return DeltaCertificate(
-            candidate_density=rho_cand,
-            upper_bound=result.density,
-            lower_bound=density,
-            certified=True,
-            reason="cut_reverify",
-            verify_cuts=len(cuts),
-            replacement=replacement,
-        )
-    return DeltaCertificate(
-        candidate_density=rho_cand,
-        upper_bound=result.density,
-        lower_bound=rho_cand,
-        certified=False,
-        reason="inconclusive",
-        verify_cuts=len(cuts),
+        certified=certified,
+        reason="bounds" if certified else "inconclusive",
     )

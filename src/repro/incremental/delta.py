@@ -134,16 +134,13 @@ class UpdateReport:
     ``max_core_kept``
         Whether the cached maximum-product core survived the delta unchanged
         (provably still maximal — see ``maintain.refresh_cores``).
-    ``networks_patched`` / ``networks_dropped``
-        Cached decision networks migrated to the post-delta cache key by
-        arc-level surgery vs. discarded (non-full-graph sub-problems, or
-        deltas their node layout cannot represent).
+    ``networks_dropped``
+        Cached decision networks the delta cleared — all of them, since
+        every cache key names the pre-delta graph state.
     ``results_certified`` / ``results_invalidated``
         Result-cache entries kept because the delta certificate proved them
         still valid vs. evicted (their keys are remembered so the next miss
         counts as a ``local_research_run``).
-    ``verify_cuts``
-        Min-cut re-verifications run by the certification tier.
     ``certificates``
         One :class:`~repro.incremental.certify.DeltaCertificate` per
         result-cache entry examined, in eviction-order.
@@ -157,26 +154,8 @@ class UpdateReport:
     cores_repeeled: int = 0
     cores_rebuilt: int = 0
     max_core_kept: bool = False
-    networks_patched: int = 0
     networks_dropped: int = 0
     results_certified: int = 0
     results_invalidated: int = 0
-    verify_cuts: int = 0
     certificates: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        """Counter view (used by the bench harness and the E6 smoke gate)."""
-        return {
-            "edges_added": self.edges_added,
-            "edges_removed": self.edges_removed,
-            "nodes_added": self.nodes_added,
-            "removal_only": self.removal_only,
-            "cores_repeeled": self.cores_repeeled,
-            "cores_rebuilt": self.cores_rebuilt,
-            "max_core_kept": self.max_core_kept,
-            "networks_patched": self.networks_patched,
-            "networks_dropped": self.networks_dropped,
-            "results_certified": self.results_certified,
-            "results_invalidated": self.results_invalidated,
-            "verify_cuts": self.verify_cuts,
-        }

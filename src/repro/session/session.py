@@ -62,13 +62,7 @@ from repro.graph.digraph import DiGraph, NodeLabel
 from repro.graph.properties import graph_summary
 from repro.incremental.certify import certify_result
 from repro.incremental.delta import EdgeDelta, UpdateReport
-from repro.incremental.maintain import (
-    full_subproblem_token,
-    migrate_network_cache,
-    patch_degree_arrays,
-    refresh_cores,
-    seed_cache_from,
-)
+from repro.incremental.maintain import patch_degree_arrays, refresh_cores
 from repro.runtime import Deadline
 from repro.utils.validation import require_positive_int
 
@@ -138,8 +132,8 @@ class DDSSession:
         The session treats it as immutable; mutating it directly afterwards
         raises :class:`~repro.exceptions.GraphError` on the next query.  The
         one sanctioned mutation path is :meth:`apply_updates`, which applies
-        an edge delta *through* the session so every cache is patched or
-        certified in step with the graph.
+        an edge delta *through* the session so every cache is patched, certified
+        or dropped in step with the graph.
     flow:
         Session-wide default :class:`~repro.core.config.FlowConfig` (or a
         bare solver name).  Per-query configs override the solver; a
@@ -367,8 +361,10 @@ class DDSSession:
         is served through (and feeds) the session result cache; later rounds
         run on a private working copy with the reported edges removed, so
         successive pairs are edge-disjoint and densities are non-increasing.
-        Stops early when the best remaining density drops to ``min_density``
-        or the working copy runs out of edges.
+        Each later round builds its decision networks on a fresh private
+        cache, so it answers and counts exactly like a cold session on the
+        peeled graph.  Stops early when the best remaining density drops to
+        ``min_density`` or the working copy runs out of edges.
         """
         self._check_unmutated()
         require_positive_int(k, "k")
@@ -380,8 +376,6 @@ class DDSSession:
 
         results: list[DDSResult] = []
         working: DiGraph | None = None
-        working_cache: NetworkCache | None = None
-        working_token: tuple | None = None
         cache_size = (
             cfg.flow.network_cache_size
             if isinstance(cfg, ExactConfig)
@@ -393,61 +387,26 @@ class DDSSession:
             if working is None:
                 result = self._serve(spec, cfg)
             else:
-                result = self._execute(spec, cfg, working, network_cache=working_cache)
+                # Each peeled graph state is throwaway, so its round runs on
+                # a fresh private cache, sized from the query's own flow
+                # config like _execute's: depositing into the session cache
+                # would only evict the session graph's entries.
+                result = self._execute(
+                    spec, cfg, working, network_cache=NetworkCache(cache_size)
+                )
             if result.density <= min_density:
                 break
             self._annotate(result, spec, was_auto)
             results.append(result)
-            first_peel = working is None
-            if first_peel:
+            if working is None:
                 working = self.graph.copy()
-                # The peeled rounds share one private network cache: their
-                # graph states are throwaway, so depositing them into the
-                # session cache would only evict the session graph's
-                # entries.  Sized from the query's own flow config, like
-                # _execute.
-                working_cache = NetworkCache(cache_size)
-            # A peel round *is* an edge-removal delta: remove exactly the
-            # reported pair's edges in one apply_delta batch, then carry the
-            # previous round's decision networks across the delta — round 2
-            # by clone-and-patch from the session cache, later rounds by
-            # migrating the working cache in place — so each round retunes
-            # warm patched networks instead of rebuilding from scratch.
             s_indices = working.indices_of(result.s_nodes)
             t_indices = working.indices_of(result.t_nodes)
             block = [
                 (working.label_of(u), working.label_of(v))
                 for u, v in working.edges_between(s_indices, t_indices)
             ]
-            if spec.flow_backed:
-                source_token = (
-                    full_subproblem_token(self.graph)
-                    if first_peel
-                    else working_token
-                )
-            _, removed_pairs = working.apply_delta((), block)
-            if not spec.flow_backed:
-                continue
-            working_token = full_subproblem_token(working)
-            if first_peel:
-                seed_cache_from(
-                    self._network_cache.entries(),
-                    source_token,
-                    working_cache,
-                    working_token,
-                    working,
-                    [],
-                    removed_pairs,
-                )
-            else:
-                migrate_network_cache(
-                    working_cache,
-                    source_token,
-                    working_token,
-                    working,
-                    [],
-                    removed_pairs,
-                )
+            working.apply_delta((), block)
         return results
 
     def fixed_ratio(
@@ -486,11 +445,10 @@ class DDSSession:
         is its true density.  The decision network for ``(space, ratio)`` is
         fetched from (and deposited into) the session network cache, so
         repeated probes at the same ratio retune one network and continue
-        its residual flow; :meth:`apply_updates` drops core-restricted
-        networks instead of patching them.  The ratio, bounds, tolerance,
-        solver and budget are checked before anything is counted or
-        computed; a ratio that is not finite and positive raises
-        :class:`~repro.exceptions.AlgorithmError`.
+        its residual flow; :meth:`apply_updates` drops every cached
+        network.  The ratio, bounds, tolerance, solver and budget are
+        checked before anything is counted or computed; a ratio that is not
+        finite and positive raises :class:`~repro.exceptions.AlgorithmError`.
         """
         self._check_unmutated()
         if self.graph.num_edges == 0:
@@ -584,29 +542,29 @@ class DDSSession:
         *,
         certify: bool = True,
     ) -> UpdateReport:
-        """Apply one edge delta through the session, patching caches in place.
+        """Apply one edge delta through the session and bring its caches along.
 
         The sanctioned alternative to rebuilding a session when the graph
         changes: the delta is normalized (:meth:`EdgeDelta.normalize
         <repro.incremental.delta.EdgeDelta.normalize>`), applied to the graph
-        in one state-token step, and then every layer of cached state is
-        brought along instead of thrown away —
+        in one state-token step, and then each layer of cached state is
+        brought along or dropped —
 
         * degree arrays are patched in place;
         * cached [x, y]-cores are re-peeled locally (removal-only deltas) or
           recomputed (deltas with insertions);
-        * cached full-graph decision networks are migrated by arc-level
-          surgery that preserves their warm residual flows
-          (:func:`~repro.incremental.maintain.patch_decision_network`);
+        * cached decision networks are dropped: every key names the
+          pre-delta state token, so the next search builds fresh ones;
         * cached results are **certified** against the delta
           (:func:`~repro.incremental.certify.certify_result`): entries whose
           optimality still has a cheap proof are kept (and marked
           ``stats["certified_stale"]``), the rest are evicted and their keys
           remembered so the next identical query counts as a bounded local
-          re-search (``local_research_runs``).
+          re-search (``local_research_runs``).  Certification runs no
+          min-cut.
 
         With ``certify=False`` every cached result is evicted unconditionally
-        — the next query per key then re-searches on the patched networks,
+        — the next query per key then re-searches on freshly built networks,
         which is byte-identical to a cold rebuild (certification instead
         promises *correctness*: a certified entry may name a different but
         equally optimal pair than a cold run would when the optimum is
@@ -624,7 +582,6 @@ class DDSSession:
         if delta.is_empty:
             return report
 
-        old_token = full_subproblem_token(self.graph)
         old_fingerprint = self.graph.content_fingerprint()
         added_pairs, removed_pairs = self.graph.apply_delta(delta.added, delta.removed)
         self._graph_token = self.graph.state_token
@@ -658,23 +615,11 @@ class DDSSession:
             report.max_core_kept,
         ) = refresh_cores(self.graph, self._xy_cores, self._max_core, delta.removal_only)
 
-        new_token = full_subproblem_token(self.graph)
-        (
-            patched_entries,
-            report.networks_patched,
-            report.networks_dropped,
-        ) = migrate_network_cache(
-            self._network_cache,
-            old_token,
-            new_token,
-            self.graph,
-            added_pairs,
-            removed_pairs,
-        )
+        report.networks_dropped = len(self._network_cache)
+        self._network_cache.clear()
 
         if self._results:
             tolerance = self.exactness_tolerance()
-            engine = self._engine_for(self.flow.solver)
             for key in list(self._results.keys()):
                 if not certify:
                     del self._results[key]
@@ -688,15 +633,10 @@ class DDSSession:
                     removal_only=delta.removal_only,
                     insertions=len(added_pairs),
                     tolerance=tolerance,
-                    networks=patched_entries,
-                    engine=engine,
                 )
                 report.certificates.append(certificate)
-                report.verify_cuts += certificate.verify_cuts
                 if certificate.certified:
-                    if certificate.replacement is not None:
-                        self._results[key] = _copy_result(certificate.replacement)
-                    self._results[key].stats["certified_stale"] = certificate.reason
+                    result.stats["certified_stale"] = certificate.reason
                     self._certified_stale_hits += 1
                     report.results_certified += 1
                 else:

@@ -118,14 +118,6 @@ class TestFlowNetwork:
         assert net.arc_base_capacity(arc) == 3.0
         assert net.arc_flow(arc) == 3.0
 
-    def test_withdraw_flow_rejects_nan(self):
-        net = FlowNetwork(2)
-        arc = net.add_edge(0, 1, 2.0)
-        assert dinic_max_flow(net, 0, 1) == 2.0
-        with pytest.raises(FlowError, match="amount"):
-            net.withdraw_flow(arc, math.nan)
-        assert net.arc_flow(arc) == 2.0
-
     def test_csr_views_consistent_after_add_node(self):
         net = FlowNetwork(2)
         net.add_edge(0, 1, 1.0)

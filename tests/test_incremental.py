@@ -3,10 +3,10 @@
 The central contract: a session that absorbs a delta sequence through
 :meth:`DDSSession.apply_updates` answers every query **bit-identically** to a
 cold session built on the final graph — same node sets in the same order,
-same density, same edge count — because patched decision networks share the
-canonical minimal min-cut with freshly built ones.  With certification
-enabled the promise is optimality (equal density, valid pair) rather than
-byte equality, and that is pinned separately.
+same density, same edge count — because an edit drops the cached decision
+networks, so the re-search builds them fresh, as the cold session does.
+With certification enabled the promise is optimality (equal density, valid
+pair) rather than byte equality, and that is pinned separately.
 
 Delta sequences come from :func:`repro.graph.generators.edge_update_stream`,
 so the generator satellite is exercised by the same properties that test the
@@ -153,7 +153,7 @@ class TestApplyUpdatesBitIdentity:
         )
         session = DDSSession(g.copy())
         if session.graph.num_edges:
-            session.densest_subgraph("dc-exact")  # warm the caches being patched
+            session.densest_subgraph("dc-exact")  # warm the caches the edits refresh or drop
         for added, removed in batches:
             session.apply_updates(added, removed, certify=False)
         cold = DDSSession(updated_cold_copy(g, batches))
@@ -240,6 +240,31 @@ class TestApplyUpdatesBehaviour:
         assert served.stats["certified_stale"] == "bounds"
         assert session.cache_stats()["certified_stale_hits"] == 1
 
+    @pytest.mark.parametrize("method", ["dc-exact", "core-exact"])
+    @pytest.mark.parametrize(
+        "shapes", [((3, 3), (3, 3)), ((2, 8), (4, 4))], ids=["3x3+3x3", "2x8+4x4"]
+    )
+    def test_edit_runs_no_min_cut_and_ties_research_to_the_cold_answer(self, shapes, method):
+        # Disjoint complete blocks of equal density: two 3x3 blocks (reported
+        # as their union at density 3.0), or a 2x8 block beside a 4x4 block.
+        edges = [
+            (f"b{block}s{i}", f"b{block}t{j}")
+            for block, (s_size, t_size) in enumerate(shapes)
+            for i in range(s_size)
+            for j in range(t_size)
+        ]
+        session = DDSSession(DiGraph.from_edges(edges))
+        reported = session.densest_subgraph(method)
+        flow_calls = session.cache_stats()["flow_calls"]
+        report = session.apply_updates(
+            removed_edges=[(reported.s_nodes[0], reported.t_nodes[0])]
+        )
+        assert [c.reason for c in report.certificates] == ["inconclusive"]
+        assert session.cache_stats()["flow_calls"] == flow_calls
+        served = session.densest_subgraph(method)
+        assert session.cache_stats()["local_research_runs"] == 1
+        assert_same_result(served, DDSSession(session.graph.copy()).densest_subgraph(method))
+
     def test_invalidated_key_counts_as_local_research_on_next_query(self):
         session = DDSSession(self.make_pendant_graph())
         session.densest_subgraph("dc-exact")
@@ -289,22 +314,24 @@ class TestApplyUpdatesBehaviour:
         assert report.cores_repeeled == 0
 
 
-class TestTopKNetworkReuse:
-    def test_top_k_builds_strictly_fewer_networks_than_cold_rounds(self):
+class TestTopKRounds:
+    @pytest.mark.parametrize("method", ["dc-exact", "core-exact", "flow-exact"])
+    def test_later_rounds_count_like_cold_sessions(self, method):
         g = gnm_random_digraph(18, 70, seed=11)
         session = DDSSession(g.copy())
-        rounds = session.top_k(3, "dc-exact")
+        rounds = session.top_k(3, method)
         assert len(rounds) >= 2
-        built = session.cache_stats()["networks_built"]
+        stats = session.cache_stats()
 
         # sequential baseline: one cold session per peel round
         work = g.copy()
-        cold_built = 0
+        cold_built = cold_calls = 0
         for reference in rounds:
             cold = DDSSession(work.copy())
-            result = cold.densest_subgraph("dc-exact")
+            result = cold.densest_subgraph(method)
             assert_same_result(result, reference)
             cold_built += cold.cache_stats()["networks_built"]
+            cold_calls += cold.cache_stats()["flow_calls"]
             pairs = [
                 (work.label_of(u), work.label_of(v))
                 for u, v in work.edges_between(
@@ -312,7 +339,8 @@ class TestTopKNetworkReuse:
                 )
             ]
             work.apply_delta((), pairs)
-        assert built < cold_built
+        assert stats["networks_built"] == cold_built
+        assert stats["flow_calls"] == cold_calls
 
 
 class TestEdgeUpdateStream:

@@ -179,7 +179,7 @@ class TestWarmRetuneEqualsCold:
         # The warm state is a valid flow under the *new* capacities: every
         # penalty arc's flow fits its shrunken capacity.
         for arc_index in decision.s_penalty_arcs + decision.t_penalty_arcs:
-            assert network.arc_flow(arc_index) <= network._original_capacity(arc_index) + 1e-12
+            assert network.arc_flow(arc_index) <= network.arc_base_capacity(arc_index) + 1e-12
         assert network.flow_value(decision.source) >= 0.0
 
 
