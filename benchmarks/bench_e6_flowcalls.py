@@ -199,7 +199,7 @@ PROBE_SMOKE_FLOW_CALLS = {
 #: Min-cuts of the certified session over the update gate's stream: its
 #: warm dc-exact answer plus the re-searches of the entries certification
 #: evicted.  Certification itself runs none.
-UPDATE_SMOKE_FLOW_CALLS = 74
+UPDATE_SMOKE_FLOW_CALLS = 28
 
 
 def run_probe_smoke(failures: list[str]) -> list[dict]:

@@ -24,19 +24,24 @@ better than the incumbent:
 
 The probe itself is one fixed-ratio search (:mod:`repro.core.fixed_ratio`)
 started at a pair the run already holds.  The driver pools every pair it
-has seen — the initial incumbent plus the best and the last pair of every
-search outcome — keyed by ``(|E(S,T)|, |S|, |T|)``, which fixes a pair's
-surrogate at every ratio.  A probe over sub-problem ``X`` starts at the
-pooled pair inside ``X`` with the best surrogate ``sigma`` at ``c``: since
-the pair lies in ``X``, ``sigma <= val_X(c)`` is a certified lower bound,
-and the pair is the search's initial surrogate maximiser.  Dinkelbach's
-iteration then closes its bracket at ``val(c)`` after one to a few cuts, so
-``upper(val(c))`` is tight and the maximiser has ``eps = 0`` unless the
-search stopped at its tolerance first; if the first cut fails, the seed
+has seen — the initial incumbent, the graph's hub pairs, and the best and
+the last pair of every search outcome — keyed by ``(|E(S,T)|, |S|, |T|)``,
+which fixes a pair's surrogate at every ratio.  A *hub pair* is the ``k``
+nodes of highest in-degree with all their in-neighbours, or the ``k`` of
+highest out-degree with all their out-neighbours, for ``k = 1, 2, 4, …``
+(:func:`_hub_pairs`): stars and unions of stars, the maximisers of probes
+far from ratio 1 on hub-heavy graphs.  A probe over sub-problem ``X``
+starts at the pooled pair inside ``X`` with the best surrogate ``sigma`` at
+``c``: since the pair lies in ``X``, ``sigma <= val_X(c)`` is a certified
+lower bound, and the pair is the search's initial surrogate maximiser.
+Dinkelbach's iteration then closes its bracket at ``val(c)`` after one to a
+few cuts, so ``upper(val(c))`` is tight and the maximiser has ``eps = 0``
+unless the search stopped at its tolerance first; if the first cut fails, the seed
 itself is the exact maximiser.  The incumbent is at least as dense as every
-pooled pair (each search's best pair is offered to it, and is at least as
-dense as the search's last pair), so the ratio-skipping lemma holds for a
-seed exactly as for an extracted pair (see "Why seeded probes are exact" in
+pooled pair (every hub pair is offered to it before the first probe, each
+search's best pair as the search ends, and a search's best pair is at least
+as dense as its last pair), so the ratio-skipping lemma holds for a seed
+exactly as for an extracted pair (see "Why seeded probes are exact" in
 ``docs/architecture.md``).  With tied optima a different, equally dense pair
 may be reported than an unseeded probe would find.
 
@@ -74,7 +79,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro.core.approx_peel import peel_fixed_ratio
 from repro.core.bounds import containing_core, core_based_bounds
@@ -112,9 +117,48 @@ __all__ = ["LEAF_RATIO_COUNT", "dc_exact"]
 DEGENERATE_PROBE_TOLERANCE = 1e-12
 
 
+def _hub_pairs(adjacency: list[list[int]]) -> Iterator[tuple[list[int], list[int], int]]:
+    """The ``k`` heads of largest degree in ``adjacency`` with all their neighbours.
+
+    Heads are taken in descending degree, ties by index, and yielded at
+    ``k = 1, 2, 4, …`` as ``(heads, tails, edges)``: the tails are the union
+    of the heads' adjacency lists, so the pair spans exactly the heads'
+    edges, ``edges`` is the heads' degree sum, and no edge is recounted.
+    With ``in_adj`` the heads are a ``T`` side and the tails its ``S``; with
+    ``out_adj`` the other way round.  The walk stops when the heads with a
+    non-zero degree run out, or once there are fewer tails than heads: past
+    that the pair's ratio would cross 1, which the other orientation covers.
+    """
+    degrees = list(map(len, adjacency))
+    seen = bytearray(len(adjacency))
+    heads: list[int] = []
+    tails: list[int] = []
+    edges = 0
+    size = 1
+    for head in sorted(range(len(adjacency)), key=degrees.__getitem__, reverse=True):
+        if not degrees[head]:
+            return
+        heads.append(head)
+        edges += degrees[head]
+        for tail in adjacency[head]:
+            if not seen[tail]:
+                seen[tail] = 1
+                tails.append(tail)
+        if len(heads) == size:
+            if len(tails) < size:
+                return
+            yield list(heads), list(tails), edges
+            size *= 2
+
+
 @dataclass
 class _SearchState:
-    """Mutable incumbent, pair pool and instrumentation shared across the recursion."""
+    """Mutable incumbent, pair pool and instrumentation shared across the recursion.
+
+    The incumbent is at least as dense as every pooled pair: :meth:`offer`
+    pools a pair and adopts it if it is denser, and :meth:`remember` alone
+    pools only a search's last pair, never denser than that search's best.
+    """
 
     graph: DiGraph
     engine: FlowEngine = field(default_factory=FlowEngine)
@@ -136,19 +180,34 @@ class _SearchState:
     # (|E(S, T)|, |S|, |T|): equal keys mean equal surrogates at every ratio.
     pool: dict[tuple[int, int, int], tuple[list[int], list[int]]] = field(default_factory=dict)
 
-    def remember(self, s_nodes: list[int], t_nodes: list[int]) -> None:
-        """Add ``(S, T)`` to the pool that interior probes start from."""
+    def remember(self, s_nodes: list[int], t_nodes: list[int], edges: int | None = None) -> None:
+        """Add ``(S, T)``, spanning ``edges`` edges (counted if not given), to the pool."""
         if s_nodes and t_nodes:
-            edges = self.graph.count_edges_between(s_nodes, t_nodes)
+            if edges is None:
+                edges = self.graph.count_edges_between(s_nodes, t_nodes)
             self.pool.setdefault((edges, len(s_nodes), len(t_nodes)), (s_nodes, t_nodes))
 
-    def offer(self, s_nodes: list[int], t_nodes: list[int], density: float) -> None:
+    def offer(
+        self, s_nodes: list[int], t_nodes: list[int], density: float, edges: int | None = None
+    ) -> None:
         """Pool ``(S, T)``; adopt it as the incumbent if it is strictly denser."""
-        self.remember(s_nodes, t_nodes)
+        self.remember(s_nodes, t_nodes, edges)
         if density > self.best_density and s_nodes and t_nodes:
             self.best_density = density
             self.best_s = list(s_nodes)
             self.best_t = list(t_nodes)
+
+    def offer_hub_pairs(self) -> None:
+        """Offer the in-degree and the out-degree hub pairs (:func:`_hub_pairs`)."""
+        incumbent = self.best_density
+        for heads, tails, edges in _hub_pairs(self.graph.in_adj):
+            self.offer(tails, heads, edges / math.sqrt(len(tails) * len(heads)), edges)
+        for heads, tails, edges in _hub_pairs(self.graph.out_adj):
+            self.offer(heads, tails, edges / math.sqrt(len(heads) * len(tails)), edges)
+        if self.best_density > incumbent:
+            # An adopted hub pair takes the ascending order a cut reports.
+            self.best_s.sort()
+            self.best_t.sort()
 
     def absorb_outcome(self, outcome: Any) -> None:
         """Merge instrumentation, incumbent and pool information from a search."""
@@ -274,9 +333,8 @@ def _anytime_partial(
     )
 
 
-def _seed_incumbent_with_peeling(graph: DiGraph, state: _SearchState) -> None:
-    """Cheap incumbent: one two-sided peel at ratio 1 (linear time)."""
-    subproblem = STSubproblem.from_graph(graph)
+def _seed_incumbent_with_peeling(subproblem: STSubproblem, state: _SearchState) -> None:
+    """Cheap incumbent: one two-sided peel of the whole graph's sub-problem at ratio 1."""
     s_nodes, t_nodes, density = peel_fixed_ratio(subproblem, 1.0)
     state.offer(s_nodes, t_nodes, density)
 
@@ -322,13 +380,16 @@ def _dc_driver(
         engine_snapshot=engine.snapshot(),
     )
     global_upper = global_density_upper_bound(graph)
+    # dc-exact's search space, which its peel seed reads too; core-exact
+    # restricts every interval and never reads it.
+    full_subproblem = None if use_core_restriction else STSubproblem.from_graph(graph)
     if seed_with_core:
         core_upper = _seed_incumbent_with_core(graph, state, max_core)
         global_upper = min(global_upper, core_upper)
     else:
-        _seed_incumbent_with_peeling(graph, state)
+        _seed_incumbent_with_peeling(full_subproblem or STSubproblem.from_graph(graph), state)
+    state.offer_hub_pairs()
 
-    full_subproblem = STSubproblem.from_graph(graph)
     # An interval whose (i, j) pair count is at most this is cheap enough to
     # walk for distinct ratios; a single ratio point can account for up to
     # n pairs (all multiples), so the threshold must scale with n.  The count
