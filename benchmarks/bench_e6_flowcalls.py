@@ -6,8 +6,8 @@ searches); DCExact examines only the ratios its recursion cannot skip;
 CoreExact additionally shrinks every network.  The printed table reports, per
 small dataset: candidate-ratio count, ratios actually examined, total
 min-cut computations, and the number of decision networks actually built
-(one per fixed-ratio search, built or served by the session network cache;
-the narrowed networks a search's later guesses run on are not counted).
+(one per fixed-ratio search; the narrowed networks a search's later guesses
+run on are not counted).
 Every search is a Dinkelbach iteration that
 probes its certified lower bound, so a DC leaf whose ratio cannot beat the
 incumbent costs one min-cut, and an interior probe, which starts at the best
@@ -21,14 +21,10 @@ check::
 
 which fails (exit code 1) whenever the flow-call counts regress past the
 recorded exact counts (a slide back to unseeded interior probes, or to
-bisecting every bracket to tolerance, raises them), a fixed-ratio
-search stops fetching or building exactly one network (``networks_built +
-networks_reused == fixed_ratio_searches``; the narrowed networks a search
-solves its later guesses on are not counted).  Every solve continues from
-the flow its network holds; a seeded probe narrows at its first cut, so
-the pinned dc-exact and core-exact workloads rarely continue warm, and
-that warm starts engage at all is gated on flow-exact, whose searches
-start at 0 (the batched-solve gate below).
+bisecting every bracket to tolerance, raises them), or a fixed-ratio
+search stops building exactly one network (``networks_built ==
+fixed_ratio_searches``; the narrowed networks a search solves its later
+guesses on are not counted).
 
 The **seeded-probe gate** pins the session's fixed-ratio probe
 (:meth:`DDSSession.fixed_ratio <repro.session.DDSSession.fixed_ratio>`),
@@ -39,11 +35,10 @@ a fresh session must return the bit-identical ``(lower, upper)`` bracket of
 ``maximize_fixed_ratio`` from 0 on the whole sub-problem, in exactly the
 recorded number of min-cuts (:data:`PROBE_SMOKE_FLOW_CALLS`).
 
-The smoke additionally gates the service tier's batch planner: on the mixed
-E6-style workload (:func:`repro.bench.workloads.service_mixed_workload`) the
-planned execution order must record **strictly more** result + network
-cache hits than ``--no-plan`` file order, while both orders return
-bit-identical per-query answers.
+The smoke additionally gates the service tier's execution order: the mixed
+E6-style workload (:func:`repro.bench.workloads.service_mixed_workload`) run
+in file order and in reverse order must return bit-identical per-query
+answers, compared by input index.
 
 Finally, when numpy is importable the smoke gates the vectorised flow
 backend: on the large E6 workload (dc-exact over ``er-medium``, whose
@@ -57,8 +52,7 @@ plus the batched-solve parity gate: on the small guess-sequence workload
 the auto threshold) the block-diagonal batched auto run must return the
 bit-identical subgraph of a batching-disabled auto run with the same
 ``flow_calls``, while actually batching (``batched_solves`` > 0) onto the
-vectorised backend; the batching-disabled run must also continue at least
-one solve warm.  Without numpy the gates report themselves skipped
+vectorised backend.  Without numpy the gates report themselves skipped
 (registry degradation is covered by the test suite).
 
 The **incremental update gate** replays a deterministic edge-update
@@ -162,8 +156,6 @@ def test_e6_dc_core_counts(benchmark, dataset, method):
             "ratios_examined": result.stats["ratios_examined"],
             "flow_calls": result.stats["flow_calls"],
             "networks_built": result.stats["networks_built"],
-            "networks_reused": result.stats["networks_reused"],
-            "warm_starts_used": result.stats["warm_starts_used"],
             "arcs_pushed": result.stats["arcs_pushed"],
             "intervals_pruned": result.stats["intervals_pruned"],
         }
@@ -246,57 +238,36 @@ def run_probe_smoke(failures: list[str]) -> list[dict]:
     return rows
 
 
-#: Decision-network cache capacity of the planner smoke sessions — smaller
-#: than the workload's distinct-ratio count, so file-order repeats are
-#: evicted before they recur while planned (grouped) repeats still hit.
-PLANNER_SMOKE_CACHE_SIZE = 8
-
 #: Dataset the planner smoke replays the mixed workload against.
 PLANNER_SMOKE_DATASET = "social-tiny"
 
 
 def run_planner_smoke(failures: list[str]) -> dict:
-    """Batch-planner gate: planned order must beat file order on cache hits.
+    """Batch-order gate: file order and reverse order give the same answers.
 
-    Runs :func:`service_mixed_workload` twice through the service tier —
-    planned and in file order — on fresh session pools with a deliberately
-    small network cache, then asserts (1) bit-identical per-query answers
-    and (2) strictly more realised result + network cache hits under the
-    plan.  Appends failure strings to ``failures`` and returns a table row.
+    Runs :func:`service_mixed_workload` twice through the service tier on
+    fresh session pools — in file order and reversed — and asserts
+    bit-identical per-query answers, matched by input index.  Appends
+    failure strings to ``failures`` and returns a table row.
     """
     queries = service_mixed_workload()
-    executor = BatchExecutor(
-        lambda key: load_dataset(key),
-        flow=FlowConfig(network_cache_size=PLANNER_SMOKE_CACHE_SIZE),
+    executor = BatchExecutor(lambda key: load_dataset(key))
+    file_order = executor.execute(plan_batch(queries, default_graph_key=PLANNER_SMOKE_DATASET))
+    reversed_order = executor.execute(
+        plan_batch(queries[::-1], default_graph_key=PLANNER_SMOKE_DATASET)
     )
-    reports = {}
-    for planned in (True, False):
-        plan = plan_batch(queries, default_graph_key=PLANNER_SMOKE_DATASET, planned=planned)
-        reports[planned] = executor.execute(plan)
-    planned_hits = reports[True].realized_cache_hits()
-    file_hits = reports[False].realized_cache_hits()
-    planned_total = sum(planned_hits.values())
-    file_total = sum(file_hits.values())
-    planned_answers = [payload_answer(p) for p in reports[True].results_in_input_order()]
-    file_answers = [payload_answer(p) for p in reports[False].results_in_input_order()]
-    if planned_answers != file_answers:
+    file_answers = [payload_answer(p) for p in file_order.results_in_input_order()]
+    reversed_answers = [payload_answer(p) for p in reversed_order.results_in_input_order()]
+    if file_answers != reversed_answers[::-1]:
         failures.append(
-            "batch planner: planned and file-order runs disagree on per-query answers"
-        )
-    if planned_total <= file_total:
-        failures.append(
-            f"batch planner: planned order recorded {planned_total} cache hits, "
-            f"not strictly more than file order's {file_total} "
-            "(cache-aware reordering broken)"
+            "batch order: file-order and reverse-order runs disagree on per-query answers"
         )
     return {
         "dataset": PLANNER_SMOKE_DATASET,
-        "method": "batch-planner",
+        "method": "batch-order",
         "queries": len(queries),
-        "planned_result_hits": planned_hits["result_cache_hits"],
-        "planned_network_hits": planned_hits["network_cache_hits"],
-        "file_result_hits": file_hits["result_cache_hits"],
-        "file_network_hits": file_hits["network_cache_hits"],
+        "file_result_hits": file_order.aggregate_stats().get("result_cache_hits", 0),
+        "reversed_result_hits": reversed_order.aggregate_stats().get("result_cache_hits", 0),
     }
 
 
@@ -393,12 +364,9 @@ def run_batched_smoke(failures: list[str]) -> dict:
     ``auto`` policy with batching disabled (``batch_size=1``) and enabled
     (the default), asserting (1) bit-identical density and vertex sets,
     (2) identical ``flow_calls`` (the lockstep search replays the sequential
-    guess sequence exactly), (3) that batching actually engaged —
+    guess sequence exactly), and (3) that batching actually engaged —
     ``batched_solves`` > 0 with the vectorised backend recorded in
-    ``auto_backends`` — and (4) that warm starts engage on the
-    batching-disabled run (``warm_starts_used`` >= 1): flow-exact searches
-    start at 0, so each search's second guess retunes its network warm.
-    Appends failure strings to ``failures`` and returns a table row; when
+    ``auto_backends``.  Appends failure strings to ``failures`` and returns a table row; when
     numpy is missing the gate reports itself skipped.
     """
     if not has_vector_backend():
@@ -419,11 +387,6 @@ def run_batched_smoke(failures: list[str]) -> dict:
         runs[batch_size] = (wall, result, session.cache_stats())
     seq_wall, seq_result, _ = runs[1]
     bat_wall, bat_result, bat_stats = runs[FlowConfig().batch_size]
-    if seq_result.stats["warm_starts_used"] < 1:
-        failures.append(
-            f"{BATCH_SMOKE_DATASET}/{BATCH_SMOKE_METHOD}: warm_starts_used "
-            f"{seq_result.stats['warm_starts_used']} < 1 (warm-start residual reuse broken)"
-        )
     if (
         seq_result.density != bat_result.density
         or sorted(map(str, seq_result.s_nodes)) != sorted(map(str, bat_result.s_nodes))
@@ -457,7 +420,6 @@ def run_batched_smoke(failures: list[str]) -> dict:
         "batched_ms": round(bat_wall * 1000, 1),
         "batched_solves": bat_stats.get("batched_solves", 0),
         "flow_calls": bat_result.stats["flow_calls"],
-        "sequential_warm_starts": seq_result.stats["warm_starts_used"],
     }
 
 
@@ -903,9 +865,7 @@ def run_smoke() -> int:
                 "flow_calls": stats["flow_calls"],
                 "seed_bound": bound,
                 "networks_built": stats["networks_built"],
-                "networks_reused": stats["networks_reused"],
                 "fixed_ratio_searches": stats["fixed_ratio_searches"],
-                "warm_starts_used": stats["warm_starts_used"],
                 "arcs_pushed": stats["arcs_pushed"],
             }
         )
@@ -913,18 +873,16 @@ def run_smoke() -> int:
             failures.append(
                 f"{dataset}/{method}: flow_calls {stats['flow_calls']} > seed bound {bound}"
             )
-        # Every fixed-ratio search must use exactly one network — built from
-        # scratch or served by the session network cache.
-        if stats["networks_built"] + stats["networks_reused"] != stats["fixed_ratio_searches"]:
+        # Every fixed-ratio search must build exactly one network.
+        if stats["networks_built"] != stats["fixed_ratio_searches"]:
             failures.append(
-                f"{dataset}/{method}: networks_built {stats['networks_built']} + "
-                f"networks_reused {stats['networks_reused']} != "
+                f"{dataset}/{method}: networks_built {stats['networks_built']} != "
                 f"fixed_ratio_searches {stats['fixed_ratio_searches']}"
             )
     print(format_table(rows, title="E6 smoke: flow-call regression gate"))
     print(format_table(run_probe_smoke(failures), title="E6 smoke: seeded-probe gate"))
     planner_row = run_planner_smoke(failures)
-    print(format_table([planner_row], title="E6 smoke: batch-planner cache-hit gate"))
+    print(format_table([planner_row], title="E6 smoke: batch-order answer gate"))
     vector_row = run_vector_smoke(failures)
     print(format_table([vector_row], title="E6 smoke: vectorised-backend gate"))
     batched_row = run_batched_smoke(failures)

@@ -7,8 +7,7 @@ Run with::
 The script builds a toy "who-retweets-whom" graph, opens one
 :class:`repro.DDSSession` over it, and queries the exact CoreExact algorithm
 and the two approximation algorithms through the session — so the per-graph
-state (degree arrays, cores, decision networks) is shared across the three
-queries.  It prints the (S, T) pair — ``S`` are the accounts doing the
+state (degree arrays, cores) is shared across the three queries.  It prints the (S, T) pair — ``S`` are the accounts doing the
 retweeting, ``T`` the accounts being retweeted — together with the
 Kannan–Vinay density, then shows a top-2 query whose first round is served
 straight from the session's result cache.
@@ -61,7 +60,7 @@ def main() -> None:
     print(
         f"session served {stats['queries']} queries with "
         f"{stats['result_cache_hits']} result-cache hits and "
-        f"{stats['networks_reused']} reused decision networks"
+        f"{stats['flow_calls']} min-cuts"
     )
 
 

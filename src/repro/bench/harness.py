@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from repro.core.results import DDSResult
+from repro.flow.engine import COUNTERS
 from repro.graph.digraph import DiGraph
 from repro.session import DDSSession
 from repro.utils.timer import time_call
@@ -35,15 +36,7 @@ class ExperimentRecord:
         }
         # Flow-engine instrumentation, when the method ran min-cuts (keys
         # defined in the stats glossary of repro.flow.engine).
-        for key in (
-            "flow_solver",
-            "flow_calls",
-            "networks_built",
-            "networks_reused",
-            "arcs_pushed",
-            "warm_starts_used",
-            "cold_starts",
-        ):
+        for key in ("flow_solver", *COUNTERS):
             if key in self.result.stats:
                 row[key] = self.result.stats[key]
         row.update(self.extra)

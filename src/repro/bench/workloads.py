@@ -21,16 +21,12 @@ def approx_method_matrix() -> list[str]:
 
 
 def service_mixed_workload(num_ratios: int = 12, repeats: int = 2) -> list[dict]:
-    """E6-style mixed batch used by the batch-planner smoke gate and tests.
+    """E6-style mixed batch used by the batch-order smoke gate and tests.
 
     ``repeats`` passes of (approx seeding, an exact run, ``num_ratios``
     fixed-ratio probes, a top-k) — the shape of a service tier replaying
-    overlapping analyst sessions.  In *file order* the second pass repeats
-    each probe only after ``num_ratios`` other ratios have gone through the
-    decision-network cache, so with a cache smaller than ``num_ratios``
-    every repeat has been evicted and misses; the planner groups identical
-    probes adjacently (reuse distance 0), turning the same repeats into
-    hits.  That eviction-versus-grouping gap is what the smoke gate pins.
+    overlapping analyst sessions.  The second pass repeats every query of
+    the first, so the densest and top-k repeats are result-cache hits.
     """
     queries: list[dict] = []
     for _ in range(repeats):

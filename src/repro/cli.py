@@ -2,20 +2,19 @@
 
 Every sub-command that touches a graph builds one
 :class:`~repro.session.DDSSession` and serves the request through it, so a
-single invocation shares derived state (degree arrays, cores, decision
-networks) across whatever it computes.  ``batch`` goes further and drives
-the service tier (:mod:`repro.service`): queries are reordered by the
-cache-aware planner and executed on a pool of per-graph sessions, with an
-optional persistent store carrying warm state across invocations.
+single invocation shares derived state (degree arrays, cores, results)
+across whatever it computes.  ``batch`` goes further and drives the service
+tier (:mod:`repro.service`): the planner groups the queries into one lane
+per graph, executed on a pool of per-graph sessions, with an optional
+persistent store carrying warm state across invocations.
 
 Sub-commands
 ------------
 ``find``      run a DDS algorithm on an edge-list file or a named dataset
 ``top-k``     greedy edge-disjoint top-k dense pairs
 ``core``      compute an [x, y]-core or the maximum-product core
-``batch``     plan + execute a JSON list of queries (``--no-plan`` for file
-              order, ``--explain`` for the plan report, ``--store`` for
-              persistent warm state, ``--process-pool`` for worker
+``batch``     plan + execute a JSON list of queries (``--explain`` for the
+              plan report, ``--store`` for persistent warm state, ``--process-pool`` for worker
               processes, ``--remote host:port,...`` to route lanes
               to shard daemons, ``--deadline-ms`` for per-lane budgets with
               anytime answers)
@@ -179,7 +178,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     default_key, provider = _batch_graph_source(args)
     store = SessionStore(args.store) if args.store is not None else None
     try:
-        plan = plan_batch(queries, default_graph_key=default_key, planned=not args.no_plan)
+        plan = plan_batch(queries, default_graph_key=default_key)
         executor = BatchExecutor(
             provider,
             flow=args.flow_solver,
@@ -205,7 +204,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         payload["executor"] = report.executor_stats
     if args.explain:
         explanation = plan.explain()
-        explanation["realized"] = report.realized_cache_hits()
         explanation["timings"] = report.timings()
         payload["plan"] = explanation
     if store is not None:
@@ -366,16 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
         'an entry may address another registered dataset with "dataset": "<name>"',
     )
     batch.add_argument(
-        "--no-plan",
-        action="store_true",
-        help="execute in file order instead of the cache-aware planned order "
-        "(answers are identical; planned order maximises cache reuse)",
-    )
-    batch.add_argument(
         "--explain",
         action="store_true",
-        help="include the plan (groups, execution order, predicted vs realised "
-        "cache hits, per-query timings) in the output payload",
+        help="include the plan (execution order, lanes, per-query timings) "
+        "in the output payload",
     )
     batch.add_argument(
         "--jobs",

@@ -45,7 +45,6 @@ from repro.core.method_registry import (
     register_method,
     unregister_method,
 )
-from repro.core.network_cache import NetworkCache
 from repro.core.results import DDSResult, FixedRatioOutcome
 from repro.core.verify import VerificationReport, is_locally_maximal, verify_result
 from repro.core.xycore import XYCore, max_xy_core, xy_core, xy_core_skyline
@@ -60,7 +59,6 @@ __all__ = [
     "method_specs",
     "register_method",
     "unregister_method",
-    "NetworkCache",
     "DDSResult",
     "FixedRatioOutcome",
     "directed_density",

@@ -4,8 +4,8 @@ The session-oriented public API (:class:`repro.session.DDSSession`) and the
 method registry (:mod:`repro.core.method_registry`) replace the historical
 ``**kwargs`` funnel with three small frozen dataclasses:
 
-* :class:`FlowConfig` — max-flow backend selection and decision-network cache
-  sizing, shared by every flow-backed exact method;
+* :class:`FlowConfig` — max-flow backend selection, batching and the
+  per-query budget, shared by every flow-backed exact method;
 * :class:`ExactConfig` — the knobs of the exact solvers (``flow-exact``,
   ``dc-exact``, ``core-exact``, ``brute-force``);
 * :class:`ApproxConfig` — the knobs of the approximation family
@@ -38,9 +38,6 @@ from repro.flow.registry import DEFAULT_SOLVER, validate_solver_choice
 #: leaves of the divide-and-conquer recursion (canonical definition; the
 #: solver modules re-export it for backwards compatibility).
 LEAF_RATIO_COUNT = 2
-
-#: Default capacity of the per-session / per-run decision-network LRU cache.
-DEFAULT_NETWORK_CACHE_SIZE = 64
 
 
 class MethodConfig:
@@ -109,11 +106,6 @@ class FlowConfig(MethodConfig):
         ``numpy-push-relabel`` backend for decision networks at or above the
         arc threshold and ``dinic`` below it (and everywhere when numpy is
         not installed), recording each choice as ``backend_selections``.
-    network_cache_size:
-        Capacity of the decision-network LRU cache shared across fixed-ratio
-        searches (0 disables caching entirely).  A cached network keeps the
-        residual flow of its last solve, and the next search on the same
-        ``(sub-problem, ratio)`` continues from it.
     batch_size:
         Under the ``"auto"`` policy, up to this many fixed-ratio searches
         over the same sub-problem are run in lockstep as one block-diagonal
@@ -132,7 +124,6 @@ class FlowConfig(MethodConfig):
     """
 
     solver: str = DEFAULT_SOLVER
-    network_cache_size: int = DEFAULT_NETWORK_CACHE_SIZE
     batch_size: int = 32
     deadline_ms: float | None = None
 
@@ -140,10 +131,6 @@ class FlowConfig(MethodConfig):
         # Resolve the name eagerly so an unknown solver fails at config time
         # ("auto" is accepted as a policy and resolved per network).
         validate_solver_choice(self.solver)
-        if not isinstance(self.network_cache_size, int) or self.network_cache_size < 0:
-            raise ConfigError(
-                f"network_cache_size must be a non-negative int, got {self.network_cache_size!r}"
-            )
         if not isinstance(self.batch_size, int) or self.batch_size < 1:
             raise ConfigError(
                 f"batch_size must be an int >= 1, got {self.batch_size!r}"

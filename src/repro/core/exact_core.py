@@ -19,7 +19,6 @@ from typing import Callable
 
 from repro.core.config import ExactConfig
 from repro.core.exact_dc import LEAF_RATIO_COUNT, _dc_driver
-from repro.core.network_cache import NetworkCache
 from repro.core.results import DDSResult
 from repro.core.xycore import XYCore
 from repro.flow.engine import FlowEngine
@@ -33,20 +32,16 @@ def core_exact(
     config: ExactConfig | None = None,
     *,
     engine: FlowEngine | None = None,
-    network_cache: NetworkCache | None = None,
     max_core: Callable[[], XYCore] | None = None,
 ) -> DDSResult:
     """Exact DDS with core-based pruning and core-restricted flow networks.
 
     ``config`` is the normalized :class:`~repro.core.config.ExactConfig`
     (its ``seed_with_core`` flag is ignored here — CoreExact always seeds
-    from the core).  ``engine`` / ``network_cache`` are the session's shared
-    engine and decision-network cache, and ``max_core`` returns its cached
-    maximum-product core.
+    from the core).  ``engine`` is the session's shared engine, and
+    ``max_core`` returns its cached maximum-product core.
     """
     cfg = ExactConfig.resolve(config)
-    if network_cache is None:
-        network_cache = NetworkCache(cfg.flow.network_cache_size)
     return _dc_driver(
         graph,
         method="core-exact",
@@ -56,7 +51,6 @@ def core_exact(
         leaf_ratio_count=cfg.leaf_ratio_count,
         flow_solver=cfg.flow.solver,
         engine=engine,
-        network_cache=network_cache,
         batch_size=cfg.flow.batch_size,
         max_core=max_core,
     )

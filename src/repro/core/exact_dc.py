@@ -98,7 +98,6 @@ from repro.core.fixed_ratio import (
     partial_outcomes,
 )
 from repro.core.flow_network import decision_network_arc_count
-from repro.core.network_cache import NetworkCache
 from repro.core.ratio import count_candidate_pairs, iter_candidate_ratios
 from repro.core.results import DDSResult
 from repro.core.subproblem import STSubproblem
@@ -162,7 +161,6 @@ class _SearchState:
 
     graph: DiGraph
     engine: FlowEngine = field(default_factory=FlowEngine)
-    network_cache: NetworkCache = field(default_factory=NetworkCache)
     engine_snapshot: tuple[int, ...] = field(default_factory=zero_snapshot)
     best_s: list[int] = field(default_factory=list)
     best_t: list[int] = field(default_factory=list)
@@ -216,9 +214,9 @@ class _SearchState:
         self.network_nodes.extend(outcome.network_nodes)
         self.network_arcs.extend(outcome.network_arcs)
         if outcome.found_pair:
-            self.offer(outcome.best_s, outcome.best_t, outcome.best_density)
+            self.offer(outcome.best_s, outcome.best_t, outcome.best_density, outcome.best_edges)
         if outcome.last_s is not outcome.best_s:  # often one pair, pooled by offer
-            self.remember(outcome.last_s, outcome.last_t)
+            self.remember(outcome.last_s, outcome.last_t, outcome.last_edges)
 
     def starting_pair(self, subproblem: STSubproblem, ratio: float) -> StartingPair | None:
         """The pooled pair inside ``subproblem`` with the best surrogate at ``ratio``."""
@@ -233,7 +231,7 @@ class _SearchState:
                 and s_allowed.issuperset(s_nodes)
                 and t_allowed.issuperset(t_nodes)
             ):
-                start, best = (s_nodes, t_nodes, surrogate), surrogate
+                start, best = (s_nodes, t_nodes, surrogate, edges), surrogate
         return start
 
     def stats(self) -> dict[str, Any]:
@@ -359,7 +357,6 @@ def _dc_driver(
     leaf_ratio_count: int,
     flow_solver: str = DEFAULT_SOLVER,
     engine: FlowEngine | None = None,
-    network_cache: NetworkCache | None = None,
     batch_size: int = 1,
     max_core: Callable[[], XYCore] | None = None,
 ) -> DDSResult:
@@ -372,13 +369,7 @@ def _dc_driver(
     density_gap = exactness_tolerance(graph)
 
     engine = engine if engine is not None else FlowEngine(flow_solver)
-    network_cache = network_cache if network_cache is not None else NetworkCache()
-    state = _SearchState(
-        graph=graph,
-        engine=engine,
-        network_cache=network_cache,
-        engine_snapshot=engine.snapshot(),
-    )
+    state = _SearchState(graph=graph, engine=engine, engine_snapshot=engine.snapshot())
     global_upper = global_density_upper_bound(graph)
     # dc-exact's search space, which its peel seed reads too; core-exact
     # restricts every interval and never reads it.
@@ -437,7 +428,6 @@ def _dc_driver(
                     upper=max(upper_bound, state.best_density),
                     tolerance=tolerance,
                     engine=state.engine,
-                    network_cache=state.network_cache,
                 )
                 for outcome in outcomes:
                     state.absorb_outcome(outcome)
@@ -450,7 +440,6 @@ def _dc_driver(
                     upper=max(upper_bound, state.best_density),
                     tolerance=tolerance,
                     engine=state.engine,
-                    network_cache=state.network_cache,
                 )
                 state.absorb_outcome(outcome)
 
@@ -520,7 +509,6 @@ def _dc_driver(
                 upper=max(upper_bound, 0.0),
                 tolerance=tolerance,
                 engine=state.engine,
-                network_cache=state.network_cache,
                 start=state.starting_pair(subproblem, probe_ratio),
             )
             state.absorb_outcome(outcome)
@@ -586,7 +574,6 @@ def dc_exact(
     config: ExactConfig | None = None,
     *,
     engine: FlowEngine | None = None,
-    network_cache: NetworkCache | None = None,
     max_core: Callable[[], XYCore] | None = None,
 ) -> DDSResult:
     """Exact DDS via divide-and-conquer over the ratio interval (``DCExact``).
@@ -596,15 +583,12 @@ def dc_exact(
     ``config.seed_with_core`` switches the incumbent initialisation from a
     cheap peel to the CoreApprox core (used by the E11 ablation); the search
     space itself is never core-restricted here — that is :func:`core_exact`'s
-    job.  ``engine`` and ``network_cache`` are the hooks a
-    :class:`~repro.session.DDSSession` uses to share flow instrumentation and
-    decision networks (with their residual flows) across queries, and
-    ``max_core`` returns the session's cached maximum-product core for the
-    ``seed_with_core`` incumbent.
+    job.  ``engine`` is the hook a :class:`~repro.session.DDSSession` uses
+    to share flow instrumentation across queries, and ``max_core`` returns
+    the session's cached maximum-product core for the ``seed_with_core``
+    incumbent.
     """
     cfg = ExactConfig.resolve(config)
-    if network_cache is None:
-        network_cache = NetworkCache(cfg.flow.network_cache_size)
     return _dc_driver(
         graph,
         method="dc-exact",
@@ -614,7 +598,6 @@ def dc_exact(
         leaf_ratio_count=cfg.leaf_ratio_count,
         flow_solver=cfg.flow.solver,
         engine=engine,
-        network_cache=network_cache,
         batch_size=cfg.flow.batch_size,
         max_core=max_core,
     )

@@ -30,7 +30,6 @@ from repro.core.fixed_ratio import (
     partial_outcomes,
 )
 from repro.core.flow_network import decision_network_arc_count
-from repro.core.network_cache import NetworkCache
 from repro.core.ratio import all_candidate_ratios
 from repro.core.results import DDSResult
 from repro.core.subproblem import STSubproblem
@@ -49,7 +48,6 @@ def flow_exact(
     config: ExactConfig | None = None,
     *,
     engine: FlowEngine | None = None,
-    network_cache: NetworkCache | None = None,
 ) -> DDSResult:
     """Exact DDS via exhaustive ratio enumeration (baseline ``Exact``).
 
@@ -64,9 +62,8 @@ def flow_exact(
         :data:`DEFAULT_NODE_LIMIT`) and its ``tolerance`` is the
         search stopping gap (default: the provably-exact
         :func:`~repro.core.density.exactness_tolerance`).
-    engine / network_cache:
-        The session's shared engine (instrumentation) and decision-network
-        cache.
+    engine:
+        The session's shared engine (instrumentation).
     """
     cfg = ExactConfig.resolve(config)
     if graph.num_edges == 0:
@@ -84,8 +81,6 @@ def flow_exact(
     subproblem = STSubproblem.from_graph(graph)
     engine = engine if engine is not None else FlowEngine(cfg.flow.solver)
     snapshot = engine.snapshot()
-    if network_cache is None:
-        network_cache = NetworkCache(cfg.flow.network_cache_size)
 
     best_s: list[int] = []
     best_t: list[int] = []
@@ -120,7 +115,6 @@ def flow_exact(
                     upper=upper,
                     tolerance=tolerance,
                     engine=engine,
-                    network_cache=network_cache,
                 ):
                     absorb(outcome)
             else:
@@ -135,7 +129,6 @@ def flow_exact(
                             upper=upper,
                             tolerance=tolerance,
                             engine=engine,
-                            network_cache=network_cache,
                         )
                     )
     except DeadlineExceeded as error:

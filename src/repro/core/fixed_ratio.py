@@ -31,11 +31,11 @@ is the bracket midpoint; that fallback is what guarantees termination.
 ``tolerance`` remains the stop condition: a search ends once
 ``upper - lower < tolerance``.
 
-Each search fetches its decision network from the network cache, or
-builds it, once and retunes it in place
+Each search builds its decision network once and retunes it in place
 (:meth:`~repro.core.flow_network.DecisionNetwork.retune`; only the
 penalty-arc capacities depend on the guess) while its cuts extract the
-whole candidate space.  Once a cut at guess ``g`` extracts a pair
+whole candidate space.  The network lives only as long as its search.
+Once a cut at guess ``g`` extracts a pair
 ``(S_g, T_g)`` strictly smaller than that, every later guess is solved on a
 fresh network built from the sub-problem restricted to the pair
 (:meth:`~repro.core.subproblem.STSubproblem.restricted_to`).  The penalty
@@ -49,27 +49,24 @@ so the narrowed network gives the same verdict and the same pair, hence the
 same guesses and ``flow_calls``.  Its cut is judged against the search
 network's slack, so narrowing cannot move the tie threshold either.
 
-Narrowed networks are solved cold, never enter the network cache and do
-not count as ``networks_built``; ``network_nodes`` / ``network_arcs``
-record the search network's size for every cut.  A solve on the search
-network continues from the residual flow its previous solve left — at the
-previous guess or, for a cache-served network, in the last search that
-used it.  Every cold solve — on a freshly built search network, a narrowed
-network, or a narrowed network retuned with its flow reset — starts from
-the greedy start flow of
-:meth:`~repro.core.flow_network.DecisionNetwork.route_start_flow`.  Min-cuts run through a caller-supplied
+Narrowed networks do not count as ``networks_built``; ``network_nodes`` /
+``network_arcs`` record the search network's size for every cut.  Every
+solve is cold: the network it runs on is freshly built (the search network
+or a narrowed one) or retuned, and holds zero flow or the greedy start flow
+of :meth:`~repro.core.flow_network.DecisionNetwork.route_start_flow`,
+which the solver continues from.  Min-cuts run through a caller-supplied
 :class:`~repro.flow.engine.FlowEngine`, which picks the solver (registry
-name) and accumulates ``flow_calls`` / ``networks_built`` / ``arcs_pushed``
-/ ``warm_starts_used`` across the whole algorithm run (see the stats
-glossary in :mod:`repro.flow.engine`).
+name) and accumulates ``flow_calls`` / ``networks_built`` /
+``arcs_pushed`` across the whole algorithm run (see the stats glossary in
+:mod:`repro.flow.engine`).
 
 A search keeps track of two extracted pairs: the one with the best *true*
 density (for the incumbent) and the one extracted at the highest successful
 guess (the surrogate near-maximiser the ratio-skipping lemma needs).  The
 sequential and the lockstep batched search share one per-search state
 machine, :class:`_RatioSearch`, so both apply the same guess rule; the
-lockstep search keeps its stacked whole-sub-problem networks and does not
-narrow.
+lockstep search keeps its stacked whole-sub-problem networks, retuned each
+round, and does not narrow.
 """
 
 from __future__ import annotations
@@ -83,7 +80,6 @@ from repro.core.flow_network import (
     check_decision_parameters,
     decision_cut_is_improving,
 )
-from repro.core.network_cache import NetworkCache
 from repro.core.results import FixedRatioOutcome
 from repro.core.subproblem import STSubproblem
 from repro.exceptions import AlgorithmError, DeadlineExceeded
@@ -91,8 +87,9 @@ from repro.flow.engine import FlowEngine
 from repro.graph.digraph import DiGraph
 
 NetworkObserver = Callable[[int, int], None]
-#: ``(S, T, surrogate)``: a pair inside the sub-problem and its surrogate at the ratio.
-StartingPair = tuple[list[int], list[int], float]
+#: ``(S, T, surrogate, edges)``: a pair inside the sub-problem, its surrogate at
+#: the ratio and the number of graph edges from ``S`` to ``T``.
+StartingPair = tuple[list[int], list[int], float, int]
 
 
 def partial_outcomes(error: DeadlineExceeded) -> list[FixedRatioOutcome]:
@@ -138,10 +135,11 @@ class _RatioSearch:
 
     :func:`maximize_fixed_ratio` drives one of these; the lockstep
     :func:`maximize_fixed_ratio_batch` drives one per ratio.  Each step is
-    :meth:`prepare` (pick the guess, fetch/build/retune the search network,
-    or build a narrowed one), one min-cut by the caller on :attr:`network`,
-    then :meth:`record` (advance the bracket).  Only a ``nested`` search
-    narrows; :attr:`decision` is always the search network.
+    :meth:`prepare` (pick the guess; build the search network, build a
+    narrowed one or retune the current one; route its start flow), one
+    min-cut by the caller on :attr:`network`, then :meth:`record` (advance
+    the bracket).  Only a ``nested`` search narrows; :attr:`decision` is
+    always the search network.
     """
 
     __slots__ = (
@@ -152,14 +150,13 @@ class _RatioSearch:
         "best_s",
         "best_t",
         "best_density",
+        "best_edges",
         "last_s",
         "last_t",
         "last_surrogate",
+        "last_edges",
         "flow_calls",
         "networks_built",
-        "networks_reused",
-        "warm_starts_used",
-        "cold_starts",
         "network_nodes",
         "network_arcs",
         "nested",
@@ -185,23 +182,22 @@ class _RatioSearch:
         self.best_s: list[int] = []
         self.best_t: list[int] = []
         self.best_density = 0.0
+        self.best_edges = 0
         self.last_s: list[int] = []
         self.last_t: list[int] = []
         self.last_surrogate = 0.0
+        self.last_edges = 0
         if start is not None:
             # A pair inside the sub-problem certifies val(ratio) >= its
             # surrogate: start there, capped like a Dinkelbach jump.
-            self.last_s, self.last_t, self.last_surrogate = start
+            self.last_s, self.last_t, self.last_surrogate, self.last_edges = start
             self.low = min(max(self.low, self.last_surrogate), self.high)
         self.flow_calls = 0
         self.networks_built = 0
-        self.networks_reused = 0
-        self.warm_starts_used = 0
-        self.cold_starts = 0
         self.network_nodes: list[int] = []
         self.network_arcs: list[int] = []
         self.nested = nested
-        self.decision = None  # the search network (cache-served or built)
+        self.decision = None  # the search network
         self.network = None  # the network the next cut runs on
         self.scope: STSubproblem | None = None  # the sub-problem ``network`` covers
         self.narrow_to: tuple[list[int], list[int]] | None = None
@@ -211,67 +207,36 @@ class _RatioSearch:
         self,
         subproblem: STSubproblem,
         engine: FlowEngine,
-        network_cache: NetworkCache | None,
         network_observer: NetworkObserver | None,
-    ) -> bool:
-        """Set the next guess on this search's network; returns whether the solve is warm.
-
-        A network about to be solved cold gets its start flow here.
-        """
+    ) -> None:
+        """Set the next guess on a network that holds only its start flow."""
         # Dinkelbach: probe the certified lower bound.  After a float stall
         # the same guess would stall again, so bisect instead.
         guess = self.guess = (self.low + self.high) / 2.0 if self.stalled else self.low
-        decision = self.decision
-        solve_warm = True
-        if decision is None:
-            if network_cache is not None:
-                decision = network_cache.get(subproblem, self.ratio)
-            if decision is not None:
-                engine.note_network_reused()
-                self.networks_reused += 1
-                # A cache-served network still carries the residual flow of
-                # its last solve; a warm retune keeps it as the start state.
-                decision.retune(self.ratio, guess, warm_start=True)
-            else:
-                decision = build_decision_network(subproblem, self.ratio, guess)
-                engine.note_network_built()
-                self.networks_built += 1
-                solve_warm = False  # a fresh network holds no flow to reuse
-                if network_cache is not None:
-                    network_cache.put(subproblem, self.ratio, decision)
-            self.decision = self.network = decision
+        if self.decision is None:
+            self.decision = self.network = build_decision_network(subproblem, self.ratio, guess)
+            engine.note_network_built()
+            self.networks_built += 1
             self.scope = subproblem
             if network_observer is not None:
-                network_observer(decision.num_nodes, decision.num_arcs)
+                network_observer(self.decision.num_nodes, self.decision.num_arcs)
         elif self.narrow_to is not None:
             # Every later guess is at least the one that extracted the pair,
             # so the canonical cut lies inside it (nested minimal cuts).
             self.scope = self.scope.restricted_to(*self.narrow_to)
             self.narrow_to = None
             self.network = build_decision_network(self.scope, self.ratio, guess)
-            solve_warm = False
         else:
-            solve_warm = self.network is decision
-            self.network.retune(self.ratio, guess, warm_start=solve_warm)
-        if not solve_warm:
-            self.network.route_start_flow()
-        self.network_nodes.append(decision.num_nodes)
-        self.network_arcs.append(decision.num_arcs)
-        return solve_warm
+            self.network.retune(self.ratio, guess)
+        self.network.route_start_flow()
+        self.network_nodes.append(self.decision.num_nodes)
+        self.network_arcs.append(self.decision.num_arcs)
 
     def record(
-        self,
-        graph: DiGraph,
-        cut_value: float,
-        source_side: Callable[[], list[int]],
-        solve_warm: bool,
+        self, graph: DiGraph, cut_value: float, source_side: Callable[[], list[int]]
     ) -> None:
         """Advance the bracket by the verdict of the min-cut at :attr:`guess`."""
         self.flow_calls += 1
-        if solve_warm:
-            self.warm_starts_used += 1
-        else:
-            self.cold_starts += 1
         network = self.network
         if decision_cut_is_improving(
             cut_value, network.total_capacity, self.decision.total_capacity
@@ -283,10 +248,10 @@ class _RatioSearch:
                 density = edges / math.sqrt(len(s_side) * len(t_side))
                 if density > self.best_density:
                     self.best_density = density
-                    self.best_s, self.best_t = s_side, t_side
+                    self.best_s, self.best_t, self.best_edges = s_side, t_side, edges
                 if surrogate >= self.last_surrogate:
                     self.last_surrogate = surrogate
-                    self.last_s, self.last_t = s_side, t_side
+                    self.last_s, self.last_t, self.last_edges = s_side, t_side, edges
                 if self.nested and (
                     len(s_side) < len(network.s_nodes) or len(t_side) < len(network.t_nodes)
                 ):
@@ -311,12 +276,11 @@ class _RatioSearch:
             best_density=self.best_density,
             flow_calls=self.flow_calls,
             networks_built=self.networks_built,
-            networks_reused=self.networks_reused,
-            warm_starts_used=self.warm_starts_used,
-            cold_starts=self.cold_starts,
+            best_edges=self.best_edges,
             last_s=self.last_s,
             last_t=self.last_t,
             last_surrogate=self.last_surrogate,
+            last_edges=self.last_edges,
             network_nodes=self.network_nodes,
             network_arcs=self.network_arcs,
         )
@@ -330,7 +294,6 @@ def maximize_fixed_ratio_batch(
     tolerance: float,
     network_observer: NetworkObserver | None = None,
     engine: FlowEngine | None = None,
-    network_cache: NetworkCache | None = None,
 ) -> list[FixedRatioOutcome]:
     """Run one :func:`maximize_fixed_ratio` per ratio, batched block-diagonally.
 
@@ -344,15 +307,14 @@ def maximize_fixed_ratio_batch(
     vectorised backend pay off on networks that are each below the auto arc
     threshold.  Members whose bracket closes are masked out of later rounds.
 
-    Per member, every step — cache lookup, build-or-retune, warm/cold
-    accounting, cut-improvement test, pair extraction, Dinkelbach bracket
-    update — is the sequential search's own step (:class:`_RatioSearch`),
-    and the per-block cut is the same canonical (residual-reachable) cut a
-    solo solve certifies, so the returned outcomes carry identical subgraphs
-    and flow-call counts.  Members never narrow: they keep their stacked
-    whole-sub-problem networks, so they continue warm where a sequential
-    search solves narrowed networks cold, and only that warm/cold split
-    differs.  One documented deviation: all members read the
+    Per member, every step — build-or-retune, start flow, cut-improvement
+    test, pair extraction, Dinkelbach bracket update — is the sequential
+    search's own step (:class:`_RatioSearch`), and the per-block cut is the
+    same canonical (residual-reachable) cut a solo solve certifies, so the
+    returned outcomes carry identical subgraphs and flow-call counts.
+    Members never narrow: each round retunes their stacked
+    whole-sub-problem networks where a sequential search builds narrowed
+    ones.  One documented deviation: all members read the
     *same* entry ``lower`` (a sequential sweep could tighten later searches'
     lower bounds with earlier searches' incumbents); a looser lower bound
     never changes which pairs are optimal, only how many guesses a search
@@ -367,7 +329,7 @@ def maximize_fixed_ratio_batch(
     if len(ratios) < 2:
         raise AlgorithmError("a batched search needs at least two ratios")
     if len(set(ratios)) != len(ratios):
-        raise AlgorithmError("batched ratios must be distinct (they share one cache)")
+        raise AlgorithmError("batched ratios must be distinct")
     if subproblem.is_empty:
         return [_RatioSearch(ratio, 0.0, 0.0).outcome() for ratio in ratios]
 
@@ -386,10 +348,8 @@ def maximize_fixed_ratio_batch(
             ]
             if not active:
                 break
-            warm_flags = [
-                members[index].prepare(subproblem, engine, network_cache, network_observer)
-                for index in active
-            ]
+            for index in active:
+                members[index].prepare(subproblem, engine, network_observer)
             if batch is None:
                 # All members were active in round one, so every decision
                 # network exists by the time the stack is assembled.
@@ -402,12 +362,10 @@ def maximize_fixed_ratio_batch(
                     ]
                 )
 
-            results = engine.min_cut_batch(batch, active, warm_flags)
+            results = engine.min_cut_batch(batch, active)
             for position, index in enumerate(active):
                 cut_value, source_side, _block_pushes = results[position]
-                members[index].record(
-                    graph, cut_value, lambda side=source_side: side, warm_flags[position]
-                )
+                members[index].record(graph, cut_value, lambda side=source_side: side)
     except DeadlineExceeded as error:
         # A cancelled round never updated any member's bracket, so every
         # member's (low, high) is still certified; hand all of them to the
@@ -426,7 +384,6 @@ def maximize_fixed_ratio(
     tolerance: float,
     network_observer: NetworkObserver | None = None,
     engine: FlowEngine | None = None,
-    network_cache: NetworkCache | None = None,
     start: StartingPair | None = None,
 ) -> FixedRatioOutcome:
     """Bracket ``val(ratio)`` within ``tolerance`` by Dinkelbach's iteration.
@@ -448,23 +405,16 @@ def maximize_fixed_ratio(
         Stop once ``upper - lower < tolerance``.
     network_observer:
         Optional callback ``(num_nodes, num_arcs)`` invoked once per search
-        for the network the search uses — freshly built *or* served by the
-        network cache (feeds experiment E7).
+        for the network it builds (feeds experiment E7).
     engine:
         The :class:`~repro.flow.engine.FlowEngine` executing the min-cuts
         (solver choice + run-wide instrumentation).  A private Dinic engine
         is created when omitted.
-    network_cache:
-        Optional :class:`~repro.core.network_cache.NetworkCache`.  When the
-        cache holds a network for ``(subproblem, ratio)`` the search retunes
-        it instead of building one (``networks_reused`` instead of
-        ``networks_built``); a freshly built network is deposited for later
-        searches — this is how repeated session queries share networks,
-        including the residual flow each cached network keeps.
     start:
-        Optional ``(S, T, surrogate)``: a pair whose vertices lie inside
-        ``subproblem`` and its surrogate at ``ratio``, which certifies
-        ``val(ratio) >= surrogate``.  The search starts with the pair as its
+        Optional ``(S, T, surrogate, edges)``: a pair whose vertices lie
+        inside ``subproblem``, its surrogate at ``ratio`` and its edge
+        count; the pair certifies ``val(ratio) >= surrogate``.  The search
+        starts with the pair as its
         surrogate maximiser and ``lower`` raised to the surrogate (capped at
         ``upper``), so no guess below it is solved; if the first cut fails,
         the pair is an exact maximiser.
@@ -487,12 +437,10 @@ def maximize_fixed_ratio(
     search = _RatioSearch(ratio, lower, upper, nested=True, start=start)
     try:
         while search.high - search.low >= tolerance:
-            solve_warm = search.prepare(subproblem, engine, network_cache, network_observer)
+            search.prepare(subproblem, engine, network_observer)
             network = search.network
-            cut_value, solver = engine.min_cut(
-                network.network, network.source, network.sink, warm_start=solve_warm
-            )
-            search.record(graph, cut_value, solver.min_cut_source_side, solve_warm)
+            cut_value, solver = engine.min_cut(network.network, network.source, network.sink)
+            search.record(graph, cut_value, solver.min_cut_source_side)
     except DeadlineExceeded as error:
         # A cancelled min-cut never advanced the bracket, so (low, high)
         # are still certified bounds on val(ratio); attach them for the

@@ -109,36 +109,21 @@ class DecisionNetwork:
         ]
         return s_selected, t_selected
 
-    def retune(self, ratio: float, guess: float, warm_start: bool = False) -> None:
+    def retune(self, ratio: float, guess: float) -> None:
         """Re-parameterise the network for a new ``(ratio, guess)`` in place.
 
         Updates the guess-dependent penalty-arc capacities, leaving the
-        topology (and hence the CSR index) untouched.
+        topology (and hence the CSR index) untouched, and resets the
+        residual state: the network is then observationally identical to
+        one freshly built by :func:`build_decision_network` with the same
+        parameters — same node layout, same arc order, bit-identical
+        capacities, zero flow.  A fixed-ratio search routes
+        :meth:`route_start_flow` after every retune, as after every build.
 
-        With ``warm_start=False`` the residual state is reset, so the next
-        solve starts from zero flow and the network is observationally
-        identical to one freshly built by :func:`build_decision_network`
-        with the same parameters: same node layout, same arc order,
-        bit-identical capacities.  Narrowed networks of a fixed-ratio search
-        are retuned this way.
-
-        With ``warm_start=True`` the flow of the previous solve is kept as
-        the starting point of the next one: each penalty arc's flow is
-        clamped to its new capacity and any clamped excess is pushed back to
-        the source (:meth:`~repro.flow.network.FlowNetwork.return_excess`),
-        leaving a *valid feasible flow* under the new capacities.  When the
-        guess moves up the bracket the penalty capacities only grow, so the
-        previous flow is untouched and the solver merely tops it up; when
-        the guess moves down, the clamp-and-return pass shrinks the flow
-        just enough to stay feasible.  Either way the subsequent max-flow is
-        exact — warm starting changes the amount of *work*, never the
-        answer.
-
-        Both paths run their penalty-arc sweep as bulk numpy operations on
-        the network's zero-copy views when numpy is importable (the
-        elementwise arithmetic is identical to the scalar loop, so residual
-        states are bit-identical either way); without numpy the original
-        per-arc loop runs.
+        With numpy the penalty sweep is a bulk assignment to the base
+        capacities on the network's zero-copy views (``reset_flow`` then
+        copies them over every residual, as it does after the scalar
+        loop's per-arc writes); without numpy the per-arc loop runs.
         """
         check_decision_parameters(ratio, guess)
         root = math.sqrt(ratio)
@@ -146,34 +131,23 @@ class DecisionNetwork:
         t_penalty = guess * root
         network = self.network
         if _np is not None:
-            self._retune_vectorised(s_penalty, t_penalty, warm_start)
-            return
-        if not warm_start:
+            _, _, _, _, _, base = network.numpy_csr()
+            arcs = self._penalty_arc_index()
+            split = len(self.s_penalty_arcs)
+            base[arcs[:split]] = s_penalty
+            base[arcs[split:]] = t_penalty
+        else:
             for arc_index in self.s_penalty_arcs:
                 network.set_capacity(arc_index, s_penalty)
             for arc_index in self.t_penalty_arcs:
                 network.set_capacity(arc_index, t_penalty)
-            network.reset_flow()
-            return
-        s_offset = 2
-        t_offset = 2 + len(self.s_nodes)
-        excess: list[tuple[int, float]] = []
-        for position, arc_index in enumerate(self.s_penalty_arcs):
-            overflow = network.set_capacity_preserving_flow(arc_index, s_penalty)
-            if overflow > 0.0:
-                excess.append((s_offset + position, overflow))
-        for position, arc_index in enumerate(self.t_penalty_arcs):
-            overflow = network.set_capacity_preserving_flow(arc_index, t_penalty)
-            if overflow > 0.0:
-                excess.append((t_offset + position, overflow))
-        if excess:
-            network.return_excess(excess, self.source)
+        network.reset_flow()
 
     def route_start_flow(self) -> None:
         """Route a greedy feasible flow along the network's 2- and 3-arc paths.
 
         The network must hold zero flow in :func:`build_decision_network`'s
-        arc layout: freshly built, or retuned with ``warm_start=False``.
+        arc layout: freshly built, or retuned.
         Each ``s -> o_u -> t`` path first carries
         ``min(2 dout'(u), g / sqrt(a))``.  Each ``o_u`` then offers what is
         left of its source arc to its edge arcs in arc order, up to 2 per
@@ -229,63 +203,12 @@ class DecisionNetwork:
             caps[start:stop:step] = _np.maximum(base[start:stop:step] - flow, 0.0)
             caps[start + 1 : stop : step] = flow
 
-    def _retune_vectorised(self, s_penalty: float, t_penalty: float, warm_start: bool) -> None:
-        """Bulk-array implementation of the penalty sweep (numpy present).
-
-        Elementwise it performs exactly the arithmetic of
-        :meth:`FlowNetwork.set_capacity` /
-        :meth:`FlowNetwork.set_capacity_preserving_flow` — same operands,
-        same operations, no re-association — so the resulting residual
-        state is bit-identical to the scalar loop's.  Only the clamp
-        *detection* is vectorised; returning the clamped excess still goes
-        through the generic :meth:`FlowNetwork.return_excess` walk, in the
-        same (node, amount) order the scalar loop would produce.
-        """
-        network = self.network
-        _, _, _, caps, _, base = network.numpy_csr()
-        arcs = self._penalty_arc_index()
-        penalties = _np.empty(arcs.shape[0], dtype=_np.float64)
-        penalties[: len(self.s_penalty_arcs)] = s_penalty
-        penalties[len(self.s_penalty_arcs) :] = t_penalty
-        base[arcs] = penalties
-        if not warm_start:
-            # reset_flow() copies base over every capacity, so the scalar
-            # path's interim cap/twin writes are subsumed by the reset.
-            network.reset_flow()
-            return
-        flows = caps[arcs + 1]
-        fits = flows <= penalties
-        caps[arcs] = _np.where(fits, penalties - flows, 0.0)
-        caps[arcs + 1] = _np.where(fits, flows, penalties)
-        overflow = flows - penalties
-        clamped = _np.flatnonzero(overflow > 0.0)
-        if clamped.size:
-            nodes = self._penalty_node_index()[clamped]
-            network.return_excess(
-                list(zip(nodes.tolist(), overflow[clamped].tolist())), self.source
-            )
-
     def _penalty_arc_index(self) -> "object":
         """The S- then T-penalty arc indices as one cached int64 array."""
         cached = getattr(self, "_np_penalty_arcs", None)
         if cached is None:
             cached = _np.asarray(self.s_penalty_arcs + self.t_penalty_arcs, dtype=_np.int64)
             self._np_penalty_arcs = cached
-        return cached
-
-    def _penalty_node_index(self) -> "object":
-        """Network node of each penalty arc's tail, aligned with :meth:`_penalty_arc_index`."""
-        cached = getattr(self, "_np_penalty_nodes", None)
-        if cached is None:
-            s_offset = 2
-            t_offset = 2 + len(self.s_nodes)
-            cached = _np.concatenate(
-                [
-                    s_offset + _np.arange(len(self.s_penalty_arcs), dtype=_np.int64),
-                    t_offset + _np.arange(len(self.t_penalty_arcs), dtype=_np.int64),
-                ]
-            )
-            self._np_penalty_nodes = cached
         return cached
 
 

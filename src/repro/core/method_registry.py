@@ -9,10 +9,8 @@ algorithm registers a :class:`MethodSpec` carrying
   :class:`~repro.core.config.ApproxConfig`), and
 * **capability flags**: exactness, and whether it is flow-backed (runs
   min-cuts, hence honours ``FlowConfig.solver`` and receives the session's
-  shared :class:`~repro.flow.engine.FlowEngine` and
-  :class:`~repro.core.network_cache.NetworkCache` — the hooks
-  :class:`~repro.session.DDSSession` uses to reuse state, including
-  *residual flows*, across queries; see :class:`MethodSpec`).
+  shared :class:`~repro.flow.engine.FlowEngine`, which accumulates flow
+  instrumentation across queries; see :class:`MethodSpec`).
 
 Third-party algorithms plug in without touching the session or the CLI::
 
@@ -41,7 +39,6 @@ from repro.core.config import ApproxConfig, ExactConfig, MethodConfig
 from repro.core.exact_core import core_exact
 from repro.core.exact_dc import dc_exact
 from repro.core.exact_flow import flow_exact
-from repro.core.network_cache import NetworkCache
 from repro.core.results import DDSResult
 from repro.core.xycore import XYCore
 from repro.exceptions import AlgorithmError
@@ -53,14 +50,13 @@ from repro.graph.digraph import DiGraph
 class RunContext:
     """Shared per-session runtime state handed to every runner.
 
-    The session fills in ``network_cache`` only for flow-backed methods, and
-    ``max_core`` — a call returning its cached maximum-product [x, y]-core —
-    only for queries on the session graph itself; runners that need the
-    core and get no ``max_core`` walk it themselves.
+    The session fills in ``max_core`` — a call returning its cached
+    maximum-product [x, y]-core — only for queries on the session graph
+    itself; runners that need the core and get no ``max_core`` walk it
+    themselves.
     """
 
     engine: FlowEngine | None = None
-    network_cache: NetworkCache | None = None
     max_core: Callable[[], XYCore] | None = None
 
 
@@ -85,10 +81,9 @@ class MethodSpec:
         Whether the method guarantees optimality.
     flow_backed:
         Whether the method runs min-cuts, and therefore consumes
-        ``context.engine`` / ``context.network_cache`` to share state
-        (including residual flows) across queries.  Flow settings are
-        session policy, and a method that runs no min-cuts does not apply
-        them.
+        ``context.engine`` to share flow instrumentation across queries.
+        Flow settings are session policy, and a method that runs no
+        min-cuts does not apply them.
     description:
         One-line human-readable summary (shown by ``dds-repro`` help texts).
     accepted_fields:
@@ -162,36 +157,15 @@ def get_method_spec(name: str) -> MethodSpec:
 # Built-in method registrations.
 # ----------------------------------------------------------------------
 def _run_flow_exact(graph: DiGraph, config: ExactConfig, context: RunContext) -> DDSResult:
-    # flow-exact visits every (subproblem, ratio) key exactly once, so its
-    # networks are never reusable; a private cache keeps its O(n^2) single-use
-    # entries from evicting the session's reusable dc/core/fixed-ratio
-    # networks.  The shared engine still aggregates instrumentation.
-    return flow_exact(
-        graph,
-        config,
-        engine=context.engine,
-        network_cache=NetworkCache(config.flow.network_cache_size),
-    )
+    return flow_exact(graph, config, engine=context.engine)
 
 
 def _run_dc_exact(graph: DiGraph, config: ExactConfig, context: RunContext) -> DDSResult:
-    return dc_exact(
-        graph,
-        config,
-        engine=context.engine,
-        network_cache=context.network_cache,
-        max_core=context.max_core,
-    )
+    return dc_exact(graph, config, engine=context.engine, max_core=context.max_core)
 
 
 def _run_core_exact(graph: DiGraph, config: ExactConfig, context: RunContext) -> DDSResult:
-    return core_exact(
-        graph,
-        config,
-        engine=context.engine,
-        network_cache=context.network_cache,
-        max_core=context.max_core,
-    )
+    return core_exact(graph, config, engine=context.engine, max_core=context.max_core)
 
 
 register_method(MethodSpec(

@@ -132,7 +132,7 @@ class DDSResult:
         The schema is versioned (``schema_version``) and covered by the test
         suite; ``stats`` carries the per-algorithm instrumentation —
         including the flow-engine counters and, for session-served queries,
-        the cache-hit markers (``result_cache_hit``, ``networks_reused``) —
+        the cache-hit marker ``result_cache_hit`` —
         coerced to JSON-native values (schema version 2), so the document
         round trips losslessly through :meth:`from_dict`.
         """
@@ -225,14 +225,12 @@ class FixedRatioOutcome:
     ``last_t`` are the pair
     extracted at the highest successful guess — the (near-)maximiser of the
     surrogate, which the divide-and-conquer ratio-skipping lemma needs —
-    together with its surrogate value ``last_surrogate``.  ``flow_calls``,
-    ``networks_built`` / ``networks_reused`` (one search uses exactly one
-    network: freshly built, or served by a
-    :class:`~repro.core.network_cache.NetworkCache`) and ``network_nodes``
-    feed experiments E6/E7 and the flow-engine regression tests;
-    ``warm_starts_used`` / ``cold_starts`` split ``flow_calls`` by whether
-    the solver continued from an earlier solve's residual flow or started
-    on a network holding none (see the stats glossary in
+    together with its surrogate value ``last_surrogate``.  ``best_edges`` /
+    ``last_edges`` count the graph edges from each pair's ``S`` to its
+    ``T``, as taken when the pair was found, so callers need not recount
+    them.  ``flow_calls``, ``networks_built`` (one per search that ran a
+    min-cut) and ``network_nodes`` feed experiments E6/E7 and the
+    flow-engine regression tests (see the stats glossary in
     :mod:`repro.flow.engine`).
     """
 
@@ -244,12 +242,11 @@ class FixedRatioOutcome:
     best_density: float
     flow_calls: int
     networks_built: int = 0
-    networks_reused: int = 0
-    warm_starts_used: int = 0
-    cold_starts: int = 0
+    best_edges: int = 0
     last_s: list[int] = field(default_factory=list)
     last_t: list[int] = field(default_factory=list)
     last_surrogate: float = 0.0
+    last_edges: int = 0
     network_nodes: list[int] = field(default_factory=list)
     network_arcs: list[int] = field(default_factory=list)
 

@@ -29,17 +29,6 @@ class STSubproblem:
     s_candidates: list[int]
     t_candidates: list[int]
     edges: list[tuple[int, int]] = field(default_factory=list)
-    _token: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        # Captured eagerly: the token must record the graph state the edges
-        # were carved from, not whatever state exists when a cache first asks.
-        self._token = (
-            self.graph.state_token,
-            tuple(self.s_candidates),
-            tuple(self.t_candidates),
-            len(self.edges),
-        )
 
     @classmethod
     def from_graph(
@@ -120,15 +109,3 @@ class STSubproblem:
     def size_signature(self) -> tuple[int, int, int]:
         """``(|S candidates|, |T candidates|, |edges|)`` — used by instrumentation."""
         return (len(self.s_candidates), len(self.t_candidates), len(self.edges))
-
-    def cache_token(self) -> tuple:
-        """Hashable identity of this search space, usable as a cache key.
-
-        Two sub-problems with equal tokens were carved from the *same graph
-        state* (:attr:`~repro.graph.digraph.DiGraph.state_token`) with the
-        same candidate sets, hence hold identical edge sets — so derived
-        structures (decision networks) built from one are valid for the
-        other.  Captured at construction time; sub-problems are treated as
-        immutable afterwards.
-        """
-        return self._token

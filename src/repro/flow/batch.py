@@ -32,12 +32,12 @@ block-diagonally:
 
 Members stay canonical throughout: :meth:`gather` copies their *current*
 residual capacities into the big network before a solve (so in-place
-retunes between solves are picked up, warm flows included — the terminal
+retunes between solves are picked up, start flows included — the terminal
 twins are seeded with each member's current flow value, making the stacked
-state a valid flow the backend's warm credit accepts), and
+state a valid flow the backend continues from), and
 :meth:`scatter` copies the solved residual state back, so a member can
 leave the batch at any time (e.g. its fixed-ratio search converged) and later be
-solved — or cached and retuned — sequentially.  Converged members are
+solved sequentially.  Converged members are
 masked by zeroing both of their terminal arcs' forward residuals: the block
 keeps its flow but cannot receive or route anything, and drops out of the
 residual reachability the other blocks' cuts are read from.

@@ -59,7 +59,7 @@ class DinicSolver:
     #: boundary where the in-progress state is a snapshot the network has
     #: not seen yet, so an abort leaves the network's residual capacities
     #: exactly as they were at solve entry (write-back only happens on
-    #: completion) and a later warm retune is bit-identical.
+    #: completion) and a later solve continues from a valid flow.
     deadline = None
 
     def __init__(self, network: FlowNetwork, source: int, sink: int) -> None:

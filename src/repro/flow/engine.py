@@ -10,39 +10,23 @@ Stats-key glossary
 This module is the **canonical definition** of the flow-engine counters.
 They appear, as deltas or lifetime totals, in ``DDSResult.stats``,
 :meth:`DDSSession.cache_stats() <repro.session.DDSSession.cache_stats>`,
-and the benchmark tables; the cache-level ``network_cache_*`` keys are
-defined in :mod:`repro.core.network_cache`.
+and the benchmark tables.
 
 ``flow_calls``
-    Number of max-flow/min-cut computations executed.  Always equals
-    ``warm_starts_used + cold_starts``.
+    Number of max-flow/min-cut computations executed.
 ``networks_built``
-    Number of search decision networks constructed from scratch: at most
-    one per fixed-ratio search, the one it does not get from the network
-    cache.  The narrowed networks a search builds for its guesses after a
-    cut that extracted a smaller pair (see :mod:`repro.core.fixed_ratio`)
-    are not counted, so ``networks_built + networks_reused`` equals the
-    number of fixed-ratio searches.
-``networks_reused``
-    Number of fixed-ratio searches served a cached network (see
-    :mod:`repro.core.network_cache`) instead of building one.
+    Number of search decision networks built: one per fixed-ratio search
+    that runs a min-cut, so it equals the number of fixed-ratio searches.
+    The narrowed networks a search builds for its guesses after a cut that
+    extracted a smaller pair (see :mod:`repro.core.fixed_ratio`) are not
+    counted.
 ``arcs_pushed``
     Total per-arc residual updates across all solver runs — a
     machine-independent proxy for flow work, not a measure of wall time.
-    Solver pushes only: the start flow a cold decision network is routed
-    in bulk before its solve
+    Solver pushes only: the start flow a decision network is routed in
+    bulk before each solve
     (:meth:`~repro.core.flow_network.DecisionNetwork.route_start_flow`)
     is not counted.
-``warm_starts_used``
-    Min-cut computations whose caller declared the network's residual state
-    a flow left by an earlier solve (``warm_start=True``: a warm retune of
-    a search network or of a cache-served one).
-``cold_starts``
-    Min-cut computations on a network that holds no flow of an earlier
-    solve: freshly built (every solve on a narrowed network of a
-    fixed-ratio search is one) or retuned with its flow reset.  Such a
-    network holds zero flow or, in a fixed-ratio search, the greedy start
-    flow routed before the solve.
 ``backend_selections``
     Min-cut computations for which the ``"auto"`` policy chose the backend
     per network (vectorised ``numpy-push-relabel`` at or above the arc
@@ -66,9 +50,8 @@ defined in :mod:`repro.core.network_cache`.
     when no deadline is configured — the no-deadline fast path is a single
     ``is None`` test per phase.
 
-Every solver continues from the flow the network holds, so the warm/cold
-split is bookkeeping supplied by the caller; it never selects a different
-code path.
+Every solver continues from the flow the network holds: zero, or the start
+flow a fixed-ratio search routes before each solve.
 
 A :class:`~repro.session.DDSSession` keeps one engine per solver for its
 whole lifetime, so the counters are *cumulative across queries*; algorithms
@@ -97,10 +80,7 @@ from repro.flow.registry import (
 COUNTERS = (
     "flow_calls",
     "networks_built",
-    "networks_reused",
     "arcs_pushed",
-    "warm_starts_used",
-    "cold_starts",
     "backend_selections",
     "batched_solves",
     "deadline_hits",
@@ -152,42 +132,29 @@ class FlowEngine:
         """Record that a decision network was constructed from scratch."""
         self.networks_built += 1
 
-    def note_network_reused(self) -> None:
-        """Record that a fixed-ratio search reused a cached decision network."""
-        self.networks_reused += 1
-
-    def min_cut(
-        self, network: FlowNetwork, source: int, sink: int, warm_start: bool = False
-    ) -> tuple[float, Any]:
+    def min_cut(self, network: FlowNetwork, source: int, sink: int) -> tuple[float, Any]:
         """Run one max-flow/min-cut and return ``(cut_value, solver)``.
 
         The network's residual state must be a valid feasible flow (zero on
-        a fresh network, or e.g. the one a warm
-        :meth:`~repro.core.flow_network.DecisionNetwork.retune` leaves); the
-        solver continues from it and returns the total value.
-        ``warm_start`` only says which of ``warm_starts_used`` /
-        ``cold_starts`` the solve counts under.  The returned solver
-        instance exposes ``min_cut_source_side()`` for cut extraction; the
-        engine's counters are already updated.
+        a fresh network, or e.g. the start flow
+        :meth:`~repro.core.flow_network.DecisionNetwork.route_start_flow`
+        routes); the solver continues from it and returns the total value.
+        The returned solver instance exposes ``min_cut_source_side()`` for
+        cut extraction; the engine's counters are already updated.
         """
         if self.deadline is not None and self.deadline.expired:
             # Refuse before touching the network: its residual state stays
-            # exactly as the caller left it, ready for a later warm retune.
+            # exactly as the caller left it.
             self.deadline_hits += 1
             self.deadline.check("engine.min_cut admission")
         solver = self._resolve_class(network)(network, source, sink)
-        if warm_start:
-            self.warm_starts_used += 1
-        else:
-            self.cold_starts += 1
         if self.deadline is not None:
             solver.deadline = self.deadline
         try:
             value = solver.max_flow()
         except DeadlineExceeded:
             # The solver aborted at a phase boundary without committing its
-            # in-progress snapshot; the partial work is still accounted for
-            # (keeping flow_calls == warm_starts_used + cold_starts).
+            # in-progress snapshot; the partial work is still accounted for.
             self.deadline_hits += 1
             self.flow_calls += 1
             self.arcs_pushed += getattr(solver, "arcs_pushed", 0)
@@ -210,21 +177,17 @@ class FlowEngine:
         self,
         batch: Any,
         active: list[int],
-        warm_flags: list[bool],
     ) -> list[tuple[float, list[int], int]]:
         """One block-diagonal solve of ``batch``'s active members.
 
         ``batch`` is a :class:`~repro.flow.batch.BatchedFlowNetwork`;
         ``active`` lists the member indices to solve this round (the rest
-        stay masked) and ``warm_flags`` says, per active member, whether its
-        solve counts as a warm continuation — mirroring exactly what a
-        sequential solve of that member would have recorded.
-        Returns, per active member, ``(flow_value, member-local cut source
-        side, arcs pushed inside that block)``.
+        stay masked).  Returns, per active member, ``(flow_value,
+        member-local cut source side, arcs pushed inside that block)``.
 
         Counting policy: each active member counts as one ``flow_calls`` /
-        ``backend_selections`` / warm-or-cold start (the batched path must
-        be counter-compatible with the sequential path it replaces), the
+        ``backend_selections`` (the batched path must be counter-compatible
+        with the sequential path it replaces), the
         stacked run itself counts once under ``batched_solves``, and the
         backend chosen by the aggregate policy is charged once per member in
         :attr:`auto_backend_choices`.  The policy is resolved on the *whole
@@ -261,17 +224,13 @@ class FlowEngine:
         except DeadlineExceeded:
             # Cancellation skips the scatter: the *member* networks keep the
             # residual flows they held at gather time (the stacked scratch
-            # buffers are rebuilt by the next gather), so every member still
-            # retunes bit-identically.
+            # buffers are rebuilt by the next gather).
             self.deadline_hits += 1
             raise
         batch.scatter(active)
 
         members = len(active)
-        warm = sum(1 for flag in warm_flags if flag)
         self.flow_calls += members
-        self.warm_starts_used += warm
-        self.cold_starts += members - warm
         self.backend_selections += members
         self.auto_backend_choices[name] = (
             self.auto_backend_choices.get(name, 0) + members

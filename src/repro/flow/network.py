@@ -19,10 +19,8 @@ the fixed-ratio searches of the exact DDS algorithms.
 
 The residual capacities are also the start state of every solve: each
 registered solver continues from the flow they encode (zero on a freshly
-built network or after :meth:`reset_flow`) and returns the *total* flow
-value.  A retune that keeps the flow
-(:meth:`set_capacity_preserving_flow` plus :meth:`return_excess`) therefore
-leaves the next solve only the difference to push.
+built network or after :meth:`reset_flow`, or a start flow a caller routed
+since) and returns the *total* flow value.
 """
 
 from __future__ import annotations
@@ -251,107 +249,28 @@ class FlowNetwork:
         self._cap[arc_index] = capacity
         self._cap[arc_index + 1] = 0.0
 
-    def set_capacity_preserving_flow(self, arc_index: int, capacity: float) -> float:
-        """Replace the capacity of forward arc ``arc_index``, keeping its flow.
-
-        This is the warm-start counterpart of :meth:`set_capacity`: the flow
-        currently routed on the arc survives the capacity change.  When the
-        new capacity is below the current flow, the flow is clamped down to
-        the new capacity and the clamped amount is returned — flow
-        conservation at the arc's tail is then broken by exactly that excess,
-        and the caller must repair it (see :meth:`return_excess`).  Returns
-        0.0 when the existing flow already fits under the new capacity.
-        """
-        if arc_index % 2 != 0:
-            raise FlowError(
-                "set_capacity_preserving_flow expects the index returned by add_edge (even)"
-            )
-        if not capacity >= 0:
-            raise FlowError(f"capacity must be >= 0, got {capacity}")
-        capacity = float(capacity)
-        flow = self._cap[arc_index + 1]
-        self._base[arc_index] = capacity
-        if flow <= capacity:
-            self._cap[arc_index] = capacity - flow
-            return 0.0
-        self._cap[arc_index] = 0.0
-        self._cap[arc_index + 1] = capacity
-        return flow - capacity
-
-    def return_excess(self, excess: list[tuple[int, float]], source: int) -> float:
-        """Restore flow conservation by pushing node excesses back to ``source``.
-
-        ``excess`` lists ``(node, amount)`` pairs of inflow surpluses (as
-        produced by clamping in :meth:`set_capacity_preserving_flow`).  Each
-        surplus is cancelled against arcs that currently carry flow *into*
-        the node, walking backwards along flow-carrying paths until the
-        excess is absorbed at the source — turning a clamped preflow back
-        into a valid flow whose value is lower by the returned total.
-
-        The walk terminates because it strictly cancels path flow; it assumes
-        the current flow is acyclic (always true on DAG networks such as the
-        DDS decision networks, and for any flow produced by augmenting-path
-        solvers).  Even sub-``EPSILON`` excesses are walked back while
-        matching inflow exists — cached networks are retuned indefinitely
-        across a session's lifetime, so tiny imbalances must not be allowed
-        to accumulate.  Raises :class:`FlowError` if an excess beyond float
-        noise cannot be returned, which indicates the residual state was not
-        a clamped valid flow.
-
-        When numpy is importable the walk runs as round-based bulk array
-        operations (:meth:`_return_excess_vectorised`) — per round, every
-        surplus cancels greedily against its node's flow-carrying incoming
-        arcs in the same CSR order the scalar walk scans, so the two paths
-        route the cancellation along the same arcs.
-        """
-        self._check_node(source)
-        if _np is not None and len(self._to):
-            return self._return_excess_vectorised(excess, source)
-        heads, targets = self.solver_views()
-        cap = self._cap
-        returned = 0.0
-        stack = [(node, amount) for node, amount in excess if amount > 0.0]
-        while stack:
-            node, amount = stack.pop()
-            if node == source:
-                returned += amount
-                continue
-            self._check_node(node)
-            remaining = amount
-            for arc_index in heads[node]:
-                if remaining <= 0.0:
-                    break
-                # Odd arcs are residual twins: positive capacity there means
-                # flow on the forward arc ``arc_index ^ 1`` *into* this node.
-                if arc_index & 1 and cap[arc_index] > 0.0:
-                    delta = min(remaining, cap[arc_index])
-                    cap[arc_index] -= delta
-                    cap[arc_index ^ 1] += delta
-                    stack.append((targets[arc_index], delta))
-                    remaining -= delta
-            if remaining > EPSILON:
-                raise FlowError(
-                    f"cannot return {remaining!r} units of excess from node {node}: "
-                    "no flow-carrying incoming arcs (residual state is not a clamped flow)"
-                )
-        return returned
-
     def _return_excess_vectorised(
         self,
         excess: list[tuple[int, float]],
         source: int,
         on_moves: "object | None" = None,
     ) -> float:
-        """Bulk-array implementation of the excess-return walk (numpy present).
+        """Push node excesses back to ``source`` along flow-carrying arcs (numpy).
+
+        ``excess`` lists ``(node, amount)`` pairs of inflow surpluses.  The
+        walk turns such a preflow back into a valid flow whose value is
+        lower by the returned total; it assumes the current flow is
+        acyclic, as every flow on a DAG network such as a DDS decision
+        network is.
 
         Round-based: each round cancels every surplus-holding node against
         its flow-carrying incoming arcs (positive-capacity odd twins),
         greedily in CSR order via a per-segment exclusive prefix sum, and
         scatters the cancelled amounts onto the predecessor nodes as the
         next round's surpluses — excess hops one arc towards the source per
-        round instead of one arc per interpreted loop iteration.  A round
-        that can move nothing while an above-``EPSILON`` surplus remains
-        raises :class:`FlowError`, mirroring the scalar walk.
+        round.  A round that can move nothing while an above-``EPSILON``
+        surplus remains raises :class:`FlowError`: the residual state was
+        not a preflow with returnable excess.
 
         ``on_moves``, when given, is called once per round with the array of
         arc indices whose residuals the round updated — the hook the
@@ -424,7 +343,7 @@ class FlowNetwork:
         source contribute the flow pushed onto their residual twins, forward
         arcs *into* the source subtract theirs.  Only meaningful when the
         residual state encodes a conservative flow (e.g. after a completed
-        solve or a warm-start :meth:`~repro.core.flow_network.DecisionNetwork.retune`).
+        solve).
         """
         self._check_node(source)
         heads, _ = self.solver_views()

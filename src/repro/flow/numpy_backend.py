@@ -111,7 +111,7 @@ class NumpyPushRelabelSolver:
     #: write-back step to skip), arming a deadline makes :meth:`max_flow`
     #: take one O(m) capacity backup up front and restore it on
     #: cancellation — the only way a mid-phase preflow can be rolled back
-    #: to the valid entry flow so a later warm retune stays bit-identical.
+    #: to the valid entry flow.
     #: Undeadlined solves take no backup and are unchanged.
     deadline = None
 
@@ -207,9 +207,10 @@ class NumpyPushRelabelSolver:
         # Budgeted flood with a certified-cut fallback.  Every unit of flow
         # must enter the sink through the sink's incoming residual capacity,
         # so saturating more than that out of the source only manufactures
-        # excess that phase 2 has to cancel straight back — on warm retunes
-        # (where the sink-side headroom is a small delta) that cancelled
-        # flood is almost all of the textbook algorithm's work.  The first
+        # excess that phase 2 has to cancel straight back — on a network
+        # that already holds a start flow (where the sink-side headroom is a
+        # small delta) that cancelled flood is almost all of the textbook
+        # algorithm's work.  The first
         # attempt therefore floods only up to the sink-side headroom,
         # greedily over the source's arcs in CSR order.  The budget can
         # under-shoot when the flooded excess hits interior bottlenecks
@@ -227,7 +228,7 @@ class NumpyPushRelabelSolver:
         except DeadlineExceeded:
             # Roll the zero-copy residual state back to the entry flow: a
             # mid-phase preflow is not a feasible flow and must never be
-            # left behind for a warm retune to continue from.
+            # left behind for a later solve to continue from.
             caps[:] = cap_backup
             self._seen = None
             raise
@@ -368,7 +369,7 @@ class NumpyPushRelabelSolver:
             # Two layouts of the same superstep: a *dense* one over all m
             # CSR positions (right after a flood, when most nodes hold
             # excess), and a *frontier-sparse* one over just the active
-            # nodes' CSR segments — warm retune solves quickly shrink to a
+            # nodes' CSR segments — solves from a start flow quickly shrink to a
             # handful of active nodes, where scanning all m arcs per
             # superstep would dwarf the actual work.
             seg_cnt = counts[active_nodes]

@@ -333,8 +333,10 @@ class DiGraph:
 
         The token changes on every node/edge addition or removal and is never
         shared between two distinct graph instances (or two states of the same
-        instance), which makes it a safe cache key for derived structures such
-        as decision networks (:mod:`repro.core.network_cache`).
+        instance), which makes it a safe cache key for derived state: a
+        :class:`~repro.session.DDSSession` compares it to notice a graph
+        mutated behind its back, and the content fingerprint is cached
+        under it.
         """
         return self._state_token
 

@@ -10,10 +10,8 @@ The subsystem behind
 * :mod:`repro.incremental.certify` — density-bound and approximation
   certificates deciding which cached results are provably still optimal.
 
-Cached decision networks are not carried across an edit: their keys name
-the pre-edit graph state, so ``apply_updates`` drops them, and each later
-``top_k`` round (a peel round is an edge-removal delta on a working copy)
-builds its own on a fresh cache.
+Decision networks need no maintenance: each lives only inside the
+fixed-ratio search that builds it.
 """
 
 from repro.incremental.certify import DeltaCertificate, certify_result

@@ -20,8 +20,8 @@ only lowers the optimum, so an approximation whose pair kept its density
 still meets its guarantee.
 
 Anything else is **inconclusive**: the session evicts the entry and
-remembers its key, so the next identical query re-searches on networks
-built fresh for the new graph.
+remembers its key, so the next identical query re-searches the new
+graph.
 
 **What certification promises.**  A certified entry is a *correct* answer
 (optimal for exact methods, guarantee-preserving for approximations) — but
@@ -30,7 +30,7 @@ cold rebuild would (the old pair against an equally dense new one, or an
 approximation whose core shifted).  Callers that need byte-identical
 agreement with a cold session disable certification
 (``apply_updates(..., certify=False)``), which routes every cached entry
-through the re-search path — bit-identical because that search builds its
+through the re-search path — bit-identical because every search builds its
 networks from scratch, exactly as a cold session does.
 """
 

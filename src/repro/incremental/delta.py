@@ -134,9 +134,6 @@ class UpdateReport:
     ``max_core_kept``
         Whether the cached maximum-product core survived the delta unchanged
         (provably still maximal — see ``maintain.refresh_cores``).
-    ``networks_dropped``
-        Cached decision networks the delta cleared — all of them, since
-        every cache key names the pre-delta graph state.
     ``results_certified`` / ``results_invalidated``
         Result-cache entries kept because the delta certificate proved them
         still valid vs. evicted (their keys are remembered so the next miss
@@ -154,7 +151,6 @@ class UpdateReport:
     cores_repeeled: int = 0
     cores_rebuilt: int = 0
     max_core_kept: bool = False
-    networks_dropped: int = 0
     results_certified: int = 0
     results_invalidated: int = 0
     certificates: list = field(default_factory=list)

@@ -21,10 +21,8 @@ new graph with a smaller ``x`` would have been non-empty, and maximal, in
 the old graph too, so a cold walk of the new graph returns the *same* core.
 The keep is bit-identical, not merely valid.
 
-Decision networks are not maintained: every cached network is keyed by the
-pre-edit state token, so
-:meth:`DDSSession.apply_updates <repro.session.DDSSession.apply_updates>`
-drops them all and the next search builds fresh ones.
+Decision networks are not maintained: each lives only inside the
+fixed-ratio search that builds it.
 """
 
 from __future__ import annotations

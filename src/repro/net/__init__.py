@@ -8,8 +8,8 @@ the length-prefixed, checksummed frame protocol of
 :mod:`repro.net.protocol` with a retry/backoff ladder; and
 ``BatchExecutor(remote_hosts=[...])`` routes lanes to daemons by the same
 fingerprint :class:`~repro.service.planner.ShardMap` the process pool
-uses.  Warm state — residual flows, decision networks — never crosses the
-wire: only graphs, query specs, and schema-2 result dicts do.
+uses.  Warm state — cached results, cores — never crosses the wire: only
+graphs, query specs, and schema-2 result dicts do.
 """
 
 from repro.net.client import (

@@ -9,8 +9,8 @@ protocol ops of :mod:`repro.net.protocol` over TCP.  The remote executor
 routes every graph to exactly one daemon (the fingerprint
 :class:`~repro.service.planner.ShardMap`), so a daemon's store shard has a
 single network writer and its resident sessions accumulate warm state —
-decision networks and their residual flows — across requests
-the way a lane session does across queries.  That state never crosses the
+cached results and cores — across requests the way a lane session does
+across queries.  That state never crosses the
 wire: requests carry query specs in, schema-2 result dicts come back out,
 and everything expensive stays resident behind the socket.
 

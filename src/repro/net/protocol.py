@@ -45,12 +45,11 @@ since dropped the graph answers
 :class:`~repro.exceptions.GraphNotResidentError` for the sender to resend
 it.
 
-What deliberately never crosses the wire: decision networks and their
-residual flows.  They are process-local by
-construction (their cache keys embed ``state_token``, and ``retune``
-mutates capacities in place); warm state lives behind the daemon in its
-:class:`~repro.service.store.SessionStore` shard, which is the whole point
-of routing each graph to exactly one daemon.
+What deliberately never crosses the wire: a session's warm state (cached
+results, cores and derived arrays).  It lives behind the daemon in its
+resident sessions and its :class:`~repro.service.store.SessionStore`
+shard, which is the whole point of routing each graph to exactly one
+daemon.
 """
 
 from __future__ import annotations

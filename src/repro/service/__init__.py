@@ -7,9 +7,8 @@ the layer that turns the one-process session API into a serving system:
   the CLI and the executor, and ``run_lane``, the loop that serves one
   graph's queries on one session for every pool flavour and the shard
   daemon;
-* :mod:`repro.service.planner` — cache-aware reordering of a query batch
-  (graph affinity, approx-before-exact phases, family grouping) with an
-  explain mode;
+* :mod:`repro.service.planner` — groups a query batch into one lane per
+  graph, each in file order, with an explain mode;
 * :mod:`repro.service.executor` — a pool of graph-affine sessions (threads
   by default, worker *processes* sent their graphs over a pipe with
   ``process_pool=True``) executing a plan with per-query timing and
@@ -27,7 +26,7 @@ Quickstart::
         {"wiki": graph}, store=SessionStore(".dds-store")
     ).execute(plan)
     payloads = report.results_in_input_order()
-    print(plan.explain(), report.realized_cache_hits())
+    print(plan.explain(), report.aggregate_stats())
 """
 
 from repro.service.executor import BatchExecutor, BatchReport, QueryExecution

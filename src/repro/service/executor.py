@@ -5,9 +5,8 @@ Its unit of concurrency is the planner's *lane* — all queries for one graph,
 in plan order.  Each lane gets its own :class:`~repro.session.DDSSession`
 and runs sequentially on one worker; distinct lanes run concurrently.
 Sessions are therefore **graph-affine**: no session, and none of its caches
-(results, decision networks, residual flows), is ever touched by two
-workers, so the session layer needs no locks and the warm-start machinery
-keeps its strict solve ordering within a graph.
+(results, cores, derived state), is ever touched by two workers, so the
+session layer needs no locks.
 
 Three pool flavours share that lane contract:
 
@@ -42,8 +41,8 @@ Three pool flavours share that lane contract:
   keeps the graphs it receives.  A daemon that no longer holds the graph
   answers :class:`~repro.exceptions.GraphNotResidentError`, and the lane
   is resent once with the document (``graph_resends``).  Answers come back
-  as the same schema-2 result dicts the process workers pipe home, and
-  warm state (residual flows, decision networks) never crosses at all.  A
+  as the same schema-2 result dicts the process workers pipe home, and a
+  session's warm state never crosses at all.  A
   daemon that stays unreachable through the client's retry/backoff ladder
   costs only its lanes: they fall back to solving inline, marked degraded,
   with the failure counted in ``executor_stats["remote_failures"]``.
@@ -60,8 +59,7 @@ All three serve a lane through :func:`~repro.service.queries.run_lane`.
 
 Instrumentation: every query is individually timed, each lane's
 :meth:`~repro.session.DDSSession.cache_stats` snapshot is kept, and the
-report aggregates them (plus the planner's predicted-vs-realised hit
-counts) into the payload ``dds-repro batch --explain`` prints.  Process
+report aggregates them into the payload ``dds-repro batch`` prints.  Process
 runs additionally fill :attr:`BatchReport.executor_stats` with the worker
 lifecycle counters (``workers_spawned``, ``worker_crashes``,
 ``worker_retries``, ``degraded_lanes``).
@@ -160,14 +158,6 @@ class BatchReport:
                     continue
                 totals[key] = totals.get(key, 0) + value
         return dict(sorted(totals.items()))
-
-    def realized_cache_hits(self) -> dict[str, int]:
-        """The realised counterpart of the planner's predictions."""
-        totals = self.aggregate_stats()
-        return {
-            "result_cache_hits": int(totals.get("result_cache_hits", 0)),
-            "network_cache_hits": int(totals.get("network_cache_hits", 0)),
-        }
 
     def timings(self) -> list[dict[str, Any]]:
         """Per-query timing rows in execution order (for ``--explain``).

@@ -6,8 +6,8 @@ This module owns the mapping from a JSON batch entry — ``{"query":
 life inside the CLI's ``batch`` sub-command and moved here when the service
 tier (:mod:`repro.service.planner` / :mod:`repro.service.executor`) started
 executing the same entries concurrently: both the CLI and the executor now
-speak exactly this vocabulary, so a query file means the same thing planned,
-unplanned, or served by a pool of sessions.
+speak exactly this vocabulary, so a query file means the same thing served
+by one session or by a pool of them.
 
 Malformed entries raise :class:`~repro.exceptions.BatchQueryError` (a
 :class:`~repro.exceptions.ReproError`), never ``SystemExit`` — rendering
@@ -54,24 +54,15 @@ RESERVED_FIELDS = ("dataset",)
 #: Payload keys that legitimately vary with execution order: instrumentation
 #: counters whose values depend on what earlier queries left in the caches.
 #: Everything else in a payload is the *answer* and must be bit-identical
-#: under any plan permutation (pinned by the planner property test).
-VOLATILE_PAYLOAD_KEYS = frozenset(
-    {
-        "flow_calls",
-        "networks_built",
-        "networks_reused",
-        "warm_starts_used",
-        "cold_starts",
-        "batched_solves",
-    }
-)
+#: under any permutation of the batch (pinned by the planner property test).
+VOLATILE_PAYLOAD_KEYS = frozenset({"flow_calls", "networks_built", "batched_solves"})
 
 
 def payload_answer(payload: Any) -> Any:
     """The order-invariant part of a batch payload.
 
-    Drops :data:`VOLATILE_PAYLOAD_KEYS` (recursively) so planned, unplanned,
-    and permuted executions of the same batch can be compared for
+    Drops :data:`VOLATILE_PAYLOAD_KEYS` (recursively) so permuted
+    executions of the same batch can be compared for
     bit-identical *answers* without tripping over cache instrumentation.
     """
     if isinstance(payload, dict):
@@ -291,9 +282,6 @@ def run_batch_query(
             "best_density": outcome.best_density,
             "flow_calls": outcome.flow_calls,
             "networks_built": outcome.networks_built,
-            "networks_reused": outcome.networks_reused,
-            "warm_starts_used": outcome.warm_starts_used,
-            "cold_starts": outcome.cold_starts,
         }
     if query == "summary":
         _reject_leftovers(spec, query)

@@ -122,16 +122,33 @@ def _config_to_jsonable(config: MethodConfig) -> dict[str, Any] | None:
     return json.loads(_canonical_json(data))  # tuples -> lists, canonical floats
 
 
+class _IncompatibleConfig(StoreError):
+    """A stored config names a field this build's config class does not define."""
+
+
 def _config_from_jsonable(config_type: type, data: dict[str, Any]) -> MethodConfig:
-    """Rebuild a method config of ``config_type`` from its serialised fields."""
+    """Rebuild a method config of ``config_type`` from its serialised fields.
+
+    A field the config class (or its nested :class:`FlowConfig`) does not
+    define raises :class:`_IncompatibleConfig`: the entry was written by a
+    build whose configs had that field.
+    """
     if not isinstance(data, dict):
         raise StoreError(f"config document must be an object, got {type(data).__name__}")
     fields = dict(data)
-    if isinstance(fields.get("flow"), dict):
-        fields["flow"] = FlowConfig(**fields["flow"])
+    flow = fields.get("flow")
+    for cls, stored in ((config_type, fields), (FlowConfig, flow)):
+        if dataclasses.is_dataclass(cls) and isinstance(stored, dict):
+            unknown = sorted(set(stored) - {field.name for field in dataclasses.fields(cls)})
+            if unknown:
+                raise _IncompatibleConfig(
+                    f"stored {cls.__name__} has fields this build lacks: {', '.join(unknown)}"
+                )
     if isinstance(fields.get("ratios"), list):
         fields["ratios"] = tuple(fields["ratios"])
     try:
+        if isinstance(flow, dict):
+            fields["flow"] = FlowConfig(**flow)
         return config_type(**fields)
     except (TypeError, ConfigError) as error:
         raise StoreError(f"cannot rebuild {config_type.__name__} from stored fields: {error}")
@@ -564,7 +581,8 @@ class SessionStore:
 
         Counters: ``results_loaded`` / ``results_corrupt`` /
         ``results_incompatible`` (entry is intact but names an unregistered
-        method, flow solver or foreign config class), ``derived_loaded`` /
+        method, flow solver, foreign config class or a config field this
+        build lacks), ``derived_loaded`` /
         ``derived_corrupt``, and ``manifest_corrupt`` (the graph directory's
         manifest fails verification — nothing under it is trusted or
         loaded).  A graph the store has never seen loads nothing and returns
@@ -639,10 +657,11 @@ class SessionStore:
                     continue
                 config = _config_from_jsonable(spec.config_type, entry["config"])
                 result = DDSResult.from_dict(entry["result"])
-            except (AlgorithmError, FlowError):
-                # Unknown method or flow solver — a store written by a
-                # build with extra registered ones (or with numpy where
-                # this one has none); intact but unusable here.
+            except (AlgorithmError, FlowError, _IncompatibleConfig):
+                # Unknown method, flow solver or config field — a store
+                # written by a build with extra registered ones (or with
+                # numpy where this one has none, or with a config field
+                # since removed); intact but unusable here.
                 counters["results_incompatible"] += 1
                 continue
             except (StoreError, KeyError, TypeError, ValueError):

@@ -6,9 +6,6 @@ derived state once instead of once per call:
 * **degree arrays** and the full :class:`~repro.core.subproblem.STSubproblem`,
 * **[x, y]-core decompositions** (:meth:`DDSSession.xy_core`,
   :meth:`DDSSession.max_xy_core`),
-* **retunable decision networks** keyed by ``(sub-problem, ratio)`` in a
-  shared :class:`~repro.core.network_cache.NetworkCache` — PR 1's retune
-  machinery extended across *queries*, not just within one fixed-ratio search,
 * **whole results**, keyed by ``(method, config)``, so a repeated query is
   answered without recomputation, and
 * one :class:`~repro.flow.engine.FlowEngine` per solver, so flow
@@ -45,7 +42,6 @@ from repro.core.density import (
 )
 from repro.core.fixed_ratio import check_search_arguments, maximize_fixed_ratio
 from repro.core.method_registry import MethodSpec, RunContext, get_method_spec
-from repro.core.network_cache import NetworkCache
 from repro.core.results import DDSResult, FixedRatioOutcome
 from repro.core.subproblem import STSubproblem
 from repro.core.xycore import XYCore, max_xy_core, xy_core
@@ -114,12 +110,17 @@ def _copy_core(core: XYCore) -> XYCore:
 
 
 def _fold_seed(
-    outcome: FixedRatioOutcome, s_nodes: list[int], t_nodes: list[int], density: float
+    outcome: FixedRatioOutcome,
+    s_nodes: list[int],
+    t_nodes: list[int],
+    density: float,
+    edges: int,
 ) -> None:
     """Make the seed pair ``outcome``'s best pair unless the search extracted a denser one."""
     if density >= outcome.best_density:
         outcome.best_s, outcome.best_t = list(s_nodes), list(t_nodes)
         outcome.best_density = density
+        outcome.best_edges = edges
 
 
 class DDSSession:
@@ -136,13 +137,10 @@ class DDSSession:
         or dropped in step with the graph.
     flow:
         Session-wide default :class:`~repro.core.config.FlowConfig` (or a
-        bare solver name).  Per-query configs override the solver; a
-        per-query ``network_cache_size`` differing from the session's runs
-        that query on a private cache of the requested capacity (the shared
-        session cache keeps the capacity it was built with).
+        bare solver name).  Per-query configs override it.
     result_cache_size:
         Capacity of the whole-result LRU cache (0 disables result caching;
-        derived-state and network caching remain active).
+        derived-state caching remains active).
     """
 
     def __init__(
@@ -159,7 +157,6 @@ class DDSSession:
         self.graph = graph
         self.flow = flow if flow is not None else FlowConfig()
         self._graph_token = graph.state_token
-        self._network_cache = NetworkCache(self.flow.network_cache_size)
         self._engines: dict[str, FlowEngine] = {}
         self._results: OrderedDict[tuple[str, MethodConfig], DDSResult] = OrderedDict()
         self._result_cache_size = max(int(result_cache_size), 0)
@@ -242,35 +239,13 @@ class DDSSession:
                     )
         return spec, cfg, was_auto
 
-    def _execute(
-        self,
-        spec: MethodSpec,
-        cfg: MethodConfig,
-        graph: DiGraph,
-        network_cache: NetworkCache | None = None,
-    ) -> DDSResult:
-        """Run one query uncached (used for cache misses and top-k rounds).
-
-        ``network_cache`` overrides the session cache — top-k rounds on
-        peeled working copies pass a private cache so networks keyed by
-        throwaway graph states never evict the session graph's entries.
-        """
+    def _execute(self, spec: MethodSpec, cfg: MethodConfig, graph: DiGraph) -> DDSResult:
+        """Run one query uncached (used for cache misses and top-k rounds)."""
         self._queries += 1
         solver = cfg.flow.solver if isinstance(cfg, ExactConfig) else self.flow.solver
-        if network_cache is None:
-            network_cache = self._network_cache
-            if (
-                isinstance(cfg, ExactConfig)
-                and cfg.flow.network_cache_size != self.flow.network_cache_size
-            ):
-                # The query asked for a different cache capacity (e.g. 0 to
-                # disable caching): honour it with a private cache instead of
-                # silently using — or resizing — the shared session cache.
-                network_cache = NetworkCache(cfg.flow.network_cache_size)
         engine = self._engine_for(solver)
         context = RunContext(
             engine=engine,
-            network_cache=network_cache if spec.flow_backed else None,
             # A working copy (a later top-k round) has cores of its own.
             max_core=self.max_xy_core if graph is self.graph else None,
         )
@@ -361,9 +336,8 @@ class DDSSession:
         is served through (and feeds) the session result cache; later rounds
         run on a private working copy with the reported edges removed, so
         successive pairs are edge-disjoint and densities are non-increasing.
-        Each later round builds its decision networks on a fresh private
-        cache, so it answers and counts exactly like a cold session on the
-        peeled graph.  Stops early when the best remaining density drops to
+        Each later round answers and counts exactly like a cold session on
+        the peeled graph.  Stops early when the best remaining density drops to
         ``min_density`` or the working copy runs out of edges.
         """
         self._check_unmutated()
@@ -376,24 +350,13 @@ class DDSSession:
 
         results: list[DDSResult] = []
         working: DiGraph | None = None
-        cache_size = (
-            cfg.flow.network_cache_size
-            if isinstance(cfg, ExactConfig)
-            else self.flow.network_cache_size
-        )
         for _ in range(k):
             if working is not None and working.num_edges == 0:
                 break
             if working is None:
                 result = self._serve(spec, cfg)
             else:
-                # Each peeled graph state is throwaway, so its round runs on
-                # a fresh private cache, sized from the query's own flow
-                # config like _execute's: depositing into the session cache
-                # would only evict the session graph's entries.
-                result = self._execute(
-                    spec, cfg, working, network_cache=NetworkCache(cache_size)
-                )
+                result = self._execute(spec, cfg, working)
             if result.density <= min_density:
                 break
             self._annotate(result, spec, was_auto)
@@ -442,11 +405,9 @@ class DDSSession:
 
         ``best_s`` / ``best_t`` name the densest of the seed pair and every
         pair the search extracted (ties keep the seed), and ``best_density``
-        is its true density.  The decision network for ``(space, ratio)`` is
-        fetched from (and deposited into) the session network cache, so
-        repeated probes at the same ratio retune one network and continue
-        its residual flow; :meth:`apply_updates` drops every cached
-        network.  The ratio, bounds, tolerance, solver and budget are
+        is its true density, and ``best_edges`` its edge count.  Every call
+        builds its own decision network, so a repeated probe returns the
+        same outcome.  The ratio, bounds, tolerance, solver and budget are
         checked before anything is counted or computed; a ratio that is not
         finite and positive raises :class:`~repro.exceptions.AlgorithmError`.
         """
@@ -464,7 +425,7 @@ class DDSSession:
             deadline_ms = self.flow.deadline_ms
         deadline = Deadline(deadline_ms) if deadline_ms is not None else None
         self._queries += 1
-        seed_s, seed_t, seed, seed_density = self._fixed_ratio_seed(ratio)
+        seed_s, seed_t, seed, seed_density, seed_edges = self._fixed_ratio_seed(ratio)
         space = fixed_ratio_space(self.subproblem(), seed, ratio)
         engine.deadline = deadline
         try:
@@ -475,19 +436,20 @@ class DDSSession:
                 upper=upper,
                 tolerance=tolerance,
                 engine=engine,
-                network_cache=self._network_cache,
             )
         except DeadlineExceeded as error:
             self._anytime_returns += 1
-            _fold_seed(error.outcome, seed_s, seed_t, seed_density)
+            _fold_seed(error.outcome, seed_s, seed_t, seed_density, seed_edges)
             raise
         finally:
             engine.deadline = None
-        _fold_seed(outcome, seed_s, seed_t, seed_density)
+        _fold_seed(outcome, seed_s, seed_t, seed_density, seed_edges)
         return outcome
 
-    def _fixed_ratio_seed(self, ratio: float) -> tuple[list[int], list[int], float, float]:
-        """``(S, T, surrogate, density)`` of the seed pair of a probe at ``ratio``.
+    def _fixed_ratio_seed(
+        self, ratio: float
+    ) -> tuple[list[int], list[int], float, float, int]:
+        """``(S, T, surrogate, density, edges)`` of the seed pair of a probe at ``ratio``.
 
         The maximum-product core or the whole candidate pair, whichever has
         the larger surrogate at ``ratio`` (the core on a tie).  Both are
@@ -503,7 +465,8 @@ class DDSSession:
         ):
             surrogate = surrogate_density(edges, len(s_nodes), len(t_nodes), ratio)
             if seed is None or surrogate > seed[2]:
-                seed = (s_nodes, t_nodes, surrogate, edges / math.sqrt(len(s_nodes) * len(t_nodes)))
+                density = edges / math.sqrt(len(s_nodes) * len(t_nodes))
+                seed = (s_nodes, t_nodes, surrogate, density, edges)
         return seed
 
     def xy_core(self, x: int, y: int) -> XYCore:
@@ -553,8 +516,6 @@ class DDSSession:
         * degree arrays are patched in place;
         * cached [x, y]-cores are re-peeled locally (removal-only deltas) or
           recomputed (deltas with insertions);
-        * cached decision networks are dropped: every key names the
-          pre-delta state token, so the next search builds fresh ones;
         * cached results are **certified** against the delta
           (:func:`~repro.incremental.certify.certify_result`): entries whose
           optimality still has a cheap proof are kept (and marked
@@ -564,8 +525,8 @@ class DDSSession:
           min-cut.
 
         With ``certify=False`` every cached result is evicted unconditionally
-        — the next query per key then re-searches on freshly built networks,
-        which is byte-identical to a cold rebuild (certification instead
+        — the next query per key then re-searches, which is byte-identical
+        to a cold rebuild (certification instead
         promises *correctness*: a certified entry may name a different but
         equally optimal pair than a cold run would when the optimum is
         non-unique).
@@ -614,9 +575,6 @@ class DDSSession:
             report.cores_rebuilt,
             report.max_core_kept,
         ) = refresh_cores(self.graph, self._xy_cores, self._max_core, delta.removal_only)
-
-        report.networks_dropped = len(self._network_cache)
-        self._network_cache.clear()
 
         if self._results:
             tolerance = self.exactness_tolerance()
@@ -821,12 +779,10 @@ class DDSSession:
         """Session-wide cache and flow-engine counters.
 
         Every engine counter (:data:`repro.flow.engine.COUNTERS`:
-        ``flow_calls``, ``networks_built``, ``arcs_pushed``,
-        ``warm_starts_used`` ...) is summed over the session's engines, so it
-        aggregates every query served so far, which is what the
-        repeated-query regression tests pin; the keys are defined once in
-        the stats glossaries of :mod:`repro.flow.engine` and
-        :mod:`repro.core.network_cache`.
+        ``flow_calls``, ``networks_built``, ``arcs_pushed`` ...) is summed
+        over the session's engines, so it aggregates every query served so
+        far, which is what the repeated-query regression tests pin; the keys
+        are defined once in the stats glossary of :mod:`repro.flow.engine`.
         """
         stats: dict[str, Any] = {
             "queries": self._queries,
@@ -837,7 +793,6 @@ class DDSSession:
             "local_research_runs": self._local_research_runs,
             "anytime_returns": self._anytime_returns,
         }
-        stats.update(self._network_cache.stats())
         for counter in COUNTERS:
             stats[counter] = sum(getattr(engine, counter) for engine in self._engines.values())
         auto_backends: dict[str, int] = {}
@@ -850,10 +805,9 @@ class DDSSession:
         return stats
 
     def clear_cache(self) -> None:
-        """Drop every cached result, network, and derived structure."""
+        """Drop every cached result and derived structure."""
         self._warm_state_version += 1
         self._results.clear()
-        self._network_cache.clear()
         self._invalidated_keys.clear()
         self._subproblem = None
         self._out_degrees = None

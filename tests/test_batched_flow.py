@@ -3,10 +3,7 @@
 The batched path must be *observationally identical* to the sequential one:
 per member network, the same canonical min-cut source side, the same
 Dinkelbach bracket evolution (hence the same ``flow_calls``); only the
-wall-clock, the push attribution and the warm/cold split change.  The
-sequential search solves the guesses after a narrowing cut cold on
-narrowed networks while the lockstep members continue warm, so that split
-may differ.
+wall-clock and the push attribution change.
 The hypothesis suite here pins exactly that, member for member, against
 :func:`~repro.core.fixed_ratio.maximize_fixed_ratio`; the solo-solve class
 pins :class:`~repro.flow.batch.BatchedFlowNetwork` against per-network
@@ -31,7 +28,6 @@ from repro.core.exact_dc import dc_exact
 from repro.core.exact_flow import flow_exact
 from repro.core.fixed_ratio import maximize_fixed_ratio, maximize_fixed_ratio_batch
 from repro.core.flow_network import build_decision_network, decision_network_arc_count
-from repro.core.network_cache import NetworkCache
 from repro.core.subproblem import STSubproblem
 from repro.exceptions import AlgorithmError, ConfigError, FlowError
 from repro.flow import registry
@@ -115,7 +111,7 @@ class TestBatchPolicy:
             members.append((network, 0, 2))
         batch = BatchedFlowNetwork(members)
         with pytest.raises(FlowError, match="auto"):
-            FlowEngine("dinic").min_cut_batch(batch, [0, 1], [False, False])
+            FlowEngine("dinic").min_cut_batch(batch, [0, 1])
 
 
 @needs_numpy
@@ -213,9 +209,7 @@ class TestBatchedSolveAgainstSoloSolves:
         count = decision_network_arc_count(STSubproblem.from_graph(graph))
         engine = FlowEngine(AUTO_SOLVER)
         with patched_threshold(count + 1):
-            results = engine.min_cut_batch(
-                batch, list(range(len(fresh))), [False] * len(fresh)
-            )
+            results = engine.min_cut_batch(batch, list(range(len(fresh))))
 
         assert engine.batched_solves == 1
         assert engine.flow_calls == len(fresh)
@@ -245,10 +239,7 @@ def _outcome_key(outcome):
 
     ``arcs_pushed`` is engine-level and intentionally absent: a batched
     solve may distribute interior flow differently (any max flow yields the
-    same canonical cut), so push counts are work metrics, not answers.  The
-    warm/cold split is absent too: the sequential search solves its
-    narrowed guesses cold while the lockstep members continue warm on their
-    stacked networks.
+    same canonical cut), so push counts are work metrics, not answers.
     """
     return (
         outcome.ratio,
@@ -262,7 +253,6 @@ def _outcome_key(outcome):
         outcome.last_surrogate,
         outcome.flow_calls,
         outcome.networks_built,
-        outcome.networks_reused,
         outcome.network_nodes,
         outcome.network_arcs,
     )
@@ -289,7 +279,6 @@ class TestLockstepBitIdentity:
 
         sequential = []
         engine_seq = FlowEngine(AUTO_SOLVER)
-        cache_seq = NetworkCache(8)
         for ratio in ratios:
             sequential.append(
                 maximize_fixed_ratio(
@@ -299,12 +288,10 @@ class TestLockstepBitIdentity:
                     upper=upper,
                     tolerance=tolerance,
                     engine=engine_seq,
-                    network_cache=cache_seq,
                 )
             )
 
         engine_bat = FlowEngine(AUTO_SOLVER)
-        cache_bat = NetworkCache(8)
         with patched_threshold(count + 1):
             batched = maximize_fixed_ratio_batch(
                 subproblem,
@@ -313,7 +300,6 @@ class TestLockstepBitIdentity:
                 upper=upper,
                 tolerance=tolerance,
                 engine=engine_bat,
-                network_cache=cache_bat,
             )
 
         assert [_outcome_key(o) for o in batched] == [_outcome_key(o) for o in sequential]
@@ -325,11 +311,6 @@ class TestLockstepBitIdentity:
         assert engine_bat.flow_calls == sum(o.flow_calls for o in batched)
         assert engine_bat.backend_selections == engine_bat.flow_calls
         assert engine_bat.batched_solves >= 1
-        assert (
-            engine_bat.warm_starts_used + engine_bat.cold_starts
-            == engine_bat.flow_calls
-        )
-        assert engine_bat.warm_starts_used == sum(o.warm_starts_used for o in batched)
 
     def test_batched_search_validates_its_inputs(self):
         graph = gnm_random_digraph(6, 10, seed=1)

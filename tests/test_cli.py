@@ -371,27 +371,18 @@ class TestBatchPlanning:
         {"query": "fixed-ratio", "ratio": 1.0},
     ]
 
-    def test_planned_and_no_plan_agree_on_answers(self, edge_list_file, tmp_path, capsys):
-        path = self._write_queries(tmp_path, self.MIXED)
-        assert main(["batch", "--edge-list", str(edge_list_file), str(path)]) == 0
-        planned = json.loads(capsys.readouterr().out)
-        assert main(["batch", "--edge-list", str(edge_list_file), str(path), "--no-plan"]) == 0
-        unplanned = json.loads(capsys.readouterr().out)
-        # densest payloads carry no order-dependent counters: exact equality.
-        assert planned["results"][0] == unplanned["results"][0]
-        assert planned["results"][0] == planned["results"][3]
-        assert len(planned["results"]) == len(self.MIXED)
-
     def test_explain_reports_plan_and_realized_hits(self, edge_list_file, tmp_path, capsys):
         path = self._write_queries(tmp_path, self.MIXED)
         assert main(["batch", "--edge-list", str(edge_list_file), str(path), "--explain"]) == 0
         payload = json.loads(capsys.readouterr().out)
         plan = payload["plan"]
-        assert plan["planned"] is True
-        assert sorted(plan["execution_order"]) == list(range(len(self.MIXED)))
-        assert plan["predicted"]["result_cache_hits"] >= 1
-        assert plan["realized"]["result_cache_hits"] >= 1
+        # One graph: one lane, run in file order.
+        assert plan["execution_order"] == list(range(len(self.MIXED)))
+        assert plan["lanes"] == {str(edge_list_file): list(range(len(self.MIXED)))}
         assert len(plan["timings"]) == len(self.MIXED)
+        # The repeated densest query is served from the session's result cache.
+        assert payload["session"]["result_cache_hits"] >= 1
+        assert payload["results"][0] == payload["results"][3]
 
     def test_per_query_dataset_routes_to_own_session(self, tmp_path, capsys):
         queries = [

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from flow_oracle import ORACLE_SOLVER
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -311,3 +312,52 @@ class TestExactInstrumentation:
         plain = dc_exact(g, ExactConfig(seed_with_core=False))
         seeded = dc_exact(g, ExactConfig(seed_with_core=True))
         assert plain.density == pytest.approx(seeded.density)
+
+
+#: Every registered solver plus the Edmonds–Karp oracle, which
+#: :class:`TestSolverAgreement` registers through the ``flow_oracle`` fixture.
+SOLVER_NAMES = [*available_flow_solvers(), ORACLE_SOLVER]
+
+
+def _solver_config(solver: str) -> ExactConfig:
+    return ExactConfig(flow=FlowConfig(solver=solver))
+
+
+def _answer(result) -> tuple:
+    """The fields every solver must reproduce: density, pair and flow calls."""
+    return (
+        result.density,
+        sorted(result.s_nodes),
+        sorted(result.t_nodes),
+        result.stats["flow_calls"],
+    )
+
+
+@pytest.mark.usefixtures("flow_oracle")
+class TestSolverAgreement:
+    """Every solver must reproduce ``dinic``'s answers on every exact method.
+
+    This is the one method-level check that runs every registered solver,
+    and the Edmonds–Karp oracle beside them, through all three flow-backed
+    exact methods.
+    """
+
+    @pytest.mark.parametrize("solver", SOLVER_NAMES)
+    @pytest.mark.parametrize("seed", [1, 5, 9])
+    def test_dc_exact_identical_answers(self, solver, seed):
+        graph = gnm_random_digraph(10, 35, seed=seed)
+        result = dc_exact(graph, _solver_config(solver))
+        assert _answer(result) == _answer(dc_exact(graph, _solver_config("dinic")))
+
+    @pytest.mark.parametrize("solver", SOLVER_NAMES)
+    def test_core_exact_identical_answers(self, solver):
+        graph = gnm_random_digraph(12, 50, seed=2)
+        result = core_exact(graph, _solver_config(solver))
+        assert _answer(result) == _answer(core_exact(graph, _solver_config("dinic")))
+
+    def test_flow_exact_identical_answers(self):
+        graph = gnm_random_digraph(8, 22, seed=4)
+        reference = flow_exact(graph, _solver_config("dinic"))
+        for solver in SOLVER_NAMES:
+            result = flow_exact(graph, _solver_config(solver))
+            assert _answer(result) == _answer(reference), solver

@@ -23,7 +23,6 @@ from repro.core.flow_network import (
     build_decision_network,
     decision_cut_is_improving,
 )
-from repro.core.network_cache import NetworkCache
 from repro.core.ratio import all_candidate_ratios
 from repro.core.subproblem import STSubproblem
 from repro.exceptions import AlgorithmError
@@ -111,8 +110,6 @@ class TestDecisionNetwork:
         decision = build_decision_network(sub, ratio=1.0, guess=1.0)
         with pytest.raises(AlgorithmError, match="ratio"):
             decision.retune(ratio, 1.0)
-        with pytest.raises(AlgorithmError, match="ratio"):
-            decision.retune(ratio, 1.0, warm_start=True)
 
     @pytest.mark.parametrize("guess", [math.nan, math.inf])
     def test_non_finite_guess_is_rejected(self, guess):
@@ -121,7 +118,7 @@ class TestDecisionNetwork:
             build_decision_network(sub, ratio=1.0, guess=guess)
         decision = build_decision_network(sub, ratio=1.0, guess=1.0)
         with pytest.raises(AlgorithmError, match="guess"):
-            decision.retune(1.0, guess, warm_start=True)
+            decision.retune(1.0, guess)
 
     def test_decision_above_and_below_optimum(self):
         """mincut < 2m iff the guess is below the surrogate optimum."""
@@ -298,9 +295,9 @@ class _GuessRecorder:
             self.builds += 1
             return real_build(subproblem, ratio, guess)
 
-        def retune(network, ratio, guess, warm_start=False):
+        def retune(network, ratio, guess):
             self.events.append(("guess", guess))
-            return real_retune(network, ratio, guess, warm_start=warm_start)
+            return real_retune(network, ratio, guess)
 
         def extracted(edges, s_size, t_size, ratio):
             if surrogate is None:
@@ -401,7 +398,7 @@ class TestDinkelbachSearch:
             lower=0.0,
             upper=upper,
             tolerance=tolerance,
-            start=(s_seed, t_seed, seed_surrogate),
+            start=(s_seed, t_seed, seed_surrogate, edges),
         )
         assert seeded.upper == pytest.approx(unseeded.upper, abs=tolerance)
         assert seeded.last_surrogate >= seeded.upper - tolerance
@@ -416,14 +413,19 @@ class TestDinkelbachSearch:
         # maximiser, so a search seeded with it only confirms val(a).
         graph = complete_bipartite_digraph(2, 3)
         sub = STSubproblem.from_graph(graph)
-        block = (sub.s_candidates, sub.t_candidates, math.sqrt(6))
+        block = (sub.s_candidates, sub.t_candidates, math.sqrt(6), 6)
         outcome = maximize_fixed_ratio(
             sub, 2.0 / 3.0, lower=0.0, upper=10.0, tolerance=1e-6, start=block
         )
         assert outcome.flow_calls == 1
         assert not outcome.found_pair
         assert outcome.lower == outcome.upper == math.sqrt(6)
-        assert (outcome.last_s, outcome.last_t, outcome.last_surrogate) == block
+        assert (
+            outcome.last_s,
+            outcome.last_t,
+            outcome.last_surrogate,
+            outcome.last_edges,
+        ) == block
 
     def test_lower_below_value_settles_in_two_cuts(self):
         # At the optimal ratio of K_{2,3} the cut at g = 0 extracts the whole
@@ -575,10 +577,9 @@ class TestNestedSearch:
                 sub, ratio, 0.0, upper, tolerance
             ), ratio
 
-    def test_cache_holds_the_search_network_and_narrowed_solves_are_cold(self):
+    def test_search_counts_one_network_and_narrows(self):
         graph = gnm_random_digraph(10, 30, seed=0)
         sub = STSubproblem.from_graph(graph)
-        cache = NetworkCache(8)
         engine = FlowEngine()
         recorder = _GuessRecorder()
         build, retune, surrogate = recorder.patches()
@@ -590,18 +591,11 @@ class TestNestedSearch:
                 upper=global_density_upper_bound(graph),
                 tolerance=1e-9,
                 engine=engine,
-                network_cache=cache,
             )
         assert outcome.flow_calls >= 3
-        assert len(cache) == 1
-        assert (outcome.networks_built, outcome.networks_reused) == (1, 0)
-        assert engine.networks_built == 1
-        narrowed = recorder.builds - 1
-        assert narrowed >= 1
-        # The built network's first solve and every narrowed solve are
-        # cold; the retunes of the search network in between are warm.
-        assert outcome.cold_starts == 1 + narrowed
-        assert outcome.warm_starts_used == outcome.flow_calls - outcome.cold_starts
+        # One search network is counted; the narrowed ones are not.
+        assert outcome.networks_built == engine.networks_built == 1
+        assert recorder.builds - 1 >= 1
         # Sizes stay those of the search network, one entry per cut.
         size = 2 + len(sub.s_candidates) + len(sub.t_candidates)
         assert outcome.network_nodes == [size] * outcome.flow_calls

@@ -3,9 +3,10 @@
 The robustness acceptance criteria, pinned:
 
 * **Cancellation safety** — a solve cancelled at a cooperative checkpoint
-  leaves its warm network in the valid state it had at solve entry, so
-  re-running the query on the same session retunes **bit-identically** to
-  a fresh session (densities *and* node sets compared with ``==``).
+  leaves its network in the valid state it had at solve entry and its
+  session consistent, so re-running the query on the same session answers
+  **bit-identically** to a fresh session (densities *and* node sets
+  compared with ``==``).
   Expiry is driven by an injected stepping clock, so the cancellation
   point is deterministic per parameterisation — no sleeps, no flakes.
 * **Anytime bounds** — the partial carried by a mid-solve
@@ -71,7 +72,7 @@ def _readings_of_whole_run(graph, solver: str) -> int:
 
 
 class TestCancellationSafety:
-    """A cancelled warm network must retune bit-identically."""
+    """A query re-run after a cancellation must answer bit-identically."""
 
     # Budgets chosen to expire at different checkpoint depths: early (the
     # first few engine admissions), mid-search, and deep into the D&C.  A
@@ -107,7 +108,7 @@ class TestCancellationSafety:
         finally:
             engine.deadline = None
 
-        # The cancelled solve left warm networks behind; retuning them must
+        # The cancelled query cached nothing half-done: re-running it must
         # reproduce the fresh session's answer exactly.
         resumed = _answer(session.densest_subgraph("dc-exact"))
         assert resumed == reference

@@ -109,15 +109,6 @@ class TestFlowNetwork:
             net.set_capacity(arc, math.nan)
         assert net.arc_base_capacity(arc) == 1.0
 
-    def test_set_capacity_preserving_flow_rejects_nan(self):
-        net = FlowNetwork(2)
-        arc = net.add_edge(0, 1, 3.0)
-        assert dinic_max_flow(net, 0, 1) == 3.0
-        with pytest.raises(FlowError, match="capacity"):
-            net.set_capacity_preserving_flow(arc, math.nan)
-        assert net.arc_base_capacity(arc) == 3.0
-        assert net.arc_flow(arc) == 3.0
-
     def test_csr_views_consistent_after_add_node(self):
         net = FlowNetwork(2)
         net.add_edge(0, 1, 1.0)

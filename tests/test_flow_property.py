@@ -12,11 +12,7 @@ holds ``dinic`` alone.
 
 Every solver continues from the flow its network already holds and
 returns the *total* value, so solving an already-solved network again must
-reproduce the same value and cut.  The warm/cold equivalence class extends
-the same idea to warm retunes: on random *decision* networks (the DAGs the
-DDS reduction produces), a chain of warm retunes and solves must reproduce,
-guess for guess, the cut values and extracted pairs of cold
-rebuild-and-solve runs — for every solver.
+reproduce the same value and cut.
 
 Because every class parametrises over ``available_flow_solvers()`` plus the
 oracle, the vectorised ``numpy-push-relabel`` backend is covered
@@ -305,46 +301,6 @@ class TestResolveContinuesHeldFlow:
         assert again.min_cut_source_side() == side
 
 
-@pytest.mark.usefixtures("flow_oracle")
-class TestWarmColdEquivalence:
-    """Warm-start chains match cold runs on random decision networks."""
-
-    @pytest.mark.parametrize("solver_name", SOLVER_NAMES)
-    @pytest.mark.parametrize("seed", range(12))
-    def test_warm_chain_matches_cold_chain(self, solver_name, seed):
-        from repro.core.flow_network import build_decision_network
-        from repro.core.subproblem import STSubproblem
-        from repro.flow.engine import FlowEngine
-        from repro.graph.generators import gnm_random_digraph
-
-        rng = random.Random(1000 + seed)
-        graph = gnm_random_digraph(rng.randint(6, 12), rng.randint(15, 45), seed=seed)
-        subproblem = STSubproblem.from_graph(graph)
-        schedule = [
-            (rng.choice([0.5, 1.0, 2.0, 3.0]), rng.uniform(0.0, 4.0)) for _ in range(8)
-        ]
-
-        warm = build_decision_network(subproblem, *schedule[0])
-        engine = FlowEngine(solver_name)
-        first = True
-        for ratio, guess in schedule:
-            warm.retune(ratio, guess, warm_start=not first)
-            cut_warm, solver_warm = engine.min_cut(
-                warm.network, warm.source, warm.sink, warm_start=not first
-            )
-            cold = build_decision_network(subproblem, ratio, guess)
-            cut_cold, solver_cold = FlowEngine(solver_name).min_cut(
-                cold.network, cold.source, cold.sink
-            )
-            assert cut_warm == pytest.approx(cut_cold, abs=1e-7), (solver_name, seed, ratio, guess)
-            assert warm.extract_pair(solver_warm.min_cut_source_side()) == cold.extract_pair(
-                solver_cold.min_cut_source_side()
-            ), (solver_name, seed, ratio, guess)
-            first = False
-        # Every solver continued warm after the first (cold) solve.
-        assert engine.warm_starts_used == len(schedule) - 1
-
-
 #: The production Dinic, checked against the restart reference below.
 DinicSolver = get_solver_class("dinic")
 
@@ -362,7 +318,7 @@ def _solve_state(solver_class, network: FlowNetwork, source: int, sink: int) -> 
 
 
 def _decision_networks(seed: int):
-    """Decision networks at several guesses: cold, warm-retuned, with start flow.
+    """Decision networks at several guesses: cold, and with start flow.
 
     Yields ``(label, network)`` pairs; each network is a fresh object the
     caller may solve.  The start-flow networks route regardless of size.
@@ -376,7 +332,6 @@ def _decision_networks(seed: int):
     graph = gnm_random_digraph(rng.randint(5, 14), rng.randint(10, 60), seed=seed)
     subproblem = STSubproblem.from_graph(graph)
     schedule = [(rng.choice([0.25, 0.5, 1.0, 2.0, 3.0]), rng.uniform(0.0, 4.0)) for _ in range(4)]
-    warm = build_decision_network(subproblem, *schedule[0])
     for step, (ratio, guess) in enumerate(schedule):
         yield f"cold {step}", build_decision_network(subproblem, ratio, guess).network
         started = build_decision_network(subproblem, ratio, guess)
@@ -387,10 +342,6 @@ def _decision_networks(seed: int):
         finally:
             flow_network.START_FLOW_MIN_ARCS = saved
         yield f"start flow {step}", started.network
-        if step:
-            warm.retune(ratio, guess, warm_start=True)
-            yield f"warm {step}", warm.network.clone()
-        DinicSolver(warm.network, warm.source, warm.sink).max_flow()
 
 
 class TestDinicMatchesRestartReference:

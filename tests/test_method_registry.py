@@ -179,10 +179,6 @@ class TestConfigValidation:
         with pytest.raises(FlowError, match="unknown flow solver"):
             FlowConfig(solver="nope")
 
-    def test_flow_config_rejects_negative_cache(self):
-        with pytest.raises(ConfigError, match="network_cache_size"):
-            FlowConfig(network_cache_size=-1)
-
     @pytest.mark.parametrize("bad", [0.0, -0.5])
     def test_approx_config_rejects_bad_epsilon(self, bad):
         with pytest.raises(ConfigError, match="epsilon"):

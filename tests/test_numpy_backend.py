@@ -146,11 +146,13 @@ class TestTrailingArclessNodes:
         engine = FlowEngine(VECTOR_SOLVER)
         value, _ = engine.min_cut(network, 0, 1)
         assert value == pytest.approx(4.0)
-        # Clamp the downstream arc: its tail (node 2) is left holding the
-        # overflow, which the walk cancels back along 0 -> 2.
-        overflow = network.set_capacity_preserving_flow(downstream, 1.0)
-        assert overflow == pytest.approx(3.0)
-        network.return_excess([(2, overflow)], source=0)
+        # Clamp the downstream arc's flow from 4 to 1: its tail (node 2) is
+        # left holding 3 units of excess, which the walk cancels back along
+        # 0 -> 2.
+        caps = network.arc_capacities
+        caps[downstream], caps[downstream + 1] = 0.0, 1.0
+        returned = network._return_excess_vectorised([(2, 3.0)], source=0)
+        assert returned == pytest.approx(3.0)
         assert network.flow_value(0) == pytest.approx(1.0)
 
 
@@ -169,22 +171,23 @@ class TestBitIdenticalCuts:
         assert solver_vec.min_cut_source_side() == solver_ref.min_cut_source_side()
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_warm_retune_chain_cut_matches_dinic(self, seed):
+    def test_retuned_start_flow_chain_cut_matches_dinic(self, seed, monkeypatch):
+        """The search path: retune, route the start flow, solve — per guess."""
+        from repro.core import flow_network
+
+        monkeypatch.setattr(flow_network, "START_FLOW_MIN_ARCS", 0)  # route on small networks too
         rng = random.Random(seed)
         schedule = [(rng.choice([0.5, 1.0, 2.0]), rng.uniform(0.0, 3.0)) for _ in range(6)]
         nets = {name: _random_decision_network(seed) for name in ("dinic", VECTOR_SOLVER)}
         engines = {name: FlowEngine(name) for name in nets}
-        first = True
         for ratio, guess in schedule:
             sides = {}
             for name, decision in nets.items():
-                decision.retune(ratio, guess, warm_start=not first)
-                _, solver = engines[name].min_cut(
-                    decision.network, decision.source, decision.sink, warm_start=not first
-                )
+                decision.retune(ratio, guess)
+                decision.route_start_flow()
+                _, solver = engines[name].min_cut(decision.network, decision.source, decision.sink)
                 sides[name] = solver.min_cut_source_side()
             assert sides[VECTOR_SOLVER] == sides["dinic"], (seed, ratio, guess)
-            first = False
 
 
 class TestAutoPolicy:

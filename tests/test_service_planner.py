@@ -1,13 +1,13 @@
-"""The cache-aware batch planner and the concurrent executor.
+"""The batch planner and the concurrent executor.
 
-Pins the two service-tier acceptance criteria:
+Pins the service-tier acceptance criteria:
 
-* **Permutation safety** — any execution order of a batch (the planner's,
-  file order, or a random permutation) yields bit-identical per-query
-  *answers*; only the instrumentation counters may differ (property test).
-* **Cache effectiveness** — on the mixed E6-style workload the planned
-  order records strictly more result + network cache hits than ``--no-plan``
-  file order (the regression pin behind the smoke gate).
+* **Graph lanes** — the plan is one contiguous lane per graph, in
+  first-appearance order, each lane in file order.
+* **Permutation safety** — any execution order of a batch (file order, the
+  lane order of a multi-graph batch, or a random permutation) yields
+  bit-identical per-query *answers*; only the instrumentation counters may
+  differ (property test).
 """
 
 from __future__ import annotations
@@ -18,14 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.workloads import service_mixed_workload
-from repro.core.config import FlowConfig
 from repro.datasets.registry import load_dataset
 from repro.exceptions import BatchQueryError, ConfigError
 from repro.service import BatchExecutor, payload_answer, plan_batch
 from repro.service.queries import run_batch_query
 from repro.session import DDSSession
-from repro.service.planner import PHASE_EXACT, PHASE_PROBE, PHASE_SEED
 
 MIXED = [
     {"query": "densest", "method": "core-exact"},
@@ -45,26 +42,10 @@ def _executor(**kwargs) -> BatchExecutor:
 
 class TestPlanShape:
     def test_identity_plan_preserves_file_order(self):
-        plan = plan_batch(MIXED, default_graph_key="foodweb-tiny", planned=False)
+        """A single-graph batch is one lane, in file order."""
+        plan = plan_batch(MIXED, default_graph_key="foodweb-tiny")
         assert [entry.index for entry in plan.entries] == list(range(len(MIXED)))
-        assert plan.moves == 0 and plan.planned is False
-
-    def test_phases_order_approx_before_probes_before_exact(self):
-        plan = plan_batch(MIXED, default_graph_key="foodweb-tiny")
-        phases = [entry.phase for entry in plan.entries]
-        assert phases == sorted(phases)
-        by_index = {entry.index: entry.phase for entry in plan.entries}
-        assert by_index[2] == PHASE_SEED  # core-approx seeds
-        assert by_index[1] == PHASE_PROBE  # fixed-ratio probes
-        assert by_index[0] == PHASE_EXACT  # core-exact runs last
-
-    def test_identical_queries_become_adjacent(self):
-        plan = plan_batch(MIXED, default_graph_key="foodweb-tiny")
-        order = [entry.index for entry in plan.entries]
-        # The two identical fixed-ratio probes and the two identical densest
-        # queries must sit next to each other in the planned order.
-        assert abs(order.index(1) - order.index(6)) == 1
-        assert abs(order.index(0) - order.index(4)) == 1
+        assert list(plan.lanes) == ["foodweb-tiny"]
 
     def test_graph_affinity_makes_contiguous_lanes(self):
         queries = [
@@ -76,17 +57,23 @@ class TestPlanShape:
         plan = plan_batch(queries, default_graph_key="foodweb-tiny")
         keys = [entry.graph_key for entry in plan.entries]
         assert keys == ["foodweb-tiny", "foodweb-tiny", "social-tiny", "social-tiny"]
+        assert [entry.index for entry in plan.entries] == [0, 2, 1, 3]
         assert set(plan.lanes) == {"foodweb-tiny", "social-tiny"}
 
-    def test_explain_reports_groups_and_predictions(self):
-        plan = plan_batch(MIXED, default_graph_key="foodweb-tiny")
+    def test_explain_reports_order_and_lanes(self):
+        queries = [
+            {**spec, "dataset": "social-tiny"} if index % 3 == 0 else spec
+            for index, spec in enumerate(MIXED)
+        ]
+        plan = plan_batch(queries, default_graph_key="foodweb-tiny")
         explanation = plan.explain()
         assert explanation["queries"] == len(MIXED)
-        assert sorted(explanation["execution_order"]) == list(range(len(MIXED)))
-        assert explanation["predicted"]["result_cache_hits"] >= 1
-        assert explanation["predicted"]["network_cache_hits"] >= 1
-        regrouped = [index for group in explanation["groups"] for index in group["queries"]]
-        assert regrouped == explanation["execution_order"]
+        assert explanation["execution_order"] == [entry.index for entry in plan.entries]
+        assert explanation["lanes"] == {
+            "social-tiny": [0, 3, 6],
+            "foodweb-tiny": [1, 2, 4, 5, 7],
+        }
+        json.dumps(explanation)
 
     def test_deterministic(self):
         first = plan_batch(MIXED, default_graph_key="g")
@@ -106,53 +93,25 @@ class TestPermutationSafety:
     @settings(max_examples=8, deadline=None)
     @given(st.permutations(list(range(len(MIXED)))))
     def test_any_permutation_yields_bit_identical_answers(self, permutation):
-        """Acceptance pin: plan order is a pure performance decision."""
-        executor = _executor(flow=FlowConfig(network_cache_size=4))
-        reference = executor.execute(
-            plan_batch(MIXED, default_graph_key="foodweb-tiny", planned=False)
-        )
+        """Acceptance pin: execution order is a pure performance decision."""
+        executor = _executor()
+        reference = executor.execute(plan_batch(MIXED, default_graph_key="foodweb-tiny"))
         shuffled = [MIXED[i] for i in permutation]
-        permuted = executor.execute(
-            plan_batch(shuffled, default_graph_key="foodweb-tiny", planned=False)
-        )
+        permuted = executor.execute(plan_batch(shuffled, default_graph_key="foodweb-tiny"))
         reference_answers = [payload_answer(p) for p in reference.results_in_input_order()]
         permuted_answers = [payload_answer(p) for p in permuted.results_in_input_order()]
         assert permuted_answers == [reference_answers[i] for i in permutation]
 
     def test_planned_equals_file_order_answers(self):
-        executor = _executor()
-        planned = executor.execute(plan_batch(MIXED, default_graph_key="foodweb-tiny"))
-        unplanned = executor.execute(
-            plan_batch(MIXED, default_graph_key="foodweb-tiny", planned=False)
-        )
+        """Lanes reorder an interleaved two-graph batch; the answers do not move."""
+        graphs = ("foodweb-tiny", "social-tiny")
+        queries = [{**spec, "dataset": graphs[index % 2]} for index, spec in enumerate(MIXED)]
+        planned = _executor().execute(plan_batch(queries))
+        sessions = {key: DDSSession(load_dataset(key)) for key in graphs}
+        file_order = [run_batch_query(sessions[spec["dataset"]], spec) for spec in queries]
         assert [payload_answer(p) for p in planned.results_in_input_order()] == [
-            payload_answer(p) for p in unplanned.results_in_input_order()
+            payload_answer(p) for p in file_order
         ]
-
-
-class TestCacheEffectiveness:
-    def test_planned_order_beats_file_order_on_mixed_workload(self):
-        """Acceptance pin: strictly more result/network cache hits than file
-        order on the E6-style mixed workload (the smoke gate's assertion)."""
-        queries = service_mixed_workload()
-        executor = _executor(flow=FlowConfig(network_cache_size=8))
-        planned = executor.execute(plan_batch(queries, default_graph_key="social-tiny"))
-        unplanned = executor.execute(
-            plan_batch(queries, default_graph_key="social-tiny", planned=False)
-        )
-        planned_hits = planned.realized_cache_hits()
-        file_hits = unplanned.realized_cache_hits()
-        assert sum(planned_hits.values()) > sum(file_hits.values())
-        # The mechanism: grouped repeats survive the LRU network cache.
-        assert planned_hits["network_cache_hits"] > file_hits["network_cache_hits"]
-
-    def test_predictions_are_realized_on_planned_order(self):
-        queries = service_mixed_workload()
-        plan = plan_batch(queries, default_graph_key="foodweb-tiny")
-        report = _executor(flow=FlowConfig(network_cache_size=8)).execute(plan)
-        realized = report.realized_cache_hits()
-        assert realized["result_cache_hits"] >= plan.predicted_result_cache_hits
-        assert realized["network_cache_hits"] >= plan.predicted_network_cache_hits
 
 
 class TestExecutor:

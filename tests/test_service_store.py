@@ -310,6 +310,56 @@ class TestIntegrity:
         assert counters["results_loaded"] == 1
         assert receiver.densest_subgraph("core-approx").stats["result_cache_hit"] is True
 
+    def test_entry_with_a_removed_config_field_is_incompatible_not_corrupt(
+        self, graph, tmp_path
+    ):
+        """An entry saved when ``FlowConfig`` still had ``network_cache_size``.
+
+        Every stored config embeds its nested flow config, so each entry of
+        that build carries the field; it is intact, but this build cannot
+        rebuild its config, and the rest of the graph's state still loads.
+        """
+        import hashlib
+
+        store = SessionStore(tmp_path)
+        donor = DDSSession(graph)
+        donor.densest_subgraph("core-approx")
+        store.save_session(donor)
+        [graph_dir] = (tmp_path / "graphs").iterdir()
+        payload = {
+            "method": "dc-exact",
+            "config_type": "ExactConfig",
+            "config": {
+                "tolerance": None,
+                "leaf_ratio_count": 2,
+                "seed_with_core": False,
+                "node_limit": None,
+                "flow": {
+                    "solver": "dinic",
+                    "network_cache_size": 64,
+                    "batch_size": 32,
+                    "deadline_ms": None,
+                },
+            },
+            "result": DDSSession(graph).densest_subgraph("dc-exact").to_dict(),
+        }
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        document = {"checksum": hashlib.sha256(canonical.encode()).hexdigest(), "payload": payload}
+        (graph_dir / "results" / ("0" * 32 + ".json")).write_text(json.dumps(document))
+
+        receiver = DDSSession(load_dataset("foodweb-tiny"))
+        counters = store.warm_session(receiver)
+        assert counters == {
+            "results_loaded": 1,
+            "results_corrupt": 0,
+            "results_incompatible": 1,
+            "derived_loaded": 1,
+            "derived_corrupt": 0,
+            "manifest_corrupt": 0,
+        }
+        assert receiver.densest_subgraph("core-approx").stats["result_cache_hit"] is True
+        assert receiver.densest_subgraph("dc-exact").stats["result_cache_hit"] is False
+
 
 class TestManagement:
     def test_inventory_and_clear(self, graph, tmp_path):

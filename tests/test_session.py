@@ -4,9 +4,9 @@ Covers the acceptance criteria of the session redesign:
 
 * repeated queries hit the session result cache (counters exposed via
   ``cache_stats()`` and ``stats["result_cache_hit"]``);
-* the session serves top-k and coarse→refine DC query sequences with
-  **strictly fewer** ``networks_built`` than the equivalent sequence of
-  queries on a fresh session each (regression-pinned);
+* the session serves a top-k after its densest query with **strictly
+  fewer** ``networks_built`` than the equivalent queries on a fresh session
+  each (regression-pinned), while every search builds its own network;
 * ``"auto"`` method selection switches exactly at ``AUTO_EXACT_NODE_LIMIT``;
 * a ``flow_solver=`` name is validated on every method and applied only by
   the flow-backed ones;
@@ -22,7 +22,7 @@ import warnings
 import pytest
 
 import repro.session.session as session_module
-from repro.core.config import ExactConfig
+from repro.core.config import ExactConfig, FlowConfig
 from repro.core.results import DDSResult
 from repro.datasets.registry import load_dataset
 from repro.exceptions import (
@@ -182,8 +182,6 @@ class TestResultCache:
         assert second.density == third.density == first.density
 
     def test_seeded_result_is_keyed_without_deadline(self):
-        from repro.core.config import FlowConfig
-
         graph = load_dataset("foodweb-tiny")
         answer = DDSSession(graph).densest_subgraph("core-exact")
         session = DDSSession(graph)
@@ -233,117 +231,21 @@ class TestNetworkReuseRegressions:
         assert served.density == one_shot.density
         assert [r.density for r in served_topk] == [r.density for r in one_shot_topk]
 
-    def test_coarse_refine_dc_probes_hit_session_cache(self):
-        graph = load_dataset("foodweb-tiny")
-
-        coarse_cfg = ExactConfig(tolerance=0.05)
-        one_shot_networks = (
-            _fresh(graph, "dc-exact", config=coarse_cfg).stats["networks_built"]
-            + _fresh(graph, "dc-exact").stats["networks_built"]
-        )
-
-        session = DDSSession(graph)
-        coarse = session.densest_subgraph("dc-exact", config=coarse_cfg)
-        refined = session.densest_subgraph("dc-exact")
-        session_networks = session.cache_stats()["networks_built"]
-
-        assert session_networks < one_shot_networks
-        assert session.cache_stats()["network_cache_hits"] > 0
-        assert refined.stats["networks_reused"] > 0
-        assert refined.density == pytest.approx(coarse.density, abs=0.05)
-
     def test_within_run_network_accounting(self):
         # A one-shot DC run uses exactly one network per fixed-ratio search.
         result = _fresh(load_dataset("foodweb-tiny"), "dc-exact")
         stats = result.stats
-        assert stats["networks_built"] + stats["networks_reused"] == stats["fixed_ratio_searches"]
+        assert stats["networks_built"] == stats["fixed_ratio_searches"]
 
-    def test_per_query_cache_disable_is_honoured(self):
-        from repro.core.config import FlowConfig
-
-        session = DDSSession(load_dataset("foodweb-tiny"))
-        cfg = ExactConfig(flow=FlowConfig(network_cache_size=0))
-        result = session.densest_subgraph("dc-exact", config=cfg)
-        # The query ran uncached: nothing deposited in the session cache and
-        # no within-run probe reuse either.
-        assert session.cache_stats()["network_cache_entries"] == 0
-        assert result.stats["networks_reused"] == 0
-        assert result.stats["networks_built"] == result.stats["fixed_ratio_searches"]
-
-    def test_flow_exact_does_not_flood_session_network_cache(self):
-        session = DDSSession(load_dataset("foodweb-tiny"))
-        session.densest_subgraph("core-exact")
-        entries_before = session.cache_stats()["network_cache_entries"]
-        assert entries_before > 0
-        # flow-exact's O(n^2) single-use networks run on a private cache, so
-        # the session's reusable dc/core networks survive.
-        session.densest_subgraph("flow-exact")
-        assert session.cache_stats()["network_cache_entries"] == entries_before
-        repeat = session.densest_subgraph("core-exact", tolerance=1e-7)
-        assert repeat.stats["networks_reused"] > 0
-
-    def test_per_query_cache_disable_covers_all_topk_rounds(self):
-        from repro.core.config import FlowConfig
-
-        session = DDSSession(load_dataset("foodweb-tiny"))
-        cfg = ExactConfig(flow=FlowConfig(network_cache_size=0))
-        results = session.top_k(3, method="dc-exact", config=cfg)
-        assert len(results) >= 2
-        for result in results:
-            assert result.stats["networks_reused"] == 0
-        assert session.cache_stats()["network_cache_entries"] == 0
-
-    def test_network_observer_fires_on_cache_hits_too(self):
-        from repro.core.fixed_ratio import maximize_fixed_ratio
-        from repro.core.network_cache import NetworkCache
-        from repro.core.subproblem import STSubproblem
-
-        subproblem = STSubproblem.from_graph(gnm_random_digraph(10, 40, seed=5))
-        cache = NetworkCache()
-        sizes: list[tuple[int, int]] = []
-        for _ in range(2):
-            maximize_fixed_ratio(
-                subproblem,
-                1.0,
-                lower=0.0,
-                upper=10.0,
-                tolerance=0.5,
-                network_cache=cache,
-                network_observer=lambda nodes, arcs: sizes.append((nodes, arcs)),
-            )
-        # One observation per search — the second search reused the cached
-        # network but must still be observed.
-        assert len(sizes) == 2
-        assert sizes[0] == sizes[1]
-
-    def test_subproblem_token_is_captured_at_construction(self):
-        from repro.core.subproblem import STSubproblem
-
-        graph = complete_bipartite_digraph(2, 3)
-        subproblem = STSubproblem.from_graph(graph)
-        token_before = subproblem.cache_token()
-        graph.add_edge("t0", "s0")
-        # The token must keep describing the state the edges were carved
-        # from, not the mutated graph.
-        assert subproblem.cache_token() == token_before
-        assert STSubproblem.from_graph(graph).cache_token() != token_before
-
-    def test_topk_rounds_do_not_pollute_session_network_cache(self):
-        session = DDSSession(load_dataset("foodweb-tiny"))
-        session.densest_subgraph("core-exact")
-        entries_before = session.cache_stats()["network_cache_entries"]
-        # Rounds >= 2 run on throwaway peeled copies; their networks must not
-        # land in (and eventually evict) the session graph's cache.
-        session.top_k(3, method="core-exact")
-        assert session.cache_stats()["network_cache_entries"] == entries_before
-
-    def test_fixed_ratio_coarse_refine_reuses_network(self):
+    def test_repeated_fixed_ratio_probe_builds_its_own_network(self):
+        """No decision network outlives its search: a repeat is a fresh probe."""
         session = DDSSession(gnm_random_digraph(12, 50, seed=7))
-        coarse = session.fixed_ratio(1.0, tolerance=0.2)
-        refined = session.fixed_ratio(1.0, tolerance=1e-6)
-        assert coarse.networks_built + coarse.networks_reused == 1
-        assert refined.networks_built == 0 and refined.networks_reused == 1
-        assert refined.upper - refined.lower <= coarse.upper - coarse.lower
+        first = session.fixed_ratio(1.0, tolerance=1e-6)
+        second = session.fixed_ratio(1.0, tolerance=1e-6)
+        assert first.networks_built == second.networks_built == 1
+        assert second == first
+        assert second.lower.hex() == first.lower.hex()
+        assert second.upper.hex() == first.upper.hex()
 
 
 class TestMaxCoreWalks:
@@ -472,6 +374,16 @@ class TestFlowSolverIgnored:
         result = session.densest_subgraph("dc-exact", flow_solver=flow_oracle)
         assert result.stats["flow_solver"] == flow_oracle
 
+    def test_config_only_flow_change_does_not_warn_solver_ignored(self):
+        """Changing a flow knob other than the solver is not a solver request."""
+        session = DDSSession(complete_bipartite_digraph(2, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            result = session.densest_subgraph(
+                "brute-force", config=ExactConfig(flow=FlowConfig(deadline_ms=60_000))
+            )
+        assert "flow_solver_ignored" not in result.stats
+
 
 class TestToJson:
     def test_stable_schema_roundtrip(self):
@@ -495,7 +407,6 @@ class TestToJson:
         # Cache-hit stats ride along in the stats block.
         assert document["stats"]["result_cache_hit"] is False
         assert "networks_built" in document["stats"]
-        assert "networks_reused" in document["stats"]
 
     def test_non_json_labels_are_stringified(self):
         graph = DiGraph.from_edges([((1, "a"), (2, "b"))])
