@@ -40,21 +40,6 @@ E6-style workload (:func:`repro.bench.workloads.service_mixed_workload`) run
 in file order and in reverse order must return bit-identical per-query
 answers, compared by input index.
 
-Finally, when numpy is importable the smoke gates the vectorised flow
-backend: on the large E6 workload (dc-exact over ``er-medium``, whose
-decision networks sit far above the ``auto`` arc threshold) the
-``numpy-push-relabel`` backend must return the **bit-identical** densest
-subgraph **in strictly lower wall-clock time** than ``dinic`` (best of five
-alternating runs each), and the
-``auto`` policy must actually select it (``backend_selections`` > 0) —
-plus the batched-solve parity gate: on the small guess-sequence workload
-(flow-exact over ``foodweb-tiny``, whose decision networks are each *below*
-the auto threshold) the block-diagonal batched auto run must return the
-bit-identical subgraph of a batching-disabled auto run with the same
-``flow_calls``, while actually batching (``batched_solves`` > 0) onto the
-vectorised backend.  Without numpy the gates report themselves skipped
-(registry degradation is covered by the test suite).
-
 The **incremental update gate** replays a deterministic edge-update
 stream through one session's ``apply_updates``: with certification disabled
 every post-delta answer must be bit-identical to a cold session on the
@@ -109,7 +94,6 @@ from repro.core.config import FlowConfig
 from repro.core.fixed_ratio import maximize_fixed_ratio
 from repro.core.ratio import all_candidate_ratios
 from repro.datasets.registry import dataset_names, load_dataset
-from repro.flow.registry import VECTOR_SOLVER, has_vector_backend
 from repro.graph.generators import edge_update_stream
 from repro.service import BatchExecutor, payload_answer, plan_batch
 from repro.session import DDSSession
@@ -268,158 +252,6 @@ def run_planner_smoke(failures: list[str]) -> dict:
         "queries": len(queries),
         "file_result_hits": file_order.aggregate_stats().get("result_cache_hits", 0),
         "reversed_result_hits": reversed_order.aggregate_stats().get("result_cache_hits", 0),
-    }
-
-
-#: Dataset + method of the vector-backend smoke gate: the largest workload
-#: the smoke can afford, with decision networks (~27k arcs) far above the
-#: auto policy's threshold.
-VECTOR_SMOKE_DATASET = "er-medium"
-VECTOR_SMOKE_METHOD = "dc-exact"
-#: Timed runs per arm of the vector-backend gate (the best one counts).
-VECTOR_SMOKE_REPEATS = 5
-
-
-def run_vector_smoke(failures: list[str]) -> dict:
-    """Vector-backend gate: bit-identical answers, strictly lower wall-clock.
-
-    Runs :data:`VECTOR_SMOKE_METHOD` on :data:`VECTOR_SMOKE_DATASET`
-    :data:`VECTOR_SMOKE_REPEATS` times each with ``dinic`` and with
-    ``numpy-push-relabel`` (fresh sessions, alternating), asserting
-    (1) bit-identical density and vertex sets, (2) strictly lower best
-    numpy wall-clock on this large workload, and (3) that the ``auto``
-    policy selects the vectorised backend here.  Appends failure strings to
-    ``failures`` and returns a table row with each arm's fastest and
-    slowest run; when numpy is missing the gate is reported as skipped
-    instead of failing.
-    """
-    if not has_vector_backend():
-        return {
-            "dataset": VECTOR_SMOKE_DATASET,
-            "method": VECTOR_SMOKE_METHOD,
-            "status": "skipped (numpy not importable)",
-        }
-    graph = load_dataset(VECTOR_SMOKE_DATASET)
-    walls: dict[str, list[float]] = {"dinic": [], VECTOR_SOLVER: []}
-    results = {}
-    # Best of VECTOR_SMOKE_REPEATS, alternating the arms: the margin is
-    # 1.1-1.3x, so a noisy-neighbour stall on a shared CI runner during one
-    # arm's runs must not flip the strict wall-clock comparison.
-    for _ in range(VECTOR_SMOKE_REPEATS):
-        for solver in walls:
-            session = DDSSession(graph.copy(), flow=FlowConfig(solver=solver))
-            start = time.perf_counter()
-            results[solver] = session.densest_subgraph(VECTOR_SMOKE_METHOD)
-            walls[solver].append(time.perf_counter() - start)
-    dinic_wall, dinic_result = min(walls["dinic"]), results["dinic"]
-    numpy_wall, numpy_result = min(walls[VECTOR_SOLVER]), results[VECTOR_SOLVER]
-    if (
-        dinic_result.density != numpy_result.density
-        or sorted(map(str, dinic_result.s_nodes)) != sorted(map(str, numpy_result.s_nodes))
-        or sorted(map(str, dinic_result.t_nodes)) != sorted(map(str, numpy_result.t_nodes))
-    ):
-        failures.append(
-            f"vector backend: {VECTOR_SOLVER} and dinic disagree on the "
-            f"{VECTOR_SMOKE_DATASET} subgraph "
-            f"({numpy_result.density} vs {dinic_result.density})"
-        )
-    if numpy_wall >= dinic_wall:
-        failures.append(
-            f"vector backend: {VECTOR_SOLVER} wall-clock {numpy_wall:.2f}s is not "
-            f"strictly below dinic's {dinic_wall:.2f}s on the large workload"
-        )
-    auto_session = DDSSession(graph.copy(), flow=FlowConfig(solver="auto"))
-    auto_session.densest_subgraph(VECTOR_SMOKE_METHOD)
-    auto_stats = auto_session.cache_stats()
-    if auto_stats.get("auto_backends", {}).get(VECTOR_SOLVER, 0) < 1:
-        failures.append(
-            "vector backend: the auto policy never selected "
-            f"{VECTOR_SOLVER} on {VECTOR_SMOKE_DATASET} "
-            f"(auto_backends: {auto_stats.get('auto_backends')!r})"
-        )
-    return {
-        "dataset": VECTOR_SMOKE_DATASET,
-        "method": VECTOR_SMOKE_METHOD,
-        "dinic_ms": round(dinic_wall * 1000, 1),
-        "dinic_max_ms": round(max(walls["dinic"]) * 1000, 1),
-        "numpy_ms": round(numpy_wall * 1000, 1),
-        "numpy_max_ms": round(max(walls[VECTOR_SOLVER]) * 1000, 1),
-        "speedup": round(dinic_wall / numpy_wall, 2),
-        "backend_selections": auto_stats.get("backend_selections", 0),
-    }
-
-
-#: Dataset + method of the batched-solve parity gate: a guess-sequence
-#: workload whose decision networks (~300 arcs each) all sit below the auto
-#: arc threshold — the regime where sequential vector solves lose to dinic
-#: and the block-diagonal batch wins the vector width back.
-BATCH_SMOKE_DATASET = "foodweb-tiny"
-BATCH_SMOKE_METHOD = "flow-exact"
-
-
-def run_batched_smoke(failures: list[str]) -> dict:
-    """Batched-solve gate: bit-identical to the sequential auto run, and real.
-
-    Runs :data:`BATCH_SMOKE_METHOD` on :data:`BATCH_SMOKE_DATASET` under the
-    ``auto`` policy with batching disabled (``batch_size=1``) and enabled
-    (the default), asserting (1) bit-identical density and vertex sets,
-    (2) identical ``flow_calls`` (the lockstep search replays the sequential
-    guess sequence exactly), and (3) that batching actually engaged —
-    ``batched_solves`` > 0 with the vectorised backend recorded in
-    ``auto_backends``.  Appends failure strings to ``failures`` and returns a table row; when
-    numpy is missing the gate reports itself skipped.
-    """
-    if not has_vector_backend():
-        return {
-            "dataset": BATCH_SMOKE_DATASET,
-            "method": BATCH_SMOKE_METHOD,
-            "status": "skipped (numpy not importable)",
-        }
-    graph = load_dataset(BATCH_SMOKE_DATASET)
-    runs = {}
-    for batch_size in (1, FlowConfig().batch_size):
-        session = DDSSession(
-            graph.copy(), flow=FlowConfig(solver="auto", batch_size=batch_size)
-        )
-        start = time.perf_counter()
-        result = session.densest_subgraph(BATCH_SMOKE_METHOD)
-        wall = time.perf_counter() - start
-        runs[batch_size] = (wall, result, session.cache_stats())
-    seq_wall, seq_result, _ = runs[1]
-    bat_wall, bat_result, bat_stats = runs[FlowConfig().batch_size]
-    if (
-        seq_result.density != bat_result.density
-        or sorted(map(str, seq_result.s_nodes)) != sorted(map(str, bat_result.s_nodes))
-        or sorted(map(str, seq_result.t_nodes)) != sorted(map(str, bat_result.t_nodes))
-    ):
-        failures.append(
-            f"batched solve: batched and sequential auto runs disagree on the "
-            f"{BATCH_SMOKE_DATASET} subgraph "
-            f"({bat_result.density} vs {seq_result.density})"
-        )
-    if bat_result.stats["flow_calls"] != seq_result.stats["flow_calls"]:
-        failures.append(
-            f"batched solve: flow_calls {bat_result.stats['flow_calls']} != "
-            f"sequential {seq_result.stats['flow_calls']} "
-            "(the lockstep search no longer replays the guess sequence)"
-        )
-    if bat_stats.get("batched_solves", 0) < 1:
-        failures.append(
-            f"batched solve: batched_solves {bat_stats.get('batched_solves')} on "
-            f"{BATCH_SMOKE_DATASET}/{BATCH_SMOKE_METHOD} — batching never engaged"
-        )
-    if bat_stats.get("auto_backends", {}).get(VECTOR_SOLVER, 0) < 1:
-        failures.append(
-            "batched solve: the auto policy never put batched members on "
-            f"{VECTOR_SOLVER} (auto_backends: {bat_stats.get('auto_backends')!r})"
-        )
-    return {
-        "dataset": BATCH_SMOKE_DATASET,
-        "method": BATCH_SMOKE_METHOD,
-        "sequential_ms": round(seq_wall * 1000, 1),
-        "batched_ms": round(bat_wall * 1000, 1),
-        "batched_solves": bat_stats.get("batched_solves", 0),
-        "flow_calls": bat_result.stats["flow_calls"],
     }
 
 
@@ -883,10 +715,6 @@ def run_smoke() -> int:
     print(format_table(run_probe_smoke(failures), title="E6 smoke: seeded-probe gate"))
     planner_row = run_planner_smoke(failures)
     print(format_table([planner_row], title="E6 smoke: batch-order answer gate"))
-    vector_row = run_vector_smoke(failures)
-    print(format_table([vector_row], title="E6 smoke: vectorised-backend gate"))
-    batched_row = run_batched_smoke(failures)
-    print(format_table([batched_row], title="E6 smoke: batched-solve parity gate"))
     update_row = run_update_smoke(failures)
     print(format_table([update_row], title="E6 smoke: incremental update gate"))
     procpool_row = run_procpool_smoke(failures)

@@ -7,11 +7,11 @@ offline evaluation environment) keep working.
 Extras
 ------
 ``vector``
-    numpy, enabling the vectorised ``numpy-push-relabel`` flow backend and
-    the bulk-array fast paths in the retune/excess-return machinery.  The
-    package is fully functional without it: the solver registry simply does
-    not list the vectorised backend and ``flow_solver="auto"`` resolves to
-    ``dinic`` everywhere.
+    numpy, which speeds up the bulk build of a decision network, the
+    penalty sweep of its retune and the start flow routed before each
+    solve.  The package is fully functional without it: every min-cut runs
+    ``dinic`` either way, the build and retune fall back to scalar loops,
+    and each solve starts from zero flow instead of the routed start flow.
 """
 
 from setuptools import setup

@@ -73,9 +73,8 @@ def _add_method_options(parser: argparse.ArgumentParser, *, with_quality: bool) 
         "--flow-solver",
         default=None,
         choices=flow_solver_choices(),
-        help="max-flow backend for the flow-backed exact methods (default: dinic; "
-        "'auto' picks the vectorised numpy backend for large decision networks "
-        "when numpy is installed)",
+        help="max-flow solver for the flow-backed exact methods (default: dinic; "
+        "'auto' also runs dinic)",
     )
     if with_quality:
         parser.add_argument(
@@ -374,9 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="maximum concurrent per-graph sessions (default: one per graph); "
-        "with the numpy flow backend ('--flow-solver numpy-push-relabel' or "
-        "'auto') the per-graph lanes run genuinely in parallel, because the "
-        "vectorised solver releases the GIL inside its bulk array operations",
+        "thread lanes share the GIL, so they overlap waits but not compute: "
+        "--process-pool or --remote gives real parallelism",
     )
     batch.add_argument(
         "--flow-solver",

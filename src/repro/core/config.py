@@ -4,8 +4,8 @@ The session-oriented public API (:class:`repro.session.DDSSession`) and the
 method registry (:mod:`repro.core.method_registry`) replace the historical
 ``**kwargs`` funnel with three small frozen dataclasses:
 
-* :class:`FlowConfig` — max-flow backend selection, batching and the
-  per-query budget, shared by every flow-backed exact method;
+* :class:`FlowConfig` — max-flow solver selection and the per-query
+  budget, shared by every flow-backed exact method;
 * :class:`ExactConfig` — the knobs of the exact solvers (``flow-exact``,
   ``dc-exact``, ``core-exact``, ``brute-force``);
 * :class:`ApproxConfig` — the knobs of the approximation family
@@ -102,18 +102,7 @@ class FlowConfig(MethodConfig):
     ----------
     solver:
         Registry name of the max-flow solver (see :mod:`repro.flow.registry`),
-        or ``"auto"`` — the engine then picks the vectorised
-        ``numpy-push-relabel`` backend for decision networks at or above the
-        arc threshold and ``dinic`` below it (and everywhere when numpy is
-        not installed), recording each choice as ``backend_selections``.
-    batch_size:
-        Under the ``"auto"`` policy, up to this many fixed-ratio searches
-        over the same sub-problem are run in lockstep as one block-diagonal
-        batched solve whenever their *aggregate* arc count clears the auto
-        threshold that each network misses alone (see
-        :class:`repro.flow.batch.BatchedFlowNetwork` and
-        ``batched_solves`` in the stats glossary).  ``1`` disables batching;
-        explicit solver names are never batched.
+        or ``"auto"``, which runs the default solver, ``dinic``.
     deadline_ms:
         Per-query time budget in milliseconds, or ``None`` (no deadline).
         When set, a monotonic :class:`repro.runtime.Deadline` is armed at
@@ -124,17 +113,11 @@ class FlowConfig(MethodConfig):
     """
 
     solver: str = DEFAULT_SOLVER
-    batch_size: int = 32
     deadline_ms: float | None = None
 
     def __post_init__(self) -> None:
-        # Resolve the name eagerly so an unknown solver fails at config time
-        # ("auto" is accepted as a policy and resolved per network).
+        # Resolve the name eagerly so an unknown solver fails at config time.
         validate_solver_choice(self.solver)
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise ConfigError(
-                f"batch_size must be an int >= 1, got {self.batch_size!r}"
-            )
         if self.deadline_ms is not None:
             if isinstance(self.deadline_ms, bool) or not isinstance(
                 self.deadline_ms, (int, float)
@@ -187,7 +170,7 @@ class ExactConfig(MethodConfig):
         ):
             raise ConfigError(f"node_limit must be an int >= 1, got {self.node_limit!r}")
         if isinstance(self.flow, str):
-            # Convenience: ExactConfig(flow="numpy-push-relabel").
+            # Convenience: ExactConfig(flow="dinic").
             object.__setattr__(self, "flow", FlowConfig(solver=self.flow))
         elif not isinstance(self.flow, FlowConfig):
             raise ConfigError(f"flow must be a FlowConfig or solver name, got {self.flow!r}")

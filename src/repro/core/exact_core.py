@@ -51,6 +51,5 @@ def core_exact(
         leaf_ratio_count=cfg.leaf_ratio_count,
         flow_solver=cfg.flow.solver,
         engine=engine,
-        batch_size=cfg.flow.batch_size,
         max_core=max_core,
     )

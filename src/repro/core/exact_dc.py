@@ -91,13 +91,7 @@ from repro.core.density import (
     interval_relaxation_factor,
     surrogate_density,
 )
-from repro.core.fixed_ratio import (
-    StartingPair,
-    maximize_fixed_ratio,
-    maximize_fixed_ratio_batch,
-    partial_outcomes,
-)
-from repro.core.flow_network import decision_network_arc_count
+from repro.core.fixed_ratio import StartingPair, maximize_fixed_ratio, partial_outcomes
 from repro.core.ratio import count_candidate_pairs, iter_candidate_ratios
 from repro.core.results import DDSResult
 from repro.core.subproblem import STSubproblem
@@ -357,7 +351,6 @@ def _dc_driver(
     leaf_ratio_count: int,
     flow_solver: str = DEFAULT_SOLVER,
     engine: FlowEngine | None = None,
-    batch_size: int = 1,
     max_core: Callable[[], XYCore] | None = None,
 ) -> DDSResult:
     if graph.num_edges == 0:
@@ -401,47 +394,23 @@ def _dc_driver(
     def solve_leaf(
         ratios: list[tuple[int, int]], subproblem: STSubproblem, upper_bound: float
     ) -> None:
-        pending: list[tuple[int, int]] = []
         for ratio in ratios:
             if ratio in state.examined_exact_ratios:
                 continue
             state.examined_exact_ratios.add(ratio)
             state.ratios_examined += 1
             state.leaf_ratios += 1
-            pending.append(ratio)
-        index = 0
-        while index < len(pending):
-            chunk = pending[index : index + batch_size]
-            index += len(chunk)
-            if len(chunk) >= 2 and state.engine.supports_batching(
-                [decision_network_arc_count(subproblem)] * len(chunk)
-            ):
-                # Lockstep batched leaf: all of the chunk's searches share the
-                # incumbent *at chunk entry* as their lower bound (a sequential
-                # sweep would tighten later ratios' bounds with earlier ratios'
-                # incumbents — that only changes guess counts, never which
-                # pairs are optimal).
-                outcomes = maximize_fixed_ratio_batch(
-                    subproblem,
-                    [p / q for p, q in chunk],
-                    lower=state.best_density,
-                    upper=max(upper_bound, state.best_density),
-                    tolerance=tolerance,
-                    engine=state.engine,
-                )
-                for outcome in outcomes:
-                    state.absorb_outcome(outcome)
-                continue
-            for p, q in chunk:
-                outcome = maximize_fixed_ratio(
-                    subproblem,
-                    p / q,
-                    lower=state.best_density,
-                    upper=max(upper_bound, state.best_density),
-                    tolerance=tolerance,
-                    engine=state.engine,
-                )
-                state.absorb_outcome(outcome)
+            p, q = ratio
+            # Each search starts at the incumbent the searches before it left.
+            outcome = maximize_fixed_ratio(
+                subproblem,
+                p / q,
+                lower=state.best_density,
+                upper=max(upper_bound, state.best_density),
+                tolerance=tolerance,
+                engine=state.engine,
+            )
+            state.absorb_outcome(outcome)
 
     # Depth-first traversal of the ratio-interval tree.  Each entry carries a
     # certified upper bound on the optimum *conditional on the optimal ratio
@@ -598,6 +567,5 @@ def dc_exact(
         leaf_ratio_count=cfg.leaf_ratio_count,
         flow_solver=cfg.flow.solver,
         engine=engine,
-        batch_size=cfg.flow.batch_size,
         max_core=max_core,
     )

@@ -24,12 +24,7 @@ from repro.core.density import (
     exactness_tolerance,
     global_density_upper_bound,
 )
-from repro.core.fixed_ratio import (
-    maximize_fixed_ratio,
-    maximize_fixed_ratio_batch,
-    partial_outcomes,
-)
-from repro.core.flow_network import decision_network_arc_count
+from repro.core.fixed_ratio import maximize_fixed_ratio, partial_outcomes
 from repro.core.ratio import all_candidate_ratios
 from repro.core.results import DDSResult
 from repro.core.subproblem import STSubproblem
@@ -88,12 +83,6 @@ def flow_exact(
     fixed_ratio_searches = 0
     ratios = all_candidate_ratios(n)
 
-    # Under the auto policy, consecutive ratios whose (identically sized)
-    # decision networks are each below the vector backend's arc threshold but
-    # clear it in aggregate are searched in lockstep as one block-diagonal
-    # batched solve; everything else takes the sequential path unchanged.
-    arc_count = decision_network_arc_count(subproblem)
-
     def absorb(outcome) -> None:
         nonlocal best_s, best_t, best_density, fixed_ratio_searches
         if outcome.flow_calls:
@@ -102,35 +91,13 @@ def flow_exact(
             best_density = outcome.best_density
             best_s, best_t = outcome.best_s, outcome.best_t
 
-    index = 0
     try:
-        while index < len(ratios):
-            chunk = ratios[index : index + cfg.flow.batch_size]
-            index += len(chunk)
-            if len(chunk) >= 2 and engine.supports_batching([arc_count] * len(chunk)):
-                for outcome in maximize_fixed_ratio_batch(
-                    subproblem,
-                    [p / q for p, q in chunk],
-                    lower=0.0,
-                    upper=upper,
-                    tolerance=tolerance,
-                    engine=engine,
-                ):
-                    absorb(outcome)
-            else:
-                # Absorb one search at a time so a mid-chunk deadline keeps the
-                # incumbents of the searches that did finish.
-                for p, q in chunk:
-                    absorb(
-                        maximize_fixed_ratio(
-                            subproblem,
-                            p / q,
-                            lower=0.0,
-                            upper=upper,
-                            tolerance=tolerance,
-                            engine=engine,
-                        )
-                    )
+        for p, q in ratios:
+            absorb(
+                maximize_fixed_ratio(
+                    subproblem, p / q, lower=0.0, upper=upper, tolerance=tolerance, engine=engine
+                )
+            )
     except DeadlineExceeded as error:
         for outcome in partial_outcomes(error):
             absorb(outcome)

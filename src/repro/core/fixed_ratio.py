@@ -62,11 +62,7 @@ name) and accumulates ``flow_calls`` / ``networks_built`` /
 
 A search keeps track of two extracted pairs: the one with the best *true*
 density (for the incumbent) and the one extracted at the highest successful
-guess (the surrogate near-maximiser the ratio-skipping lemma needs).  The
-sequential and the lockstep batched search share one per-search state
-machine, :class:`_RatioSearch`, so both apply the same guess rule; the
-lockstep search keeps its stacked whole-sub-problem networks, retuned each
-round, and does not narrow.
+guess (the surrogate near-maximiser the ratio-skipping lemma needs).
 """
 
 from __future__ import annotations
@@ -93,21 +89,17 @@ StartingPair = tuple[list[int], list[int], float, int]
 
 
 def partial_outcomes(error: DeadlineExceeded) -> list[FixedRatioOutcome]:
-    """The partial search outcomes a cancelled fixed-ratio search attached.
+    """The partial search outcome a cancelled fixed-ratio search attached.
 
     A :class:`DeadlineExceeded` escaping :func:`maximize_fixed_ratio`
     carries the interrupted search's bracket-at-cancellation as
-    ``error.outcome``; one escaping :func:`maximize_fixed_ratio_batch`
-    carries every member's as ``error.outcomes``.  Either way each outcome's
-    ``lower``/``upper`` are certified bounds (the bracket never closed), so
-    the exact drivers absorb them into the incumbent exactly like completed
-    searches before assembling their anytime result.
+    ``error.outcome``.  Its ``lower``/``upper`` are certified bounds (the
+    bracket never closed), so the exact drivers absorb it into the
+    incumbent exactly like a completed search before assembling their
+    anytime result.  Empty when the deadline struck outside a search.
     """
-    outcomes = list(getattr(error, "outcomes", None) or ())
-    single = getattr(error, "outcome", None)
-    if single is not None:
-        outcomes.append(single)
-    return outcomes
+    outcome = getattr(error, "outcome", None)
+    return [] if outcome is None else [outcome]
 
 
 def _check_bounds(lower: float, upper: float, tolerance: float) -> None:
@@ -133,13 +125,11 @@ def check_search_arguments(ratio: float, lower: float, upper: float, tolerance: 
 class _RatioSearch:
     """Bracket state of one fixed-ratio search, advanced one min-cut at a time.
 
-    :func:`maximize_fixed_ratio` drives one of these; the lockstep
-    :func:`maximize_fixed_ratio_batch` drives one per ratio.  Each step is
+    :func:`maximize_fixed_ratio` drives one of these.  Each step is
     :meth:`prepare` (pick the guess; build the search network, build a
     narrowed one or retune the current one; route its start flow), one
     min-cut by the caller on :attr:`network`, then :meth:`record` (advance
-    the bracket).  Only a ``nested`` search narrows; :attr:`decision` is
-    always the search network.
+    the bracket).  :attr:`decision` is always the search network.
     """
 
     __slots__ = (
@@ -159,7 +149,6 @@ class _RatioSearch:
         "networks_built",
         "network_nodes",
         "network_arcs",
-        "nested",
         "decision",
         "network",
         "scope",
@@ -172,7 +161,6 @@ class _RatioSearch:
         ratio: float,
         lower: float,
         upper: float,
-        nested: bool = False,
         start: StartingPair | None = None,
     ) -> None:
         self.ratio = ratio
@@ -196,7 +184,6 @@ class _RatioSearch:
         self.networks_built = 0
         self.network_nodes: list[int] = []
         self.network_arcs: list[int] = []
-        self.nested = nested
         self.decision = None  # the search network
         self.network = None  # the network the next cut runs on
         self.scope: STSubproblem | None = None  # the sub-problem ``network`` covers
@@ -252,9 +239,7 @@ class _RatioSearch:
                 if surrogate >= self.last_surrogate:
                     self.last_surrogate = surrogate
                     self.last_s, self.last_t, self.last_edges = s_side, t_side, edges
-                if self.nested and (
-                    len(s_side) < len(network.s_nodes) or len(t_side) < len(network.t_nodes)
-                ):
+                if len(s_side) < len(network.s_nodes) or len(t_side) < len(network.t_nodes):
                     self.narrow_to = (s_side, t_side)
                 # Dinkelbach jump: the pair certifies val(ratio) >= surrogate,
                 # which becomes the next guess.  A conditional upper bound may
@@ -284,96 +269,6 @@ class _RatioSearch:
             network_nodes=self.network_nodes,
             network_arcs=self.network_arcs,
         )
-
-
-def maximize_fixed_ratio_batch(
-    subproblem: STSubproblem,
-    ratios: list[float],
-    lower: float,
-    upper: float,
-    tolerance: float,
-    network_observer: NetworkObserver | None = None,
-    engine: FlowEngine | None = None,
-) -> list[FixedRatioOutcome]:
-    """Run one :func:`maximize_fixed_ratio` per ratio, batched block-diagonally.
-
-    All searches share ``subproblem`` and the initial ``(lower, upper)``
-    bracket; each advances its own bracket.  The searches run in *lockstep*:
-    every round retunes the still-unconverged members to their next guesses
-    and solves all of them as one stacked min-cut through
-    :meth:`FlowEngine.min_cut_batch
-    <repro.flow.engine.FlowEngine.min_cut_batch>` — B small solves become
-    one big solve with B× the vector width, which is what makes the
-    vectorised backend pay off on networks that are each below the auto arc
-    threshold.  Members whose bracket closes are masked out of later rounds.
-
-    Per member, every step — build-or-retune, start flow, cut-improvement
-    test, pair extraction, Dinkelbach bracket update — is the sequential
-    search's own step (:class:`_RatioSearch`), and the per-block cut is the
-    same canonical (residual-reachable) cut a solo solve certifies, so the
-    returned outcomes carry identical subgraphs and flow-call counts.
-    Members never narrow: each round retunes their stacked
-    whole-sub-problem networks where a sequential search builds narrowed
-    ones.  One documented deviation: all members read the
-    *same* entry ``lower`` (a sequential sweep could tighten later searches'
-    lower bounds with earlier searches' incumbents); a looser lower bound
-    never changes which pairs are optimal, only how many guesses a search
-    spends, so densities are unaffected.
-
-    Callers gate eligibility with :meth:`FlowEngine.supports_batching
-    <repro.flow.engine.FlowEngine.supports_batching>`; this function assumes
-    the gate passed (at least two distinct ratios, ``"auto"`` engine,
-    vectorised backend available).
-    """
-    _check_bounds(lower, upper, tolerance)
-    if len(ratios) < 2:
-        raise AlgorithmError("a batched search needs at least two ratios")
-    if len(set(ratios)) != len(ratios):
-        raise AlgorithmError("batched ratios must be distinct")
-    if subproblem.is_empty:
-        return [_RatioSearch(ratio, 0.0, 0.0).outcome() for ratio in ratios]
-
-    if engine is None:
-        engine = FlowEngine()
-    graph = subproblem.graph
-    members = [_RatioSearch(float(ratio), lower, upper) for ratio in ratios]
-    batch = None
-
-    try:
-        while True:
-            active = [
-                index
-                for index, member in enumerate(members)
-                if member.high - member.low >= tolerance
-            ]
-            if not active:
-                break
-            for index in active:
-                members[index].prepare(subproblem, engine, network_observer)
-            if batch is None:
-                # All members were active in round one, so every decision
-                # network exists by the time the stack is assembled.
-                from repro.flow.batch import BatchedFlowNetwork
-
-                batch = BatchedFlowNetwork(
-                    [
-                        (member.decision.network, member.decision.source, member.decision.sink)
-                        for member in members
-                    ]
-                )
-
-            results = engine.min_cut_batch(batch, active)
-            for position, index in enumerate(active):
-                cut_value, source_side, _block_pushes = results[position]
-                members[index].record(graph, cut_value, lambda side=source_side: side)
-    except DeadlineExceeded as error:
-        # A cancelled round never updated any member's bracket, so every
-        # member's (low, high) is still certified; hand all of them to the
-        # driver as the anytime state of this lockstep sweep.
-        error.outcomes = [member.outcome() for member in members]
-        raise
-
-    return [member.outcome() for member in members]
 
 
 def maximize_fixed_ratio(
@@ -434,7 +329,7 @@ def maximize_fixed_ratio(
     if engine is None:
         engine = FlowEngine()
     graph = subproblem.graph
-    search = _RatioSearch(ratio, lower, upper, nested=True, start=start)
+    search = _RatioSearch(ratio, lower, upper, start=start)
     try:
         while search.high - search.low >= tolerance:
             search.prepare(subproblem, engine, network_observer)
@@ -449,3 +344,27 @@ def maximize_fixed_ratio(
         raise
 
     return search.outcome()
+
+
+def maximize_fixed_ratio_batch(
+    subproblem: STSubproblem,
+    ratios: list[float],
+    lower: float,
+    upper: float,
+    tolerance: float,
+    network_observer: NetworkObserver | None = None,
+    engine: FlowEngine | None = None,
+) -> list[FixedRatioOutcome]:
+    """:func:`maximize_fixed_ratio` once per ratio, from the same bracket.
+
+    Nothing in ``src/`` calls this.  It stays only because perfbench's
+    tracer (``perfbench/ddsbench/layers.py``) patches it by name and fails
+    on a missing one; it goes once that tracer accepts a missing name
+    (ROADMAP direction 2).
+    """
+    return [
+        maximize_fixed_ratio(
+            subproblem, ratio, lower, upper, tolerance, network_observer, engine
+        )
+        for ratio in ratios
+    ]

@@ -356,23 +356,6 @@ def _append_decision_arcs(
     return float(source_caps.sum())
 
 
-def decision_network_arc_count(subproblem: STSubproblem) -> int:
-    """Stored arc count of the network :func:`build_decision_network` would build.
-
-    Derived from the construction without building anything: one edge per S
-    candidate to the source, one penalty edge per S and per T candidate, one
-    edge per sub-problem edge — each stored with its residual twin.  The
-    batching gate uses this to decide, before any network exists, whether a
-    family of fixed-ratio searches over ``subproblem`` should be stacked
-    (the count is ratio-independent: only capacities vary with the ratio).
-    """
-    return 2 * (
-        2 * len(subproblem.s_candidates)
-        + len(subproblem.t_candidates)
-        + len(subproblem.edges)
-    )
-
-
 def decision_cut_is_improving(
     cut_value: float, total_capacity: float, slack_capacity: float | None = None
 ) -> bool:

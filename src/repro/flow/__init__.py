@@ -8,17 +8,12 @@ The DDS exact algorithms reduce the density decision problem to a minimum
   capacities, in-place capacity retuning (:meth:`FlowNetwork.set_capacity` +
   :meth:`FlowNetwork.reset_flow`) so a built network can be re-solved for
   many parameter guesses without rebuilding,
-* :class:`DinicSolver` / :func:`dinic_max_flow` — the default solver
+* :class:`DinicSolver` / :func:`dinic_max_flow` — the one built-in solver
   (Dinic's blocking-flow algorithm, ``O(V^2 E)`` worst case, much faster on
   the unit-capacity-heavy networks produced by the density reduction),
-* ``NumpyPushRelabelSolver`` (:mod:`repro.flow.numpy_backend`) — the
-  vectorised bulk-synchronous push–relabel backend running on zero-copy
-  numpy views of the CSR buffers, which the ``"auto"`` policy picks for
-  large decision networks (``None`` here, and unlisted in the registry,
-  when numpy is not installed),
 * :mod:`repro.flow.registry` — the name → solver-class registry behind
   ``FlowConfig.solver``, the session's ``flow_solver=`` override and the
-  ``--flow-solver`` CLI flag,
+  ``--flow-solver`` CLI flag (``"auto"`` names ``dinic`` too),
 * :class:`FlowEngine` — per-run solver selection + instrumentation
   (``flow_calls``, ``networks_built``, ``arcs_pushed``).
 
@@ -45,7 +40,7 @@ and the CLI then accept the new name:
 ``DDSSession(graph).densest_subgraph("dc-exact", flow_solver="my-solver")``
 or ``dds-repro find --dataset foodweb-tiny --flow-solver my-solver``.  The
 cross-solver property suite (``tests/test_flow_property.py``) is the
-cheapest way to validate a new backend against the built-ins and the test
+cheapest way to validate a new backend against ``dinic`` and the test
 suite's Edmonds–Karp oracle.
 """
 
@@ -55,14 +50,10 @@ from repro.flow.network import INFINITY, FlowNetwork
 from repro.flow.registry import (
     AUTO_SOLVER,
     DEFAULT_SOLVER,
-    VECTOR_SOLVER,
-    NumpyPushRelabelSolver,
     available_flow_solvers,
     flow_solver_choices,
     get_solver_class,
-    has_vector_backend,
     register_solver,
-    resolve_auto_solver,
     unregister_solver,
 )
 
@@ -72,15 +63,11 @@ __all__ = [
     "FlowEngine",
     "DinicSolver",
     "dinic_max_flow",
-    "NumpyPushRelabelSolver",
     "AUTO_SOLVER",
     "DEFAULT_SOLVER",
-    "VECTOR_SOLVER",
     "available_flow_solvers",
     "flow_solver_choices",
     "get_solver_class",
-    "has_vector_backend",
     "register_solver",
-    "resolve_auto_solver",
     "unregister_solver",
 ]

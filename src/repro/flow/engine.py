@@ -1,9 +1,10 @@
 """The :class:`FlowEngine` — solver selection plus run-wide instrumentation.
 
 Every exact DDS run owns (or borrows) one engine.  The engine resolves the
-solver name through the registry once, then every min-cut in the run goes
-through :meth:`FlowEngine.min_cut`, which accumulates the counters the
-experiments (and the regression tests) care about.
+solver name through the registry once, at construction (``"auto"`` binds
+the default solver, ``dinic``), then every min-cut in the run goes through
+:meth:`FlowEngine.min_cut`, which accumulates the counters the experiments
+(and the regression tests) care about.
 
 Stats-key glossary
 ------------------
@@ -27,23 +28,6 @@ and the benchmark tables.
     bulk before each solve
     (:meth:`~repro.core.flow_network.DecisionNetwork.route_start_flow`)
     is not counted.
-``backend_selections``
-    Min-cut computations for which the ``"auto"`` policy chose the backend
-    per network (vectorised ``numpy-push-relabel`` at or above the arc
-    threshold, ``dinic`` below — see
-    :func:`repro.flow.registry.resolve_auto_solver`) or per *batch* (the
-    aggregate rule of :func:`repro.flow.registry.resolve_auto_solver_batch`;
-    every member of a batched solve counts once).  Always 0 for engines
-    configured with a concrete solver name; the per-backend breakdown is
-    exposed as :attr:`FlowEngine.auto_backend_choices` (surfaced by
-    :meth:`DDSSession.cache_stats() <repro.session.DDSSession.cache_stats>`
-    as ``auto_backends``).
-``batched_solves``
-    Block-diagonal batched solves executed through :meth:`FlowEngine.min_cut_batch`
-    (one per *stacked* solver run, however many members it carried; the
-    members themselves count under ``flow_calls``).  Always 0 for engines
-    configured with a concrete solver name — only the ``"auto"`` policy
-    batches.
 ``deadline_hits``
     Min-cut computations cancelled (or refused before starting) by an
     expired :class:`repro.runtime.Deadline` armed on the engine.  Always 0
@@ -63,17 +47,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.exceptions import DeadlineExceeded, FlowError
+from repro.exceptions import DeadlineExceeded
 from repro.flow.network import FlowNetwork
-from repro.flow.registry import (
-    AUTO_SOLVER,
-    DEFAULT_SOLVER,
-    VECTOR_SOLVER,
-    batch_eligible,
-    get_solver_class,
-    resolve_auto_solver,
-    resolve_auto_solver_batch,
-)
+from repro.flow.registry import AUTO_SOLVER, DEFAULT_SOLVER, get_solver_class
 
 #: Counter attribute names, in the order used by :meth:`FlowEngine.snapshot`
 #: (the one declaration every stats view iterates).
@@ -81,8 +57,6 @@ COUNTERS = (
     "flow_calls",
     "networks_built",
     "arcs_pushed",
-    "backend_selections",
-    "batched_solves",
     "deadline_hits",
 )
 
@@ -95,22 +69,13 @@ def zero_snapshot() -> tuple[int, ...]:
 class FlowEngine:
     """Pluggable min-cut executor with per-run instrumentation."""
 
-    __slots__ = (
-        "solver_name",
-        "solver_class",
-        "auto_backend_choices",
-        "deadline",
-    ) + COUNTERS
+    __slots__ = ("solver_name", "solver_class", "deadline") + COUNTERS
 
     def __init__(self, flow_solver: str = DEFAULT_SOLVER) -> None:
         self.solver_name = flow_solver
-        # ``"auto"`` is a per-network selection policy, not a class: the
-        # concrete backend is resolved inside min_cut() from the network's
-        # arc count (and counted as ``backend_selections``).
-        self.solver_class = None if flow_solver == AUTO_SOLVER else get_solver_class(flow_solver)
-        #: Lifetime ``{backend name: times chosen}`` of the auto policy
-        #: (empty for engines configured with a concrete solver).
-        self.auto_backend_choices: dict[str, int] = {}
+        self.solver_class = get_solver_class(
+            DEFAULT_SOLVER if flow_solver == AUTO_SOLVER else flow_solver
+        )
         #: The active :class:`repro.runtime.Deadline`, or ``None``.  Armed by
         #: the session layer for the duration of one query; every min-cut
         #: checks it before starting and hands it to the solver for
@@ -118,15 +83,6 @@ class FlowEngine:
         self.deadline = None
         for name in COUNTERS:
             setattr(self, name, 0)
-
-    def _resolve_class(self, network: FlowNetwork):
-        """The concrete solver class for ``network`` (auto policy applied)."""
-        if self.solver_class is not None:
-            return self.solver_class
-        name, solver_class = resolve_auto_solver(network.num_arcs)
-        self.backend_selections += 1
-        self.auto_backend_choices[name] = self.auto_backend_choices.get(name, 0) + 1
-        return solver_class
 
     def note_network_built(self) -> None:
         """Record that a decision network was constructed from scratch."""
@@ -147,7 +103,7 @@ class FlowEngine:
             # exactly as the caller left it.
             self.deadline_hits += 1
             self.deadline.check("engine.min_cut admission")
-        solver = self._resolve_class(network)(network, source, sink)
+        solver = self.solver_class(network, source, sink)
         if self.deadline is not None:
             solver.deadline = self.deadline
         try:
@@ -163,90 +119,17 @@ class FlowEngine:
         self.arcs_pushed += getattr(solver, "arcs_pushed", 0)
         return value, solver
 
-    def supports_batching(self, arc_counts: list[int]) -> bool:
-        """Whether these networks should be solved as one block-diagonal batch.
-
-        True only for ``"auto"`` engines (an explicit solver choice is
-        honoured verbatim, never widened into a batch) whose family passes
-        the registry's aggregate gate: every member below the arc threshold,
-        the aggregate at or above it, and the vectorised backend available.
-        """
-        return self.solver_class is None and batch_eligible(arc_counts)
-
     def min_cut_batch(
-        self,
-        batch: Any,
-        active: list[int],
-    ) -> list[tuple[float, list[int], int]]:
-        """One block-diagonal solve of ``batch``'s active members.
+        self, members: list[tuple[FlowNetwork, int, int]]
+    ) -> list[tuple[float, Any]]:
+        """:meth:`min_cut` once per ``(network, source, sink)``, in order.
 
-        ``batch`` is a :class:`~repro.flow.batch.BatchedFlowNetwork`;
-        ``active`` lists the member indices to solve this round (the rest
-        stay masked).  Returns, per active member, ``(flow_value,
-        member-local cut source side, arcs pushed inside that block)``.
-
-        Counting policy: each active member counts as one ``flow_calls`` /
-        ``backend_selections`` (the batched path must be counter-compatible
-        with the sequential path it replaces), the
-        stacked run itself counts once under ``batched_solves``, and the
-        backend chosen by the aggregate policy is charged once per member in
-        :attr:`auto_backend_choices`.  The policy is resolved on the *whole
-        family's* aggregate (the engagement decision), not the active
-        subset, so a batch stays on the vectorised backend as its members
-        converge and drop out.
+        Nothing in ``src/`` calls this.  It stays only because perfbench's
+        tracer (``perfbench/ddsbench/layers.py``) patches it by name and
+        fails on a missing one; it goes once that tracer accepts a missing
+        name (ROADMAP direction 2).
         """
-        if self.solver_class is not None:
-            raise FlowError(
-                "batched solves are only available under the 'auto' policy; "
-                f"engine is configured with {self.solver_name!r}"
-            )
-        if not active:
-            return []
-        name, solver_class = resolve_auto_solver_batch(batch.member_arc_counts)
-        if name != VECTOR_SOLVER:
-            raise FlowError(
-                "batched solve requires the vectorised backend for the aggregate "
-                "arc count; gate with supports_batching() first"
-            )
-        if self.deadline is not None and self.deadline.expired:
-            self.deadline_hits += 1
-            self.deadline.check("engine.min_cut_batch admission")
-        import numpy
-
-        batch.gather(active)
-        solver = solver_class(batch.network, batch.source, batch.sink)
-        solver.arc_owner = batch.arc_owner
-        solver.owner_pushes = numpy.zeros(batch.num_members, dtype=numpy.int64)
-        if self.deadline is not None:
-            solver.deadline = self.deadline
-        try:
-            solver.max_flow()
-        except DeadlineExceeded:
-            # Cancellation skips the scatter: the *member* networks keep the
-            # residual flows they held at gather time (the stacked scratch
-            # buffers are rebuilt by the next gather).
-            self.deadline_hits += 1
-            raise
-        batch.scatter(active)
-
-        members = len(active)
-        self.flow_calls += members
-        self.backend_selections += members
-        self.auto_backend_choices[name] = (
-            self.auto_backend_choices.get(name, 0) + members
-        )
-        self.arcs_pushed += solver.arcs_pushed
-        self.batched_solves += 1
-
-        source_side = solver.min_cut_source_side()
-        return [
-            (
-                batch.block_flow_value(index),
-                batch.block_cut(source_side, index),
-                int(solver.owner_pushes[index]),
-            )
-            for index in active
-        ]
+        return [self.min_cut(network, source, sink) for network, source, sink in members]
 
     def snapshot(self) -> tuple[int, ...]:
         """Opaque counter snapshot for later :meth:`stats_since` deltas."""

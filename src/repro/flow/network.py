@@ -150,10 +150,10 @@ class FlowNetwork:
 
         The four sequences are *arc-indexed* (not edge-indexed): position
         ``i`` and ``i ^ 1`` must already be residual twins, exactly as the
-        flat buffers store them — this is the fast path the block-diagonal
-        stacking layer uses to copy whole member networks (whose buffers are
-        already interleaved) into one big network without a per-edge
-        ``add_edge`` loop.  All four sequences must have the same even
+        flat buffers store them — this is the fast path the numpy build of a
+        decision network
+        (:func:`~repro.core.flow_network.build_decision_network`) uses to
+        load whole arc columns without a per-edge ``add_edge`` loop.  All four sequences must have the same even
         length; with numpy each column is copied in with one ``tobytes``,
         without it element-wise.  Every endpoint is range-checked and every
         capacity checked to be non-negative and not NaN (on the numpy
@@ -249,93 +249,6 @@ class FlowNetwork:
         self._cap[arc_index] = capacity
         self._cap[arc_index + 1] = 0.0
 
-    def _return_excess_vectorised(
-        self,
-        excess: list[tuple[int, float]],
-        source: int,
-        on_moves: "object | None" = None,
-    ) -> float:
-        """Push node excesses back to ``source`` along flow-carrying arcs (numpy).
-
-        ``excess`` lists ``(node, amount)`` pairs of inflow surpluses.  The
-        walk turns such a preflow back into a valid flow whose value is
-        lower by the returned total; it assumes the current flow is
-        acyclic, as every flow on a DAG network such as a DDS decision
-        network is.
-
-        Round-based: each round cancels every surplus-holding node against
-        its flow-carrying incoming arcs (positive-capacity odd twins),
-        greedily in CSR order via a per-segment exclusive prefix sum, and
-        scatters the cancelled amounts onto the predecessor nodes as the
-        next round's surpluses — excess hops one arc towards the source per
-        round.  A round that can move nothing while an above-``EPSILON``
-        surplus remains raises :class:`FlowError`: the residual state was
-        not a preflow with returnable excess.
-
-        ``on_moves``, when given, is called once per round with the array of
-        arc indices whose residuals the round updated — the hook the
-        vectorised solver uses to keep its ``arcs_pushed`` counter (and,
-        for block-diagonal batched networks, its per-owner push attribution)
-        honest when it reuses this walk as the second phase of the preflow
-        algorithm.
-        """
-        starts, order, _, caps, _, _ = self.numpy_csr()
-        _, pos_head, seg_starts, empty_seg, _, counts, valid_segments = (
-            self.numpy_position_index()
-        )
-        # True (unclipped) reduceat boundaries of the non-trailing-empty
-        # segments; trailing arc-less nodes are covered by the zero fill.
-        reduce_starts = starts[:valid_segments]
-        exc = _np.zeros(self.num_nodes, dtype=_np.float64)
-        for node, amount in excess:
-            self._check_node(node)
-            if amount > 0.0:
-                exc[node] += amount
-        pos_odd = (order & 1) == 1
-        returned = 0.0
-        while True:
-            if exc[source] > 0.0:
-                returned += float(exc[source])
-                exc[source] = 0.0
-            if not (exc > 0.0).any():
-                return returned
-            pos_caps = caps[order]
-            # Odd arcs with positive capacity are residual twins: capacity
-            # there is flow on the forward arc *into* this position's tail.
-            cand = _np.where(pos_odd & (pos_caps > 0.0), pos_caps, 0.0)
-            cum = _np.cumsum(cand)
-            exclusive = cum - cand
-            # The per-segment prefix comes from differences of one global
-            # cumsum; rounding can leave it a few ulps negative, which would
-            # manufacture phantom surplus at zero-excess nodes — clamp.
-            prefix = _np.maximum(
-                exclusive - _np.repeat(exclusive[seg_starts], counts), 0.0
-            )
-            room = _np.repeat(exc, counts)
-            delta = _np.minimum(_np.maximum(room - prefix, 0.0), cand)
-            moved_positions = _np.flatnonzero(delta > 0.0)
-            if moved_positions.size == 0:
-                stuck = float(exc.max())
-                if stuck > EPSILON:
-                    node = int(exc.argmax())
-                    raise FlowError(
-                        f"cannot return {stuck!r} units of excess from node {node}: "
-                        "no flow-carrying incoming arcs (residual state is not a clamped flow)"
-                    )
-                return returned
-            arcs = order[moved_positions]
-            moved = delta[moved_positions]
-            caps[arcs] -= moved
-            caps[arcs ^ 1] += moved
-            if on_moves is not None:
-                on_moves(arcs)
-            sent = _np.zeros(self.num_nodes, dtype=_np.float64)
-            if valid_segments:
-                sent[:valid_segments] = _np.add.reduceat(delta, reduce_starts)
-            sent[empty_seg] = 0.0
-            exc = _np.maximum(exc - sent, 0.0)
-            _np.add.at(exc, pos_head[moved_positions], moved)
-
     def flow_value(self, source: int) -> float:
         """Net flow currently leaving ``source`` (the value of a valid flow).
 
@@ -397,16 +310,18 @@ class FlowNetwork:
 
         Every array is a ``numpy.frombuffer`` view over this network's flat
         CSR storage — ``int64`` over the ``array('q')`` buffers, ``float64``
-        over the ``array('d')`` capacities — so vectorised solvers read *and
-        write* the canonical residual state directly: a write through the
+        over the ``array('d')`` capacities — so vectorised callers (the
+        penalty sweep and start flow of
+        :class:`~repro.core.flow_network.DecisionNetwork`) read *and write*
+        the canonical residual state directly: a write through the
         capacities view is immediately visible via :attr:`arc_capacities`
         (and vice versa), with no snapshot or write-back step.  The views
         are cached per topology and rebuilt lazily, like :meth:`csr`.
 
         numpy is imported lazily here; callers are expected to be
-        import-guarded themselves (see :mod:`repro.flow.registry`), so a
-        missing numpy surfaces as the backend not being registered rather
-        than as an import error in this core module.
+        import-guarded themselves (both fall back to scalar code without
+        numpy), so a missing numpy never surfaces as an import error in
+        this core module.
         """
         import numpy
 
@@ -421,50 +336,7 @@ class FlowNetwork:
                 numpy.frombuffer(self._tails, dtype=numpy.int64),
                 numpy.frombuffer(self._base, dtype=numpy.float64),
             )
-        return self._np_views[:6]
-
-    def numpy_position_index(self) -> tuple:
-        """Derived position-space index for vectorised per-node segment reductions.
-
-        ``(pos_tail, pos_head, seg_starts, empty_seg, pos_of_arc, counts,
-        valid_segments)``, all cached per topology: the tail/head node of
-        the arc at each CSR position, gather-safe segment start indices
-        (clipped to ``m - 1``, only ever dereferenced for segments that
-        repeat a positive count) with the matching empty-segment mask, the
-        inverse permutation mapping an arc index to its CSR position, the
-        per-node arc counts (segment lengths), and the number of leading
-        segments whose *true* start is below ``m``.  ``reduceat`` callers
-        must slice the true ``starts`` to ``valid_segments`` — passing the
-        clipped indices would silently truncate the last non-empty segment
-        whenever trailing nodes have no arcs.  Unlike :meth:`numpy_csr`
-        these are *computed* (O(m), once per topology), not views — they
-        never change between retunes, which is exactly why they are cached
-        on the network rather than rebuilt per solve.
-        """
-        import numpy
-
-        views = self.numpy_csr()
-        if len(self._np_views) == 6:
-            starts, order, targets, _, tails, _ = views
-            m = len(order)
-            pos_tail = tails[order]
-            pos_head = targets[order]
-            seg_starts = numpy.minimum(starts[:-1], max(m - 1, 0))
-            empty_seg = starts[:-1] == starts[1:]
-            pos_of_arc = numpy.empty(m, dtype=numpy.int64)
-            pos_of_arc[order] = numpy.arange(m, dtype=numpy.int64)
-            counts = numpy.diff(starts)
-            valid_segments = int(numpy.searchsorted(starts[:-1], m, side="left"))
-            self._np_views = views + (
-                pos_tail,
-                pos_head,
-                seg_starts,
-                empty_seg,
-                pos_of_arc,
-                counts,
-                valid_segments,
-            )
-        return self._np_views[6:]
+        return self._np_views
 
     @property
     def heads(self) -> list[list[int]]:
@@ -556,9 +428,7 @@ class FlowNetwork:
         With numpy available the counting sort is replaced by a stable
         ``argsort`` on the tail array — bit-identical output (a stable sort
         by tail *is* the counting sort: arcs keep their index order within
-        each node's segment) without the per-arc interpreted loop, which
-        matters for the block-diagonal batched networks whose CSR spans many
-        stacked members.
+        each node's segment) without the per-arc interpreted loop.
         """
         num_nodes = self.num_nodes
         tails = self._tails

@@ -14,14 +14,13 @@ Budget propagation
 (:class:`repro.session.DDSSession`), which travels down the whole solve
 stack on the query's :class:`~repro.flow.engine.FlowEngine`:
 
-* the Dinkelbach/DC drivers check it between binary-search guesses, ratio
-  chunks, and D&C intervals;
+* the Dinkelbach/DC drivers check it between binary-search guesses and
+  D&C intervals;
 * :meth:`FlowEngine.min_cut <repro.flow.engine.FlowEngine.min_cut>` checks
   it before each solve and hands it to the solver;
-* the solvers check it at their phase boundaries — dinic between BFS
-  rounds, push–relabel between discharge sweeps, the numpy backend between
-  supersteps — and abort *without* committing their in-progress snapshot,
-  so the network keeps the valid residual flow it had at solve entry.
+* the solver checks it at its phase boundaries — dinic between BFS
+  rounds — and aborts *without* committing its in-progress snapshot, so
+  the network keeps the valid residual flow it had at solve entry.
 
 Expiry raises :class:`~repro.exceptions.DeadlineExceeded`; the search
 drivers catch it on the way up and attach an :class:`AnytimeResult` — the

@@ -12,8 +12,8 @@ Three pool flavours share that lane contract:
 
 * **Threads** (the default): cheap, in-process, but GIL-bound — lanes are
   pure-Python compute, so thread concurrency buys isolation and scheduling
-  rather than parallel speed-up (four numpy-backend thread lanes ran a
-  four-graph batch only 1.03× faster than one lane on a 2-CPU VM).
+  rather than parallel speed-up (four thread lanes ran a four-graph batch
+  only 1.03× faster than one lane on a 2-CPU VM).
 * **Processes** (``process_pool=True``): the scale-out path.  The parent
   routes lanes to workers by content fingerprint
   (:class:`~repro.service.planner.ShardMap` — each worker owns its graphs'

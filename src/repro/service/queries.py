@@ -55,7 +55,7 @@ RESERVED_FIELDS = ("dataset",)
 #: counters whose values depend on what earlier queries left in the caches.
 #: Everything else in a payload is the *answer* and must be bit-identical
 #: under any permutation of the batch (pinned by the planner property test).
-VOLATILE_PAYLOAD_KEYS = frozenset({"flow_calls", "networks_built", "batched_solves"})
+VOLATILE_PAYLOAD_KEYS = frozenset({"flow_calls", "networks_built"})
 
 
 def payload_answer(payload: Any) -> Any:

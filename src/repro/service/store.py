@@ -659,9 +659,9 @@ class SessionStore:
                 result = DDSResult.from_dict(entry["result"])
             except (AlgorithmError, FlowError, _IncompatibleConfig):
                 # Unknown method, flow solver or config field — a store
-                # written by a build with extra registered ones (or with
-                # numpy where this one has none, or with a config field
-                # since removed); intact but unusable here.
+                # written by a build with extra registered ones (or with a
+                # solver or config field since removed); intact but
+                # unusable here.
                 counters["results_incompatible"] += 1
                 continue
             except (StoreError, KeyError, TypeError, ValueError):

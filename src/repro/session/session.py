@@ -795,12 +795,6 @@ class DDSSession:
         }
         for counter in COUNTERS:
             stats[counter] = sum(getattr(engine, counter) for engine in self._engines.values())
-        auto_backends: dict[str, int] = {}
-        for engine in self._engines.values():
-            for backend, count in engine.auto_backend_choices.items():
-                auto_backends[backend] = auto_backends.get(backend, 0) + count
-        if auto_backends:
-            stats["auto_backends"] = auto_backends
         stats["xy_cores_cached"] = len(self._xy_cores) + (1 if self._max_core is not None else 0)
         return stats
 

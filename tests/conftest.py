@@ -21,8 +21,7 @@ def flow_oracle() -> str:
     """Register the Edmonds–Karp oracle as a flow solver for one test.
 
     Yields its registry name; the registry is restored afterwards, so the
-    production registry (``dinic``, plus ``numpy-push-relabel`` where numpy
-    imports) is what every other test sees.
+    production registry (``dinic`` alone) is what every other test sees.
     """
     register_solver(ORACLE_SOLVER, EdmondsKarpSolver)
     try:

@@ -1,8 +1,8 @@
 """Edmonds–Karp maximum flow: the test suite's independent min-cut oracle.
 
 This solver exists purely as an independent implementation against which
-the production solvers (``dinic`` and, where numpy imports, the vectorised
-push–relabel backend) are cross-checked in the unit and property tests.  It
+the production solver, ``dinic``, is cross-checked in the unit and property
+tests.  It
 is the textbook BFS-augmenting-path algorithm; no attempt is made to
 optimise it, but it satisfies the same solver protocol (``max_flow()`` /
 ``min_cut_source_side()`` / ``arcs_pushed``), so the ``flow_oracle`` fixture

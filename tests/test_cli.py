@@ -530,4 +530,3 @@ class TestFlowSolverFlags:
         )
         routed = json.loads(capsys.readouterr().out)
         assert routed["results"][0]["density"] == plain["results"][0]["density"]
-        assert routed["session"]["backend_selections"] == routed["session"]["flow_calls"]

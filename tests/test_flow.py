@@ -120,6 +120,9 @@ class TestFlowNetwork:
         assert dinic_max_flow(net, 0, new) == pytest.approx(1.0)
 
 
+needs_numpy = pytest.mark.skipif(network_module._np is None, reason="numpy not importable")
+
+
 @pytest.fixture(params=["numpy", "scalar"])
 def column_path(request, monkeypatch):
     """Run a paired-arc test on the numpy columns and on the scalar fallback."""
@@ -159,6 +162,110 @@ class TestPairedArcCapacities:
         with pytest.raises(FlowError, match="capacity"):
             net.append_paired_arcs([1, 2], [2, 1], capacities, base)
         assert net.num_arcs == 0
+
+
+@needs_numpy
+class TestAppendPairedArcs:
+    def _by_add_edge(self, arcs):
+        network = FlowNetwork(4)
+        for tail, target, capacity in arcs:
+            network.add_edge(tail, target, capacity)
+        return network
+
+    def test_matches_add_edge_construction(self):
+        import numpy as np
+
+        arcs = [(0, 1, 2.5), (1, 2, 1.0), (2, 3, 4.0), (0, 3, 0.5)]
+        expected = self._by_add_edge(arcs)
+        network = FlowNetwork(4)
+        exp_starts, exp_order, exp_targets, exp_caps, exp_tails, exp_base = (
+            expected.numpy_csr()
+        )
+        first = network.append_paired_arcs(
+            exp_tails.copy(), exp_targets.copy(), exp_caps.copy(), exp_base.copy()
+        )
+        assert first == 0
+        starts, order, targets, caps, tails, base = network.numpy_csr()
+        assert np.array_equal(starts, exp_starts)
+        assert np.array_equal(order, exp_order)
+        assert np.array_equal(targets, exp_targets)
+        assert np.array_equal(caps, exp_caps)
+        assert np.array_equal(tails, exp_tails)
+        assert np.array_equal(base, exp_base)
+
+    def test_rejects_unpaired_and_mismatched_columns(self):
+        import numpy as np
+
+        network = FlowNetwork(3)
+        with pytest.raises(FlowError, match="even number"):
+            network.append_paired_arcs(
+                np.array([0]), np.array([1]), np.array([1.0]), np.array([1.0])
+            )
+        with pytest.raises(FlowError, match="length"):
+            network.append_paired_arcs(
+                np.array([0, 1]), np.array([1, 0]), np.array([1.0]), np.array([1.0, 0.0])
+            )
+
+    def test_out_of_range_nodes_roll_back_cleanly(self):
+        import numpy as np
+
+        network = FlowNetwork(3)
+        network.add_edge(0, 1, 1.0)
+        before = network.num_arcs
+        for bad in (5, -1):
+            with pytest.raises(FlowError, match=f"node {bad} out of range"):
+                network.append_paired_arcs(
+                    np.array([1, bad], dtype=np.int64),
+                    np.array([bad, 1], dtype=np.int64),
+                    np.array([1.0, 0.0]),
+                    np.array([1.0, 0.0]),
+                )
+            assert network.num_arcs == before
+        # The network stays fully usable after the rollback.
+        network.add_edge(1, 2, 2.0)
+        assert network.num_arcs == before + 2
+
+
+@needs_numpy
+class TestZeroCopyViews:
+    def test_view_writes_are_visible_through_the_network(self):
+        network = FlowNetwork(3)
+        first = network.add_edge(0, 1, 4.0)
+        network.add_edge(1, 2, 2.0)
+        _, _, _, caps, _, _ = network.numpy_csr()
+        caps[first] = 1.25
+        assert network.arc_capacities[first] == 1.25
+        # ... and network-side writes are visible through the view.
+        network.reset_flow()
+        assert caps[first] == 4.0
+
+    def test_views_cached_per_topology_and_invalidated_on_growth(self):
+        network = FlowNetwork(2)
+        network.add_edge(0, 1, 1.0)
+        assert network.numpy_csr()[3] is network.numpy_csr()[3]
+        # Growing the topology drops the cached views; the fresh ones cover
+        # the new arcs.  (No caller holds the old views here — a held view
+        # pins the buffer, see the test below.)
+        network.add_edge(1, 0, 1.0)
+        assert len(network.numpy_csr()[3]) == 4
+
+    def test_held_view_blocks_topology_growth(self):
+        network = FlowNetwork(2)
+        network.add_edge(0, 1, 1.0)
+        caps_view = network.numpy_csr()[3]
+        # A live zero-copy view pins the underlying buffer: growing the
+        # network mid-solve is a caller error and fails loudly.
+        with pytest.raises(BufferError):
+            network.add_edge(1, 0, 1.0)
+        # The refused append must be all-or-nothing: the parallel arc
+        # arrays stay aligned, and after the view is released the next
+        # edge gets the even index the twin-pairing contract requires.
+        assert network.num_arcs == 2
+        del caps_view
+        arc = network.add_edge(1, 0, 1.0)
+        assert arc == 2 and arc % 2 == 0
+        assert network.num_arcs == 4
+        assert network.arc_flow(arc) == 0.0
 
 
 class TestDinicBasics:

@@ -7,19 +7,17 @@ and the min-cut certificate each solver extracts must certify the value: the
 total original capacity crossing from the source side to the sink side
 equals the flow (max-flow = min-cut).  Independent implementations agreeing
 on ~50 seeded random instances is a strong correctness signal for all of
-them, and the oracle keeps that signal in the no-numpy lane, whose registry
-holds ``dinic`` alone.
+them; the registry holds ``dinic`` alone, so the oracle is its independent
+check.
 
 Every solver continues from the flow its network already holds and
 returns the *total* value, so solving an already-solved network again must
 reproduce the same value and cut.
 
 Because every class parametrises over ``available_flow_solvers()`` plus the
-oracle, the vectorised ``numpy-push-relabel`` backend is covered
-automatically exactly when numpy is importable (the registry lists it only
-then) — including by the hypothesis-driven :class:`TestHypothesisCrossSolver`,
-which searches the network space adversarially instead of sampling it from
-fixed seeds.
+oracle, a newly registered solver is covered automatically — including by
+the hypothesis-driven :class:`TestHypothesisCrossSolver`, which searches the
+network space adversarially instead of sampling it from fixed seeds.
 """
 
 from __future__ import annotations
@@ -31,15 +29,18 @@ from flow_oracle import ORACLE_SOLVER, EdmondsKarpSolver, RestartDinicSolver
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import DeadlineExceeded
+from repro.core.config import ExactConfig, FlowConfig
+from repro.exceptions import ConfigError, DeadlineExceeded, FlowError
 from repro.flow.network import INFINITY, FlowNetwork
-from repro.runtime import Deadline
 from repro.flow.registry import (
-    VECTOR_SOLVER,
+    AUTO_SOLVER,
     available_flow_solvers,
+    flow_solver_choices,
     get_solver_class,
-    has_vector_backend,
 )
+from repro.graph.generators import gnm_random_digraph
+from repro.runtime import Deadline
+from repro.session import DDSSession
 
 NUM_SEEDED_NETWORKS = 50
 #: Every registered solver (``dinic`` first, the reference) plus the oracle.
@@ -88,8 +89,7 @@ def _crossing_capacity(network: FlowNetwork, source_side: list[int]) -> float:
 
 class TestRegistry:
     def test_builtin_solvers_registered(self):
-        expected = ["dinic", VECTOR_SOLVER] if has_vector_backend() else ["dinic"]
-        assert available_flow_solvers() == expected
+        assert available_flow_solvers() == ["dinic"]
 
     def test_unknown_solver_rejected(self):
         from repro.exceptions import FlowError
@@ -144,6 +144,34 @@ class TestRegistry:
             if AUTO_SOLVER in available_flow_solvers():
                 unregister_solver(AUTO_SOLVER)
         assert flow_solver_choices().count(AUTO_SOLVER) == 1
+
+
+class TestAutoSolverName:
+    """``"auto"`` is accepted wherever a solver name is, and runs ``dinic``."""
+
+    def test_auto_is_a_choice_but_not_a_registry_entry(self):
+        assert AUTO_SOLVER in flow_solver_choices()
+        assert AUTO_SOLVER not in available_flow_solvers()
+
+    def test_config_accepts_auto_and_rejects_unknown(self):
+        config = FlowConfig(solver=AUTO_SOLVER)
+        assert config.solver == AUTO_SOLVER
+        assert ExactConfig(flow="auto").flow.solver == AUTO_SOLVER
+        with pytest.raises((FlowError, ConfigError)):
+            FlowConfig(solver="no-such-backend")
+
+    def test_session_auto_matches_dinic(self):
+        graph = gnm_random_digraph(16, 60, seed=7)
+        auto = DDSSession(graph.copy(), flow=FlowConfig(solver=AUTO_SOLVER))
+        dinic = DDSSession(graph.copy(), flow=FlowConfig(solver="dinic"))
+        result_auto = auto.densest_subgraph("dc-exact")
+        result_dinic = dinic.densest_subgraph("dc-exact")
+        assert result_auto.s_nodes == result_dinic.s_nodes
+        assert result_auto.t_nodes == result_dinic.t_nodes
+        assert result_auto.density == result_dinic.density
+        assert result_auto.stats["flow_calls"] == result_dinic.stats["flow_calls"] > 0
+        for session in (auto, dinic):
+            assert "auto_backends" not in session.cache_stats()
 
 
 class TestCrossSolverAgreement:

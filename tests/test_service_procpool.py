@@ -8,8 +8,8 @@ Pins the acceptance criteria of the multiprocess sharded executor:
   the fingerprint it was routed by.
 * **Cross-process bit-identity** — process-pool answers are bit-identical
   to the serial and thread-pool paths on hypothesis-generated mixed
-  batches (subgraphs, densities, and ``payload_answer()`` dicts),
-  including batched-solve lanes, under ``fork`` and ``spawn``.
+  batches (subgraphs, densities, and ``payload_answer()`` dicts), under
+  ``fork`` and ``spawn``.
 * **Fault tolerance** — a worker SIGKILLed mid-lane, poisoned by an
   erroring query, or dead before it read its graphs is retried on a fresh
   worker (then inline), the lane is marked degraded in the per-query
@@ -325,7 +325,7 @@ class TestCrossProcessBitIdentity:
                 spec["dataset"] = dataset
             queries.append(spec)
         plan = _plan(queries)
-        flow = FlowConfig(solver="auto", batch_size=8)
+        flow = FlowConfig(solver="auto")
         serial = _executor(flow=flow, max_workers=1).execute(plan)
         threads = _executor(flow=flow, max_workers=2).execute(plan)
         procs = _executor(flow=flow, max_workers=2, process_pool=True).execute(plan)
@@ -333,13 +333,13 @@ class TestCrossProcessBitIdentity:
         assert procs.executor_stats["mode"] == "process-pool"
         assert multiprocessing.active_children() == []
 
-    def test_mixed_workload_with_batched_lanes(self):
-        # The E6 smoke workload: repeated fixed-ratio probes and solves the
-        # auto policy may batch must survive the process boundary
-        # bit-for-bit.
+    def test_mixed_workload_matches_serial(self):
+        # The E6 smoke workload: repeated fixed-ratio probes and exact
+        # solves must survive the process boundary bit-for-bit, in the same
+        # number of min-cuts.
         queries = service_mixed_workload()
         plan = _plan(queries)
-        flow = FlowConfig(solver="auto", batch_size=8)
+        flow = FlowConfig(solver="auto")
         serial = _executor(flow=flow, max_workers=1).execute(plan)
         procs = _executor(flow=flow, max_workers=2, process_pool=True).execute(plan)
         assert _answers(procs) == _answers(serial)

@@ -291,9 +291,9 @@ class TestIntegrity:
         assert counters["results_corrupt"] == 0
 
     def test_unregistered_flow_solver_is_counted_not_fatal(self, graph, tmp_path):
-        # A store written by a build with a solver this one lacks (a plugin,
-        # or numpy-push-relabel warmed without numpy): that entry is
-        # incompatible, and every other entry still loads.
+        # A store written by a build with a solver this one lacks (here a
+        # plugin): that entry is incompatible, and every other entry still
+        # loads.
         store = SessionStore(tmp_path)
         register_solver("store-only-solver", EdmondsKarpSolver)
         try:
@@ -310,14 +310,26 @@ class TestIntegrity:
         assert counters["results_loaded"] == 1
         assert receiver.densest_subgraph("core-approx").stats["result_cache_hit"] is True
 
+    @pytest.mark.parametrize(
+        "flow",
+        [
+            {"solver": "dinic", "batch_size": 32, "deadline_ms": None},
+            {"solver": "dinic", "network_cache_size": 64, "deadline_ms": None},
+            {"solver": "numpy-push-relabel", "deadline_ms": None},
+        ],
+        ids=["batch_size", "network_cache_size", "numpy-push-relabel"],
+    )
     def test_entry_with_a_removed_config_field_is_incompatible_not_corrupt(
-        self, graph, tmp_path
+        self, graph, tmp_path, flow
     ):
-        """An entry saved when ``FlowConfig`` still had ``network_cache_size``.
+        """An entry saved by a build whose ``FlowConfig`` this one cannot rebuild.
 
         Every stored config embeds its nested flow config, so each entry of
-        that build carries the field; it is intact, but this build cannot
-        rebuild its config, and the rest of the graph's state still loads.
+        a build with a since-removed field (``batch_size``,
+        ``network_cache_size``) carries it, and an entry may name a
+        since-removed solver (``numpy-push-relabel``).  Such an entry is
+        intact, but this build cannot rebuild its config, and the rest of
+        the graph's state still loads.
         """
         import hashlib
 
@@ -334,12 +346,7 @@ class TestIntegrity:
                 "leaf_ratio_count": 2,
                 "seed_with_core": False,
                 "node_limit": None,
-                "flow": {
-                    "solver": "dinic",
-                    "network_cache_size": 64,
-                    "batch_size": 32,
-                    "deadline_ms": None,
-                },
+                "flow": flow,
             },
             "result": DDSSession(graph).densest_subgraph("dc-exact").to_dict(),
         }
