@@ -204,6 +204,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if args.explain:
         explanation = plan.explain()
         explanation["timings"] = report.timings()
+        explanation["cpu_by_kind"] = report.cpu_by_kind()
         payload["plan"] = explanation
     if store is not None:
         payload["store"] = report.store_stats
@@ -365,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--explain",
         action="store_true",
-        help="include the plan (execution order, lanes, per-query timings) "
-        "in the output payload",
+        help="include the plan (execution order, lanes, per-query timings and "
+        "their CPU summed per query kind) in the output payload",
     )
     batch.add_argument(
         "--jobs",

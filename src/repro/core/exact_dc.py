@@ -212,20 +212,28 @@ class _SearchState:
         if outcome.last_s is not outcome.best_s:  # often one pair, pooled by offer
             self.remember(outcome.last_s, outcome.last_t, outcome.last_edges)
 
-    def starting_pair(self, subproblem: STSubproblem, ratio: float) -> StartingPair | None:
-        """The pooled pair inside ``subproblem`` with the best surrogate at ``ratio``."""
-        s_allowed = set(subproblem.s_candidates)
-        t_allowed = set(subproblem.t_candidates)
+    def starting_pair(
+        self, subproblem: STSubproblem, ratio: float, *, holds_pool: bool = False
+    ) -> StartingPair | None:
+        """The pooled pair inside ``subproblem`` with the best surrogate at ``ratio``.
+
+        ``holds_pool`` says ``subproblem`` contains every pooled pair (dc-exact's
+        whole-graph sub-problem), so no pair needs the subset test; otherwise
+        the candidate sets are built once a pair's surrogate beats the best.
+        """
+        allowed: tuple[set[int], set[int]] | None = None
         start = None
         best = 0.0
         for (edges, s_size, t_size), (s_nodes, t_nodes) in self.pool.items():
             surrogate = surrogate_density(edges, s_size, t_size, ratio)
-            if (
-                surrogate > best
-                and s_allowed.issuperset(s_nodes)
-                and t_allowed.issuperset(t_nodes)
-            ):
-                start, best = (s_nodes, t_nodes, surrogate, edges), surrogate
+            if surrogate <= best:
+                continue
+            if not holds_pool:
+                if allowed is None:
+                    allowed = set(subproblem.s_candidates), set(subproblem.t_candidates)
+                if not (allowed[0].issuperset(s_nodes) and allowed[1].issuperset(t_nodes)):
+                    continue
+            start, best = (s_nodes, t_nodes, surrogate, edges), surrogate
         return start
 
     def stats(self) -> dict[str, Any]:
@@ -478,7 +486,9 @@ def _dc_driver(
                 upper=max(upper_bound, 0.0),
                 tolerance=tolerance,
                 engine=state.engine,
-                start=state.starting_pair(subproblem, probe_ratio),
+                start=state.starting_pair(
+                    subproblem, probe_ratio, holds_pool=subproblem is full_subproblem
+                ),
             )
             state.absorb_outcome(outcome)
             value_upper = outcome.upper

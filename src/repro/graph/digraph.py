@@ -64,6 +64,9 @@ class DiGraph:
         "_in_adj_cache",
         "_state_token",
         "_fingerprint_cache",
+        # Lets a store remember what it verified for a graph only while the
+        # graph lives (repro.service.store.SessionStore).
+        "__weakref__",
     )
 
     def __init__(self, allow_self_loops: bool = False) -> None:

@@ -186,6 +186,23 @@ class BatchReport:
             rows.append(row)
         return rows
 
+    def cpu_by_kind(self) -> dict[str, dict[str, Any]]:
+        """Query count and thread CPU per query kind, summed over :meth:`timings`.
+
+        ``{kind: {"queries", "cpu_seconds"}}``, kinds in sorted order.  On a
+        remote batch the CPU is the daemons' (see :meth:`timings`), so this
+        is the daemon CPU split by query kind.
+        """
+        totals: dict[str, dict[str, Any]] = {}
+        for row in self.timings():
+            kind = totals.setdefault(row["query"], {"queries": 0, "cpu_seconds": 0.0})
+            kind["queries"] += 1
+            kind["cpu_seconds"] += row["cpu_seconds"]
+        return {
+            kind: {"queries": total["queries"], "cpu_seconds": round(total["cpu_seconds"], 6)}
+            for kind, total in sorted(totals.items())
+        }
+
 
 def _inject_fault(fault: Mapping[str, Any] | None, graph_key: str, index: int) -> None:
     """Trigger the chaos hook when this query is its target (worker side)."""

@@ -1,7 +1,7 @@
 """Persistent session store: warm per-graph state shared across processes.
 
 A :class:`~repro.session.DDSSession` accumulates expensive derived state —
-whole results, degree arrays, [x, y]-cores, density bounds — but only for
+whole answers, degree arrays, [x, y]-cores, density bounds — but only for
 the lifetime of one process.  :class:`SessionStore` serialises that warm
 state to a versioned on-disk layout so a service tier can share it across
 workers and restarts: compute once (``dds-repro warm``), serve everywhere.
@@ -26,18 +26,28 @@ On-disk layout (``STORE_SCHEMA_VERSION`` = 1)
       graphs/<fingerprint>/
         manifest.json                 # graph shape: nodes / edges / loops
         derived.json                  # degree arrays, cores, bounds
-        results/<entry-digest>.json   # one result-cache entry
+        results/<entry-digest>.json               # one densest result
+        results/fixed-ratio-<entry-digest>.json   # one fixed-ratio outcome
+        results/top-k-<entry-digest>.json         # one top-k list
 
-Every file under ``graphs/`` wraps its payload as ``{"checksum":
-sha256(canonical-json(payload)), "payload": ...}``.  Reads verify the
-checksum and the manifest's shape against the live graph; a failed check
-marks the entry corrupt — it is skipped and *counted*, never silently
-served.  Result payloads are the schema-versioned
-:meth:`DDSResult.to_dict() <repro.core.results.DDSResult.to_dict>` documents
-(schema version 2 guarantees JSON-native stats), so a loaded result is
-bit-identical to the one saved; results whose node labels would not survive
+Every file under ``graphs/`` is compact canonical JSON: its bytes are
+``canonical_json({"checksum": sha256(canonical_json(payload)), "payload":
+payload})``, built around the payload text the checksum hashed, so a
+payload is encoded once.  Reads verify the checksum and the manifest's
+shape against the live graph; a failed check marks the entry corrupt — it
+is skipped and *counted*, never silently served.  Readers parse the JSON
+and verify the canonical checksum and never compare raw bytes across
+processes, so files of the earlier ``indent=1`` writer read and verify
+unchanged, and the compact writer needed no schema bump.  Result payloads
+hold the schema-versioned :meth:`DDSResult.to_dict()
+<repro.core.results.DDSResult.to_dict>` documents (schema version 2
+guarantees JSON-native stats) or every field of a
+:class:`~repro.core.results.FixedRatioOutcome`, so a loaded answer is
+bit-identical to the one saved; answers whose node labels would not survive
 a JSON round trip are skipped at save time (``results_skipped``) rather than
-persisted lossily.
+persisted lossily.  A fixed-ratio or top-k entry names its kind as its
+``method``, which no registered method is called, so a build without the
+kind counts it ``results_incompatible``.
 
 Saves that cost what changed
 ----------------------------
@@ -49,7 +59,14 @@ digests returns the same counters after a few file reads, without building,
 encoding or parsing a payload; any other save rewrites what differs, as
 always.  Digests rather than file stats make a file that was deleted,
 replaced by another writer or tampered with force the full save, which
-repairs it.  Reads verify every checksum whatever the store remembers.
+repairs it.
+
+Beside that, a store remembers, weakly keyed by each live
+:class:`~repro.graph.digraph.DiGraph`, the files of the state it last saved
+or warmed for the graph as it wrote or verified them.  Every read hashes
+the file's bytes, and re-verifies the checksum unless those bytes match
+bytes this store wrote or verified; a full save re-encodes only the answers
+that differ from what their unchanged file holds.
 """
 
 from __future__ import annotations
@@ -73,11 +90,12 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 from repro.core.config import ApproxConfig, ExactConfig, FlowConfig, MethodConfig
 from repro.core.method_registry import get_method_spec
-from repro.core.results import DDSResult, json_native_label
+from repro.core.results import DDSResult, FixedRatioOutcome, json_native_label
 from repro.core.xycore import XYCore
 from repro.exceptions import AlgorithmError, ConfigError, FlowError, GraphError, StoreError
 from repro.graph.digraph import DiGraph
 from repro.session import DDSSession
+from repro.session.session import FIXED_RATIO_ENTRY, TOP_K_ENTRY
 from repro.utils.canonical import canonical_json as _canonical_json
 from repro.utils.canonical import checksum as _checksum
 
@@ -123,7 +141,18 @@ def _config_to_jsonable(config: MethodConfig) -> dict[str, Any] | None:
 
 
 class _IncompatibleConfig(StoreError):
-    """A stored config names a field this build's config class does not define."""
+    """A stored entry names a config class or a field this build does not define."""
+
+
+def _method_config_document(config: MethodConfig) -> dict[str, Any] | None:
+    """The stored form of a method config, or ``None`` if it cannot be rebuilt.
+
+    Custom config subclasses cannot be reconstructed from the class name
+    alone, so only the two built-in config classes are stored.
+    """
+    if type(config) not in (ExactConfig, ApproxConfig):
+        return None
+    return _config_to_jsonable(config)
 
 
 def _config_from_jsonable(config_type: type, data: dict[str, Any]) -> MethodConfig:
@@ -154,6 +183,114 @@ def _config_from_jsonable(config_type: type, data: dict[str, Any]) -> MethodConf
         raise StoreError(f"cannot rebuild {config_type.__name__} from stored fields: {error}")
 
 
+def _stored_config(document: dict[str, Any], method: str) -> tuple[str, MethodConfig]:
+    """The registry name of ``method`` and the config ``document`` stores for it.
+
+    An unregistered method raises :class:`~repro.exceptions.AlgorithmError`
+    and a foreign config class :class:`_IncompatibleConfig`, before any
+    other field is read: intact entries this build cannot use.
+    """
+    spec = get_method_spec(method)
+    config_type = document.get("config_type")
+    if config_type != spec.config_type.__name__:
+        raise _IncompatibleConfig(f"stored config class {config_type!r} is not {spec.config_type.__name__}")
+    return spec.name, _config_from_jsonable(spec.config_type, document["config"])
+
+
+def _outcome_from_jsonable(data: Any) -> FixedRatioOutcome:
+    """Rebuild a stored :class:`FixedRatioOutcome` (sharing the document's lists)."""
+    if not isinstance(data, dict):
+        raise StoreError(f"outcome document must be an object, got {type(data).__name__}")
+    unknown = sorted(set(data) - {field.name for field in dataclasses.fields(FixedRatioOutcome)})
+    if unknown:
+        raise _IncompatibleConfig(f"stored outcome has fields this build lacks: {', '.join(unknown)}")
+    try:
+        return FixedRatioOutcome(**data)
+    except TypeError as error:
+        raise StoreError(f"cannot rebuild a fixed-ratio outcome from stored fields: {error}")
+
+
+def _labels_survive(result: DDSResult) -> bool:
+    """Whether every node label of ``result`` survives a JSON round trip."""
+    return all(json_native_label(label) for label in result.s_nodes + result.t_nodes)
+
+
+def _entry_document(method: str, config: Any, value: Any) -> tuple[str, dict[str, Any]] | None:
+    """File name and payload of one cached answer, or ``None`` if it cannot round trip.
+
+    A densest result is stored as ``{"method", "config_type", "config",
+    "result"}`` under the digest of its method and config; a fixed-ratio
+    outcome as ``{"method": "fixed-ratio", "query", "outcome"}`` and a top-k
+    list as ``{"method": "top-k", "query", "results"}``, each under its kind
+    and the digest of its query.
+    """
+    if method == FIXED_RATIO_ENTRY:
+        ratio, lower, upper, tolerance, solver = config
+        query = {
+            "ratio": ratio,
+            "lower": lower,
+            "upper": upper,
+            "tolerance": tolerance,
+            "flow_solver": solver,
+        }
+        # ``value`` is the session's export copy, so its lists can be shared.
+        payload = {"method": method, "query": query, "outcome": dict(vars(value))}
+    elif method == TOP_K_ENTRY:
+        k, min_density, inner, inner_config = config
+        config_document = _method_config_document(inner_config)
+        if config_document is None or not all(_labels_survive(result) for result in value):
+            return None
+        query = {
+            "k": k,
+            "min_density": min_density,
+            "method": inner,
+            "config_type": type(inner_config).__name__,
+            "config": config_document,
+        }
+        payload = {"method": method, "query": query, "results": [r.to_dict() for r in value]}
+    else:
+        config_document = _method_config_document(config)
+        if config_document is None or not _labels_survive(value):
+            return None
+        payload = {
+            "method": method,
+            "config_type": type(config).__name__,
+            "config": config_document,
+            "result": value.to_dict(),
+        }
+        return SessionStore._entry_name(method, config_document), payload
+    return f"{method}-{SessionStore._entry_name(method, query)}", payload
+
+
+def _entry_from_document(entry: dict[str, Any]) -> tuple[str, Any, Any]:
+    """The ``(method, config, answer)`` triple of a stored entry, for ``seed_result``.
+
+    Raises :class:`~repro.exceptions.AlgorithmError`,
+    :class:`~repro.exceptions.FlowError` or :class:`_IncompatibleConfig` for
+    an intact entry this build cannot use (an unknown kind or method, flow
+    solver, config class or field), and :class:`StoreError`,
+    ``KeyError``, ``TypeError`` or ``ValueError`` for a malformed one.
+    """
+    method = entry["method"]
+    if method == FIXED_RATIO_ENTRY:
+        query = entry["query"]
+        config = (
+            float(query["ratio"]),
+            float(query["lower"]),
+            float(query["upper"]),
+            float(query["tolerance"]),
+            str(query["flow_solver"]),
+        )
+        return method, config, _outcome_from_jsonable(entry["outcome"])
+    if method == TOP_K_ENTRY:
+        query = entry["query"]
+        inner, inner_config = _stored_config(query, query["method"])
+        config = (query["k"], float(query["min_density"]), inner, inner_config)
+        return method, config, [DDSResult.from_dict(document) for document in entry["results"]]
+    method, config = _stored_config(entry, method)
+    return method, config, DDSResult.from_dict(entry["result"])
+
+
 def _core_to_jsonable(core: XYCore) -> dict[str, Any]:
     return {"x": core.x, "y": core.y, "s_nodes": list(core.s_nodes), "t_nodes": list(core.t_nodes)}
 
@@ -171,6 +308,23 @@ def _core_from_jsonable(data: dict[str, Any]) -> XYCore:
 
 
 @dataclasses.dataclass(frozen=True)
+class _Known:
+    """A store file's contents as this store wrote or verified them.
+
+    Shared between threads and saves, so nothing in it is ever mutated.
+    """
+
+    #: SHA-256 of the file's bytes.
+    digest: str
+    #: Its checksum field, which its payload verified against.
+    checksum: str
+    #: Its payload.
+    payload: dict[str, Any]
+    #: A result entry's ``(method, config, answer)``, as saved or loaded.
+    answer: tuple[str, Any, Any] | None = None
+
+
+@dataclasses.dataclass(frozen=True)
 class _Saved:
     """What a store last wrote or verified for one live session."""
 
@@ -184,6 +338,18 @@ class _Saved:
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _envelope(payload: Any) -> tuple[str, bytes]:
+    """The checksum of ``payload`` and the bytes of a store file holding it.
+
+    The bytes are ``canonical_json({"checksum": ..., "payload": payload})``,
+    built around the payload text the checksum hashes, so the payload is
+    encoded once, by the C encoder.
+    """
+    text = _canonical_json(payload)
+    checksum = _digest(text.encode("utf-8"))
+    return checksum, f'{{"checksum":"{checksum}","payload":{text}}}'.encode("utf-8")
 
 
 class SessionStore:
@@ -209,10 +375,15 @@ class SessionStore:
     def __init__(self, root: str | os.PathLike[str]) -> None:
         self.root = Path(root)
         self._saved: weakref.WeakKeyDictionary[DDSSession, _Saved] = weakref.WeakKeyDictionary()
-        self._saved_lock = threading.Lock()
+        # Per live graph: the fingerprint and the files of the state this
+        # store last saved or warmed for it, as written or verified.
+        self._known: weakref.WeakKeyDictionary[
+            DiGraph, tuple[str, dict[Path, _Known]]
+        ] = weakref.WeakKeyDictionary()
+        self._lock = threading.Lock()
         marker = self.root / "store.json"
         if marker.exists():
-            document, _ = self._read_json(marker)
+            document = self._parse(marker, self._read_json(marker)[0])
             version = document.get("store_schema_version") if isinstance(document, dict) else None
             if version != STORE_SCHEMA_VERSION:
                 raise StoreError(
@@ -224,23 +395,28 @@ class SessionStore:
     # low-level plumbing
     # ------------------------------------------------------------------
     @staticmethod
-    def _read_json(path: Path) -> tuple[Any, str]:
-        """Parse one store file; returns the document and the digest of its bytes.
+    def _read_json(path: Path) -> tuple[bytes, str]:
+        """Read one store file (every read goes through here): its bytes and their digest.
 
-        I/O, encoding and JSON failures all map to StoreError.
+        I/O failures map to StoreError; :meth:`_parse` parses the bytes.
         """
         try:
             data = path.read_bytes()
         except OSError as error:
             raise StoreError(f"cannot read store file {path}: {error}")
+        return data, _digest(data)
+
+    @staticmethod
+    def _parse(path: Path, data: bytes) -> Any:
+        """The JSON document in a store file's bytes; encoding and JSON failures raise StoreError."""
         try:
-            return json.loads(data.decode("utf-8")), _digest(data)
+            return json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise StoreError(f"store file {path} is not valid JSON: {error}")
 
     @staticmethod
-    def _write_json(path: Path, document: Any) -> str:
-        """Atomic write: unique temp file in the same directory, then rename.
+    def _write_json(path: Path, data: bytes) -> str:
+        """Atomic write of encoded JSON: unique temp file in the same directory, then rename.
 
         The temp name must be unique per writer (``mkstemp``), not a fixed
         ``<name>.tmp`` — concurrent writers of the same entry would truncate
@@ -249,7 +425,6 @@ class SessionStore:
         intermediate state of ``path`` is a complete document.  Returns the
         digest of the bytes written.
         """
-        data = json.dumps(document, sort_keys=True, indent=1).encode("utf-8")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             descriptor, temp_name = tempfile.mkstemp(
@@ -277,8 +452,8 @@ class SessionStore:
         Serialises *writers* — concurrent ``dds-repro warm`` processes,
         batch lanes saving the same graph, eviction sweeps — on one graph
         directory, so a second warmer blocks until the first has persisted
-        and then skips every now-``_entry_is_current`` entry instead of
-        re-serialising (and re-writing) the same state.  The read path
+        and then finds every entry current (:meth:`_save_entry`) instead of
+        re-writing the same state.  The read path
         (:meth:`warm_session`) takes no lock: entry reads stay safe under
         concurrent writers because every write is an atomic
         write-temp-then-rename of a checksummed document.  On platforms
@@ -344,40 +519,34 @@ class SessionStore:
         """Write the store's schema-version marker on first use."""
         marker = self.root / "store.json"
         if not marker.exists():
-            self._write_json(marker, {"store_schema_version": STORE_SCHEMA_VERSION})
+            document = {"store_schema_version": STORE_SCHEMA_VERSION}
+            self._write_json(marker, _canonical_json(document).encode("utf-8"))
 
-    def _entry_is_current(self, path: Path, checksum: str) -> str | None:
-        """Digest of ``path``'s bytes if it holds an intact payload with ``checksum``.
+    def _known_files(self, graph: DiGraph, fingerprint: str) -> dict[Path, _Known]:
+        """What this store last wrote or verified for ``graph`` at ``fingerprint``.
 
-        ``checksum`` is that of the payload a save is about to write.  The
-        entry counts as current only if its stored payload also verifies
-        against its own ``checksum`` field, as every read checks it, so a
-        tampered payload under an intact field is rewritten, not kept.
-        Lets ``save_session`` skip rewriting entries that a warm start just
-        loaded unchanged — on a warm store serving repeated batches that is
-        *every* entry, so the skip removes the write churn (and shrinks the
-        concurrent-writer window) of re-persisting identical bytes.
-        Returns ``None`` when the entry must be (re)written.
+        Remembered per live graph (weakly, so no longer than a session or a
+        daemon holds the graph) and only for the state of its last full save
+        or warm.  Treated as read-only: a save or warm builds a new one and
+        installs it with :meth:`_remember_files`.
         """
-        try:
-            document, digest = self._read_json(path)
-        except StoreError:
-            return None  # missing or unreadable — rewrite it
-        if not isinstance(document, dict) or document.get("checksum") != checksum:
-            return None
-        try:
-            self._verified(path, document)
-        except StoreError:
-            return None
-        return digest
+        with self._lock:
+            held = self._known.get(graph)
+        return held[1] if held is not None and held[0] == fingerprint else {}
 
-    def _check_manifest(self, graph: DiGraph, manifest_path: Path) -> tuple[dict[str, Any], str]:
+    def _remember_files(self, graph: DiGraph, fingerprint: str, files: dict[Path, _Known]) -> None:
+        with self._lock:
+            self._known[graph] = (fingerprint, files)
+
+    def _check_manifest(
+        self, graph: DiGraph, manifest_path: Path, known: dict[Path, _Known]
+    ) -> _Known:
         """Verify a manifest's checksum and ``graph``-shape (corruption tripwire).
 
-        Returns the manifest payload and the digest of its bytes, so each
-        caller reads the file once.
+        Returns the verified file, so each caller reads it once.
         """
-        manifest, digest = self._verified_payload(manifest_path)
+        verified = self._verified_file(manifest_path, known)
+        manifest = verified.payload
         expected = {
             "num_nodes": graph.num_nodes,
             "num_edges": graph.num_edges,
@@ -389,7 +558,7 @@ class SessionStore:
                     f"manifest {manifest_path} disagrees with the live graph on {key} "
                     f"({manifest.get(key)!r} != {value!r}); the store entry is corrupt"
                 )
-        return manifest, digest
+        return verified
 
     @staticmethod
     def _entry_name(method: str, config_document: dict[str, Any]) -> str:
@@ -405,15 +574,18 @@ class SessionStore:
     def save_session(self, session: DDSSession) -> dict[str, int]:
         """Persist ``session``'s warm state; returns save counters.
 
-        Persists every result-cache entry whose labels and config survive a
-        JSON round trip (others count as ``results_skipped``), the degree
+        Persists every cached answer — densest results, fixed-ratio outcomes
+        and top-k lists — whose labels and config survive a JSON round trip
+        (others count as ``results_skipped``), the degree
         arrays and density bounds (cheap — computed now if the session has
         not needed them yet), and whatever [x, y]-cores the session has
         already computed (never forces a core decomposition).  Entries whose
-        on-disk bytes already match are left untouched and counted as
+        on-disk payload already matches are left untouched and counted as
         ``results_unchanged`` / ``derived_saved: 0``; a corrupt manifest is
         rewritten from the live graph (the fingerprint, not the manifest, is
-        the graph's identity).
+        the graph's identity).  A file whose bytes match bytes this store
+        wrote or verified for the graph is compared by its remembered
+        checksum rather than parsed again.
 
         If this store saved or completely warmed ``session`` before, and
         neither its :attr:`~repro.session.DDSSession.warm_state_version`
@@ -438,7 +610,8 @@ class SessionStore:
             "results_unchanged": 0,
             "derived_saved": 0,
         }
-        digests: dict[Path, str] = {}
+        known = self._known_files(graph, fingerprint)
+        files: dict[Path, _Known] = {}
         # The whole per-graph write sequence runs under the graph's advisory
         # lock: a concurrent warmer of the same graph blocks here, then sees
         # every just-written entry as current and skips the duplicate work.
@@ -452,12 +625,11 @@ class SessionStore:
             # from cold sessions of the same (final) graph.
             lineage = session.lineage()
             try:
-                stored_manifest, digest = self._check_manifest(graph, manifest_path)
+                stored = self._check_manifest(graph, manifest_path, known)
             except StoreError:
-                stored_manifest = None  # missing or corrupt — rewritten from the live graph
-            if stored_manifest is not None and not lineage:
-                stored = stored_manifest.get("lineage") or []
-                lineage = [str(fingerprint_) for fingerprint_ in stored]
+                stored = None  # missing or corrupt — rewritten from the live graph
+            if stored is not None and not lineage:
+                lineage = [str(fingerprint_) for fingerprint_ in stored.payload.get("lineage") or []]
             manifest = {
                 "store_schema_version": STORE_SCHEMA_VERSION,
                 "fingerprint": fingerprint,
@@ -466,11 +638,10 @@ class SessionStore:
                 "allow_self_loops": graph.allow_self_loops,
                 "lineage": lineage,
             }
-            if stored_manifest != manifest:
-                digest = self._write_json(
-                    manifest_path, {"checksum": _checksum(manifest), "payload": manifest}
-                )
-            digests[manifest_path] = digest
+            if stored is None or stored.payload != manifest:
+                checksum, data = _envelope(manifest)
+                stored = _Known(self._write_json(manifest_path, data), checksum, manifest)
+            files[manifest_path] = stored
 
             derived: dict[str, Any] = {
                 "out_degrees": session.out_degrees(),
@@ -483,50 +654,73 @@ class SessionStore:
             if max_core is not None:
                 derived["max_core"] = _core_to_jsonable(max_core)
             derived_path = graph_dir / "derived.json"
-            digests[derived_path], written = self._save_entry(derived_path, derived)
+            files[derived_path], written = self._save_entry(derived_path, derived, known)
             counters["derived_saved"] = int(written)
 
-            for method, config, result in session.cached_results():
-                if not all(
-                    json_native_label(label) for label in result.s_nodes + result.t_nodes
-                ):
+            # An answer equal to the one a known file holds is not encoded again.
+            known_paths = {
+                file.answer[:2]: path for path, file in known.items() if file.answer is not None
+            }
+            for method, config, value in session.cached_results():
+                entry_path = known_paths.get((method, config))
+                if entry_path is not None and known[entry_path].answer[2] == value:
+                    if self._holds(entry_path, known[entry_path]):
+                        files[entry_path] = known[entry_path]
+                        counters["results_unchanged"] += 1
+                        continue
+                document = _entry_document(method, config, value)
+                if document is None:
                     counters["results_skipped"] += 1
                     continue
-                config_document = _config_to_jsonable(config)
-                if config_document is None or type(config) not in (ExactConfig, ApproxConfig):
-                    # Custom config subclasses cannot be reconstructed from the
-                    # class name alone; refuse to guess.
-                    counters["results_skipped"] += 1
-                    continue
-                entry = {
-                    "method": method,
-                    "config_type": type(config).__name__,
-                    "config": config_document,
-                    "result": result.to_dict(),
-                }
-                entry_path = graph_dir / "results" / self._entry_name(method, config_document)
-                digests[entry_path], written = self._save_entry(entry_path, entry)
+                name, entry = document
+                entry_path = graph_dir / "results" / name
+                saved, written = self._save_entry(entry_path, entry, known)
+                files[entry_path] = dataclasses.replace(saved, answer=(method, config, value))
                 counters["results_saved" if written else "results_unchanged"] += 1
+        self._remember_files(graph, fingerprint, files)
         self._remember(
             session,
             fingerprint,
             version,
             counters["results_skipped"],
             counters["results_unchanged"] + counters["results_saved"],
-            digests,
+            {path: file.digest for path, file in files.items()},
         )
         return counters
 
-    def _save_entry(self, path: Path, payload: dict[str, Any]) -> tuple[str, bool]:
-        """Write ``payload``'s checksummed envelope unless ``path`` already holds it.
+    def _save_entry(
+        self, path: Path, payload: dict[str, Any], known: dict[Path, _Known]
+    ) -> tuple[_Known, bool]:
+        """Write ``payload``'s checksummed file unless ``path`` already holds it intact.
 
-        Returns the digest of the file's bytes and whether they were written.
+        The entry counts as current only if its stored payload verifies
+        against its own ``checksum`` field, as every read checks it, and that
+        field equals the new payload's checksum, so a tampered payload under
+        an intact field is rewritten, not kept.  On a warm store serving
+        repeated batches that is *every* entry, so the skip removes the
+        write churn (and shrinks the concurrent-writer window) of
+        re-persisting identical payloads.  A payload equal to the one a known
+        file still holds is not even encoded.  Returns the file and whether
+        it was written.
         """
-        checksum = _checksum(payload)
-        digest = self._entry_is_current(path, checksum)
-        if digest is not None:
-            return digest, False
-        return self._write_json(path, {"checksum": checksum, "payload": payload}), True
+        remembered = known.get(path)
+        if remembered is not None and remembered.payload == payload and self._holds(path, remembered):
+            return remembered, False
+        checksum, data = _envelope(payload)
+        try:
+            current = self._verified_file(path, known)
+        except StoreError:
+            current = None  # missing, unreadable or tampered — rewrite it
+        if current is not None and current.checksum == checksum:
+            return current, False
+        return _Known(self._write_json(path, data), checksum, payload), True
+
+    def _holds(self, path: Path, file: _Known) -> bool:
+        """Whether ``path`` still holds the bytes of ``file``."""
+        try:
+            return self._read_json(path)[1] == file.digest
+        except StoreError:
+            return False
 
     def _unchanged_counters(
         self, session: DDSSession, fingerprint: str, version: int
@@ -536,7 +730,7 @@ class SessionStore:
         ``None`` unless this store remembers ``session`` at ``fingerprint``
         and ``version`` and every remembered file still hashes to its digest.
         """
-        with self._saved_lock:
+        with self._lock:
             saved = self._saved.get(session)
         if saved is None or saved.fingerprint != fingerprint or saved.version != version:
             return None
@@ -570,7 +764,7 @@ class SessionStore:
             },
             digests=tuple(digests.items()),
         )
-        with self._saved_lock:
+        with self._lock:
             self._saved[session] = saved
 
     # ------------------------------------------------------------------
@@ -580,24 +774,28 @@ class SessionStore:
         """Seed ``session`` from the store; returns load counters.
 
         Counters: ``results_loaded`` / ``results_corrupt`` /
-        ``results_incompatible`` (entry is intact but names an unregistered
-        method, flow solver, foreign config class or a config field this
-        build lacks), ``derived_loaded`` /
+        ``results_incompatible`` (entry is intact but names an unknown kind,
+        an unregistered method or flow solver, a foreign config class or a
+        field this build lacks), ``derived_loaded`` /
         ``derived_corrupt``, and ``manifest_corrupt`` (the graph directory's
         manifest fails verification — nothing under it is trusted or
-        loaded).  A graph the store has never seen loads nothing and returns
+        loaded).  Results count every kind of cached answer: densest
+        results, fixed-ratio outcomes and top-k lists.  A graph the store
+        has never seen loads nothing and returns
         all-zero counters — warming is always safe to attempt and never
         raises for on-disk damage; serving must not die because a cache
         entry rotted.  The manifest is read once, so a concurrent eviction
-        that removes it mid-warm cannot turn into an exception.
+        that removes it mid-warm cannot turn into an exception.  Every file
+        is read and hashed; one whose bytes match bytes this store wrote or
+        verified for the graph is not parsed or re-verified again.
 
         A complete warm of a session that held no saved state
         (:attr:`~repro.session.DDSSession.warm_state_version` 0) — manifest,
         ``derived.json`` and every result entry loaded, every loaded result
         still cached — remembers the digests of the bytes it verified, so
-        the session's next save costs what a repeat save costs.  Files this
-        store's saves wrote round trip exactly, so those bytes are what that
-        save would write.
+        the session's next save costs what a repeat save costs.  A save
+        leaves a file alone while it holds the payload the save would
+        write, so those bytes are what that save would find.
         """
         graph = session.graph
         fresh = session.warm_state_version == 0
@@ -614,20 +812,22 @@ class SessionStore:
         manifest_path = graph_dir / "manifest.json"
         if not manifest_path.exists():
             return counters
+        known = self._known_files(graph, fingerprint)
         try:
-            manifest, digest = self._check_manifest(graph, manifest_path)
+            manifest = self._check_manifest(graph, manifest_path, known)
         except StoreError:
             counters["manifest_corrupt"] = 1
             return counters
-        digests = {manifest_path: digest}
-        stored_lineage = manifest.get("lineage") or []
+        files = {manifest_path: manifest}
+        stored_lineage = manifest.payload.get("lineage") or []
         if stored_lineage:
             session.seed_lineage(str(fingerprint_) for fingerprint_ in stored_lineage)
 
         derived_path = graph_dir / "derived.json"
         if derived_path.exists():
             try:
-                payload, digest = self._verified_payload(derived_path)
+                derived = self._verified_file(derived_path, known)
+                payload = derived.payload
                 session.seed_derived(
                     out_degrees=payload["out_degrees"],
                     in_degrees=payload["in_degrees"],
@@ -641,7 +841,7 @@ class SessionStore:
                     exactness_tolerance=payload["exactness_tolerance"],
                 )
                 counters["derived_loaded"] = 1
-                digests[derived_path] = digest
+                files[derived_path] = derived
             except (StoreError, GraphError, KeyError, TypeError, ValueError):
                 counters["derived_corrupt"] = 1
 
@@ -649,16 +849,12 @@ class SessionStore:
         entry_paths = sorted(results_dir.glob("*.json")) if results_dir.is_dir() else []
         for entry_path in entry_paths:
             try:
-                entry, digest = self._verified_payload(entry_path)
-                method = entry["method"]
-                spec = get_method_spec(method)
-                if entry.get("config_type") != spec.config_type.__name__:
-                    counters["results_incompatible"] += 1
-                    continue
-                config = _config_from_jsonable(spec.config_type, entry["config"])
-                result = DDSResult.from_dict(entry["result"])
+                entry = self._verified_file(entry_path, known)
+                if entry.answer is None:
+                    entry = dataclasses.replace(entry, answer=_entry_from_document(entry.payload))
+                seeded = session.seed_result(*entry.answer)
             except (AlgorithmError, FlowError, _IncompatibleConfig):
-                # Unknown method, flow solver or config field — a store
+                # Unknown kind, method, flow solver or config field — a store
                 # written by a build with extra registered ones (or with a
                 # solver or config field since removed); intact but
                 # unusable here.
@@ -667,28 +863,41 @@ class SessionStore:
             except (StoreError, KeyError, TypeError, ValueError):
                 counters["results_corrupt"] += 1
                 continue
-            if session.seed_result(method, config, result):
+            if seeded:
                 counters["results_loaded"] += 1
-                digests[entry_path] = digest
+                files[entry_path] = entry
+        self._remember_files(graph, fingerprint, files)
         # A fresh session caches only what this warm loaded, so a full cache
         # means every entry loaded and none was pushed out again.
         if (
             fresh
             and counters["derived_loaded"]
-            and len(session.cached_results()) == len(entry_paths)
+            and session.cache_stats()["result_cache_entries"] == len(entry_paths)
         ):
             self._remember(
-                session, fingerprint, session.warm_state_version, 0, len(entry_paths), digests
+                session,
+                fingerprint,
+                session.warm_state_version,
+                0,
+                len(entry_paths),
+                {path: file.digest for path, file in files.items()},
             )
         return counters
 
-    def _verified_payload(self, path: Path) -> tuple[dict[str, Any], str]:
-        """Read a checksummed entry, raising :class:`StoreError` on tampering.
+    def _verified_file(self, path: Path, known: dict[Path, _Known]) -> _Known:
+        """Read a checksummed file, raising :class:`StoreError` on tampering.
 
-        Returns the payload and the digest of the file's bytes.
+        Every call reads and hashes the file's bytes.  It parses them and
+        re-verifies the checksum unless ``known`` holds a file this store
+        wrote or verified with the same digest.
         """
-        document, digest = self._read_json(path)
-        return self._verified(path, document), digest
+        data, digest = self._read_json(path)
+        remembered = known.get(path)
+        if remembered is not None and remembered.digest == digest:
+            return remembered
+        document = self._parse(path, data)
+        payload = self._verified(path, document)
+        return _Known(digest, document["checksum"], payload)
 
     @staticmethod
     def _verified(path: Path, document: Any) -> dict[str, Any]:
@@ -710,7 +919,12 @@ class SessionStore:
     # management
     # ------------------------------------------------------------------
     def inventory(self) -> list[dict[str, Any]]:
-        """One row per stored graph: fingerprint, shape, entry counts, bytes."""
+        """One row per stored graph: fingerprint, shape, entry counts, bytes.
+
+        Entries are counted by kind, from their file names: ``results``
+        (densest results), ``fixed_ratio`` (fixed-ratio outcomes) and
+        ``top_k`` (top-k lists).
+        """
         rows: list[dict[str, Any]] = []
         graphs_dir = self.root / "graphs"
         if not graphs_dir.is_dir():
@@ -721,15 +935,17 @@ class SessionStore:
             manifest_path = graph_dir / "manifest.json"
             row: dict[str, Any] = {"fingerprint": graph_dir.name}
             try:
-                manifest, _ = self._verified_payload(manifest_path)
+                manifest = self._verified_file(manifest_path, {}).payload
                 row["num_nodes"] = manifest.get("num_nodes")
                 row["num_edges"] = manifest.get("num_edges")
                 row["lineage_depth"] = len(manifest.get("lineage") or [])
             except StoreError:
                 row["num_nodes"] = row["num_edges"] = None
                 row["lineage_depth"] = 0
-            results_dir = graph_dir / "results"
-            row["results"] = len(list(results_dir.glob("*.json"))) if results_dir.is_dir() else 0
+            names = [path.name for path in (graph_dir / "results").glob("*.json")]
+            row["fixed_ratio"] = sum(name.startswith(f"{FIXED_RATIO_ENTRY}-") for name in names)
+            row["top_k"] = sum(name.startswith(f"{TOP_K_ENTRY}-") for name in names)
+            row["results"] = len(names) - row["fixed_ratio"] - row["top_k"]
             row["derived"] = (graph_dir / "derived.json").exists()
             row["bytes"] = sum(
                 path.stat().st_size for path in graph_dir.rglob("*") if path.is_file()
@@ -754,7 +970,7 @@ class SessionStore:
                 if not path.exists():
                     continue
                 try:
-                    self._verified_payload(path)
+                    self._verified_file(path, {})
                 except StoreError as error:
                     problems.append(str(error))
         return problems

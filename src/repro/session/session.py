@@ -6,8 +6,9 @@ derived state once instead of once per call:
 * **degree arrays** and the full :class:`~repro.core.subproblem.STSubproblem`,
 * **[x, y]-core decompositions** (:meth:`DDSSession.xy_core`,
   :meth:`DDSSession.max_xy_core`),
-* **whole results**, keyed by ``(method, config)``, so a repeated query is
-  answered without recomputation, and
+* **whole answers** in one LRU: densest results keyed by ``(method,
+  config)``, fixed-ratio outcomes and top-k lists keyed by their resolved
+  arguments, so a repeated query is answered without recomputation, and
 * one :class:`~repro.flow.engine.FlowEngine` per solver, so flow
   instrumentation accumulates session-wide (see :meth:`cache_stats`).
 
@@ -65,6 +66,14 @@ from repro.utils.validation import require_positive_int
 #: Default capacity of the per-session whole-result LRU cache.
 DEFAULT_RESULT_CACHE_SIZE = 128
 
+#: Entry name of a cached :meth:`DDSSession.fixed_ratio` outcome in
+#: :meth:`DDSSession.cached_results` / :meth:`DDSSession.seed_result`.  No
+#: registered method has this name (nor :data:`TOP_K_ENTRY`).
+FIXED_RATIO_ENTRY = "fixed-ratio"
+
+#: Entry name of a cached :meth:`DDSSession.top_k` list.
+TOP_K_ENTRY = "top-k"
+
 #: Above this node count ``method="auto"`` switches from CoreExact to
 #: CoreApprox.
 AUTO_EXACT_NODE_LIMIT = 400
@@ -104,6 +113,50 @@ def _copy_result(result: DDSResult) -> DDSResult:
     )
 
 
+def _copy_outcome(outcome: FixedRatioOutcome) -> FixedRatioOutcome:
+    """Defensive copy of a fixed-ratio outcome: every node and size list is fresh."""
+    return replace(
+        outcome,
+        best_s=list(outcome.best_s),
+        best_t=list(outcome.best_t),
+        last_s=list(outcome.last_s),
+        last_t=list(outcome.last_t),
+        network_nodes=list(outcome.network_nodes),
+        network_arcs=list(outcome.network_arcs),
+    )
+
+
+def _copy_entry(value: Any) -> Any:
+    """Defensive copy of a cached answer of any kind (result, outcome or list)."""
+    if isinstance(value, DDSResult):
+        return _copy_result(value)
+    if isinstance(value, FixedRatioOutcome):
+        return _copy_outcome(value)
+    return [_copy_result(result) for result in value]
+
+
+def _entry_key(method: str, config: Any) -> tuple[str, Any]:
+    """Validated result-cache key of a ``(method, config)`` entry of any kind.
+
+    A fixed-ratio ``config`` is ``(ratio, lower, upper, tolerance,
+    solver)``, a top-k one ``(k, min_density, method, method_config)``, and
+    any other ``method`` is a registry name with its method config.
+    """
+    if method == FIXED_RATIO_ENTRY:
+        ratio, lower, upper, tolerance, solver = config
+        check_search_arguments(ratio, lower, upper, tolerance)
+        validate_solver_choice(solver)
+        return method, (float(ratio), float(lower), float(upper), float(tolerance), solver)
+    if method == TOP_K_ENTRY:
+        k, min_density, inner, inner_config = config
+        require_positive_int(k, "k")
+        spec = get_method_spec(inner)
+        cfg = spec.config_type.resolve(inner_config)
+        return method, (k, float(min_density), *_result_key(spec.name, cfg))
+    spec = get_method_spec(method)
+    return _result_key(spec.name, spec.config_type.resolve(config))
+
+
 def _copy_core(core: XYCore) -> XYCore:
     """Defensive copy: the node lists are mutable, the cache must stay pristine."""
     return replace(core, s_nodes=list(core.s_nodes), t_nodes=list(core.t_nodes))
@@ -139,7 +192,8 @@ class DDSSession:
         Session-wide default :class:`~repro.core.config.FlowConfig` (or a
         bare solver name).  Per-query configs override it.
     result_cache_size:
-        Capacity of the whole-result LRU cache (0 disables result caching;
+        Capacity of the whole-answer LRU cache, shared by densest results,
+        fixed-ratio outcomes and top-k lists (0 disables all three;
         derived-state caching remains active).
     """
 
@@ -158,7 +212,9 @@ class DDSSession:
         self.flow = flow if flow is not None else FlowConfig()
         self._graph_token = graph.state_token
         self._engines: dict[str, FlowEngine] = {}
-        self._results: OrderedDict[tuple[str, MethodConfig], DDSResult] = OrderedDict()
+        # Densest results under (method, config), fixed-ratio outcomes and
+        # top-k lists under (FIXED_RATIO_ENTRY / TOP_K_ENTRY, arguments).
+        self._results: OrderedDict[tuple[str, Any], Any] = OrderedDict()
         self._result_cache_size = max(int(result_cache_size), 0)
         self._result_cache_hits = 0
         self._queries = 0
@@ -267,17 +323,34 @@ class DDSSession:
         finally:
             engine.deadline = None
 
+    def _cached(self, key: tuple[str, Any]) -> Any:
+        """A copy of the answer cached under ``key``, counted as a hit; else ``None``."""
+        value = self._results.get(key)
+        if value is None:
+            return None
+        self._results.move_to_end(key)
+        self._result_cache_hits += 1
+        self._queries += 1
+        return _copy_entry(value)
+
+    def _cache(self, key: tuple[str, Any], value: Any) -> bool:
+        """Cache ``value`` (a private copy) under ``key``; ``False`` if caching is off."""
+        if self._result_cache_size <= 0:
+            return False
+        self._warm_state_version += 1
+        self._results[key] = value
+        self._results.move_to_end(key)
+        while len(self._results) > self._result_cache_size:
+            self._results.popitem(last=False)
+        return True
+
     def _serve(self, spec: MethodSpec, cfg: MethodConfig) -> DDSResult:
         """Answer a whole-graph query through the result cache."""
         key = _result_key(spec.name, cfg)
-        cached = self._results.get(key)
+        cached = self._cached(key)
         if cached is not None:
-            self._results.move_to_end(key)
-            self._result_cache_hits += 1
-            self._queries += 1
-            out = _copy_result(cached)
-            out.stats["result_cache_hit"] = True
-            return out
+            cached.stats["result_cache_hit"] = True
+            return cached
         if key in self._invalidated_keys:
             # This exact query was answered before and its entry was
             # invalidated by apply_updates — recomputing it now is the
@@ -285,11 +358,7 @@ class DDSSession:
             self._invalidated_keys.discard(key)
             self._local_research_runs += 1
         result = self._execute(spec, cfg, self.graph)
-        if self._result_cache_size > 0:
-            self._warm_state_version += 1
-            self._results[key] = _copy_result(result)
-            while len(self._results) > self._result_cache_size:
-                self._results.popitem(last=False)
+        self._cache(key, _copy_result(result))
         result.stats["result_cache_hit"] = False
         return result
 
@@ -339,6 +408,12 @@ class DDSSession:
         Each later round answers and counts exactly like a cold session on
         the peeled graph.  Stops early when the best remaining density drops to
         ``min_density`` or the working copy runs out of edges.
+
+        The whole list is cached too, keyed by ``(k, min_density, method,
+        config)`` after ``"auto"`` and the defaults are resolved (and without
+        the config's ``deadline_ms``), so a repeated call is one cache hit:
+        every result then carries ``stats["result_cache_hit"]``.  A list cut
+        short by a deadline raises and caches nothing.
         """
         self._check_unmutated()
         require_positive_int(k, "k")
@@ -347,7 +422,26 @@ class DDSSession:
         if self.graph.num_edges == 0:
             raise EmptyGraphError("top_k requires a graph with at least one edge")
         spec, cfg, was_auto = self._prepare(method, config, kwargs)
+        key = (TOP_K_ENTRY, (k, float(min_density), *_result_key(spec.name, cfg)))
+        results = self._cached(key)
+        hit = results is not None
+        if not hit:
+            results = self._top_k_rounds(k, spec, cfg, min_density)
+            entry = [_copy_result(result) for result in results]
+            if entry:
+                # Stored unannotated, as _serve stores densest results.
+                entry[0].stats.pop("result_cache_hit", None)
+            self._cache(key, entry)
+        for result in results:
+            if hit:
+                result.stats["result_cache_hit"] = True
+            self._annotate(result, spec, was_auto)
+        return results
 
+    def _top_k_rounds(
+        self, k: int, spec: MethodSpec, cfg: MethodConfig, min_density: float
+    ) -> list[DDSResult]:
+        """The rounds of one uncached :meth:`top_k` call, unannotated."""
         results: list[DDSResult] = []
         working: DiGraph | None = None
         for _ in range(k):
@@ -359,7 +453,6 @@ class DDSSession:
                 result = self._execute(spec, cfg, working)
             if result.density <= min_density:
                 break
-            self._annotate(result, spec, was_auto)
             results.append(result)
             if working is None:
                 working = self.graph.copy()
@@ -405,11 +498,16 @@ class DDSSession:
 
         ``best_s`` / ``best_t`` name the densest of the seed pair and every
         pair the search extracted (ties keep the seed), and ``best_density``
-        is its true density, and ``best_edges`` its edge count.  Every call
-        builds its own decision network, so a repeated probe returns the
-        same outcome.  The ratio, bounds, tolerance, solver and budget are
-        checked before anything is counted or computed; a ratio that is not
-        finite and positive raises :class:`~repro.exceptions.AlgorithmError`.
+        is its true density, and ``best_edges`` its edge count.  The
+        complete outcome is cached, keyed by ``(ratio, lower, upper,
+        tolerance, solver)`` with the defaults filled in, so a repeated probe
+        is a cache hit that returns a copy of the same outcome (its
+        ``flow_calls`` and ``networks_built`` those of the search that
+        computed it) and runs no search.  An outcome cut short by a deadline
+        raises and caches nothing.  The ratio, bounds, tolerance, solver and
+        budget are checked before anything is counted or computed; a ratio
+        that is not finite and positive raises
+        :class:`~repro.exceptions.AlgorithmError`.
         """
         self._check_unmutated()
         if self.graph.num_edges == 0:
@@ -420,10 +518,15 @@ class DDSSession:
         if tolerance is None:
             tolerance = self.exactness_tolerance()
         check_search_arguments(ratio, lower, upper, tolerance)
-        engine = self._engine_for(flow_solver if flow_solver is not None else self.flow.solver)
+        solver = flow_solver if flow_solver is not None else self.flow.solver
+        engine = self._engine_for(solver)
         if deadline_ms is None:
             deadline_ms = self.flow.deadline_ms
         deadline = Deadline(deadline_ms) if deadline_ms is not None else None
+        key = (FIXED_RATIO_ENTRY, (ratio, float(lower), float(upper), float(tolerance), solver))
+        cached = self._cached(key)
+        if cached is not None:
+            return cached
         self._queries += 1
         seed_s, seed_t, seed, seed_density, seed_edges = self._fixed_ratio_seed(ratio)
         space = fixed_ratio_space(self.subproblem(), seed, ratio)
@@ -444,6 +547,7 @@ class DDSSession:
         finally:
             engine.deadline = None
         _fold_seed(outcome, seed_s, seed_t, seed_density, seed_edges)
+        self._cache(key, _copy_outcome(outcome))
         return outcome
 
     def _fixed_ratio_seed(
@@ -522,7 +626,9 @@ class DDSSession:
           ``stats["certified_stale"]``), the rest are evicted and their keys
           remembered so the next identical query counts as a bounded local
           re-search (``local_research_runs``).  Certification runs no
-          min-cut.
+          min-cut;
+        * cached fixed-ratio outcomes and top-k lists are dropped, with no
+          certification tier and no report counter.
 
         With ``certify=False`` every cached result is evicted unconditionally
         — the next query per key then re-searches, which is byte-identical
@@ -579,6 +685,9 @@ class DDSSession:
         if self._results:
             tolerance = self.exactness_tolerance()
             for key in list(self._results.keys()):
+                if key[0] in (FIXED_RATIO_ENTRY, TOP_K_ENTRY):
+                    del self._results[key]
+                    continue
                 if not certify:
                     del self._results[key]
                     self._invalidated_keys.add(key)
@@ -662,7 +771,7 @@ class DDSSession:
     def warm_state_version(self) -> int:
         """Count of changes to the state the persistent store saves.
 
-        Rises whenever a result is cached, seeded or dropped, a core is
+        Rises whenever an answer is cached, seeded or dropped, a core is
         computed or seeded, derived state is seeded, the lineage changes, or
         :meth:`apply_updates` / :meth:`clear_cache` run.  A cache hit's LRU
         touch leaves it alone (the store keeps no order), and so does
@@ -673,45 +782,41 @@ class DDSSession:
         """
         return self._warm_state_version
 
-    def cached_results(self) -> list[tuple[str, MethodConfig, DDSResult]]:
-        """Snapshot of the whole-result cache as ``(method, config, result)`` triples.
+    def cached_results(self) -> list[tuple[str, Any, Any]]:
+        """Snapshot of the whole-answer cache as ``(method, config, answer)`` triples.
 
         Returns defensive copies in LRU order (least recently used first).
-        This is the export half of the persistent-store contract
-        (:class:`repro.service.store.SessionStore`); the import half is
-        :meth:`seed_result`.
+        A densest entry is ``(method, config, DDSResult)``; a fixed-ratio one
+        ``(FIXED_RATIO_ENTRY, (ratio, lower, upper, tolerance, solver),
+        FixedRatioOutcome)``; a top-k one ``(TOP_K_ENTRY, (k, min_density,
+        method, config), [DDSResult, ...])``.  This is the export half of the
+        persistent-store contract (:class:`repro.service.store.SessionStore`);
+        the import half is :meth:`seed_result`.
         """
         return [
-            (method, config, _copy_result(result))
-            for (method, config), result in self._results.items()
+            (method, config, _copy_entry(value))
+            for (method, config), value in self._results.items()
         ]
 
-    def seed_result(self, method: str, config: MethodConfig, result: DDSResult) -> bool:
-        """Deposit an externally computed result into the result cache.
+    def seed_result(self, method: str, config: Any, result: Any) -> bool:
+        """Deposit an externally computed answer into the result cache.
 
-        The warm-start hook of the persistent store: a result computed by an
-        earlier process (or another worker) is inserted under ``(method,
-        config)`` so the next identical query is served as a
-        ``result_cache_hit`` without recomputation.  The method name and
-        config are validated through the registry exactly like a live query;
-        the *caller* vouches that ``result`` answers that query on this
-        session's graph — the store backs that up with its content
-        fingerprint and per-entry checksums.  Like a live query, the entry
-        is keyed without the config's ``deadline_ms``.  Returns ``False``
-        (and caches nothing) when result caching is disabled.
+        The warm-start hook of the persistent store: an answer computed by
+        an earlier process (or another worker) is inserted under ``(method,
+        config)``, in any shape :meth:`cached_results` exports, so the next
+        identical query is served as a cache hit without recomputation.  The
+        method name and config are validated exactly like a live query's (a
+        registry method through the registry, a fixed-ratio key through the
+        search's argument checks); the *caller* vouches that ``result``
+        answers that query on this session's graph — the store backs that
+        up with its content fingerprint and per-entry checksums.  Like a
+        live query, a method config is keyed without its ``deadline_ms``.
+        Returns ``False`` (and caches nothing) when result caching is
+        disabled.
         """
         self._check_unmutated()
-        spec = get_method_spec(method)
-        cfg = spec.config_type.resolve(config)
-        if self._result_cache_size <= 0:
-            return False
-        key = _result_key(spec.name, cfg)
-        self._warm_state_version += 1
-        self._results[key] = _copy_result(result)
-        self._results.move_to_end(key)
-        while len(self._results) > self._result_cache_size:
-            self._results.popitem(last=False)
-        return True
+        key = _entry_key(method, config)
+        return self._cache(key, _copy_entry(result))
 
     def cached_xy_cores(self) -> list[XYCore]:
         """Copies of every [x, y]-core this session has computed so far."""
@@ -799,7 +904,7 @@ class DDSSession:
         return stats
 
     def clear_cache(self) -> None:
-        """Drop every cached result and derived structure."""
+        """Drop every cached answer and derived structure."""
         self._warm_state_version += 1
         self._results.clear()
         self._invalidated_keys.clear()

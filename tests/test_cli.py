@@ -380,9 +380,20 @@ class TestBatchPlanning:
         assert plan["execution_order"] == list(range(len(self.MIXED)))
         assert plan["lanes"] == {str(edge_list_file): list(range(len(self.MIXED)))}
         assert len(plan["timings"]) == len(self.MIXED)
-        # The repeated densest query is served from the session's result cache.
-        assert payload["session"]["result_cache_hits"] >= 1
+        # The per-kind summary adds up the timing rows.
+        by_kind = plan["cpu_by_kind"]
+        assert {kind: row["queries"] for kind, row in by_kind.items()} == {
+            "densest": 3,
+            "fixed-ratio": 2,
+        }
+        for kind, row in by_kind.items():
+            rows = [t["cpu_seconds"] for t in plan["timings"] if t["query"] == kind]
+            assert row["cpu_seconds"] == pytest.approx(sum(rows), abs=1e-6)
+        # The repeated densest and fixed-ratio queries are served from the
+        # session's result cache.
+        assert payload["session"]["result_cache_hits"] == 2
         assert payload["results"][0] == payload["results"][3]
+        assert payload["results"][1] == payload["results"][4]
 
     def test_per_query_dataset_routes_to_own_session(self, tmp_path, capsys):
         queries = [
@@ -435,6 +446,17 @@ class TestWarmAndStoreCommands:
         inventory = json.loads(capsys.readouterr().out)
         assert len(inventory["graphs"]) == 1
         assert inventory["graphs"][0]["results"] == 1
+        assert inventory["graphs"][0]["fixed_ratio"] == inventory["graphs"][0]["top_k"] == 0
+
+        queries = tmp_path / "queries.json"
+        queries.write_text(
+            json.dumps([{"query": "fixed-ratio", "ratio": 1.0}, {"query": "top-k", "k": 2}])
+        )
+        assert main(["batch", "--dataset", "foodweb-tiny", str(queries), "--store", store_dir]) == 0
+        capsys.readouterr()
+        assert main(["store", store_dir]) == 0
+        [row] = json.loads(capsys.readouterr().out)["graphs"]
+        assert (row["results"], row["fixed_ratio"], row["top_k"]) == (1, 1, 1)
 
         assert main(["store", store_dir, "--verify"]) == 0
         assert json.loads(capsys.readouterr().out)["problems"] == []

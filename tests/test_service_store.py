@@ -8,18 +8,23 @@ graphs) is detected and counted, never silently served.
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
 from flow_oracle import EdmondsKarpSolver
 
 from repro.core.config import ApproxConfig, ExactConfig, FlowConfig
+from repro.core.method_registry import get_method_spec
 from repro.datasets.registry import load_dataset
-from repro.exceptions import StoreError
+from repro.exceptions import AlgorithmError, StoreError
 from repro.flow.registry import register_solver, unregister_solver
 from repro.graph.digraph import DiGraph
-from repro.service import STORE_SCHEMA_VERSION, SessionStore
+from repro.net import ShardDaemon
+from repro.service import STORE_SCHEMA_VERSION, BatchExecutor, SessionStore, plan_batch
+from repro.service.queries import run_batch_query
 from repro.session import DDSSession
+from repro.utils.canonical import canonical_json, checksum
 
 
 @pytest.fixture
@@ -273,7 +278,7 @@ class TestIntegrity:
         with pytest.raises(StoreError):
             store.save_session(session)
         with pytest.raises(StoreError):
-            SessionStore._write_json(tmp_path / "graphs" / "entry.json", {})
+            SessionStore._write_json(tmp_path / "graphs" / "entry.json", b"{}")
 
     def test_incompatible_method_is_counted_not_fatal(self, graph, tmp_path):
         store = self._populated_store(graph, tmp_path)
@@ -663,3 +668,205 @@ class TestSessionSeedHooks:
         store.save_session(donor)
         receiver = DDSSession(load_dataset("foodweb-tiny"))
         assert store.warm_session(receiver)["results_loaded"] == 1
+
+
+# ----------------------------------------------------------------------
+# fixed-ratio outcomes and top-k lists
+# ----------------------------------------------------------------------
+#: Batch specs of the two cached query kinds beside densest results.
+ANSWER_SPECS = (
+    {"query": "fixed-ratio", "ratio": 0.5},
+    {"query": "fixed-ratio", "ratio": 2.0, "tolerance": 1e-6},
+    {"query": "top-k", "k": 2, "method": "core-approx"},
+    {"query": "top-k", "k": 3, "method": "core-exact"},
+)
+
+
+def _bracket_bits(payloads):
+    """Every fixed-ratio payload's bracket as exact bit patterns."""
+    return [
+        (payload["lower"].hex(), payload["upper"].hex())
+        for payload in payloads
+        if isinstance(payload, dict) and "lower" in payload
+    ]
+
+
+def _answered(graph, specs=ANSWER_SPECS) -> tuple[DDSSession, list]:
+    """A session that answered ``specs``, and the payloads it returned."""
+    session = DDSSession(graph)
+    return session, [run_batch_query(session, dict(spec)) for spec in specs]
+
+
+class TestAnswerKinds:
+    def test_store_round_trip_answers_like_a_cold_session(self, graph, tmp_path):
+        _, cold = _answered(graph.copy())
+        session, _ = _answered(graph)
+        counters = SessionStore(tmp_path).save_session(session)
+        assert counters["results_saved"] == len(session.cached_results())
+        warmed = DDSSession(graph.copy())
+        loaded = SessionStore(tmp_path).warm_session(warmed)
+        assert loaded["results_loaded"] == counters["results_saved"]
+        assert loaded["results_corrupt"] == loaded["results_incompatible"] == 0
+        served = [run_batch_query(warmed, dict(spec)) for spec in ANSWER_SPECS]
+        assert served == cold
+        assert _bracket_bits(served) == _bracket_bits(cold)
+        stats = warmed.cache_stats()
+        assert stats["result_cache_hits"] == len(ANSWER_SPECS)
+        assert stats["flow_calls"] == 0
+
+    def test_daemon_read_answers_like_a_cold_session(self, graph, tmp_path):
+        _, cold = _answered(graph.copy())
+        specs = [dict(spec, dataset="g") for spec in ANSWER_SPECS]
+        with ShardDaemon(SessionStore(tmp_path), max_sessions=1) as daemon:
+            executor = BatchExecutor({"g": graph}, remote_hosts=[daemon.address])
+            first = executor.execute(plan_batch(specs)).results_in_input_order()
+            # A second graph evicts the first session to the store, so the
+            # next read is served by a session warmed from it.
+            other = [{"query": "fixed-ratio", "ratio": 1.0, "dataset": "h"}]
+            BatchExecutor({"h": load_dataset("social-tiny")}, remote_hosts=[daemon.address]).execute(
+                plan_batch(other)
+            )
+            second = executor.execute(plan_batch(specs)).results_in_input_order()
+            assert daemon.daemon_stats()["sessions_evicted"] >= 1
+        assert first == cold and second == cold
+        assert _bracket_bits(second) == _bracket_bits(cold)
+
+    def test_inventory_counts_entries_by_kind(self, graph, tmp_path):
+        store = SessionStore(tmp_path)
+        session, _ = _answered(graph)
+        store.save_session(session)
+        [row] = store.inventory()
+        assert (row["results"], row["fixed_ratio"], row["top_k"]) == (2, 2, 2)
+
+    def test_no_registered_method_shares_a_kind_name(self):
+        # An entry of either kind is intact but unusable to a build that
+        # predates the kind: it counts results_incompatible, not corrupt.
+        for name in ("fixed-ratio", "top-k"):
+            with pytest.raises(AlgorithmError):
+                get_method_spec(name)
+
+    def test_unknown_kind_is_incompatible_not_corrupt(self, graph, tmp_path):
+        store = SessionStore(tmp_path)
+        session, _ = _answered(graph, ANSWER_SPECS[:1])
+        store.save_session(session)
+        [entry] = (tmp_path / "graphs").glob("*/results/fixed-ratio-*.json")
+        payload = dict(json.loads(entry.read_text())["payload"], method="kth-densest")
+        entry.write_text(canonical_json({"checksum": checksum(payload), "payload": payload}))
+        counters = SessionStore(tmp_path).warm_session(DDSSession(graph.copy()))
+        assert counters["results_incompatible"] == 1
+        assert counters["results_corrupt"] == 0
+
+    def test_unencodable_top_k_labels_are_skipped(self, tmp_path):
+        graph = DiGraph.from_edges([((1, "a"), (2, "b")), ((1, "a"), (3, "c"))])
+        session = DDSSession(graph)
+        session.top_k(2, method="core-approx")
+        session.fixed_ratio(1.0)  # node indices: always stored
+        counters = SessionStore(tmp_path).save_session(session)
+        assert counters["results_skipped"] == 2  # round 1 and the list
+        assert counters["results_saved"] == 1
+
+
+# ----------------------------------------------------------------------
+# file bytes and the verified-payload memory
+# ----------------------------------------------------------------------
+def _files(root) -> dict:
+    """Every JSON file's bytes under ``root``, by path."""
+    return {path: path.read_bytes() for path in sorted(root.rglob("*.json"))}
+
+
+def _count_verifications(monkeypatch) -> list:
+    """Record every path whose checksum a store re-verifies."""
+    calls = []
+    verified = SessionStore._verified
+
+    def spy(path, document):
+        calls.append(path)
+        return verified(path, document)
+
+    monkeypatch.setattr(SessionStore, "_verified", staticmethod(spy))
+    return calls
+
+
+class TestFileFormat:
+    def test_files_are_compact_canonical_json(self, graph, tmp_path):
+        session, _ = _answered(graph)
+        SessionStore(tmp_path).save_session(session)
+        files = _files(tmp_path / "graphs")
+        assert len(files) == 2 + len(session.cached_results())
+        for data in files.values():
+            document = json.loads(data)
+            assert data == canonical_json(document).encode("utf-8")
+            assert document["checksum"] == checksum(document["payload"])
+
+    def test_files_of_the_indented_writer_warm_verify_and_stay(self, graph, tmp_path):
+        session, _ = _answered(graph)
+        SessionStore(tmp_path).save_session(session)
+        for path in _files(tmp_path / "graphs"):
+            # The form every file had before the compact writer.
+            document = json.loads(path.read_bytes())
+            path.write_text(json.dumps(document, sort_keys=True, indent=1))
+        before = _files(tmp_path)
+        store = SessionStore(tmp_path)
+        assert store.verify() == []
+        warmed = DDSSession(graph.copy())
+        loaded = store.warm_session(warmed)
+        assert loaded["results_loaded"] == len(session.cached_results())
+        assert loaded["derived_loaded"] == 1
+        counters = store.save_session(warmed)
+        assert counters["results_saved"] == counters["derived_saved"] == 0
+        warmed.xy_core(3, 3)  # a change: the next save is a full one
+        assert SessionStore(tmp_path).save_session(warmed)["derived_saved"] == 1
+        after = _files(tmp_path)
+        changed = {path for path in before if before[path] != after[path]}
+        assert {path.name for path in changed} == {"derived.json"}
+
+    def test_unchanged_files_are_not_verified_again(self, graph, tmp_path, monkeypatch):
+        store = SessionStore(tmp_path)
+        session, _ = _answered(graph)
+        store.save_session(session)
+        verifications = _count_verifications(monkeypatch)
+        for _ in range(2):
+            warmed = DDSSession(graph)  # the graph the store already knows
+            assert store.warm_session(warmed)["results_loaded"] == len(session.cached_results())
+        assert verifications == []
+        SessionStore(tmp_path).warm_session(DDSSession(graph.copy()))
+        assert len(verifications) == len(_files(tmp_path / "graphs"))
+
+    def test_a_file_replaced_between_warms_is_verified_again(self, graph, tmp_path, monkeypatch):
+        store = SessionStore(tmp_path)
+        session, _ = _answered(graph)
+        store.save_session(session)
+        store.warm_session(DDSSession(graph))
+        entry = sorted((tmp_path / "graphs").glob("*/results/top-k-*.json"))[0]
+        document = json.loads(entry.read_bytes())
+        entry.write_text(json.dumps(document, indent=2))  # same payload, new bytes
+        verifications = _count_verifications(monkeypatch)
+        loaded = store.warm_session(DDSSession(graph))
+        assert verifications == [entry]
+        assert loaded["results_loaded"] == len(session.cached_results())
+
+    def test_a_file_tampered_between_warms_is_corrupt(self, graph, tmp_path):
+        store = SessionStore(tmp_path)
+        session, _ = _answered(graph)
+        store.save_session(session)
+        assert store.warm_session(DDSSession(graph))["results_corrupt"] == 0
+        entry = sorted((tmp_path / "graphs").glob("*/results/fixed-ratio-*.json"))[0]
+        document = json.loads(entry.read_bytes())
+        document["payload"]["outcome"]["upper"] += 1.0  # the checksum now lies
+        entry.write_text(canonical_json(document))
+        warmed = DDSSession(graph)
+        counters = store.warm_session(warmed)
+        assert counters["results_corrupt"] == 1
+        assert counters["results_loaded"] == len(session.cached_results()) - 1
+        assert store.save_session(warmed)["results_saved"] == 0  # nothing to repair from
+        assert len(store.verify()) == 1
+
+    def test_memory_lives_no_longer_than_the_graph(self, tmp_path):
+        store = SessionStore(tmp_path)
+        graph = load_dataset("foodweb-tiny")
+        session, _ = _answered(graph, ANSWER_SPECS[:1])
+        store.save_session(session)
+        assert len(store._known) == 1
+        del session, graph
+        gc.collect()
+        assert len(store._known) == 0

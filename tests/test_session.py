@@ -28,6 +28,7 @@ from repro.datasets.registry import load_dataset
 from repro.exceptions import (
     AlgorithmError,
     ConfigError,
+    DeadlineExceeded,
     EmptyGraphError,
     FlowError,
     GraphError,
@@ -207,6 +208,180 @@ class TestResultCache:
         assert second.stats["network_nodes"]
 
 
+#: Batch specs of the two cached query kinds beside densest results.
+ANSWER_SPECS = (
+    {"query": "fixed-ratio", "ratio": 0.5},
+    {"query": "fixed-ratio", "ratio": 1.0},
+    {"query": "fixed-ratio", "ratio": 2.0, "tolerance": 1e-6},
+    {"query": "top-k", "k": 2, "method": "core-approx"},
+    {"query": "top-k", "k": 3, "method": "core-exact"},
+    {"query": "top-k", "k": 2, "method": "auto"},
+)
+
+
+def _kinds(session):
+    """The entry names of a session's cached answers, in LRU order."""
+    return [method for method, _, _ in session.cached_results()]
+
+
+def _bracket_bits(payload):
+    """A fixed-ratio payload's bracket as exact bit patterns (``None`` for lists)."""
+    if isinstance(payload, dict) and "lower" in payload:
+        return payload["lower"].hex(), payload["upper"].hex()
+    return None
+
+
+class TestAnswerCache:
+    """Fixed-ratio outcomes and top-k lists share the densest results' LRU."""
+
+    @pytest.fixture
+    def graph(self):
+        return gnm_random_digraph(14, 60, seed=11)
+
+    @pytest.mark.parametrize("spec", ANSWER_SPECS, ids=lambda spec: json.dumps(spec))
+    def test_a_hit_answers_like_a_cold_session(self, graph, spec):
+        cold = run_batch_query(DDSSession(graph.copy()), dict(spec))
+        session = DDSSession(graph)
+        first = run_batch_query(session, dict(spec))
+        before = session.cache_stats()
+        second = run_batch_query(session, dict(spec))
+        after = session.cache_stats()
+        assert first == cold and second == cold
+        assert _bracket_bits(second) == _bracket_bits(cold)
+        assert after["result_cache_hits"] == before["result_cache_hits"] + 1
+        assert after["queries"] == before["queries"] + 1
+        assert after["flow_calls"] == before["flow_calls"]
+        assert after["xy_cores_cached"] == before["xy_cores_cached"]
+
+    def test_fixed_ratio_keys_take_the_defaults_filled_in(self, graph):
+        session = DDSSession(graph)
+        first = session.fixed_ratio(1.0)
+        second = session.fixed_ratio(
+            1, upper=session.density_upper_bound(), tolerance=session.exactness_tolerance()
+        )
+        assert second == first
+        assert session.cache_stats()["result_cache_hits"] == 1
+        # The solver is keyed by name: "auto" binds dinic, the session default.
+        session.fixed_ratio(1.0, tolerance=1e-3)
+        session.fixed_ratio(1.0, flow_solver="auto")
+        session.fixed_ratio(1.0, flow_solver="dinic", deadline_ms=60_000)
+        assert session.cache_stats()["result_cache_hits"] == 2
+        assert _kinds(session).count("fixed-ratio") == 3
+
+    def test_top_k_hit_carries_auto_selected_only_when_asked_for_auto(self, graph):
+        session = DDSSession(graph)
+        auto = session.top_k(2, method="auto")
+        exact = session.top_k(2, method="core-exact")
+        again = session.top_k(2, method="auto")
+        assert [r.stats["auto_selected"] for r in auto] == ["core-exact"] * len(auto)
+        assert all("auto_selected" not in r.stats for r in exact)
+        assert [r.stats["auto_selected"] for r in again] == ["core-exact"] * len(again)
+        assert all(r.stats["result_cache_hit"] is True for r in exact + again)
+        assert [r.density for r in exact] == [r.density for r in auto]
+        assert _kinds(session).count("top-k") == 1
+        [stored] = [value for method, _, value in session.cached_results() if method == "top-k"]
+        assert all("auto_selected" not in r.stats and "result_cache_hit" not in r.stats for r in stored)
+
+    def test_returned_answers_are_defensive_copies(self, graph):
+        session = DDSSession(graph)
+        outcome = session.fixed_ratio(1.0)
+        results = session.top_k(2, method="core-approx")
+        expected = (outcome.best_s[:], results[0].s_nodes[:], len(results))
+        outcome.best_s.clear()
+        outcome.network_nodes.clear()
+        results[0].s_nodes.clear()
+        results.clear()
+        again = session.fixed_ratio(1.0)
+        listed = session.top_k(2, method="core-approx")
+        assert (again.best_s, listed[0].s_nodes, len(listed)) == expected
+        assert again.network_nodes
+
+    @pytest.mark.parametrize(
+        "ask",
+        [
+            lambda session, **kw: session.fixed_ratio(1.0, **kw),
+            lambda session, **kw: session.top_k(2, method="core-exact", **kw),
+        ],
+        ids=["fixed-ratio", "top-k"],
+    )
+    def test_a_deadline_hit_leaves_no_entry(self, graph, ask):
+        session = DDSSession(graph)
+        with pytest.raises(DeadlineExceeded):
+            ask(session, deadline_ms=1e-6)
+        assert not {"fixed-ratio", "top-k"} & set(_kinds(session))
+        flow_calls = session.cache_stats()["flow_calls"]
+        ask(session)
+        stats = session.cache_stats()
+        assert stats["result_cache_hits"] == 0
+        assert stats["flow_calls"] > flow_calls
+
+    @pytest.mark.parametrize(
+        "drop",
+        [
+            lambda session: session.apply_updates(removed_edges=[next(iter(session.graph.edges()))]),
+            lambda session: session.apply_updates(
+                removed_edges=[next(iter(session.graph.edges()))], certify=False
+            ),
+            lambda session: session.clear_cache(),
+        ],
+        ids=["apply_updates", "apply_updates-uncertified", "clear_cache"],
+    )
+    def test_edits_and_clears_drop_both_kinds(self, graph, drop):
+        session = DDSSession(graph)
+        session.fixed_ratio(1.0)
+        session.top_k(2, method="core-approx")
+        version = session.warm_state_version
+        drop(session)
+        assert not {"fixed-ratio", "top-k"} & set(_kinds(session))
+        assert session.warm_state_version > version
+        cold = DDSSession(session.graph.copy())
+        assert session.fixed_ratio(1.0) == cold.fixed_ratio(1.0)
+        assert [r.density for r in session.top_k(2, method="core-approx")] == [
+            r.density for r in cold.top_k(2, method="core-approx")
+        ]
+
+    def test_a_disabled_cache_holds_nothing(self, graph):
+        session = DDSSession(graph, result_cache_size=0)
+        for _ in range(2):
+            session.fixed_ratio(1.0)
+            session.top_k(2, method="core-approx")
+        assert session.cached_results() == []
+        assert session.cache_stats()["result_cache_hits"] == 0
+        assert session.warm_state_version == 1  # the max core, computed once
+
+    def test_all_kinds_share_the_lru_capacity(self, graph):
+        session = DDSSession(graph, result_cache_size=2)
+        session.fixed_ratio(0.5)
+        session.fixed_ratio(1.0)
+        session.top_k(1, method="core-approx")  # caches round 1, then the list
+        assert _kinds(session) == ["core-approx", "top-k"]
+
+    def test_exported_answers_seed_another_session(self, graph):
+        donor = DDSSession(graph)
+        donor.fixed_ratio(2.0)
+        donor.top_k(2, method="core-approx")
+        session = DDSSession(graph.copy())
+        for method, config, answer in donor.cached_results():
+            assert session.seed_result(method, config, answer)
+        assert session.fixed_ratio(2.0) == donor.fixed_ratio(2.0)
+        listed = session.top_k(2, method="core-approx")
+        assert all(r.stats["result_cache_hit"] is True for r in listed)
+        assert session.cache_stats()["flow_calls"] == 0
+
+    @pytest.mark.parametrize(
+        "method, config, error",
+        [
+            ("fixed-ratio", (0.0, 0.0, 1.0, 1e-6, "dinic"), AlgorithmError),
+            ("fixed-ratio", (1.0, 0.0, 1.0, 1e-6, "no-such-solver"), FlowError),
+            ("top-k", (2, 0.0, "auto", ExactConfig()), AlgorithmError),
+            ("top-k", (0, 0.0, "core-exact", ExactConfig()), AlgorithmError),
+        ],
+    )
+    def test_seed_result_validates_both_kinds(self, graph, method, config, error):
+        with pytest.raises(error):
+            DDSSession(graph).seed_result(method, config, None)
+
+
 class TestNetworkReuseRegressions:
     """The acceptance pins: sessions build strictly fewer networks."""
 
@@ -237,15 +412,20 @@ class TestNetworkReuseRegressions:
         stats = result.stats
         assert stats["networks_built"] == stats["fixed_ratio_searches"]
 
-    def test_repeated_fixed_ratio_probe_builds_its_own_network(self):
-        """No decision network outlives its search: a repeat is a fresh probe."""
+    def test_repeated_fixed_ratio_probe_is_a_cache_hit(self):
+        """A repeat returns the cached outcome; only the first probe searched."""
         session = DDSSession(gnm_random_digraph(12, 50, seed=7))
         first = session.fixed_ratio(1.0, tolerance=1e-6)
+        before = session.cache_stats()
         second = session.fixed_ratio(1.0, tolerance=1e-6)
-        assert first.networks_built == second.networks_built == 1
+        after = session.cache_stats()
+        assert first.networks_built == 1
         assert second == first
         assert second.lower.hex() == first.lower.hex()
         assert second.upper.hex() == first.upper.hex()
+        assert after["flow_calls"] == before["flow_calls"]
+        assert after["networks_built"] == before["networks_built"]
+        assert after["result_cache_hits"] == before["result_cache_hits"] + 1
 
 
 class TestMaxCoreWalks:

@@ -13,7 +13,9 @@ that the memory never changes what a save does:
 * **Repair** — a file deleted, replaced or tampered with between two saves is
   rewritten by the next one, and no other file is touched.
 * **Partial warms** — a warm that did not load everything remembers nothing.
-* **Threads** — concurrent saves into one store lose no memory.
+* **Threads** — concurrent saves into one store lose no memory, and
+  sessions sharing one graph never get a remembered payload their file's
+  bytes do not hold.
 """
 
 from __future__ import annotations
@@ -77,6 +79,7 @@ def _forbid_payload_work(monkeypatch) -> None:
     monkeypatch.setattr(SessionStore, "_write_json", staticmethod(forbidden))
     monkeypatch.setattr(SessionStore, "_locked", forbidden)
     monkeypatch.setattr(store_module, "_checksum", forbidden)
+    monkeypatch.setattr(store_module, "_envelope", forbidden)
 
 
 def _count_full_saves(monkeypatch) -> list[Path]:
@@ -285,6 +288,7 @@ def _served(graph: DiGraph) -> DDSSession:
 def test_repeat_save_builds_and_reads_no_payload(graph, tmp_path, monkeypatch):
     store = SessionStore(tmp_path)
     session = _served(graph)
+    session.fixed_ratio(1.0)  # a first probe caches its outcome
     first = store.save_session(session)
     # Cache hits and reads of derived state change nothing the store keeps.
     session.densest_subgraph("core-exact")
@@ -513,3 +517,59 @@ def test_threads_saving_into_one_store_lose_no_memory(tmp_path, monkeypatch):
     _forbid_payload_work(monkeypatch)
     for index, session in enumerate(sessions):
         assert store.save_session(session) == _repeat(last[index])
+
+
+def test_threads_sharing_one_graph_never_serve_a_stale_payload(tmp_path):
+    """Sessions over one graph warm, answer and save concurrently into one store.
+
+    They share the store's memory of that graph's files.  Every payload it
+    remembers under a digest must be what a file with those bytes holds, and
+    every warmed answer must be a cold session's.
+    """
+    store = SessionStore(tmp_path)
+    graph = gnm_random_digraph(12, 40, seed=5)
+    cold = DDSSession(graph.copy())  # answered here, before the threads start
+    ratios = {ratio: cold.fixed_ratio(ratio) for ratio in (0.5, 1.0, 2.0)}
+    lists = {
+        (k, method): [result.density for result in cold.top_k(k, method=method)]
+        for k in (1, 2)
+        for method in ("core-approx", "core-exact")
+    }
+    errors: list[BaseException] = []
+
+    def work(index: int) -> None:
+        rng = random.Random(index)
+        try:
+            for _ in range(5):
+                session = DDSSession(graph)
+                store.warm_session(session)
+                for method, config, answer in session.cached_results():
+                    if method == "fixed-ratio":
+                        assert answer == ratios[config[0]]
+                    elif method == "top-k":
+                        assert [r.density for r in answer] == lists[config[0], config[2]]
+                ratio = rng.choice((0.5, 1.0, 2.0))
+                session.fixed_ratio(ratio)
+                session.top_k(rng.randint(1, 2), method=rng.choice(("core-approx", "core-exact")))
+                store.save_session(session)
+        except BaseException as error:  # noqa: BLE001 - reported by the main thread
+            errors.append(error)
+
+    threads = [threading.Thread(target=work, args=(index,)) for index in range((os.cpu_count() or 2) + 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert store.verify() == []
+    _, files = store._known[graph]
+    for path, known in files.items():
+        data = path.read_bytes()
+        if store_module._digest(data) == known.digest:
+            assert json.loads(data)["payload"] == known.payload
