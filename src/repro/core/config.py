@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 from repro.exceptions import ConfigError
-from repro.flow.registry import DEFAULT_SOLVER, validate_solver_choice
+from repro.flow.registry import DEFAULT_SOLVER, resolve_solver_choice
 
 #: Intervals containing at most this many distinct candidate ratios are
 #: leaves of the divide-and-conquer recursion (canonical definition; the
@@ -102,7 +102,7 @@ class FlowConfig(MethodConfig):
     ----------
     solver:
         Registry name of the max-flow solver (see :mod:`repro.flow.registry`),
-        or ``"auto"``, which runs the default solver, ``dinic``.
+        or ``"auto"``, which is stored as the default solver, ``dinic``.
     deadline_ms:
         Per-query time budget in milliseconds, or ``None`` (no deadline).
         When set, a monotonic :class:`repro.runtime.Deadline` is armed at
@@ -116,8 +116,9 @@ class FlowConfig(MethodConfig):
     deadline_ms: float | None = None
 
     def __post_init__(self) -> None:
-        # Resolve the name eagerly so an unknown solver fails at config time.
-        validate_solver_choice(self.solver)
+        # Resolve the name eagerly: an unknown solver fails at config time,
+        # and "auto" becomes the solver it runs, so it keys caches as that one.
+        object.__setattr__(self, "solver", resolve_solver_choice(self.solver))
         if self.deadline_ms is not None:
             if isinstance(self.deadline_ms, bool) or not isinstance(
                 self.deadline_ms, (int, float)

@@ -91,7 +91,7 @@ from repro.core.density import (
     interval_relaxation_factor,
     surrogate_density,
 )
-from repro.core.fixed_ratio import StartingPair, maximize_fixed_ratio, partial_outcomes
+from repro.core.fixed_ratio import StartingPair, maximize_fixed_ratio
 from repro.core.ratio import count_candidate_pairs, iter_candidate_ratios
 from repro.core.results import DDSResult
 from repro.core.subproblem import STSubproblem
@@ -513,12 +513,12 @@ def _dc_driver(
             if not pushed_any:
                 state.intervals_pruned += 1
     except DeadlineExceeded as error:
-        # Fold the cancelled search's partial bracket(s) into the incumbent —
-        # their lower/upper are certified even though the bracket never
-        # closed — then attach the anytime result and let the deadline
-        # propagate to the session layer.
-        for outcome in partial_outcomes(error):
-            state.absorb_outcome(outcome)
+        # Only a search's min-cut checks the deadline, so the error carries
+        # the cancelled search's outcome.  Fold it into the incumbent — its
+        # lower/upper are certified even though the bracket never closed —
+        # then attach the anytime result and let the deadline propagate to
+        # the session layer.
+        state.absorb_outcome(error.outcome)
         error.partial = _anytime_partial(
             graph,
             method,

@@ -24,7 +24,7 @@ from repro.core.density import (
     exactness_tolerance,
     global_density_upper_bound,
 )
-from repro.core.fixed_ratio import maximize_fixed_ratio, partial_outcomes
+from repro.core.fixed_ratio import maximize_fixed_ratio
 from repro.core.ratio import all_candidate_ratios
 from repro.core.results import DDSResult
 from repro.core.subproblem import STSubproblem
@@ -99,8 +99,7 @@ def flow_exact(
                 )
             )
     except DeadlineExceeded as error:
-        for outcome in partial_outcomes(error):
-            absorb(outcome)
+        absorb(error.outcome)
         # Unexamined ratios have no bound tighter than the global one, so the
         # anytime upper bound for the baseline stays at ``upper``; the
         # incumbent's true density is the certified lower bound.

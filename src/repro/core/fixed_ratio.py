@@ -63,12 +63,18 @@ name) and accumulates ``flow_calls`` / ``networks_built`` /
 A search keeps track of two extracted pairs: the one with the best *true*
 density (for the incumbent) and the one extracted at the highest successful
 guess (the surrogate near-maximiser the ratio-skipping lemma needs).
+
+One loop in :func:`maximize_fixed_ratio` holds the whole iteration: it
+picks the guess, builds, narrows or retunes the network, routes the start
+flow, runs the cut and advances the bracket.  A min-cut cancelled by a
+deadline leaves the bracket as it was, and the
+:class:`~repro.exceptions.DeadlineExceeded` carries the search so far as
+``error.outcome``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from repro.core.density import surrogate_density
 from repro.core.flow_network import (
@@ -80,26 +86,10 @@ from repro.core.results import FixedRatioOutcome
 from repro.core.subproblem import STSubproblem
 from repro.exceptions import AlgorithmError, DeadlineExceeded
 from repro.flow.engine import FlowEngine
-from repro.graph.digraph import DiGraph
 
-NetworkObserver = Callable[[int, int], None]
 #: ``(S, T, surrogate, edges)``: a pair inside the sub-problem, its surrogate at
 #: the ratio and the number of graph edges from ``S`` to ``T``.
 StartingPair = tuple[list[int], list[int], float, int]
-
-
-def partial_outcomes(error: DeadlineExceeded) -> list[FixedRatioOutcome]:
-    """The partial search outcome a cancelled fixed-ratio search attached.
-
-    A :class:`DeadlineExceeded` escaping :func:`maximize_fixed_ratio`
-    carries the interrupted search's bracket-at-cancellation as
-    ``error.outcome``.  Its ``lower``/``upper`` are certified bounds (the
-    bracket never closed), so the exact drivers absorb it into the
-    incumbent exactly like a completed search before assembling their
-    anytime result.  Empty when the deadline struck outside a search.
-    """
-    outcome = getattr(error, "outcome", None)
-    return [] if outcome is None else [outcome]
 
 
 def _check_bounds(lower: float, upper: float, tolerance: float) -> None:
@@ -122,162 +112,13 @@ def check_search_arguments(ratio: float, lower: float, upper: float, tolerance: 
     check_decision_parameters(ratio, 0.0)
 
 
-class _RatioSearch:
-    """Bracket state of one fixed-ratio search, advanced one min-cut at a time.
-
-    :func:`maximize_fixed_ratio` drives one of these.  Each step is
-    :meth:`prepare` (pick the guess; build the search network, build a
-    narrowed one or retune the current one; route its start flow), one
-    min-cut by the caller on :attr:`network`, then :meth:`record` (advance
-    the bracket).  :attr:`decision` is always the search network.
-    """
-
-    __slots__ = (
-        "ratio",
-        "low",
-        "high",
-        "stalled",
-        "best_s",
-        "best_t",
-        "best_density",
-        "best_edges",
-        "last_s",
-        "last_t",
-        "last_surrogate",
-        "last_edges",
-        "flow_calls",
-        "networks_built",
-        "network_nodes",
-        "network_arcs",
-        "decision",
-        "network",
-        "scope",
-        "narrow_to",
-        "guess",
-    )
-
-    def __init__(
-        self,
-        ratio: float,
-        lower: float,
-        upper: float,
-        start: StartingPair | None = None,
-    ) -> None:
-        self.ratio = ratio
-        self.low = float(lower)
-        self.high = max(float(upper), self.low)
-        self.stalled = False
-        self.best_s: list[int] = []
-        self.best_t: list[int] = []
-        self.best_density = 0.0
-        self.best_edges = 0
-        self.last_s: list[int] = []
-        self.last_t: list[int] = []
-        self.last_surrogate = 0.0
-        self.last_edges = 0
-        if start is not None:
-            # A pair inside the sub-problem certifies val(ratio) >= its
-            # surrogate: start there, capped like a Dinkelbach jump.
-            self.last_s, self.last_t, self.last_surrogate, self.last_edges = start
-            self.low = min(max(self.low, self.last_surrogate), self.high)
-        self.flow_calls = 0
-        self.networks_built = 0
-        self.network_nodes: list[int] = []
-        self.network_arcs: list[int] = []
-        self.decision = None  # the search network
-        self.network = None  # the network the next cut runs on
-        self.scope: STSubproblem | None = None  # the sub-problem ``network`` covers
-        self.narrow_to: tuple[list[int], list[int]] | None = None
-        self.guess = 0.0
-
-    def prepare(
-        self,
-        subproblem: STSubproblem,
-        engine: FlowEngine,
-        network_observer: NetworkObserver | None,
-    ) -> None:
-        """Set the next guess on a network that holds only its start flow."""
-        # Dinkelbach: probe the certified lower bound.  After a float stall
-        # the same guess would stall again, so bisect instead.
-        guess = self.guess = (self.low + self.high) / 2.0 if self.stalled else self.low
-        if self.decision is None:
-            self.decision = self.network = build_decision_network(subproblem, self.ratio, guess)
-            engine.note_network_built()
-            self.networks_built += 1
-            self.scope = subproblem
-            if network_observer is not None:
-                network_observer(self.decision.num_nodes, self.decision.num_arcs)
-        elif self.narrow_to is not None:
-            # Every later guess is at least the one that extracted the pair,
-            # so the canonical cut lies inside it (nested minimal cuts).
-            self.scope = self.scope.restricted_to(*self.narrow_to)
-            self.narrow_to = None
-            self.network = build_decision_network(self.scope, self.ratio, guess)
-        else:
-            self.network.retune(self.ratio, guess)
-        self.network.route_start_flow()
-        self.network_nodes.append(self.decision.num_nodes)
-        self.network_arcs.append(self.decision.num_arcs)
-
-    def record(
-        self, graph: DiGraph, cut_value: float, source_side: Callable[[], list[int]]
-    ) -> None:
-        """Advance the bracket by the verdict of the min-cut at :attr:`guess`."""
-        self.flow_calls += 1
-        network = self.network
-        if decision_cut_is_improving(
-            cut_value, network.total_capacity, self.decision.total_capacity
-        ):
-            s_side, t_side = network.extract_pair(source_side())
-            if s_side and t_side:
-                edges = graph.count_edges_between(s_side, t_side)
-                surrogate = surrogate_density(edges, len(s_side), len(t_side), self.ratio)
-                density = edges / math.sqrt(len(s_side) * len(t_side))
-                if density > self.best_density:
-                    self.best_density = density
-                    self.best_s, self.best_t, self.best_edges = s_side, t_side, edges
-                if surrogate >= self.last_surrogate:
-                    self.last_surrogate = surrogate
-                    self.last_s, self.last_t, self.last_edges = s_side, t_side, edges
-                if len(s_side) < len(network.s_nodes) or len(t_side) < len(network.t_nodes):
-                    self.narrow_to = (s_side, t_side)
-                # Dinkelbach jump: the pair certifies val(ratio) >= surrogate,
-                # which becomes the next guess.  A conditional upper bound may
-                # sit below val(ratio); capping keeps lower <= upper.
-                self.stalled = surrogate <= self.guess
-                self.low = min(max(self.guess, surrogate), self.high)
-                return
-        # No pair beats the guess, so val(ratio) <= guess.
-        self.high = self.guess
-
-    def outcome(self) -> FixedRatioOutcome:
-        """The bracket, pairs and counters so far (valid at every step boundary)."""
-        return FixedRatioOutcome(
-            ratio=self.ratio,
-            lower=self.low,
-            upper=self.high,
-            best_s=self.best_s,
-            best_t=self.best_t,
-            best_density=self.best_density,
-            flow_calls=self.flow_calls,
-            networks_built=self.networks_built,
-            best_edges=self.best_edges,
-            last_s=self.last_s,
-            last_t=self.last_t,
-            last_surrogate=self.last_surrogate,
-            last_edges=self.last_edges,
-            network_nodes=self.network_nodes,
-            network_arcs=self.network_arcs,
-        )
-
-
 def maximize_fixed_ratio(
     subproblem: STSubproblem,
     ratio: float,
     lower: float,
     upper: float,
     tolerance: float,
-    network_observer: NetworkObserver | None = None,
+    *,
     engine: FlowEngine | None = None,
     start: StartingPair | None = None,
 ) -> FixedRatioOutcome:
@@ -298,9 +139,6 @@ def maximize_fixed_ratio(
         bracket to certify ``val(ratio)``.
     tolerance:
         Stop once ``upper - lower < tolerance``.
-    network_observer:
-        Optional callback ``(num_nodes, num_arcs)`` invoked once per search
-        for the network it builds (feeds experiment E7).
     engine:
         The :class:`~repro.flow.engine.FlowEngine` executing the min-cuts
         (solver choice + run-wide instrumentation).  A private Dinic engine
@@ -309,10 +147,9 @@ def maximize_fixed_ratio(
         Optional ``(S, T, surrogate, edges)``: a pair whose vertices lie
         inside ``subproblem``, its surrogate at ``ratio`` and its edge
         count; the pair certifies ``val(ratio) >= surrogate``.  The search
-        starts with the pair as its
-        surrogate maximiser and ``lower`` raised to the surrogate (capped at
-        ``upper``), so no guess below it is solved; if the first cut fails,
-        the pair is an exact maximiser.
+        starts with the pair as its surrogate maximiser and ``lower`` raised
+        to the surrogate (capped at ``upper``), so no guess below it is
+        solved; if the first cut fails, the pair is an exact maximiser.
 
     Returns
     -------
@@ -321,29 +158,115 @@ def maximize_fixed_ratio(
         surrogate near-maximiser, and instrumentation.  ``outcome.upper`` is
         a certified upper bound on ``val(ratio)`` whenever ``upper`` was, and
         ``outcome.lower`` a certified lower bound whenever ``lower`` was.
+        ``network_nodes`` / ``network_arcs`` hold the search network's size
+        once per cut (experiment E7 reads them).
+
+    Raises
+    ------
+    DeadlineExceeded
+        When the engine's deadline cancels a min-cut.  The error's
+        ``outcome`` is the search so far: a cancelled cut never advances the
+        bracket, so its ``lower`` / ``upper`` are certified like a completed
+        search's, and the exact drivers absorb it into their incumbent
+        before assembling their anytime result.
     """
     _check_bounds(lower, upper, tolerance)
     if subproblem.is_empty:
-        return _RatioSearch(ratio, 0.0, 0.0).outcome()
-
+        return FixedRatioOutcome(ratio, 0.0, 0.0, [], [], 0.0, 0)
     if engine is None:
         engine = FlowEngine()
     graph = subproblem.graph
-    search = _RatioSearch(ratio, lower, upper, start=start)
-    try:
-        while search.high - search.low >= tolerance:
-            search.prepare(subproblem, engine, network_observer)
-            network = search.network
-            cut_value, solver = engine.min_cut(network.network, network.source, network.sink)
-            search.record(graph, cut_value, solver.min_cut_source_side)
-    except DeadlineExceeded as error:
-        # A cancelled min-cut never advanced the bracket, so (low, high)
-        # are still certified bounds on val(ratio); attach them for the
-        # driver's anytime result.
-        error.outcome = search.outcome()
-        raise
+    low = float(lower)
+    high = max(float(upper), low)
+    best_s: list[int] = []
+    best_t: list[int] = []
+    best_density, best_edges = 0.0, 0
+    last_s: list[int] = []
+    last_t: list[int] = []
+    last_surrogate, last_edges = 0.0, 0
+    if start is not None:
+        # A pair inside the sub-problem certifies val(ratio) >= its
+        # surrogate: start there, capped like a Dinkelbach jump.
+        last_s, last_t, last_surrogate, last_edges = start
+        low = min(max(low, last_surrogate), high)
+    flow_calls = networks_built = 0
+    network_nodes: list[int] = []
+    network_arcs: list[int] = []
 
-    return search.outcome()
+    def outcome() -> FixedRatioOutcome:
+        return FixedRatioOutcome(
+            ratio=ratio,
+            lower=low,
+            upper=high,
+            best_s=best_s,
+            best_t=best_t,
+            best_density=best_density,
+            flow_calls=flow_calls,
+            networks_built=networks_built,
+            best_edges=best_edges,
+            last_s=last_s,
+            last_t=last_t,
+            last_surrogate=last_surrogate,
+            last_edges=last_edges,
+            network_nodes=network_nodes,
+            network_arcs=network_arcs,
+        )
+
+    decision = network = None  # the search network; the one the next cut runs on
+    scope = subproblem  # the sub-problem ``network`` covers
+    narrow_to: tuple[list[int], list[int]] | None = None
+    stalled = False
+    try:
+        while high - low >= tolerance:
+            # Dinkelbach: probe the certified lower bound.  After a float
+            # stall the same guess would stall again, so bisect instead.
+            guess = (low + high) / 2.0 if stalled else low
+            if decision is None:
+                decision = network = build_decision_network(subproblem, ratio, guess)
+                engine.note_network_built()
+                networks_built += 1
+            elif narrow_to is not None:
+                # Every later guess is at least the one that extracted the
+                # pair, so the canonical cut lies inside it (nested minimal cuts).
+                scope = scope.restricted_to(*narrow_to)
+                narrow_to = None
+                network = build_decision_network(scope, ratio, guess)
+            else:
+                network.retune(ratio, guess)
+            network.route_start_flow()
+            network_nodes.append(decision.num_nodes)
+            network_arcs.append(decision.num_arcs)
+            cut_value, solver = engine.min_cut(network.network, network.source, network.sink)
+            flow_calls += 1
+            if decision_cut_is_improving(
+                cut_value, network.total_capacity, decision.total_capacity
+            ):
+                s_side, t_side = network.extract_pair(solver.min_cut_source_side())
+                if s_side and t_side:
+                    edges = graph.count_edges_between(s_side, t_side)
+                    surrogate = surrogate_density(edges, len(s_side), len(t_side), ratio)
+                    density = edges / math.sqrt(len(s_side) * len(t_side))
+                    if density > best_density:
+                        best_density = density
+                        best_s, best_t, best_edges = s_side, t_side, edges
+                    if surrogate >= last_surrogate:
+                        last_surrogate = surrogate
+                        last_s, last_t, last_edges = s_side, t_side, edges
+                    if len(s_side) < len(network.s_nodes) or len(t_side) < len(network.t_nodes):
+                        narrow_to = (s_side, t_side)
+                    # Dinkelbach jump: the pair certifies val(ratio) >=
+                    # surrogate, which becomes the next guess.  A conditional
+                    # upper bound may sit below val(ratio); capping keeps
+                    # lower <= upper.
+                    stalled = surrogate <= guess
+                    low = min(max(guess, surrogate), high)
+                    continue
+            # No pair beats the guess, so val(ratio) <= guess.
+            high = guess
+    except DeadlineExceeded as error:
+        error.outcome = outcome()
+        raise
+    return outcome()
 
 
 def maximize_fixed_ratio_batch(
@@ -352,7 +275,7 @@ def maximize_fixed_ratio_batch(
     lower: float,
     upper: float,
     tolerance: float,
-    network_observer: NetworkObserver | None = None,
+    *,
     engine: FlowEngine | None = None,
 ) -> list[FixedRatioOutcome]:
     """:func:`maximize_fixed_ratio` once per ratio, from the same bracket.
@@ -363,8 +286,6 @@ def maximize_fixed_ratio_batch(
     (ROADMAP direction 2).
     """
     return [
-        maximize_fixed_ratio(
-            subproblem, ratio, lower, upper, tolerance, network_observer, engine
-        )
+        maximize_fixed_ratio(subproblem, ratio, lower, upper, tolerance, engine=engine)
         for ratio in ratios
     ]

@@ -1,10 +1,9 @@
 """The :class:`FlowEngine` — solver selection plus run-wide instrumentation.
 
 Every exact DDS run owns (or borrows) one engine.  The engine resolves the
-solver name through the registry once, at construction (``"auto"`` binds
-the default solver, ``dinic``), then every min-cut in the run goes through
-:meth:`FlowEngine.min_cut`, which accumulates the counters the experiments
-(and the regression tests) care about.
+solver name through the registry once, at construction, then every min-cut
+in the run goes through :meth:`FlowEngine.min_cut`, which accumulates the
+counters the experiments (and the regression tests) care about.
 
 Stats-key glossary
 ------------------
@@ -49,7 +48,7 @@ from typing import Any
 
 from repro.exceptions import DeadlineExceeded
 from repro.flow.network import FlowNetwork
-from repro.flow.registry import AUTO_SOLVER, DEFAULT_SOLVER, get_solver_class
+from repro.flow.registry import DEFAULT_SOLVER, get_solver_class
 
 #: Counter attribute names, in the order used by :meth:`FlowEngine.snapshot`
 #: (the one declaration every stats view iterates).
@@ -73,9 +72,7 @@ class FlowEngine:
 
     def __init__(self, flow_solver: str = DEFAULT_SOLVER) -> None:
         self.solver_name = flow_solver
-        self.solver_class = get_solver_class(
-            DEFAULT_SOLVER if flow_solver == AUTO_SOLVER else flow_solver
-        )
+        self.solver_class = get_solver_class(flow_solver)
         #: The active :class:`repro.runtime.Deadline`, or ``None``.  Armed by
         #: the session layer for the duration of one query; every min-cut
         #: checks it before starting and hands it to the solver for

@@ -28,9 +28,9 @@ Third-party backends (e.g. a Rust-accelerated solver) plug in via
 
 The built-in registry holds ``dinic`` alone.  Besides concrete solver
 names, configs and the CLI accept :data:`AUTO_SOLVER` (``"auto"``), which
-stored entries, the wire and older callers pass; it names no registry entry
-and runs the default solver, ``dinic``
-(:class:`~repro.flow.engine.FlowEngine` binds it at construction).
+stored entries, the wire and older callers pass; it names no registry entry.
+:func:`resolve_solver_choice` turns it into the default solver, ``dinic``,
+wherever a name enters a config or a cache key, so one solver has one name.
 """
 
 from __future__ import annotations
@@ -59,15 +59,17 @@ def flow_solver_choices() -> list[str]:
     return sorted([*_SOLVERS, AUTO_SOLVER])
 
 
-def validate_solver_choice(name: str) -> None:
-    """Validate a ``flow_solver=`` value eagerly (``"auto"`` included).
+def resolve_solver_choice(name: str) -> str:
+    """The registry name a ``flow_solver=`` value runs: ``"auto"`` is ``dinic``.
 
     Raises :class:`~repro.exceptions.FlowError` for unknown names, like
     :func:`get_solver_class`, but additionally accepts ``"auto"``, which
     names no registry entry.
     """
-    if name != AUTO_SOLVER:
-        get_solver_class(name)
+    if name == AUTO_SOLVER:
+        return DEFAULT_SOLVER
+    get_solver_class(name)
+    return name
 
 
 def get_solver_class(name: str = DEFAULT_SOLVER) -> Type:

@@ -227,12 +227,9 @@ class ShardClient:
         Jitter source (a ``random.Random``); injectable for deterministic
         tests.
     breaker:
-        The per-host :class:`CircuitBreaker` guarding this client; built
-        from ``breaker_threshold`` / ``breaker_cooldown`` when omitted.
-        Pass an instance to inject a deterministic clock in tests.
-    breaker_threshold / breaker_cooldown:
-        Exhausted-ladder count that opens the breaker, and seconds before
-        the half-open probe (ignored when ``breaker`` is given).
+        The per-host :class:`CircuitBreaker` guarding this client; a default
+        one when omitted.  Pass an instance to set its threshold and
+        cooldown, or to inject a deterministic clock in tests.
     """
 
     def __init__(
@@ -247,8 +244,6 @@ class ShardClient:
         backoff_max: float = DEFAULT_BACKOFF_MAX,
         rng: random.Random | None = None,
         breaker: CircuitBreaker | None = None,
-        breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
-        breaker_cooldown: float = DEFAULT_BREAKER_COOLDOWN,
     ) -> None:
         if port is None:
             host, port = parse_host_port(host)
@@ -262,13 +257,7 @@ class ShardClient:
         self._backoff_base = backoff_base
         self._backoff_max = backoff_max
         self._rng = rng if rng is not None else random.Random()
-        self.breaker = (
-            breaker
-            if breaker is not None
-            else CircuitBreaker(
-                failure_threshold=breaker_threshold, cooldown_s=breaker_cooldown
-            )
-        )
+        self.breaker = breaker if breaker is not None else CircuitBreaker()
         # Lanes of the remote executor share one client per host, so the
         # counters take a lock; the sockets themselves are per-request.
         self._counters_lock = threading.Lock()

@@ -51,22 +51,19 @@ kind counts it ``results_incompatible``.
 
 Saves that cost what changed
 ----------------------------
-A store remembers, for each live session it saved or completely warmed, the
-session's :attr:`~repro.session.DDSSession.warm_state_version` and the
-SHA-256 of the exact bytes of every file involved.  A later save of that
-session whose version is unchanged and whose files still hash to those
-digests returns the same counters after a few file reads, without building,
-encoding or parsing a payload; any other save rewrites what differs, as
-always.  Digests rather than file stats make a file that was deleted,
-replaced by another writer or tampered with force the full save, which
-repairs it.
-
-Beside that, a store remembers, weakly keyed by each live
+A store remembers, weakly keyed by each live
 :class:`~repro.graph.digraph.DiGraph`, the files of the state it last saved
-or warmed for the graph as it wrote or verified them.  Every read hashes
-the file's bytes, and re-verifies the checksum unless those bytes match
-bytes this store wrote or verified; a full save re-encodes only the answers
-that differ from what their unchanged file holds.
+or warmed for the graph, as it wrote or verified them (the SHA-256 of their
+bytes, their checksums and payloads), and the session whose whole state
+they hold, with its :attr:`~repro.session.DDSSession.warm_state_version`.
+Every read hashes the file's bytes, and re-verifies the checksum unless
+those bytes match bytes this store wrote or verified; a full save
+re-encodes only the answers that differ from what their unchanged file
+holds.  A save of that session whose version is unchanged and whose files
+still hash to those digests returns the same counters after a few file
+reads, without building, encoding or parsing a payload.  Digests rather
+than file stats make a file that was deleted, replaced by another writer or
+tampered with force the full save, which repairs it.
 """
 
 from __future__ import annotations
@@ -93,6 +90,7 @@ from repro.core.method_registry import get_method_spec
 from repro.core.results import DDSResult, FixedRatioOutcome, json_native_label
 from repro.core.xycore import XYCore
 from repro.exceptions import AlgorithmError, ConfigError, FlowError, GraphError, StoreError
+from repro.flow.registry import resolve_solver_choice
 from repro.graph.digraph import DiGraph
 from repro.session import DDSSession
 from repro.session.session import FIXED_RATIO_ENTRY, TOP_K_ENTRY
@@ -279,7 +277,7 @@ def _entry_from_document(entry: dict[str, Any]) -> tuple[str, Any, Any]:
             float(query["lower"]),
             float(query["upper"]),
             float(query["tolerance"]),
-            str(query["flow_solver"]),
+            resolve_solver_choice(str(query["flow_solver"])),
         )
         return method, config, _outcome_from_jsonable(entry["outcome"])
     if method == TOP_K_ENTRY:
@@ -325,19 +323,35 @@ class _Known:
 
 
 @dataclasses.dataclass(frozen=True)
-class _Saved:
-    """What a store last wrote or verified for one live session."""
+class _Memory:
+    """What a store last saved or warmed for one live graph.
+
+    Shared between threads and saves, so nothing in it is ever mutated.
+    """
 
     fingerprint: str
-    version: int
-    #: The counters a save of the unchanged session reports.
-    counters: dict[str, int]
-    #: SHA-256 of the bytes of every file the save involves.
-    digests: tuple[tuple[Path, str], ...]
+    #: The files of that state, as this store wrote or verified them.
+    files: dict[Path, _Known]
+    #: The session whose whole state the files hold (weakly), if one does.
+    session: weakref.ReferenceType | None = None
+    #: That session's ``warm_state_version`` when they held it.
+    version: int = 0
+    #: The counters a save of that session reports while nothing changed.
+    counters: dict[str, int] | None = None
 
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _repeat_counters(skipped: int, unchanged: int) -> dict[str, int]:
+    """The counters of a save that finds every file current."""
+    return {
+        "results_saved": 0,
+        "results_skipped": skipped,
+        "results_unchanged": unchanged,
+        "derived_saved": 0,
+    }
 
 
 def _envelope(payload: Any) -> tuple[str, bytes]:
@@ -369,17 +383,12 @@ class SessionStore:
     fails verification is reported in the returned counters and otherwise
     ignored.  Concurrent writers are tolerated via atomic
     write-to-temp-then-rename of individual entries.  One store may serve
-    many threads: what it remembers per live session sits behind a lock.
+    many threads: what it remembers per live graph sits behind a lock.
     """
 
     def __init__(self, root: str | os.PathLike[str]) -> None:
         self.root = Path(root)
-        self._saved: weakref.WeakKeyDictionary[DDSSession, _Saved] = weakref.WeakKeyDictionary()
-        # Per live graph: the fingerprint and the files of the state this
-        # store last saved or warmed for it, as written or verified.
-        self._known: weakref.WeakKeyDictionary[
-            DiGraph, tuple[str, dict[Path, _Known]]
-        ] = weakref.WeakKeyDictionary()
+        self._known: weakref.WeakKeyDictionary[DiGraph, _Memory] = weakref.WeakKeyDictionary()
         self._lock = threading.Lock()
         marker = self.root / "store.json"
         if marker.exists():
@@ -522,21 +531,19 @@ class SessionStore:
             document = {"store_schema_version": STORE_SCHEMA_VERSION}
             self._write_json(marker, _canonical_json(document).encode("utf-8"))
 
-    def _known_files(self, graph: DiGraph, fingerprint: str) -> dict[Path, _Known]:
-        """What this store last wrote or verified for ``graph`` at ``fingerprint``.
+    def _recall(self, graph: DiGraph, fingerprint: str) -> _Memory:
+        """What this store last saved or warmed for ``graph`` at ``fingerprint``.
 
         Remembered per live graph (weakly, so no longer than a session or a
         daemon holds the graph) and only for the state of its last full save
-        or warm.  Treated as read-only: a save or warm builds a new one and
-        installs it with :meth:`_remember_files`.
+        or warm; empty for anything else.  Read-only: a save or warm installs
+        a new one.
         """
         with self._lock:
-            held = self._known.get(graph)
-        return held[1] if held is not None and held[0] == fingerprint else {}
-
-    def _remember_files(self, graph: DiGraph, fingerprint: str, files: dict[Path, _Known]) -> None:
-        with self._lock:
-            self._known[graph] = (fingerprint, files)
+            memory = self._known.get(graph)
+        if memory is None or memory.fingerprint != fingerprint:
+            return _Memory(fingerprint, {})
+        return memory
 
     def _check_manifest(
         self, graph: DiGraph, manifest_path: Path, known: dict[Path, _Known]
@@ -587,12 +594,13 @@ class SessionStore:
         wrote or verified for the graph is compared by its remembered
         checksum rather than parsed again.
 
-        If this store saved or completely warmed ``session`` before, and
-        neither its :attr:`~repro.session.DDSSession.warm_state_version`
-        nor the bytes of any file involved have changed since, the save
-        returns the counters of that save with every result counted as
-        unchanged.  It only reads those files: it builds, encodes and parses
-        no payload, and takes no lock, because it writes nothing.
+        If the store's last save or complete warm of the graph was of
+        ``session``, and neither its
+        :attr:`~repro.session.DDSSession.warm_state_version` nor the bytes
+        of any file involved have changed since, the save returns the
+        counters of that save with every result counted as unchanged.  It
+        only reads those files: it builds, encodes and parses no payload,
+        and takes no lock, because it writes nothing.
         """
         graph = session.graph
         fingerprint = graph.content_fingerprint()
@@ -600,9 +608,15 @@ class SessionStore:
         # save runs leaves the remembered version behind, never ahead.
         version = session.warm_state_version
         self._ensure_marker()
-        unchanged = self._unchanged_counters(session, fingerprint, version)
-        if unchanged is not None:
-            return unchanged
+        memory = self._recall(graph, fingerprint)
+        known = memory.files
+        if (
+            memory.session is not None
+            and memory.session() is session
+            and memory.version == version
+            and all(self._holds(path, file) for path, file in known.items())
+        ):
+            return dict(memory.counters)
         graph_dir = self._graph_dir(fingerprint)
         counters = {
             "results_saved": 0,
@@ -610,7 +624,6 @@ class SessionStore:
             "results_unchanged": 0,
             "derived_saved": 0,
         }
-        known = self._known_files(graph, fingerprint)
         files: dict[Path, _Known] = {}
         # The whole per-graph write sequence runs under the graph's advisory
         # lock: a concurrent warmer of the same graph blocks here, then sees
@@ -677,15 +690,11 @@ class SessionStore:
                 saved, written = self._save_entry(entry_path, entry, known)
                 files[entry_path] = dataclasses.replace(saved, answer=(method, config, value))
                 counters["results_saved" if written else "results_unchanged"] += 1
-        self._remember_files(graph, fingerprint, files)
-        self._remember(
-            session,
-            fingerprint,
-            version,
-            counters["results_skipped"],
-            counters["results_unchanged"] + counters["results_saved"],
-            {path: file.digest for path, file in files.items()},
+        repeat = _repeat_counters(
+            counters["results_skipped"], counters["results_unchanged"] + counters["results_saved"]
         )
+        with self._lock:
+            self._known[graph] = _Memory(fingerprint, files, weakref.ref(session), version, repeat)
         return counters
 
     def _save_entry(
@@ -715,57 +724,13 @@ class SessionStore:
             return current, False
         return _Known(self._write_json(path, data), checksum, payload), True
 
-    def _holds(self, path: Path, file: _Known) -> bool:
-        """Whether ``path`` still holds the bytes of ``file``."""
+    @staticmethod
+    def _holds(path: Path, file: _Known) -> bool:
+        """Whether ``path`` still holds the bytes of ``file`` (read and hashed here, never parsed)."""
         try:
-            return self._read_json(path)[1] == file.digest
-        except StoreError:
+            return _digest(path.read_bytes()) == file.digest
+        except OSError:
             return False
-
-    def _unchanged_counters(
-        self, session: DDSSession, fingerprint: str, version: int
-    ) -> dict[str, int] | None:
-        """The remembered counters if nothing the last save involved has changed.
-
-        ``None`` unless this store remembers ``session`` at ``fingerprint``
-        and ``version`` and every remembered file still hashes to its digest.
-        """
-        with self._lock:
-            saved = self._saved.get(session)
-        if saved is None or saved.fingerprint != fingerprint or saved.version != version:
-            return None
-        for path, digest in saved.digests:
-            try:
-                data = path.read_bytes()
-            except OSError:
-                return None
-            if _digest(data) != digest:
-                return None
-        return dict(saved.counters)
-
-    def _remember(
-        self,
-        session: DDSSession,
-        fingerprint: str,
-        version: int,
-        results_skipped: int,
-        results_unchanged: int,
-        digests: dict[Path, str],
-    ) -> None:
-        """Record what a repeat save of the unchanged ``session`` would find."""
-        saved = _Saved(
-            fingerprint=fingerprint,
-            version=version,
-            counters={
-                "results_saved": 0,
-                "results_skipped": results_skipped,
-                "results_unchanged": results_unchanged,
-                "derived_saved": 0,
-            },
-            digests=tuple(digests.items()),
-        )
-        with self._lock:
-            self._saved[session] = saved
 
     # ------------------------------------------------------------------
     # load
@@ -812,7 +777,7 @@ class SessionStore:
         manifest_path = graph_dir / "manifest.json"
         if not manifest_path.exists():
             return counters
-        known = self._known_files(graph, fingerprint)
+        known = self._recall(graph, fingerprint).files
         try:
             manifest = self._check_manifest(graph, manifest_path, known)
         except StoreError:
@@ -866,7 +831,7 @@ class SessionStore:
             if seeded:
                 counters["results_loaded"] += 1
                 files[entry_path] = entry
-        self._remember_files(graph, fingerprint, files)
+        memory = _Memory(fingerprint, files)
         # A fresh session caches only what this warm loaded, so a full cache
         # means every entry loaded and none was pushed out again.
         if (
@@ -874,14 +839,14 @@ class SessionStore:
             and counters["derived_loaded"]
             and session.cache_stats()["result_cache_entries"] == len(entry_paths)
         ):
-            self._remember(
-                session,
-                fingerprint,
-                session.warm_state_version,
-                0,
-                len(entry_paths),
-                {path: file.digest for path, file in files.items()},
+            memory = dataclasses.replace(
+                memory,
+                session=weakref.ref(session),
+                version=session.warm_state_version,
+                counters=_repeat_counters(0, len(entry_paths)),
             )
+        with self._lock:
+            self._known[graph] = memory
         return counters
 
     def _verified_file(self, path: Path, known: dict[Path, _Known]) -> _Known:

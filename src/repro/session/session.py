@@ -54,7 +54,7 @@ from repro.exceptions import (
     GraphError,
 )
 from repro.flow.engine import COUNTERS, FlowEngine
-from repro.flow.registry import validate_solver_choice
+from repro.flow.registry import resolve_solver_choice
 from repro.graph.digraph import DiGraph, NodeLabel
 from repro.graph.properties import graph_summary
 from repro.incremental.certify import certify_result
@@ -145,7 +145,7 @@ def _entry_key(method: str, config: Any) -> tuple[str, Any]:
     if method == FIXED_RATIO_ENTRY:
         ratio, lower, upper, tolerance, solver = config
         check_search_arguments(ratio, lower, upper, tolerance)
-        validate_solver_choice(solver)
+        solver = resolve_solver_choice(solver)
         return method, (float(ratio), float(lower), float(upper), float(tolerance), solver)
     if method == TOP_K_ENTRY:
         k, min_density, inner, inner_config = config
@@ -278,7 +278,7 @@ class DDSSession:
         if not spec.flow_backed and "flow_solver" in kwargs:
             # Not applied (see MethodSpec.flow_backed), but still a name from
             # the caller: an unknown one fails here as on every method.
-            validate_solver_choice(kwargs.pop("flow_solver"))
+            resolve_solver_choice(kwargs.pop("flow_solver"))
         base = self._base_config(spec)
         cfg = spec.config_type.resolve(config if config is not None else base, **kwargs)
         # Any knob other than ``flow`` that the method never consults must
@@ -500,7 +500,8 @@ class DDSSession:
         pair the search extracted (ties keep the seed), and ``best_density``
         is its true density, and ``best_edges`` its edge count.  The
         complete outcome is cached, keyed by ``(ratio, lower, upper,
-        tolerance, solver)`` with the defaults filled in, so a repeated probe
+        tolerance, solver)`` with the defaults filled in and ``"auto"``
+        resolved to ``dinic``, so a repeated probe
         is a cache hit that returns a copy of the same outcome (its
         ``flow_calls`` and ``networks_built`` those of the search that
         computed it) and runs no search.  An outcome cut short by a deadline
@@ -518,7 +519,7 @@ class DDSSession:
         if tolerance is None:
             tolerance = self.exactness_tolerance()
         check_search_arguments(ratio, lower, upper, tolerance)
-        solver = flow_solver if flow_solver is not None else self.flow.solver
+        solver = self.flow.solver if flow_solver is None else resolve_solver_choice(flow_solver)
         engine = self._engine_for(solver)
         if deadline_ms is None:
             deadline_ms = self.flow.deadline_ms

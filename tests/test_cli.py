@@ -534,7 +534,7 @@ class TestFlowSolverFlags:
              "--flow-solver", "auto"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["flow_solver"] == "auto"
+        assert payload["flow_solver"] == "dinic"  # "auto" names the solver it runs
         assert payload["is_exact"] is True
 
     def test_batch_accepts_flow_solver(self, tmp_path, capsys):

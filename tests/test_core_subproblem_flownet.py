@@ -25,12 +25,13 @@ from repro.core.flow_network import (
 )
 from repro.core.ratio import all_candidate_ratios
 from repro.core.subproblem import STSubproblem
-from repro.exceptions import AlgorithmError
+from repro.exceptions import AlgorithmError, DeadlineExceeded
 from repro.flow.dinic import DinicSolver
 from repro.flow.engine import FlowEngine
 from repro.flow.registry import available_flow_solvers
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import complete_bipartite_digraph, gnm_random_digraph
+from repro.runtime import Deadline
 
 
 class TestSTSubproblem:
@@ -216,20 +217,28 @@ class TestMaximizeFixedRatio:
         outcome = maximize_fixed_ratio(sub, 2.0 / 3.0, lower=0.0, upper=math.inf, tolerance=1e-6)
         assert outcome.lower == pytest.approx(math.sqrt(6))
 
-    def test_network_observer_called(self):
+    def test_network_nodes_record_the_search_network(self):
         g = complete_bipartite_digraph(2, 3)
         sub = STSubproblem.from_graph(g)
-        sizes: list[tuple[int, int]] = []
-        maximize_fixed_ratio(
-            sub,
-            1.0,
-            0.0,
-            5.0,
-            tolerance=1e-3,
-            network_observer=lambda nodes, arcs: sizes.append((nodes, arcs)),
-        )
-        assert sizes
-        assert all(nodes == 7 for nodes, _ in sizes)
+        outcome = maximize_fixed_ratio(sub, 1.0, 0.0, 5.0, tolerance=1e-3)
+        # One size per cut, each the search network's: source, sink, 2 + 3 copies.
+        assert len(outcome.network_nodes) == len(outcome.network_arcs) == outcome.flow_calls > 1
+        assert set(outcome.network_nodes) == {7}
+        assert len(set(outcome.network_arcs)) == 1
+
+    def test_spent_deadline_carries_the_starting_bracket(self):
+        sub = STSubproblem.from_graph(complete_bipartite_digraph(2, 3))
+        now = [0.0]
+        engine = FlowEngine()
+        engine.deadline = Deadline(1.0, clock=lambda: now[0])
+        now[0] = 1.0  # a second later: the 1 ms budget is spent before the first cut
+        with pytest.raises(DeadlineExceeded) as excinfo:
+            maximize_fixed_ratio(sub, 1.0, lower=0.5, upper=5.0, tolerance=1e-6, engine=engine)
+        outcome = excinfo.value.outcome
+        assert (outcome.ratio, outcome.lower, outcome.upper) == (1.0, 0.5, 5.0)
+        assert outcome.networks_built == 1 and outcome.network_nodes == [7]
+        assert outcome.flow_calls == 0 and not outcome.found_pair
+        assert (engine.networks_built, engine.flow_calls, engine.deadline_hits) == (1, 0, 1)
 
     def test_maximiser_tracking(self):
         g = complete_bipartite_digraph(3, 3)

@@ -34,6 +34,7 @@ from repro.exceptions import ConfigError, DeadlineExceeded, FlowError
 from repro.flow.network import INFINITY, FlowNetwork
 from repro.flow.registry import (
     AUTO_SOLVER,
+    DEFAULT_SOLVER,
     available_flow_solvers,
     flow_solver_choices,
     get_solver_class,
@@ -154,9 +155,10 @@ class TestAutoSolverName:
         assert AUTO_SOLVER not in available_flow_solvers()
 
     def test_config_accepts_auto_and_rejects_unknown(self):
+        # "auto" is stored as the solver it runs, so it keys caches as dinic.
         config = FlowConfig(solver=AUTO_SOLVER)
-        assert config.solver == AUTO_SOLVER
-        assert ExactConfig(flow="auto").flow.solver == AUTO_SOLVER
+        assert config == FlowConfig() and config.solver == DEFAULT_SOLVER
+        assert ExactConfig(flow="auto") == ExactConfig()
         with pytest.raises((FlowError, ConfigError)):
             FlowConfig(solver="no-such-backend")
 

@@ -756,6 +756,35 @@ class TestAnswerKinds:
         assert counters["results_incompatible"] == 1
         assert counters["results_corrupt"] == 0
 
+    def test_stored_auto_entries_warm_into_the_dinic_key(self, graph, tmp_path):
+        # Entries stored under the solver name "auto" run dinic, so they warm
+        # into the keys that queries with the default solver read, and a
+        # save keeps their files as the holders of those entries.
+        session = DDSSession(graph)
+        session.fixed_ratio(1.0)
+        session.densest_subgraph("dc-exact")
+        SessionStore(tmp_path).save_session(session)
+        for entry in (tmp_path / "graphs").glob("*/results/*.json"):
+            payload = json.loads(entry.read_text())["payload"]
+            if payload["method"] == "fixed-ratio":
+                payload["query"]["flow_solver"] = "auto"
+                name = f"fixed-ratio-{SessionStore._entry_name('fixed-ratio', payload['query'])}"
+            else:
+                payload["config"]["flow"]["solver"] = "auto"
+                name = SessionStore._entry_name(payload["method"], payload["config"])
+            entry.unlink()
+            (entry.parent / name).write_text(canonical_json({"checksum": checksum(payload), "payload": payload}))
+        store = SessionStore(tmp_path)
+        warmed = DDSSession(graph.copy())
+        assert store.warm_session(warmed)["results_loaded"] == 2
+        warmed.fixed_ratio(1.0)
+        warmed.densest_subgraph("dc-exact")
+        stats = warmed.cache_stats()
+        assert (stats["result_cache_hits"], stats["flow_calls"]) == (2, 0)
+        warmed.fixed_ratio(2.0)
+        assert store.save_session(warmed)["results_saved"] == 1
+        assert len(list((tmp_path / "graphs").glob("*/results/*.json"))) == 3
+
     def test_unencodable_top_k_labels_are_skipped(self, tmp_path):
         graph = DiGraph.from_edges([((1, "a"), (2, "b")), ((1, "a"), (3, "c"))])
         session = DDSSession(graph)

@@ -261,12 +261,28 @@ class TestAnswerCache:
         )
         assert second == first
         assert session.cache_stats()["result_cache_hits"] == 1
-        # The solver is keyed by name: "auto" binds dinic, the session default.
+        # The solver is keyed by the one it runs: "auto" is dinic, the default.
         session.fixed_ratio(1.0, tolerance=1e-3)
         session.fixed_ratio(1.0, flow_solver="auto")
         session.fixed_ratio(1.0, flow_solver="dinic", deadline_ms=60_000)
-        assert session.cache_stats()["result_cache_hits"] == 2
-        assert _kinds(session).count("fixed-ratio") == 3
+        assert session.cache_stats()["result_cache_hits"] == 3
+        assert _kinds(session).count("fixed-ratio") == 2
+
+    def test_auto_and_dinic_share_one_entry_and_one_engine(self, graph):
+        session = DDSSession(graph)
+        session.fixed_ratio(1.0)
+        assert session.fixed_ratio(1.0, flow_solver="auto") == session.fixed_ratio(1.0)
+        result = session.densest_subgraph("dc-exact")
+        auto = session.densest_subgraph("dc-exact", flow_solver="auto")
+        assert (auto.s_nodes, auto.t_nodes, auto.density) == (
+            result.s_nodes, result.t_nodes, result.density
+        )
+        stats = session.cache_stats()
+        assert (stats["result_cache_entries"], stats["result_cache_hits"]) == (2, 3)
+        assert list(session._engines) == ["dinic"]
+        assert result.stats["flow_solver"] == auto.stats["flow_solver"] == "dinic"
+        [(_, key, _)] = [entry for entry in session.cached_results() if entry[0] == "fixed-ratio"]
+        assert key[-1] == "dinic"
 
     def test_top_k_hit_carries_auto_selected_only_when_asked_for_auto(self, graph):
         session = DDSSession(graph)

@@ -1,9 +1,10 @@
-"""Saves that cost what changed: what a ``SessionStore`` remembers per live session.
+"""Saves that cost what changed: what a ``SessionStore`` remembers per live graph.
 
-A store remembers, for each session it saved or completely warmed, the
-session's ``warm_state_version`` and the digests of the files involved, and
-answers a save of the unchanged session from that memory.  These tests pin
-that the memory never changes what a save does:
+A store remembers, for each graph it saved or warmed, the files involved as
+it wrote or verified them, and the session whose whole state they hold with
+its ``warm_state_version``; it answers a save of that session, unchanged,
+from that memory.  These tests pin that the memory never changes what a
+save does:
 
 * **Differential** — random operation sequences, with saves in between,
   give equal counters and byte-identical store trees whether every save goes
@@ -12,7 +13,9 @@ that the memory never changes what a save does:
   warm, build, encode and parse nothing and take no lock.
 * **Repair** — a file deleted, replaced or tampered with between two saves is
   rewritten by the next one, and no other file is touched.
-* **Partial warms** — a warm that did not load everything remembers nothing.
+* **Partial warms** — a warm that did not load everything names no session.
+* **One session per graph** — a save of a second session of the graph takes
+  the memory over, and the first session's next save is a full one.
 * **Threads** — concurrent saves into one store lose no memory, and
   sessions sharing one graph never get a remembered payload their file's
   bytes do not hold.
@@ -330,6 +333,24 @@ def test_graph_mutated_behind_the_session_still_raises(graph, tmp_path):
         store.save_session(session)
 
 
+def test_a_second_session_of_the_graph_takes_over_the_memory(graph, tmp_path, monkeypatch):
+    """Pins that the memory names one session per graph: the one that saved last."""
+    store = SessionStore(tmp_path)
+    first, second = _served(graph), _served(graph)
+    full_saves = _count_full_saves(monkeypatch)
+    counters = store.save_session(first)
+    assert store.save_session(first) == _repeat(counters)
+    assert len(full_saves) == 1
+    # The second session holds the same state, so its save replaces the
+    # memory and writes nothing; the first one's next save is a full one.
+    assert store.save_session(second) == _repeat(counters)
+    assert store._known[graph].session() is second
+    assert store.save_session(first) == _repeat(counters)
+    assert len(full_saves) == 3
+    assert store.save_session(first) == _repeat(counters)
+    assert len(full_saves) == 3
+
+
 # ----------------------------------------------------------------------
 # damage between fast-path saves is repaired
 # ----------------------------------------------------------------------
@@ -568,8 +589,7 @@ def test_threads_sharing_one_graph_never_serve_a_stale_payload(tmp_path):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert store.verify() == []
-    _, files = store._known[graph]
-    for path, known in files.items():
+    for path, known in store._known[graph].files.items():
         data = path.read_bytes()
         if store_module._digest(data) == known.digest:
             assert json.loads(data)["payload"] == known.payload
