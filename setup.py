@@ -4,20 +4,16 @@ This file exists so that legacy editable installs (``pip install -e .`` with
 older setuptools/pip stacks that lack the ``wheel`` package, as in the
 offline evaluation environment) keep working.
 
-Extras
-------
-``vector``
-    numpy, which speeds up the bulk build of a decision network, the
-    penalty sweep of its retune and the start flow routed before each
-    solve.  The package is fully functional without it: every min-cut runs
-    ``dinic`` either way, the build and retune fall back to scalar loops,
-    and each solve starts from zero flow instead of the routed start flow.
+Dependencies
+------------
+numpy, the one runtime dependency: it builds each decision network's arc
+columns in bulk, rewrites the penalty capacities of its retune, routes the
+start flow before each solve and sorts a flow network's arcs into its CSR
+index.
 """
 
 from setuptools import setup
 
 setup(
-    extras_require={
-        "vector": ["numpy>=1.22"],
-    },
+    install_requires=["numpy>=1.22"],
 )

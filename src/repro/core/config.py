@@ -35,8 +35,7 @@ from repro.exceptions import ConfigError
 from repro.flow.registry import DEFAULT_SOLVER, resolve_solver_choice
 
 #: Intervals containing at most this many distinct candidate ratios are
-#: leaves of the divide-and-conquer recursion (canonical definition; the
-#: solver modules re-export it for backwards compatibility).
+#: leaves of the divide-and-conquer recursion.
 LEAF_RATIO_COUNT = 2
 
 

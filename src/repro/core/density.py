@@ -15,7 +15,7 @@ problem.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.exceptions import AlgorithmError
 from repro.graph.digraph import DiGraph, NodeLabel
@@ -120,17 +120,3 @@ def exactness_tolerance(graph: DiGraph) -> float:
     m = max(graph.num_edges, 1)
     return max(1.0 / (2.0 * m * n**3), 1e-12)
 
-
-def validate_pair(
-    graph: DiGraph,
-    s_nodes: Iterable[NodeLabel],
-    t_nodes: Iterable[NodeLabel],
-) -> None:
-    """Raise :class:`AlgorithmError` unless ``S`` and ``T`` are non-empty node subsets."""
-    s_list = list(s_nodes)
-    t_list = list(t_nodes)
-    if not s_list or not t_list:
-        raise AlgorithmError("S and T must both be non-empty")
-    for label in s_list + t_list:
-        if not graph.has_node(label):
-            raise AlgorithmError(f"node {label!r} is not in the graph")

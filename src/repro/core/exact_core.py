@@ -18,13 +18,13 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.config import ExactConfig
-from repro.core.exact_dc import LEAF_RATIO_COUNT, _dc_driver
+from repro.core.exact_dc import _dc_driver
 from repro.core.results import DDSResult
 from repro.core.xycore import XYCore
 from repro.flow.engine import FlowEngine
 from repro.graph.digraph import DiGraph
 
-__all__ = ["LEAF_RATIO_COUNT", "core_exact"]
+__all__ = ["core_exact"]
 
 
 def core_exact(

@@ -83,7 +83,7 @@ from typing import Any, Callable, Iterator
 
 from repro.core.approx_peel import peel_fixed_ratio
 from repro.core.bounds import containing_core, core_based_bounds
-from repro.core.config import LEAF_RATIO_COUNT, ExactConfig
+from repro.core.config import ExactConfig
 from repro.core.density import (
     directed_density_from_indices,
     exactness_tolerance,
@@ -102,7 +102,7 @@ from repro.flow.registry import DEFAULT_SOLVER
 from repro.graph.digraph import DiGraph
 from repro.runtime import AnytimeResult
 
-__all__ = ["LEAF_RATIO_COUNT", "dc_exact"]
+__all__ = ["dc_exact"]
 
 #: An interval whose geometric midpoint lies within this relative distance of
 #: an end cannot be split by its probe: it is solved as a leaf, whatever its

@@ -37,17 +37,14 @@ tight, which is what makes the all-ratios sweep exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
+
+import numpy as np
 
 from repro.core.subproblem import STSubproblem
 from repro.exceptions import AlgorithmError
 from repro.flow.network import FlowNetwork
-
-try:  # optional acceleration: the build and retune's penalty sweep vectorise under numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI lane
-    _np = None
 
 #: Slack used when comparing a min-cut value against ``2m'``; the comparison
 #: involves sums of ``O(m)`` floats so the tolerance scales with ``m``.
@@ -66,11 +63,15 @@ START_FLOW_MIN_ARCS = 256
 class DecisionNetwork:
     """A built decision network plus the bookkeeping to read the answer back.
 
-    Only the ``o_u -> t`` and ``i_v -> t`` penalty arcs depend on the probe
-    parameters ``(ratio, guess)``; their arc indices are recorded so that
-    :meth:`retune` can update the capacities in place and reset the residual
-    state instead of rebuilding the whole network for every
-    guess (O(|S| + |T| + m') instead of a full Python-object rebuild).
+    The arc layout of :func:`build_decision_network` is fixed: for the
+    ``i``-th S candidate, arc ``4i`` is its source arc ``s -> o_u`` and arc
+    ``4i + 2`` its penalty arc ``o_u -> t``; arc ``4|S| + 2j`` is the penalty
+    arc ``i_v -> t`` of the ``j``-th T candidate; the edge arcs follow from
+    arc ``4|S| + 2|T|``, and every odd arc is the residual twin of the arc
+    before it.  Only the penalty arcs depend on the probe parameters
+    ``(ratio, guess)``, so :meth:`retune` rewrites their capacities in place
+    and resets the residual state instead of rebuilding the whole network
+    for every guess (O(|S| + |T| + m') instead of a full rebuild).
     """
 
     network: FlowNetwork
@@ -79,8 +80,6 @@ class DecisionNetwork:
     s_nodes: list[int]  # graph indices, aligned with network nodes 2..2+|S|
     t_nodes: list[int]  # graph indices, aligned with network nodes 2+|S|..
     total_capacity: float  # the 2m' reference value
-    s_penalty_arcs: list[int] = field(default_factory=list)  # o_u -> t arcs
-    t_penalty_arcs: list[int] = field(default_factory=list)  # i_v -> t arcs
 
     @property
     def num_nodes(self) -> int:
@@ -120,28 +119,17 @@ class DecisionNetwork:
         capacities, zero flow.  A fixed-ratio search routes
         :meth:`route_start_flow` after every retune, as after every build.
 
-        With numpy the penalty sweep is a bulk assignment to the base
-        capacities on the network's zero-copy views (``reset_flow`` then
-        copies them over every residual, as it does after the scalar
-        loop's per-arc writes); without numpy the per-arc loop runs.
+        The penalty capacities are written into the base capacities through
+        the network's zero-copy views, one strided slice per penalty kind;
+        ``reset_flow`` then copies them over every residual.
         """
         check_decision_parameters(ratio, guess)
         root = math.sqrt(ratio)
-        s_penalty = guess / root
-        t_penalty = guess * root
-        network = self.network
-        if _np is not None:
-            _, _, _, _, _, base = network.numpy_csr()
-            arcs = self._penalty_arc_index()
-            split = len(self.s_penalty_arcs)
-            base[arcs[:split]] = s_penalty
-            base[arcs[split:]] = t_penalty
-        else:
-            for arc_index in self.s_penalty_arcs:
-                network.set_capacity(arc_index, s_penalty)
-            for arc_index in self.t_penalty_arcs:
-                network.set_capacity(arc_index, t_penalty)
-        network.reset_flow()
+        t_arcs_start = 4 * len(self.s_nodes)
+        _, _, _, _, _, base = self.network.numpy_csr()
+        base[2:t_arcs_start:4] = guess / root
+        base[t_arcs_start : t_arcs_start + 2 * len(self.t_nodes) : 2] = guess * root
+        self.network.reset_flow()
 
     def route_start_flow(self) -> None:
         """Route a greedy feasible flow along the network's 2- and 3-arc paths.
@@ -159,11 +147,11 @@ class DecisionNetwork:
         maximum already in place.  Solvers do not count these updates in
         ``arcs_pushed``.
 
-        A no-op without numpy and on networks with fewer than
-        :data:`START_FLOW_MIN_ARCS` stored arcs.
+        A no-op on networks with fewer than :data:`START_FLOW_MIN_ARCS`
+        stored arcs.
         """
         network = self.network
-        if _np is None or network.num_arcs < START_FLOW_MIN_ARCS:
+        if network.num_arcs < START_FLOW_MIN_ARCS:
             return
         starts, order, _, caps, tails, base = network.numpy_csr()
         s_count = len(self.s_nodes)
@@ -185,31 +173,23 @@ class DecisionNetwork:
         in_degree = arc_counts[s_count:] - 1
 
         source_caps = base[0:t_arcs_start:4]
-        direct = _np.minimum(source_caps, base[2:t_arcs_start:4])
-        offers = _np.empty(order.shape[0] // 2, dtype=_np.float64)
+        direct = np.minimum(source_caps, base[2:t_arcs_start:4])
+        offers = np.empty(order.shape[0] // 2, dtype=np.float64)
         offers[by_tail >> 1] = _greedy_fill(base[by_tail], out_degree, source_caps - direct)
         routed = _greedy_fill(offers[by_head >> 1], in_degree, base[t_arcs_start:edge_start:2])
         caps[by_head] = base[by_head] - routed
         caps[by_head ^ 1] = routed
-        source_flow = direct + _np.bincount(tails[by_head] - 2, weights=routed, minlength=s_count)
-        head_of = _np.arange(in_degree.shape[0]).repeat(in_degree)
-        sink_flow = _np.bincount(head_of, weights=routed, minlength=in_degree.shape[0])
+        source_flow = direct + np.bincount(tails[by_head] - 2, weights=routed, minlength=s_count)
+        head_of = np.arange(in_degree.shape[0]).repeat(in_degree)
+        sink_flow = np.bincount(head_of, weights=routed, minlength=in_degree.shape[0])
         for start, stop, step, flow in (
             (0, t_arcs_start, 4, source_flow),
             (2, t_arcs_start, 4, direct),
             (t_arcs_start, edge_start, 2, sink_flow),
         ):
             # Rounding in the sums can overfill a source or sink arc by ulps.
-            caps[start:stop:step] = _np.maximum(base[start:stop:step] - flow, 0.0)
+            caps[start:stop:step] = np.maximum(base[start:stop:step] - flow, 0.0)
             caps[start + 1 : stop : step] = flow
-
-    def _penalty_arc_index(self) -> "object":
-        """The S- then T-penalty arc indices as one cached int64 array."""
-        cached = getattr(self, "_np_penalty_arcs", None)
-        if cached is None:
-            cached = _np.asarray(self.s_penalty_arcs + self.t_penalty_arcs, dtype=_np.int64)
-            self._np_penalty_arcs = cached
-        return cached
 
 
 def _greedy_fill(amounts, counts, budgets):
@@ -222,8 +202,8 @@ def _greedy_fill(amounts, counts, budgets):
     before = amounts.cumsum() - amounts
     first = (counts.cumsum() - counts).repeat(counts)
     # Differences of one global prefix sum can go a few ulps negative.
-    prefix = _np.maximum(before - before[first], 0.0)
-    return _np.minimum(_np.maximum(budgets.repeat(counts) - prefix, 0.0), amounts)
+    prefix = np.maximum(before - before[first], 0.0)
+    return np.minimum(np.maximum(budgets.repeat(counts) - prefix, 0.0), amounts)
 
 
 def check_decision_parameters(ratio: float, guess: float) -> None:
@@ -247,113 +227,67 @@ def build_decision_network(
     Node layout: ``0 = source``, ``1 = sink``, then one node per S candidate
     (in ``subproblem.s_candidates`` order), then one node per T candidate.
 
-    Arc order: per S candidate its source arc then its penalty arc, then
-    the T penalty arcs, then one arc per sub-problem edge.  With numpy the
-    paired-arc columns are assembled in bulk and appended with one
-    :meth:`~repro.flow.network.FlowNetwork.append_paired_arcs` call;
-    without it the same arcs go through ``add_edge`` one at a time.  Both
-    paths produce bit-identical buffers, penalty-arc lists and
-    ``total_capacity``.
+    Arc order (the layout :class:`DecisionNetwork` documents): per S
+    candidate its source arc then its penalty arc, then the T penalty arcs,
+    then one arc per sub-problem edge, each forward arc followed by its
+    zero-capacity residual twin.  The paired-arc columns are assembled in
+    numpy and appended with one
+    :meth:`~repro.flow.network.FlowNetwork.append_paired_arcs` call.
     """
     check_decision_parameters(ratio, guess)
-
+    root = math.sqrt(ratio)
     s_nodes = subproblem.s_candidates
     t_nodes = subproblem.t_candidates
-    network = FlowNetwork(2 + len(s_nodes) + len(t_nodes))
-    source, sink = 0, 1
-    root = math.sqrt(ratio)
-    s_penalty = guess / root
-    t_penalty = guess * root
-
-    if _np is not None:
-        total_capacity = _append_decision_arcs(network, subproblem, s_penalty, t_penalty)
-        s_count = len(s_nodes)
-        s_penalty_arcs = list(range(2, 4 * s_count, 4))
-        t_penalty_arcs = list(range(4 * s_count, 4 * s_count + 2 * len(t_nodes), 2))
-    else:
-        s_position = {u: index for index, u in enumerate(s_nodes)}
-        t_position = {v: index for index, v in enumerate(t_nodes)}
-        s_offset = 2
-        t_offset = 2 + len(s_nodes)
-        out_degree = subproblem.out_degrees()
-        total_capacity = 0.0
-        s_penalty_arcs = []
-        t_penalty_arcs = []
-        for u in s_nodes:
-            capacity = 2.0 * out_degree[u]
-            network.add_edge(source, s_offset + s_position[u], capacity)
-            total_capacity += capacity
-            s_penalty_arcs.append(network.add_edge(s_offset + s_position[u], sink, s_penalty))
-        for v in t_nodes:
-            t_penalty_arcs.append(network.add_edge(t_offset + t_position[v], sink, t_penalty))
-        for u, v in subproblem.edges:
-            network.add_edge(s_offset + s_position[u], t_offset + t_position[v], 2.0)
-
-    return DecisionNetwork(
-        network=network,
-        source=source,
-        sink=sink,
-        s_nodes=list(s_nodes),
-        t_nodes=list(t_nodes),
-        total_capacity=total_capacity,
-        s_penalty_arcs=s_penalty_arcs,
-        t_penalty_arcs=t_penalty_arcs,
-    )
-
-
-def _append_decision_arcs(
-    network: FlowNetwork, subproblem: STSubproblem, s_penalty: float, t_penalty: float
-) -> float:
-    """Append the decision arcs as numpy columns; returns ``total_capacity``.
-
-    The forward arcs are laid out in ``add_edge`` order and then
-    interleaved with their zero-capacity residual twins, which is exactly
-    the buffer layout the scalar loop produces.
-    """
-    s_nodes = subproblem.s_candidates
-    t_count = len(subproblem.t_candidates)
-    s_count, m = len(s_nodes), len(subproblem.edges)
+    s_count, t_count, m = len(s_nodes), len(t_nodes), len(subproblem.edges)
     t_offset = 2 + s_count
-    s_copies = _np.arange(2, t_offset, dtype=_np.int64)
-    t_copies = _np.arange(t_offset, t_offset + t_count, dtype=_np.int64)
+    network = FlowNetwork(t_offset + t_count)
+    s_copies = np.arange(2, t_offset, dtype=np.int64)
+    t_copies = np.arange(t_offset, t_offset + t_count, dtype=np.int64)
     # Graph index -> network node of its out-copy (o_u) / in-copy (i_v).
-    out_copy = _np.full(subproblem.graph.num_nodes, -1, dtype=_np.int64)
-    out_copy[_np.asarray(s_nodes, dtype=_np.int64)] = s_copies
-    in_copy = _np.full(subproblem.graph.num_nodes, -1, dtype=_np.int64)
-    in_copy[_np.asarray(subproblem.t_candidates, dtype=_np.int64)] = t_copies
-    ends = _np.fromiter(chain.from_iterable(subproblem.edges), dtype=_np.int64, count=2 * m)
+    out_copy = np.full(subproblem.graph.num_nodes, -1, dtype=np.int64)
+    out_copy[np.asarray(s_nodes, dtype=np.int64)] = s_copies
+    in_copy = np.full(subproblem.graph.num_nodes, -1, dtype=np.int64)
+    in_copy[np.asarray(t_nodes, dtype=np.int64)] = t_copies
+    ends = np.fromiter(chain.from_iterable(subproblem.edges), dtype=np.int64, count=2 * m)
     edge_tails = out_copy[ends[0::2]]
     edge_heads = in_copy[ends[1::2]]
-    source_caps = 2.0 * _np.bincount(edge_tails - 2, minlength=s_count)
+    source_caps = 2.0 * np.bincount(edge_tails - 2, minlength=s_count)
 
     # Forward arcs: per S candidate s -> o_u then o_u -> t, then i_v -> t
     # per T candidate, then o_u -> i_v per edge.
     t_start = 2 * s_count
     e_start = t_start + t_count
-    forward_heads = _np.empty(e_start + m, dtype=_np.int64)
-    forward_tails = _np.empty(e_start + m, dtype=_np.int64)
-    forward_caps = _np.empty(e_start + m, dtype=_np.float64)
+    forward_heads = np.empty(e_start + m, dtype=np.int64)
+    forward_tails = np.empty(e_start + m, dtype=np.int64)
+    forward_caps = np.empty(e_start + m, dtype=np.float64)
     forward_tails[0:t_start:2] = 0
     forward_heads[0:t_start:2] = s_copies
     forward_caps[0:t_start:2] = source_caps
     forward_tails[1:t_start:2] = s_copies
     forward_heads[1:t_start:2] = 1
-    forward_caps[1:t_start:2] = s_penalty
+    forward_caps[1:t_start:2] = guess / root
     forward_tails[t_start:e_start] = t_copies
     forward_heads[t_start:e_start] = 1
-    forward_caps[t_start:e_start] = t_penalty
+    forward_caps[t_start:e_start] = guess * root
     forward_tails[e_start:] = edge_tails
     forward_heads[e_start:] = edge_heads
     forward_caps[e_start:] = 2.0
 
-    tails = _np.empty(2 * forward_heads.shape[0], dtype=_np.int64)
-    targets = _np.empty_like(tails)
-    caps = _np.zeros(tails.shape[0], dtype=_np.float64)
+    tails = np.empty(2 * forward_heads.shape[0], dtype=np.int64)
+    targets = np.empty_like(tails)
+    caps = np.zeros(tails.shape[0], dtype=np.float64)
     tails[0::2] = targets[1::2] = forward_tails
     targets[0::2] = tails[1::2] = forward_heads
     caps[0::2] = forward_caps
     network.append_paired_arcs(tails, targets, caps, caps)
-    return float(source_caps.sum())
+    return DecisionNetwork(
+        network=network,
+        source=0,
+        sink=1,
+        s_nodes=list(s_nodes),
+        t_nodes=list(t_nodes),
+        total_capacity=float(source_caps.sum()),
+    )
 
 
 def decision_cut_is_improving(

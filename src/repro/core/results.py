@@ -254,8 +254,3 @@ class FixedRatioOutcome:
     def found_pair(self) -> bool:
         """Whether any pair beating the initial lower bound was extracted."""
         return bool(self.best_s) and bool(self.best_t)
-
-    @property
-    def found_maximiser(self) -> bool:
-        """Whether a surrogate (near-)maximiser was extracted."""
-        return bool(self.last_s) and bool(self.last_t)

@@ -105,7 +105,3 @@ class STSubproblem:
             t_candidates=[v for v in self.t_candidates if v in useful_t],
             edges=edges,
         )
-
-    def size_signature(self) -> tuple[int, int, int]:
-        """``(|S candidates|, |T candidates|, |edges|)`` — used by instrumentation."""
-        return (len(self.s_candidates), len(self.t_candidates), len(self.edges))

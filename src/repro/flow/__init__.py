@@ -5,9 +5,10 @@ The DDS exact algorithms reduce the density decision problem to a minimum
 
 * :class:`FlowNetwork` — a CSR-backed residual network (``array('d')``
   capacities, ``array('q')`` targets and per-node arc slices) with float
-  capacities, in-place capacity retuning (:meth:`FlowNetwork.set_capacity` +
-  :meth:`FlowNetwork.reset_flow`) so a built network can be re-solved for
-  many parameter guesses without rebuilding,
+  capacities, in-place capacity retuning (writes through the zero-copy
+  views of :meth:`FlowNetwork.numpy_csr` + :meth:`FlowNetwork.reset_flow`)
+  so a built network can be re-solved for many parameter guesses without
+  rebuilding,
 * :class:`DinicSolver` / :func:`dinic_max_flow` — the one built-in solver
   (Dinic's blocking-flow algorithm, ``O(V^2 E)`` worst case, much faster on
   the unit-capacity-heavy networks produced by the density reduction),

@@ -12,10 +12,11 @@ Storage is CSR-style and array-backed: arc targets/tails live in
 per-node adjacency expressed as slices ``csr_order[csr_starts[u] :
 csr_starts[u + 1]]`` over a flat arc-index array rather than a list of
 Python lists.  The CSR index is (re)built lazily after construction, so
-``add_edge`` stays O(1) amortised and a built network can be retuned
-(capacities updated in place via :meth:`set_capacity` + :meth:`reset_flow`)
-and re-solved without ever touching the topology again — the hot pattern in
-the fixed-ratio searches of the exact DDS algorithms.
+``add_edge`` stays O(1) amortised and a built network can be retuned (base
+capacities rewritten in place through the zero-copy views of
+:meth:`numpy_csr`, then :meth:`reset_flow`) and re-solved without ever
+touching the topology again — the hot pattern in the fixed-ratio searches
+of the exact DDS algorithms.
 
 The residual capacities are also the start state of every solve: each
 registered solver continues from the flow they encode (zero on a freshly
@@ -29,12 +30,9 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.exceptions import FlowError
+import numpy as np
 
-try:  # optional vectorised fast paths; everything works scalar without numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI lane
-    _np = None
+from repro.exceptions import FlowError
 
 #: Capacity used for "uncuttable" arcs.
 INFINITY = float("inf")
@@ -150,52 +148,36 @@ class FlowNetwork:
 
         The four sequences are *arc-indexed* (not edge-indexed): position
         ``i`` and ``i ^ 1`` must already be residual twins, exactly as the
-        flat buffers store them — this is the fast path the numpy build of a
-        decision network
-        (:func:`~repro.core.flow_network.build_decision_network`) uses to
-        load whole arc columns without a per-edge ``add_edge`` loop.  All four sequences must have the same even
-        length; with numpy each column is copied in with one ``tobytes``,
-        without it element-wise.  Every endpoint is range-checked and every
-        capacity checked to be non-negative and not NaN (on the numpy
-        columns when numpy is present) before anything is appended, so a
-        rejected call leaves the network untouched.
+        flat buffers store them — this is how the build of a decision network
+        (:func:`~repro.core.flow_network.build_decision_network`) loads whole
+        arc columns without a per-edge ``add_edge`` loop.  All four sequences
+        must have the same even length; each is converted to a numpy column
+        and copied in with one ``tobytes``.  Every endpoint is range-checked
+        and every capacity checked to be non-negative and not NaN before
+        anything is appended, so a rejected call leaves the network
+        untouched.
         """
         length = len(tails)
         if length % 2 != 0:
             raise FlowError("append_paired_arcs expects an even number of arcs")
         if not (len(targets) == len(capacities) == len(base_capacities) == length):
             raise FlowError("append_paired_arcs sequences must have equal lengths")
+        tails = np.ascontiguousarray(tails, dtype=np.int64)
+        targets = np.ascontiguousarray(targets, dtype=np.int64)
+        caps = np.ascontiguousarray(capacities, dtype=np.float64)
+        base = np.ascontiguousarray(base_capacities, dtype=np.float64)
+        columns = (
+            (self._to, targets.tobytes()),
+            (self._cap, caps.tobytes()),
+            (self._base, base.tobytes()),
+            (self._tails, tails.tobytes()),
+        )
         endpoints = ()
         lowest = 0.0  # the smallest capacity in either column, or a NaN one
-        if _np is not None:
-            tails = _np.ascontiguousarray(tails, dtype=_np.int64)
-            targets = _np.ascontiguousarray(targets, dtype=_np.int64)
-            caps = _np.ascontiguousarray(capacities, dtype=_np.float64)
-            base = _np.ascontiguousarray(base_capacities, dtype=_np.float64)
-            columns = (
-                (self._to, targets.tobytes()),
-                (self._cap, caps.tobytes()),
-                (self._base, base.tobytes()),
-                (self._tails, tails.tobytes()),
-            )
-            if length:
-                endpoints = (tails.min(), tails.max(), targets.min(), targets.max())
-                # ``minimum`` propagates NaN, so one comparison rejects it.
-                lowest = float(_np.minimum(caps.min(), base.min()))
-        else:
-            tails = [int(value) for value in tails]
-            targets = [int(value) for value in targets]
-            caps = array("d", (float(value) for value in capacities))
-            base = array("d", (float(value) for value in base_capacities))
-            columns = (
-                (self._to, array("q", targets).tobytes()),
-                (self._cap, caps.tobytes()),
-                (self._base, base.tobytes()),
-                (self._tails, array("q", tails).tobytes()),
-            )
-            if length:
-                endpoints = (min(tails), max(tails), min(targets), max(targets))
-                lowest = next((value for value in (*caps, *base) if not value >= 0), 0.0)
+        if length:
+            endpoints = (tails.min(), tails.max(), targets.min(), targets.max())
+            # ``minimum`` propagates NaN, so one comparison rejects it.
+            lowest = float(np.minimum(caps.min(), base.min()))
         if not lowest >= 0:
             raise FlowError(f"capacity must be >= 0, got {lowest}")
         for node in endpoints:
@@ -231,23 +213,6 @@ class FlowNetwork:
         twin._tails = array("q", self._tails)
         twin._csr_dirty = True
         return twin
-
-    def set_capacity(self, arc_index: int, capacity: float) -> None:
-        """Replace the original capacity of forward arc ``arc_index`` in place.
-
-        The residual state of the arc is reset (full capacity forward, zero
-        backward); callers that retune several arcs between solver runs should
-        finish with :meth:`reset_flow` so the untouched arcs are reset too.
-        The network topology is untouched, so the CSR index stays valid.
-        """
-        if arc_index % 2 != 0:
-            raise FlowError("set_capacity expects the index returned by add_edge (even)")
-        if not capacity >= 0:
-            raise FlowError(f"capacity must be >= 0, got {capacity}")
-        capacity = float(capacity)
-        self._base[arc_index] = capacity
-        self._cap[arc_index] = capacity
-        self._cap[arc_index + 1] = 0.0
 
     def flow_value(self, source: int) -> float:
         """Net flow currently leaving ``source`` (the value of a valid flow).
@@ -317,40 +282,19 @@ class FlowNetwork:
         capacities view is immediately visible via :attr:`arc_capacities`
         (and vice versa), with no snapshot or write-back step.  The views
         are cached per topology and rebuilt lazily, like :meth:`csr`.
-
-        numpy is imported lazily here; callers are expected to be
-        import-guarded themselves (both fall back to scalar code without
-        numpy), so a missing numpy never surfaces as an import error in
-        this core module.
         """
-        import numpy
-
         if self._csr_dirty:
             self._rebuild_csr()
         if self._np_views is None:
             self._np_views = (
-                numpy.frombuffer(self._csr_starts, dtype=numpy.int64),
-                numpy.frombuffer(self._csr_order, dtype=numpy.int64),
-                numpy.frombuffer(self._to, dtype=numpy.int64),
-                numpy.frombuffer(self._cap, dtype=numpy.float64),
-                numpy.frombuffer(self._tails, dtype=numpy.int64),
-                numpy.frombuffer(self._base, dtype=numpy.float64),
+                np.frombuffer(self._csr_starts, dtype=np.int64),
+                np.frombuffer(self._csr_order, dtype=np.int64),
+                np.frombuffer(self._to, dtype=np.int64),
+                np.frombuffer(self._cap, dtype=np.float64),
+                np.frombuffer(self._tails, dtype=np.int64),
+                np.frombuffer(self._base, dtype=np.float64),
             )
         return self._np_views
-
-    @property
-    def heads(self) -> list[list[int]]:
-        """Outgoing arc indices per node (includes residual arcs).
-
-        Materialised from the CSR index (cached per topology); treat the
-        returned lists as read-only.
-        """
-        return self.solver_views()[0]
-
-    @property
-    def arc_targets(self) -> array:
-        """Target node of every arc (``array('q')``)."""
-        return self._to
 
     @property
     def arc_capacities(self) -> array:
@@ -387,14 +331,6 @@ class FlowNetwork:
             raise FlowError("arc_flow expects the index returned by add_edge (even)")
         return self._cap[arc_index + 1]
 
-    def arc_base_capacity(self, arc_index: int) -> float:
-        """Original (base) capacity of the forward arc ``arc_index``."""
-        if arc_index % 2 != 0:
-            raise FlowError(
-                "arc_base_capacity expects the index returned by add_edge (even)"
-            )
-        return self._base[arc_index]
-
     def reset_flow(self) -> None:
         """Restore all residual capacities to the original capacities."""
         self._cap[:] = self._base
@@ -423,36 +359,20 @@ class FlowNetwork:
 
     # ------------------------------------------------------------------
     def _rebuild_csr(self) -> None:
-        """Recompute the per-node arc slices (counting sort by arc tail).
+        """Recompute the per-node arc slices: a stable sort of the arcs by tail.
 
-        With numpy available the counting sort is replaced by a stable
-        ``argsort`` on the tail array — bit-identical output (a stable sort
-        by tail *is* the counting sort: arcs keep their index order within
-        each node's segment) without the per-arc interpreted loop.
+        Arcs keep their index order within each node's segment, as a
+        counting sort by tail would leave them.
         """
-        num_nodes = self.num_nodes
-        tails = self._tails
-        if _np is not None and len(tails):
-            np_tails = _np.frombuffer(tails, dtype=_np.int64)
-            counts = _np.bincount(np_tails, minlength=num_nodes)
-            starts_np = _np.zeros(num_nodes + 1, dtype=_np.int64)
-            _np.cumsum(counts, out=starts_np[1:])
-            order_np = _np.argsort(np_tails, kind="stable")
-            starts = array("q")
-            starts.frombytes(starts_np.tobytes())
-            order = array("q")
-            order.frombytes(_np.ascontiguousarray(order_np, dtype=_np.int64).tobytes())
-        else:
-            starts = array("q", bytes(8 * (num_nodes + 1)))
-            for tail in tails:
-                starts[tail + 1] += 1
-            for node in range(num_nodes):
-                starts[node + 1] += starts[node]
-            order = array("q", bytes(8 * len(tails)))
-            cursor = starts.tolist()
-            for arc_index, tail in enumerate(tails):
-                order[cursor[tail]] = arc_index
-                cursor[tail] += 1
+        tails = np.frombuffer(self._tails, dtype=np.int64)
+        counts = np.bincount(tails, minlength=self.num_nodes)
+        starts_np = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(counts, out=starts_np[1:])
+        order_np = np.argsort(tails, kind="stable")
+        starts = array("q")
+        starts.frombytes(starts_np.tobytes())
+        order = array("q")
+        order.frombytes(np.ascontiguousarray(order_np, dtype=np.int64).tobytes())
         self._csr_starts = starts
         self._csr_order = order
         self._csr_dirty = False

@@ -27,10 +27,6 @@ drivers catch it on the way up and attach an :class:`AnytimeResult` — the
 ROADMAP's "anytime DDS" observation made concrete: every binary-search
 step already yields a feasible subgraph and a certified bound, so a
 deadline-expired query returns *that* instead of nothing.
-
-``Budget`` is an alias of :class:`Deadline`: the same object read as
-"remaining work allowance" (daemon-side admission control) rather than
-"instant in time" (solver-side cancellation).
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from typing import Any, Callable
 
 from repro.exceptions import ConfigError, DeadlineExceeded
 
-__all__ = ["AnytimeResult", "Budget", "Deadline", "DeadlineExceeded"]
+__all__ = ["AnytimeResult", "Deadline", "DeadlineExceeded"]
 
 
 class Deadline:
@@ -77,13 +73,6 @@ class Deadline:
         self._started_at = clock()
         self._expires_at = self._started_at + budget / 1000.0
 
-    @classmethod
-    def after_ms(
-        cls, budget_ms: float, *, clock: Callable[[], float] = time.monotonic
-    ) -> "Deadline":
-        """A deadline ``budget_ms`` milliseconds from now (alias constructor)."""
-        return cls(budget_ms, clock=clock)
-
     def elapsed_ms(self) -> float:
         """Milliseconds consumed since the budget was armed."""
         return (self._clock() - self._started_at) * 1000.0
@@ -113,10 +102,6 @@ class Deadline:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Deadline(budget_ms={self.budget_ms:g}, remaining_ms={self.remaining_ms():.1f})"
-
-
-#: The daemon-facing name of the same object: a remaining-work allowance.
-Budget = Deadline
 
 
 @dataclass

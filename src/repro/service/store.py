@@ -338,6 +338,10 @@ class _Memory:
     version: int = 0
     #: The counters a save of that session reports while nothing changed.
     counters: dict[str, int] | None = None
+    #: Result files a warm found holding the answer of a key that a file in
+    #: ``files`` holds (one key named two ways by different builds), with
+    #: that key.  The next full save removes them.
+    twins: dict[Path, tuple[str, Any]] = dataclasses.field(default_factory=dict)
 
 
 def _digest(data: bytes) -> str:
@@ -601,6 +605,10 @@ class SessionStore:
         counters of that save with every result counted as unchanged.  It
         only reads those files: it builds, encodes and parses no payload,
         and takes no lock, because it writes nothing.
+
+        A full save after a warm of the graph that found two result files
+        holding one key removes the one the warm did not seed, once the save
+        has written or kept the key's file.
         """
         graph = session.graph
         fingerprint = graph.content_fingerprint()
@@ -690,6 +698,12 @@ class SessionStore:
                 saved, written = self._save_entry(entry_path, entry, known)
                 files[entry_path] = dataclasses.replace(saved, answer=(method, config, value))
                 counters["results_saved" if written else "results_unchanged"] += 1
+            # A twin goes once this save has written or kept its key's file.
+            saved_keys = {file.answer[:2] for file in files.values() if file.answer is not None}
+            for twin, key in memory.twins.items():
+                if key in saved_keys and twin not in files:
+                    with contextlib.suppress(OSError):
+                        twin.unlink()
         repeat = _repeat_counters(
             counters["results_skipped"], counters["results_unchanged"] + counters["results_saved"]
         )
@@ -745,7 +759,12 @@ class SessionStore:
         ``derived_corrupt``, and ``manifest_corrupt`` (the graph directory's
         manifest fails verification — nothing under it is trusted or
         loaded).  Results count every kind of cached answer: densest
-        results, fixed-ratio outcomes and top-k lists.  A graph the store
+        results, fixed-ratio outcomes and top-k lists, each cache key once.
+        Two files can hold one key when builds named it differently (an
+        entry stored with ``flow_solver="auto"`` and its ``"dinic"`` twin):
+        the warm seeds the file this build names for the key, or the first
+        in file-name order if it names neither, and the next full
+        :meth:`save_session` removes the other.  A graph the store
         has never seen loads nothing and returns
         all-zero counters — warming is always safe to attempt and never
         raises for on-disk damage; serving must not die because a cache
@@ -812,11 +831,20 @@ class SessionStore:
 
         results_dir = graph_dir / "results"
         entry_paths = sorted(results_dir.glob("*.json")) if results_dir.is_dir() else []
+        holders: dict[tuple[str, Any], Path] = {}
+        twins: dict[Path, tuple[str, Any]] = {}
         for entry_path in entry_paths:
             try:
                 entry = self._verified_file(entry_path, known)
                 if entry.answer is None:
                     entry = dataclasses.replace(entry, answer=_entry_from_document(entry.payload))
+                key = entry.answer[:2]
+                holder = holders.get(key)
+                if holder is not None:
+                    document = _entry_document(*entry.answer)
+                    if document is None or document[0] != entry_path.name:
+                        twins[entry_path] = key
+                        continue
                 seeded = session.seed_result(*entry.answer)
             except (AlgorithmError, FlowError, _IncompatibleConfig):
                 # Unknown kind, method, flow solver or config field — a store
@@ -828,12 +856,19 @@ class SessionStore:
             except (StoreError, KeyError, TypeError, ValueError):
                 counters["results_corrupt"] += 1
                 continue
-            if seeded:
+            if not seeded:
+                continue
+            if holder is None:
                 counters["results_loaded"] += 1
-                files[entry_path] = entry
-        memory = _Memory(fingerprint, files)
+            else:
+                twins[holder] = key
+                del files[holder]
+            holders[key] = entry_path
+            files[entry_path] = entry
+        memory = _Memory(fingerprint, files, twins=twins)
         # A fresh session caches only what this warm loaded, so a full cache
-        # means every entry loaded and none was pushed out again.
+        # means every entry loaded, none was pushed out again and no two
+        # files held one key.
         if (
             fresh
             and counters["derived_loaded"]

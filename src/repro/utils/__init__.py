@@ -1,7 +1,6 @@
 """Small shared utilities: timing, validation and deterministic RNG helpers."""
 
 from repro.utils.rng import make_rng
-from repro.utils.timer import Timer, timed
 from repro.utils.validation import (
     require,
     require_non_negative_int,
@@ -11,8 +10,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "Timer",
-    "timed",
     "make_rng",
     "require",
     "require_positive",

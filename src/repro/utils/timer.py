@@ -1,83 +1,11 @@
-"""Wall-clock timing helpers used by the benchmark harness and the CLI."""
+"""Wall-clock timing helper used by the benchmark harness and the batch queries."""
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, TypeVar
 
 T = TypeVar("T")
-
-
-@dataclass
-class Timer:
-    """Accumulating wall-clock timer.
-
-    The timer can be used either as a context manager (each ``with`` block
-    adds to :attr:`elapsed`) or manually through :meth:`start` / :meth:`stop`.
-
-    Example
-    -------
-    >>> timer = Timer()
-    >>> with timer:
-    ...     sum(range(1000))
-    499500
-    >>> timer.elapsed >= 0.0
-    True
-    """
-
-    elapsed: float = 0.0
-    laps: list[float] = field(default_factory=list)
-    _started_at: float | None = None
-
-    def start(self) -> None:
-        """Start (or restart) the current lap."""
-        self._started_at = time.perf_counter()
-
-    def stop(self) -> float:
-        """Stop the current lap, record it, and return its duration."""
-        if self._started_at is None:
-            raise RuntimeError("Timer.stop() called without a matching start()")
-        lap = time.perf_counter() - self._started_at
-        self._started_at = None
-        self.laps.append(lap)
-        self.elapsed += lap
-        return lap
-
-    def __enter__(self) -> "Timer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    def reset(self) -> None:
-        """Forget all recorded laps."""
-        self.elapsed = 0.0
-        self.laps.clear()
-        self._started_at = None
-
-
-@contextmanager
-def timed(label: str, sink: dict[str, float] | None = None) -> Iterator[Timer]:
-    """Context manager that times a block and optionally records the result.
-
-    Parameters
-    ----------
-    label:
-        Name under which the elapsed time is stored in ``sink``.
-    sink:
-        Optional dictionary receiving ``sink[label] = elapsed_seconds``.
-    """
-    timer = Timer()
-    timer.start()
-    try:
-        yield timer
-    finally:
-        timer.stop()
-        if sink is not None:
-            sink[label] = timer.elapsed
 
 
 def time_call(func: Callable[[], T]) -> tuple[T, float]:

@@ -17,7 +17,6 @@ from repro.core.density import (
     interval_relaxation_factor,
     surrogate_denominator,
     surrogate_density,
-    validate_pair,
 )
 from repro.exceptions import AlgorithmError
 from repro.graph.digraph import DiGraph
@@ -59,14 +58,6 @@ class TestDirectedDensity:
         assert directed_density(g, labels, labels) == pytest.approx(
             directed_density_from_indices(g, indices, indices)
         )
-
-    def test_validate_pair(self):
-        g = DiGraph.from_edges([(1, 2)])
-        validate_pair(g, [1], [2])
-        with pytest.raises(AlgorithmError):
-            validate_pair(g, [], [2])
-        with pytest.raises(AlgorithmError):
-            validate_pair(g, [1], [99])
 
 
 class TestSurrogate:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import fixed_ratio, flow_network
+from repro.core import fixed_ratio
 from repro.core.bruteforce import brute_force_dds
 from repro.core.density import (
     exactness_tolerance,
@@ -28,6 +28,7 @@ from repro.core.subproblem import STSubproblem
 from repro.exceptions import AlgorithmError, DeadlineExceeded
 from repro.flow.dinic import DinicSolver
 from repro.flow.engine import FlowEngine
+from repro.flow.network import FlowNetwork
 from repro.flow.registry import available_flow_solvers
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import complete_bipartite_digraph, gnm_random_digraph
@@ -82,7 +83,7 @@ class TestSTSubproblem:
         g = DiGraph.from_edges([(0, 1)])
         sub = STSubproblem.from_graph(g, s_candidates=[g.index_of(1)], t_candidates=[g.index_of(0)])
         assert sub.is_empty
-        assert sub.size_signature() == (0, 0, 0)
+        assert (len(sub.s_candidates), len(sub.t_candidates), sub.num_edges) == (0, 0, 0)
 
 
 class TestDecisionNetwork:
@@ -244,7 +245,6 @@ class TestMaximizeFixedRatio:
         g = complete_bipartite_digraph(3, 3)
         sub = STSubproblem.from_graph(g)
         outcome = maximize_fixed_ratio(sub, 1.0, 0.0, 5.0, tolerance=1e-9)
-        assert outcome.found_maximiser
         # At ratio 1 the whole 3x3 block is the surrogate maximiser.
         assert len(outcome.last_s) == 3
         assert len(outcome.last_t) == 3
@@ -611,24 +611,79 @@ class TestNestedSearch:
 
 
 def _decision_state(decision):
-    """Every buffer and bookkeeping field a build produces."""
+    """Every buffer, the CSR index and the bookkeeping fields a build produces."""
     network = decision.network
+    starts, order, _, _ = network.csr()
     return (
         network.num_nodes,
         network._tails.tolist(),
         network._to.tolist(),
         network._cap.tolist(),
         network._base.tolist(),
-        decision.s_penalty_arcs,
-        decision.t_penalty_arcs,
+        starts.tolist(),
+        order.tolist(),
         decision.total_capacity,
         decision.s_nodes,
         decision.t_nodes,
     )
 
 
+def _counting_sort_csr(tails: list[int], num_nodes: int) -> tuple[list[int], list[int]]:
+    """``(starts, order)`` of a counting sort of the arc indices by tail."""
+    starts = [0] * (num_nodes + 1)
+    for tail in tails:
+        starts[tail + 1] += 1
+    for node in range(num_nodes):
+        starts[node + 1] += starts[node]
+    order = [0] * len(tails)
+    cursor = list(starts)
+    for arc_index, tail in enumerate(tails):
+        order[cursor[tail]] = arc_index
+        cursor[tail] += 1
+    return starts, order
+
+
+def _scalar_loop_state(subproblem: STSubproblem, ratio: float, guess: float):
+    """What :func:`_decision_state` reads off the network built one ``add_edge`` at a time.
+
+    The reference for the bulk build: the documented arc order (per S
+    candidate its source then its penalty arc, the T penalty arcs, the edge
+    arcs), ``2m'`` summed arc by arc, and the CSR index by counting sort.
+    """
+    s_nodes, t_nodes = subproblem.s_candidates, subproblem.t_candidates
+    out_copy = {u: 2 + index for index, u in enumerate(s_nodes)}
+    in_copy = {v: 2 + len(s_nodes) + index for index, v in enumerate(t_nodes)}
+    out_degree = subproblem.out_degrees()
+    root = math.sqrt(ratio)
+    network = FlowNetwork(2 + len(s_nodes) + len(t_nodes))
+    total_capacity = 0.0
+    for u in s_nodes:
+        capacity = 2.0 * out_degree[u]
+        network.add_edge(0, out_copy[u], capacity)
+        total_capacity += capacity
+        network.add_edge(out_copy[u], 1, guess / root)
+    for v in t_nodes:
+        network.add_edge(in_copy[v], 1, guess * root)
+    for u, v in subproblem.edges:
+        network.add_edge(out_copy[u], in_copy[v], 2.0)
+    tails = network._tails.tolist()
+    starts, order = _counting_sort_csr(tails, network.num_nodes)
+    return (
+        network.num_nodes,
+        tails,
+        network._to.tolist(),
+        network._cap.tolist(),
+        network._base.tolist(),
+        starts,
+        order,
+        total_capacity,
+        list(s_nodes),
+        list(t_nodes),
+    )
+
+
 class TestBulkBuild:
-    """The numpy build is bit-identical to the scalar ``add_edge`` loop."""
+    """The bulk build is bit-identical to the scalar ``add_edge`` loop."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -647,9 +702,7 @@ class TestBulkBuild:
         ]
         for subproblem in subproblems:
             bulk = build_decision_network(subproblem, ratio, guess)
-            with mock.patch.object(flow_network, "_np", None):
-                scalar = build_decision_network(subproblem, ratio, guess)
-            assert _decision_state(bulk) == _decision_state(scalar)
+            assert _decision_state(bulk) == _scalar_loop_state(subproblem, ratio, guess)
 
     def test_single_edge_network_layout(self):
         graph = DiGraph.from_edges([(0, 1)])
@@ -659,4 +712,4 @@ class TestBulkBuild:
         assert state[1] == [0, 2, 2, 1, 3, 1, 2, 3]
         assert state[2] == [2, 0, 1, 2, 1, 3, 3, 2]
         assert state[3] == [2.0, 0.0, 0.5, 0.0, 0.5, 0.0, 2.0, 0.0]
-        assert state[5:8] == ([2], [4], 2.0)
+        assert state[5:8] == ([0, 1, 3, 6, 8], [0, 3, 5, 1, 2, 6, 4, 7], 2.0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from flow_oracle import edmonds_karp_max_flow
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.exceptions import FlowError
 from repro.flow.dinic import DinicSolver, dinic_max_flow
-from repro.flow import network as network_module
 from repro.flow.network import INFINITY, FlowNetwork
 
 
@@ -81,19 +81,6 @@ class TestFlowNetwork:
         assert not math.isnan(inf_arcs[0].flow)
         assert inf_arcs[0].flow == pytest.approx(5.0)
 
-    def test_set_capacity_retunes_in_place(self):
-        net = FlowNetwork(3)
-        arc = net.add_edge(0, 1, 5.0)
-        net.add_edge(1, 2, 3.0)
-        assert dinic_max_flow(net, 0, 2) == pytest.approx(3.0)
-        net.set_capacity(arc, 1.0)
-        net.reset_flow()
-        assert dinic_max_flow(net, 0, 2) == pytest.approx(1.0)
-        with pytest.raises(FlowError):
-            net.set_capacity(arc + 1, 1.0)  # reverse arcs are not retunable
-        with pytest.raises(FlowError):
-            net.set_capacity(arc, -1.0)
-
     def test_add_edge_rejects_nan_capacity(self):
         net = FlowNetwork(2)
         with pytest.raises(FlowError, match="capacity"):
@@ -101,13 +88,6 @@ class TestFlowNetwork:
         assert net.num_arcs == 0
         net.add_edge(0, 1, INFINITY)  # +inf stays legal
         assert net.num_arcs == 2
-
-    def test_set_capacity_rejects_nan(self):
-        net = FlowNetwork(2)
-        arc = net.add_edge(0, 1, 1.0)
-        with pytest.raises(FlowError, match="capacity"):
-            net.set_capacity(arc, math.nan)
-        assert net.arc_base_capacity(arc) == 1.0
 
     def test_csr_views_consistent_after_add_node(self):
         net = FlowNetwork(2)
@@ -120,51 +100,41 @@ class TestFlowNetwork:
         assert dinic_max_flow(net, 0, new) == pytest.approx(1.0)
 
 
-needs_numpy = pytest.mark.skipif(network_module._np is None, reason="numpy not importable")
+@pytest.fixture(params=["numpy", "list"])
+def column_kind(request):
+    """Hand ``append_paired_arcs`` its columns as numpy arrays or as plain lists."""
+    return np.asarray if request.param == "numpy" else list
 
 
-@pytest.fixture(params=["numpy", "scalar"])
-def column_path(request, monkeypatch):
-    """Run a paired-arc test on the numpy columns and on the scalar fallback."""
-    if request.param == "scalar":
-        monkeypatch.setattr(network_module, "_np", None)
-    elif network_module._np is None:
-        pytest.skip("numpy not importable")
-    return request.param
-
-
-def _bad_columns(column: str, bad: float) -> tuple[list[float], list[float]]:
+def _bad_columns(column_kind, column: str, bad: float) -> tuple:
     """One paired arc ``1 -> 2`` whose ``column`` holds ``bad`` on the forward arc."""
     capacities, base = [1.0, 0.0], [1.0, 0.0]
     (capacities if column == "capacities" else base)[0] = bad
-    return capacities, base
+    return column_kind([1, 2]), column_kind([2, 1]), column_kind(capacities), column_kind(base)
 
 
 @pytest.mark.parametrize("column", ["capacities", "base"])
 @pytest.mark.parametrize("bad", [-1.0, math.nan])
 class TestPairedArcCapacities:
-    def test_append_rejects_and_leaves_the_network_untouched(self, column_path, column, bad):
+    def test_append_rejects_and_leaves_the_network_untouched(self, column_kind, column, bad):
         net = FlowNetwork(3)
         net.add_edge(0, 1, 1.0)
         before = [(a.source, a.target, a.capacity, a.flow) for a in net.arcs()]
-        capacities, base = _bad_columns(column, bad)
         with pytest.raises(FlowError, match="capacity"):
-            net.append_paired_arcs([1, 2], [2, 1], capacities, base)
+            net.append_paired_arcs(*_bad_columns(column_kind, column, bad))
         assert net.num_arcs == 2
         assert [(a.source, a.target, a.capacity, a.flow) for a in net.arcs()] == before
-        net.append_paired_arcs([1, 2], [2, 1], [1.0, 0.0], [1.0, 0.0])
+        net.append_paired_arcs(*map(column_kind, ([1, 2], [2, 1], [1.0, 0.0], [1.0, 0.0])))
         assert dinic_max_flow(net, 0, 2) == 1.0
 
-    def test_attach_rejects(self, column_path, column, bad):
+    def test_attach_rejects(self, column_kind, column, bad):
         """An empty network loaded with copied arc columns in one call rejects them too."""
         net = FlowNetwork(3)
-        capacities, base = _bad_columns(column, bad)
         with pytest.raises(FlowError, match="capacity"):
-            net.append_paired_arcs([1, 2], [2, 1], capacities, base)
+            net.append_paired_arcs(*_bad_columns(column_kind, column, bad))
         assert net.num_arcs == 0
 
 
-@needs_numpy
 class TestAppendPairedArcs:
     def _by_add_edge(self, arcs):
         network = FlowNetwork(4)
@@ -173,8 +143,6 @@ class TestAppendPairedArcs:
         return network
 
     def test_matches_add_edge_construction(self):
-        import numpy as np
-
         arcs = [(0, 1, 2.5), (1, 2, 1.0), (2, 3, 4.0), (0, 3, 0.5)]
         expected = self._by_add_edge(arcs)
         network = FlowNetwork(4)
@@ -194,8 +162,6 @@ class TestAppendPairedArcs:
         assert np.array_equal(base, exp_base)
 
     def test_rejects_unpaired_and_mismatched_columns(self):
-        import numpy as np
-
         network = FlowNetwork(3)
         with pytest.raises(FlowError, match="even number"):
             network.append_paired_arcs(
@@ -207,8 +173,6 @@ class TestAppendPairedArcs:
             )
 
     def test_out_of_range_nodes_roll_back_cleanly(self):
-        import numpy as np
-
         network = FlowNetwork(3)
         network.add_edge(0, 1, 1.0)
         before = network.num_arcs
@@ -226,7 +190,6 @@ class TestAppendPairedArcs:
         assert network.num_arcs == before + 2
 
 
-@needs_numpy
 class TestZeroCopyViews:
     def test_view_writes_are_visible_through_the_network(self):
         network = FlowNetwork(3)

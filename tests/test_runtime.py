@@ -1,4 +1,4 @@
-"""Unit tests for the timekeeping layer: Deadline/Budget and AnytimeResult.
+"""Unit tests for the timekeeping layer: Deadline and AnytimeResult.
 
 Everything here drives an *injected* clock — no sleeps.  The monotonic
 pin matters: retry/backoff and budget enforcement must be immune to
@@ -14,7 +14,7 @@ import math
 import pytest
 
 from repro.exceptions import ConfigError, DeadlineExceeded
-from repro.runtime import AnytimeResult, Budget, Deadline
+from repro.runtime import AnytimeResult, Deadline
 
 
 class FakeClock:
@@ -41,9 +41,6 @@ class TestDeadline:
         with pytest.raises(ConfigError):
             Deadline(True)
 
-    def test_budget_is_an_alias(self):
-        assert Budget is Deadline
-
     def test_elapsed_and_remaining_track_the_injected_clock(self):
         clock = FakeClock()
         deadline = Deadline(250.0, clock=clock)
@@ -64,14 +61,6 @@ class TestDeadline:
         clock.advance(0.05)
         with pytest.raises(DeadlineExceeded, match="at dinic BFS round"):
             deadline.check("dinic BFS round")
-
-    def test_after_ms_constructor(self):
-        clock = FakeClock()
-        deadline = Deadline.after_ms(10.0, clock=clock)
-        clock.advance(0.009)
-        assert not deadline.expired
-        clock.advance(0.002)
-        assert deadline.expired
 
     def test_wall_clock_jumps_cannot_extend_or_skip_a_budget(self):
         """The monotonic pin (satellite: no ``time.time()`` arithmetic).

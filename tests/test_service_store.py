@@ -13,6 +13,7 @@ import json
 
 import pytest
 from flow_oracle import EdmondsKarpSolver
+from test_store_memory import _forbid_payload_work, _repeat
 
 from repro.core.config import ApproxConfig, ExactConfig, FlowConfig
 from repro.core.method_registry import get_method_spec
@@ -697,6 +698,23 @@ def _answered(graph, specs=ANSWER_SPECS) -> tuple[DDSSession, list]:
     return session, [run_batch_query(session, dict(spec)) for spec in specs]
 
 
+def _result_files(root) -> list:
+    """Every result entry file under ``root``, sorted."""
+    return sorted((root / "graphs").glob("*/results/*.json"))
+
+
+def _write_auto_twin(entry) -> None:
+    """Store ``entry``'s answer beside it under the solver name ``"auto"``, as older builds named it."""
+    payload = json.loads(entry.read_text())["payload"]
+    if payload["method"] == "fixed-ratio":
+        payload["query"]["flow_solver"] = "auto"
+        name = f"fixed-ratio-{SessionStore._entry_name('fixed-ratio', payload['query'])}"
+    else:
+        payload["config"]["flow"]["solver"] = "auto"
+        name = SessionStore._entry_name(payload["method"], payload["config"])
+    (entry.parent / name).write_text(canonical_json({"checksum": checksum(payload), "payload": payload}))
+
+
 class TestAnswerKinds:
     def test_store_round_trip_answers_like_a_cold_session(self, graph, tmp_path):
         _, cold = _answered(graph.copy())
@@ -764,16 +782,9 @@ class TestAnswerKinds:
         session.fixed_ratio(1.0)
         session.densest_subgraph("dc-exact")
         SessionStore(tmp_path).save_session(session)
-        for entry in (tmp_path / "graphs").glob("*/results/*.json"):
-            payload = json.loads(entry.read_text())["payload"]
-            if payload["method"] == "fixed-ratio":
-                payload["query"]["flow_solver"] = "auto"
-                name = f"fixed-ratio-{SessionStore._entry_name('fixed-ratio', payload['query'])}"
-            else:
-                payload["config"]["flow"]["solver"] = "auto"
-                name = SessionStore._entry_name(payload["method"], payload["config"])
+        for entry in _result_files(tmp_path):
+            _write_auto_twin(entry)
             entry.unlink()
-            (entry.parent / name).write_text(canonical_json({"checksum": checksum(payload), "payload": payload}))
         store = SessionStore(tmp_path)
         warmed = DDSSession(graph.copy())
         assert store.warm_session(warmed)["results_loaded"] == 2
@@ -783,7 +794,30 @@ class TestAnswerKinds:
         assert (stats["result_cache_hits"], stats["flow_calls"]) == (2, 0)
         warmed.fixed_ratio(2.0)
         assert store.save_session(warmed)["results_saved"] == 1
-        assert len(list((tmp_path / "graphs").glob("*/results/*.json"))) == 3
+        assert len(_result_files(tmp_path)) == 3
+
+    def test_auto_and_dinic_twins_converge_to_one_file_per_key(self, graph, tmp_path, monkeypatch):
+        # A store that had no memory of the "auto"-named entries wrote their
+        # "dinic"-named twins beside them: two files for each cache key.
+        session = DDSSession(graph)
+        session.fixed_ratio(1.0)
+        session.densest_subgraph("dc-exact")
+        SessionStore(tmp_path).save_session(session)
+        current = _result_files(tmp_path)
+        for entry in current:
+            _write_auto_twin(entry)
+        assert len(_result_files(tmp_path)) == 4
+        store = SessionStore(tmp_path)
+        warmed = DDSSession(graph.copy())
+        assert store.warm_session(warmed)["results_loaded"] == 2
+        store.save_session(warmed)
+        assert _result_files(tmp_path) == current
+        fresh = DDSSession(graph.copy())
+        assert store.warm_session(fresh)["results_loaded"] == 2
+        _forbid_payload_work(monkeypatch)
+        assert store.save_session(fresh) == _repeat(
+            {"results_saved": 0, "results_skipped": 0, "results_unchanged": 2}
+        )
 
     def test_unencodable_top_k_labels_are_skipped(self, tmp_path):
         graph = DiGraph.from_edges([((1, "a"), (2, "b")), ((1, "a"), (3, "c"))])

@@ -37,8 +37,6 @@ from repro.flow.network import EPSILON
 from repro.flow.registry import available_flow_solvers
 from repro.graph.generators import gnm_random_digraph
 
-pytest.importorskip("numpy", reason="the start flow is routed with numpy")
-
 #: Allowed gap between a routed arc flow and the scalar greedy's.  The two
 #: differ only by the rounding of prefix sums over at most 2 * 132 terms
 #: (12 nodes), each at most 2, so every partial sum stays below 512, where
@@ -158,14 +156,6 @@ def test_small_network_keeps_zero_flow():
     assert list(decision.network.arc_capacities) == list(
         build_decision_network(subproblem, 1.0, 1.0).network.arc_capacities
     )
-    assert decision.network.flow_value(decision.source) == 0.0
-
-
-@pytest.mark.usefixtures("route_every_network")
-def test_without_numpy_keeps_zero_flow(monkeypatch):
-    monkeypatch.setattr(flow_network, "_np", None)
-    subproblem = STSubproblem.from_graph(gnm_random_digraph(8, 20, seed=2))
-    decision = _started(subproblem, 1.0, 1.0)
     assert decision.network.flow_value(decision.source) == 0.0
 
 

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import random
-import time
 
 import pytest
 
 from repro.exceptions import AlgorithmError
 from repro.utils.rng import make_rng
-from repro.utils.timer import Timer, time_call, timed
+from repro.utils.timer import time_call
 from repro.utils.validation import (
     require,
     require_non_negative_int,
@@ -20,34 +19,6 @@ from repro.utils.validation import (
 
 
 class TestTimer:
-    def test_context_manager_accumulates(self):
-        timer = Timer()
-        with timer:
-            time.sleep(0.01)
-        with timer:
-            pass
-        assert timer.elapsed >= 0.01
-        assert len(timer.laps) == 2
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_reset(self):
-        timer = Timer()
-        with timer:
-            pass
-        timer.reset()
-        assert timer.elapsed == 0.0
-        assert timer.laps == []
-
-    def test_timed_records_into_sink(self):
-        sink: dict[str, float] = {}
-        with timed("block", sink):
-            pass
-        assert "block" in sink
-        assert sink["block"] >= 0.0
-
     def test_time_call(self):
         value, seconds = time_call(lambda: 41 + 1)
         assert value == 42

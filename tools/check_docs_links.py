@@ -13,7 +13,7 @@ and fails (exit code 1) when
   that cannot be found under ``src/``, or
 * a cited ``from repro… import a, b`` statement names a module that does not
   import or a name it does not define (``src/`` is put on ``sys.path``, so
-  this needs no install; ``repro`` imports without numpy), or
+  this needs no install of ``repro``, only its runtime dependency numpy), or
 * a ``--flag`` cited anywhere in that documentation is not defined as a
   string literal by any Python file under ``src/``, ``benchmarks/``,
   ``tools/`` or ``perfbench/`` (the places that parse command lines), or
