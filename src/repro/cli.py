@@ -394,8 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run lanes in worker processes (the GIL-free scale-out path): "
         "graphs are routed to workers by content fingerprint and sent to each "
-        "over its pipe, crashed workers are retried, and with --store the run "
-        "degrades to the thread path when fcntl locks are unavailable",
+        "over its pipe, and crashed workers are retried",
     )
     batch.add_argument(
         "--remote",
@@ -521,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="evict result entries oldest-first (then whole graphs) until the "
-        "store occupies at most N bytes on disk",
+        "store holds at most N bytes of payloads",
     )
     store.set_defaults(handler=_cmd_store)
 

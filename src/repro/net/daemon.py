@@ -266,7 +266,7 @@ class ShardDaemon:
             self._thread.join(timeout)
 
     def shutdown(self) -> None:
-        """Stop serving and release every socket; idempotent and thread-safe.
+        """Stop serving and release every socket and the store's connection; idempotent and thread-safe.
 
         Threads that fail to join within :data:`THREAD_JOIN_TIMEOUT` are
         counted as ``unjoined_threads`` in :meth:`daemon_stats` — the E6
@@ -457,7 +457,7 @@ class ShardDaemon:
                 self._close_conn(sock)
 
     def _teardown(self) -> None:
-        """Stop the pool, flush resident sessions, close every socket (loop thread only)."""
+        """Stop the pool, flush resident sessions, close the store and every socket (loop thread only)."""
         assert self._selector is not None
         if self._pool is not None:
             # Bounded join with per-thread accounting instead of a blocking
@@ -469,6 +469,11 @@ class ShardDaemon:
                 if worker.is_alive():
                     self._count("unjoined_threads")
         self._flush_sessions()
+        if self._store is not None:
+            try:
+                self._store.close()  # a later use of the store opens it again
+            except ReproError:  # pragma: no cover - keep tearing down
+                pass
         self._selector.close()
         if self._listen is not None:
             self._listen.close()

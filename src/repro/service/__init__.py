@@ -13,7 +13,7 @@ the layer that turns the one-process session API into a serving system:
   by default, worker *processes* sent their graphs over a pipe with
   ``process_pool=True``) executing a plan with per-query timing and
   aggregated cache counters;
-* :mod:`repro.service.store` — a versioned, checksummed on-disk store of
+* :mod:`repro.service.store` — a versioned, checksummed SQLite store of
   session warm state keyed by graph content fingerprint, so warm caches
   survive the process and can be shared between workers.
 
@@ -32,7 +32,7 @@ Quickstart::
 from repro.service.executor import BatchExecutor, BatchReport, QueryExecution
 from repro.service.planner import BatchPlan, PlannedQuery, ShardMap, plan_batch
 from repro.service.queries import BATCH_QUERY_KINDS, payload_answer, run_batch_query
-from repro.service.store import STORE_SCHEMA_VERSION, SessionStore, process_pool_available
+from repro.service.store import STORE_SCHEMA_VERSION, SessionStore
 
 __all__ = [
     "BATCH_QUERY_KINDS",
@@ -46,6 +46,5 @@ __all__ = [
     "ShardMap",
     "payload_answer",
     "plan_batch",
-    "process_pool_available",
     "run_batch_query",
 ]

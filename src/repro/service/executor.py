@@ -27,8 +27,7 @@ Three pool flavours share that lane contract:
   poisoned write lock would.  Crashed or poisoned lanes are retried on
   fresh workers up to ``max_retries`` times, then fall back to an inline
   (serial) run; lanes that needed any of that are marked *degraded* in the
-  report's timings.  When a store is attached and ``fcntl`` is
-  unavailable, ``execute`` degrades to the thread path and records why.
+  report's timings.
 * **Remote daemons** (``remote_hosts=[...]``): the cross-machine path.
   Lanes are routed to :class:`~repro.net.daemon.ShardDaemon` processes by
   the same fingerprint :class:`~repro.service.planner.ShardMap` the
@@ -51,9 +50,8 @@ With a :class:`~repro.service.store.SessionStore` attached, each lane warms
 its session from disk before the first query and persists the session's
 state after the last one — the full compute-once/serve-everywhere loop.
 Process workers open the same store root themselves; the fingerprint
-routing gives each worker sole ownership of its graphs' store directories
-within a run, and the store's per-graph ``fcntl`` locks keep concurrent
-executors safe on top.
+routing gives each worker sole ownership of its graphs' rows within a run,
+and the store's SQLite transactions keep concurrent executors safe on top.
 
 All three serve a lane through :func:`~repro.service.queries.run_lane`.
 
@@ -84,7 +82,7 @@ from repro.runtime import Deadline
 from repro.graph.digraph import DiGraph
 from repro.service.planner import BatchPlan, PlannedQuery, ShardMap
 from repro.service.queries import run_lane
-from repro.service.store import SessionStore, process_pool_available
+from repro.service.store import SessionStore
 from repro.session import DDSSession
 from repro.session.session import DEFAULT_RESULT_CACHE_SIZE
 
@@ -335,9 +333,6 @@ class BatchExecutor:
     process_pool:
         Run lanes in worker *processes*, each sent its lanes' graphs over
         its pipe (the GIL-free scale-out path; see the module docstring).
-        Falls back to the thread path — recording why in
-        :attr:`BatchReport.executor_stats` — when a store is attached and
-        ``fcntl`` is unavailable.
     remote_hosts:
         Route lanes to :class:`~repro.net.daemon.ShardDaemon` addresses
         (``["host:port", ...]``) by fingerprint shard instead of running
@@ -881,9 +876,7 @@ class BatchExecutor:
         error is re-raised here after every already-running lane has
         finished (lanes are independent, so letting them drain keeps the
         store consistent).  With ``process_pool=True`` lanes run in worker
-        processes when the platform allows it; otherwise this degrades to
-        the thread path and records the reason in
-        :attr:`BatchReport.executor_stats`.
+        processes.
         """
         lanes = plan.lanes
         if not lanes:
@@ -893,15 +886,8 @@ class BatchExecutor:
             outcomes, executor_stats = self._execute_remote(lanes)
             return self._assemble(outcomes, executor_stats)
         if self._process_pool:
-            available, reason = process_pool_available(need_store_locks=self._store is not None)
-            if available:
-                outcomes, executor_stats = self._execute_process_pool(lanes)
-                return self._assemble(outcomes, executor_stats)
-            executor_stats = {
-                "mode": "threads",
-                "degraded_from": "process-pool",
-                "reason": reason,
-            }
+            outcomes, executor_stats = self._execute_process_pool(lanes)
+            return self._assemble(outcomes, executor_stats)
         outcomes = self._fan_out(lambda key: self._run_lane(key, lanes[key]), list(lanes))
         return self._assemble(outcomes, executor_stats)
 

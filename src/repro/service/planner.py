@@ -71,8 +71,8 @@ class ShardMap:
     stable across batches, executor instances, and machines: the same graph
     always lands on the same shard index, so the worker owning shard ``i``
     is the only writer of its graphs' :class:`~repro.service.store.
-    SessionStore` directories *within* an executor run (concurrent
-    executors remain safe under the store's per-graph ``fcntl`` locks).
+    SessionStore` rows *within* an executor run (concurrent executors
+    remain safe under the store's SQLite transactions).
     This is the single-machine form of the ROADMAP's multi-machine routing:
     replacing "worker index" with "machine" changes nothing else.
     """

@@ -2,9 +2,9 @@
 
 A :class:`~repro.session.DDSSession` accumulates expensive derived state —
 whole answers, degree arrays, [x, y]-cores, density bounds — but only for
-the lifetime of one process.  :class:`SessionStore` serialises that warm
-state to a versioned on-disk layout so a service tier can share it across
-workers and restarts: compute once (``dds-repro warm``), serve everywhere.
+the lifetime of one process.  :class:`SessionStore` keeps that warm state
+in one SQLite database so a service tier can share it across workers and
+restarts: compute once (``dds-repro warm``), serve everywhere.
 
 Keying
 ------
@@ -17,29 +17,24 @@ self-loop policy.  Same content ⇒ same fingerprint ⇒ the stored state is
 valid; any structural difference ⇒ different fingerprint ⇒ the store simply
 has nothing for that graph.
 
-On-disk layout (``STORE_SCHEMA_VERSION`` = 1)
----------------------------------------------
-::
+The database (``STORE_SCHEMA_VERSION`` = 2)
+-------------------------------------------
+A store is the file ``<root>/store.sqlite3``, in WAL mode with
+``synchronous=NORMAL`` (a commit survives a process crash, not a power cut),
+and ``PRAGMA user_version`` holds its schema version::
 
-    <root>/
-      store.json                      # {"store_schema_version": 1}
-      graphs/<fingerprint>/
-        manifest.json                 # graph shape: nodes / edges / loops
-        derived.json                  # degree arrays, cores, bounds
-        results/<entry-digest>.json               # one densest result
-        results/fixed-ratio-<entry-digest>.json   # one fixed-ratio outcome
-        results/top-k-<entry-digest>.json         # one top-k list
+    graphs(id, fingerprint, generation, manifest, manifest_checksum,
+           derived, derived_checksum, written)
+    entries(graph, key, kind, payload, checksum, written)
 
-Every file under ``graphs/`` is compact canonical JSON: its bytes are
-``canonical_json({"checksum": sha256(canonical_json(payload)), "payload":
-payload})``, built around the payload text the checksum hashed, so a
-payload is encoded once.  Reads verify the checksum and the manifest's
-shape against the live graph; a failed check marks the entry corrupt — it
-is skipped and *counted*, never silently served.  Readers parse the JSON
-and verify the canonical checksum and never compare raw bytes across
-processes, so files of the earlier ``indent=1`` writer read and verify
-unchanged, and the compact writer needed no schema bump.  Result payloads
-hold the schema-versioned :meth:`DDSResult.to_dict()
+A ``graphs`` row holds one graph's manifest (its shape and delta lineage)
+and derived state (degree arrays, cores, bounds); an ``entries`` row holds
+one cached answer under its key digest, with its kind: ``densest``,
+``fixed-ratio`` or ``top-k``.  Every payload is compact canonical JSON
+stored beside the SHA-256 of that text; reads verify the checksum, and the
+manifest's shape against the live graph, and a row that fails is skipped
+and *counted*, never silently served.  Result payloads hold the
+schema-versioned :meth:`DDSResult.to_dict()
 <repro.core.results.DDSResult.to_dict>` documents (schema version 2
 guarantees JSON-native stats) or every field of a
 :class:`~repro.core.results.FixedRatioOutcome`, so a loaded answer is
@@ -47,23 +42,25 @@ bit-identical to the one saved; answers whose node labels would not survive
 a JSON round trip are skipped at save time (``results_skipped``) rather than
 persisted lossily.  A fixed-ratio or top-k entry names its kind as its
 ``method``, which no registered method is called, so a build without the
-kind counts it ``results_incompatible``.
+kind counts it ``results_incompatible``.  ``written`` is the time a row's
+payload last changed; eviction orders by it.
 
 Saves that cost what changed
 ----------------------------
+Triggers move a graph's ``generation`` on at every insert, update or delete
+of its rows, whichever connection makes it, and graph ids are never reused.
 A store remembers, weakly keyed by each live
-:class:`~repro.graph.digraph.DiGraph`, the files of the state it last saved
-or warmed for the graph, as it wrote or verified them (the SHA-256 of their
-bytes, their checksums and payloads), and the session whose whole state
-they hold, with its :attr:`~repro.session.DDSSession.warm_state_version`.
-Every read hashes the file's bytes, and re-verifies the checksum unless
-those bytes match bytes this store wrote or verified; a full save
-re-encodes only the answers that differ from what their unchanged file
-holds.  A save of that session whose version is unchanged and whose files
-still hash to those digests returns the same counters after a few file
-reads, without building, encoding or parsing a payload.  Digests rather
-than file stats make a file that was deleted, replaced by another writer or
-tampered with force the full save, which repairs it.
+:class:`~repro.graph.digraph.DiGraph`, the generation at which it last
+saved or warmed the graph, each row's checksum and decoded answer, and the
+session whose whole state those rows hold, with its
+:attr:`~repro.session.DDSSession.warm_state_version`.  A save of that
+session at an unchanged version and generation returns the same counters
+after one generation read; a full save encodes only the payloads that
+differ from what their rows hold and writes only the rows whose checksum
+changed, in one transaction; a warm at an unchanged generation seeds the
+remembered answers without parsing a row.  A row deleted or tampered with
+in between moves the generation, so the next save reads the rows again and
+repairs it.
 """
 
 from __future__ import annotations
@@ -73,17 +70,12 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
+import sqlite3
 import threading
 import time
 import weakref
 from pathlib import Path
 from typing import Any, Iterator
-
-try:  # POSIX-only advisory locks; writes stay atomic-rename-safe without them
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
 
 from repro.core.config import ApproxConfig, ExactConfig, FlowConfig, MethodConfig
 from repro.core.method_registry import get_method_spec
@@ -95,24 +87,70 @@ from repro.graph.digraph import DiGraph
 from repro.session import DDSSession
 from repro.session.session import FIXED_RATIO_ENTRY, TOP_K_ENTRY
 from repro.utils.canonical import canonical_json as _canonical_json
-from repro.utils.canonical import checksum as _checksum
 
-#: Version of the on-disk layout.  Bump on any incompatible change; a store
-#: written by a different version is refused outright (no partial reads).
-STORE_SCHEMA_VERSION = 1
+#: Version of the database schema, kept in ``PRAGMA user_version``.  Bump on
+#: any incompatible change; a store of another version is refused outright.
+STORE_SCHEMA_VERSION = 2
 
+#: The database file under a store's root.
+DATABASE_NAME = "store.sqlite3"
 
-def process_pool_available(*, need_store_locks: bool = False) -> tuple[bool, str | None]:
-    """Whether ``BatchExecutor(process_pool=True)`` can run here.
+#: The ``kind`` of a densest-result entry (the other kinds are named after
+#: their ``method``: ``fixed-ratio`` and ``top-k``).
+DENSEST_ENTRY = "densest"
 
-    Returns ``(True, None)``, or ``(False, reason)`` when a store is attached
-    (``need_store_locks``) and :mod:`fcntl` is missing: worker processes
-    writing one store shard are only safe under its per-graph advisory
-    locks.  The executor records the reason and runs its thread pool instead.
-    """
-    if need_store_locks and fcntl is None:
-        return False, "fcntl advisory locks are unavailable (store writes would race)"
-    return True, None
+#: The schema, created in one transaction on a database's first use.  Graph
+#: ids are AUTOINCREMENT, so never reused: a graph's ``(id, generation)``
+#: names one state of its rows for good, even across a clear.
+_SCHEMA = f"""
+BEGIN IMMEDIATE;
+CREATE TABLE IF NOT EXISTS graphs (
+    id INTEGER PRIMARY KEY AUTOINCREMENT,
+    fingerprint TEXT NOT NULL UNIQUE,
+    generation INTEGER NOT NULL DEFAULT 0,
+    manifest TEXT NOT NULL,
+    manifest_checksum TEXT NOT NULL,
+    derived TEXT,
+    derived_checksum TEXT,
+    written REAL NOT NULL
+);
+CREATE TABLE IF NOT EXISTS entries (
+    graph INTEGER NOT NULL,
+    key TEXT NOT NULL,
+    kind TEXT NOT NULL,
+    payload TEXT NOT NULL,
+    checksum TEXT NOT NULL,
+    written REAL NOT NULL,
+    PRIMARY KEY (graph, key)
+);
+CREATE TRIGGER IF NOT EXISTS entry_inserted AFTER INSERT ON entries BEGIN
+    UPDATE graphs SET generation = generation + 1 WHERE id = NEW.graph;
+END;
+CREATE TRIGGER IF NOT EXISTS entry_updated AFTER UPDATE ON entries BEGIN
+    UPDATE graphs SET generation = generation + 1 WHERE id IN (OLD.graph, NEW.graph);
+END;
+CREATE TRIGGER IF NOT EXISTS entry_deleted AFTER DELETE ON entries BEGIN
+    UPDATE graphs SET generation = generation + 1 WHERE id = OLD.graph;
+END;
+CREATE TRIGGER IF NOT EXISTS graph_updated AFTER UPDATE ON graphs
+WHEN NEW.generation = OLD.generation BEGIN
+    UPDATE graphs SET generation = generation + 1 WHERE id = NEW.id;
+END;
+CREATE TRIGGER IF NOT EXISTS graph_deleted AFTER DELETE ON graphs BEGIN
+    DELETE FROM entries WHERE graph = OLD.id;
+END;
+PRAGMA user_version = {STORE_SCHEMA_VERSION};
+COMMIT;
+"""
+
+#: The stored payload bytes of a graph's own row and of an entry row.
+_GRAPH_BYTES = "length(CAST(manifest AS BLOB)) + coalesce(length(CAST(derived AS BLOB)), 0)"
+_ENTRY_BYTES = "length(CAST(payload AS BLOB))"
+
+#: Connections a forked child inherited from its parent.  The child never
+#: uses them, and never closes them either: SQLite's close can clean up
+#: files the parent's connection still uses.
+_INHERITED: list[sqlite3.Connection] = []
 
 
 def _config_to_jsonable(config: MethodConfig) -> dict[str, Any] | None:
@@ -213,14 +251,19 @@ def _labels_survive(result: DDSResult) -> bool:
     return all(json_native_label(label) for label in result.s_nodes + result.t_nodes)
 
 
-def _entry_document(method: str, config: Any, value: Any) -> tuple[str, dict[str, Any]] | None:
-    """File name and payload of one cached answer, or ``None`` if it cannot round trip.
+def _entry_key(method: str, config_document: dict[str, Any]) -> str:
+    """The key digest of one ``(method, config)`` entry: deterministic across processes."""
+    return _digest(_canonical_json({"method": method, "config": config_document}))[:32]
+
+
+def _entry_document(method: str, config: Any, value: Any) -> tuple[str, str, dict[str, Any]] | None:
+    """Kind, key digest and payload of one cached answer, or ``None`` if it cannot round trip.
 
     A densest result is stored as ``{"method", "config_type", "config",
     "result"}`` under the digest of its method and config; a fixed-ratio
     outcome as ``{"method": "fixed-ratio", "query", "outcome"}`` and a top-k
-    list as ``{"method": "top-k", "query", "results"}``, each under its kind
-    and the digest of its query.
+    list as ``{"method": "top-k", "query", "results"}``, each under the
+    digest of its kind and query.
     """
     if method == FIXED_RATIO_ENTRY:
         ratio, lower, upper, tolerance, solver = config
@@ -256,8 +299,8 @@ def _entry_document(method: str, config: Any, value: Any) -> tuple[str, dict[str
             "config": config_document,
             "result": value.to_dict(),
         }
-        return SessionStore._entry_name(method, config_document), payload
-    return f"{method}-{SessionStore._entry_name(method, query)}", payload
+        return DENSEST_ENTRY, _entry_key(method, config_document), payload
+    return method, _entry_key(method, query), payload
 
 
 def _entry_from_document(entry: dict[str, Any]) -> tuple[str, Any, Any]:
@@ -305,21 +348,46 @@ def _core_from_jsonable(data: dict[str, Any]) -> XYCore:
         raise StoreError(f"malformed stored [x, y]-core: {error!r}")
 
 
+def _digest(text: str) -> str:
+    """SHA-256 hex digest of ``text``'s UTF-8 bytes: a payload's checksum."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _graph_row(db: sqlite3.Connection | None, fingerprint: str) -> tuple[int, int] | None:
+    """The graph's ``(id, generation)``, or ``None`` if the store (or its database) has no such graph."""
+    if db is None:
+        return None
+    return db.execute("SELECT id, generation FROM graphs WHERE fingerprint = ?", (fingerprint,)).fetchone()
+
+
+def _intact(text: Any, checksum: Any) -> bool:
+    """Whether a row's payload ``text`` hashes to its ``checksum``."""
+    return isinstance(text, str) and _digest(text) == checksum
+
+
+def _decode(where: str, text: str) -> dict[str, Any]:
+    """The payload object in a row's (checksum-verified) text; StoreError if it is not one."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise StoreError(f"store row {where} is not valid JSON: {error}")
+    if not isinstance(payload, dict):
+        raise StoreError(f"store row {where} payload is not an object")
+    return payload
+
+
 @dataclasses.dataclass(frozen=True)
-class _Known:
-    """A store file's contents as this store wrote or verified them.
+class _Row:
+    """One stored row as this store wrote or read it.
 
     Shared between threads and saves, so nothing in it is ever mutated.
     """
 
-    #: SHA-256 of the file's bytes.
-    digest: str
-    #: Its checksum field, which its payload verified against.
-    checksum: str
-    #: Its payload.
-    payload: dict[str, Any]
-    #: A result entry's ``(method, config, answer)``, as saved or loaded.
-    answer: tuple[str, Any, Any] | None = None
+    #: The checksum of its payload text, or ``None`` if the text fails it.
+    checksum: str | None
+    #: Its decoded answer — the manifest or derived payload, or an entry's
+    #: ``(method, config, answer)`` — or ``None`` if not decoded (or unusable).
+    answer: Any = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -330,26 +398,72 @@ class _Memory:
     """
 
     fingerprint: str
-    #: The files of that state, as this store wrote or verified them.
-    files: dict[Path, _Known]
-    #: The session whose whole state the files hold (weakly), if one does.
+    #: The graph row's ``(id, generation)`` when ``rows`` described it, or
+    #: ``None`` for no row.
+    generation: tuple[int, int] | None = None
+    #: Every row of the graph at that generation, by key: ``"manifest"``,
+    #: ``"derived"`` or an entry's key digest.
+    rows: dict[str, _Row] = dataclasses.field(default_factory=dict)
+    #: The session whose whole state the rows hold (weakly), if one does.
     session: weakref.ReferenceType | None = None
     #: That session's ``warm_state_version`` when they held it.
     version: int = 0
     #: The counters a save of that session reports while nothing changed.
     counters: dict[str, int] | None = None
-    #: Result files a warm found holding the answer of a key that a file in
-    #: ``files`` holds (one key named two ways by different builds), with
-    #: that key.  The next full save removes them.
-    twins: dict[Path, tuple[str, Any]] = dataclasses.field(default_factory=dict)
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _verified_rows(rows: dict[str, tuple[str, str]], remembered: dict[str, _Row]) -> dict[str, _Row]:
+    """What the read ``rows`` hold, reusing each remembered row whose checksum they still carry.
+
+    Every row's text is hashed; none is parsed.
+    """
+    known = {}
+    for key, (text, checksum) in rows.items():
+        if not _intact(text, checksum):
+            known[key] = _Row(None)
+            continue
+        row = remembered.get(key)
+        known[key] = row if row is not None and row.checksum == checksum else _Row(checksum)
+    return known
+
+
+def _checked_manifest(graph: DiGraph, row: _Row | None, rows: dict[str, tuple[str, str]]) -> _Row | None:
+    """The manifest row decoded and matching ``graph``'s shape, or ``None`` if missing or corrupt."""
+    if row is None or row.checksum is None:
+        return None
+    if row.answer is not None:
+        return row  # remembered, so checked when it was decoded
+    try:
+        manifest = _decode("manifest", rows["manifest"][0])
+    except StoreError:
+        return None
+    shape = (graph.num_nodes, graph.num_edges, graph.allow_self_loops)
+    if tuple(manifest.get(key) for key in ("num_nodes", "num_edges", "allow_self_loops")) != shape:
+        return None
+    return _Row(row.checksum, manifest)
+
+
+def _stage(
+    writes: dict[str, tuple[str, str, str]],
+    rows: dict[str, _Row],
+    key: str,
+    kind: str,
+    payload: dict[str, Any],
+    answer: Any,
+    stored: _Row | None,
+) -> bool:
+    """Encode ``payload`` for ``key`` and stage its write unless ``stored`` holds it; whether staged."""
+    text = _canonical_json(payload)
+    checksum = _digest(text)
+    rows[key] = _Row(checksum, answer)
+    if stored is not None and stored.checksum == checksum:
+        return False
+    writes[key] = (kind, text, checksum)
+    return True
 
 
 def _repeat_counters(skipped: int, unchanged: int) -> dict[str, int]:
-    """The counters of a save that finds every file current."""
+    """The counters of a save that finds every row current."""
     return {
         "results_saved": 0,
         "results_skipped": skipped,
@@ -358,182 +472,213 @@ def _repeat_counters(skipped: int, unchanged: int) -> dict[str, int]:
     }
 
 
-def _envelope(payload: Any) -> tuple[str, bytes]:
-    """The checksum of ``payload`` and the bytes of a store file holding it.
-
-    The bytes are ``canonical_json({"checksum": ..., "payload": payload})``,
-    built around the payload text the checksum hashes, so the payload is
-    encoded once, by the C encoder.
-    """
-    text = _canonical_json(payload)
-    checksum = _digest(text.encode("utf-8"))
-    return checksum, f'{{"checksum":"{checksum}","payload":{text}}}'.encode("utf-8")
-
-
 class SessionStore:
-    """Versioned on-disk store of per-graph session warm state.
+    """Versioned SQLite store of per-graph session warm state.
 
     Parameters
     ----------
     root:
-        Directory holding the store.  Created (with its version marker) on
-        the first write; opening an existing directory written by a
-        different :data:`STORE_SCHEMA_VERSION` raises
-        :class:`~repro.exceptions.StoreError` immediately rather than
-        misreading it.
+        Directory holding the store's database, ``store.sqlite3``.  The
+        first save creates both; until then reads find an empty store and
+        create nothing.  A root that is not a directory, a database that
+        cannot be opened or has another :data:`STORE_SCHEMA_VERSION`, or a
+        version-1 directory store (``store.json`` or ``graphs/`` under the
+        root) raises :class:`~repro.exceptions.StoreError` immediately
+        rather than misreading it.
 
-    The store is a cache, not a database: every read re-verifies integrity
-    (schema version, graph shape, per-entry checksums), and anything that
-    fails verification is reported in the returned counters and otherwise
-    ignored.  Concurrent writers are tolerated via atomic
-    write-to-temp-then-rename of individual entries.  One store may serve
-    many threads: what it remembers per live graph sits behind a lock.
+    The store is a cache: every read re-verifies integrity (graph shape,
+    per-row checksums), and a row that fails verification is reported in the
+    returned counters and otherwise ignored.  Each save writes in one SQLite
+    transaction, so concurrent writers — threads, worker processes, other
+    stores — serialise on SQLite's write lock and readers always see whole
+    saves.  One store may serve many threads: its connection and what it
+    remembers per live graph sit behind one lock, and each process (a
+    ``fork`` child too) opens its own connection on first use.
+    :meth:`close` releases it; a later use opens a new one.  Every
+    :class:`sqlite3.Error` surfaces as :class:`~repro.exceptions.StoreError`.
     """
 
     def __init__(self, root: str | os.PathLike[str]) -> None:
         self.root = Path(root)
+        self._path = self.root / DATABASE_NAME
         self._known: weakref.WeakKeyDictionary[DiGraph, _Memory] = weakref.WeakKeyDictionary()
         self._lock = threading.Lock()
-        marker = self.root / "store.json"
-        if marker.exists():
-            document = self._parse(marker, self._read_json(marker)[0])
-            version = document.get("store_schema_version") if isinstance(document, dict) else None
+        self._db: sqlite3.Connection | None = None
+        self._pid: int | None = None
+        legacy = [name for name in ("store.json", "graphs") if (self.root / name).exists()]
+        if legacy:
+            raise StoreError(
+                f"{self.root} holds a version-1 directory store ({', '.join(legacy)}); this "
+                f"build keeps version {STORE_SCHEMA_VERSION} stores in {DATABASE_NAME}: clear "
+                "the directory or choose another root"
+            )
+        if self.root.exists() and not self.root.is_dir():
+            raise StoreError(f"store root {self.root} is not a directory")
+        if self._path.exists():
+            # Refuse another schema version now, but hold no connection
+            # until the store is used.
+            with self._database():
+                pass
+            self.close()
+
+    # ------------------------------------------------------------------
+    # the database
+    # ------------------------------------------------------------------
+    def _open(self) -> sqlite3.Connection:
+        """A new connection to the store's database, creating its schema on first use."""
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as error:
+            raise StoreError(f"cannot create store root {self.root}: {error}")
+        db = sqlite3.connect(self._path, isolation_level=None, check_same_thread=False)
+        try:
+            db.execute("PRAGMA journal_mode=WAL")
+            db.execute("PRAGMA synchronous=NORMAL")
+            if db.execute("PRAGMA user_version").fetchone()[0] == 0:
+                db.executescript(_SCHEMA)
+            version = db.execute("PRAGMA user_version").fetchone()[0]
             if version != STORE_SCHEMA_VERSION:
                 raise StoreError(
                     f"store at {self.root} has schema version {version!r}; "
                     f"this build reads version {STORE_SCHEMA_VERSION}"
                 )
+        except BaseException:
+            db.close()
+            raise
+        return db
 
-    # ------------------------------------------------------------------
-    # low-level plumbing
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _read_json(path: Path) -> tuple[bytes, str]:
-        """Read one store file (every read goes through here): its bytes and their digest.
+    def _release(self) -> None:
+        """Drop the connection (lock held): closed by the process that opened it, never by a fork child."""
+        db, self._db = self._db, None
+        if db is None:
+            return
+        if self._pid == os.getpid():
+            db.close()
+        else:
+            _INHERITED.append(db)
 
-        I/O failures map to StoreError; :meth:`_parse` parses the bytes.
+    def close(self) -> None:
+        """Release this process's connection to the database; the next use opens a new one."""
+        with self._lock:
+            try:
+                self._release()
+            except sqlite3.Error as error:
+                raise StoreError(f"store database {self._path}: {error}") from error
+
+    @contextlib.contextmanager
+    def _database(
+        self, begin: str | None = None, *, create: bool = False
+    ) -> Iterator[sqlite3.Connection | None]:
+        """This process's connection, under the store's lock, in a ``BEGIN <begin>`` transaction if given.
+
+        The connection is opened on first use in each process, so a
+        ``fork`` child never uses its parent's.  Without ``create``, a
+        database that does not exist yet is not created: the caller gets
+        ``None`` and reads an empty store.
         """
-        try:
-            data = path.read_bytes()
-        except OSError as error:
-            raise StoreError(f"cannot read store file {path}: {error}")
-        return data, _digest(data)
+        with self._lock:
+            try:
+                if self._pid != os.getpid():
+                    self._release()
+                if self._db is None:
+                    if not create and not self._path.exists():
+                        yield None
+                        return
+                    self._db = self._open()
+                    self._pid = os.getpid()
+                db = self._db
+                if begin is None:
+                    yield db
+                    return
+                db.execute(f"BEGIN {begin}")
+                try:
+                    yield db
+                except BaseException:
+                    db.rollback()
+                    raise
+                db.execute("COMMIT")
+            except sqlite3.Error as error:
+                raise StoreError(f"store database {self._path}: {error}") from error
 
-    @staticmethod
-    def _parse(path: Path, data: bytes) -> Any:
-        """The JSON document in a store file's bytes; encoding and JSON failures raise StoreError."""
-        try:
-            return json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise StoreError(f"store file {path} is not valid JSON: {error}")
+    def _generation(self, fingerprint: str) -> tuple[int, int] | None:
+        """The graph row's ``(id, generation)``, or ``None`` if the store has no such graph."""
+        with self._database() as db:
+            return _graph_row(db, fingerprint)
 
-    @staticmethod
-    def _write_json(path: Path, data: bytes) -> str:
-        """Atomic write of encoded JSON: unique temp file in the same directory, then rename.
+    def _read(
+        self, fingerprint: str, remembered: tuple[int, int] | None
+    ) -> tuple[tuple[int, int] | None, dict[str, tuple[str, str]] | None]:
+        """The graph's ``(id, generation)`` and, unless it is ``remembered``, its rows.
 
-        The temp name must be unique per writer (``mkstemp``), not a fixed
-        ``<name>.tmp`` — concurrent writers of the same entry would truncate
-        each other's half-written temp file and one rename could land a
-        mangled document.  With unique temps, last-rename-wins and every
-        intermediate state of ``path`` is a complete document.  Returns the
-        digest of the bytes written.
+        Rows map a key (``"manifest"``, ``"derived"`` or an entry's digest)
+        to its payload text and checksum, read in one snapshot.
         """
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            descriptor, temp_name = tempfile.mkstemp(
-                prefix=path.name + ".", suffix=".tmp", dir=path.parent
+        with self._database("DEFERRED") as db:
+            generation = _graph_row(db, fingerprint)
+            if generation is None:
+                return None, {}
+            if generation == remembered:
+                return generation, None
+            manifest, manifest_checksum, derived, derived_checksum = db.execute(
+                "SELECT manifest, manifest_checksum, derived, derived_checksum FROM graphs WHERE id = ?",
+                (generation[0],),
+            ).fetchone()
+            rows = {"manifest": (manifest, manifest_checksum)}
+            if derived is not None:
+                rows["derived"] = (derived, derived_checksum)
+            for key, text, checksum in db.execute(
+                "SELECT key, payload, checksum FROM entries WHERE graph = ? ORDER BY key",
+                (generation[0],),
+            ):
+                rows[key] = (text, checksum)
+        return generation, rows
+
+    def _write(
+        self,
+        fingerprint: str,
+        generation: tuple[int, int] | None,
+        writes: dict[str, tuple[str, str, str]],
+    ) -> tuple[int, int] | None:
+        """Write the staged rows in one transaction if the graph is still at ``generation``.
+
+        ``writes`` maps a key to its kind, payload text and checksum.
+        Returns the graph's new ``(id, generation)``, or ``None`` — writing
+        nothing — if another writer changed the graph since it was read.
+        """
+        now = time.time()
+        with self._database("IMMEDIATE", create=True) as db:
+            if _graph_row(db, fingerprint) != generation:
+                return None
+            if not writes:
+                return generation
+            columns = [column for column in ("manifest", "derived") if column in writes]
+            if generation is None:
+                # A new graph: its manifest is always staged.
+                _, text, checksum = writes["manifest"]
+                graph_id = db.execute(
+                    "INSERT INTO graphs (fingerprint, manifest, manifest_checksum, written) "
+                    "VALUES (?, ?, ?, ?)",
+                    (fingerprint, text, checksum, now),
+                ).lastrowid
+                columns.remove("manifest")
+            else:
+                graph_id = generation[0]
+            for column in columns:
+                _, text, checksum = writes[column]
+                db.execute(
+                    f"UPDATE graphs SET {column} = ?, {column}_checksum = ?, written = ? WHERE id = ?",
+                    (text, checksum, now, graph_id),
+                )
+            db.executemany(
+                "INSERT OR REPLACE INTO entries (graph, key, kind, payload, checksum, written) "
+                "VALUES (?, ?, ?, ?, ?, ?)",
+                [
+                    (graph_id, key, *staged, now)
+                    for key, staged in writes.items()
+                    if key not in ("manifest", "derived")
+                ],
             )
-            try:
-                with os.fdopen(descriptor, "wb") as handle:
-                    handle.write(data)
-                os.replace(temp_name, path)
-            except BaseException:
-                os.unlink(temp_name)
-                raise
-        except OSError as error:
-            raise StoreError(f"cannot write store file {path}: {error}")
-        return _digest(data)
-
-    def _graph_dir(self, fingerprint: str) -> Path:
-        """Directory holding one graph's manifest, derived state, and results."""
-        return self.root / "graphs" / fingerprint
-
-    @contextlib.contextmanager
-    def _locked(self, graph_dir: Path) -> Iterator[None]:
-        """Advisory per-graph-directory write lock (POSIX ``flock``).
-
-        Serialises *writers* — concurrent ``dds-repro warm`` processes,
-        batch lanes saving the same graph, eviction sweeps — on one graph
-        directory, so a second warmer blocks until the first has persisted
-        and then finds every entry current (:meth:`_save_entry`) instead of
-        re-writing the same state.  The read path
-        (:meth:`warm_session`) takes no lock: entry reads stay safe under
-        concurrent writers because every write is an atomic
-        write-temp-then-rename of a checksummed document.  On platforms
-        without :mod:`fcntl` the lock degrades to a no-op and writers fall
-        back to plain last-rename-wins behaviour.
-        """
-        if fcntl is None:
-            yield
-            return
-        lock_path = graph_dir / ".lock"
-        try:
-            graph_dir.mkdir(parents=True, exist_ok=True)
-            handle = open(lock_path, "a+")
-        except OSError as error:
-            raise StoreError(f"cannot open store lock file {lock_path}: {error}")
-        try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-        finally:
-            handle.close()
-
-    @contextlib.contextmanager
-    def _try_locked(self, graph_dir: Path) -> Iterator[bool]:
-        """Non-blocking variant of :meth:`_locked` for eviction sweeps.
-
-        Yields ``True`` with the directory's write lock held, or ``False``
-        immediately when another writer holds it right now.  Eviction must
-        not queue behind a long-running warmer — blocking turns a cleanup
-        sweep into a latency cliff, and the pre-lock file listing it
-        gathered would be stale by the time the lock arrived (deleting a
-        directory a writer is mid-save into).  Skipped directories are
-        simply picked up by the next sweep.  Without :mod:`fcntl` this
-        degrades like :meth:`_locked` (always acquirable); a directory that
-        does not exist has nothing to evict and reports acquirable too.
-        """
-        if fcntl is None or not graph_dir.is_dir():
-            yield True
-            return
-        lock_path = graph_dir / ".lock"
-        try:
-            handle = open(lock_path, "a+")
-        except OSError:
-            # Unreadable lock file: treat as held — skip, never race.
-            yield False
-            return
-        try:
-            try:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except OSError:
-                yield False
-                return
-            try:
-                yield True
-            finally:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-        finally:
-            handle.close()
-
-    def _ensure_marker(self) -> None:
-        """Write the store's schema-version marker on first use."""
-        marker = self.root / "store.json"
-        if not marker.exists():
-            document = {"store_schema_version": STORE_SCHEMA_VERSION}
-            self._write_json(marker, _canonical_json(document).encode("utf-8"))
+            return db.execute("SELECT id, generation FROM graphs WHERE id = ?", (graph_id,)).fetchone()
 
     def _recall(self, graph: DiGraph, fingerprint: str) -> _Memory:
         """What this store last saved or warmed for ``graph`` at ``fingerprint``.
@@ -546,38 +691,8 @@ class SessionStore:
         with self._lock:
             memory = self._known.get(graph)
         if memory is None or memory.fingerprint != fingerprint:
-            return _Memory(fingerprint, {})
+            return _Memory(fingerprint)
         return memory
-
-    def _check_manifest(
-        self, graph: DiGraph, manifest_path: Path, known: dict[Path, _Known]
-    ) -> _Known:
-        """Verify a manifest's checksum and ``graph``-shape (corruption tripwire).
-
-        Returns the verified file, so each caller reads it once.
-        """
-        verified = self._verified_file(manifest_path, known)
-        manifest = verified.payload
-        expected = {
-            "num_nodes": graph.num_nodes,
-            "num_edges": graph.num_edges,
-            "allow_self_loops": graph.allow_self_loops,
-        }
-        for key, value in expected.items():
-            if manifest.get(key) != value:
-                raise StoreError(
-                    f"manifest {manifest_path} disagrees with the live graph on {key} "
-                    f"({manifest.get(key)!r} != {value!r}); the store entry is corrupt"
-                )
-        return verified
-
-    @staticmethod
-    def _entry_name(method: str, config_document: dict[str, Any]) -> str:
-        """Deterministic file name of one ``(method, config)`` result entry."""
-        digest = hashlib.sha256(
-            _canonical_json({"method": method, "config": config_document}).encode("utf-8")
-        ).hexdigest()
-        return f"{digest[:32]}.json"
 
     # ------------------------------------------------------------------
     # save
@@ -590,161 +705,120 @@ class SessionStore:
         (others count as ``results_skipped``), the degree
         arrays and density bounds (cheap — computed now if the session has
         not needed them yet), and whatever [x, y]-cores the session has
-        already computed (never forces a core decomposition).  Entries whose
-        on-disk payload already matches are left untouched and counted as
+        already computed (never forces a core decomposition).  Rows whose
+        stored payload already matches are left untouched and counted as
         ``results_unchanged`` / ``derived_saved: 0``; a corrupt manifest is
         rewritten from the live graph (the fingerprint, not the manifest, is
-        the graph's identity).  A file whose bytes match bytes this store
-        wrote or verified for the graph is compared by its remembered
-        checksum rather than parsed again.
+        the graph's identity).  An answer equal to one this store remembers
+        writing or reading for the graph's unchanged row is not encoded
+        again; the changed rows are written in one transaction, which
+        starts over if another writer changed the graph since its rows were
+        read.
 
         If the store's last save or complete warm of the graph was of
         ``session``, and neither its
-        :attr:`~repro.session.DDSSession.warm_state_version` nor the bytes
-        of any file involved have changed since, the save returns the
-        counters of that save with every result counted as unchanged.  It
-        only reads those files: it builds, encodes and parses no payload,
-        and takes no lock, because it writes nothing.
-
-        A full save after a warm of the graph that found two result files
-        holding one key removes the one the warm did not seed, once the save
-        has written or kept the key's file.
+        :attr:`~repro.session.DDSSession.warm_state_version` nor the graph's
+        generation has changed since, the save returns the counters of that
+        save with every result counted as unchanged, after one generation
+        read: it builds, encodes and parses no payload.
         """
         graph = session.graph
         fingerprint = graph.content_fingerprint()
         # Read before any state is snapshotted: a change made while this
         # save runs leaves the remembered version behind, never ahead.
         version = session.warm_state_version
-        self._ensure_marker()
         memory = self._recall(graph, fingerprint)
-        known = memory.files
         if (
             memory.session is not None
             and memory.session() is session
             and memory.version == version
-            and all(self._holds(path, file) for path, file in known.items())
+            and self._generation(fingerprint) == memory.generation
         ):
             return dict(memory.counters)
-        graph_dir = self._graph_dir(fingerprint)
+        while True:
+            generation, rows = self._read(fingerprint, memory.generation)
+            known = memory.rows if rows is None else _verified_rows(rows, memory.rows)
+            writes, after, counters = self._stage_session(session, known, rows or {})
+            saved = self._write(fingerprint, generation, writes)
+            if saved is not None:
+                break
+        repeat = _repeat_counters(
+            counters["results_skipped"], counters["results_unchanged"] + counters["results_saved"]
+        )
+        with self._lock:
+            self._known[graph] = _Memory(fingerprint, saved, after, weakref.ref(session), version, repeat)
+        return counters
+
+    @staticmethod
+    def _stage_session(
+        session: DDSSession, known: dict[str, _Row], rows: dict[str, tuple[str, str]]
+    ) -> tuple[dict[str, tuple[str, str, str]], dict[str, _Row], dict[str, int]]:
+        """The rows a save of ``session`` writes over ``known``, the graph's rows after it, its counters."""
+        graph = session.graph
         counters = {
             "results_saved": 0,
             "results_skipped": 0,
             "results_unchanged": 0,
             "derived_saved": 0,
         }
-        files: dict[Path, _Known] = {}
-        # The whole per-graph write sequence runs under the graph's advisory
-        # lock: a concurrent warmer of the same graph blocks here, then sees
-        # every just-written entry as current and skips the duplicate work.
-        with self._locked(graph_dir):
-            manifest_path = graph_dir / "manifest.json"
-            # Delta lineage: the content fingerprints of the graph states
-            # this session's entries evolved from (one per apply_updates).
-            # A session that never applied updates has none — in that case a
-            # valid stored lineage is preserved rather than clobbered, so
-            # history recorded by an earlier updated session survives saves
-            # from cold sessions of the same (final) graph.
-            lineage = session.lineage()
-            try:
-                stored = self._check_manifest(graph, manifest_path, known)
-            except StoreError:
-                stored = None  # missing or corrupt — rewritten from the live graph
-            if stored is not None and not lineage:
-                lineage = [str(fingerprint_) for fingerprint_ in stored.payload.get("lineage") or []]
-            manifest = {
-                "store_schema_version": STORE_SCHEMA_VERSION,
-                "fingerprint": fingerprint,
-                "num_nodes": graph.num_nodes,
-                "num_edges": graph.num_edges,
-                "allow_self_loops": graph.allow_self_loops,
-                "lineage": lineage,
-            }
-            if stored is None or stored.payload != manifest:
-                checksum, data = _envelope(manifest)
-                stored = _Known(self._write_json(manifest_path, data), checksum, manifest)
-            files[manifest_path] = stored
+        writes: dict[str, tuple[str, str, str]] = {}
+        after = dict(known)
+        # Delta lineage: the content fingerprints of the graph states this
+        # session's entries evolved from (one per apply_updates).  A session
+        # that never applied updates has none — in that case a valid stored
+        # lineage is preserved rather than clobbered, so history recorded by
+        # an earlier updated session survives saves from cold sessions of
+        # the same (final) graph.
+        lineage = session.lineage()
+        stored = _checked_manifest(graph, known.get("manifest"), rows)
+        if stored is not None and not lineage:
+            lineage = [str(fingerprint) for fingerprint in stored.answer.get("lineage") or []]
+        manifest = {
+            "store_schema_version": STORE_SCHEMA_VERSION,
+            "fingerprint": graph.content_fingerprint(),
+            "num_nodes": graph.num_nodes,
+            "num_edges": graph.num_edges,
+            "allow_self_loops": graph.allow_self_loops,
+            "lineage": lineage,
+        }
+        if stored is None or stored.answer != manifest:
+            _stage(writes, after, "manifest", "manifest", manifest, manifest, stored)
+        else:
+            after["manifest"] = stored
 
-            derived: dict[str, Any] = {
-                "out_degrees": session.out_degrees(),
-                "in_degrees": session.in_degrees(),
-                "density_upper_bound": session.density_upper_bound(),
-                "exactness_tolerance": session.exactness_tolerance(),
-                "xy_cores": [_core_to_jsonable(core) for core in session.cached_xy_cores()],
-            }
-            max_core = session.cached_max_core()
-            if max_core is not None:
-                derived["max_core"] = _core_to_jsonable(max_core)
-            derived_path = graph_dir / "derived.json"
-            files[derived_path], written = self._save_entry(derived_path, derived, known)
-            counters["derived_saved"] = int(written)
+        derived: dict[str, Any] = {
+            "out_degrees": session.out_degrees(),
+            "in_degrees": session.in_degrees(),
+            "density_upper_bound": session.density_upper_bound(),
+            "exactness_tolerance": session.exactness_tolerance(),
+            "xy_cores": [_core_to_jsonable(core) for core in session.cached_xy_cores()],
+        }
+        max_core = session.cached_max_core()
+        if max_core is not None:
+            derived["max_core"] = _core_to_jsonable(max_core)
+        stored = known.get("derived")
+        if stored is None or stored.answer != derived:
+            counters["derived_saved"] = int(
+                _stage(writes, after, "derived", "derived", derived, derived, stored)
+            )
 
-            # An answer equal to the one a known file holds is not encoded again.
-            known_paths = {
-                file.answer[:2]: path for path, file in known.items() if file.answer is not None
-            }
-            for method, config, value in session.cached_results():
-                entry_path = known_paths.get((method, config))
-                if entry_path is not None and known[entry_path].answer[2] == value:
-                    if self._holds(entry_path, known[entry_path]):
-                        files[entry_path] = known[entry_path]
-                        counters["results_unchanged"] += 1
-                        continue
-                document = _entry_document(method, config, value)
-                if document is None:
-                    counters["results_skipped"] += 1
-                    continue
-                name, entry = document
-                entry_path = graph_dir / "results" / name
-                saved, written = self._save_entry(entry_path, entry, known)
-                files[entry_path] = dataclasses.replace(saved, answer=(method, config, value))
-                counters["results_saved" if written else "results_unchanged"] += 1
-            # A twin goes once this save has written or kept its key's file.
-            saved_keys = {file.answer[:2] for file in files.values() if file.answer is not None}
-            for twin, key in memory.twins.items():
-                if key in saved_keys and twin not in files:
-                    with contextlib.suppress(OSError):
-                        twin.unlink()
-        repeat = _repeat_counters(
-            counters["results_skipped"], counters["results_unchanged"] + counters["results_saved"]
-        )
-        with self._lock:
-            self._known[graph] = _Memory(fingerprint, files, weakref.ref(session), version, repeat)
-        return counters
-
-    def _save_entry(
-        self, path: Path, payload: dict[str, Any], known: dict[Path, _Known]
-    ) -> tuple[_Known, bool]:
-        """Write ``payload``'s checksummed file unless ``path`` already holds it intact.
-
-        The entry counts as current only if its stored payload verifies
-        against its own ``checksum`` field, as every read checks it, and that
-        field equals the new payload's checksum, so a tampered payload under
-        an intact field is rewritten, not kept.  On a warm store serving
-        repeated batches that is *every* entry, so the skip removes the
-        write churn (and shrinks the concurrent-writer window) of
-        re-persisting identical payloads.  A payload equal to the one a known
-        file still holds is not even encoded.  Returns the file and whether
-        it was written.
-        """
-        remembered = known.get(path)
-        if remembered is not None and remembered.payload == payload and self._holds(path, remembered):
-            return remembered, False
-        checksum, data = _envelope(payload)
-        try:
-            current = self._verified_file(path, known)
-        except StoreError:
-            current = None  # missing, unreadable or tampered — rewrite it
-        if current is not None and current.checksum == checksum:
-            return current, False
-        return _Known(self._write_json(path, data), checksum, payload), True
-
-    @staticmethod
-    def _holds(path: Path, file: _Known) -> bool:
-        """Whether ``path`` still holds the bytes of ``file`` (read and hashed here, never parsed)."""
-        try:
-            return _digest(path.read_bytes()) == file.digest
-        except OSError:
-            return False
+        # An answer equal to the one a known row holds is not encoded again.
+        holders = {
+            row.answer[:2]: key for key, row in known.items() if isinstance(row.answer, tuple)
+        }
+        for method, config, value in session.cached_results():
+            key = holders.get((method, config))
+            if key is not None and known[key].answer[2] == value:
+                counters["results_unchanged"] += 1
+                continue
+            document = _entry_document(method, config, value)
+            if document is None:
+                counters["results_skipped"] += 1
+                continue
+            kind, key, payload = document
+            staged = _stage(writes, after, key, kind, payload, (method, config, value), known.get(key))
+            counters["results_saved" if staged else "results_unchanged"] += 1
+        return writes, after, counters
 
     # ------------------------------------------------------------------
     # load
@@ -756,30 +830,23 @@ class SessionStore:
         ``results_incompatible`` (entry is intact but names an unknown kind,
         an unregistered method or flow solver, a foreign config class or a
         field this build lacks), ``derived_loaded`` /
-        ``derived_corrupt``, and ``manifest_corrupt`` (the graph directory's
-        manifest fails verification — nothing under it is trusted or
-        loaded).  Results count every kind of cached answer: densest
-        results, fixed-ratio outcomes and top-k lists, each cache key once.
-        Two files can hold one key when builds named it differently (an
-        entry stored with ``flow_solver="auto"`` and its ``"dinic"`` twin):
-        the warm seeds the file this build names for the key, or the first
-        in file-name order if it names neither, and the next full
-        :meth:`save_session` removes the other.  A graph the store
-        has never seen loads nothing and returns
-        all-zero counters — warming is always safe to attempt and never
-        raises for on-disk damage; serving must not die because a cache
-        entry rotted.  The manifest is read once, so a concurrent eviction
-        that removes it mid-warm cannot turn into an exception.  Every file
-        is read and hashed; one whose bytes match bytes this store wrote or
-        verified for the graph is not parsed or re-verified again.
+        ``derived_corrupt``, and ``manifest_corrupt`` (the graph's manifest
+        fails verification — none of its rows is trusted or loaded).
+        Results count every kind of cached answer: densest results,
+        fixed-ratio outcomes and top-k lists.  A graph the store has never
+        seen loads nothing and returns all-zero counters — warming is always
+        safe to attempt and never raises for a damaged row; serving must
+        not die because a cache entry rotted.  The graph's rows are read in
+        one snapshot, so a concurrent eviction cannot tear a warm.  A row
+        whose checksum matches a row this store wrote or decoded for the
+        graph is not parsed again, and at an unchanged generation no row is
+        read at all.
 
         A complete warm of a session that held no saved state
         (:attr:`~repro.session.DDSSession.warm_state_version` 0) — manifest,
-        ``derived.json`` and every result entry loaded, every loaded result
-        still cached — remembers the digests of the bytes it verified, so
-        the session's next save costs what a repeat save costs.  A save
-        leaves a file alone while it holds the payload the save would
-        write, so those bytes are what that save would find.
+        derived state and every entry loaded, every loaded result still
+        cached — remembers that session, so its next save costs what a
+        repeat save costs.
         """
         graph = session.graph
         fresh = session.warm_state_version == 0
@@ -792,26 +859,29 @@ class SessionStore:
             "manifest_corrupt": 0,
         }
         fingerprint = graph.content_fingerprint()
-        graph_dir = self._graph_dir(fingerprint)
-        manifest_path = graph_dir / "manifest.json"
-        if not manifest_path.exists():
+        memory = self._recall(graph, fingerprint)
+        decoded = all(row.answer is not None for row in memory.rows.values())
+        generation, rows = self._read(fingerprint, memory.generation if decoded else None)
+        if generation is None:
             return counters
-        known = self._recall(graph, fingerprint).files
-        try:
-            manifest = self._check_manifest(graph, manifest_path, known)
-        except StoreError:
+        known = dict(memory.rows) if rows is None else _verified_rows(rows, memory.rows)
+        manifest = _checked_manifest(graph, known.get("manifest"), rows)
+        if manifest is None:
             counters["manifest_corrupt"] = 1
             return counters
-        files = {manifest_path: manifest}
-        stored_lineage = manifest.payload.get("lineage") or []
+        known["manifest"] = manifest
+        stored_lineage = manifest.answer.get("lineage") or []
         if stored_lineage:
             session.seed_lineage(str(fingerprint_) for fingerprint_ in stored_lineage)
 
-        derived_path = graph_dir / "derived.json"
-        if derived_path.exists():
+        derived = known.get("derived")
+        if derived is not None:
             try:
-                derived = self._verified_file(derived_path, known)
-                payload = derived.payload
+                payload = derived.answer
+                if payload is None:
+                    if derived.checksum is None:
+                        raise StoreError("derived state fails its integrity checksum")
+                    payload = _decode("derived", rows["derived"][0])
                 session.seed_derived(
                     out_degrees=payload["out_degrees"],
                     in_degrees=payload["in_degrees"],
@@ -825,27 +895,21 @@ class SessionStore:
                     exactness_tolerance=payload["exactness_tolerance"],
                 )
                 counters["derived_loaded"] = 1
-                files[derived_path] = derived
+                known["derived"] = _Row(derived.checksum, payload)
             except (StoreError, GraphError, KeyError, TypeError, ValueError):
                 counters["derived_corrupt"] = 1
 
-        results_dir = graph_dir / "results"
-        entry_paths = sorted(results_dir.glob("*.json")) if results_dir.is_dir() else []
-        holders: dict[tuple[str, Any], Path] = {}
-        twins: dict[Path, tuple[str, Any]] = {}
-        for entry_path in entry_paths:
+        entries = sorted(key for key in known if key not in ("manifest", "derived"))
+        for key in entries:
+            row = known[key]
             try:
-                entry = self._verified_file(entry_path, known)
-                if entry.answer is None:
-                    entry = dataclasses.replace(entry, answer=_entry_from_document(entry.payload))
-                key = entry.answer[:2]
-                holder = holders.get(key)
-                if holder is not None:
-                    document = _entry_document(*entry.answer)
-                    if document is None or document[0] != entry_path.name:
-                        twins[entry_path] = key
-                        continue
-                seeded = session.seed_result(*entry.answer)
+                answer = row.answer
+                if answer is None:
+                    if row.checksum is None:
+                        raise StoreError(f"entry {key} fails its integrity checksum")
+                    answer = _entry_from_document(_decode(key, rows[key][0]))
+                    known[key] = _Row(row.checksum, answer)
+                seeded = session.seed_result(*answer)
             except (AlgorithmError, FlowError, _IncompatibleConfig):
                 # Unknown kind, method, flow solver or config field — a store
                 # written by a build with extra registered ones (or with a
@@ -856,64 +920,25 @@ class SessionStore:
             except (StoreError, KeyError, TypeError, ValueError):
                 counters["results_corrupt"] += 1
                 continue
-            if not seeded:
-                continue
-            if holder is None:
+            if seeded:
                 counters["results_loaded"] += 1
-            else:
-                twins[holder] = key
-                del files[holder]
-            holders[key] = entry_path
-            files[entry_path] = entry
-        memory = _Memory(fingerprint, files, twins=twins)
+        memory = _Memory(fingerprint, generation, known)
         # A fresh session caches only what this warm loaded, so a full cache
-        # means every entry loaded, none was pushed out again and no two
-        # files held one key.
+        # means every entry loaded and none was pushed out again.
         if (
             fresh
             and counters["derived_loaded"]
-            and session.cache_stats()["result_cache_entries"] == len(entry_paths)
+            and session.cache_stats()["result_cache_entries"] == len(entries)
         ):
             memory = dataclasses.replace(
                 memory,
                 session=weakref.ref(session),
                 version=session.warm_state_version,
-                counters=_repeat_counters(0, len(entry_paths)),
+                counters=_repeat_counters(0, len(entries)),
             )
         with self._lock:
             self._known[graph] = memory
         return counters
-
-    def _verified_file(self, path: Path, known: dict[Path, _Known]) -> _Known:
-        """Read a checksummed file, raising :class:`StoreError` on tampering.
-
-        Every call reads and hashes the file's bytes.  It parses them and
-        re-verifies the checksum unless ``known`` holds a file this store
-        wrote or verified with the same digest.
-        """
-        data, digest = self._read_json(path)
-        remembered = known.get(path)
-        if remembered is not None and remembered.digest == digest:
-            return remembered
-        document = self._parse(path, data)
-        payload = self._verified(path, document)
-        return _Known(digest, document["checksum"], payload)
-
-    @staticmethod
-    def _verified(path: Path, document: Any) -> dict[str, Any]:
-        """The payload of a parsed entry, or :class:`StoreError` if it fails its checksum."""
-        if (
-            not isinstance(document, dict)
-            or "checksum" not in document
-            or "payload" not in document
-        ):
-            raise StoreError(f"store entry {path} is missing its checksum envelope")
-        payload = document["payload"]
-        if _checksum(payload) != document["checksum"]:
-            raise StoreError(f"store entry {path} fails its integrity checksum")
-        if not isinstance(payload, dict):
-            raise StoreError(f"store entry {path} payload is not an object")
-        return payload
 
     # ------------------------------------------------------------------
     # management
@@ -921,58 +946,68 @@ class SessionStore:
     def inventory(self) -> list[dict[str, Any]]:
         """One row per stored graph: fingerprint, shape, entry counts, bytes.
 
-        Entries are counted by kind, from their file names: ``results``
-        (densest results), ``fixed_ratio`` (fixed-ratio outcomes) and
-        ``top_k`` (top-k lists).
+        Entries are counted by kind: ``results`` (densest results),
+        ``fixed_ratio`` (fixed-ratio outcomes) and ``top_k`` (top-k lists).
+        ``bytes`` counts the graph's stored payload bytes: its manifest,
+        derived state and entries.
         """
+        with self._database("DEFERRED") as db:
+            if db is None:
+                return []
+            graphs = db.execute(
+                f"SELECT id, fingerprint, manifest, manifest_checksum, derived IS NOT NULL, "
+                f"{_GRAPH_BYTES} FROM graphs ORDER BY fingerprint"
+            ).fetchall()
+            kinds = db.execute(
+                f"SELECT graph, kind, count(*), sum({_ENTRY_BYTES}) FROM entries GROUP BY graph, kind"
+            ).fetchall()
+        counts: dict[tuple[int, str], int] = {}
+        sizes: dict[int, int] = {}
+        for graph_id, kind, count, size in kinds:
+            counts[graph_id, kind] = count
+            sizes[graph_id] = sizes.get(graph_id, 0) + size
         rows: list[dict[str, Any]] = []
-        graphs_dir = self.root / "graphs"
-        if not graphs_dir.is_dir():
-            return rows
-        for graph_dir in sorted(graphs_dir.iterdir()):
-            if not graph_dir.is_dir():
-                continue
-            manifest_path = graph_dir / "manifest.json"
-            row: dict[str, Any] = {"fingerprint": graph_dir.name}
+        for graph_id, fingerprint, text, checksum, derived, size in graphs:
+            row: dict[str, Any] = {"fingerprint": fingerprint}
             try:
-                manifest = self._verified_file(manifest_path, {}).payload
+                if not _intact(text, checksum):
+                    raise StoreError("manifest fails its integrity checksum")
+                manifest = _decode("manifest", text)
                 row["num_nodes"] = manifest.get("num_nodes")
                 row["num_edges"] = manifest.get("num_edges")
                 row["lineage_depth"] = len(manifest.get("lineage") or [])
             except StoreError:
                 row["num_nodes"] = row["num_edges"] = None
                 row["lineage_depth"] = 0
-            names = [path.name for path in (graph_dir / "results").glob("*.json")]
-            row["fixed_ratio"] = sum(name.startswith(f"{FIXED_RATIO_ENTRY}-") for name in names)
-            row["top_k"] = sum(name.startswith(f"{TOP_K_ENTRY}-") for name in names)
-            row["results"] = len(names) - row["fixed_ratio"] - row["top_k"]
-            row["derived"] = (graph_dir / "derived.json").exists()
-            row["bytes"] = sum(
-                path.stat().st_size for path in graph_dir.rglob("*") if path.is_file()
-            )
+            row["fixed_ratio"] = counts.get((graph_id, FIXED_RATIO_ENTRY), 0)
+            row["top_k"] = counts.get((graph_id, TOP_K_ENTRY), 0)
+            row["results"] = counts.get((graph_id, DENSEST_ENTRY), 0)
+            row["derived"] = bool(derived)
+            row["bytes"] = size + sizes.get(graph_id, 0)
             rows.append(row)
         return rows
 
     def verify(self) -> list[str]:
-        """Integrity-check every entry (manifests included); returns problem strings."""
+        """Integrity-check every row (manifests included); returns problem strings."""
+        with self._database("DEFERRED") as db:
+            if db is None:
+                return []
+            rows = db.execute(
+                "SELECT fingerprint, 'manifest', manifest, manifest_checksum FROM graphs "
+                "UNION ALL SELECT fingerprint, 'derived', derived, derived_checksum FROM graphs "
+                "WHERE derived IS NOT NULL "
+                "UNION ALL SELECT fingerprint, kind || ' ' || key, payload, checksum "
+                "FROM entries JOIN graphs ON graphs.id = entries.graph ORDER BY 1, 2"
+            ).fetchall()
         problems: list[str] = []
-        graphs_dir = self.root / "graphs"
-        if not graphs_dir.is_dir():
-            return problems
-        for graph_dir in sorted(graphs_dir.iterdir()):
-            if not graph_dir.is_dir():
-                continue
-            for path in [
-                graph_dir / "manifest.json",
-                graph_dir / "derived.json",
-                *sorted((graph_dir / "results").glob("*.json")),
-            ]:
-                if not path.exists():
-                    continue
-                try:
-                    self._verified_file(path, {})
-                except StoreError as error:
-                    problems.append(str(error))
+        for fingerprint, name, text, checksum in rows:
+            where = f"{fingerprint}/{name}"
+            try:
+                if not _intact(text, checksum):
+                    raise StoreError(f"store row {where} fails its integrity checksum")
+                _decode(where, text)
+            except StoreError as error:
+                problems.append(str(error))
         return problems
 
     def evict(
@@ -982,31 +1017,26 @@ class SessionStore:
         max_bytes: int | None = None,
         now: float | None = None,
     ) -> dict[str, int]:
-        """Age + LRU sweep over the stored result entries (disk-usage cap).
+        """Age + LRU sweep over the stored result entries (a stored-bytes cap).
 
         Two independent policies, applied in order:
 
-        * ``older_than_days`` — delete every ``graphs/*/results/*.json``
-          whose mtime is older than the cutoff.  The save path deliberately
-          skips rewriting unchanged entries, and warm loads never touch
-          mtimes, so an entry's mtime is the last time its *content*
-          changed — age eviction removes state no recent workload has
-          refreshed.
-        * ``max_bytes`` — while the store's total on-disk size (the
-          ``bytes`` measure of :meth:`inventory`, summed) exceeds the
-          budget, delete result entries oldest-mtime-first (LRU under the
-          same mtime reading); graph directories whose results are all gone
-          are then dropped whole (manifest and derived state included) if
-          the budget is still exceeded.
+        * ``older_than_days`` — delete every entry whose ``written`` time is
+          older than the cutoff.  A save leaves a row whose payload is
+          unchanged alone and a warm never writes, so ``written`` is the
+          last time an entry's *content* changed — age eviction removes
+          state no recent workload has refreshed.
+        * ``max_bytes`` — while the store's stored payload bytes (the
+          ``bytes`` of :meth:`inventory`, summed) exceed the budget, delete
+          entries oldest-written first, ties broken by fingerprint and key
+          (LRU under the same reading); graphs whose entries are all gone
+          are then dropped whole (manifest and derived state included),
+          oldest-written first, if the budget is still exceeded.
 
-        Deletions in a graph directory run under its advisory write lock,
-        acquired *non-blocking*: a directory whose lock is currently held
-        by a writer (a warmer, a saving batch lane) is skipped outright —
-        never raced, never queued behind — and counted in
-        ``skipped_locked`` for the next sweep to revisit.  Returns
-        counters: ``results_evicted``, ``graphs_evicted``, ``bytes_freed``,
-        ``bytes_remaining``, ``skipped_locked``.  At least one policy must
-        be given.
+        The sweep is one transaction, so it never tears a concurrent save.
+        Returns counters: ``results_evicted``, ``graphs_evicted``,
+        ``bytes_freed``, ``bytes_remaining``.  At least one policy must be
+        given.
         """
         if older_than_days is None and max_bytes is None:
             raise StoreError("evict requires older_than_days and/or max_bytes")
@@ -1019,135 +1049,56 @@ class SessionStore:
             "graphs_evicted": 0,
             "bytes_freed": 0,
             "bytes_remaining": 0,
-            "skipped_locked": 0,
         }
-        graphs_dir = self.root / "graphs"
-        if not graphs_dir.is_dir():
-            return counters
         current_time = time.time() if now is None else float(now)
-
-        def graph_dirs() -> list[Path]:
-            return sorted(path for path in graphs_dir.iterdir() if path.is_dir())
-
-        def unlink(path: Path) -> int | None:
-            """Remove one file; bytes it occupied, or ``None`` if removal failed."""
-            try:
-                size = path.stat().st_size
-                path.unlink()
-            except OSError:
-                return None
-            return size
-
-        if older_than_days is not None:
-            cutoff = current_time - float(older_than_days) * 86400.0
-            for graph_dir in graph_dirs():
-                with self._try_locked(graph_dir) as acquired:
-                    if not acquired:
-                        counters["skipped_locked"] += 1
-                        continue
-                    for entry in sorted((graph_dir / "results").glob("*.json")):
-                        try:
-                            mtime = entry.stat().st_mtime
-                        except OSError:
-                            continue
-                        if mtime < cutoff:
-                            freed = unlink(entry)
-                            if freed is not None:
-                                counters["bytes_freed"] += freed
-                                counters["results_evicted"] += 1
-
-        def total_bytes() -> int:
-            return sum(
-                path.stat().st_size
-                for graph_dir in graph_dirs()
-                for path in graph_dir.rglob("*")
-                if path.is_file()
-            )
-
-        if max_bytes is not None:
-            remaining = total_bytes()
-            entries: list[tuple[float, Path]] = []
-            for graph_dir in graph_dirs():
-                for entry in (graph_dir / "results").glob("*.json"):
-                    try:
-                        entries.append((entry.stat().st_mtime, entry))
-                    except OSError:
-                        continue
-            entries.sort(key=lambda pair: (pair[0], str(pair[1])))
-            for _, entry in entries:
-                if remaining <= max_bytes:
-                    break
-                with self._try_locked(entry.parent.parent) as acquired:
-                    if not acquired:
-                        counters["skipped_locked"] += 1
-                        continue
-                    freed = unlink(entry)
-                if freed is None:
-                    continue
-                counters["bytes_freed"] += freed
-                counters["results_evicted"] += 1
-                remaining -= freed
-            if remaining > max_bytes:
-                # Result entries alone cannot meet the budget: drop whole
-                # graph directories (oldest manifest first) until it fits.
-                ranked = sorted(
-                    graph_dirs(),
-                    key=lambda path: (
-                        (path / "manifest.json").stat().st_mtime
-                        if (path / "manifest.json").exists()
-                        else 0.0,
-                        str(path),
-                    ),
-                )
-                for graph_dir in ranked:
+        with self._database("IMMEDIATE") as db:
+            if db is None:
+                return counters
+            if older_than_days is not None:
+                cutoff = current_time - float(older_than_days) * 86400.0
+                count, size = db.execute(
+                    f"SELECT count(*), coalesce(sum({_ENTRY_BYTES}), 0) FROM entries WHERE written < ?",
+                    (cutoff,),
+                ).fetchone()
+                db.execute("DELETE FROM entries WHERE written < ?", (cutoff,))
+                counters["results_evicted"] += count
+                counters["bytes_freed"] += size
+            remaining = db.execute(
+                f"SELECT (SELECT coalesce(sum({_ENTRY_BYTES}), 0) FROM entries) "
+                f"+ (SELECT coalesce(sum({_GRAPH_BYTES}), 0) FROM graphs)"
+            ).fetchone()[0]
+            if max_bytes is not None and remaining > max_bytes:
+                doomed = []
+                for graph_id, key, size in db.execute(
+                    f"SELECT graph, key, {_ENTRY_BYTES} FROM entries JOIN graphs ON graphs.id = "
+                    "entries.graph ORDER BY entries.written, fingerprint, key"
+                ).fetchall():
                     if remaining <= max_bytes:
                         break
-                    lock_path = graph_dir / ".lock"
-                    with self._try_locked(graph_dir) as acquired:
-                        if not acquired:
-                            counters["skipped_locked"] += 1
-                            continue
-                        # Everything except the lock file goes while the
-                        # lock is held: unlinking .lock here would detach
-                        # the very inode concurrent writers flock on and
-                        # let one into the "exclusive" section mid-sweep.
-                        freed = 0
-                        for path in sorted(graph_dir.rglob("*"), reverse=True):
-                            if path == lock_path:
-                                continue
-                            if path.is_file():
-                                freed += unlink(path) or 0
-                            else:
-                                with contextlib.suppress(OSError):
-                                    path.rmdir()
-                    # Only after releasing: drop the lock file and the dir.
-                    # A warmer that slips in between simply recreates the
-                    # graph (rmdir fails on the non-empty dir) — last writer
-                    # wins, nothing is torn.
-                    with contextlib.suppress(OSError):
-                        lock_path.unlink()
-                    with contextlib.suppress(OSError):
-                        graph_dir.rmdir()
-                    counters["bytes_freed"] += freed
+                    doomed.append((graph_id, key))
+                    counters["bytes_freed"] += size
+                    remaining -= size
+                db.executemany("DELETE FROM entries WHERE graph = ? AND key = ?", doomed)
+                counters["results_evicted"] += len(doomed)
+                # Entries alone could not meet the budget only if none is
+                # left: drop whole graphs until it fits.
+                for graph_id, size in db.execute(
+                    f"SELECT id, {_GRAPH_BYTES} FROM graphs ORDER BY written, fingerprint"
+                ).fetchall():
+                    if remaining <= max_bytes:
+                        break
+                    db.execute("DELETE FROM graphs WHERE id = ?", (graph_id,))
                     counters["graphs_evicted"] += 1
-                    remaining -= freed
-        counters["bytes_remaining"] = total_bytes()
+                    counters["bytes_freed"] += size
+                    remaining -= size
+            counters["bytes_remaining"] = remaining
         return counters
 
     def clear(self) -> int:
         """Delete every stored graph; returns how many were dropped."""
-        graphs_dir = self.root / "graphs"
-        if not graphs_dir.is_dir():
-            return 0
-        dropped = 0
-        for graph_dir in sorted(graphs_dir.iterdir()):
-            if not graph_dir.is_dir():
-                continue
-            for path in sorted(graph_dir.rglob("*"), reverse=True):
-                if path.is_file():
-                    path.unlink()
-                else:
-                    path.rmdir()
-            graph_dir.rmdir()
-            dropped += 1
+        with self._database("IMMEDIATE") as db:
+            if db is None:
+                return 0
+            dropped = db.execute("SELECT count(*) FROM graphs").fetchone()[0]
+            db.execute("DELETE FROM graphs")  # a trigger deletes their entries
         return dropped

@@ -1,9 +1,10 @@
 """Canonical JSON and its checksum: the one form the store and the wire hash.
 
-The session store (:mod:`repro.service.store`) wraps every file's payload
-and the network protocol (:mod:`repro.net.protocol`) every frame's payload
-with ``sha256(canonical_json(payload))``; both import the pair from here, so
-a store entry and a wire payload are verified by the same arithmetic.
+The session store (:mod:`repro.service.store`) keeps every row's payload
+as its canonical JSON text beside ``sha256(canonical_json(payload))``, and
+the network protocol (:mod:`repro.net.protocol`) wraps every frame's payload
+with that checksum; both encode through here, so a store entry and a wire
+payload are verified by the same arithmetic.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+import store_rows
 
 from repro.cli import build_parser, main
 from repro.graph.digraph import DiGraph
@@ -478,27 +479,22 @@ class TestWarmAndStoreCommands:
         store_dir = tmp_path / "store"
         assert main(["warm", "--dataset", "foodweb-tiny", "--store", str(store_dir)]) == 0
         capsys.readouterr()
-        [entry] = (store_dir / "graphs").glob("*/results/*.json")
-        document = json.loads(entry.read_text())
-        document["payload"]["result"]["density"] = 123.0
-        entry.write_text(json.dumps(document))
+        [entry] = store_rows.entries(store_dir)
+        store_rows.tamper(store_dir, entry, lambda payload: payload["result"].update(density=123.0))
         assert main(["store", str(store_dir), "--verify"]) == 1
         assert json.loads(capsys.readouterr().out)["problems"]
 
     def test_store_evict_older_than(self, tmp_path, capsys):
-        import os
         import time
 
         store_dir = tmp_path / "store"
         assert main(["warm", "--dataset", "foodweb-tiny", "--store", str(store_dir)]) == 0
         capsys.readouterr()
-        [entry] = (store_dir / "graphs").glob("*/results/*.json")
-        past = time.time() - 30 * 86400
-        os.utime(entry, (past, past))
+        store_rows.age_rows(store_dir, time.time() - 30 * 86400)
         assert main(["store", str(store_dir), "--evict-older-than", "7"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["evicted"]["results_evicted"] == 1
-        assert not entry.exists()
+        assert store_rows.entries(store_dir) == []
         assert payload["graphs"][0]["results"] == 0
 
     def test_store_evict_max_bytes(self, tmp_path, capsys):
@@ -519,10 +515,8 @@ class TestWarmAndStoreCommands:
         assert main(["store", str(store_dir), "--evict-older-than", "7", "--verify"]) == 0
         assert json.loads(capsys.readouterr().out)["problems"] == []
         # Tampered store: the combined invocation must still exit 1.
-        [entry] = (store_dir / "graphs").glob("*/results/*.json")
-        document = json.loads(entry.read_text())
-        document["payload"]["result"]["density"] = 99.0
-        entry.write_text(json.dumps(document))
+        [entry] = store_rows.entries(store_dir)
+        store_rows.tamper(store_dir, entry, lambda payload: payload["result"].update(density=99.0))
         assert main(["store", str(store_dir), "--evict-older-than", "7", "--verify"]) == 1
         assert json.loads(capsys.readouterr().out)["problems"]
 

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import os
 import random
-import shutil
 import sys
 import threading
 
 import pytest
+import store_rows
 
 from repro.datasets.registry import load_dataset
 from repro.exceptions import AlgorithmError, ConfigError, NetError, ProtocolError
@@ -302,14 +302,51 @@ class TestDaemonOps:
                 [(0, {"query": "densest", "method": "core-approx"})],
                 graph=graph_to_wire(graph),
             )
-            shutil.rmtree(store_root / "graphs")
-            (store_root / "graphs").write_text("a file where the graphs directory belongs")
+            # Break the database under the daemon: its teardown save fails.
+            with store_rows.connect(store_root) as db:
+                db.execute("DROP TABLE graphs")
         finally:
             daemon.shutdown()
         assert uncaught == []
+        assert daemon.daemon_stats()["sessions_flushed"] == 0
         assert not daemon._thread.is_alive()
         assert daemon._waker_recv.fileno() == -1
         assert daemon._waker_send.fileno() == -1
+
+    def test_shutdown_closes_the_store_files(self, tmp_path):
+        """The store's database, WAL and shared-memory files are closed at shutdown."""
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("needs /proc/self/fd to list this process's open files")
+        store_root = tmp_path / "store"
+        store_root.mkdir()
+        prefix = str(store_root.resolve())
+
+        def open_store_files() -> list[str]:
+            found = []
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    target = os.readlink(f"/proc/self/fd/{fd}")
+                except OSError:  # the listing's own descriptor, closed by now
+                    continue
+                if target.startswith(prefix):
+                    found.append(target)
+            return found
+
+        daemon = ShardDaemon(SessionStore(store_root))
+        daemon.start()
+        try:
+            graph = load_dataset(DEFAULT_DATASET)
+            ShardClient(daemon.host, daemon.port).solve_lane(
+                DEFAULT_DATASET,
+                graph.content_fingerprint(),
+                [(0, {"query": "densest", "method": "core-approx"})],
+                graph=graph_to_wire(graph),
+            )
+            assert open_store_files()  # the lane's save opened the database
+        finally:
+            daemon.shutdown()
+        assert open_store_files() == []
+        assert daemon.daemon_stats()["sessions_flushed"] == 1
 
     def test_shutdown_is_idempotent_and_leaves_no_connections(self):
         daemon = ShardDaemon()

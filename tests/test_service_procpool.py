@@ -19,6 +19,9 @@ Pins the acceptance criteria of the multiprocess sharded executor:
   retried, inline-fallback and raising runs.
 * **Order-independent aggregation** — ``BatchReport.aggregate_stats()``
   is a pure function of the per-lane snapshots, not of completion order.
+* **One store, many processes** — workers under ``fork`` and ``spawn`` save
+  into one store, and a ``fork`` child saves through a connection of its
+  own even when its parent's is open.
 """
 
 from __future__ import annotations
@@ -45,21 +48,14 @@ from repro.service import (
     ShardMap,
     payload_answer,
     plan_batch,
-    process_pool_available,
+    run_batch_query,
 )
 from repro.service import executor as executor_module
-from repro.service import store as store_module
+from repro.session import DDSSession
 
 DEFAULT_DATASET = "foodweb-tiny"
 OTHER_DATASET = "social-tiny"
 
-#: Tests that spawn real workers are skipped where the pool itself would
-#: degrade (no fcntl for the store's locks); the degradation test itself
-#: runs everywhere.
-_POOL_OK, _POOL_REASON = process_pool_available(need_store_locks=True)
-needs_pool = pytest.mark.skipif(
-    not _POOL_OK, reason=f"process pool unavailable: {_POOL_REASON}"
-)
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
 )
@@ -141,7 +137,6 @@ class _AddressLabel:
         return hash(self.value)
 
 
-@needs_pool
 class TestFingerprintCheck:
     def test_graph_failing_its_fingerprint_fails_the_lane(self):
         nodes = [_AddressLabel(value) for value in range(5)]
@@ -259,7 +254,6 @@ class TestShardMap:
         assert len(collapsed) == 2
 
 
-@needs_pool
 class TestShardCollapseInThePool:
     def test_colliding_graphs_still_use_both_workers(self):
         """Two graphs hashing to one shard must not serialise on one worker."""
@@ -305,7 +299,6 @@ SPEC_MENU = [
 ]
 
 
-@needs_pool
 class TestCrossProcessBitIdentity:
     @settings(max_examples=6, deadline=None)
     @given(
@@ -365,7 +358,7 @@ class TestCrossProcessBitIdentity:
     def test_unchanged_worker_save_takes_the_store_memory_path(self, tmp_path, monkeypatch):
         # Worker sessions start at warm_state_version 0 like thread lanes,
         # so a complete warm is remembered and the save after a lane of
-        # cache hits writes nothing and takes no lock.
+        # cache hits reads one generation and writes nothing.
         store_root = tmp_path / "store"
         plan = _plan([{"query": "densest", "method": "core-exact"}])
         cold = _executor(store=SessionStore(store_root)).execute(plan)
@@ -373,7 +366,7 @@ class TestCrossProcessBitIdentity:
         def forbidden(*args, **kwargs):
             raise AssertionError("an unchanged worker session took the full save path")
 
-        monkeypatch.setattr(SessionStore, "_locked", forbidden)  # forked workers inherit it
+        monkeypatch.setattr(SessionStore, "_write", forbidden)  # forked workers inherit it
         report = _executor(
             process_pool=True, mp_start_method="fork", store=SessionStore(store_root)
         ).execute(plan)
@@ -382,20 +375,80 @@ class TestCrossProcessBitIdentity:
         assert report.store_stats[DEFAULT_DATASET]["results_loaded"] == 1
         assert _answers(report) == _answers(cold)
 
-    def test_process_pool_with_store_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_process_pool_store_round_trip(self, tmp_path, start_method):
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"needs the {start_method} start method")
         store_root = tmp_path / "store"
         plan = _plan()
-        first = _executor(process_pool=True, store=SessionStore(store_root)).execute(plan)
-        second = _executor(process_pool=True, store=SessionStore(store_root)).execute(plan)
+
+        def run():
+            store = SessionStore(store_root)
+            return _executor(
+                process_pool=True, max_workers=2, mp_start_method=start_method, store=store
+            ).execute(plan)
+
+        first, second = run(), run()
         cold = _executor().execute(plan)
         assert _answers(first) == _answers(second) == _answers(cold)
         assert set(first.store_stats) == set(plan.lanes)
+        assert first.executor_stats["start_method"] == start_method
+        # The second run warmed every answer the first one saved.
+        saved = sum(counters["results_saved"] for counters in first.store_stats.values())
+        assert sum(counters["results_loaded"] for counters in second.store_stats.values()) == saved > 0
+        store = SessionStore(store_root)
+        assert store.verify() == []
+        assert len(store.inventory()) == 2
+
+    @needs_fork
+    def test_fork_child_saves_beside_its_parents_open_connection(self, tmp_path):
+        """A ``fork`` child opens its own connection; the parent's stays usable."""
+        store = SessionStore(tmp_path / "store")
+        parent = DDSSession(load_dataset(DEFAULT_DATASET))
+        parent.densest_subgraph("core-exact")
+        store.save_session(parent)
+        assert store._db is not None  # the parent's connection is open now
+        child = multiprocessing.get_context("fork").Process(target=_save_top_k, args=(store,))
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        parent.fixed_ratio(1.0)
+        assert store.save_session(parent)["results_saved"] == 1
+        warmed = DDSSession(load_dataset(DEFAULT_DATASET))
+        counters = store.warm_session(warmed)
+        assert (counters["results_loaded"], counters["results_corrupt"]) == (4, 0)
+        assert store.verify() == []
+        cold = DDSSession(load_dataset(DEFAULT_DATASET))
+        for spec in FORK_SPECS:
+            served, computed = run_batch_query(warmed, dict(spec)), run_batch_query(cold, dict(spec))
+            assert payload_answer(served) == payload_answer(computed)
+        outcome = warmed.fixed_ratio(1.0)
+        assert (outcome.lower.hex(), outcome.upper.hex()) == (
+            cold.fixed_ratio(1.0).lower.hex(),
+            cold.fixed_ratio(1.0).upper.hex(),
+        )
+        assert warmed.cache_stats()["flow_calls"] == 0
+
+
+#: The answers of the fork test: the parent's, the child's, the parent's.
+FORK_SPECS = (
+    {"query": "densest", "method": "core-exact"},
+    {"query": "top-k", "k": 2, "method": "core-approx"},
+    {"query": "fixed-ratio", "ratio": 1.0},
+)
+
+
+def _save_top_k(store: SessionStore) -> None:
+    """In a forked child: answer a top-k query and save it through the inherited store."""
+    session = DDSSession(load_dataset(DEFAULT_DATASET))
+    session.top_k(2, method="core-approx")
+    if store.save_session(session)["results_saved"] != 2:  # the list and its first round
+        raise SystemExit(1)
 
 
 # ----------------------------------------------------------------------
 # fault injection
 # ----------------------------------------------------------------------
-@needs_pool
 class TestFaultInjection:
     def test_sigkilled_worker_is_retried_on_a_fresh_worker(self):
         plan = _plan()
@@ -504,7 +557,8 @@ class TestFaultInjection:
 # ----------------------------------------------------------------------
 # no live children
 # ----------------------------------------------------------------------
-@needs_pool
+
+
 class TestNoLiveChildren:
     """``execute`` leaves no worker process alive, whatever happened in it."""
 
@@ -576,30 +630,8 @@ class TestAggregateStatsOrder:
 
 
 # ----------------------------------------------------------------------
-# degradation ladder
-# ----------------------------------------------------------------------
-class TestStoreLockGate:
-    def test_store_without_fcntl_degrades_to_threads(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(store_module, "fcntl", None)
-        assert process_pool_available() == (True, None)
-        available, reason = process_pool_available(need_store_locks=True)
-        assert not available and "fcntl" in reason
-        plan = _plan()
-        report = _executor(
-            process_pool=True, max_workers=2, store=SessionStore(tmp_path / "store")
-        ).execute(plan)
-        stats = report.executor_stats
-        assert stats["mode"] == "threads"
-        assert stats["degraded_from"] == "process-pool"
-        assert stats["reason"] == reason
-        assert multiprocessing.active_children() == []
-        assert _answers(report) == _answers(_executor().execute(plan))
-
-
-# ----------------------------------------------------------------------
 # CLI surface
 # ----------------------------------------------------------------------
-@needs_pool
 class TestCli:
     def test_batch_process_pool_flag(self, tmp_path, capsys):
         import json

@@ -1,19 +1,21 @@
 """The persistent session store: lossless round trips and integrity checks.
 
-Acceptance criteria of the service tier (ISSUE 4): a result loaded from
-disk compares equal — subgraph, density, stats — to the freshly computed
-one; corruption (tampered payloads, wrong schema versions, mismatched
-graphs) is detected and counted, never silently served.
+A result loaded from the store compares equal — subgraph, density,
+stats — to the freshly computed one; corruption (tampered payloads, wrong
+schema versions, mismatched graphs) is detected and counted, never
+silently served.  Damage is done to the database's rows through
+``store_rows``.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import multiprocessing
 
 import pytest
+import store_rows
 from flow_oracle import EdmondsKarpSolver
-from test_store_memory import _forbid_payload_work, _repeat
 
 from repro.core.config import ApproxConfig, ExactConfig, FlowConfig
 from repro.core.method_registry import get_method_spec
@@ -23,6 +25,7 @@ from repro.flow.registry import register_solver, unregister_solver
 from repro.graph.digraph import DiGraph
 from repro.net import ShardDaemon
 from repro.service import STORE_SCHEMA_VERSION, BatchExecutor, SessionStore, plan_batch
+from repro.service import store as store_module
 from repro.service.queries import run_batch_query
 from repro.session import DDSSession
 from repro.utils.canonical import canonical_json, checksum
@@ -148,10 +151,8 @@ class TestIntegrity:
 
     def test_tampered_result_is_counted_and_skipped(self, graph, tmp_path):
         store = self._populated_store(graph, tmp_path)
-        [entry] = (tmp_path / "graphs").glob("*/results/*.json")
-        document = json.loads(entry.read_text())
-        document["payload"]["result"]["density"] = 999.0  # checksum now lies
-        entry.write_text(json.dumps(document))
+        [entry] = store_rows.entries(tmp_path)
+        store_rows.tamper(tmp_path, entry, lambda payload: payload["result"].update(density=999.0))
         cold = DDSSession(load_dataset("foodweb-tiny"))
         counters = store.warm_session(cold)
         assert counters["results_corrupt"] == 1
@@ -162,31 +163,55 @@ class TestIntegrity:
     def test_verify_reports_tampering(self, graph, tmp_path):
         store = self._populated_store(graph, tmp_path)
         assert store.verify() == []
-        [entry] = (tmp_path / "graphs").glob("*/results/*.json")
-        document = json.loads(entry.read_text())
-        document["payload"]["result"]["density"] = 999.0
-        entry.write_text(json.dumps(document))
+        [entry] = store_rows.entries(tmp_path)
+        store_rows.tamper(tmp_path, entry, lambda payload: payload["result"].update(density=999.0))
         problems = store.verify()
         assert len(problems) == 1 and "checksum" in problems[0]
 
     def test_wrong_store_schema_version_is_refused(self, tmp_path):
-        (tmp_path / "store.json").write_text(
-            json.dumps({"store_schema_version": STORE_SCHEMA_VERSION + 1})
-        )
+        with store_rows.connect(tmp_path) as db:
+            db.execute(f"PRAGMA user_version = {STORE_SCHEMA_VERSION + 1}")
         with pytest.raises(StoreError, match="schema version"):
+            SessionStore(tmp_path)
+
+    @pytest.mark.parametrize("marker", ["store.json", "graphs"])
+    def test_version_1_directory_store_is_refused(self, tmp_path, marker):
+        if marker == "graphs":
+            (tmp_path / "graphs" / ("0" * 64)).mkdir(parents=True)
+        else:
+            (tmp_path / marker).write_text(json.dumps({"store_schema_version": 1}))
+        with pytest.raises(StoreError, match=rf"version-1 directory store \({marker}\).*choose another root"):
+            SessionStore(tmp_path)
+        assert not (tmp_path / store_module.DATABASE_NAME).exists()
+
+    def test_root_that_is_a_file_raises_store_error(self, tmp_path):
+        root = tmp_path / "store"
+        root.write_text("a file where the store belongs")
+        with pytest.raises(StoreError, match="is not a directory"):
+            SessionStore(root)
+        # A root under a file is refused by the first save that creates it.
+        store = SessionStore(root / "below")
+        session = DDSSession(load_dataset("foodweb-tiny"))
+        session.densest_subgraph("core-approx")
+        with pytest.raises(StoreError, match="cannot create store root"):
+            store.save_session(session)
+
+    def test_database_sqlite_cannot_open_raises_store_error(self, tmp_path):
+        (tmp_path / store_module.DATABASE_NAME).write_bytes(b"not a database " * 100)
+        with pytest.raises(StoreError, match="store database"):
             SessionStore(tmp_path)
 
     def test_corrupt_manifest_loads_nothing_but_never_raises(self, graph, tmp_path):
         """Serving must not die because a cache entry rotted: a bad manifest
-        distrusts the whole graph directory, counted, and the query recomputes."""
+        distrusts every row of the graph, counted, and the query recomputes."""
         store = self._populated_store(graph, tmp_path)
-        [manifest] = (tmp_path / "graphs").glob("*/manifest.json")
-        document = json.loads(manifest.read_text())
-        document["payload"]["num_edges"] += 1
-        manifest.write_text(json.dumps(document))
+        manifest = (graph.content_fingerprint(), "manifest")
+        store_rows.tamper(
+            tmp_path, manifest, lambda payload: payload.update(num_edges=payload["num_edges"] + 1)
+        )
         # The tamper is visible to the operator tool ...
-        assert any("manifest.json" in problem for problem in store.verify())
-        # ... and to the serving path, which distrusts the directory.
+        assert any("manifest" in problem for problem in store.verify())
+        # ... and to the serving path, which distrusts the graph's rows.
         session = DDSSession(load_dataset("foodweb-tiny"))
         counters = store.warm_session(session)
         assert counters["manifest_corrupt"] == 1
@@ -195,16 +220,14 @@ class TestIntegrity:
         # Saving self-heals the manifest from the live graph ...
         store.save_session(session)
         healed = store.warm_session(DDSSession(load_dataset("foodweb-tiny")))
-        # ... so the next warm start trusts the directory again.
+        # ... so the next warm start trusts the graph's rows again.
         assert healed["manifest_corrupt"] == 0
         assert healed["results_loaded"] == 1
 
     def test_save_repairs_a_tampered_result_under_an_intact_checksum_field(self, graph, tmp_path):
         store = self._populated_store(graph, tmp_path)
-        [entry] = (tmp_path / "graphs").glob("*/results/*.json")
-        document = json.loads(entry.read_text())
-        document["payload"]["result"]["density"] = 999.0  # "checksum" left as it was
-        entry.write_text(json.dumps(document))
+        [entry] = store_rows.entries(tmp_path)
+        store_rows.tamper(tmp_path, entry, lambda payload: payload["result"].update(density=999.0))
         session = DDSSession(load_dataset("foodweb-tiny"))
         assert store.warm_session(session)["results_corrupt"] == 1
         session.densest_subgraph("core-exact")
@@ -216,82 +239,77 @@ class TestIntegrity:
         self, graph, tmp_path
     ):
         store = self._populated_store(graph, tmp_path)
-        [derived] = (tmp_path / "graphs").glob("*/derived.json")
-        document = json.loads(derived.read_text())
-        document["payload"]["density_upper_bound"] = 999.0
-        derived.write_text(json.dumps(document))
+        derived = (graph.content_fingerprint(), "derived")
+        store_rows.tamper(tmp_path, derived, lambda payload: payload.update(density_upper_bound=999.0))
         session = DDSSession(load_dataset("foodweb-tiny"))
         assert store.warm_session(session)["derived_corrupt"] == 1
         assert store.save_session(session)["derived_saved"] == 1
         assert store.verify() == []
         assert store.warm_session(DDSSession(load_dataset("foodweb-tiny")))["derived_loaded"] == 1
 
-    @staticmethod
-    def _evict_manifest_after_first_read(monkeypatch) -> None:
-        """Delete the manifest right after its first read, as a concurrent evict can."""
-        read_json = SessionStore._read_json
-
-        def read_then_evict(path):
-            document = read_json(path)
-            if path.name == "manifest.json" and path.exists():
-                path.unlink()
-            return document
-
-        monkeypatch.setattr(SessionStore, "_read_json", staticmethod(read_then_evict))
-
     def test_warm_reads_the_manifest_once(self, graph, tmp_path, monkeypatch):
+        """A warm reads the graph's rows in one snapshot: an eviction right after it cannot tear it."""
         store = self._populated_store(graph, tmp_path)
-        self._evict_manifest_after_first_read(monkeypatch)
+        read = SessionStore._read
+        reads = []
+
+        def read_then_evict(self, fingerprint, remembered):
+            found = read(self, fingerprint, remembered)
+            reads.append(fingerprint)
+            assert SessionStore(tmp_path).evict(max_bytes=0)["graphs_evicted"] == 1
+            return found
+
+        monkeypatch.setattr(SessionStore, "_read", read_then_evict)
         counters = store.warm_session(DDSSession(load_dataset("foodweb-tiny")))
+        assert reads == [graph.content_fingerprint()]
         assert counters["manifest_corrupt"] == 0
         assert counters["derived_loaded"] == 1
         assert counters["results_loaded"] == 1
 
     def test_save_reads_the_manifest_once(self, graph, tmp_path, monkeypatch):
         store = self._populated_store(graph, tmp_path)
-        read_json = SessionStore._read_json
-        manifest_reads = []
+        read = SessionStore._read
+        reads = []
 
-        def counting_read(path):
-            if path.name == "manifest.json":
-                manifest_reads.append(path)
-            return read_json(path)
+        def counting_read(self, fingerprint, remembered):
+            reads.append(fingerprint)
+            return read(self, fingerprint, remembered)
 
-        monkeypatch.setattr(SessionStore, "_read_json", staticmethod(counting_read))
+        monkeypatch.setattr(SessionStore, "_read", counting_read)
         session = DDSSession(load_dataset("foodweb-tiny"))
         session.densest_subgraph("core-approx")
         assert store.save_session(session)["results_saved"] == 1
-        assert len(manifest_reads) == 1
+        assert len(reads) == 1
 
     def test_undecodable_manifest_is_corrupt_not_fatal(self, graph, tmp_path):
         store = self._populated_store(graph, tmp_path)
-        [manifest] = (tmp_path / "graphs").glob("*/manifest.json")
-        manifest.write_bytes(b"\xff\xfe not utf-8")
+        # Under an honest checksum, so only the JSON is broken.
+        store_rows.edit_row(tmp_path, (graph.content_fingerprint(), "manifest"), text='{"num_nodes": ')
         counters = store.warm_session(DDSSession(load_dataset("foodweb-tiny")))
         assert counters["manifest_corrupt"] == 1
         assert len(store.verify()) == 1
 
     def test_blocked_store_directory_raises_store_error(self, graph, tmp_path):
-        store = SessionStore(tmp_path)
-        (tmp_path / "graphs").write_text("a file where the graphs directory belongs")
+        (tmp_path / store_module.DATABASE_NAME).mkdir()
+        with pytest.raises(StoreError, match="unable to open"):
+            SessionStore(tmp_path)
+        # A store whose schema was broken under it raises on its next use.
+        store = SessionStore(tmp_path / "other")
         session = DDSSession(graph)
+        store.save_session(session)
+        with store_rows.connect(tmp_path / "other") as db:
+            db.execute("DROP TABLE graphs")
         session.densest_subgraph("core-approx")
-        with pytest.raises(StoreError):
+        with pytest.raises(StoreError, match="no such table"):
             store.save_session(session)
-        with pytest.raises(StoreError):
-            SessionStore._write_json(tmp_path / "graphs" / "entry.json", b"{}")
 
     def test_incompatible_method_is_counted_not_fatal(self, graph, tmp_path):
         store = self._populated_store(graph, tmp_path)
-        [entry] = (tmp_path / "graphs").glob("*/results/*.json")
-        document = json.loads(entry.read_text())
-        document["payload"]["method"] = "not-a-registered-method"
-        # Re-checksum so only the method name is "wrong", not the envelope.
-        import hashlib
-
-        canonical = json.dumps(document["payload"], sort_keys=True, separators=(",", ":"))
-        document["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
-        entry.write_text(json.dumps(document))
+        [entry] = store_rows.entries(tmp_path)
+        # Under an honest checksum, so only the method name is "wrong".
+        store_rows.edit_row(
+            tmp_path, entry, dict(store_rows.payload(tmp_path, entry), method="not-a-registered-method")
+        )
         counters = store.warm_session(DDSSession(load_dataset("foodweb-tiny")))
         assert counters["results_incompatible"] == 1
         assert counters["results_corrupt"] == 0
@@ -337,13 +355,10 @@ class TestIntegrity:
         intact, but this build cannot rebuild its config, and the rest of
         the graph's state still loads.
         """
-        import hashlib
-
         store = SessionStore(tmp_path)
         donor = DDSSession(graph)
         donor.densest_subgraph("core-approx")
         store.save_session(donor)
-        [graph_dir] = (tmp_path / "graphs").iterdir()
         payload = {
             "method": "dc-exact",
             "config_type": "ExactConfig",
@@ -356,9 +371,7 @@ class TestIntegrity:
             },
             "result": DDSSession(graph).densest_subgraph("dc-exact").to_dict(),
         }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        document = {"checksum": hashlib.sha256(canonical.encode()).hexdigest(), "payload": payload}
-        (graph_dir / "results" / ("0" * 32 + ".json")).write_text(json.dumps(document))
+        store_rows.edit_row(tmp_path, (graph.content_fingerprint(), "0" * 32), payload, kind="densest")
 
         receiver = DDSSession(load_dataset("foodweb-tiny"))
         counters = store.warm_session(receiver)
@@ -394,6 +407,40 @@ class TestManagement:
         assert store.clear() == 2
         assert store.inventory() == []
 
+    def test_reads_of_a_missing_store_create_nothing(self, graph, tmp_path):
+        root = tmp_path / "missing"
+        store = SessionStore(root)
+        assert store.inventory() == [] and store.verify() == []
+        assert not any(store.warm_session(DDSSession(graph)).values())
+        assert store.evict(older_than_days=0, max_bytes=0) == {
+            "results_evicted": 0,
+            "graphs_evicted": 0,
+            "bytes_freed": 0,
+            "bytes_remaining": 0,
+        }
+        assert store.clear() == 0
+        assert not root.exists()
+        session = DDSSession(graph)
+        session.densest_subgraph("core-approx")
+        assert store.save_session(session)["results_saved"] == 1
+        assert (root / store_module.DATABASE_NAME).is_file()
+
+    def test_connection_is_opened_on_use_and_released_by_close(self, graph, tmp_path):
+        session = DDSSession(graph)
+        session.densest_subgraph("core-approx")
+        SessionStore(tmp_path).save_session(session)
+        store = SessionStore(tmp_path)  # checks the schema version, holds nothing
+        assert store._db is None
+        assert store.inventory()[0]["results"] == 1
+        assert store._db is not None
+        store.close()
+        store.close()  # idempotent
+        assert store._db is None
+        # The next use opens a new connection.
+        assert store.warm_session(DDSSession(graph.copy()))["results_loaded"] == 1
+        assert store._db is not None
+        store.close()
+
     def test_save_is_idempotent_and_skips_unchanged_entries(self, graph, tmp_path):
         store = SessionStore(tmp_path)
         session = DDSSession(graph)
@@ -406,8 +453,7 @@ class TestManagement:
         assert second["results_saved"] == 0
         assert second["results_unchanged"] == 1
         assert second["derived_saved"] == 0
-        [graph_dir] = (tmp_path / "graphs").iterdir()
-        assert len(list((graph_dir / "results").glob("*.json"))) == 1
+        assert len(store_rows.entries(tmp_path)) == 1
 
 
 class TestEviction:
@@ -430,43 +476,38 @@ class TestEviction:
             SessionStore(tmp_path).evict(max_bytes=-5)
 
     def test_age_sweep_removes_only_stale_entries(self, tmp_path):
-        import os
         import time as time_module
 
         store = self._store_with_entries(tmp_path)
-        entries = sorted((tmp_path / "graphs").glob("*/results/*.json"))
+        entries = store_rows.entries(tmp_path)
         assert len(entries) == 4
         now = time_module.time()
         stale = entries[:2]
-        for path in stale:
-            os.utime(path, (now - 10 * 86400, now - 10 * 86400))
+        store_rows.age_rows(tmp_path, now - 10 * 86400, stale)
         counters = store.evict(older_than_days=7, now=now)
         assert counters["results_evicted"] == 2
         assert counters["bytes_freed"] > 0
-        remaining = sorted((tmp_path / "graphs").glob("*/results/*.json"))
-        assert remaining == sorted(set(entries) - set(stale))
+        assert store_rows.entries(tmp_path) == sorted(set(entries) - set(stale))
         # The surviving store is still fully loadable.
         session = DDSSession(load_dataset("foodweb-tiny"))
         counters = store.warm_session(session)
         assert counters["results_corrupt"] == 0
 
     def test_max_bytes_evicts_lru_first(self, tmp_path):
-        import os
         import time as time_module
 
         store = self._store_with_entries(tmp_path)
-        entries = sorted((tmp_path / "graphs").glob("*/results/*.json"))
+        entries = store_rows.entries(tmp_path)
         now = time_module.time()
         # Make one entry clearly the oldest.
         oldest = entries[0]
-        os.utime(oldest, (now - 100, now - 100))
-        total = sum(
-            p.stat().st_size for p in (tmp_path / "graphs").rglob("*") if p.is_file()
-        )
+        store_rows.age_rows(tmp_path, now - 100, [oldest])
+        total = sum(row["bytes"] for row in store.inventory())
         counters = store.evict(max_bytes=total - 1, now=now)
         assert counters["results_evicted"] >= 1
-        assert not oldest.exists()
+        assert oldest not in store_rows.entries(tmp_path)
         assert counters["bytes_remaining"] <= total - 1
+        assert counters["bytes_remaining"] == sum(row["bytes"] for row in store.inventory())
 
     def test_max_bytes_zero_drops_whole_graphs(self, tmp_path):
         store = self._store_with_entries(tmp_path)
@@ -479,96 +520,63 @@ class TestEviction:
         assert store.warm_session(session)["results_loaded"] == 0
 
     def test_max_bytes_ties_break_deterministically_by_path(self, tmp_path):
-        """Equal-mtime entries sweep in path order — eviction is reproducible.
+        """Entries written at one time sweep in (fingerprint, key) order — eviction is reproducible.
 
-        The LRU sweep sorts by ``(mtime, path)``; with every mtime forced
-        equal, the path tie-break alone decides, so the same two
-        lexicographically-first entries must go on every run regardless of
-        filesystem enumeration order.
+        The LRU sweep sorts by ``(written, fingerprint, key)``; with every
+        write time forced equal, the tie-break alone decides, so the same
+        two first entries must go on every run.
         """
-        import os
         import time as time_module
 
         store = self._store_with_entries(tmp_path)
-        entries = sorted((tmp_path / "graphs").glob("*/results/*.json"))
+        entries = store_rows.entries(tmp_path)
         assert len(entries) == 4
         now = time_module.time()
-        stamp = now - 50
-        for path in entries:
-            os.utime(path, (stamp, stamp))
-        total = sum(
-            p.stat().st_size for p in (tmp_path / "graphs").rglob("*") if p.is_file()
-        )
-        budget = total - entries[0].stat().st_size - entries[1].stat().st_size
-        counters = store.evict(max_bytes=budget, now=now)
+        store_rows.age_rows(tmp_path, now - 50)
+        sizes = {name: len(text) for name, (_, text, _) in store_rows.rows(tmp_path).items()}
+        total = sum(row["bytes"] for row in store.inventory())
+        assert total == sum(sizes.values())
+        counters = store.evict(max_bytes=total - sizes[entries[0]] - sizes[entries[1]], now=now)
         assert counters["results_evicted"] == 2
-        assert not entries[0].exists()
-        assert not entries[1].exists()
-        assert entries[2].exists()
-        assert entries[3].exists()
+        assert store_rows.entries(tmp_path) == entries[2:]
 
     def test_age_sweep_keeps_fresh_store_intact(self, tmp_path):
         store = self._store_with_entries(tmp_path)
         counters = store.evict(older_than_days=7)
-        assert counters["results_evicted"] == 0
-        assert counters["graphs_evicted"] == 0
-        assert counters["skipped_locked"] == 0
+        assert counters == {
+            "results_evicted": 0,
+            "graphs_evicted": 0,
+            "bytes_freed": 0,
+            "bytes_remaining": sum(row["bytes"] for row in store.inventory()),
+        }
         assert len(store.inventory()) == 2
 
-    def test_age_sweep_skips_directories_whose_lock_is_held(self, tmp_path):
-        """A directory a writer currently holds is skipped, never raced.
+    def test_written_time_moves_only_when_a_payload_changes(self, tmp_path):
+        store = self._store_with_entries(tmp_path, datasets=("foodweb-tiny",))
+        store_rows.age_rows(tmp_path, 1.0)
+        session = DDSSession(load_dataset("foodweb-tiny"))
+        store.warm_session(session)
+        session.densest_subgraph("core-approx")
+        session.fixed_ratio(1.0)
+        assert store.save_session(session)["results_saved"] == 1
+        assert sorted(store_rows.written(tmp_path).values())[:2] == [1.0, 1.0]
+        assert SessionStore(tmp_path).save_session(session)["results_unchanged"] == 3
+        assert sorted(store_rows.written(tmp_path).values())[:2] == [1.0, 1.0]
 
-        ``flock`` locks belong to the open file description, so a second
-        open of the lock file — even in the same process — contends for
-        real: holding ``_locked`` here exercises exactly what a concurrent
-        warmer's lock does to the sweep.
-        """
-        import os
-        import time as time_module
 
-        pytest.importorskip("fcntl")
-        store = self._store_with_entries(tmp_path)
-        entries = sorted((tmp_path / "graphs").glob("*/results/*.json"))
-        now = time_module.time()
-        for path in entries:
-            os.utime(path, (now - 10 * 86400, now - 10 * 86400))
-        held_dir, other_dir = sorted(
-            path for path in (tmp_path / "graphs").iterdir() if path.is_dir()
-        )
-        with store._locked(held_dir):
-            counters = store.evict(older_than_days=7, now=now)
-        assert counters["skipped_locked"] == 1
-        assert counters["results_evicted"] == 2  # the unlocked graph's
-        assert len(list((held_dir / "results").glob("*.json"))) == 2
-        assert list((other_dir / "results").glob("*.json")) == []
-        # Lock released: the next sweep finishes the job.
-        counters = store.evict(older_than_days=7, now=now)
-        assert counters["skipped_locked"] == 0
-        assert counters["results_evicted"] == 2
-
-    def test_max_bytes_sweep_skips_locked_graphs_entirely(self, tmp_path):
-        """Neither entry deletion nor the whole-graph drop touches a held dir."""
-        pytest.importorskip("fcntl")
-        store = self._store_with_entries(tmp_path)
-        held_dir = sorted(
-            path for path in (tmp_path / "graphs").iterdir() if path.is_dir()
-        )[0]
-        before = sorted(held_dir.rglob("*"))
-        with store._locked(held_dir):
-            counters = store.evict(max_bytes=0)
-        assert counters["skipped_locked"] >= 1
-        assert counters["graphs_evicted"] == 1  # only the unlocked graph
-        assert sorted(held_dir.rglob("*")) == before
-        assert len(store.inventory()) == 1
-        # Released: the budget is now enforceable.
-        counters = store.evict(max_bytes=0)
-        assert counters["graphs_evicted"] == 1
-        assert store.inventory() == []
+def _save_at_once(root, barrier, queue) -> None:
+    """Answer two queries on foodweb-tiny, wait for the other writer, then save."""
+    session = DDSSession(load_dataset("foodweb-tiny"))
+    session.densest_subgraph("core-exact")
+    session.densest_subgraph("core-approx")
+    store = SessionStore(root)
+    barrier.wait(timeout=60)
+    queue.put(store.save_session(session))
 
 
 class TestConcurrentWriters:
     def test_parallel_saves_leave_a_consistent_store(self, graph, tmp_path):
-        """Two warmers racing on one graph dir must not corrupt anything."""
+        """Two warmers racing on one graph must not corrupt anything."""
         import threading
 
         sessions = []
@@ -601,37 +609,31 @@ class TestConcurrentWriters:
         assert counters["results_corrupt"] == 0
 
     def test_lock_serialises_writers(self, graph, tmp_path):
-        """The advisory lock really excludes a second writer while held."""
-        fcntl = pytest.importorskip("fcntl")
-        import multiprocessing
+        """Two processes saving one graph at once: SQLite's write lock serialises them.
 
+        Each opens its own store on one root and saves the same answers at
+        the same moment.  Whichever commits second finds every row current
+        and writes nothing, so the graph ends with one row per key.
+        """
+        context = multiprocessing.get_context()
+        barrier, queue = context.Barrier(2), context.Queue()
+        writers = [
+            context.Process(target=_save_at_once, args=(tmp_path, barrier, queue)) for _ in range(2)
+        ]
+        for writer in writers:
+            writer.start()
+        counters = [queue.get(timeout=60) for _ in writers]
+        for writer in writers:
+            writer.join(timeout=60)
+        assert [writer.exitcode for writer in writers] == [0, 0]
+        assert sorted(c["results_saved"] for c in counters) == [0, 2]
+        assert sorted(c["derived_saved"] for c in counters) == [0, 1]
         store = SessionStore(tmp_path)
-        session = DDSSession(graph)
-        session.densest_subgraph("core-approx")
-        store.save_session(session)
-        [graph_dir] = (tmp_path / "graphs").iterdir()
-        lock_path = graph_dir / ".lock"
-        assert lock_path.exists()
-        with store._locked(graph_dir):
-            # A second process cannot take the lock while we hold it.
-            def try_lock(path, queue):
-                with open(path, "a+") as handle:
-                    try:
-                        fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-                    except OSError:
-                        queue.put("blocked")
-                    else:
-                        queue.put("acquired")
-
-            queue = multiprocessing.Queue()
-            process = multiprocessing.Process(target=try_lock, args=(lock_path, queue))
-            process.start()
-            process.join(timeout=10)
-            assert queue.get(timeout=10) == "blocked"
-        # Released: the same probe now succeeds.
-        with open(lock_path, "a+") as handle:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-            fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+        assert store.verify() == []
+        assert len(store_rows.entries(tmp_path)) == 2
+        [row] = store.inventory()
+        assert row["results"] == 2
+        assert store.warm_session(DDSSession(graph))["results_loaded"] == 2
 
 
 class TestSessionSeedHooks:
@@ -698,21 +700,18 @@ def _answered(graph, specs=ANSWER_SPECS) -> tuple[DDSSession, list]:
     return session, [run_batch_query(session, dict(spec)) for spec in specs]
 
 
-def _result_files(root) -> list:
-    """Every result entry file under ``root``, sorted."""
-    return sorted((root / "graphs").glob("*/results/*.json"))
-
-
-def _write_auto_twin(entry) -> None:
+def _write_auto_twin(root, entry) -> None:
     """Store ``entry``'s answer beside it under the solver name ``"auto"``, as older builds named it."""
-    payload = json.loads(entry.read_text())["payload"]
-    if payload["method"] == "fixed-ratio":
+    payload = store_rows.payload(root, entry)
+    kind = payload["method"]
+    if kind == "fixed-ratio":
         payload["query"]["flow_solver"] = "auto"
-        name = f"fixed-ratio-{SessionStore._entry_name('fixed-ratio', payload['query'])}"
+        key = store_module._entry_key(kind, payload["query"])
     else:
+        kind = "densest"
         payload["config"]["flow"]["solver"] = "auto"
-        name = SessionStore._entry_name(payload["method"], payload["config"])
-    (entry.parent / name).write_text(canonical_json({"checksum": checksum(payload), "payload": payload}))
+        key = store_module._entry_key(payload["method"], payload["config"])
+    store_rows.edit_row(root, (entry[0], key), payload, kind=kind)
 
 
 class TestAnswerKinds:
@@ -767,9 +766,8 @@ class TestAnswerKinds:
         store = SessionStore(tmp_path)
         session, _ = _answered(graph, ANSWER_SPECS[:1])
         store.save_session(session)
-        [entry] = (tmp_path / "graphs").glob("*/results/fixed-ratio-*.json")
-        payload = dict(json.loads(entry.read_text())["payload"], method="kth-densest")
-        entry.write_text(canonical_json({"checksum": checksum(payload), "payload": payload}))
+        [entry] = store_rows.entries(tmp_path, kind="fixed-ratio")
+        store_rows.edit_row(tmp_path, entry, dict(store_rows.payload(tmp_path, entry), method="kth-densest"))
         counters = SessionStore(tmp_path).warm_session(DDSSession(graph.copy()))
         assert counters["results_incompatible"] == 1
         assert counters["results_corrupt"] == 0
@@ -777,14 +775,14 @@ class TestAnswerKinds:
     def test_stored_auto_entries_warm_into_the_dinic_key(self, graph, tmp_path):
         # Entries stored under the solver name "auto" run dinic, so they warm
         # into the keys that queries with the default solver read, and a
-        # save keeps their files as the holders of those entries.
+        # save keeps their rows as the holders of those entries.
         session = DDSSession(graph)
         session.fixed_ratio(1.0)
         session.densest_subgraph("dc-exact")
         SessionStore(tmp_path).save_session(session)
-        for entry in _result_files(tmp_path):
-            _write_auto_twin(entry)
-            entry.unlink()
+        for entry in store_rows.entries(tmp_path):
+            _write_auto_twin(tmp_path, entry)
+            store_rows.delete_row(tmp_path, entry)
         store = SessionStore(tmp_path)
         warmed = DDSSession(graph.copy())
         assert store.warm_session(warmed)["results_loaded"] == 2
@@ -794,30 +792,7 @@ class TestAnswerKinds:
         assert (stats["result_cache_hits"], stats["flow_calls"]) == (2, 0)
         warmed.fixed_ratio(2.0)
         assert store.save_session(warmed)["results_saved"] == 1
-        assert len(_result_files(tmp_path)) == 3
-
-    def test_auto_and_dinic_twins_converge_to_one_file_per_key(self, graph, tmp_path, monkeypatch):
-        # A store that had no memory of the "auto"-named entries wrote their
-        # "dinic"-named twins beside them: two files for each cache key.
-        session = DDSSession(graph)
-        session.fixed_ratio(1.0)
-        session.densest_subgraph("dc-exact")
-        SessionStore(tmp_path).save_session(session)
-        current = _result_files(tmp_path)
-        for entry in current:
-            _write_auto_twin(entry)
-        assert len(_result_files(tmp_path)) == 4
-        store = SessionStore(tmp_path)
-        warmed = DDSSession(graph.copy())
-        assert store.warm_session(warmed)["results_loaded"] == 2
-        store.save_session(warmed)
-        assert _result_files(tmp_path) == current
-        fresh = DDSSession(graph.copy())
-        assert store.warm_session(fresh)["results_loaded"] == 2
-        _forbid_payload_work(monkeypatch)
-        assert store.save_session(fresh) == _repeat(
-            {"results_saved": 0, "results_skipped": 0, "results_unchanged": 2}
-        )
+        assert len(store_rows.entries(tmp_path)) == 3
 
     def test_unencodable_top_k_labels_are_skipped(self, tmp_path):
         graph = DiGraph.from_edges([((1, "a"), (2, "b")), ((1, "a"), (3, "c"))])
@@ -830,82 +805,60 @@ class TestAnswerKinds:
 
 
 # ----------------------------------------------------------------------
-# file bytes and the verified-payload memory
+# row text and the decoded-answer memory
 # ----------------------------------------------------------------------
-def _files(root) -> dict:
-    """Every JSON file's bytes under ``root``, by path."""
-    return {path: path.read_bytes() for path in sorted(root.rglob("*.json"))}
-
-
-def _count_verifications(monkeypatch) -> list:
-    """Record every path whose checksum a store re-verifies."""
+def _count_decodes(monkeypatch) -> list:
+    """Record every row a store parses."""
     calls = []
-    verified = SessionStore._verified
+    decode = store_module._decode
 
-    def spy(path, document):
-        calls.append(path)
-        return verified(path, document)
+    def spy(where, text):
+        calls.append(where)
+        return decode(where, text)
 
-    monkeypatch.setattr(SessionStore, "_verified", staticmethod(spy))
+    monkeypatch.setattr(store_module, "_decode", spy)
     return calls
 
 
 class TestFileFormat:
     def test_files_are_compact_canonical_json(self, graph, tmp_path):
+        """Every row holds compact canonical JSON text beside the SHA-256 of that text."""
         session, _ = _answered(graph)
         SessionStore(tmp_path).save_session(session)
-        files = _files(tmp_path / "graphs")
-        assert len(files) == 2 + len(session.cached_results())
-        for data in files.values():
-            document = json.loads(data)
-            assert data == canonical_json(document).encode("utf-8")
-            assert document["checksum"] == checksum(document["payload"])
-
-    def test_files_of_the_indented_writer_warm_verify_and_stay(self, graph, tmp_path):
-        session, _ = _answered(graph)
-        SessionStore(tmp_path).save_session(session)
-        for path in _files(tmp_path / "graphs"):
-            # The form every file had before the compact writer.
-            document = json.loads(path.read_bytes())
-            path.write_text(json.dumps(document, sort_keys=True, indent=1))
-        before = _files(tmp_path)
-        store = SessionStore(tmp_path)
-        assert store.verify() == []
-        warmed = DDSSession(graph.copy())
-        loaded = store.warm_session(warmed)
-        assert loaded["results_loaded"] == len(session.cached_results())
-        assert loaded["derived_loaded"] == 1
-        counters = store.save_session(warmed)
-        assert counters["results_saved"] == counters["derived_saved"] == 0
-        warmed.xy_core(3, 3)  # a change: the next save is a full one
-        assert SessionStore(tmp_path).save_session(warmed)["derived_saved"] == 1
-        after = _files(tmp_path)
-        changed = {path for path in before if before[path] != after[path]}
-        assert {path.name for path in changed} == {"derived.json"}
+        rows = store_rows.rows(tmp_path)
+        assert len(rows) == 2 + len(session.cached_results())
+        for kind, text, digest in rows.values():
+            payload = json.loads(text)
+            assert text == canonical_json(payload)
+            assert digest == checksum(payload)
+            assert kind in ("manifest", "derived", "densest") or kind == payload["method"]
 
     def test_unchanged_files_are_not_verified_again(self, graph, tmp_path, monkeypatch):
+        """At an unchanged generation a warm parses no row; a store without that memory parses every row."""
         store = SessionStore(tmp_path)
         session, _ = _answered(graph)
         store.save_session(session)
-        verifications = _count_verifications(monkeypatch)
+        decodes = _count_decodes(monkeypatch)
         for _ in range(2):
             warmed = DDSSession(graph)  # the graph the store already knows
             assert store.warm_session(warmed)["results_loaded"] == len(session.cached_results())
-        assert verifications == []
+        assert decodes == []
         SessionStore(tmp_path).warm_session(DDSSession(graph.copy()))
-        assert len(verifications) == len(_files(tmp_path / "graphs"))
+        assert len(decodes) == len(store_rows.rows(tmp_path))
 
     def test_a_file_replaced_between_warms_is_verified_again(self, graph, tmp_path, monkeypatch):
+        """A row rewritten between warms moves the generation: only that row is parsed again."""
         store = SessionStore(tmp_path)
         session, _ = _answered(graph)
         store.save_session(session)
         store.warm_session(DDSSession(graph))
-        entry = sorted((tmp_path / "graphs").glob("*/results/top-k-*.json"))[0]
-        document = json.loads(entry.read_bytes())
-        entry.write_text(json.dumps(document, indent=2))  # same payload, new bytes
-        verifications = _count_verifications(monkeypatch)
+        entry = store_rows.entries(tmp_path, kind="top-k")[0]
+        # The same payload in other text, under an honest checksum.
+        text = json.dumps(store_rows.payload(tmp_path, entry), indent=2)
+        store_rows.edit_row(tmp_path, entry, text=text)
+        decodes = _count_decodes(monkeypatch)
         loaded = store.warm_session(DDSSession(graph))
-        assert verifications == [entry]
+        assert decodes == [entry[1]]
         assert loaded["results_loaded"] == len(session.cached_results())
 
     def test_a_file_tampered_between_warms_is_corrupt(self, graph, tmp_path):
@@ -913,16 +866,20 @@ class TestFileFormat:
         session, _ = _answered(graph)
         store.save_session(session)
         assert store.warm_session(DDSSession(graph))["results_corrupt"] == 0
-        entry = sorted((tmp_path / "graphs").glob("*/results/fixed-ratio-*.json"))[0]
-        document = json.loads(entry.read_bytes())
-        document["payload"]["outcome"]["upper"] += 1.0  # the checksum now lies
-        entry.write_text(canonical_json(document))
+        entry = store_rows.entries(tmp_path, kind="fixed-ratio")[0]
+
+        def raise_upper(payload):
+            payload["outcome"]["upper"] += 1.0  # the checksum now lies
+
+        store_rows.tamper(tmp_path, entry, raise_upper)
         warmed = DDSSession(graph)
         counters = store.warm_session(warmed)
         assert counters["results_corrupt"] == 1
         assert counters["results_loaded"] == len(session.cached_results()) - 1
         assert store.save_session(warmed)["results_saved"] == 0  # nothing to repair from
         assert len(store.verify()) == 1
+        # Every later warm still counts it, as a store without this memory does.
+        assert store.warm_session(DDSSession(graph))["results_corrupt"] == 1
 
     def test_memory_lives_no_longer_than_the_graph(self, tmp_path):
         store = SessionStore(tmp_path)

@@ -1,24 +1,24 @@
 """Saves that cost what changed: what a ``SessionStore`` remembers per live graph.
 
-A store remembers, for each graph it saved or warmed, the files involved as
-it wrote or verified them, and the session whose whole state they hold with
-its ``warm_state_version``; it answers a save of that session, unchanged,
-from that memory.  These tests pin that the memory never changes what a
-save does:
+A store remembers, for each graph it saved or warmed, the generation of
+the graph's rows, each row's checksum and decoded answer, and the session
+whose whole state they hold with its ``warm_state_version``; it answers a
+save of that session, unchanged, from that memory.  These tests pin that
+the memory never changes what a save does:
 
 * **Differential** — random operation sequences, with saves in between,
-  give equal counters and byte-identical store trees whether every save goes
-  through one long-lived store or through a store opened for that save.
+  give equal counters and identical rows whether every save goes through
+  one long-lived store or through a store opened for that save.
 * **No payload work** — a repeat save, and the first save after a complete
-  warm, build, encode and parse nothing and take no lock.
-* **Repair** — a file deleted, replaced or tampered with between two saves is
-  rewritten by the next one, and no other file is touched.
+  warm, read one generation and build, encode, parse and write nothing.
+* **Repair** — a row deleted, replaced or tampered with between two saves is
+  rewritten by the next one, and no other row is touched.
 * **Partial warms** — a warm that did not load everything names no session.
 * **One session per graph** — a save of a second session of the graph takes
   the memory over, and the first session's next save is a full one.
 * **Threads** — concurrent saves into one store lose no memory, and
-  sessions sharing one graph never get a remembered payload their file's
-  bytes do not hold.
+  sessions sharing one graph never get a remembered answer their row does
+  not hold.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import threading
 from pathlib import Path
 
 import pytest
+import store_rows
 
 from repro.core.results import DDSResult
 from repro.datasets.registry import load_dataset
@@ -53,48 +54,36 @@ METHODS = (
 )
 
 
-def _tree(root: Path) -> dict[str, bytes]:
-    """Every file under ``root`` (lock files aside) by relative path."""
-    return {
-        str(path.relative_to(root)): path.read_bytes()
-        for path in sorted(root.rglob("*"))
-        if path.is_file() and path.name != ".lock"
-    }
-
-
-def _snapshot(root: Path) -> dict[Path, tuple[bytes, int]]:
-    """Bytes and modification time of every file under ``root`` (lock files aside)."""
-    return {
-        path: (path.read_bytes(), path.stat().st_mtime_ns)
-        for path in sorted(root.rglob("*"))
-        if path.is_file() and path.name != ".lock"
-    }
+def _snapshot(root: Path) -> dict[tuple[str, str], tuple]:
+    """Every row's kind, text and checksum, with an entry's write time."""
+    written = store_rows.written(root)
+    return {name: (*row, written.get(name)) for name, row in store_rows.rows(root).items()}
 
 
 def _forbid_payload_work(monkeypatch) -> None:
-    """Make building, encoding, parsing or writing a payload, or locking, fail."""
+    """Make building, encoding, parsing, reading or writing a row fail."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a save of an unchanged session did payload work")
 
     monkeypatch.setattr(DDSResult, "to_dict", forbidden)
-    monkeypatch.setattr(SessionStore, "_read_json", staticmethod(forbidden))
-    monkeypatch.setattr(SessionStore, "_write_json", staticmethod(forbidden))
-    monkeypatch.setattr(SessionStore, "_locked", forbidden)
-    monkeypatch.setattr(store_module, "_checksum", forbidden)
-    monkeypatch.setattr(store_module, "_envelope", forbidden)
+    monkeypatch.setattr(SessionStore, "_read", forbidden)
+    monkeypatch.setattr(SessionStore, "_write", forbidden)
+    monkeypatch.setattr(store_module, "_decode", forbidden)
+    monkeypatch.setattr(store_module, "_canonical_json", forbidden)
+    monkeypatch.setattr(store_module, "_digest", forbidden)
 
 
-def _count_full_saves(monkeypatch) -> list[Path]:
-    """Record every save that takes the per-graph write lock (the full path)."""
-    calls: list[Path] = []
-    locked = SessionStore._locked
+def _count_full_saves(monkeypatch) -> list[str]:
+    """Record every save that reaches the write transaction (the full path)."""
+    calls: list[str] = []
+    write = SessionStore._write
 
-    def spy(self, graph_dir):
-        calls.append(graph_dir)
-        return locked(self, graph_dir)
+    def spy(self, fingerprint, generation, writes):
+        calls.append(fingerprint)
+        return write(self, fingerprint, generation, writes)
 
-    monkeypatch.setattr(SessionStore, "_locked", spy)
+    monkeypatch.setattr(SessionStore, "_write", spy)
     return calls
 
 
@@ -143,7 +132,7 @@ class _Twins:
             store.save_session(session) for store, session in zip(self._stores(), self.sessions)
         ]
         assert counters[0] == counters[1]
-        assert _tree(self.long_root) == _tree(self.fresh_root)
+        assert store_rows.rows(self.long_root) == store_rows.rows(self.fresh_root)
 
     # -- operations ----------------------------------------------------
     def query(self) -> None:
@@ -225,20 +214,17 @@ class _Twins:
             self._both(lambda session: session.seed_lineage(lineage))
 
     def damage(self) -> None:
-        """Delete or tamper with one store file, identically in both trees."""
-        files = sorted(self.long_root.glob("graphs/*/**/*.json"))
-        if not files:
+        """Delete or tamper with one store row, identically in both databases."""
+        rows = sorted(store_rows.rows(self.long_root))
+        if not rows:
             return
-        relative = self.rng.choice(files).relative_to(self.long_root)
+        name = self.rng.choice(rows)
         delete = self.rng.random() < 0.5
         for root in (self.long_root, self.fresh_root):
-            path = root / relative
             if delete:
-                path.unlink()
-                continue
-            document = json.loads(path.read_text())
-            document["payload"]["tampered"] = True  # the checksum now lies
-            path.write_text(json.dumps(document, sort_keys=True, indent=1))
+                store_rows.delete_row(root, name)
+            else:
+                store_rows.tamper(root, name, lambda payload: payload.update(tampered=True))
 
     OPERATIONS = (
         query,
@@ -364,50 +350,48 @@ def remembered(graph, tmp_path):
     return store, session, counters
 
 
-def _others(files: dict, path: Path) -> dict:
-    """``files`` without ``path``."""
-    return {key: value for key, value in files.items() if key != path}
+def _others(rows: dict, name: tuple[str, str]) -> dict:
+    """``rows`` without ``name``."""
+    return {key: value for key, value in rows.items() if key != name}
 
 
 def test_deleted_result_entry_is_rewritten(remembered, tmp_path):
     store, session, first = remembered
     before = _snapshot(tmp_path)
-    victim = sorted(tmp_path.glob("graphs/*/results/*.json"))[0]
-    victim.unlink()
+    victim = store_rows.entries(tmp_path)[0]
+    store_rows.delete_row(tmp_path, victim)
     counters = store.save_session(session)
     assert counters == {**_repeat(first), "results_saved": 1, "results_unchanged": 1}
     after = _snapshot(tmp_path)
-    assert after[victim][0] == before[victim][0]
+    assert after[victim][:3] == before[victim][:3]
     assert _others(after, victim) == _others(before, victim)
 
 
-def test_derived_state_replaced_by_another_store_is_rewritten(remembered, tmp_path):
+def test_derived_state_replaced_by_another_store_is_rewritten(remembered, graph, tmp_path):
     store, session, first = remembered
-    [derived] = tmp_path.glob("graphs/*/derived.json")
-    original = derived.read_bytes()
+    derived = (graph.content_fingerprint(), "derived")
+    original = store_rows.rows(tmp_path)[derived]
     other = DDSSession(load_dataset("foodweb-tiny"))
     other.max_xy_core()
     SessionStore(tmp_path).save_session(other)
-    assert derived.read_bytes() != original
+    assert store_rows.rows(tmp_path)[derived] != original
     before = _snapshot(tmp_path)
     counters = store.save_session(session)
     assert counters == {**_repeat(first), "derived_saved": 1}
     after = _snapshot(tmp_path)
-    assert after[derived][0] == original
+    assert after[derived][:3] == original
     assert _others(after, derived) == _others(before, derived)
 
 
-def test_tampered_manifest_is_rewritten(remembered, tmp_path):
+def test_tampered_manifest_is_rewritten(remembered, graph, tmp_path):
     store, session, first = remembered
-    [manifest] = tmp_path.glob("graphs/*/manifest.json")
-    original = manifest.read_bytes()
-    document = json.loads(original)
-    document["payload"]["num_edges"] += 1
-    manifest.write_text(json.dumps(document))
+    manifest = (graph.content_fingerprint(), "manifest")
+    original = store_rows.rows(tmp_path)[manifest]
+    store_rows.tamper(tmp_path, manifest, lambda payload: payload.update(num_edges=payload["num_edges"] + 1))
     before = _snapshot(tmp_path)
     assert store.save_session(session) == _repeat(first)
     after = _snapshot(tmp_path)
-    assert after[manifest][0] == original
+    assert after[manifest][:3] == original
     assert _others(after, manifest) == _others(before, manifest)
     assert store.verify() == []
 
@@ -416,30 +400,26 @@ def test_tampered_manifest_is_rewritten(remembered, tmp_path):
 # warms that must not set the memory
 # ----------------------------------------------------------------------
 def _corrupt_result(root: Path) -> None:
-    entry = sorted(root.glob("graphs/*/results/*.json"))[0]
-    document = json.loads(entry.read_text())
-    document["payload"]["result"]["density"] = 999.0
-    entry.write_text(json.dumps(document))
+    entry = store_rows.entries(root)[0]
+    store_rows.tamper(root, entry, lambda payload: payload["result"].update(density=999.0))
 
 
 def _incompatible_result(root: Path) -> None:
-    entry = sorted(root.glob("graphs/*/results/*.json"))[0]
-    document = json.loads(entry.read_text())
-    document["payload"]["method"] = "not-a-registered-method"
-    document["checksum"] = store_module._checksum(document["payload"])
-    entry.write_text(json.dumps(document))
+    entry = store_rows.entries(root)[0]
+    store_rows.edit_row(root, entry, dict(store_rows.payload(root, entry), method="not-a-registered-method"))
+
+
+def _derived(root: Path) -> tuple[str, str]:
+    [name] = [name for name in store_rows.rows(root) if name[1] == "derived"]
+    return name
 
 
 def _corrupt_derived(root: Path) -> None:
-    [derived] = root.glob("graphs/*/derived.json")
-    document = json.loads(derived.read_text())
-    document["payload"]["density_upper_bound"] = 999.0
-    derived.write_text(json.dumps(document))
+    store_rows.tamper(root, _derived(root), lambda payload: payload.update(density_upper_bound=999.0))
 
 
 def _delete_derived(root: Path) -> None:
-    [derived] = root.glob("graphs/*/derived.json")
-    derived.unlink()
+    store_rows.delete_row(root, _derived(root))
 
 
 @pytest.mark.parametrize(
@@ -491,8 +471,12 @@ def test_threads_saving_into_one_store_lose_no_memory(tmp_path, monkeypatch):
     """More threads than cores save and re-save into one store.
 
     Threads come in twin pairs that run the same operations on copies of one
-    graph, so both leave identical state.  A lost update to the shared
-    memory would leave some session unremembered and fail the last check.
+    graph, so both leave identical state.  Every session must be remembered
+    afterwards.  No row is written after a pair's last save, so the twin
+    that saved last is remembered at the current generation; only the other
+    may read rows again, once, and it must find every row current.  A lost
+    update to the shared memory would leave some session unremembered, or
+    no twin of a pair current, and fail the checks.
     """
     store = SessionStore(tmp_path)
     pairs = (os.cpu_count() or 2) + 1
@@ -511,7 +495,7 @@ def test_threads_saving_into_one_store_lose_no_memory(tmp_path, monkeypatch):
                 else:
                     session.densest_subgraph(rng.choice(("core-approx", "core-exact", "peel-approx")))
                 last[index] = store.save_session(session)
-                # A repeat save: full whenever the twin rewrote a file since.
+                # A repeat save: full whenever the twin wrote a row since.
                 store.save_session(session)
         except BaseException as error:  # noqa: BLE001 - reported by the main thread
             errors.append(error)
@@ -528,6 +512,12 @@ def test_threads_saving_into_one_store_lose_no_memory(tmp_path, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
+    for pair, graph in enumerate(graphs):
+        twins = sessions[2 * pair : 2 * pair + 2]
+        memories = [store._known[session.graph] for session in twins]
+        for session, memory in zip(twins, memories):
+            assert memory.session() is session and memory.version == session.warm_state_version
+        assert store._generation(graph.content_fingerprint()) in [memory.generation for memory in memories]
     assert store.verify() == []
     for pair, graph in enumerate(graphs):
         warmed = DDSSession(graph.copy())
@@ -535,6 +525,13 @@ def test_threads_saving_into_one_store_lose_no_memory(tmp_path, monkeypatch):
         held = {(method, config) for method, config, _ in sessions[2 * pair].cached_results()}
         assert counters["results_loaded"] == len(held)
         assert {(method, config) for method, config, _ in warmed.cached_results()} == held
+    full_saves = _count_full_saves(monkeypatch)
+    generations = [store._generation(graph.content_fingerprint()) for graph in graphs]
+    for index, session in enumerate(sessions):
+        assert store.save_session(session) == _repeat(last[index])
+    assert [store._generation(graph.content_fingerprint()) for graph in graphs] == generations
+    assert len(full_saves) <= len(graphs)
+    monkeypatch.undo()
     _forbid_payload_work(monkeypatch)
     for index, session in enumerate(sessions):
         assert store.save_session(session) == _repeat(last[index])
@@ -543,9 +540,9 @@ def test_threads_saving_into_one_store_lose_no_memory(tmp_path, monkeypatch):
 def test_threads_sharing_one_graph_never_serve_a_stale_payload(tmp_path):
     """Sessions over one graph warm, answer and save concurrently into one store.
 
-    They share the store's memory of that graph's files.  Every payload it
-    remembers under a digest must be what a file with those bytes holds, and
-    every warmed answer must be a cold session's.
+    They share the store's memory of that graph's rows.  Every answer it
+    remembers under a checksum the row still carries must be what that row
+    holds, and every warmed answer must be a cold session's.
     """
     store = SessionStore(tmp_path)
     graph = gnm_random_digraph(12, 40, seed=5)
@@ -589,7 +586,16 @@ def test_threads_sharing_one_graph_never_serve_a_stale_payload(tmp_path):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert store.verify() == []
-    for path, known in store._known[graph].files.items():
-        data = path.read_bytes()
-        if store_module._digest(data) == known.digest:
-            assert json.loads(data)["payload"] == known.payload
+    fingerprint = graph.content_fingerprint()
+    rows = {key: row for (owner, key), row in store_rows.rows(tmp_path).items() if owner == fingerprint}
+    checked = 0
+    for key, remembered in store._known[graph].rows.items():
+        if key not in rows or rows[key][2] != remembered.checksum:
+            continue
+        payload = json.loads(rows[key][1])
+        if key in ("manifest", "derived"):
+            assert remembered.answer in (None, payload)
+        elif remembered.answer is not None:
+            assert remembered.answer == store_module._entry_from_document(payload)
+        checked += 1
+    assert checked > 0
