@@ -288,7 +288,7 @@ def _incremental_speedup(failures: list[str]) -> float:
     batches = edge_update_stream(
         graph, steps=SPEEDUP_SMOKE_STEPS, batch_size=1, p_add=0.0, seed=SPEEDUP_SMOKE_SEED
     )
-    flow = FlowConfig(solver="auto")
+    flow = FlowConfig()
     incremental_s = cold_s = float("inf")
     for _ in range(SPEEDUP_SMOKE_REPEATS):
         session = DDSSession(graph.copy(), flow=flow)

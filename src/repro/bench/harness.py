@@ -36,7 +36,7 @@ class ExperimentRecord:
         }
         # Flow-engine instrumentation, when the method ran min-cuts (keys
         # defined in the stats glossary of repro.flow.engine).
-        for key in ("flow_solver", *COUNTERS):
+        for key in COUNTERS:
             if key in self.result.stats:
                 row[key] = self.result.stats[key]
         row.update(self.extra)

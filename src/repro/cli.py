@@ -37,7 +37,6 @@ from typing import Any, Sequence
 from repro.core.method_registry import available_methods
 from repro.datasets.registry import dataset_specs, load_dataset
 from repro.exceptions import ConfigError, ReproError
-from repro.flow.registry import flow_solver_choices
 from repro.graph.digraph import DiGraph
 from repro.graph.io import read_edge_list
 from repro.service import BatchExecutor, SessionStore, plan_batch
@@ -69,13 +68,6 @@ def _add_method_options(parser: argparse.ArgumentParser, *, with_quality: bool) 
         choices=["auto"] + available_methods(),
         help="algorithm to run (default: auto)",
     )
-    parser.add_argument(
-        "--flow-solver",
-        default=None,
-        choices=flow_solver_choices(),
-        help="max-flow solver for the flow-backed exact methods (default: dinic; "
-        "'auto' also runs dinic)",
-    )
     if with_quality:
         parser.add_argument(
             "--tolerance",
@@ -100,7 +92,7 @@ def _method_kwargs(args: argparse.Namespace) -> dict:
     passed to an exact method — is rendered as a clean CLI error.
     """
     kwargs = {}
-    for name in ("flow_solver", "tolerance", "epsilon"):
+    for name in ("tolerance", "epsilon"):
         value = getattr(args, name, None)
         if value is not None:
             kwargs[name] = value
@@ -180,7 +172,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         plan = plan_batch(queries, default_graph_key=default_key)
         executor = BatchExecutor(
             provider,
-            flow=args.flow_solver,
             max_workers=args.jobs,
             store=store,
             process_pool=args.process_pool,
@@ -227,7 +218,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         max_sessions=args.max_sessions,
         max_workers=args.jobs,
-        flow=args.flow_solver,
     )
     host, port = daemon.start()
 
@@ -378,12 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--process-pool or --remote gives real parallelism",
     )
     batch.add_argument(
-        "--flow-solver",
-        default=None,
-        choices=flow_solver_choices(),
-        help="max-flow backend applied to every lane session (default: dinic)",
-    )
-    batch.add_argument(
         "--store",
         default=None,
         help="persistent session-store directory: sessions warm from it before "
@@ -452,12 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         help="per-request worker threads (default: 4); requests for the same "
         "graph serialise on its session regardless",
-    )
-    serve.add_argument(
-        "--flow-solver",
-        default=None,
-        choices=flow_solver_choices(),
-        help="max-flow backend applied to every resident session (default: dinic)",
     )
     serve.add_argument(
         "--drain-grace",

@@ -4,8 +4,9 @@ The session-oriented public API (:class:`repro.session.DDSSession`) and the
 method registry (:mod:`repro.core.method_registry`) replace the historical
 ``**kwargs`` funnel with three small frozen dataclasses:
 
-* :class:`FlowConfig` — max-flow solver selection and the per-query
-  budget, shared by every flow-backed exact method;
+* :class:`FlowConfig` — the per-query budget, shared by every flow-backed
+  exact method (every min-cut runs Dinic's algorithm, so nothing selects
+  a solver);
 * :class:`ExactConfig` — the knobs of the exact solvers (``flow-exact``,
   ``dc-exact``, ``core-exact``, ``brute-force``);
 * :class:`ApproxConfig` — the knobs of the approximation family
@@ -17,13 +18,18 @@ rejected *before* any per-graph work starts.  They are frozen (hashable) on
 purpose: a session uses ``(method, config)`` as its result-cache key.
 
 Per-field keyword overrides (``tolerance=``, ``epsilon=``, and the
-``flow_solver=`` / ``deadline_ms=`` aliases of the nested :class:`FlowConfig`)
-are accepted by :meth:`DDSSession.densest_subgraph
+``deadline_ms=`` alias of the nested :class:`FlowConfig`) are accepted by
+:meth:`DDSSession.densest_subgraph
 <repro.session.DDSSession.densest_subgraph>`, :meth:`DDSSession.top_k
 <repro.session.DDSSession.top_k>` and batch query specs through
 :meth:`MethodConfig.resolve`, which overlays non-``None`` keyword overrides
 onto a base config and re-validates the result.  The algorithm drivers take
 only a typed config.
+
+:func:`strip_solver_name` is the one place a solver name is still read: it
+accepts the two names of the one solver, :data:`SOLVER_NAMES`, where
+callers written when a name chose the solver pass them, and selects nothing
+with them.
 """
 
 from __future__ import annotations
@@ -31,12 +37,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
-from repro.exceptions import ConfigError
-from repro.flow.registry import DEFAULT_SOLVER, resolve_solver_choice
+from repro.exceptions import ConfigError, FlowError
 
 #: Intervals containing at most this many distinct candidate ratios are
 #: leaves of the divide-and-conquer recursion.
 LEAF_RATIO_COUNT = 2
+
+#: The names of the one min-cut solver, Dinic's, that callers may still pass
+#: where a name once chose the solver.  Neither selects anything.
+SOLVER_NAMES = ("auto", "dinic")
 
 
 class MethodConfig:
@@ -62,28 +71,19 @@ class MethodConfig:
         if not clean:
             return config
         allowed = {f.name for f in fields(cls)}
-        for alias in ("flow_solver", "deadline_ms"):
-            # Per-field overrides of the nested FlowConfig: fold them into a
-            # replaced ``flow`` (flow_solver= first, so deadline_ms= composes).
-            # Skipped when the name is a direct field of this class (e.g.
-            # deadline_ms on FlowConfig itself) — plain replace() handles it.
-            if alias in allowed:
-                continue
-            value = clean.pop(alias, None)
-            if value is None:
-                continue
+        if "deadline_ms" in clean and "deadline_ms" not in allowed:
+            # The per-field override of the nested FlowConfig: fold it into
+            # a replaced ``flow``.
             if "flow" not in allowed:
                 raise ConfigError(
-                    f"{cls.__name__} does not accept {alias}= "
+                    f"{cls.__name__} does not accept deadline_ms= "
                     f"(accepted: {', '.join(sorted(allowed))})"
                 )
-            base_flow = clean.get("flow", getattr(config, "flow", None))
-            if isinstance(base_flow, str):
-                base_flow = FlowConfig(solver=base_flow)
-            if alias == "flow_solver":
-                clean["flow"] = replace(base_flow, solver=value)
-            else:
-                clean["flow"] = replace(base_flow, deadline_ms=value)
+            deadline_ms = clean.pop("deadline_ms")
+            base_flow = clean.get("flow", config.flow)
+            if isinstance(base_flow, FlowConfig):
+                # Anything else is refused by the config's own validation.
+                clean["flow"] = replace(base_flow, deadline_ms=deadline_ms)
         unknown = sorted(set(clean) - allowed)
         if unknown:
             raise ConfigError(
@@ -95,13 +95,10 @@ class MethodConfig:
 
 @dataclass(frozen=True)
 class FlowConfig(MethodConfig):
-    """Max-flow backend configuration shared by the flow-backed exact methods.
+    """Min-cut configuration shared by the flow-backed exact methods.
 
     Attributes
     ----------
-    solver:
-        Registry name of the max-flow solver (see :mod:`repro.flow.registry`),
-        or ``"auto"``, which is stored as the default solver, ``dinic``.
     deadline_ms:
         Per-query time budget in milliseconds, or ``None`` (no deadline).
         When set, a monotonic :class:`repro.runtime.Deadline` is armed at
@@ -111,13 +108,9 @@ class FlowConfig(MethodConfig):
         finish inside the budget are bit-identical to undeadlined runs.
     """
 
-    solver: str = DEFAULT_SOLVER
     deadline_ms: float | None = None
 
     def __post_init__(self) -> None:
-        # Resolve the name eagerly: an unknown solver fails at config time,
-        # and "auto" becomes the solver it runs, so it keys caches as that one.
-        object.__setattr__(self, "solver", resolve_solver_choice(self.solver))
         if self.deadline_ms is not None:
             if isinstance(self.deadline_ms, bool) or not isinstance(
                 self.deadline_ms, (int, float)
@@ -132,6 +125,26 @@ class FlowConfig(MethodConfig):
             # Normalise to float so configs hash/compare consistently across
             # int and float spellings of the same budget (result-cache keys).
             object.__setattr__(self, "deadline_ms", float(self.deadline_ms))
+
+
+def strip_solver_name(flow: FlowConfig | str | None) -> FlowConfig | None:
+    """``flow``, with either of the one solver's names read as ``None``.
+
+    Every min-cut runs Dinic's algorithm.  Callers written when a name chose
+    the solver still pass one to the ``flow=`` argument of
+    :class:`~repro.session.DDSSession`,
+    :class:`~repro.service.executor.BatchExecutor` and
+    :class:`~repro.net.daemon.ShardDaemon`, and as the ``flow_solver=``
+    override of densest and top-k queries and batch entries.  The names in
+    :data:`SOLVER_NAMES` select nothing there: they mean what no flow config
+    means.  Any other value that is not a :class:`FlowConfig` raises
+    :class:`~repro.exceptions.FlowError`, as an unknown solver always has.
+    """
+    if flow is None or isinstance(flow, FlowConfig):
+        return flow
+    if isinstance(flow, str) and flow in SOLVER_NAMES:
+        return None
+    raise FlowError(f"unknown flow solver {flow!r}; every min-cut runs dinic ('auto' names it too)")
 
 
 @dataclass(frozen=True)
@@ -151,7 +164,7 @@ class ExactConfig(MethodConfig):
     node_limit:
         Override of the safety node limit of ``flow-exact`` / ``brute-force``.
     flow:
-        The :class:`FlowConfig` selecting the min-cut backend.
+        The :class:`FlowConfig` of the method's min-cuts.
     """
 
     tolerance: float | None = None
@@ -169,11 +182,8 @@ class ExactConfig(MethodConfig):
             not isinstance(self.node_limit, int) or self.node_limit < 1
         ):
             raise ConfigError(f"node_limit must be an int >= 1, got {self.node_limit!r}")
-        if isinstance(self.flow, str):
-            # Convenience: ExactConfig(flow="dinic").
-            object.__setattr__(self, "flow", FlowConfig(solver=self.flow))
-        elif not isinstance(self.flow, FlowConfig):
-            raise ConfigError(f"flow must be a FlowConfig or solver name, got {self.flow!r}")
+        if not isinstance(self.flow, FlowConfig):
+            raise ConfigError(f"flow must be a FlowConfig, got {self.flow!r}")
 
 
 @dataclass(frozen=True)

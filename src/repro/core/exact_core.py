@@ -49,7 +49,6 @@ def core_exact(
         seed_with_core=True,
         tolerance=cfg.tolerance,
         leaf_ratio_count=cfg.leaf_ratio_count,
-        flow_solver=cfg.flow.solver,
         engine=engine,
         max_core=max_core,
     )

@@ -98,7 +98,6 @@ from repro.core.subproblem import STSubproblem
 from repro.core.xycore import XYCore
 from repro.exceptions import AlgorithmError, DeadlineExceeded, EmptyGraphError
 from repro.flow.engine import FlowEngine, zero_snapshot
-from repro.flow.registry import DEFAULT_SOLVER
 from repro.graph.digraph import DiGraph
 from repro.runtime import AnytimeResult
 
@@ -357,7 +356,6 @@ def _dc_driver(
     seed_with_core: bool,
     tolerance: float | None,
     leaf_ratio_count: int,
-    flow_solver: str = DEFAULT_SOLVER,
     engine: FlowEngine | None = None,
     max_core: Callable[[], XYCore] | None = None,
 ) -> DDSResult:
@@ -369,7 +367,7 @@ def _dc_driver(
         raise AlgorithmError("tolerance must be positive")
     density_gap = exactness_tolerance(graph)
 
-    engine = engine if engine is not None else FlowEngine(flow_solver)
+    engine = engine if engine is not None else FlowEngine()
     state = _SearchState(graph=graph, engine=engine, engine_snapshot=engine.snapshot())
     global_upper = global_density_upper_bound(graph)
     # dc-exact's search space, which its peel seed reads too; core-exact
@@ -575,7 +573,6 @@ def dc_exact(
         seed_with_core=cfg.seed_with_core,
         tolerance=cfg.tolerance,
         leaf_ratio_count=cfg.leaf_ratio_count,
-        flow_solver=cfg.flow.solver,
         engine=engine,
         max_core=max_core,
     )

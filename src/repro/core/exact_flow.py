@@ -74,7 +74,7 @@ def flow_exact(
     tolerance = cfg.tolerance if cfg.tolerance is not None else exactness_tolerance(graph)
     upper = global_density_upper_bound(graph)
     subproblem = STSubproblem.from_graph(graph)
-    engine = engine if engine is not None else FlowEngine(cfg.flow.solver)
+    engine = engine if engine is not None else FlowEngine()
     snapshot = engine.snapshot()
 
     best_s: list[int] = []

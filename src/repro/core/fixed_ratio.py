@@ -55,8 +55,8 @@ solve is cold: the network it runs on is freshly built (the search network
 or a narrowed one) or retuned, and holds zero flow or the greedy start flow
 of :meth:`~repro.core.flow_network.DecisionNetwork.route_start_flow`,
 which the solver continues from.  Min-cuts run through a caller-supplied
-:class:`~repro.flow.engine.FlowEngine`, which picks the solver (registry
-name) and accumulates ``flow_calls`` / ``networks_built`` /
+:class:`~repro.flow.engine.FlowEngine`, which runs Dinic's algorithm and
+accumulates ``flow_calls`` / ``networks_built`` /
 ``arcs_pushed`` across the whole algorithm run (see the stats glossary in
 :mod:`repro.flow.engine`).
 
@@ -141,8 +141,8 @@ def maximize_fixed_ratio(
         Stop once ``upper - lower < tolerance``.
     engine:
         The :class:`~repro.flow.engine.FlowEngine` executing the min-cuts
-        (solver choice + run-wide instrumentation).  A private Dinic engine
-        is created when omitted.
+        (run-wide instrumentation).  A private engine is created when
+        omitted.
     start:
         Optional ``(S, T, surrogate, edges)``: a pair whose vertices lie
         inside ``subproblem``, its surrogate at ``ratio`` and its edge

@@ -1,16 +1,16 @@
-"""First-class registry of DDS methods (the analogue of the flow-solver registry).
+"""First-class registry of DDS methods.
 
 :class:`~repro.session.DDSSession` dispatches every query through this
-declarative plugin registry, which mirrors :mod:`repro.flow.registry`: each
-algorithm registers a :class:`MethodSpec` carrying
+declarative plugin registry: each algorithm registers a :class:`MethodSpec`
+carrying
 
 * its **runner** — a uniform callable ``(graph, config, context) -> DDSResult``,
 * its accepted **config type** (:class:`~repro.core.config.ExactConfig` or
   :class:`~repro.core.config.ApproxConfig`), and
 * **capability flags**: exactness, and whether it is flow-backed (runs
-  min-cuts, hence honours ``FlowConfig.solver`` and receives the session's
-  shared :class:`~repro.flow.engine.FlowEngine`, which accumulates flow
-  instrumentation across queries; see :class:`MethodSpec`).
+  min-cuts, hence honours ``FlowConfig.deadline_ms`` and receives the
+  session's shared :class:`~repro.flow.engine.FlowEngine`, which
+  accumulates flow instrumentation across queries; see :class:`MethodSpec`).
 
 Third-party algorithms plug in without touching the session or the CLI::
 

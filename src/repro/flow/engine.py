@@ -1,9 +1,29 @@
-"""The :class:`FlowEngine` — solver selection plus run-wide instrumentation.
+"""The :class:`FlowEngine` — the one min-cut path plus run-wide instrumentation.
 
-Every exact DDS run owns (or borrows) one engine.  The engine resolves the
-solver name through the registry once, at construction, then every min-cut
-in the run goes through :meth:`FlowEngine.min_cut`, which accumulates the
-counters the experiments (and the regression tests) care about.
+Every exact DDS run owns (or borrows) one engine, and every min-cut in the
+run goes through :meth:`FlowEngine.min_cut`, which runs Dinic's algorithm
+(:class:`~repro.flow.dinic.DinicSolver`) and accumulates the counters the
+experiments (and the regression tests) care about.
+
+The solver protocol
+-------------------
+The engine's solver class, :attr:`FlowEngine.solver_class`, is
+:class:`~repro.flow.dinic.DinicSolver`; the test suite swaps it for its
+Edmonds–Karp oracle, which keeps the same protocol:
+
+* ``Solver(network, source, sink)`` binds to one
+  :class:`~repro.flow.network.FlowNetwork`;
+* ``max_flow() -> float`` runs to completion, continuing from the feasible
+  flow the network's residual capacities hold (zero on a fresh network)
+  and returning the *total* max-flow value (``dinic`` raises
+  :class:`~repro.exceptions.FlowError` instead, with the network untouched,
+  when an infinite-capacity path makes the flow unbounded);
+* ``min_cut_source_side() -> list[int]`` returns the source side of a
+  minimum cut (valid after ``max_flow``);
+* an ``arcs_pushed`` integer attribute counting per-arc residual updates;
+* a ``deadline`` attribute, which the engine sets to its armed
+  :class:`repro.runtime.Deadline` before ``max_flow`` (``dinic`` checks
+  it between phases).
 
 Stats-key glossary
 ------------------
@@ -33,11 +53,11 @@ and the benchmark tables.
     when no deadline is configured — the no-deadline fast path is a single
     ``is None`` test per phase.
 
-Every solver continues from the flow the network holds: zero, or the start
+The solver continues from the flow the network holds: zero, or the start
 flow a fixed-ratio search routes before each solve.
 
-A :class:`~repro.session.DDSSession` keeps one engine per solver for its
-whole lifetime, so the counters are *cumulative across queries*; algorithms
+A :class:`~repro.session.DDSSession` keeps one engine for its whole
+lifetime, so the counters are *cumulative across queries*; algorithms
 that need per-run numbers take a :meth:`snapshot` at entry and report
 :meth:`stats_since` that snapshot in ``DDSResult.stats``.
 """
@@ -47,8 +67,8 @@ from __future__ import annotations
 from typing import Any
 
 from repro.exceptions import DeadlineExceeded
+from repro.flow.dinic import DinicSolver
 from repro.flow.network import FlowNetwork
-from repro.flow.registry import DEFAULT_SOLVER, get_solver_class
 
 #: Counter attribute names, in the order used by :meth:`FlowEngine.snapshot`
 #: (the one declaration every stats view iterates).
@@ -66,13 +86,14 @@ def zero_snapshot() -> tuple[int, ...]:
 
 
 class FlowEngine:
-    """Pluggable min-cut executor with per-run instrumentation."""
+    """Min-cut executor with per-run instrumentation."""
 
-    __slots__ = ("solver_name", "solver_class", "deadline") + COUNTERS
+    __slots__ = ("deadline",) + COUNTERS
 
-    def __init__(self, flow_solver: str = DEFAULT_SOLVER) -> None:
-        self.solver_name = flow_solver
-        self.solver_class = get_solver_class(flow_solver)
+    #: The class every min-cut runs (see the solver protocol above).
+    solver_class = DinicSolver
+
+    def __init__(self) -> None:
         #: The active :class:`repro.runtime.Deadline`, or ``None``.  Armed by
         #: the session layer for the duration of one query; every min-cut
         #: checks it before starting and hands it to the solver for
@@ -133,11 +154,8 @@ class FlowEngine:
         return tuple(getattr(self, name) for name in COUNTERS)
 
     def stats_since(self, snapshot: tuple[int, ...]) -> dict[str, Any]:
-        """Per-run instrumentation delta since ``snapshot`` (plus the solver name)."""
-        stats: dict[str, Any] = {"flow_solver": self.solver_name}
-        for name, start in zip(COUNTERS, snapshot):
-            stats[name] = getattr(self, name) - start
-        return stats
+        """Per-run instrumentation delta since ``snapshot``."""
+        return {name: getattr(self, name) - start for name, start in zip(COUNTERS, snapshot)}
 
     def stats(self) -> dict[str, Any]:
         """Lifetime instrumentation snapshot (cumulative across queries)."""

@@ -1,9 +1,9 @@
-"""Residual flow-network representation shared by all max-flow solvers.
+"""Residual flow-network representation the max-flow solver runs on.
 
 The network stores arcs in a flat list where arc ``i`` and arc ``i ^ 1`` are
 mutual residuals (the classic pairing trick), so pushing flow on an arc and
 its reverse is an O(1) index operation.  Capacities are floats because the
-DDS reduction uses capacities such as ``g / sqrt(a)``; all solvers treat
+DDS reduction uses capacities such as ``g / sqrt(a)``; the solver treats
 residual capacities below :data:`EPSILON` as zero to keep floating-point
 noise from creating phantom augmenting paths.
 
@@ -18,8 +18,8 @@ capacities rewritten in place through the zero-copy views of
 touching the topology again — the hot pattern in the fixed-ratio searches
 of the exact DDS algorithms.
 
-The residual capacities are also the start state of every solve: each
-registered solver continues from the flow they encode (zero on a freshly
+The residual capacities are also the start state of every solve: the
+solver continues from the flow they encode (zero on a freshly
 built network or after :meth:`reset_flow`, or a start flow a caller routed
 since) and returns the *total* flow value.
 """
@@ -27,8 +27,6 @@ since) and returns the *total* flow value.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -39,16 +37,6 @@ INFINITY = float("inf")
 
 #: Residual capacities smaller than this are treated as zero.
 EPSILON = 1e-9
-
-
-@dataclass(frozen=True)
-class Arc:
-    """Read-only view of one arc (used for inspection and debugging)."""
-
-    source: int
-    target: int
-    capacity: float
-    flow: float
 
 
 class FlowNetwork:
@@ -94,17 +82,11 @@ class FlowNetwork:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def add_node(self) -> int:
-        """Append a new node and return its index."""
-        self.num_nodes += 1
-        self._csr_dirty = True
-        self._np_views = None
-        return self.num_nodes - 1
-
     def add_edge(self, source: int, target: int, capacity: float) -> int:
         """Add arc ``source -> target`` with ``capacity`` (reverse gets 0).
 
-        Returns the arc index, which can be passed to :meth:`arc_flow`.
+        Returns the arc index: the forward arc's, even, whose residual twin
+        is the next one.
         """
         self._check_node(source)
         self._check_node(target)
@@ -197,22 +179,6 @@ class FlowNetwork:
             raise
         self._csr_dirty = True
         return first_index
-
-    def clone(self) -> "FlowNetwork":
-        """Deep copy of the topology *and* the current residual state.
-
-        The flat arc buffers are copied, so retunes and solves on the clone
-        never touch the original (and vice versa); the CSR index and the
-        list/numpy views are per-instance caches and are rebuilt lazily on
-        the clone.  The flow property tests snapshot networks with it.
-        """
-        twin = FlowNetwork(self.num_nodes)
-        twin._to = array("q", self._to)
-        twin._cap = array("d", self._cap)
-        twin._base = array("d", self._base)
-        twin._tails = array("q", self._tails)
-        twin._csr_dirty = True
-        return twin
 
     def flow_value(self, source: int) -> float:
         """Net flow currently leaving ``source`` (the value of a valid flow).
@@ -307,30 +273,8 @@ class FlowNetwork:
         return len(self._to)
 
     # ------------------------------------------------------------------
-    # inspection
+    # residual state
     # ------------------------------------------------------------------
-    def arcs(self) -> Iterator[Arc]:
-        """Iterate over the forward arcs with their current flow.
-
-        The flow on a forward arc equals the residual capacity pushed back
-        onto its reverse arc, which stays finite (and correct) even for
-        infinite-capacity arcs where ``capacity - residual`` would be
-        ``inf - inf = nan``.
-        """
-        for index in range(0, len(self._to), 2):
-            yield Arc(
-                source=self._tails[index],
-                target=self._to[index],
-                capacity=self._base[index],
-                flow=self._cap[index + 1],
-            )
-
-    def arc_flow(self, arc_index: int) -> float:
-        """Flow currently routed on the forward arc ``arc_index``."""
-        if arc_index % 2 != 0:
-            raise FlowError("arc_flow expects the index returned by add_edge (even)")
-        return self._cap[arc_index + 1]
-
     def reset_flow(self) -> None:
         """Restore all residual capacities to the original capacities."""
         self._cap[:] = self._base

@@ -59,7 +59,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.config import FlowConfig
+from repro.core.config import FlowConfig, strip_solver_name
 from repro.exceptions import (
     ConfigError,
     GraphNotResidentError,
@@ -125,8 +125,9 @@ class ShardDaemon:
     max_workers:
         Width of the per-request worker-thread pool.
     flow:
-        Session-wide :class:`~repro.core.config.FlowConfig` (or solver
-        name) applied to every resident session.
+        Session-wide :class:`~repro.core.config.FlowConfig` applied to every
+        resident session (a solver name selects nothing:
+        :func:`~repro.core.config.strip_solver_name`).
     result_cache_size:
         Result-cache capacity of each resident session.
     read_timeout:
@@ -166,7 +167,7 @@ class ShardDaemon:
         self._requested_port = port
         self._max_sessions = max_sessions
         self._max_workers = max_workers
-        self._flow = flow
+        self._flow = strip_solver_name(flow)
         self._result_cache_size = result_cache_size
         self._read_timeout = read_timeout
         self._fault = fault_injection

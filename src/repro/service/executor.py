@@ -76,7 +76,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Mapping
 
-from repro.core.config import FlowConfig
+from repro.core.config import FlowConfig, strip_solver_name
 from repro.exceptions import BatchQueryError, ConfigError, GraphNotResidentError, NetError
 from repro.runtime import Deadline
 from repro.graph.digraph import DiGraph
@@ -319,8 +319,9 @@ class BatchExecutor:
         registry's ``load_dataset``).  An unknown key raises
         :class:`~repro.exceptions.BatchQueryError` naming the lane.
     flow:
-        Session-wide :class:`~repro.core.config.FlowConfig` (or solver name)
-        applied to every lane session.
+        Session-wide :class:`~repro.core.config.FlowConfig` applied to every
+        lane session (a solver name selects nothing:
+        :func:`~repro.core.config.strip_solver_name`).
     result_cache_size:
         Result-cache capacity of each lane session.
     max_workers:
@@ -422,7 +423,7 @@ class BatchExecutor:
             remote_hosts = [
                 "%s:%d" % parse_host_port(str(host)) for host in remote_hosts
             ]
-        self._flow = flow
+        self._flow = strip_solver_name(flow)
         self._result_cache_size = result_cache_size
         self._max_workers = max_workers
         self._store = store
@@ -744,15 +745,9 @@ class BatchExecutor:
         shard_map = ShardMap(len(self._remote_hosts))
         pool = ShardClientPool(self._remote_hosts, max_retries=self._max_retries)
         # Ship this executor's flow configuration with every solve so a
-        # daemon building the session uses the same backend the inline
-        # fallback (and any local reference run) would — answers are
-        # bit-identical either way, but the payload's solver metadata must
-        # match for the parity gates' answer comparison.
-        flow_doc: dict[str, Any] | None = None
-        if isinstance(self._flow, str):
-            flow_doc = {"solver": self._flow}
-        elif self._flow is not None:
-            flow_doc = dataclasses.asdict(self._flow)
+        # daemon building the session applies what the inline fallback (and
+        # any local reference run) would.
+        flow_doc = dataclasses.asdict(self._flow) if self._flow is not None else None
         stats: dict[str, Any] = {
             "mode": "remote",
             "hosts": list(pool.addresses),

@@ -86,8 +86,6 @@ def find_payload(result: DDSResult, show_nodes: bool) -> dict[str, Any]:
         "t_size": result.t_size,
         "is_exact": result.is_exact,
     }
-    if "flow_solver" in result.stats:
-        payload["flow_solver"] = result.stats["flow_solver"]
     if show_nodes:
         payload["s_nodes"] = [str(node) for node in result.s_nodes]
         payload["t_nodes"] = [str(node) for node in result.t_nodes]

@@ -71,6 +71,7 @@ import hashlib
 import json
 import os
 import sqlite3
+import tempfile
 import threading
 import time
 import weakref
@@ -81,8 +82,7 @@ from repro.core.config import ApproxConfig, ExactConfig, FlowConfig, MethodConfi
 from repro.core.method_registry import get_method_spec
 from repro.core.results import DDSResult, FixedRatioOutcome, json_native_label
 from repro.core.xycore import XYCore
-from repro.exceptions import AlgorithmError, ConfigError, FlowError, GraphError, StoreError
-from repro.flow.registry import resolve_solver_choice
+from repro.exceptions import AlgorithmError, ConfigError, GraphError, StoreError
 from repro.graph.digraph import DiGraph
 from repro.session import DDSSession
 from repro.session.session import FIXED_RATIO_ENTRY, TOP_K_ENTRY
@@ -99,9 +99,14 @@ DATABASE_NAME = "store.sqlite3"
 #: their ``method``: ``fixed-ratio`` and ``top-k``).
 DENSEST_ENTRY = "densest"
 
-#: The schema, created in one transaction on a database's first use.  Graph
-#: ids are AUTOINCREMENT, so never reused: a graph's ``(id, generation)``
-#: names one state of its rows for good, even across a clear.
+#: The fields of a stored fixed-ratio query, in the order of the session's
+#: cache key.
+_FIXED_RATIO_QUERY = ("ratio", "lower", "upper", "tolerance")
+
+#: The schema, created in one transaction when a database is made (see
+#: :meth:`SessionStore._create`).  Graph ids are AUTOINCREMENT, so never
+#: reused: a graph's ``(id, generation)`` names one state of its rows for
+#: good, even across a clear.
 _SCHEMA = f"""
 BEGIN IMMEDIATE;
 CREATE TABLE IF NOT EXISTS graphs (
@@ -266,14 +271,7 @@ def _entry_document(method: str, config: Any, value: Any) -> tuple[str, str, dic
     digest of its kind and query.
     """
     if method == FIXED_RATIO_ENTRY:
-        ratio, lower, upper, tolerance, solver = config
-        query = {
-            "ratio": ratio,
-            "lower": lower,
-            "upper": upper,
-            "tolerance": tolerance,
-            "flow_solver": solver,
-        }
+        query = dict(zip(_FIXED_RATIO_QUERY, config))
         # ``value`` is the session's export copy, so its lists can be shared.
         payload = {"method": method, "query": query, "outcome": dict(vars(value))}
     elif method == TOP_K_ENTRY:
@@ -306,22 +304,22 @@ def _entry_document(method: str, config: Any, value: Any) -> tuple[str, str, dic
 def _entry_from_document(entry: dict[str, Any]) -> tuple[str, Any, Any]:
     """The ``(method, config, answer)`` triple of a stored entry, for ``seed_result``.
 
-    Raises :class:`~repro.exceptions.AlgorithmError`,
-    :class:`~repro.exceptions.FlowError` or :class:`_IncompatibleConfig` for
-    an intact entry this build cannot use (an unknown kind or method, flow
-    solver, config class or field), and :class:`StoreError`,
-    ``KeyError``, ``TypeError`` or ``ValueError`` for a malformed one.
+    Raises :class:`~repro.exceptions.AlgorithmError` or
+    :class:`_IncompatibleConfig` for an intact entry this build cannot use
+    (an unknown kind or method, a config class, or a field such as the flow
+    solver that fixed-ratio queries and flow configs once named), and
+    :class:`StoreError`, ``KeyError``, ``TypeError`` or ``ValueError`` for a
+    malformed one.
     """
     method = entry["method"]
     if method == FIXED_RATIO_ENTRY:
         query = entry["query"]
-        config = (
-            float(query["ratio"]),
-            float(query["lower"]),
-            float(query["upper"]),
-            float(query["tolerance"]),
-            resolve_solver_choice(str(query["flow_solver"])),
-        )
+        unknown = sorted(set(query) - set(_FIXED_RATIO_QUERY))
+        if unknown:
+            raise _IncompatibleConfig(
+                f"stored fixed-ratio query has fields this build lacks: {', '.join(unknown)}"
+            )
+        config = tuple(float(query[name]) for name in _FIXED_RATIO_QUERY)
         return method, config, _outcome_from_jsonable(entry["outcome"])
     if method == TOP_K_ENTRY:
         query = entry["query"]
@@ -525,17 +523,20 @@ class SessionStore:
     # the database
     # ------------------------------------------------------------------
     def _open(self) -> sqlite3.Connection:
-        """A new connection to the store's database, creating its schema on first use."""
+        """A new connection to the store's database, creating the database on first use."""
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as error:
             raise StoreError(f"cannot create store root {self.root}: {error}")
+        if not self._path.exists():
+            try:
+                self._create()
+            except OSError as error:
+                raise StoreError(f"cannot create store database {self._path}: {error}")
         db = sqlite3.connect(self._path, isolation_level=None, check_same_thread=False)
         try:
             db.execute("PRAGMA journal_mode=WAL")
             db.execute("PRAGMA synchronous=NORMAL")
-            if db.execute("PRAGMA user_version").fetchone()[0] == 0:
-                db.executescript(_SCHEMA)
             version = db.execute("PRAGMA user_version").fetchone()[0]
             if version != STORE_SCHEMA_VERSION:
                 raise StoreError(
@@ -546,6 +547,29 @@ class SessionStore:
             db.close()
             raise
         return db
+
+    def _create(self) -> None:
+        """Make the database appear whole: built in WAL mode in a temporary file, then linked in.
+
+        SQLite does not wait for the lock that switching a new database to
+        WAL mode takes, so two processes creating the same database at once
+        could fail with "database is locked".  Here each builds its own copy
+        and only the first link to :data:`DATABASE_NAME` wins; the others
+        open the winner's file, which is in WAL mode already.
+        """
+        handle, temporary = tempfile.mkstemp(prefix=".store-", suffix=".sqlite3", dir=self.root)
+        os.close(handle)
+        try:
+            db = sqlite3.connect(temporary, isolation_level=None)
+            try:
+                db.execute("PRAGMA journal_mode=WAL")
+                db.executescript(_SCHEMA)
+            finally:
+                db.close()
+            with contextlib.suppress(FileExistsError):
+                os.link(temporary, self._path)
+        finally:
+            os.unlink(temporary)
 
     def _release(self) -> None:
         """Drop the connection (lock held): closed by the process that opened it, never by a fork child."""
@@ -828,8 +852,8 @@ class SessionStore:
 
         Counters: ``results_loaded`` / ``results_corrupt`` /
         ``results_incompatible`` (entry is intact but names an unknown kind,
-        an unregistered method or flow solver, a foreign config class or a
-        field this build lacks), ``derived_loaded`` /
+        an unregistered method, a foreign config class or a field this build
+        lacks, such as a flow solver), ``derived_loaded`` /
         ``derived_corrupt``, and ``manifest_corrupt`` (the graph's manifest
         fails verification — none of its rows is trusted or loaded).
         Results count every kind of cached answer: densest results,
@@ -910,11 +934,11 @@ class SessionStore:
                     answer = _entry_from_document(_decode(key, rows[key][0]))
                     known[key] = _Row(row.checksum, answer)
                 seeded = session.seed_result(*answer)
-            except (AlgorithmError, FlowError, _IncompatibleConfig):
-                # Unknown kind, method, flow solver or config field — a store
-                # written by a build with extra registered ones (or with a
-                # solver or config field since removed); intact but
-                # unusable here.
+            except (AlgorithmError, _IncompatibleConfig):
+                # Unknown kind, method or config field — a store written by
+                # a build with extra registered ones (or with a field since
+                # removed, such as the flow solver); intact but unusable
+                # here.
                 counters["results_incompatible"] += 1
                 continue
             except (StoreError, KeyError, TypeError, ValueError):

@@ -9,8 +9,8 @@ derived state once instead of once per call:
 * **whole answers** in one LRU: densest results keyed by ``(method,
   config)``, fixed-ratio outcomes and top-k lists keyed by their resolved
   arguments, so a repeated query is answered without recomputation, and
-* one :class:`~repro.flow.engine.FlowEngine` per solver, so flow
-  instrumentation accumulates session-wide (see :meth:`cache_stats`).
+* one :class:`~repro.flow.engine.FlowEngine`, so flow instrumentation
+  accumulates session-wide (see :meth:`cache_stats`).
 
 Method dispatch goes through the declarative registry
 (:mod:`repro.core.method_registry`) and every query is validated against the
@@ -35,7 +35,7 @@ from dataclasses import replace
 from typing import Any, Iterable
 
 from repro.core.bounds import fixed_ratio_space
-from repro.core.config import ExactConfig, FlowConfig, MethodConfig
+from repro.core.config import ExactConfig, FlowConfig, MethodConfig, strip_solver_name
 from repro.core.density import (
     exactness_tolerance,
     global_density_upper_bound,
@@ -54,7 +54,6 @@ from repro.exceptions import (
     GraphError,
 )
 from repro.flow.engine import COUNTERS, FlowEngine
-from repro.flow.registry import resolve_solver_choice
 from repro.graph.digraph import DiGraph, NodeLabel
 from repro.graph.properties import graph_summary
 from repro.incremental.certify import certify_result
@@ -138,15 +137,14 @@ def _copy_entry(value: Any) -> Any:
 def _entry_key(method: str, config: Any) -> tuple[str, Any]:
     """Validated result-cache key of a ``(method, config)`` entry of any kind.
 
-    A fixed-ratio ``config`` is ``(ratio, lower, upper, tolerance,
-    solver)``, a top-k one ``(k, min_density, method, method_config)``, and
-    any other ``method`` is a registry name with its method config.
+    A fixed-ratio ``config`` is ``(ratio, lower, upper, tolerance)``, a
+    top-k one ``(k, min_density, method, method_config)``, and any other
+    ``method`` is a registry name with its method config.
     """
     if method == FIXED_RATIO_ENTRY:
-        ratio, lower, upper, tolerance, solver = config
+        ratio, lower, upper, tolerance = config
         check_search_arguments(ratio, lower, upper, tolerance)
-        solver = resolve_solver_choice(solver)
-        return method, (float(ratio), float(lower), float(upper), float(tolerance), solver)
+        return method, (float(ratio), float(lower), float(upper), float(tolerance))
     if method == TOP_K_ENTRY:
         k, min_density, inner, inner_config = config
         require_positive_int(k, "k")
@@ -189,8 +187,10 @@ class DDSSession:
         an edge delta *through* the session so every cache is patched, certified
         or dropped in step with the graph.
     flow:
-        Session-wide default :class:`~repro.core.config.FlowConfig` (or a
-        bare solver name).  Per-query configs override it.
+        Session-wide default :class:`~repro.core.config.FlowConfig`.
+        Per-query configs override it.  A solver name, ``"auto"`` or
+        ``"dinic"``, selects nothing and means the defaults
+        (:func:`~repro.core.config.strip_solver_name`).
     result_cache_size:
         Capacity of the whole-answer LRU cache, shared by densest results,
         fixed-ratio outcomes and top-k lists (0 disables all three;
@@ -206,12 +206,11 @@ class DDSSession:
     ) -> None:
         if not isinstance(graph, DiGraph):
             raise GraphError(f"DDSSession requires a DiGraph, got {type(graph).__name__}")
-        if isinstance(flow, str):
-            flow = FlowConfig(solver=flow)
+        flow = strip_solver_name(flow)
         self.graph = graph
         self.flow = flow if flow is not None else FlowConfig()
         self._graph_token = graph.state_token
-        self._engines: dict[str, FlowEngine] = {}
+        self._engine = FlowEngine()
         # Densest results under (method, config), fixed-ratio outcomes and
         # top-k lists under (FIXED_RATIO_ENTRY / TOP_K_ENTRY, arguments).
         self._results: OrderedDict[tuple[str, Any], Any] = OrderedDict()
@@ -244,13 +243,6 @@ class DDSSession:
                 "created; cached state would be stale — create a new DDSSession"
             )
 
-    def _engine_for(self, solver: str) -> FlowEngine:
-        engine = self._engines.get(solver)
-        if engine is None:
-            engine = FlowEngine(solver)
-            self._engines[solver] = engine
-        return engine
-
     def _resolve_method(self, method: str) -> tuple[MethodSpec, bool]:
         """Map a method name (or ``"auto"``) to its spec."""
         if method == "auto":
@@ -275,10 +267,9 @@ class DDSSession:
     ) -> tuple[MethodSpec, MethodConfig, bool]:
         """Resolve (spec, config, was_auto) for a query."""
         spec, was_auto = self._resolve_method(method)
-        if not spec.flow_backed and "flow_solver" in kwargs:
-            # Not applied (see MethodSpec.flow_backed), but still a name from
-            # the caller: an unknown one fails here as on every method.
-            resolve_solver_choice(kwargs.pop("flow_solver"))
+        if "flow_solver" in kwargs:
+            # A name of the one solver selects nothing; any other fails.
+            strip_solver_name(kwargs.pop("flow_solver"))
         base = self._base_config(spec)
         cfg = spec.config_type.resolve(config if config is not None else base, **kwargs)
         # Any knob other than ``flow`` that the method never consults must
@@ -298,8 +289,7 @@ class DDSSession:
     def _execute(self, spec: MethodSpec, cfg: MethodConfig, graph: DiGraph) -> DDSResult:
         """Run one query uncached (used for cache misses and top-k rounds)."""
         self._queries += 1
-        solver = cfg.flow.solver if isinstance(cfg, ExactConfig) else self.flow.solver
-        engine = self._engine_for(solver)
+        engine = self._engine
         context = RunContext(
             engine=engine,
             # A working copy (a later top-k round) has cores of its own.
@@ -352,9 +342,8 @@ class DDSSession:
             cached.stats["result_cache_hit"] = True
             return cached
         if key in self._invalidated_keys:
-            # This exact query was answered before and its entry was
-            # invalidated by apply_updates — recomputing it now is the
-            # bounded local re-search the certification tier deferred.
+            # This exact query was answered before and apply_updates
+            # evicted its entry: answering it now is a cold search.
             self._invalidated_keys.discard(key)
             self._local_research_runs += 1
         result = self._execute(spec, cfg, self.graph)
@@ -380,10 +369,12 @@ class DDSSession:
         :data:`AUTO_EXACT_NODE_LIMIT` nodes, CoreApprox beyond).  ``config``
         is the method's typed config (:class:`~repro.core.config.ExactConfig`
         / :class:`~repro.core.config.ApproxConfig`); keyword arguments are
-        per-field overrides (``tolerance=``, ``epsilon=``, ``flow_solver=``
-        ...).  A ``flow_solver=`` name is validated on every method but only
-        applied by the flow-backed ones.  Repeated identical queries are
-        served from the session's result cache (``stats["result_cache_hit"]``).
+        per-field overrides (``tolerance=``, ``epsilon=``, ``deadline_ms=``
+        ...).  A ``flow_solver=`` override is accepted on every method for
+        callers that still name the one solver, and selects nothing
+        (:func:`~repro.core.config.strip_solver_name`).  Repeated identical
+        queries are served from the session's result cache
+        (``stats["result_cache_hit"]``).
         """
         self._check_unmutated()
         if self.graph.num_edges == 0:
@@ -472,7 +463,6 @@ class DDSSession:
         lower: float = 0.0,
         upper: float | None = None,
         tolerance: float | None = None,
-        flow_solver: str | None = None,
         deadline_ms: float | None = None,
     ) -> FixedRatioOutcome:
         """Bracket the fixed-ratio surrogate optimum ``val(ratio)``.
@@ -500,13 +490,12 @@ class DDSSession:
         pair the search extracted (ties keep the seed), and ``best_density``
         is its true density, and ``best_edges`` its edge count.  The
         complete outcome is cached, keyed by ``(ratio, lower, upper,
-        tolerance, solver)`` with the defaults filled in and ``"auto"``
-        resolved to ``dinic``, so a repeated probe
-        is a cache hit that returns a copy of the same outcome (its
+        tolerance)`` with the defaults filled in, so a repeated probe is a
+        cache hit that returns a copy of the same outcome (its
         ``flow_calls`` and ``networks_built`` those of the search that
         computed it) and runs no search.  An outcome cut short by a deadline
-        raises and caches nothing.  The ratio, bounds, tolerance, solver and
-        budget are checked before anything is counted or computed; a ratio
+        raises and caches nothing.  The ratio, bounds, tolerance and budget
+        are checked before anything is counted or computed; a ratio
         that is not finite and positive raises
         :class:`~repro.exceptions.AlgorithmError`.
         """
@@ -519,12 +508,11 @@ class DDSSession:
         if tolerance is None:
             tolerance = self.exactness_tolerance()
         check_search_arguments(ratio, lower, upper, tolerance)
-        solver = self.flow.solver if flow_solver is None else resolve_solver_choice(flow_solver)
-        engine = self._engine_for(solver)
+        engine = self._engine
         if deadline_ms is None:
             deadline_ms = self.flow.deadline_ms
         deadline = Deadline(deadline_ms) if deadline_ms is not None else None
-        key = (FIXED_RATIO_ENTRY, (ratio, float(lower), float(upper), float(tolerance), solver))
+        key = (FIXED_RATIO_ENTRY, (ratio, float(lower), float(upper), float(tolerance)))
         cached = self._cached(key)
         if cached is not None:
             return cached
@@ -625,9 +613,8 @@ class DDSSession:
           (:func:`~repro.incremental.certify.certify_result`): entries whose
           optimality still has a cheap proof are kept (and marked
           ``stats["certified_stale"]``), the rest are evicted and their keys
-          remembered so the next identical query counts as a bounded local
-          re-search (``local_research_runs``).  Certification runs no
-          min-cut;
+          remembered so the next identical query, a cold search, is counted
+          (``local_research_runs``).  Certification runs no min-cut;
         * cached fixed-ratio outcomes and top-k lists are dropped, with no
           certification tier and no report counter.
 
@@ -788,7 +775,7 @@ class DDSSession:
 
         Returns defensive copies in LRU order (least recently used first).
         A densest entry is ``(method, config, DDSResult)``; a fixed-ratio one
-        ``(FIXED_RATIO_ENTRY, (ratio, lower, upper, tolerance, solver),
+        ``(FIXED_RATIO_ENTRY, (ratio, lower, upper, tolerance),
         FixedRatioOutcome)``; a top-k one ``(TOP_K_ENTRY, (k, min_density,
         method, config), [DDSResult, ...])``.  This is the export half of the
         persistent-store contract (:class:`repro.service.store.SessionStore`);
@@ -885,9 +872,9 @@ class DDSSession:
         """Session-wide cache and flow-engine counters.
 
         Every engine counter (:data:`repro.flow.engine.COUNTERS`:
-        ``flow_calls``, ``networks_built``, ``arcs_pushed`` ...) is summed
-        over the session's engines, so it aggregates every query served so
-        far, which is what the repeated-query regression tests pin; the keys
+        ``flow_calls``, ``networks_built``, ``arcs_pushed`` ...) is the
+        session engine's lifetime total, so it aggregates every query served
+        so far, which is what the repeated-query regression tests pin; the keys
         are defined once in the stats glossary of :mod:`repro.flow.engine`.
         """
         stats: dict[str, Any] = {
@@ -900,7 +887,7 @@ class DDSSession:
             "anytime_returns": self._anytime_returns,
         }
         for counter in COUNTERS:
-            stats[counter] = sum(getattr(engine, counter) for engine in self._engines.values())
+            stats[counter] = getattr(self._engine, counter)
         stats["xy_cores_cached"] = len(self._xy_cores) + (1 if self._max_core is not None else 0)
         return stats
 
@@ -921,5 +908,5 @@ class DDSSession:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DDSSession(n={self.graph.num_nodes}, m={self.graph.num_edges}, "
-            f"queries={self._queries}, solver={self.flow.solver!r})"
+            f"queries={self._queries})"
         )

@@ -5,9 +5,9 @@ from __future__ import annotations
 import random
 
 import pytest
-from flow_oracle import ORACLE_SOLVER, EdmondsKarpSolver
+from flow_oracle import EdmondsKarpSolver
 
-from repro.flow.registry import register_solver, unregister_solver
+from repro.flow.engine import FlowEngine
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
     complete_bipartite_digraph,
@@ -17,17 +17,14 @@ from repro.graph.generators import (
 
 
 @pytest.fixture
-def flow_oracle() -> str:
-    """Register the Edmonds–Karp oracle as a flow solver for one test.
+def flow_oracle(monkeypatch) -> type:
+    """Run every min-cut of one test on the Edmonds–Karp oracle.
 
-    Yields its registry name; the registry is restored afterwards, so the
-    production registry (``dinic`` alone) is what every other test sees.
+    Swaps it in as :attr:`FlowEngine.solver_class` and returns it; the
+    class is restored afterwards, so every other test runs ``dinic``.
     """
-    register_solver(ORACLE_SOLVER, EdmondsKarpSolver)
-    try:
-        yield ORACLE_SOLVER
-    finally:
-        unregister_solver(ORACLE_SOLVER)
+    monkeypatch.setattr(FlowEngine, "solver_class", EdmondsKarpSolver)
+    return EdmondsKarpSolver
 
 
 @pytest.fixture

@@ -2,13 +2,18 @@
 
 This solver exists purely as an independent implementation against which
 the production solver, ``dinic``, is cross-checked in the unit and property
-tests.  It
-is the textbook BFS-augmenting-path algorithm; no attempt is made to
-optimise it, but it satisfies the same solver protocol (``max_flow()`` /
-``min_cut_source_side()`` / ``arcs_pushed``), so the ``flow_oracle`` fixture
-(``tests/conftest.py``) registers it under :data:`ORACLE_SOLVER` through
-:func:`repro.flow.register_solver` and every flow-backed method runs on it
-like on a production backend.
+tests.  It is the textbook BFS-augmenting-path algorithm; no attempt is
+made to optimise it, but it satisfies the solver protocol of
+:mod:`repro.flow.engine` (``max_flow()`` / ``min_cut_source_side()`` /
+``arcs_pushed``), so the ``flow_oracle`` fixture (``tests/conftest.py``)
+swaps it in as ``FlowEngine.solver_class`` and every flow-backed method
+runs on it as on ``dinic``.  Tests parametrised over :data:`CHECKED_SOLVERS`
+switch to it mid-test with :func:`use_solver`.
+
+:func:`forward_arcs` reads a network's forward arcs, with the flow each
+carries, off :meth:`~repro.flow.network.FlowNetwork.numpy_csr`, and
+:func:`copy_network` copies a network with
+:meth:`~repro.flow.network.FlowNetwork.append_paired_arcs`.
 
 :class:`RestartDinicSolver` is the second reference: Dinic as it was before
 its DFS learned to resume after a push and its BFS to stop at the sink —
@@ -203,8 +208,43 @@ class RestartDinicSolver:
             iters[node] += 1
 
 
-#: Registry name the ``flow_oracle`` fixture registers the oracle under.
+#: The oracle's name in test ids.
 ORACLE_SOLVER = EdmondsKarpSolver.name
+
+#: The solvers tests are parametrised over: the production one and the oracle.
+CHECKED_SOLVERS = ("dinic", ORACLE_SOLVER)
+
+
+def use_solver(request, name: str) -> None:
+    """Run the test's min-cuts from here on with ``name``, one of :data:`CHECKED_SOLVERS`.
+
+    ``dinic`` is what every engine runs; the oracle is swapped in through
+    the ``flow_oracle`` fixture, for the rest of the test.
+    """
+    if name == ORACLE_SOLVER:
+        request.getfixturevalue("flow_oracle")
+
+
+def forward_arcs(network: FlowNetwork) -> list[tuple[int, int, float, float]]:
+    """``(tail, target, capacity, flow)`` of every forward arc, in arc order.
+
+    Arc ``i`` (even) is forward and ``i ^ 1`` its residual twin, so the flow
+    on arc ``i`` is the twin's residual capacity: finite even on an
+    infinite-capacity arc, where ``capacity - residual`` would be ``nan``.
+    """
+    _, _, targets, caps, tails, base = network.numpy_csr()
+    return [
+        (int(tails[i]), int(targets[i]), float(base[i]), float(caps[i ^ 1]))
+        for i in range(0, network.num_arcs, 2)
+    ]
+
+
+def copy_network(network: FlowNetwork) -> FlowNetwork:
+    """A network with ``network``'s nodes, arcs and residual state, sharing no buffer."""
+    _, _, targets, caps, tails, base = network.numpy_csr()
+    twin = FlowNetwork(network.num_nodes)
+    twin.append_paired_arcs(tails, targets, caps, base)
+    return twin
 
 
 def edmonds_karp_max_flow(network: FlowNetwork, source: int, sink: int) -> float:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 import store_rows
+from flow_oracle import ORACLE_SOLVER, use_solver
 
 from repro.cli import build_parser, main
 from repro.graph.digraph import DiGraph
@@ -42,21 +43,16 @@ class TestCommands:
         assert payload["is_exact"] is True
         assert payload["density"] > 0
 
-    def test_find_with_flow_solver(self, edge_list_file, capsys, flow_oracle):
-        exit_code = main(
-            [
-                "find",
-                "--edge-list",
-                str(edge_list_file),
-                "--method",
-                "dc-exact",
-                "--flow-solver",
-                flow_oracle,
-            ]
-        )
-        assert exit_code == 0
+    def test_find_with_flow_solver(self, edge_list_file, capsys, request):
+        """``find`` answers alike on the oracle solver, and its payload names no solver."""
+        argv = ["find", "--edge-list", str(edge_list_file), "--method", "dc-exact"]
+        assert main(argv) == 0
+        plain = json.loads(capsys.readouterr().out)
+        use_solver(request, ORACLE_SOLVER)
+        assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["flow_solver"] == flow_oracle
+        assert payload == plain
+        assert "flow_solver" not in payload
         assert payload["is_exact"] is True
 
     def test_find_rejects_unknown_flow_solver(self, edge_list_file):
@@ -522,27 +518,30 @@ class TestWarmAndStoreCommands:
 
 
 class TestFlowSolverFlags:
-    def test_find_accepts_auto(self, capsys):
-        assert main(
-            ["find", "--dataset", "foodweb-tiny", "--method", "core-exact",
-             "--flow-solver", "auto"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["flow_solver"] == "dinic"  # "auto" names the solver it runs
-        assert payload["is_exact"] is True
+    def test_no_subcommand_takes_flow_solver(self, tmp_path, capsys):
+        queries = tmp_path / "queries.json"
+        queries.write_text("[]")
+        for argv in (
+            ["find", "--dataset", "foodweb-tiny"],
+            ["top-k", "--dataset", "foodweb-tiny"],
+            ["batch", "--dataset", "foodweb-tiny", str(queries)],
+            ["serve"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args([*argv, "--flow-solver", "auto"])
+            assert excinfo.value.code == 2, argv
+            assert "unrecognized arguments: --flow-solver" in capsys.readouterr().err
 
     def test_batch_accepts_flow_solver(self, tmp_path, capsys):
-        queries = tmp_path / "queries.json"
-        queries.write_text(json.dumps([{"query": "densest", "method": "dc-exact"}]))
-        baseline = main(["batch", "--dataset", "foodweb-tiny", str(queries)])
-        assert baseline == 0
+        """A batch entry may still name the one solver; the name selects nothing."""
+        entry = {"query": "densest", "method": "dc-exact"}
+        plain_queries = tmp_path / "plain.json"
+        plain_queries.write_text(json.dumps([entry]))
+        assert main(["batch", "--dataset", "foodweb-tiny", str(plain_queries)]) == 0
         plain = json.loads(capsys.readouterr().out)
-        assert (
-            main(
-                ["batch", "--dataset", "foodweb-tiny", str(queries),
-                 "--flow-solver", "auto", "--jobs", "2"]
-            )
-            == 0
-        )
-        routed = json.loads(capsys.readouterr().out)
-        assert routed["results"][0]["density"] == plain["results"][0]["density"]
+        named_queries = tmp_path / "named.json"
+        named_queries.write_text(json.dumps([dict(entry, flow_solver=name) for name in ("auto", "dinic")]))
+        assert main(["batch", "--dataset", "foodweb-tiny", str(named_queries), "--jobs", "2"]) == 0
+        named = json.loads(capsys.readouterr().out)
+        assert named["results"] == plain["results"] * 2
+        assert named["session"]["result_cache_entries"] == 1

@@ -9,12 +9,12 @@ from __future__ import annotations
 import math
 
 import pytest
-from flow_oracle import ORACLE_SOLVER
+from flow_oracle import CHECKED_SOLVERS, ORACLE_SOLVER, use_solver
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bruteforce import brute_force_dds
-from repro.core.config import ExactConfig, FlowConfig
+from repro.core.config import ExactConfig
 from repro.core.density import directed_density
 from repro.core.exact_core import core_exact
 from repro.core.exact_dc import dc_exact
@@ -22,7 +22,6 @@ from repro.core.exact_flow import flow_exact
 from repro.core.verify import check_result
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.exceptions import AlgorithmError, EmptyGraphError
-from repro.flow.registry import available_flow_solvers
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
     complete_bipartite_digraph,
@@ -128,13 +127,14 @@ TIE_HEAVY_SHAPES = {
     "solver", [dc_exact, core_exact, flow_exact], ids=["dc-exact", "core-exact", "flow-exact"]
 )
 @pytest.mark.parametrize("shape", list(TIE_HEAVY_SHAPES))
-def test_dc_and_core_match_bruteforce_on_tie_heavy_shapes(solver, shape, flow_oracle):
+def test_dc_and_core_match_bruteforce_on_tie_heavy_shapes(solver, shape, request):
     g = TIE_HEAVY_SHAPES[shape]()
     expected = brute_force_dds(g).density
     answers = set()
-    # Every registered min-cut solver, the Edmonds–Karp oracle among them.
-    for flow_solver in available_flow_solvers():
-        result = solver(g, ExactConfig(flow=FlowConfig(solver=flow_solver)))
+    # dinic, then the Edmonds–Karp oracle.
+    for flow_solver in CHECKED_SOLVERS:
+        use_solver(request, flow_solver)
+        result = solver(g)
         assert result.density == pytest.approx(expected, abs=1e-9), flow_solver
         consistent, recomputed, messages = check_result(g, result)
         assert consistent, (flow_solver, messages)
@@ -206,7 +206,7 @@ def test_driver_counter_pins_cover_the_small_tier_and_tie_heavy_shapes():
 def test_driver_counters_match_the_pins(name, method, leaf_ratio_count):
     graph = TIE_HEAVY_SHAPES[name]() if name in TIE_HEAVY_SHAPES else load_dataset(name)
     solve = dc_exact if method == "dc-exact" else core_exact
-    config = ExactConfig(flow=FlowConfig(solver="dinic"), leaf_ratio_count=leaf_ratio_count)
+    config = ExactConfig(leaf_ratio_count=leaf_ratio_count)
     stats = solve(graph, config).stats
     counters = tuple(stats[key] for key in _PINNED_COUNTERS)
     assert counters == DRIVER_COUNTER_PINS[name, method, leaf_ratio_count]
@@ -314,15 +314,6 @@ class TestExactInstrumentation:
         assert plain.density == pytest.approx(seeded.density)
 
 
-#: Every registered solver plus the Edmonds–Karp oracle, which
-#: :class:`TestSolverAgreement` registers through the ``flow_oracle`` fixture.
-SOLVER_NAMES = [*available_flow_solvers(), ORACLE_SOLVER]
-
-
-def _solver_config(solver: str) -> ExactConfig:
-    return ExactConfig(flow=FlowConfig(solver=solver))
-
-
 def _answer(result) -> tuple:
     """The fields every solver must reproduce: density, pair and flow calls."""
     return (
@@ -333,31 +324,30 @@ def _answer(result) -> tuple:
     )
 
 
-@pytest.mark.usefixtures("flow_oracle")
 class TestSolverAgreement:
-    """Every solver must reproduce ``dinic``'s answers on every exact method.
+    """The Edmonds–Karp oracle must reproduce ``dinic``'s answers on every exact method.
 
-    This is the one method-level check that runs every registered solver,
-    and the Edmonds–Karp oracle beside them, through all three flow-backed
-    exact methods.
+    This is the one method-level check that runs the oracle, swapped in as
+    the engine's solver class, through all three flow-backed exact methods.
     """
 
-    @pytest.mark.parametrize("solver", SOLVER_NAMES)
+    @pytest.mark.parametrize("solver", CHECKED_SOLVERS)
     @pytest.mark.parametrize("seed", [1, 5, 9])
-    def test_dc_exact_identical_answers(self, solver, seed):
+    def test_dc_exact_identical_answers(self, solver, seed, request):
         graph = gnm_random_digraph(10, 35, seed=seed)
-        result = dc_exact(graph, _solver_config(solver))
-        assert _answer(result) == _answer(dc_exact(graph, _solver_config("dinic")))
+        reference = _answer(dc_exact(graph))
+        use_solver(request, solver)
+        assert _answer(dc_exact(graph)) == reference
 
-    @pytest.mark.parametrize("solver", SOLVER_NAMES)
-    def test_core_exact_identical_answers(self, solver):
+    @pytest.mark.parametrize("solver", CHECKED_SOLVERS)
+    def test_core_exact_identical_answers(self, solver, request):
         graph = gnm_random_digraph(12, 50, seed=2)
-        result = core_exact(graph, _solver_config(solver))
-        assert _answer(result) == _answer(core_exact(graph, _solver_config("dinic")))
+        reference = _answer(core_exact(graph))
+        use_solver(request, solver)
+        assert _answer(core_exact(graph)) == reference
 
-    def test_flow_exact_identical_answers(self):
+    def test_flow_exact_identical_answers(self, request):
         graph = gnm_random_digraph(8, 22, seed=4)
-        reference = flow_exact(graph, _solver_config("dinic"))
-        for solver in SOLVER_NAMES:
-            result = flow_exact(graph, _solver_config(solver))
-            assert _answer(result) == _answer(reference), solver
+        reference = _answer(flow_exact(graph))
+        use_solver(request, ORACLE_SOLVER)
+        assert _answer(flow_exact(graph)) == reference

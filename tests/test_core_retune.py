@@ -12,16 +12,15 @@ the total flow-call counts must not exceed the counts recorded in
 from __future__ import annotations
 
 import pytest
+from flow_oracle import ORACLE_SOLVER, use_solver
 
 from repro.bench.baselines import SEED_FLOW_CALLS
-from repro.core.config import ExactConfig
 from repro.core.exact_core import core_exact
 from repro.core.exact_dc import dc_exact
 from repro.core.flow_network import build_decision_network
 from repro.core.subproblem import STSubproblem
 from repro.datasets.registry import load_dataset
 from repro.flow.engine import FlowEngine
-from repro.flow.registry import available_flow_solvers
 from repro.graph.generators import complete_bipartite_digraph, gnm_random_digraph
 
 
@@ -90,7 +89,7 @@ class TestEngineInstrumentation:
         assert stats["networks_built"] >= 1
         assert stats["flow_calls"] >= stats["networks_built"]
         assert stats["arcs_pushed"] > 0
-        assert stats["flow_solver"] == "dinic"
+        assert "flow_solver" not in stats
 
         recorded = SEED_FLOW_CALLS[(dataset, result.method)]
         assert stats["flow_calls"] <= recorded, (
@@ -98,16 +97,11 @@ class TestEngineInstrumentation:
             f"{stats['flow_calls']} > seed {recorded}"
         )
 
-    def test_cross_solver_identical_density(self, flow_oracle):
+    def test_cross_solver_identical_density(self, request):
         graph = load_dataset("foodweb-tiny")
-        densities = {
-            name: dc_exact(graph, ExactConfig(flow=name)).density
-            for name in available_flow_solvers()
-        }
-        assert flow_oracle in densities
-        reference = densities["dinic"]
-        for name, density in densities.items():
-            assert density == pytest.approx(reference, abs=1e-9), name
+        reference = dc_exact(graph).density
+        use_solver(request, ORACLE_SOLVER)
+        assert dc_exact(graph).density == pytest.approx(reference, abs=1e-9)
 
     def test_flow_exact_counts_one_network_per_search(self):
         from repro.core.exact_flow import flow_exact

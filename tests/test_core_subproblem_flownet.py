@@ -29,7 +29,6 @@ from repro.exceptions import AlgorithmError, DeadlineExceeded
 from repro.flow.dinic import DinicSolver
 from repro.flow.engine import FlowEngine
 from repro.flow.network import FlowNetwork
-from repro.flow.registry import available_flow_solvers
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import complete_bipartite_digraph, gnm_random_digraph
 from repro.runtime import Deadline
@@ -477,9 +476,9 @@ class TestDinkelbachSearch:
         assert outcome.flow_calls <= 2 + math.ceil(math.log2(upper / tolerance))
 
 
-def _canonical_cut(decision, solver_name, slack_capacity=None):
+def _canonical_cut(decision, slack_capacity=None):
     """Cold min-cut verdict and canonical extracted pair of ``decision``."""
-    cut, solver = FlowEngine(solver_name).min_cut(
+    cut, solver = FlowEngine().min_cut(
         decision.network, decision.source, decision.sink
     )
     improving = decision_cut_is_improving(cut, decision.total_capacity, slack_capacity)
@@ -542,24 +541,23 @@ class TestNestedSearch:
         best_edges = _max_edges_by_size(graph)
         for ratio in [p / q for p, q in all_candidate_ratios(graph.num_nodes)]:
             guess = fraction * _surrogate_maximum(best_edges, ratio)
-            for solver_name in available_flow_solvers():
-                full = build_decision_network(sub, ratio, guess)
-                improving, (s_side, t_side) = _canonical_cut(full, solver_name)
-                if not improving:
-                    continue
-                narrowed = sub.restricted_to(s_side, t_side)
-                edges = graph.count_edges_between(s_side, t_side)
-                surrogate = surrogate_density(edges, len(s_side), len(t_side), ratio)
-                for later in (guess, max(guess, surrogate), guess + stretch * (upper - guess)):
-                    whole = build_decision_network(sub, ratio, later)
-                    verdict, pair = _canonical_cut(whole, solver_name)
-                    assert set(pair[0]) <= set(s_side), (ratio, guess, later)
-                    assert set(pair[1]) <= set(t_side), (ratio, guess, later)
-                    narrow = build_decision_network(narrowed, ratio, later)
-                    assert _canonical_cut(narrow, solver_name, whole.total_capacity) == (
-                        verdict,
-                        pair,
-                    ), (solver_name, ratio, guess, later)
+            full = build_decision_network(sub, ratio, guess)
+            improving, (s_side, t_side) = _canonical_cut(full)
+            if not improving:
+                continue
+            narrowed = sub.restricted_to(s_side, t_side)
+            edges = graph.count_edges_between(s_side, t_side)
+            surrogate = surrogate_density(edges, len(s_side), len(t_side), ratio)
+            for later in (guess, max(guess, surrogate), guess + stretch * (upper - guess)):
+                whole = build_decision_network(sub, ratio, later)
+                verdict, pair = _canonical_cut(whole)
+                assert set(pair[0]) <= set(s_side), (ratio, guess, later)
+                assert set(pair[1]) <= set(t_side), (ratio, guess, later)
+                narrow = build_decision_network(narrowed, ratio, later)
+                assert _canonical_cut(narrow, whole.total_capacity) == (
+                    verdict,
+                    pair,
+                ), (ratio, guess, later)
 
     @settings(max_examples=60, deadline=None)
     @given(graph=_small_digraphs(), fraction=st.floats(min_value=0.0, max_value=1.0))

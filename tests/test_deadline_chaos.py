@@ -26,10 +26,9 @@ from __future__ import annotations
 import threading
 
 import pytest
-from flow_oracle import ORACLE_SOLVER
+from flow_oracle import CHECKED_SOLVERS, use_solver
 
 from repro.exceptions import ConfigError, DeadlineExceeded, NetError
-from repro.flow.registry import available_flow_solvers
 from repro.graph.generators import gnp_random_digraph
 from repro.net import CircuitBreaker, CircuitOpenError, ShardClient, ShardDaemon
 from repro.runtime import Deadline
@@ -62,11 +61,11 @@ def _answer(result) -> tuple:
     return (result.density, sorted(map(str, result.s_nodes)), sorted(map(str, result.t_nodes)))
 
 
-def _readings_of_whole_run(graph, solver: str) -> int:
+def _readings_of_whole_run(graph) -> int:
     """Clock readings a never-expiring deadline takes over one dc-exact run."""
-    session = DDSSession(graph, flow=solver)
+    session = DDSSession(graph)
     clock = SteppingClock(step_ms=1.0)
-    session._engine_for(solver).deadline = Deadline(1e9, clock=clock)
+    session._engine.deadline = Deadline(1e9, clock=clock)
     session.densest_subgraph("dc-exact")
     return clock.readings
 
@@ -80,15 +79,16 @@ class TestCancellationSafety:
     # so how many checkpoints a solver needs never decides whether the
     # cancellation is exercised.
     @pytest.mark.parametrize("budget_readings", [3, 10, 40, 150])
-    @pytest.mark.parametrize("solver", [*available_flow_solvers(), ORACLE_SOLVER])
-    def test_cancel_then_resume_is_bit_identical(self, solver, budget_readings, flow_oracle):
+    @pytest.mark.parametrize("solver", CHECKED_SOLVERS)
+    def test_cancel_then_resume_is_bit_identical(self, solver, budget_readings, request):
+        use_solver(request, solver)
         graph = gnp_random_digraph(48, 0.12, seed=11)
-        reference = _answer(DDSSession(graph, flow=solver).densest_subgraph("dc-exact"))
+        reference = _answer(DDSSession(graph).densest_subgraph("dc-exact"))
         # One reading goes to the deadline's construction.
-        budget_readings = min(budget_readings, _readings_of_whole_run(graph, solver) - 1)
+        budget_readings = min(budget_readings, _readings_of_whole_run(graph) - 1)
 
-        session = DDSSession(graph, flow=solver)
-        engine = session._engine_for(solver)
+        session = DDSSession(graph)
+        engine = session._engine
         clock = SteppingClock(step_ms=1.0)
         # Arm the engine's deadline conduit directly with the stepping
         # clock (the session arms real wall-clock deadlines; chaos wants a
@@ -120,7 +120,7 @@ class TestCancellationSafety:
         graph = gnp_random_digraph(16, 0.2, seed=11)
         reference = _answer(DDSSession(graph).densest_subgraph("flow-exact"))
         session = DDSSession(graph)
-        engine = session._engine_for(session.flow.solver)
+        engine = session._engine
         engine.deadline = Deadline(40.0, clock=SteppingClock(step_ms=1.0))
         try:
             with pytest.raises(DeadlineExceeded) as excinfo:

@@ -1,23 +1,18 @@
 """Cross-solver property tests for the flow engine.
 
-Every registered solver, and the test suite's Edmonds–Karp oracle
-(``tests/flow_oracle.py``) beside them, must agree on the max-flow value of
-randomly generated networks with mixed unit / float / infinite capacities,
-and the min-cut certificate each solver extracts must certify the value: the
-total original capacity crossing from the source side to the sink side
-equals the flow (max-flow = min-cut).  Independent implementations agreeing
-on ~50 seeded random instances is a strong correctness signal for all of
-them; the registry holds ``dinic`` alone, so the oracle is its independent
-check.
+The one min-cut solver, ``dinic``, and the test suite's Edmonds–Karp oracle
+(``tests/flow_oracle.py``) must agree on the max-flow value of randomly
+generated networks with mixed unit / float / infinite capacities, and the
+min-cut certificate each solver extracts must certify the value: the total
+original capacity crossing from the source side to the sink side equals the
+flow (max-flow = min-cut).  Independent implementations agreeing on ~50
+seeded random instances is a strong correctness signal for both; the
+hypothesis-driven :class:`TestHypothesisCrossSolver` searches the network
+space adversarially instead of sampling it from fixed seeds.
 
 Every solver continues from the flow its network already holds and
 returns the *total* value, so solving an already-solved network again must
 reproduce the same value and cut.
-
-Because every class parametrises over ``available_flow_solvers()`` plus the
-oracle, a newly registered solver is covered automatically — including by
-the hypothesis-driven :class:`TestHypothesisCrossSolver`, which searches the
-network space adversarially instead of sampling it from fixed seeds.
 """
 
 from __future__ import annotations
@@ -25,29 +20,29 @@ from __future__ import annotations
 import random
 
 import pytest
-from flow_oracle import ORACLE_SOLVER, EdmondsKarpSolver, RestartDinicSolver
+from flow_oracle import (
+    CHECKED_SOLVERS,
+    ORACLE_SOLVER,
+    EdmondsKarpSolver,
+    RestartDinicSolver,
+    copy_network,
+    forward_arcs,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import ExactConfig, FlowConfig
+from repro.core.config import ExactConfig, FlowConfig, strip_solver_name
 from repro.exceptions import ConfigError, DeadlineExceeded, FlowError
+from repro.flow.dinic import DinicSolver
+from repro.flow.engine import FlowEngine
 from repro.flow.network import INFINITY, FlowNetwork
-from repro.flow.registry import (
-    AUTO_SOLVER,
-    DEFAULT_SOLVER,
-    available_flow_solvers,
-    flow_solver_choices,
-    get_solver_class,
-)
 from repro.graph.generators import gnm_random_digraph
 from repro.runtime import Deadline
 from repro.session import DDSSession
 
 NUM_SEEDED_NETWORKS = 50
-#: Every registered solver (``dinic`` first, the reference) plus the oracle.
-SOLVERS = {name: get_solver_class(name) for name in available_flow_solvers()}
-SOLVERS[ORACLE_SOLVER] = EdmondsKarpSolver
-SOLVER_NAMES = list(SOLVERS)
+#: ``dinic`` first, the reference, then the oracle.
+SOLVERS = {"dinic": DinicSolver, ORACLE_SOLVER: EdmondsKarpSolver}
 
 
 def _mixed_capacity_network(seed: int) -> FlowNetwork:
@@ -82,98 +77,55 @@ def _mixed_capacity_network(seed: int) -> FlowNetwork:
 def _crossing_capacity(network: FlowNetwork, source_side: list[int]) -> float:
     side = set(source_side)
     return sum(
-        arc.capacity
-        for arc in network.arcs()
-        if arc.source in side and arc.target not in side
+        capacity
+        for tail, target, capacity, _ in forward_arcs(network)
+        if tail in side and target not in side
     )
 
 
 class TestRegistry:
+    """What is left of the solver registry: every engine runs ``dinic``, and no other name."""
+
     def test_builtin_solvers_registered(self):
-        assert available_flow_solvers() == ["dinic"]
+        assert FlowEngine.solver_class is DinicSolver
+        assert FlowEngine().solver_class is DinicSolver
 
     def test_unknown_solver_rejected(self):
-        from repro.exceptions import FlowError
-
-        with pytest.raises(FlowError):
-            get_solver_class("no-such-solver")
-
-    def test_register_and_unregister(self):
-        from repro.flow.registry import register_solver, unregister_solver
-
-        class Fake:
-            def __init__(self, network, source, sink):
-                pass
-
-            def max_flow(self):
-                return 0.0
-
-            def min_cut_source_side(self):
-                return [0]
-
-        register_solver("fake", Fake)
-        try:
-            assert get_solver_class("fake") is Fake
-        finally:
-            unregister_solver("fake")
-        assert "fake" not in available_flow_solvers()
-
-    def test_register_rejects_incomplete_class(self):
-        from repro.exceptions import FlowError
-        from repro.flow.registry import register_solver
-
-        class NotASolver:
-            pass
-
-        with pytest.raises(FlowError):
-            register_solver("bad", NotASolver)
-
-    def test_register_rejects_the_reserved_policy_name(self):
-        from repro.exceptions import FlowError
-        from repro.flow.dinic import DinicSolver
-        from repro.flow.registry import (
-            AUTO_SOLVER,
-            flow_solver_choices,
-            register_solver,
-            unregister_solver,
-        )
-
-        try:
-            with pytest.raises(FlowError, match="reserved"):
-                register_solver(AUTO_SOLVER, DinicSolver)
-        finally:
-            if AUTO_SOLVER in available_flow_solvers():
-                unregister_solver(AUTO_SOLVER)
-        assert flow_solver_choices().count(AUTO_SOLVER) == 1
+        with pytest.raises(FlowError, match="unknown flow solver 'no-such-solver'"):
+            strip_solver_name("no-such-solver")
 
 
 class TestAutoSolverName:
-    """``"auto"`` is accepted wherever a solver name is, and runs ``dinic``."""
-
-    def test_auto_is_a_choice_but_not_a_registry_entry(self):
-        assert AUTO_SOLVER in flow_solver_choices()
-        assert AUTO_SOLVER not in available_flow_solvers()
+    """``"auto"`` and ``"dinic"`` are still accepted where callers pass them, and select nothing."""
 
     def test_config_accepts_auto_and_rejects_unknown(self):
-        # "auto" is stored as the solver it runs, so it keys caches as dinic.
-        config = FlowConfig(solver=AUTO_SOLVER)
-        assert config == FlowConfig() and config.solver == DEFAULT_SOLVER
-        assert ExactConfig(flow="auto") == ExactConfig()
-        with pytest.raises((FlowError, ConfigError)):
-            FlowConfig(solver="no-such-backend")
+        assert strip_solver_name("auto") is None
+        assert strip_solver_name("dinic") is None
+        assert strip_solver_name(None) is None
+        budget = FlowConfig(deadline_ms=5)
+        assert strip_solver_name(budget) is budget
+        for unknown in ("no-such-backend", "edmonds-karp", "", 5):
+            with pytest.raises(FlowError, match="unknown flow solver"):
+                strip_solver_name(unknown)
+        # Configs name no solver at all.
+        with pytest.raises(TypeError):
+            FlowConfig(solver="auto")
+        with pytest.raises(ConfigError, match="flow must be a FlowConfig"):
+            ExactConfig(flow="auto")
 
     def test_session_auto_matches_dinic(self):
         graph = gnm_random_digraph(16, 60, seed=7)
-        auto = DDSSession(graph.copy(), flow=FlowConfig(solver=AUTO_SOLVER))
-        dinic = DDSSession(graph.copy(), flow=FlowConfig(solver="dinic"))
-        result_auto = auto.densest_subgraph("dc-exact")
-        result_dinic = dinic.densest_subgraph("dc-exact")
-        assert result_auto.s_nodes == result_dinic.s_nodes
-        assert result_auto.t_nodes == result_dinic.t_nodes
-        assert result_auto.density == result_dinic.density
-        assert result_auto.stats["flow_calls"] == result_dinic.stats["flow_calls"] > 0
-        for session in (auto, dinic):
-            assert "auto_backends" not in session.cache_stats()
+        sessions = [DDSSession(graph.copy(), flow=flow) for flow in ("auto", "dinic", None)]
+        results = [session.densest_subgraph("dc-exact") for session in sessions]
+        for result in results:
+            assert result.s_nodes == results[0].s_nodes
+            assert result.t_nodes == results[0].t_nodes
+            assert result.density == results[0].density
+            assert result.stats == results[0].stats
+            assert "flow_solver" not in result.stats
+        assert results[0].stats["flow_calls"] > 0
+        for session in sessions:
+            assert session.flow == FlowConfig()
 
 
 class TestCrossSolverAgreement:
@@ -182,7 +134,7 @@ class TestCrossSolverAgreement:
         n = _mixed_capacity_network(seed).num_nodes
         source, sink = 0, n - 1
         values: dict[str, float] = {}
-        for name in SOLVER_NAMES:
+        for name in CHECKED_SOLVERS:
             network = _mixed_capacity_network(seed)
             solver = SOLVERS[name](network, source, sink)
             flow = solver.max_flow()
@@ -194,10 +146,10 @@ class TestCrossSolverAgreement:
             assert _crossing_capacity(network, side) == pytest.approx(flow, abs=1e-6)
             # Instrumentation: the counter is maintained by every solver.
             assert solver.arcs_pushed >= 0
-        reference = values[SOLVER_NAMES[0]]
+        reference = values[CHECKED_SOLVERS[0]]
         for name, value in values.items():
             assert value == pytest.approx(reference, abs=1e-6), (
-                f"{name} disagrees with {SOLVER_NAMES[0]} on seed {seed}"
+                f"{name} disagrees with {CHECKED_SOLVERS[0]} on seed {seed}"
             )
 
 
@@ -250,7 +202,7 @@ class TestHypothesisCrossSolver:
         source, sink = 0, n - 1
         values = {}
         sides = {}
-        for name in SOLVER_NAMES:
+        for name in CHECKED_SOLVERS:
             network = _build_from_description(description)
             solver = SOLVERS[name](network, source, sink)
             values[name] = solver.max_flow()
@@ -261,13 +213,13 @@ class TestHypothesisCrossSolver:
             assert _crossing_capacity(network, side) == pytest.approx(
                 values[name], abs=1e-6
             )
-        reference = values[SOLVER_NAMES[0]]
+        reference = values[CHECKED_SOLVERS[0]]
         for name, value in values.items():
             assert value == pytest.approx(reference, abs=1e-6), name
         # The canonical cut (residual reachability) is a max-flow invariant:
         # every solver must produce the same source side, node for node.
         for name, side in sides.items():
-            assert side == sides[SOLVER_NAMES[0]], name
+            assert side == sides[CHECKED_SOLVERS[0]], name
 
 
 def _reachable_side(network: FlowNetwork, source: int) -> list[int]:
@@ -281,7 +233,7 @@ class TestDinicCutSide:
     def test_levels_match_residual_reachability(self, seed):
         network = _mixed_capacity_network(seed)
         source, sink = 0, network.num_nodes - 1
-        solver = get_solver_class("dinic")(network, source, sink)
+        solver = DinicSolver(network, source, sink)
         # Before a completed solve the solver falls back to the walk.
         assert solver.min_cut_source_side() == _reachable_side(network, source)
         solver.max_flow()
@@ -292,12 +244,11 @@ class TestDinicCutSide:
     def test_cold_and_warm_solves_match_residual_reachability(self, description):
         n = description[0]
         network = _build_from_description(description)
-        dinic = get_solver_class("dinic")
-        cold = dinic(network, 0, n - 1)
+        cold = DinicSolver(network, 0, n - 1)
         cold.max_flow()
         assert cold.min_cut_source_side() == _reachable_side(network, 0)
         # A second solve on the already-maximal flow runs only the final BFS.
-        warm = dinic(network, 0, n - 1)
+        warm = DinicSolver(network, 0, n - 1)
         warm.max_flow()
         assert warm.min_cut_source_side() == _reachable_side(network, 0)
 
@@ -305,7 +256,7 @@ class TestDinicCutSide:
 class TestResolveContinuesHeldFlow:
     """Solving an already-solved network returns the total, not the increment."""
 
-    @pytest.mark.parametrize("solver_name", SOLVER_NAMES)
+    @pytest.mark.parametrize("solver_name", CHECKED_SOLVERS)
     def test_path_network_resolves_to_the_same_value(self, solver_name):
         network = FlowNetwork(4)
         network.add_edge(0, 1, 3.0)
@@ -317,7 +268,7 @@ class TestResolveContinuesHeldFlow:
         assert again.max_flow() == pytest.approx(3.0)
         assert again.min_cut_source_side() == [0]
 
-    @pytest.mark.parametrize("solver_name", SOLVER_NAMES)
+    @pytest.mark.parametrize("solver_name", CHECKED_SOLVERS)
     @pytest.mark.parametrize("seed", range(10))
     def test_resolve_matches_first_solve(self, solver_name, seed):
         network = _mixed_capacity_network(seed)
@@ -329,10 +280,6 @@ class TestResolveContinuesHeldFlow:
         again = solver_class(network, 0, sink)
         assert again.max_flow() == pytest.approx(value, abs=1e-6)
         assert again.min_cut_source_side() == side
-
-
-#: The production Dinic, checked against the restart reference below.
-DinicSolver = get_solver_class("dinic")
 
 
 def _solve_state(solver_class, network: FlowNetwork, source: int, sink: int) -> tuple:
@@ -399,7 +346,7 @@ class TestDinicMatchesRestartReference:
     @pytest.mark.parametrize("seed", range(12))
     def test_decision_networks(self, seed):
         for label, network in _decision_networks(seed):
-            twin = network.clone()
+            twin = copy_network(network)
             reference = _solve_state(RestartDinicSolver, twin, 0, 1)
             assert _solve_state(DinicSolver, network, 0, 1) == reference, (seed, label)
 
@@ -448,13 +395,11 @@ class TestUnboundedFlow:
     """An infinite-capacity source-sink path is an error, not a corrupt network."""
 
     @pytest.mark.parametrize("shape", ["direct", "detour"])
-    @pytest.mark.parametrize("solver_name", available_flow_solvers())
+    @pytest.mark.parametrize("solver_name", ["dinic"])
     def test_solver_raises_before_touching_the_network(self, solver_name, shape):
-        from repro.exceptions import FlowError
-
         network = _unbounded_networks()[shape]
         sink = network.num_nodes - 1
         entry = bytes(network.arc_capacities)
         with pytest.raises(FlowError, match="unbounded"):
-            get_solver_class(solver_name)(network, 0, sink).max_flow()
+            SOLVERS[solver_name](network, 0, sink).max_flow()
         assert bytes(network.arc_capacities) == entry

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import ExactConfig, FlowConfig
 from repro.core.exact_core import core_exact
 from repro.core.exact_dc import (
     _hub_pairs,
@@ -147,7 +146,7 @@ def test_a_star_optimum_is_reported_with_ascending_sides(solve):
     graph = _disjoint_union(gnm_random_digraph(30, 40, seed=3), star_digraph(12, outward=False))
     hub = 30
     leaves = list(range(31, 43))
-    result = solve(graph, ExactConfig(flow=FlowConfig(solver="dinic")))
+    result = solve(graph)
     assert result.density == 12 / math.sqrt(12)
     assert result.s_nodes == leaves
     assert result.t_nodes == [hub]
@@ -157,7 +156,7 @@ def test_a_star_optimum_is_reported_with_ascending_sides(solve):
 @pytest.mark.parametrize("solve", [dc_exact, core_exact], ids=["dc-exact", "core-exact"])
 def test_a_two_hub_optimum_is_reported_with_ascending_sides(solve):
     graph = _disjoint_union(_two_hubs(), gnm_random_digraph(20, 25, seed=5))
-    result = solve(graph, ExactConfig(flow=FlowConfig(solver="dinic")))
+    result = solve(graph)
     assert result.density == 23 / math.sqrt(24)
     assert result.s_nodes == list(range(12))
     assert result.t_nodes == [12, 13]

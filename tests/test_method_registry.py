@@ -14,7 +14,7 @@ from repro.core.method_registry import (
     unregister_method,
 )
 from repro.core.results import DDSResult
-from repro.exceptions import AlgorithmError, ConfigError, FlowError
+from repro.exceptions import AlgorithmError, ConfigError
 from repro.graph.generators import complete_bipartite_digraph
 from repro.session import DDSSession
 
@@ -79,7 +79,7 @@ class TestRegistry:
         with pytest.raises(AlgorithmError):
             get_method_spec("half-density")
 
-    def test_exact_config_subclass_methods_resolve_defaults(self, flow_oracle):
+    def test_exact_config_subclass_methods_resolve_defaults(self):
         from dataclasses import dataclass
 
         @dataclass(frozen=True)
@@ -105,11 +105,13 @@ class TestRegistry:
             description="test stub with a config subclass",
         ))
         try:
-            session = DDSSession(complete_bipartite_digraph(2, 2), flow=flow_oracle)
+            flow = FlowConfig(deadline_ms=60_000)
+            session = DDSSession(complete_bipartite_digraph(2, 2), flow=flow)
             # Default-config query must build the subclass (with the session
             # flow folded in), not a bare ExactConfig.
             result = session.densest_subgraph("boosted")
             assert result.density == 2.0
+            assert session._base_config(get_method_spec("boosted")) == BoostConfig(flow=flow)
             custom = session.densest_subgraph("boosted", config=BoostConfig(boost=3.5))
             assert custom.density == 3.5
         finally:
@@ -157,7 +159,7 @@ class TestConfigValidation:
         cfg = ExactConfig()
         assert cfg.tolerance is None
         assert cfg.leaf_ratio_count == 2
-        assert cfg.flow.solver == "dinic"
+        assert cfg.flow == FlowConfig(deadline_ms=None)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_exact_config_rejects_bad_tolerance(self, bad):
@@ -172,12 +174,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="node_limit"):
             ExactConfig(node_limit=0)
 
-    def test_exact_config_coerces_solver_name(self, flow_oracle):
-        assert ExactConfig(flow=flow_oracle).flow == FlowConfig(solver=flow_oracle)
-
     def test_flow_config_rejects_unknown_solver(self):
-        with pytest.raises(FlowError, match="unknown flow solver"):
-            FlowConfig(solver="nope")
+        # A flow config names no solver, so every name is unknown to it —
+        # also in the plain-dict form a shard daemon reads off the wire.
+        with pytest.raises(TypeError, match="solver"):
+            FlowConfig(solver="dinic")
+        with pytest.raises(ConfigError, match="does not accept: solver"):
+            FlowConfig.resolve(None, solver="dinic", deadline_ms=None)
 
     @pytest.mark.parametrize("bad", [0.0, -0.5])
     def test_approx_config_rejects_bad_epsilon(self, bad):
@@ -195,8 +198,11 @@ class TestConfigValidation:
     def test_resolve_rejects_unknown_overrides(self):
         with pytest.raises(ConfigError, match="does not accept"):
             ExactConfig.resolve(None, tolerence=0.1)  # typo on purpose
+        # Only the session reads the flow_solver= override (and ignores it).
         with pytest.raises(ConfigError, match="flow_solver"):
             ApproxConfig.resolve(None, flow_solver="dinic")
+        with pytest.raises(ConfigError, match="flow_solver"):
+            ExactConfig.resolve(None, flow_solver="dinic")
         with pytest.raises(ConfigError, match="max_nodes"):
             ExactConfig.resolve(None, max_nodes=10)
 
@@ -204,21 +210,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="ExactConfig"):
             ExactConfig.resolve(ApproxConfig())
 
-    def test_resolve_flow_string_plus_flow_solver(self, flow_oracle):
-        resolved = ExactConfig.resolve(None, flow="dinic", flow_solver=flow_oracle)
-        assert resolved.flow == FlowConfig(solver=flow_oracle)
+    def test_resolve_flow_string_plus_flow_solver(self):
+        # A bare solver name is no flow config.
+        for overrides in ({}, {"deadline_ms": 5}):
+            with pytest.raises(ConfigError, match="flow must be a FlowConfig"):
+                ExactConfig.resolve(None, flow="dinic", **overrides)
+        with pytest.raises(ConfigError, match="flow_solver"):
+            ExactConfig.resolve(None, flow=FlowConfig(), flow_solver="dinic")
 
-    def test_resolve_overlays_fields(self, flow_oracle):
+    def test_resolve_overlays_fields(self):
         base = ExactConfig(tolerance=0.5)
-        resolved = ExactConfig.resolve(base, flow_solver=flow_oracle)
+        resolved = ExactConfig.resolve(base, deadline_ms=500)
         assert resolved.tolerance == 0.5
-        assert resolved.flow.solver == flow_oracle
+        assert resolved.flow == FlowConfig(deadline_ms=500.0)
+        assert ExactConfig.resolve(base, flow=FlowConfig(deadline_ms=9), deadline_ms=7).flow == (
+            FlowConfig(deadline_ms=7.0)
+        )
         # ``None`` overrides leave the base untouched (and return it as-is).
         assert ExactConfig.resolve(base, tolerance=None) is base
 
     def test_configs_are_hashable_cache_keys(self):
         assert hash(ExactConfig()) == hash(ExactConfig())
-        assert ExactConfig(flow="dinic") == ExactConfig()
+        assert ExactConfig(flow=FlowConfig(deadline_ms=5)) == ExactConfig(flow=FlowConfig(deadline_ms=5.0))
         assert ApproxConfig(ratios=[1.0]) == ApproxConfig(ratios=(1.0,))
 
 
@@ -262,12 +275,12 @@ class TestConfigThroughSession:
         with pytest.raises(ConfigError, match="'seed_with_core'"):
             session.densest_subgraph("core-exact", config=ExactConfig(seed_with_core=True))
 
-    def test_session_default_flow_does_not_trigger_spurious_warning(self, flow_oracle):
+    def test_session_default_flow_does_not_trigger_spurious_warning(self):
         import warnings as warnings_module
 
-        # A session-wide solver preference is policy, not a per-query request:
-        # a default-config brute-force query must not warn about it.
-        session = DDSSession(complete_bipartite_digraph(2, 3), flow=flow_oracle)
+        # A session-wide solver name is no per-query request: a
+        # default-config brute-force query must not warn about it.
+        session = DDSSession(complete_bipartite_digraph(2, 3), flow="auto")
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error", UserWarning)
             result = session.densest_subgraph("brute-force")

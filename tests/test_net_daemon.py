@@ -31,6 +31,7 @@ import threading
 import pytest
 import store_rows
 
+from repro.core.config import FlowConfig
 from repro.datasets.registry import load_dataset
 from repro.exceptions import AlgorithmError, ConfigError, NetError, ProtocolError
 from repro.graph.digraph import DiGraph
@@ -439,36 +440,29 @@ class TestRemoteExecutor:
         assert all(row["worker"] == 0 for row in report.timings())
 
     def test_executor_flow_config_reaches_daemon_built_sessions(self):
-        # The executor's flow config ships with the solve, so the daemon's
-        # session reports the same solver metadata the inline/local path
-        # would — the parity gates compare full payload_answer() dicts.
+        # The executor's flow config ships with the solve, so the sessions
+        # the daemon builds apply what the inline/local path would.
         plan = _plan()
-        local = BatchExecutor(load_dataset, flow="dinic").execute(plan)
+        flow = FlowConfig(deadline_ms=60_000)
+        local = BatchExecutor(load_dataset, flow=flow).execute(plan)
         with ShardDaemon() as daemon:
             remote = BatchExecutor(
-                load_dataset, flow="dinic", remote_hosts=_hosts(daemon)
+                load_dataset, flow=flow, remote_hosts=_hosts(daemon)
             ).execute(plan)
+            flows = {entry.session.flow for entry in daemon._sessions.values()}
         assert _answers(remote) == _answers(local)
-        solvers = {
-            payload.get("flow_solver")
-            for payload in remote.results_in_input_order()
-            if "flow_solver" in payload
-        }
-        assert solvers == {"dinic"}
+        assert flows == {flow}
 
     def test_daemon_flow_override_beats_the_wire_config(self):
-        # A serve-time --flow-solver override is authoritative for the
-        # sessions that daemon builds, whatever the requesters send.
-        with ShardDaemon(flow="dinic") as daemon:
-            report = BatchExecutor(
-                load_dataset, flow="auto", remote_hosts=_hosts(daemon)
+        # A serve-time flow config is authoritative for the sessions that
+        # daemon builds, whatever the requesters send.
+        served = FlowConfig(deadline_ms=60_000)
+        with ShardDaemon(flow=served) as daemon:
+            BatchExecutor(
+                load_dataset, flow=FlowConfig(deadline_ms=120_000), remote_hosts=_hosts(daemon)
             ).execute(_plan())
-        solvers = {
-            payload.get("flow_solver")
-            for payload in report.results_in_input_order()
-            if "flow_solver" in payload
-        }
-        assert solvers == {"dinic"}
+            flows = {entry.session.flow for entry in daemon._sessions.values()}
+        assert flows == {served}
 
     def test_killed_daemon_falls_back_inline_bit_identically(self, local_answers):
         # The first solve the faulted daemon receives takes the whole daemon

@@ -318,7 +318,7 @@ class TestCrossProcessBitIdentity:
                 spec["dataset"] = dataset
             queries.append(spec)
         plan = _plan(queries)
-        flow = FlowConfig(solver="auto")
+        flow = FlowConfig()
         serial = _executor(flow=flow, max_workers=1).execute(plan)
         threads = _executor(flow=flow, max_workers=2).execute(plan)
         procs = _executor(flow=flow, max_workers=2, process_pool=True).execute(plan)
@@ -332,7 +332,7 @@ class TestCrossProcessBitIdentity:
         # number of min-cuts.
         queries = service_mixed_workload()
         plan = _plan(queries)
-        flow = FlowConfig(solver="auto")
+        flow = FlowConfig()
         serial = _executor(flow=flow, max_workers=1).execute(plan)
         procs = _executor(flow=flow, max_workers=2, process_pool=True).execute(plan)
         assert _answers(procs) == _answers(serial)

@@ -12,16 +12,15 @@ from __future__ import annotations
 import gc
 import json
 import multiprocessing
+import os
 
 import pytest
 import store_rows
-from flow_oracle import EdmondsKarpSolver
 
 from repro.core.config import ApproxConfig, ExactConfig, FlowConfig
 from repro.core.method_registry import get_method_spec
 from repro.datasets.registry import load_dataset
 from repro.exceptions import AlgorithmError, StoreError
-from repro.flow.registry import register_solver, unregister_solver
 from repro.graph.digraph import DiGraph
 from repro.net import ShardDaemon
 from repro.service import STORE_SCHEMA_VERSION, BatchExecutor, SessionStore, plan_batch
@@ -314,34 +313,16 @@ class TestIntegrity:
         assert counters["results_incompatible"] == 1
         assert counters["results_corrupt"] == 0
 
-    def test_unregistered_flow_solver_is_counted_not_fatal(self, graph, tmp_path):
-        # A store written by a build with a solver this one lacks (here a
-        # plugin): that entry is incompatible, and every other entry still
-        # loads.
-        store = SessionStore(tmp_path)
-        register_solver("store-only-solver", EdmondsKarpSolver)
-        try:
-            donor = DDSSession(graph)
-            donor.densest_subgraph("dc-exact", flow_solver="store-only-solver")
-            donor.densest_subgraph("core-approx")
-            store.save_session(donor)
-        finally:
-            unregister_solver("store-only-solver")
-        receiver = DDSSession(load_dataset("foodweb-tiny"))
-        counters = store.warm_session(receiver)
-        assert counters["results_incompatible"] == 1
-        assert counters["results_corrupt"] == 0
-        assert counters["results_loaded"] == 1
-        assert receiver.densest_subgraph("core-approx").stats["result_cache_hit"] is True
-
     @pytest.mark.parametrize(
         "flow",
         [
             {"solver": "dinic", "batch_size": 32, "deadline_ms": None},
             {"solver": "dinic", "network_cache_size": 64, "deadline_ms": None},
             {"solver": "numpy-push-relabel", "deadline_ms": None},
+            {"solver": "dinic", "deadline_ms": None},
+            {"solver": "auto", "deadline_ms": None},
         ],
-        ids=["batch_size", "network_cache_size", "numpy-push-relabel"],
+        ids=["batch_size", "network_cache_size", "numpy-push-relabel", "dinic", "auto"],
     )
     def test_entry_with_a_removed_config_field_is_incompatible_not_corrupt(
         self, graph, tmp_path, flow
@@ -350,10 +331,11 @@ class TestIntegrity:
 
         Every stored config embeds its nested flow config, so each entry of
         a build with a since-removed field (``batch_size``,
-        ``network_cache_size``) carries it, and an entry may name a
-        since-removed solver (``numpy-push-relabel``).  Such an entry is
-        intact, but this build cannot rebuild its config, and the rest of
-        the graph's state still loads.
+        ``network_cache_size``, ``solver``) carries it, whichever solver it
+        names: a since-removed one (``numpy-push-relabel``) or the one that
+        still runs every min-cut (``dinic``, also named ``auto``).  Such an
+        entry is intact, but this build cannot rebuild its config, and the
+        rest of the graph's state still loads.
         """
         store = SessionStore(tmp_path)
         donor = DDSSession(graph)
@@ -565,13 +547,34 @@ class TestEviction:
 
 
 def _save_at_once(root, barrier, queue) -> None:
-    """Answer two queries on foodweb-tiny, wait for the other writer, then save."""
+    """Answer two queries on foodweb-tiny, wait for the other writer, then save.
+
+    Puts the save's counters on ``queue``, or the error it raised, so a
+    failed writer fails the test at once.
+    """
     session = DDSSession(load_dataset("foodweb-tiny"))
     session.densest_subgraph("core-exact")
     session.densest_subgraph("core-approx")
     store = SessionStore(root)
     barrier.wait(timeout=60)
-    queue.put(store.save_session(session))
+    try:
+        queue.put(store.save_session(session))
+    except StoreError as error:
+        queue.put(repr(error))
+
+
+def _race(context, root) -> list[dict]:
+    """Run two :func:`_save_at_once` writers on ``root``; their save counters."""
+    barrier, queue = context.Barrier(2), context.Queue()
+    writers = [context.Process(target=_save_at_once, args=(root, barrier, queue)) for _ in range(2)]
+    for writer in writers:
+        writer.start()
+    counters = [queue.get(timeout=60) for _ in writers]
+    for writer in writers:
+        writer.join(timeout=60)
+    assert [writer.exitcode for writer in writers] == [0, 0]
+    assert all(isinstance(c, dict) for c in counters), counters
+    return counters
 
 
 class TestConcurrentWriters:
@@ -615,17 +618,7 @@ class TestConcurrentWriters:
         the same moment.  Whichever commits second finds every row current
         and writes nothing, so the graph ends with one row per key.
         """
-        context = multiprocessing.get_context()
-        barrier, queue = context.Barrier(2), context.Queue()
-        writers = [
-            context.Process(target=_save_at_once, args=(tmp_path, barrier, queue)) for _ in range(2)
-        ]
-        for writer in writers:
-            writer.start()
-        counters = [queue.get(timeout=60) for _ in writers]
-        for writer in writers:
-            writer.join(timeout=60)
-        assert [writer.exitcode for writer in writers] == [0, 0]
+        counters = _race(multiprocessing.get_context(), tmp_path)
         assert sorted(c["results_saved"] for c in counters) == [0, 2]
         assert sorted(c["derived_saved"] for c in counters) == [0, 1]
         store = SessionStore(tmp_path)
@@ -634,6 +627,25 @@ class TestConcurrentWriters:
         [row] = store.inventory()
         assert row["results"] == 2
         assert store.warm_session(DDSSession(graph))["results_loaded"] == 2
+
+    def test_simultaneous_first_saves_create_one_database(self, tmp_path):
+        """Two processes whose first saves create one store at the same moment both save.
+
+        Switching a new database to WAL mode takes a lock SQLite does not
+        wait for, so the database must appear whole.  Each round races two
+        first saves on a fresh root: one writes the answer, the other finds
+        it current, and no temporary file is left behind.
+        """
+        context = multiprocessing.get_context()
+        for round_ in range(50):
+            root = tmp_path / str(round_)
+            counters = _race(context, root)
+            assert sorted(c["results_saved"] for c in counters) == [0, 2], round_
+            # The database (with its WAL files, while connections race to
+            # close) and nothing else: no temporary copy is left behind.
+            left = [name for name in os.listdir(root) if not name.startswith(store_module.DATABASE_NAME)]
+            assert left == [], (round_, left)
+            assert (root / store_module.DATABASE_NAME).exists()
 
 
 class TestSessionSeedHooks:
@@ -663,14 +675,17 @@ class TestSessionSeedHooks:
             session.seed_derived(max_core=alien)
 
     def test_session_flow_config_is_independent_of_store(self, graph, tmp_path, flow_oracle):
-        # A store written under one solver warms sessions using another: the
-        # cached *results* are solver-independent facts about the graph.
+        # A store written by a session with a budget, whose min-cuts ran on
+        # the oracle, warms a session with neither: the cached *results* are
+        # solver-independent facts about the graph, keyed without a budget.
         store = SessionStore(tmp_path)
-        donor = DDSSession(graph, flow=FlowConfig(solver=flow_oracle))
+        donor = DDSSession(graph, flow=FlowConfig(deadline_ms=60_000))
         donor.densest_subgraph("core-approx")
+        donor.densest_subgraph("dc-exact")
         store.save_session(donor)
         receiver = DDSSession(load_dataset("foodweb-tiny"))
-        assert store.warm_session(receiver)["results_loaded"] == 1
+        assert store.warm_session(receiver)["results_loaded"] == 2
+        assert receiver.densest_subgraph("dc-exact").stats["result_cache_hit"] is True
 
 
 # ----------------------------------------------------------------------
@@ -700,16 +715,19 @@ def _answered(graph, specs=ANSWER_SPECS) -> tuple[DDSSession, list]:
     return session, [run_batch_query(session, dict(spec)) for spec in specs]
 
 
-def _write_auto_twin(root, entry) -> None:
-    """Store ``entry``'s answer beside it under the solver name ``"auto"``, as older builds named it."""
+def _write_solver_twin(root, entry, name: str) -> None:
+    """Store ``entry``'s answer beside it under the solver ``name``, as older builds named it."""
     payload = store_rows.payload(root, entry)
     kind = payload["method"]
     if kind == "fixed-ratio":
-        payload["query"]["flow_solver"] = "auto"
+        payload["query"]["flow_solver"] = name
+        key = store_module._entry_key(kind, payload["query"])
+    elif kind == "top-k":
+        payload["query"]["config"]["flow"]["solver"] = name
         key = store_module._entry_key(kind, payload["query"])
     else:
         kind = "densest"
-        payload["config"]["flow"]["solver"] = "auto"
+        payload["config"]["flow"]["solver"] = name
         key = store_module._entry_key(payload["method"], payload["config"])
     store_rows.edit_row(root, (entry[0], key), payload, kind=kind)
 
@@ -772,27 +790,31 @@ class TestAnswerKinds:
         assert counters["results_incompatible"] == 1
         assert counters["results_corrupt"] == 0
 
-    def test_stored_auto_entries_warm_into_the_dinic_key(self, graph, tmp_path):
-        # Entries stored under the solver name "auto" run dinic, so they warm
-        # into the keys that queries with the default solver read, and a
-        # save keeps their rows as the holders of those entries.
+    def test_stored_rows_naming_a_solver_are_incompatible(self, graph, tmp_path):
+        # Rows written when fixed-ratio queries and flow configs named the
+        # solver are intact but name a field this build lacks, whichever
+        # name it is; the rows beside them still load.
         session = DDSSession(graph)
         session.fixed_ratio(1.0)
         session.densest_subgraph("dc-exact")
+        session.top_k(2, method="core-exact")
         SessionStore(tmp_path).save_session(session)
-        for entry in store_rows.entries(tmp_path):
-            _write_auto_twin(tmp_path, entry)
-            store_rows.delete_row(tmp_path, entry)
-        store = SessionStore(tmp_path)
+        # The top-k list, its first (densest) round, dc-exact and the probe.
+        entries = store_rows.entries(tmp_path)
+        assert len(entries) == 4
+        for entry in entries:
+            for name in ("auto", "dinic"):
+                _write_solver_twin(tmp_path, entry, name)
+        assert len(store_rows.entries(tmp_path)) == 12
         warmed = DDSSession(graph.copy())
-        assert store.warm_session(warmed)["results_loaded"] == 2
+        counters = SessionStore(tmp_path).warm_session(warmed)
+        assert (counters["results_loaded"], counters["results_incompatible"]) == (4, 8)
+        assert counters["results_corrupt"] == 0
         warmed.fixed_ratio(1.0)
         warmed.densest_subgraph("dc-exact")
+        warmed.top_k(2, method="core-exact")
         stats = warmed.cache_stats()
-        assert (stats["result_cache_hits"], stats["flow_calls"]) == (2, 0)
-        warmed.fixed_ratio(2.0)
-        assert store.save_session(warmed)["results_saved"] == 1
-        assert len(store_rows.entries(tmp_path)) == 3
+        assert (stats["result_cache_hits"], stats["flow_calls"]) == (3, 0)
 
     def test_unencodable_top_k_labels_are_skipped(self, tmp_path):
         graph = DiGraph.from_edges([((1, "a"), (2, "b")), ((1, "a"), (3, "c"))])

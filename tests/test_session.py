@@ -8,8 +8,8 @@ Covers the acceptance criteria of the session redesign:
   fewer** ``networks_built`` than the equivalent queries on a fresh session
   each (regression-pinned), while every search builds its own network;
 * ``"auto"`` method selection switches exactly at ``AUTO_EXACT_NODE_LIMIT``;
-* a ``flow_solver=`` name is validated on every method and applied only by
-  the flow-backed ones;
+* the one solver's names, ``"auto"`` and ``"dinic"``, are accepted where
+  callers still pass them and select nothing; any other name is refused;
 * invalid configurations fail fast with :class:`ConfigError`;
 * a structurally mutated graph is refused instead of served stale answers.
 """
@@ -34,10 +34,13 @@ from repro.exceptions import (
     GraphError,
     StoreError,
 )
-from repro.flow.engine import COUNTERS
+from repro.flow.dinic import DinicSolver
+from repro.flow.engine import COUNTERS, FlowEngine
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import complete_bipartite_digraph, gnm_random_digraph
-from repro.service.queries import run_batch_query
+from repro.net import ShardDaemon
+from repro.service import BatchExecutor, plan_batch
+from repro.service.queries import payload_answer, run_batch_query
 from repro.session import DDSSession
 
 
@@ -100,7 +103,7 @@ class TestSessionBasics:
         session = DDSSession(complete_bipartite_digraph(2, 3))
         session.densest_subgraph("core-exact")
         stats = session.cache_stats()
-        engine_stats = session._engine_for(session.flow.solver).stats()
+        engine_stats = session._engine.stats()
         for counter in COUNTERS:
             assert stats[counter] == engine_stats[counter], counter
 
@@ -261,28 +264,30 @@ class TestAnswerCache:
         )
         assert second == first
         assert session.cache_stats()["result_cache_hits"] == 1
-        # The solver is keyed by the one it runs: "auto" is dinic, the default.
+        # A budget does not split the key.
         session.fixed_ratio(1.0, tolerance=1e-3)
-        session.fixed_ratio(1.0, flow_solver="auto")
-        session.fixed_ratio(1.0, flow_solver="dinic", deadline_ms=60_000)
-        assert session.cache_stats()["result_cache_hits"] == 3
+        session.fixed_ratio(1.0, deadline_ms=60_000)
+        assert session.cache_stats()["result_cache_hits"] == 2
         assert _kinds(session).count("fixed-ratio") == 2
 
     def test_auto_and_dinic_share_one_entry_and_one_engine(self, graph):
-        session = DDSSession(graph)
-        session.fixed_ratio(1.0)
-        assert session.fixed_ratio(1.0, flow_solver="auto") == session.fixed_ratio(1.0)
+        session = DDSSession(graph, flow="auto")
+        outcome = session.fixed_ratio(1.0)
         result = session.densest_subgraph("dc-exact")
         auto = session.densest_subgraph("dc-exact", flow_solver="auto")
-        assert (auto.s_nodes, auto.t_nodes, auto.density) == (
-            result.s_nodes, result.t_nodes, result.density
-        )
+        dinic = session.densest_subgraph("dc-exact", flow_solver="dinic")
+        for named in (auto, dinic):
+            assert (named.s_nodes, named.t_nodes, named.density) == (
+                result.s_nodes, result.t_nodes, result.density
+            )
         stats = session.cache_stats()
-        assert (stats["result_cache_entries"], stats["result_cache_hits"]) == (2, 3)
-        assert list(session._engines) == ["dinic"]
-        assert result.stats["flow_solver"] == auto.stats["flow_solver"] == "dinic"
+        assert (stats["result_cache_entries"], stats["result_cache_hits"]) == (2, 2)
+        assert stats["flow_calls"] == session._engine.flow_calls == (
+            outcome.flow_calls + result.stats["flow_calls"]
+        )
+        assert "flow_solver" not in result.stats
         [(_, key, _)] = [entry for entry in session.cached_results() if entry[0] == "fixed-ratio"]
-        assert key[-1] == "dinic"
+        assert key == (1.0, 0.0, session.density_upper_bound(), session.exactness_tolerance())
 
     def test_top_k_hit_carries_auto_selected_only_when_asked_for_auto(self, graph):
         session = DDSSession(graph)
@@ -387,8 +392,8 @@ class TestAnswerCache:
     @pytest.mark.parametrize(
         "method, config, error",
         [
-            ("fixed-ratio", (0.0, 0.0, 1.0, 1e-6, "dinic"), AlgorithmError),
-            ("fixed-ratio", (1.0, 0.0, 1.0, 1e-6, "no-such-solver"), FlowError),
+            ("fixed-ratio", (0.0, 0.0, 1.0, 1e-6), AlgorithmError),
+            ("fixed-ratio", (1.0, 0.0, 1.0, 1e-6, "dinic"), ValueError),
             ("top-k", (2, 0.0, "auto", ExactConfig()), AlgorithmError),
             ("top-k", (0, 0.0, "core-exact", ExactConfig()), AlgorithmError),
         ],
@@ -531,14 +536,66 @@ class TestAutoSelection:
         assert "auto_selected" not in result.stats
 
 
-class TestFlowSolverIgnored:
-    """Flow settings are session policy; methods without min-cuts skip them."""
+def _answer_and_entries(place: str, name: str | None, graph: DiGraph) -> tuple:
+    """The core-exact answer and cache-entry count when ``name`` is passed at ``place``.
 
-    def test_validated_but_not_applied_without_min_cuts(self, flow_oracle):
+    ``place`` is one of :data:`NAMED_PLACES`, where callers still pass the
+    one solver's name; ``None`` passes none.
+    """
+    by_flow = place in ("session", "executor", "daemon")
+    flow = name if by_flow else None
+    named = {} if by_flow or name is None else {"flow_solver": name}
+    query = {"query": "densest", "method": "core-exact", "show_nodes": True}
+    if place in ("session", "densest", "top-k"):
+        session = DDSSession(graph, flow=flow)
+        if place == "top-k":
+            results = session.top_k(2, method="core-exact", **named)
+            answer = [(r.density, r.s_nodes, r.t_nodes) for r in results]
+        else:
+            result = session.densest_subgraph("core-exact", **named)
+            answer = (result.density, result.s_nodes, result.t_nodes, result.stats["flow_calls"])
+        return answer, session.cache_stats()["result_cache_entries"]
+    if place == "batch":
+        session = DDSSession(graph)
+        answer = run_batch_query(session, dict(query, **named))
+        return answer, session.cache_stats()["result_cache_entries"]
+    plan = plan_batch([dict(query, dataset="g")])
+    if place == "executor":
+        report = BatchExecutor({"g": graph}, flow=flow).execute(plan)
+    else:
+        with ShardDaemon(flow=flow) as daemon:
+            report = BatchExecutor({"g": graph}, remote_hosts=[daemon.address]).execute(plan)
+    answer = payload_answer(report.results_in_input_order())
+    return answer, report.aggregate_stats()["result_cache_entries"]
+
+
+#: Where perfbench still passes a solver name: the ``flow=`` argument of a
+#: session, an executor and a daemon, and the ``flow_solver=`` override of
+#: densest and top-k queries and of batch entries.
+NAMED_PLACES = ("session", "densest", "top-k", "batch", "executor", "daemon")
+
+
+class TestFlowSolverIgnored:
+    """The one solver's names select nothing; methods without min-cuts skip flow settings."""
+
+    @pytest.mark.parametrize("place", NAMED_PLACES)
+    @pytest.mark.parametrize("name", ["auto", "dinic"])
+    def test_kept_names_answer_as_no_name_does(self, name, place):
+        graph = gnm_random_digraph(12, 45, seed=6)
+        answer, entries = _answer_and_entries(place, name, graph)
+        assert (answer, entries) == _answer_and_entries(place, None, graph)
+        assert entries == (2 if place == "top-k" else 1)
+
+    @pytest.mark.parametrize("place", NAMED_PLACES)
+    def test_other_names_refused_where_kept_names_are_accepted(self, place):
+        with pytest.raises(FlowError, match="unknown flow solver 'edmonds-karp'"):
+            _answer_and_entries(place, "edmonds-karp", complete_bipartite_digraph(2, 3))
+
+    def test_validated_but_not_applied_without_min_cuts(self):
         session = DDSSession(complete_bipartite_digraph(2, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = session.densest_subgraph("core-approx", flow_solver=flow_oracle)
+            result = session.densest_subgraph("core-approx", flow_solver="dinic")
             plain = session.densest_subgraph("core-approx")
         assert "flow_solver" not in result.stats
         assert "flow_solver_ignored" not in result.stats
@@ -565,10 +622,20 @@ class TestFlowSolverIgnored:
         with pytest.raises(FlowError, match="no-such-solver"):
             run_batch_query(session, spec)
 
-    def test_flow_backed_method_keeps_solver(self, flow_oracle):
+    def test_flow_backed_method_keeps_solver(self, monkeypatch):
+        """A name never picks the solver: every min-cut runs the engine's class."""
+        runs = []
+
+        class Counting(DinicSolver):
+            def max_flow(self):
+                runs.append(self)
+                return super().max_flow()
+
+        monkeypatch.setattr(FlowEngine, "solver_class", Counting)
         session = DDSSession(complete_bipartite_digraph(2, 3))
-        result = session.densest_subgraph("dc-exact", flow_solver=flow_oracle)
-        assert result.stats["flow_solver"] == flow_oracle
+        result = session.densest_subgraph("dc-exact", flow_solver="dinic")
+        assert len(runs) == result.stats["flow_calls"] > 0
+        assert "flow_solver" not in result.stats
 
     def test_config_only_flow_change_does_not_warn_solver_ignored(self):
         """Changing a flow knob other than the solver is not a solver request."""

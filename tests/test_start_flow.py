@@ -13,7 +13,7 @@ changes nothing a search reports:
 * a network below :data:`~repro.core.flow_network.START_FLOW_MIN_ARCS` keeps
   zero flow;
 * a fixed-ratio search reports the same outcome with the start flow as with
-  it patched out, on every registered solver and on the Edmonds–Karp oracle.
+  it patched out, on ``dinic`` and on the Edmonds–Karp oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import random
 from collections import Counter
 
 import pytest
-from flow_oracle import ORACLE_SOLVER
+from flow_oracle import EdmondsKarpSolver, forward_arcs
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_core_exact import TIE_HEAVY_SHAPES
@@ -32,9 +32,9 @@ from repro.core import flow_network
 from repro.core.fixed_ratio import maximize_fixed_ratio
 from repro.core.flow_network import DecisionNetwork, build_decision_network
 from repro.core.subproblem import STSubproblem
+from repro.flow.dinic import DinicSolver
 from repro.flow.engine import FlowEngine
 from repro.flow.network import EPSILON
-from repro.flow.registry import available_flow_solvers
 from repro.graph.generators import gnm_random_digraph
 
 #: Allowed gap between a routed arc flow and the scalar greedy's.  The two
@@ -94,12 +94,13 @@ def _check_start_flow(subproblem: STSubproblem, ratio: float, guess: float) -> N
     network = decision.network
     assert min(network.arc_capacities) >= 0.0
     balance = [0.0] * network.num_nodes
-    for arc in network.arcs():
-        balance[arc.source] -= arc.flow
-        balance[arc.target] += arc.flow
+    arcs = forward_arcs(network)
+    for tail, target, _, flow in arcs:
+        balance[tail] -= flow
+        balance[target] += flow
     for node in range(2, network.num_nodes):
         assert abs(balance[node]) <= EPSILON, node
-    routed = [arc.flow for arc in network.arcs()]
+    routed = [flow for *_, flow in arcs]
     expected = _scalar_start_flow(subproblem, ratio, guess)
     assert routed == pytest.approx(expected, rel=0.0, abs=FLOW_TOLERANCE)
 
@@ -166,13 +167,13 @@ def test_large_network_starts_with_flow():
     assert decision.network.flow_value(decision.source) > 0.0
 
 
-def _search_outcomes(graph, solver: str) -> list[tuple]:
+def _search_outcomes(graph) -> list[tuple]:
     subproblem = STSubproblem.from_graph(graph)
     upper = math.sqrt(max(graph.num_edges, 1)) + 1.0
     outcomes = []
     for ratio in (0.5, 1.0, 1.5, 3.0):
         outcome = maximize_fixed_ratio(
-            subproblem, ratio, 0.0, upper, 1e-6, engine=FlowEngine(solver)
+            subproblem, ratio, 0.0, upper, 1e-6, engine=FlowEngine()
         )
         outcomes.append(
             (
@@ -190,18 +191,20 @@ def _search_outcomes(graph, solver: str) -> list[tuple]:
     return outcomes
 
 
-@pytest.mark.usefixtures("route_every_network", "flow_oracle")
+@pytest.mark.usefixtures("route_every_network")
 class TestSearchOutcomeUnchanged:
-    """Patching the start flow out changes no search outcome, on any solver."""
+    """Patching the start flow out changes no search outcome, on either solver."""
 
-    SOLVERS = [*available_flow_solvers(), ORACLE_SOLVER]
+    SOLVERS = (DinicSolver, EdmondsKarpSolver)
 
     def _compare(self, graph, monkeypatch):
-        with_start = {solver: _search_outcomes(graph, solver) for solver in self.SOLVERS}
-        with monkeypatch.context() as patch:
-            patch.setattr(DecisionNetwork, "route_start_flow", lambda self: None)
-            without = {solver: _search_outcomes(graph, solver) for solver in self.SOLVERS}
-        assert with_start == without
+        for solver_class in self.SOLVERS:
+            with monkeypatch.context() as patch:
+                patch.setattr(FlowEngine, "solver_class", solver_class)
+                with_start = _search_outcomes(graph)
+                patch.setattr(DecisionNetwork, "route_start_flow", lambda self: None)
+                without = _search_outcomes(graph)
+            assert with_start == without, solver_class.__name__
 
     @settings(max_examples=15, deadline=None, suppress_health_check=SHARED_FIXTURES)
     @given(
