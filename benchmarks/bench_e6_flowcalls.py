@@ -6,8 +6,8 @@ searches); DCExact examines only the ratios its recursion cannot skip;
 CoreExact additionally shrinks every network.  The printed table reports, per
 small dataset: candidate-ratio count, ratios actually examined, total
 min-cut computations, and the number of decision networks actually built
-(one per fixed-ratio search; the narrowed networks a search's later guesses
-run on are not counted).
+(one per fixed-ratio search, which its later guesses retune or narrow in
+place).
 Every search is a Dinkelbach iteration that
 probes its certified lower bound, so a DC leaf whose ratio cannot beat the
 incumbent costs one min-cut, and an interior probe, which starts at the best
@@ -23,8 +23,8 @@ which fails (exit code 1) whenever the flow-call counts regress past the
 recorded exact counts (a slide back to unseeded interior probes, or to
 bisecting every bracket to tolerance, raises them), or a fixed-ratio
 search stops building exactly one network (``networks_built ==
-fixed_ratio_searches``; the narrowed networks a search solves its later
-guesses on are not counted).
+fixed_ratio_searches``; a search narrows that network in place for its
+later guesses).
 
 The **seeded-probe gate** pins the session's fixed-ratio probe
 (:meth:`DDSSession.fixed_ratio <repro.session.DDSSession.fixed_ratio>`),

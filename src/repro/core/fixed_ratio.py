@@ -33,12 +33,18 @@ is the bracket midpoint; that fallback is what guarantees termination.
 
 Each search builds its decision network once and retunes it in place
 (:meth:`~repro.core.flow_network.DecisionNetwork.retune`; only the
-penalty-arc capacities depend on the guess) while its cuts extract the
-whole candidate space.  The network lives only as long as its search.
+penalty-arc capacities depend on the guess).  The network lives only as
+long as its search, but its topology — node layout, arcs, CSR index and
+the solver's lists — belongs to the sub-problem
+(:attr:`~repro.core.subproblem.STSubproblem.decision_topology`): the
+sub-problem's first search builds it and every later search on the same
+sub-problem allocates only its own capacities over it.
 Once a cut at guess ``g`` extracts a pair
-``(S_g, T_g)`` strictly smaller than that, every later guess is solved on a
-fresh network built from the sub-problem restricted to the pair
-(:meth:`~repro.core.subproblem.STSubproblem.restricted_to`).  The penalty
+``(S_g, T_g)`` strictly smaller than the candidates the network still
+holds, the next guess narrows the network in place
+(:meth:`~repro.core.flow_network.DecisionNetwork.narrow`): every arc
+outside the pair gets capacity zero, as if the network had been built from
+the sub-problem restricted to the pair.  The penalty
 arcs are the only guess-dependent arcs and only grow with the guess, so the
 minimal (residual-reachable) cuts are nested (Gallo, Grigoriadis & Tarjan,
 "A fast parametric maximum flow algorithm and applications", *SIAM J.
@@ -46,13 +52,13 @@ Comput.* 18(1), 1989): for ``g <= g'`` the canonical cut at ``g'`` lies
 inside the one at ``g``.  Every later guess is at least ``g`` — guesses
 rise, and a post-stall midpoint lies in ``[low, high]`` with ``low >= g`` —
 so the narrowed network gives the same verdict and the same pair, hence the
-same guesses and ``flow_calls``.  Its cut is judged against the search
-network's slack, so narrowing cannot move the tie threshold either.
+same guesses and ``flow_calls``.  Its cut is judged against the whole
+sub-problem's slack, so narrowing cannot move the tie threshold either.
 
-Narrowed networks do not count as ``networks_built``; ``network_nodes`` /
+``networks_built`` counts one network per search; ``network_nodes`` /
 ``network_arcs`` record the search network's size for every cut.  Every
-solve is cold: the network it runs on is freshly built (the search network
-or a narrowed one) or retuned, and holds zero flow or the greedy start flow
+solve is cold: the network it runs on is freshly built, retuned or
+narrowed, and holds zero flow or the greedy start flow
 of :meth:`~repro.core.flow_network.DecisionNetwork.route_start_flow`,
 which the solver continues from.  Min-cuts run through a caller-supplied
 :class:`~repro.flow.engine.FlowEngine`, which runs Dinic's algorithm and
@@ -65,8 +71,8 @@ density (for the incumbent) and the one extracted at the highest successful
 guess (the surrogate near-maximiser the ratio-skipping lemma needs).
 
 One loop in :func:`maximize_fixed_ratio` holds the whole iteration: it
-picks the guess, builds, narrows or retunes the network, routes the start
-flow, runs the cut and advances the bracket.  A min-cut cancelled by a
+picks the guess, builds, narrows or retunes the one network, routes the
+start flow, runs the cut and advances the bracket.  A min-cut cancelled by a
 deadline leaves the bracket as it was, and the
 :class:`~repro.exceptions.DeadlineExceeded` carries the search so far as
 ``error.outcome``.
@@ -212,36 +218,35 @@ def maximize_fixed_ratio(
             network_arcs=network_arcs,
         )
 
-    decision = network = None  # the search network; the one the next cut runs on
-    scope = subproblem  # the sub-problem ``network`` covers
-    narrow_to: tuple[list[int], list[int]] | None = None
+    network = None  # the search network, built by the first guess
+    narrow_to: list[int] | None = None  # source side of the last narrowing cut
     stalled = False
     try:
         while high - low >= tolerance:
             # Dinkelbach: probe the certified lower bound.  After a float
             # stall the same guess would stall again, so bisect instead.
             guess = (low + high) / 2.0 if stalled else low
-            if decision is None:
-                decision = network = build_decision_network(subproblem, ratio, guess)
+            if network is None:
+                network = build_decision_network(subproblem, ratio, guess)
                 engine.note_network_built()
                 networks_built += 1
             elif narrow_to is not None:
                 # Every later guess is at least the one that extracted the
                 # pair, so the canonical cut lies inside it (nested minimal cuts).
-                scope = scope.restricted_to(*narrow_to)
+                network.narrow(narrow_to, ratio, guess)
                 narrow_to = None
-                network = build_decision_network(scope, ratio, guess)
             else:
                 network.retune(ratio, guess)
             network.route_start_flow()
-            network_nodes.append(decision.num_nodes)
-            network_arcs.append(decision.num_arcs)
+            network_nodes.append(network.num_nodes)
+            network_arcs.append(network.num_arcs)
             cut_value, solver = engine.min_cut(network.network, network.source, network.sink)
             flow_calls += 1
             if decision_cut_is_improving(
-                cut_value, network.total_capacity, decision.total_capacity
+                cut_value, network.total_capacity, network.topology.total_capacity
             ):
-                s_side, t_side = network.extract_pair(solver.min_cut_source_side())
+                source_side = solver.min_cut_source_side()
+                s_side, t_side = network.extract_pair(source_side)
                 if s_side and t_side:
                     edges = graph.count_edges_between(s_side, t_side)
                     surrogate = surrogate_density(edges, len(s_side), len(t_side), ratio)
@@ -252,8 +257,9 @@ def maximize_fixed_ratio(
                     if surrogate >= last_surrogate:
                         last_surrogate = surrogate
                         last_s, last_t, last_edges = s_side, t_side, edges
-                    if len(s_side) < len(network.s_nodes) or len(t_side) < len(network.t_nodes):
-                        narrow_to = (s_side, t_side)
+                    s_count, t_count = network.candidate_counts
+                    if len(s_side) < s_count or len(t_side) < t_count:
+                        narrow_to = source_side
                     # Dinkelbach jump: the pair certifies val(ratio) >=
                     # surrogate, which becomes the next guess.  A conditional
                     # upper bound may sit below val(ratio); capping keeps

@@ -37,21 +37,26 @@ tight, which is what makes the all-ratios sweep exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from repro.core.subproblem import STSubproblem
 from repro.exceptions import AlgorithmError
-from repro.flow.network import FlowNetwork
+from repro.flow.network import FlowNetwork, FlowTopology
+
+if TYPE_CHECKING:
+    from repro.core.subproblem import STSubproblem
 
 #: Slack used when comparing a min-cut value against ``2m'``; the comparison
 #: involves sums of ``O(m)`` floats so the tolerance scales with ``m``.
 CUT_RELATIVE_TOLERANCE = 1e-9
 
-#: Networks with fewer stored arcs than this keep zero flow in
-#: :meth:`DecisionNetwork.route_start_flow`.  Routing costs ~45 µs of fixed
+#: Networks whose live arcs are fewer than this keep zero flow in
+#: :meth:`DecisionNetwork.route_start_flow`.  The live arcs are the arcs the
+#: network would store if it were built from the sub-problem it has been
+#: narrowed to (:meth:`DecisionNetwork.narrow`), so the threshold sees the
+#: same count as it would on such a build.  Routing costs ~45 µs of fixed
 #: numpy overhead per call.  On the cold decision networks of perfbench's
 #: ``exact`` workload (seed 501, routing plus ``dinic``, best of 3 per
 #: network, 2-CPU VM) it saved 20–50 µs per solve from 256 stored arcs up,
@@ -59,27 +64,162 @@ CUT_RELATIVE_TOLERANCE = 1e-9
 START_FLOW_MIN_ARCS = 256
 
 
-@dataclass
-class DecisionNetwork:
-    """A built decision network plus the bookkeeping to read the answer back.
+class DecisionTopology:
+    """The guess-independent layout every decision network of one sub-problem shares.
 
-    The arc layout of :func:`build_decision_network` is fixed: for the
-    ``i``-th S candidate, arc ``4i`` is its source arc ``s -> o_u`` and arc
-    ``4i + 2`` its penalty arc ``o_u -> t``; arc ``4|S| + 2j`` is the penalty
-    arc ``i_v -> t`` of the ``j``-th T candidate; the edge arcs follow from
-    arc ``4|S| + 2|T|``, and every odd arc is the residual twin of the arc
-    before it.  Only the penalty arcs depend on the probe parameters
-    ``(ratio, guess)``, so :meth:`retune` rewrites their capacities in place
-    and resets the residual state instead of rebuilding the whole network
-    for every guess (O(|S| + |T| + m') instead of a full rebuild).
+    Node ``0`` is the source and ``1`` the sink, then one node per S
+    candidate (in ``s_nodes`` order), then one per T candidate.  The arcs
+    (a read-only :class:`~repro.flow.network.FlowTopology`, with its CSR
+    index and the solver's lists) follow the layout :class:`DecisionNetwork`
+    documents.  ``source_caps`` holds the source-arc capacities
+    ``2 * dout'(u)`` and ``total_capacity`` their sum ``2m'``.
+
+    A sub-problem builds its topology on first use and keeps it as long as
+    it lives (:attr:`~repro.core.subproblem.STSubproblem.decision_topology`);
+    nothing in it holds flow or a guess-dependent capacity.
     """
 
-    network: FlowNetwork
-    source: int
-    sink: int
-    s_nodes: list[int]  # graph indices, aligned with network nodes 2..2+|S|
-    t_nodes: list[int]  # graph indices, aligned with network nodes 2+|S|..
-    total_capacity: float  # the 2m' reference value
+    __slots__ = ("arcs", "s_nodes", "t_nodes", "source_caps", "total_capacity", "_edge_groups")
+
+    def __init__(self, subproblem: STSubproblem) -> None:
+        s_nodes = list(subproblem.s_candidates)
+        t_nodes = list(subproblem.t_candidates)
+        s_count, t_count, m = len(s_nodes), len(t_nodes), len(subproblem.edges)
+        t_offset = 2 + s_count
+        s_copies = np.arange(2, t_offset, dtype=np.int64)
+        t_copies = np.arange(t_offset, t_offset + t_count, dtype=np.int64)
+        # Graph index -> network node of its out-copy (o_u) / in-copy (i_v).
+        out_copy = np.full(subproblem.graph.num_nodes, -1, dtype=np.int64)
+        out_copy[np.asarray(s_nodes, dtype=np.int64)] = s_copies
+        in_copy = np.full(subproblem.graph.num_nodes, -1, dtype=np.int64)
+        in_copy[np.asarray(t_nodes, dtype=np.int64)] = t_copies
+        ends = np.fromiter(chain.from_iterable(subproblem.edges), dtype=np.int64, count=2 * m)
+        edge_tails = out_copy[ends[0::2]]
+        source_caps = 2.0 * np.bincount(edge_tails - 2, minlength=s_count)
+        source_caps.flags.writeable = False
+
+        # Forward arcs: per S candidate s -> o_u then o_u -> t, then i_v -> t
+        # per T candidate, then o_u -> i_v per edge.
+        t_start = 2 * s_count
+        e_start = t_start + t_count
+        forward_heads = np.empty(e_start + m, dtype=np.int64)
+        forward_tails = np.empty(e_start + m, dtype=np.int64)
+        forward_tails[0:t_start:2] = 0
+        forward_heads[0:t_start:2] = s_copies
+        forward_tails[1:t_start:2] = s_copies
+        forward_heads[1:t_start:2] = 1
+        forward_tails[t_start:e_start] = t_copies
+        forward_heads[t_start:e_start] = 1
+        forward_tails[e_start:] = edge_tails
+        forward_heads[e_start:] = in_copy[ends[1::2]]
+        tails = np.empty(2 * forward_heads.shape[0], dtype=np.int64)
+        targets = np.empty_like(tails)
+        tails[0::2] = targets[1::2] = forward_tails
+        targets[0::2] = tails[1::2] = forward_heads
+
+        self.arcs = FlowTopology(t_offset + t_count, tails, targets)
+        self.s_nodes = s_nodes
+        self.t_nodes = t_nodes
+        self.source_caps = source_caps
+        self.total_capacity = float(source_caps.sum())
+        self._edge_groups: tuple | None = None
+
+    @property
+    def edge_start(self) -> int:
+        """Index of the first edge arc ``o_u -> i_v``."""
+        return 4 * len(self.s_nodes) + 2 * len(self.t_nodes)
+
+    def edge_groups(self) -> tuple:
+        """``(by_tail, by_head, out_degree, in_degree)`` of the edge arcs, built once.
+
+        ``by_tail`` lists the forward edge arcs grouped by tail in S
+        candidate order, ``by_head`` grouped by head in T candidate order,
+        each group in arc order; ``out_degree`` / ``in_degree`` give the
+        group sizes.  The start flow walks them.
+        """
+        if self._edge_groups is None:
+            starts, order, _, _ = self.arcs.numpy_views()
+            s_count = len(self.s_nodes)
+            t_first, t_stop = 2 + s_count, 2 + s_count + len(self.t_nodes)
+            # The CSR lists each node's arcs in arc order, so the edge arcs
+            # come grouped by tail (o_u's forward arcs) and by head (i_v's
+            # residual twins) with no sort, whatever order the sub-problem's
+            # edges had.
+            out_arcs = order[starts[2] : starts[t_first]]
+            in_arcs = order[starts[t_first] : starts[t_stop]]
+            # Besides its edges, o_u holds its source arc's twin and its
+            # penalty arc, and i_v its penalty arc.
+            bounds = starts[2 : t_stop + 1]
+            arc_counts = bounds[1:] - bounds[:-1]
+            self._edge_groups = (
+                out_arcs[out_arcs >= self.edge_start],
+                in_arcs[(in_arcs & 1) == 1] ^ 1,
+                arc_counts[:s_count] - 2,
+                arc_counts[s_count:] - 1,
+            )
+        return self._edge_groups
+
+
+class _Narrowing(NamedTuple):
+    """What :meth:`DecisionNetwork.narrow` left in the network."""
+
+    live: np.ndarray  # per edge: it survived
+    out_degree: np.ndarray  # d''(u) per S candidate
+    in_degree: np.ndarray  # surviving in-edges per T candidate
+    s_scale: np.ndarray  # per S candidate: 1.0 if it survived, else 0.0
+    t_scale: np.ndarray  # likewise per T candidate
+
+
+class DecisionNetwork:
+    """One search's decision network: its own capacities over a shared topology.
+
+    The arc layout is fixed: for the ``i``-th S candidate, arc ``4i`` is
+    its source arc ``s -> o_u`` and arc ``4i + 2`` its penalty arc
+    ``o_u -> t``; arc ``4|S| + 2j`` is the penalty arc ``i_v -> t`` of the
+    ``j``-th T candidate; the edge arcs follow from arc ``4|S| + 2|T|``, and
+    every odd arc is the residual twin of the arc before it.  The layout
+    (targets, tails, CSR index, the solver's lists) belongs to the
+    sub-problem's :class:`DecisionTopology`; the network owns only its base
+    and residual capacities.
+
+    Only the penalty arcs depend on the probe parameters ``(ratio, guess)``,
+    so :meth:`retune` rewrites their capacities in place and resets the
+    residual state instead of rebuilding the network for every guess.
+    :meth:`narrow` restricts the network to a pair of candidate sets in
+    place, by zeroing capacities: the network then solves exactly like one
+    built from the restricted sub-problem.
+    """
+
+    __slots__ = ("network", "topology", "total_capacity", "_counts", "_narrowing", "_edge_groups")
+
+    #: Network node of the source.
+    source = 0
+    #: Network node of the sink.
+    sink = 1
+
+    def __init__(self, network: FlowNetwork, topology: DecisionTopology) -> None:
+        self.network = network
+        self.topology = topology
+        #: The ``2m'`` of the (narrowed) sub-problem the network solves.
+        self.total_capacity = topology.total_capacity
+        # |S|, |T| and m' of the (narrowed) sub-problem.
+        self._counts = (
+            len(topology.s_nodes),
+            len(topology.t_nodes),
+            (topology.arcs.num_arcs - topology.edge_start) // 2,
+        )
+        self._narrowing: _Narrowing | None = None
+        self._edge_groups: tuple | None = None
+
+    @property
+    def s_nodes(self) -> list[int]:
+        """Graph indices aligned with network nodes ``2 .. 2 + |S|``."""
+        return self.topology.s_nodes
+
+    @property
+    def t_nodes(self) -> list[int]:
+        """Graph indices aligned with network nodes ``2 + |S| ..``."""
+        return self.topology.t_nodes
 
     @property
     def num_nodes(self) -> int:
@@ -91,21 +231,25 @@ class DecisionNetwork:
         """Number of stored network arcs (for instrumentation)."""
         return self.network.num_arcs
 
+    @property
+    def candidate_counts(self) -> tuple[int, int]:
+        """``(|S|, |T|)`` of the candidates still in the network (all, until narrowed)."""
+        return self._counts[0], self._counts[1]
+
+    @property
+    def live_arcs(self) -> int:
+        """Arcs a build from the narrowed sub-problem would store (all, until narrowed)."""
+        s_count, t_count, edge_count = self._counts
+        return 2 * (2 * s_count + t_count + edge_count)
+
     def extract_pair(self, source_side: list[int]) -> tuple[list[int], list[int]]:
         """Map the source side of a cut back to graph-index sets ``(S, T)``."""
-        s_offset = 2
-        t_offset = 2 + len(self.s_nodes)
-        side = set(source_side)
-        s_selected = [
-            self.s_nodes[position]
-            for position in range(len(self.s_nodes))
-            if (s_offset + position) in side
-        ]
-        t_selected = [
-            self.t_nodes[position]
-            for position in range(len(self.t_nodes))
-            if (t_offset + position) in side
-        ]
+        s_nodes, t_nodes = self.s_nodes, self.t_nodes
+        t_offset = 2 + len(s_nodes)
+        t_stop = t_offset + len(t_nodes)
+        side = sorted(set(source_side))
+        s_selected = [s_nodes[node - 2] for node in side if 2 <= node < t_offset]
+        t_selected = [t_nodes[node - t_offset] for node in side if t_offset <= node < t_stop]
         return s_selected, t_selected
 
     def retune(self, ratio: float, guess: float) -> None:
@@ -115,27 +259,98 @@ class DecisionNetwork:
         topology (and hence the CSR index) untouched, and resets the
         residual state: the network is then observationally identical to
         one freshly built by :func:`build_decision_network` with the same
-        parameters — same node layout, same arc order, bit-identical
-        capacities, zero flow.  A fixed-ratio search routes
-        :meth:`route_start_flow` after every retune, as after every build.
+        parameters — same capacities on the same arcs, zero flow — and,
+        after a :meth:`narrow`, solves like one built from the narrowed
+        sub-problem.  A fixed-ratio search routes :meth:`route_start_flow`
+        after every retune, as after every build.
 
         The penalty capacities are written into the base capacities through
         the network's zero-copy views, one strided slice per penalty kind;
         ``reset_flow`` then copies them over every residual.
         """
         check_decision_parameters(ratio, guess)
+        self._write_penalties(ratio, guess)
+        self.network.reset_flow()
+
+    def narrow(self, source_side: list[int], ratio: float, guess: float) -> None:
+        """Restrict the network to the nodes of ``source_side`` and retune it.
+
+        ``source_side`` lists network nodes, as the source side of a cut on
+        this network does.  Every edge arc ``o_u -> i_v`` with an endpoint
+        outside it gets capacity zero, each source arc ``s -> o_u`` gets
+        ``2 * d''(u)`` (the out-degree over the surviving edges), and the
+        penalty arcs of every candidate left without a surviving edge get
+        zero; then the penalties are written for ``(ratio, guess)`` and the
+        flow is reset.  The candidates and edges that survive are exactly
+        those of the sub-problem restricted to the pair, and the zeroed
+        arcs never carry flow, so every solve pushes the same paths in the
+        same order as on a network built from that restriction (see
+        ``docs/architecture.md``, "Why narrowing is exact").  Narrowing
+        again restricts further.
+        """
+        check_decision_parameters(ratio, guess)
+        topology = self.topology
+        s_count = len(topology.s_nodes)
+        t_arcs_start, edge_start = 4 * s_count, topology.edge_start
+        _, _, targets, _, tails, base = self.network.numpy_csr()
+        kept = np.zeros(self.num_nodes, dtype=bool)
+        kept[source_side] = True
+        edge_tails = tails[edge_start::2]
+        edge_heads = targets[edge_start::2]
+        live = kept[edge_tails] & kept[edge_heads]
+        if self._narrowing is not None:
+            live &= self._narrowing.live
+        out_degree = np.bincount(edge_tails[live] - 2, minlength=s_count)
+        in_degree = np.bincount(edge_heads[live] - (2 + s_count), minlength=len(topology.t_nodes))
+        base[edge_start::2] = 2.0 * live
+        base[0:t_arcs_start:4] = 2.0 * out_degree
+        s_kept, t_kept = out_degree > 0, in_degree > 0
+        self._narrowing = _Narrowing(
+            live, out_degree, in_degree, s_kept.astype(np.float64), t_kept.astype(np.float64)
+        )
+        self._edge_groups = None
+        edge_count = int(np.count_nonzero(live))
+        self._counts = (int(np.count_nonzero(s_kept)), int(np.count_nonzero(t_kept)), edge_count)
+        self.total_capacity = 2.0 * edge_count
+        self._write_penalties(ratio, guess)
+        self.network.reset_flow()
+
+    def _write_penalties(self, ratio: float, guess: float) -> None:
+        """Write the penalty capacities for ``(ratio, guess)``; dropped candidates keep zero."""
         root = math.sqrt(ratio)
         t_arcs_start = 4 * len(self.s_nodes)
         _, _, _, _, _, base = self.network.numpy_csr()
-        base[2:t_arcs_start:4] = guess / root
-        base[t_arcs_start : t_arcs_start + 2 * len(self.t_nodes) : 2] = guess * root
-        self.network.reset_flow()
+        s_penalties = base[2:t_arcs_start:4]
+        t_penalties = base[t_arcs_start : self.topology.edge_start : 2]
+        if self._narrowing is None:
+            s_penalties[:] = guess / root
+            t_penalties[:] = guess * root
+        else:
+            # x * 1.0 == x exactly, so surviving candidates get the same bits.
+            np.multiply(self._narrowing.s_scale, guess / root, out=s_penalties)
+            np.multiply(self._narrowing.t_scale, guess * root, out=t_penalties)
+
+    def _live_edge_groups(self) -> tuple:
+        """:meth:`DecisionTopology.edge_groups` restricted to the surviving edges."""
+        if self._narrowing is None:
+            return self.topology.edge_groups()
+        if self._edge_groups is None:
+            by_tail, by_head, _, _ = self.topology.edge_groups()
+            narrowing = self._narrowing
+            edge_start = self.topology.edge_start
+            self._edge_groups = (
+                by_tail[narrowing.live[(by_tail - edge_start) >> 1]],
+                by_head[narrowing.live[(by_head - edge_start) >> 1]],
+                narrowing.out_degree,
+                narrowing.in_degree,
+            )
+        return self._edge_groups
 
     def route_start_flow(self) -> None:
         """Route a greedy feasible flow along the network's 2- and 3-arc paths.
 
         The network must hold zero flow in :func:`build_decision_network`'s
-        arc layout: freshly built, or retuned.
+        arc layout: freshly built, retuned or narrowed.
         Each ``s -> o_u -> t`` path first carries
         ``min(2 dout'(u), g / sqrt(a))``.  Each ``o_u`` then offers what is
         left of its source arc to its edge arcs in arc order, up to 2 per
@@ -147,30 +362,19 @@ class DecisionNetwork:
         maximum already in place.  Solvers do not count these updates in
         ``arcs_pushed``.
 
-        A no-op on networks with fewer than :data:`START_FLOW_MIN_ARCS`
-        stored arcs.
+        The greedy walks only the edges that survived the last
+        :meth:`narrow`, in the same order and with the same prefix sums as
+        on a network built from the narrowed sub-problem, so it routes the
+        same flow bit for bit.  A no-op on networks with fewer than
+        :data:`START_FLOW_MIN_ARCS` live arcs (:attr:`live_arcs`).
         """
-        network = self.network
-        if network.num_arcs < START_FLOW_MIN_ARCS:
+        if self.live_arcs < START_FLOW_MIN_ARCS:
             return
-        starts, order, _, caps, tails, base = network.numpy_csr()
+        _, order, _, caps, tails, base = self.network.numpy_csr()
+        by_tail, by_head, out_degree, in_degree = self._live_edge_groups()
         s_count = len(self.s_nodes)
-        t_first, t_stop = 2 + s_count, 2 + s_count + len(self.t_nodes)
         t_arcs_start = 4 * s_count
-        edge_start = t_arcs_start + 2 * len(self.t_nodes)
-        # The CSR lists each node's arcs in arc order, so the edge arcs come
-        # grouped by tail (o_u's forward arcs) and by head (i_v's residual
-        # twins) with no sort, whatever order the sub-problem's edges had.
-        out_arcs = order[starts[2] : starts[t_first]]
-        by_tail = out_arcs[out_arcs >= edge_start]
-        in_arcs = order[starts[t_first] : starts[t_stop]]
-        by_head = in_arcs[(in_arcs & 1) == 1] ^ 1
-        # Besides its edges, o_u holds its source arc's twin and its penalty
-        # arc, and i_v its penalty arc.
-        bounds = starts[2 : t_stop + 1]
-        arc_counts = bounds[1:] - bounds[:-1]
-        out_degree = arc_counts[:s_count] - 2
-        in_degree = arc_counts[s_count:] - 1
+        edge_start = self.topology.edge_start
 
         source_caps = base[0:t_arcs_start:4]
         direct = np.minimum(source_caps, base[2:t_arcs_start:4])
@@ -224,70 +428,24 @@ def build_decision_network(
 ) -> DecisionNetwork:
     """Build the min-cut decision network for ``(ratio, guess)``.
 
-    Node layout: ``0 = source``, ``1 = sink``, then one node per S candidate
-    (in ``subproblem.s_candidates`` order), then one node per T candidate.
-
-    Arc order (the layout :class:`DecisionNetwork` documents): per S
-    candidate its source arc then its penalty arc, then the T penalty arcs,
-    then one arc per sub-problem edge, each forward arc followed by its
-    zero-capacity residual twin.  The paired-arc columns are assembled in
-    numpy and appended with one
-    :meth:`~repro.flow.network.FlowNetwork.append_paired_arcs` call.
+    The network runs over the sub-problem's
+    :attr:`~repro.core.subproblem.STSubproblem.decision_topology` (built
+    here by the sub-problem's first search, shared by every later one), so
+    a build allocates only the network's own base and residual capacities:
+    the source arcs get ``2 * dout'(u)``, the edge arcs 2, and the penalty
+    arcs their ``(ratio, guess)`` capacities, in the layout
+    :class:`DecisionNetwork` documents.
     """
     check_decision_parameters(ratio, guess)
+    topology = subproblem.decision_topology
     root = math.sqrt(ratio)
-    s_nodes = subproblem.s_candidates
-    t_nodes = subproblem.t_candidates
-    s_count, t_count, m = len(s_nodes), len(t_nodes), len(subproblem.edges)
-    t_offset = 2 + s_count
-    network = FlowNetwork(t_offset + t_count)
-    s_copies = np.arange(2, t_offset, dtype=np.int64)
-    t_copies = np.arange(t_offset, t_offset + t_count, dtype=np.int64)
-    # Graph index -> network node of its out-copy (o_u) / in-copy (i_v).
-    out_copy = np.full(subproblem.graph.num_nodes, -1, dtype=np.int64)
-    out_copy[np.asarray(s_nodes, dtype=np.int64)] = s_copies
-    in_copy = np.full(subproblem.graph.num_nodes, -1, dtype=np.int64)
-    in_copy[np.asarray(t_nodes, dtype=np.int64)] = t_copies
-    ends = np.fromiter(chain.from_iterable(subproblem.edges), dtype=np.int64, count=2 * m)
-    edge_tails = out_copy[ends[0::2]]
-    edge_heads = in_copy[ends[1::2]]
-    source_caps = 2.0 * np.bincount(edge_tails - 2, minlength=s_count)
-
-    # Forward arcs: per S candidate s -> o_u then o_u -> t, then i_v -> t
-    # per T candidate, then o_u -> i_v per edge.
-    t_start = 2 * s_count
-    e_start = t_start + t_count
-    forward_heads = np.empty(e_start + m, dtype=np.int64)
-    forward_tails = np.empty(e_start + m, dtype=np.int64)
-    forward_caps = np.empty(e_start + m, dtype=np.float64)
-    forward_tails[0:t_start:2] = 0
-    forward_heads[0:t_start:2] = s_copies
-    forward_caps[0:t_start:2] = source_caps
-    forward_tails[1:t_start:2] = s_copies
-    forward_heads[1:t_start:2] = 1
-    forward_caps[1:t_start:2] = guess / root
-    forward_tails[t_start:e_start] = t_copies
-    forward_heads[t_start:e_start] = 1
-    forward_caps[t_start:e_start] = guess * root
-    forward_tails[e_start:] = edge_tails
-    forward_heads[e_start:] = edge_heads
-    forward_caps[e_start:] = 2.0
-
-    tails = np.empty(2 * forward_heads.shape[0], dtype=np.int64)
-    targets = np.empty_like(tails)
-    caps = np.zeros(tails.shape[0], dtype=np.float64)
-    tails[0::2] = targets[1::2] = forward_tails
-    targets[0::2] = tails[1::2] = forward_heads
-    caps[0::2] = forward_caps
-    network.append_paired_arcs(tails, targets, caps, caps)
-    return DecisionNetwork(
-        network=network,
-        source=0,
-        sink=1,
-        s_nodes=list(s_nodes),
-        t_nodes=list(t_nodes),
-        total_capacity=float(source_caps.sum()),
-    )
+    t_arcs_start, edge_start = 4 * len(topology.s_nodes), topology.edge_start
+    base = np.zeros(topology.arcs.num_arcs, dtype=np.float64)
+    base[0:t_arcs_start:4] = topology.source_caps
+    base[2:t_arcs_start:4] = guess / root
+    base[t_arcs_start:edge_start:2] = guess * root
+    base[edge_start::2] = 2.0
+    return DecisionNetwork(FlowNetwork.over(topology.arcs, base), topology)
 
 
 def decision_cut_is_improving(
@@ -296,9 +454,10 @@ def decision_cut_is_improving(
     """Whether ``cut_value`` is strictly below ``2m'`` beyond float tolerance.
 
     The slack is ``CUT_RELATIVE_TOLERANCE * max(slack_capacity, 1)``, with
-    ``slack_capacity`` defaulting to ``total_capacity``.  A network built on
-    a restriction of a search's sub-problem passes the search network's
-    ``2m'`` here, so narrowing never moves the tie threshold.
+    ``slack_capacity`` defaulting to ``total_capacity``.  A search passes
+    its narrowed network's ``2m''`` as ``total_capacity`` and the whole
+    sub-problem's ``2m'`` (its topology's) as ``slack_capacity``, so
+    narrowing never moves the tie threshold.
     """
     if slack_capacity is None:
         slack_capacity = total_capacity

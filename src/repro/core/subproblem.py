@@ -11,8 +11,10 @@ simply builds sub-problems from [x, y]-cores instead of from ``V × V``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
+from repro.core.flow_network import DecisionTopology
 from repro.graph.digraph import DiGraph
 
 
@@ -23,6 +25,11 @@ class STSubproblem:
     Node identifiers are **graph internal indices** throughout; conversion to
     labels happens only when a final :class:`~repro.core.results.DDSResult` is
     assembled.
+
+    A sub-problem is never mutated once built: every fixed-ratio search on
+    it reads the same candidates and edges.  That is what lets it own its
+    :attr:`decision_topology`, which its first search builds and every
+    later one shares.
     """
 
     graph: DiGraph
@@ -65,6 +72,20 @@ class STSubproblem:
         del s_set
         return cls(graph=graph, s_candidates=s_kept, t_candidates=t_kept, edges=edges)
 
+    @cached_property
+    def decision_topology(self) -> DecisionTopology:
+        """The read-only layout of this sub-problem's decision networks.
+
+        Built by the first search that needs it and kept as long as the
+        sub-problem lives, so every fixed-ratio search on the sub-problem
+        (FlowExact's ratios, every DC-Exact probe on the whole graph, every
+        leaf ratio of a CoreExact interval) shares one node layout, one arc
+        list, one CSR index and one set of solver lists; each search's
+        network allocates only its own capacities
+        (:func:`~repro.core.flow_network.build_decision_network`).
+        """
+        return DecisionTopology(self)
+
     # ------------------------------------------------------------------
     @property
     def num_edges(self) -> int:
@@ -89,19 +110,3 @@ class STSubproblem:
         for _, v in self.edges:
             degrees[v] += 1
         return degrees
-
-    def restricted_to(
-        self, s_allowed: Sequence[int], t_allowed: Sequence[int]
-    ) -> "STSubproblem":
-        """Sub-problem further restricted to the given candidate index sets."""
-        s_set = set(s_allowed)
-        t_set = set(t_allowed)
-        edges = [(u, v) for u, v in self.edges if u in s_set and v in t_set]
-        useful_s = {u for u, _ in edges}
-        useful_t = {v for _, v in edges}
-        return STSubproblem(
-            graph=self.graph,
-            s_candidates=[u for u in self.s_candidates if u in useful_s],
-            t_candidates=[v for v in self.t_candidates if v in useful_t],
-            edges=edges,
-        )

@@ -8,7 +8,8 @@ The DDS exact algorithms reduce the density decision problem to a minimum
   capacities, in-place capacity retuning (writes through the zero-copy
   views of :meth:`FlowNetwork.numpy_csr` + :meth:`FlowNetwork.reset_flow`)
   so a built network can be re-solved for many parameter guesses without
-  rebuilding,
+  rebuilding; networks that differ only in capacities share one read-only
+  :class:`~repro.flow.network.FlowTopology` (:meth:`FlowNetwork.over`),
 * :class:`DinicSolver` / :func:`dinic_max_flow` — the one min-cut solver
   (Dinic's blocking-flow algorithm, ``O(V^2 E)`` worst case, much faster on
   the unit-capacity-heavy networks produced by the density reduction),

@@ -37,9 +37,8 @@ and the benchmark tables.
 ``networks_built``
     Number of search decision networks built: one per fixed-ratio search
     that runs a min-cut, so it equals the number of fixed-ratio searches.
-    The narrowed networks a search builds for its guesses after a cut that
-    extracted a smaller pair (see :mod:`repro.core.fixed_ratio`) are not
-    counted.
+    A search retunes and narrows its one network in place (see
+    :mod:`repro.core.fixed_ratio`), so no other network is built.
 ``arcs_pushed``
     Total per-arc residual updates across all solver runs — a
     machine-independent proxy for flow work, not a measure of wall time.

@@ -18,6 +18,12 @@ capacities rewritten in place through the zero-copy views of
 touching the topology again — the hot pattern in the fixed-ratio searches
 of the exact DDS algorithms.
 
+Networks that differ only in capacities can share one read-only
+:class:`FlowTopology`: its arc targets and tails, its CSR index and the
+solver's list views are built once, and every network made over it with
+:meth:`FlowNetwork.over` allocates only its own two capacity buffers.  Such
+a network cannot grow.
+
 The residual capacities are also the start state of every solve: the
 solver continues from the flow they encode (zero on a freshly
 built network or after :meth:`reset_flow`, or a start flow a caller routed
@@ -37,6 +43,93 @@ INFINITY = float("inf")
 
 #: Residual capacities smaller than this are treated as zero.
 EPSILON = 1e-9
+
+
+def _int_buffer(values) -> array:
+    """An ``array('q')`` holding ``values`` as int64."""
+    buffer = array("q")
+    buffer.frombytes(np.ascontiguousarray(values, dtype=np.int64).tobytes())
+    return buffer
+
+
+def _view(buffer: array, dtype) -> np.ndarray:
+    """A zero-copy numpy view of ``buffer``, or a fresh empty array if it is empty.
+
+    An empty ``array`` that exports its buffer refuses even a same-size
+    slice assignment, which would fail :meth:`FlowNetwork.reset_flow` and
+    the solver's write-back on a network with no arcs; an empty view has
+    nothing to share anyway.
+    """
+    return np.frombuffer(buffer, dtype=dtype) if len(buffer) else np.empty(0, dtype=dtype)
+
+
+def _csr_index(tails: np.ndarray, num_nodes: int) -> tuple[array, array]:
+    """``(starts, order)``: the arc indices stably sorted by tail, and each node's first.
+
+    Arcs keep their index order within each node's segment, as a counting
+    sort by tail would leave them.
+    """
+    starts = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=num_nodes), out=starts[1:])
+    return _int_buffer(starts), _int_buffer(np.argsort(tails, kind="stable"))
+
+
+def _solver_lists(starts: array, order: array, targets: array) -> tuple[list[list[int]], list[int]]:
+    """``(heads, targets)`` as plain lists: each node's slice of ``order``, and the targets."""
+    flat = order.tolist()
+    bounds = starts.tolist()
+    return [flat[start:stop] for start, stop in zip(bounds, bounds[1:])], targets.tolist()
+
+
+class FlowTopology:
+    """Nodes and paired arcs that several flow networks share, read-only.
+
+    Arc ``i`` runs from ``tails[i]`` to ``targets[i]`` and arc ``i ^ 1`` is
+    its residual twin, as in a :class:`FlowNetwork`.  The topology builds
+    its CSR index once, and the solver's list views
+    (:meth:`FlowNetwork.solver_views`) on first use; the numpy views it
+    hands out are read-only.  It holds no capacities: every network over
+    it (:meth:`FlowNetwork.over`) has its own.
+    """
+
+    __slots__ = ("num_nodes", "_to", "_tails", "_csr_starts", "_csr_order", "_csr_lists", "_np_views")
+
+    def __init__(self, num_nodes: int, tails, targets) -> None:
+        tails = np.ascontiguousarray(tails, dtype=np.int64)
+        targets = np.ascontiguousarray(targets, dtype=np.int64)
+        if tails.shape != targets.shape or tails.ndim != 1 or tails.shape[0] % 2:
+            raise FlowError("a topology needs tail and target columns of one even length")
+        if tails.shape[0] and not (
+            min(tails.min(), targets.min()) >= 0 and max(tails.max(), targets.max()) < num_nodes
+        ):
+            raise FlowError(f"an arc endpoint is out of range [0, {num_nodes})")
+        self.num_nodes = num_nodes
+        self._to = _int_buffer(targets)
+        self._tails = _int_buffer(tails)
+        self._csr_starts, self._csr_order = _csr_index(tails, num_nodes)
+        self._csr_lists: tuple[list[list[int]], list[int]] | None = None
+        views = tuple(
+            _view(buffer, np.int64)
+            for buffer in (self._csr_starts, self._csr_order, self._to, self._tails)
+        )
+        for view in views:
+            view.flags.writeable = False
+        self._np_views = views
+
+    @property
+    def num_arcs(self) -> int:
+        """Number of arcs (2x the number of paired edges)."""
+        return len(self._to)
+
+    def numpy_views(self) -> tuple:
+        """Read-only numpy views ``(starts, order, targets, tails)``."""
+        return self._np_views
+
+    def solver_views(self) -> tuple[list[list[int]], list[int]]:
+        """``(heads, targets)`` as plain lists, built once (see :meth:`FlowNetwork.solver_views`)."""
+        if self._csr_lists is None:
+            self._csr_lists = _solver_lists(self._csr_starts, self._csr_order, self._to)
+        return self._csr_lists
 
 
 class FlowNetwork:
@@ -63,6 +156,7 @@ class FlowNetwork:
         "_csr_dirty",
         "_csr_lists",
         "_np_views",
+        "_topology",
     )
 
     def __init__(self, num_nodes: int) -> None:
@@ -78,16 +172,49 @@ class FlowNetwork:
         self._csr_dirty = False
         self._csr_lists: tuple[list[list[int]], list[int]] | None = None
         self._np_views: tuple | None = None
+        self._topology: FlowTopology | None = None
+
+    @classmethod
+    def over(cls, topology: FlowTopology, base_capacities) -> "FlowNetwork":
+        """A network on ``topology``'s nodes and arcs with its own capacities, at zero flow.
+
+        ``base_capacities`` is arc-indexed like the topology (residual twins
+        hold 0.0) and is checked to be non-negative and not NaN.  The
+        network keeps references to the topology's buffers and copies of
+        the capacities, so networks over one topology never see each
+        other's capacities or flow; it cannot grow (:meth:`add_edge` and
+        :meth:`append_paired_arcs` raise :class:`~repro.exceptions.FlowError`).
+        """
+        base = np.ascontiguousarray(base_capacities, dtype=np.float64)
+        if base.shape != (topology.num_arcs,):
+            raise FlowError(f"expected {topology.num_arcs} capacities, got {base.shape}")
+        # ``min`` propagates NaN, so one comparison rejects it.
+        if base.shape[0] and not float(base.min()) >= 0:
+            raise FlowError(f"capacity must be >= 0, got {float(base.min())}")
+        network = cls(topology.num_nodes)
+        network._topology = topology
+        network._to = topology._to
+        network._tails = topology._tails
+        network._csr_starts = topology._csr_starts
+        network._csr_order = topology._csr_order
+        network._base.frombytes(base.tobytes())
+        network._cap = array("d", network._base)
+        return network
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
+    def _check_growable(self) -> None:
+        if self._topology is not None:
+            raise FlowError("a network over a shared topology cannot gain arcs")
+
     def add_edge(self, source: int, target: int, capacity: float) -> int:
         """Add arc ``source -> target`` with ``capacity`` (reverse gets 0).
 
         Returns the arc index: the forward arc's, even, whose residual twin
         is the next one.
         """
+        self._check_growable()
         self._check_node(source)
         self._check_node(target)
         if not capacity >= 0:
@@ -139,6 +266,7 @@ class FlowNetwork:
         anything is appended, so a rejected call leaves the network
         untouched.
         """
+        self._check_growable()
         length = len(tails)
         if length % 2 != 0:
             raise FlowError("append_paired_arcs expects an even number of arcs")
@@ -225,15 +353,14 @@ class FlowNetwork:
         by arc.  Capacities change between runs and are snapshotted by each
         solver individually.  The cache is invalidated whenever the topology
         changes, so building the view is O(m) once per network, not per
-        max-flow call.
+        max-flow call; a network over a :class:`FlowTopology` uses the
+        topology's, built once for all of them.
         """
+        if self._topology is not None:
+            return self._topology.solver_views()
         if self._csr_dirty or self._csr_lists is None:
-            starts, order, _, _ = self.csr()
-            heads = [
-                order[starts[node] : starts[node + 1]].tolist()
-                for node in range(self.num_nodes)
-            ]
-            self._csr_lists = (heads, self._to.tolist())
+            starts, order, targets, _ = self.csr()
+            self._csr_lists = _solver_lists(starts, order, targets)
         return self._csr_lists
 
     def numpy_csr(self) -> tuple:
@@ -247,18 +374,27 @@ class FlowNetwork:
         the canonical residual state directly: a write through the
         capacities view is immediately visible via :attr:`arc_capacities`
         (and vice versa), with no snapshot or write-back step.  The views
-        are cached per topology and rebuilt lazily, like :meth:`csr`.
+        are cached per topology and rebuilt lazily, like :meth:`csr`.  On a
+        network over a :class:`FlowTopology` the four integer views are the
+        topology's, and read-only.
         """
         if self._csr_dirty:
             self._rebuild_csr()
         if self._np_views is None:
+            if self._topology is not None:
+                starts, order, targets, tails = self._topology.numpy_views()
+            else:
+                starts, order, targets, tails = (
+                    _view(buffer, np.int64)
+                    for buffer in (self._csr_starts, self._csr_order, self._to, self._tails)
+                )
             self._np_views = (
-                np.frombuffer(self._csr_starts, dtype=np.int64),
-                np.frombuffer(self._csr_order, dtype=np.int64),
-                np.frombuffer(self._to, dtype=np.int64),
-                np.frombuffer(self._cap, dtype=np.float64),
-                np.frombuffer(self._tails, dtype=np.int64),
-                np.frombuffer(self._base, dtype=np.float64),
+                starts,
+                order,
+                targets,
+                _view(self._cap, np.float64),
+                tails,
+                _view(self._base, np.float64),
             )
         return self._np_views
 
@@ -303,22 +439,9 @@ class FlowNetwork:
 
     # ------------------------------------------------------------------
     def _rebuild_csr(self) -> None:
-        """Recompute the per-node arc slices: a stable sort of the arcs by tail.
-
-        Arcs keep their index order within each node's segment, as a
-        counting sort by tail would leave them.
-        """
+        """Recompute the per-node arc slices (:func:`_csr_index`)."""
         tails = np.frombuffer(self._tails, dtype=np.int64)
-        counts = np.bincount(tails, minlength=self.num_nodes)
-        starts_np = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts_np[1:])
-        order_np = np.argsort(tails, kind="stable")
-        starts = array("q")
-        starts.frombytes(starts_np.tobytes())
-        order = array("q")
-        order.frombytes(np.ascontiguousarray(order_np, dtype=np.int64).tobytes())
-        self._csr_starts = starts
-        self._csr_order = order
+        self._csr_starts, self._csr_order = _csr_index(tails, self.num_nodes)
         self._csr_dirty = False
         self._csr_lists = None
         self._np_views = None

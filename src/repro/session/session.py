@@ -4,6 +4,7 @@ A session binds to **one graph** and serves many queries over it, paying for
 derived state once instead of once per call:
 
 * **degree arrays** and the full :class:`~repro.core.subproblem.STSubproblem`,
+  with the decision topology its first fixed-ratio search builds,
 * **[x, y]-core decompositions** (:meth:`DDSSession.xy_core`,
   :meth:`DDSSession.max_xy_core`),
 * **whole answers** in one LRU: densest results keyed by ``(method,
@@ -134,19 +135,31 @@ def _copy_entry(value: Any) -> Any:
     return [_copy_result(result) for result in value]
 
 
+def _four_fields(method: str, config: Any, fields: str) -> tuple:
+    """``config`` as the 4-tuple a ``method`` entry's key is, or :class:`AlgorithmError`."""
+    if not (isinstance(config, (tuple, list)) and len(config) == 4):
+        raise AlgorithmError(f"a {method} entry's config must be a 4-tuple {fields}, got {config!r}")
+    return config
+
+
 def _entry_key(method: str, config: Any) -> tuple[str, Any]:
     """Validated result-cache key of a ``(method, config)`` entry of any kind.
 
     A fixed-ratio ``config`` is ``(ratio, lower, upper, tolerance)``, a
     top-k one ``(k, min_density, method, method_config)``, and any other
-    ``method`` is a registry name with its method config.
+    ``method`` is a registry name with its method config.  A fixed-ratio or
+    top-k config of any other shape raises :class:`AlgorithmError`.
     """
     if method == FIXED_RATIO_ENTRY:
-        ratio, lower, upper, tolerance = config
+        ratio, lower, upper, tolerance = _four_fields(
+            method, config, "(ratio, lower, upper, tolerance)"
+        )
         check_search_arguments(ratio, lower, upper, tolerance)
         return method, (float(ratio), float(lower), float(upper), float(tolerance))
     if method == TOP_K_ENTRY:
-        k, min_density, inner, inner_config = config
+        k, min_density, inner, inner_config = _four_fields(
+            method, config, "(k, min_density, method, method_config)"
+        )
         require_positive_int(k, "k")
         spec = get_method_spec(inner)
         cfg = spec.config_type.resolve(inner_config)

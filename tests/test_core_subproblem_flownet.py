@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import math
+import random
+from contextlib import contextmanager
 from itertools import combinations
+from typing import Sequence
 from unittest import mock
 
 import pytest
+from flow_oracle import forward_arcs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import fixed_ratio
+from repro.core import fixed_ratio, flow_network
 from repro.core.bruteforce import brute_force_dds
 from repro.core.density import (
     exactness_tolerance,
@@ -25,13 +29,36 @@ from repro.core.flow_network import (
 )
 from repro.core.ratio import all_candidate_ratios
 from repro.core.subproblem import STSubproblem
-from repro.exceptions import AlgorithmError, DeadlineExceeded
+from repro.exceptions import AlgorithmError, DeadlineExceeded, FlowError
 from repro.flow.dinic import DinicSolver
 from repro.flow.engine import FlowEngine
 from repro.flow.network import FlowNetwork
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import complete_bipartite_digraph, gnm_random_digraph
 from repro.runtime import Deadline
+
+
+def restricted_to(
+    subproblem: STSubproblem, s_allowed: Sequence[int], t_allowed: Sequence[int]
+) -> STSubproblem:
+    """``subproblem`` further restricted to the given candidate index sets.
+
+    The reference for in-place narrowing
+    (:meth:`~repro.core.flow_network.DecisionNetwork.narrow`): the edges
+    inside ``s_allowed x t_allowed`` in their order, and the candidates
+    with one of them, in candidate order.
+    """
+    s_set = set(s_allowed)
+    t_set = set(t_allowed)
+    edges = [(u, v) for u, v in subproblem.edges if u in s_set and v in t_set]
+    useful_s = {u for u, _ in edges}
+    useful_t = {v for _, v in edges}
+    return STSubproblem(
+        graph=subproblem.graph,
+        s_candidates=[u for u in subproblem.s_candidates if u in useful_s],
+        t_candidates=[v for v in subproblem.t_candidates if v in useful_t],
+        edges=edges,
+    )
 
 
 class TestSTSubproblem:
@@ -72,7 +99,7 @@ class TestSTSubproblem:
     def test_restricted_to(self):
         g = gnm_random_digraph(10, 30, seed=2)
         sub = STSubproblem.from_graph(g)
-        smaller = sub.restricted_to(sub.s_candidates[:3], sub.t_candidates[:3])
+        smaller = restricted_to(sub, sub.s_candidates[:3], sub.t_candidates[:3])
         assert smaller.num_edges <= sub.num_edges
         for u, v in smaller.edges:
             assert u in sub.s_candidates[:3]
@@ -284,18 +311,22 @@ def _small_digraphs(draw) -> DiGraph:
 
 
 class _GuessRecorder:
-    """Search events in order: each build/retune guess and each extracted surrogate.
+    """Search events in order: each build/retune/narrow guess and each extracted surrogate.
 
-    ``builds`` counts the networks built, narrowed ones included.
+    ``builds`` counts the networks built and ``narrowings`` the in-place
+    narrowings.
     """
 
     def __init__(self) -> None:
         self.events: list[tuple[str, float]] = []
         self.builds = 0
+        self.narrowings = 0
 
-    def patches(self, surrogate=None):
+    @contextmanager
+    def recording(self, surrogate=None):
         real_build = fixed_ratio.build_decision_network
         real_retune = DecisionNetwork.retune
+        real_narrow = DecisionNetwork.narrow
         real_surrogate = fixed_ratio.surrogate_density
 
         def build(subproblem, ratio, guess):
@@ -307,6 +338,11 @@ class _GuessRecorder:
             self.events.append(("guess", guess))
             return real_retune(network, ratio, guess)
 
+        def narrow(network, source_side, ratio, guess):
+            self.events.append(("guess", guess))
+            self.narrowings += 1
+            return real_narrow(network, source_side, ratio, guess)
+
         def extracted(edges, s_size, t_size, ratio):
             if surrogate is None:
                 value = real_surrogate(edges, s_size, t_size, ratio)
@@ -315,11 +351,13 @@ class _GuessRecorder:
             self.events.append(("surrogate", value))
             return value
 
-        return (
+        with (
             mock.patch.object(fixed_ratio, "build_decision_network", build),
             mock.patch.object(DecisionNetwork, "retune", retune),
+            mock.patch.object(DecisionNetwork, "narrow", narrow),
             mock.patch.object(fixed_ratio, "surrogate_density", extracted),
-        )
+        ):
+            yield self
 
     def last_guess(self) -> float:
         return next(value for kind, value in reversed(self.events) if kind == "guess")
@@ -354,8 +392,7 @@ class TestDinkelbachSearch:
             value = _surrogate_maximum(best_edges, ratio)
             lower = min(fraction * value, value)
             recorder = _GuessRecorder()
-            build, retune, surrogate = recorder.patches()
-            with build, retune, surrogate:
+            with recorder.recording():
                 outcome = maximize_fixed_ratio(
                     sub, ratio, lower=lower, upper=upper, tolerance=tolerance
                 )
@@ -462,8 +499,7 @@ class TestDinkelbachSearch:
         recorder = _GuessRecorder()
         # Every extracted pair claims a surrogate equal to the guess: no
         # success ever raises the lower bound past the guess.
-        build, retune, surrogate = recorder.patches(surrogate=lambda guess: guess)
-        with build, retune, surrogate:
+        with recorder.recording(surrogate=lambda guess: guess):
             outcome = maximize_fixed_ratio(sub, ratio, lower=0.0, upper=upper, tolerance=tolerance)
         assert outcome.upper - outcome.lower < tolerance
         # Successes only ever certify guesses below val(a) = rho_opt here,
@@ -545,7 +581,7 @@ class TestNestedSearch:
             improving, (s_side, t_side) = _canonical_cut(full)
             if not improving:
                 continue
-            narrowed = sub.restricted_to(s_side, t_side)
+            narrowed = restricted_to(sub, s_side, t_side)
             edges = graph.count_edges_between(s_side, t_side)
             surrogate = surrogate_density(edges, len(s_side), len(t_side), ratio)
             for later in (guess, max(guess, surrogate), guess + stretch * (upper - guess)):
@@ -589,8 +625,7 @@ class TestNestedSearch:
         sub = STSubproblem.from_graph(graph)
         engine = FlowEngine()
         recorder = _GuessRecorder()
-        build, retune, surrogate = recorder.patches()
-        with build, retune, surrogate:
+        with recorder.recording():
             outcome = maximize_fixed_ratio(
                 sub,
                 1.0,
@@ -600,9 +635,9 @@ class TestNestedSearch:
                 engine=engine,
             )
         assert outcome.flow_calls >= 3
-        # One search network is counted; the narrowed ones are not.
+        # One search network is built, counted, and then narrowed in place.
         assert outcome.networks_built == engine.networks_built == 1
-        assert recorder.builds - 1 >= 1
+        assert recorder.builds == 1 and recorder.narrowings >= 1
         # Sizes stay those of the search network, one entry per cut.
         size = 2 + len(sub.s_candidates) + len(sub.t_candidates)
         assert outcome.network_nodes == [size] * outcome.flow_calls
@@ -695,8 +730,8 @@ class TestBulkBuild:
         u, v = sub.edges[0]
         subproblems = [
             sub,
-            sub.restricted_to(sub.s_candidates[:keep], sub.t_candidates[keep:]),
-            sub.restricted_to([u], [v]),
+            restricted_to(sub, sub.s_candidates[:keep], sub.t_candidates[keep:]),
+            restricted_to(sub, [u], [v]),
         ]
         for subproblem in subproblems:
             bulk = build_decision_network(subproblem, ratio, guess)
@@ -711,3 +746,180 @@ class TestBulkBuild:
         assert state[2] == [2, 0, 1, 2, 1, 3, 3, 2]
         assert state[3] == [2.0, 0.0, 0.5, 0.0, 0.5, 0.0, 2.0, 0.0]
         assert state[5:8] == ([0, 1, 3, 6, 8], [0, 3, 5, 1, 2, 6, 4, 7], 2.0)
+
+
+def _side_of(decision: DecisionNetwork, s_kept: Sequence[int], t_kept: Sequence[int]) -> list[int]:
+    """The network nodes of graph-index candidate sets, as a cut's source side lists them."""
+    t_offset = 2 + len(decision.s_nodes)
+    s_kept, t_kept = set(s_kept), set(t_kept)
+    return (
+        [0]
+        + [2 + i for i, u in enumerate(decision.s_nodes) if u in s_kept]
+        + [t_offset + j for j, v in enumerate(decision.t_nodes) if v in t_kept]
+    )
+
+
+def _node_map(narrowed: DecisionNetwork, reference: DecisionNetwork) -> dict[int, int]:
+    """Each node of ``reference`` -> the node of the same candidate in ``narrowed``."""
+    s_node = {u: 2 + i for i, u in enumerate(narrowed.s_nodes)}
+    t_node = {v: 2 + len(narrowed.s_nodes) + j for j, v in enumerate(narrowed.t_nodes)}
+    t_offset = 2 + len(reference.s_nodes)
+    mapping = {0: 0, 1: 1}
+    mapping.update({2 + i: s_node[u] for i, u in enumerate(reference.s_nodes)})
+    mapping.update({t_offset + j: t_node[v] for j, v in enumerate(reference.t_nodes)})
+    return mapping
+
+
+def _arc_states(decision: DecisionNetwork, mapping: dict[int, int] | None = None) -> dict:
+    """``(tail, target) -> (capacity bits, flow bits)`` of every forward arc with capacity."""
+    states = {}
+    for tail, target, capacity, flow in forward_arcs(decision.network):
+        if capacity or flow:
+            if mapping is not None:
+                tail, target = mapping[tail], mapping[target]
+            states[tail, target] = (capacity.hex(), flow.hex())
+    return states
+
+
+def _solved(decision: DecisionNetwork, slack_capacity: float) -> tuple:
+    """Verdict, canonical pair, cut-value bits and ``arcs_pushed`` of one Dinic solve."""
+    solver = DinicSolver(decision.network, decision.source, decision.sink)
+    cut = solver.max_flow()
+    return (
+        decision_cut_is_improving(cut, decision.total_capacity, slack_capacity),
+        decision.extract_pair(solver.min_cut_source_side()),
+        cut.hex(),
+        solver.arcs_pushed,
+    )
+
+
+def _kept(draw, candidates: list[int]) -> list[int]:
+    return [node for node in candidates if draw(st.booleans())]
+
+
+class TestInPlaceNarrowing:
+    """A network narrowed in place solves exactly like one built from the restriction."""
+
+    @pytest.mark.parametrize("start_flow", [False, True], ids=["zero-flow", "start-flow"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=_small_digraphs(),
+        ratio=st.sampled_from([0.25, 2.0 / 3.0, 1.0, 1.5, 3.0]),
+        guesses=st.lists(st.floats(min_value=0.0, max_value=6.0), min_size=3, max_size=3),
+        data=st.data(),
+    )
+    def test_matches_a_build_from_the_restriction(self, start_flow, graph, ratio, guesses, data):
+        sub = STSubproblem.from_graph(graph)
+        first, *later = guesses
+        decision = build_decision_network(sub, ratio, first)
+        scope = sub
+        threshold = 0 if start_flow else flow_network.START_FLOW_MIN_ARCS
+        with mock.patch.object(flow_network, "START_FLOW_MIN_ARCS", threshold):
+            # The search narrows a solved network, then narrows it again.
+            _solved(decision, sub.decision_topology.total_capacity)
+            for guess in later:
+                s_side = _kept(data.draw, scope.s_candidates)
+                t_side = _kept(data.draw, scope.t_candidates)
+                scope = restricted_to(scope, s_side, t_side)
+                decision.narrow(_side_of(decision, s_side, t_side), ratio, guess)
+                reference = build_decision_network(scope, ratio, guess)
+                assert decision.total_capacity == reference.total_capacity
+                assert decision.live_arcs == reference.num_arcs
+                assert decision.candidate_counts == (len(scope.s_candidates), len(scope.t_candidates))
+                for retuned in (False, True):
+                    if retuned:
+                        decision.retune(ratio, guess / 2.0)
+                        reference.retune(ratio, guess / 2.0)
+                    decision.route_start_flow()
+                    reference.route_start_flow()
+                    mapping = _node_map(decision, reference)
+                    assert _arc_states(decision) == _arc_states(reference, mapping)
+                    slack = sub.decision_topology.total_capacity
+                    assert _solved(decision, slack) == _solved(reference, slack)
+                    assert _arc_states(decision) == _arc_states(reference, mapping)
+
+
+    #: Seeds 27, 122 and 125 narrow to pairs whose start flow differs in the
+    #: last bits when the greedy also walks the zeroed edges.
+    @pytest.mark.parametrize("seed", [0, 1, 2, 27, 122, 125])
+    def test_matches_on_larger_graphs(self, seed):
+        """Networks across the start-flow threshold, and prefix sums that round."""
+        rng = random.Random(seed)
+        n = rng.randint(20, 60)
+        graph = gnm_random_digraph(n, rng.randint(4 * n, 10 * n), seed=seed)
+        sub = STSubproblem.from_graph(graph)
+        ratio = rng.choice([0.3, 2.0 / 3.0, 1.7, 0.9])
+        decision = build_decision_network(sub, ratio, 0.0)
+        slack = sub.decision_topology.total_capacity
+        scope = sub
+        for keep in (rng.uniform(0.3, 0.9), 0.5, 0.3):
+            s_side = [u for u in scope.s_candidates if rng.random() < keep]
+            t_side = [v for v in scope.t_candidates if rng.random() < keep]
+            guess = rng.uniform(0.05, 3.0)
+            scope = restricted_to(scope, s_side, t_side)
+            decision.narrow(_side_of(decision, s_side, t_side), ratio, guess)
+            reference = build_decision_network(scope, ratio, guess)
+            decision.route_start_flow()
+            reference.route_start_flow()
+            mapping = _node_map(decision, reference)
+            assert _arc_states(decision) == _arc_states(reference, mapping)
+            assert _solved(decision, slack) == _solved(reference, slack)
+            # Narrowing only ever restricts: a side holding every node keeps
+            # the network as it was.
+            decision.narrow(list(range(decision.num_nodes)), ratio, guess)
+            reference.retune(ratio, guess)
+            assert _arc_states(decision) == _arc_states(reference, mapping)
+
+
+class TestSharedTopology:
+    """The searches of one sub-problem share its topology and nothing else."""
+
+    def test_networks_over_one_topology_stay_isolated(self):
+        sub = STSubproblem.from_graph(gnm_random_digraph(9, 30, seed=3))
+        first = build_decision_network(sub, 1.0, 0.5)
+        second = build_decision_network(sub, 2.0, 1.5)
+        assert first.topology is second.topology is sub.decision_topology
+        shared_lists = second.network.solver_views()
+        assert first.network.solver_views() is shared_lists
+        heads, targets = shared_lists
+        before = (
+            [list(arcs) for arcs in heads],
+            list(targets),
+            [bytes(view) for view in sub.decision_topology.arcs.numpy_views()],
+            bytes(second.network.arc_capacities),
+            forward_arcs(second.network),
+        )
+        first.retune(0.5, 2.0)
+        side = _side_of(first, sub.s_candidates[::2], sub.t_candidates[1::2])
+        first.narrow(side, 0.5, 2.5)
+        FlowEngine().min_cut(first.network, first.source, first.sink)
+        after = (
+            [list(arcs) for arcs in heads],
+            list(targets),
+            [bytes(view) for view in sub.decision_topology.arcs.numpy_views()],
+            bytes(second.network.arc_capacities),
+            forward_arcs(second.network),
+        )
+        assert after == before
+        assert bytes(first.network.arc_capacities) != bytes(second.network.arc_capacities)
+        # The untouched network still solves like a fresh one.
+        fresh = build_decision_network(sub, 2.0, 1.5)
+        assert _solved(second, second.total_capacity) == _solved(fresh, fresh.total_capacity)
+
+    def test_shared_topology_refuses_edits(self):
+        sub = STSubproblem.from_graph(complete_bipartite_digraph(2, 3))
+        decision = build_decision_network(sub, 1.0, 1.0)
+        network = decision.network
+        arcs = network.num_arcs
+        with pytest.raises(FlowError, match="shared topology"):
+            network.add_edge(2, 3, 1.0)
+        with pytest.raises(FlowError, match="shared topology"):
+            network.append_paired_arcs([2, 3], [3, 2], [1.0, 0.0], [1.0, 0.0])
+        assert network.num_arcs == arcs
+        starts, order, targets, caps, tails, base = network.numpy_csr()
+        for view in (starts, order, targets, tails):
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0] = view[0]
+        assert caps.flags.writeable and base.flags.writeable
+        assert _solved(decision, decision.total_capacity)[0]

@@ -393,9 +393,13 @@ class TestAnswerCache:
         "method, config, error",
         [
             ("fixed-ratio", (0.0, 0.0, 1.0, 1e-6), AlgorithmError),
-            ("fixed-ratio", (1.0, 0.0, 1.0, 1e-6, "dinic"), ValueError),
+            ("fixed-ratio", (1.0, 0.0, 1.0, 1e-6, "dinic"), AlgorithmError),
             ("top-k", (2, 0.0, "auto", ExactConfig()), AlgorithmError),
             ("top-k", (0, 0.0, "core-exact", ExactConfig()), AlgorithmError),
+            ("fixed-ratio", (1.0, 0.0), AlgorithmError),
+            ("fixed-ratio", 1.0, AlgorithmError),
+            ("top-k", (2, 0.0, "core-exact"), AlgorithmError),
+            ("top-k", "core-exact", AlgorithmError),
         ],
     )
     def test_seed_result_validates_both_kinds(self, graph, method, config, error):
