@@ -138,7 +138,7 @@ class DecisionTopology:
         group sizes.  The start flow walks them.
         """
         if self._edge_groups is None:
-            starts, order, _, _ = self.arcs.numpy_views()
+            starts, order = self.arcs.starts, self.arcs.order
             s_count = len(self.s_nodes)
             t_first, t_stop = 2 + s_count, 2 + s_count + len(self.t_nodes)
             # The CSR lists each node's arcs in arc order, so the edge arcs
@@ -264,8 +264,8 @@ class DecisionNetwork:
         sub-problem.  A fixed-ratio search routes :meth:`route_start_flow`
         after every retune, as after every build.
 
-        The penalty capacities are written into the base capacities through
-        the network's zero-copy views, one strided slice per penalty kind;
+        The penalty capacities are written into the network's base
+        capacities in place, one strided slice per penalty kind;
         ``reset_flow`` then copies them over every residual.
         """
         check_decision_parameters(ratio, guess)
@@ -292,11 +292,11 @@ class DecisionNetwork:
         topology = self.topology
         s_count = len(topology.s_nodes)
         t_arcs_start, edge_start = 4 * s_count, topology.edge_start
-        _, _, targets, _, tails, base = self.network.numpy_csr()
+        base = self.network.base_capacities
         kept = np.zeros(self.num_nodes, dtype=bool)
         kept[source_side] = True
-        edge_tails = tails[edge_start::2]
-        edge_heads = targets[edge_start::2]
+        edge_tails = topology.arcs.tails[edge_start::2]
+        edge_heads = topology.arcs.targets[edge_start::2]
         live = kept[edge_tails] & kept[edge_heads]
         if self._narrowing is not None:
             live &= self._narrowing.live
@@ -319,7 +319,7 @@ class DecisionNetwork:
         """Write the penalty capacities for ``(ratio, guess)``; dropped candidates keep zero."""
         root = math.sqrt(ratio)
         t_arcs_start = 4 * len(self.s_nodes)
-        _, _, _, _, _, base = self.network.numpy_csr()
+        base = self.network.base_capacities
         s_penalties = base[2:t_arcs_start:4]
         t_penalties = base[t_arcs_start : self.topology.edge_start : 2]
         if self._narrowing is None:
@@ -370,7 +370,9 @@ class DecisionNetwork:
         """
         if self.live_arcs < START_FLOW_MIN_ARCS:
             return
-        _, order, _, caps, tails, base = self.network.numpy_csr()
+        network = self.network
+        caps, base = network.arc_capacities, network.base_capacities
+        tails = self.topology.arcs.tails
         by_tail, by_head, out_degree, in_degree = self._live_edge_groups()
         s_count = len(self.s_nodes)
         t_arcs_start = 4 * s_count
@@ -378,7 +380,7 @@ class DecisionNetwork:
 
         source_caps = base[0:t_arcs_start:4]
         direct = np.minimum(source_caps, base[2:t_arcs_start:4])
-        offers = np.empty(order.shape[0] // 2, dtype=np.float64)
+        offers = np.empty(network.num_arcs // 2, dtype=np.float64)
         offers[by_tail >> 1] = _greedy_fill(base[by_tail], out_degree, source_caps - direct)
         routed = _greedy_fill(offers[by_head >> 1], in_degree, base[t_arcs_start:edge_start:2])
         caps[by_head] = base[by_head] - routed
@@ -445,7 +447,7 @@ def build_decision_network(
     base[2:t_arcs_start:4] = guess / root
     base[t_arcs_start:edge_start:2] = guess * root
     base[edge_start::2] = 2.0
-    return DecisionNetwork(FlowNetwork.over(topology.arcs, base), topology)
+    return DecisionNetwork(FlowNetwork(topology.arcs, base), topology)
 
 
 def decision_cut_is_improving(

@@ -3,13 +3,14 @@
 The DDS exact algorithms reduce the density decision problem to a minimum
 ``s``–``t`` cut.  This subpackage provides the flow machinery from scratch:
 
-* :class:`FlowNetwork` — a CSR-backed residual network (``array('d')``
-  capacities, ``array('q')`` targets and per-node arc slices) with float
-  capacities, in-place capacity retuning (writes through the zero-copy
-  views of :meth:`FlowNetwork.numpy_csr` + :meth:`FlowNetwork.reset_flow`)
-  so a built network can be re-solved for many parameter guesses without
-  rebuilding; networks that differ only in capacities share one read-only
-  :class:`~repro.flow.network.FlowTopology` (:meth:`FlowNetwork.over`),
+* :class:`FlowNetwork` — a residual network: its own numpy ``float64``
+  base and residual capacity columns over a read-only
+  :class:`FlowTopology` (``int64`` arc tails and
+  targets, paired with their residual twins, and a CSR index), built as
+  ``FlowNetwork(topology, base_capacities)``.  Networks that differ only in
+  capacities share one topology, and a built network is retuned in place
+  (write its base capacities, then :meth:`FlowNetwork.reset_flow`) and
+  re-solved for many parameter guesses without rebuilding,
 * :class:`DinicSolver` / :func:`dinic_max_flow` — the one min-cut solver
   (Dinic's blocking-flow algorithm, ``O(V^2 E)`` worst case, much faster on
   the unit-capacity-heavy networks produced by the density reduction),
@@ -24,10 +25,11 @@ every flow-backed method can be cross-checked against it.
 
 from repro.flow.dinic import DinicSolver, dinic_max_flow
 from repro.flow.engine import FlowEngine
-from repro.flow.network import INFINITY, FlowNetwork
+from repro.flow.network import INFINITY, FlowNetwork, FlowTopology
 
 __all__ = [
     "FlowNetwork",
+    "FlowTopology",
     "INFINITY",
     "FlowEngine",
     "DinicSolver",

@@ -17,18 +17,17 @@ restart-from-the-source loop as a bit-for-bit reference
 :class:`~repro.exceptions.FlowError` (the flow is unbounded) before the
 network is touched.
 
-Indexing the network's ``array``-backed CSR storage boxes a fresh Python
-object on every read, so ``max_flow`` grabs the cached list view of the
-topology (:meth:`~repro.flow.network.FlowNetwork.solver_views`), snapshots
-the capacities into a plain list once (O(m), C-speed), runs the inner loops
-on those, and writes the final residual capacities back to the network when
-done — the array storage stays canonical while the hot path pays list-speed
-access costs only.
+Indexing the network's numpy columns boxes a fresh Python object on every
+read, so ``max_flow`` grabs the topology's cached list views
+(:meth:`~repro.flow.network.FlowTopology.solver_views`), snapshots the
+residual capacities into a plain list once (O(m), C-speed), runs the inner
+loops on those, and writes the final residual capacities back into the
+network's column when done — the network's columns hold the state between
+solves while the hot path pays list-speed access costs only.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 
 from repro.exceptions import FlowError
@@ -77,13 +76,13 @@ class DinicSolver:
     # ------------------------------------------------------------------
     def max_flow(self) -> float:
         """Run Dinic to completion and return the max-flow value."""
-        heads, targets = self.network.solver_views()
-        caps_arr = self.network.arc_capacities
-        caps = caps_arr.tolist()
+        network = self.network
+        heads, targets = network.topology.solver_views()
+        caps = network.arc_capacities.tolist()
 
         # Credit the value of the flow already routed through the network;
         # the augmenting loop below then only tops it up.
-        total = self.network.flow_value(self.source)
+        total = network.flow_value(self.source)
         while True:
             if self.deadline is not None:
                 # Cooperative cancellation checkpoint (one per BFS round):
@@ -94,7 +93,7 @@ class DinicSolver:
                 break
             total = self._blocking_flow(heads, targets, caps, total)
 
-        caps_arr[:] = array("d", caps)
+        network.arc_capacities[:] = caps
         self._completed = True
         return total
 

@@ -7,13 +7,19 @@ a vertex subset ``H`` (vertices on the source side) equals
 ``2m - 2(e(H) - g|H|)``, so ``mincut < 2m`` iff some subgraph has edge
 density greater than ``g``.  A binary search with gap below ``1/(n(n-1))``
 (densities are of the form ``e/|H|``) pins the exact optimum.
+
+Only the ``2g`` sink capacities depend on the guess, so one call builds
+one :class:`~repro.flow.network.FlowTopology` and one network over it, and
+each guess rewrites those capacities in place and resets the flow.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.exceptions import EmptyGraphError
 from repro.flow.dinic import DinicSolver
-from repro.flow.network import FlowNetwork
+from repro.flow.network import FlowNetwork, FlowTopology
 from repro.graph.digraph import DiGraph
 from repro.undirected.models import UndirectedResult, symmetrize, undirected_edge_count
 
@@ -28,17 +34,19 @@ def goldberg_exact(graph: DiGraph) -> UndirectedResult:
     m = symmetric.num_edges // 2
     adjacency = symmetric.out_adj
     degrees = [len(neighbors) for neighbors in adjacency]
+    source, sink = n, n + 1
 
-    def build_network(guess: float) -> FlowNetwork:
-        network = FlowNetwork(n + 2)
-        source, sink = n, n + 1
-        for node in range(n):
-            network.add_edge(source, node, float(degrees[node]))
-            network.add_edge(node, sink, 2.0 * guess)
-        for node in range(n):
-            for neighbor in adjacency[node]:
-                network.add_edge(node, neighbor, 1.0)
-        return network
+    # Forward arcs: per vertex s -> v then v -> t, then both directions of
+    # every edge; each is followed by its residual twin.
+    forward = [arc for node in range(n) for arc in ((source, node), (node, sink))]
+    forward += [(node, neighbor) for node in range(n) for neighbor in adjacency[node]]
+    tails = [end for tail, head in forward for end in (tail, head)]
+    targets = [end for tail, head in forward for end in (head, tail)]
+    base = np.zeros(len(tails))
+    base[0 : 4 * n : 4] = degrees
+    base[4 * n :: 2] = 1.0
+    network = FlowNetwork(FlowTopology(n + 2, tails, targets), base)
+    sink_capacities = network.base_capacities[2 : 4 * n : 4]
 
     low, high = 0.0, float(max(degrees))
     tolerance = 1.0 / (n * (n - 1)) if n > 1 else 1e-9
@@ -47,8 +55,9 @@ def goldberg_exact(graph: DiGraph) -> UndirectedResult:
 
     while high - low >= tolerance:
         guess = (low + high) / 2.0
-        network = build_network(guess)
-        solver = DinicSolver(network, n, n + 1)
+        sink_capacities[:] = 2.0 * guess
+        network.reset_flow()
+        solver = DinicSolver(network, source, sink)
         cut_value = solver.max_flow()
         flow_calls += 1
         if cut_value < 2.0 * m - 1e-9 * max(1.0, 2.0 * m):

@@ -10,10 +10,10 @@ swaps it in as ``FlowEngine.solver_class`` and every flow-backed method
 runs on it as on ``dinic``.  Tests parametrised over :data:`CHECKED_SOLVERS`
 switch to it mid-test with :func:`use_solver`.
 
+:func:`network_from_arcs` builds a network from a list of forward arcs,
 :func:`forward_arcs` reads a network's forward arcs, with the flow each
-carries, off :meth:`~repro.flow.network.FlowNetwork.numpy_csr`, and
-:func:`copy_network` copies a network with
-:meth:`~repro.flow.network.FlowNetwork.append_paired_arcs`.
+carries, off its topology and capacity columns, and :func:`copy_network`
+copies a network's capacities and residual state over the same topology.
 
 :class:`RestartDinicSolver` is the second reference: Dinic as it was before
 its DFS learned to resume after a push and its BFS to stop at the sink —
@@ -25,11 +25,10 @@ residual capacities, ``arcs_pushed`` and cut.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 
 from repro.exceptions import FlowError
-from repro.flow.network import EPSILON, FlowNetwork
+from repro.flow.network import EPSILON, FlowNetwork, FlowTopology
 
 
 class EdmondsKarpSolver:
@@ -56,9 +55,8 @@ class EdmondsKarpSolver:
     def max_flow(self) -> float:
         """Compute the maximum ``source``–``sink`` flow with Edmonds–Karp."""
         network = self.network
-        heads, targets = network.solver_views()
-        caps_arr = network.arc_capacities
-        caps = caps_arr.tolist()
+        heads, targets = network.topology.solver_views()
+        caps = network.arc_capacities.tolist()
         source, sink = self.source, self.sink
         total = network.flow_value(source)
 
@@ -80,7 +78,7 @@ class EdmondsKarpSolver:
                             break
                         queue.append(target)
             if not found:
-                caps_arr[:] = array("d", caps)
+                network.arc_capacities[:] = caps
                 return total
 
             # Compute the bottleneck along the path and push it.
@@ -130,9 +128,8 @@ class RestartDinicSolver:
 
     def max_flow(self) -> float:
         """Run Dinic to completion and return the max-flow value."""
-        heads, targets = self.network.solver_views()
-        caps_arr = self.network.arc_capacities
-        caps = caps_arr.tolist()
+        heads, targets = self.network.topology.solver_views()
+        caps = self.network.arc_capacities.tolist()
         total = self.network.flow_value(self.source)
         while True:
             if not self._build_levels(heads, targets, caps):
@@ -143,7 +140,7 @@ class RestartDinicSolver:
                 if pushed <= EPSILON:
                     break
                 total += pushed
-        caps_arr[:] = array("d", caps)
+        self.network.arc_capacities[:] = caps
         self._completed = True
         return total
 
@@ -225,6 +222,18 @@ def use_solver(request, name: str) -> None:
         request.getfixturevalue("flow_oracle")
 
 
+def network_from_arcs(num_nodes: int, arcs) -> FlowNetwork:
+    """A network of ``(tail, target, capacity)`` arcs, in order, each followed by its twin."""
+    tails: list[int] = []
+    targets: list[int] = []
+    capacities: list[float] = []
+    for tail, target, capacity in arcs:
+        tails += (tail, target)
+        targets += (target, tail)
+        capacities += (capacity, 0.0)
+    return FlowNetwork(FlowTopology(num_nodes, tails, targets), capacities)
+
+
 def forward_arcs(network: FlowNetwork) -> list[tuple[int, int, float, float]]:
     """``(tail, target, capacity, flow)`` of every forward arc, in arc order.
 
@@ -232,18 +241,21 @@ def forward_arcs(network: FlowNetwork) -> list[tuple[int, int, float, float]]:
     on arc ``i`` is the twin's residual capacity: finite even on an
     infinite-capacity arc, where ``capacity - residual`` would be ``nan``.
     """
-    _, _, targets, caps, tails, base = network.numpy_csr()
-    return [
-        (int(tails[i]), int(targets[i]), float(base[i]), float(caps[i ^ 1]))
-        for i in range(0, network.num_arcs, 2)
-    ]
+    topology = network.topology
+    return list(
+        zip(
+            topology.tails[0::2].tolist(),
+            topology.targets[0::2].tolist(),
+            network.base_capacities[0::2].tolist(),
+            network.arc_capacities[1::2].tolist(),
+        )
+    )
 
 
 def copy_network(network: FlowNetwork) -> FlowNetwork:
-    """A network with ``network``'s nodes, arcs and residual state, sharing no buffer."""
-    _, _, targets, caps, tails, base = network.numpy_csr()
-    twin = FlowNetwork(network.num_nodes)
-    twin.append_paired_arcs(tails, targets, caps, base)
+    """A network over ``network``'s topology with copies of its capacities and residual state."""
+    twin = FlowNetwork(network.topology, network.base_capacities)
+    twin.arc_capacities[:] = network.arc_capacities
     return twin
 
 

@@ -29,10 +29,9 @@ from repro.core.flow_network import (
 )
 from repro.core.ratio import all_candidate_ratios
 from repro.core.subproblem import STSubproblem
-from repro.exceptions import AlgorithmError, DeadlineExceeded, FlowError
+from repro.exceptions import AlgorithmError, DeadlineExceeded
 from repro.flow.dinic import DinicSolver
 from repro.flow.engine import FlowEngine
-from repro.flow.network import FlowNetwork
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import complete_bipartite_digraph, gnm_random_digraph
 from repro.runtime import Deadline
@@ -644,17 +643,17 @@ class TestNestedSearch:
 
 
 def _decision_state(decision):
-    """Every buffer, the CSR index and the bookkeeping fields a build produces."""
+    """Every column, the CSR index and the bookkeeping fields a build produces."""
     network = decision.network
-    starts, order, _, _ = network.csr()
+    topology = network.topology
     return (
         network.num_nodes,
-        network._tails.tolist(),
-        network._to.tolist(),
-        network._cap.tolist(),
-        network._base.tolist(),
-        starts.tolist(),
-        order.tolist(),
+        topology.tails.tolist(),
+        topology.targets.tolist(),
+        network.arc_capacities.tolist(),
+        network.base_capacities.tolist(),
+        topology.starts.tolist(),
+        topology.order.tolist(),
         decision.total_capacity,
         decision.s_nodes,
         decision.t_nodes,
@@ -677,36 +676,45 @@ def _counting_sort_csr(tails: list[int], num_nodes: int) -> tuple[list[int], lis
 
 
 def _scalar_loop_state(subproblem: STSubproblem, ratio: float, guess: float):
-    """What :func:`_decision_state` reads off the network built one ``add_edge`` at a time.
+    """What :func:`_decision_state` reads off a network whose arcs are laid out one at a time.
 
     The reference for the bulk build: the documented arc order (per S
     candidate its source then its penalty arc, the T penalty arcs, the edge
-    arcs), ``2m'`` summed arc by arc, and the CSR index by counting sort.
+    arcs), each forward arc followed by its residual twin, ``2m'`` summed
+    arc by arc, and the CSR index by counting sort.
     """
     s_nodes, t_nodes = subproblem.s_candidates, subproblem.t_candidates
     out_copy = {u: 2 + index for index, u in enumerate(s_nodes)}
     in_copy = {v: 2 + len(s_nodes) + index for index, v in enumerate(t_nodes)}
     out_degree = subproblem.out_degrees()
     root = math.sqrt(ratio)
-    network = FlowNetwork(2 + len(s_nodes) + len(t_nodes))
+    num_nodes = 2 + len(s_nodes) + len(t_nodes)
+    tails: list[int] = []
+    targets: list[int] = []
+    capacities: list[float] = []
+
+    def add_arc(tail: int, target: int, capacity: float) -> None:
+        tails.extend((tail, target))
+        targets.extend((target, tail))
+        capacities.extend((capacity, 0.0))
+
     total_capacity = 0.0
     for u in s_nodes:
         capacity = 2.0 * out_degree[u]
-        network.add_edge(0, out_copy[u], capacity)
+        add_arc(0, out_copy[u], capacity)
         total_capacity += capacity
-        network.add_edge(out_copy[u], 1, guess / root)
+        add_arc(out_copy[u], 1, guess / root)
     for v in t_nodes:
-        network.add_edge(in_copy[v], 1, guess * root)
+        add_arc(in_copy[v], 1, guess * root)
     for u, v in subproblem.edges:
-        network.add_edge(out_copy[u], in_copy[v], 2.0)
-    tails = network._tails.tolist()
-    starts, order = _counting_sort_csr(tails, network.num_nodes)
+        add_arc(out_copy[u], in_copy[v], 2.0)
+    starts, order = _counting_sort_csr(tails, num_nodes)
     return (
-        network.num_nodes,
+        num_nodes,
         tails,
-        network._to.tolist(),
-        network._cap.tolist(),
-        network._base.tolist(),
+        targets,
+        capacities,
+        capacities,
         starts,
         order,
         total_capacity,
@@ -716,7 +724,7 @@ def _scalar_loop_state(subproblem: STSubproblem, ratio: float, guess: float):
 
 
 class TestBulkBuild:
-    """The bulk build is bit-identical to the scalar ``add_edge`` loop."""
+    """The bulk build is bit-identical to the scalar arc-by-arc loop."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -879,13 +887,15 @@ class TestSharedTopology:
         first = build_decision_network(sub, 1.0, 0.5)
         second = build_decision_network(sub, 2.0, 1.5)
         assert first.topology is second.topology is sub.decision_topology
-        shared_lists = second.network.solver_views()
-        assert first.network.solver_views() is shared_lists
-        heads, targets = shared_lists
+        arcs = sub.decision_topology.arcs
+        assert first.network.topology is second.network.topology is arcs
+        heads, targets = arcs.solver_views()
+        columns = (arcs.tails, arcs.targets, arcs.starts, arcs.order)
         before = (
-            [list(arcs) for arcs in heads],
+            [list(arc_list) for arc_list in heads],
             list(targets),
-            [bytes(view) for view in sub.decision_topology.arcs.numpy_views()],
+            [bytes(column) for column in columns],
+            bytes(second.network.base_capacities),
             bytes(second.network.arc_capacities),
             forward_arcs(second.network),
         )
@@ -894,9 +904,10 @@ class TestSharedTopology:
         first.narrow(side, 0.5, 2.5)
         FlowEngine().min_cut(first.network, first.source, first.sink)
         after = (
-            [list(arcs) for arcs in heads],
+            [list(arc_list) for arc_list in heads],
             list(targets),
-            [bytes(view) for view in sub.decision_topology.arcs.numpy_views()],
+            [bytes(column) for column in columns],
+            bytes(second.network.base_capacities),
             bytes(second.network.arc_capacities),
             forward_arcs(second.network),
         )
@@ -910,16 +921,11 @@ class TestSharedTopology:
         sub = STSubproblem.from_graph(complete_bipartite_digraph(2, 3))
         decision = build_decision_network(sub, 1.0, 1.0)
         network = decision.network
-        arcs = network.num_arcs
-        with pytest.raises(FlowError, match="shared topology"):
-            network.add_edge(2, 3, 1.0)
-        with pytest.raises(FlowError, match="shared topology"):
-            network.append_paired_arcs([2, 3], [3, 2], [1.0, 0.0], [1.0, 0.0])
-        assert network.num_arcs == arcs
-        starts, order, targets, caps, tails, base = network.numpy_csr()
-        for view in (starts, order, targets, tails):
-            assert not view.flags.writeable
+        topology = network.topology
+        for column in (topology.starts, topology.order, topology.targets, topology.tails):
+            assert not column.flags.writeable
             with pytest.raises(ValueError):
-                view[0] = view[0]
+                column[0] = column[0]
+        caps, base = network.arc_capacities, network.base_capacities
         assert caps.flags.writeable and base.flags.writeable
         assert _solved(decision, decision.total_capacity)[0]

@@ -7,266 +7,169 @@ import random
 
 import numpy as np
 import pytest
-from flow_oracle import edmonds_karp_max_flow, forward_arcs
+from flow_oracle import edmonds_karp_max_flow, forward_arcs, network_from_arcs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import FlowError
 from repro.flow.dinic import DinicSolver, dinic_max_flow
-from repro.flow.network import INFINITY, FlowNetwork
+from repro.flow.network import INFINITY, FlowNetwork, FlowTopology
 
 
 def _random_network(n: int, m: int, seed: int) -> FlowNetwork:
     rng = random.Random(seed)
-    network = FlowNetwork(n)
+    arcs = []
     for _ in range(m):
         u = rng.randrange(n)
         v = rng.randrange(n)
         if u != v:
-            network.add_edge(u, v, rng.randint(1, 10))
-    return network
+            arcs.append((u, v, rng.randint(1, 10)))
+    return network_from_arcs(n, arcs)
+
+
+class TestFlowTopology:
+    def test_negative_node_count_rejected(self):
+        with pytest.raises(FlowError, match="num_nodes must be >= 0"):
+            FlowTopology(-1, [], [])
+
+    def test_twins_must_run_in_reverse(self):
+        # Arc 1 runs 2 -> 0 instead of 1 -> 0, the reverse of arc 0.
+        with pytest.raises(FlowError, match="arc i \\^ 1"):
+            FlowTopology(3, [0, 2, 1, 2], [1, 0, 2, 1])
+
+    def test_rejects_unpaired_and_mismatched_columns(self):
+        with pytest.raises(FlowError, match="even length"):
+            FlowTopology(3, [0], [1])
+        with pytest.raises(FlowError, match="even length"):
+            FlowTopology(3, [0, 1], [1])
+
+    def test_columns_are_read_only_copies(self):
+        tails, targets = np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1])
+        topology = FlowTopology(3, tails, targets)
+        tails[0] = 2
+        assert topology.tails.tolist() == [0, 1, 1, 2]
+        assert topology.starts.tolist() == [0, 1, 3, 4]
+        assert topology.order.tolist() == [0, 1, 2, 3]
+        for column in (topology.tails, topology.targets, topology.starts, topology.order):
+            assert column.dtype == np.int64 and not column.flags.writeable
+
+    def test_empty_topology(self):
+        network = FlowNetwork(FlowTopology(2, [], []), [])
+        assert network.num_arcs == 0
+        assert dinic_max_flow(network, 0, 1) == 0.0
+        network.reset_flow()
 
 
 class TestFlowNetwork:
-    def test_add_edge_and_arc_count(self):
-        net = FlowNetwork(3)
-        net.add_edge(0, 1, 2.0)
-        net.add_edge(1, 2, 3.0)
+    def test_arc_count(self):
+        net = network_from_arcs(3, [(0, 1, 2.0), (1, 2, 3.0)])
         assert net.num_arcs == 4  # each edge stores a residual partner
 
     def test_negative_capacity_rejected(self):
-        net = FlowNetwork(2)
-        with pytest.raises(FlowError):
-            net.add_edge(0, 1, -1.0)
+        topology = FlowTopology(2, [0, 1], [1, 0])
+        for column_kind in (list, np.asarray):
+            for capacities in ([-1.0, 0.0], [1.0, -1.0]):
+                with pytest.raises(FlowError, match="capacity must be >= 0"):
+                    FlowNetwork(topology, column_kind(capacities))
 
     def test_node_out_of_range(self):
-        net = FlowNetwork(2)
-        with pytest.raises(FlowError):
-            net.add_edge(0, 5, 1.0)
+        for bad in (5, -1):
+            with pytest.raises(FlowError, match="out of range"):
+                FlowTopology(3, [1, bad], [bad, 1])
 
     def test_arc_flow_and_reset(self):
-        net = FlowNetwork(3)
-        arc = net.add_edge(0, 1, 5.0)
-        net.add_edge(1, 2, 3.0)
+        net = network_from_arcs(3, [(0, 1, 5.0), (1, 2, 3.0)])
         flow = dinic_max_flow(net, 0, 2)
         assert flow == pytest.approx(3.0)
-        assert arc == 0
         assert forward_arcs(net)[0][3] == pytest.approx(3.0)
         net.reset_flow()
         assert [flow for *_, flow in forward_arcs(net)] == [0.0, 0.0]
-        assert list(net.arc_capacities) == [5.0, 0.0, 3.0, 0.0]
+        assert net.arc_capacities.tolist() == [5.0, 0.0, 3.0, 0.0]
 
     def test_arcs_iteration_reports_flow(self):
         """The residual twin of a forward arc holds the flow it carries."""
-        net = FlowNetwork(2)
-        net.add_edge(0, 1, 4.0)
+        net = network_from_arcs(2, [(0, 1, 4.0)])
         dinic_max_flow(net, 0, 1)
         assert forward_arcs(net) == [(0, 1, 4.0, 4.0)]
 
     def test_infinite_capacity_arc_reports_finite_flow(self):
         """Regression: flow on an INFINITY arc must not be ``inf - inf = nan``."""
-        net = FlowNetwork(3)
-        arc = net.add_edge(0, 1, INFINITY)
-        net.add_edge(1, 2, 5.0)
+        net = network_from_arcs(3, [(0, 1, INFINITY), (1, 2, 5.0)])
         assert dinic_max_flow(net, 0, 2) == pytest.approx(5.0)
         inf_arcs = [a for a in forward_arcs(net) if a[2] == INFINITY]
         assert len(inf_arcs) == 1
         assert not math.isnan(inf_arcs[0][3])
         assert inf_arcs[0][3] == pytest.approx(5.0)
-        assert net.arc_capacities[arc] == INFINITY
+        assert net.arc_capacities[0] == INFINITY
 
-    def test_add_edge_rejects_nan_capacity(self):
-        net = FlowNetwork(2)
-        with pytest.raises(FlowError, match="capacity"):
-            net.add_edge(0, 1, math.nan)
-        assert net.num_arcs == 0
-        net.add_edge(0, 1, INFINITY)  # +inf stays legal
-        assert net.num_arcs == 2
+    def test_rejects_nan_capacity(self):
+        topology = FlowTopology(2, [0, 1], [1, 0])
+        for column_kind in (list, np.asarray):
+            for capacities in ([math.nan, 0.0], [1.0, math.nan]):
+                with pytest.raises(FlowError, match="capacity"):
+                    FlowNetwork(topology, column_kind(capacities))
+            # +inf stays legal.
+            assert FlowNetwork(topology, column_kind([INFINITY, 0.0])).num_arcs == 2
 
+    def test_rejects_a_capacity_count_other_than_the_arc_count(self):
+        topology = FlowTopology(2, [0, 1], [1, 0])
+        for capacities in ([1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]]):
+            with pytest.raises(FlowError, match="expected 2 capacities"):
+                FlowNetwork(topology, capacities)
 
-@pytest.fixture(params=["numpy", "list"])
-def column_kind(request):
-    """Hand ``append_paired_arcs`` its columns as numpy arrays or as plain lists."""
-    return np.asarray if request.param == "numpy" else list
-
-
-def _bad_columns(column_kind, column: str, bad: float) -> tuple:
-    """One paired arc ``1 -> 2`` whose ``column`` holds ``bad`` on the forward arc."""
-    capacities, base = [1.0, 0.0], [1.0, 0.0]
-    (capacities if column == "capacities" else base)[0] = bad
-    return column_kind([1, 2]), column_kind([2, 1]), column_kind(capacities), column_kind(base)
-
-
-@pytest.mark.parametrize("column", ["capacities", "base"])
-@pytest.mark.parametrize("bad", [-1.0, math.nan])
-class TestPairedArcCapacities:
-    def test_append_rejects_and_leaves_the_network_untouched(self, column_kind, column, bad):
-        net = FlowNetwork(3)
-        net.add_edge(0, 1, 1.0)
-        before = forward_arcs(net)
-        with pytest.raises(FlowError, match="capacity"):
-            net.append_paired_arcs(*_bad_columns(column_kind, column, bad))
-        assert net.num_arcs == 2
-        assert forward_arcs(net) == before
-        net.append_paired_arcs(*map(column_kind, ([1, 2], [2, 1], [1.0, 0.0], [1.0, 0.0])))
-        assert dinic_max_flow(net, 0, 2) == 1.0
-
-    def test_attach_rejects(self, column_kind, column, bad):
-        """An empty network loaded with copied arc columns in one call rejects them too."""
-        net = FlowNetwork(3)
-        with pytest.raises(FlowError, match="capacity"):
-            net.append_paired_arcs(*_bad_columns(column_kind, column, bad))
-        assert net.num_arcs == 0
-
-
-class TestAppendPairedArcs:
-    def _by_add_edge(self, arcs):
-        network = FlowNetwork(4)
-        for tail, target, capacity in arcs:
-            network.add_edge(tail, target, capacity)
-        return network
-
-    def test_matches_add_edge_construction(self):
-        arcs = [(0, 1, 2.5), (1, 2, 1.0), (2, 3, 4.0), (0, 3, 0.5)]
-        expected = self._by_add_edge(arcs)
-        network = FlowNetwork(4)
-        exp_starts, exp_order, exp_targets, exp_caps, exp_tails, exp_base = (
-            expected.numpy_csr()
-        )
-        first = network.append_paired_arcs(
-            exp_tails.copy(), exp_targets.copy(), exp_caps.copy(), exp_base.copy()
-        )
-        assert first == 0
-        starts, order, targets, caps, tails, base = network.numpy_csr()
-        assert np.array_equal(starts, exp_starts)
-        assert np.array_equal(order, exp_order)
-        assert np.array_equal(targets, exp_targets)
-        assert np.array_equal(caps, exp_caps)
-        assert np.array_equal(tails, exp_tails)
-        assert np.array_equal(base, exp_base)
-
-    def test_rejects_unpaired_and_mismatched_columns(self):
-        network = FlowNetwork(3)
-        with pytest.raises(FlowError, match="even number"):
-            network.append_paired_arcs(
-                np.array([0]), np.array([1]), np.array([1.0]), np.array([1.0])
-            )
-        with pytest.raises(FlowError, match="length"):
-            network.append_paired_arcs(
-                np.array([0, 1]), np.array([1, 0]), np.array([1.0]), np.array([1.0, 0.0])
-            )
-
-    def test_out_of_range_nodes_roll_back_cleanly(self):
-        network = FlowNetwork(3)
-        network.add_edge(0, 1, 1.0)
-        before = network.num_arcs
-        for bad in (5, -1):
-            with pytest.raises(FlowError, match=f"node {bad} out of range"):
-                network.append_paired_arcs(
-                    np.array([1, bad], dtype=np.int64),
-                    np.array([bad, 1], dtype=np.int64),
-                    np.array([1.0, 0.0]),
-                    np.array([1.0, 0.0]),
-                )
-            assert network.num_arcs == before
-        # The network stays fully usable after the rollback.
-        network.add_edge(1, 2, 2.0)
-        assert network.num_arcs == before + 2
-
-
-class TestZeroCopyViews:
-    def test_view_writes_are_visible_through_the_network(self):
-        network = FlowNetwork(3)
-        first = network.add_edge(0, 1, 4.0)
-        network.add_edge(1, 2, 2.0)
-        _, _, _, caps, _, _ = network.numpy_csr()
-        caps[first] = 1.25
-        assert network.arc_capacities[first] == 1.25
-        # ... and network-side writes are visible through the view.
+    def test_capacities_are_copied_and_retuned_in_place(self):
+        base = np.array([4.0, 0.0])
+        network = FlowNetwork(FlowTopology(2, [0, 1], [1, 0]), base)
+        base[0] = 1.0
+        assert network.base_capacities.tolist() == network.arc_capacities.tolist() == [4.0, 0.0]
+        network.base_capacities[0] = 2.0
         network.reset_flow()
-        assert caps[first] == 4.0
-
-    def test_views_cached_per_topology_and_invalidated_on_growth(self):
-        network = FlowNetwork(2)
-        network.add_edge(0, 1, 1.0)
-        assert network.numpy_csr()[3] is network.numpy_csr()[3]
-        # Growing the topology drops the cached views; the fresh ones cover
-        # the new arcs.  (No caller holds the old views here — a held view
-        # pins the buffer, see the test below.)
-        network.add_edge(1, 0, 1.0)
-        assert len(network.numpy_csr()[3]) == 4
-
-    def test_held_view_blocks_topology_growth(self):
-        network = FlowNetwork(2)
-        network.add_edge(0, 1, 1.0)
-        caps_view = network.numpy_csr()[3]
-        # A live zero-copy view pins the underlying buffer: growing the
-        # network mid-solve is a caller error and fails loudly.
-        with pytest.raises(BufferError):
-            network.add_edge(1, 0, 1.0)
-        # The refused append must be all-or-nothing: the parallel arc
-        # arrays stay aligned, and after the view is released the next
-        # edge gets the even index the twin-pairing contract requires.
-        assert network.num_arcs == 2
-        del caps_view
-        arc = network.add_edge(1, 0, 1.0)
-        assert arc == 2 and arc % 2 == 0
-        assert network.num_arcs == 4
-        assert forward_arcs(network)[1] == (1, 0, 1.0, 0.0)
+        assert dinic_max_flow(network, 0, 1) == 2.0
 
 
 class TestDinicBasics:
     def test_single_path(self):
-        net = FlowNetwork(4)
-        net.add_edge(0, 1, 3.0)
-        net.add_edge(1, 2, 2.0)
-        net.add_edge(2, 3, 5.0)
+        net = network_from_arcs(4, [(0, 1, 3.0), (1, 2, 2.0), (2, 3, 5.0)])
         assert dinic_max_flow(net, 0, 3) == pytest.approx(2.0)
 
     def test_parallel_paths(self):
-        net = FlowNetwork(4)
-        net.add_edge(0, 1, 3.0)
-        net.add_edge(1, 3, 3.0)
-        net.add_edge(0, 2, 4.0)
-        net.add_edge(2, 3, 2.0)
+        net = network_from_arcs(4, [(0, 1, 3.0), (1, 3, 3.0), (0, 2, 4.0), (2, 3, 2.0)])
         assert dinic_max_flow(net, 0, 3) == pytest.approx(5.0)
 
     def test_classic_textbook_network(self):
         # CLRS-style example with a known max flow of 23.
-        net = FlowNetwork(6)
-        net.add_edge(0, 1, 16)
-        net.add_edge(0, 2, 13)
-        net.add_edge(1, 2, 10)
-        net.add_edge(2, 1, 4)
-        net.add_edge(1, 3, 12)
-        net.add_edge(3, 2, 9)
-        net.add_edge(2, 4, 14)
-        net.add_edge(4, 3, 7)
-        net.add_edge(3, 5, 20)
-        net.add_edge(4, 5, 4)
+        net = network_from_arcs(
+            6,
+            [
+                (0, 1, 16),
+                (0, 2, 13),
+                (1, 2, 10),
+                (2, 1, 4),
+                (1, 3, 12),
+                (3, 2, 9),
+                (2, 4, 14),
+                (4, 3, 7),
+                (3, 5, 20),
+                (4, 5, 4),
+            ],
+        )
         assert dinic_max_flow(net, 0, 5) == pytest.approx(23.0)
 
     def test_disconnected_sink(self):
-        net = FlowNetwork(3)
-        net.add_edge(0, 1, 5.0)
+        net = network_from_arcs(3, [(0, 1, 5.0)])
         assert dinic_max_flow(net, 0, 2) == pytest.approx(0.0)
 
     def test_infinite_capacity_edge(self):
-        net = FlowNetwork(3)
-        net.add_edge(0, 1, INFINITY)
-        net.add_edge(1, 2, 7.0)
+        net = network_from_arcs(3, [(0, 1, INFINITY), (1, 2, 7.0)])
         assert dinic_max_flow(net, 0, 2) == pytest.approx(7.0)
 
     def test_source_equals_sink_rejected(self):
-        net = FlowNetwork(2)
+        net = network_from_arcs(2, [])
         with pytest.raises(FlowError):
             DinicSolver(net, 0, 0)
 
     def test_min_cut_separates_source_from_sink(self):
-        net = FlowNetwork(4)
-        net.add_edge(0, 1, 1.0)
-        net.add_edge(1, 2, 10.0)
-        net.add_edge(2, 3, 10.0)
+        net = network_from_arcs(4, [(0, 1, 1.0), (1, 2, 10.0), (2, 3, 10.0)])
         solver = DinicSolver(net, 0, 3)
         solver.max_flow()
         side = solver.min_cut_source_side()
@@ -301,7 +204,7 @@ class TestSolverAgreement:
         networkx = pytest.importorskip("networkx")
         rng = random.Random(seed)
         nx_graph = networkx.DiGraph()
-        net = FlowNetwork(9)
+        arcs = []
         nx_graph.add_nodes_from(range(9))
         for _ in range(25):
             u, v = rng.randrange(9), rng.randrange(9)
@@ -310,7 +213,8 @@ class TestSolverAgreement:
             capacity = rng.randint(1, 9)
             if not nx_graph.has_edge(u, v):
                 nx_graph.add_edge(u, v, capacity=capacity)
-                net.add_edge(u, v, capacity)
+                arcs.append((u, v, capacity))
+        net = network_from_arcs(9, arcs)
         expected = networkx.maximum_flow_value(nx_graph, 0, 8) if nx_graph.number_of_edges() else 0
         assert dinic_max_flow(net, 0, 8) == pytest.approx(float(expected))
 

@@ -27,6 +27,7 @@ from flow_oracle import (
     RestartDinicSolver,
     copy_network,
     forward_arcs,
+    network_from_arcs,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,7 +57,7 @@ def _mixed_capacity_network(seed: int) -> FlowNetwork:
     rng = random.Random(seed)
     n = rng.randint(6, 12)
     m = rng.randint(2 * n, 4 * n)
-    network = FlowNetwork(n)
+    arcs = []
     for _ in range(m):
         u = rng.randrange(n)
         v = rng.randrange(n)
@@ -70,8 +71,8 @@ def _mixed_capacity_network(seed: int) -> FlowNetwork:
             capacity = float(rng.randint(1, 4))  # unit-ish integer capacity
         else:
             capacity = rng.uniform(0.1, 10.0)
-        network.add_edge(u, v, capacity)
-    return network
+        arcs.append((u, v, capacity))
+    return network_from_arcs(n, arcs)
 
 
 def _crossing_capacity(network: FlowNetwork, source_side: list[int]) -> float:
@@ -182,14 +183,14 @@ def _network_description(draw):
 
 def _build_from_description(description) -> FlowNetwork:
     n, arcs = description
-    network = FlowNetwork(n)
+    kept = []
     for u, v, capacity in arcs:
         if u == v:
             continue
         if capacity == INFINITY and (u in (0, n - 1) or v in (0, n - 1)):
             capacity = 4.0  # keep the max flow finite, like the seeded generator
-        network.add_edge(u, v, capacity)
-    return network
+        kept.append((u, v, capacity))
+    return network_from_arcs(n, kept)
 
 
 class TestHypothesisCrossSolver:
@@ -258,10 +259,7 @@ class TestResolveContinuesHeldFlow:
 
     @pytest.mark.parametrize("solver_name", CHECKED_SOLVERS)
     def test_path_network_resolves_to_the_same_value(self, solver_name):
-        network = FlowNetwork(4)
-        network.add_edge(0, 1, 3.0)
-        network.add_edge(1, 2, 5.0)
-        network.add_edge(2, 3, 4.0)
+        network = network_from_arcs(4, [(0, 1, 3.0), (1, 2, 5.0), (2, 3, 4.0)])
         solver_class = SOLVERS[solver_name]
         assert solver_class(network, 0, 3).max_flow() == pytest.approx(3.0)
         again = solver_class(network, 0, 3)
@@ -374,20 +372,21 @@ class TestDinicMatchesRestartReference:
 
 def _unbounded_networks():
     """Networks where infinite-capacity arcs join source 0 to the last node."""
-    direct = FlowNetwork(3)
-    direct.add_edge(0, 1, INFINITY)
-    direct.add_edge(1, 2, INFINITY)
-    direct.add_edge(0, 2, 1.0)
+    direct = network_from_arcs(3, [(0, 1, INFINITY), (1, 2, INFINITY), (0, 2, 1.0)])
     # Finite shortest paths first: the infinite path is the longest one.
-    detour = FlowNetwork(6)
-    detour.add_edge(0, 5, 2.0)
-    detour.add_edge(0, 1, 3.0)
-    detour.add_edge(1, 5, 1.5)
-    detour.add_edge(0, 2, INFINITY)
-    detour.add_edge(2, 3, INFINITY)
-    detour.add_edge(3, 4, INFINITY)
-    detour.add_edge(4, 5, INFINITY)
-    detour.add_edge(3, 1, 2.0)
+    detour = network_from_arcs(
+        6,
+        [
+            (0, 5, 2.0),
+            (0, 1, 3.0),
+            (1, 5, 1.5),
+            (0, 2, INFINITY),
+            (2, 3, INFINITY),
+            (3, 4, INFINITY),
+            (4, 5, INFINITY),
+            (3, 1, 2.0),
+        ],
+    )
     return {"direct": direct, "detour": detour}
 
 

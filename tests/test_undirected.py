@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,3 +137,21 @@ class TestDensestSubgraphUndirected:
         symmetric = symmetrize(g)
         whole_density = (symmetric.num_edges // 2) / symmetric.num_nodes
         assert goldberg_exact(g).density >= whole_density - 1e-9
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_property_goldberg_is_exact(self, seed):
+        """``e(H) / |H|`` of Goldberg's answer is the maximum over all vertex subsets."""
+        rng = random.Random(seed)
+        n = rng.randint(2, 9)
+        g = gnm_random_digraph(n, rng.randint(1, n * (n - 1)), seed=seed)
+        nodes = g.nodes()
+        bit = {label: 1 << index for index, label in enumerate(nodes)}
+        pairs = {bit[u] | bit[v] for u, v in g.edges()}
+        best = max(
+            Fraction(sum(1 for pair in pairs if pair & subset == pair), bin(subset).count("1"))
+            for subset in range(1, 1 << len(nodes))
+        )
+        result = goldberg_exact(g)
+        assert Fraction(result.edge_count, len(result.nodes)) == best
+        assert result.edge_count == undirected_edge_count(symmetrize(g), result.nodes)
