@@ -66,16 +66,12 @@ class TestFlowNetwork:
         assert net.num_arcs == 4  # each edge stores a residual partner
 
     def test_negative_capacity_rejected(self):
-        topology = FlowTopology(2, [0, 1], [1, 0])
-        for column_kind in (list, np.asarray):
-            for capacities in ([-1.0, 0.0], [1.0, -1.0]):
-                with pytest.raises(FlowError, match="capacity must be >= 0"):
-                    FlowNetwork(topology, column_kind(capacities))
+        with pytest.raises(FlowError, match="capacity must be >= 0"):
+            FlowNetwork(FlowTopology(2, [0, 1], [1, 0]), [-1.0, 0.0])
 
     def test_node_out_of_range(self):
-        for bad in (5, -1):
-            with pytest.raises(FlowError, match="out of range"):
-                FlowTopology(3, [1, bad], [bad, 1])
+        with pytest.raises(FlowError, match="out of range"):
+            FlowTopology(2, [0, 5], [5, 0])
 
     def test_arc_flow_and_reset(self):
         net = network_from_arcs(3, [(0, 1, 5.0), (1, 2, 3.0)])
@@ -102,14 +98,12 @@ class TestFlowNetwork:
         assert inf_arcs[0][3] == pytest.approx(5.0)
         assert net.arc_capacities[0] == INFINITY
 
-    def test_rejects_nan_capacity(self):
+    def test_add_edge_rejects_nan_capacity(self):
+        """An edge whose capacity is NaN is refused; ``+inf`` stays legal."""
         topology = FlowTopology(2, [0, 1], [1, 0])
-        for column_kind in (list, np.asarray):
-            for capacities in ([math.nan, 0.0], [1.0, math.nan]):
-                with pytest.raises(FlowError, match="capacity"):
-                    FlowNetwork(topology, column_kind(capacities))
-            # +inf stays legal.
-            assert FlowNetwork(topology, column_kind([INFINITY, 0.0])).num_arcs == 2
+        with pytest.raises(FlowError, match="capacity"):
+            FlowNetwork(topology, [math.nan, 0.0])
+        assert FlowNetwork(topology, [INFINITY, 0.0]).num_arcs == 2
 
     def test_rejects_a_capacity_count_other_than_the_arc_count(self):
         topology = FlowTopology(2, [0, 1], [1, 0])
@@ -125,6 +119,47 @@ class TestFlowNetwork:
         network.base_capacities[0] = 2.0
         network.reset_flow()
         assert dinic_max_flow(network, 0, 1) == 2.0
+
+
+@pytest.fixture(params=["numpy", "list"])
+def column_kind(request):
+    """Hand the constructors their columns as numpy arrays or as plain lists."""
+    return np.asarray if request.param == "numpy" else list
+
+
+@pytest.mark.parametrize("column", ["base"])
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+class TestPairedArcCapacities:
+    def test_attach_rejects(self, column_kind, column, bad):
+        """Capacities attached to a topology reject ``bad`` on either arc of a pair.
+
+        ``column`` names the capacity column a network is built from; its
+        residual column is not an input but starts as a copy of it.
+        """
+        topology = FlowTopology(3, column_kind([1, 2]), column_kind([2, 1]))
+        for capacities in ([bad, 0.0], [1.0, bad]):
+            with pytest.raises(FlowError, match="capacity"):
+                FlowNetwork(topology, **{f"{column}_capacities": column_kind(capacities)})
+        network = FlowNetwork(topology, **{f"{column}_capacities": column_kind([1.0, 0.0])})
+        assert dinic_max_flow(network, 1, 2) == 1.0
+
+
+class TestAppendPairedArcs:
+    """Arcs handed to :class:`FlowTopology` in pairs, as whole columns."""
+
+    def test_out_of_range_nodes_roll_back_cleanly(self):
+        for bad in (5, -1):
+            tails = np.array([0, 1, 1, bad], dtype=np.int64)
+            targets = np.array([1, 0, bad, 1], dtype=np.int64)
+            with pytest.raises(FlowError, match="out of range"):
+                FlowTopology(3, tails, targets)
+            # The refused build leaves the caller's columns as they were.
+            assert tails.flags.writeable and targets.flags.writeable
+            assert tails.tolist() == [0, 1, 1, bad] and targets.tolist() == [1, 0, bad, 1]
+        # ... so they can be mended and built from again.
+        tails[3] = targets[2] = 2
+        network = FlowNetwork(FlowTopology(3, tails, targets), [1.0, 0.0, 2.0, 0.0])
+        assert dinic_max_flow(network, 0, 2) == 1.0
 
 
 class TestDinicBasics:
