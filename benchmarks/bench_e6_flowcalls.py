@@ -54,10 +54,11 @@ delta), ``apply_updates`` must take at most half the process CPU time of a
 cold session rebuilt per delta, with equal densities at every step.
 
 The **process-pool parity gate** runs the mixed workload through
-``BatchExecutor(process_pool=True)`` with one and with two workers: both
-process-mode runs must return per-query answers bit-identical to the
-thread/serial reference, must actually run in worker processes (no silent
-degradation), and must leave no worker process alive.
+``BatchExecutor(process_pool=True)`` with one and with two local shard
+daemons: both runs must return per-query answers bit-identical to the
+thread/serial reference, must serve every lane on a daemon (no lane inline
+or degraded, no remote failure), must use two distinct daemons at two
+jobs, and must leave no child process alive.
 
 The **network-tier parity gate** serves the same mixed workload from two
 loopback ``ShardDaemon``s via ``BatchExecutor(remote_hosts=[...])``: the
@@ -403,15 +404,16 @@ def run_procpool_smoke(failures: list[str]) -> dict:
     """Process-pool gate: bit-identical answers across jobs-1/jobs-2/threads.
 
     Runs the mixed E6 workload through ``BatchExecutor(process_pool=True)``
-    with one and with two workers, plus the serial/thread reference, and
-    asserts (1) bit-identical per-query answers across all three, (2) that
-    the process runs actually used worker processes (no silent degradation),
-    and (3) that no worker process is alive after the runs.  Appends failure
+    with one and with two local shard daemons, plus the serial/thread
+    reference, and asserts (1) bit-identical per-query answers across all
+    three, (2) that every lane of the process runs was served by a daemon
+    (none inline or degraded, no remote failure: no silent degradation),
+    (3) that the jobs-2 run spread its lanes over two distinct daemons, and
+    (4) that no child process is alive after the runs.  Appends failure
     strings to ``failures`` and returns a table row.
     """
     # The mixed workload plus a second graph's lane, so jobs-2 genuinely
-    # exercises the fingerprint shard routing across two workers
-    # (foodweb-tiny and social-tiny hash to distinct shards of 2).
+    # exercises the fingerprint shard routing across two daemons.
     queries = service_mixed_workload() + [
         {"query": "densest", "method": "core-exact", "dataset": "social-tiny"},
         {"query": "fixed-ratio", "ratio": 1.0, "dataset": "social-tiny"},
@@ -427,40 +429,41 @@ def run_procpool_smoke(failures: list[str]) -> dict:
         ).execute(plan)
     reference_answers = [payload_answer(p) for p in reference.results_in_input_order()]
     for jobs, report in reports.items():
+        stats = report.executor_stats
         answers = [payload_answer(p) for p in report.results_in_input_order()]
         if answers != reference_answers:
             failures.append(
                 f"process pool: jobs-{jobs} process-mode answers diverged from the "
                 "thread/serial reference (cross-process bit-identity broken)"
             )
-        if report.executor_stats.get("mode") != "process-pool":
+        if stats.get("mode") != "process-pool":
+            failures.append(f"process pool: jobs-{jobs} run reported mode {stats.get('mode')!r}")
+        if stats.get("lanes_inline", 0) or stats.get("degraded_lanes") or stats.get(
+            "remote_failures", 0
+        ):
             failures.append(
-                f"process pool: jobs-{jobs} run degraded to "
-                f"{report.executor_stats.get('mode')!r} "
-                f"({report.executor_stats.get('reason')})"
+                f"process pool: jobs-{jobs} run degraded: {stats.get('lanes_inline', 0)} lanes "
+                f"inline, {stats.get('remote_failures', 0)} remote failures, degraded lanes "
+                f"{stats.get('degraded_lanes')}"
             )
-        if report.executor_stats.get("worker_crashes", 0) != 0:
-            failures.append(
-                f"process pool: jobs-{jobs} run recorded "
-                f"{report.executor_stats['worker_crashes']} unexpected worker crashes"
-            )
-    if reports[2].executor_stats.get("workers_spawned", 0) < 2:
+    daemons_jobs2 = {execution.worker for execution in reports[2].executions}
+    if None in daemons_jobs2 or len(daemons_jobs2) < 2:
         failures.append(
-            "process pool: jobs-2 run spawned fewer than 2 workers "
+            "process pool: jobs-2 run served its lanes on fewer than 2 distinct daemons "
             "(fingerprint shard routing fan-out broken)"
         )
     alive = multiprocessing.active_children()
     if alive:
         failures.append(
-            f"process pool: {len(alive)} worker processes still alive after the runs: "
+            f"process pool: {len(alive)} child processes still alive after the runs: "
             f"{', '.join(process.name for process in alive)}"
         )
     return {
         "dataset": PROCPOOL_SMOKE_DATASET,
         "method": "process-pool",
         "queries": len(queries),
-        "workers_jobs2": reports[2].executor_stats["workers_spawned"],
-        "crashes": reports[2].executor_stats["worker_crashes"],
+        "daemons_jobs2": len(daemons_jobs2),
+        "remote_failures": reports[2].executor_stats["remote_failures"],
     }
 
 

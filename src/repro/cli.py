@@ -14,10 +14,11 @@ Sub-commands
 ``top-k``     greedy edge-disjoint top-k dense pairs
 ``core``      compute an [x, y]-core or the maximum-product core
 ``batch``     plan + execute a JSON list of queries (``--explain`` for the
-              plan report, ``--store`` for persistent warm state, ``--process-pool`` for worker
-              processes, ``--remote host:port,...`` to route lanes
-              to shard daemons, ``--deadline-ms`` for per-lane budgets with
-              anytime answers)
+              plan report, ``--store`` for persistent warm state,
+              ``--process-pool`` for shard daemons in local child processes,
+              ``--remote host:port,...`` to route lanes to running shard
+              daemons, ``--deadline-ms`` for per-lane budgets with anytime
+              answers)
 ``serve``     run a shard daemon serving DDS answers over the frame protocol
               (SIGINT/SIGTERM drain gracefully within ``--drain-grace``)
 ``ping``      health-check a shard daemon
@@ -376,9 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--process-pool",
         action="store_true",
-        help="run lanes in worker processes (the GIL-free scale-out path): "
-        "graphs are routed to workers by content fingerprint and sent to each "
-        "over its pipe, and crashed workers are retried",
+        help="run lanes on shard daemons started in local child processes for "
+        "this batch (the GIL-free scale-out path): graphs are routed to them by "
+        "content fingerprint and sent as wire documents, and the lanes of a "
+        "daemon that dies fall back to solving inline",
     )
     batch.add_argument(
         "--remote",
@@ -394,10 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-retries",
         type=int,
         default=1,
-        help="process-pool: re-dispatches of a lane lost to a worker crash "
-        "or error before it falls back to running inline (default: 1); "
-        "--remote: fresh-connection retries per request before the lane "
-        "falls back",
+        help="--process-pool or --remote: fresh-connection retries per daemon "
+        "request before the lane falls back to solving inline (default: 1)",
     )
     batch.add_argument(
         "--deadline-ms",

@@ -73,8 +73,8 @@ class StoreError(ReproError):
 
 class NetError(ReproError):
     """Raised when the network tier cannot complete an operation: a shard
-    daemon is unreachable after the retry ladder, a graph cannot cross the
-    wire losslessly, or a remote lane reports a failure."""
+    daemon is unreachable after the retry ladder, a request cannot be
+    framed (:class:`ProtocolError`), or a remote lane reports a failure."""
 
 
 class GraphNotResidentError(NetError):
@@ -87,5 +87,6 @@ class GraphNotResidentError(NetError):
 class ProtocolError(NetError):
     """Raised when a network frame is malformed: truncated, oversized, not
     valid JSON, failing its checksum, or speaking a different protocol
-    version.  Strict by design — a damaged frame is never partially
-    interpreted."""
+    version — or when a payload cannot be framed at all, because JSON cannot
+    encode it (a graph label included) or it exceeds the frame cap.  Strict
+    by design — a damaged frame is never partially interpreted."""

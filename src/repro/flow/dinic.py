@@ -80,9 +80,16 @@ class DinicSolver:
         heads, targets = network.topology.solver_views()
         caps = network.arc_capacities.tolist()
 
-        # Credit the value of the flow already routed through the network;
+        # Credit the value of the flow already routed through the network,
+        # read off the source's residual twins (``arc | 1``: what a forward
+        # arc out of the source carries, or what one into it takes back);
         # the augmenting loop below then only tops it up.
-        total = network.flow_value(self.source)
+        total = 0.0
+        for arc in heads[self.source]:
+            if arc & 1:
+                total -= caps[arc]
+            else:
+                total += caps[arc | 1]
         while True:
             if self.deadline is not None:
                 # Cooperative cancellation checkpoint (one per BFS round):

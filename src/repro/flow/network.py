@@ -141,28 +141,6 @@ class FlowNetwork:
         """Number of arcs (2x the number of paired edges)."""
         return self.topology.num_arcs
 
-    def flow_value(self, source: int) -> float:
-        """Net flow currently leaving ``source`` (the value of a valid flow).
-
-        Computed from the residual state alone: forward arcs out of the
-        source contribute the flow pushed onto their residual twins, forward
-        arcs *into* the source subtract theirs.  Only meaningful when the
-        residual state encodes a conservative flow (e.g. after a completed
-        solve).
-        """
-        self._check_node(source)
-        topology = self.topology
-        arcs = topology.order[topology.starts[source] : topology.starts[source + 1]]
-        # ``arc | 1`` is the twin of a forward arc and a residual arc itself.
-        flows = self.arc_capacities[arcs | 1].tolist()
-        total = 0.0
-        for arc_index, flow in zip(arcs.tolist(), flows):
-            if arc_index & 1:
-                total -= flow
-            else:
-                total += flow
-        return total
-
     def reset_flow(self) -> None:
         """Restore all residual capacities to the base capacities."""
         self.arc_capacities[:] = self.base_capacities

@@ -116,8 +116,9 @@ class DiGraph:
 
         The bulk counterpart of :meth:`from_edges` for hydrating a graph
         from an already-serialised adjacency — row ``i`` of the
-        out-adjacency is ``targets[starts[i]:starts[i + 1]]``.  The arrays
-        are only *read* (any int sequence works, including the flat int64
+        out-adjacency is ``targets[starts[i]:starts[i + 1]]``, the form
+        :meth:`csr_arrays` writes.  The arrays are only *read* (any int
+        sequence works: the lists of a wire document or the flat int64
         arrays a pickled graph carries — see :meth:`__reduce__`), and node
         order follows ``labels``, so a graph round-tripped through its CSR
         keeps its label-to-index mapping and therefore its
@@ -471,6 +472,20 @@ class DiGraph:
             for vi in targets:
                 yield (ui, vi)
 
+    def csr_arrays(self) -> tuple[list[int], list[int]]:
+        """The out-adjacency as flat CSR lists ``(starts, targets)``.
+
+        Row ``i`` (node index ``i``) is ``targets[starts[i]:starts[i + 1]]``,
+        in no particular order within a row; :meth:`from_csr_arrays` reads
+        the pair back, with :meth:`nodes` as its labels.
+        """
+        starts = [0]
+        targets: list[int] = []
+        for row in self._out_sets:
+            targets.extend(row)
+            starts.append(len(targets))
+        return starts, targets
+
     # ------------------------------------------------------------------
     # subgraph extraction
     # ------------------------------------------------------------------
@@ -541,12 +556,11 @@ class DiGraph:
         and computes its :meth:`content_fingerprint` anew rather than
         trusting a cached one.
         """
-        starts = array("q", [0])
-        targets = array("q")
-        for row in self._out_sets:
-            targets.extend(row)
-            starts.append(len(targets))
-        return (_from_pickled_csr, (self._labels, starts, targets, self._allow_self_loops))
+        starts, targets = self.csr_arrays()
+        return (
+            _from_pickled_csr,
+            (self._labels, array("q", starts), array("q", targets), self._allow_self_loops),
+        )
 
     def _require_index(self, label: NodeLabel) -> int:
         index = self._index_of.get(label)

@@ -6,10 +6,11 @@ batch executor's graph-affine lane model across the machine boundary.  A
 an LRU of live sessions; a :class:`~repro.net.client.ShardClient` speaks
 the length-prefixed, checksummed frame protocol of
 :mod:`repro.net.protocol` with a retry/backoff ladder; and
-``BatchExecutor(remote_hosts=[...])`` routes lanes to daemons by the same
-fingerprint :class:`~repro.service.planner.ShardMap` the process pool
-uses.  Warm state — cached results, cores — never crosses the wire: only
-graphs, query specs, and schema-2 result dicts do.
+``BatchExecutor(remote_hosts=[...])`` routes lanes to daemons by the
+fingerprint :class:`~repro.service.planner.ShardMap` —
+``process_pool=True`` does the same with daemons it starts in local child
+processes for each batch.  Warm state — cached results, cores — never
+crosses the wire: only graphs, query specs, and schema-2 result dicts do.
 """
 
 from repro.net.client import (

@@ -8,11 +8,13 @@ and matches the batch executor's lane granularity, where a lane is one
 solve request and amortising connection setup would save microseconds
 against solves measured in milliseconds.
 
-The retry ladder mirrors the process-pool executor's: a *transport*
-failure (connect refused, timeout, reset, damaged frame) is retried on a
-fresh connection up to ``max_retries`` times with bounded exponential
-backoff plus jitter, after which :class:`~repro.exceptions.NetError` is
-raised and the executor falls back to solving the lane inline.  A
+The retry ladder is the batch executor's crash containment, for local
+and remote daemons alike: a *transport* failure (connect refused, timeout,
+reset, damaged frame — a killed daemon's connections close with it) is
+retried on a fresh connection up to ``max_retries`` times with bounded
+exponential backoff plus jitter, after which
+:class:`~repro.exceptions.NetError` is raised and the executor falls back
+to solving the lane inline.  A
 *semantic* failure — the daemon answered, but with ``status="error"`` —
 is raised immediately as :class:`RemoteOpError` and never retried: the
 daemon is healthy and re-asking the same malformed question would get the
@@ -22,10 +24,9 @@ solve sent by fingerprint alone that meets a
 the graph document.
 
 :class:`ShardClientPool` holds one client per daemon of a shard set and
-aggregates their counters; the executor's ``remote_hosts`` mode drives it
-with the same fingerprint :class:`~repro.service.planner.ShardMap` the
-process pool uses, so each graph's requests always land on the daemon
-that owns its store shard.
+aggregates their counters; the executor drives it with the fingerprint
+:class:`~repro.service.planner.ShardMap`, so each graph's requests always
+land on the daemon that owns its store shard.
 """
 
 from __future__ import annotations
@@ -213,12 +214,12 @@ class ShardClient:
         The daemon's address.  ``host`` may be ``"host:port"`` with
         ``port`` omitted.
     connect_timeout / read_timeout:
-        Seconds allowed for TCP connect and for reading a response frame.
+        Seconds allowed for TCP connect and for reading a response frame
+        (``read_timeout=None`` waits as long as the answer takes).
     max_retries:
         How many *fresh-connection* retries a transport failure earns
         before :class:`~repro.exceptions.NetError` (``max_retries + 1``
-        attempts in total) — the same knob the executor's process pool
-        exposes.
+        attempts in total) — the batch executor's ``max_retries``.
     backoff_base / backoff_max:
         The bounded exponential schedule: attempt ``n`` sleeps
         ``min(backoff_max, backoff_base * 2**n)`` scaled by jitter in
@@ -238,7 +239,7 @@ class ShardClient:
         port: int | None = None,
         *,
         connect_timeout: float = 5.0,
-        read_timeout: float = 60.0,
+        read_timeout: float | None = 60.0,
         max_retries: int = 2,
         backoff_base: float = DEFAULT_BACKOFF_BASE,
         backoff_max: float = DEFAULT_BACKOFF_MAX,
@@ -449,36 +450,39 @@ class ShardClientPool:
     """One :class:`ShardClient` per daemon of a shard set.
 
     The pool is the executor-facing surface: ``client_for(shard)`` maps a
-    :meth:`ShardMap.shard_of <repro.service.planner.ShardMap.shard_of>`
-    index to its host's client, and :meth:`aggregate_stats` sums the
-    transport counters across hosts for ``BatchReport.executor_stats``.
+    shard index to its host's client, and :meth:`aggregate_stats` sums the
+    transport counters across hosts for ``BatchReport.executor_stats``.  A
+    ``None`` host is a vacant slot — a local daemon that never reported its
+    port — whose ``client_for`` is ``None``.
     """
 
-    def __init__(self, hosts: list[str], **client_options: Any) -> None:
+    def __init__(self, hosts: list[str | None], **client_options: Any) -> None:
         if not hosts:
             raise ConfigError("ShardClientPool requires at least one host")
-        self._clients = [ShardClient(host, **client_options) for host in hosts]
+        self._clients = [
+            ShardClient(host, **client_options) if host is not None else None for host in hosts
+        ]
 
     def __len__(self) -> int:
         return len(self._clients)
 
     @property
-    def addresses(self) -> list[str]:
-        """``host:port`` per pool slot, in shard order."""
-        return [client.address for client in self._clients]
+    def addresses(self) -> list[str | None]:
+        """``host:port`` per pool slot (``None`` when vacant), in shard order."""
+        return [client.address if client else None for client in self._clients]
 
-    def client_for(self, shard: int) -> ShardClient:
-        """The client owning shard index ``shard``."""
+    def client_for(self, shard: int) -> ShardClient | None:
+        """The client owning shard index ``shard`` (``None`` for a vacant slot)."""
         return self._clients[shard % len(self._clients)]
 
     def aggregate_stats(self) -> dict[str, int]:
         """Transport and breaker counters summed across every client in the pool."""
         totals: dict[str, int] = {}
-        for client in self._clients:
+        for client in filter(None, self._clients):
             for key, value in client.stats().items():
                 totals[key] = totals.get(key, 0) + value
         return totals
 
     def breaker_states(self) -> dict[str, str]:
         """Current breaker state per host address (not summable, hence separate)."""
-        return {client.address: client.breaker.state for client in self._clients}
+        return {client.address: client.breaker.state for client in filter(None, self._clients)}

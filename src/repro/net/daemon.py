@@ -5,7 +5,7 @@ A daemon is the network tier's unit of ownership: it holds one
 :class:`~repro.session.DDSSession` objects keyed by graph
 :meth:`content_fingerprint
 <repro.graph.digraph.DiGraph.content_fingerprint>`, and answers the
-protocol ops of :mod:`repro.net.protocol` over TCP.  The remote executor
+protocol ops of :mod:`repro.net.protocol` over TCP.  The batch executor
 routes every graph to exactly one daemon (the fingerprint
 :class:`~repro.service.planner.ShardMap`), so a daemon's store shard has a
 single network writer and its resident sessions accumulate warm state —
@@ -739,7 +739,7 @@ class ShardDaemon:
         graph (see :meth:`_session_for`).  Every entry is checked before the
         first one runs.  The lane itself is served by
         :func:`~repro.service.queries.run_lane`, so the response is the lane
-        message the executor's threads and worker processes produce too —
+        message the executor's thread lanes produce too —
         per-entry executions with schema-2 result payloads, the session's
         cache-stats snapshot, and store counters — plus
         ``session_cache_hit``.

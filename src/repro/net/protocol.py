@@ -8,7 +8,7 @@ Every message between a :class:`~repro.net.client.ShardClient` and a
 
 and every message body is a checksummed envelope::
 
-    {"protocol_version": 1,
+    {"protocol_version": 2,
      "request_id":       "<caller-chosen echo token>",
      "op":               "solve" | "warm" | "inventory" | "ping" | "shutdown",
      "checksum":         sha256(canonical-json(payload)),
@@ -29,14 +29,20 @@ frame is never partially interpreted — the retry ladder in
 :mod:`repro.net.client` treats it exactly like a dropped connection.
 
 Graphs cross the wire through :func:`graph_to_wire` /
-:func:`graph_from_wire`: node labels in insertion order, the edge list, the
-self-loop policy, and the graph's :meth:`content_fingerprint
-<repro.graph.digraph.DiGraph.content_fingerprint>`.  The receiver rebuilds
-the graph and re-fingerprints it — the same check a process-pool worker
-makes on the graphs it receives over its pipe (:mod:`repro.service.executor`).
-Labels that would not survive a JSON round trip refuse to serialise
-(:class:`~repro.exceptions.NetError`); the remote executor runs such lanes
-inline instead of shipping a lossy approximation.
+:func:`graph_from_wire` as a CSR index document::
+
+    {"labels":           [<node label>, ...],        # index order
+     "starts":           [0, ..., <edge count>],     # one more than labels
+     "targets":          [<node index>, ...],        # row i: starts[i]:starts[i + 1]
+     "allow_self_loops": true | false,
+     "fingerprint":      "<sender's content fingerprint>"}
+
+The receiver rebuilds the graph with :meth:`DiGraph.from_csr_arrays
+<repro.graph.digraph.DiGraph.from_csr_arrays>` — the constructor unpickling
+uses too — and re-fingerprints it, so a document that decodes to any other
+graph is refused.  Labels that would not survive a JSON round trip refuse
+to serialise (:class:`~repro.exceptions.ProtocolError`); the executor runs
+such lanes inline instead of shipping a lossy approximation.
 
 A graph crosses once per sender and daemon: the daemon keeps the graphs it
 receives, so a ``solve`` payload's ``"graph"`` is ``null`` whenever the
@@ -61,17 +67,18 @@ import uuid
 from typing import Any
 
 from repro.core.results import json_native_label
-from repro.exceptions import GraphError, NetError, ProtocolError
+from repro.exceptions import GraphError, ProtocolError
 from repro.graph.digraph import DiGraph
 from repro.utils.canonical import canonical_json, checksum
 
-#: Version of the frame envelope.  Bump on any incompatible change; a frame
-#: speaking a different version is refused outright.
-PROTOCOL_VERSION = 1
+#: Version of the frame envelope and the documents it carries.  Bump on any
+#: incompatible change; a frame speaking a different version is refused
+#: outright.  Version 2 carries graphs as CSR index documents.
+PROTOCOL_VERSION = 2
 
 #: Request operations a :class:`~repro.net.daemon.ShardDaemon` understands.
 #: ``drain`` (graceful stop-accepting/finish-in-flight/flush/exit) is additive
-#: — an op name, not a message-shape change — so the version stays at 1.
+#: — an op name, not a message-shape change — so it bumped no version.
 REQUEST_OPS = ("solve", "warm", "inventory", "ping", "shutdown", "drain")
 
 #: Response statuses: ``"ok"`` carries a result payload, ``"error"`` carries
@@ -276,29 +283,30 @@ def write_frame(sock: socket.socket, frame: bytes) -> int:
 # graphs on the wire
 # ----------------------------------------------------------------------
 def graph_to_wire(graph: DiGraph) -> dict[str, Any]:
-    """Serialise ``graph`` into a JSON-ready wire document.
+    """Serialise ``graph`` into a JSON-ready CSR index document.
 
-    Node labels travel in insertion order (the order
-    :meth:`content_fingerprint
-    <repro.graph.digraph.DiGraph.content_fingerprint>` hashes), so the
-    receiver's rebuild reproduces the fingerprint bit for bit.  Labels that
-    would not survive a JSON round trip raise
-    :class:`~repro.exceptions.NetError` — the caller keeps such lanes local
+    Node labels travel in index order (the order :meth:`content_fingerprint
+    <repro.graph.digraph.DiGraph.content_fingerprint>` hashes) beside the
+    integer row starts and targets of :meth:`DiGraph.csr_arrays
+    <repro.graph.digraph.DiGraph.csr_arrays>`, so the receiver's rebuild
+    reproduces the fingerprint bit for bit.  Labels that would not survive
+    a JSON round trip raise :class:`~repro.exceptions.ProtocolError`, as
+    any payload JSON cannot encode does — the caller keeps such lanes local
     instead of shipping a lossy graph.
     """
-    nodes = graph.nodes()
-    for label in nodes:
+    labels = graph.nodes()
+    for label in labels:
         if not json_native_label(label):
-            raise NetError(
+            raise ProtocolError(
                 f"graph label {label!r} of type {type(label).__name__} does not survive "
                 "a JSON round trip; this graph cannot cross the wire losslessly"
             )
+    starts, targets = graph.csr_arrays()
     return {
-        "nodes": nodes,
-        "edges": [[u, v] for u, v in graph.edges()],
+        "labels": labels,
+        "starts": starts,
+        "targets": targets,
         "allow_self_loops": graph.allow_self_loops,
-        "num_nodes": graph.num_nodes,
-        "num_edges": graph.num_edges,
         "fingerprint": graph.content_fingerprint(),
     }
 
@@ -306,32 +314,37 @@ def graph_to_wire(graph: DiGraph) -> dict[str, Any]:
 def graph_from_wire(document: dict[str, Any]) -> DiGraph:
     """Rebuild a :class:`~repro.graph.digraph.DiGraph` from its wire document.
 
-    Verifies the recorded shape and — the cross-machine bit-identity
-    guarantee — that the rebuilt graph's fingerprint equals the sender's.
-    Raises :class:`~repro.exceptions.ProtocolError` on any mismatch or
-    malformed field.
+    :meth:`DiGraph.from_csr_arrays
+    <repro.graph.digraph.DiGraph.from_csr_arrays>` refuses malformed arrays
+    (row starts that decrease or miss the target count, out-of-range
+    targets, duplicate labels or edges, a loop the policy forbids), and —
+    the cross-machine bit-identity guarantee — the rebuilt graph's
+    fingerprint must equal the sender's.  Every defect raises
+    :class:`~repro.exceptions.ProtocolError`.
     """
     if not isinstance(document, dict):
         raise ProtocolError(f"wire graph must be an object, got {type(document).__name__}")
     try:
-        nodes = document["nodes"]
-        edges = document["edges"]
+        labels = document["labels"]
+        starts = document["starts"]
+        targets = document["targets"]
+        allow_self_loops = document["allow_self_loops"]
         fingerprint = document["fingerprint"]
-        graph = DiGraph.from_edges(
-            ((u, v) for u, v in edges),
-            nodes=nodes,
-            allow_self_loops=bool(document["allow_self_loops"]),
-        )
-    except (KeyError, TypeError, ValueError, GraphError) as error:
-        raise ProtocolError(f"malformed wire graph: {error!r}")
-    if graph.num_nodes != document.get("num_nodes") or graph.num_edges != document.get(
-        "num_edges"
+    except KeyError as error:
+        raise ProtocolError(f"malformed wire graph: missing field {error}")
+    if not all(isinstance(column, list) for column in (labels, starts, targets)) or not isinstance(
+        allow_self_loops, bool
     ):
         raise ProtocolError(
-            f"wire graph shape mismatch: rebuilt {graph.num_nodes} nodes / "
-            f"{graph.num_edges} edges, document records "
-            f"{document.get('num_nodes')} / {document.get('num_edges')}"
+            "malformed wire graph: labels, starts and targets must be lists and "
+            "allow_self_loops a boolean"
         )
+    try:
+        graph = DiGraph.from_csr_arrays(
+            labels, starts, targets, allow_self_loops=allow_self_loops
+        )
+    except (TypeError, ValueError, GraphError) as error:
+        raise ProtocolError(f"malformed wire graph: {error!r}")
     if graph.content_fingerprint() != fingerprint:
         raise ProtocolError(
             "wire graph failed verification: rebuilt fingerprint does not match "

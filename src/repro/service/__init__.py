@@ -10,12 +10,13 @@ the layer that turns the one-process session API into a serving system:
 * :mod:`repro.service.planner` — groups a query batch into one lane per
   graph, each in file order, with an explain mode;
 * :mod:`repro.service.executor` — a pool of graph-affine sessions (threads
-  by default, worker *processes* sent their graphs over a pipe with
-  ``process_pool=True``) executing a plan with per-query timing and
-  aggregated cache counters;
+  by default, or shard daemons: started in local child processes for the
+  batch with ``process_pool=True``, or running elsewhere with
+  ``remote_hosts``) executing a plan with per-query timing and aggregated
+  cache counters;
 * :mod:`repro.service.store` — a versioned, checksummed SQLite store of
   session warm state keyed by graph content fingerprint, so warm caches
-  survive the process and can be shared between workers.
+  survive the process and can be shared between daemons.
 
 Quickstart::
 

@@ -8,59 +8,63 @@ Sessions are therefore **graph-affine**: no session, and none of its caches
 (results, cores, derived state), is ever touched by two workers, so the
 session layer needs no locks.
 
-Three pool flavours share that lane contract:
+Lanes run in one of two places:
 
 * **Threads** (the default): cheap, in-process, but GIL-bound — lanes are
   pure-Python compute, so thread concurrency buys isolation and scheduling
   rather than parallel speed-up (four thread lanes ran a four-graph batch
   only 1.03× faster than one lane on a 2-CPU VM).
-* **Processes** (``process_pool=True``): the scale-out path.  The parent
-  routes lanes to workers by content fingerprint
-  (:class:`~repro.service.planner.ShardMap` — each worker owns its graphs'
-  store shard), starts every worker of the round, and then sends each one
-  the ``DiGraph``s of its lanes, pickled as flat CSR arrays, over its own
-  duplex pipe.  A worker checks each graph against the fingerprint its lane
-  was routed by, builds its sessions as a thread lane does, and streams
-  schema-2 result dicts back over the same pipe.  Per-worker pipes plus
-  ``Process.sentinel`` waiting make crash detection deadlock-free: a
-  SIGKILLed worker can never strand the batch the way a shared queue's
-  poisoned write lock would.  Crashed or poisoned lanes are retried on
-  fresh workers up to ``max_retries`` times, then fall back to an inline
-  (serial) run; lanes that needed any of that are marked *degraded* in the
-  report's timings.
-* **Remote daemons** (``remote_hosts=[...]``): the cross-machine path.
-  Lanes are routed to :class:`~repro.net.daemon.ShardDaemon` processes by
-  the same fingerprint :class:`~repro.service.planner.ShardMap` the
-  process pool uses — each graph's answers live on exactly one daemon,
-  which owns that graph's store shard and keeps its session resident
-  between batches.  A graph crosses the wire as a JSON document
-  (:func:`~repro.net.protocol.graph_to_wire`) once per executor and
-  daemon: the executor remembers which graphs it has shipped to which
-  host and sends later lanes for them by fingerprint alone, and the daemon
-  keeps the graphs it receives.  A daemon that no longer holds the graph
-  answers :class:`~repro.exceptions.GraphNotResidentError`, and the lane
-  is resent once with the document (``graph_resends``).  Answers come back
-  as the same schema-2 result dicts the process workers pipe home, and a
-  session's warm state never crosses at all.  A
-  daemon that stays unreachable through the client's retry/backoff ladder
-  costs only its lanes: they fall back to solving inline, marked degraded,
-  with the failure counted in ``executor_stats["remote_failures"]``.
+* **Shard daemons**, the one scale-out path.  Lanes are routed to
+  :class:`~repro.net.daemon.ShardDaemon` processes by content fingerprint
+  (:class:`~repro.service.planner.ShardMap`): each graph's answers live on
+  exactly one daemon, which owns that graph's store shard.  A graph crosses
+  as a CSR index document (:func:`~repro.net.protocol.graph_to_wire`) and
+  answers come back as the schema-2 result dicts a thread lane produces; a
+  session's warm state never crosses at all.  The daemons are either
+
+  - **remote** (``remote_hosts=[...]``), the cross-machine path: ownership
+    is pinned by :meth:`ShardMap.shard_of
+    <repro.service.planner.ShardMap.shard_of>` over the host list, so a
+    graph lands on the same daemon across batches and its resident session
+    keeps paying off.  The executor remembers which graphs it has shipped
+    to which host and sends later lanes for them by fingerprint alone; a
+    daemon that no longer holds the graph answers
+    :class:`~repro.exceptions.GraphNotResidentError`, and the lane is
+    resent once with the document (``graph_resends``); or
+  - **local** (``process_pool=True``), the single-machine path: lanes are
+    routed to at most ``max_workers`` slots by
+    :meth:`ShardMap.assign(collapse=True)
+    <repro.service.planner.ShardMap.assign>`, one daemon per non-empty slot
+    is started in a child process for this batch only (``fork`` where the
+    platform has it, else ``spawn``), and each daemon's lanes run one after
+    another, so a batch never has two lanes on one daemon while another
+    idles.  Every child is stopped and joined before
+    :meth:`BatchExecutor.execute` returns or raises.
+
+  Both share crash containment: a transport failure is retried on fresh
+  connections up to ``max_retries`` times (the client's ladder), after
+  which the lane runs inline, marked degraded, with the failure counted in
+  ``executor_stats["remote_failures"]``, and the host's circuit breaker
+  sends its other lanes inline without a connection until a half-open
+  probe succeeds.  A killed local daemon's sockets close with it, so its
+  lanes fail over at once; local lanes have no read timeout, so a long
+  lane is answered once, never resent and re-run.
 
 With a :class:`~repro.service.store.SessionStore` attached, each lane warms
 its session from disk before the first query and persists the session's
 state after the last one — the full compute-once/serve-everywhere loop.
-Process workers open the same store root themselves; the fingerprint
-routing gives each worker sole ownership of its graphs' rows within a run,
-and the store's SQLite transactions keep concurrent executors safe on top.
+Local daemons open the same store root themselves; the fingerprint routing
+gives each daemon sole ownership of its graphs' rows within a run, and the
+store's SQLite transactions keep concurrent executors safe on top.
 
-All three serve a lane through :func:`~repro.service.queries.run_lane`.
+Every path serves a lane through :func:`~repro.service.queries.run_lane`.
 
 Instrumentation: every query is individually timed, each lane's
 :meth:`~repro.session.DDSSession.cache_stats` snapshot is kept, and the
-report aggregates them into the payload ``dds-repro batch`` prints.  Process
-runs additionally fill :attr:`BatchReport.executor_stats` with the worker
-lifecycle counters (``workers_spawned``, ``worker_crashes``,
-``worker_retries``, ``degraded_lanes``).
+report aggregates them into the payload ``dds-repro batch`` prints.  Daemon
+runs additionally fill :attr:`BatchReport.executor_stats` (``mode``,
+``hosts``, ``lanes_remote``, ``lanes_inline``, ``remote_failures``,
+``degraded_lanes``, the client's transport counters, ...).
 """
 
 from __future__ import annotations
@@ -68,16 +72,20 @@ from __future__ import annotations
 import dataclasses
 import gc
 import multiprocessing
-import os
-import signal
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.core.config import FlowConfig, strip_solver_name
-from repro.exceptions import BatchQueryError, ConfigError, GraphNotResidentError, NetError
+from repro.exceptions import (
+    BatchQueryError,
+    ConfigError,
+    GraphNotResidentError,
+    NetError,
+    ProtocolError,
+)
 from repro.runtime import Deadline
 from repro.graph.digraph import DiGraph
 from repro.service.planner import BatchPlan, PlannedQuery, ShardMap
@@ -88,9 +96,6 @@ from repro.session.session import DEFAULT_RESULT_CACHE_SIZE
 
 #: Source of graphs for lane sessions: a mapping or a ``key -> DiGraph`` callable.
 GraphProvider = Callable[[str], DiGraph]
-
-#: Fault kinds the chaos hook understands (see ``fault_injection``).
-FAULT_KINDS = ("sigkill", "error")
 
 #: Budget (ms) a remote lane sends once its own has run out: the daemon
 #: rejects a non-positive budget, but expires this one at once.
@@ -103,11 +108,11 @@ class QueryExecution:
 
     ``seconds`` is the query's wall time and ``cpu_seconds`` the CPU time
     of the thread that answered it, wherever that ran (0.0 for a row that
-    does not carry it).  ``worker`` is the process-pool worker id — or
-    remote shard index — that produced the result (``None`` on the
-    thread/serial paths and for inline fallbacks), ``attempts`` counts how
-    many times the owning lane was dispatched, and ``degraded`` marks lanes
-    that needed a retry or an inline fallback.
+    does not carry it).  ``worker`` is the index of the daemon — local, or
+    remote shard — that produced the result (``None`` on the thread/serial
+    paths and for inline fallbacks), ``attempts`` counts how many times the
+    owning lane was dispatched, and ``degraded`` marks lanes that ran
+    inline after the daemon path gave up on them.
     """
 
     index: int
@@ -145,7 +150,7 @@ class BatchReport:
         The merge iterates lanes (and counters within a lane) in sorted
         order, **not** completion order: float summation is not
         associative-commutative at the bit level, and pool completion order
-        is nondeterministic — process pools especially so.  Sorting makes
+        is nondeterministic — across daemons especially so.  Sorting makes
         the aggregate a pure function of the per-lane snapshots, pinned by
         the determinism test in ``tests/test_service_procpool.py``.
         """
@@ -163,9 +168,8 @@ class BatchReport:
         Every row has ``index``, ``graph``, ``query``, wall ``seconds`` and
         thread ``cpu_seconds``; a daemon row's wall time also counts GIL and
         queue waits, its CPU time does not.  Rows gain ``worker`` when a
-        process-pool worker or a daemon served the query and
-        ``degraded``/``attempts`` when the owning lane needed a retry or an
-        inline fallback.
+        daemon served the query and ``degraded``/``attempts`` when the
+        owning lane ran inline after the daemon path gave up on it.
         """
         rows: list[dict[str, Any]] = []
         for execution in self.executions:
@@ -188,7 +192,7 @@ class BatchReport:
         """Query count and thread CPU per query kind, summed over :meth:`timings`.
 
         ``{kind: {"queries", "cpu_seconds"}}``, kinds in sorted order.  On a
-        remote batch the CPU is the daemons' (see :meth:`timings`), so this
+        daemon batch the CPU is the daemons' (see :meth:`timings`), so this
         is the daemon CPU split by query kind.
         """
         totals: dict[str, dict[str, Any]] = {}
@@ -200,18 +204,6 @@ class BatchReport:
             kind: {"queries": total["queries"], "cpu_seconds": round(total["cpu_seconds"], 6)}
             for kind, total in sorted(totals.items())
         }
-
-
-def _inject_fault(fault: Mapping[str, Any] | None, graph_key: str, index: int) -> None:
-    """Trigger the chaos hook when this query is its target (worker side)."""
-    if not fault or fault.get("graph_key") != graph_key:
-        return
-    target = fault.get("index")
-    if target is not None and target != index:
-        return
-    if fault.get("kind") == "sigkill":
-        os.kill(os.getpid(), signal.SIGKILL)
-    raise BatchQueryError(f"injected fault on lane {graph_key!r} query {index}")
 
 
 def _executions(
@@ -232,80 +224,83 @@ def _executions(
     ]
 
 
-def _process_worker_main(conn: Any, assignment: dict[str, Any]) -> None:
-    """Entry point of one pool worker process.
+def _start_method() -> str:
+    """``fork`` where the platform has it, else ``spawn``."""
+    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
-    First reads the ``{graph_key: DiGraph}`` dict of its lanes' graphs from
-    ``conn`` (the parent sends it once every worker of the round has
-    started).  Then serves every lane in ``assignment`` sequentially: check
-    the graph against the fingerprint the lane was routed by, build a
-    session, warm it from the store shard this worker owns, answer the
-    lane's entries through :func:`~repro.service.queries.run_lane` (which
-    saves back), and send the lane message — plain dicts, nothing
-    process-local — up the pipe.  A lane that raises is reported as
-    ``("lane-error", ...)`` and the worker moves on; lifecycle messages are
-    ``("lane", ...)`` per finished lane and one ``("done", worker_id)``
-    before a clean exit.  The parent detects anything harsher through the
-    process sentinel.
+
+def _serve_local_shard(conn: Any, store_root: str | None, result_cache_size: int) -> None:
+    """Entry point of one local shard daemon's child process.
+
+    Starts a :class:`~repro.net.daemon.ShardDaemon` on an ephemeral
+    loopback port over the store at ``store_root`` (none when ``None``),
+    reports the port over ``conn``, and serves until the parent's stop word
+    — or the end of the pipe, when the parent is gone — arrives on it; the
+    daemon then shuts down, flushing its sessions to the store.
     """
-    # Keep whatever a forked worker inherited out of its collections: a
+    # Keep whatever a forked child inherited out of its collections: a
     # full collection walks every object and so copies the parent's heap
     # page by page.  Receiving two of the large-tier graphs took a forked
     # worker 200-260 ms with that walk and 45-90 ms without (2-CPU VM).
     gc.freeze()
-    store_root = assignment.get("store_root")
-    fault = assignment.get("fault")
-    deadline_ms = assignment.get("deadline_ms")
+    from repro.net.daemon import ShardDaemon
+
+    daemon = ShardDaemon(store_root, result_cache_size=result_cache_size)
     try:
-        graphs = conn.recv()
-        store = SessionStore(store_root) if store_root is not None else None
-        for lane in assignment["lanes"]:
-            graph_key = lane["graph_key"]
-            try:
-                graph = graphs[graph_key]
-                if graph.content_fingerprint() != lane["fingerprint"]:
-                    raise BatchQueryError(
-                        f"lane {graph_key!r} received a graph whose fingerprint does not "
-                        "match the one it was routed by"
-                    )
-                session = DDSSession(
-                    graph,
-                    flow=assignment.get("flow"),
-                    result_cache_size=assignment["result_cache_size"],
-                )
-                warm = store.warm_session(session) if store is not None else {}
-                message = run_lane(
-                    session,
-                    lane["entries"],
-                    deadline=Deadline(deadline_ms) if deadline_ms is not None else None,
-                    store=store,
-                    store_counters=warm,
-                    before_query=partial(_inject_fault, fault, graph_key),
-                )
-                conn.send(("lane", graph_key, message))
-            except Exception as error:  # noqa: BLE001 - forwarded to the parent
-                conn.send(("lane-error", graph_key, type(error).__name__, str(error)))
-        conn.send(("done", assignment["worker_id"]))
-    except (EOFError, OSError):  # pragma: no cover - parent went away
+        conn.send(daemon.start()[1])
+        conn.recv()
+    except (EOFError, OSError):
         pass
     finally:
+        daemon.shutdown()
         conn.close()
 
 
-class _WorkerHandle:
-    """Parent-side bookkeeping for one live pool worker."""
+@contextmanager
+def _local_daemons(
+    count: int, store_root: str | None, result_cache_size: int
+) -> Iterator[list[str | None]]:
+    """Start ``count`` local shard daemons and yield their ``host:port`` addresses.
 
-    __slots__ = ("worker_id", "process", "conn", "lane_keys", "handled", "eof")
-
-    def __init__(self, worker_id: int, process: Any, conn: Any, lane_keys: list[str]) -> None:
-        self.worker_id = worker_id
-        self.process = process
-        self.conn = conn
-        self.lane_keys = lane_keys
-        #: lanes this worker has reported (result or error) — anything else
-        #: at exit time was lost to a crash.
-        self.handled: set[str] = set()
-        self.eof = False
+    Every child starts before any port is read, so they come up in
+    parallel.  A child that dies before reporting its port yields ``None``
+    in its slot.  On exit every child is sent its stop word and joined —
+    killed if it has not stopped within 10 seconds — whatever happened in
+    the block.
+    """
+    ctx = multiprocessing.get_context(_start_method())
+    children: list[tuple[Any, Any]] = []
+    try:
+        for index in range(count):
+            conn, child_conn = ctx.Pipe()
+            process = ctx.Process(
+                target=_serve_local_shard,
+                args=(child_conn, store_root, result_cache_size),
+                name=f"dds-local-shard-{index}",
+                daemon=True,
+            )
+            process.start()
+            child_conn.close()  # the child owns the other end now
+            children.append((process, conn))
+        addresses: list[str | None] = []
+        for _, conn in children:
+            try:
+                addresses.append(f"127.0.0.1:{conn.recv()}")
+            except EOFError:
+                addresses.append(None)
+        yield addresses
+    finally:
+        for _, conn in children:
+            try:
+                conn.send(None)
+            except OSError:
+                pass  # that child is gone already
+            conn.close()
+        for process, _ in children:
+            process.join(timeout=10)
+            if process.is_alive():  # pragma: no cover - last resort
+                process.kill()
+                process.join(timeout=10)
 
 
 class BatchExecutor:
@@ -323,48 +318,36 @@ class BatchExecutor:
         lane session (a solver name selects nothing:
         :func:`~repro.core.config.strip_solver_name`).
     result_cache_size:
-        Result-cache capacity of each lane session.
+        Result-cache capacity of each lane session, local daemons' included.
     max_workers:
-        Pool width (threads or processes); defaults to one worker per lane.
+        Pool width: threads, or local daemons; defaults to one per lane.
         On the thread path a single-lane batch executes inline on the
         calling thread.
     store:
         Optional :class:`~repro.service.store.SessionStore`; when given,
         lanes warm from it before their first query and save back afterwards.
     process_pool:
-        Run lanes in worker *processes*, each sent its lanes' graphs over
-        its pipe (the GIL-free scale-out path; see the module docstring).
+        Run lanes on shard daemons started in local child processes for
+        each batch (the GIL-free scale-out path; see the module docstring).
     remote_hosts:
         Route lanes to :class:`~repro.net.daemon.ShardDaemon` addresses
         (``["host:port", ...]``) by fingerprint shard instead of running
         them locally — the cross-machine path; see the module docstring.
         Mutually exclusive with ``process_pool``.
     max_retries:
-        Process-pool only: how many times a lane lost to a worker crash or
-        error is re-dispatched on a fresh worker before the executor falls
-        back to running it inline.  ``0`` retries straight to inline.  On
-        the remote path the same number caps each request's
-        fresh-connection retries before its lane falls back inline.
-    mp_start_method:
-        Process-pool only: override the multiprocessing start method
-        (defaults to ``fork`` where available, else ``spawn``).  Both hand
-        graphs over the same pipe, so answers do not depend on it.
-    fault_injection:
-        Chaos/test hook: ``{"graph_key": ..., "index": ..., "kind":
-        "sigkill" | "error", "times": N}`` makes the first ``N`` workers
-        dispatched with the target lane fail at the matching query, so the
-        crash-recovery ladder is deterministically testable.  Never triggers
-        on the inline fallback path.
+        How many fresh-connection retries a request to a daemon, local or
+        remote, earns on a transport failure before its lane falls back to
+        running inline.  ``0`` falls back after the first failure.
     deadline_ms:
         Per-*lane* wall-clock budget.  Each lane arms a fresh monotonic
         :class:`~repro.runtime.Deadline` and every query receives the
         budget still remaining when it starts; a query the budget has no
         time left for is answered ``{"deadline_exceeded": true}`` without
-        running.  On the remote path the budget ships in the solve request
-        and the daemon enforces it (queueing and decode spend it too); a
-        lane resent with its graph carries what is left of it, while an
-        inline fallback lane re-arms a fresh budget, since the remote
-        attempt consumed the original one.  Deadline hits are counted in
+        running.  On a daemon the budget ships in the solve request and the
+        daemon enforces it (queueing and decode spend it too); a lane
+        resent with its graph carries what is left of it, while an inline
+        fallback lane re-arms a fresh budget, since the daemon attempt
+        consumed the original one.  Deadline hits are counted in
         ``executor_stats["deadline_hit_queries"]``.
     """
 
@@ -379,8 +362,6 @@ class BatchExecutor:
         process_pool: bool = False,
         remote_hosts: list[str] | None = None,
         max_retries: int = 1,
-        mp_start_method: str | None = None,
-        fault_injection: Mapping[str, Any] | None = None,
         deadline_ms: float | None = None,
     ) -> None:
         if isinstance(graphs, Mapping):
@@ -400,18 +381,6 @@ class BatchExecutor:
             raise ConfigError(f"max_workers must be a positive int or None, got {max_workers!r}")
         if not isinstance(max_retries, int) or max_retries < 0:
             raise ConfigError(f"max_retries must be a non-negative int, got {max_retries!r}")
-        if mp_start_method is not None and mp_start_method not in multiprocessing.get_all_start_methods():
-            raise ConfigError(
-                f"unknown start method {mp_start_method!r}; this platform offers "
-                f"{', '.join(multiprocessing.get_all_start_methods())}"
-            )
-        if fault_injection is not None:
-            fault_injection = dict(fault_injection)
-            if fault_injection.get("kind") not in FAULT_KINDS:
-                raise ConfigError(
-                    f"fault_injection kind must be one of {FAULT_KINDS}, "
-                    f"got {fault_injection.get('kind')!r}"
-                )
         if remote_hosts is not None:
             if process_pool:
                 raise ConfigError("remote_hosts and process_pool are mutually exclusive")
@@ -430,8 +399,6 @@ class BatchExecutor:
         self._process_pool = bool(process_pool)
         self._remote_hosts = remote_hosts
         self._max_retries = max_retries
-        self._mp_start_method = mp_start_method
-        self._fault = fault_injection
         if deadline_ms is not None:
             # Deadline's own validation rejects non-positive/non-finite
             # budgets; constructing one here fails fast at configure time.
@@ -440,7 +407,7 @@ class BatchExecutor:
         self._deadline_ms = deadline_ms
         # Remote path: the fingerprints shipped to each host address, so a
         # later lane for the same graph goes out without its document.  Read
-        # and written under ``_lane_lock``, which also guards each remote
+        # and written under ``_lane_lock``, which also guards each daemon
         # run's stats.
         self._shipped: dict[str, set[str]] = {}
         self._lane_lock = threading.Lock()
@@ -470,268 +437,54 @@ class BatchExecutor:
         """Pool width for ``lanes`` lanes: ``max_workers``, capped at one per lane."""
         return min(lanes, self._max_workers if self._max_workers is not None else lanes)
 
-    def _fan_out(self, run: Callable[[str], Any], keys: list[str]) -> list[Any]:
-        """``run(key)`` for every key, in order: inline for one, else on a thread pool."""
-        if len(keys) == 1:
-            return [run(keys[0])]
-        with ThreadPoolExecutor(max_workers=self._width(len(keys))) as pool:
-            futures = [pool.submit(run, key) for key in keys]
-            return [future.result() for future in futures]
+    def _fan_out(self, run: Callable[[str], Any], groups: list[list[str]]) -> list[Any]:
+        """``run(key)`` for every key, each group's keys in turn on one thread.
 
-    # ------------------------------------------------------------------
-    # process-pool path
-    # ------------------------------------------------------------------
-    def _resolve_start_method(self) -> str:
-        """The configured start method, defaulting to fork-where-possible."""
-        if self._mp_start_method is not None:
-            return self._mp_start_method
-        methods = multiprocessing.get_all_start_methods()
-        return "fork" if "fork" in methods else "spawn"
-
-    def _spawn_worker(
-        self,
-        ctx: Any,
-        worker_id: int,
-        lane_keys: list[str],
-        lanes: dict[str, list[PlannedQuery]],
-        fingerprints: dict[str, str],
-        fault: Mapping[str, Any] | None,
-    ) -> _WorkerHandle:
-        """Start one worker process serving ``lane_keys`` and return its handle.
-
-        The assignment carries no graph: the worker waits for its graphs on
-        the pipe (see :func:`_process_worker_main`).
+        Results come back group by group, in order; a single group runs
+        inline on the calling thread.
         """
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        assignment = {
-            "worker_id": worker_id,
-            "lanes": [
-                {
-                    "graph_key": key,
-                    "fingerprint": fingerprints[key],
-                    "entries": [(entry.index, entry.spec) for entry in lanes[key]],
-                }
-                for key in lane_keys
-            ],
-            "flow": self._flow,
-            "result_cache_size": self._result_cache_size,
-            "store_root": str(self._store.root) if self._store is not None else None,
-            "fault": dict(fault) if fault else None,
-            "deadline_ms": self._deadline_ms,
-        }
-        process = ctx.Process(
-            target=_process_worker_main,
-            args=(child_conn, assignment),
-            name=f"dds-batch-worker-{worker_id}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()  # the worker owns the other end now
-        return _WorkerHandle(worker_id, process, parent_conn, list(lane_keys))
-
-    def _execute_process_pool(
-        self, lanes: dict[str, list[PlannedQuery]]
-    ) -> tuple[list[tuple[str, list[QueryExecution], dict[str, Any], dict[str, int]]], dict[str, Any]]:
-        """Run every lane in worker processes; returns (outcomes, executor stats).
-
-        Every worker of a round is started before any graph is sent, so the
-        workers start up in parallel while the parent pickles graphs into
-        their pipes one after another; a worker re-dispatched for a retry
-        gets its graph right after it starts.  A worker that died before
-        reading its graphs makes that send fail; its sentinel then reports
-        the crash like any other.
-
-        The event loop multiplexes per-worker pipes *and* process sentinels
-        through :func:`multiprocessing.connection.wait`, so both clean
-        results and abrupt deaths wake it — there is no shared queue whose
-        internal lock a dying worker could poison.  Lanes lost to a crash
-        or reported as errors are re-dispatched on fresh workers while
-        their retry budget lasts, then run inline; the first genuinely
-        failing inline lane aborts the batch (after all workers drain) with
-        its original error, matching the thread path's semantics.
-        """
-        from multiprocessing import connection as mp_connection
-
-        ctx = multiprocessing.get_context(self._resolve_start_method())
-        graphs = {key: self._provider(key) for key in lanes}
-        fingerprints = {key: graph.content_fingerprint() for key, graph in graphs.items()}
-        # Worker slots are anonymous here, so empty shards collapse away:
-        # a width-4 pool with two colliding fingerprints still gets two
-        # workers, and ``workers_spawned`` counts real lanes, not slots.
-        shards = ShardMap(self._width(len(lanes))).assign(fingerprints, collapse=True)
-        stats: dict[str, Any] = {
-            "mode": "process-pool",
-            "start_method": self._resolve_start_method(),
-            "shards": len(shards),
-            "workers_spawned": 0,
-            "worker_crashes": 0,
-            "worker_retries": 0,
-            "degraded_lanes": [],
-        }
-        results: dict[str, tuple[list[QueryExecution], dict[str, Any], dict[str, int]]] = {}
-        attempts = {key: 0 for key in lanes}
-        degraded: set[str] = set()
-        fault = dict(self._fault) if self._fault else None
-        fault_budget = int(fault.get("times", 1)) if fault else 0
-        first_error: Exception | None = None
-        active: dict[int, _WorkerHandle] = {}
-        next_worker_id = 0
-
-        def take_fault(lane_keys: list[str]) -> Mapping[str, Any] | None:
-            """Attach the chaos fault to this dispatch if budget remains."""
-            nonlocal fault_budget
-            if fault is None or fault_budget <= 0:
-                return None
-            if fault.get("graph_key") not in lane_keys:
-                return None
-            fault_budget -= 1
-            return fault
-
-        def dispatch(lane_keys: list[str]) -> _WorkerHandle:
-            """Spawn a fresh worker for ``lane_keys`` and track it."""
-            nonlocal next_worker_id
-            worker_id = next_worker_id
-            next_worker_id += 1
-            for key in lane_keys:
-                attempts[key] += 1
-            handle = self._spawn_worker(
-                ctx, worker_id, lane_keys, lanes, fingerprints, take_fault(lane_keys)
-            )
-            active[worker_id] = handle
-            stats["workers_spawned"] += 1
-            return handle
-
-        def send_graphs(handle: _WorkerHandle) -> None:
-            """Hand a started worker the graphs of its lanes."""
-            try:
-                handle.conn.send({key: graphs[key] for key in handle.lane_keys})
-            except OSError:
-                pass  # it died before reading them: its sentinel reports the crash
-
-        def lane_failed(graph_key: str) -> None:
-            """Retry a lost lane on a fresh worker, or run it inline."""
-            nonlocal first_error
-            degraded.add(graph_key)
-            if attempts[graph_key] <= self._max_retries:
-                stats["worker_retries"] += 1
-                send_graphs(dispatch([graph_key]))
-                return
-            attempts[graph_key] += 1
-            try:
-                _, executions, session_stats, store_counters = self._run_lane(
-                    graph_key, lanes[graph_key]
-                )
-            except Exception as error:  # noqa: BLE001 - re-raised after drain
-                if first_error is None:
-                    first_error = error
-                return
-            results[graph_key] = (executions, session_stats, store_counters)
-
-        def drain(handle: _WorkerHandle) -> None:
-            """Consume every buffered message from one worker's pipe."""
-            while not handle.eof:
-                try:
-                    if not handle.conn.poll():
-                        return
-                    message = handle.conn.recv()
-                except (EOFError, OSError):
-                    handle.eof = True
-                    return
-                kind = message[0]
-                if kind == "lane":
-                    _, graph_key, payload = message
-                    handle.handled.add(graph_key)
-                    results[graph_key] = (
-                        _executions(graph_key, payload["executions"], handle.worker_id),
-                        payload["stats"],
-                        payload["store"],
-                    )
-                elif kind == "lane-error":
-                    _, graph_key, _, _ = message
-                    handle.handled.add(graph_key)
-                    lane_failed(graph_key)
-                # "done" needs no action: the sentinel drives reaping.
-
-        try:
-            for handle in [dispatch(lane_keys) for _, lane_keys in sorted(shards.items())]:
-                send_graphs(handle)
-            while active:
-                waitables: list[Any] = []
-                by_waitable: dict[Any, _WorkerHandle] = {}
-                for handle in active.values():
-                    waitables.append(handle.conn)
-                    by_waitable[handle.conn] = handle
-                    waitables.append(handle.process.sentinel)
-                    by_waitable[handle.process.sentinel] = handle
-                ready = mp_connection.wait(waitables)
-                exited: list[_WorkerHandle] = []
-                for waitable in ready:
-                    handle = by_waitable[waitable]
-                    drain(handle)
-                    if waitable == handle.process.sentinel and handle.worker_id in active:
-                        exited.append(handle)
-                        del active[handle.worker_id]
-                for handle in exited:
-                    handle.process.join()
-                    drain(handle)  # messages can race the sentinel
-                    handle.conn.close()
-                    lost = [key for key in handle.lane_keys if key not in handle.handled]
-                    if lost:
-                        stats["worker_crashes"] += 1
-                        for key in lost:
-                            lane_failed(key)
-            if first_error is not None:
-                raise first_error
-            stats["degraded_lanes"] = sorted(degraded)
-            outcomes = []
-            for graph_key in lanes:
-                executions, session_stats, store_counters = results[graph_key]
-                for execution in executions:
-                    execution.attempts = attempts[graph_key]
-                    execution.degraded = graph_key in degraded
-                outcomes.append((graph_key, executions, session_stats, store_counters))
-            return outcomes, stats
-        finally:
-            for handle in active.values():
-                try:
-                    handle.conn.close()
-                except OSError:  # pragma: no cover - already torn down
-                    pass
-                if handle.process.is_alive():
-                    handle.process.terminate()
-                handle.process.join(timeout=10)
-                if handle.process.is_alive():  # pragma: no cover - last resort
-                    handle.process.kill()
-                    handle.process.join(timeout=10)
+        if len(groups) == 1:
+            return [run(key) for key in groups[0]]
+        with ThreadPoolExecutor(max_workers=self._width(len(groups))) as pool:
+            futures = [pool.submit(lambda keys: [run(key) for key in keys], keys) for keys in groups]
+            return [outcome for future in futures for outcome in future.result()]
 
     # ------------------------------------------------------------------
-    # remote path
+    # the daemon path
     # ------------------------------------------------------------------
     def _execute_remote(
         self, lanes: dict[str, list[PlannedQuery]]
     ) -> tuple[list[tuple[str, list[QueryExecution], dict[str, Any], dict[str, int]]], dict[str, Any]]:
         """Route every lane to its owning daemon; returns (outcomes, stats).
 
-        Shard ownership is pinned by ``ShardMap.shard_of`` over the full
-        host list — deliberately *not* collapsed to the distinct
+        Remote shard ownership is pinned by ``ShardMap.shard_of`` over the
+        full host list — deliberately *not* collapsed to the distinct
         fingerprints of this batch — so a graph always lands on the same
         daemon across batches and its resident session keeps paying off.
+        Local daemons live for this batch only, so their slots are
+        anonymous: ``ShardMap.assign(collapse=True)`` spreads colliding
+        fingerprints over idle slots, one daemon is started per non-empty
+        slot, each daemon's lanes run one after another on one thread, and
+        the clients wait as long as a lane takes.
+
         A lane whose daemon stays unreachable through the client's
-        retry/backoff ladder falls back to an inline solve (degraded,
-        counted in ``remote_failures``) *and* trips that host's circuit
-        breaker — subsequent lanes for the host fast-fail straight to
-        inline (``breaker_skipped_lanes``) until a half-open probe
-        succeeds.  A lane whose *query* fails remotely is re-run inline so
-        the genuine typed error surfaces locally with thread-path
-        semantics (first error aborts the batch after every lane drains).
-        Graphs with labels that cannot cross the wire losslessly run
-        inline too, counted separately.  ``stats["breaker_states"]``
-        snapshots each host's breaker after the batch.
+        retry/backoff ladder — or a local daemon that never reported its
+        port — falls back to an inline solve (degraded, counted in
+        ``remote_failures``) *and* trips that host's circuit breaker —
+        subsequent lanes for the host fast-fail straight to inline
+        (``breaker_skipped_lanes``) until a half-open probe succeeds.  A
+        lane whose *query* fails on the daemon is re-run inline so the
+        genuine typed error surfaces locally with thread-path semantics
+        (first error aborts the batch after every lane drains).  Graphs with
+        labels that cannot cross the wire losslessly, or whose solve
+        request would exceed the frame cap, run inline once, counted in
+        ``unwirable_lanes``.  ``stats["breaker_states"]`` snapshots each
+        host's breaker after the batch.
 
         A lane carries its graph document only the first time this executor
         sends that graph to its host (``graphs_shipped`` counts the lanes
-        that carried one).  Later lanes go out by fingerprint; the one
-        remote failure retried is the daemon's
+        answered with one).  Later lanes go out by fingerprint; the one
+        daemon failure retried is
         :class:`~repro.exceptions.GraphNotResidentError`, answered by one
         resend with the document and the lane's remaining budget
         (``graph_resends``) — no inline fallback, no ``remote_failures``.
@@ -739,19 +492,33 @@ class BatchExecutor:
         from repro.net import protocol as net_protocol
         from repro.net.client import CircuitOpenError, RemoteOpError, ShardClientPool
 
-        assert self._remote_hosts is not None
         graphs = {key: self._provider(key) for key in lanes}
         fingerprints = {key: graph.content_fingerprint() for key, graph in graphs.items()}
-        shard_map = ShardMap(len(self._remote_hosts))
-        pool = ShardClientPool(self._remote_hosts, max_retries=self._max_retries)
+        local = self._remote_hosts is None
+        if local:
+            shards = ShardMap(self._width(len(lanes))).assign(fingerprints, collapse=True)
+            groups = [keys for _, keys in sorted(shards.items())]
+            slots = {key: slot for slot, keys in enumerate(groups) for key in keys}
+            daemons = _local_daemons(
+                len(groups),
+                str(self._store.root) if self._store is not None else None,
+                self._result_cache_size,
+            )
+            shipped: dict[str, set[str]] = {}
+        else:
+            shard_map = ShardMap(len(self._remote_hosts))
+            groups = [[key] for key in lanes]
+            slots = {key: shard_map.shard_of(fingerprints[key]) for key in lanes}
+            daemons = nullcontext(self._remote_hosts)
+            shipped = self._shipped
         # Ship this executor's flow configuration with every solve so a
         # daemon building the session applies what the inline fallback (and
         # any local reference run) would.
         flow_doc = dataclasses.asdict(self._flow) if self._flow is not None else None
         stats: dict[str, Any] = {
-            "mode": "remote",
-            "hosts": list(pool.addresses),
-            "shards": shard_map.num_shards,
+            "mode": "process-pool" if local else "remote",
+            "hosts": [],
+            "shards": 0,
             "lanes_remote": 0,
             "lanes_inline": 0,
             "remote_failures": 0,
@@ -768,7 +535,7 @@ class BatchExecutor:
         def inline(
             graph_key: str, *, remote_attempted: bool
         ) -> tuple[str, list[QueryExecution], dict[str, Any], dict[str, int]] | None:
-            """Solve one lane locally after the remote path gave up on it."""
+            """Solve one lane locally after the daemon path gave up on it."""
             nonlocal first_error
             with lock:
                 stats["lanes_inline"] += 1
@@ -790,37 +557,35 @@ class BatchExecutor:
         ) -> tuple[str, list[QueryExecution], dict[str, Any], dict[str, int]] | None:
             """One lane: ask its daemon (with the graph unless already shipped there), else inline."""
             fingerprint = fingerprints[graph_key]
-            shard = shard_map.shard_of(fingerprint)
-            client = pool.client_for(shard)
+            slot = slots[graph_key]
+            client = pool.client_for(slot)
+            if client is None:
+                with lock:
+                    stats["remote_failures"] += 1
+                return inline(graph_key, remote_attempted=True)
             entries = [(entry.index, entry.spec) for entry in lanes[graph_key]]
             lane_deadline = Deadline(self._deadline_ms) if self._deadline_ms is not None else None
 
             def solve(wire: dict[str, Any] | None) -> dict[str, Any]:
                 """One solve request for this lane, with what is left of its budget."""
-                if wire is not None:
-                    with lock:
-                        stats["graphs_shipped"] += 1
                 budget = None
                 if lane_deadline is not None:
                     # A spent budget still ships as a positive one, so the
                     # daemon answers the entries as deadline hits instead of
                     # rejecting the request.
                     budget = max(lane_deadline.remaining_ms(), _SPENT_BUDGET_MS)
-                return client.solve_lane(
+                payload = client.solve_lane(
                     graph_key, fingerprint, entries, graph=wire, flow=flow_doc, deadline_ms=budget
                 )
+                if wire is not None:
+                    with lock:
+                        stats["graphs_shipped"] += 1
+                return payload
 
             with lock:
-                shipped = fingerprint in self._shipped.get(client.address, ())
-            wire = None
-            if not shipped:
-                try:
-                    wire = net_protocol.graph_to_wire(graphs[graph_key])
-                except NetError:
-                    with lock:
-                        stats["unwirable_lanes"] += 1
-                    return inline(graph_key, remote_attempted=False)
+                already_shipped = fingerprint in shipped.get(client.address, ())
             try:
+                wire = None if already_shipped else net_protocol.graph_to_wire(graphs[graph_key])
                 try:
                     payload = solve(wire)
                 except RemoteOpError as error:
@@ -844,23 +609,38 @@ class BatchExecutor:
                 with lock:
                     stats["breaker_skipped_lanes"] += 1
                 return inline(graph_key, remote_attempted=True)
+            except ProtocolError:
+                # The request never left: its labels do not survive JSON or
+                # its frame would exceed MAX_FRAME_BYTES (the client encodes
+                # before any socket or breaker is touched).
+                with lock:
+                    stats["unwirable_lanes"] += 1
+                return inline(graph_key, remote_attempted=False)
             except NetError:
                 with lock:
                     stats["remote_failures"] += 1
                 return inline(graph_key, remote_attempted=True)
-            executions = _executions(graph_key, payload["executions"], shard)
+            executions = _executions(graph_key, payload["executions"], slot)
             with lock:
                 stats["lanes_remote"] += 1
-                self._shipped.setdefault(client.address, set()).add(fingerprint)
+                shipped.setdefault(client.address, set()).add(fingerprint)
             return graph_key, executions, payload["stats"], payload.get("store") or {}
 
-        collected = self._fan_out(run, list(lanes))
+        with daemons as hosts:
+            # A killed local daemon's sockets close with it, so its clients
+            # need no read timeout: a lane that runs long is answered once,
+            # never resent and then re-run inline.
+            pool = ShardClientPool(
+                hosts, max_retries=self._max_retries, **({"read_timeout": None} if local else {})
+            )
+            stats["hosts"], stats["shards"] = list(hosts), len(hosts)
+            collected = {outcome[0]: outcome for outcome in self._fan_out(run, groups) if outcome}
         if first_error is not None:
             raise first_error
         stats["degraded_lanes"] = sorted(degraded)
         stats["client"] = pool.aggregate_stats()
         stats["breaker_states"] = pool.breaker_states()
-        return [outcome for outcome in collected if outcome is not None], stats
+        return [collected[key] for key in lanes if key in collected], stats
 
     # ------------------------------------------------------------------
     def execute(self, plan: BatchPlan) -> BatchReport:
@@ -870,21 +650,17 @@ class BatchExecutor:
         the lane's session.  The first failing query aborts the batch: its
         error is re-raised here after every already-running lane has
         finished (lanes are independent, so letting them drain keeps the
-        store consistent).  With ``process_pool=True`` lanes run in worker
-        processes.
+        store consistent).  With ``process_pool=True`` or ``remote_hosts``
+        lanes run on shard daemons; local ones are all stopped before this
+        returns or raises.
         """
         lanes = plan.lanes
         if not lanes:
             return BatchReport(executions=[], session_stats={})
-        executor_stats: dict[str, Any] = {}
-        if self._remote_hosts is not None:
-            outcomes, executor_stats = self._execute_remote(lanes)
-            return self._assemble(outcomes, executor_stats)
-        if self._process_pool:
-            outcomes, executor_stats = self._execute_process_pool(lanes)
-            return self._assemble(outcomes, executor_stats)
-        outcomes = self._fan_out(lambda key: self._run_lane(key, lanes[key]), list(lanes))
-        return self._assemble(outcomes, executor_stats)
+        if self._remote_hosts is not None or self._process_pool:
+            return self._assemble(*self._execute_remote(lanes))
+        outcomes = self._fan_out(lambda key: self._run_lane(key, lanes[key]), [[key] for key in lanes])
+        return self._assemble(outcomes, {})
 
     def _assemble(
         self,

@@ -8,8 +8,8 @@ plan is a pure function of the batch.  Per-query answers do not depend on
 the execution order (pinned by the permutation property test).
 
 :meth:`BatchPlan.explain` renders the execution order and the lanes for
-``--explain``; :class:`ShardMap` routes lanes to process-pool workers and
-shard daemons by graph content fingerprint.
+``--explain``; :class:`ShardMap` routes lanes to shard daemons, local or
+remote, by graph content fingerprint.
 """
 
 from __future__ import annotations
@@ -61,20 +61,20 @@ class BatchPlan:
 
 @dataclass(frozen=True)
 class ShardMap:
-    """Content-fingerprint shard routing for the process-pool executor.
+    """Content-fingerprint shard routing for the executor's shard daemons.
 
-    Routes every graph to one of ``num_shards`` workers by hashing its
+    Routes every graph to one of ``num_shards`` daemons by hashing its
     :meth:`content_fingerprint
     <repro.graph.digraph.DiGraph.content_fingerprint>` — *not* its graph
     key, its ``state_token``, or its position in the batch.  Because the
     fingerprint is content-derived and process-independent, the routing is
     stable across batches, executor instances, and machines: the same graph
-    always lands on the same shard index, so the worker owning shard ``i``
+    always lands on the same shard index, so the daemon owning shard ``i``
     is the only writer of its graphs' :class:`~repro.service.store.
     SessionStore` rows *within* an executor run (concurrent executors
     remain safe under the store's SQLite transactions).
-    This is the single-machine form of the ROADMAP's multi-machine routing:
-    replacing "worker index" with "machine" changes nothing else.
+    Local daemons and remote hosts are routed alike: only the address
+    behind a shard index differs.
     """
 
     num_shards: int
@@ -105,13 +105,13 @@ class ShardMap:
         donates the rest — in fingerprint order — to the empty shards in
         ascending index order, until either side runs out.  The result has
         ``min(num_shards, distinct fingerprints)`` non-empty shards, so a
-        pool sized to ``num_shards`` anonymous workers never idles a slot
+        pool sized to ``num_shards`` anonymous daemons never idles a slot
         while another serialises two graphs.  Collapsing is still a pure
         function of the fingerprints (no batch-order dependence), but it
         re-routes graphs relative to :meth:`shard_of` — use it only where
-        shard identity is anonymous (the process pool), never where a
-        shard index is pinned to an owner across batches (remote hosts,
-        store-shard ownership).
+        shard identity is anonymous (the process pool's local daemons,
+        started for one batch), never where a shard index is pinned to an
+        owner across batches (remote hosts, store-shard ownership).
         """
         shards: dict[int, list[str]] = {}
         for graph_key, fingerprint in fingerprints.items():

@@ -296,7 +296,6 @@ def run_lane(
     deadline: Deadline | None = None,
     store: SessionStore | None = None,
     store_counters: dict[str, int] | None = None,
-    before_query: Callable[[int], None] | None = None,
     on_deadline: Callable[[bool], None] | None = None,
     run_query: Callable[..., Any] = run_batch_query,
 ) -> dict[str, Any]:
@@ -309,12 +308,10 @@ def run_lane(
     is saved to ``store`` (when given), its counters added to
     ``store_counters`` (the lane's warm counters, if any).
 
-    ``before_query(index)`` runs before each entry (the process pool's
-    fault-injection hook); ``on_deadline(rejected)`` runs once per entry
-    answered as a deadline hit — ``True`` when the budget was spent before
-    the entry started, ``False`` when the query itself ran out.
-    ``run_query`` answers one entry, with :func:`run_batch_query`'s
-    signature.
+    ``on_deadline(rejected)`` runs once per entry answered as a deadline
+    hit — ``True`` when the budget was spent before the entry started,
+    ``False`` when the query itself ran out.  ``run_query`` answers one
+    entry, with :func:`run_batch_query`'s signature.
 
     Returns the lane message every executor path and the shard daemon
     share: ``{"executions": [{"index", "kind", "seconds", "cpu_seconds",
@@ -325,8 +322,6 @@ def run_lane(
     """
     rows: list[dict[str, Any]] = []
     for index, spec in entries:
-        if before_query is not None:
-            before_query(index)
         kind = spec.get("query", "densest")
         remaining = deadline.remaining_ms() if deadline is not None else None
         if remaining is not None and remaining <= 0:

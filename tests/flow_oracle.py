@@ -12,8 +12,10 @@ switch to it mid-test with :func:`use_solver`.
 
 :func:`network_from_arcs` builds a network from a list of forward arcs,
 :func:`forward_arcs` reads a network's forward arcs, with the flow each
-carries, off its topology and capacity columns, and :func:`copy_network`
-copies a network's capacities and residual state over the same topology.
+carries, off its topology and capacity columns, :func:`copy_network`
+copies a network's capacities and residual state over the same topology,
+and :func:`flow_value` reads the value of the flow a network's residual
+state encodes, the start credit both reference solvers take.
 
 :class:`RestartDinicSolver` is the second reference: Dinic as it was before
 its DFS learned to resume after a push and its BFS to stop at the sink —
@@ -58,7 +60,7 @@ class EdmondsKarpSolver:
         heads, targets = network.topology.solver_views()
         caps = network.arc_capacities.tolist()
         source, sink = self.source, self.sink
-        total = network.flow_value(source)
+        total = flow_value(network, source)
 
         while True:
             # BFS to find the shortest augmenting path; remember the arc used
@@ -130,7 +132,7 @@ class RestartDinicSolver:
         """Run Dinic to completion and return the max-flow value."""
         heads, targets = self.network.topology.solver_views()
         caps = self.network.arc_capacities.tolist()
-        total = self.network.flow_value(self.source)
+        total = flow_value(self.network, self.source)
         while True:
             if not self._build_levels(heads, targets, caps):
                 break
@@ -220,6 +222,29 @@ def use_solver(request, name: str) -> None:
     """
     if name == ORACLE_SOLVER:
         request.getfixturevalue("flow_oracle")
+
+
+def flow_value(network: FlowNetwork, source: int) -> float:
+    """Net flow currently leaving ``source`` (the value of a valid flow).
+
+    Computed from the residual state alone: forward arcs out of the source
+    contribute the flow pushed onto their residual twins, forward arcs
+    *into* the source subtract theirs.  Only meaningful when the residual
+    state encodes a conservative flow (e.g. after a completed solve).
+    ``dinic`` sums the same twins in the same order from its own lists.
+    """
+    network._check_node(source)
+    topology = network.topology
+    arcs = topology.order[topology.starts[source] : topology.starts[source + 1]]
+    # ``arc | 1`` is the twin of a forward arc and a residual arc itself.
+    flows = network.arc_capacities[arcs | 1].tolist()
+    total = 0.0
+    for arc_index, flow in zip(arcs.tolist(), flows):
+        if arc_index & 1:
+            total -= flow
+        else:
+            total += flow
+    return total
 
 
 def network_from_arcs(num_nodes: int, arcs) -> FlowNetwork:

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
 from repro.graph.digraph import DiGraph
@@ -166,3 +170,65 @@ class TestMutationsAndCopies:
         assert rev.has_edge(3, 2)
         assert rev.num_edges == 2
         assert set(rev.nodes()) == set(g.nodes())
+
+
+_LABELS = st.one_of(
+    st.integers(min_value=-3, max_value=40),
+    st.text(max_size=3),
+    st.tuples(st.integers(min_value=0, max_value=3), st.booleans()),
+    st.frozensets(st.integers(min_value=0, max_value=3), max_size=2),
+    st.none(),
+)
+
+
+@st.composite
+def _labelled_graphs(draw) -> DiGraph:
+    """Small graphs over mixed, non-string labels, with or without self-loops."""
+    labels = draw(st.lists(_LABELS, max_size=10, unique=True))
+    edges = []
+    if labels:
+        endpoint = st.sampled_from(labels)
+        edges = draw(st.lists(st.tuples(endpoint, endpoint), max_size=30))
+    return DiGraph.from_edges(edges, nodes=labels, allow_self_loops=draw(st.booleans()))
+
+
+class TestDiGraphPickle:
+    @settings(max_examples=60, deadline=None)
+    @given(graph=_labelled_graphs())
+    def test_round_trip_keeps_content_under_a_fresh_token(self, graph):
+        fingerprint = graph.content_fingerprint()
+        blob = pickle.dumps(graph)
+        drawn_before = DiGraph().state_token
+        rebuilt = pickle.loads(blob)
+        assert rebuilt.nodes() == graph.nodes()
+        assert [type(label) for label in rebuilt.nodes()] == [
+            type(label) for label in graph.nodes()
+        ]
+        assert sorted(rebuilt.edge_indices()) == sorted(graph.edge_indices())
+        assert rebuilt.num_edges == graph.num_edges
+        assert rebuilt.allow_self_loops == graph.allow_self_loops
+        assert rebuilt.content_fingerprint() == fingerprint
+        # Drawn from this process's counter after unpickling, not copied.
+        assert rebuilt.state_token > drawn_before
+
+
+class TestFromCsrArrays:
+    def test_round_trip_preserves_fingerprint(self, small_random_graph):
+        graph = small_random_graph
+        starts, targets = [0], []
+        for row in graph.out_adj:
+            targets.extend(row)
+            starts.append(len(targets))
+        rebuilt = DiGraph.from_csr_arrays(graph.nodes(), starts, targets)
+        assert rebuilt.content_fingerprint() == graph.content_fingerprint()
+        assert rebuilt.num_edges == graph.num_edges
+
+    def test_rejects_malformed_csr(self):
+        with pytest.raises(GraphError, match="monotone"):
+            DiGraph.from_csr_arrays(["a", "b"], [0, 1], [1, 0])
+        with pytest.raises(GraphError, match="duplicates"):
+            DiGraph.from_csr_arrays(["a", "a"], [0, 0, 0], [])
+        with pytest.raises(GraphError, match="out of range"):
+            DiGraph.from_csr_arrays(["a", "b"], [0, 1, 1], [5])
+        with pytest.raises(GraphError, match="self-loop"):
+            DiGraph.from_csr_arrays(["a", "b"], [0, 1, 1], [0])

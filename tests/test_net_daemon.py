@@ -529,6 +529,32 @@ class TestRemoteExecutor:
         assert stats["lanes_remote"] == 1
         assert stats["degraded_lanes"] == ["tuples"]
 
+    def test_oversized_document_is_unwirable_not_a_remote_failure(self, monkeypatch):
+        # The solve frame carrying this graph's document exceeds the lowered
+        # cap, so the client refuses to encode it before any socket opens or
+        # the breaker is asked: the lane runs inline once, the host stays
+        # healthy, and the other lane is served remotely.
+        graphs = {
+            "big": gnm_random_digraph(400, 3000, seed=1),
+            DEFAULT_DATASET: load_dataset(DEFAULT_DATASET),
+        }
+        plan = plan_batch(
+            [{"query": "summary", "dataset": "big"}, {"query": "summary"}],
+            default_graph_key=DEFAULT_DATASET,
+        )
+        local = BatchExecutor(graphs).execute(plan)
+        monkeypatch.setattr(protocol_module, "MAX_FRAME_BYTES", 8192)
+        with ShardDaemon() as daemon:
+            report = BatchExecutor(graphs, remote_hosts=_hosts(daemon)).execute(plan)
+        assert _answers(report) == _answers(local)
+        stats = report.executor_stats
+        assert (stats["unwirable_lanes"], stats["lanes_inline"], stats["lanes_remote"]) == (1, 1, 1)
+        assert stats["remote_failures"] == 0
+        assert stats["degraded_lanes"] == ["big"]
+        assert [row["attempts"] for row in report.timings() if row["graph"] == "big"] == [1]
+        assert stats["breaker_states"] == {daemon.address: "closed"}
+        assert stats["client"]["requests"] == 1
+
     def test_spent_lane_budget_is_answered_remotely_as_deadline_hits(self):
         # A budget spent before the request leaves still ships as a positive
         # one: the daemon answers every entry as a deadline hit instead of

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import NetError, ProtocolError
+from repro.exceptions import ProtocolError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import gnm_random_digraph
 from repro.net import protocol
@@ -167,6 +167,20 @@ class TestStrictDecode:
             protocol.encode_response("rid", {}, status="maybe")
 
 
+def _document(labels, starts, targets, *, allow_self_loops=False, fingerprint=None) -> dict:
+    """A CSR wire document, fingerprinted as the graph it describes unless told otherwise."""
+    if fingerprint is None:
+        graph = DiGraph.from_csr_arrays(labels, starts, targets, allow_self_loops=allow_self_loops)
+        fingerprint = graph.content_fingerprint()
+    return {
+        "labels": labels,
+        "starts": starts,
+        "targets": targets,
+        "allow_self_loops": allow_self_loops,
+        "fingerprint": fingerprint,
+    }
+
+
 class TestGraphOnTheWire:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -177,6 +191,35 @@ class TestGraphOnTheWire:
         assert rebuilt.num_nodes == graph.num_nodes
         assert rebuilt.num_edges == graph.num_edges
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), allow_self_loops=st.booleans())
+    def test_csr_document_round_trips_isolated_nodes_loops_and_label_order(
+        self, data, allow_self_loops
+    ):
+        labels = data.draw(
+            st.lists(
+                st.one_of(st.integers(-5, 50), st.text(max_size=3), st.booleans(), st.none()),
+                unique=True,
+                max_size=9,
+            )
+        )
+        edges = []
+        if labels:
+            endpoint = st.sampled_from(labels)
+            edges = data.draw(st.lists(st.tuples(endpoint, endpoint), max_size=25))
+        # Nodes keep the drawn (unsorted) order, and those on no edge stay.
+        graph = DiGraph.from_edges(edges, nodes=labels, allow_self_loops=allow_self_loops)
+        document = protocol.graph_to_wire(graph)
+        assert json.loads(json.dumps(document)) == document
+        assert document["labels"] == labels
+        assert len(document["starts"]) == len(labels) + 1
+        rebuilt = protocol.graph_from_wire(json.loads(json.dumps(document)))
+        assert rebuilt.nodes() == graph.nodes()
+        assert [type(label) for label in rebuilt.nodes()] == [type(label) for label in labels]
+        assert sorted(rebuilt.edge_indices()) == sorted(graph.edge_indices())
+        assert rebuilt.allow_self_loops == allow_self_loops
+        assert rebuilt.content_fingerprint() == graph.content_fingerprint()
+
     def test_string_labels_round_trip(self):
         graph = DiGraph.from_edges([("a", "b"), ("b", "c"), ("c", "a")])
         rebuilt = protocol.graph_from_wire(protocol.graph_to_wire(graph))
@@ -185,24 +228,68 @@ class TestGraphOnTheWire:
 
     def test_non_json_native_labels_refuse_to_serialise(self):
         graph = DiGraph.from_edges([((0, 1), (2, 3))])
-        with pytest.raises(NetError, match="JSON round trip"):
+        with pytest.raises(ProtocolError, match="JSON round trip"):
             protocol.graph_to_wire(graph)
 
     def test_tampered_edges_fail_verification(self):
         graph = gnm_random_digraph(8, 16, seed=3)
         document = protocol.graph_to_wire(graph)
-        document["edges"] = document["edges"][:-1]
-        with pytest.raises(ProtocolError):
+        # Point the last edge elsewhere: a well-formed graph, but not the sender's.
+        last = document["targets"][-1]
+        row = next(
+            row for row in range(8) if document["starts"][row + 1] == len(document["targets"])
+        )
+        row_targets = document["targets"][document["starts"][row] :]
+        document["targets"][-1] = next(
+            node for node in range(8) if node != row and node not in row_targets and node != last
+        )
+        with pytest.raises(ProtocolError, match="fingerprint"):
             protocol.graph_from_wire(document)
 
     def test_shape_mismatch_is_rejected(self):
         document = protocol.graph_to_wire(gnm_random_digraph(8, 16, seed=4))
-        document["num_edges"] += 1
-        with pytest.raises(ProtocolError, match="shape mismatch"):
+        document["starts"].append(document["starts"][-1])  # one row more than labels
+        with pytest.raises(ProtocolError, match="malformed wire graph"):
+            protocol.graph_from_wire(document)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            # row starts that decrease
+            _document(["a", "b", "c"], [0, 2, 1, 3], [1, 2, 0], fingerprint="f" * 64),
+            # a target beyond the last node
+            _document(["a", "b"], [0, 1, 1], [2], fingerprint="f" * 64),
+            # a label listed twice
+            _document(["a", "a"], [0, 0, 0], [], fingerprint="f" * 64),
+            # one edge listed twice
+            _document(["a", "b"], [0, 2, 2], [1, 1], fingerprint="f" * 64),
+            # a self-loop the loop policy forbids
+            _document(["a", "b"], [0, 1, 1], [0], fingerprint="f" * 64),
+            # a well-formed graph under another graph's fingerprint
+            _document(
+                ["a", "b"],
+                [0, 1, 1],
+                [1],
+                fingerprint=DiGraph.from_edges([("b", "a")]).content_fingerprint(),
+            ),
+        ],
+        ids=[
+            "non-monotone-starts",
+            "out-of-range-target",
+            "duplicate-label",
+            "duplicate-edge",
+            "forbidden-loop",
+            "fingerprint-mismatch",
+        ],
+    )
+    def test_damaged_csr_document_is_refused(self, document):
+        with pytest.raises(ProtocolError):
             protocol.graph_from_wire(document)
 
     def test_malformed_document_is_rejected(self):
         with pytest.raises(ProtocolError, match="wire graph"):
             protocol.graph_from_wire({"nodes": [1], "edges": "oops"})
+        with pytest.raises(ProtocolError, match="wire graph"):
+            protocol.graph_from_wire(_document([1], "oops", [], fingerprint="f" * 64))
         with pytest.raises(ProtocolError):
             protocol.graph_from_wire("not a document")

@@ -20,9 +20,12 @@ from hypothesis import strategies as st
 
 from repro.datasets.registry import load_dataset
 from repro.exceptions import BatchQueryError, ConfigError
-from repro.service import BatchExecutor, payload_answer, plan_batch
+from repro.service import BatchExecutor, ShardMap, payload_answer, plan_batch
 from repro.service.queries import run_batch_query
 from repro.session import DDSSession
+
+DEFAULT_DATASET = "foodweb-tiny"
+OTHER_DATASET = "social-tiny"
 
 MIXED = [
     {"query": "densest", "method": "core-exact"},
@@ -38,6 +41,30 @@ MIXED = [
 
 def _executor(**kwargs) -> BatchExecutor:
     return BatchExecutor(lambda key: load_dataset(key), **kwargs)
+
+
+def _execute_in_mode(mode: str, plan, monkeypatch):
+    """Execute ``plan`` serially, on threads, on local daemons or on a loopback daemon."""
+    from repro.net import ShardDaemon
+    from repro.service import executor as executor_module
+
+    if mode == "remote":
+        with ShardDaemon() as daemon:
+            report = _executor(remote_hosts=[daemon.address]).execute(plan)
+        assert report.executor_stats["lanes_remote"] == len(plan.lanes)
+        return report
+    if mode == "process-pool-spawn":
+        monkeypatch.setattr(executor_module, "_start_method", lambda: "spawn")
+    kwargs = {
+        "serial": {"max_workers": 1},
+        "threads": {"max_workers": 2},
+        "process-pool": {"process_pool": True, "max_workers": 1},
+        "process-pool-spawn": {"process_pool": True, "max_workers": 2},
+    }[mode]
+    report = _executor(**kwargs).execute(plan)
+    if mode.startswith("process-pool"):
+        assert report.executor_stats["lanes_remote"] == len(plan.lanes)
+    return report
 
 
 class TestPlanShape:
@@ -141,34 +168,34 @@ class TestExecutor:
         assert all(row["seconds"] >= 0 for row in report.timings())
 
     @pytest.mark.parametrize("mode", ["serial", "threads", "process-pool", "remote"])
-    def test_every_row_carries_thread_cpu_seconds(self, mode):
+    def test_every_row_carries_thread_cpu_seconds(self, mode, monkeypatch):
         import math
-
-        from repro.net import ShardDaemon
 
         queries = [
             {"query": "fixed-ratio", "ratio": 1.0},
             {"query": "densest", "method": "core-exact"},
             {"query": "fixed-ratio", "ratio": 2.0, "dataset": "social-tiny"},
         ]
-        plan = plan_batch(queries, default_graph_key="foodweb-tiny")
-        if mode == "remote":
-            with ShardDaemon() as daemon:
-                report = _executor(remote_hosts=[daemon.address]).execute(plan)
-            assert report.executor_stats["lanes_remote"] == 2
-        else:
-            kwargs = {
-                "serial": {"max_workers": 1},
-                "threads": {"max_workers": 2},
-                "process-pool": {"process_pool": True, "max_workers": 1},
-            }[mode]
-            report = _executor(**kwargs).execute(plan)
+        report = _execute_in_mode(mode, plan_batch(queries, default_graph_key="foodweb-tiny"), monkeypatch)
         rows = report.timings()
         assert len(rows) == len(queries)
         for row in rows:
             assert math.isfinite(row["cpu_seconds"]) and row["cpu_seconds"] >= 0
         # A probe does real work on whichever thread served it.
         assert sum(row["cpu_seconds"] for row in rows) > 0
+
+    @pytest.mark.parametrize(
+        "mode", ["threads", "process-pool", "process-pool-spawn", "remote"]
+    )
+    def test_every_mode_answers_like_the_serial_run(self, mode, monkeypatch):
+        plan = plan_batch(
+            [*MIXED, {"query": "top-k", "k": 2, "dataset": "social-tiny"}],
+            default_graph_key="foodweb-tiny",
+        )
+        serial = _execute_in_mode("serial", plan, monkeypatch)
+        report = _execute_in_mode(mode, plan, monkeypatch)
+        answers = [payload_answer(payload) for payload in report.results_in_input_order()]
+        assert answers == [payload_answer(payload) for payload in serial.results_in_input_order()]
 
     def test_unknown_graph_key_is_clean_error(self):
         mapping_executor = BatchExecutor({"known": load_dataset("foodweb-tiny")})
@@ -213,3 +240,78 @@ class TestExecutor:
             plan_batch(queries, default_graph_key="foodweb-tiny")
         )
         assert len(report.results_in_input_order()) == 3
+
+
+class TestShardMap:
+    def test_routing_is_content_stable(self):
+        graph = load_dataset(DEFAULT_DATASET)
+        copy = graph.copy()
+        shard_map = ShardMap(4)
+        assert shard_map.shard_of(graph.content_fingerprint()) == shard_map.shard_of(
+            copy.content_fingerprint()
+        )
+        # Routing ignores batch composition: any assignment that includes
+        # the graph puts it on the same shard.
+        solo = shard_map.assign({"g": graph.content_fingerprint()})
+        mixed = shard_map.assign(
+            {
+                "other": load_dataset(OTHER_DATASET).content_fingerprint(),
+                "g": graph.content_fingerprint(),
+            }
+        )
+        (solo_shard,) = [shard for shard, keys in solo.items() if "g" in keys]
+        (mixed_shard,) = [shard for shard, keys in mixed.items() if "g" in keys]
+        assert solo_shard == mixed_shard
+
+    def test_assign_partitions_all_keys(self):
+        fingerprints = {
+            key: load_dataset(name).content_fingerprint()
+            for key, name in (("a", DEFAULT_DATASET), ("b", OTHER_DATASET))
+        }
+        shards = ShardMap(2).assign(fingerprints)
+        assigned = [key for keys in shards.values() for key in keys]
+        assert sorted(assigned) == ["a", "b"]
+        assert all(0 <= shard < 2 for shard in shards)
+
+    def test_invalid_inputs_raise(self):
+        with pytest.raises(ConfigError):
+            ShardMap(0)
+        with pytest.raises(ConfigError):
+            ShardMap(2).shard_of("not-a-fingerprint")
+
+    def test_collapse_spreads_collisions_to_empty_shards(self):
+        # Three distinct fingerprints engineered onto shard 0 of 4: without
+        # collapsing, one shard serialises all three lanes while three
+        # slots idle.
+        fp = lambda value: "%016x" % value + "0" * 48  # noqa: E731
+        fingerprints = {"a": fp(0), "b": fp(4), "c": fp(8)}
+        shard_map = ShardMap(4)
+        assert shard_map.assign(fingerprints) == {0: ["a", "b", "c"]}
+        collapsed = shard_map.assign(fingerprints, collapse=True)
+        assert len(collapsed) == 3
+        assert sorted(key for keys in collapsed.values() for key in keys) == ["a", "b", "c"]
+        # The overfull shard keeps its smallest fingerprint; donations go to
+        # the empty shards in ascending order, fingerprint-sorted.
+        assert collapsed == {0: ["a"], 1: ["b"], 2: ["c"]}
+
+    def test_collapse_moves_same_fingerprint_keys_together(self):
+        fp = lambda value: "%016x" % value + "0" * 48  # noqa: E731
+        fingerprints = {"a1": fp(0), "b1": fp(2), "a2": fp(0), "b2": fp(2)}
+        collapsed = ShardMap(2).assign(fingerprints, collapse=True)
+        assert collapsed == {0: ["a1", "a2"], 1: ["b1", "b2"]}
+
+    def test_collapse_without_empty_shards_is_identity(self):
+        fingerprints = {
+            key: load_dataset(name).content_fingerprint()
+            for key, name in (("a", DEFAULT_DATASET), ("b", OTHER_DATASET))
+        }
+        shard_map = ShardMap(1)
+        assert shard_map.assign(fingerprints, collapse=True) == shard_map.assign(
+            fingerprints
+        )
+
+    def test_collapse_never_outnumbers_distinct_fingerprints(self):
+        fp = lambda value: "%016x" % value + "0" * 48  # noqa: E731
+        fingerprints = {"a": fp(0), "b": fp(8)}  # both on shard 0 of 8
+        collapsed = ShardMap(8).assign(fingerprints, collapse=True)
+        assert len(collapsed) == 2

@@ -1,35 +1,37 @@
-"""The process-pool executor: the graph hand-off, bit-identity, faults, hygiene.
+"""The process pool: lanes on local shard daemons — bit-identity, crashes, hygiene.
 
-Pins the acceptance criteria of the multiprocess sharded executor:
+Pins the acceptance criteria of ``BatchExecutor(process_pool=True)``, which
+starts one :class:`~repro.net.daemon.ShardDaemon` per pool slot in a child
+process for each batch and serves the lanes through the daemon path:
 
-* **The hand-off** — a ``DiGraph`` pickles as flat CSR and unpickles with
-  its labels, edges, self-loop policy and fingerprint intact under a fresh
-  ``state_token``; a worker fails a lane whose graph does not reproduce
-  the fingerprint it was routed by.
 * **Cross-process bit-identity** — process-pool answers are bit-identical
   to the serial and thread-pool paths on hypothesis-generated mixed
   batches (subgraphs, densities, and ``payload_answer()`` dicts), under
-  ``fork`` and ``spawn``.
-* **Fault tolerance** — a worker SIGKILLed mid-lane, poisoned by an
-  erroring query, or dead before it read its graphs is retried on a fresh
-  worker (then inline), the lane is marked degraded in the per-query
-  timings, and the batch always completes or fails with the query's
-  genuine error — never a deadlock.
-* **Hygiene** — no worker process outlives ``execute``, on normal,
-  retried, inline-fallback and raising runs.
+  ``fork`` and ``spawn``; a graph whose labels do not survive JSON runs
+  inline instead.
+* **Crash containment** — through test seams a forked child inherits (a
+  patched ``repro.net.daemon.run_batch_query`` or ``ShardDaemon.start``):
+  a daemon SIGKILLed mid-lane, or dead before it reported its port, costs
+  only its lanes, which run inline, degraded, with the same answers; a
+  query the daemon fails is re-run inline; a genuinely bad query raises
+  its typed error; a lane outlasting the client's default read timeout is
+  answered once.
+* **Hygiene** — no child process outlives ``execute``, on normal, crashed
+  and raising runs.
 * **Order-independent aggregation** — ``BatchReport.aggregate_stats()``
   is a pure function of the per-lane snapshots, not of completion order.
-* **One store, many processes** — workers under ``fork`` and ``spawn`` save
-  into one store, and a ``fork`` child saves through a connection of its
-  own even when its parent's is open.
+* **One store, many processes** — daemons under ``fork`` and ``spawn`` save
+  into one store that warms a fresh session bit-identically, and a
+  ``fork`` child saves through a connection of its own even when its
+  parent's is open.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
-from array import array
+import signal
+import time
 from itertools import permutations
 
 import pytest
@@ -39,13 +41,15 @@ from hypothesis import strategies as st
 from repro.bench.workloads import service_mixed_workload
 from repro.core.config import FlowConfig
 from repro.datasets.registry import load_dataset
-from repro.exceptions import AlgorithmError, ConfigError, GraphError
+from repro.exceptions import AlgorithmError, BatchQueryError
 from repro.graph.digraph import DiGraph
+from repro.net import daemon as daemon_module
+from repro.net.client import ShardClient
+from repro.net.daemon import ShardDaemon
 from repro.service import (
     BatchExecutor,
     BatchReport,
     SessionStore,
-    ShardMap,
     payload_answer,
     plan_batch,
     run_batch_query,
@@ -81,47 +85,40 @@ def _plan(queries=MIXED):
     return plan_batch(queries, default_graph_key=DEFAULT_DATASET)
 
 
-# ----------------------------------------------------------------------
-# the graph hand-off
-# ----------------------------------------------------------------------
-_LABELS = st.one_of(
-    st.integers(min_value=-3, max_value=40),
-    st.text(max_size=3),
-    st.tuples(st.integers(min_value=0, max_value=3), st.booleans()),
-    st.frozensets(st.integers(min_value=0, max_value=3), max_size=2),
-    st.none(),
-)
+def _start_daemons_by(monkeypatch, start_method: str) -> None:
+    """Start local daemons by ``start_method`` (skipped where the platform lacks it)."""
+    if start_method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"needs the {start_method} start method")
+    monkeypatch.setattr(executor_module, "_start_method", lambda: start_method)
 
 
-@st.composite
-def _labelled_graphs(draw) -> DiGraph:
-    """Small graphs over mixed, non-string labels, with or without self-loops."""
-    labels = draw(st.lists(_LABELS, max_size=10, unique=True))
-    edges = []
-    if labels:
-        endpoint = st.sampled_from(labels)
-        edges = draw(st.lists(st.tuples(endpoint, endpoint), max_size=30))
-    return DiGraph.from_edges(edges, nodes=labels, allow_self_loops=draw(st.booleans()))
+def _on_daemon_queries(monkeypatch, act) -> None:
+    """Run ``act(session, spec)`` before each query a forked local daemon answers.
+
+    Patches the daemon's call-time lookup of ``run_batch_query``, which a
+    ``fork`` child inherits; the inline fallback in this process answers
+    through ``run_lane``'s own default and never sees the patch.
+    """
+    parent = os.getpid()
+    real = daemon_module.run_batch_query
+
+    def patched(session, spec, **options):
+        if os.getpid() != parent:
+            act(session, spec)
+        return real(session, spec, **options)
+
+    monkeypatch.setattr(daemon_module, "run_batch_query", patched)
 
 
-class TestDiGraphPickle:
-    @settings(max_examples=60, deadline=None)
-    @given(graph=_labelled_graphs())
-    def test_round_trip_keeps_content_under_a_fresh_token(self, graph):
-        fingerprint = graph.content_fingerprint()
-        blob = pickle.dumps(graph)
-        drawn_before = DiGraph().state_token
-        rebuilt = pickle.loads(blob)
-        assert rebuilt.nodes() == graph.nodes()
-        assert [type(label) for label in rebuilt.nodes()] == [
-            type(label) for label in graph.nodes()
-        ]
-        assert sorted(rebuilt.edge_indices()) == sorted(graph.edge_indices())
-        assert rebuilt.num_edges == graph.num_edges
-        assert rebuilt.allow_self_loops == graph.allow_self_loops
-        assert rebuilt.content_fingerprint() == fingerprint
-        # Drawn from this process's counter after unpickling, not copied.
-        assert rebuilt.state_token > drawn_before
+def _kill_daemon_on(monkeypatch, graph_key: str) -> None:
+    """SIGKILL the local daemon that starts a query on ``graph_key``'s graph."""
+    fingerprint = load_dataset(graph_key).content_fingerprint()
+
+    def kill(session, spec):
+        if session.graph.content_fingerprint() == fingerprint:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _on_daemon_queries(monkeypatch, kill)
 
 
 class _AddressLabel:
@@ -146,117 +143,19 @@ class TestFingerprintCheck:
         plan = plan_batch([{"query": "densest", "method": "core-exact"}], default_graph_key="g")
         report = BatchExecutor({"g": graph}, process_pool=True, max_retries=0).execute(plan)
         stats = report.executor_stats
-        # The worker's copy fingerprints differently, so it refuses the lane
-        # (an error, not a crash) and the parent runs it inline.
+        # A copy in another process would fingerprint differently, and the
+        # labels do not survive JSON: the lane never leaves, it runs inline.
+        assert (stats["unwirable_lanes"], stats["lanes_inline"]) == (1, 1)
+        assert (stats["lanes_remote"], stats["remote_failures"]) == (0, 0)
         assert stats["degraded_lanes"] == ["g"]
-        assert (stats["worker_crashes"], stats["worker_retries"]) == (0, 0)
         assert all(execution.worker is None for execution in report.executions)
+        assert all(row["attempts"] == 1 for row in report.timings())
         assert _answers(report) == _answers(BatchExecutor({"g": graph}).execute(plan))
-
-
-class TestFromCsrArrays:
-    def test_round_trip_preserves_fingerprint(self, small_random_graph):
-        graph = small_random_graph
-        starts, targets = [0], []
-        for row in graph.out_adj:
-            targets.extend(row)
-            starts.append(len(targets))
-        rebuilt = DiGraph.from_csr_arrays(graph.nodes(), starts, targets)
-        assert rebuilt.content_fingerprint() == graph.content_fingerprint()
-        assert rebuilt.num_edges == graph.num_edges
-
-    def test_rejects_malformed_csr(self):
-        with pytest.raises(GraphError, match="monotone"):
-            DiGraph.from_csr_arrays(["a", "b"], [0, 1], [1, 0])
-        with pytest.raises(GraphError, match="duplicates"):
-            DiGraph.from_csr_arrays(["a", "a"], [0, 0, 0], [])
-        with pytest.raises(GraphError, match="out of range"):
-            DiGraph.from_csr_arrays(["a", "b"], [0, 1, 1], [5])
-        with pytest.raises(GraphError, match="self-loop"):
-            DiGraph.from_csr_arrays(["a", "b"], [0, 1, 1], [0])
-
-
-# ----------------------------------------------------------------------
-# shard routing
-# ----------------------------------------------------------------------
-class TestShardMap:
-    def test_routing_is_content_stable(self):
-        graph = load_dataset(DEFAULT_DATASET)
-        copy = graph.copy()
-        shard_map = ShardMap(4)
-        assert shard_map.shard_of(graph.content_fingerprint()) == shard_map.shard_of(
-            copy.content_fingerprint()
-        )
-        # Routing ignores batch composition: any assignment that includes
-        # the graph puts it on the same shard.
-        solo = shard_map.assign({"g": graph.content_fingerprint()})
-        mixed = shard_map.assign(
-            {
-                "other": load_dataset(OTHER_DATASET).content_fingerprint(),
-                "g": graph.content_fingerprint(),
-            }
-        )
-        (solo_shard,) = [shard for shard, keys in solo.items() if "g" in keys]
-        (mixed_shard,) = [shard for shard, keys in mixed.items() if "g" in keys]
-        assert solo_shard == mixed_shard
-
-    def test_assign_partitions_all_keys(self):
-        fingerprints = {
-            key: load_dataset(name).content_fingerprint()
-            for key, name in (("a", DEFAULT_DATASET), ("b", OTHER_DATASET))
-        }
-        shards = ShardMap(2).assign(fingerprints)
-        assigned = [key for keys in shards.values() for key in keys]
-        assert sorted(assigned) == ["a", "b"]
-        assert all(0 <= shard < 2 for shard in shards)
-
-    def test_invalid_inputs_raise(self):
-        with pytest.raises(ConfigError):
-            ShardMap(0)
-        with pytest.raises(ConfigError):
-            ShardMap(2).shard_of("not-a-fingerprint")
-
-    def test_collapse_spreads_collisions_to_empty_shards(self):
-        # Three distinct fingerprints engineered onto shard 0 of 4: without
-        # collapsing, one shard serialises all three lanes while three
-        # slots idle.
-        fp = lambda value: "%016x" % value + "0" * 48  # noqa: E731
-        fingerprints = {"a": fp(0), "b": fp(4), "c": fp(8)}
-        shard_map = ShardMap(4)
-        assert shard_map.assign(fingerprints) == {0: ["a", "b", "c"]}
-        collapsed = shard_map.assign(fingerprints, collapse=True)
-        assert len(collapsed) == 3
-        assert sorted(key for keys in collapsed.values() for key in keys) == ["a", "b", "c"]
-        # The overfull shard keeps its smallest fingerprint; donations go to
-        # the empty shards in ascending order, fingerprint-sorted.
-        assert collapsed == {0: ["a"], 1: ["b"], 2: ["c"]}
-
-    def test_collapse_moves_same_fingerprint_keys_together(self):
-        fp = lambda value: "%016x" % value + "0" * 48  # noqa: E731
-        fingerprints = {"a1": fp(0), "b1": fp(2), "a2": fp(0), "b2": fp(2)}
-        collapsed = ShardMap(2).assign(fingerprints, collapse=True)
-        assert collapsed == {0: ["a1", "a2"], 1: ["b1", "b2"]}
-
-    def test_collapse_without_empty_shards_is_identity(self):
-        fingerprints = {
-            key: load_dataset(name).content_fingerprint()
-            for key, name in (("a", DEFAULT_DATASET), ("b", OTHER_DATASET))
-        }
-        shard_map = ShardMap(1)
-        assert shard_map.assign(fingerprints, collapse=True) == shard_map.assign(
-            fingerprints
-        )
-
-    def test_collapse_never_outnumbers_distinct_fingerprints(self):
-        fp = lambda value: "%016x" % value + "0" * 48  # noqa: E731
-        fingerprints = {"a": fp(0), "b": fp(8)}  # both on shard 0 of 8
-        collapsed = ShardMap(8).assign(fingerprints, collapse=True)
-        assert len(collapsed) == 2
 
 
 class TestShardCollapseInThePool:
     def test_colliding_graphs_still_use_both_workers(self):
-        """Two graphs hashing to one shard must not serialise on one worker."""
+        """Two graphs hashing to one shard must not serialise on one daemon."""
         from repro.graph.generators import gnm_random_digraph
 
         base = gnm_random_digraph(10, 24, seed=0)
@@ -280,7 +179,8 @@ class TestShardCollapseInThePool:
         stats = report.executor_stats
         assert stats["mode"] == "process-pool"
         assert stats["shards"] == 2
-        assert stats["workers_spawned"] == 2
+        assert len(set(stats["hosts"])) == 2
+        assert {execution.worker for execution in report.executions} == {0, 1}
         assert _answers(report) == _answers(BatchExecutor(graphs).execute(plan))
 
 
@@ -338,25 +238,26 @@ class TestCrossProcessBitIdentity:
         assert _answers(procs) == _answers(serial)
         assert procs.aggregate_stats()["flow_calls"] == serial.aggregate_stats()["flow_calls"] > 0
 
-    def test_spawn_pool_matches_threads(self):
+    def test_spawn_pool_matches_threads(self, monkeypatch):
+        _start_daemons_by(monkeypatch, "spawn")
         plan = _plan()
         threads = _executor(max_workers=2).execute(plan)
-        spawned = _executor(process_pool=True, max_workers=2, mp_start_method="spawn").execute(plan)
+        spawned = _executor(process_pool=True, max_workers=2).execute(plan)
         stats = spawned.executor_stats
-        assert (stats["mode"], stats["start_method"]) == ("process-pool", "spawn")
-        assert stats["workers_spawned"] == 2
+        assert (stats["mode"], stats["lanes_remote"], stats["lanes_inline"]) == ("process-pool", 2, 0)
+        assert {execution.worker for execution in spawned.executions} == {0, 1}
         assert spawned.results_in_input_order() == threads.results_in_input_order()
         assert multiprocessing.active_children() == []
 
     def test_single_lane_still_uses_a_worker(self):
         plan = _plan([{"query": "densest", "method": "core-exact"}])
         report = _executor(process_pool=True).execute(plan)
-        assert report.executor_stats["workers_spawned"] == 1
-        assert all(execution.worker is not None for execution in report.executions)
+        assert len(report.executor_stats["hosts"]) == report.executor_stats["lanes_remote"] == 1
+        assert all(execution.worker == 0 for execution in report.executions)
 
     @needs_fork
     def test_unchanged_worker_save_takes_the_store_memory_path(self, tmp_path, monkeypatch):
-        # Worker sessions start at warm_state_version 0 like thread lanes,
+        # Daemon sessions start at warm_state_version 0 like thread lanes,
         # so a complete warm is remembered and the save after a lane of
         # cache hits reads one generation and writes nothing.
         store_root = tmp_path / "store"
@@ -364,41 +265,46 @@ class TestCrossProcessBitIdentity:
         cold = _executor(store=SessionStore(store_root)).execute(plan)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("an unchanged worker session took the full save path")
+            raise AssertionError("an unchanged daemon session took the full save path")
 
-        monkeypatch.setattr(SessionStore, "_write", forbidden)  # forked workers inherit it
-        report = _executor(
-            process_pool=True, mp_start_method="fork", store=SessionStore(store_root)
-        ).execute(plan)
+        monkeypatch.setattr(SessionStore, "_write", forbidden)  # forked daemons inherit it
+        report = _executor(process_pool=True, store=SessionStore(store_root)).execute(plan)
         stats = report.executor_stats
-        assert (stats["worker_retries"], stats["degraded_lanes"]) == (0, [])
+        assert (stats["lanes_inline"], stats["degraded_lanes"]) == (0, [])
         assert report.store_stats[DEFAULT_DATASET]["results_loaded"] == 1
         assert _answers(report) == _answers(cold)
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_process_pool_store_round_trip(self, tmp_path, start_method):
-        if start_method not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"needs the {start_method} start method")
+    def test_process_pool_store_round_trip(self, tmp_path, monkeypatch, start_method):
+        _start_daemons_by(monkeypatch, start_method)
         store_root = tmp_path / "store"
         plan = _plan()
 
         def run():
             store = SessionStore(store_root)
-            return _executor(
-                process_pool=True, max_workers=2, mp_start_method=start_method, store=store
-            ).execute(plan)
+            return _executor(process_pool=True, max_workers=2, store=store).execute(plan)
 
         first, second = run(), run()
         cold = _executor().execute(plan)
         assert _answers(first) == _answers(second) == _answers(cold)
         assert set(first.store_stats) == set(plan.lanes)
-        assert first.executor_stats["start_method"] == start_method
+        assert first.executor_stats["lanes_remote"] == 2
         # The second run warmed every answer the first one saved.
         saved = sum(counters["results_saved"] for counters in first.store_stats.values())
         assert sum(counters["results_loaded"] for counters in second.store_stats.values()) == saved > 0
         store = SessionStore(store_root)
         assert store.verify() == []
         assert len(store.inventory()) == 2
+        # What the daemons wrote warms a fresh session in this process into
+        # the same answers, without a min-cut.
+        warmed = DDSSession(load_dataset(DEFAULT_DATASET))
+        assert store.warm_session(warmed)["results_loaded"] > 0
+        for entry in plan.lanes[DEFAULT_DATASET]:
+            served = run_batch_query(warmed, dict(entry.spec))
+            computed = run_batch_query(DDSSession(load_dataset(DEFAULT_DATASET)), dict(entry.spec))
+            assert payload_answer(served) == payload_answer(computed)
+        assert warmed.cache_stats()["flow_calls"] == 0
+        store.close()
 
     @needs_fork
     def test_fork_child_saves_beside_its_parents_open_connection(self, tmp_path):
@@ -447,111 +353,117 @@ def _save_top_k(store: SessionStore) -> None:
 
 
 # ----------------------------------------------------------------------
-# fault injection
+# crash containment
 # ----------------------------------------------------------------------
 class TestFaultInjection:
-    def test_sigkilled_worker_is_retried_on_a_fresh_worker(self):
+    @needs_fork
+    def test_sigkilled_daemon_costs_only_its_lanes(self, monkeypatch):
         plan = _plan()
         reference = _answers(_executor().execute(plan))
-        report = _executor(
-            process_pool=True,
-            max_workers=2,
-            fault_injection={
-                "graph_key": DEFAULT_DATASET,
-                "kind": "sigkill",
-                "times": 1,
-            },
-        ).execute(plan)
+        _kill_daemon_on(monkeypatch, DEFAULT_DATASET)
+        report = _executor(process_pool=True, max_workers=2).execute(plan)
         assert _answers(report) == reference
         stats = report.executor_stats
-        assert stats["worker_crashes"] == 1
-        assert stats["worker_retries"] == 1
+        assert (stats["remote_failures"], stats["lanes_inline"], stats["lanes_remote"]) == (1, 1, 1)
         assert stats["degraded_lanes"] == [DEFAULT_DATASET]
         degraded_rows = [row for row in report.timings() if row.get("degraded")]
         assert degraded_rows and all(
-            row["graph"] == DEFAULT_DATASET and row["attempts"] == 2
+            row["graph"] == DEFAULT_DATASET and row["attempts"] == 2 and "worker" not in row
             for row in degraded_rows
         )
-        # The other lane was untouched.
+        # The other daemon's lane was untouched.
         assert all(
-            not execution.degraded
+            not execution.degraded and execution.worker is not None
             for execution in report.executions
             if execution.graph_key == OTHER_DATASET
         )
         assert multiprocessing.active_children() == []
 
     @needs_fork
-    def test_worker_dead_before_reading_its_graphs_is_a_crash(self, monkeypatch):
-        real_main = executor_module._process_worker_main
+    def test_daemon_dead_before_its_port_costs_its_lanes(self, monkeypatch):
+        real_start = ShardDaemon.start
 
-        def die_first(conn, assignment):
-            if assignment["worker_id"] == 0:
+        def die_first(self):
+            if multiprocessing.current_process().name == "dds-local-shard-0":
                 os._exit(0)
-            real_main(conn, assignment)
+            return real_start(self)
 
-        # Forked workers run the patched entry point.  The graph pickles to
-        # about 1.6 MB, more than a pipe buffers, so the parent's send to the
-        # dead worker fails instead of filling a buffer nobody reads.
-        monkeypatch.setattr(executor_module, "_process_worker_main", die_first)
-        n, degree = 2000, 100
-        graph = DiGraph.from_csr_arrays(
-            list(range(n)),
-            array("q", range(0, n * degree + 1, degree)),
-            array("q", ((u + 1 + k) % n for u in range(n) for k in range(degree))),
-        )
-        plan = plan_batch([{"query": "summary"}], default_graph_key="big")
-        report = BatchExecutor(
-            {"big": graph}, process_pool=True, mp_start_method="fork"
-        ).execute(plan)
+        monkeypatch.setattr(ShardDaemon, "start", die_first)  # forked children inherit it
+        plan = _plan()
+        report = _executor(process_pool=True, max_workers=2).execute(plan)
         stats = report.executor_stats
-        assert (stats["worker_crashes"], stats["worker_retries"]) == (1, 1)
-        assert stats["degraded_lanes"] == ["big"]
-        assert all(execution.worker == 1 for execution in report.executions)
-        assert _answers(report) == _answers(BatchExecutor({"big": graph}).execute(plan))
+        assert stats["hosts"][0] is None and stats["hosts"][1] is not None
+        assert (stats["remote_failures"], stats["lanes_inline"], stats["lanes_remote"]) == (1, 1, 1)
+        (lost,) = stats["degraded_lanes"]
+        assert all(
+            execution.degraded == (execution.graph_key == lost) for execution in report.executions
+        )
+        assert _answers(report) == _answers(_executor().execute(plan))
         assert multiprocessing.active_children() == []
 
-    def test_poisoned_query_is_retried_then_succeeds(self):
+    @needs_fork
+    def test_poisoned_query_is_retried_then_succeeds(self, monkeypatch):
         plan = _plan()
         reference = _answers(_executor().execute(plan))
-        report = _executor(
-            process_pool=True,
-            fault_injection={
-                "graph_key": DEFAULT_DATASET,
-                "index": 0,
-                "kind": "error",
-                "times": 1,
-            },
-        ).execute(plan)
-        assert _answers(report) == reference
-        assert report.executor_stats["worker_retries"] == 1
-        assert report.executor_stats["worker_crashes"] == 0
-        assert report.executor_stats["degraded_lanes"] == [DEFAULT_DATASET]
 
-    def test_exhausted_retries_fall_back_inline(self):
+        def poison(session, spec):
+            if spec.get("query") == "fixed-ratio":
+                raise BatchQueryError("poisoned on the daemon")
+
+        _on_daemon_queries(monkeypatch, poison)
+        report = _executor(process_pool=True).execute(plan)
+        assert _answers(report) == reference
+        stats = report.executor_stats
+        # The daemon answered with the error, so the transport stayed
+        # healthy: the lane re-ran inline, no failure was counted.
+        assert (stats["lanes_inline"], stats["remote_failures"]) == (1, 0)
+        assert stats["degraded_lanes"] == [DEFAULT_DATASET]
+        assert set(stats["breaker_states"].values()) == {"closed"}
+
+    @needs_fork
+    def test_exhausted_retries_fall_back_inline(self, monkeypatch):
         plan = _plan()
         reference = _answers(_executor().execute(plan))
-        report = _executor(
-            process_pool=True,
-            max_retries=1,
-            fault_injection={"graph_key": DEFAULT_DATASET, "kind": "sigkill", "times": 5},
-        ).execute(plan)
-        # Both process dispatches died; the inline fallback completed the
-        # lane on the parent (worker=None) and the batch still finished.
+        _kill_daemon_on(monkeypatch, DEFAULT_DATASET)
+        report = _executor(process_pool=True, max_workers=1, max_retries=1).execute(plan)
+        # One daemon served both lanes.  The killed lane's request was
+        # retried once on a fresh connection, then ran inline; the breaker
+        # it opened sent the other lane inline without a connection.
         assert _answers(report) == reference
-        assert report.executor_stats["worker_crashes"] == 2
-        lane_rows = [e for e in report.executions if e.graph_key == DEFAULT_DATASET]
-        assert lane_rows and all(e.worker is None and e.degraded for e in lane_rows)
+        stats = report.executor_stats
+        assert (stats["client"]["retries"], stats["client"]["failures"]) == (1, 1)
+        assert (stats["remote_failures"], stats["breaker_skipped_lanes"]) == (1, 1)
+        assert all(e.worker is None and e.degraded for e in report.executions)
         assert multiprocessing.active_children() == []
 
-    def test_genuinely_bad_query_raises_its_real_error(self):
-        plan = _plan([{"query": "densest", "method": "no-such-method"}])
+    def test_genuinely_bad_query_raises_its_real_error(self, tmp_path):
+        plan = _plan(
+            [
+                {"query": "densest", "method": "no-such-method"},
+                {"query": "densest", "method": "core-approx", "dataset": OTHER_DATASET},
+            ]
+        )
         with pytest.raises(AlgorithmError, match="no-such-method"):
-            _executor(process_pool=True, max_retries=1).execute(plan)
+            _executor(
+                process_pool=True, max_retries=1, store=SessionStore(tmp_path / "store")
+            ).execute(plan)
         assert multiprocessing.active_children() == []
+        # The other lane drained first: its daemon saved its answer.
+        store = SessionStore(tmp_path / "store")
+        assert store.warm_session(DDSSession(load_dataset(OTHER_DATASET)))["results_loaded"] == 1
+        store.close()
 
-    def test_fault_spec_is_validated(self):
-        with pytest.raises(ConfigError, match="fault_injection"):
-            _executor(process_pool=True, fault_injection={"kind": "explode"})
+    @needs_fork
+    def test_lane_past_the_read_timeout_is_answered_once(self, monkeypatch):
+        plan = _plan([{"query": "summary"}])
+        monkeypatch.setitem(ShardClient.__init__.__kwdefaults__, "read_timeout", 0.2)
+        _on_daemon_queries(monkeypatch, lambda session, spec: time.sleep(0.6))
+        report = _executor(process_pool=True, max_retries=1).execute(plan)
+        stats = report.executor_stats
+        assert (stats["lanes_remote"], stats["lanes_inline"], stats["remote_failures"]) == (1, 0, 0)
+        assert (stats["client"]["requests"], stats["client"]["retries"]) == (1, 0)
+        assert all(execution.worker == 0 and not execution.degraded for execution in report.executions)
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
@@ -560,27 +472,25 @@ class TestFaultInjection:
 
 
 class TestNoLiveChildren:
-    """``execute`` leaves no worker process alive, whatever happened in it."""
+    """``execute`` leaves no child process alive, whatever happened in it."""
 
     def test_normal_run(self):
         _executor(process_pool=True, max_workers=2).execute(_plan())
         assert multiprocessing.active_children() == []
 
-    def test_sigkill_and_retry_run(self):
-        report = _executor(
-            process_pool=True,
-            fault_injection={"graph_key": DEFAULT_DATASET, "kind": "sigkill", "times": 1},
-        ).execute(_plan())
-        assert report.executor_stats["worker_retries"] == 1
+    @needs_fork
+    def test_sigkill_and_retry_run(self, monkeypatch):
+        _kill_daemon_on(monkeypatch, DEFAULT_DATASET)
+        report = _executor(process_pool=True, max_workers=2).execute(_plan())
+        assert report.executor_stats["client"]["retries"] == 1
         assert multiprocessing.active_children() == []
 
-    def test_exhausted_retries_inline_run(self):
-        report = _executor(
-            process_pool=True,
-            max_retries=1,
-            fault_injection={"graph_key": DEFAULT_DATASET, "kind": "sigkill", "times": 5},
-        ).execute(_plan())
-        assert report.executor_stats["worker_crashes"] == 2
+    @needs_fork
+    def test_exhausted_retries_inline_run(self, monkeypatch):
+        _kill_daemon_on(monkeypatch, OTHER_DATASET)
+        report = _executor(process_pool=True, max_workers=2, max_retries=0).execute(_plan())
+        assert report.executor_stats["remote_failures"] == 1
+        assert report.executor_stats["client"]["retries"] == 0
         assert multiprocessing.active_children() == []
 
     def test_raising_run(self):
@@ -654,5 +564,5 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["executor"]["mode"] == "process-pool"
-        assert payload["executor"]["workers_spawned"] >= 1
+        assert payload["executor"]["lanes_remote"] == len(payload["executor"]["hosts"]) == 2
         assert len(payload["results"]) == len(MIXED)

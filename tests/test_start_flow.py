@@ -23,7 +23,7 @@ import random
 from collections import Counter
 
 import pytest
-from flow_oracle import EdmondsKarpSolver, forward_arcs
+from flow_oracle import EdmondsKarpSolver, flow_value, forward_arcs
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_core_exact import TIE_HEAVY_SHAPES
@@ -157,14 +157,14 @@ def test_small_network_keeps_zero_flow():
     assert list(decision.network.arc_capacities) == list(
         build_decision_network(subproblem, 1.0, 1.0).network.arc_capacities
     )
-    assert decision.network.flow_value(decision.source) == 0.0
+    assert flow_value(decision.network, decision.source) == 0.0
 
 
 def test_large_network_starts_with_flow():
     subproblem = STSubproblem.from_graph(gnm_random_digraph(40, 200, seed=2))
     decision = _started(subproblem, 1.0, 1.0)
     assert decision.num_arcs >= flow_network.START_FLOW_MIN_ARCS
-    assert decision.network.flow_value(decision.source) > 0.0
+    assert flow_value(decision.network, decision.source) > 0.0
 
 
 def _search_outcomes(graph) -> list[tuple]:
