@@ -91,7 +91,6 @@ from conftest import emit
 from repro.bench.baselines import SEED_FLOW_CALLS
 from repro.bench.harness import format_table
 from repro.bench.workloads import service_mixed_workload
-from repro.core.config import FlowConfig
 from repro.core.fixed_ratio import maximize_fixed_ratio
 from repro.core.ratio import all_candidate_ratios
 from repro.datasets.registry import dataset_names, load_dataset
@@ -289,10 +288,9 @@ def _incremental_speedup(failures: list[str]) -> float:
     batches = edge_update_stream(
         graph, steps=SPEEDUP_SMOKE_STEPS, batch_size=1, p_add=0.0, seed=SPEEDUP_SMOKE_SEED
     )
-    flow = FlowConfig()
     incremental_s = cold_s = float("inf")
     for _ in range(SPEEDUP_SMOKE_REPEATS):
-        session = DDSSession(graph.copy(), flow=flow)
+        session = DDSSession(graph.copy())
         session.densest_subgraph("dc-exact")
         start = time.process_time()
         incremental = []
@@ -306,7 +304,7 @@ def _incremental_speedup(failures: list[str]) -> float:
         start = time.process_time()
         for added, removed in batches:
             work.apply_delta(added, removed)
-            cold.append(DDSSession(work.copy(), flow=flow).densest_subgraph("dc-exact").density)
+            cold.append(DDSSession(work.copy()).densest_subgraph("dc-exact").density)
         cold_s = min(cold_s, time.process_time() - start)
 
     if any(abs(inc - ref) > 1e-9 for inc, ref in zip(incremental, cold)):

@@ -20,7 +20,6 @@ from repro.core import (
     ApproxConfig,
     DDSResult,
     ExactConfig,
-    FlowConfig,
     MethodSpec,
     brute_force_dds,
     core_approx,
@@ -52,7 +51,6 @@ __all__ = [
     "DDSSession",
     "ExactConfig",
     "ApproxConfig",
-    "FlowConfig",
     "MethodSpec",
     "register_method",
     "directed_density",

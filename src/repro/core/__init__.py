@@ -4,8 +4,8 @@ Public surface:
 
 * :class:`repro.session.DDSSession` — the one way into a method (construct
   once per graph, query many times against shared caches);
-* typed configs — :class:`ExactConfig`, :class:`ApproxConfig`,
-  :class:`FlowConfig` (:mod:`repro.core.config`);
+* typed configs — :class:`ExactConfig`, :class:`ApproxConfig`
+  (:mod:`repro.core.config`);
 * the method registry — :class:`MethodSpec`, :func:`register_method`,
   :func:`available_methods` (:mod:`repro.core.method_registry`);
 * exact algorithms — :func:`flow_exact` (baseline), :func:`dc_exact`
@@ -24,7 +24,7 @@ from repro.core.approx_core import core_approx, inc_approx
 from repro.core.approx_peel import peel_approx, peel_fixed_ratio
 from repro.core.bounds import CoreBounds, containing_core, containing_core_orders, core_based_bounds
 from repro.core.bruteforce import brute_force_dds
-from repro.core.config import ApproxConfig, ExactConfig, FlowConfig
+from repro.core.config import ApproxConfig, ExactConfig
 from repro.core.density import (
     directed_density,
     directed_density_from_indices,
@@ -53,7 +53,6 @@ __all__ = [
     "available_methods",
     "ExactConfig",
     "ApproxConfig",
-    "FlowConfig",
     "MethodSpec",
     "get_method_spec",
     "method_specs",

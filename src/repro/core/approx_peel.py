@@ -140,8 +140,7 @@ def peel_approx(graph: DiGraph, config: ApproxConfig | None = None) -> DDSResult
         Input digraph with at least one edge.
     config:
         Normalized :class:`~repro.core.config.ApproxConfig`: ``epsilon`` is
-        the multiplicative grid step (guarantee ``2*sqrt(1+epsilon)``) and
-        ``ratios`` an optional explicit grid override (used by ablations).
+        the multiplicative grid step (guarantee ``2*sqrt(1+epsilon)``).
     """
     cfg = ApproxConfig.resolve(config)
     if graph.num_edges == 0:
@@ -149,9 +148,7 @@ def peel_approx(graph: DiGraph, config: ApproxConfig | None = None) -> DDSResult
     epsilon = cfg.epsilon  # already validated > 0 by ApproxConfig
 
     subproblem = STSubproblem.from_graph(graph)
-    grid: list[float] = (
-        list(cfg.ratios) if cfg.ratios is not None else geometric_ratio_grid(graph.num_nodes, epsilon)
-    )
+    grid = geometric_ratio_grid(graph.num_nodes, epsilon)
 
     best_s: list[int] = []
     best_t: list[int] = []

@@ -35,16 +35,15 @@ def brute_force_dds(graph: DiGraph, config: ExactConfig | None = None) -> DDSRes
     graph:
         Input digraph; must have at least one edge.
     config:
-        Normalized :class:`~repro.core.config.ExactConfig`; only its
-        ``node_limit`` is consulted (safety limit on the enumeration,
-        default :data:`DEFAULT_MAX_NODES`).
+        Normalized :class:`~repro.core.config.ExactConfig`; no field is
+        consulted.  Graphs above :data:`DEFAULT_MAX_NODES` nodes are refused
+        (the enumeration is exponential).
     """
-    cfg = ExactConfig.resolve(config)
-    max_nodes = cfg.node_limit if cfg.node_limit is not None else DEFAULT_MAX_NODES
+    ExactConfig.resolve(config)
     n = graph.num_nodes
-    if n > max_nodes:
+    if n > DEFAULT_MAX_NODES:
         raise AlgorithmError(
-            f"brute_force_dds refuses graphs with more than {max_nodes} nodes (got {n})"
+            f"brute_force_dds refuses graphs with more than {DEFAULT_MAX_NODES} nodes (got {n})"
         )
     if graph.num_edges == 0:
         raise AlgorithmError("brute_force_dds requires at least one edge")

@@ -48,7 +48,6 @@ def core_exact(
         use_core_restriction=True,
         seed_with_core=True,
         tolerance=cfg.tolerance,
-        leaf_ratio_count=cfg.leaf_ratio_count,
         engine=engine,
         max_core=max_core,
     )

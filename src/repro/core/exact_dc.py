@@ -49,12 +49,12 @@ Whatever is not covered by the skip region is pushed back as (at most two)
 child intervals together with a tightened conditional upper bound
 ``min(parent_upper, f(lo,hi) * upper(val(c)))`` which is valid whenever the
 optimal ratio lies inside the child.  Intervals containing at most
-``leaf_ratio_count`` distinct candidate ratios are leaves: each
+:data:`LEAF_RATIO_COUNT` distinct candidate ratios are leaves: each
 not-yet-examined ratio gets one full-precision fixed-ratio search starting at
 the incumbent, which a single min-cut settles whenever the ratio cannot beat
 it.  The leaf test is integer bookkeeping (:mod:`repro.core.ratio`): a count
 of the interval's ``(i, j)`` pairs that stops once it passes
-``max(4n, 4 * leaf_ratio_count)``, then, for an interval within that limit, a
+``max(4n, 4 * LEAF_RATIO_COUNT)``, then, for an interval within that limit, a
 lazy Farey walk over its reduced ratios ``(p, q)`` that stops as soon as the
 interval is known to be neither a leaf nor fully examined.  Examined ratios
 are kept as ``(p, q)`` and searched at ``p / q``, bit for bit the float of the
@@ -107,6 +107,10 @@ __all__ = ["dc_exact"]
 #: an end cannot be split by its probe: it is solved as a leaf, whatever its
 #: ratio count.
 DEGENERATE_PROBE_TOLERANCE = 1e-12
+
+#: Intervals containing at most this many distinct candidate ratios are
+#: leaves of the divide-and-conquer recursion.
+LEAF_RATIO_COUNT = 2
 
 
 def _hub_pairs(adjacency: list[list[int]]) -> Iterator[tuple[list[int], list[int], int]]:
@@ -355,10 +359,11 @@ def _dc_driver(
     use_core_restriction: bool,
     seed_with_core: bool,
     tolerance: float | None,
-    leaf_ratio_count: int,
     engine: FlowEngine | None = None,
     max_core: Callable[[], XYCore] | None = None,
+    leaf_ratio_count: int = LEAF_RATIO_COUNT,
 ) -> DDSResult:
+    """The DCExact / CoreExact search; ``leaf_ratio_count`` widens the leaf test."""
     if graph.num_edges == 0:
         raise EmptyGraphError(f"{method} requires a graph with at least one edge")
     n = graph.num_nodes
@@ -572,7 +577,6 @@ def dc_exact(
         use_core_restriction=False,
         seed_with_core=cfg.seed_with_core,
         tolerance=cfg.tolerance,
-        leaf_ratio_count=cfg.leaf_ratio_count,
         engine=engine,
         max_core=max_core,
     )

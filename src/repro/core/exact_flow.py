@@ -52,11 +52,10 @@ def flow_exact(
         Input digraph with at least one edge.
     config:
         Normalized :class:`~repro.core.config.ExactConfig`; its
-        ``node_limit`` guards against accidentally running the
-        quadratic-ratio baseline on a large graph (default
-        :data:`DEFAULT_NODE_LIMIT`) and its ``tolerance`` is the
-        search stopping gap (default: the provably-exact
-        :func:`~repro.core.density.exactness_tolerance`).
+        ``tolerance`` is the search stopping gap (default: the
+        provably-exact :func:`~repro.core.density.exactness_tolerance`).
+        Graphs above :data:`DEFAULT_NODE_LIMIT` nodes are refused, so the
+        quadratic-ratio baseline never runs on a large graph by accident.
     engine:
         The session's shared engine (instrumentation).
     """
@@ -64,10 +63,9 @@ def flow_exact(
     if graph.num_edges == 0:
         raise EmptyGraphError("flow_exact requires a graph with at least one edge")
     n = graph.num_nodes
-    limit = cfg.node_limit if cfg.node_limit is not None else DEFAULT_NODE_LIMIT
-    if n > limit:
+    if n > DEFAULT_NODE_LIMIT:
         raise AlgorithmError(
-            f"flow_exact enumerates O(n^2) ratios and is limited to n <= {limit}; "
+            f"flow_exact enumerates O(n^2) ratios and is limited to n <= {DEFAULT_NODE_LIMIT}; "
             f"got n = {n}. Use dc_exact/core_exact instead."
         )
 

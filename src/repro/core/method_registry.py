@@ -8,7 +8,7 @@ carrying
 * its accepted **config type** (:class:`~repro.core.config.ExactConfig` or
   :class:`~repro.core.config.ApproxConfig`), and
 * **capability flags**: exactness, and whether it is flow-backed (runs
-  min-cuts, hence honours ``FlowConfig.deadline_ms`` and receives the
+  min-cuts, hence honours ``ExactConfig.deadline_ms`` and receives the
   session's shared :class:`~repro.flow.engine.FlowEngine`, which
   accumulates flow instrumentation across queries; see :class:`MethodSpec`).
 
@@ -82,15 +82,15 @@ class MethodSpec:
     flow_backed:
         Whether the method runs min-cuts, and therefore consumes
         ``context.engine`` to share flow instrumentation across queries.
-        Flow settings are session policy, and a method that runs no
-        min-cuts does not apply them.
+        A method that runs no min-cuts has no checkpoint a budget could
+        stop.
     description:
         One-line human-readable summary (shown by ``dds-repro`` help texts).
     accepted_fields:
         The config fields this method actually consults (``None`` = all of
         them).  The session rejects queries that set an unused field to a
         non-default value — a knob that silently does nothing is worse than
-        an error.  ``flow`` is exempt: see ``flow_backed``.
+        an error.  ``deadline_ms`` is exempt: see ``flow_backed``.
     """
 
     name: str
@@ -175,7 +175,7 @@ register_method(MethodSpec(
     is_exact=True,
     flow_backed=True,
     description="baseline exact: one fixed-ratio search per candidate ratio",
-    accepted_fields=frozenset({"tolerance", "node_limit", "flow"}),
+    accepted_fields=frozenset({"tolerance"}),
 ))
 register_method(MethodSpec(
     name="dc-exact",
@@ -184,7 +184,7 @@ register_method(MethodSpec(
     is_exact=True,
     flow_backed=True,
     description="exact divide-and-conquer over the |S|/|T| ratio interval",
-    accepted_fields=frozenset({"tolerance", "leaf_ratio_count", "seed_with_core", "flow"}),
+    accepted_fields=frozenset({"tolerance", "seed_with_core"}),
 ))
 register_method(MethodSpec(
     name="core-exact",
@@ -193,7 +193,7 @@ register_method(MethodSpec(
     is_exact=True,
     flow_backed=True,
     description="divide-and-conquer with [x, y]-core pruning (paper headline)",
-    accepted_fields=frozenset({"tolerance", "leaf_ratio_count", "flow"}),
+    accepted_fields=frozenset({"tolerance"}),
 ))
 register_method(MethodSpec(
     name="core-approx",
@@ -220,7 +220,7 @@ register_method(MethodSpec(
     is_exact=False,
     flow_backed=False,
     description="ratio-sweep two-sided peeling baseline",
-    accepted_fields=frozenset({"epsilon", "ratios"}),
+    accepted_fields=frozenset({"epsilon"}),
 ))
 register_method(MethodSpec(
     name="brute-force",
@@ -229,5 +229,5 @@ register_method(MethodSpec(
     is_exact=True,
     flow_backed=False,
     description="exhaustive ground-truth oracle for tiny graphs",
-    accepted_fields=frozenset({"node_limit"}),
+    accepted_fields=frozenset(),
 ))

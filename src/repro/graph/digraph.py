@@ -20,6 +20,7 @@ simple graphs, so loops are dropped by default but can be retained).
 from __future__ import annotations
 
 import hashlib
+import operator
 from array import array
 from itertools import count
 from typing import Hashable, Iterable, Iterator, Sequence
@@ -134,31 +135,33 @@ class DiGraph:
                 f"CSR starts must have {n + 1} monotone entries covering "
                 f"{len(targets)} targets"
             )
+        # The whole index is checked before any row is built, so each defect
+        # is named as itself rather than as what it does to some row.
+        if not all(map(operator.le, starts, starts[1:])):
+            row = next(ui for ui in range(n) if starts[ui + 1] < starts[ui])
+            raise GraphError(f"CSR starts decrease at row {row}")
+        if len(targets) and not (min(targets) >= 0 and max(targets) < n):
+            vi = next(vi for vi in targets if not 0 <= vi < n)
+            raise GraphError(f"CSR target {vi} out of range [0, {n})")
         graph._labels = list(labels)
         graph._index_of = {label: index for index, label in enumerate(graph._labels)}
         if len(graph._index_of) != n:
             raise GraphError("CSR labels contain duplicates")
         out_sets: list[set[int]] = []
         in_sets: list[set[int]] = [set() for _ in range(n)]
-        num_edges = 0
         for ui in range(n):
             lo, hi = starts[ui], starts[ui + 1]
-            if hi < lo:
-                raise GraphError(f"CSR starts decrease at row {ui}")
             row = set(targets[lo:hi])
             if len(row) != hi - lo:
                 raise GraphError(f"CSR row {ui} contains duplicate targets")
             if ui in row and not allow_self_loops:
                 raise GraphError(f"CSR row {ui} holds a self-loop but loops are disabled")
             out_sets.append(row)
-            num_edges += len(row)
             for vi in row:
-                if not 0 <= vi < n:
-                    raise GraphError(f"CSR target {vi} out of range [0, {n})")
                 in_sets[vi].add(ui)
         graph._out_sets = out_sets
         graph._in_sets = in_sets
-        graph._num_edges = num_edges
+        graph._num_edges = len(targets)
         return graph
 
     def add_node(self, label: NodeLabel) -> int:

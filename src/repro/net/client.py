@@ -388,7 +388,6 @@ class ShardClient:
         entries: list[tuple[int, dict[str, Any]]],
         *,
         graph: dict[str, Any] | None = None,
-        flow: dict[str, Any] | None = None,
         deadline_ms: float | None = None,
     ) -> dict[str, Any]:
         """Solve one lane: ``entries`` are ``(plan_index, spec)`` pairs.
@@ -398,20 +397,16 @@ class ShardClient:
         graph before, since it keeps received graphs (in a resident session
         or its kept-graph LRU).  A daemon holding neither answers with a
         :class:`RemoteOpError` whose ``remote_type`` is
-        ``"GraphNotResidentError"``; resend with the graph.  ``flow`` is
-        an optional plain-dict ``FlowConfig`` the daemon applies when it
-        has to *build* the session — a daemon started with its own
-        ``flow`` override, or one that already holds the graph resident,
-        keeps its configuration.  ``deadline_ms`` is the lane's remaining
-        budget: the daemon enforces it across the lane's entries and
-        answers entries it had no budget left for with anytime payloads.
+        ``"GraphNotResidentError"``; resend with the graph.  ``deadline_ms``
+        is the lane's remaining budget: the daemon enforces it across the
+        lane's entries and answers entries it had no budget left for with
+        anytime payloads.
         """
         payload: dict[str, Any] = {
             "graph_key": graph_key,
             "fingerprint": fingerprint,
             "entries": [[index, spec] for index, spec in entries],
             "graph": graph,
-            "flow": flow,
         }
         if deadline_ms is not None:
             payload["deadline_ms"] = float(deadline_ms)

@@ -59,7 +59,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.config import FlowConfig, strip_solver_name
+from repro.core.config import strip_solver_name
 from repro.exceptions import (
     ConfigError,
     GraphNotResidentError,
@@ -125,9 +125,9 @@ class ShardDaemon:
     max_workers:
         Width of the per-request worker-thread pool.
     flow:
-        Session-wide :class:`~repro.core.config.FlowConfig` applied to every
-        resident session (a solver name selects nothing:
-        :func:`~repro.core.config.strip_solver_name`).
+        A solver name, ``"auto"`` or ``"dinic"``, kept for callers that
+        still pass one; it selects nothing
+        (:func:`~repro.core.config.strip_solver_name`).
     result_cache_size:
         Result-cache capacity of each resident session.
     read_timeout:
@@ -144,7 +144,7 @@ class ShardDaemon:
         port: int = 0,
         max_sessions: int = DEFAULT_MAX_SESSIONS,
         max_workers: int = 4,
-        flow: FlowConfig | str | None = None,
+        flow: str | None = None,
         result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
         read_timeout: float = 60.0,
         fault_injection: dict[str, Any] | None = None,
@@ -167,7 +167,7 @@ class ShardDaemon:
         self._requested_port = port
         self._max_sessions = max_sessions
         self._max_workers = max_workers
-        self._flow = strip_solver_name(flow)
+        strip_solver_name(flow)
         self._result_cache_size = result_cache_size
         self._read_timeout = read_timeout
         self._fault = fault_injection
@@ -625,10 +625,7 @@ class ShardDaemon:
     # resident sessions
     # ------------------------------------------------------------------
     def _session_for(
-        self,
-        fingerprint: str,
-        wire_graph: dict[str, Any] | None,
-        flow_doc: dict[str, Any] | None = None,
+        self, fingerprint: str, wire_graph: dict[str, Any] | None
     ) -> tuple[_SessionEntry, bool]:
         """The resident session of ``fingerprint``, built on a miss.
 
@@ -641,12 +638,6 @@ class ShardDaemon:
         one ``DiGraph``: daemon sessions never apply updates.  Evicted LRU
         sessions are saved to the store first, so residency is a cache,
         never the only copy.
-
-        ``flow_doc`` is the requester's plain-dict ``FlowConfig``; it is
-        applied only when this call *builds* the session and the daemon was
-        not started with its own ``flow`` override — a daemon's explicit
-        serve-time configuration always wins, and a resident session keeps
-        whatever configuration built it.
         """
         evicted: _SessionEntry | None = None
         with self._sessions_lock:
@@ -678,14 +669,7 @@ class ShardDaemon:
                     "the request carried no graph document"
                 )
             self._keep_graph(fingerprint, graph)
-            flow = self._flow
-            if flow is None and flow_doc is not None:
-                if not isinstance(flow_doc, dict):
-                    raise NetError("'flow' must be an object of FlowConfig fields")
-                flow = FlowConfig.resolve(None, **flow_doc)
-            session = DDSSession(
-                graph, flow=flow, result_cache_size=self._result_cache_size
-            )
+            session = DDSSession(graph, result_cache_size=self._result_cache_size)
             entry = _SessionEntry(session=session)
             if self._store is not None:
                 entry.pending_warm = dict(self._store.warm_session(session))
@@ -734,9 +718,10 @@ class ShardDaemon:
         """Serve one lane: a list of batch entries against one graph.
 
         Payload: ``{"graph_key", "fingerprint", "entries": [[index, spec],
-        ...], "graph": <wire document> | null, "flow": <FlowConfig fields>
-        | null}``; ``"graph"`` may be null whenever this daemon holds the
-        graph (see :meth:`_session_for`).  Every entry is checked before the
+        ...], "graph": <wire document> | null, "deadline_ms": <lane budget>}``
+        (``"deadline_ms"`` only when the lane has a budget); ``"graph"`` may
+        be null whenever this daemon holds the graph (see
+        :meth:`_session_for`).  Every entry is checked before the
         first one runs.  The lane itself is served by
         :func:`~repro.service.queries.run_lane`, so the response is the lane
         message the executor's thread lanes produce too —
@@ -774,9 +759,7 @@ class ShardDaemon:
         lane_deadline = (
             Deadline(float(lane_deadline_ms)) if lane_deadline_ms is not None else None
         )
-        entry, cache_hit = self._session_for(
-            fingerprint, payload.get("graph"), payload.get("flow")
-        )
+        entry, cache_hit = self._session_for(fingerprint, payload.get("graph"))
         with entry.lock:
             store_counters = entry.pending_warm
             entry.pending_warm = {}

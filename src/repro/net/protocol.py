@@ -8,7 +8,7 @@ Every message between a :class:`~repro.net.client.ShardClient` and a
 
 and every message body is a checksummed envelope::
 
-    {"protocol_version": 2,
+    {"protocol_version": 3,
      "request_id":       "<caller-chosen echo token>",
      "op":               "solve" | "warm" | "inventory" | "ping" | "shutdown",
      "checksum":         sha256(canonical-json(payload)),
@@ -73,8 +73,11 @@ from repro.utils.canonical import canonical_json, checksum
 
 #: Version of the frame envelope and the documents it carries.  Bump on any
 #: incompatible change; a frame speaking a different version is refused
-#: outright.  Version 2 carries graphs as CSR index documents.
-PROTOCOL_VERSION = 2
+#: outright.  Version 2 carries graphs as CSR index documents.  Version 3's
+#: ``solve`` payload has no ``flow`` document: a query's budget is its own
+#: ``deadline_ms`` field and a lane's is the payload's ``deadline_ms``, so a
+#: version-2 sender's session-wide budget has nowhere to go.
+PROTOCOL_VERSION = 3
 
 #: Request operations a :class:`~repro.net.daemon.ShardDaemon` understands.
 #: ``drain`` (graceful stop-accepting/finish-in-flight/flush/exit) is additive

@@ -10,7 +10,7 @@ sleeping.
 
 Budget propagation
 ------------------
-``FlowConfig.deadline_ms`` arms a :class:`Deadline` at query entry
+``ExactConfig.deadline_ms`` arms a :class:`Deadline` at query entry
 (:class:`repro.session.DDSSession`), which travels down the whole solve
 stack on the query's :class:`~repro.flow.engine.FlowEngine`:
 

@@ -69,7 +69,6 @@ runs additionally fill :attr:`BatchReport.executor_stats` (``mode``,
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import multiprocessing
 import threading
@@ -78,7 +77,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping
 
-from repro.core.config import FlowConfig, strip_solver_name
+from repro.core.config import strip_solver_name
 from repro.exceptions import (
     BatchQueryError,
     ConfigError,
@@ -314,9 +313,9 @@ class BatchExecutor:
         registry's ``load_dataset``).  An unknown key raises
         :class:`~repro.exceptions.BatchQueryError` naming the lane.
     flow:
-        Session-wide :class:`~repro.core.config.FlowConfig` applied to every
-        lane session (a solver name selects nothing:
-        :func:`~repro.core.config.strip_solver_name`).
+        A solver name, ``"auto"`` or ``"dinic"``, kept for callers that
+        still pass one; it selects nothing
+        (:func:`~repro.core.config.strip_solver_name`).
     result_cache_size:
         Result-cache capacity of each lane session, local daemons' included.
     max_workers:
@@ -355,7 +354,7 @@ class BatchExecutor:
         self,
         graphs: GraphProvider | Mapping[str, DiGraph],
         *,
-        flow: FlowConfig | str | None = None,
+        flow: str | None = None,
         result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
         max_workers: int | None = None,
         store: SessionStore | None = None,
@@ -392,7 +391,7 @@ class BatchExecutor:
             remote_hosts = [
                 "%s:%d" % parse_host_port(str(host)) for host in remote_hosts
             ]
-        self._flow = strip_solver_name(flow)
+        strip_solver_name(flow)
         self._result_cache_size = result_cache_size
         self._max_workers = max_workers
         self._store = store
@@ -417,11 +416,7 @@ class BatchExecutor:
         self, graph_key: str, lane: list[PlannedQuery]
     ) -> tuple[str, list[QueryExecution], dict[str, Any], dict[str, int]]:
         """One worker's whole job: session up, warm, serve the lane, save."""
-        session = DDSSession(
-            self._provider(graph_key),
-            flow=self._flow,
-            result_cache_size=self._result_cache_size,
-        )
+        session = DDSSession(self._provider(graph_key), result_cache_size=self._result_cache_size)
         warm = self._store.warm_session(session) if self._store is not None else {}
         message = run_lane(
             session,
@@ -511,10 +506,6 @@ class BatchExecutor:
             slots = {key: shard_map.shard_of(fingerprints[key]) for key in lanes}
             daemons = nullcontext(self._remote_hosts)
             shipped = self._shipped
-        # Ship this executor's flow configuration with every solve so a
-        # daemon building the session applies what the inline fallback (and
-        # any local reference run) would.
-        flow_doc = dataclasses.asdict(self._flow) if self._flow is not None else None
         stats: dict[str, Any] = {
             "mode": "process-pool" if local else "remote",
             "hosts": [],
@@ -575,7 +566,7 @@ class BatchExecutor:
                     # rejecting the request.
                     budget = max(lane_deadline.remaining_ms(), _SPENT_BUDGET_MS)
                 payload = client.solve_lane(
-                    graph_key, fingerprint, entries, graph=wire, flow=flow_doc, deadline_ms=budget
+                    graph_key, fingerprint, entries, graph=wire, deadline_ms=budget
                 )
                 if wire is not None:
                     with lock:

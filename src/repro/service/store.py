@@ -78,7 +78,7 @@ import weakref
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.core.config import ApproxConfig, ExactConfig, FlowConfig, MethodConfig
+from repro.core.config import ApproxConfig, ExactConfig, MethodConfig
 from repro.core.method_registry import get_method_spec
 from repro.core.results import DDSResult, FixedRatioOutcome, json_native_label
 from repro.core.xycore import XYCore
@@ -158,29 +158,6 @@ _ENTRY_BYTES = "length(CAST(payload AS BLOB))"
 _INHERITED: list[sqlite3.Connection] = []
 
 
-def _config_to_jsonable(config: MethodConfig) -> dict[str, Any] | None:
-    """Serialise a frozen method config, or ``None`` if it cannot round trip.
-
-    ``dataclasses.asdict`` flattens the nested :class:`FlowConfig`; tuples
-    (``ApproxConfig.ratios``) become lists.  A config whose values are not
-    JSON-native after that cannot be reconstructed faithfully, so the caller
-    skips the entry instead of persisting an approximation of it.
-    """
-    data = dataclasses.asdict(config)
-
-    def jsonable(value: Any) -> bool:
-        """Whether ``value`` (recursively) survives a JSON round trip."""
-        if isinstance(value, dict):
-            return all(isinstance(k, str) and jsonable(v) for k, v in value.items())
-        if isinstance(value, (list, tuple)):
-            return all(jsonable(item) for item in value)
-        return isinstance(value, (str, int, float, bool)) or value is None
-
-    if not jsonable(data):
-        return None
-    return json.loads(_canonical_json(data))  # tuples -> lists, canonical floats
-
-
 class _IncompatibleConfig(StoreError):
     """A stored entry names a config class or a field this build does not define."""
 
@@ -189,37 +166,35 @@ def _method_config_document(config: MethodConfig) -> dict[str, Any] | None:
     """The stored form of a method config, or ``None`` if it cannot be rebuilt.
 
     Custom config subclasses cannot be reconstructed from the class name
-    alone, so only the two built-in config classes are stored.
+    alone, so only the two built-in config classes are stored, and only
+    when every field is JSON-native: anything else would come back as an
+    approximation of itself, so the caller skips the entry instead.
     """
     if type(config) not in (ExactConfig, ApproxConfig):
         return None
-    return _config_to_jsonable(config)
+    data = dataclasses.asdict(config)
+    if not all(value is None or isinstance(value, (str, int, float, bool)) for value in data.values()):
+        return None
+    return json.loads(_canonical_json(data))  # canonical floats
 
 
 def _config_from_jsonable(config_type: type, data: dict[str, Any]) -> MethodConfig:
     """Rebuild a method config of ``config_type`` from its serialised fields.
 
-    A field the config class (or its nested :class:`FlowConfig`) does not
-    define raises :class:`_IncompatibleConfig`: the entry was written by a
-    build whose configs had that field.
+    A field the config class does not define raises
+    :class:`_IncompatibleConfig`: the entry was written by a build whose
+    configs had that field (the nested ``flow`` config, ``leaf_ratio_count``,
+    ``node_limit`` or ``ratios`` of older builds).
     """
     if not isinstance(data, dict):
         raise StoreError(f"config document must be an object, got {type(data).__name__}")
-    fields = dict(data)
-    flow = fields.get("flow")
-    for cls, stored in ((config_type, fields), (FlowConfig, flow)):
-        if dataclasses.is_dataclass(cls) and isinstance(stored, dict):
-            unknown = sorted(set(stored) - {field.name for field in dataclasses.fields(cls)})
-            if unknown:
-                raise _IncompatibleConfig(
-                    f"stored {cls.__name__} has fields this build lacks: {', '.join(unknown)}"
-                )
-    if isinstance(fields.get("ratios"), list):
-        fields["ratios"] = tuple(fields["ratios"])
+    unknown = sorted(set(data) - {field.name for field in dataclasses.fields(config_type)})
+    if unknown:
+        raise _IncompatibleConfig(
+            f"stored {config_type.__name__} has fields this build lacks: {', '.join(unknown)}"
+        )
     try:
-        if isinstance(flow, dict):
-            fields["flow"] = FlowConfig(**flow)
-        return config_type(**fields)
+        return config_type(**data)
     except (TypeError, ConfigError) as error:
         raise StoreError(f"cannot rebuild {config_type.__name__} from stored fields: {error}")
 

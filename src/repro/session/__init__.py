@@ -13,12 +13,12 @@ Construct one :class:`DDSSession` per graph and query it repeatedly::
     )
     print(session.cache_stats())
 
-The typed configs (:class:`ExactConfig`, :class:`ApproxConfig`,
-:class:`FlowConfig`) and the method registry
-(:mod:`repro.core.method_registry`) are re-exported here for convenience.
+The typed configs (:class:`ExactConfig`, :class:`ApproxConfig`) and the
+method registry (:mod:`repro.core.method_registry`) are re-exported here
+for convenience.
 """
 
-from repro.core.config import ApproxConfig, ExactConfig, FlowConfig
+from repro.core.config import ApproxConfig, ExactConfig
 from repro.core.method_registry import (
     MethodSpec,
     available_methods,
@@ -33,7 +33,6 @@ __all__ = [
     "DDSSession",
     "ExactConfig",
     "ApproxConfig",
-    "FlowConfig",
     "MethodSpec",
     "available_methods",
     "get_method_spec",

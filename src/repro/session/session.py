@@ -36,7 +36,7 @@ from dataclasses import replace
 from typing import Any, Iterable
 
 from repro.core.bounds import fixed_ratio_space
-from repro.core.config import ExactConfig, FlowConfig, MethodConfig, strip_solver_name
+from repro.core.config import ExactConfig, MethodConfig, strip_solver_name
 from repro.core.density import (
     exactness_tolerance,
     global_density_upper_bound,
@@ -88,9 +88,8 @@ def _result_key(method: str, cfg: MethodConfig) -> tuple[str, MethodConfig]:
     daemon fold each lane's *remaining* time into ``deadline_ms``, which
     would otherwise make every repeated read a miss and a new entry.
     """
-    flow = getattr(cfg, "flow", None)
-    if isinstance(flow, FlowConfig) and flow.deadline_ms is not None:
-        cfg = replace(cfg, flow=replace(flow, deadline_ms=None))
+    if isinstance(cfg, ExactConfig) and cfg.deadline_ms is not None:
+        cfg = replace(cfg, deadline_ms=None)
     return method, cfg
 
 
@@ -200,9 +199,9 @@ class DDSSession:
         an edge delta *through* the session so every cache is patched, certified
         or dropped in step with the graph.
     flow:
-        Session-wide default :class:`~repro.core.config.FlowConfig`.
-        Per-query configs override it.  A solver name, ``"auto"`` or
-        ``"dinic"``, selects nothing and means the defaults
+        A solver name, ``"auto"`` or ``"dinic"``, kept for callers that
+        still pass one; it selects nothing, and any other value raises
+        :class:`~repro.exceptions.FlowError`
         (:func:`~repro.core.config.strip_solver_name`).
     result_cache_size:
         Capacity of the whole-answer LRU cache, shared by densest results,
@@ -214,14 +213,13 @@ class DDSSession:
         self,
         graph: DiGraph,
         *,
-        flow: FlowConfig | str | None = None,
+        flow: str | None = None,
         result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
     ) -> None:
         if not isinstance(graph, DiGraph):
             raise GraphError(f"DDSSession requires a DiGraph, got {type(graph).__name__}")
-        flow = strip_solver_name(flow)
+        strip_solver_name(flow)
         self.graph = graph
-        self.flow = flow if flow is not None else FlowConfig()
         self._graph_token = graph.state_token
         self._engine = FlowEngine()
         # Densest results under (method, config), fixed-ratio outcomes and
@@ -267,14 +265,6 @@ class DDSSession:
             return get_method_spec(chosen), True
         return get_method_spec(method), False
 
-    def _base_config(self, spec: MethodSpec) -> MethodConfig:
-        """Method defaults with the session-wide flow config folded in."""
-        if issubclass(spec.config_type, ExactConfig):
-            # Construct the method's own config type so registered methods
-            # with ExactConfig *subclasses* resolve against the right class.
-            return spec.config_type(flow=self.flow)
-        return spec.config_type()
-
     def _prepare(
         self, method: str, config: MethodConfig | None, kwargs: dict[str, Any]
     ) -> tuple[MethodSpec, MethodConfig, bool]:
@@ -283,14 +273,16 @@ class DDSSession:
         if "flow_solver" in kwargs:
             # A name of the one solver selects nothing; any other fails.
             strip_solver_name(kwargs.pop("flow_solver"))
-        base = self._base_config(spec)
+        # The method's own config type, so registered methods with
+        # ExactConfig *subclasses* resolve against the right class.
+        base = spec.config_type()
         cfg = spec.config_type.resolve(config if config is not None else base, **kwargs)
-        # Any knob other than ``flow`` that the method never consults must
-        # not silently do nothing: reject it.
+        # Any knob other than the budget that the method never consults
+        # must not silently do nothing: reject it.
         if spec.accepted_fields is not None:
             for config_field in dataclass_fields(cfg):
                 name = config_field.name
-                if name == "flow" or name in spec.accepted_fields:
+                if name == "deadline_ms" or name in spec.accepted_fields:
                     continue
                 if getattr(cfg, name) != getattr(base, name):
                     raise ConfigError(
@@ -308,9 +300,7 @@ class DDSSession:
             # A working copy (a later top-k round) has cores of its own.
             max_core=self.max_xy_core if graph is self.graph else None,
         )
-        deadline_ms = (
-            cfg.flow.deadline_ms if isinstance(cfg, ExactConfig) else self.flow.deadline_ms
-        )
+        deadline_ms = cfg.deadline_ms if isinstance(cfg, ExactConfig) else None
         if deadline_ms is None:
             return spec.runner(graph, cfg, context)
         # Arm the per-query budget on the engine — the one object every
@@ -522,8 +512,6 @@ class DDSSession:
             tolerance = self.exactness_tolerance()
         check_search_arguments(ratio, lower, upper, tolerance)
         engine = self._engine
-        if deadline_ms is None:
-            deadline_ms = self.flow.deadline_ms
         deadline = Deadline(deadline_ms) if deadline_ms is not None else None
         key = (FIXED_RATIO_ENTRY, (ratio, float(lower), float(upper), float(tolerance)))
         cached = self._cached(key)

@@ -13,8 +13,9 @@ from repro.core.approx_peel import peel_approx, peel_fixed_ratio
 from repro.core.bruteforce import brute_force_dds
 from repro.core.config import ApproxConfig
 from repro.core.density import directed_density
+from repro.core.ratio import geometric_ratio_grid
 from repro.core.subproblem import STSubproblem
-from repro.exceptions import AlgorithmError, EmptyGraphError
+from repro.exceptions import AlgorithmError, ConfigError, EmptyGraphError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
     complete_bipartite_digraph,
@@ -128,10 +129,13 @@ class TestPeeling:
             peel_fixed_ratio(sub, 0.0)
 
     def test_peel_approx_custom_ratio_list(self):
+        # No list replaces the grid: every sweep walks the geometric one.
         g = complete_bipartite_digraph(3, 3)
-        result = peel_approx(g, ApproxConfig(ratios=[1.0]))
+        with pytest.raises(ConfigError, match="ratios"):
+            peel_approx(g, ApproxConfig.resolve(None, ratios=[1.0]))
+        result = peel_approx(g, ApproxConfig(epsilon=0.25))
         assert result.density == pytest.approx(3.0)
-        assert result.stats["ratios_examined"] == 1
+        assert result.stats["ratios_examined"] == len(geometric_ratio_grid(g.num_nodes, 0.25))
 
     def test_peel_approx_epsilon_validation(self):
         g = complete_bipartite_digraph(2, 2)

@@ -6,8 +6,7 @@ import math
 
 import pytest
 
-from repro.core.bruteforce import brute_force_dds
-from repro.core.config import ExactConfig
+from repro.core.bruteforce import DEFAULT_MAX_NODES, brute_force_dds
 from repro.exceptions import AlgorithmError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import complete_bipartite_digraph, cycle_digraph, star_digraph
@@ -55,8 +54,9 @@ def test_overlapping_sides_used_when_beneficial():
 
 def test_rejects_large_graph():
     g = complete_bipartite_digraph(8, 8)
-    with pytest.raises(AlgorithmError):
-        brute_force_dds(g, ExactConfig(node_limit=10))
+    assert g.num_nodes > DEFAULT_MAX_NODES
+    with pytest.raises(AlgorithmError, match=f"more than {DEFAULT_MAX_NODES} nodes"):
+        brute_force_dds(g)
 
 
 def test_rejects_edgeless_graph():

@@ -17,8 +17,8 @@ from repro.core.bruteforce import brute_force_dds
 from repro.core.config import ExactConfig
 from repro.core.density import directed_density
 from repro.core.exact_core import core_exact
-from repro.core.exact_dc import dc_exact
-from repro.core.exact_flow import flow_exact
+from repro.core.exact_dc import LEAF_RATIO_COUNT, _dc_driver, dc_exact
+from repro.core.exact_flow import DEFAULT_NODE_LIMIT, flow_exact
 from repro.core.verify import check_result
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.exceptions import AlgorithmError, EmptyGraphError
@@ -205,9 +205,12 @@ def test_driver_counter_pins_cover_the_small_tier_and_tie_heavy_shapes():
 @pytest.mark.parametrize("name, method, leaf_ratio_count", list(DRIVER_COUNTER_PINS))
 def test_driver_counters_match_the_pins(name, method, leaf_ratio_count):
     graph = TIE_HEAVY_SHAPES[name]() if name in TIE_HEAVY_SHAPES else load_dataset(name)
-    solve = dc_exact if method == "dc-exact" else core_exact
-    config = ExactConfig(leaf_ratio_count=leaf_ratio_count)
-    stats = solve(graph, config).stats
+    core = method == "core-exact"
+    # dc_exact / core_exact are the driver at the default leaf limit.
+    if leaf_ratio_count == LEAF_RATIO_COUNT:
+        stats = (core_exact if core else dc_exact)(graph).stats
+    else:
+        stats = _dc_driver(graph, method, core, core, None, leaf_ratio_count=leaf_ratio_count).stats
     counters = tuple(stats[key] for key in _PINNED_COUNTERS)
     assert counters == DRIVER_COUNTER_PINS[name, method, leaf_ratio_count]
 
@@ -296,9 +299,9 @@ class TestExactInstrumentation:
         assert fast.density == pytest.approx(baseline.density)
 
     def test_flow_exact_node_limit(self):
-        g = gnm_random_digraph(40, 100, seed=1)
-        with pytest.raises(AlgorithmError):
-            flow_exact(g, ExactConfig(node_limit=30))
+        g = gnm_random_digraph(DEFAULT_NODE_LIMIT + 1, 400, seed=1)
+        with pytest.raises(AlgorithmError, match=f"limited to n <= {DEFAULT_NODE_LIMIT}"):
+            flow_exact(g)
 
     def test_core_exact_records_network_sizes(self):
         g = gnm_random_digraph(12, 45, seed=7)

@@ -232,3 +232,22 @@ class TestFromCsrArrays:
             DiGraph.from_csr_arrays(["a", "b"], [0, 1, 1], [5])
         with pytest.raises(GraphError, match="self-loop"):
             DiGraph.from_csr_arrays(["a", "b"], [0, 1, 1], [0])
+
+    @pytest.mark.parametrize(
+        "labels, starts, targets",
+        [
+            # a row start beyond the targets, which reads as duplicates in row 0
+            (["a", "b"], [0, 5, 3], [1, 0, 1]),
+            # a row start that falls back, which reads as a loop in row 0
+            (["a", "b", "c"], [0, 3, 2, 3], [1, 2, 0]),
+        ],
+        ids=["overrunning-start", "falling-start"],
+    )
+    def test_decreasing_starts_are_named_before_any_row_is_read(self, labels, starts, targets):
+        with pytest.raises(GraphError, match="^CSR starts decrease at row 1$"):
+            DiGraph.from_csr_arrays(labels, starts, targets)
+
+    def test_out_of_range_target_is_named_before_any_row_is_read(self):
+        # Row 0 also repeats a target; the range defect is found first.
+        with pytest.raises(GraphError, match=r"^CSR target -1 out of range \[0, 2\)$"):
+            DiGraph.from_csr_arrays(["a", "b"], [0, 2, 3], [1, 1, -1])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import ApproxConfig, ExactConfig, FlowConfig
+from repro.core.config import ApproxConfig, ExactConfig
 from repro.core.method_registry import (
     MethodSpec,
     available_methods,
@@ -105,13 +105,13 @@ class TestRegistry:
             description="test stub with a config subclass",
         ))
         try:
-            flow = FlowConfig(deadline_ms=60_000)
-            session = DDSSession(complete_bipartite_digraph(2, 2), flow=flow)
-            # Default-config query must build the subclass (with the session
-            # flow folded in), not a bare ExactConfig.
-            result = session.densest_subgraph("boosted")
+            session = DDSSession(complete_bipartite_digraph(2, 2))
+            # Default-config query must build the subclass, not a bare
+            # ExactConfig, and a budget override must resolve against it.
+            result = session.densest_subgraph("boosted", deadline_ms=60_000)
             assert result.density == 2.0
-            assert session._base_config(get_method_spec("boosted")) == BoostConfig(flow=flow)
+            [(_, config, _)] = session.cached_results()
+            assert config == BoostConfig()
             custom = session.densest_subgraph("boosted", config=BoostConfig(boost=3.5))
             assert custom.density == 3.5
         finally:
@@ -158,8 +158,8 @@ class TestConfigValidation:
     def test_exact_config_defaults(self):
         cfg = ExactConfig()
         assert cfg.tolerance is None
-        assert cfg.leaf_ratio_count == 2
-        assert cfg.flow == FlowConfig(deadline_ms=None)
+        assert cfg.seed_with_core is False
+        assert cfg.deadline_ms is None
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_exact_config_rejects_bad_tolerance(self, bad):
@@ -167,20 +167,30 @@ class TestConfigValidation:
             ExactConfig(tolerance=bad)
 
     def test_exact_config_rejects_bad_leaf_count(self):
-        with pytest.raises(ConfigError, match="leaf_ratio_count"):
-            ExactConfig(leaf_ratio_count=0)
+        # The leaf limit is the driver's constant: no count is a setting.
+        with pytest.raises(TypeError, match="leaf_ratio_count"):
+            ExactConfig(leaf_ratio_count=2)
+        with pytest.raises(ConfigError, match="does not accept: leaf_ratio_count"):
+            ExactConfig.resolve(None, leaf_ratio_count=8)
 
     def test_exact_config_rejects_bad_node_limit(self):
-        with pytest.raises(ConfigError, match="node_limit"):
-            ExactConfig(node_limit=0)
+        # The node limits are the methods' constants: no limit is a setting.
+        with pytest.raises(TypeError, match="node_limit"):
+            ExactConfig(node_limit=10)
+        with pytest.raises(ConfigError, match="does not accept: node_limit"):
+            ExactConfig.resolve(None, node_limit=10)
 
     def test_flow_config_rejects_unknown_solver(self):
-        # A flow config names no solver, so every name is unknown to it —
-        # also in the plain-dict form a shard daemon reads off the wire.
+        # The budget the flow config held is a plain field, validated as it
+        # was there, and no config names a solver or holds a flow config.
         with pytest.raises(TypeError, match="solver"):
-            FlowConfig(solver="dinic")
-        with pytest.raises(ConfigError, match="does not accept: solver"):
-            FlowConfig.resolve(None, solver="dinic", deadline_ms=None)
+            ExactConfig(solver="dinic")
+        for removed in ("solver", "flow"):
+            with pytest.raises(ConfigError, match=f"does not accept: {removed}"):
+                ExactConfig.resolve(None, **{removed: "dinic"}, deadline_ms=None)
+        for bad in (0, -1.0, float("inf"), float("nan"), True, "5"):
+            with pytest.raises(ConfigError, match="deadline_ms"):
+                ExactConfig(deadline_ms=bad)
 
     @pytest.mark.parametrize("bad", [0.0, -0.5])
     def test_approx_config_rejects_bad_epsilon(self, bad):
@@ -188,12 +198,11 @@ class TestConfigValidation:
             ApproxConfig(epsilon=bad)
 
     def test_approx_config_normalises_ratios(self):
-        cfg = ApproxConfig(ratios=[1, 2.0])
-        assert cfg.ratios == (1.0, 2.0)
-        with pytest.raises(ConfigError, match="ratio"):
-            ApproxConfig(ratios=[1.0, -2.0])
-        with pytest.raises(ConfigError, match="ratios"):
-            ApproxConfig(ratios=[])
+        # peel-approx always sweeps the geometric grid: no list is a setting.
+        with pytest.raises(TypeError, match="ratios"):
+            ApproxConfig(ratios=[1.0])
+        with pytest.raises(ConfigError, match="does not accept: ratios"):
+            ApproxConfig.resolve(None, ratios=(1.0, 2.0))
 
     def test_resolve_rejects_unknown_overrides(self):
         with pytest.raises(ConfigError, match="does not accept"):
@@ -211,28 +220,26 @@ class TestConfigValidation:
             ExactConfig.resolve(ApproxConfig())
 
     def test_resolve_flow_string_plus_flow_solver(self):
-        # A bare solver name is no flow config.
+        # A solver name is no config field, beside a budget or not.
         for overrides in ({}, {"deadline_ms": 5}):
-            with pytest.raises(ConfigError, match="flow must be a FlowConfig"):
+            with pytest.raises(ConfigError, match="does not accept: flow"):
                 ExactConfig.resolve(None, flow="dinic", **overrides)
-        with pytest.raises(ConfigError, match="flow_solver"):
-            ExactConfig.resolve(None, flow=FlowConfig(), flow_solver="dinic")
+        with pytest.raises(ConfigError, match="flow, flow_solver"):
+            ExactConfig.resolve(None, flow="auto", flow_solver="dinic")
 
     def test_resolve_overlays_fields(self):
         base = ExactConfig(tolerance=0.5)
         resolved = ExactConfig.resolve(base, deadline_ms=500)
-        assert resolved.tolerance == 0.5
-        assert resolved.flow == FlowConfig(deadline_ms=500.0)
-        assert ExactConfig.resolve(base, flow=FlowConfig(deadline_ms=9), deadline_ms=7).flow == (
-            FlowConfig(deadline_ms=7.0)
-        )
+        assert resolved == ExactConfig(tolerance=0.5, deadline_ms=500.0)
+        assert ExactConfig.resolve(resolved, deadline_ms=7).deadline_ms == 7.0
         # ``None`` overrides leave the base untouched (and return it as-is).
         assert ExactConfig.resolve(base, tolerance=None) is base
 
     def test_configs_are_hashable_cache_keys(self):
         assert hash(ExactConfig()) == hash(ExactConfig())
-        assert ExactConfig(flow=FlowConfig(deadline_ms=5)) == ExactConfig(flow=FlowConfig(deadline_ms=5.0))
-        assert ApproxConfig(ratios=[1.0]) == ApproxConfig(ratios=(1.0,))
+        assert ExactConfig(deadline_ms=5) == ExactConfig(deadline_ms=5.0)
+        assert hash(ExactConfig(deadline_ms=5)) == hash(ExactConfig(deadline_ms=5.0))
+        assert hash(ApproxConfig(epsilon=1)) == hash(ApproxConfig(epsilon=1.0))
 
 
 class TestConfigThroughSession:
@@ -266,10 +273,12 @@ class TestConfigThroughSession:
 
     def test_unused_knobs_are_rejected_not_ignored(self):
         session = DDSSession(complete_bipartite_digraph(2, 3))
-        # node_limit guards flow-exact/brute-force only; dc-exact never
-        # consults it, so setting it must error instead of doing nothing.
-        with pytest.raises(ConfigError, match="does not use config field 'node_limit'"):
-            session.densest_subgraph("dc-exact", node_limit=50)
+        # seed_with_core seeds dc-exact only; flow-exact never consults
+        # it, so setting it must error instead of doing nothing.
+        with pytest.raises(ConfigError, match="does not use config field 'seed_with_core'"):
+            session.densest_subgraph("flow-exact", seed_with_core=True)
+        with pytest.raises(ConfigError, match="does not use config field 'tolerance'"):
+            session.densest_subgraph("brute-force", tolerance=0.5)
         with pytest.raises(ConfigError, match="does not use config field 'epsilon'"):
             session.densest_subgraph("core-approx", config=ApproxConfig(epsilon=0.25))
         with pytest.raises(ConfigError, match="'seed_with_core'"):

@@ -31,7 +31,7 @@ import threading
 import pytest
 import store_rows
 
-from repro.core.config import FlowConfig
+from repro.core.config import ExactConfig
 from repro.datasets.registry import load_dataset
 from repro.exceptions import AlgorithmError, ConfigError, NetError, ProtocolError
 from repro.graph.digraph import DiGraph
@@ -439,30 +439,35 @@ class TestRemoteExecutor:
         assert report.aggregate_stats()["queries"] == len(MIXED)
         assert all(row["worker"] == 0 for row in report.timings())
 
-    def test_executor_flow_config_reaches_daemon_built_sessions(self):
-        # The executor's flow config ships with the solve, so the sessions
-        # the daemon builds apply what the inline/local path would.
-        plan = _plan()
-        flow = FlowConfig(deadline_ms=60_000)
-        local = BatchExecutor(load_dataset, flow=flow).execute(plan)
+    def test_executor_flow_config_reaches_daemon_built_sessions(self, monkeypatch):
+        # A query's budget rides in its own entry and a lane's in the solve
+        # payload's ``deadline_ms``; no flow document crosses.  The sessions
+        # the daemon builds answer as the local path does, and key their
+        # results without the budget.
+        plan = _plan([dict(MIXED[0], deadline_ms=90_000), *MIXED[1:]])
+        local = BatchExecutor(load_dataset, deadline_ms=60_000).execute(plan)
+        sent: list[set[str]] = []
+        request = ShardClient.request
+
+        def spy(self, op, payload, **kwargs):
+            if op == "solve":
+                sent.append(set(payload))
+            return request(self, op, payload, **kwargs)
+
+        monkeypatch.setattr(ShardClient, "request", spy)
         with ShardDaemon() as daemon:
             remote = BatchExecutor(
-                load_dataset, flow=flow, remote_hosts=_hosts(daemon)
+                load_dataset, deadline_ms=60_000, remote_hosts=_hosts(daemon)
             ).execute(plan)
-            flows = {entry.session.flow for entry in daemon._sessions.values()}
+            configs = [
+                config
+                for entry in daemon._sessions.values()
+                for method, config, _ in entry.session.cached_results()
+                if method == "core-exact"
+            ]
         assert _answers(remote) == _answers(local)
-        assert flows == {flow}
-
-    def test_daemon_flow_override_beats_the_wire_config(self):
-        # A serve-time flow config is authoritative for the sessions that
-        # daemon builds, whatever the requesters send.
-        served = FlowConfig(deadline_ms=60_000)
-        with ShardDaemon(flow=served) as daemon:
-            BatchExecutor(
-                load_dataset, flow=FlowConfig(deadline_ms=120_000), remote_hosts=_hosts(daemon)
-            ).execute(_plan())
-            flows = {entry.session.flow for entry in daemon._sessions.values()}
-        assert flows == {served}
+        assert sent == [{"graph_key", "fingerprint", "entries", "graph", "deadline_ms"}] * 2
+        assert set(configs) == {ExactConfig()}
 
     def test_killed_daemon_falls_back_inline_bit_identically(self, local_answers):
         # The first solve the faulted daemon receives takes the whole daemon

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.exceptions import ProtocolError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import gnm_random_digraph
-from repro.net import protocol
+from repro.net import ShardClient, protocol
 
 
 def _json_scalars() -> st.SearchStrategy:
@@ -165,6 +165,80 @@ class TestStrictDecode:
     def test_encode_rejects_unknown_status(self):
         with pytest.raises(ProtocolError, match="unknown response status"):
             protocol.encode_response("rid", {}, status="maybe")
+
+
+#: One lane of one entry with its own budget, under a lane budget, by
+#: fingerprint alone (no graph document), as ``ShardClient.solve_lane``
+#: frames it under request id ``golden-1``: version 3, and no ``flow``
+#: document in the payload.
+GOLDEN_SOLVE_REQUEST = (
+    b'\x00\x00\x01d{"checksum":"31ea63f7b92c1b29f439ef52906acf6591f187c1aedc8de85fe474869c014335",'
+    b'"op":"solve","payload":{"deadline_ms":1000.0,"entries":[[0,{"deadline_ms":250,'
+    b'"method":"core-exact","query":"densest"}]],'
+    b'"fingerprint":"abababababababababababababababababababababababababababababababab",'
+    b'"graph":null,"graph_key":"g"},"protocol_version":3,"request_id":"golden-1"}'
+)
+
+#: A daemon's lane message for that lane, with fixed timings.
+GOLDEN_LANE_MESSAGE = {
+    "executions": [
+        {
+            "index": 0,
+            "kind": "densest",
+            "seconds": 0.5,
+            "cpu_seconds": 0.25,
+            "payload": {
+                "density": 1.5,
+                "is_exact": True,
+                "method": "core-exact",
+                "s_size": 2,
+                "t_size": 2,
+            },
+        }
+    ],
+    "stats": {"flow_calls": 3, "queries": 1},
+    "store": {},
+    "session_cache_hit": False,
+}
+
+#: :data:`GOLDEN_LANE_MESSAGE` framed as the ``ok`` response to ``golden-1``.
+GOLDEN_SOLVE_RESPONSE = (
+    b'\x00\x00\x01\x83{"checksum":"dfde379279fd8a7694b1940899af4a413a7beb609af6c80284799e74a8c70a89",'
+    b'"payload":{"executions":[{"cpu_seconds":0.25,"index":0,"kind":"densest","payload":'
+    b'{"density":1.5,"is_exact":true,"method":"core-exact","s_size":2,"t_size":2},"seconds":0.5}],'
+    b'"session_cache_hit":false,"stats":{"flow_calls":3,"queries":1},"store":{}},'
+    b'"protocol_version":3,"request_id":"golden-1","status":"ok"}'
+)
+
+
+class TestGoldenFrames:
+    """The exact bytes of one version-3 ``solve`` exchange."""
+
+    def test_solve_request_bytes(self, monkeypatch):
+        sent = []
+        monkeypatch.setattr(
+            ShardClient,
+            "request",
+            lambda self, op, payload, **_: sent.append(protocol.encode_request("golden-1", op, payload)),
+        )
+        entries = [(0, {"query": "densest", "method": "core-exact", "deadline_ms": 250})]
+        ShardClient("127.0.0.1", 9).solve_lane("g", "ab" * 32, entries, deadline_ms=1000)
+        assert sent == [GOLDEN_SOLVE_REQUEST]
+        message = protocol.decode_frame_bytes(GOLDEN_SOLVE_REQUEST)
+        assert message["protocol_version"] == protocol.PROTOCOL_VERSION == 3
+        assert "flow" not in message["payload"]
+
+    def test_ok_response_bytes(self):
+        frame = protocol.encode_response("golden-1", GOLDEN_LANE_MESSAGE)
+        assert frame == GOLDEN_SOLVE_RESPONSE
+        assert protocol.decode_frame_bytes(frame)["payload"] == GOLDEN_LANE_MESSAGE
+
+    @pytest.mark.parametrize("frame", [GOLDEN_SOLVE_REQUEST, GOLDEN_SOLVE_RESPONSE])
+    def test_version_2_frame_is_refused_by_name(self, frame):
+        stamped = frame.replace(b'"protocol_version":3', b'"protocol_version":2')
+        assert len(stamped) == len(frame)
+        with pytest.raises(ProtocolError, match="protocol version 2; this build speaks 3"):
+            protocol.decode_frame_bytes(stamped)
 
 
 def _document(labels, starts, targets, *, allow_self_loops=False, fingerprint=None) -> dict:

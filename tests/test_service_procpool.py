@@ -39,7 +39,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.workloads import service_mixed_workload
-from repro.core.config import FlowConfig
 from repro.datasets.registry import load_dataset
 from repro.exceptions import AlgorithmError, BatchQueryError
 from repro.graph.digraph import DiGraph
@@ -218,10 +217,9 @@ class TestCrossProcessBitIdentity:
                 spec["dataset"] = dataset
             queries.append(spec)
         plan = _plan(queries)
-        flow = FlowConfig()
-        serial = _executor(flow=flow, max_workers=1).execute(plan)
-        threads = _executor(flow=flow, max_workers=2).execute(plan)
-        procs = _executor(flow=flow, max_workers=2, process_pool=True).execute(plan)
+        serial = _executor(max_workers=1).execute(plan)
+        threads = _executor(max_workers=2).execute(plan)
+        procs = _executor(max_workers=2, process_pool=True).execute(plan)
         assert _answers(procs) == _answers(serial) == _answers(threads)
         assert procs.executor_stats["mode"] == "process-pool"
         assert multiprocessing.active_children() == []
@@ -232,9 +230,8 @@ class TestCrossProcessBitIdentity:
         # number of min-cuts.
         queries = service_mixed_workload()
         plan = _plan(queries)
-        flow = FlowConfig()
-        serial = _executor(flow=flow, max_workers=1).execute(plan)
-        procs = _executor(flow=flow, max_workers=2, process_pool=True).execute(plan)
+        serial = _executor(max_workers=1).execute(plan)
+        procs = _executor(max_workers=2, process_pool=True).execute(plan)
         assert _answers(procs) == _answers(serial)
         assert procs.aggregate_stats()["flow_calls"] == serial.aggregate_stats()["flow_calls"] > 0
 

@@ -17,7 +17,7 @@ import os
 import pytest
 import store_rows
 
-from repro.core.config import ApproxConfig, ExactConfig, FlowConfig
+from repro.core.config import ApproxConfig, ExactConfig
 from repro.core.method_registry import get_method_spec
 from repro.datasets.registry import load_dataset
 from repro.exceptions import AlgorithmError, StoreError
@@ -321,21 +321,24 @@ class TestIntegrity:
             {"solver": "numpy-push-relabel", "deadline_ms": None},
             {"solver": "dinic", "deadline_ms": None},
             {"solver": "auto", "deadline_ms": None},
+            {"deadline_ms": None},
         ],
-        ids=["batch_size", "network_cache_size", "numpy-push-relabel", "dinic", "auto"],
+        ids=["batch_size", "network_cache_size", "numpy-push-relabel", "dinic", "auto", "budget"],
     )
     def test_entry_with_a_removed_config_field_is_incompatible_not_corrupt(
         self, graph, tmp_path, flow
     ):
-        """An entry saved by a build whose ``FlowConfig`` this one cannot rebuild.
+        """An entry saved by a build whose nested config this one cannot rebuild.
 
-        Every stored config embeds its nested flow config, so each entry of
-        a build with a since-removed field (``batch_size``,
-        ``network_cache_size``, ``solver``) carries it, whichever solver it
-        names: a since-removed one (``numpy-push-relabel``) or the one that
-        still runs every min-cut (``dinic``, also named ``auto``).  Such an
-        entry is intact, but this build cannot rebuild its config, and the
-        rest of the graph's state still loads.
+        Older builds stored every exact config with a nested flow config
+        and the ``leaf_ratio_count`` and ``node_limit`` fields, so each of
+        their entries carries since-removed fields, whatever its flow
+        config held: a since-removed field (``batch_size``,
+        ``network_cache_size``, ``solver``), a since-removed solver
+        (``numpy-push-relabel``), the one that still runs every min-cut
+        (``dinic``, also named ``auto``), or only the budget.  Such an entry
+        is intact, but this build cannot rebuild its config, and the rest
+        of the graph's state still loads.
         """
         store = SessionStore(tmp_path)
         donor = DDSSession(graph)
@@ -367,6 +370,31 @@ class TestIntegrity:
         }
         assert receiver.densest_subgraph("core-approx").stats["result_cache_hit"] is True
         assert receiver.densest_subgraph("dc-exact").stats["result_cache_hit"] is False
+
+    def test_rows_of_the_nested_config_shape_are_incompatible_not_corrupt(self, graph, tmp_path):
+        # Each config kind as older builds stored it: exact configs with a
+        # nested flow config, leaf_ratio_count and node_limit, approximate
+        # ones with ratios, in a densest row and inside a top-k query.
+        old_fields = {
+            "ExactConfig": {"leaf_ratio_count": 2, "node_limit": None, "flow": {"deadline_ms": None}},
+            "ApproxConfig": {"ratios": None},
+        }
+        session = DDSSession(graph)
+        session.densest_subgraph("dc-exact")
+        session.densest_subgraph("peel-approx")
+        session.top_k(2, method="core-approx")
+        SessionStore(tmp_path).save_session(session)
+        entries = store_rows.entries(tmp_path)
+        assert len(entries) == 4  # the top-k list, its first round, and the two above
+        for entry in entries:
+            payload = store_rows.payload(tmp_path, entry)
+            document = payload["query"] if payload["method"] == "top-k" else payload
+            document["config"].update(old_fields[document["config_type"]])
+            store_rows.edit_row(tmp_path, entry, payload)
+        counters = SessionStore(tmp_path).warm_session(DDSSession(graph.copy()))
+        assert (counters["results_loaded"], counters["results_incompatible"]) == (0, 4)
+        assert counters["results_corrupt"] == 0
+        assert counters["derived_loaded"] == 1
 
 
 class TestManagement:
@@ -675,13 +703,13 @@ class TestSessionSeedHooks:
             session.seed_derived(max_core=alien)
 
     def test_session_flow_config_is_independent_of_store(self, graph, tmp_path, flow_oracle):
-        # A store written by a session with a budget, whose min-cuts ran on
+        # A store written by queries with a budget, whose min-cuts ran on
         # the oracle, warms a session with neither: the cached *results* are
         # solver-independent facts about the graph, keyed without a budget.
         store = SessionStore(tmp_path)
-        donor = DDSSession(graph, flow=FlowConfig(deadline_ms=60_000))
+        donor = DDSSession(graph)
         donor.densest_subgraph("core-approx")
-        donor.densest_subgraph("dc-exact")
+        donor.densest_subgraph("dc-exact", deadline_ms=60_000)
         store.save_session(donor)
         receiver = DDSSession(load_dataset("foodweb-tiny"))
         assert store.warm_session(receiver)["results_loaded"] == 2
@@ -723,11 +751,11 @@ def _write_solver_twin(root, entry, name: str) -> None:
         payload["query"]["flow_solver"] = name
         key = store_module._entry_key(kind, payload["query"])
     elif kind == "top-k":
-        payload["query"]["config"]["flow"]["solver"] = name
+        payload["query"]["config"]["flow"] = {"solver": name, "deadline_ms": None}
         key = store_module._entry_key(kind, payload["query"])
     else:
         kind = "densest"
-        payload["config"]["flow"]["solver"] = name
+        payload["config"]["flow"] = {"solver": name, "deadline_ms": None}
         key = store_module._entry_key(payload["method"], payload["config"])
     store_rows.edit_row(root, (entry[0], key), payload, kind=kind)
 

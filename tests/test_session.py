@@ -22,7 +22,7 @@ import warnings
 import pytest
 
 import repro.session.session as session_module
-from repro.core.config import ExactConfig, FlowConfig
+from repro.core.config import ExactConfig
 from repro.core.results import DDSResult
 from repro.datasets.registry import load_dataset
 from repro.exceptions import (
@@ -189,7 +189,7 @@ class TestResultCache:
         graph = load_dataset("foodweb-tiny")
         answer = DDSSession(graph).densest_subgraph("core-exact")
         session = DDSSession(graph)
-        config = ExactConfig(flow=FlowConfig(deadline_ms=5000))
+        config = ExactConfig(deadline_ms=5000)
         assert session.seed_result("core-exact", config, answer)
         assert session.densest_subgraph("core-exact").stats["result_cache_hit"] is True
 
@@ -642,12 +642,12 @@ class TestFlowSolverIgnored:
         assert "flow_solver" not in result.stats
 
     def test_config_only_flow_change_does_not_warn_solver_ignored(self):
-        """Changing a flow knob other than the solver is not a solver request."""
+        """A budget on a method without min-cuts is not a solver request."""
         session = DDSSession(complete_bipartite_digraph(2, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
             result = session.densest_subgraph(
-                "brute-force", config=ExactConfig(flow=FlowConfig(deadline_ms=60_000))
+                "brute-force", config=ExactConfig(deadline_ms=60_000)
             )
         assert "flow_solver_ignored" not in result.stats
 
