@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import multiprocessing
 import sys
+import threading
 import time
 
 import pytest
@@ -470,6 +471,30 @@ def run_procpool_smoke(failures: list[str]) -> dict:
 NET_SMOKE_DATASET = "foodweb-tiny"
 
 
+def _die_on_first_solve(daemon) -> None:
+    """Make ``daemon`` stop, without answering, at the first solve request it serves.
+
+    Wraps the daemon instance's ``_serve_request``: the request's connection
+    is closed unanswered and the whole daemon stops, the loopback stand-in
+    for SIGKILL on a remote box mid-batch.
+    """
+    serve = daemon._serve_request
+    lock = threading.Lock()
+    armed = [True]
+
+    def serve_or_die(sock, op, request_id, message):
+        with lock:
+            die = op == "solve" and armed[0]
+            if die:
+                armed[0] = False
+        if not die:
+            return serve(sock, op, request_id, message)
+        daemon._close_conn(sock)
+        daemon._request_stop()
+
+    daemon._serve_request = serve_or_die
+
+
 def run_net_smoke(failures: list[str]) -> dict:
     """Network-tier gate: loopback daemons serve bit-identical answers.
 
@@ -551,12 +576,8 @@ def run_net_smoke(failures: list[str]) -> dict:
 
     # Fault pass: one daemon dies mid-batch; retry then inline fallback must
     # preserve bit-identical answers and record the failure.
-    with (
-        ShardDaemon() as healthy,
-        ShardDaemon(
-            fault_injection={"op": "solve", "kind": "exit", "times": 1}
-        ) as doomed,
-    ):
+    with ShardDaemon() as healthy, ShardDaemon() as doomed:
+        _die_on_first_solve(doomed)
         fault_report = BatchExecutor(
             lambda key: load_dataset(key),
             remote_hosts=[healthy.address, doomed.address],

@@ -2,8 +2,8 @@
 
 Every sub-command that touches a graph builds one
 :class:`~repro.session.DDSSession` and serves the request through it, so a
-single invocation shares derived state (degree arrays, cores, results)
-across whatever it computes.  ``batch`` goes further and drives the service
+single invocation shares derived state (cores, bounds, results) across
+whatever it computes.  ``batch`` goes further and drives the service
 tier (:mod:`repro.service`): the planner groups the queries into one lane
 per graph, executed on a pool of per-graph sessions, with an optional
 persistent store carrying warm state across invocations.

@@ -32,6 +32,7 @@ with them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Any
 
@@ -92,6 +93,12 @@ def strip_solver_name(flow: str | None) -> None:
         )
 
 
+def _check_positive_number(value: Any, name: str) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is a positive finite int or float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExactConfig(MethodConfig):
     """Configuration of the exact solvers.
@@ -99,13 +106,16 @@ class ExactConfig(MethodConfig):
     Attributes
     ----------
     tolerance:
-        Binary-search stopping gap; ``None`` selects the provably-exact
+        Binary-search stopping gap, a positive finite number; ``None``
+        selects the provably-exact
         :func:`~repro.core.density.exactness_tolerance` of the input graph.
     seed_with_core:
-        Seed the incumbent from the CoreApprox core instead of a cheap peel
-        (``dc-exact`` only; ``core-exact`` always seeds with the core).
+        A bool: seed the incumbent from the CoreApprox core instead of a
+        cheap peel (``dc-exact`` only; ``core-exact`` always seeds with the
+        core).
     deadline_ms:
-        Per-query time budget in milliseconds, or ``None`` (no deadline).
+        Per-query time budget in milliseconds, a positive finite number, or
+        ``None`` (no deadline).
         When set, a monotonic :class:`repro.runtime.Deadline` is armed at
         query entry and checked cooperatively at solver phase boundaries;
         expiry raises :class:`~repro.exceptions.DeadlineExceeded` carrying
@@ -119,19 +129,12 @@ class ExactConfig(MethodConfig):
     deadline_ms: float | None = None
 
     def __post_init__(self) -> None:
-        if self.tolerance is not None and not self.tolerance > 0:
-            raise ConfigError(f"tolerance must be > 0, got {self.tolerance!r}")
+        if self.tolerance is not None:
+            _check_positive_number(self.tolerance, "tolerance")
+        if not isinstance(self.seed_with_core, bool):
+            raise ConfigError(f"seed_with_core must be a bool, got {self.seed_with_core!r}")
         if self.deadline_ms is not None:
-            if isinstance(self.deadline_ms, bool) or not isinstance(
-                self.deadline_ms, (int, float)
-            ):
-                raise ConfigError(
-                    f"deadline_ms must be a positive number or None, got {self.deadline_ms!r}"
-                )
-            if not 0 < self.deadline_ms < float("inf"):
-                raise ConfigError(
-                    f"deadline_ms must be a positive finite number or None, got {self.deadline_ms!r}"
-                )
+            _check_positive_number(self.deadline_ms, "deadline_ms")
             # Normalise to float so configs hash/compare consistently across
             # int and float spellings of the same budget (result-cache keys).
             object.__setattr__(self, "deadline_ms", float(self.deadline_ms))
@@ -144,12 +147,12 @@ class ApproxConfig(MethodConfig):
     Attributes
     ----------
     epsilon:
-        Geometric ratio-grid step of ``peel-approx`` (guarantee
-        ``2*sqrt(1+epsilon)``); ignored by the core-based approximations.
+        Geometric ratio-grid step of ``peel-approx``, a positive finite
+        number (guarantee ``2*sqrt(1+epsilon)``); ignored by the core-based
+        approximations.
     """
 
     epsilon: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon!r}")
+        _check_positive_number(self.epsilon, "epsilon")

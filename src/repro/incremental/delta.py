@@ -39,15 +39,13 @@ class EdgeDelta:
     """A normalized batch of edge updates against one specific graph state.
 
     ``added`` / ``removed`` hold only the *effective* edges (duplicates and
-    rejected insertions already filtered); ``token`` records the graph state
-    the delta was normalized against, so applying it to any other state is
-    detectable.
+    rejected insertions already filtered) of the graph state it was
+    normalized against.
     """
 
     added: tuple[Edge, ...]
     removed: tuple[Edge, ...]
     new_nodes: tuple[NodeLabel, ...]
-    token: int
 
     @property
     def is_empty(self) -> bool:
@@ -110,7 +108,6 @@ class EdgeDelta:
             added=tuple(added),
             removed=tuple(removed),
             new_nodes=tuple(new_nodes),
-            token=graph.state_token,
         )
 
 

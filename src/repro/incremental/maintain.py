@@ -1,15 +1,11 @@
-"""In-place maintenance of derived DDS state under an edge delta.
+"""Maintenance of cached [x, y]-cores under an edge delta.
 
-Two layers of cached state survive a graph update instead of being
-rebuilt:
-
-**Degree arrays** are patched by ±1 per touched endpoint (O(|delta|)).
-
-**[x, y]-cores** exploit monotonicity.  Under a removal-only delta degrees
-only drop, so the new maximal [x, y]-core is *contained* in the old one
-(valid pairs of the new graph are valid in the old graph, and the maximal
-core contains every valid pair) — re-peeling restricted to the old core's
-members therefore yields exactly the new global core at O(|core|) cost.
+Cached cores survive a graph update instead of being rebuilt, by
+monotonicity.  Under a removal-only delta degrees only drop, so the new
+maximal [x, y]-core is *contained* in the old one (valid pairs of the new
+graph are valid in the old graph, and the maximal core contains every
+valid pair) — re-peeling restricted to the old core's members therefore
+yields exactly the new global core at O(|core|) cost.
 Deltas with insertions can grow a core beyond the old members, so those
 recompute from the whole graph (still O(n + m), counted separately).  The
 cached *maximum-product* core gets a sharper argument: if its own local
@@ -30,44 +26,7 @@ from __future__ import annotations
 from repro.core.xycore import XYCore, xy_core
 from repro.graph.digraph import DiGraph
 
-IndexPair = tuple[int, int]
 
-
-# ----------------------------------------------------------------------
-# degree arrays
-# ----------------------------------------------------------------------
-def patch_degree_arrays(
-    out_degrees: list[int] | None,
-    in_degrees: list[int] | None,
-    num_nodes: int,
-    added_pairs: list[IndexPair],
-    removed_pairs: list[IndexPair],
-) -> None:
-    """Patch cached degree arrays in place for one applied delta.
-
-    Each array is first extended with zeros to ``num_nodes`` (new nodes are
-    only ever appended), then each effective edge adjusts its endpoints.
-    A ``None`` array (not cached yet) is skipped — it will be computed
-    lazily from the post-delta graph on first demand.
-    """
-    for degrees in (out_degrees, in_degrees):
-        if degrees is not None and len(degrees) < num_nodes:
-            degrees.extend([0] * (num_nodes - len(degrees)))
-    for u, v in added_pairs:
-        if out_degrees is not None:
-            out_degrees[u] += 1
-        if in_degrees is not None:
-            in_degrees[v] += 1
-    for u, v in removed_pairs:
-        if out_degrees is not None:
-            out_degrees[u] -= 1
-        if in_degrees is not None:
-            in_degrees[v] -= 1
-
-
-# ----------------------------------------------------------------------
-# [x, y]-cores
-# ----------------------------------------------------------------------
 def refresh_cores(
     graph: DiGraph,
     cores: dict[tuple[int, int], XYCore],

@@ -21,7 +21,7 @@ from repro.net.client import (
     ShardClientPool,
     parse_host_port,
 )
-from repro.net.daemon import DAEMON_FAULT_KINDS, DEFAULT_MAX_SESSIONS, ShardDaemon
+from repro.net.daemon import DEFAULT_MAX_SESSIONS, ShardDaemon
 from repro.net.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -40,7 +40,6 @@ from repro.net.protocol import (
 )
 
 __all__ = [
-    "DAEMON_FAULT_KINDS",
     "DEFAULT_MAX_SESSIONS",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",

@@ -39,13 +39,6 @@ Instrumentation: :meth:`ShardDaemon.daemon_stats` exposes per-op request
 counts, session-LRU hits/misses, sessions resident/evicted, graphs kept and
 graph misses, bytes in/out, connection counts, and errors; the ``ping`` and
 ``inventory`` ops serve the same numbers remotely.
-
-The ``fault_injection`` hook makes partition handling deterministically
-testable: ``{"op": "solve", "kind": "close" | "exit", "times": N}`` drops
-the connection without a response on the first ``N`` matching requests
-(``"close"``), or additionally kills the whole daemon (``"exit"`` — the
-loopback stand-in for SIGKILL / a severed machine), which is what the
-client retry ladder and the executor's inline fallback are tested against.
 """
 
 from __future__ import annotations
@@ -74,9 +67,6 @@ from repro.service.queries import run_batch_query, run_lane
 from repro.service.store import SessionStore
 from repro.session import DDSSession
 from repro.session.session import DEFAULT_RESULT_CACHE_SIZE
-
-#: Fault kinds the daemon's chaos hook understands.
-DAEMON_FAULT_KINDS = ("close", "exit")
 
 #: Default capacity of the resident-session LRU.
 DEFAULT_MAX_SESSIONS = 8
@@ -132,8 +122,6 @@ class ShardDaemon:
         Result-cache capacity of each resident session.
     read_timeout:
         Per-connection receive timeout (seconds) of the worker threads.
-    fault_injection:
-        Chaos/test hook — see the module docstring.
     """
 
     def __init__(
@@ -147,7 +135,6 @@ class ShardDaemon:
         flow: str | None = None,
         result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
         read_timeout: float = 60.0,
-        fault_injection: dict[str, Any] | None = None,
     ) -> None:
         if isinstance(store, (str,)) or hasattr(store, "__fspath__"):
             store = SessionStore(store)
@@ -155,13 +142,6 @@ class ShardDaemon:
             raise ConfigError(f"max_sessions must be a positive int, got {max_sessions!r}")
         if not isinstance(max_workers, int) or max_workers < 1:
             raise ConfigError(f"max_workers must be a positive int, got {max_workers!r}")
-        if fault_injection is not None:
-            fault_injection = dict(fault_injection)
-            if fault_injection.get("kind") not in DAEMON_FAULT_KINDS:
-                raise ConfigError(
-                    f"fault_injection kind must be one of {DAEMON_FAULT_KINDS}, "
-                    f"got {fault_injection.get('kind')!r}"
-                )
         self._store = store
         self._host = host
         self._requested_port = port
@@ -170,8 +150,6 @@ class ShardDaemon:
         strip_solver_name(flow)
         self._result_cache_size = result_cache_size
         self._read_timeout = read_timeout
-        self._fault = fault_injection
-        self._fault_budget = int(fault_injection.get("times", 1)) if fault_injection else 0
 
         self._sessions: collections.OrderedDict[str, _SessionEntry] = collections.OrderedDict()
         # Kept graphs with the edge count each was charged when kept, guarded
@@ -518,18 +496,6 @@ class ShardDaemon:
     # ------------------------------------------------------------------
     # per-request serving (worker threads)
     # ------------------------------------------------------------------
-    def _take_fault(self, op: str) -> str | None:
-        """Consume one unit of the chaos budget for ``op``; returns the kind."""
-        if self._fault is None:
-            return None
-        with self._stats_lock:
-            if self._fault_budget <= 0:
-                return None
-            if self._fault.get("op", "solve") != op:
-                return None
-            self._fault_budget -= 1
-            return str(self._fault["kind"])
-
     def _serve_one(self, sock: socket.socket) -> None:
         """Read one frame from ``sock``, serve it, write back, hand back."""
         try:
@@ -563,15 +529,6 @@ class ShardDaemon:
         self, sock: socket.socket, op: str, request_id: str, message: dict[str, Any]
     ) -> None:
         """Dispatch, respond, and hand the socket back (in-flight already counted)."""
-        fault = self._take_fault(op)
-        if fault is not None:
-            # Simulated partition: vanish without a response.  ``exit``
-            # additionally takes the whole daemon down — the loopback
-            # equivalent of SIGKILL on a remote box.
-            self._close_conn(sock)
-            if fault == "exit":
-                self._request_stop()
-            return
         try:
             payload = self._dispatch(op, message["payload"])
             frame = protocol.encode_response(request_id, payload)

@@ -1,10 +1,10 @@
 """Persistent session store: warm per-graph state shared across processes.
 
-A :class:`~repro.session.DDSSession` accumulates expensive derived state —
-whole answers, degree arrays, [x, y]-cores, density bounds — but only for
-the lifetime of one process.  :class:`SessionStore` keeps that warm state
-in one SQLite database so a service tier can share it across workers and
-restarts: compute once (``dds-repro warm``), serve everywhere.
+A :class:`~repro.session.DDSSession` accumulates expensive state — whole
+answers and [x, y]-cores — but only for the lifetime of one process.
+:class:`SessionStore` keeps that warm state in one SQLite database so a
+service tier can share it across workers and restarts: compute once
+(``dds-repro warm``), serve everywhere.
 
 Keying
 ------
@@ -28,8 +28,11 @@ and ``PRAGMA user_version`` holds its schema version::
     entries(graph, key, kind, payload, checksum, written)
 
 A ``graphs`` row holds one graph's manifest (its shape and delta lineage)
-and derived state (degree arrays, cores, bounds); an ``entries`` row holds
-one cached answer under its key digest, with its kind: ``densest``,
+and derived state: the [x, y]-cores, written by the graph's first save
+even when there are none.  A derived row an older build wrote with degree
+arrays and density bounds beside the cores still warms its cores, and the
+next save that is not a repeat rewrites it without them.  An ``entries``
+row holds one cached answer under its key digest, with its kind: ``densest``,
 ``fixed-ratio`` or ``top-k``.  Every payload is compact canonical JSON
 stored beside the SHA-256 of that text; reads verify the checksum, and the
 manifest's shape against the live graph, and a row that fails is skipped
@@ -701,18 +704,18 @@ class SessionStore:
 
         Persists every cached answer — densest results, fixed-ratio outcomes
         and top-k lists — whose labels and config survive a JSON round trip
-        (others count as ``results_skipped``), the degree
-        arrays and density bounds (cheap — computed now if the session has
-        not needed them yet), and whatever [x, y]-cores the session has
-        already computed (never forces a core decomposition).  Rows whose
-        stored payload already matches are left untouched and counted as
-        ``results_unchanged`` / ``derived_saved: 0``; a corrupt manifest is
-        rewritten from the live graph (the fingerprint, not the manifest, is
-        the graph's identity).  An answer equal to one this store remembers
-        writing or reading for the graph's unchanged row is not encoded
-        again; the changed rows are written in one transaction, which
-        starts over if another writer changed the graph since its rows were
-        read.
+        (others count as ``results_skipped``), and whatever [x, y]-cores the
+        session has already computed (never forces a core decomposition).
+        A session whose graph was mutated behind it raises
+        :class:`~repro.exceptions.GraphError` before anything is written.
+        Rows whose stored payload already matches are left untouched and
+        counted as ``results_unchanged`` / ``derived_saved: 0``; a corrupt
+        manifest is rewritten from the live graph (the fingerprint, not the
+        manifest, is the graph's identity).  An answer equal to one this
+        store remembers writing or reading for the graph's unchanged row is
+        not encoded again; the changed rows are written in one transaction,
+        which starts over if another writer changed the graph since its rows
+        were read.
 
         If the store's last save or complete warm of the graph was of
         ``session``, and neither its
@@ -786,10 +789,6 @@ class SessionStore:
             after["manifest"] = stored
 
         derived: dict[str, Any] = {
-            "out_degrees": session.out_degrees(),
-            "in_degrees": session.in_degrees(),
-            "density_upper_bound": session.density_upper_bound(),
-            "exactness_tolerance": session.exactness_tolerance(),
             "xy_cores": [_core_to_jsonable(core) for core in session.cached_xy_cores()],
         }
         max_core = session.cached_max_core()
@@ -882,16 +881,12 @@ class SessionStore:
                         raise StoreError("derived state fails its integrity checksum")
                     payload = _decode("derived", rows["derived"][0])
                 session.seed_derived(
-                    out_degrees=payload["out_degrees"],
-                    in_degrees=payload["in_degrees"],
                     xy_cores=[_core_from_jsonable(core) for core in payload.get("xy_cores", [])],
                     max_core=(
                         _core_from_jsonable(payload["max_core"])
                         if "max_core" in payload
                         else None
                     ),
-                    density_upper_bound=payload["density_upper_bound"],
-                    exactness_tolerance=payload["exactness_tolerance"],
                 )
                 counters["derived_loaded"] = 1
                 known["derived"] = _Row(derived.checksum, payload)

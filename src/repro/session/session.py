@@ -3,8 +3,9 @@
 A session binds to **one graph** and serves many queries over it, paying for
 derived state once instead of once per call:
 
-* **degree arrays** and the full :class:`~repro.core.subproblem.STSubproblem`,
-  with the decision topology its first fixed-ratio search builds,
+* the full :class:`~repro.core.subproblem.STSubproblem`, with the decision
+  topology its first fixed-ratio search builds, and the global density
+  bound and exactness tolerance a fixed-ratio probe defaults to,
 * **[x, y]-core decompositions** (:meth:`DDSSession.xy_core`,
   :meth:`DDSSession.max_xy_core`),
 * **whole answers** in one LRU: densest results keyed by ``(method,
@@ -59,7 +60,7 @@ from repro.graph.digraph import DiGraph, NodeLabel
 from repro.graph.properties import graph_summary
 from repro.incremental.certify import certify_result
 from repro.incremental.delta import EdgeDelta, UpdateReport
-from repro.incremental.maintain import patch_degree_arrays, refresh_cores
+from repro.incremental.maintain import refresh_cores
 from repro.runtime import Deadline
 from repro.utils.validation import require_positive_int
 
@@ -229,8 +230,6 @@ class DDSSession:
         self._result_cache_hits = 0
         self._queries = 0
         self._subproblem: STSubproblem | None = None
-        self._out_degrees: list[int] | None = None
-        self._in_degrees: list[int] | None = None
         self._xy_cores: dict[tuple[int, int], XYCore] = {}
         self._max_core: XYCore | None = None
         self._summary: dict[str, Any] | None = None
@@ -607,7 +606,6 @@ class DDSSession:
         in one state-token step, and then each layer of cached state is
         brought along or dropped —
 
-        * degree arrays are patched in place;
         * cached [x, y]-cores are re-peeled locally (removal-only deltas) or
           recomputed (deltas with insertions);
         * cached results are **certified** against the delta
@@ -648,16 +646,9 @@ class DDSSession:
         report.edges_removed = len(removed_pairs)
         report.nodes_added = len(delta.new_nodes)
 
-        # Degree arrays patch in place; the other cheap derived structures
-        # (sub-problem, summary, bounds) just recompute lazily on demand —
-        # each is O(n + m), not worth a patch protocol of its own.
-        patch_degree_arrays(
-            self._out_degrees,
-            self._in_degrees,
-            self.graph.num_nodes,
-            added_pairs,
-            removed_pairs,
-        )
+        # The cheap derived structures (sub-problem, summary, bounds) just
+        # recompute lazily on demand — each is O(n + m), not worth a patch
+        # protocol of its own.
         self._subproblem = None
         self._summary = None
         self._density_upper = None
@@ -725,20 +716,6 @@ class DDSSession:
             self._subproblem = STSubproblem.from_graph(self.graph)
         return self._subproblem
 
-    def out_degrees(self) -> list[int]:
-        """Out-degree array by internal node index (cached; copy returned)."""
-        self._check_unmutated()
-        if self._out_degrees is None:
-            self._out_degrees = self.graph.out_degrees()
-        return list(self._out_degrees)
-
-    def in_degrees(self) -> list[int]:
-        """In-degree array by internal node index (cached; copy returned)."""
-        self._check_unmutated()
-        if self._in_degrees is None:
-            self._in_degrees = self.graph.in_degrees()
-        return list(self._in_degrees)
-
     def density_upper_bound(self) -> float:
         """Cached :func:`~repro.core.density.global_density_upper_bound`."""
         self._check_unmutated()
@@ -761,11 +738,11 @@ class DDSSession:
         """Count of changes to the state the persistent store saves.
 
         Rises whenever an answer is cached, seeded or dropped, a core is
-        computed or seeded, derived state is seeded, the lineage changes, or
+        computed or seeded (:meth:`seed_derived`), the lineage changes, or
         :meth:`apply_updates` / :meth:`clear_cache` run.  A cache hit's LRU
         touch leaves it alone (the store keeps no order), and so does
-        computing degree arrays or bounds lazily: they are functions of the
-        graph, which a save computes anyway.  No answer depends on it;
+        computing the sub-problem, summary or bounds lazily: the store saves
+        none of them.  No answer depends on it;
         :class:`~repro.service.store.SessionStore` compares it with the
         value it saw at its last save to tell that nothing changed since.
         """
@@ -780,8 +757,11 @@ class DDSSession:
         FixedRatioOutcome)``; a top-k one ``(TOP_K_ENTRY, (k, min_density,
         method, config), [DDSResult, ...])``.  This is the export half of the
         persistent-store contract (:class:`repro.service.store.SessionStore`);
-        the import half is :meth:`seed_result`.
+        the import half is :meth:`seed_result`.  Like every export hook
+        the store reads, it raises :class:`~repro.exceptions.GraphError`
+        if the graph was mutated behind the session.
         """
+        self._check_unmutated()
         return [
             (method, config, _copy_entry(value))
             for (method, config), value in self._results.items()
@@ -809,38 +789,30 @@ class DDSSession:
 
     def cached_xy_cores(self) -> list[XYCore]:
         """Copies of every [x, y]-core this session has computed so far."""
+        self._check_unmutated()
         return [_copy_core(core) for core in self._xy_cores.values()]
 
     def cached_max_core(self) -> XYCore | None:
         """The cached maximum-product core, or ``None`` — never computes it."""
+        self._check_unmutated()
         return _copy_core(self._max_core) if self._max_core is not None else None
 
     def seed_derived(
         self,
         *,
-        out_degrees: list[int] | None = None,
-        in_degrees: list[int] | None = None,
         xy_cores: list[XYCore] | None = None,
         max_core: XYCore | None = None,
-        density_upper_bound: float | None = None,
-        exactness_tolerance: float | None = None,
     ) -> None:
-        """Adopt derived per-graph state computed elsewhere (store warm start).
+        """Adopt [x, y]-cores computed elsewhere (store warm start).
 
-        Only the pieces passed are adopted; anything already cached is
-        overwritten.  Degree arrays are validated against the graph's node
-        count and core node indices against its index range (mismatched
-        state means it belongs to a different graph and raises
-        :class:`~repro.exceptions.GraphError` here, not an ``IndexError``
-        at some later query).
+        Only the pieces passed are adopted; a core already cached in their
+        place is overwritten.  Core node indices are validated against the
+        graph's index range (mismatched state means it belongs to a
+        different graph and raises :class:`~repro.exceptions.GraphError`
+        here, not an ``IndexError`` at some later query).
         """
         self._check_unmutated()
         n = self.graph.num_nodes
-        for name, degrees in (("out_degrees", out_degrees), ("in_degrees", in_degrees)):
-            if degrees is not None and len(degrees) != n:
-                raise GraphError(
-                    f"seeded {name} has {len(degrees)} entries but the graph has {n} nodes"
-                )
 
         def checked_core(core: XYCore) -> XYCore:
             """Copy a core after verifying its indices fit this graph."""
@@ -852,19 +824,11 @@ class DDSSession:
             return _copy_core(core)
 
         self._warm_state_version += 1
-        if out_degrees is not None:
-            self._out_degrees = [int(d) for d in out_degrees]
-        if in_degrees is not None:
-            self._in_degrees = [int(d) for d in in_degrees]
         if xy_cores is not None:
             for core in xy_cores:
                 self._xy_cores[(core.x, core.y)] = checked_core(core)
         if max_core is not None:
             self._max_core = checked_core(max_core)
-        if density_upper_bound is not None:
-            self._density_upper = float(density_upper_bound)
-        if exactness_tolerance is not None:
-            self._exact_tolerance = float(exactness_tolerance)
 
     # ------------------------------------------------------------------
     # introspection / maintenance
@@ -898,8 +862,6 @@ class DDSSession:
         self._results.clear()
         self._invalidated_keys.clear()
         self._subproblem = None
-        self._out_degrees = None
-        self._in_degrees = None
         self._xy_cores.clear()
         self._max_core = None
         self._summary = None

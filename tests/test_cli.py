@@ -309,6 +309,34 @@ class TestBatchCommand:
         with pytest.raises(SystemExit, match="invalid configuration"):
             main(["batch", "--edge-list", str(edge_list_file), str(path)])
 
+    @pytest.mark.parametrize(
+        "entry, line",
+        [
+            (
+                {"query": "densest", "method": "core-exact", "tolerance": "x"},
+                "invalid configuration: tolerance must be a positive finite number, got 'x'",
+            ),
+            (
+                {"query": "densest", "method": "core-exact", "tolerance": float("inf")},
+                "invalid configuration: tolerance must be a positive finite number, got inf",
+            ),
+            (
+                {"query": "densest", "method": "peel-approx", "epsilon": True},
+                "invalid configuration: epsilon must be a positive finite number, got True",
+            ),
+            (
+                {"query": "densest", "method": "dc-exact", "seed_with_core": "false"},
+                "invalid configuration: seed_with_core must be a bool, got 'false'",
+            ),
+        ],
+        ids=["string-tolerance", "infinite-tolerance", "bool-epsilon", "string-seed"],
+    )
+    def test_batch_refuses_a_config_value_in_one_line(self, edge_list_file, tmp_path, entry, line):
+        path = self._write_queries(tmp_path, [entry])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", "--edge-list", str(edge_list_file), str(path)])
+        assert exit_info.value.code == line
+
     def test_batch_rejects_non_list_payload(self, edge_list_file, tmp_path):
         path = self._write_queries(tmp_path, {"query": "densest"})
         with pytest.raises(SystemExit, match="JSON list"):

@@ -162,8 +162,8 @@ class TestApplyUpdatesBitIdentity:
         assert_same_result(
             session.densest_subgraph("dc-exact"), cold.densest_subgraph("dc-exact")
         )
-        assert session.out_degrees() == cold.out_degrees()
-        assert session.in_degrees() == cold.in_degrees()
+        assert session.graph.out_degrees() == cold.graph.out_degrees()
+        assert session.graph.in_degrees() == cold.graph.in_degrees()
         inc_core, cold_core = session.max_xy_core(), cold.max_xy_core()
         assert (inc_core.x, inc_core.y) == (cold_core.x, cold_core.y)
         assert inc_core.s_nodes == cold_core.s_nodes

@@ -14,9 +14,15 @@ from repro.core.method_registry import (
     unregister_method,
 )
 from repro.core.results import DDSResult
+from repro.datasets.registry import load_dataset
 from repro.exceptions import AlgorithmError, ConfigError
 from repro.graph.generators import complete_bipartite_digraph
 from repro.session import DDSSession
+
+#: Values no number field of a config accepts: not finite, a bool, or not a
+#: number.  A ``tolerance`` of ``inf`` would stop an exact search before its
+#: first min-cut and still mark the answer exact.
+NOT_POSITIVE_FINITE = [float("inf"), float("-inf"), float("nan"), True, False, "1e-9", [1e-9]]
 
 
 class TestRegistry:
@@ -161,7 +167,7 @@ class TestConfigValidation:
         assert cfg.seed_with_core is False
         assert cfg.deadline_ms is None
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, *NOT_POSITIVE_FINITE])
     def test_exact_config_rejects_bad_tolerance(self, bad):
         with pytest.raises(ConfigError, match="tolerance"):
             ExactConfig(tolerance=bad)
@@ -192,10 +198,25 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match="deadline_ms"):
                 ExactConfig(deadline_ms=bad)
 
-    @pytest.mark.parametrize("bad", [0.0, -0.5])
+    @pytest.mark.parametrize("bad", [0.0, -0.5, None, *NOT_POSITIVE_FINITE])
     def test_approx_config_rejects_bad_epsilon(self, bad):
         with pytest.raises(ConfigError, match="epsilon"):
             ApproxConfig(epsilon=bad)
+
+    @pytest.mark.parametrize("bad", ["no", "false", "True", 1, 0, None], ids=repr)
+    def test_seed_with_core_must_be_a_bool(self, bad):
+        with pytest.raises(ConfigError, match="seed_with_core must be a bool"):
+            ExactConfig(seed_with_core=bad)
+
+    def test_accepted_numbers_are_kept_as_given(self):
+        # An int stays an int, so a stored entry's key digest is unchanged.
+        for stored, value in (
+            (ExactConfig(tolerance=1).tolerance, 1),
+            (ExactConfig(tolerance=2.5e-7).tolerance, 2.5e-7),
+            (ApproxConfig(epsilon=1).epsilon, 1),
+        ):
+            assert stored == value and type(stored) is type(value)
+        assert ExactConfig(seed_with_core=True).seed_with_core is True
 
     def test_approx_config_normalises_ratios(self):
         # peel-approx always sweeps the geometric grid: no list is a setting.
@@ -265,6 +286,17 @@ class TestConfigThroughSession:
         with pytest.raises(ConfigError, match="tolerance"):
             session.densest_subgraph("dc-exact", tolerance=-1.0)
         assert session.cache_stats()["queries"] == 0
+
+    def test_an_infinite_tolerance_cannot_make_an_inexact_answer_exact(self):
+        # With tolerance=inf the search would stop before its first min-cut
+        # and report the seed's density as exact.
+        session = DDSSession(load_dataset("er-small"))
+        with pytest.raises(ConfigError, match="tolerance must be a positive finite number"):
+            session.densest_subgraph("core-exact", tolerance=float("inf"))
+        with pytest.raises(ConfigError, match="seed_with_core must be a bool"):
+            session.densest_subgraph("dc-exact", seed_with_core="no")
+        stats = session.cache_stats()
+        assert (stats["queries"], stats["flow_calls"]) == (0, 0)
 
     def test_legacy_kwargs_still_flow_through(self):
         session = DDSSession(complete_bipartite_digraph(3, 3))

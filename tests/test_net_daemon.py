@@ -85,6 +85,32 @@ def _hosts(*daemons: ShardDaemon) -> list[str]:
     return [daemon.address for daemon in daemons]
 
 
+def _drop_requests(daemon: ShardDaemon, op: str, times: int, *, stop: bool = False) -> None:
+    """Make ``daemon`` drop its first ``times`` ``op`` requests without a response.
+
+    Wraps the daemon instance's ``_serve_request``: a dropped request's
+    connection is closed unanswered, the loopback stand-in for a partition,
+    and with ``stop`` the whole daemon stops with it, the stand-in for
+    SIGKILL on a remote box.
+    """
+    serve = daemon._serve_request
+    lock = threading.Lock()
+    left = [times]
+
+    def serve_or_drop(sock, request_op, request_id, message):
+        with lock:
+            drop = request_op == op and left[0] > 0
+            if drop:
+                left[0] -= 1
+        if not drop:
+            return serve(sock, request_op, request_id, message)
+        daemon._close_conn(sock)
+        if stop:
+            daemon._request_stop()
+
+    daemon._serve_request = serve_or_drop
+
+
 # ----------------------------------------------------------------------
 # client plumbing
 # ----------------------------------------------------------------------
@@ -142,8 +168,8 @@ class TestClientPlumbing:
             return real_encode(request_id, op, payload)
 
         monkeypatch.setattr(protocol_module, "encode_request", counting_encode)
-        fault = {"op": "ping", "kind": "close", "times": 1}
-        with ShardDaemon(fault_injection=fault) as daemon:
+        with ShardDaemon() as daemon:
+            _drop_requests(daemon, "ping", 1)
             client = ShardClient(daemon.host, daemon.port, max_retries=2, backoff_base=0.001)
             assert client.ping(echo="again")["echo"] == "again"
             assert client.stats()["retries"] == 1
@@ -369,8 +395,6 @@ class TestDaemonOps:
             ShardDaemon(max_sessions=0)
         with pytest.raises(ConfigError):
             ShardDaemon(max_workers=0)
-        with pytest.raises(ConfigError):
-            ShardDaemon(fault_injection={"kind": "explode"})
 
     def test_concurrent_clients_share_one_daemon(self):
         graph = load_dataset(DEFAULT_DATASET)
@@ -472,9 +496,8 @@ class TestRemoteExecutor:
     def test_killed_daemon_falls_back_inline_bit_identically(self, local_answers):
         # The first solve the faulted daemon receives takes the whole daemon
         # down without a response — the loopback stand-in for SIGKILL.
-        with ShardDaemon(
-            fault_injection={"op": "solve", "kind": "exit", "times": 1}
-        ) as daemon:
+        with ShardDaemon() as daemon:
+            _drop_requests(daemon, "solve", 1, stop=True)
             report = BatchExecutor(
                 load_dataset, remote_hosts=_hosts(daemon), max_retries=1
             ).execute(_plan())
@@ -490,9 +513,8 @@ class TestRemoteExecutor:
     def test_transient_drop_is_absorbed_by_retry_alone(self, local_answers):
         # One connection dropped without a response; the retry ladder's
         # fresh connection succeeds, so no lane degrades.
-        with ShardDaemon(
-            fault_injection={"op": "solve", "kind": "close", "times": 1}
-        ) as daemon:
+        with ShardDaemon() as daemon:
+            _drop_requests(daemon, "solve", 1)
             report = BatchExecutor(
                 load_dataset, remote_hosts=_hosts(daemon), max_retries=2
             ).execute(_plan())

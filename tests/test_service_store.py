@@ -18,9 +18,10 @@ import pytest
 import store_rows
 
 from repro.core.config import ApproxConfig, ExactConfig
+from repro.core.density import exactness_tolerance, global_density_upper_bound
 from repro.core.method_registry import get_method_spec
 from repro.datasets.registry import load_dataset
-from repro.exceptions import AlgorithmError, StoreError
+from repro.exceptions import AlgorithmError, GraphError, StoreError
 from repro.graph.digraph import DiGraph
 from repro.net import ShardDaemon
 from repro.service import STORE_SCHEMA_VERSION, BatchExecutor, SessionStore, plan_batch
@@ -99,8 +100,6 @@ class TestRoundTrip:
 
         cold = DDSSession(load_dataset("foodweb-tiny"))
         store.warm_session(cold)
-        assert cold.out_degrees() == warm.out_degrees()
-        assert cold.in_degrees() == warm.in_degrees()
         assert cold.density_upper_bound() == warm.density_upper_bound()
         restored = cold.cached_max_core()
         assert restored is not None
@@ -684,13 +683,6 @@ class TestSessionSeedHooks:
         disabled = DDSSession(load_dataset("foodweb-tiny"), result_cache_size=0)
         assert disabled.seed_result(method, config, cached) is False
 
-    def test_seed_derived_validates_degree_lengths(self, graph):
-        from repro.exceptions import GraphError
-
-        session = DDSSession(graph)
-        with pytest.raises(GraphError, match="seeded out_degrees"):
-            session.seed_derived(out_degrees=[1, 2, 3])
-
     def test_seed_derived_rejects_foreign_core_indices(self, graph):
         from repro.core.xycore import XYCore
         from repro.exceptions import GraphError
@@ -714,6 +706,76 @@ class TestSessionSeedHooks:
         receiver = DDSSession(load_dataset("foodweb-tiny"))
         assert store.warm_session(receiver)["results_loaded"] == 2
         assert receiver.densest_subgraph("dc-exact").stats["result_cache_hit"] is True
+
+    @pytest.mark.parametrize("hook", ["cached_results", "cached_xy_cores", "cached_max_core"])
+    def test_export_hooks_refuse_a_graph_mutated_behind_the_session(self, graph, hook):
+        session = DDSSession(graph)
+        session.densest_subgraph("core-exact")
+        session.xy_core(1, 1)
+        graph.add_edge("mutated-source", "mutated-target")
+        with pytest.raises(GraphError, match="structurally mutated"):
+            getattr(session, hook)()
+
+
+def _with_degrees_and_bounds(root, graph: DiGraph) -> None:
+    """Rewrite ``graph``'s derived row in its earlier shape: degree arrays and bounds beside the cores.
+
+    The row is valid for the graph, with a matching checksum, as a build
+    that kept those four keys wrote it.
+    """
+    name = (graph.content_fingerprint(), "derived")
+    payload = store_rows.payload(root, name)
+    assert set(payload) <= {"xy_cores", "max_core"}
+    payload.update(
+        out_degrees=graph.out_degrees(),
+        in_degrees=graph.in_degrees(),
+        density_upper_bound=global_density_upper_bound(graph),
+        exactness_tolerance=exactness_tolerance(graph),
+    )
+    store_rows.edit_row(root, name, payload)
+
+
+class TestDerivedRow:
+    """The derived row holds only the [x, y]-cores, and still reads the rows that held more."""
+
+    def _donor(self, graph, root):
+        donor = DDSSession(graph)
+        donor.xy_core(1, 1)
+        donor.max_xy_core()
+        SessionStore(root).save_session(donor)
+        _with_degrees_and_bounds(root, graph)
+        return donor
+
+    def test_a_row_with_degrees_and_bounds_warms_its_cores(self, graph, tmp_path):
+        donor = self._donor(graph, tmp_path)
+        session = DDSSession(load_dataset("foodweb-tiny"))
+        counters = SessionStore(tmp_path).warm_session(session)
+        assert counters["derived_loaded"] == 1
+        assert counters["derived_corrupt"] == 0
+        assert session.cached_xy_cores() == donor.cached_xy_cores()
+        assert session.cached_max_core() == donor.cached_max_core()
+        # The bounds are the session's own, recomputed from the graph.
+        assert session.density_upper_bound() == donor.density_upper_bound()
+        assert session.exactness_tolerance() == donor.exactness_tolerance()
+
+    def test_the_next_save_after_a_new_core_rewrites_the_row_with_cores_only(self, graph, tmp_path):
+        self._donor(graph, tmp_path)
+        name = (graph.content_fingerprint(), "derived")
+        store = SessionStore(tmp_path)
+        session = DDSSession(load_dataset("foodweb-tiny"))
+        store.warm_session(session)
+        # A save of the completely warmed, unchanged session writes nothing.
+        assert store.save_session(session)["derived_saved"] == 0
+        assert "out_degrees" in store_rows.payload(tmp_path, name)
+        session.xy_core(2, 2)
+        assert store.save_session(session)["derived_saved"] == 1
+        payload = store_rows.payload(tmp_path, name)
+        assert set(payload) <= {"xy_cores", "max_core"}
+        assert [(core["x"], core["y"]) for core in payload["xy_cores"]] == [(1, 1), (2, 2)]
+        assert "max_core" in payload
+        rewarmed = DDSSession(load_dataset("foodweb-tiny"))
+        assert SessionStore(tmp_path).warm_session(rewarmed)["derived_loaded"] == 1
+        assert rewarmed.cached_xy_cores() == session.cached_xy_cores()
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,7 @@ def test_config_fields():
     "function, names",
     [
         (DDSSession.__init__, ["graph", "flow", "result_cache_size"]),
+        (DDSSession.seed_derived, ["xy_cores", "max_core"]),
         (
             BatchExecutor.__init__,
             [
@@ -59,7 +60,6 @@ def test_config_fields():
                 "flow",
                 "result_cache_size",
                 "read_timeout",
-                "fault_injection",
             ],
         ),
         (
@@ -67,7 +67,13 @@ def test_config_fields():
             ["graph_key", "fingerprint", "entries", "graph", "deadline_ms"],
         ),
     ],
-    ids=["DDSSession", "BatchExecutor", "ShardDaemon", "ShardClient.solve_lane"],
+    ids=[
+        "DDSSession",
+        "DDSSession.seed_derived",
+        "BatchExecutor",
+        "ShardDaemon",
+        "ShardClient.solve_lane",
+    ],
 )
 def test_constructor_and_lane_keywords(function, names):
     assert _parameters(function) == names

@@ -156,8 +156,6 @@ class _Twins:
 
     def reads(self) -> None:
         def read(session: DDSSession) -> None:
-            session.out_degrees()
-            session.in_degrees()
             session.density_upper_bound()
             session.exactness_tolerance()
             session.summary()
@@ -281,7 +279,7 @@ def test_repeat_save_builds_and_reads_no_payload(graph, tmp_path, monkeypatch):
     first = store.save_session(session)
     # Cache hits and reads of derived state change nothing the store keeps.
     session.densest_subgraph("core-exact")
-    session.out_degrees()
+    session.density_upper_bound()
     session.fixed_ratio(1.0)
     _forbid_payload_work(monkeypatch)
     assert store.save_session(session) == _repeat(first)
