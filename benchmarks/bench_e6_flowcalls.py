@@ -64,7 +64,7 @@ The **network-tier parity gate** serves the same mixed workload from two
 loopback ``ShardDaemon``s via ``BatchExecutor(remote_hosts=[...])``: the
 remote answers must be bit-identical to the local reference with every
 lane actually solved remotely and zero sockets left open on either
-daemon, the same plan executed again on the same executor must ship no
+daemon once the executor is closed, the same plan executed again on the same executor must ship no
 graph (``graphs_shipped == 0``: each graph crosses the wire once), and a
 run that kills one daemon mid-batch must *still*
 return bit-identical answers — the client's retry ladder exhausts, the
@@ -504,7 +504,7 @@ def run_net_smoke(failures: list[str]) -> dict:
     lane solved remotely, (2) that executing the plan again on the same
     executor and daemons gives the same answers with every lane remote and
     no graph shipped a second time, (3) zero sockets left open on either
-    daemon after the batches, and (4) that killing one daemon mid-batch
+    daemon once the executor that ran the batches is closed, and (4) that killing one daemon mid-batch
     still completes bit-identically — retry ladder, then inline fallback —
     with the failure recorded in ``executor_stats``.  Appends failure
     strings to ``failures`` and returns a table row.
@@ -559,8 +559,10 @@ def run_net_smoke(failures: list[str]) -> dict:
                 f"{again_stats.get('graphs_shipped')}, "
                 f"lanes_inline={again_stats.get('lanes_inline')})"
             )
-        # Clients close first; give the selector loops a moment to reap the
-        # resulting EOFs before declaring a socket leaked.
+        # Clients close first (the executor keeps its connections open
+        # across batches until then); give the selector loops a moment to
+        # reap the resulting EOFs before declaring a socket leaked.
+        executor.close()
         deadline = time.monotonic() + 2.0
         while True:
             sockets_open = first.open_connections() + second.open_connections()

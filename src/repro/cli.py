@@ -171,7 +171,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     store = SessionStore(args.store) if args.store is not None else None
     try:
         plan = plan_batch(queries, default_graph_key=default_key)
-        executor = BatchExecutor(
+        with BatchExecutor(
             provider,
             max_workers=args.jobs,
             store=store,
@@ -179,8 +179,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             remote_hosts=args.remote.split(",") if args.remote else None,
             max_retries=args.max_retries,
             deadline_ms=args.deadline_ms,
-        )
-        report = executor.execute(plan)
+        ) as executor:
+            report = executor.execute(plan)
     except ConfigError as error:
         raise SystemExit(f"invalid configuration: {error}")
     except ReproError as error:
@@ -262,6 +262,8 @@ def _cmd_ping(args: argparse.Namespace) -> int:
     except NetError as error:
         print(json.dumps({"address": f"{host}:{port}", "reachable": False, "error": str(error)}))
         return 1
+    finally:
+        client.close()
     print(json.dumps({"address": f"{host}:{port}", "reachable": True, "pong": payload}, default=str))
     return 0
 

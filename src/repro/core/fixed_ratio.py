@@ -112,9 +112,15 @@ def check_search_arguments(ratio: float, lower: float, upper: float, tolerance: 
 
     Raises the :class:`AlgorithmError` a search itself would: the bounds and
     tolerance as :func:`maximize_fixed_ratio` checks them, then the ratio
-    as its first decision network would.
+    as its first decision network would.  A caller's bracket must also be
+    one: a ``lower`` that is infinite or above ``upper`` is refused, where
+    a search would return it as a closed bracket without a single cut.
     """
     _check_bounds(lower, upper, tolerance)
+    if not (math.isfinite(lower) and lower <= upper):
+        raise AlgorithmError(
+            f"lower bound must be finite and at most the upper bound, got ({lower}, {upper})"
+        )
     check_decision_parameters(ratio, 0.0)
 
 

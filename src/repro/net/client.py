@@ -1,20 +1,30 @@
 """``ShardClient``: the calling side of the frame protocol, with retries.
 
-A client is deliberately connectionless at the request granularity: every
-request opens a fresh TCP connection, sends one frame, reads one frame,
-and closes.  That makes the retry ladder trivial to reason about — a
-retry can never be poisoned by a half-written frame on a reused socket —
-and matches the batch executor's lane granularity, where a lane is one
-solve request and amortising connection setup would save microseconds
-against solves measured in milliseconds.
+A client keeps the connections it opens.  A request that is answered —
+with ``status="ok"`` or ``"error"`` alike — leaves its connection idle, and
+the next request is sent on the most recently used idle connection rather
+than on a new one, so a run of requests to one daemon costs one TCP
+connect and one daemon accept instead of one each.  Lanes sharing a client
+on several threads each take their own connection; a connection serves one
+request at a time.
+
+*The stale-connection rule.*  A daemon that stops or restarts closes its
+idle connections, and the client may not notice until it next looks.  So
+before reusing an idle connection the client polls it without blocking: a
+daemon sends nothing unasked, and a connection with anything to read (its
+end of file, typically) is closed and dropped, and the next idle one, or a
+new one, is taken instead.  That costs no retry, no backoff and no breaker
+change.
 
 The retry ladder is the batch executor's crash containment, for local
-and remote daemons alike: a *transport* failure (connect refused, timeout,
-reset, damaged frame — a killed daemon's connections close with it) is
-retried on a fresh connection up to ``max_retries`` times with bounded
-exponential backoff plus jitter, after which
-:class:`~repro.exceptions.NetError` is raised and the executor falls back
-to solving the lane inline.  A
+and remote daemons alike: once a request's frame is sent, a *transport*
+failure (timeout, reset, a connection closed unanswered, a damaged frame —
+a killed daemon's connections close with it), like a failed connect, is one
+attempt of the ladder, and is retried on a *fresh* connection, never an
+idle one, up to ``max_retries`` times with bounded exponential backoff
+plus jitter, after which :class:`~repro.exceptions.NetError` is raised and
+the executor falls back to solving the lane inline.  A connection that
+failed is closed, never reused.  A
 *semantic* failure — the daemon answered, but with ``status="error"`` —
 is raised immediately as :class:`RemoteOpError` and never retried: the
 daemon is healthy and re-asking the same malformed question would get the
@@ -23,18 +33,23 @@ solve sent by fingerprint alone that meets a
 :class:`~repro.exceptions.GraphNotResidentError` is asked again once, with
 the graph document.
 
-:class:`ShardClientPool` holds one client per daemon of a shard set and
-aggregates their counters; the executor drives it with the fingerprint
+:meth:`ShardClient.close` closes the idle connections (the client stays
+usable: a later request opens a new one), and so does a client that is
+garbage-collected without it.  :class:`ShardClientPool` holds one client
+per daemon of a shard set, aggregates their counters and closes them
+together; the executor drives it with the fingerprint
 :class:`~repro.service.planner.ShardMap`, so each graph's requests always
 land on the daemon that owns its store shard.
 """
 
 from __future__ import annotations
 
+import collections
 import random
 import socket
 import threading
 import time
+import weakref
 from typing import Any
 
 from repro.exceptions import ConfigError, NetError, ProtocolError
@@ -48,7 +63,7 @@ DEFAULT_BACKOFF_BASE = 0.05
 
 #: Consecutive exhausted retry ladders that open a host's circuit breaker.
 #: One is the right default: an exhausted ladder already represents
-#: ``max_retries + 1`` fresh-connection failures in a row.
+#: ``max_retries + 1`` failed attempts in a row.
 DEFAULT_BREAKER_THRESHOLD = 1
 
 #: Seconds an open breaker waits before letting one half-open probe through.
@@ -78,6 +93,35 @@ def parse_host_port(text: str, *, default_port: int | None = None) -> tuple[str,
     if not 0 < port < 65536:
         raise ConfigError(f"port {port} in {text!r} is out of range")
     return host, port
+
+
+def _quiet(sock: socket.socket) -> bool:
+    """Whether an idle connection has nothing to read, polled without blocking.
+
+    A daemon sends nothing unasked, so an idle connection that is readable
+    holds its end of file (the daemon closed it), a reset, or bytes nobody
+    asked for: it is not reused.
+    """
+    timeout = sock.gettimeout()
+    sock.setblocking(False)
+    try:
+        sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return True
+    except OSError:
+        return False
+    finally:
+        sock.settimeout(timeout)
+    return False
+
+
+def _close_all(idle: collections.deque[socket.socket]) -> None:
+    """Close every connection in ``idle`` (a client's, at close or collection)."""
+    while True:
+        try:
+            idle.pop().close()
+        except IndexError:
+            return
 
 
 class RemoteOpError(NetError):
@@ -117,7 +161,7 @@ class CircuitBreaker:
 
     The breaker watches whole retry *ladders*, not individual connection
     attempts: :meth:`record_failure` means the client exhausted
-    ``max_retries + 1`` fresh connections against the host.  After
+    ``max_retries + 1`` attempts against the host.  After
     ``failure_threshold`` consecutive exhausted ladders the breaker opens
     and :meth:`admit` fails fast (no socket is touched) until ``cooldown_s``
     has elapsed on the monotonic clock; then exactly one request is admitted
@@ -219,7 +263,8 @@ class ShardClient:
     max_retries:
         How many *fresh-connection* retries a transport failure earns
         before :class:`~repro.exceptions.NetError` (``max_retries + 1``
-        attempts in total) — the batch executor's ``max_retries``.
+        attempts in total; the first may reuse an idle connection) — the
+        batch executor's ``max_retries``.
     backoff_base / backoff_max:
         The bounded exponential schedule: attempt ``n`` sleeps
         ``min(backoff_max, backoff_base * 2**n)`` scaled by jitter in
@@ -260,7 +305,11 @@ class ShardClient:
         self._rng = rng if rng is not None else random.Random()
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         # Lanes of the remote executor share one client per host, so the
-        # counters take a lock; the sockets themselves are per-request.
+        # counters take a lock.  Idle connections wait in a deque (its
+        # append and pop are thread-safe), most recently used last; a
+        # request owns its connection until it is answered.
+        self._idle: collections.deque[socket.socket] = collections.deque()
+        weakref.finalize(self, _close_all, self._idle)
         self._counters_lock = threading.Lock()
         self._counters = {
             "requests": 0,
@@ -286,6 +335,10 @@ class ShardClient:
         with self._counters_lock:
             self._counters[key] += amount
 
+    def close(self) -> None:
+        """Close every idle connection; a later request opens a new one."""
+        _close_all(self._idle)
+
     def backoff_delay(self, attempt: int) -> float:
         """The jittered sleep before retry ``attempt`` (0-based)."""
         ceiling = min(self._backoff_max, self._backoff_base * (2**attempt))
@@ -299,7 +352,9 @@ class ShardClient:
     ) -> dict[str, Any]:
         """Send one request, retrying transport failures on fresh connections.
 
-        Returns the response payload of an ``"ok"`` answer.  The frame is
+        Returns the response payload of an ``"ok"`` answer.  The first
+        attempt reuses an idle connection the daemon has not closed, if
+        there is one (see the module docstring).  The frame is
         encoded once, before the ladder, and every attempt resends the same
         bytes and request id; a payload that cannot be encoded raises
         :class:`~repro.exceptions.ProtocolError` at once — a local defect,
@@ -333,7 +388,7 @@ class ShardClient:
                 self._bump("retries")
                 time.sleep(self.backoff_delay(attempt - 1))
             try:
-                return self._request_once(op, rid, frame)
+                return self._request_once(op, rid, frame, reuse=not attempt)
             except RemoteOpError:
                 raise
             except (ProtocolError, OSError) as error:
@@ -344,12 +399,22 @@ class ShardClient:
             f"on fresh connections: {last_error}"
         )
 
-    def _request_once(self, op: str, rid: str, frame: bytes) -> dict[str, Any]:
-        """One attempt: fresh connection, the encoded ``frame`` out, one frame back."""
-        with socket.create_connection(
-            (self.host, self.port), timeout=self._connect_timeout
-        ) as sock:
+    def _request_once(
+        self, op: str, rid: str, frame: bytes, *, reuse: bool
+    ) -> dict[str, Any]:
+        """One attempt: the encoded ``frame`` out, one frame back.
+
+        Sent on an idle connection when ``reuse`` finds one, else on a new
+        one.  A connection that answered is kept idle for the next request;
+        one that failed in any way is closed.
+        """
+        sock = self._idle_connection() if reuse else None
+        if sock is None:
+            sock = socket.create_connection(
+                (self.host, self.port), timeout=self._connect_timeout
+            )
             sock.settimeout(self._read_timeout)
+        try:
             self._bump("bytes_sent", protocol.write_frame(sock, frame))
             framed = protocol.read_frame(sock)
             if framed is None:
@@ -357,13 +422,17 @@ class ShardClient:
                     f"daemon at {self.address} closed the connection without responding"
                 )
             message, bytes_received = framed
-        self._bump("bytes_received", bytes_received)
-        self._bump("requests")
-        if message.get("request_id") != rid:
-            raise ProtocolError(
-                f"daemon at {self.address} answered request "
-                f"{message.get('request_id')!r}, expected {rid!r}"
-            )
+            self._bump("bytes_received", bytes_received)
+            self._bump("requests")
+            if message.get("request_id") != rid:
+                raise ProtocolError(
+                    f"daemon at {self.address} answered request "
+                    f"{message.get('request_id')!r}, expected {rid!r}"
+                )
+        except BaseException:
+            sock.close()
+            raise
+        self._idle.append(sock)
         if message.get("status") != "ok":
             error_payload = message.get("payload", {})
             raise RemoteOpError(
@@ -373,6 +442,21 @@ class ShardClient:
                 str(error_payload.get("message", "")),
             )
         return message["payload"]
+
+    def _idle_connection(self) -> socket.socket | None:
+        """The most recently used idle connection still open, or ``None``.
+
+        Idle connections the daemon has closed are closed and dropped on
+        the way (the stale-connection rule of the module docstring).
+        """
+        while True:
+            try:
+                sock = self._idle.pop()
+            except IndexError:
+                return None
+            if _quiet(sock):
+                return sock
+            sock.close()
 
     # ------------------------------------------------------------------
     # op conveniences
@@ -477,6 +561,11 @@ class ShardClientPool:
             for key, value in client.stats().items():
                 totals[key] = totals.get(key, 0) + value
         return totals
+
+    def close(self) -> None:
+        """Close the idle connections of every client in the pool."""
+        for client in filter(None, self._clients):
+            client.close()
 
     def breaker_states(self) -> dict[str, str]:
         """Current breaker state per host address (not summable, hence separate)."""

@@ -17,9 +17,12 @@ and every message body is a checksummed envelope::
 Responses replace ``"op"`` with ``"status": "ok" | "error"`` and echo the
 request id, so a client can verify it is reading the answer to the question
 it asked.  The checksum is the session store's — SHA-256 over the canonical
-(sorted-keys, compact-separator) JSON text of the payload, both defined once
-in :mod:`repro.utils.canonical` — so a store entry and a wire payload are
-verified by the same arithmetic.
+(sorted-keys, compact-separator) JSON text of the payload, the form defined
+once in :mod:`repro.utils.canonical` — so a store entry and a wire payload
+are verified by the same arithmetic.  The body itself is the canonical JSON
+of the whole message, and a frame serialises its payload once: the encoder
+hashes the payload's canonical text and splices it into the envelope, and
+the decoder parses the body once and hashes the payload's own slice of it.
 
 Decoding is **strict**: a truncated frame, an oversized length prefix, a
 body that is not a JSON object, a missing envelope field, a version
@@ -60,6 +63,7 @@ daemon.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import socket
 import struct
@@ -69,7 +73,7 @@ from typing import Any
 from repro.core.results import json_native_label
 from repro.exceptions import GraphError, ProtocolError
 from repro.graph.digraph import DiGraph
-from repro.utils.canonical import canonical_json, checksum
+from repro.utils.canonical import canonical_json
 
 #: Version of the frame envelope and the documents it carries.  Bump on any
 #: incompatible change; a frame speaking a different version is refused
@@ -96,18 +100,27 @@ _HEADER = struct.Struct("!I")
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
+def _payload_text(payload: Any) -> bytes:
+    """The canonical JSON text of ``payload``, UTF-8 encoded.
+
+    A payload that is not JSON-serialisable raises
+    :class:`~repro.exceptions.ProtocolError` — the encode paths surface
+    that as a protocol defect, never as a bare ``TypeError`` mid-frame.
+    """
+    try:
+        return canonical_json(payload).encode("utf-8")
+    except (TypeError, ValueError) as error:
+        raise ProtocolError(f"payload is not JSON-serialisable: {error}")
+
+
 def payload_checksum(payload: Any) -> str:
     """SHA-256 hex digest of the canonical JSON text of ``payload``.
 
     The store's checksum (:func:`repro.utils.canonical.checksum`), except
     that a payload that is not JSON-serialisable raises
-    :class:`~repro.exceptions.ProtocolError` — the encode paths surface that
-    as a protocol defect, never as a bare ``TypeError`` mid-frame.
+    :class:`~repro.exceptions.ProtocolError`.
     """
-    try:
-        return checksum(payload)
-    except (TypeError, ValueError) as error:
-        raise ProtocolError(f"payload is not JSON-serialisable: {error}")
+    return hashlib.sha256(_payload_text(payload)).hexdigest()
 
 
 def new_request_id() -> str:
@@ -115,17 +128,33 @@ def new_request_id() -> str:
     return uuid.uuid4().hex
 
 
-def _encode_message(message: dict[str, Any]) -> bytes:
-    """Serialise an already-enveloped message into one framed byte string."""
-    try:
-        body = canonical_json(message).encode("utf-8")
-    except (TypeError, ValueError) as error:
-        raise ProtocolError(f"message is not JSON-serialisable: {error}")
-    if len(body) > MAX_FRAME_BYTES:
+def _around_payload(head: dict[str, Any]) -> tuple[bytes, bytes]:
+    """The canonical body's bytes before and after the payload's text.
+
+    ``head`` is the envelope without its payload.  ``"payload"`` sorts
+    right before ``"protocol_version"`` in requests and responses alike, so
+    the canonical JSON of a whole message is the canonical text of ``head``
+    with ``"payload":<payload text>,`` in front of that key.
+    """
+    before, key, after = canonical_json(head).partition('"protocol_version":')
+    return f'{before}"payload":'.encode("utf-8"), f",{key}{after}".encode("utf-8")
+
+
+def _encode_message(head: dict[str, Any], payload: dict[str, Any]) -> bytes:
+    """Frame ``payload`` in the envelope ``head``, serialising the payload once.
+
+    The payload's canonical text is hashed for the checksum and spliced
+    into the canonical text of the envelope, so the body is byte for byte
+    the canonical JSON of the whole message.
+    """
+    text = _payload_text(payload)
+    before, after = _around_payload({**head, "checksum": hashlib.sha256(text).hexdigest()})
+    length = len(before) + len(text) + len(after)
+    if length > MAX_FRAME_BYTES:
         raise ProtocolError(
-            f"frame body of {len(body)} bytes exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
+            f"frame body of {length} bytes exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
         )
-    return _HEADER.pack(len(body)) + body
+    return b"".join((_HEADER.pack(length), before, text, after))
 
 
 def encode_request(request_id: str, op: str, payload: dict[str, Any]) -> bytes:
@@ -141,13 +170,8 @@ def encode_request(request_id: str, op: str, payload: dict[str, Any]) -> bytes:
     if not isinstance(payload, dict):
         raise ProtocolError(f"request payload must be an object, got {type(payload).__name__}")
     return _encode_message(
-        {
-            "protocol_version": PROTOCOL_VERSION,
-            "request_id": str(request_id),
-            "op": op,
-            "checksum": payload_checksum(payload),
-            "payload": payload,
-        }
+        {"protocol_version": PROTOCOL_VERSION, "request_id": str(request_id), "op": op},
+        payload,
     )
 
 
@@ -162,14 +186,31 @@ def encode_response(
     if not isinstance(payload, dict):
         raise ProtocolError(f"response payload must be an object, got {type(payload).__name__}")
     return _encode_message(
-        {
-            "protocol_version": PROTOCOL_VERSION,
-            "request_id": str(request_id),
-            "status": status,
-            "checksum": payload_checksum(payload),
-            "payload": payload,
-        }
+        {"protocol_version": PROTOCOL_VERSION, "request_id": str(request_id), "status": status},
+        payload,
     )
+
+
+def _payload_matches_checksum(body: bytes, message: dict[str, Any]) -> bool:
+    """Whether ``message``'s payload is the one its checksum was taken over.
+
+    A canonical body — every frame :func:`_encode_message` builds — holds
+    the payload's canonical text verbatim, so its own slice of the body is
+    hashed in place.  Only a body laid out any other way, or one whose
+    slice fails, has its parsed payload re-serialised, so a frame is never
+    refused that the checksum of its payload's canonical text accepts.
+    """
+    checksum = message.get("checksum")
+    before, after = _around_payload({k: v for k, v in message.items() if k != "payload"})
+    if (
+        len(before) + len(after) < len(body)
+        and body.startswith(before)
+        and body.endswith(after)
+        and hashlib.sha256(memoryview(body)[len(before) : len(body) - len(after)]).hexdigest()
+        == checksum
+    ):
+        return True
+    return checksum == payload_checksum(message["payload"])
 
 
 def decode_message(body: bytes) -> dict[str, Any]:
@@ -178,6 +219,8 @@ def decode_message(body: bytes) -> dict[str, Any]:
     Verifies the envelope shape, the protocol version, the op/status
     vocabulary, and the payload checksum.  Raises
     :class:`~repro.exceptions.ProtocolError` naming the first defect found.
+    The body is parsed once; see :func:`_payload_matches_checksum` for how
+    the checksum is verified without serialising the payload again.
     """
     try:
         message = json.loads(body.decode("utf-8"))
@@ -202,7 +245,7 @@ def decode_message(body: bytes) -> dict[str, Any]:
         raise ProtocolError(f"frame carries unknown status {message['status']!r}")
     if "payload" not in message or not isinstance(message["payload"], dict):
         raise ProtocolError("frame is missing its payload object")
-    if message.get("checksum") != payload_checksum(message["payload"]):
+    if not _payload_matches_checksum(body, message):
         raise ProtocolError("frame payload fails its integrity checksum")
     return message
 

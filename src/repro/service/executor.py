@@ -30,19 +30,27 @@ Lanes run in one of two places:
     to which host and sends later lanes for them by fingerprint alone; a
     daemon that no longer holds the graph answers
     :class:`~repro.exceptions.GraphNotResidentError`, and the lane is
-    resent once with the document (``graph_resends``); or
+    resent once with the document (``graph_resends``).  The executor holds
+    one :class:`~repro.net.client.ShardClientPool` for its lifetime, so
+    the connections to each host, its circuit breaker and the shipped-graph
+    memory all outlive a batch: a dead host costs one retry ladder per
+    breaker cooldown, not one per batch.  :meth:`BatchExecutor.close` (or
+    leaving a ``with BatchExecutor(...)`` block) closes the idle
+    connections; or
   - **local** (``process_pool=True``), the single-machine path: lanes are
     routed to at most ``max_workers`` slots by
     :meth:`ShardMap.assign(collapse=True)
     <repro.service.planner.ShardMap.assign>`, one daemon per non-empty slot
     is started in a child process for this batch only (``fork`` where the
     platform has it, else ``spawn``), and each daemon's lanes run one after
-    another, so a batch never has two lanes on one daemon while another
-    idles.  Every child is stopped and joined before
+    another on one connection, so a batch never has two lanes on one
+    daemon while another idles.  The batch's clients close their
+    connections, then every child is stopped and joined, before
     :meth:`BatchExecutor.execute` returns or raises.
 
   Both share crash containment: a transport failure is retried on fresh
-  connections up to ``max_retries`` times (the client's ladder), after
+  connections up to ``max_retries`` times (the client's ladder; see
+  :mod:`repro.net.client`), after
   which the lane runs inline, marked degraded, with the failure counted in
   ``executor_stats["remote_failures"]``, and the host's circuit breaker
   sends its other lanes inline without a connection until a half-open
@@ -64,7 +72,7 @@ Instrumentation: every query is individually timed, each lane's
 report aggregates them into the payload ``dds-repro batch`` prints.  Daemon
 runs additionally fill :attr:`BatchReport.executor_stats` (``mode``,
 ``hosts``, ``lanes_remote``, ``lanes_inline``, ``remote_failures``,
-``degraded_lanes``, the client's transport counters, ...).
+``degraded_lanes``, the batch's client transport counters, ...).
 """
 
 from __future__ import annotations
@@ -256,17 +264,21 @@ def _serve_local_shard(conn: Any, store_root: str | None, result_cache_size: int
 
 
 @contextmanager
-def _local_daemons(
-    count: int, store_root: str | None, result_cache_size: int
-) -> Iterator[list[str | None]]:
-    """Start ``count`` local shard daemons and yield their ``host:port`` addresses.
+def _local_shard_pool(
+    count: int, store_root: str | None, result_cache_size: int, max_retries: int
+) -> Iterator[Any]:
+    """Start ``count`` local shard daemons and yield a client pool over them.
 
     Every child starts before any port is read, so they come up in
-    parallel.  A child that dies before reporting its port yields ``None``
-    in its slot.  On exit every child is sent its stop word and joined —
-    killed if it has not stopped within 10 seconds — whatever happened in
-    the block.
+    parallel.  A child that dies before reporting its port leaves its pool
+    slot vacant.  The clients have no read timeout: a killed local daemon's
+    sockets close with it, so a lane that runs long is answered once, never
+    resent and then re-run inline.  On exit, whatever happened in the
+    block, the pool's connections are closed, then every child is sent its
+    stop word and joined — killed if it has not stopped within 10 seconds.
     """
+    from repro.net.client import ShardClientPool
+
     ctx = multiprocessing.get_context(_start_method())
     children: list[tuple[Any, Any]] = []
     try:
@@ -287,7 +299,11 @@ def _local_daemons(
                 addresses.append(f"127.0.0.1:{conn.recv()}")
             except EOFError:
                 addresses.append(None)
-        yield addresses
+        pool = ShardClientPool(addresses, max_retries=max_retries, read_timeout=None)
+        try:
+            yield pool
+        finally:
+            pool.close()
     finally:
         for _, conn in children:
             try:
@@ -332,7 +348,9 @@ class BatchExecutor:
         Route lanes to :class:`~repro.net.daemon.ShardDaemon` addresses
         (``["host:port", ...]``) by fingerprint shard instead of running
         them locally — the cross-machine path; see the module docstring.
-        Mutually exclusive with ``process_pool``.
+        Mutually exclusive with ``process_pool``.  The executor keeps its
+        connections to these hosts open across batches: :meth:`close` it,
+        or use it as a context manager.
     max_retries:
         How many fresh-connection retries a request to a daemon, local or
         remote, earns on a transport failure before its lane falls back to
@@ -380,23 +398,23 @@ class BatchExecutor:
             raise ConfigError(f"max_workers must be a positive int or None, got {max_workers!r}")
         if not isinstance(max_retries, int) or max_retries < 0:
             raise ConfigError(f"max_retries must be a non-negative int, got {max_retries!r}")
+        self._remote_pool = None
         if remote_hosts is not None:
             if process_pool:
                 raise ConfigError("remote_hosts and process_pool are mutually exclusive")
-            from repro.net.client import parse_host_port
+            from repro.net.client import ShardClientPool
 
-            remote_hosts = [host for host in remote_hosts if str(host).strip()]
-            if not remote_hosts:
+            hosts = [str(host) for host in remote_hosts if str(host).strip()]
+            if not hosts:
                 raise ConfigError("remote_hosts must name at least one 'host:port'")
-            remote_hosts = [
-                "%s:%d" % parse_host_port(str(host)) for host in remote_hosts
-            ]
+            # One client per host for the executor's lifetime, so its
+            # connections and circuit breaker outlive each batch.
+            self._remote_pool = ShardClientPool(hosts, max_retries=max_retries)
         strip_solver_name(flow)
         self._result_cache_size = result_cache_size
         self._max_workers = max_workers
         self._store = store
         self._process_pool = bool(process_pool)
-        self._remote_hosts = remote_hosts
         self._max_retries = max_retries
         if deadline_ms is not None:
             # Deadline's own validation rejects non-positive/non-finite
@@ -410,6 +428,24 @@ class BatchExecutor:
         # run's stats.
         self._shipped: dict[str, set[str]] = {}
         self._lane_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the idle connections to remote daemons; the executor stays usable.
+
+        A later batch opens new ones.  Nothing else is released: the
+        circuit breakers and the memory of shipped graphs live as long as
+        the executor.  ``with BatchExecutor(...) as executor:`` closes on
+        exit, and an executor collected without a close closes its
+        connections then.
+        """
+        if self._remote_pool is not None:
+            self._remote_pool.close()
+
+    def __enter__(self) -> "BatchExecutor":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     def _run_lane(
@@ -460,7 +496,11 @@ class BatchExecutor:
         anonymous: ``ShardMap.assign(collapse=True)`` spreads colliding
         fingerprints over idle slots, one daemon is started per non-empty
         slot, each daemon's lanes run one after another on one thread, and
-        the clients wait as long as a lane takes.
+        the clients wait as long as a lane takes.  Remote clients, their
+        connections and circuit breakers live as long as the executor;
+        local ones, and the one connection each daemon's lanes share, as
+        long as the batch.  ``stats["client"]`` counts this batch's
+        requests, retries, bytes and breaker transitions alone.
 
         A lane whose daemon stays unreachable through the client's
         retry/backoff ladder — or a local daemon that never reported its
@@ -485,26 +525,27 @@ class BatchExecutor:
         (``graph_resends``) — no inline fallback, no ``remote_failures``.
         """
         from repro.net import protocol as net_protocol
-        from repro.net.client import CircuitOpenError, RemoteOpError, ShardClientPool
+        from repro.net.client import CircuitOpenError, RemoteOpError
 
         graphs = {key: self._provider(key) for key in lanes}
         fingerprints = {key: graph.content_fingerprint() for key, graph in graphs.items()}
-        local = self._remote_hosts is None
+        local = self._remote_pool is None
         if local:
             shards = ShardMap(self._width(len(lanes))).assign(fingerprints, collapse=True)
             groups = [keys for _, keys in sorted(shards.items())]
             slots = {key: slot for slot, keys in enumerate(groups) for key in keys}
-            daemons = _local_daemons(
+            pools = _local_shard_pool(
                 len(groups),
                 str(self._store.root) if self._store is not None else None,
                 self._result_cache_size,
+                self._max_retries,
             )
             shipped: dict[str, set[str]] = {}
         else:
-            shard_map = ShardMap(len(self._remote_hosts))
+            shard_map = ShardMap(len(self._remote_pool))
             groups = [[key] for key in lanes]
             slots = {key: shard_map.shard_of(fingerprints[key]) for key in lanes}
-            daemons = nullcontext(self._remote_hosts)
+            pools = nullcontext(self._remote_pool)
             shipped = self._shipped
         stats: dict[str, Any] = {
             "mode": "process-pool" if local else "remote",
@@ -617,19 +658,16 @@ class BatchExecutor:
                 shipped.setdefault(client.address, set()).add(fingerprint)
             return graph_key, executions, payload["stats"], payload.get("store") or {}
 
-        with daemons as hosts:
-            # A killed local daemon's sockets close with it, so its clients
-            # need no read timeout: a lane that runs long is answered once,
-            # never resent and then re-run inline.
-            pool = ShardClientPool(
-                hosts, max_retries=self._max_retries, **({"read_timeout": None} if local else {})
-            )
-            stats["hosts"], stats["shards"] = list(hosts), len(hosts)
+        with pools as pool:
+            stats["hosts"], stats["shards"] = pool.addresses, len(pool)
+            before = pool.aggregate_stats()
             collected = {outcome[0]: outcome for outcome in self._fan_out(run, groups) if outcome}
         if first_error is not None:
             raise first_error
         stats["degraded_lanes"] = sorted(degraded)
-        stats["client"] = pool.aggregate_stats()
+        stats["client"] = {
+            key: value - before.get(key, 0) for key, value in pool.aggregate_stats().items()
+        }
         stats["breaker_states"] = pool.breaker_states()
         return [collected[key] for key in lanes if key in collected], stats
 
@@ -648,7 +686,7 @@ class BatchExecutor:
         lanes = plan.lanes
         if not lanes:
             return BatchReport(executions=[], session_stats={})
-        if self._remote_hosts is not None or self._process_pool:
+        if self._remote_pool is not None or self._process_pool:
             return self._assemble(*self._execute_remote(lanes))
         outcomes = self._fan_out(lambda key: self._run_lane(key, lanes[key]), [[key] for key in lanes])
         return self._assemble(outcomes, {})

@@ -142,6 +142,12 @@ def _four_fields(method: str, config: Any, fields: str) -> tuple:
     return config
 
 
+def _check_min_density(min_density: Any) -> None:
+    """Refuse a top-k stopping density that is negative, NaN or infinite."""
+    if not 0 <= min_density < math.inf:
+        raise AlgorithmError(f"min_density must be a finite number >= 0, got {min_density}")
+
+
 def _entry_key(method: str, config: Any) -> tuple[str, Any]:
     """Validated result-cache key of a ``(method, config)`` entry of any kind.
 
@@ -161,6 +167,7 @@ def _entry_key(method: str, config: Any) -> tuple[str, Any]:
             method, config, "(k, min_density, method, method_config)"
         )
         require_positive_int(k, "k")
+        _check_min_density(min_density)
         spec = get_method_spec(inner)
         cfg = spec.config_type.resolve(inner_config)
         return method, (k, float(min_density), *_result_key(spec.name, cfg))
@@ -400,7 +407,9 @@ class DDSSession:
         successive pairs are edge-disjoint and densities are non-increasing.
         Each later round answers and counts exactly like a cold session on
         the peeled graph.  Stops early when the best remaining density drops to
-        ``min_density`` or the working copy runs out of edges.
+        ``min_density`` or the working copy runs out of edges; a
+        ``min_density`` that is negative, NaN or infinite raises
+        :class:`~repro.exceptions.AlgorithmError` before anything is counted.
 
         The whole list is cached too, keyed by ``(k, min_density, method,
         config)`` after ``"auto"`` and the defaults are resolved (and without
@@ -410,8 +419,7 @@ class DDSSession:
         """
         self._check_unmutated()
         require_positive_int(k, "k")
-        if min_density < 0:
-            raise AlgorithmError(f"min_density must be >= 0, got {min_density}")
+        _check_min_density(min_density)
         if self.graph.num_edges == 0:
             raise EmptyGraphError("top_k requires a graph with at least one edge")
         spec, cfg, was_auto = self._prepare(method, config, kwargs)
@@ -498,7 +506,8 @@ class DDSSession:
         computed it) and runs no search.  An outcome cut short by a deadline
         raises and caches nothing.  The ratio, bounds, tolerance and budget
         are checked before anything is counted or computed; a ratio
-        that is not finite and positive raises
+        that is not finite and positive, or a ``lower`` that is infinite or
+        above ``upper`` (the density upper bound when omitted), raises
         :class:`~repro.exceptions.AlgorithmError`.
         """
         self._check_unmutated()

@@ -172,7 +172,8 @@ class TestTopK:
         g = complete_bipartite_digraph(2, 2)
         with pytest.raises(AlgorithmError):
             DDSSession(g).top_k(0)
-        with pytest.raises(AlgorithmError):
-            DDSSession(g).top_k(2, min_density=-1.0)
+        for min_density in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(AlgorithmError, match="min_density"):
+                DDSSession(g).top_k(2, min_density=min_density)
         with pytest.raises(EmptyGraphError):
             DDSSession(DiGraph.from_edges([], nodes=[1])).top_k(2)

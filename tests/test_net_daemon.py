@@ -23,10 +23,14 @@ Pins the acceptance criteria of the ``repro.net`` subsystem:
 
 from __future__ import annotations
 
+import gc
 import os
 import random
+import select
 import sys
 import threading
+import time
+import warnings
 
 import pytest
 import store_rows
@@ -83,6 +87,16 @@ def local_answers():
 
 def _hosts(*daemons: ShardDaemon) -> list[str]:
     return [daemon.address for daemon in daemons]
+
+
+def _wait_for_no_connections(*daemons: ShardDaemon) -> int:
+    """The daemons' open connections, once their loops reap the clients' closes (5 s at most)."""
+    give_up_at = time.monotonic() + 5.0
+    while True:
+        open_now = sum(daemon.open_connections() for daemon in daemons)
+        if not open_now or time.monotonic() >= give_up_at:
+            return open_now
+        time.sleep(0.01)
 
 
 def _drop_requests(daemon: ShardDaemon, op: str, times: int, *, stop: bool = False) -> None:
@@ -185,6 +199,107 @@ class TestClientPlumbing:
         assert pool.aggregate_stats()["requests"] == 0
         with pytest.raises(ConfigError):
             ShardClientPool([])
+
+
+# ----------------------------------------------------------------------
+# connections kept across requests and batches
+# ----------------------------------------------------------------------
+class TestConnectionReuse:
+    def test_requests_share_one_connection_until_close(self):
+        with ShardDaemon() as daemon:
+            client = ShardClient(daemon.host, daemon.port)
+            for index in range(20):
+                assert client.ping(echo=index)["echo"] == index
+            stats = daemon.daemon_stats()
+            assert stats["requests"] == {"ping": 20}
+            assert (stats["connections_accepted"], stats["open_connections"]) == (1, 1)
+            client.close()
+            assert _wait_for_no_connections(daemon) == 0
+            # A closed client stays usable, on a new connection.
+            assert client.ping()["pong"] is True
+            assert daemon.daemon_stats()["connections_accepted"] == 2
+            client.close()
+
+    def test_a_connection_the_daemon_closed_costs_no_retry(self, monkeypatch):
+        delays: list[int] = []
+        backoff_delay = ShardClient.backoff_delay
+        monkeypatch.setattr(
+            ShardClient,
+            "backoff_delay",
+            lambda self, attempt: delays.append(attempt) or backoff_delay(self, attempt),
+        )
+        daemon = ShardDaemon()
+        host, port = daemon.start()
+        client = ShardClient(host, port, max_retries=2)
+        client.ping()
+        [idle] = client._idle
+        # The daemon restarts on its port; stopping closed the idle connection.
+        daemon.shutdown()
+        revived = ShardDaemon(host=host, port=port)
+        revived.start()
+        try:
+            assert select.select([idle], [], [], 10)[0] == [idle]
+            breaker = client.breaker.stats()
+            assert client.ping(echo="fresh")["echo"] == "fresh"
+            stats = client.stats()
+            assert (stats["requests"], stats["retries"], stats["failures"]) == (2, 0, 0)
+            assert delays == []
+            assert client.breaker.state == "closed"
+            assert client.breaker.stats() == breaker
+            assert idle.fileno() == -1  # dropped, and closed on the way
+            assert revived.daemon_stats()["connections_accepted"] == 1
+        finally:
+            client.close()
+            revived.shutdown()
+
+    def test_batches_through_one_executor_keep_one_connection_per_host(self, local_answers):
+        # The plan's two graphs land on different shards of two hosts.
+        with ShardDaemon() as d1, ShardDaemon() as d2:
+            with BatchExecutor(load_dataset, remote_hosts=_hosts(d1, d2)) as executor:
+                for _ in range(2):
+                    assert _answers(executor.execute(_plan())) == local_answers
+                assert [d.daemon_stats()["connections_accepted"] for d in (d1, d2)] == [1, 1]
+            assert _wait_for_no_connections(d1, d2) == 0
+
+    def test_each_batch_reports_its_own_client_counters(self):
+        with ShardDaemon() as d1, ShardDaemon() as d2:
+            with BatchExecutor(load_dataset, remote_hosts=_hosts(d1, d2)) as executor:
+                executor.execute(_plan())  # ships both graphs
+                first, second = (executor.execute(_plan()).executor_stats["client"] for _ in range(2))
+        assert (first["requests"], first["retries"], first["failures"]) == (2, 0, 0)
+        # Answers carry their timings, so only the received bytes differ.
+        received = first.pop("bytes_received"), second.pop("bytes_received")
+        assert second == first
+        assert 0.5 * received[0] < received[1] < 1.5 * received[0]
+
+    def test_an_executor_dropped_without_close_leaks_no_socket(self, local_answers):
+        with ShardDaemon() as daemon:
+            executor = BatchExecutor(load_dataset, remote_hosts=_hosts(daemon))
+            assert _answers(executor.execute(_plan())) == local_answers
+            assert daemon.open_connections() >= 1
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                del executor
+                gc.collect()
+            assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+            assert _wait_for_no_connections(daemon) == 0
+
+    def test_an_open_breaker_sends_the_next_batch_inline_at_once(self, local_answers):
+        # A freshly-bound-then-closed port: nothing listens there.
+        dead = ShardDaemon()
+        dead.start()
+        dead.shutdown()
+        with BatchExecutor(load_dataset, remote_hosts=[dead.address], max_retries=0) as executor:
+            first = executor.execute(_plan())
+            second = executor.execute(_plan())
+        assert first.executor_stats["remote_failures"] >= 1
+        stats = second.executor_stats
+        assert _answers(second) == local_answers
+        assert (stats["breaker_skipped_lanes"], stats["remote_failures"]) == (2, 0)
+        assert stats["lanes_inline"] == 2
+        assert stats["breaker_states"] == {dead.address: "open"}
+        assert (stats["client"]["requests"], stats["client"]["retries"]) == (0, 0)
+        assert stats["client"]["breaker_fast_failures"] == 2
 
 
 # ----------------------------------------------------------------------

@@ -241,6 +241,33 @@ class TestGoldenFrames:
             protocol.decode_frame_bytes(stamped)
 
 
+class TestOneSerialisation:
+    """A frame's payload is serialised once to encode and not at all to decode."""
+
+    def test_encode_serialises_the_payload_once_and_decode_never(self, monkeypatch):
+        payload = {"entries": [[0, {"query": "summary"}]], "graph": None}
+        dumped: list = []
+        dumps = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda value, **kw: dumped.append(value) or dumps(value, **kw))
+        frame = protocol.encode_request("rid", "solve", payload)
+        carrying = [value for value in dumped if value is payload or value.get("payload") is payload]
+        assert carrying == [payload]
+        del dumped[:]
+        assert protocol.decode_frame_bytes(frame)["payload"] == payload
+        # Only the envelope around the payload is serialised, to find it.
+        assert dumped and all("payload" not in value and "entries" not in value for value in dumped)
+
+    def test_a_damaged_byte_in_a_canonical_payload_fails_the_checksum(self):
+        damaged = GOLDEN_SOLVE_REQUEST.replace(b'"graph_key":"g"', b'"graph_key":"h"')
+        assert len(damaged) == len(GOLDEN_SOLVE_REQUEST)
+        with pytest.raises(ProtocolError, match="checksum"):
+            protocol.decode_frame_bytes(damaged)
+
+    def test_a_body_laid_out_otherwise_is_checked_by_its_parsed_payload(self):
+        message = protocol.decode_frame_bytes(GOLDEN_SOLVE_REQUEST)
+        assert protocol.decode_frame_bytes(_frame_raw(message)) == message
+
+
 def _document(labels, starts, targets, *, allow_self_loops=False, fingerprint=None) -> dict:
     """A CSR wire document, fingerprinted as the graph it describes unless told otherwise."""
     if fingerprint is None:

@@ -35,7 +35,7 @@ from repro.core.density import directed_density_from_indices, surrogate_density
 from repro.core.fixed_ratio import maximize_fixed_ratio
 from repro.core.flow_network import CUT_RELATIVE_TOLERANCE
 from repro.core.subproblem import STSubproblem
-from repro.exceptions import DeadlineExceeded
+from repro.exceptions import AlgorithmError, DeadlineExceeded
 from repro.graph.generators import (
     complete_bipartite_digraph,
     gnm_random_digraph,
@@ -134,6 +134,12 @@ def _check_probe(graph, ratio: float, lower: float, above: bool, value: float | 
     pair beating a guess by less than that is not seen.
     """
     session = DDSSession(graph)
+    if lower > session.density_upper_bound():
+        # Not a bracket: refused before a search starts.
+        with pytest.raises(AlgorithmError, match="at most the upper bound"):
+            session.fixed_ratio(ratio, lower=lower)
+        assert session.cache_stats()["flow_calls"] == 0
+        return
     probe = session.fixed_ratio(ratio, lower=lower)
     reference = _reference(graph, ratio, lower, session)
     slack = CUT_RELATIVE_TOLERANCE * max(2.0 * graph.num_edges, 1.0)
@@ -143,7 +149,8 @@ def _check_probe(graph, ratio: float, lower: float, above: bool, value: float | 
         assert abs(probe.lower - reference.lower) <= slack
         assert abs(probe.upper - reference.upper) <= slack
     if above:
-        # A lower bound above val(a) closes at itself, never at [0, 0].
+        # A lower bound above val(a), within the upper one, closes at
+        # itself, never at [0, 0].
         assert probe.lower == probe.upper == lower
     elif value is not None:
         certified = session.exactness_tolerance() + slack

@@ -31,6 +31,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import socket
 import time
 from itertools import permutations
 
@@ -43,7 +44,7 @@ from repro.datasets.registry import load_dataset
 from repro.exceptions import AlgorithmError, BatchQueryError
 from repro.graph.digraph import DiGraph
 from repro.net import daemon as daemon_module
-from repro.net.client import ShardClient
+from repro.net.client import ShardClient, parse_host_port
 from repro.net.daemon import ShardDaemon
 from repro.service import (
     BatchExecutor,
@@ -251,6 +252,21 @@ class TestCrossProcessBitIdentity:
         report = _executor(process_pool=True).execute(plan)
         assert len(report.executor_stats["hosts"]) == report.executor_stats["lanes_remote"] == 1
         assert all(execution.worker == 0 for execution in report.executions)
+
+    def test_a_daemons_lanes_share_one_connection(self, monkeypatch):
+        connects: list = []
+        create_connection = socket.create_connection
+        monkeypatch.setattr(
+            socket,
+            "create_connection",
+            lambda address, *args, **kwargs: connects.append(address)
+            or create_connection(address, *args, **kwargs),
+        )
+        report = _executor(process_pool=True, max_workers=1).execute(_plan())
+        stats = report.executor_stats
+        assert (stats["lanes_remote"], stats["lanes_inline"], len(stats["hosts"])) == (2, 0, 1)
+        assert connects == [parse_host_port(stats["hosts"][0])]
+        assert multiprocessing.active_children() == []
 
     @needs_fork
     def test_unchanged_worker_save_takes_the_store_memory_path(self, tmp_path, monkeypatch):

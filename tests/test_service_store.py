@@ -906,6 +906,34 @@ class TestAnswerKinds:
         stats = warmed.cache_stats()
         assert (stats["result_cache_hits"], stats["flow_calls"]) == (3, 0)
 
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("fixed-ratio", "lower", 100.0),
+            ("fixed-ratio", "lower", float("inf")),
+            ("top-k", "min_density", float("nan")),
+            ("top-k", "min_density", float("inf")),
+        ],
+        ids=["lower-above-upper", "infinite-lower", "nan-min-density", "infinite-min-density"],
+    )
+    def test_stored_keys_a_live_query_refuses_are_incompatible(
+        self, graph, tmp_path, kind, field, value
+    ):
+        # A row is seeded under the checks a live query's key takes, so an
+        # intact row keyed by a bound no query accepts is incompatible, not
+        # corrupt, and the row it was copied from still loads.
+        session, _ = _answered(graph, (ANSWER_SPECS[0], ANSWER_SPECS[2]))
+        SessionStore(tmp_path).save_session(session)
+        [entry] = store_rows.entries(tmp_path, kind=kind)
+        payload = store_rows.payload(tmp_path, entry)
+        payload["query"][field] = value
+        key = store_module._entry_key(kind, payload["query"])
+        store_rows.edit_row(tmp_path, (entry[0], key), payload, kind=kind)
+        counters = SessionStore(tmp_path).warm_session(DDSSession(graph.copy()))
+        # The probe, the top-k list and its first (densest) round load.
+        assert (counters["results_loaded"], counters["results_incompatible"]) == (3, 1)
+        assert counters["results_corrupt"] == 0
+
     def test_unencodable_top_k_labels_are_skipped(self, tmp_path):
         graph = DiGraph.from_edges([((1, "a"), (2, "b")), ((1, "a"), (3, "c"))])
         session = DDSSession(graph)

@@ -117,6 +117,11 @@ class TestSessionBasics:
             ({"upper": float("nan")}, "bounds"),
             ({"tolerance": -1.0}, "tolerance"),
             ({"tolerance": 0.0}, "tolerance"),
+            # Not a bracket: a search would return the lower bound itself,
+            # closed, after no cut.
+            ({"lower": 100.0}, "at most the upper bound"),
+            ({"lower": float("inf")}, "lower bound must be finite"),
+            ({"lower": 2.0, "upper": 1.0}, "at most the upper bound"),
         ],
     )
     def test_fixed_ratio_rejects_bad_bounds_and_tolerance_before_counting(
