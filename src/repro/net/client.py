@@ -8,8 +8,9 @@ connect and one daemon accept instead of one each.  Lanes sharing a client
 on several threads each take their own connection; a connection serves one
 request at a time.
 
-*The stale-connection rule.*  A daemon that stops or restarts closes its
-idle connections, and the client may not notice until it next looks.  So
+*The stale-connection rule.*  A daemon that stops, restarts or starts
+draining closes its idle connections, and the client may not notice until
+it next looks.  So
 before reusing an idle connection the client polls it without blocking: a
 daemon sends nothing unasked, and a connection with anything to read (its
 end of file, typically) is closed and dropped, and the next idle one, or a

@@ -261,8 +261,9 @@ class ShardDaemon:
     def drain(self, grace_s: float = DEFAULT_DRAIN_GRACE) -> None:
         """Begin a graceful drain; returns immediately (``join`` observes the exit).
 
-        The drain contract: stop accepting new connections, let in-flight
-        requests finish (up to ``grace_s`` seconds), flush the resident
+        The drain contract: stop accepting new connections and close the
+        idle ones, let in-flight requests finish (up to ``grace_s``
+        seconds) and close their connections, flush the resident
         sessions to the store, release every socket, and let
         :meth:`serve_forever` return — the CLI then exits 0.  Idempotent;
         also the target of the ``serve`` sub-command's SIGINT/SIGTERM
@@ -388,10 +389,13 @@ class ShardDaemon:
             self._teardown()
 
     def _close_listener(self) -> None:
-        """Stop accepting new connections (drain): close the listening socket.
+        """Stop taking new requests (drain): close the listener and idle connections.
 
-        Runs on the selector thread only, so it cannot race :meth:`_accept`;
-        established connections stay registered and keep being served.
+        Runs on the selector thread only, so it cannot race :meth:`_accept`.
+        A connection with a request already waiting stays registered, and
+        :meth:`_drain_waker` closes it once that request is answered; every
+        other connection is closed now.  A client holding one sees its end
+        of file and reconnects, and the closed listener refuses it.
         """
         listen = self._listen
         if listen is None:
@@ -403,6 +407,12 @@ class ShardDaemon:
         except (KeyError, ValueError):  # pragma: no cover - already gone
             pass
         listen.close()
+        waiting = {key.fileobj for key, _ in self._selector.select(timeout=0)}
+        for key in list(self._selector.get_map().values()):
+            sock = key.fileobj
+            if sock is not self._waker_recv and sock not in waiting:
+                self._selector.unregister(sock)
+                self._close_conn(sock)
 
     def _accept(self) -> None:
         """Accept one pending connection and register it for reads."""
@@ -418,7 +428,11 @@ class ShardDaemon:
         self._selector.register(conn, selectors.EVENT_READ)
 
     def _drain_waker(self) -> None:
-        """Consume wakeup bytes and re-register sockets workers handed back."""
+        """Consume wakeup bytes and re-register sockets workers handed back.
+
+        Once the daemon drains or stops, a handed-back socket is closed
+        instead: its request was the last one it serves.
+        """
         assert self._waker_recv is not None and self._selector is not None
         try:
             while self._waker_recv.recv(4096):
@@ -427,7 +441,7 @@ class ShardDaemon:
             pass
         while self._reregister:
             sock = self._reregister.popleft()
-            if self._stop.is_set():
+            if self._stop.is_set() or self._draining.is_set():
                 self._close_conn(sock)
                 continue
             try:

@@ -26,7 +26,8 @@ the decoder parses the body once and hashes the payload's own slice of it.
 
 Decoding is **strict**: a truncated frame, an oversized length prefix, a
 body that is not a JSON object, a missing envelope field, a version
-mismatch, or a checksum failure each raise
+mismatch, or a checksum failure (which is also what a body not laid out
+as canonical JSON meets) each raise
 :class:`~repro.exceptions.ProtocolError` naming the defect.  A damaged
 frame is never partially interpreted — the retry ladder in
 :mod:`repro.net.client` treats it exactly like a dropped connection.
@@ -63,7 +64,6 @@ daemon.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import socket
 import struct
@@ -73,7 +73,7 @@ from typing import Any
 from repro.core.results import json_native_label
 from repro.exceptions import GraphError, ProtocolError
 from repro.graph.digraph import DiGraph
-from repro.utils.canonical import canonical_json
+from repro.utils.canonical import canonical_json, digest
 
 #: Version of the frame envelope and the documents it carries.  Bump on any
 #: incompatible change; a frame speaking a different version is refused
@@ -120,7 +120,7 @@ def payload_checksum(payload: Any) -> str:
     that a payload that is not JSON-serialisable raises
     :class:`~repro.exceptions.ProtocolError`.
     """
-    return hashlib.sha256(_payload_text(payload)).hexdigest()
+    return digest(_payload_text(payload))
 
 
 def new_request_id() -> str:
@@ -148,7 +148,7 @@ def _encode_message(head: dict[str, Any], payload: dict[str, Any]) -> bytes:
     the canonical JSON of the whole message.
     """
     text = _payload_text(payload)
-    before, after = _around_payload({**head, "checksum": hashlib.sha256(text).hexdigest()})
+    before, after = _around_payload({**head, "checksum": digest(text)})
     length = len(before) + len(text) + len(after)
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(
@@ -192,25 +192,22 @@ def encode_response(
 
 
 def _payload_matches_checksum(body: bytes, message: dict[str, Any]) -> bool:
-    """Whether ``message``'s payload is the one its checksum was taken over.
+    """Whether the payload's own slice of ``body`` hashes to its checksum.
 
-    A canonical body — every frame :func:`_encode_message` builds — holds
-    the payload's canonical text verbatim, so its own slice of the body is
-    hashed in place.  Only a body laid out any other way, or one whose
-    slice fails, has its parsed payload re-serialised, so a frame is never
-    refused that the checksum of its payload's canonical text accepts.
+    A body is the canonical JSON of its whole message, as
+    :func:`_encode_message` builds every frame, so it holds the payload's
+    canonical text verbatim between the envelope fields around it; that
+    slice is hashed in place, and the payload is never serialised again.
+    A body laid out any other way has no such slice, and fails.
     """
-    checksum = message.get("checksum")
     before, after = _around_payload({k: v for k, v in message.items() if k != "payload"})
-    if (
+    return (
         len(before) + len(after) < len(body)
         and body.startswith(before)
         and body.endswith(after)
-        and hashlib.sha256(memoryview(body)[len(before) : len(body) - len(after)]).hexdigest()
-        == checksum
-    ):
-        return True
-    return checksum == payload_checksum(message["payload"])
+        and digest(memoryview(body)[len(before) : len(body) - len(after)])
+        == message.get("checksum")
+    )
 
 
 def decode_message(body: bytes) -> dict[str, Any]:

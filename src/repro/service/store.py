@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
 import json
 import os
 import sqlite3
@@ -90,6 +89,7 @@ from repro.graph.digraph import DiGraph
 from repro.session import DDSSession
 from repro.session.session import FIXED_RATIO_ENTRY, TOP_K_ENTRY
 from repro.utils.canonical import canonical_json as _canonical_json
+from repro.utils.canonical import digest as _digest
 
 #: Version of the database schema, kept in ``PRAGMA user_version``.  Bump on
 #: any incompatible change; a store of another version is refused outright.
@@ -322,11 +322,6 @@ def _core_from_jsonable(data: dict[str, Any]) -> XYCore:
         )
     except (KeyError, TypeError, ValueError) as error:
         raise StoreError(f"malformed stored [x, y]-core: {error!r}")
-
-
-def _digest(text: str) -> str:
-    """SHA-256 hex digest of ``text``'s UTF-8 bytes: a payload's checksum."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _graph_row(db: sqlite3.Connection | None, fingerprint: str) -> tuple[int, int] | None:

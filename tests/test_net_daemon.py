@@ -252,6 +252,46 @@ class TestConnectionReuse:
             client.close()
             revived.shutdown()
 
+    def test_a_draining_daemon_serves_no_new_request_on_a_kept_connection(self):
+        daemon = ShardDaemon()
+        host, port = daemon.start()
+        # Hold one inventory request in flight, so the drain stays underway.
+        serve = daemon._serve_request
+        release = threading.Event()
+
+        def hold_inventory(sock, op, request_id, message):
+            if op == "inventory":
+                release.wait(30)
+            return serve(sock, op, request_id, message)
+
+        daemon._serve_request = hold_inventory
+        client = ShardClient(host, port, max_retries=1, backoff_base=0.001)
+        holder = ShardClient(host, port, max_retries=0)
+        held = threading.Thread(target=holder.inventory)
+        try:
+            client.ping()
+            held.start()
+            give_up_at = time.monotonic() + 5.0
+            while not daemon.daemon_stats()["in_flight"] and time.monotonic() < give_up_at:
+                time.sleep(0.01)
+            daemon.drain(grace_s=30.0)
+            # The client's idle connection closes; the held request's stays open.
+            while daemon.open_connections() > 1 and time.monotonic() < give_up_at + 5.0:
+                time.sleep(0.01)
+            with pytest.raises(NetError):
+                client.ping()
+            stats = daemon.daemon_stats()
+            assert stats["draining"] is True
+            assert stats["requests"] == {"ping": 1, "inventory": 1}
+        finally:
+            release.set()
+            held.join(timeout=30)
+            client.close()
+            holder.close()
+        daemon.join(timeout=30)
+        assert not daemon._thread.is_alive()
+        assert daemon.daemon_stats()["unjoined_threads"] == 0
+
     def test_batches_through_one_executor_keep_one_connection_per_host(self, local_answers):
         # The plan's two graphs land on different shards of two hosts.
         with ShardDaemon() as d1, ShardDaemon() as d2:

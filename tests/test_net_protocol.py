@@ -13,6 +13,7 @@ from repro.exceptions import ProtocolError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import gnm_random_digraph
 from repro.net import ShardClient, protocol
+from repro.utils.canonical import canonical_json
 
 
 def _json_scalars() -> st.SearchStrategy:
@@ -263,9 +264,17 @@ class TestOneSerialisation:
         with pytest.raises(ProtocolError, match="checksum"):
             protocol.decode_frame_bytes(damaged)
 
-    def test_a_body_laid_out_otherwise_is_checked_by_its_parsed_payload(self):
+    def test_a_body_not_laid_out_canonically_fails_the_checksum(self):
         message = protocol.decode_frame_bytes(GOLDEN_SOLVE_REQUEST)
-        assert protocol.decode_frame_bytes(_frame_raw(message)) == message
+        with pytest.raises(ProtocolError, match="fails its integrity checksum"):
+            protocol.decode_frame_bytes(_frame_raw(message))
+
+    def test_a_canonical_body_without_a_checksum_fails_it(self):
+        message = protocol.decode_frame_bytes(GOLDEN_SOLVE_REQUEST)
+        del message["checksum"]
+        body = canonical_json(message).encode("utf-8")
+        with pytest.raises(ProtocolError, match="fails its integrity checksum"):
+            protocol.decode_frame_bytes(struct.pack("!I", len(body)) + body)
 
 
 def _document(labels, starts, targets, *, allow_self_loops=False, fingerprint=None) -> dict:
