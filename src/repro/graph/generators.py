@@ -13,12 +13,36 @@ DDS algorithms:
   block with known location, used for correctness and case-study experiments,
 * small deterministic families (stars, paths, cycles, complete bipartite)
   used throughout the unit tests.
+
+Bulk draws
+----------
+``G(n, p)``, the planted generator and Chung–Lu decide every candidate pair
+by one ``rng.random()`` draw, so they take those draws in bulk, a block of
+rows at a time (:func:`_sweep`), instead of one call per pair.  The
+caller's :class:`random.Random` state moves once into a numpy legacy
+``RandomState`` and back once the sweep ends.  Both run the same MT19937
+generator (Matsumoto & Nishimura, 1998), and both build a double from two
+consecutive 32-bit outputs as ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, so
+the bulk draws are the very values the per-pair calls would return.  A
+sweep draws exactly where a per-pair loop would (never for ``u == v``; in
+Chung–Lu never for a zero-weight row or a pair of probability at least 1),
+compares the same numbers and adds the accepted edges in the loop's
+row-major order.  Every graph, its edge insertion order (which the
+adjacency sets' iteration order follows) and the generator's final state
+are therefore bit for bit those of the per-pair loops, which
+``tests/generator_loops.py`` keeps as the reference.  Any other generator
+(a :class:`random.Random` subclass, :class:`random.SystemRandom`) is asked
+for one ``random()`` value at a time, in the same order.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+import random
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from repro.graph.digraph import DiGraph
 from repro.utils.rng import RngLike, make_rng
@@ -28,6 +52,76 @@ from repro.utils.validation import (
     require_positive,
     require_probability,
 )
+
+
+#: Cells of the pair grid one step of :func:`_sweep` decides at once.  It
+#: bounds the sweep's transient arrays (one double and a few flags a cell,
+#: so under a megabyte) whatever the graph's size.
+_SWEEP_CELLS = 1 << 16
+
+#: ``draw(count)``: the next ``count`` values of ``rng.random()`` as one array.
+Draw = Callable[[int], np.ndarray]
+
+
+@contextmanager
+def _bulk_draws(rng: random.Random) -> Iterator[Draw]:
+    """Yield a :data:`Draw` over ``rng``.
+
+    A plain :class:`random.Random` lends its MT19937 state to a numpy
+    ``RandomState``, whose ``random_sample`` builds every double exactly as
+    ``random()`` does (see the module docstring), and gets the advanced
+    state back on exit.  Any other generator is called once per value.
+    """
+    if type(rng) is not random.Random:
+        one = rng.random
+        yield lambda count: np.fromiter((one() for _ in range(count)), np.float64, count)
+        return
+    version, internal, gauss_next = rng.getstate()
+    twister = np.random.RandomState()
+    twister.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
+    try:
+        yield twister.random_sample
+    finally:
+        _, key, position, _, _ = twister.get_state()
+        rng.setstate((version, (*key.tolist(), position), gauss_next))
+
+
+def _sweep(
+    graph: DiGraph,
+    draw: Draw,
+    rows: int,
+    cols: int,
+    block: Callable[[int, int], tuple],
+    row_label: int = 0,
+    col_label: int = 0,
+) -> None:
+    """Decide the cells of a ``rows x cols`` pair grid in row-major order.
+
+    ``block(lo, hi)`` returns, for rows ``lo .. hi - 1``, the boolean mask
+    ``drawn`` of the cells that take one draw each, their edge
+    probabilities (a scalar, or an array over the drawn cells in row-major
+    order) and the mask ``sure`` of the cells that are edges without a draw
+    (``None`` when there are none).  A drawn cell is an edge when its draw is
+    below its probability.  Cell ``(u, v)`` is the edge ``row_label + u ->
+    col_label + v``; edges are added in row-major order, as a per-pair loop
+    adds them.
+    """
+    step = max(1, _SWEEP_CELLS // max(1, cols))
+    for lo in range(0, rows, step):
+        hi = min(rows, lo + step)
+        drawn, probability, sure = block(lo, hi)
+        hit = np.zeros_like(drawn) if sure is None else sure
+        hit[drawn] = draw(int(np.count_nonzero(drawn))) < probability
+        us, vs = np.nonzero(hit)
+        for u, v in zip((us + (row_label + lo)).tolist(), (vs + col_label).tolist()):
+            graph.add_edge(u, v)
+
+
+def _off_diagonal(lo: int, hi: int, n: int) -> np.ndarray:
+    """Mask of the cells ``(u, v)``, ``u`` in ``lo .. hi - 1``, with ``u != v``."""
+    mask = np.ones((hi - lo, n), dtype=bool)
+    mask[np.arange(hi - lo), np.arange(lo, hi)] = False
+    return mask
 
 
 # ----------------------------------------------------------------------
@@ -43,10 +137,8 @@ def gnp_random_digraph(n: int, p: float, seed: RngLike = None) -> DiGraph:
         graph.add_node(node)
     if p <= 0.0:
         return graph
-    for u in range(n):
-        for v in range(n):
-            if u != v and rng.random() < p:
-                graph.add_edge(u, v)
+    with _bulk_draws(rng) as draw:
+        _sweep(graph, draw, n, n, lambda lo, hi: (_off_diagonal(lo, hi, n), p, None))
     return graph
 
 
@@ -91,9 +183,13 @@ def chung_lu_digraph(
     Edge ``(u, v)`` appears with probability
     ``min(1, out_weights[u] * in_weights[v] / W)`` where ``W = sum(out_weights)``.
     The expected out-degree of ``u`` is then approximately ``out_weights[u]``
-    (scaled by ``sum(in_weights)/W``).
+    (scaled by ``sum(in_weights)/W``).  Every weight must be finite and
+    non-negative.
     """
     require(len(out_weights) == len(in_weights), "out_weights and in_weights must match in length")
+    for name, weights in (("out_weights", out_weights), ("in_weights", in_weights)):
+        for weight in weights:
+            require(0 <= weight < math.inf, f"{name} must be finite and >= 0, got {weight!r}")
     n = len(out_weights)
     rng = make_rng(seed)
     total = sum(out_weights)
@@ -102,19 +198,38 @@ def chung_lu_digraph(
         graph.add_node(node)
     if total <= 0:
         return graph
-    # Geometric skipping over the v index keeps this O(m) in expectation for
-    # sparse weight products; with the modest n used in this repo a direct
-    # double loop with an early probability cut-off is simpler and fast enough.
-    for u in range(n):
-        wu = out_weights[u]
-        if wu <= 0:
-            continue
-        for v in range(n):
-            if u == v:
-                continue
-            probability = wu * in_weights[v] / total
-            if probability >= 1.0 or rng.random() < probability:
-                graph.add_edge(u, v)
+    # Rows of zero weight take no draws; neither do pairs whose probability
+    # reaches 1, which are edges outright.  A pair's probability is the
+    # per-pair loop's ``out_weights[u] * in_weights[v] / total``: float64
+    # arrays compute it bit for bit from float weights, and any other weights
+    # (ints, whose products Python keeps exact, or fractions) are multiplied
+    # as the Python objects they are.
+    idle = np.array([weight <= 0 for weight in out_weights], dtype=bool)
+    if all(isinstance(weight, float) for weights in (out_weights, in_weights) for weight in weights):
+        out_column = np.array(out_weights, dtype=np.float64)[:, None]
+        in_row = np.array(in_weights, dtype=np.float64)
+
+        def probabilities(lo: int, hi: int) -> np.ndarray:
+            return out_column[lo:hi] * in_row / total
+
+    else:
+
+        def probabilities(lo: int, hi: int) -> np.ndarray:
+            return np.array(
+                [[wu * wv / total for wv in in_weights] for wu in out_weights[lo:hi]], dtype=object
+            )
+
+    def block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        probability = probabilities(lo, hi)
+        live = _off_diagonal(lo, hi, n) & ~idle[lo:hi, None]
+        sure = live & (probability >= 1.0)
+        drawn = live & ~sure
+        return drawn, probability[drawn], sure
+
+    # A product or total past the float range reads inf (or inf / inf, NaN)
+    # without a warning, as the same Python float arithmetic does.
+    with _bulk_draws(rng) as draw, np.errstate(over="ignore", invalid="ignore"):
+        _sweep(graph, draw, n, n, block)
     return graph
 
 
@@ -225,20 +340,29 @@ def planted_dds_digraph(
     for node in range(total_nodes):
         graph.add_node(node)
 
-    # Sparse ER background.
-    if n_background > 1 and background_degree > 0:
-        p_background = min(1.0, background_degree / max(1, n_background - 1))
-        for u in range(n_background):
-            for v in range(n_background):
-                if u != v and rng.random() < p_background:
-                    graph.add_edge(u, v)
-
+    with _bulk_draws(rng) as draw:
+        # Sparse ER background.
+        if n_background > 1 and background_degree > 0:
+            p_background = min(1.0, background_degree / max(1, n_background - 1))
+            _sweep(
+                graph,
+                draw,
+                n_background,
+                n_background,
+                lambda lo, hi: (_off_diagonal(lo, hi, n_background), p_background, None),
+            )
+        # The planted S -> T block.
+        _sweep(
+            graph,
+            draw,
+            s_size,
+            t_size,
+            lambda lo, hi: (np.ones((hi - lo, t_size), dtype=bool), p_dense, None),
+            row_label=n_background,
+            col_label=n_background + s_size,
+        )
     planted_s = list(range(n_background, n_background + s_size))
     planted_t = list(range(n_background + s_size, total_nodes))
-    for u in planted_s:
-        for v in planted_t:
-            if rng.random() < p_dense:
-                graph.add_edge(u, v)
 
     # Loosely attach the planted block to the background.
     if n_background > 0:

@@ -8,6 +8,7 @@ max-flow computation.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from repro.exceptions import AlgorithmError
@@ -23,8 +24,8 @@ def require_positive(value: float, name: str) -> float:
     """Validate that ``value`` is a finite number strictly greater than zero."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise AlgorithmError(f"{name} must be a number, got {type(value).__name__}")
-    if not value > 0:
-        raise AlgorithmError(f"{name} must be > 0, got {value!r}")
+    if not 0 < value < math.inf:
+        raise AlgorithmError(f"{name} must be finite and > 0, got {value!r}")
     return float(value)
 
 

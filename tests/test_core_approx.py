@@ -127,6 +127,15 @@ class TestPeeling:
         sub = STSubproblem.from_graph(g)
         with pytest.raises(AlgorithmError):
             peel_fixed_ratio(sub, 0.0)
+        # An infinite ratio used to run: on planted_dds_digraph(30, 2.0, 4,
+        # 4, 0.9, seed=3) it peeled to density 2.70, against 3.5 at ratio 1.
+        with pytest.raises(AlgorithmError, match="ratio must be finite"):
+            peel_fixed_ratio(sub, math.inf)
+
+    def test_geometric_ratio_grid_rejects_an_infinite_epsilon(self):
+        # It used to return a 3-point grid.
+        with pytest.raises(AlgorithmError, match="must be finite"):
+            geometric_ratio_grid(10, math.inf)
 
     def test_peel_approx_custom_ratio_list(self):
         # No list replaces the grid: every sweep walks the geometric one.

@@ -49,6 +49,9 @@ class TestValidation:
             require_positive(0, "x")
         with pytest.raises(AlgorithmError):
             require_positive("nope", "x")
+        for not_finite in (float("inf"), float("nan"), float("-inf")):
+            with pytest.raises(AlgorithmError, match="must be finite and > 0"):
+                require_positive(not_finite, "x")
 
     def test_require_positive_int(self):
         assert require_positive_int(3, "x") == 3
