@@ -210,8 +210,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
-    from repro.net import ShardDaemon
+    from repro.net.daemon import ShardDaemon, _positive_number
 
+    # Checked before serving: a grace the drain would refuse must not
+    # surface only when the first signal arrives.
+    grace = _positive_number(args.drain_grace, "--drain-grace")
     store = SessionStore(args.store) if args.store is not None else None
     daemon = ShardDaemon(
         store,
@@ -230,7 +233,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     def _drain_once(signum: int, frame: Any) -> None:
         signal.signal(signal.SIGINT, signal.default_int_handler)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        daemon.drain(args.drain_grace)
+        daemon.drain(grace)
 
     signal.signal(signal.SIGINT, _drain_once)
     signal.signal(signal.SIGTERM, _drain_once)
@@ -444,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=10.0,
         metavar="SECONDS",
-        help="on SIGINT/SIGTERM (or a 'drain' request): stop accepting new "
-        "connections, wait up to SECONDS for in-flight requests, flush "
+        help="on SIGINT/SIGTERM: stop accepting new connections, wait up to "
+        "SECONDS (a positive finite number) for in-flight requests, flush "
         "resident sessions to the store, then exit 0 (default: 10)",
     )
     serve.set_defaults(handler=_cmd_serve)

@@ -332,7 +332,12 @@ def planted_dds_digraph(
     require_non_negative_int(s_size, "s_size")
     require_non_negative_int(t_size, "t_size")
     require_probability(p_dense, "p_dense")
-    require_positive(background_degree + 1.0, "background_degree")
+    require(
+        isinstance(background_degree, (int, float))
+        and not isinstance(background_degree, bool)
+        and 0 <= background_degree < math.inf,
+        f"background_degree must be finite and >= 0, got {background_degree!r}",
+    )
     rng = make_rng(seed)
 
     graph = DiGraph()

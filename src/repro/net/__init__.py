@@ -34,7 +34,6 @@ from repro.net.protocol import (
     graph_from_wire,
     graph_to_wire,
     new_request_id,
-    payload_checksum,
     read_frame,
     write_frame,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "graph_to_wire",
     "new_request_id",
     "parse_host_port",
-    "payload_checksum",
     "read_frame",
     "write_frame",
 ]

@@ -56,23 +56,18 @@ from typing import Any
 from repro.exceptions import ConfigError, NetError, ProtocolError
 from repro.net import protocol
 
-#: Default cap on a single backoff sleep, in seconds.
-DEFAULT_BACKOFF_MAX = 2.0
+#: Base of the exponential backoff schedule, in seconds.
+BACKOFF_BASE_S = 0.05
 
-#: Default base of the exponential backoff schedule, in seconds.
-DEFAULT_BACKOFF_BASE = 0.05
-
-#: Consecutive exhausted retry ladders that open a host's circuit breaker.
-#: One is the right default: an exhausted ladder already represents
-#: ``max_retries + 1`` failed attempts in a row.
-DEFAULT_BREAKER_THRESHOLD = 1
+#: Cap on a single backoff sleep, in seconds.
+BACKOFF_MAX_S = 2.0
 
 #: Seconds an open breaker waits before letting one half-open probe through.
-DEFAULT_BREAKER_COOLDOWN = 5.0
+BREAKER_COOLDOWN_S = 5.0
 
 
-def parse_host_port(text: str, *, default_port: int | None = None) -> tuple[str, int]:
-    """Parse ``"host:port"`` (or bare ``"host"`` with a default) to a pair.
+def parse_host_port(text: str) -> tuple[str, int]:
+    """Parse ``"host:port"`` to a pair.
 
     Raises :class:`~repro.exceptions.ConfigError` on anything else;
     bracketed IPv6 literals are not supported by this tier.
@@ -80,10 +75,6 @@ def parse_host_port(text: str, *, default_port: int | None = None) -> tuple[str,
     if not isinstance(text, str) or not text.strip():
         raise ConfigError(f"expected 'host:port', got {text!r}")
     text = text.strip()
-    if ":" not in text:
-        if default_port is None:
-            raise ConfigError(f"expected 'host:port', got {text!r}")
-        return text, default_port
     host, _, port_text = text.rpartition(":")
     if not host:
         raise ConfigError(f"expected 'host:port', got {text!r}")
@@ -158,18 +149,18 @@ class CircuitOpenError(NetError):
 
 
 class CircuitBreaker:
-    """Per-host health gate: closed → open on failures, half-open probe after cooldown.
+    """Per-host health gate: closed → open on a failure, half-open probe after cooldown.
 
     The breaker watches whole retry *ladders*, not individual connection
     attempts: :meth:`record_failure` means the client exhausted
-    ``max_retries + 1`` attempts against the host.  After
-    ``failure_threshold`` consecutive exhausted ladders the breaker opens
-    and :meth:`admit` fails fast (no socket is touched) until ``cooldown_s``
-    has elapsed on the monotonic clock; then exactly one request is admitted
-    as the *half-open probe* — its success recloses the breaker, its failure
-    re-opens it for another cooldown.  Concurrent requests during the probe
-    keep failing fast, so a dead host absorbs at most one ladder per
-    cooldown period.
+    ``max_retries + 1`` attempts against the host, which is already a run
+    of failures, so one exhausted ladder opens the breaker.  While it is
+    open :meth:`admit` fails fast (no socket is touched) until
+    :data:`BREAKER_COOLDOWN_S` has elapsed on the monotonic clock; then
+    exactly one request is admitted as the *half-open probe* — its success
+    recloses the breaker, its failure re-opens it for another cooldown.
+    Concurrent requests during the probe keep failing fast, so a dead host
+    absorbs at most one ladder per cooldown period.
 
     ``clock`` is injectable (monotonic by contract — wall-clock jumps must
     not re-admit a dead host early or pin a healthy one open).
@@ -178,26 +169,11 @@ class CircuitBreaker:
     #: The three classic states; ``state`` is always one of these.
     STATES = ("closed", "open", "half-open")
 
-    def __init__(
-        self,
-        *,
-        failure_threshold: int = DEFAULT_BREAKER_THRESHOLD,
-        cooldown_s: float = DEFAULT_BREAKER_COOLDOWN,
-        clock=time.monotonic,
-    ) -> None:
-        if not isinstance(failure_threshold, int) or failure_threshold < 1:
-            raise ConfigError(
-                f"failure_threshold must be an int >= 1, got {failure_threshold!r}"
-            )
-        if not cooldown_s > 0:
-            raise ConfigError(f"cooldown_s must be > 0, got {cooldown_s!r}")
-        self._threshold = failure_threshold
-        self._cooldown = float(cooldown_s)
+    def __init__(self, *, clock=time.monotonic) -> None:
         self._clock = clock
         self._lock = threading.Lock()
         self.state = "closed"
-        self._consecutive_failures = 0
-        self._opened_at: float | None = None
+        self._opened_at = 0.0
         self._counters = {
             "breaker_opens": 0,
             "breaker_fast_failures": 0,
@@ -219,10 +195,7 @@ class CircuitBreaker:
         with self._lock:
             if self.state == "closed":
                 return
-            if self.state == "open" and (
-                self._opened_at is None
-                or self._clock() - self._opened_at >= self._cooldown
-            ):
+            if self.state == "open" and self._clock() - self._opened_at >= BREAKER_COOLDOWN_S:
                 self.state = "half-open"
                 self._counters["breaker_half_open_probes"] += 1
                 return
@@ -232,19 +205,14 @@ class CircuitBreaker:
     def record_success(self) -> None:
         """The admitted request reached the daemon: reclose if not closed."""
         with self._lock:
-            self._consecutive_failures = 0
             if self.state != "closed":
                 self.state = "closed"
-                self._opened_at = None
                 self._counters["breaker_reclosures"] += 1
 
     def record_failure(self) -> None:
         """An admitted request exhausted its ladder: open (or re-open)."""
         with self._lock:
-            self._consecutive_failures += 1
-            if self.state == "half-open" or (
-                self.state == "closed" and self._consecutive_failures >= self._threshold
-            ):
+            if self.state != "open":
                 self.state = "open"
                 self._opened_at = self._clock()
                 self._counters["breaker_opens"] += 1
@@ -265,18 +233,12 @@ class ShardClient:
         How many *fresh-connection* retries a transport failure earns
         before :class:`~repro.exceptions.NetError` (``max_retries + 1``
         attempts in total; the first may reuse an idle connection) — the
-        batch executor's ``max_retries``.
-    backoff_base / backoff_max:
-        The bounded exponential schedule: attempt ``n`` sleeps
-        ``min(backoff_max, backoff_base * 2**n)`` scaled by jitter in
-        ``[0.5, 1.0]``.
-    rng:
-        Jitter source (a ``random.Random``); injectable for deterministic
-        tests.
+        batch executor's ``max_retries``.  Retry ``n`` (0-based) first
+        sleeps ``min(BACKOFF_MAX_S, BACKOFF_BASE_S * 2**n)`` scaled by
+        jitter in ``[0.5, 1.0]``.
     breaker:
         The per-host :class:`CircuitBreaker` guarding this client; a default
-        one when omitted.  Pass an instance to set its threshold and
-        cooldown, or to inject a deterministic clock in tests.
+        one when omitted.  Tests pass one with a deterministic clock.
     """
 
     def __init__(
@@ -287,9 +249,6 @@ class ShardClient:
         connect_timeout: float = 5.0,
         read_timeout: float | None = 60.0,
         max_retries: int = 2,
-        backoff_base: float = DEFAULT_BACKOFF_BASE,
-        backoff_max: float = DEFAULT_BACKOFF_MAX,
-        rng: random.Random | None = None,
         breaker: CircuitBreaker | None = None,
     ) -> None:
         if port is None:
@@ -301,9 +260,7 @@ class ShardClient:
         self._connect_timeout = connect_timeout
         self._read_timeout = read_timeout
         self._max_retries = max_retries
-        self._backoff_base = backoff_base
-        self._backoff_max = backoff_max
-        self._rng = rng if rng is not None else random.Random()
+        self._jitter = random.Random()
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         # Lanes of the remote executor share one client per host, so the
         # counters take a lock.  Idle connections wait in a deque (its
@@ -342,8 +299,7 @@ class ShardClient:
 
     def backoff_delay(self, attempt: int) -> float:
         """The jittered sleep before retry ``attempt`` (0-based)."""
-        ceiling = min(self._backoff_max, self._backoff_base * (2**attempt))
-        return ceiling * (0.5 + 0.5 * self._rng.random())
+        return min(BACKOFF_MAX_S, BACKOFF_BASE_S * 2**attempt) * (0.5 + 0.5 * self._jitter.random())
 
     # ------------------------------------------------------------------
     # the retry ladder
@@ -497,33 +453,17 @@ class ShardClient:
             payload["deadline_ms"] = float(deadline_ms)
         return self.request("solve", payload)
 
-    def warm(
-        self,
-        graph: dict[str, Any],
-        *,
-        methods: list[str] | None = None,
-        max_core: bool = False,
-    ) -> dict[str, Any]:
-        """Push a graph and precompute warm state on the daemon."""
-        return self.request(
-            "warm",
-            {"graph": graph, "methods": list(methods or []), "max_core": max_core},
-        )
-
     def inventory(self) -> dict[str, Any]:
         """The daemon's counters and its store shard's inventory."""
         return self.request("inventory", {})
 
-    def shutdown_daemon(self) -> dict[str, Any]:
-        """Ask the daemon to stop serving after acknowledging."""
-        return self.request("shutdown", {})
-
     def drain(self, *, grace_s: float | None = None) -> dict[str, Any]:
-        """Ask the daemon to drain: finish in-flight work, flush, exit cleanly."""
-        payload: dict[str, Any] = {}
-        if grace_s is not None:
-            payload["grace_s"] = float(grace_s)
-        return self.request("drain", payload)
+        """Ask the daemon to drain: finish in-flight work, flush, exit cleanly.
+
+        ``grace_s`` goes out as given, so the daemon's check, not a
+        conversion here, decides what it accepts.
+        """
+        return self.request("drain", {} if grace_s is None else {"grace_s": grace_s})
 
 
 class ShardClientPool:

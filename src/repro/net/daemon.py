@@ -44,6 +44,7 @@ graph misses, bytes in/out, connection counts, and errors; the ``ping`` and
 from __future__ import annotations
 
 import collections
+import math
 import selectors
 import socket
 import threading
@@ -66,7 +67,6 @@ from repro.runtime import Deadline
 from repro.service.queries import run_batch_query, run_lane
 from repro.service.store import SessionStore
 from repro.session import DDSSession
-from repro.session.session import DEFAULT_RESULT_CACHE_SIZE
 
 #: Default capacity of the resident-session LRU.
 DEFAULT_MAX_SESSIONS = 8
@@ -82,6 +82,13 @@ DEFAULT_DRAIN_GRACE = 10.0
 #: Seconds granted to each daemon-owned thread at shutdown before it is
 #: declared unjoined (a hygiene failure surfaced in ``daemon_stats()``).
 THREAD_JOIN_TIMEOUT = 10.0
+
+
+def _positive_number(value: Any, name: str) -> float:
+    """``value`` as a float; :class:`ConfigError` unless it is a positive finite int or float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -118,8 +125,6 @@ class ShardDaemon:
         A solver name, ``"auto"`` or ``"dinic"``, kept for callers that
         still pass one; it selects nothing
         (:func:`~repro.core.config.strip_solver_name`).
-    result_cache_size:
-        Result-cache capacity of each resident session.
     read_timeout:
         Per-connection receive timeout (seconds) of the worker threads.
     """
@@ -133,7 +138,6 @@ class ShardDaemon:
         max_sessions: int = DEFAULT_MAX_SESSIONS,
         max_workers: int = 4,
         flow: str | None = None,
-        result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
         read_timeout: float = 60.0,
     ) -> None:
         if isinstance(store, (str,)) or hasattr(store, "__fspath__"):
@@ -148,7 +152,6 @@ class ShardDaemon:
         self._max_sessions = max_sessions
         self._max_workers = max_workers
         strip_solver_name(flow)
-        self._result_cache_size = result_cache_size
         self._read_timeout = read_timeout
 
         self._sessions: collections.OrderedDict[str, _SessionEntry] = collections.OrderedDict()
@@ -233,14 +236,8 @@ class ShardDaemon:
         self._thread.start()
         return self._host, self._bound_port
 
-    def serve_forever(self) -> None:
-        """Blocking serve: :meth:`start` (if needed) then wait for shutdown."""
-        if self._thread is None:
-            self.start()
-        self.join()
-
     def join(self, timeout: float | None = None) -> None:
-        """Wait until the selector loop exits (after :meth:`shutdown`)."""
+        """Wait until the selector loop exits (after :meth:`shutdown` or a drain)."""
         if self._thread is not None:
             self._thread.join(timeout)
 
@@ -265,18 +262,18 @@ class ShardDaemon:
         idle ones, let in-flight requests finish (up to ``grace_s``
         seconds) and close their connections, flush the resident
         sessions to the store, release every socket, and let
-        :meth:`serve_forever` return — the CLI then exits 0.  Idempotent;
-        also the target of the ``serve`` sub-command's SIGINT/SIGTERM
-        handlers and of the remote ``drain`` op.
+        :meth:`join` return — the CLI then exits 0.  Idempotent; also the
+        target of the ``serve`` sub-command's SIGINT/SIGTERM handlers and
+        of the remote ``drain`` op.  ``grace_s`` must be a positive finite
+        number: a drain never waits without a limit.
         """
-        if isinstance(grace_s, bool) or not isinstance(grace_s, (int, float)) or not grace_s > 0:
-            raise ConfigError(f"drain grace must be a positive number of seconds, got {grace_s!r}")
+        grace_s = _positive_number(grace_s, "drain grace_s")
         if self._draining.is_set():
             return
         self._draining.set()
         self._wake()
         threading.Thread(
-            target=self._await_drain, args=(float(grace_s),), name="dds-shard-drain", daemon=True
+            target=self._await_drain, args=(grace_s,), name="dds-shard-drain", daemon=True
         ).start()
 
     def _await_drain(self, grace_s: float) -> None:
@@ -569,10 +566,6 @@ class ShardDaemon:
         except OSError:
             self._close_conn(sock)
             return
-        if op == "shutdown":
-            self._close_conn(sock)
-            self._request_stop()
-            return
         self._reregister.append(sock)
         self._wake()
 
@@ -582,14 +575,10 @@ class ShardDaemon:
             return self._op_ping(payload)
         if op == "solve":
             return self._op_solve(payload)
-        if op == "warm":
-            return self._op_warm(payload)
         if op == "inventory":
             return self._op_inventory(payload)
         if op == "drain":
             return self._op_drain(payload)
-        if op == "shutdown":
-            return {"stopping": True}
         raise NetError(f"unhandled op {op!r}")  # pragma: no cover - decode rejects these
 
     # ------------------------------------------------------------------
@@ -640,7 +629,7 @@ class ShardDaemon:
                     "the request carried no graph document"
                 )
             self._keep_graph(fingerprint, graph)
-            session = DDSSession(graph, result_cache_size=self._result_cache_size)
+            session = DDSSession(graph)
             entry = _SessionEntry(session=session)
             if self._store is not None:
                 entry.pending_warm = dict(self._store.warm_session(session))
@@ -715,20 +704,13 @@ class ShardDaemon:
                 raise NetError(f"solve entry {index!r} spec must be an object")
             lane.append((int(index), spec))
         lane_deadline_ms = payload.get("deadline_ms")
-        if lane_deadline_ms is not None:
-            if (
-                isinstance(lane_deadline_ms, bool)
-                or not isinstance(lane_deadline_ms, (int, float))
-                or not lane_deadline_ms > 0
-            ):
-                raise NetError(
-                    f"solve 'deadline_ms' must be a positive number, got {lane_deadline_ms!r}"
-                )
         # The lane budget starts at acceptance: session residency lookup,
         # graph decode, and queueing behind another request for the same
         # graph all spend it, exactly like local executor lanes.
         lane_deadline = (
-            Deadline(float(lane_deadline_ms)) if lane_deadline_ms is not None else None
+            Deadline(_positive_number(lane_deadline_ms, "solve 'deadline_ms'"))
+            if lane_deadline_ms is not None
+            else None
         )
         entry, cache_hit = self._session_for(fingerprint, payload.get("graph"))
         with entry.lock:
@@ -752,40 +734,6 @@ class ShardDaemon:
         message["session_cache_hit"] = cache_hit
         return message
 
-    def _op_warm(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Precompute warm state for a pushed graph (the remote ``warm``).
-
-        Payload: ``{"graph": <wire document>, "methods": [...], "max_core":
-        bool}``.  Results land in the resident session and — when a store
-        is attached — on disk, exactly like ``dds-repro warm`` run on the
-        daemon's box.
-        """
-        wire_graph = payload.get("graph")
-        if not isinstance(wire_graph, dict):
-            raise NetError("warm payload requires a 'graph' document")
-        fingerprint = wire_graph.get("fingerprint")
-        if not isinstance(fingerprint, str):
-            raise ProtocolError("wire graph is missing its fingerprint")
-        methods = payload.get("methods") or ["auto"]
-        entry, cache_hit = self._session_for(fingerprint, wire_graph)
-        with entry.lock:
-            computed: dict[str, Any] = {}
-            for method in methods:
-                result = entry.session.densest_subgraph(str(method))
-                computed[str(method)] = {"method": result.method, "density": result.density}
-            if payload.get("max_core"):
-                core = entry.session.max_xy_core()
-                computed["max-core"] = {"x": core.x, "y": core.y}
-            saved = (
-                self._store.save_session(entry.session) if self._store is not None else {}
-            )
-        return {
-            "fingerprint": fingerprint,
-            "computed": computed,
-            "saved": saved,
-            "session_cache_hit": cache_hit,
-        }
-
     def _op_inventory(self, payload: dict[str, Any]) -> dict[str, Any]:
         """The daemon's counters plus its store shard's inventory rows."""
         return {
@@ -800,10 +748,8 @@ class ShardDaemon:
         Payload: ``{"grace_s": <seconds> | absent}``.  The reported
         ``in_flight`` excludes this drain request itself.
         """
-        grace = payload.get("grace_s", DEFAULT_DRAIN_GRACE)
-        if isinstance(grace, bool) or not isinstance(grace, (int, float)) or not grace > 0:
-            raise NetError(f"drain 'grace_s' must be a positive number, got {grace!r}")
+        grace = _positive_number(payload.get("grace_s", DEFAULT_DRAIN_GRACE), "drain 'grace_s'")
         with self._stats_lock:
             in_flight = self._in_flight
-        self.drain(float(grace))
-        return {"draining": True, "grace_s": float(grace), "in_flight": max(in_flight - 1, 0)}
+        self.drain(grace)
+        return {"draining": True, "grace_s": grace, "in_flight": max(in_flight - 1, 0)}

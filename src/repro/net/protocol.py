@@ -10,7 +10,7 @@ and every message body is a checksummed envelope::
 
     {"protocol_version": 3,
      "request_id":       "<caller-chosen echo token>",
-     "op":               "solve" | "warm" | "inventory" | "ping" | "shutdown",
+     "op":               "solve" | "inventory" | "ping" | "drain",
      "checksum":         sha256(canonical-json(payload)),
      "payload":          {...}}
 
@@ -84,9 +84,9 @@ from repro.utils.canonical import canonical_json, digest
 PROTOCOL_VERSION = 3
 
 #: Request operations a :class:`~repro.net.daemon.ShardDaemon` understands.
-#: ``drain`` (graceful stop-accepting/finish-in-flight/flush/exit) is additive
-#: — an op name, not a message-shape change — so it bumped no version.
-REQUEST_OPS = ("solve", "warm", "inventory", "ping", "shutdown", "drain")
+#: An op name is not a message shape, so the set changes without a version
+#: bump: a frame naming any other op is refused at decode as an unknown op.
+REQUEST_OPS = ("solve", "inventory", "ping", "drain")
 
 #: Response statuses: ``"ok"`` carries a result payload, ``"error"`` carries
 #: ``{"error": <exception type name>, "message": <text>}``.
@@ -111,16 +111,6 @@ def _payload_text(payload: Any) -> bytes:
         return canonical_json(payload).encode("utf-8")
     except (TypeError, ValueError) as error:
         raise ProtocolError(f"payload is not JSON-serialisable: {error}")
-
-
-def payload_checksum(payload: Any) -> str:
-    """SHA-256 hex digest of the canonical JSON text of ``payload``.
-
-    The store's checksum (:func:`repro.utils.canonical.checksum`), except
-    that a payload that is not JSON-serialisable raises
-    :class:`~repro.exceptions.ProtocolError`.
-    """
-    return digest(_payload_text(payload))
 
 
 def new_request_id() -> str:

@@ -14,13 +14,14 @@ Budget propagation
 (:class:`repro.session.DDSSession`), which travels down the whole solve
 stack on the query's :class:`~repro.flow.engine.FlowEngine`:
 
-* the Dinkelbach/DC drivers check it between binary-search guesses and
-  D&C intervals;
 * :meth:`FlowEngine.min_cut <repro.flow.engine.FlowEngine.min_cut>` checks
-  it before each solve and hands it to the solver;
+  it before each solve (admission) and hands it to the solver;
 * the solver checks it at its phase boundaries — dinic between BFS
   rounds — and aborts *without* committing its in-progress snapshot, so
   the network keeps the valid residual flow it had at solve entry.
+
+Nothing else checks it: the Dinkelbach and D&C drivers meet an expiry only
+through the next min-cut they ask for.
 
 Expiry raises :class:`~repro.exceptions.DeadlineExceeded`; the search
 drivers catch it on the way up and attach an :class:`AnytimeResult` — the

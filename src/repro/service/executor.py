@@ -15,12 +15,12 @@ Lanes run in one of two places:
   rather than parallel speed-up (four thread lanes ran a four-graph batch
   only 1.03× faster than one lane on a 2-CPU VM).
 * **Shard daemons**, the one scale-out path.  Lanes are routed to
-  :class:`~repro.net.daemon.ShardDaemon` processes by content fingerprint
-  (:class:`~repro.service.planner.ShardMap`): each graph's answers live on
-  exactly one daemon, which owns that graph's store shard.  A graph crosses
-  as a CSR index document (:func:`~repro.net.protocol.graph_to_wire`) and
-  answers come back as the schema-2 result dicts a thread lane produces; a
-  session's warm state never crosses at all.  The daemons are either
+  :class:`~repro.net.daemon.ShardDaemon` processes by content fingerprint:
+  each graph's answers live on exactly one daemon, which owns that graph's
+  store shard.  A graph crosses as a CSR index document
+  (:func:`~repro.net.protocol.graph_to_wire`) and answers come back as the
+  schema-2 result dicts a thread lane produces; a session's warm state
+  never crosses at all.  The daemons are either
 
   - **remote** (``remote_hosts=[...]``), the cross-machine path: ownership
     is pinned by :meth:`ShardMap.shard_of
@@ -37,13 +37,12 @@ Lanes run in one of two places:
     breaker cooldown, not one per batch.  :meth:`BatchExecutor.close` (or
     leaving a ``with BatchExecutor(...)`` block) closes the idle
     connections; or
-  - **local** (``process_pool=True``), the single-machine path: lanes are
-    routed to at most ``max_workers`` slots by
-    :meth:`ShardMap.assign(collapse=True)
-    <repro.service.planner.ShardMap.assign>`, one daemon per non-empty slot
+  - **local** (``process_pool=True``), the single-machine path: the
+    batch's distinct fingerprints are dealt round-robin, in sorted order, to
+    ``min(max_workers, distinct fingerprints)`` slots, one daemon per slot
     is started in a child process for this batch only (``fork`` where the
     platform has it, else ``spawn``), and each daemon's lanes run one after
-    another on one connection, so a batch never has two lanes on one
+    another on one connection, so a batch never has two graphs on one
     daemon while another idles.  The batch's clients close their
     connections, then every child is stopped and joined, before
     :meth:`BatchExecutor.execute` returns or raises.
@@ -99,7 +98,6 @@ from repro.service.planner import BatchPlan, PlannedQuery, ShardMap
 from repro.service.queries import run_lane
 from repro.service.store import SessionStore
 from repro.session import DDSSession
-from repro.session.session import DEFAULT_RESULT_CACHE_SIZE
 
 #: Source of graphs for lane sessions: a mapping or a ``key -> DiGraph`` callable.
 GraphProvider = Callable[[str], DiGraph]
@@ -236,7 +234,22 @@ def _start_method() -> str:
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
-def _serve_local_shard(conn: Any, store_root: str | None, result_cache_size: int) -> None:
+def _local_slots(fingerprints: Mapping[str, str], jobs: int) -> list[list[str]]:
+    """The process pool's per-batch slots: each slot's graph keys, in ``fingerprints`` order.
+
+    The distinct fingerprints are dealt round-robin, in sorted order, to
+    ``min(jobs, distinct fingerprints)`` slots, so keys sharing a
+    fingerprint share a slot and the deal does not depend on key order.
+    """
+    distinct = sorted(set(fingerprints.values()))
+    slot = {fingerprint: index % jobs for index, fingerprint in enumerate(distinct)}
+    groups: list[list[str]] = [[] for _ in range(min(jobs, len(slot)))]
+    for key, fingerprint in fingerprints.items():
+        groups[slot[fingerprint]].append(key)
+    return groups
+
+
+def _serve_local_shard(conn: Any, store_root: str | None) -> None:
     """Entry point of one local shard daemon's child process.
 
     Starts a :class:`~repro.net.daemon.ShardDaemon` on an ephemeral
@@ -252,7 +265,7 @@ def _serve_local_shard(conn: Any, store_root: str | None, result_cache_size: int
     gc.freeze()
     from repro.net.daemon import ShardDaemon
 
-    daemon = ShardDaemon(store_root, result_cache_size=result_cache_size)
+    daemon = ShardDaemon(store_root)
     try:
         conn.send(daemon.start()[1])
         conn.recv()
@@ -264,9 +277,7 @@ def _serve_local_shard(conn: Any, store_root: str | None, result_cache_size: int
 
 
 @contextmanager
-def _local_shard_pool(
-    count: int, store_root: str | None, result_cache_size: int, max_retries: int
-) -> Iterator[Any]:
+def _local_shard_pool(count: int, store_root: str | None, max_retries: int) -> Iterator[Any]:
     """Start ``count`` local shard daemons and yield a client pool over them.
 
     Every child starts before any port is read, so they come up in
@@ -286,7 +297,7 @@ def _local_shard_pool(
             conn, child_conn = ctx.Pipe()
             process = ctx.Process(
                 target=_serve_local_shard,
-                args=(child_conn, store_root, result_cache_size),
+                args=(child_conn, store_root),
                 name=f"dds-local-shard-{index}",
                 daemon=True,
             )
@@ -332,8 +343,6 @@ class BatchExecutor:
         A solver name, ``"auto"`` or ``"dinic"``, kept for callers that
         still pass one; it selects nothing
         (:func:`~repro.core.config.strip_solver_name`).
-    result_cache_size:
-        Result-cache capacity of each lane session, local daemons' included.
     max_workers:
         Pool width: threads, or local daemons; defaults to one per lane.
         On the thread path a single-lane batch executes inline on the
@@ -373,7 +382,6 @@ class BatchExecutor:
         graphs: GraphProvider | Mapping[str, DiGraph],
         *,
         flow: str | None = None,
-        result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
         max_workers: int | None = None,
         store: SessionStore | None = None,
         process_pool: bool = False,
@@ -411,7 +419,6 @@ class BatchExecutor:
             # connections and circuit breaker outlive each batch.
             self._remote_pool = ShardClientPool(hosts, max_retries=max_retries)
         strip_solver_name(flow)
-        self._result_cache_size = result_cache_size
         self._max_workers = max_workers
         self._store = store
         self._process_pool = bool(process_pool)
@@ -452,7 +459,7 @@ class BatchExecutor:
         self, graph_key: str, lane: list[PlannedQuery]
     ) -> tuple[str, list[QueryExecution], dict[str, Any], dict[str, int]]:
         """One worker's whole job: session up, warm, serve the lane, save."""
-        session = DDSSession(self._provider(graph_key), result_cache_size=self._result_cache_size)
+        session = DDSSession(self._provider(graph_key))
         warm = self._store.warm_session(session) if self._store is not None else {}
         message = run_lane(
             session,
@@ -493,14 +500,14 @@ class BatchExecutor:
         fingerprints of this batch — so a graph always lands on the same
         daemon across batches and its resident session keeps paying off.
         Local daemons live for this batch only, so their slots are
-        anonymous: ``ShardMap.assign(collapse=True)`` spreads colliding
-        fingerprints over idle slots, one daemon is started per non-empty
-        slot, each daemon's lanes run one after another on one thread, and
-        the clients wait as long as a lane takes.  Remote clients, their
-        connections and circuit breakers live as long as the executor;
-        local ones, and the one connection each daemon's lanes share, as
-        long as the batch.  ``stats["client"]`` counts this batch's
-        requests, retries, bytes and breaker transitions alone.
+        anonymous: the batch's distinct fingerprints are dealt round-robin
+        to them (:func:`_local_slots`), one daemon is started per slot, each
+        daemon's lanes run one after another on one thread, and the clients
+        wait as long as a lane takes.  Remote clients, their connections and
+        circuit breakers live as long as the executor; local ones, and the
+        one connection each daemon's lanes share, as long as the batch.
+        ``stats["client"]`` counts this batch's requests, retries, bytes and
+        breaker transitions alone.
 
         A lane whose daemon stays unreachable through the client's
         retry/backoff ladder — or a local daemon that never reported its
@@ -531,13 +538,11 @@ class BatchExecutor:
         fingerprints = {key: graph.content_fingerprint() for key, graph in graphs.items()}
         local = self._remote_pool is None
         if local:
-            shards = ShardMap(self._width(len(lanes))).assign(fingerprints, collapse=True)
-            groups = [keys for _, keys in sorted(shards.items())]
+            groups = _local_slots(fingerprints, self._width(len(lanes)))
             slots = {key: slot for slot, keys in enumerate(groups) for key in keys}
             pools = _local_shard_pool(
                 len(groups),
                 str(self._store.root) if self._store is not None else None,
-                self._result_cache_size,
                 self._max_retries,
             )
             shipped: dict[str, set[str]] = {}

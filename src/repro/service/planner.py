@@ -8,14 +8,14 @@ plan is a pure function of the batch.  Per-query answers do not depend on
 the execution order (pinned by the permutation property test).
 
 :meth:`BatchPlan.explain` renders the execution order and the lanes for
-``--explain``; :class:`ShardMap` routes lanes to shard daemons, local or
-remote, by graph content fingerprint.
+``--explain``; :class:`ShardMap` routes lanes to remote shard daemons by
+graph content fingerprint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 from repro.exceptions import BatchQueryError, ConfigError
 
@@ -61,7 +61,7 @@ class BatchPlan:
 
 @dataclass(frozen=True)
 class ShardMap:
-    """Content-fingerprint shard routing for the executor's shard daemons.
+    """Content-fingerprint shard routing for the executor's remote shard daemons.
 
     Routes every graph to one of ``num_shards`` daemons by hashing its
     :meth:`content_fingerprint
@@ -72,9 +72,10 @@ class ShardMap:
     always lands on the same shard index, so the daemon owning shard ``i``
     is the only writer of its graphs' :class:`~repro.service.store.
     SessionStore` rows *within* an executor run (concurrent executors
-    remain safe under the store's SQLite transactions).
-    Local daemons and remote hosts are routed alike: only the address
-    behind a shard index differs.
+    remain safe under the store's SQLite transactions).  The process
+    pool's local daemons live for one batch, so their slots are anonymous:
+    :class:`~repro.service.executor.BatchExecutor` deals them the batch's
+    fingerprints round-robin instead.
     """
 
     num_shards: int
@@ -90,48 +91,6 @@ class ShardMap:
         except (TypeError, ValueError):
             raise ConfigError(f"not a content fingerprint: {fingerprint!r}")
         return prefix % self.num_shards
-
-    def assign(
-        self, fingerprints: Mapping[str, str], *, collapse: bool = False
-    ) -> dict[int, list[str]]:
-        """Group ``graph_key -> fingerprint`` into ``shard -> [graph_keys]``.
-
-        Only non-empty shards appear; within a shard, keys keep the
-        mapping's iteration order (lane/plan order for the executor).
-
-        With ``collapse=True``, hash collisions that leave some shards
-        empty while others hold several *distinct* fingerprints are
-        re-spread: each overfull shard keeps its smallest fingerprint and
-        donates the rest — in fingerprint order — to the empty shards in
-        ascending index order, until either side runs out.  The result has
-        ``min(num_shards, distinct fingerprints)`` non-empty shards, so a
-        pool sized to ``num_shards`` anonymous daemons never idles a slot
-        while another serialises two graphs.  Collapsing is still a pure
-        function of the fingerprints (no batch-order dependence), but it
-        re-routes graphs relative to :meth:`shard_of` — use it only where
-        shard identity is anonymous (the process pool's local daemons,
-        started for one batch), never where a shard index is pinned to an
-        owner across batches (remote hosts, store-shard ownership).
-        """
-        shards: dict[int, list[str]] = {}
-        for graph_key, fingerprint in fingerprints.items():
-            shards.setdefault(self.shard_of(fingerprint), []).append(graph_key)
-        if not collapse:
-            return shards
-        empty = sorted(set(range(self.num_shards)) - set(shards))
-        if not empty:
-            return shards
-        donations: list[tuple[int, list[str]]] = []
-        for shard in sorted(shards):
-            by_fingerprint: dict[str, list[str]] = {}
-            for graph_key in shards[shard]:
-                by_fingerprint.setdefault(fingerprints[graph_key], []).append(graph_key)
-            for fingerprint in sorted(by_fingerprint)[1:]:
-                donations.append((shard, by_fingerprint[fingerprint]))
-        for target, (source, graph_keys) in zip(empty, donations):
-            shards[source] = [key for key in shards[source] if key not in graph_keys]
-            shards[target] = graph_keys
-        return shards
 
 
 def plan_batch(

@@ -27,7 +27,7 @@ and ``PRAGMA user_version`` holds its schema version::
            derived, derived_checksum, written)
     entries(graph, key, kind, payload, checksum, written)
 
-A ``graphs`` row holds one graph's manifest (its shape and delta lineage)
+A ``graphs`` row holds one graph's manifest (its fingerprint and shape)
 and derived state: the [x, y]-cores, written by the graph's first save
 even when there are none.  A derived row an older build wrote with degree
 arrays and density bounds beside the cores still warms its cores, and the
@@ -760,23 +760,13 @@ class SessionStore:
         }
         writes: dict[str, tuple[str, str, str]] = {}
         after = dict(known)
-        # Delta lineage: the content fingerprints of the graph states this
-        # session's entries evolved from (one per apply_updates).  A session
-        # that never applied updates has none — in that case a valid stored
-        # lineage is preserved rather than clobbered, so history recorded by
-        # an earlier updated session survives saves from cold sessions of
-        # the same (final) graph.
-        lineage = session.lineage()
         stored = _checked_manifest(graph, known.get("manifest"), rows)
-        if stored is not None and not lineage:
-            lineage = [str(fingerprint) for fingerprint in stored.answer.get("lineage") or []]
         manifest = {
             "store_schema_version": STORE_SCHEMA_VERSION,
             "fingerprint": graph.content_fingerprint(),
             "num_nodes": graph.num_nodes,
             "num_edges": graph.num_edges,
             "allow_self_loops": graph.allow_self_loops,
-            "lineage": lineage,
         }
         if stored is None or stored.answer != manifest:
             _stage(writes, after, "manifest", "manifest", manifest, manifest, stored)
@@ -863,9 +853,6 @@ class SessionStore:
             counters["manifest_corrupt"] = 1
             return counters
         known["manifest"] = manifest
-        stored_lineage = manifest.answer.get("lineage") or []
-        if stored_lineage:
-            session.seed_lineage(str(fingerprint_) for fingerprint_ in stored_lineage)
 
         derived = known.get("derived")
         if derived is not None:
@@ -964,10 +951,8 @@ class SessionStore:
                 manifest = _decode("manifest", text)
                 row["num_nodes"] = manifest.get("num_nodes")
                 row["num_edges"] = manifest.get("num_edges")
-                row["lineage_depth"] = len(manifest.get("lineage") or [])
             except StoreError:
                 row["num_nodes"] = row["num_edges"] = None
-                row["lineage_depth"] = 0
             row["fixed_ratio"] = counts.get((graph_id, FIXED_RATIO_ENTRY), 0)
             row["top_k"] = counts.get((graph_id, TOP_K_ENTRY), 0)
             row["results"] = counts.get((graph_id, DENSEST_ENTRY), 0)

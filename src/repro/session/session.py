@@ -247,7 +247,6 @@ class DDSSession:
         self._local_research_runs = 0
         self._anytime_returns = 0
         self._invalidated_keys: set[tuple[str, MethodConfig]] = set()
-        self._lineage: list[str] = []
         self._warm_state_version = 0
 
     # ------------------------------------------------------------------
@@ -636,8 +635,7 @@ class DDSSession:
         Returns the :class:`~repro.incremental.delta.UpdateReport` of
         everything that happened; counters aggregate in :meth:`cache_stats`
         (``updates_applied`` / ``certified_stale_hits`` /
-        ``local_research_runs``) and each pre-update content fingerprint is
-        appended to :meth:`lineage`.
+        ``local_research_runs``).
         """
         self._check_unmutated()
         delta = EdgeDelta.normalize(self.graph, added_edges, removed_edges)
@@ -645,12 +643,10 @@ class DDSSession:
         if delta.is_empty:
             return report
 
-        old_fingerprint = self.graph.content_fingerprint()
         added_pairs, removed_pairs = self.graph.apply_delta(delta.added, delta.removed)
         self._graph_token = self.graph.state_token
         self._updates_applied += 1
         self._warm_state_version += 1
-        self._lineage.append(old_fingerprint)
         report.edges_added = len(added_pairs)
         report.edges_removed = len(removed_pairs)
         report.nodes_added = len(delta.new_nodes)
@@ -701,20 +697,6 @@ class DDSSession:
                     report.results_invalidated += 1
         return report
 
-    def lineage(self) -> list[str]:
-        """Content fingerprints of every pre-update graph state, oldest first.
-
-        One entry per :meth:`apply_updates` call that changed the graph —
-        the delta lineage the persistent store records so a warmed session
-        knows which ancestor states its entries evolved from.
-        """
-        return list(self._lineage)
-
-    def seed_lineage(self, fingerprints: Iterable[str]) -> None:
-        """Adopt a delta lineage recorded elsewhere (persistent-store hook)."""
-        self._lineage = [str(fingerprint) for fingerprint in fingerprints]
-        self._warm_state_version += 1
-
     # ------------------------------------------------------------------
     # cached derived state
     # ------------------------------------------------------------------
@@ -747,13 +729,13 @@ class DDSSession:
         """Count of changes to the state the persistent store saves.
 
         Rises whenever an answer is cached, seeded or dropped, a core is
-        computed or seeded (:meth:`seed_derived`), the lineage changes, or
-        :meth:`apply_updates` / :meth:`clear_cache` run.  A cache hit's LRU
-        touch leaves it alone (the store keeps no order), and so does
-        computing the sub-problem, summary or bounds lazily: the store saves
-        none of them.  No answer depends on it;
-        :class:`~repro.service.store.SessionStore` compares it with the
-        value it saw at its last save to tell that nothing changed since.
+        computed or seeded (:meth:`seed_derived`), or :meth:`apply_updates`
+        or :meth:`clear_cache` runs.  A cache hit's LRU touch leaves it
+        alone (the store keeps no order), and so does computing the
+        sub-problem, summary or bounds lazily: the store saves none of them.
+        No answer depends on it; :class:`~repro.service.store.SessionStore`
+        compares it with the value it saw at its last save to tell that
+        nothing changed since.
         """
         return self._warm_state_version
 

@@ -12,10 +12,9 @@ The robustness acceptance criteria, pinned:
 * **Anytime bounds** — the partial carried by a mid-solve
   :class:`~repro.exceptions.DeadlineExceeded` brackets the true optimum:
   ``partial.density <= rho_opt <= partial.upper_bound``.
-* **Breaker lifecycle** — closed → open after ``failure_threshold``
-  exhausted ladders, fast-fail while open, exactly one half-open probe
-  after the cooldown, reclose on success / re-open on failure — all on an
-  injected monotonic clock.
+* **Breaker lifecycle** — closed → open on an exhausted ladder, fast-fail
+  while open, exactly one half-open probe after the cooldown, reclose on
+  success / re-open on failure — all on an injected monotonic clock.
 * **Drain under fire** — a daemon draining with work in flight finishes
   that work before exiting; a daemon killed *mid-drain* still tears down
   without deadlocking.
@@ -30,7 +29,8 @@ from flow_oracle import CHECKED_SOLVERS, use_solver
 
 from repro.exceptions import ConfigError, DeadlineExceeded, NetError
 from repro.graph.generators import gnp_random_digraph
-from repro.net import CircuitBreaker, CircuitOpenError, ShardClient, ShardDaemon
+from repro.net import CircuitBreaker, CircuitOpenError, RemoteOpError, ShardClient, ShardDaemon
+from repro.net.client import BREAKER_COOLDOWN_S
 from repro.runtime import Deadline
 from repro.service import BatchExecutor, payload_answer, plan_batch
 from repro.session import DDSSession
@@ -152,20 +152,23 @@ class TestCancellationSafety:
 
 
 class TestCircuitBreaker:
-    def test_open_after_threshold_then_half_open_then_reclose(self):
+    def test_open_on_an_exhausted_ladder_then_half_open_then_reclose(self):
         clock = SteppingClock(step_ms=0.0)  # frozen until advanced by hand
-        breaker = CircuitBreaker(failure_threshold=2, cooldown_s=5.0, clock=clock)
+        breaker = CircuitBreaker(clock=clock)
         breaker.admit("h:1")
-        breaker.record_failure()
-        assert breaker.state == "closed"  # one short of the threshold
+        breaker.record_success()
         breaker.admit("h:1")
         breaker.record_failure()
         assert breaker.state == "open"
+        breaker.record_failure()  # a concurrent ladder failing late: still one opening
 
         with pytest.raises(CircuitOpenError):
             breaker.admit("h:1")
 
-        clock.now += 5.0  # cooldown elapses on the monotonic clock
+        clock.now += BREAKER_COOLDOWN_S - 0.001
+        with pytest.raises(CircuitOpenError):
+            breaker.admit("h:1")  # the cooldown has not quite elapsed
+        clock.now += 0.001  # cooldown elapses on the monotonic clock
         breaker.admit("h:1")  # becomes the half-open probe
         assert breaker.state == "half-open"
         # Concurrent callers during the probe keep failing fast.
@@ -178,29 +181,23 @@ class TestCircuitBreaker:
         assert stats["breaker_opens"] == 1
         assert stats["breaker_half_open_probes"] == 1
         assert stats["breaker_reclosures"] == 1
-        assert stats["breaker_fast_failures"] == 2
+        assert stats["breaker_fast_failures"] == 3
 
     def test_half_open_failure_reopens_for_another_cooldown(self):
         clock = SteppingClock(step_ms=0.0)
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=2.0, clock=clock)
+        breaker = CircuitBreaker(clock=clock)
         breaker.record_failure()
         assert breaker.state == "open"
-        clock.now += 2.0
+        clock.now += BREAKER_COOLDOWN_S
         breaker.admit("h:1")
         assert breaker.state == "half-open"
         breaker.record_failure()
         assert breaker.state == "open"
         with pytest.raises(CircuitOpenError):
             breaker.admit("h:1")  # new cooldown, still closed off
-        clock.now += 2.0
+        clock.now += BREAKER_COOLDOWN_S
         breaker.admit("h:1")
         assert breaker.stats()["breaker_opens"] == 2
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ConfigError):
-            CircuitBreaker(cooldown_s=0)
 
     def test_client_breaker_opens_on_dead_host_and_readmits(self):
         # A daemon serves, dies, and comes back on the same port: the
@@ -214,7 +211,7 @@ class TestCircuitBreaker:
             port,
             max_retries=0,
             connect_timeout=0.5,
-            breaker=CircuitBreaker(failure_threshold=1, cooldown_s=5.0, clock=clock),
+            breaker=CircuitBreaker(clock=clock),
         )
         assert client.ping()["pong"] is True
         daemon.shutdown()
@@ -228,7 +225,7 @@ class TestCircuitBreaker:
         revived = ShardDaemon(None, host=host, port=port)
         revived.start()
         try:
-            clock.now += 5.0  # cooldown elapses
+            clock.now += BREAKER_COOLDOWN_S  # cooldown elapses
             assert client.ping()["pong"] is True  # the half-open probe
             assert client.breaker.state == "closed"
             stats = client.stats()
@@ -315,7 +312,18 @@ class TestDrainUnderFire:
 
     def test_drain_validation(self):
         daemon = ShardDaemon(None)
-        with pytest.raises(ConfigError):
-            daemon.drain(grace_s=0)
-        with pytest.raises(ConfigError):
-            daemon.drain(grace_s=-1.0)
+        for grace in (0, -1.0, float("inf"), float("nan"), True, "5"):
+            with pytest.raises(ConfigError, match="grace_s must be a positive finite number"):
+                daemon.drain(grace_s=grace)
+        assert daemon.daemon_stats()["draining"] is False
+        # On the wire too: canonical JSON writes an infinite grace as
+        # ``Infinity`` and the daemon reads it back, then refuses it.
+        with daemon:
+            client = ShardClient(daemon.host, daemon.port, max_retries=0)
+            for grace in (float("inf"), 0, True):
+                with pytest.raises(RemoteOpError, match="grace_s") as excinfo:
+                    client.drain(grace_s=grace)
+                assert excinfo.value.remote_type == "ConfigError"
+            assert daemon.daemon_stats()["draining"] is False
+            assert client.ping()["pong"] is True
+            client.close()

@@ -124,6 +124,22 @@ class TestPlantedGenerator:
         assert graph.count_edges_between(s_idx, t_idx) == 5 * 6
         assert graph.num_nodes == 50 + 5 + 6
 
+    @pytest.mark.parametrize("degree", [-1.0, -0.5, -1e-9, -5, float("nan"), float("inf"), -float("inf")])
+    def test_background_degree_refuses_negative_nan_and_infinite(self, degree):
+        with pytest.raises(AlgorithmError, match=r"background_degree must be finite and >= 0") as caught:
+            planted_dds_digraph(10, degree, 2, 2, seed=1)
+        assert str(caught.value).endswith(f"got {degree!r}")
+
+    def test_background_degree_zero_builds_no_background(self):
+        for degree in (0, 0.0):
+            graph, planted_s, planted_t = planted_dds_digraph(10, degree, 2, 2, p_dense=1.0, seed=1)
+            background = graph.indices_of(range(10))
+            assert graph.count_edges_between(background, background) == 0
+            assert graph.count_edges_between(graph.indices_of(planted_s), graph.indices_of(planted_t)) == 4
+        assert sorted(planted_dds_digraph(10, 0.0, 2, 2, seed=1)[0].edges()) == sorted(
+            planted_dds_digraph(10, 0, 2, 2, seed=1)[0].edges()
+        )
+
     def test_expected_planted_density(self):
         assert expected_planted_density(4, 9, 1.0) == pytest.approx(6.0)
         assert expected_planted_density(0, 9, 1.0) == 0.0

@@ -284,15 +284,21 @@ class TestApplyUpdatesBehaviour:
         with pytest.raises(GraphError, match="mutated"):
             session.densest_subgraph("dc-exact")
 
-    def test_lineage_records_pre_update_fingerprints(self):
+    def test_an_update_hashes_no_graph_state(self, monkeypatch):
+        """A write needs the current graph and the delta, not a fingerprint of either state."""
         session = DDSSession(self.make_pendant_graph())
-        first = session.graph.content_fingerprint()
+        session.densest_subgraph("dc-exact")
+        hashed: list[int] = []
+        fingerprint = DiGraph.content_fingerprint
+        monkeypatch.setattr(
+            DiGraph,
+            "content_fingerprint",
+            lambda graph: hashed.append(graph.state_token) or fingerprint(graph),
+        )
         session.apply_updates(removed_edges=[("x", "y")])
-        second = session.graph.content_fingerprint()
         session.apply_updates(added_edges=[("x", "y")])
-        assert session.lineage() == [first, second]
-        session.seed_lineage(["abc"])
-        assert session.lineage() == ["abc"]
+        assert hashed == []
+        assert session.cache_stats()["updates_applied"] == 2
 
     def test_removal_only_repeel_restricts_to_old_core(self):
         session = DDSSession(self.make_pendant_graph())

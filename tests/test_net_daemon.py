@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import gc
 import os
-import random
 import select
 import sys
 import threading
@@ -48,6 +47,7 @@ from repro.net import (
     graph_to_wire,
     parse_host_port,
 )
+from repro.net import client as client_module
 from repro.net import daemon as daemon_module
 from repro.net import protocol as protocol_module
 from repro.service import (
@@ -132,28 +132,25 @@ class TestClientPlumbing:
     def test_parse_host_port(self):
         assert parse_host_port("localhost:8080") == ("localhost", 8080)
         assert parse_host_port(" 10.0.0.1:1 ") == ("10.0.0.1", 1)
-        assert parse_host_port("box", default_port=99) == ("box", 99)
         for bad in ("", ":80", "box:", "box:notaport", "box:0", "box:70000", "box"):
             with pytest.raises(ConfigError):
                 parse_host_port(bad)
 
     def test_backoff_is_bounded_exponential_with_jitter(self):
-        client = ShardClient(
-            "127.0.0.1", 1, backoff_base=0.1, backoff_max=0.3, rng=random.Random(7)
-        )
-        for attempt in range(6):
-            ceiling = min(0.3, 0.1 * 2**attempt)
+        client = ShardClient("127.0.0.1", 1)
+        # Attempt 6 is the first whose exponential step passes the cap.
+        for attempt in range(8):
+            ceiling = min(client_module.BACKOFF_MAX_S, client_module.BACKOFF_BASE_S * 2**attempt)
             delay = client.backoff_delay(attempt)
             assert 0.5 * ceiling <= delay <= ceiling
+        assert client.backoff_delay(7) <= client_module.BACKOFF_MAX_S < client_module.BACKOFF_BASE_S * 2**7
 
     def test_exhausted_ladder_raises_neterror_and_counts(self):
         # A freshly-bound-then-closed port: nothing listens there.
         daemon = ShardDaemon()
         daemon.start()
         daemon.shutdown()
-        client = ShardClient(
-            daemon.host, daemon.port, max_retries=2, backoff_base=0.001
-        )
+        client = ShardClient(daemon.host, daemon.port, max_retries=2)
         with pytest.raises(NetError, match="3 attempts"):
             client.ping()
         stats = client.stats()
@@ -184,7 +181,7 @@ class TestClientPlumbing:
         monkeypatch.setattr(protocol_module, "encode_request", counting_encode)
         with ShardDaemon() as daemon:
             _drop_requests(daemon, "ping", 1)
-            client = ShardClient(daemon.host, daemon.port, max_retries=2, backoff_base=0.001)
+            client = ShardClient(daemon.host, daemon.port, max_retries=2)
             assert client.ping(echo="again")["echo"] == "again"
             assert client.stats()["retries"] == 1
         assert len(encoded) == 1
@@ -265,7 +262,7 @@ class TestConnectionReuse:
             return serve(sock, op, request_id, message)
 
         daemon._serve_request = hold_inventory
-        client = ShardClient(host, port, max_retries=1, backoff_base=0.001)
+        client = ShardClient(host, port, max_retries=1)
         holder = ShardClient(host, port, max_retries=0)
         held = threading.Thread(target=holder.inventory)
         try:
@@ -403,6 +400,25 @@ class TestDaemonOps:
             assert client.stats()["retries"] == 0
             assert daemon.daemon_stats()["errors"] == 1
 
+    def test_solve_refuses_a_lane_budget_that_is_not_a_positive_finite_number(self):
+        graph = load_dataset(DEFAULT_DATASET)
+        with ShardDaemon() as daemon:
+            client = ShardClient(daemon.host, daemon.port, max_retries=0)
+            for budget in (float("inf"), float("nan"), 0, -5.0, True, "5"):
+                payload = {
+                    "graph_key": "g",
+                    "fingerprint": graph.content_fingerprint(),
+                    "entries": [[0, {"query": "summary"}]],
+                    "graph": graph_to_wire(graph),
+                    "deadline_ms": budget,
+                }
+                with pytest.raises(RemoteOpError, match="deadline_ms' must be a positive finite") as caught:
+                    client.request("solve", payload)
+                assert caught.value.remote_type == "ConfigError"
+            stats = daemon.daemon_stats()
+            assert (stats["errors"], stats["sessions_resident"]) == (6, 0)
+            client.close()
+
     def test_lru_evicts_to_capacity(self):
         with ShardDaemon(max_sessions=1) as daemon:
             client = ShardClient(daemon.host, daemon.port)
@@ -418,21 +434,30 @@ class TestDaemonOps:
             assert stats["sessions_resident"] == 1
             assert stats["sessions_evicted"] == 1
 
-    def test_warm_and_inventory_with_store(self, tmp_path):
+    def test_a_solve_lane_warms_the_store_and_inventory_reports_it(self, tmp_path):
+        """A lane of densest and max-core queries warms a daemon and its store shard."""
         graph = load_dataset(DEFAULT_DATASET)
+        entries = [(0, {"query": "densest", "method": "core-exact"}), (1, {"query": "max-core"})]
         with ShardDaemon(SessionStore(tmp_path / "store")) as daemon:
             client = ShardClient(daemon.host, daemon.port)
-            warmed = client.warm(
-                graph_to_wire(graph), methods=["core-exact"], max_core=True
+            solved = client.solve_lane(
+                "g", graph.content_fingerprint(), entries, graph=graph_to_wire(graph)
             )
-            assert warmed["fingerprint"] == graph.content_fingerprint()
-            assert "core-exact" in warmed["computed"]
-            assert "max-core" in warmed["computed"]
-            assert warmed["saved"].get("results_saved", 0) >= 1
+            assert solved["store"]["results_saved"] == 1
+            assert solved["store"]["derived_saved"] == 1
+            session = daemon._sessions[graph.content_fingerprint()].session
+            assert session.cached_max_core() is not None
             inventory = client.inventory()
             assert inventory["store_root"] == str(tmp_path / "store")
-            assert len(inventory["store"]) == 1
-            assert inventory["daemon"]["requests"]["warm"] == 1
+            [row] = inventory["store"]
+            assert (row["fingerprint"], row["results"], row["derived"]) == (
+                graph.content_fingerprint(), 1, True
+            )
+            assert inventory["daemon"]["requests"] == {"solve": 1, "inventory": 1}
+        warmed = DDSSession(graph.copy())
+        counters = SessionStore(tmp_path / "store").warm_session(warmed)
+        assert (counters["results_loaded"], counters["derived_loaded"]) == (1, 1)
+        assert warmed.cached_max_core() is not None
 
     def test_evicted_sessions_are_saved_to_the_store(self, tmp_path):
         """Every state a resident session reaches is on disk after its request.
@@ -530,15 +555,18 @@ class TestDaemonOps:
         assert open_store_files() == []
         assert daemon.daemon_stats()["sessions_flushed"] == 1
 
-    def test_shutdown_is_idempotent_and_leaves_no_connections(self):
+    def test_a_remote_drain_then_shutdown_is_idempotent_and_leaves_no_connections(self):
         daemon = ShardDaemon()
         daemon.start()
         client = ShardClient(daemon.host, daemon.port)
         client.ping()
-        assert client.shutdown_daemon()["stopping"] is True
+        assert client.drain(grace_s=5.0)["draining"] is True
         daemon.join(10)
+        assert not daemon._thread.is_alive()
+        daemon.shutdown()
         daemon.shutdown()
         assert daemon.open_connections() == 0
+        client.close()
 
     def test_start_twice_raises(self):
         with ShardDaemon() as daemon:

@@ -13,7 +13,7 @@ from repro.exceptions import ProtocolError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import gnm_random_digraph
 from repro.net import ShardClient, protocol
-from repro.utils.canonical import canonical_json
+from repro.utils.canonical import canonical_json, checksum
 
 
 def _json_scalars() -> st.SearchStrategy:
@@ -53,7 +53,7 @@ class TestRoundTrip:
         assert message["request_id"] == request_id
         assert message["payload"] == payload
         assert message["protocol_version"] == protocol.PROTOCOL_VERSION
-        assert message["checksum"] == protocol.payload_checksum(payload)
+        assert message["checksum"] == checksum(payload)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -145,6 +145,16 @@ class TestStrictDecode:
         message["op"] = "explode"
         with pytest.raises(ProtocolError, match="unknown op"):
             protocol.decode_frame_bytes(_frame_raw(message))
+
+    @pytest.mark.parametrize("op", ["warm", "shutdown"])
+    def test_dropped_ops_are_refused_as_unknown(self, op):
+        # The frame an older peer sends: canonical, checksummed, version 3.
+        head = {"protocol_version": protocol.PROTOCOL_VERSION, "request_id": "rid", "op": op}
+        frame = protocol._encode_message(head, {})
+        with pytest.raises(ProtocolError, match=f"unknown op '{op}'"):
+            protocol.decode_frame_bytes(frame)
+        with pytest.raises(ProtocolError, match="unknown request op"):
+            protocol.encode_request("rid", op, {})
 
     def test_oversized_length_prefix_is_corruption(self):
         frame = struct.pack("!I", protocol.MAX_FRAME_BYTES + 1) + b"x"

@@ -25,7 +25,6 @@ from repro.service.queries import run_batch_query
 from repro.session import DDSSession
 
 DEFAULT_DATASET = "foodweb-tiny"
-OTHER_DATASET = "social-tiny"
 
 MIXED = [
     {"query": "densest", "method": "core-exact"},
@@ -246,72 +245,15 @@ class TestShardMap:
     def test_routing_is_content_stable(self):
         graph = load_dataset(DEFAULT_DATASET)
         copy = graph.copy()
-        shard_map = ShardMap(4)
-        assert shard_map.shard_of(graph.content_fingerprint()) == shard_map.shard_of(
-            copy.content_fingerprint()
-        )
-        # Routing ignores batch composition: any assignment that includes
-        # the graph puts it on the same shard.
-        solo = shard_map.assign({"g": graph.content_fingerprint()})
-        mixed = shard_map.assign(
-            {
-                "other": load_dataset(OTHER_DATASET).content_fingerprint(),
-                "g": graph.content_fingerprint(),
-            }
-        )
-        (solo_shard,) = [shard for shard, keys in solo.items() if "g" in keys]
-        (mixed_shard,) = [shard for shard, keys in mixed.items() if "g" in keys]
-        assert solo_shard == mixed_shard
-
-    def test_assign_partitions_all_keys(self):
-        fingerprints = {
-            key: load_dataset(name).content_fingerprint()
-            for key, name in (("a", DEFAULT_DATASET), ("b", OTHER_DATASET))
-        }
-        shards = ShardMap(2).assign(fingerprints)
-        assigned = [key for keys in shards.values() for key in keys]
-        assert sorted(assigned) == ["a", "b"]
-        assert all(0 <= shard < 2 for shard in shards)
+        fingerprint = graph.content_fingerprint()
+        assert copy.content_fingerprint() == fingerprint
+        # Two maps of one width, as two executors or machines hold them.
+        first, second = ShardMap(4), ShardMap(4)
+        assert first.shard_of(fingerprint) == second.shard_of(copy.content_fingerprint())
+        assert first.shard_of(fingerprint) == int(fingerprint[:16], 16) % 4
 
     def test_invalid_inputs_raise(self):
         with pytest.raises(ConfigError):
             ShardMap(0)
         with pytest.raises(ConfigError):
             ShardMap(2).shard_of("not-a-fingerprint")
-
-    def test_collapse_spreads_collisions_to_empty_shards(self):
-        # Three distinct fingerprints engineered onto shard 0 of 4: without
-        # collapsing, one shard serialises all three lanes while three
-        # slots idle.
-        fp = lambda value: "%016x" % value + "0" * 48  # noqa: E731
-        fingerprints = {"a": fp(0), "b": fp(4), "c": fp(8)}
-        shard_map = ShardMap(4)
-        assert shard_map.assign(fingerprints) == {0: ["a", "b", "c"]}
-        collapsed = shard_map.assign(fingerprints, collapse=True)
-        assert len(collapsed) == 3
-        assert sorted(key for keys in collapsed.values() for key in keys) == ["a", "b", "c"]
-        # The overfull shard keeps its smallest fingerprint; donations go to
-        # the empty shards in ascending order, fingerprint-sorted.
-        assert collapsed == {0: ["a"], 1: ["b"], 2: ["c"]}
-
-    def test_collapse_moves_same_fingerprint_keys_together(self):
-        fp = lambda value: "%016x" % value + "0" * 48  # noqa: E731
-        fingerprints = {"a1": fp(0), "b1": fp(2), "a2": fp(0), "b2": fp(2)}
-        collapsed = ShardMap(2).assign(fingerprints, collapse=True)
-        assert collapsed == {0: ["a1", "a2"], 1: ["b1", "b2"]}
-
-    def test_collapse_without_empty_shards_is_identity(self):
-        fingerprints = {
-            key: load_dataset(name).content_fingerprint()
-            for key, name in (("a", DEFAULT_DATASET), ("b", OTHER_DATASET))
-        }
-        shard_map = ShardMap(1)
-        assert shard_map.assign(fingerprints, collapse=True) == shard_map.assign(
-            fingerprints
-        )
-
-    def test_collapse_never_outnumbers_distinct_fingerprints(self):
-        fp = lambda value: "%016x" % value + "0" * 48  # noqa: E731
-        fingerprints = {"a": fp(0), "b": fp(8)}  # both on shard 0 of 8
-        collapsed = ShardMap(8).assign(fingerprints, collapse=True)
-        assert len(collapsed) == 2

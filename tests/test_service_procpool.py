@@ -18,6 +18,9 @@ process for each batch and serves the lanes through the daemon path:
   answered once.
 * **Hygiene** — no child process outlives ``execute``, on normal, crashed
   and raising runs.
+* **Round-robin slots** — the batch's distinct fingerprints are dealt, in
+  sorted order, to ``min(jobs, distinct fingerprints)`` slots: keys with one
+  fingerprint share a slot, and no key order changes the deal.
 * **Order-independent aggregation** — ``BatchReport.aggregate_stats()``
   is a pure function of the per-lane snapshots, not of completion order.
 * **One store, many processes** — daemons under ``fork`` and ``spawn`` save
@@ -153,7 +156,41 @@ class TestFingerprintCheck:
         assert _answers(report) == _answers(BatchExecutor({"g": graph}).execute(plan))
 
 
-class TestShardCollapseInThePool:
+def _fingerprint(value: int) -> str:
+    """A content-fingerprint-shaped hex string that sorts by ``value``."""
+    return "%016x" % value + "0" * 48
+
+
+class TestLocalSlots:
+    def test_keys_with_one_fingerprint_share_a_slot(self):
+        fingerprints = {key: _fingerprint(5 if key[0] == "a" else 2) for key in ("a1", "b1", "a2", "b2")}
+        # Sorted, b's fingerprint comes first; each slot keeps its keys in mapping order.
+        assert executor_module._local_slots(fingerprints, 2) == [["b1", "b2"], ["a1", "a2"]]
+        assert executor_module._local_slots(fingerprints, 1) == [["a1", "b1", "a2", "b2"]]
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 4, 8])
+    def test_min_of_jobs_and_distinct_fingerprints_slots_are_used(self, jobs):
+        # Five distinct fingerprints that all collide under ShardMap(4).shard_of.
+        fingerprints = {f"g{value}": _fingerprint(4 * value) for value in range(5)}
+        fingerprints["g0-copy"] = fingerprints["g0"]
+        slots = executor_module._local_slots(fingerprints, jobs)
+        assert len(slots) == min(jobs, 5)
+        assert all(slots)
+        assert sorted(key for keys in slots for key in keys) == sorted(fingerprints)
+        # Round-robin in sorted order: the i-th smallest fingerprint takes slot i % jobs.
+        for index in range(5):
+            assert f"g{index}" in slots[index % jobs]
+
+    def test_the_deal_does_not_depend_on_key_order(self):
+        fingerprints = {key: _fingerprint(value) for key, value in zip("abcde", (9, 3, 7, 3, 1))}
+        reference = executor_module._local_slots(fingerprints, 3)
+        slot_of = {key: index for index, keys in enumerate(reference) for key in keys}
+        for order in permutations(fingerprints):
+            slots = executor_module._local_slots({key: fingerprints[key] for key in order}, 3)
+            assert {key: index for index, keys in enumerate(slots) for key in keys} == slot_of
+            # Within a slot, keys keep the order they were given in.
+            assert all(keys == [key for key in order if key in keys] for keys in slots)
+
     def test_colliding_graphs_still_use_both_workers(self):
         """Two graphs hashing to one shard must not serialise on one daemon."""
         from repro.graph.generators import gnm_random_digraph

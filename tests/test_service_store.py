@@ -287,6 +287,28 @@ class TestIntegrity:
         assert counters["manifest_corrupt"] == 1
         assert len(store.verify()) == 1
 
+    def test_a_manifest_with_a_delta_lineage_warms_and_loses_it_at_the_next_full_save(
+        self, graph, tmp_path
+    ):
+        """Manifests of builds that recorded a delta lineage keep loading; a full save drops the key."""
+        store = self._populated_store(graph, tmp_path)
+        manifest = (graph.content_fingerprint(), "manifest")
+        written = store_rows.payload(tmp_path, manifest)
+        assert "lineage" not in written
+        store_rows.edit_row(tmp_path, manifest, dict(written, lineage=["ab" * 32]))
+        session = DDSSession(load_dataset("foodweb-tiny"))
+        counters = store.warm_session(session)
+        assert (counters["derived_loaded"], counters["results_loaded"]) == (1, 1)
+        damaged = [key for key, value in counters.items() if key.endswith(("_corrupt", "_incompatible"))]
+        assert not [key for key in damaged if counters[key]]
+        assert "lineage_depth" not in store.inventory()[0]
+        store.save_session(session)  # a repeat of the complete warm writes nothing
+        assert store_rows.payload(tmp_path, manifest)["lineage"] == ["ab" * 32]
+        session.densest_subgraph("core-approx")
+        assert store.save_session(session)["results_saved"] == 1
+        assert store_rows.payload(tmp_path, manifest) == written
+        assert store.verify() == []
+
     def test_blocked_store_directory_raises_store_error(self, graph, tmp_path):
         (tmp_path / store_module.DATABASE_NAME).mkdir()
         with pytest.raises(StoreError, match="unable to open"):

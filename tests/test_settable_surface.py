@@ -1,7 +1,8 @@
 """The settable surface: every config field and constructor keyword a caller can set.
 
-A new knob shows up here as a diff to the lists below, so adding one is a
-visible decision rather than a side effect of some other change.
+A new knob, or a new daemon op, shows up here as a diff to the lists below,
+so adding one is a visible decision rather than a side effect of some other
+change.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import inspect
 import pytest
 
 from repro.core.config import ApproxConfig, ExactConfig
-from repro.net import ShardClient, ShardDaemon
+from repro.net import REQUEST_OPS, CircuitBreaker, ShardClient, ShardDaemon, parse_host_port
 from repro.service import BatchExecutor
 from repro.session import DDSSession
 
@@ -40,7 +41,6 @@ def test_config_fields():
             [
                 "graphs",
                 "flow",
-                "result_cache_size",
                 "max_workers",
                 "store",
                 "process_pool",
@@ -58,22 +58,34 @@ def test_config_fields():
                 "max_sessions",
                 "max_workers",
                 "flow",
-                "result_cache_size",
                 "read_timeout",
             ],
+        ),
+        (
+            ShardClient.__init__,
+            ["host", "port", "connect_timeout", "read_timeout", "max_retries", "breaker"],
         ),
         (
             ShardClient.solve_lane,
             ["graph_key", "fingerprint", "entries", "graph", "deadline_ms"],
         ),
+        (CircuitBreaker.__init__, ["clock"]),
+        (parse_host_port, ["text"]),
     ],
     ids=[
         "DDSSession",
         "DDSSession.seed_derived",
         "BatchExecutor",
         "ShardDaemon",
+        "ShardClient",
         "ShardClient.solve_lane",
+        "CircuitBreaker",
+        "parse_host_port",
     ],
 )
 def test_constructor_and_lane_keywords(function, names):
     assert _parameters(function) == names
+
+
+def test_daemon_ops():
+    assert REQUEST_OPS == ("solve", "inventory", "ping", "drain")

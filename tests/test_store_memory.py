@@ -197,19 +197,15 @@ class _Twins:
         assert counters[0] == counters[1]
 
     def seed(self) -> None:
-        """Seed a result, a core or a lineage computed elsewhere (the store's hooks)."""
+        """Seed a result or a core computed elsewhere (the store's hooks)."""
         donor = DDSSession(self.sessions[0].graph.copy())
-        kind = self.rng.choice(("result", "core", "lineage"))
-        if kind == "result":
+        if self.rng.random() < 0.5:
             donor.densest_subgraph(self.rng.choice(METHODS[2:]))
             [(method, config, result)] = donor.cached_results()
             self._both(lambda session: session.seed_result(method, config, result))
-        elif kind == "core":
+        else:
             core = donor.xy_core(self.rng.randint(1, 3), self.rng.randint(1, 3))
             self._both(lambda session: session.seed_derived(xy_cores=[core]))
-        else:
-            lineage = [f"{self.rng.getrandbits(64):016x}" for _ in range(self.rng.randint(0, 2))]
-            self._both(lambda session: session.seed_lineage(lineage))
 
     def damage(self) -> None:
         """Delete or tamper with one store row, identically in both databases."""
